@@ -147,6 +147,34 @@ impl SnapshotBlockScratch {
         self.len() == 0
     }
 
+    /// Empties the block, keeping its buffers, so that a caller which
+    /// matches event by event (behind a per-event pre-filter, say) can
+    /// still hand its results on in block form with
+    /// [`SnapshotBlockScratch::push_event`].
+    pub fn clear(&mut self) {
+        self.off.clear();
+        self.off.push(0);
+        self.matched.clear();
+        self.ops = 0;
+        self.overlay_ops = 0;
+        self.event_ops.clear();
+        self.event_overlay_ops.clear();
+    }
+
+    /// Appends one event's result — what [`SnapshotScratch::matched`],
+    /// [`SnapshotScratch::ops`] and [`SnapshotScratch::overlay_ops`]
+    /// reported for it, or nothing at all for an event that was not
+    /// matched — as the next row of a block started with
+    /// [`SnapshotBlockScratch::clear`].
+    pub fn push_event(&mut self, matched: &[u32], ops: u64, overlay_ops: u64) {
+        self.matched.extend_from_slice(matched);
+        self.off.push(self.matched.len() as u32);
+        self.ops += ops;
+        self.overlay_ops += overlay_ops;
+        self.event_ops.push(ops);
+        self.event_overlay_ops.push(overlay_ops);
+    }
+
     /// Global profile ids matched by event `i` of the last block,
     /// ascending (same id space as [`SnapshotScratch::matched`]).
     ///

@@ -23,6 +23,13 @@
 //!   shard never stall the others. [`Broker::publish_batch`] fans a
 //!   batch out across shards on `std::thread` workers.
 //!
+//! * **Delivery** — a send takes the subscriber channel's lock, and
+//!   wakes the consumer only if one is parked (no syscall otherwise).
+//!   `publish` sends one notification per matched subscriber;
+//!   `publish_batch` transposes a shard's matches into one run of
+//!   events per subscriber and appends each run under one lock, with
+//!   the same overflow outcome as one send per notification.
+//!
 //! Ordering: within one publisher thread (and within a batch),
 //! notifications reach each subscriber in sequence order. Across
 //! concurrent publishers the [`Notification::sequence`] numbers define
@@ -107,10 +114,15 @@ pub struct BrokerConfig {
     /// subscriptions are delivered through the snapshot's expansion
     /// map instead. A subscribe whose profile is covered by a compiled
     /// representative joins the expansion map in O(schema) hash probes
-    /// and adds **zero** matching cost. On duplicate-heavy populations
-    /// this shrinks build time and compiled bytes by the coverage
-    /// factor; on antichain populations (nothing covers anything) the
-    /// pass degrades to one lowering sweep. Default on.
+    /// and adds no compiled state — but it is not free to match: every
+    /// hit on a representative scans that representative's children
+    /// and re-checks their residual predicates, and the `e2e`
+    /// benchmark measured that expansion at 1095 of the 1152 ns/event
+    /// of matching on its 1000-profile environmental population. On
+    /// duplicate-heavy populations covering shrinks build time and
+    /// compiled bytes by the coverage factor; on antichain populations
+    /// (nothing covers anything) the pass degrades to one lowering
+    /// sweep. Default on.
     pub covering: bool,
     /// Capacity of each subscriber's notification channel; `0` means
     /// unbounded (the default, matching the seed behaviour). With a
@@ -515,9 +527,147 @@ thread_local! {
     static SCRATCH: RefCell<(IndexedEvent, SnapshotScratch)> =
         RefCell::new((IndexedEvent::new(), SnapshotScratch::new()));
 
-    /// Per-thread block-match buffers for the batch publish path.
-    static BLOCK_SCRATCH: RefCell<SnapshotBlockScratch> =
-        RefCell::new(SnapshotBlockScratch::new());
+    /// Per-thread batch buffers, one [`ShardBatch`] per shard, owned by
+    /// the *publishing* thread and lent to the shard workers for the
+    /// length of a batch: a warmed-up `publish_batch` caller allocates
+    /// receipts and nothing else, however short-lived its workers are.
+    static BATCH_SCRATCH: RefCell<Vec<ShardBatch>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `ShardBatch::dead_from` of a slot whose channel took everything.
+const ALIVE: u32 = u32::MAX;
+
+/// One shard's share of a batch, reused from batch to batch: the
+/// matched rows, their transposition into one run of events per
+/// subscriber, and what delivering those runs reported.
+#[derive(Default)]
+struct ShardBatch {
+    /// Matched global profile ids per event (CSR rows), with op counts.
+    rows: SnapshotBlockScratch,
+    /// Per dispatch slot, while a batch is transposed: where the slot's
+    /// run in `runs` is being written. All zero between batches — only
+    /// touched slots are reset — so a batch costs O(notifications), not
+    /// O(subscriptions).
+    cursor: Vec<u32>,
+    /// Slots this batch matched, in order of first match.
+    touched: Vec<u32>,
+    /// The rows transposed: event indices grouped by slot in `touched`
+    /// order, ascending within a slot.
+    runs: Vec<u32>,
+    /// Per dispatch slot: the first event of this batch whose
+    /// notification the slot's channel refused as severed ([`ALIVE`]
+    /// if none, and between batches).
+    dead_from: Vec<u32>,
+    /// Slots holding a `dead_from` mark.
+    dead: Vec<u32>,
+    /// Notifications of this batch lost to the overflow policy.
+    overflowed: u64,
+    /// Per event: dropped by this shard's inbound quench pre-filter.
+    rejected: Vec<bool>,
+}
+
+impl ShardBatch {
+    /// Sizes the per-event and per-slot arrays for a batch of `events`
+    /// against a snapshot with `slots` dispatch slots, and clears the
+    /// previous batch's marks.
+    fn begin(&mut self, events: usize, slots: usize) {
+        for g in self.dead.drain(..) {
+            self.dead_from[g as usize] = ALIVE;
+        }
+        if self.cursor.len() < slots {
+            self.cursor.resize(slots, 0);
+            self.dead_from.resize(slots, ALIVE);
+        }
+        self.overflowed = 0;
+        self.rejected.clear();
+        self.rejected.resize(events, false);
+    }
+
+    /// The share of a shard whose worker panicked: `events` empty rows.
+    fn blank(events: usize) -> Self {
+        let mut blank = ShardBatch::default();
+        blank.begin(events, 0);
+        blank.rows.clear();
+        for _ in 0..events {
+            blank.rows.push_event(&[], 0, 0);
+        }
+        blank
+    }
+
+    /// Groups the rows by slot and appends each slot's run to its
+    /// subscriber channel under one lock, with at most one wake-up.
+    /// Every subscriber still sees its notifications in sequence
+    /// order, and every channel ends up exactly as after one send per
+    /// notification in event order (see [`Sender::send_many`]).
+    fn deliver(&mut self, snap: &ShardSnapshot, events: &[Arc<Event>], base_seq: u64) {
+        // Count each slot's notifications, then turn the counts into
+        // run starts (a counting sort of the rows by slot).
+        for i in 0..events.len() {
+            for &g in self.rows.matched_of(i) {
+                let count = &mut self.cursor[g as usize];
+                if *count == 0 {
+                    self.touched.push(g);
+                }
+                *count += 1;
+            }
+        }
+        let mut total = 0;
+        for &g in &self.touched {
+            let start = total;
+            total += self.cursor[g as usize];
+            self.cursor[g as usize] = start;
+        }
+        self.runs.clear();
+        self.runs.resize(total as usize, 0);
+        for i in 0..events.len() {
+            for &g in self.rows.matched_of(i) {
+                let at = &mut self.cursor[g as usize];
+                self.runs[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+        // Each cursor now stands at its run's end, where the next
+        // touched slot's run starts.
+        let mut start = 0;
+        for g in self.touched.drain(..) {
+            let end = std::mem::take(&mut self.cursor[g as usize]) as usize;
+            let run = &self.runs[start..end];
+            start = end;
+            let entry = snap.entry(g);
+            let pushed = entry.sender.send_many(run.iter().map(|&i| Notification {
+                subscription: entry.id,
+                sequence: base_seq + u64::from(i),
+                event: Arc::clone(&events[i as usize]),
+            }));
+            self.overflowed += pushed.lost as u64;
+            if pushed.severed {
+                self.dead_from[g as usize] = run[pushed.accepted];
+                self.dead.push(g);
+            }
+        }
+    }
+
+    /// Adds this shard's outcome for event `i` to `into`: a matched
+    /// subscriber is in `matched` up to the event its channel was
+    /// found severed at, and in `dead` from there on.
+    fn collect(&self, snap: &ShardSnapshot, i: usize, into: &mut Delivery) {
+        into.ops += self.rows.ops_of(i);
+        into.overlay_ops += self.rows.overlay_ops_of(i);
+        into.rejecting_shards += usize::from(self.rejected[i]);
+        let row = self.rows.matched_of(i);
+        if self.dead.is_empty() {
+            into.matched.extend(row.iter().map(|&g| snap.entry(g).id));
+            return;
+        }
+        for &g in row {
+            let id = snap.entry(g).id;
+            if self.dead_from[g as usize] <= i as u32 {
+                into.dead.push(id);
+            } else {
+                into.matched.push(id);
+            }
+        }
+    }
 }
 
 /// A sender whose receiver is already gone: placeholder for tombstoned
@@ -1351,58 +1501,82 @@ impl Broker {
             }
         }
 
+        // Taken out rather than borrowed: nothing below can then find
+        // the cell busy, whatever it calls.
+        let mut scratch = BATCH_SCRATCH.take();
+        let receipts = self.run_batch(events, indexed, base_seq, &mut scratch);
+        BATCH_SCRATCH.set(scratch);
+        let receipts = receipts?;
+        self.maybe_checkpoint();
+        Ok(receipts)
+    }
+
+    /// Matches and delivers a validated batch shard by shard, then
+    /// merges the shards' rows into one receipt per event.
+    fn run_batch(
+        &self,
+        events: &[Arc<Event>],
+        indexed: &IndexedBatch,
+        base_seq: u64,
+        scratch: &mut Vec<ShardBatch>,
+    ) -> Result<Vec<PublishReceipt>, ServiceError> {
         let snaps: Vec<Arc<ShardSnapshot>> = self
             .shards
             .iter()
             .map(|s| s.snapshot.read().clone())
             .collect();
+        if scratch.len() < snaps.len() {
+            scratch.resize_with(snaps.len(), ShardBatch::default);
+        }
+        let shards = &mut scratch[..snaps.len()];
         // A panicking worker (a poisoned profile, a bug in a matching
         // strategy) must not take the broker down or lose the other
         // shards' deliveries: the panic is caught, counted, and the
-        // panicked shard contributes empty deliveries for this batch.
-        // `AssertUnwindSafe` is sound here: a worker only reads the
-        // immutable snapshot and sends on channels whose shared state
-        // is lock-protected and stays consistent (drift statistics are
-        // only touched later, in `finish_publish`).
-        let run_worker = |shard_idx: usize, snap: &ShardSnapshot| -> Vec<Delivery> {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.batch_worker(shard_idx, snap, indexed, events, base_seq)
-            }))
-            .unwrap_or_else(|_| {
+        // panicked shard contributes empty rows for this batch.
+        // `AssertUnwindSafe` is sound here: a worker reads the
+        // immutable snapshot, sends on channels whose shared state is
+        // lock-protected and stays consistent, and writes only its own
+        // `ShardBatch`, which is thrown away if it panics (drift
+        // statistics are only touched later, in `finish_publish`).
+        let run_worker = |shard_idx: usize, snap: &ShardSnapshot, out: &mut ShardBatch| {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.batch_worker(shard_idx, snap, indexed, events, base_seq, out);
+            }));
+            if caught.is_err() {
                 self.metrics.shard_panics.fetch_add(1, Ordering::Relaxed);
-                (0..events.len()).map(|_| Delivery::default()).collect()
-            })
+                *out = ShardBatch::blank(events.len());
+            }
         };
-        let mut per_shard: Vec<Vec<Delivery>> = if self.shards.len() == 1 {
-            vec![run_worker(0, &snaps[0])]
+        if let [only] = &mut *shards {
+            run_worker(0, &snaps[0], only);
         } else {
+            // The scope joins every worker; their panics are caught
+            // inside.
             std::thread::scope(|scope| {
-                let handles: Vec<_> = snaps
-                    .iter()
-                    .enumerate()
-                    .map(|(s, snap)| {
-                        let run_worker = &run_worker;
-                        scope.spawn(move || run_worker(s, snap))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panics are caught inside"))
-                    .collect()
-            })
-        };
+                for (s, (snap, out)) in snaps.iter().zip(shards.iter_mut()).enumerate() {
+                    let run_worker = &run_worker;
+                    scope.spawn(move || run_worker(s, snap, out));
+                }
+            });
+        }
 
+        // Every matched subscriber stays in `matched`; what the overflow
+        // policies shed is only counted.
+        let overflowed: u64 = shards.iter().map(|b| b.overflowed).sum();
+        if overflowed > 0 {
+            self.metrics
+                .overflow_dropped
+                .fetch_add(overflowed, Ordering::Relaxed);
+        }
         let mut receipts = Vec::with_capacity(events.len());
         for (i, event) in events.iter().enumerate() {
-            let mut delivery = Delivery::default();
-            for shard in &mut per_shard {
-                let d = std::mem::take(&mut shard[i]);
-                delivery.matched.extend(d.matched);
-                delivery.dead.extend(d.dead);
-                delivery.overflowed += d.overflowed;
-                delivery.ops += d.ops;
-                delivery.overlay_ops += d.overlay_ops;
-                delivery.rejecting_shards += d.rejecting_shards;
+            let hits = shards.iter().map(|b| b.rows.matched_of(i).len()).sum();
+            let mut delivery = Delivery {
+                matched: Vec::with_capacity(hits),
+                ..Delivery::default()
+            };
+            for (snap, batch) in snaps.iter().zip(shards.iter()) {
+                batch.collect(snap, i, &mut delivery);
             }
             let quenched = delivery.rejecting_shards == self.shards.len();
             let sequence = base_seq + i as u64;
@@ -1415,7 +1589,6 @@ impl Broker {
                 quenched,
             });
         }
-        self.maybe_checkpoint();
         Ok(receipts)
     }
 
@@ -1427,8 +1600,9 @@ impl Broker {
         self.batch_fault.store(shard as u64 + 1, Ordering::Relaxed);
     }
 
-    /// Processes the whole batch for one shard, in order, through the
-    /// snapshot's block matching engine.
+    /// Processes the whole batch for one shard: matches it into `out`'s
+    /// rows through the snapshot's block matching engine, then delivers
+    /// the rows subscriber by subscriber.
     fn batch_worker(
         &self,
         shard_idx: usize,
@@ -1436,7 +1610,8 @@ impl Broker {
         indexed: &IndexedBatch,
         events: &[Arc<Event>],
         base_seq: u64,
-    ) -> Vec<Delivery> {
+        out: &mut ShardBatch,
+    ) {
         let armed = self.batch_fault.load(Ordering::Relaxed);
         if armed == shard_idx as u64 + 1
             && self
@@ -1446,51 +1621,38 @@ impl Broker {
         {
             panic!("injected batch worker fault (shard {shard_idx})");
         }
-        if snap.quench.is_some() {
+        out.begin(
+            events.len(),
+            snap.filter.base_len() + snap.overlay_dispatch.len(),
+        );
+        if let Some(quench) = &snap.quench {
             // Inbound quenching pre-filters per event before matching;
-            // keep the single-event path so quenched events pay (and
-            // count) nothing.
-            return SCRATCH.with(|cell| {
+            // match event by event so quenched events pay (and count)
+            // nothing.
+            SCRATCH.with(|cell| {
                 let (row, scratch) = &mut *cell.borrow_mut();
-                events
-                    .iter()
-                    .enumerate()
-                    .map(|(i, event)| {
-                        let mut delivery = Delivery::default();
-                        row.copy_from_raw(indexed.row(i));
-                        self.match_and_deliver(
-                            snap,
-                            row,
-                            scratch,
-                            event,
-                            base_seq + i as u64,
-                            &mut delivery,
+                out.rows.clear();
+                for i in 0..events.len() {
+                    row.copy_from_raw(indexed.row(i));
+                    if quench.allows_indexed(row) {
+                        snap.filter
+                            .match_into(row, scratch, self.config.dfsa_dispatch);
+                        out.rows.push_event(
+                            scratch.matched(),
+                            scratch.ops(),
+                            scratch.overlay_ops(),
                         );
-                        delivery
-                    })
-                    .collect()
-            });
-        }
-        BLOCK_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            snap.filter
-                .match_block(indexed, scratch, self.config.dfsa_dispatch);
-            events
-                .iter()
-                .enumerate()
-                .map(|(i, event)| {
-                    let mut delivery = Delivery {
-                        ops: scratch.ops_of(i),
-                        overlay_ops: scratch.overlay_ops_of(i),
-                        ..Delivery::default()
-                    };
-                    for &gpid in scratch.matched_of(i) {
-                        self.deliver_one(snap, gpid, event, base_seq + i as u64, &mut delivery);
+                    } else {
+                        out.rejected[i] = true;
+                        out.rows.push_event(&[], 0, 0);
                     }
-                    delivery
-                })
-                .collect()
-        })
+                }
+            });
+        } else {
+            snap.filter
+                .match_block(indexed, &mut out.rows, self.config.dfsa_dispatch);
+        }
+        out.deliver(snap, events, base_seq);
     }
 
     /// Delivers one matched global profile id to its subscriber.
@@ -1542,6 +1704,7 @@ impl Broker {
             .match_into(indexed, scratch, self.config.dfsa_dispatch);
         out.ops += scratch.ops();
         out.overlay_ops += scratch.overlay_ops();
+        out.matched.reserve(scratch.matched().len());
         for &gpid in scratch.matched() {
             self.deliver_one(snap, gpid, event, sequence, out);
         }

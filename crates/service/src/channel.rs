@@ -53,6 +53,22 @@ pub(crate) enum SendOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Disconnected;
 
+/// How [`Sender::send_many`] resolved a run of notifications: what the
+/// same run of [`Sender::send`] calls would have reported, in
+/// aggregate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pushed {
+    /// The leading notifications of the run that the channel took:
+    /// queued, or counted against the overflow policy.
+    pub(crate) accepted: usize,
+    /// How many of those were lost to `DropOldest`/`DropNewest`.
+    pub(crate) lost: usize,
+    /// The channel is severed: every notification from index
+    /// `accepted` on was refused and the subscription should be
+    /// garbage-collected.
+    pub(crate) severed: bool,
+}
+
 struct State<T> {
     buf: VecDeque<T>,
     /// Set by an overflow under [`OverflowPolicy::Disconnect`]; once
@@ -60,6 +76,10 @@ struct State<T> {
     closed: bool,
     /// Notifications lost to the overflow policy on this channel.
     dropped: u64,
+    /// Receivers inside `Condvar::wait_timeout`. A count, not a flag:
+    /// `&Receiver` is `Sync`, so several threads may park on one
+    /// channel.
+    waiters: usize,
 }
 
 struct Inner<T> {
@@ -67,11 +87,26 @@ struct Inner<T> {
     ready: Condvar,
     senders: AtomicUsize,
     receivers: AtomicUsize,
+    /// Condvar notifications issued so far.
+    #[cfg(test)]
+    wakes: AtomicUsize,
 }
 
 impl<T> Inner<T> {
     fn state(&self) -> std::sync::MutexGuard<'_, State<T>> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Every condvar notification goes through here (a futex syscall
+    /// even with nobody parked, hence worth counting in tests).
+    fn wake(&self, all: bool) {
+        #[cfg(test)]
+        self.wakes.fetch_add(1, Ordering::Relaxed);
+        if all {
+            self.ready.notify_all();
+        } else {
+            self.ready.notify_one();
+        }
     }
 }
 
@@ -84,10 +119,13 @@ pub(crate) fn channel<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>,
             buf: VecDeque::new(),
             closed: false,
             dropped: 0,
+            waiters: 0,
         }),
         ready: Condvar::new(),
         senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
+        #[cfg(test)]
+        wakes: AtomicUsize::new(0),
     });
     (
         Sender {
@@ -117,40 +155,78 @@ impl<T> Sender<T> {
     /// resolved by the channel's policy; `Err` means the channel is
     /// severed and the subscription should be garbage-collected.
     pub(crate) fn send(&self, msg: T) -> Result<SendOutcome, Disconnected> {
+        let pushed = self.send_many(std::iter::once(msg));
+        if pushed.severed {
+            Err(Disconnected)
+        } else if pushed.lost > 0 {
+            Ok(SendOutcome::DroppedOne)
+        } else {
+            Ok(SendOutcome::Delivered)
+        }
+    }
+
+    /// Enqueues a run of notifications, in order, under one lock and
+    /// with at most one wake-up, without ever blocking. The outcome is
+    /// exactly that of one [`Sender::send`] per notification; the
+    /// iterator is not advanced past the notification that finds the
+    /// channel severed.
+    ///
+    /// Wake rule: a receiver counts itself in `State::waiters` under
+    /// the state lock before it parks and the count is read here under
+    /// the same lock, so a send into a channel nobody is parked on
+    /// makes no syscall, and a parked receiver cannot be missed — it is
+    /// either counted, or has yet to take the lock and will find the
+    /// queue non-empty.
+    pub(crate) fn send_many<I>(&self, msgs: I) -> Pushed
+    where
+        I: IntoIterator<Item = T>,
+    {
+        let mut pushed = Pushed {
+            accepted: 0,
+            lost: 0,
+            severed: true,
+        };
         if self.inner.receivers.load(Ordering::Acquire) == 0 {
-            return Err(Disconnected);
+            return pushed;
         }
         let mut s = self.inner.state();
         if s.closed {
-            return Err(Disconnected);
+            return pushed;
         }
-        let outcome = if self.capacity > 0 && s.buf.len() >= self.capacity {
-            match self.policy {
-                OverflowPolicy::DropOldest => {
-                    s.buf.pop_front();
-                    s.buf.push_back(msg);
-                    s.dropped += 1;
-                    SendOutcome::DroppedOne
+        pushed.severed = false;
+        for msg in msgs {
+            if self.capacity > 0 && s.buf.len() >= self.capacity {
+                match self.policy {
+                    OverflowPolicy::DropOldest => {
+                        s.buf.pop_front();
+                        s.buf.push_back(msg);
+                    }
+                    OverflowPolicy::DropNewest => {}
+                    OverflowPolicy::Disconnect => {
+                        s.closed = true;
+                        s.buf.clear();
+                        pushed.severed = true;
+                        break;
+                    }
                 }
-                OverflowPolicy::DropNewest => {
-                    s.dropped += 1;
-                    SendOutcome::DroppedOne
-                }
-                OverflowPolicy::Disconnect => {
-                    s.closed = true;
-                    s.buf.clear();
-                    drop(s);
-                    self.inner.ready.notify_all();
-                    return Err(Disconnected);
-                }
+                s.dropped += 1;
+                pushed.lost += 1;
+            } else {
+                s.buf.push_back(msg);
             }
-        } else {
-            s.buf.push_back(msg);
-            SendOutcome::Delivered
-        };
+            pushed.accepted += 1;
+        }
+        let parked = s.waiters;
+        let queued = s.buf.len();
         drop(s);
-        self.inner.ready.notify_one();
-        Ok(outcome)
+        if pushed.severed {
+            self.inner.wake(true);
+        } else if parked > 0 && queued > 0 {
+            // One waiter per queued notification, as single sends
+            // would have woken.
+            self.inner.wake(parked > 1 && queued > 1);
+        }
+        pushed
     }
 }
 
@@ -169,8 +245,11 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last sender: wake blocked receivers so they observe the
-            // disconnect.
-            self.inner.ready.notify_all();
+            // disconnect. Under the state lock, because a receiver
+            // checks `senders` and parks without releasing it: a
+            // notification sent in between would find nobody parked.
+            let _state = self.inner.state();
+            self.inner.wake(true);
         }
     }
 }
@@ -222,12 +301,14 @@ impl<T> Receiver<T> {
                 // Unrepresentable deadline: wait in long slices.
                 None => Duration::from_secs(3600),
             };
+            s.waiters += 1;
             let (guard, _timed_out) = self
                 .inner
                 .ready
                 .wait_timeout(s, wait)
                 .unwrap_or_else(|e| e.into_inner());
             s = guard;
+            s.waiters -= 1;
         }
     }
 
@@ -341,5 +422,194 @@ mod tests {
         });
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Some(99));
         handle.join().unwrap();
+    }
+
+    impl<T> Sender<T> {
+        fn wakes(&self) -> usize {
+            self.inner.wakes.load(Ordering::Relaxed)
+        }
+
+        /// Spins until `n` receivers are parked. `waiters` only changes
+        /// under the state lock and a receiver releases that lock by
+        /// parking, so seeing the count here means it is parked (or has
+        /// timed out and is about to retake the lock).
+        fn await_parked(&self, n: usize) {
+            while self.inner.state().waiters != n {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
+    fn sends_wake_only_parked_receivers() {
+        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+        tx.send(1).unwrap();
+        assert_eq!(tx.send_many([2, 3, 4]).accepted, 3);
+        assert_eq!(tx.send_many(std::iter::empty()).accepted, 0);
+        assert_eq!(tx.wakes(), 0, "nobody parked: no syscall");
+        assert_eq!(rx.len(), 4);
+        while rx.try_recv().is_ok() {}
+
+        for many in [false, true] {
+            let before = tx.wakes();
+            std::thread::scope(|scope| {
+                let parked = scope.spawn(|| rx.recv_timeout(Duration::from_secs(10)));
+                tx.await_parked(1);
+                if many {
+                    tx.send_many([7, 8, 9]);
+                } else {
+                    tx.send(7).unwrap();
+                }
+                assert_eq!(parked.join().unwrap(), Some(7));
+            });
+            assert_eq!(tx.wakes() - before, 1, "one parked receiver: one wake");
+            while rx.try_recv().is_ok() {}
+        }
+    }
+
+    #[test]
+    fn a_run_wakes_every_receiver_it_can_feed() {
+        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| rx.recv_timeout(Duration::from_secs(10)));
+            let b = scope.spawn(|| rx.recv_timeout(Duration::from_secs(10)));
+            tx.await_parked(2);
+            let t0 = Instant::now();
+            tx.send_many([1, 2]);
+            let mut got = [a.join().unwrap(), b.join().unwrap()];
+            got.sort();
+            assert_eq!(got, [Some(1), Some(2)]);
+            assert!(t0.elapsed() < Duration::from_secs(5), "second waiter slept");
+        });
+        assert_eq!(tx.wakes(), 1);
+    }
+
+    #[test]
+    fn last_sender_drop_wakes_a_parked_receiver() {
+        let (tx, rx) = channel::<u8>(0, OverflowPolicy::DropOldest);
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| {
+                let t0 = Instant::now();
+                (rx.recv_timeout(Duration::from_secs(10)), t0.elapsed())
+            });
+            tx.await_parked(1);
+            drop(tx);
+            let (got, took) = parked.join().unwrap();
+            assert_eq!(got, None);
+            assert!(took < Duration::from_secs(5), "slept through the hang-up");
+        });
+    }
+
+    /// Several producers, two threads parked on one `&Receiver`: every
+    /// item arrives exactly once and no receive sleeps through a send
+    /// (a lost wake-up would cost the full 10-s timeout).
+    #[test]
+    fn concurrent_receivers_get_every_item_once_without_stalling() {
+        const PRODUCERS: u32 = 3;
+        const PER_PRODUCER: u32 = 4_000;
+        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+        let consume = || {
+            let mut got = Vec::new();
+            let mut slowest = Duration::ZERO;
+            loop {
+                let t0 = Instant::now();
+                let item = rx.recv_timeout(Duration::from_secs(10));
+                slowest = slowest.max(t0.elapsed());
+                match item {
+                    Some(item) => got.push(item),
+                    // Every sender is gone and the queue is empty.
+                    None => return (got, slowest),
+                }
+            }
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let consumers = [scope.spawn(consume), scope.spawn(consume)];
+            for p in 0..PRODUCERS {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    let mut next = p * PER_PRODUCER;
+                    let end = next + PER_PRODUCER;
+                    while next < end {
+                        // Runs of 1 (`send`) to 4 (`send_many`), with
+                        // pauses so the consumers keep parking.
+                        let run = (1 + next % 4).min(end - next);
+                        if run == 1 {
+                            tx.send(next).unwrap();
+                        } else {
+                            assert_eq!(tx.send_many(next..next + run).accepted, run as usize);
+                        }
+                        next += run;
+                        if next % 7 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            let [a, b] = consumers.map(|c| c.join().unwrap());
+            (a, b)
+        });
+        assert!(a.1.max(b.1) < Duration::from_secs(5), "a receive stalled");
+        let mut all: Vec<u32> = a.0.into_iter().chain(b.0).collect();
+        all.sort_unstable();
+        assert!(all.into_iter().eq(0..PRODUCERS * PER_PRODUCER));
+    }
+
+    #[test]
+    fn send_many_equals_a_sequence_of_sends() {
+        let policies = [
+            OverflowPolicy::DropOldest,
+            OverflowPolicy::DropNewest,
+            OverflowPolicy::Disconnect,
+        ];
+        for policy in policies {
+            for capacity in [0, 1, 4, 64] {
+                for prefill in [0, 1, 3, 4, 63, 64] {
+                    for run in [0, 1, 2, 5, 70] {
+                        let (one, one_rx) = channel(capacity, policy);
+                        let (many, many_rx) = channel(capacity, policy);
+                        for i in 0..prefill {
+                            assert_eq!(one.send(i).is_ok(), many.send(i).is_ok());
+                        }
+                        let mut expect = Pushed {
+                            accepted: 0,
+                            lost: 0,
+                            severed: false,
+                        };
+                        for i in 1000..1000 + run {
+                            match one.send(i) {
+                                _ if expect.severed => {}
+                                Ok(SendOutcome::Delivered) => expect.accepted += 1,
+                                Ok(SendOutcome::DroppedOne) => {
+                                    expect.accepted += 1;
+                                    expect.lost += 1;
+                                }
+                                Err(Disconnected) => expect.severed = true,
+                            }
+                        }
+                        if run == 0 {
+                            // A run of sends cannot see a severed
+                            // channel without sending; an empty
+                            // `send_many` can.
+                            expect.severed = one_rx.is_disconnected();
+                        }
+                        let case = format!("{policy:?} cap {capacity} prefill {prefill} run {run}");
+                        assert_eq!(many.send_many(1000..1000 + run), expect, "{case}");
+                        assert_eq!(one_rx.dropped(), many_rx.dropped(), "{case}");
+                        assert_eq!(
+                            one_rx.is_disconnected(),
+                            many_rx.is_disconnected(),
+                            "{case}"
+                        );
+                        // A later send sees the same channel.
+                        assert_eq!(one.send(9), many.send(9), "{case}");
+                        let drain = |rx: &Receiver<i32>| {
+                            std::iter::from_fn(|| rx.try_recv().ok()).collect::<Vec<_>>()
+                        };
+                        assert_eq!(drain(&one_rx), drain(&many_rx), "{case}");
+                    }
+                }
+            }
+        }
     }
 }

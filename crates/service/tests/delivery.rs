@@ -1,0 +1,245 @@
+//! Notification delivery: the batch path against the per-event path,
+//! and wake-ups on the way out.
+//!
+//! `publish_batch` hands every subscriber its notifications of a batch
+//! in one locked append; `publish_shared` sends them one at a time.
+//! The oracle below gives twin brokers the same subscriptions, events,
+//! drains and hang-ups and demands that nothing a caller can observe
+//! tells the two apart.
+
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
+
+use ens_filter::RebuildPolicy;
+use ens_service::{
+    Broker, BrokerConfig, Notification, OverflowPolicy, PublishReceipt, Subscriber, SubscriptionId,
+};
+use ens_types::{Domain, Event, Predicate, Profile, ProfileId, Schema};
+use proptest::prelude::*;
+
+fn schema() -> Schema {
+    Schema::builder()
+        .attribute("x", Domain::int(0, 99))
+        .unwrap()
+        .build()
+}
+
+/// One broker of the pair with its consumers; `None` once a consumer
+/// has hung up.
+struct Twin {
+    broker: Broker,
+    ids: Vec<SubscriptionId>,
+    subs: Vec<Option<Subscriber>>,
+    streams: Vec<Vec<Notification>>,
+    receipts: Vec<PublishReceipt>,
+}
+
+impl Twin {
+    fn new(schema: &Schema, config: &BrokerConfig, profiles: &[Profile]) -> Twin {
+        let broker = Broker::new(schema, config.clone()).unwrap();
+        let subs = broker.subscribe_many(profiles.iter().cloned()).unwrap();
+        Twin {
+            broker,
+            ids: subs.iter().map(Subscriber::id).collect(),
+            streams: vec![Vec::new(); subs.len()],
+            subs: subs.into_iter().map(Some).collect(),
+            receipts: Vec::new(),
+        }
+    }
+
+    /// What both twins do between batches: the last consumer hangs up
+    /// before batch `hang_up`, every even one drains, the odd ones let
+    /// their channels fill.
+    fn between_batches(&mut self, batch: usize, hang_up: usize) {
+        if batch == hang_up {
+            *self.subs.last_mut().unwrap() = None;
+        }
+        for (k, sub) in self.subs.iter().enumerate().step_by(2) {
+            if let Some(sub) = sub {
+                self.streams[k].extend(sub.drain());
+            }
+        }
+    }
+
+    fn drain_all(&mut self) {
+        for (k, sub) in self.subs.iter().enumerate() {
+            if let Some(sub) = sub {
+                self.streams[k].extend(sub.drain());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// `publish_batch` ≡ N × `publish_shared`, over shards × channel
+    /// capacity × overflow policy, with inbound quenching (the batch
+    /// path's event-by-event matching) on and off.
+    ///
+    /// Subscribers die on both routes: one consumer hangs up between
+    /// two batches (a handle cannot be dropped *during* a
+    /// `publish_batch` call), and under `Disconnect` every consumer
+    /// that does not drain is severed in the middle of a batch, as soon
+    /// as its channel overflows.
+    #[test]
+    fn batch_delivery_equals_sequential_delivery(
+        ranges in prop::collection::vec((0i64..100, 0i64..100), 2..9),
+        xs in prop::collection::vec(0i64..100, 8..100),
+        batch_len in 1usize..40,
+        hang_up in 0usize..4,
+        quench in prop_oneof![Just(false), Just(true)],
+    ) {
+        let schema = schema();
+        let ranges: Vec<(i64, i64)> = ranges.iter().map(|(a, b)| (*a.min(b), *a.max(b))).collect();
+        let profiles: Vec<Profile> = ranges
+            .iter()
+            .map(|(lo, hi)| {
+                Profile::builder(&schema)
+                    .predicate("x", Predicate::between(*lo, *hi))
+                    .unwrap()
+                    .build(ProfileId::new(0))
+            })
+            .collect();
+        let events: Vec<Arc<Event>> = xs
+            .iter()
+            .map(|x| Arc::new(Event::builder(&schema).value("x", *x).unwrap().build()))
+            .collect();
+        let hits = |sub: usize, event: usize| (ranges[sub].0..=ranges[sub].1).contains(&xs[event]);
+
+        for shards in [1, 2, 4] {
+            for notify_capacity in [0, 1, 4, 64] {
+                for overflow in [
+                    OverflowPolicy::DropOldest,
+                    OverflowPolicy::DropNewest,
+                    OverflowPolicy::Disconnect,
+                ] {
+                    let config = BrokerConfig {
+                        shards,
+                        notify_capacity,
+                        overflow,
+                        quench_inbound: quench,
+                        // Keep both twins on the snapshot that
+                        // `subscribe_many` compiled: a drift or
+                        // tombstone compaction lands after the event
+                        // that triggered it on one route and after that
+                        // event's batch on the other, and would move
+                        // the `quenched` flags apart.
+                        stats_sample: 0,
+                        rebuild: RebuildPolicy {
+                            max_overlay: 0,
+                            max_removed: usize::MAX,
+                            ..RebuildPolicy::default()
+                        },
+                        ..BrokerConfig::default()
+                    };
+                    let case = format!("{shards} shards, capacity {notify_capacity}, {overflow:?}");
+                    let mut batched = Twin::new(&schema, &config, &profiles);
+                    let mut single = Twin::new(&schema, &config, &profiles);
+                    for (b, chunk) in events.chunks(batch_len).enumerate() {
+                        batched.between_batches(b, hang_up);
+                        single.between_batches(b, hang_up);
+                        batched.receipts.extend(batched.broker.publish_batch(chunk).unwrap());
+                        for event in chunk {
+                            let receipt = single.broker.publish_shared(Arc::clone(event)).unwrap();
+                            single.receipts.push(receipt);
+                        }
+                    }
+                    batched.drain_all();
+                    single.drain_all();
+
+                    for (a, b) in batched.receipts.iter().zip(&single.receipts) {
+                        prop_assert_eq!(
+                            (a.sequence, &a.matched, a.quenched),
+                            (b.sequence, &b.matched, b.quenched),
+                            "{}", case
+                        );
+                    }
+                    prop_assert_eq!(batched.receipts.len(), events.len());
+                    prop_assert_eq!(&batched.ids, &single.ids);
+                    prop_assert_eq!(&batched.streams, &single.streams, "{}", case);
+                    for (a, b) in batched.subs.iter().zip(&single.subs) {
+                        let state = |sub: &Option<Subscriber>| {
+                            sub.as_ref().map(|s| (s.dropped(), s.is_disconnected()))
+                        };
+                        prop_assert_eq!(state(a), state(b), "{}", case);
+                    }
+                    let (a, b) = (batched.broker.metrics(), single.broker.metrics());
+                    prop_assert_eq!(a.notifications_sent, b.notifications_sent, "{}", case);
+                    prop_assert_eq!(a.overflow_dropped, b.overflow_dropped, "{}", case);
+                    prop_assert_eq!(a.subscriptions, b.subscriptions, "{}", case);
+
+                    // `dropped_notifications` counts refused sends. A
+                    // subscriber found dead at event i is cancelled
+                    // before event i + 1 is *matched*, which on the
+                    // batch route is the next batch: there the rest of
+                    // its hits in i's batch are refused and counted
+                    // too. The receipts (equal on both routes) say who
+                    // died where: a hit that no receipt names.
+                    let mut deaths = 0;
+                    let mut refused_in_batch = 0;
+                    for sub in 0..profiles.len() {
+                        let id = single.ids[sub];
+                        let missing = |e: &usize| {
+                            hits(sub, *e) && !single.receipts[*e].matched.contains(&id)
+                        };
+                        if let Some(died) = (0..events.len()).find(missing) {
+                            deaths += 1;
+                            let batch_end = (died / batch_len + 1) * batch_len;
+                            refused_in_batch += (died..batch_end.min(events.len()))
+                                .filter(|e| hits(sub, *e))
+                                .count() as u64;
+                            prop_assert!(
+                                (died..events.len()).all(|e| !hits(sub, e) || missing(&e)),
+                                "{}: subscriber {} notified after it died", case, sub
+                            );
+                        }
+                    }
+                    prop_assert_eq!(b.dropped_notifications, deaths, "{}", case);
+                    prop_assert_eq!(a.dropped_notifications, refused_in_batch, "{}", case);
+                }
+            }
+        }
+    }
+}
+
+/// The last `Sender` used to be dropped without the channel's lock, so
+/// its wake-up could fall between a parked-to-be consumer's "any
+/// senders left?" check and its wait, and the consumer slept out its
+/// whole timeout after an unsubscribe.
+#[test]
+fn unsubscribe_wakes_a_consumer_blocked_in_recv_timeout() {
+    let schema = schema();
+    // How long the previous round's unsubscribe took: the consumer's
+    // entry into its wait is walked across that span, round by round,
+    // because the window is its last few instructions.
+    let mut unsubscribe_took = Duration::from_micros(20);
+    for round in 0..1000 {
+        let broker = Broker::new(&schema, BrokerConfig::default()).unwrap();
+        let sub = broker.subscribe_parsed("profile(x >= 0)").unwrap();
+        let id = sub.id();
+        let start = Barrier::new(2);
+        let enter_after = unsubscribe_took * (round % 50) / 40;
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| {
+                start.wait();
+                let t0 = Instant::now();
+                while t0.elapsed() < enter_after {
+                    std::hint::spin_loop();
+                }
+                let t0 = Instant::now();
+                (sub.recv_timeout(Duration::from_secs(10)), t0.elapsed())
+            });
+            start.wait();
+            let t0 = Instant::now();
+            broker.unsubscribe(id).unwrap();
+            unsubscribe_took = t0.elapsed();
+            let (got, took) = consumer.join().unwrap();
+            assert_eq!(got, None);
+            assert!(
+                took < Duration::from_secs(1),
+                "round {round}: slept {took:?} through the unsubscribe"
+            );
+        });
+    }
+}
