@@ -264,8 +264,10 @@ impl<'a> CostModel<'a> {
                 debug_assert!(constraints[j].is_none(), "attribute tested once per path");
 
                 if n.edges.is_empty() {
-                    // `*` edge: one operation, all values pass.
-                    if let Star::All(child) = &n.star {
+                    // `*` edge: one operation, all values pass (as on
+                    // an edge-less `Else` star, whose specific profiles
+                    // admit no value at all).
+                    if let Star::All(child) | Star::Else(child) = &n.star {
                         let mass = self.joint.mass_of_box(constraints)?;
                         if mass > 0.0 {
                             acc.per_level[level].match_ops += mass;

@@ -85,7 +85,7 @@ mod tuning;
 
 pub use adaptive::{AdaptiveFilter, AdaptivePolicy};
 pub use cost::{expected_ops, CostBreakdown, CostModel, LevelCost, ProfileCost};
-pub use cover::{residual_ok, CoverPlan, PlanChild};
+pub use cover::CoverPlan;
 pub use dfsa::{Dfsa, BLOCK_LANES, JUMP_TABLE_MAX_DOMAIN};
 pub use error::FilterError;
 pub use order::{

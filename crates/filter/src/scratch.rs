@@ -278,6 +278,120 @@ impl BlockScratch {
     }
 }
 
+/// A reusable set of slot ids read back in ascending order: the buffer
+/// covering expansion delivers into (see [`crate::CoverPlan`]).
+///
+/// One bit per slot in `words`, one byte per word in `used` saying the
+/// word holds something, one byte per 64 of those in `used_lines`. A
+/// mark is one OR and two plain byte stores — the upper levels are
+/// bytes and not bits so that marks do not queue up behind each other's
+/// read-modify-write of one shared summary word — and a drain visits
+/// only what the bytes point at: its cost follows the slots delivered,
+/// not the slot range (the top level alone is scanned whole, one byte
+/// per 4096 slots, eight bytes at a time). Draining leaves the set
+/// empty.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SlotBits {
+    words: Vec<u64>,
+    /// `words.len()` bytes (a multiple of 64).
+    used: Vec<u8>,
+    /// `words.len() / 64` bytes, padded to a multiple of 8.
+    used_lines: Vec<u8>,
+    /// Marks announced since the last drain: an upper bound on the
+    /// slots held.
+    announced: usize,
+}
+
+/// Clears eight summary bytes and calls `f(k)` for each `k` that was
+/// set, ascending.
+#[inline]
+fn take_used(bytes: &mut [u8], mut f: impl FnMut(usize)) {
+    let eight: &mut [u8; 8] = bytes.try_into().expect("summary levels come in eights");
+    let mut set = u64::from_le_bytes(*eight);
+    if set != 0 {
+        *eight = [0; 8];
+        while set != 0 {
+            f(set.trailing_zeros() as usize / 8);
+            set &= set - 1;
+        }
+    }
+}
+
+impl SlotBits {
+    /// Grows the set to hold slots `0..n`; never shrinks, so a scratch
+    /// stays at its high-water mark.
+    #[inline]
+    pub(crate) fn reserve_slots(&mut self, n: usize) {
+        if self.words.len() * 64 < n {
+            let words = n.div_ceil(64).next_multiple_of(64);
+            self.words.resize(words, 0);
+            self.used.resize(words, 0);
+            self.used_lines.resize((words / 64).next_multiple_of(8), 0);
+        }
+    }
+
+    /// Announces up to `n` coming [`SlotBits::mark`]s, so the drain can
+    /// size its output once. Counted here, per batch of marks, and not
+    /// in `mark` itself, where the counter would be one more memory
+    /// update every mark waits on.
+    #[inline]
+    pub(crate) fn announce(&mut self, n: usize) {
+        self.announced += n;
+    }
+
+    /// Adds slot `s` (idempotent); must have been announced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` lies beyond the reserved range.
+    #[inline]
+    pub(crate) fn mark(&mut self, s: u32) {
+        let w = s as usize >> 6;
+        self.words[w] |= 1 << (s & 63);
+        self.used[w] = 1;
+        self.used_lines[w >> 6] = 1;
+    }
+
+    /// Appends every marked slot not set in `dead` (a bitmap in the
+    /// same word layout; slots beyond its end are live) to `out` as
+    /// `offset + slot`, ascending, and empties the set. Returns how
+    /// many were appended.
+    pub(crate) fn drain_into(&mut self, dead: &[u64], offset: u32, out: &mut Vec<u32>) -> usize {
+        // Sized once for every announced mark, cut back to what was
+        // live and distinct: the bit loop then neither checks capacity
+        // nor bounds.
+        let before = out.len();
+        out.resize(before + std::mem::take(&mut self.announced), 0);
+        let mut rest = &mut out[before..];
+        let (words, used) = (&mut self.words, &mut self.used);
+        for (i, lines) in self.used_lines.chunks_exact_mut(8).enumerate() {
+            take_used(lines, |k| {
+                let line = (i * 8 + k) * 64;
+                for (j, bytes) in used[line..line + 64].chunks_exact_mut(8).enumerate() {
+                    take_used(bytes, |k| {
+                        let w = line + j * 8 + k;
+                        let mut bits = std::mem::take(&mut words[w]);
+                        if let Some(d) = dead.get(w) {
+                            bits &= !d;
+                        }
+                        let base = offset + ((w as u32) << 6);
+                        let (head, tail) =
+                            std::mem::take(&mut rest).split_at_mut(bits.count_ones() as usize);
+                        for slot in head {
+                            *slot = base + bits.trailing_zeros();
+                            bits &= bits - 1;
+                        }
+                        rest = tail;
+                    });
+                }
+            });
+        }
+        let unused = rest.len();
+        out.truncate(out.len() - unused);
+        out.len() - before
+    }
+}
+
 /// A matcher that can run against pre-resolved events with caller-owned
 /// buffers — the allocation-free fast path shared by the profile tree,
 /// the DFSA and the baseline matchers.
@@ -404,6 +518,37 @@ mod tests {
         s.begin_epoch(2);
         assert_eq!(s.epoch, 1);
         assert_eq!(s.bump_counter(0), 1, "stale tag must not survive wrap");
+    }
+
+    #[test]
+    fn slot_bits_drain_ascending_masked_and_empty_afterwards() {
+        let mut bits = SlotBits::default();
+        // Wide enough for two top-level bytes (one per 4096 slots).
+        bits.reserve_slots(300_000);
+        let slots = [
+            299_999u32, 0, 63, 64, 4095, 4096, 70_000, 262_143, 262_144, 63,
+        ];
+        bits.announce(slots.len());
+        for s in slots {
+            bits.mark(s);
+        }
+        let mut dead = vec![0u64; 2];
+        dead[1] = 1; // slot 64
+        let mut out = vec![7];
+        let n = bits.drain_into(&dead, 10, &mut out);
+        assert_eq!(n, 8, "64 is dead, 63 was marked twice");
+        assert_eq!(
+            out,
+            [7, 10, 73, 4105, 4106, 70_010, 262_153, 262_154, 300_009]
+        );
+        // Drained: nothing is left behind, and growing keeps it so.
+        assert_eq!(bits.drain_into(&[], 0, &mut out), 0);
+        bits.reserve_slots(1_000_000);
+        bits.announce(1);
+        bits.mark(999_999);
+        out.clear();
+        assert_eq!(bits.drain_into(&[], 0, &mut out), 1);
+        assert_eq!(out, [999_999]);
     }
 
     #[test]

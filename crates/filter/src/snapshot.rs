@@ -28,12 +28,11 @@
 //! (e.g. the `ens-service` broker) maps those ids onto its dispatch
 //! table, which is versioned together with the snapshot.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ens_types::{CoverSet, IndexedBatch, IndexedEvent, ProfileId, ProfileSet, Residual};
 
-use crate::cover::{decode_residual, encode_residual, residual_ok, CoverPlan, PlanChild};
+use crate::cover::{Appended, CoverPlan, CoverScratch, Expand, OverlayCover};
 use crate::dfsa::Dfsa;
 use crate::overlay::OverlayIndex;
 use crate::persist::{ByteReader, ByteWriter, PersistError};
@@ -49,10 +48,6 @@ const SNAPSHOT_MAGIC: u32 = 0x454E_5346;
 /// cover entries).
 const SNAPSHOT_VERSION: u32 = 3;
 
-/// Overlay positions delivered through the expansion map: compiled
-/// representative id → `(overlay position, residual)` entries.
-type OverlayChildren = HashMap<u32, Vec<(u32, Vec<Residual>)>>;
-
 /// Reusable buffers for one [`FilterSnapshot::match_into`] call.
 ///
 /// Keep one per worker thread (e.g. in a `thread_local!`); after warm-up
@@ -64,6 +59,7 @@ pub struct SnapshotScratch {
     matched: Vec<u32>,
     ops: u64,
     overlay_ops: u64,
+    cover: CoverScratch,
 }
 
 impl SnapshotScratch {
@@ -97,6 +93,23 @@ impl SnapshotScratch {
         self.overlay_ops
     }
 
+    /// Residual interval checks covering expansion evaluated on the
+    /// last call (0 on a snapshot without covered profiles). Not part
+    /// of [`SnapshotScratch::ops`], which stays the tree's comparisons.
+    #[must_use]
+    pub fn cover_checks(&self) -> u64 {
+        self.cover.checks
+    }
+
+    /// Profiles the last call delivered through covering expansion:
+    /// representatives' own slots, duplicates, strict children and
+    /// covered overlay entries. Over [`SnapshotScratch::cover_checks`]
+    /// this is what the expansion delivered per check it paid.
+    #[must_use]
+    pub fn cover_delivered(&self) -> u64 {
+        self.cover.delivered
+    }
+
     /// Whether the last call matched anything.
     #[must_use]
     pub fn is_match(&self) -> bool {
@@ -126,6 +139,8 @@ pub struct SnapshotBlockScratch {
     /// per-event attribution batch publish receipts report.
     event_ops: Vec<u64>,
     event_overlay_ops: Vec<u64>,
+    /// Expansion scratch; its counters run over the whole block.
+    cover: CoverScratch,
 }
 
 impl SnapshotBlockScratch {
@@ -159,15 +174,21 @@ impl SnapshotBlockScratch {
         self.overlay_ops = 0;
         self.event_ops.clear();
         self.event_overlay_ops.clear();
+        self.cover.checks = 0;
+        self.cover.delivered = 0;
     }
 
-    /// Appends one event's result — what [`SnapshotScratch::matched`],
-    /// [`SnapshotScratch::ops`] and [`SnapshotScratch::overlay_ops`]
-    /// reported for it, or nothing at all for an event that was not
-    /// matched — as the next row of a block started with
-    /// [`SnapshotBlockScratch::clear`].
-    pub fn push_event(&mut self, matched: &[u32], ops: u64, overlay_ops: u64) {
-        self.matched.extend_from_slice(matched);
+    /// Appends one event's result — what `event` holds after its
+    /// [`FilterSnapshot::match_into`], or an empty row for an event
+    /// that was not matched at all — as the next row of a block started
+    /// with [`SnapshotBlockScratch::clear`].
+    pub fn push_event(&mut self, event: Option<&SnapshotScratch>) {
+        let (ops, overlay_ops) = event.map_or((0, 0), |e| (e.ops, e.overlay_ops));
+        if let Some(e) = event {
+            self.matched.extend_from_slice(&e.matched);
+            self.cover.checks += e.cover.checks;
+            self.cover.delivered += e.cover.delivered;
+        }
         self.off.push(self.matched.len() as u32);
         self.ops += ops;
         self.overlay_ops += overlay_ops;
@@ -197,6 +218,18 @@ impl SnapshotBlockScratch {
     #[must_use]
     pub fn overlay_ops(&self) -> u64 {
         self.overlay_ops
+    }
+
+    /// [`SnapshotScratch::cover_checks`] summed over the block.
+    #[must_use]
+    pub fn cover_checks(&self) -> u64 {
+        self.cover.checks
+    }
+
+    /// [`SnapshotScratch::cover_delivered`] summed over the block.
+    #[must_use]
+    pub fn cover_delivered(&self) -> u64 {
+        self.cover.delivered
     }
 
     /// Comparison operations spent on event `i` (base + overlay).
@@ -253,8 +286,10 @@ pub struct FilterSnapshot {
     tree: Arc<ProfileTree>,
     dfsa: Arc<Dfsa>,
     base_len: usize,
-    /// Tombstoned base profiles; empty slice when none were removed.
-    removed: Arc<[bool]>,
+    /// Tombstoned base profiles, one bit per slot (the word layout of
+    /// the expansion bitmap, which masks with it); empty when no
+    /// tombstone set was attached.
+    removed: Arc<[u64]>,
     removed_count: usize,
     overlay: Option<Arc<OverlayIndex>>,
     overlay_len: usize,
@@ -264,8 +299,95 @@ pub struct FilterSnapshot {
     /// `None` means compiled ids *are* base slots.
     cover: Option<Arc<CoverPlan>>,
     /// Overlay positions covered by a compiled representative: skipped
-    /// by the counting index, delivered by expansion instead.
-    overlay_children: Arc<OverlayChildren>,
+    /// by the counting index, delivered by expansion instead. `None`
+    /// when there are none.
+    overlay_children: Option<Arc<OverlayCover>>,
+}
+
+/// Whether slot `k` is not set in the tombstone bitmap `dead` (slots
+/// beyond its end are live).
+#[inline]
+fn is_live(dead: &[u64], k: u32) -> bool {
+    dead.get(k as usize / 64)
+        .is_none_or(|word| word >> (k % 64) & 1 == 0)
+}
+
+/// Below this many slots per candidate an expansion is *sparse*: it
+/// appends to the output list and sorts it if it has to, which for a
+/// handful of slots out of thousands beats touching one bitmap word —
+/// and one cache line — per slot. At two candidates or more per 64-slot
+/// word the bitmap wins: it never sorts, and a word read back yields
+/// several slots. Measured either side of it in CHANGES.md (PR 13).
+const SPARSE_SLOTS_PER_CANDIDATE: usize = 32;
+
+/// One ascending stretch of a match result that covering expansion
+/// fills: the base slots, or the overlay positions.
+struct Region<'a> {
+    /// Slots `0..slots` exist in the region.
+    slots: usize,
+    /// Added to a slot to make its global id.
+    offset: u32,
+    /// Tombstone bitmap over the region's slots (empty: all live).
+    dead: &'a [u64],
+}
+
+impl Region<'_> {
+    /// Appends to `out`, ascending and without the dead ones, the ids of
+    /// `listed` (ascending already) and of every slot the compiled
+    /// `hits` expand to through `cover`.
+    fn expand<E: Expand>(
+        &self,
+        cover: &E,
+        hits: &[ProfileId],
+        listed: &[ProfileId],
+        raw: &[u64],
+        out: &mut Vec<u32>,
+        x: &mut CoverScratch,
+    ) {
+        let start = out.len();
+        let candidates = listed.len()
+            + hits
+                .iter()
+                .map(|p| cover.candidates(p.index() as u32))
+                .sum::<usize>();
+        if candidates * SPARSE_SLOTS_PER_CANDIDATE >= self.slots {
+            x.bits.reserve_slots(self.slots);
+            x.bits.announce(listed.len());
+            for p in listed {
+                x.bits.mark(p.index() as u32);
+            }
+            for p in hits {
+                x.checks += cover.expand(p.index() as u32, raw, &mut x.bits);
+            }
+            x.bits.drain_into(self.dead, self.offset, out);
+        } else {
+            out.extend(listed.iter().map(|p| self.offset + p.index() as u32));
+            let mut list = Appended {
+                floor: out[start..].last().map_or(0, |last| last + 1),
+                out,
+                offset: self.offset,
+                ascending: true,
+            };
+            for p in hits {
+                x.checks += cover.expand(p.index() as u32, raw, &mut list);
+            }
+            if !list.ascending {
+                out[start..].sort_unstable();
+            }
+            if !self.dead.is_empty() {
+                let mut kept = start;
+                for k in start..out.len() {
+                    let id = out[k];
+                    if is_live(self.dead, id - self.offset) {
+                        out[kept] = id;
+                        kept += 1;
+                    }
+                }
+                out.truncate(kept);
+            }
+        }
+        x.delivered += (out.len() - start - listed.len()) as u64;
+    }
 }
 
 impl FilterSnapshot {
@@ -287,7 +409,7 @@ impl FilterSnapshot {
             overlay: None,
             overlay_len: 0,
             cover: None,
-            overlay_children: Arc::new(OverlayChildren::new()),
+            overlay_children: None,
         })
     }
 
@@ -331,6 +453,11 @@ impl FilterSnapshot {
         cover: &CoverSet,
         config: &TreeConfig,
     ) -> Result<Self, FilterError> {
+        let plan = CoverPlan::from_parts(
+            cover.rep_slots().to_vec(),
+            profiles.len(),
+            cover.children_sorted(),
+        )?;
         let mut reps = ProfileSet::new(profiles.schema());
         for &slot in cover.rep_slots() {
             let p = profiles
@@ -342,19 +469,6 @@ impl FilterSnapshot {
         }
         let tree = ProfileTree::build(&reps, config)?;
         let dfsa = Dfsa::from_tree(&tree);
-        let mut children: Vec<Vec<PlanChild>> = vec![Vec::new(); cover.rep_count()];
-        for (child, rep, residual) in cover.children_sorted() {
-            let c = cover
-                .compiled_index_of(rep)
-                .ok_or_else(|| FilterError::Persist {
-                    message: format!("cover child {child} references non-rep slot {rep}"),
-                })?;
-            children[c as usize].push(PlanChild {
-                slot: child,
-                residual: residual.to_vec(),
-            });
-        }
-        let plan = CoverPlan::from_parts(cover.rep_slots().to_vec(), children);
         Ok(FilterSnapshot {
             tree: Arc::new(tree),
             dfsa: Arc::new(dfsa),
@@ -364,7 +478,7 @@ impl FilterSnapshot {
             overlay: None,
             overlay_len: 0,
             cover: Some(Arc::new(plan)),
-            overlay_children: Arc::new(OverlayChildren::new()),
+            overlay_children: None,
         })
     }
 
@@ -387,7 +501,7 @@ impl FilterSnapshot {
         } else {
             Some(Arc::new(OverlayIndex::new(overlay)?))
         };
-        next.overlay_children = Arc::new(OverlayChildren::new());
+        next.overlay_children = None;
         Ok(next)
     }
 
@@ -411,23 +525,14 @@ impl FilterSnapshot {
         debug_assert_eq!(cover_of.len(), overlay.len());
         let mut next = self.clone();
         next.overlay_len = overlay.len();
-        let mut children = OverlayChildren::new();
-        let mut skip = vec![false; overlay.len()];
-        for (k, c) in cover_of.iter().enumerate() {
-            if let Some((rep, residual)) = c {
-                skip[k] = true;
-                children
-                    .entry(*rep)
-                    .or_default()
-                    .push((k as u32, residual.clone()));
-            }
-        }
+        let children = OverlayCover::from_entries(cover_of)?;
+        let skip: Vec<bool> = cover_of.iter().map(Option::is_some).collect();
         next.overlay = if overlay.is_empty() {
             None
         } else {
             Some(Arc::new(OverlayIndex::new_filtered(overlay, &skip)?))
         };
-        next.overlay_children = Arc::new(children);
+        next.overlay_children = (!children.is_empty()).then(|| Arc::new(children));
         Ok(next)
     }
 
@@ -437,9 +542,13 @@ impl FilterSnapshot {
     #[must_use]
     pub fn with_removed(&self, removed: Vec<bool>) -> Self {
         debug_assert_eq!(removed.len(), self.base_len);
+        let mut words = vec![0u64; removed.len().div_ceil(64)];
+        for (k, _) in removed.iter().enumerate().filter(|(_, dead)| **dead) {
+            words[k / 64] |= 1 << (k % 64);
+        }
         let mut next = self.clone();
-        next.removed_count = removed.iter().filter(|r| **r).count();
-        next.removed = Arc::from(removed);
+        next.removed_count = words.iter().map(|w| w.count_ones() as usize).sum();
+        next.removed = Arc::from(words);
         next
     }
 
@@ -461,14 +570,20 @@ impl FilterSnapshot {
         self.tree.encode(&mut w);
         self.dfsa.encode_into(&mut w, &self.tree);
         w.u64(self.base_len as u64);
-        // Tombstones, bit-packed (1M base profiles -> 122 KiB).
-        w.u32(self.removed.len() as u32);
-        let mut packed = vec![0u8; self.removed.len().div_ceil(8)];
-        for (k, &dead) in self.removed.iter().enumerate() {
-            if dead {
-                packed[k / 8] |= 1 << (k % 8);
-            }
-        }
+        // Tombstones, bit-packed (1M base profiles -> 122 KiB): the
+        // bitmap's words in little-endian order, cut to whole bytes.
+        let n_removed = if self.removed.is_empty() {
+            0
+        } else {
+            self.base_len
+        };
+        w.u32(n_removed as u32);
+        let packed: Vec<u8> = self
+            .removed
+            .iter()
+            .flat_map(|word| word.to_le_bytes())
+            .take(n_removed.div_ceil(8))
+            .collect();
         w.bytes(&packed);
         match &self.overlay {
             None => {
@@ -491,19 +606,9 @@ impl FilterSnapshot {
                 plan.encode(&mut w);
             }
         }
-        // Deterministic order (rep, pos): the in-memory map never
-        // reaches the encoder, keeping checkpoints byte-stable.
-        let mut entries: Vec<(u32, u32, &Vec<Residual>)> = self
-            .overlay_children
-            .iter()
-            .flat_map(|(&rep, ch)| ch.iter().map(move |(pos, res)| (rep, *pos, res)))
-            .collect();
-        entries.sort_unstable_by_key(|&(rep, pos, _)| (rep, pos));
-        w.seq_len(entries.len());
-        for (rep, pos, residual) in entries {
-            w.u32(rep);
-            w.u32(pos);
-            encode_residual(&mut w, residual);
+        match &self.overlay_children {
+            None => w.seq_len(0),
+            Some(children) => children.encode(&mut w),
         }
         w.into_bytes_crc()
     }
@@ -546,10 +651,19 @@ impl FilterSnapshot {
         if n_removed != 0 && n_removed != base_len {
             return Err(PersistError::new("tombstone bitmap does not cover base"));
         }
-        let removed: Vec<bool> = (0..n_removed)
-            .map(|k| packed[k / 8] & (1 << (k % 8)) != 0)
+        let mut removed: Vec<u64> = packed
+            .chunks(8)
+            .map(|b| {
+                let mut le = [0u8; 8];
+                le[..b.len()].copy_from_slice(b);
+                u64::from_le_bytes(le)
+            })
             .collect();
-        let removed_count = removed.iter().filter(|r| **r).count();
+        if n_removed % 64 != 0 {
+            // Padding bits of the last byte carry no slot.
+            *removed.last_mut().expect("n_removed > 0") &= (1 << (n_removed % 64)) - 1;
+        }
+        let removed_count = removed.iter().map(|w| w.count_ones() as usize).sum();
         let has_overlay = r.bool()?;
         let overlay_len = r.u64()? as usize;
         let overlay = if has_overlay {
@@ -569,28 +683,11 @@ impl FilterSnapshot {
         } else {
             None
         };
-        let n_children = r.seq_len(9)?;
-        let mut overlay_children = OverlayChildren::new();
-        for _ in 0..n_children {
-            let rep = r.u32()?;
-            let pos = r.u32()?;
-            let compiled_len = cover.as_ref().map_or(base_len, |plan| plan.rep_count());
-            if rep as usize >= compiled_len {
-                return Err(PersistError::new("overlay cover rep out of range"));
-            }
-            if pos as usize >= overlay_len {
-                return Err(PersistError::new("overlay cover position out of range"));
-            }
-            let residual = decode_residual(r)?;
-            overlay_children
-                .entry(rep)
-                .or_default()
-                .push((pos, residual));
-        }
         let compiled_len = cover.as_ref().map_or(base_len, |plan| plan.rep_count());
         if tree.profile_count() != compiled_len {
             return Err(PersistError::new("tree profile count mismatch"));
         }
+        let overlay_children = OverlayCover::decode(r, compiled_len, overlay_len)?;
         Ok(FilterSnapshot {
             tree: Arc::new(tree),
             dfsa: Arc::new(dfsa),
@@ -600,7 +697,7 @@ impl FilterSnapshot {
             overlay,
             overlay_len,
             cover,
-            overlay_children: Arc::new(overlay_children),
+            overlay_children: (!overlay_children.is_empty()).then(|| Arc::new(overlay_children)),
         })
     }
 
@@ -614,92 +711,86 @@ impl FilterSnapshot {
     /// cost-model semantics, `scratch.ops()` populated).
     pub fn match_into(&self, event: &IndexedEvent, scratch: &mut SnapshotScratch, use_dfsa: bool) {
         scratch.matched.clear();
-        scratch.ops = 0;
         scratch.overlay_ops = 0;
+        scratch.cover.checks = 0;
+        scratch.cover.delivered = 0;
         if use_dfsa {
             self.dfsa.match_into(event, &mut scratch.base);
         } else {
             self.tree.match_into(event, &mut scratch.base);
         }
-        scratch.ops += scratch.base.ops();
-        match &self.cover {
-            None => {
-                if self.removed.is_empty() {
-                    scratch
-                        .matched
-                        .extend(scratch.base.profiles().iter().map(|p| p.index() as u32));
-                } else {
-                    scratch.matched.extend(
-                        scratch
-                            .base
-                            .profiles()
-                            .iter()
-                            .map(|p| p.index())
-                            .filter(|k| !self.removed[*k])
-                            .map(|k| k as u32),
-                    );
-                }
-            }
-            Some(plan) => {
-                // Expansion iterates the *raw* compiled hits: a
-                // tombstoned representative stays compiled and its live
-                // children must still be delivered.
-                let raw = event.raw();
-                for p in scratch.base.profiles() {
-                    let c = p.index() as u32;
-                    let orig = plan.rep_of(c);
-                    if self.live(orig as usize) {
-                        scratch.matched.push(orig);
-                    }
-                    for child in plan.children_of(c) {
-                        if self.live(child.slot as usize) && residual_ok(&child.residual, raw) {
-                            scratch.matched.push(child.slot);
-                        }
-                    }
-                }
-                // Children of different reps interleave in slot order;
-                // each slot appears at most once, so a sort restores
-                // the contract without dedup.
-                scratch.matched.sort_unstable();
-            }
-        }
-        let overlay_start = scratch.matched.len();
+        scratch.ops = scratch.base.ops();
+        let hits = scratch.base.profiles();
+        self.collect_base(hits, event.raw(), &mut scratch.matched, &mut scratch.cover);
+        let mut overlay_hits: &[ProfileId] = &[];
         if let Some(overlay) = &self.overlay {
             overlay.match_into(event, &mut scratch.overlay);
             scratch.ops += scratch.overlay.ops();
             scratch.overlay_ops = scratch.overlay.ops();
-            let off = self.base_len as u32;
-            scratch.matched.extend(
-                scratch
-                    .overlay
-                    .profiles()
-                    .iter()
-                    .map(|p| off + p.index() as u32),
-            );
+            overlay_hits = scratch.overlay.profiles();
         }
-        if !self.overlay_children.is_empty() {
-            let off = self.base_len as u32;
-            let raw = event.raw();
-            for p in scratch.base.profiles() {
-                let Some(ch) = self.overlay_children.get(&(p.index() as u32)) else {
-                    continue;
+        self.collect_overlay(
+            hits,
+            overlay_hits,
+            event.raw(),
+            &mut scratch.matched,
+            &mut scratch.cover,
+        );
+    }
+
+    /// Appends the base slots one event delivers to `out`, ascending:
+    /// the compiled hits themselves, or under a covering plan their
+    /// expansion. Tombstoned slots are left out — but a tombstoned
+    /// representative stays compiled and still expands, so its live
+    /// children keep being delivered.
+    fn collect_base(
+        &self,
+        hits: &[ProfileId],
+        raw: &[u64],
+        out: &mut Vec<u32>,
+        x: &mut CoverScratch,
+    ) {
+        match &self.cover {
+            None if self.removed.is_empty() => out.extend(hits.iter().map(|p| p.index() as u32)),
+            None => out.extend(
+                hits.iter()
+                    .map(|p| p.index() as u32)
+                    .filter(|&k| is_live(&self.removed, k)),
+            ),
+            Some(plan) => {
+                let region = Region {
+                    slots: self.base_len,
+                    offset: 0,
+                    dead: &self.removed,
                 };
-                for (pos, residual) in ch {
-                    if residual_ok(residual, raw) {
-                        scratch.matched.push(off + pos);
-                    }
-                }
+                region.expand(&**plan, hits, &[], raw, out, x);
             }
-            // Covered positions have no postings, so the overlay region
-            // is also duplicate-free; one regional sort restores order.
-            scratch.matched[overlay_start..].sort_unstable();
         }
     }
 
-    /// Whether base slot `k` has not been tombstoned.
-    #[inline]
-    fn live(&self, k: usize) -> bool {
-        self.removed.is_empty() || !self.removed[k]
+    /// Appends the overlay profiles one event delivers to `out` as
+    /// global ids, ascending: the counting index's hits plus the
+    /// covered positions the compiled hits expand to.
+    fn collect_overlay(
+        &self,
+        hits: &[ProfileId],
+        overlay_hits: &[ProfileId],
+        raw: &[u64],
+        out: &mut Vec<u32>,
+        x: &mut CoverScratch,
+    ) {
+        let off = self.base_len as u32;
+        match &self.overlay_children {
+            None => out.extend(overlay_hits.iter().map(|p| off + p.index() as u32)),
+            Some(children) => {
+                let region = Region {
+                    slots: self.overlay_len,
+                    offset: off,
+                    dead: &[],
+                };
+                region.expand(&**children, hits, overlay_hits, raw, out, x);
+            }
+        }
     }
 
     /// Matches a whole pre-resolved block against base and overlay,
@@ -722,84 +813,34 @@ impl FilterSnapshot {
         } else {
             self.tree.match_block(batch, &mut scratch.base);
         }
-        scratch.off.clear();
-        scratch.off.push(0);
-        scratch.matched.clear();
+        scratch.clear();
         scratch.ops = scratch.base.ops();
-        scratch.overlay_ops = 0;
-        scratch.event_ops.clear();
-        scratch.event_overlay_ops.clear();
-        scratch.event_overlay_ops.resize(batch.len(), 0);
-        let off = self.base_len as u32;
         for i in 0..batch.len() {
-            match &self.cover {
-                None => {
-                    if self.removed.is_empty() {
-                        scratch
-                            .matched
-                            .extend(scratch.base.profiles_of(i).iter().map(|p| p.index() as u32));
-                    } else {
-                        scratch.matched.extend(
-                            scratch
-                                .base
-                                .profiles_of(i)
-                                .iter()
-                                .map(|p| p.index())
-                                .filter(|k| !self.removed[*k])
-                                .map(|k| k as u32),
-                        );
-                    }
-                }
-                Some(plan) => {
-                    let row_start = scratch.matched.len();
-                    let raw = batch.row(i);
-                    for p in scratch.base.profiles_of(i) {
-                        let c = p.index() as u32;
-                        let orig = plan.rep_of(c);
-                        if self.live(orig as usize) {
-                            scratch.matched.push(orig);
-                        }
-                        for child in plan.children_of(c) {
-                            if self.live(child.slot as usize) && residual_ok(&child.residual, raw) {
-                                scratch.matched.push(child.slot);
-                            }
-                        }
-                    }
-                    scratch.matched[row_start..].sort_unstable();
-                }
-            }
-            let overlay_start = scratch.matched.len();
-            let mut event_ops = scratch.base.ops_of(i);
+            let raw = batch.row(i);
+            // Borrowed by field: the overlay pass below reuses
+            // `scratch.base.row`.
+            let hits = &scratch.base.profiles
+                [scratch.base.off[i] as usize..scratch.base.off[i + 1] as usize];
+            self.collect_base(hits, raw, &mut scratch.matched, &mut scratch.cover);
+            let mut overlay_ops = 0;
+            let mut overlay_hits: &[ProfileId] = &[];
             if let Some(overlay) = &self.overlay {
-                scratch.base.row.copy_from_raw(batch.row(i));
+                scratch.base.row.copy_from_raw(raw);
                 overlay.match_into(&scratch.base.row, &mut scratch.overlay);
-                event_ops += scratch.overlay.ops();
-                scratch.ops += scratch.overlay.ops();
-                scratch.overlay_ops += scratch.overlay.ops();
-                scratch.event_overlay_ops[i] = scratch.overlay.ops();
-                scratch.matched.extend(
-                    scratch
-                        .overlay
-                        .profiles()
-                        .iter()
-                        .map(|p| off + p.index() as u32),
-                );
+                overlay_ops = scratch.overlay.ops();
+                overlay_hits = scratch.overlay.profiles();
             }
-            if !self.overlay_children.is_empty() {
-                let raw = batch.row(i);
-                for p in scratch.base.profiles_of(i) {
-                    let Some(ch) = self.overlay_children.get(&(p.index() as u32)) else {
-                        continue;
-                    };
-                    for (pos, residual) in ch {
-                        if residual_ok(residual, raw) {
-                            scratch.matched.push(off + pos);
-                        }
-                    }
-                }
-                scratch.matched[overlay_start..].sort_unstable();
-            }
-            scratch.event_ops.push(event_ops);
+            self.collect_overlay(
+                hits,
+                overlay_hits,
+                raw,
+                &mut scratch.matched,
+                &mut scratch.cover,
+            );
+            scratch.ops += overlay_ops;
+            scratch.overlay_ops += overlay_ops;
+            scratch.event_ops.push(scratch.base.ops_of(i) + overlay_ops);
+            scratch.event_overlay_ops.push(overlay_ops);
             scratch.off.push(scratch.matched.len() as u32);
         }
     }
@@ -886,13 +927,10 @@ impl FilterSnapshot {
     /// state at recovery.
     #[must_use]
     pub fn overlay_cover_entries(&self) -> Vec<Option<(u32, Vec<Residual>)>> {
-        let mut out = vec![None; self.overlay_len];
-        for (&rep, ch) in self.overlay_children.iter() {
-            for (pos, residual) in ch {
-                out[*pos as usize] = Some((rep, residual.clone()));
-            }
+        match &self.overlay_children {
+            None => vec![None; self.overlay_len],
+            Some(children) => children.to_entries(self.overlay_len),
         }
-        out
     }
 }
 

@@ -447,8 +447,11 @@ impl ProfileTree {
         };
 
         if node.edges.is_empty() {
-            // `*` edge: all values pass at one operation.
-            if let Star::All(child) = &node.star {
+            // `*` edge: all values pass at one operation. So they do on
+            // an `Else` star without edges — a node whose specific
+            // profiles all admit no value — where the don't-care
+            // profiles must still be reached.
+            if let Star::All(child) | Star::Else(child) = &node.star {
                 out.ops += 1;
                 out.per_level[level] += 1;
                 return self.walk_indexed(child, event, level + 1, out);
@@ -1167,6 +1170,46 @@ mod tests {
         // a1 missing: nothing specifies don't-care on a1, so no match.
         let e = Event::builder(&schema).value("a2", 95).unwrap().build();
         assert!(!tree.match_event(&e).unwrap().is_match());
+    }
+
+    #[test]
+    fn unsatisfiable_profiles_do_not_hide_dont_care_ones() {
+        // A node whose only specific profile admits no value has a
+        // `(*)` star and not a single edge; the don't-care profile
+        // under it must still be found, at the one operation of the
+        // star, and the cost model must price it the same.
+        let (schema, _) = example1();
+        let mut ps = ProfileSet::new(&schema);
+        ps.insert_with(|b| b.predicate("a3", Predicate::ge(10)))
+            .unwrap();
+        ps.insert_with(|b| {
+            b.predicate("a2", Predicate::In(vec![]))?
+                .predicate("a3", Predicate::ge(10))
+        })
+        .unwrap();
+        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let out = tree.match_event(&event(&schema, 40, 95, 40)).unwrap();
+        assert_eq!(out.profiles(), &[ProfileId::new(0)]);
+        assert_eq!(
+            crate::Dfsa::from_tree(&tree)
+                .match_event(&event(&schema, 40, 95, 40))
+                .unwrap(),
+            vec![ProfileId::new(0)]
+        );
+        let uniform = ens_dist::JointDist::independent(
+            schema
+                .iter()
+                .map(|(_, a)| {
+                    ens_dist::DistOverDomain::new(ens_dist::Density::Uniform, a.domain().size())
+                })
+                .collect(),
+        )
+        .unwrap();
+        let predicted = crate::CostModel::new(&tree, &uniform)
+            .unwrap()
+            .evaluate()
+            .unwrap();
+        assert!(predicted.match_probability() > 0.0);
     }
 
     #[test]

@@ -13,7 +13,10 @@ use ens_filter::{
     BlockScratch, Dfsa, FilterSnapshot, MatchScratch, Matcher, ProfileTree, SnapshotBlockScratch,
     SnapshotScratch, TreeConfig,
 };
-use ens_types::{Domain, Event, IndexedBatch, IndexedEvent, Predicate, ProfileSet, Schema};
+use ens_types::{
+    CoverOutcome, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId,
+    ProfileSet, Schema,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -309,6 +312,98 @@ fn warm_fast_paths_allocate_nothing() {
                 );
                 assert_eq!(warm, hot, "{name} snapshot block: passes disagree");
             }
+        }
+    }
+
+    // Covering expansion delivers through a scratch bitmap instead of
+    // sorting per event: a covered snapshot — exact duplicates, strict
+    // children, tombstones (a representative's among them) and covered
+    // overlay entries beside index-matched ones — matches without
+    // touching the heap either, per event and per block.
+    {
+        let mut population = ProfileSet::new(&schema);
+        let mut rng = StdRng::seed_from_u64(43);
+        for p in ps.iter() {
+            population.insert(p.clone());
+            // A duplicate and a narrowing of every other profile.
+            if p.id().index() % 2 == 0 {
+                population.insert(p.clone());
+                let mut preds = p.predicates().to_vec();
+                let a = rng.gen_range(0..10_000);
+                let c = rng.gen_range(0..10_000);
+                preds[2] = Predicate::between(a.min(c), a.max(c));
+                let narrowed = Profile::from_predicates(&schema, ProfileId::new(0), preds);
+                population.insert(narrowed.unwrap());
+            }
+        }
+        let (compiled, cover) =
+            FilterSnapshot::compile_covered(&population, &TreeConfig::default()).unwrap();
+        let plan = compiled.cover_plan().unwrap();
+        assert!(
+            plan.covered_count() >= 60,
+            "{} covered",
+            plan.covered_count()
+        );
+        let mut overlay = ProfileSet::new(&schema);
+        let mut overlay_cover = Vec::new();
+        for p in population.iter().step_by(23) {
+            overlay_cover.push(match cover.probe(p).unwrap() {
+                CoverOutcome::Covered { rep, residual } => {
+                    Some((cover.compiled_index_of(rep).unwrap(), residual))
+                }
+                CoverOutcome::Rep => None,
+            });
+            overlay.insert(p.clone());
+        }
+        for p in ps.iter().take(4) {
+            let mut preds = p.predicates().to_vec();
+            preds[1] = Predicate::between(3, 47);
+            let uncovered = Profile::from_predicates(&schema, ProfileId::new(0), preds);
+            overlay.insert(uncovered.unwrap());
+            overlay_cover.push(None);
+        }
+        assert!(overlay_cover.iter().any(Option::is_some));
+        let removed: Vec<bool> = (0..population.len()).map(|k| k % 7 == 0).collect();
+        assert!(plan.rep_slots().iter().any(|&s| removed[s as usize]));
+        let snap = compiled
+            .with_overlay_covered(&overlay, &overlay_cover)
+            .unwrap()
+            .with_removed(removed);
+
+        for use_dfsa in [false, true] {
+            let mut indexed = IndexedEvent::new();
+            let mut scratch = SnapshotScratch::new();
+            let mut batch = IndexedBatch::new();
+            let mut block = SnapshotBlockScratch::new();
+            let mut run = |check: &mut (u64, u64)| {
+                for e in &events {
+                    indexed.resolve_into(&schema, e).unwrap();
+                    snap.match_into(&indexed, &mut scratch, use_dfsa);
+                    check.0 += scratch.matched().len() as u64;
+                    check.1 += scratch.cover_delivered();
+                }
+                for chunk in events.chunks(64) {
+                    batch.resolve_into(&schema, chunk.iter()).unwrap();
+                    snap.match_block(&batch, &mut block, use_dfsa);
+                    for i in 0..chunk.len() {
+                        check.0 += block.matched_of(i).len() as u64;
+                    }
+                    check.1 += block.cover_delivered();
+                }
+            };
+            let mut warm = (0, 0);
+            run(&mut warm);
+            let before = allocations();
+            let mut hot = (0, 0);
+            run(&mut hot);
+            let allocated = allocations() - before;
+            assert_eq!(
+                allocated, 0,
+                "covered snapshot (dfsa={use_dfsa}): warm match_into + match_block \
+                 loops performed {allocated} heap allocations"
+            );
+            assert_eq!(warm, hot, "covered snapshot: passes disagree");
+            assert!(hot.1 > 0, "covered snapshot: expansion should deliver");
         }
     }
 

@@ -8,9 +8,10 @@
 
 use ens_filter::{CoverPlan, FilterSnapshot, SnapshotBlockScratch, SnapshotScratch, TreeConfig};
 use ens_types::{
-    CoverOutcome, CoverSet, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile,
-    ProfileId, ProfileSet, Residual, Schema,
+    AttrId, CoverOutcome, CoverSet, Domain, Event, IndexInterval, IndexedBatch, IndexedEvent,
+    IntervalSet, Predicate, Profile, ProfileId, ProfileSet, Residual, Schema,
 };
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -317,4 +318,325 @@ fn covering_churn_agrees_with_profile_set_oracle() {
         saw_covered_overlay,
         "churn must exercise covered overlay entries"
     );
+}
+
+/// The profile generator of the committed checkpoint fixture (see
+/// [`head_written_checkpoint_loads_and_re_encodes_identically`]):
+/// duplicates, range narrowings, multi-interval (`!=`, set) residuals,
+/// newly specified attributes and the odd unsatisfiable profile.
+fn fixture_profile(schema: &Schema, rng: &mut StdRng, pool: &[Profile]) -> Profile {
+    if !pool.is_empty() && rng.gen_bool(0.6) {
+        let root = &pool[rng.gen_range(0..pool.len())];
+        let mut preds: Vec<Predicate> = root.predicates().to_vec();
+        match rng.gen_range(0..5) {
+            0 => {}
+            1 => {
+                let lo = rng.gen_range(0..100);
+                let hi = rng.gen_range(lo..100);
+                preds[0] = Predicate::between(lo, hi);
+            }
+            2 => preds[1] = Predicate::ne(rng.gen_range(0..10)),
+            3 => preds[1] = Predicate::eq(rng.gen_range(0..10)),
+            _ => preds[2] = Predicate::in_set(["a", "c"]),
+        }
+        return Profile::from_predicates(schema, ProfileId::new(0), preds).unwrap();
+    }
+    let mut preds = vec![Predicate::DontCare; 3];
+    if rng.gen_bool(0.7) {
+        let lo = rng.gen_range(0..100);
+        let hi = rng.gen_range(lo..100);
+        preds[0] = Predicate::between(lo, hi);
+    }
+    if rng.gen_bool(0.3) {
+        preds[1] = Predicate::le(rng.gen_range(0..10));
+    }
+    if rng.gen_bool(0.05) {
+        preds[0] = Predicate::In(vec![]);
+    }
+    Profile::from_predicates(schema, ProfileId::new(0), preds).unwrap()
+}
+
+/// `fixtures/covered_snapshot_pr12.bin` is the checkpoint the commit
+/// before the flat expansion index wrote for the population rebuilt
+/// here (80 base profiles, 12 overlay entries of which 5 covered,
+/// every ninth slot tombstoned). The layout in memory changed; the
+/// bytes on disk must not have: the old image loads, re-encodes to
+/// itself, and a fresh compile of the same population still encodes to
+/// exactly it.
+#[test]
+fn head_written_checkpoint_loads_and_re_encodes_identically() {
+    let fixture: &[u8] = include_bytes!("fixtures/covered_snapshot_pr12.bin");
+    let schema = schema();
+    let mut rng = StdRng::seed_from_u64(43);
+    let mut pool: Vec<Profile> = Vec::new();
+    let mut ps = ProfileSet::new(&schema);
+    for _ in 0..80 {
+        let p = fixture_profile(&schema, &mut rng, &pool);
+        pool.push(p.clone());
+        ps.insert(p);
+    }
+    let (snap, cover) = FilterSnapshot::compile_covered(&ps, &TreeConfig::default()).unwrap();
+    let mut overlay = ProfileSet::new(&schema);
+    let mut overlay_cover = Vec::new();
+    for _ in 0..12 {
+        let p = fixture_profile(&schema, &mut rng, &pool);
+        overlay_cover.push(match cover.probe(&p).unwrap() {
+            CoverOutcome::Covered { rep, residual } => {
+                Some((cover.compiled_index_of(rep).unwrap(), residual))
+            }
+            CoverOutcome::Rep => None,
+        });
+        overlay.insert(p);
+    }
+    let removed: Vec<bool> = (0..snap.base_len()).map(|k| k % 9 == 3).collect();
+    let snap = snap
+        .with_overlay_covered(&overlay, &overlay_cover)
+        .unwrap()
+        .with_removed(removed.clone());
+    assert_eq!(
+        snap.to_bytes(),
+        fixture,
+        "this build encodes the population as the old one did"
+    );
+
+    let old = FilterSnapshot::from_bytes(fixture).unwrap();
+    assert_eq!(
+        old.to_bytes(),
+        fixture,
+        "the old image re-encodes to itself"
+    );
+    let plan = old.cover_plan().unwrap();
+    assert_eq!((plan.rep_count(), plan.covered_count()), (27, 53));
+    assert_eq!(old.overlay_cover_entries(), overlay_cover);
+    let mut scratch = SnapshotScratch::new();
+    for _ in 0..300 {
+        let e = random_event(&schema, &mut rng);
+        let mut want: Vec<u32> = Vec::new();
+        for p in ps.iter().filter(|p| !removed[p.id().index()]) {
+            if p.matches(&schema, &e).unwrap() {
+                want.push(p.id().index() as u32);
+            }
+        }
+        for p in overlay.iter().filter(|p| p.matches(&schema, &e).unwrap()) {
+            want.push((ps.len() + p.id().index()) as u32);
+        }
+        let ie = IndexedEvent::resolve(&schema, &e).unwrap();
+        for use_dfsa in [false, true] {
+            old.match_into(&ie, &mut scratch, use_dfsa);
+            assert_eq!(scratch.matched(), want.as_slice(), "use_dfsa = {use_dfsa}");
+        }
+    }
+}
+
+/// The domain indices of attribute `j` a profile admits (`None`:
+/// don't-care, which also admits a missing attribute).
+fn admitted(schema: &Schema, p: &Profile, j: usize) -> Option<Vec<u64>> {
+    let attr = AttrId::new(j as u32);
+    let pred = p.predicate(attr);
+    if pred.is_dont_care() {
+        return None;
+    }
+    let set = pred.to_intervals(schema.attribute(attr).domain()).unwrap();
+    Some(
+        set.iter()
+            .flat_map(|iv| iv.lo()..iv.hi())
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// `rep` narrowed on the attributes in `attrs` (in that order) to a
+/// random subset of what it admits there — several intervals, one, or
+/// none at all — with the residual list that narrowing amounts to.
+fn narrowed(
+    schema: &Schema,
+    rep: &Profile,
+    attrs: &[usize],
+    rng: &mut StdRng,
+) -> (Profile, Vec<Residual>) {
+    let mut preds: Vec<Predicate> = rep.predicates().to_vec();
+    let mut residual = Vec::new();
+    for &j in attrs {
+        let domain = schema.attribute(AttrId::new(j as u32)).domain();
+        let admitted = admitted(schema, rep, j).unwrap_or_else(|| (0..domain.size()).collect());
+        let keep = match rng.gen_range(0..6) {
+            // An empty allowed set: the child can never match.
+            0 => 0.0,
+            1 => 0.15,
+            _ => 0.6,
+        };
+        let kept: Vec<u64> = admitted
+            .into_iter()
+            .filter(|_| rng.gen_bool(keep))
+            .collect();
+        preds[j] = Predicate::In(kept.iter().map(|&i| domain.value_at(i)).collect());
+        residual.push(Residual {
+            attr: AttrId::new(j as u32),
+            allowed: IntervalSet::from_intervals(
+                kept.iter().map(|&i| IndexInterval::point(i)).collect(),
+            ),
+        });
+    }
+    let child = Profile::from_predicates(schema, ProfileId::new(0), preds).unwrap();
+    (child, residual)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Expansion plans of every shape the codec admits, not only the
+    /// one-attribute one-interval residuals the bulk containment pass
+    /// produces: residuals on several attributes (in any order),
+    /// allowed sets of several intervals or of none, exact duplicates,
+    /// covered overlay entries, tombstoned representatives with live
+    /// children and tombstoned children, events that miss a residual
+    /// attribute. Per event, `match_into` and `match_block`, tree and
+    /// DFSA, before and after a trip through bytes, all equal the
+    /// uncovered compile and the brute-force matcher, strictly
+    /// ascending.
+    #[test]
+    fn hand_built_plans_agree_with_uncovered_compile_and_oracle(seed in 0u64..=u64::MAX) {
+        let schema = schema();
+        let mut rng = StdRng::seed_from_u64(seed);
+
+        // Base population: a few representatives, each with children
+        // hung under it, shuffled so child slots interleave with
+        // representatives' and with each other's.
+        let n_reps = rng.gen_range(1..6);
+        // (profile, representative it belongs to, residual under it —
+        // `None` for the representative itself).
+        let mut entries: Vec<(Profile, usize, Option<Vec<Residual>>)> = Vec::new();
+        let mut reps: Vec<Profile> = Vec::new();
+        for r in 0..n_reps {
+            let rep = random_profile(&schema, &mut rng, &[]);
+            reps.push(rep.clone());
+            entries.push((rep, r, None));
+        }
+        let attr_orders: [&[usize]; 8] =
+            [&[], &[0], &[1], &[2], &[1, 0], &[0, 2], &[2, 1, 0], &[0, 1, 2]];
+        for _ in 0..rng.gen_range(0..40) {
+            let r = rng.gen_range(0..n_reps);
+            let attrs = attr_orders[rng.gen_range(0..attr_orders.len())];
+            let (child, residual) = narrowed(&schema, &reps[r], attrs, &mut rng);
+            entries.push((child, r, Some(residual)));
+        }
+        // Narrow bystanders that hardly ever match: they stretch the
+        // slot range, so that some cases expand few slots out of many
+        // (delivered through the list) and others many out of few
+        // (through the bitmap).
+        let bystander = |rng: &mut StdRng| {
+            let preds = vec![
+                Predicate::eq(rng.gen_range(0..100)),
+                Predicate::eq(rng.gen_range(0..10)),
+                Predicate::eq("a"),
+            ];
+            Profile::from_predicates(&schema, ProfileId::new(0), preds).unwrap()
+        };
+        let mut n_reps = n_reps;
+        for _ in 0..[0, 0, 200, 800][rng.gen_range(0..4)] {
+            entries.push((bystander(&mut rng), n_reps, None));
+            n_reps += 1;
+        }
+        for k in (1..entries.len()).rev() {
+            entries.swap(k, rng.gen_range(0..=k));
+        }
+        let mut base = ProfileSet::new(&schema);
+        for (p, _, _) in &entries {
+            base.insert(p.clone());
+        }
+        let mut slot_of_rep = vec![0u32; n_reps];
+        for (k, (_, r, residual)) in entries.iter().enumerate() {
+            if residual.is_none() {
+                slot_of_rep[*r] = k as u32;
+            }
+        }
+        let cover = CoverSet::from_parts(
+            &schema,
+            slot_of_rep
+                .iter()
+                .map(|&s| (s, base.get(ProfileId::new(s)).unwrap())),
+            entries.iter().enumerate().filter_map(|(k, (_, r, residual))| {
+                residual
+                    .as_ref()
+                    .map(|residual| (k as u32, slot_of_rep[*r], residual.clone()))
+            }),
+        )
+        .unwrap();
+
+        // Overlay: covered entries ride the expansion, the rest the
+        // counting index.
+        let mut overlay = ProfileSet::new(&schema);
+        let mut overlay_cover: Vec<Option<(u32, Vec<Residual>)>> = Vec::new();
+        for _ in 0..[0, 0, 200][rng.gen_range(0..3)] {
+            overlay.insert(bystander(&mut rng));
+            overlay_cover.push(None);
+        }
+        for _ in 0..rng.gen_range(0..10) {
+            if rng.gen_bool(0.6) {
+                let r = rng.gen_range(0..reps.len());
+                let attrs = attr_orders[rng.gen_range(0..attr_orders.len())];
+                let (child, residual) = narrowed(&schema, &reps[r], attrs, &mut rng);
+                overlay.insert(child);
+                let compiled = cover.compiled_index_of(slot_of_rep[r]).unwrap();
+                overlay_cover.push(Some((compiled, residual)));
+            } else {
+                overlay.insert(random_profile(&schema, &mut rng, &[]));
+                overlay_cover.push(None);
+            }
+        }
+        let removed: Vec<bool> = (0..base.len()).map(|_| rng.gen_bool(0.25)).collect();
+
+        let config = TreeConfig::default();
+        let covered = FilterSnapshot::compile_with_cover(&base, &cover, &config)
+            .unwrap()
+            .with_overlay_covered(&overlay, &overlay_cover)
+            .unwrap()
+            .with_removed(removed.clone());
+        let plain = FilterSnapshot::compile(&base, &config)
+            .unwrap()
+            .with_overlay(&overlay)
+            .unwrap()
+            .with_removed(removed.clone());
+        let bytes = covered.to_bytes();
+        let reloaded = FilterSnapshot::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(reloaded.to_bytes(), bytes);
+        prop_assert_eq!(reloaded.overlay_cover_entries(), overlay_cover.clone());
+
+        let events: Vec<Event> = (0..24).map(|_| random_event(&schema, &mut rng)).collect();
+        let mut batch = IndexedBatch::new();
+        batch.resolve_into(&schema, events.iter()).unwrap();
+        let mut single = SnapshotScratch::new();
+        let mut block = SnapshotBlockScratch::new();
+        for use_dfsa in [false, true] {
+            for (name, snap) in [("covered", &covered), ("reloaded", &reloaded), ("plain", &plain)] {
+                snap.match_block(&batch, &mut block, use_dfsa);
+                for (i, e) in events.iter().enumerate() {
+                    let mut want: Vec<u32> = base
+                        .matches(e)
+                        .unwrap()
+                        .into_iter()
+                        .map(|id| id.index() as u32)
+                        .filter(|&k| !removed[k as usize])
+                        .collect();
+                    want.extend(
+                        overlay
+                            .matches(e)
+                            .unwrap()
+                            .into_iter()
+                            .map(|id| (base.len() + id.index()) as u32),
+                    );
+                    prop_assert!(want.windows(2).all(|w| w[0] < w[1]));
+                    let ie = IndexedEvent::resolve(&schema, e).unwrap();
+                    snap.match_into(&ie, &mut single, use_dfsa);
+                    prop_assert_eq!(
+                        single.matched(), want.as_slice(),
+                        "{} match_into, use_dfsa = {}, event {}", name, use_dfsa, i
+                    );
+                    prop_assert_eq!(
+                        block.matched_of(i), want.as_slice(),
+                        "{} match_block, use_dfsa = {}, event {}", name, use_dfsa, i
+                    );
+                }
+            }
+        }
+    }
 }

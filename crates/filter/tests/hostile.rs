@@ -1,0 +1,205 @@
+//! Hostile bytes against [`FilterSnapshot::from_bytes`]: whatever the
+//! input, decoding returns — a snapshot or an error — without a panic,
+//! and without asking the allocator for more than the input could
+//! justify.
+//!
+//! A single `#[test]`, so that no concurrent test thread disturbs the
+//! allocation counters.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use ens_filter::persist::crc32;
+use ens_filter::{FilterSnapshot, TreeConfig};
+use ens_types::{CoverOutcome, Domain, Predicate, Profile, ProfileId, ProfileSet, Schema};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+struct TrackingAlloc;
+
+/// Largest single request and bytes requested in total since the last
+/// reset.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static TOTAL: AtomicUsize = AtomicUsize::new(0);
+
+fn note(size: usize) {
+    LARGEST.fetch_max(size, Ordering::Relaxed);
+    TOTAL.fetch_add(size, Ordering::Relaxed);
+}
+
+unsafe impl GlobalAlloc for TrackingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: TrackingAlloc = TrackingAlloc;
+
+/// A valid checkpoint with every section populated: covering plan
+/// (duplicates, one- and multi-interval residuals), counting-index and
+/// covered overlay entries, tombstones.
+fn valid_snapshot() -> Vec<u8> {
+    let schema = Schema::builder()
+        .attribute("x", Domain::int(0, 99))
+        .unwrap()
+        .attribute("y", Domain::int(0, 9))
+        .unwrap()
+        .build();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut pool: Vec<Profile> = Vec::new();
+    let profile = |rng: &mut StdRng, pool: &[Profile]| {
+        let mut preds = vec![Predicate::DontCare; 2];
+        if !pool.is_empty() && rng.gen_bool(0.6) {
+            preds = pool[rng.gen_range(0..pool.len())].predicates().to_vec();
+            match rng.gen_range(0..3) {
+                0 => {}
+                1 => preds[1] = Predicate::ne(rng.gen_range(0..10)),
+                _ => {
+                    let lo = rng.gen_range(0..100);
+                    preds[0] = Predicate::between(lo, rng.gen_range(lo..100));
+                }
+            }
+        } else if rng.gen_bool(0.8) {
+            let lo = rng.gen_range(0..100);
+            preds[0] = Predicate::between(lo, rng.gen_range(lo..100));
+        }
+        Profile::from_predicates(&schema, ProfileId::new(0), preds).unwrap()
+    };
+    let mut base = ProfileSet::new(&schema);
+    for _ in 0..40 {
+        let p = profile(&mut rng, &pool);
+        pool.push(p.clone());
+        base.insert(p);
+    }
+    let (snap, cover) = FilterSnapshot::compile_covered(&base, &TreeConfig::default()).unwrap();
+    let mut overlay = ProfileSet::new(&schema);
+    let mut overlay_cover = Vec::new();
+    for _ in 0..8 {
+        let p = profile(&mut rng, &pool);
+        overlay_cover.push(match cover.probe(&p).unwrap() {
+            CoverOutcome::Covered { rep, residual } => {
+                Some((cover.compiled_index_of(rep).unwrap(), residual))
+            }
+            CoverOutcome::Rep => None,
+        });
+        overlay.insert(p);
+    }
+    assert!(overlay_cover.iter().any(Option::is_some));
+    snap.with_overlay_covered(&overlay, &overlay_cover)
+        .unwrap()
+        .with_removed((0..base.len()).map(|k| k % 5 == 0).collect())
+        .to_bytes()
+}
+
+/// Replaces the trailing checksum by the right one, so that a mutated
+/// payload gets past it to the decoders.
+fn reseal(bytes: &mut Vec<u8>) {
+    let payload = bytes.len().saturating_sub(4);
+    bytes.truncate(payload);
+    let crc = crc32(bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Decodes `bytes` and checks the allocator was asked for nothing the
+/// input's length does not account for. No single request may exceed
+/// 64 bytes per input byte (the widest decoded element per encoded
+/// byte, with room to spare): a length field read from the input never
+/// sizes an allocation on its own.
+fn decode_within_budget(bytes: &[u8]) -> bool {
+    LARGEST.store(0, Ordering::Relaxed);
+    TOTAL.store(0, Ordering::Relaxed);
+    let decoded = FilterSnapshot::from_bytes(bytes);
+    let (largest, total) = (
+        LARGEST.load(Ordering::Relaxed),
+        TOTAL.load(Ordering::Relaxed),
+    );
+    let len = bytes.len();
+    assert!(
+        largest <= 64 * len + 4096,
+        "one allocation of {largest} bytes decoding {len} input bytes"
+    );
+    // Leaf lists are stored as differences from the previous leaf, so
+    // the decoded tree may legitimately outgrow its image — but by a
+    // factor, never by an amount an attacker picks.
+    assert!(
+        total <= 4096 * len + (1 << 20),
+        "{total} bytes allocated decoding {len} input bytes"
+    );
+    decoded.is_ok()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    #[test]
+    fn from_bytes_never_panics_and_allocates_within_its_input(seed in 0u64..=u64::MAX) {
+        let valid = valid_snapshot();
+        prop_assert!(decode_within_budget(&valid));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut accepted, mut rejected) = (0u32, 0u32);
+        for case in 0..6000 {
+            let mut bytes = match case % 4 {
+                // Arbitrary bytes.
+                0 => (0..rng.gen_range(0..256)).map(|_| rng.gen::<u8>()).collect(),
+                // A valid image with a few bytes overwritten.
+                1 | 2 => {
+                    let mut b = valid.clone();
+                    for _ in 0..rng.gen_range(1..4) {
+                        let at = rng.gen_range(0..b.len() - 4);
+                        b[at] = match rng.gen_range(0..4) {
+                            0 => 0,
+                            1 => 0xFF,
+                            2 => b[at].wrapping_add(1),
+                            _ => rng.gen(),
+                        };
+                    }
+                    b
+                }
+                // A valid image cut short, or with bytes spliced in.
+                _ => {
+                    let mut b = valid.clone();
+                    let at = rng.gen_range(0..b.len() - 4);
+                    if rng.gen_bool(0.5) {
+                        b.truncate(at + 4);
+                    } else {
+                        let extra: Vec<u8> =
+                            (0..rng.gen_range(1..16)).map(|_| rng.gen::<u8>()).collect();
+                        b.splice(at..at, extra);
+                    }
+                    b
+                }
+            };
+            // Resealed, so that the section decoders are reached; one
+            // in eight goes as it is and dies on the checksum.
+            if case % 8 != 0 {
+                reseal(&mut bytes);
+            }
+            if decode_within_budget(&bytes) {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        // Both outcomes are reached: a mutation that only touches, say,
+        // a marginal's mass still decodes, one that breaks structure
+        // does not.
+        prop_assert!(accepted > 0 && rejected > 1000, "{accepted} accepted, {rejected} rejected");
+    }
+}

@@ -115,14 +115,19 @@ pub struct BrokerConfig {
     /// map instead. A subscribe whose profile is covered by a compiled
     /// representative joins the expansion map in O(schema) hash probes
     /// and adds no compiled state — but it is not free to match: every
-    /// hit on a representative scans that representative's children
-    /// and re-checks their residual predicates, and the `e2e`
-    /// benchmark measured that expansion at 1095 of the 1152 ns/event
-    /// of matching on its 1000-profile environmental population. On
-    /// duplicate-heavy populations covering shrinks build time and
-    /// compiled bytes by the coverage factor; on antichain populations
-    /// (nothing covers anything) the pass degrades to one lowering
-    /// sweep. Default on.
+    /// hit on a representative is expanded back to its covered
+    /// subscriptions (duplicates unchecked, strict children by one
+    /// interval stab per residual attribute), and the `e2e` benchmark
+    /// measured that expansion at about 350 of the 400 ns/event of
+    /// matching on its 1000-profile environmental population (91
+    /// subscriptions delivered per event; 1050 of 1110 ns before the
+    /// flat expansion index of PR 13), where the uncovered automaton
+    /// matches in about 40 ns. [`MetricsSnapshot::cover_checks`] and
+    /// [`MetricsSnapshot::cover_delivered`] count what it does on a
+    /// running broker. On duplicate-heavy populations covering shrinks
+    /// build time and compiled bytes by the coverage factor; on
+    /// antichain populations (nothing covers anything) the pass
+    /// degrades to one lowering sweep. Default on.
     pub covering: bool,
     /// Capacity of each subscriber's notification channel; `0` means
     /// unbounded (the default, matching the seed behaviour). With a
@@ -589,7 +594,7 @@ impl ShardBatch {
         blank.begin(events, 0);
         blank.rows.clear();
         for _ in 0..events {
-            blank.rows.push_event(&[], 0, 0);
+            blank.rows.push_event(None);
         }
         blank
     }
@@ -697,6 +702,10 @@ struct Delivery {
     /// The overlay side-index's share of `ops` (metrics attribution:
     /// overlay matching decay between compactions).
     overlay_ops: u64,
+    /// Covering expansion's residual checks and deliveries (metrics
+    /// only; batches count theirs once per batch instead).
+    cover_checks: u64,
+    cover_delivered: u64,
     rejecting_shards: usize,
 }
 
@@ -1568,6 +1577,10 @@ impl Broker {
                 .overflow_dropped
                 .fetch_add(overflowed, Ordering::Relaxed);
         }
+        self.count_expansion(
+            shards.iter().map(|b| b.rows.cover_checks()).sum(),
+            shards.iter().map(|b| b.rows.cover_delivered()).sum(),
+        );
         let mut receipts = Vec::with_capacity(events.len());
         for (i, event) in events.iter().enumerate() {
             let hits = shards.iter().map(|b| b.rows.matched_of(i).len()).sum();
@@ -1637,14 +1650,10 @@ impl Broker {
                     if quench.allows_indexed(row) {
                         snap.filter
                             .match_into(row, scratch, self.config.dfsa_dispatch);
-                        out.rows.push_event(
-                            scratch.matched(),
-                            scratch.ops(),
-                            scratch.overlay_ops(),
-                        );
+                        out.rows.push_event(Some(scratch));
                     } else {
                         out.rejected[i] = true;
-                        out.rows.push_event(&[], 0, 0);
+                        out.rows.push_event(None);
                     }
                 }
             });
@@ -1704,9 +1713,26 @@ impl Broker {
             .match_into(indexed, scratch, self.config.dfsa_dispatch);
         out.ops += scratch.ops();
         out.overlay_ops += scratch.overlay_ops();
+        out.cover_checks += scratch.cover_checks();
+        out.cover_delivered += scratch.cover_delivered();
         out.matched.reserve(scratch.matched().len());
         for &gpid in scratch.matched() {
             self.deliver_one(snap, gpid, event, sequence, out);
+        }
+    }
+
+    /// Adds one publish's (or one batch's) covering expansion to the
+    /// metrics; nothing to add on a broker without covered profiles.
+    fn count_expansion(&self, checks: u64, delivered: u64) {
+        if checks > 0 {
+            self.metrics
+                .cover_checks
+                .fetch_add(checks, Ordering::Relaxed);
+        }
+        if delivered > 0 {
+            self.metrics
+                .cover_delivered
+                .fetch_add(delivered, Ordering::Relaxed);
         }
     }
 
@@ -1757,6 +1783,7 @@ impl Broker {
                 .overflow_dropped
                 .fetch_add(delivery.overflowed, Ordering::Relaxed);
         }
+        self.count_expansion(delivery.cover_checks, delivery.cover_delivered);
         if !delivery.dead.is_empty() {
             self.metrics
                 .dropped_notifications

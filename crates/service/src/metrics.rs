@@ -14,6 +14,10 @@ pub(crate) struct Metrics {
     /// The overlay side-index's share of `total_ops` — what matching
     /// the not-yet-compacted subscriptions cost.
     pub overlay_ops: AtomicU64,
+    /// Residual checks covering expansion evaluated, and the profiles
+    /// it delivered.
+    pub cover_checks: AtomicU64,
+    pub cover_delivered: AtomicU64,
     /// Events that entered through `publish_batch` (block matching
     /// engine) rather than the single-event path.
     pub batch_events: AtomicU64,
@@ -64,6 +68,8 @@ impl Metrics {
             notifications_sent: self.notifications_sent.load(Ordering::Relaxed),
             total_ops: self.total_ops.load(Ordering::Relaxed),
             overlay_ops: self.overlay_ops.load(Ordering::Relaxed),
+            cover_checks: self.cover_checks.load(Ordering::Relaxed),
+            cover_delivered: self.cover_delivered.load(Ordering::Relaxed),
             batch_events: self.batch_events.load(Ordering::Relaxed),
             dropped_notifications: self.dropped_notifications.load(Ordering::Relaxed),
             overflow_dropped: self.overflow_dropped.load(Ordering::Relaxed),
@@ -101,6 +107,22 @@ pub struct MetricsSnapshot {
     /// [`MetricsSnapshot::overlay_ops_per_event`] between compactions
     /// makes the overlay's matching-cost decay observable.
     pub overlay_ops: u64,
+    /// Residual interval checks the covering expansion evaluated: what
+    /// turning representatives' hits back into covered subscriptions
+    /// cost, beside (not part of) [`MetricsSnapshot::total_ops`]. Zero
+    /// with [`BrokerConfig::covering`](crate::BrokerConfig::covering)
+    /// off.
+    #[serde(default)]
+    pub cover_checks: u64,
+    /// Profiles delivered through the covering expansion:
+    /// representatives' own subscriptions, exact duplicates (which cost
+    /// no check), strict children whose residual passed and covered
+    /// overlay entries. Over [`MetricsSnapshot::cover_checks`] this is
+    /// what the expansion delivered per check it paid; a ratio falling
+    /// towards zero means representatives whose children mostly do not
+    /// want the events their representative attracts.
+    #[serde(default)]
+    pub cover_delivered: u64,
     /// Events published through `publish_batch` — the block matching
     /// engine — as opposed to the single-event path.
     pub batch_events: u64,
@@ -217,11 +239,11 @@ impl MetricsSnapshot {
 
 impl fmt::Display for MetricsSnapshot {
     /// One-line operational summary, e.g.
-    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) quenched=3 dropped=0 overflow=0 panics=0 rebuilds=1 compactions=4 retunes=1/2 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
+    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) cover=180/95 quenched=3 dropped=0 overflow=0 panics=0 rebuilds=1 compactions=4 retunes=1/2 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) quenched={} dropped={} overflow={} panics={} rebuilds={} compactions={} retunes={}/{} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
+            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) cover={}/{} quenched={} dropped={} overflow={} panics={} rebuilds={} compactions={} retunes={}/{} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
             self.events_published,
             self.batch_events,
             self.notifications_sent,
@@ -230,6 +252,8 @@ impl fmt::Display for MetricsSnapshot {
             self.avg_ops_per_event(),
             self.overlay_ops,
             self.overlay_ops_per_event(),
+            self.cover_delivered,
+            self.cover_checks,
             self.quenched_events,
             self.dropped_notifications,
             self.overflow_dropped,
@@ -329,6 +353,41 @@ mod tests {
         let line = s.to_string();
         assert!(line.contains("batch=2"), "{line}");
         assert!(line.contains("overlay_ops="), "{line}");
+    }
+
+    #[test]
+    fn covering_expansion_is_counted_per_publish_and_per_batch() {
+        use std::sync::Arc;
+
+        let b = broker();
+        // One representative, a duplicate and two strict children.
+        let profile = |at_least: i64| {
+            ens_types::Profile::builder(b.schema())
+                .predicate("x", Predicate::ge(at_least))
+                .unwrap()
+                .build(ens_types::ProfileId::new(0))
+        };
+        let _subs = b.subscribe_many([50, 50, 70, 90].map(profile)).unwrap();
+        let events: Vec<Arc<Event>> = [10i64, 60, 80]
+            .iter()
+            .map(|x| Arc::new(Event::builder(b.schema()).value("x", *x).unwrap().build()))
+            .collect();
+        b.publish_shared(Arc::clone(&events[0])).unwrap();
+        assert_eq!(b.metrics().cover_delivered, 0, "no representative hit");
+        b.publish_shared(Arc::clone(&events[1])).unwrap();
+        let s = b.metrics();
+        assert_eq!(
+            (s.cover_delivered, s.cover_checks),
+            (2, 0),
+            "x = 60: rep + dup"
+        );
+        b.publish_batch(&events).unwrap();
+        let s = b.metrics();
+        // The batch adds 60 (2 delivered) and 80 (3 delivered, one
+        // check: `>= 70` starts at or below 80, `>= 90` does not).
+        assert_eq!((s.cover_delivered, s.cover_checks), (7, 1));
+        assert_eq!(s.notifications_sent, 7);
+        assert!(s.to_string().contains("cover=7/1"), "{s}");
     }
 
     #[test]
