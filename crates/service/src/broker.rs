@@ -21,10 +21,12 @@
 //!   [`BrokerConfig::shards`] shards, each with its own snapshot,
 //!   writer lock and drift statistics, so churn and rebuilds on one
 //!   shard never stall the others. [`Broker::publish_batch`] fans a
-//!   batch out across shards on `std::thread` workers.
+//!   batch out across shards: shard 0 on the calling thread, the
+//!   others on scoped `std::thread` workers.
 //!
 //! * **Delivery** — a send takes the subscriber channel's lock, and
-//!   wakes the consumer only if one is parked (no syscall otherwise).
+//!   wakes the consumer only if it is parked (no syscall otherwise);
+//!   the one consumer claims its backlog eight notifications a lock.
 //!   `publish` sends one notification per matched subscriber;
 //!   `publish_batch` transposes a shard's matches into one run of
 //!   events per subscriber and appends each run under one lock, with
@@ -34,11 +36,13 @@
 //! notifications reach each subscriber in sequence order. Across
 //! concurrent publishers the [`Notification::sequence`] numbers define
 //! the total publish order; deliveries may interleave.
+//!
+//! [`Notification::sequence`]: crate::Notification::sequence
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ens_dist::JointDist;
 use ens_filter::{
@@ -53,7 +57,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::channel::{self, OverflowPolicy, SendOutcome, Sender};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::notify::{Notification, Subscriber};
+use crate::notify::{Queued, Subscriber};
 use crate::persist::{self, Checkpoint, WalRecord};
 use crate::quench::QuenchAdvice;
 use crate::subscription::SubscriptionId;
@@ -84,7 +88,8 @@ pub struct BrokerConfig {
     pub quench_inbound: bool,
     /// Number of subscription shards (0 is treated as 1). Each shard
     /// owns an independent snapshot, writer lock and drift statistics;
-    /// `publish_batch` fans out one worker thread per shard.
+    /// `publish_batch` runs one worker per shard, shard 0 on the
+    /// calling thread.
     pub shards: usize,
     /// Match the compiled base through the flattened DFSA instead of
     /// the profile tree: fastest dispatch, but the base's comparison
@@ -129,12 +134,17 @@ pub struct BrokerConfig {
     /// antichain populations (nothing covers anything) the pass
     /// degrades to one lowering sweep. Default on.
     pub covering: bool,
-    /// Capacity of each subscriber's notification channel; `0` means
-    /// unbounded (the default, matching the seed behaviour). With a
-    /// bound, a consumer that stops draining can hold at most this
-    /// many notifications — overflow is resolved by
-    /// [`BrokerConfig::overflow`] and counted in
-    /// [`MetricsSnapshot::overflow_dropped`].
+    /// Capacity of each subscriber's notification queue; `0` means
+    /// unbounded (the default, matching the seed behaviour). The bound
+    /// is on what is *queued*: a receive moves up to 8 queued
+    /// notifications to the consumer under one lock and hands out the
+    /// first, and what the consumer has claimed counts as received. A
+    /// consumer that stops draining therefore holds at most this many
+    /// notifications plus 7 — all of them in
+    /// [`Subscriber::pending`] — and overflow of the queue is resolved
+    /// by [`BrokerConfig::overflow`] and counted in
+    /// [`MetricsSnapshot::overflow_dropped`] and
+    /// [`Subscriber::dropped`].
     pub notify_capacity: usize,
     /// What a full subscriber channel does with the next notification
     /// (only meaningful with `notify_capacity > 0`).
@@ -179,13 +189,13 @@ struct SubEntry {
     id: SubscriptionId,
     profile: Profile,
     weight: f64,
-    sender: Sender<Notification>,
+    sender: Sender<Queued>,
 }
 
 /// One dispatch slot, aligned with the snapshot's global profile ids.
 struct DispatchEntry {
     id: SubscriptionId,
-    sender: Sender<Notification>,
+    sender: Sender<Queued>,
 }
 
 /// The immutable per-shard artifact the read path consumes.
@@ -639,8 +649,7 @@ impl ShardBatch {
             let run = &self.runs[start..end];
             start = end;
             let entry = snap.entry(g);
-            let pushed = entry.sender.send_many(run.iter().map(|&i| Notification {
-                subscription: entry.id,
+            let pushed = entry.sender.send_many(run.iter().map(|&i| Queued {
                 sequence: base_seq + u64::from(i),
                 event: Arc::clone(&events[i as usize]),
             }));
@@ -677,16 +686,17 @@ impl ShardBatch {
 
 /// A sender whose receiver is already gone: placeholder for tombstoned
 /// dispatch slots (every send fails immediately; never matched anyway).
-fn disconnected_sender() -> Sender<Notification> {
-    let (tx, _rx) = channel::channel(0, OverflowPolicy::default());
-    tx
+/// Every tombstone in the process clones one severed channel.
+fn disconnected_sender() -> Sender<Queued> {
+    static SEVERED: OnceLock<Sender<Queued>> = OnceLock::new();
+    SEVERED
+        .get_or_init(|| channel::channel(0, OverflowPolicy::default()).0)
+        .clone()
 }
 
 /// A fresh subscriber channel under `config`'s capacity and overflow
 /// policy.
-fn notify_channel(
-    config: &BrokerConfig,
-) -> (Sender<Notification>, crate::channel::Receiver<Notification>) {
+fn notify_channel(config: &BrokerConfig) -> (Sender<Queued>, channel::Receiver<Queued>) {
     channel::channel(config.notify_capacity, config.overflow)
 }
 
@@ -1556,17 +1566,19 @@ impl Broker {
                 *out = ShardBatch::blank(events.len());
             }
         };
-        if let [only] = &mut *shards {
-            run_worker(0, &snaps[0], only);
-        } else {
-            // The scope joins every worker; their panics are caught
-            // inside.
-            std::thread::scope(|scope| {
-                for (s, (snap, out)) in snaps.iter().zip(shards.iter_mut()).enumerate() {
+        // Shard 0 runs on the calling thread, beside one spawned worker
+        // for each of the others. The scope joins the workers; every
+        // panic, inline or spawned, is caught inside `run_worker`.
+        match &mut *shards {
+            [] => {}
+            [only] => run_worker(0, &snaps[0], only),
+            [first, rest @ ..] => std::thread::scope(|scope| {
+                for ((s, snap), out) in snaps.iter().enumerate().skip(1).zip(rest) {
                     let run_worker = &run_worker;
                     scope.spawn(move || run_worker(s, snap, out));
                 }
-            });
+                run_worker(0, &snaps[0], first);
+            }),
         }
 
         // Every matched subscriber stays in `matched`; what the overflow
@@ -1675,12 +1687,11 @@ impl Broker {
         out: &mut Delivery,
     ) {
         let entry = snap.entry(gpid);
-        let n = Notification {
-            subscription: entry.id,
+        let queued = Queued {
             sequence,
             event: Arc::clone(event),
         };
-        match entry.sender.send(n) {
+        match entry.sender.send(queued) {
             Ok(SendOutcome::Delivered) => out.matched.push(entry.id),
             Ok(SendOutcome::DroppedOne) => {
                 // The subscription matched and stays live; exactly one
@@ -1993,5 +2004,22 @@ impl std::fmt::Debug for Broker {
             .field("shards", &self.shards.len())
             .field("subscriptions", &self.subscription_count())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every tombstoned dispatch slot — on each unsubscribe, and for
+    /// each tombstone of a recovered checkpoint — used to be given a
+    /// channel of its own to be severed from.
+    #[test]
+    fn tombstones_share_one_severed_channel() {
+        let first = disconnected_sender();
+        assert!(first.send_many(std::iter::empty()).severed);
+        for _ in 0..1000 {
+            assert!(disconnected_sender().same_channel(&first));
+        }
     }
 }

@@ -1,8 +1,9 @@
-//! Bounded MPMC notification channels with explicit overflow policies.
+//! Bounded multi-producer, single-consumer notification channels with
+//! explicit overflow policies.
 //!
 //! The broker used to hand every subscriber an unbounded queue, which
 //! turns one stalled consumer into unbounded memory growth. This
-//! module supplies the replacement: a small MPMC channel whose `send`
+//! module supplies the replacement: a small MPSC channel whose `send`
 //! never blocks the publishing hot path and instead resolves overflow
 //! according to a configured [`OverflowPolicy`] — evict the oldest
 //! queued notification, refuse the newest, or sever the channel so the
@@ -12,12 +13,33 @@
 //! `DropOldest` is why this is hand-rolled rather than a bounded
 //! channel from a library shim: eviction pops from the *send* side,
 //! an operation classical bounded channels do not expose.
+//!
+//! # The consumer claims its backlog
+//!
+//! A channel has one [`Receiver`], owned by one
+//! [`Subscriber`](crate::Subscriber). It keeps a consumer-private
+//! buffer, serves receives from it without touching the shared state
+//! and, when it is empty, takes the lock once and moves up to [`CLAIM`]
+//! queued entries across: a backlog of *n* costs ⌈*n*/`CLAIM`⌉ lock
+//! pairs, not *n*. Claimed is received: the capacity bounds what is
+//! *queued*, the overflow policy sheds only queued entries, a stalled
+//! consumer holds at most `capacity + CLAIM − 1`, and the consumer
+//! parks only with an empty claim.
+//!
+//! Why 8: a lock pair costs ≈ 13 ns beside ≈ 8 ns of queue work per
+//! entry, and seven 16-byte entries cost less than 24-byte queue entries
+//! did. Why not swap whole buffers: 3 ns less per receive, nothing end to
+//! end, and a second full-capacity buffer per subscriber (+54 % heap).
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// The most entries one lock moves from the queue to the consumer.
+pub(crate) const CLAIM: usize = 8;
 
 /// What a bounded subscriber channel does when a send finds it full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,8 +70,8 @@ pub(crate) enum SendOutcome {
     DroppedOne,
 }
 
-/// The channel is severed: every receiver is gone, or an overflow
-/// under [`OverflowPolicy::Disconnect`] closed it.
+/// The channel is severed: the receiver is gone, or an overflow under
+/// [`OverflowPolicy::Disconnect`] closed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Disconnected;
 
@@ -71,42 +93,51 @@ pub(crate) struct Pushed {
 
 struct State<T> {
     buf: VecDeque<T>,
-    /// Set by an overflow under [`OverflowPolicy::Disconnect`]; once
-    /// closed the channel stays closed.
+    /// Set by an overflow under [`OverflowPolicy::Disconnect`] and by
+    /// dropping the receiver; once closed the channel stays closed.
     closed: bool,
     /// Notifications lost to the overflow policy on this channel.
     dropped: u64,
-    /// Receivers inside `Condvar::wait_timeout`. A count, not a flag:
-    /// `&Receiver` is `Sync`, so several threads may park on one
-    /// channel.
-    waiters: usize,
+    /// The receiver is in `wait_timeout` and no sender has woken it.
+    parked: bool,
+}
+
+impl<T> State<T> {
+    /// Moves up to [`CLAIM`] queued entries to the consumer: returns
+    /// the oldest and leaves the rest in `claimed`, newest first, so
+    /// that `pop` hands them out in order.
+    fn claim(&mut self, claimed: &mut Vec<T>) -> Option<T> {
+        let first = self.buf.pop_front()?;
+        let more = self.buf.len().min(CLAIM - 1);
+        if more > 0 {
+            // The first backlog allocates all a claim can leave behind.
+            claimed.reserve_exact(CLAIM - 1);
+            claimed.extend(self.buf.drain(..more).rev());
+        }
+        Some(first)
+    }
 }
 
 struct Inner<T> {
     state: Mutex<State<T>>,
     ready: Condvar,
     senders: AtomicUsize,
-    receivers: AtomicUsize,
     /// Condvar notifications issued so far.
     #[cfg(test)]
     wakes: AtomicUsize,
 }
 
 impl<T> Inner<T> {
-    fn state(&self) -> std::sync::MutexGuard<'_, State<T>> {
+    fn state(&self) -> MutexGuard<'_, State<T>> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Every condvar notification goes through here (a futex syscall
     /// even with nobody parked, hence worth counting in tests).
-    fn wake(&self, all: bool) {
+    fn wake(&self) {
         #[cfg(test)]
         self.wakes.fetch_add(1, Ordering::Relaxed);
-        if all {
-            self.ready.notify_all();
-        } else {
-            self.ready.notify_one();
-        }
+        self.ready.notify_one();
     }
 }
 
@@ -119,11 +150,10 @@ pub(crate) fn channel<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>,
             buf: VecDeque::new(),
             closed: false,
             dropped: 0,
-            waiters: 0,
+            parked: false,
         }),
         ready: Condvar::new(),
         senders: AtomicUsize::new(1),
-        receivers: AtomicUsize::new(1),
         #[cfg(test)]
         wakes: AtomicUsize::new(0),
     });
@@ -133,7 +163,10 @@ pub(crate) fn channel<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>,
             capacity,
             policy,
         },
-        Receiver { inner },
+        Receiver {
+            inner,
+            claimed: RefCell::new(Vec::new()),
+        },
     )
 }
 
@@ -145,9 +178,11 @@ pub(crate) struct Sender<T> {
 }
 
 /// The subscriber-side half, wrapped by
-/// [`Subscriber`](crate::Subscriber).
+/// [`Subscriber`](crate::Subscriber): `Send` and not `Sync`.
 pub(crate) struct Receiver<T> {
     inner: Arc<Inner<T>>,
+    /// Entries claimed and not yet handed out, newest first.
+    claimed: RefCell<Vec<T>>,
 }
 
 impl<T> Sender<T> {
@@ -204,10 +239,7 @@ impl<T> Sender<T> {
     /// The locked state of a channel that can still take
     /// notifications, or `None` if it is severed.
     #[inline]
-    fn open(&self) -> Option<std::sync::MutexGuard<'_, State<T>>> {
-        if self.inner.receivers.load(Ordering::Acquire) == 0 {
-            return None;
-        }
+    fn open(&self) -> Option<MutexGuard<'_, State<T>>> {
         let s = self.inner.state();
         (!s.closed).then_some(s)
     }
@@ -236,25 +268,22 @@ impl<T> Sender<T> {
         Ok(SendOutcome::DroppedOne)
     }
 
-    /// Unlocks and wakes whoever has to see what was queued.
+    /// Unlocks and wakes the receiver if it has something to see.
     ///
-    /// Wake rule: a receiver counts itself in `State::waiters` under
-    /// the state lock before it parks and the count is read here under
-    /// the same lock, so a send into a channel nobody is parked on
-    /// makes no syscall, and a parked receiver cannot be missed — it is
-    /// either counted, or has yet to take the lock and will find the
+    /// Wake rule: the receiver sets `State::parked` under the state
+    /// lock before it parks; the flag is read here under the same lock
+    /// and taken, so one park costs one syscall however many sends beat
+    /// the receiver to the lock. A send into a channel nobody is parked
+    /// on makes no syscall, and a parked receiver cannot be missed: its
+    /// flag is up, or it has yet to take the lock and will find the
     /// queue non-empty.
     #[inline]
-    fn release(&self, s: std::sync::MutexGuard<'_, State<T>>, severed: bool) {
-        let parked = s.waiters;
-        let queued = s.buf.len();
+    fn release(&self, mut s: MutexGuard<'_, State<T>>, severed: bool) {
+        let wake = s.parked && (severed || !s.buf.is_empty());
+        s.parked &= !wake;
         drop(s);
-        if severed {
-            self.inner.wake(true);
-        } else if parked > 0 && queued > 0 {
-            // One waiter per queued notification, as single sends
-            // would have woken.
-            self.inner.wake(parked > 1 && queued > 1);
+        if wake {
+            self.inner.wake();
         }
     }
 }
@@ -273,47 +302,36 @@ impl<T> Clone for Sender<T> {
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last sender: wake blocked receivers so they observe the
-            // disconnect. Under the state lock, because a receiver
+            // Last sender: wake a blocked receiver so it observes the
+            // disconnect. Under the state lock, because the receiver
             // checks `senders` and parks without releasing it: a
             // notification sent in between would find nobody parked.
             let _state = self.inner.state();
-            self.inner.wake(true);
+            self.inner.wake();
         }
     }
 }
 
-/// Why [`Receiver::try_recv`] returned nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TryRecvError {
-    /// Nothing queued right now.
-    Empty,
-    /// Nothing queued and the channel is severed (every sender gone,
-    /// or closed by [`OverflowPolicy::Disconnect`]).
-    Disconnected,
-}
-
 impl<T> Receiver<T> {
-    /// Non-blocking receive.
-    pub(crate) fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut s = self.inner.state();
-        if let Some(msg) = s.buf.pop_front() {
-            return Ok(msg);
-        }
-        if s.closed || self.inner.senders.load(Ordering::Acquire) == 0 {
-            Err(TryRecvError::Disconnected)
-        } else {
-            Err(TryRecvError::Empty)
-        }
+    /// Non-blocking receive: the next claimed entry, or a fresh claim.
+    pub(crate) fn try_recv(&self) -> Option<T> {
+        let mut claimed = self.claimed.borrow_mut();
+        claimed
+            .pop()
+            .or_else(|| self.inner.state().claim(&mut claimed))
     }
 
     /// Blocking receive with a timeout. `None` on timeout or
     /// disconnect.
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<T> {
+        let mut claimed = self.claimed.borrow_mut();
+        if let Some(msg) = claimed.pop() {
+            return Some(msg);
+        }
         let deadline = Instant::now().checked_add(timeout);
         let mut s = self.inner.state();
         loop {
-            if let Some(msg) = s.buf.pop_front() {
+            if let Some(msg) = s.claim(&mut claimed) {
                 return Some(msg);
             }
             if s.closed || self.inner.senders.load(Ordering::Acquire) == 0 {
@@ -330,20 +348,16 @@ impl<T> Receiver<T> {
                 // Unrepresentable deadline: wait in long slices.
                 None => Duration::from_secs(3600),
             };
-            s.waiters += 1;
-            let (guard, _timed_out) = self
-                .inner
-                .ready
-                .wait_timeout(s, wait)
-                .unwrap_or_else(|e| e.into_inner());
-            s = guard;
-            s.waiters -= 1;
+            s.parked = true;
+            let parked = self.inner.ready.wait_timeout(s, wait);
+            s = parked.unwrap_or_else(|e| e.into_inner()).0;
+            s.parked = false;
         }
     }
 
-    /// Number of queued notifications.
+    /// Number of notifications queued or claimed and not yet received.
     pub(crate) fn len(&self) -> usize {
-        self.inner.state().buf.len()
+        self.inner.state().buf.len() + self.claimed.borrow().len()
     }
 
     /// Notifications this channel has lost to its overflow policy.
@@ -351,7 +365,7 @@ impl<T> Receiver<T> {
         self.inner.state().dropped
     }
 
-    /// Whether the channel is severed (regardless of queued backlog).
+    /// Whether the channel is severed (regardless of backlog).
     pub(crate) fn is_disconnected(&self) -> bool {
         self.inner.state().closed || self.inner.senders.load(Ordering::Acquire) == 0
     }
@@ -359,7 +373,11 @@ impl<T> Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.inner.receivers.fetch_sub(1, Ordering::AcqRel);
+        // Free the backlog now: `Inner` lives on in every sender the
+        // broker still holds, until a publish finds the channel closed.
+        let mut s = self.inner.state();
+        s.closed = true;
+        s.buf = VecDeque::new();
     }
 }
 
@@ -381,6 +399,12 @@ impl<T> fmt::Debug for Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const POLICIES: [OverflowPolicy; 3] = [
+        OverflowPolicy::DropOldest,
+        OverflowPolicy::DropNewest,
+        OverflowPolicy::Disconnect,
+    ];
 
     #[test]
     fn unbounded_when_capacity_zero() {
@@ -404,10 +428,11 @@ mod tests {
             }
         }
         assert_eq!(rx.dropped(), 7);
-        assert_eq!(rx.try_recv(), Ok(7));
-        assert_eq!(rx.try_recv(), Ok(8));
-        assert_eq!(rx.try_recv(), Ok(9));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(rx.try_recv(), Some(7));
+        assert_eq!(rx.try_recv(), Some(8));
+        assert_eq!(rx.try_recv(), Some(9));
+        assert_eq!(rx.try_recv(), None);
+        assert!(!rx.is_disconnected());
     }
 
     #[test]
@@ -417,10 +442,11 @@ mod tests {
             tx.send(i).unwrap();
         }
         assert_eq!(rx.dropped(), 7);
-        assert_eq!(rx.try_recv(), Ok(0));
-        assert_eq!(rx.try_recv(), Ok(1));
-        assert_eq!(rx.try_recv(), Ok(2));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(rx.try_recv(), Some(0));
+        assert_eq!(rx.try_recv(), Some(1));
+        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(rx.try_recv(), None);
+        assert!(!rx.is_disconnected());
     }
 
     #[test]
@@ -430,15 +456,29 @@ mod tests {
         assert!(tx.send(1).is_ok());
         assert_eq!(tx.send(2), Err(Disconnected));
         // Severed for good: the backlog is gone and later sends fail.
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        assert_eq!(rx.try_recv(), None);
+        assert!(rx.is_disconnected());
         assert_eq!(tx.send(3), Err(Disconnected));
     }
 
     #[test]
-    fn dropped_receiver_fails_sends() {
+    fn dropped_receiver_fails_sends_and_frees_its_backlog() {
         let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+        let item = Arc::new(7);
+        for _ in 0..20 {
+            tx.send(Arc::clone(&item)).unwrap();
+        }
+        // Some of the backlog claimed, the rest still queued.
+        assert!(rx.try_recv().is_some());
+        assert_eq!(Arc::strong_count(&item), 20);
         drop(rx);
-        assert_eq!(tx.send(1), Err(Disconnected));
+        assert_eq!(
+            Arc::strong_count(&item),
+            1,
+            "a dead channel pins its backlog"
+        );
+        assert_eq!(tx.send(item), Err(Disconnected));
+        assert!(tx.send_many(std::iter::empty()).severed);
     }
 
     #[test]
@@ -458,101 +498,265 @@ mod tests {
             self.inner.wakes.load(Ordering::Relaxed)
         }
 
-        /// Spins until `n` receivers are parked. `waiters` only changes
-        /// under the state lock and a receiver releases that lock by
-        /// parking, so seeing the count here means it is parked (or has
+        /// Spins until the receiver is parked. `parked` only changes
+        /// under the state lock and the receiver releases that lock by
+        /// parking, so seeing the flag here means it is parked (or has
         /// timed out and is about to retake the lock).
-        fn await_parked(&self, n: usize) {
-            while self.inner.state().waiters != n {
+        fn await_parked(&self) {
+            while !self.inner.state().parked {
                 std::thread::yield_now();
             }
+        }
+
+        /// Whether both senders feed one channel.
+        pub(crate) fn same_channel(&self, other: &Self) -> bool {
+            Arc::ptr_eq(&self.inner, &other.inner)
         }
     }
 
     #[test]
-    fn sends_wake_only_parked_receivers() {
-        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+    fn sends_wake_only_a_parked_receiver_and_only_once() {
+        let (tx, mut rx) = channel(0, OverflowPolicy::DropOldest);
         tx.send(1).unwrap();
         assert_eq!(tx.send_many([2, 3, 4]).accepted, 3);
         assert_eq!(tx.send_many(std::iter::empty()).accepted, 0);
         assert_eq!(tx.wakes(), 0, "nobody parked: no syscall");
         assert_eq!(rx.len(), 4);
-        while rx.try_recv().is_ok() {}
+        assert_eq!(std::iter::from_fn(|| rx.try_recv()).count(), 4);
 
         for many in [false, true] {
             let before = tx.wakes();
-            std::thread::scope(|scope| {
-                let parked = scope.spawn(|| rx.recv_timeout(Duration::from_secs(10)));
-                tx.await_parked(1);
-                if many {
-                    tx.send_many([7, 8, 9]);
-                } else {
-                    tx.send(7).unwrap();
-                }
-                assert_eq!(parked.join().unwrap(), Some(7));
+            // The receiver is `Send`, not `Sync`: it moves to its
+            // consumer and comes back with the result.
+            let consumer = std::thread::spawn(move || {
+                let got = rx.recv_timeout(Duration::from_secs(10));
+                (rx, got)
             });
-            assert_eq!(tx.wakes() - before, 1, "one parked receiver: one wake");
-            while rx.try_recv().is_ok() {}
+            tx.await_parked();
+            // An empty run has nothing to wake anybody for, and must
+            // leave the flag up for the send that has.
+            tx.send_many(std::iter::empty());
+            assert_eq!(tx.wakes(), before);
+            if many {
+                tx.send_many([7, 8, 9]);
+            } else {
+                tx.send(7).unwrap();
+            }
+            // The first send took the flag: whether the consumer has
+            // the lock back yet or not, these find nobody parked.
+            tx.send(10).unwrap();
+            tx.send_many([11, 12]);
+            let got;
+            (rx, got) = consumer.join().unwrap();
+            assert_eq!(got, Some(7));
+            assert_eq!(tx.wakes() - before, 1, "one park: one wake");
+            while rx.try_recv().is_some() {}
         }
-    }
-
-    #[test]
-    fn a_run_wakes_every_receiver_it_can_feed() {
-        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
-        std::thread::scope(|scope| {
-            let a = scope.spawn(|| rx.recv_timeout(Duration::from_secs(10)));
-            let b = scope.spawn(|| rx.recv_timeout(Duration::from_secs(10)));
-            tx.await_parked(2);
-            let t0 = Instant::now();
-            tx.send_many([1, 2]);
-            let mut got = [a.join().unwrap(), b.join().unwrap()];
-            got.sort();
-            assert_eq!(got, [Some(1), Some(2)]);
-            assert!(t0.elapsed() < Duration::from_secs(5), "second waiter slept");
-        });
-        assert_eq!(tx.wakes(), 1);
     }
 
     #[test]
     fn last_sender_drop_wakes_a_parked_receiver() {
         let (tx, rx) = channel::<u8>(0, OverflowPolicy::DropOldest);
-        std::thread::scope(|scope| {
-            let parked = scope.spawn(|| {
-                let t0 = Instant::now();
-                (rx.recv_timeout(Duration::from_secs(10)), t0.elapsed())
-            });
-            tx.await_parked(1);
-            drop(tx);
-            let (got, took) = parked.join().unwrap();
-            assert_eq!(got, None);
-            assert!(took < Duration::from_secs(5), "slept through the hang-up");
+        let consumer = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            (rx.recv_timeout(Duration::from_secs(10)), t0.elapsed())
         });
+        tx.await_parked();
+        drop(tx);
+        let (got, took) = consumer.join().unwrap();
+        assert_eq!(got, None);
+        assert!(took < Duration::from_secs(5), "slept through the hang-up");
     }
 
-    /// Several producers, two threads parked on one `&Receiver`: every
-    /// item arrives exactly once and no receive sleeps through a send
-    /// (a lost wake-up would cost the full 10-s timeout).
+    /// The consumer parks only with an empty claim: what it has
+    /// claimed comes out of `recv_timeout` with nothing queued, nobody
+    /// sending and no wait.
     #[test]
-    fn concurrent_receivers_get_every_item_once_without_stalling() {
+    fn recv_timeout_serves_the_claim_before_it_parks() {
+        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+        assert_eq!(tx.send_many(0..5).accepted, 5);
+        let consumer = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            let mut got = vec![rx.try_recv()];
+            let queued = rx.inner.state().buf.len();
+            for _ in 0..4 {
+                got.push(rx.recv_timeout(Duration::from_secs(10)));
+            }
+            let claim_took = t0.elapsed();
+            got.push(rx.recv_timeout(Duration::from_secs(10)));
+            (got, queued, claim_took)
+        });
+        tx.await_parked();
+        tx.send(99).unwrap();
+        let (got, queued, claim_took) = consumer.join().unwrap();
+        assert_eq!(queued, 0, "one claim takes a backlog of five");
+        assert_eq!(got, [0, 1, 2, 3, 4, 99].map(Some));
+        assert!(
+            claim_took < Duration::from_secs(5),
+            "waited on its own claim"
+        );
+        assert_eq!(tx.wakes(), 1);
+    }
+
+    /// What the channel promises, written the slow way: a queue the
+    /// policy guards and a claim it does not.
+    struct Model {
+        capacity: usize,
+        policy: OverflowPolicy,
+        queued: VecDeque<u32>,
+        claimed: VecDeque<u32>,
+        dropped: u64,
+        closed: bool,
+    }
+
+    impl Model {
+        fn send(&mut self, item: u32) -> Result<SendOutcome, Disconnected> {
+            if self.closed {
+                return Err(Disconnected);
+            }
+            if self.queued.len() < self.capacity {
+                self.queued.push_back(item);
+                return Ok(SendOutcome::Delivered);
+            }
+            match self.policy {
+                OverflowPolicy::DropOldest => {
+                    self.queued.pop_front();
+                    self.queued.push_back(item);
+                }
+                OverflowPolicy::DropNewest => {}
+                OverflowPolicy::Disconnect => {
+                    self.closed = true;
+                    self.queued.clear();
+                    return Err(Disconnected);
+                }
+            }
+            self.dropped += 1;
+            Ok(SendOutcome::DroppedOne)
+        }
+
+        fn recv(&mut self) -> Option<u32> {
+            if self.claimed.is_empty() {
+                let n = self.queued.len().min(CLAIM);
+                self.claimed.extend(self.queued.drain(..n));
+            }
+            self.claimed.pop_front()
+        }
+    }
+
+    /// Claimed is received: the capacity bounds the queue alone, the
+    /// policies shed from the queue alone, `len` counts both — under
+    /// every policy, with receives in between sends and runs.
+    #[test]
+    fn capacity_and_policy_govern_the_queue_not_the_claim() {
+        for policy in POLICIES {
+            for capacity in [1, 3, CLAIM, 20] {
+                let mut most_held = 0;
+                for seed in 0..24u32 {
+                    let (tx, rx) = channel(capacity, policy);
+                    let mut model = Model {
+                        capacity,
+                        policy,
+                        queued: VecDeque::new(),
+                        claimed: VecDeque::new(),
+                        dropped: 0,
+                        closed: false,
+                    };
+                    let mut received = Vec::new();
+                    let mut next = 0u32;
+                    let mut r = seed.wrapping_mul(2_654_435_761).wrapping_add(12_345);
+                    for step in 0..400 {
+                        r = r.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                        // Send-heavy and receive-heavy stretches.
+                        let sending = (step / 40 + seed) % 2 == 0;
+                        let case = format!("{policy:?} cap {capacity} seed {seed} step {step}");
+                        // Six sends in eight, or two.
+                        let op = (r >> 24) % 8;
+                        if op >= if sending { 6 } else { 2 } {
+                            let got = rx.try_recv();
+                            assert_eq!(got, model.recv(), "{case}");
+                            received.extend(got);
+                        } else if op % 2 == 0 {
+                            assert_eq!(tx.send(next), model.send(next), "{case}");
+                            next += 1;
+                        } else {
+                            let run = next..next + (r >> 16) % 12;
+                            let mut expect = Pushed {
+                                accepted: 0,
+                                lost: 0,
+                                severed: model.closed,
+                            };
+                            for item in run.clone() {
+                                if expect.severed {
+                                    break;
+                                }
+                                match model.send(item) {
+                                    Ok(SendOutcome::Delivered) => expect.accepted += 1,
+                                    Ok(SendOutcome::DroppedOne) => {
+                                        expect.accepted += 1;
+                                        expect.lost += 1;
+                                    }
+                                    Err(Disconnected) => expect.severed = true,
+                                }
+                            }
+                            assert_eq!(tx.send_many(run.clone()), expect, "{case}");
+                            next = run.end;
+                        }
+                        assert_eq!(rx.len(), model.queued.len() + model.claimed.len(), "{case}");
+                        assert_eq!(rx.inner.state().buf.len(), model.queued.len(), "{case}");
+                        assert_eq!(rx.dropped(), model.dropped, "{case}");
+                        assert_eq!(rx.is_disconnected(), model.closed, "{case}");
+                        assert!(model.queued.len() <= capacity, "{case}");
+                        most_held = most_held.max(rx.len());
+                    }
+                    if policy == OverflowPolicy::Disconnect {
+                        // Nothing is shed before the cut and nothing
+                        // arrives after it: a contiguous prefix.
+                        received.extend(std::iter::from_fn(|| rx.try_recv()));
+                        assert_eq!(rx.dropped(), 0);
+                        assert!(received.iter().copied().eq(0..received.len() as u32));
+                    }
+                }
+                // The most a stalled consumer holds — and does hold,
+                // where an overflow is not the end of the channel.
+                let bound = capacity + CLAIM.min(capacity) - 1;
+                assert!(most_held <= bound, "{policy:?} cap {capacity}");
+                if policy != OverflowPolicy::Disconnect {
+                    assert_eq!(most_held, bound, "{policy:?} cap {capacity}");
+                }
+            }
+        }
+    }
+
+    /// Several producers, one consumer that alternates `try_recv` and
+    /// `recv_timeout`: every item arrives exactly once, each
+    /// producer's in the order sent — across claim boundaries — and no
+    /// receive sleeps through a send (a lost wake-up would cost the
+    /// full 10-s timeout).
+    #[test]
+    fn one_consumer_gets_every_item_once_in_order_without_stalling() {
         const PRODUCERS: u32 = 3;
         const PER_PRODUCER: u32 = 4_000;
         let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
-        let consume = || {
+        let consumer = std::thread::spawn(move || {
             let mut got = Vec::new();
             let mut slowest = Duration::ZERO;
-            loop {
+            for turn in 0u32.. {
+                if turn % 3 == 1 {
+                    got.extend(rx.try_recv());
+                    continue;
+                }
                 let t0 = Instant::now();
                 let item = rx.recv_timeout(Duration::from_secs(10));
                 slowest = slowest.max(t0.elapsed());
                 match item {
                     Some(item) => got.push(item),
-                    // Every sender is gone and the queue is empty.
-                    None => return (got, slowest),
+                    // Every sender is gone and nothing is left.
+                    None => break,
                 }
             }
-        };
-        let (a, b) = std::thread::scope(|scope| {
-            let consumers = [scope.spawn(consume), scope.spawn(consume)];
+            (got, slowest)
+        });
+        std::thread::scope(|scope| {
             for p in 0..PRODUCERS {
                 let tx = tx.clone();
                 scope.spawn(move || {
@@ -560,7 +764,7 @@ mod tests {
                     let end = next + PER_PRODUCER;
                     while next < end {
                         // Runs of 1 (`send`) to 4 (`send_many`), with
-                        // pauses so the consumers keep parking.
+                        // pauses so the consumer keeps parking.
                         let run = (1 + next % 4).min(end - next);
                         if run == 1 {
                             tx.send(next).unwrap();
@@ -575,67 +779,72 @@ mod tests {
                 });
             }
             drop(tx);
-            let [a, b] = consumers.map(|c| c.join().unwrap());
-            (a, b)
         });
-        assert!(a.1.max(b.1) < Duration::from_secs(5), "a receive stalled");
-        let mut all: Vec<u32> = a.0.into_iter().chain(b.0).collect();
-        all.sort_unstable();
-        assert!(all.into_iter().eq(0..PRODUCERS * PER_PRODUCER));
+        let (got, slowest) = consumer.join().unwrap();
+        assert!(slowest < Duration::from_secs(5), "a receive stalled");
+        for p in 0..PRODUCERS {
+            let of_p = got.iter().copied().filter(|item| item / PER_PRODUCER == p);
+            assert!(of_p.eq(p * PER_PRODUCER..(p + 1) * PER_PRODUCER));
+        }
+        assert_eq!(got.len() as u32, PRODUCERS * PER_PRODUCER);
     }
 
     #[test]
     fn send_many_equals_a_sequence_of_sends() {
-        let policies = [
-            OverflowPolicy::DropOldest,
-            OverflowPolicy::DropNewest,
-            OverflowPolicy::Disconnect,
-        ];
-        for policy in policies {
+        let drain = |rx: &Receiver<i32>| std::iter::from_fn(|| rx.try_recv()).collect::<Vec<_>>();
+        for policy in POLICIES {
             for capacity in [0, 1, 4, 64] {
                 for prefill in [0, 1, 3, 4, 63, 64] {
                     for run in [0, 1, 2, 5, 70] {
-                        let (one, one_rx) = channel(capacity, policy);
-                        let (many, many_rx) = channel(capacity, policy);
-                        for i in 0..prefill {
-                            assert_eq!(one.send(i).is_ok(), many.send(i).is_ok());
-                        }
-                        let mut expect = Pushed {
-                            accepted: 0,
-                            lost: 0,
-                            severed: false,
-                        };
-                        for i in 1000..1000 + run {
-                            match one.send(i) {
-                                _ if expect.severed => {}
-                                Ok(SendOutcome::Delivered) => expect.accepted += 1,
-                                Ok(SendOutcome::DroppedOne) => {
-                                    expect.accepted += 1;
-                                    expect.lost += 1;
-                                }
-                                Err(Disconnected) => expect.severed = true,
+                        // Receives between prefill and run: the run
+                        // meets a queue partly claimed away.
+                        for receives in [0, 1, 9] {
+                            let (one, one_rx) = channel(capacity, policy);
+                            let (many, many_rx) = channel(capacity, policy);
+                            for i in 0..prefill {
+                                assert_eq!(one.send(i).is_ok(), many.send(i).is_ok());
                             }
+                            for _ in 0..receives {
+                                assert_eq!(one_rx.try_recv(), many_rx.try_recv());
+                            }
+                            let mut expect = Pushed {
+                                accepted: 0,
+                                lost: 0,
+                                severed: false,
+                            };
+                            for i in 1000..1000 + run {
+                                match one.send(i) {
+                                    _ if expect.severed => {}
+                                    Ok(SendOutcome::Delivered) => expect.accepted += 1,
+                                    Ok(SendOutcome::DroppedOne) => {
+                                        expect.accepted += 1;
+                                        expect.lost += 1;
+                                    }
+                                    Err(Disconnected) => expect.severed = true,
+                                }
+                            }
+                            if run == 0 {
+                                // A run of sends cannot see a severed
+                                // channel without sending; an empty
+                                // `send_many` can.
+                                expect.severed = one_rx.is_disconnected();
+                            }
+                            let case = format!(
+                                "{policy:?} cap {capacity} prefill {prefill} \
+                                 receives {receives} run {run}"
+                            );
+                            assert_eq!(many.send_many(1000..1000 + run), expect, "{case}");
+                            assert_eq!(one_rx.len(), many_rx.len(), "{case}");
+                            assert_eq!(one_rx.dropped(), many_rx.dropped(), "{case}");
+                            assert_eq!(
+                                one_rx.is_disconnected(),
+                                many_rx.is_disconnected(),
+                                "{case}"
+                            );
+                            // A later send sees the same channel.
+                            assert_eq!(one.send(9), many.send(9), "{case}");
+                            assert_eq!(drain(&one_rx), drain(&many_rx), "{case}");
                         }
-                        if run == 0 {
-                            // A run of sends cannot see a severed
-                            // channel without sending; an empty
-                            // `send_many` can.
-                            expect.severed = one_rx.is_disconnected();
-                        }
-                        let case = format!("{policy:?} cap {capacity} prefill {prefill} run {run}");
-                        assert_eq!(many.send_many(1000..1000 + run), expect, "{case}");
-                        assert_eq!(one_rx.dropped(), many_rx.dropped(), "{case}");
-                        assert_eq!(
-                            one_rx.is_disconnected(),
-                            many_rx.is_disconnected(),
-                            "{case}"
-                        );
-                        // A later send sees the same channel.
-                        assert_eq!(one.send(9), many.send(9), "{case}");
-                        let drain = |rx: &Receiver<i32>| {
-                            std::iter::from_fn(|| rx.try_recv().ok()).collect::<Vec<_>>()
-                        };
-                        assert_eq!(drain(&one_rx), drain(&many_rx), "{case}");
                     }
                 }
             }

@@ -22,26 +22,49 @@ pub struct Notification {
     pub event: Arc<Event>,
 }
 
-/// The consumer half of a subscription: a handle on the notification
-/// channel.
+/// What a subscriber's channel queues: a [`Notification`] without the
+/// subscription id its [`Subscriber`] already knows — 16 bytes, not 24.
+pub(crate) struct Queued {
+    pub(crate) sequence: u64,
+    pub(crate) event: Arc<Event>,
+}
+
+/// The consumer half of a subscription: the one handle on its channel.
 ///
-/// Dropping the subscriber closes the channel; the broker detects this
-/// and garbage-collects the subscription on the next publish. The
-/// channel is bounded by [`BrokerConfig::notify_capacity`]
-/// (unbounded by default), with overflow resolved by the configured
+/// Dropping the subscriber closes the channel and frees its backlog;
+/// the broker garbage-collects the subscription on the next publish
+/// that matches it. The queue is bounded by
+/// [`BrokerConfig::notify_capacity`] (unbounded by default), with
+/// overflow resolved by the configured
 /// [`OverflowPolicy`](crate::OverflowPolicy); [`Subscriber::dropped`]
 /// reports how many notifications this channel has lost to it.
+///
+/// `Send` and not `Sync`, like `std::sync::mpsc::Receiver`: move the
+/// subscriber to the thread that consumes it.
+///
+/// ```compile_fail,E0277
+/// fn shared<T: Sync>() {}
+/// shared::<ens_service::Subscriber>();
+/// ```
 ///
 /// [`BrokerConfig::notify_capacity`]: crate::BrokerConfig::notify_capacity
 #[derive(Debug)]
 pub struct Subscriber {
     id: SubscriptionId,
-    rx: Receiver<Notification>,
+    rx: Receiver<Queued>,
 }
 
 impl Subscriber {
-    pub(crate) fn new(id: SubscriptionId, rx: Receiver<Notification>) -> Self {
+    pub(crate) fn new(id: SubscriptionId, rx: Receiver<Queued>) -> Self {
         Subscriber { id, rx }
+    }
+
+    fn notification(&self, queued: Queued) -> Notification {
+        Notification {
+            subscription: self.id,
+            sequence: queued.sequence,
+            event: queued.event,
+        }
     }
 
     /// The subscription this handle consumes.
@@ -53,26 +76,22 @@ impl Subscriber {
     /// Non-blocking receive.
     #[must_use]
     pub fn try_recv(&self) -> Option<Notification> {
-        self.rx.try_recv().ok()
+        self.rx.try_recv().map(|q| self.notification(q))
     }
 
     /// Blocking receive with a timeout.
     #[must_use]
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Notification> {
-        self.rx.recv_timeout(timeout)
+        self.rx.recv_timeout(timeout).map(|q| self.notification(q))
     }
 
-    /// Drains everything currently queued.
+    /// Drains everything currently queued, a claim at a time.
     #[must_use]
     pub fn drain(&self) -> Vec<Notification> {
-        let mut out = Vec::new();
-        while let Some(n) = self.try_recv() {
-            out.push(n);
-        }
-        out
+        std::iter::from_fn(|| self.try_recv()).collect()
     }
 
-    /// Number of queued notifications.
+    /// Number of notifications sent and not yet received.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.rx.len()
@@ -93,4 +112,14 @@ impl Subscriber {
     pub fn is_disconnected(&self) -> bool {
         self.rx.is_disconnected()
     }
+}
+
+#[cfg(test)]
+mod tests {
+    /// A subscriber moves to the thread that consumes it (that it is
+    /// not `Sync` is the `compile_fail` doctest on [`super::Subscriber`]).
+    const _: fn() = || {
+        fn is_send<T: Send>() {}
+        is_send::<super::Subscriber>();
+    };
 }

@@ -63,9 +63,10 @@ fn allocations() -> u64 {
 const BATCH: usize = 256;
 
 /// What one `publish_batch` on 2 shards may allocate besides receipts:
-/// the receipt list, the snapshot handles and two thread spawns came to
-/// 14 when this was written.
-const PER_BATCH: u64 = 24;
+/// the receipt list, the snapshot handles and one thread spawn (shard 0
+/// runs on the caller) came to 7 when this was written, 3 of them the
+/// spawn.
+const PER_BATCH: u64 = 12;
 
 /// Notifications received, and receipts that had somebody to name.
 #[derive(Default)]
@@ -157,7 +158,7 @@ fn warmed_publish_paths_allocate_receipts_only() {
 
     // `publish_batch`, 256 events on 2 shards: one `Vec` per receipt
     // plus a constant per batch — the receipt list, the snapshot
-    // handles and two thread spawns. Drift sampling off, as in the
+    // handles and one thread spawn. Drift sampling off, as in the
     // `batch_sharded` benchmark workload: with it on, this population
     // recompiles every few hundred events for good.
     let schema = stock_schema();

@@ -221,7 +221,10 @@ fn unsubscribe_wakes_a_consumer_blocked_in_recv_timeout() {
         let start = Barrier::new(2);
         let enter_after = unsubscribe_took * (round % 50) / 40;
         std::thread::scope(|scope| {
-            let consumer = scope.spawn(|| {
+            // The subscriber moves into its consumer: it is `Send`,
+            // not `Sync`.
+            let start = &start;
+            let consumer = scope.spawn(move || {
                 start.wait();
                 let t0 = Instant::now();
                 while t0.elapsed() < enter_after {
