@@ -409,6 +409,38 @@ struct LineTopologyRow {
     exactly_once: bool,
 }
 
+/// What the adaptive loop did over one stream at
+/// `BrokerConfig::default()` — sampling every event, the configuration
+/// a user gets.
+#[derive(Debug, Serialize)]
+struct DriftSettleRow {
+    events: u64,
+    /// Drift-triggered rebuilds over the whole stream, the warm-up onto
+    /// the first estimate included.
+    tree_rebuilds: u64,
+    /// Drift triggers priced and turned down.
+    drift_declined: u64,
+    /// Churn compactions (overlay or tombstone threshold).
+    overlay_compactions: u64,
+    events_per_sec: f64,
+}
+
+/// Does the default drift loop settle? Counts, not timings: the same
+/// on every machine, asserted against constants in CI.
+#[derive(Debug, Serialize)]
+struct DriftSettleReport {
+    profiles: u64,
+    /// 100 000 stationary stock events. Before the detector allowed
+    /// for its sampling noise this recompiled every ≈ 530 events.
+    stationary_stock: DriftSettleRow,
+    /// The `durable_churn` shape of the e2e benchmark: 200 rounds of 16
+    /// subscribes, 64 publishes, 16 unsubscribes beside an
+    /// environmental population, on a durable broker over in-memory
+    /// storage, fsync always. Before the statistics survived a
+    /// compaction this recompiled every ≈ 500 events.
+    churn_rounds: DriftSettleRow,
+}
+
 #[derive(Debug, Serialize)]
 struct Report {
     config: Config,
@@ -418,6 +450,7 @@ struct Report {
     batch: Vec<BatchReport>,
     broker_scaling: BrokerScaling,
     tuning: TuningReport,
+    drift_settle: DriftSettleReport,
     recovery: RecoveryReport,
     profile_scale: ProfileScaleReport,
     federation: FederationReport,
@@ -631,6 +664,7 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         batch,
         broker_scaling,
         tuning: bench_tuning(opts)?,
+        drift_settle: bench_drift_settle(opts)?,
         recovery: bench_recovery(opts)?,
         profile_scale: bench_profile_scale(opts)?,
         federation: bench_federation(opts)?,
@@ -945,9 +979,10 @@ fn bench_pass(
     }
 }
 
-/// A broker loaded with the workload's profiles, tuned for steady-state
-/// measurement: drift statistics off (`stats_sample: 0`) so the read
-/// path is purely lock-free, default (tree) dispatch.
+/// A broker loaded with the workload's profiles, at the default
+/// configuration — drift statistics on every event included: what the
+/// tables measure is what a user gets. (The warm-up rebuild falls into
+/// `broker_pass`'s warm-up pass.)
 fn bench_broker(
     w: &BenchWorkload,
     shards: usize,
@@ -956,11 +991,6 @@ fn bench_broker(
         &w.schema,
         BrokerConfig {
             shards,
-            stats_sample: 0,
-            rebuild: RebuildPolicy {
-                min_events: u64::MAX,
-                ..RebuildPolicy::default()
-            },
             ..BrokerConfig::default()
         },
     )?;
@@ -968,15 +998,17 @@ fn bench_broker(
     Ok((broker, subs))
 }
 
+/// Empties the subscribers' notification queues.
+fn drain(subs: &[Subscriber]) {
+    for s in subs {
+        while s.try_recv().is_some() {}
+    }
+}
+
 /// Times `pass` repeatedly (warm-up + best-of until `min_ms`), draining
 /// the subscriber channels between passes, and returns the best
 /// per-pass duration in seconds.
 fn broker_pass(opts: &Options, subs: &[Subscriber], mut pass: impl FnMut()) -> f64 {
-    let drain = |subs: &[Subscriber]| {
-        for s in subs {
-            while s.try_recv().is_some() {}
-        }
-    };
     pass(); // warm-up
     drain(subs);
     let start = Instant::now();
@@ -1141,7 +1173,7 @@ fn bench_subscribe_latency(opts: &Options) -> Result<SubscribeLatency, Box<dyn s
 /// The drift-workload broker: V1 (event-probability descending) edge
 /// order seeded with the phase-A model as prior. `tuned` switches on
 /// the standard tuning battery with drift tracking; otherwise the
-/// broker is static (no statistics, no rebuilds) — the stale baseline.
+/// broker is static (its drift is never evaluated) — the stale baseline.
 fn tuning_broker(
     w: &DriftWorkload,
     tuned: bool,
@@ -1170,7 +1202,6 @@ fn tuning_broker(
     } else {
         BrokerConfig {
             tree,
-            stats_sample: 0,
             rebuild: RebuildPolicy {
                 min_events: u64::MAX,
                 ..RebuildPolicy::default()
@@ -1198,9 +1229,7 @@ fn tuning_phase(
         ops += receipt.ops;
         matches += receipt.matched.len() as u64;
     }
-    for s in subs {
-        while s.try_recv().is_some() {}
-    }
+    drain(subs);
     let per_pass = broker_pass(opts, subs, || {
         for e in events {
             broker
@@ -1246,9 +1275,7 @@ fn bench_tuning(opts: &Options) -> Result<TuningReport, Box<dyn std::error::Erro
         for e in &phase_b {
             tuned.publish_shared(Arc::clone(e))?;
         }
-        for s in &tuned_subs {
-            while s.try_recv().is_some() {}
-        }
+        drain(&tuned_subs);
     }
     let retuned_after_drift = tuning_phase(opts, &tuned, &tuned_subs, &phase_b)?;
     assert_eq!(
@@ -1270,6 +1297,88 @@ fn bench_tuning(opts: &Options) -> Result<TuningReport, Box<dyn std::error::Erro
         retunes_declined: m.retunes_declined,
         predicted_ops_per_event: m.predicted_ops_per_event,
         tuning_ns_total: m.tuning_nanos,
+    })
+}
+
+fn drift_settle_row(broker: &Broker, events: u64, seconds: f64) -> DriftSettleRow {
+    let m = broker.metrics();
+    DriftSettleRow {
+        events,
+        tree_rebuilds: m.tree_rebuilds,
+        drift_declined: m.drift_declined,
+        overlay_compactions: m.overlay_compactions,
+        events_per_sec: events as f64 / seconds,
+    }
+}
+
+/// The `drift_settle` section: the two streams on which the default
+/// drift loop used to recompile for good, at `BrokerConfig::default()`.
+fn bench_drift_settle(opts: &Options) -> Result<DriftSettleReport, Box<dyn std::error::Error>> {
+    use ens_service::FaultFs;
+    use ens_workloads::scenario::{
+        environmental_profiles, environmental_schema, stock_event_model, stock_profiles,
+        stock_schema,
+    };
+    use ens_workloads::{churn_burst_plan, ChurnOp, EventGenerator};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let profiles = opts.profiles.unwrap_or(1000);
+
+    let schema = stock_schema();
+    let mut rng = StdRng::seed_from_u64(11);
+    let broker = Broker::new(&schema, BrokerConfig::default())?;
+    let subs = broker.subscribe_many(stock_profiles(profiles, &mut rng)?.iter().cloned())?;
+    let generator = EventGenerator::new(&schema, stock_event_model()?)?;
+    let events: Vec<Arc<Event>> = (0..100_000)
+        .map(|_| Arc::new(generator.sample(&mut rng)))
+        .collect();
+    let t0 = Instant::now();
+    for chunk in events.chunks(256) {
+        for event in chunk {
+            broker.publish_shared(Arc::clone(event))?;
+        }
+        drain(&subs);
+    }
+    let stationary_stock =
+        drift_settle_row(&broker, events.len() as u64, t0.elapsed().as_secs_f64());
+
+    let schema = environmental_schema();
+    let durability = DurabilityConfig {
+        checkpoint_every: 0,
+        fsync: FsyncPolicy::Always,
+        vfs: Arc::new(FaultFs::new()),
+        ..DurabilityConfig::new("/drift_settle")
+    };
+    let broker = Broker::open(&schema, BrokerConfig::default(), durability)?.broker;
+    let base =
+        broker.subscribe_many(environmental_profiles(profiles, &mut rng)?.iter().cloned())?;
+    let plan = churn_burst_plan(11, 200, 64, 16)?;
+    let mut churn: Vec<Subscriber> = Vec::new();
+    let t0 = Instant::now();
+    for op in &plan.ops {
+        match op {
+            ChurnOp::Subscribe(profile) => churn.push(broker.subscribe_profile(profile.clone())?),
+            ChurnOp::Burst(range) => {
+                for event in &plan.events[range.clone()] {
+                    broker.publish(event)?;
+                }
+                drain(&base);
+                drain(&churn);
+            }
+            ChurnOp::Unsubscribe(k) => broker.unsubscribe(churn.remove(*k).id())?,
+        }
+    }
+    let churn_rounds = drift_settle_row(
+        &broker,
+        plan.events.len() as u64,
+        t0.elapsed().as_secs_f64(),
+    );
+
+    Ok(DriftSettleReport {
+        profiles: profiles as u64,
+        stationary_stock,
+        churn_rounds,
     })
 }
 
@@ -1342,7 +1451,18 @@ fn bench_recovery(opts: &Options) -> Result<RecoveryReport, Box<dyn std::error::
             let _subs = recovered.broker.subscribe_many(profiles.iter().cloned())?;
             recovered.broker.checkpoint()?;
         }
-        let checkpoint_bytes = std::fs::metadata(dir.join("checkpoint.bin"))?.len();
+        // One generation was written; its file is named after it.
+        let mut checkpoint_bytes = 0;
+        for entry in std::fs::read_dir(&dir)? {
+            let entry = entry?;
+            if entry
+                .file_name()
+                .to_string_lossy()
+                .starts_with("checkpoint.")
+            {
+                checkpoint_bytes += entry.metadata()?.len();
+            }
+        }
 
         // Checkpoint reload (best of 3: later runs see warm page
         // cache, like a crash-restart on a live host).

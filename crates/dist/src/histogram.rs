@@ -75,6 +75,20 @@ impl Histogram {
         }
     }
 
+    /// Adds a fractional `mass` of observations to cell `k` — what
+    /// re-binning a history onto a different cell geometry produces
+    /// when an old cell straddles two new ones. Out-of-range cells and
+    /// non-positive or non-finite masses are ignored.
+    pub fn add_mass(&mut self, k: usize, mass: f64) {
+        if !(mass.is_finite() && mass > 0.0) {
+            return;
+        }
+        if let Some(c) = self.counts.get_mut(k) {
+            *c += mass;
+            self.total += mass;
+        }
+    }
+
     /// The count in cell `k`.
     #[must_use]
     pub fn count(&self, k: usize) -> f64 {
@@ -178,6 +192,20 @@ mod tests {
         // Out-of-range records are ignored.
         h.record(99);
         assert_eq!(h.total(), 10.0);
+    }
+
+    #[test]
+    fn fractional_mass_accumulates_like_counts() {
+        let mut h = Histogram::new(2);
+        h.add_mass(0, 1.5);
+        h.add_mass(1, 0.25);
+        h.add_mass(1, 0.25);
+        h.add_mass(0, -1.0);
+        h.add_mass(0, f64::NAN);
+        h.add_mass(7, 1.0);
+        assert_eq!(h.count(0), 1.5);
+        assert_eq!(h.count(1), 0.5);
+        assert_eq!(h.total(), 2.0);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! empirical model — "the algorithm … has to maintain a history of
 //! events in order to determine the event distribution" (§5).
 
-use ens_dist::Pmf;
-use ens_types::{AttrId, Event, IndexedEvent, ProfileSet};
+use ens_types::{Event, IndexedEvent, ProfileSet};
 use serde::{Deserialize, Serialize};
 
+use crate::rebuild::{DriftCause, DriftTracker, RebuildPolicy};
 use crate::scratch::{MatchScratch, Matcher};
 use crate::statistics::FilterStatistics;
 use crate::tree::{MatchOutcome, ProfileTree, TreeConfig};
@@ -26,10 +26,11 @@ pub struct AdaptivePolicy {
     /// since the last rebuild.
     pub min_events: u64,
     /// Rebuild when some attribute's empirical cell distribution is at
-    /// least this far (L1) from the distribution the tree assumes.
+    /// least this far (L1) from the distribution the tree assumes, on
+    /// top of what sampling noise accounts for.
     pub drift_threshold: f64,
-    /// After a rebuild, halve the history counters so the detector
-    /// reacts to recent traffic.
+    /// After a rebuild that answered a drift, halve the history
+    /// counters so the detector reacts to recent traffic.
     pub decay_on_rebuild: bool,
 }
 
@@ -71,12 +72,10 @@ impl Default for AdaptivePolicy {
 pub struct AdaptiveFilter {
     profiles: ProfileSet,
     config: TreeConfig,
-    policy: AdaptivePolicy,
     tree: ProfileTree,
-    stats: FilterStatistics,
-    /// Per-attribute cell PMFs the current tree was optimised for.
-    assumed: Vec<Pmf>,
-    events_since_rebuild: u64,
+    /// History and drift trigger: the detector the broker runs, asked
+    /// after every event.
+    tracker: DriftTracker,
     rebuild_count: u64,
 }
 
@@ -93,29 +92,25 @@ impl AdaptiveFilter {
         config: TreeConfig,
         policy: AdaptivePolicy,
     ) -> Result<Self, FilterError> {
-        let stats = FilterStatistics::new(profiles)?;
+        let tracker = DriftTracker::new(
+            profiles,
+            RebuildPolicy {
+                drift_check_every: 1,
+                ..policy.into()
+            },
+        )?;
         let mut config = config;
         if config.event_model.is_none() {
-            config.event_model = Some(stats.empirical_model()?);
+            config.event_model = Some(tracker.statistics().empirical_model()?);
         }
         let tree = ProfileTree::build(profiles, &config)?;
-        let assumed = Self::assumed_pmfs(&stats)?;
         Ok(AdaptiveFilter {
             profiles: profiles.clone(),
             config,
-            policy,
             tree,
-            stats,
-            assumed,
-            events_since_rebuild: 0,
+            tracker,
             rebuild_count: 0,
         })
-    }
-
-    fn assumed_pmfs(stats: &FilterStatistics) -> Result<Vec<Pmf>, FilterError> {
-        (0..stats.partitions().len())
-            .map(|j| stats.event_drift_pmf(AttrId::new(j as u32)))
-            .collect()
     }
 
     /// The current tree.
@@ -127,7 +122,7 @@ impl AdaptiveFilter {
     /// The accumulated statistics.
     #[must_use]
     pub fn statistics(&self) -> &FilterStatistics {
-        &self.stats
+        self.tracker.statistics()
     }
 
     /// The profiles currently indexed.
@@ -176,14 +171,12 @@ impl AdaptiveFilter {
     }
 
     /// Shared post-match bookkeeping: history recording and the drift
-    /// policy.
+    /// policy. Every trigger is honoured — pricing a rebuild against
+    /// its cost is the broker's business.
     fn record(&mut self, event: &Event) -> Result<(), FilterError> {
-        self.stats.record_event(event)?;
-        self.events_since_rebuild += 1;
-        if self.events_since_rebuild >= self.policy.min_events
-            && self.current_drift()? >= self.policy.drift_threshold
-        {
-            self.rebuild()?;
+        if let Some(signal) = self.tracker.observe(event)? {
+            self.recompile(signal.cause == DriftCause::Moved)?;
+            self.rebuild_count += 1;
         }
         Ok(())
     }
@@ -195,11 +188,7 @@ impl AdaptiveFilter {
     ///
     /// Propagates distribution errors.
     pub fn current_drift(&self) -> Result<f64, FilterError> {
-        let mut worst: f64 = 0.0;
-        for (j, assumed) in self.assumed.iter().enumerate() {
-            worst = worst.max(self.stats.event_l1_drift(AttrId::new(j as u32), assumed)?);
-        }
-        Ok(worst)
+        self.tracker.current_drift()
     }
 
     /// Forces a rebuild with the current empirical model.
@@ -208,15 +197,18 @@ impl AdaptiveFilter {
     ///
     /// Propagates tree construction errors.
     pub fn rebuild(&mut self) -> Result<(), FilterError> {
-        self.config.event_model = Some(self.stats.empirical_model()?);
-        self.tree = ProfileTree::build(&self.profiles, &self.config)?;
-        self.assumed = Self::assumed_pmfs(&self.stats)?;
-        self.events_since_rebuild = 0;
+        self.recompile(true)?;
         self.rebuild_count += 1;
-        if self.policy.decay_on_rebuild {
-            self.stats.decay();
-        }
         Ok(())
+    }
+
+    /// Recompiles the tree under the empirical model; `migrated` says
+    /// the event distribution is what moved (see
+    /// [`DriftTracker::finish_rebuild`]).
+    fn recompile(&mut self, migrated: bool) -> Result<(), FilterError> {
+        self.config.event_model = Some(self.tracker.prepare_model(&self.profiles, None)?);
+        self.tree = ProfileTree::build(&self.profiles, &self.config)?;
+        self.tracker.finish_rebuild(migrated)
     }
 
     /// Replaces the profile set and their priority weights, then
@@ -234,7 +226,8 @@ impl AdaptiveFilter {
         self.set_profiles(profiles)
     }
 
-    /// Replaces the profile set (subscription churn) and rebuilds.
+    /// Replaces the profile set (subscription churn) and rebuilds. The
+    /// event history carries over, re-binned onto the new cells.
     ///
     /// # Errors
     ///
@@ -247,14 +240,7 @@ impl AdaptiveFilter {
             }
         }
         self.profiles = profiles.clone();
-        // The partition geometry changed: rebuild statistics, keeping
-        // nothing of the old per-cell history (cells moved).
-        self.stats = FilterStatistics::new(&self.profiles)?;
-        self.config.event_model = Some(self.stats.empirical_model()?);
-        self.tree = ProfileTree::build(&self.profiles, &self.config)?;
-        self.assumed = Self::assumed_pmfs(&self.stats)?;
-        self.events_since_rebuild = 0;
-        Ok(())
+        self.recompile(false)
     }
 }
 

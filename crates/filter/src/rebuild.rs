@@ -13,11 +13,14 @@
 //!   the tree once the overlay reaches [`RebuildPolicy::max_overlay`]
 //!   entries (tombstoned removals likewise, via
 //!   [`RebuildPolicy::max_removed`]);
-//! * **distribution drift**: [`DriftTracker`] keeps the same statistics
-//!   and L1-drift detector as the adaptive filter (paper §4.2/§5) and
-//!   fires a full rebuild when the empirical event distribution has
-//!   moved [`RebuildPolicy::drift_threshold`] away from the one the
-//!   tree was optimised for.
+//! * **distribution drift**: [`DriftTracker`] keeps the statistics and
+//!   the L1-drift detector of the adaptive filter (paper §4.2/§5) and
+//!   asks for a rebuild when the empirical event distribution has moved
+//!   [`RebuildPolicy::drift_threshold`] further from the one the tree
+//!   was optimised for than sampling noise explains. Whether the
+//!   rebuild is worth its cost is the caller's call — the broker prices
+//!   it with the cost model (Eq. 2) — and a trigger it turns down backs
+//!   the detector off.
 
 use ens_dist::{JointDist, Pmf};
 use ens_types::{AttrId, Event, ProfileSet};
@@ -35,13 +38,19 @@ use crate::FilterError;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RebuildPolicy {
     /// Do not consider a drift rebuild before this many events were
-    /// observed since the last rebuild.
+    /// observed since the last rebuild; every trigger turned down since
+    /// doubles the wait. Also how many observations an estimate needs
+    /// before it displaces a configured event-model prior.
     pub min_events: u64,
     /// Rebuild when some attribute's empirical cell distribution is at
-    /// least this far (L1) from the distribution the tree assumes.
+    /// least this far (L1) from the distribution the tree assumes, on
+    /// top of the distance sampling noise alone accounts for (see
+    /// [`DriftSignal::noise`]).
     pub drift_threshold: f64,
-    /// After a pure drift rebuild, halve the history counters so the
-    /// detector reacts to recent traffic.
+    /// After a rebuild that answered a real drift, halve the history
+    /// counters so the estimate follows recent traffic. Rebuilds that
+    /// did not change the model (subscription churn, the warm-up onto
+    /// the first estimate) keep the whole history either way.
     pub decay_on_rebuild: bool,
     /// Compact the subscription overlay into the tree once it holds more
     /// than this many profiles. `0` compacts on every subscribe — the
@@ -109,29 +118,107 @@ impl RebuildPolicy {
     }
 }
 
+/// Why the drift policy fired.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DriftCause {
+    /// The tree in place was compiled before anything was observed (or
+    /// under a configured prior): there is no estimate to have drifted
+    /// from, and this is the warm-up onto the first one. Measured
+    /// against the uniform placeholder, with no noise allowance.
+    WarmUp,
+    /// The event distribution moved: the empirical estimate is further
+    /// from the one the tree was compiled under than the threshold and
+    /// sampling noise together allow.
+    Moved,
+}
+
+/// What [`DriftTracker::observe`] reports when the drift policy fires.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DriftSignal {
+    /// Why.
+    pub cause: DriftCause,
+    /// Measured L1 distance between the empirical cell distribution
+    /// and the baseline, on the attribute that fired.
+    pub drift: f64,
+    /// The L1 distance sampling alone is expected to put between the
+    /// baseline and the current estimate of that attribute: what
+    /// `drift` has to clear, on top of
+    /// [`RebuildPolicy::drift_threshold`], for [`DriftCause::Moved`].
+    pub noise: f64,
+}
+
+impl DriftSignal {
+    /// Whether this is the [`DriftCause::WarmUp`] trigger.
+    #[must_use]
+    pub fn is_warm_up(&self) -> bool {
+        self.cause == DriftCause::WarmUp
+    }
+}
+
+/// The cell distribution of one attribute that the compiled tree
+/// assumes, and how well it was known.
+#[derive(Debug)]
+struct Baseline {
+    pmf: Pmf,
+    /// Observations the PMF was estimated from; 0 for a placeholder.
+    observations: f64,
+    /// [`FilterStatistics::drift_noise_scale`] at capture.
+    noise_scale: f64,
+}
+
+impl Baseline {
+    /// The sampling-noise allowance against a current estimate from
+    /// `now` observations (see [`FilterStatistics::drift_noise_scale`]).
+    /// A placeholder is exact by definition: no allowance.
+    fn noise(&self, now: f64) -> f64 {
+        if self.observations <= 0.0 || now <= 0.0 {
+            return 0.0;
+        }
+        let per_cell = 2.0 * (1.0 / self.observations + 1.0 / now) / std::f64::consts::PI;
+        self.noise_scale * per_cell.sqrt()
+    }
+}
+
 /// The writer-side drift detector behind a snapshot-swapped filter.
 ///
-/// Owns the [`FilterStatistics`] and the per-attribute PMFs the current
-/// tree was optimised for — the same machinery as
-/// [`AdaptiveFilter`](crate::AdaptiveFilter), factored out so a broker
-/// can keep it under its own (briefly held) writer lock while the match
-/// path reads an immutable snapshot lock-free.
+/// Owns the [`FilterStatistics`] and the per-attribute baseline the
+/// current tree was optimised for, so a broker can keep it under its
+/// own (briefly held) writer lock while the match path reads an
+/// immutable snapshot lock-free; [`AdaptiveFilter`](crate::AdaptiveFilter)
+/// runs the same detector.
 ///
-/// Rebuild protocol: when [`DriftTracker::observe`] returns `true` (or
-/// churn thresholds fire), call [`DriftTracker::prepare_model`] for the
-/// event model to compile with, build the new snapshot, then
-/// [`DriftTracker::finish_rebuild`].
+/// The policy fires when some attribute's empirical distribution is
+/// [`RebuildPolicy::drift_threshold`] further (L1) from the baseline
+/// than sampling noise explains — see [`DriftCause`]. The caller then
+/// either rebuilds ([`DriftTracker::prepare_model`], compile,
+/// [`DriftTracker::finish_rebuild`]) or turns the trigger down
+/// ([`DriftTracker::decline_rebuild`], [`DriftTracker::defer_rebuild`]),
+/// and every trigger turned down doubles the number of events before
+/// the next one is evaluated.
+///
+/// The history survives a rebuild for another profile set: the
+/// statistics are re-binned onto the new cells
+/// ([`FilterStatistics::adopt_history`]), not restarted.
 #[derive(Debug)]
 pub struct DriftTracker {
     stats: FilterStatistics,
-    /// Statistics rebuilt for a new geometry by
-    /// [`DriftTracker::prepare_model`], committed only by
+    /// Statistics re-binned for a new geometry by
+    /// [`DriftTracker::prepare_model`], with whether their estimate is
+    /// the model handed out; committed only by
     /// [`DriftTracker::finish_rebuild`] — so an abandoned rebuild (the
-    /// caller's compile failed) leaves the live statistics untouched.
-    pending: Option<FilterStatistics>,
-    /// Per-attribute cell PMFs the current tree was optimised for.
-    assumed: Vec<Pmf>,
-    events_since_rebuild: u64,
+    /// caller's compile failed, or the trigger was turned down) leaves
+    /// the live statistics untouched.
+    pending: Option<(FilterStatistics, bool)>,
+    /// Per attribute, what the current tree was optimised for.
+    assumed: Vec<Baseline>,
+    events_since_decision: u64,
+    /// Events observed since the baseline last moved: a rebuild, or a
+    /// trigger declined. A deferred trigger does not restart it.
+    events_since_settled: u64,
+    /// Events to observe after a decision before the drift is evaluated
+    /// again: [`RebuildPolicy::min_events`], doubled by every trigger
+    /// turned down since the last rebuild.
+    next_check: u64,
     policy: RebuildPolicy,
 }
 
@@ -143,19 +230,41 @@ impl DriftTracker {
     /// Propagates predicate lowering and distribution errors.
     pub fn new(profiles: &ProfileSet, policy: RebuildPolicy) -> Result<Self, FilterError> {
         let stats = FilterStatistics::new(profiles)?;
-        let assumed = Self::assumed_pmfs(&stats)?;
+        let assumed = Self::baselines(&stats, true)?;
         Ok(DriftTracker {
             stats,
             pending: None,
             assumed,
-            events_since_rebuild: 0,
+            events_since_decision: 0,
+            events_since_settled: 0,
+            next_check: policy.min_events,
             policy,
         })
     }
 
-    fn assumed_pmfs(stats: &FilterStatistics) -> Result<Vec<Pmf>, FilterError> {
+    /// Captures the baseline from `stats`: its empirical estimate when
+    /// that is what the tree is compiled under and it holds
+    /// observations, the uniform placeholder otherwise.
+    fn baselines(stats: &FilterStatistics, estimate: bool) -> Result<Vec<Baseline>, FilterError> {
         (0..stats.partitions().len())
-            .map(|j| stats.event_drift_pmf(AttrId::new(j as u32)))
+            .map(|j| {
+                let attr = AttrId::new(j as u32);
+                let observations = stats.event_observations(attr);
+                if estimate && observations > 0.0 {
+                    Ok(Baseline {
+                        pmf: stats.event_drift_pmf(attr)?,
+                        observations,
+                        noise_scale: stats.drift_noise_scale(attr)?,
+                    })
+                } else {
+                    let cells = stats.partitions()[j].cells().len();
+                    Ok(Baseline {
+                        pmf: Pmf::from_weights(vec![1.0; cells])?,
+                        observations: 0.0,
+                        noise_scale: 0.0,
+                    })
+                }
+            })
             .collect()
     }
 
@@ -181,23 +290,62 @@ impl DriftTracker {
     /// # Errors
     ///
     /// Propagates domain errors for ill-typed event values.
-    pub fn observe(&mut self, event: &Event) -> Result<bool, FilterError> {
+    pub fn observe(&mut self, event: &Event) -> Result<Option<DriftSignal>, FilterError> {
         self.stats.record_event(event)?;
-        self.events_since_rebuild += 1;
-        if self.events_since_rebuild < self.policy.min_events {
-            return Ok(false);
+        self.events_since_decision += 1;
+        self.events_since_settled += 1;
+        if self.events_since_decision < self.next_check {
+            return Ok(None);
         }
         let every = self.policy.drift_check_every.max(1);
-        if (self.events_since_rebuild - self.policy.min_events) % every != 0 {
-            return Ok(false);
+        if (self.events_since_decision - self.next_check) % every != 0 {
+            return Ok(None);
         }
-        Ok(self.current_drift()? >= self.policy.drift_threshold)
+        self.evaluate()
     }
 
-    /// Events observed since the last completed (or declined) rebuild.
+    /// Events observed since the last rebuild or the last trigger
+    /// turned down.
     #[must_use]
-    pub fn events_since_rebuild(&self) -> u64 {
-        self.events_since_rebuild
+    pub fn events_since_decision(&self) -> u64 {
+        self.events_since_decision
+    }
+
+    /// Events observed since the tree's event model was last settled —
+    /// compiled in by a rebuild, or checked and kept by
+    /// [`DriftTracker::decline_rebuild`]: how long the tree in place
+    /// has been serving under the model it has.
+    #[must_use]
+    pub fn events_since_settled(&self) -> u64 {
+        self.events_since_settled
+    }
+
+    /// The attribute whose drift exceeds its allowance (threshold plus
+    /// sampling noise) by the most, if any does. Allocation-free.
+    fn evaluate(&self) -> Result<Option<DriftSignal>, FilterError> {
+        let mut fired: Option<(f64, DriftSignal)> = None;
+        for (j, baseline) in self.assumed.iter().enumerate() {
+            let attr = AttrId::new(j as u32);
+            let drift = self.stats.event_l1_drift(attr, &baseline.pmf)?;
+            let noise = baseline.noise(self.stats.event_observations(attr));
+            let excess = drift - noise - self.policy.drift_threshold;
+            if excess >= 0.0 && fired.as_ref().is_none_or(|(best, _)| excess > *best) {
+                let cause = if baseline.observations > 0.0 {
+                    DriftCause::Moved
+                } else {
+                    DriftCause::WarmUp
+                };
+                fired = Some((
+                    excess,
+                    DriftSignal {
+                        cause,
+                        drift,
+                        noise,
+                    },
+                ));
+            }
+        }
+        Ok(fired.map(|(_, signal)| signal))
     }
 
     /// Maximum L1 distance, over attributes, between the empirical cell
@@ -208,42 +356,53 @@ impl DriftTracker {
     /// Propagates distribution errors.
     pub fn current_drift(&self) -> Result<f64, FilterError> {
         let mut worst: f64 = 0.0;
-        for (j, assumed) in self.assumed.iter().enumerate() {
-            worst = worst.max(self.stats.event_l1_drift(AttrId::new(j as u32), assumed)?);
+        for (j, baseline) in self.assumed.iter().enumerate() {
+            worst = worst.max(
+                self.stats
+                    .event_l1_drift(AttrId::new(j as u32), &baseline.pmf)?,
+            );
         }
         Ok(worst)
     }
 
-    /// Declines a drift trigger without rebuilding: re-baselines the
-    /// assumed PMFs onto the current empirical estimate and resets the
-    /// event counter. A cost-model-driven tuner calls this when the
-    /// predicted improvement of a retune does not clear its threshold
-    /// (see `TuningPolicy` in `tuning.rs`): the distribution that just
-    /// fired has been *checked* and judged not worth a rebuild, so the
-    /// detector should only speak up again when traffic moves away from
-    /// that checked estimate — not keep re-billing the same verdict
-    /// (each check prices every candidate configuration).
+    /// Turns a trigger down for good: the distribution that fired was
+    /// priced and a rebuild for it buys nothing, so the baseline moves
+    /// onto the current estimate and the detector speaks up again only
+    /// when traffic moves away from *that* — and no sooner than twice
+    /// as many events from now as last time. Returns that number.
     ///
     /// # Errors
     ///
     /// Propagates distribution errors.
-    pub fn decline_rebuild(&mut self) -> Result<(), FilterError> {
-        self.assumed = Self::assumed_pmfs(&self.stats)?;
-        self.events_since_rebuild = 0;
-        Ok(())
+    pub fn decline_rebuild(&mut self) -> Result<u64, FilterError> {
+        self.assumed = Self::baselines(&self.stats, true)?;
+        self.events_since_settled = 0;
+        Ok(self.defer_rebuild())
+    }
+
+    /// Turns a trigger down for now: a rebuild would save something,
+    /// but not yet enough to cover its cost. The baseline stays, so the
+    /// same drift fires again, after twice as many events as last time.
+    /// Returns that number.
+    pub fn defer_rebuild(&mut self) -> u64 {
+        self.pending = None;
+        self.events_since_decision = 0;
+        self.next_check = self.next_check.saturating_mul(2);
+        self.next_check
     }
 
     /// First rebuild phase: the event model the new tree should be
     /// optimised for.
     ///
-    /// `live` is the full profile set about to be compiled. When it
-    /// differs from the set the statistics were built for
-    /// (`pure_drift = false`, i.e. overlay/tombstone compaction), the
-    /// statistics are reset to the new partition geometry first — cells
-    /// moved, so the old per-cell history no longer applies (mirroring
-    /// [`AdaptiveFilter::set_profiles`](crate::AdaptiveFilter::set_profiles)).
-    /// A pure drift rebuild keeps the accumulated history (mirroring
-    /// [`AdaptiveFilter::rebuild`](crate::AdaptiveFilter::rebuild)).
+    /// `live` is the full profile set about to be compiled; the event
+    /// history is re-binned onto its cells. The model is the empirical
+    /// estimate, unless `prior` is given and fewer than
+    /// [`RebuildPolicy::min_events`] events were ever observed — a
+    /// configured prior stands until an estimate exists that the policy
+    /// itself would act on.
+    ///
+    /// Nothing is committed: an abandoned rebuild leaves the tracker as
+    /// it was.
     ///
     /// # Errors
     ///
@@ -251,38 +410,48 @@ impl DriftTracker {
     pub fn prepare_model(
         &mut self,
         live: &ProfileSet,
-        pure_drift: bool,
+        prior: Option<&JointDist>,
     ) -> Result<JointDist, FilterError> {
         // A previous prepare whose rebuild never finished is stale.
         self.pending = None;
-        if !pure_drift {
-            // Staged, not committed: the caller's compile may still
-            // fail, and the live statistics must keep describing the
-            // currently compiled profile set.
-            let stats = FilterStatistics::new(live)?;
-            let model = stats.empirical_model()?;
-            self.pending = Some(stats);
-            return Ok(model);
-        }
-        self.stats.empirical_model()
+        let mut stats = FilterStatistics::new(live)?;
+        stats.adopt_history(&self.stats);
+        let (model, estimated) = match prior {
+            Some(prior) if stats.events_posted() < self.policy.min_events => (prior.clone(), false),
+            _ => (stats.empirical_model()?, true),
+        };
+        self.pending = Some((stats, estimated));
+        Ok(model)
     }
 
-    /// Second rebuild phase, after the new snapshot was compiled:
-    /// re-derives the assumed PMFs, resets the event counter and applies
-    /// decay for pure drift rebuilds.
+    /// Second rebuild phase, after the new tree was compiled: commits
+    /// the re-binned statistics, takes the baseline from them (a
+    /// placeholder if the tree was compiled under a prior) and starts
+    /// the next detection window.
+    ///
+    /// `migrated` says the rebuild answered [`DriftCause::Moved`] —
+    /// the distribution moved, not just the profile set — in which case [`RebuildPolicy::decay_on_rebuild`] halves
+    /// the history, so the estimate follows the new traffic. A rebuild
+    /// that did not change the model keeps every observation.
     ///
     /// # Errors
     ///
     /// Propagates distribution errors.
-    pub fn finish_rebuild(&mut self, pure_drift: bool) -> Result<(), FilterError> {
-        if let Some(stats) = self.pending.take() {
-            self.stats = stats;
-        }
-        self.assumed = Self::assumed_pmfs(&self.stats)?;
-        self.events_since_rebuild = 0;
-        if pure_drift && self.policy.decay_on_rebuild {
+    pub fn finish_rebuild(&mut self, migrated: bool) -> Result<(), FilterError> {
+        let estimated = match self.pending.take() {
+            Some((stats, estimated)) => {
+                self.stats = stats;
+                estimated
+            }
+            None => true,
+        };
+        if migrated && self.policy.decay_on_rebuild {
             self.stats.decay();
         }
+        self.assumed = Self::baselines(&self.stats, estimated)?;
+        self.events_since_decision = 0;
+        self.events_since_settled = 0;
+        self.next_check = self.policy.min_events;
         Ok(())
     }
 }
@@ -341,6 +510,21 @@ mod tests {
         assert!(p.removed_full(3));
     }
 
+    /// Observes `x` until the policy fires, at most `limit` times;
+    /// returns the signal and how many events it took.
+    fn observe_until_fired(
+        t: &mut DriftTracker,
+        schema: &Schema,
+        x: i64,
+        limit: usize,
+    ) -> Option<(DriftSignal, usize)> {
+        (1..=limit).find_map(|n| {
+            t.observe(&event(schema, x))
+                .unwrap()
+                .map(|signal| (signal, n))
+        })
+    }
+
     #[test]
     fn drift_fires_after_min_events_under_skew() {
         let (schema, ps) = setup();
@@ -351,58 +535,177 @@ mod tests {
             ..RebuildPolicy::default()
         };
         let mut t = DriftTracker::new(&ps, policy).unwrap();
-        let mut fired = false;
-        for _ in 0..40 {
-            fired = t.observe(&event(&schema, 85)).unwrap();
-            if fired {
-                break;
-            }
-        }
-        assert!(fired, "concentrated traffic must trigger a rebuild");
-        // Pure drift rebuild keeps (decayed) history; drift resets.
-        let model = t.prepare_model(&ps, true).unwrap();
+        let (signal, after) = observe_until_fired(&mut t, &schema, 85, 40)
+            .expect("concentrated traffic must trigger a rebuild");
+        assert_eq!(after, 20, "the first evaluation, at min_events");
+        // Nothing was observed before the tree in place was compiled:
+        // this is the warm-up onto the first estimate, and a
+        // placeholder has no sampling noise to allow for.
+        assert!(signal.is_warm_up());
+        assert_eq!(signal.noise, 0.0);
+        assert!(signal.drift >= 0.3);
+        let model = t.prepare_model(&ps, None).unwrap();
         assert_eq!(model.arity(), 1);
-        t.finish_rebuild(true).unwrap();
-        assert!(t.current_drift().unwrap() < 0.1);
+        t.finish_rebuild(false).unwrap();
+        assert!(t.current_drift().unwrap() < 1e-12);
+        assert_eq!(t.statistics().events_posted(), 20, "history is kept");
     }
 
     #[test]
     fn decline_rebaselines_the_detector() {
         let (schema, ps) = setup();
         let policy = RebuildPolicy {
-            min_events: 10,
+            min_events: 40,
             drift_threshold: 0.3,
-            decay_on_rebuild: false,
+            drift_check_every: 1,
             ..RebuildPolicy::default()
         };
         let mut t = DriftTracker::new(&ps, policy).unwrap();
-        let mut fired = false;
-        for _ in 0..40 {
-            fired = t.observe(&event(&schema, 85)).unwrap();
-            if fired {
-                break;
-            }
-        }
-        assert!(fired);
-        t.decline_rebuild().unwrap();
-        assert_eq!(t.events_since_rebuild(), 0);
+        assert!(observe_until_fired(&mut t, &schema, 85, 100).is_some());
+        assert_eq!(t.decline_rebuild().unwrap(), 80, "the wait doubles");
+        assert_eq!(t.events_since_decision(), 0);
+        assert_eq!(t.events_since_settled(), 0);
         // The same (checked) traffic must not re-fire the detector…
-        for _ in 0..40 {
-            assert!(!t.observe(&event(&schema, 85)).unwrap());
+        for _ in 0..80 {
+            assert!(t.observe(&event(&schema, 85)).unwrap().is_none());
         }
-        // …but traffic moving away from the checked estimate must.
-        let mut refired = false;
-        for _ in 0..60 {
-            refired = t.observe(&event(&schema, 15)).unwrap();
-            if refired {
+        // …but traffic moving away from the checked estimate must, now
+        // against a baseline that has observations behind it.
+        let (signal, _) = observe_until_fired(&mut t, &schema, 15, 60)
+            .expect("new drift away from the declined estimate");
+        assert_eq!(signal.cause, DriftCause::Moved);
+        assert!(signal.noise > 0.0 && signal.drift >= 0.3 + signal.noise);
+    }
+
+    /// A trigger deferred keeps its baseline, so the same drift fires
+    /// again — after 2, 4, 8… times `min_events`; a rebuild resets the
+    /// wait.
+    #[test]
+    fn deferred_triggers_back_off_exponentially() {
+        let (schema, ps) = setup();
+        let policy = RebuildPolicy {
+            min_events: 10,
+            drift_threshold: 0.3,
+            drift_check_every: 1,
+            ..RebuildPolicy::default()
+        };
+        let mut t = DriftTracker::new(&ps, policy).unwrap();
+        let mut waits = Vec::new();
+        for _ in 0..4 {
+            let (_, after) = observe_until_fired(&mut t, &schema, 85, 1000).unwrap();
+            waits.push(after);
+            t.defer_rebuild();
+        }
+        assert_eq!(waits, [10, 20, 40, 80]);
+        t.prepare_model(&ps, None).unwrap();
+        t.finish_rebuild(true).unwrap();
+        let (_, after) = observe_until_fired(&mut t, &schema, 15, 1000).unwrap();
+        assert!(after < 80, "a rebuild resets the wait: fired after {after}");
+    }
+
+    /// One attribute over `cells` point cells, every cell referenced.
+    fn point_cells(cells: i64) -> (Schema, ProfileSet) {
+        let schema = Schema::builder()
+            .attribute("x", Domain::int(0, cells - 1))
+            .unwrap()
+            .build();
+        let mut ps = ProfileSet::new(&schema);
+        for v in 0..cells {
+            ps.insert_with(|b| b.predicate("x", Predicate::eq(v)))
+                .unwrap();
+        }
+        (schema, ps)
+    }
+
+    /// The stock case of PR 11 in small: many more cells than
+    /// `min_events`, stationary traffic. The estimate the warm-up
+    /// rebuild baselines on is mostly sampling noise, the next
+    /// estimate is as far from it as the fixed threshold ever was —
+    /// and the detector, knowing how far sampling alone puts them, now
+    /// keeps quiet.
+    #[test]
+    fn stationary_traffic_over_many_cells_never_reads_as_moved() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (schema, ps) = point_cells(2000);
+        let mut t = DriftTracker::new(&ps, RebuildPolicy::default()).unwrap();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut fired = Vec::new();
+        let mut worst: f64 = 0.0;
+        for n in 1..=40_000u64 {
+            let e = event(&schema, rng.gen_range(0..2000));
+            if let Some(signal) = t.observe(&e).unwrap() {
+                fired.push((n, signal.cause));
+                t.prepare_model(&ps, None).unwrap();
+                t.finish_rebuild(signal.cause == DriftCause::Moved).unwrap();
+            }
+            if n % 100 == 0 {
+                worst = worst.max(t.current_drift().unwrap());
+            }
+        }
+        assert_eq!(fired, [(500, DriftCause::WarmUp)]);
+        // Without the noise term every evaluation since would have
+        // read as a drift.
+        assert!(worst > 4.0 * RebuildPolicy::default().drift_threshold);
+    }
+
+    /// A real migration — all traffic moves to another cell — clears
+    /// the noise allowance as soon as the arithmetic lets it, and is
+    /// reported within two `min_events` of that point.
+    #[test]
+    fn real_migration_fires_as_soon_as_the_noise_bound_allows() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (schema, ps) = point_cells(50);
+        let policy = RebuildPolicy {
+            min_events: 100,
+            ..RebuildPolicy::default()
+        };
+        let mut t = DriftTracker::new(&ps, policy).unwrap();
+        let mut rng = StdRng::seed_from_u64(23);
+        // Phase A: uniform over the lower half; rebuild where asked —
+        // the once, onto the first estimate.
+        for _ in 0..2000 {
+            let e = event(&schema, rng.gen_range(0..25));
+            if let Some(signal) = t.observe(&e).unwrap() {
+                assert_ne!(signal.cause, DriftCause::Moved, "phase A is stationary");
+                t.prepare_model(&ps, None).unwrap();
+                t.finish_rebuild(false).unwrap();
+            }
+        }
+        // Phase B: everything moves to the upper half. With `n` events
+        // of A on the books, `m` of B put the estimate `2m / (n + m)`
+        // from the baseline; the bound allows the trigger once that
+        // reaches threshold plus noise.
+        let n = t.statistics().event_observations(AttrId::new(0));
+        let mut allowed_at = None;
+        let mut fired_at = None;
+        for m in 1..=4000u64 {
+            let signal = t.observe(&event(&schema, rng.gen_range(25..50))).unwrap();
+            let shift = 2.0 * m as f64 / (n + m as f64);
+            let noise = t.assumed[0].noise(n + m as f64);
+            if allowed_at.is_none() && shift >= policy.drift_threshold + noise {
+                allowed_at = Some(m);
+            }
+            if let Some(signal) = signal {
+                assert_eq!(signal.cause, DriftCause::Moved);
+                assert!((signal.noise - noise).abs() < 1e-12);
+                fired_at = Some(m);
                 break;
             }
         }
-        assert!(refired, "new drift away from the declined estimate");
+        let fired_at = fired_at.expect("the migration fires");
+        // Sampling luck may carry the measured drift over the bar a
+        // few events before the expected shift gets there.
+        let allowed_at = allowed_at.unwrap_or(fired_at);
+        assert!(
+            fired_at <= allowed_at + 2 * policy.min_events,
+            "allowed at {allowed_at}, fired at {fired_at}"
+        );
     }
 
     #[test]
-    fn compaction_rebuild_resets_geometry() {
+    fn compaction_rebuild_rebins_the_history() {
         let (schema, ps) = setup();
         let mut t = DriftTracker::new(&ps, RebuildPolicy::default()).unwrap();
         for _ in 0..10 {
@@ -412,9 +715,62 @@ mod tests {
         bigger
             .insert_with(|b| b.predicate("x", Predicate::between(40, 59)))
             .unwrap();
-        t.prepare_model(&bigger, false).unwrap();
+        t.prepare_model(&bigger, None).unwrap();
+        // Staged only: an abandoned rebuild leaves the tracker alone.
+        assert_eq!(t.statistics().partitions()[0].cells().len(), 5);
         t.finish_rebuild(false).unwrap();
         assert_eq!(t.statistics().partitions()[0].cells().len(), 7);
-        assert_eq!(t.statistics().events_posted(), 0, "history was reset");
+        assert_eq!(t.statistics().events_posted(), 10, "history survives");
+        assert_eq!(t.statistics().event_observations(AttrId::new(0)), 10.0);
+        // The baseline is the estimate the tree was compiled under.
+        assert!(t.current_drift().unwrap() < 1e-12);
+        assert_eq!(t.assumed[0].observations, 10.0);
+    }
+
+    /// A configured prior stands until `min_events` observations exist;
+    /// the tree compiled under it has a placeholder for a baseline.
+    #[test]
+    fn configured_prior_stands_until_min_events() {
+        use ens_dist::{Density, DistOverDomain};
+        let (schema, ps) = setup();
+        let prior =
+            JointDist::independent(vec![DistOverDomain::new(Density::window(0.8, 0.9), 100)])
+                .unwrap();
+        let policy = RebuildPolicy {
+            min_events: 30,
+            drift_threshold: 2.1, // never fires
+            ..RebuildPolicy::default()
+        };
+        let mut t = DriftTracker::new(&ps, policy).unwrap();
+        for _ in 0..29 {
+            t.observe(&event(&schema, 15)).unwrap();
+        }
+        assert_eq!(t.prepare_model(&ps, Some(&prior)).unwrap(), prior);
+        t.finish_rebuild(false).unwrap();
+        assert_eq!(t.assumed[0].observations, 0.0, "placeholder baseline");
+        t.observe(&event(&schema, 15)).unwrap();
+        let model = t.prepare_model(&ps, Some(&prior)).unwrap();
+        assert!(model != prior, "30 observations displace the prior");
+        assert!(model.marginal(0).mass_between(10, 20) > 0.9);
+        t.finish_rebuild(false).unwrap();
+        assert_eq!(t.assumed[0].observations, 30.0);
+    }
+
+    /// Only a rebuild that answered a real drift halves the history.
+    #[test]
+    fn decay_follows_migrations_only() {
+        let (schema, ps) = setup();
+        let mut t = DriftTracker::new(&ps, RebuildPolicy::default()).unwrap();
+        assert!(t.policy().decay_on_rebuild);
+        for _ in 0..8 {
+            t.observe(&event(&schema, 85)).unwrap();
+        }
+        t.prepare_model(&ps, None).unwrap();
+        t.finish_rebuild(false).unwrap();
+        assert_eq!(t.statistics().event_observations(AttrId::new(0)), 8.0);
+        t.prepare_model(&ps, None).unwrap();
+        t.finish_rebuild(true).unwrap();
+        assert_eq!(t.statistics().event_observations(AttrId::new(0)), 4.0);
+        assert_eq!(t.assumed[0].observations, 4.0);
     }
 }

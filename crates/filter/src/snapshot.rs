@@ -399,16 +399,56 @@ impl FilterSnapshot {
     /// Propagates tree construction errors.
     pub fn compile(profiles: &ProfileSet, config: &TreeConfig) -> Result<Self, FilterError> {
         let tree = ProfileTree::build(profiles, config)?;
+        Self::from_tree(tree, profiles.len(), None)
+    }
+
+    /// Finishes a compilation around an already built `tree` (DFSA
+    /// flattening, expansion plan): what [`FilterSnapshot::compile`] and
+    /// [`FilterSnapshot::compile_with_cover`] do after building theirs.
+    /// For a caller that built the tree to price it first and now
+    /// commits that same tree.
+    ///
+    /// `tree` must be compiled from the `base_len` profiles of the
+    /// population themselves, or — with `cover` — from that covering
+    /// analysis' representatives in ascending slot order (see
+    /// [`FilterSnapshot::cover_representatives`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FilterError::Persist`] when the tree does not hold as
+    /// many profiles as that, and propagates expansion-plan errors.
+    pub fn from_tree(
+        tree: ProfileTree,
+        base_len: usize,
+        cover: Option<&CoverSet>,
+    ) -> Result<Self, FilterError> {
+        let compiled = cover.map_or(base_len, |c| c.rep_slots().len());
+        if tree.profile_count() != compiled {
+            return Err(FilterError::Persist {
+                message: format!(
+                    "tree holds {} profiles, the population compiles to {compiled}",
+                    tree.profile_count()
+                ),
+            });
+        }
+        let plan = match cover {
+            Some(cover) => Some(Arc::new(CoverPlan::from_parts(
+                cover.rep_slots().to_vec(),
+                base_len,
+                cover.children_sorted(),
+            )?)),
+            None => None,
+        };
         let dfsa = Dfsa::from_tree(&tree);
         Ok(FilterSnapshot {
             tree: Arc::new(tree),
             dfsa: Arc::new(dfsa),
-            base_len: profiles.len(),
+            base_len,
             removed: Arc::from(Vec::new()),
             removed_count: 0,
             overlay: None,
             overlay_len: 0,
-            cover: None,
+            cover: plan,
             overlay_children: None,
         })
     }
@@ -453,11 +493,23 @@ impl FilterSnapshot {
         cover: &CoverSet,
         config: &TreeConfig,
     ) -> Result<Self, FilterError> {
-        let plan = CoverPlan::from_parts(
-            cover.rep_slots().to_vec(),
-            profiles.len(),
-            cover.children_sorted(),
-        )?;
+        let reps = Self::cover_representatives(profiles, cover)?;
+        let tree = ProfileTree::build(&reps, config)?;
+        Self::from_tree(tree, profiles.len(), Some(cover))
+    }
+
+    /// The profiles a covering-pruned compilation of `profiles` puts in
+    /// the tree: `cover`'s representatives, in ascending slot order, so
+    /// compiled id `c` is the rank of its slot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FilterError::Persist`] for a representative slot
+    /// outside `profiles`.
+    pub fn cover_representatives(
+        profiles: &ProfileSet,
+        cover: &CoverSet,
+    ) -> Result<ProfileSet, FilterError> {
         let mut reps = ProfileSet::new(profiles.schema());
         for &slot in cover.rep_slots() {
             let p = profiles
@@ -467,19 +519,7 @@ impl FilterSnapshot {
                 })?;
             reps.insert(p.clone());
         }
-        let tree = ProfileTree::build(&reps, config)?;
-        let dfsa = Dfsa::from_tree(&tree);
-        Ok(FilterSnapshot {
-            tree: Arc::new(tree),
-            dfsa: Arc::new(dfsa),
-            base_len: profiles.len(),
-            removed: Arc::from(Vec::new()),
-            removed_count: 0,
-            overlay: None,
-            overlay_len: 0,
-            cover: Some(Arc::new(plan)),
-            overlay_children: None,
-        })
+        Ok(reps)
     }
 
     /// A new snapshot with the overlay replaced by `overlay` (dense ids

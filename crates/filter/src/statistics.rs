@@ -116,6 +116,65 @@ impl FilterStatistics {
         self.events_posted
     }
 
+    /// Observations behind the event histogram of `attr` (after decay:
+    /// the decayed mass) — the sample size its empirical PMF rests on.
+    #[must_use]
+    pub fn event_observations(&self, attr: AttrId) -> f64 {
+        self.event_hists[attr.index()].total()
+    }
+
+    /// Observations recorded in cell `cell` of `attr` (fractional after
+    /// decay or re-binning; 0 for a cell that does not exist).
+    #[must_use]
+    pub fn event_count(&self, attr: AttrId, cell: usize) -> f64 {
+        self.event_hists[attr.index()].count(cell)
+    }
+
+    /// Takes over the event history of `old`, which was recorded for
+    /// another profile set over the same schema and therefore binned
+    /// into other cells: every old cell's count is spread over the new
+    /// cells it overlaps, in proportion to the overlap — the uniform-
+    /// within-a-cell reading [`FilterStatistics::empirical_marginal`]
+    /// already gives a count. The marginals are domain-level, so they
+    /// come out unchanged (up to the per-cell smoothing); a cell that
+    /// exists in both geometries keeps its count bit for bit, and so
+    /// does the total. Replaces whatever history `self` held.
+    pub fn adopt_history(&mut self, old: &FilterStatistics) {
+        for ((part, hist), (old_part, old_hist)) in self
+            .partitions
+            .iter()
+            .zip(&mut self.event_hists)
+            .zip(old.partitions.iter().zip(&old.event_hists))
+        {
+            hist.clear();
+            if old_part.domain_size() != part.domain_size() {
+                continue;
+            }
+            // Both cell lists tile `[0, domain_size)` in ascending
+            // order: one merge sweep visits every overlapping pair.
+            let cells = part.cells();
+            let mut k = 0;
+            for (j, from) in old_part.cells().iter().enumerate() {
+                let count = old_hist.count(j);
+                let from = from.interval();
+                while k < cells.len() && cells[k].interval().hi() <= from.lo() {
+                    k += 1;
+                }
+                let mut at = k;
+                while at < cells.len() && cells[at].interval().lo() < from.hi() {
+                    let overlap = cells[at].interval().intersect(from).len();
+                    if overlap == from.len() {
+                        hist.add_mass(at, count);
+                    } else {
+                        hist.add_mass(at, count * (overlap as f64 / from.len() as f64));
+                    }
+                    at += 1;
+                }
+            }
+        }
+        self.events_posted = old.events_posted;
+    }
+
     /// Number of profile predicates using `op` (the paper's operator
     /// counters; don't-care positions count under
     /// [`Operator::DontCare`]).
@@ -200,6 +259,29 @@ impl FilterStatistics {
     pub fn event_l1_drift(&self, attr: AttrId, assumed: &Pmf) -> Result<f64, FilterError> {
         let h = &self.event_hists[attr.index()];
         Ok(h.smoothed_l1_distance(drift_alpha(h.total()), assumed)?)
+    }
+
+    /// `Σ √(pᵢ(1−pᵢ))` over the cells of `attr`, with `p` the smoothed
+    /// empirical PMF ([`FilterStatistics::event_pmf`]): the factor that
+    /// turns a sample size into the L1 distance sampling alone puts
+    /// between two estimates of this distribution. A cell count is
+    /// binomial, so its relative frequency after `n` observations is
+    /// off by `√(2pᵢ(1−pᵢ)/πn)` in expectation, and two independent
+    /// estimates from `n₁` and `n₂` observations differ by
+    /// `√(2pᵢ(1−pᵢ)(1/n₁+1/n₂)/π)`; summed over the cells that is this
+    /// scale times `√(2(1/n₁+1/n₂)/π)`. The smoothing matters: a sample
+    /// much smaller than the cell count sees most cells empty, and the
+    /// raw frequencies would put the scale far too low.
+    ///
+    /// # Errors
+    ///
+    /// Propagates distribution errors.
+    pub fn drift_noise_scale(&self, attr: AttrId) -> Result<f64, FilterError> {
+        Ok(self
+            .event_pmf(attr)?
+            .iter()
+            .map(|p| (p * (1.0 - p)).sqrt())
+            .sum())
     }
 
     /// Profile PMF over the cells of `attr` (fraction of profiles
@@ -408,6 +490,79 @@ mod tests {
             }
             let d = stats.event_l1_drift(AttrId::new(0), &baseline).unwrap();
             assert!(d < 1e-12, "stationary drift {d}");
+        }
+    }
+
+    #[test]
+    fn adopted_history_is_spread_by_overlap() {
+        let (_, ps) = setup();
+        let mut old = FilterStatistics::new(&ps).unwrap();
+        // x cells: [0,10) [10,20) [20,50) [50,100).
+        for (index, times) in [(15, 6), (30, 9), (70, 10)] {
+            for _ in 0..times {
+                old.record_value_index(AttrId::new(0), index);
+            }
+        }
+        old.events_posted = 25;
+        // One more profile cuts [20,50) into [20,30) [30,40) [40,50)
+        // and nothing else.
+        let mut finer = ps.clone();
+        finer
+            .insert_with(|b| b.predicate("x", Predicate::between(30, 39)))
+            .unwrap();
+        let mut new = FilterStatistics::new(&finer).unwrap();
+        new.adopt_history(&old);
+        let x = AttrId::new(0);
+        let counts: Vec<f64> = (0..6).map(|k| new.event_count(x, k)).collect();
+        assert_eq!(counts, [0.0, 6.0, 3.0, 3.0, 3.0, 10.0]);
+        assert_eq!(new.event_observations(x), 25.0);
+        assert_eq!(new.events_posted(), 25);
+        // y was not touched by the new profile: same cells, same (no)
+        // history.
+        assert_eq!(new.event_observations(AttrId::new(1)), 0.0);
+    }
+
+    /// The noise scale is what turns two sample sizes into the L1
+    /// distance between the two estimates — here checked against two
+    /// samples actually drawn, on a sparse case (more cells than the
+    /// smaller sample has observations) and a dense one.
+    #[test]
+    fn noise_scale_predicts_the_distance_between_two_samples() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let schema = Schema::builder()
+            .attribute("x", Domain::int(0, 399))
+            .unwrap()
+            .build();
+        let mut ps = ProfileSet::new(&schema);
+        for v in 0..400 {
+            ps.insert_with(|b| b.predicate("x", Predicate::eq(v)))
+                .unwrap();
+        }
+        let x = AttrId::new(0);
+        let mut rng = StdRng::seed_from_u64(5);
+        for (n1, n2) in [(200usize, 1000usize), (20_000, 50_000)] {
+            let mut measured = 0.0;
+            let mut predicted = 0.0;
+            for _ in 0..8 {
+                let mut first = FilterStatistics::new(&ps).unwrap();
+                let mut second = FilterStatistics::new(&ps).unwrap();
+                for _ in 0..n1 {
+                    first.record_value_index(x, rng.gen_range(0..400));
+                }
+                for _ in 0..n2 {
+                    second.record_value_index(x, rng.gen_range(0..400));
+                }
+                let baseline = first.event_drift_pmf(x).unwrap();
+                measured += second.event_l1_drift(x, &baseline).unwrap();
+                let per_cell = 2.0 * (1.0 / n1 as f64 + 1.0 / n2 as f64) / std::f64::consts::PI;
+                predicted += first.drift_noise_scale(x).unwrap() * per_cell.sqrt();
+            }
+            let ratio = predicted / measured;
+            assert!(
+                (0.9..1.25).contains(&ratio),
+                "n = {n1}/{n2}: predicted {predicted:.3}, measured {measured:.3}"
+            );
         }
     }
 

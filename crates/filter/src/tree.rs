@@ -89,6 +89,22 @@ pub struct TreeConfig {
     pub profile_weights: Option<Vec<f64>>,
 }
 
+impl TreeConfig {
+    /// Whether the tree this configuration compiles depends on
+    /// [`TreeConfig::event_model`] at all: a V1/V3 edge order or an
+    /// A2/A3 attribute order does, the natural and profile-weighted
+    /// orders and binary search do not — recompiling those under
+    /// another model yields the same tree.
+    #[must_use]
+    pub fn uses_event_model(&self) -> bool {
+        self.search.needs_event_model()
+            || matches!(
+                &self.attribute_order,
+                AttributeOrder::Selectivity { measure, .. } if measure.needs_event_model()
+            )
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum NodeRef {
     Inner(Box<Node>),

@@ -155,11 +155,32 @@ impl TuningPolicy {
         base: &TreeConfig,
         joint: &JointDist,
     ) -> Result<RetuneDecision, FilterError> {
+        self.evaluate_with_tree(current, overlay_len, profiles, base, joint)
+            .map(|(decision, _)| decision)
+    }
+
+    /// [`TuningPolicy::evaluate`], also handing back the winning
+    /// candidate's tree — `profiles` compiled under
+    /// [`RetuneDecision::into_config`] — so a caller that accepts the
+    /// decision commits the tree that was priced instead of building it
+    /// a second time. `None` when no candidate could be built.
+    ///
+    /// # Errors
+    ///
+    /// As [`TuningPolicy::evaluate`].
+    pub fn evaluate_with_tree(
+        &self,
+        current: &ProfileTree,
+        overlay_len: usize,
+        profiles: &ProfileSet,
+        base: &TreeConfig,
+        joint: &JointDist,
+    ) -> Result<(RetuneDecision, Option<ProfileTree>), FilterError> {
         let stale_ops = CostModel::new(current, joint)?
             .evaluate()?
             .expected_total_ops()
             + overlay_len as f64;
-        let mut best: Option<(f64, SearchStrategy, AttributeOrder)> = None;
+        let mut best: Option<(f64, SearchStrategy, AttributeOrder, ProfileTree)> = None;
         for &search in &self.strategies {
             for order in &self.attribute_orders {
                 let config = TreeConfig {
@@ -175,13 +196,15 @@ impl TuningPolicy {
                     continue;
                 };
                 let ops = cost.expected_total_ops();
-                if best.as_ref().is_none_or(|(b, _, _)| ops < *b) {
-                    best = Some((ops, search, config.attribute_order));
+                if best.as_ref().is_none_or(|(b, ..)| ops < *b) {
+                    best = Some((ops, search, config.attribute_order, tree));
                 }
             }
         }
-        let (best_ops, search, attribute_order) =
-            best.unwrap_or((stale_ops, base.search, base.attribute_order.clone()));
+        let (best_ops, search, attribute_order, tree) = match best {
+            Some((ops, search, order, tree)) => (ops, search, order, Some(tree)),
+            None => (stale_ops, base.search, base.attribute_order.clone(), None),
+        };
         let decision = RetuneDecision {
             stale_ops,
             best_ops,
@@ -196,10 +219,13 @@ impl TuningPolicy {
         let accepted = stale_ops > 0.0
             && decision.best_ops < decision.stale_ops
             && decision.improvement() >= self.min_improvement;
-        Ok(RetuneDecision {
-            accepted,
-            ..decision
-        })
+        Ok((
+            RetuneDecision {
+                accepted,
+                ..decision
+            },
+            tree,
+        ))
     }
 }
 

@@ -419,11 +419,11 @@ fn warm_fast_paths_allocate_nothing() {
     };
     let mut tracker = ens_filter::DriftTracker::new(&ps, policy).unwrap();
     for e in &events {
-        assert!(!tracker.observe(e).unwrap()); // warm-up
+        assert!(tracker.observe(e).unwrap().is_none()); // warm-up
     }
     let before = allocations();
     for e in &events {
-        assert!(!tracker.observe(e).unwrap());
+        assert!(tracker.observe(e).unwrap().is_none());
     }
     let allocated = allocations() - before;
     assert_eq!(

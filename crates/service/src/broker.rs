@@ -43,11 +43,13 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use ens_dist::JointDist;
 use ens_filter::{
-    AttributeOrder, DriftTracker, FilterSnapshot, RebuildPolicy, SearchStrategy,
-    SnapshotBlockScratch, SnapshotScratch, TreeConfig, TuningPolicy,
+    expected_ops, AttributeOrder, DriftCause, DriftSignal, DriftTracker, FilterSnapshot,
+    ProfileTree, RebuildPolicy, SearchStrategy, SnapshotBlockScratch, SnapshotScratch, TreeConfig,
+    TuningPolicy,
 };
 use ens_types::{
     CoverOutcome, CoverSet, Event, IndexedBatch, IndexedEvent, Profile, ProfileBuilder, ProfileId,
@@ -56,6 +58,7 @@ use ens_types::{
 use parking_lot::{Mutex, RwLock};
 
 use crate::channel::{self, OverflowPolicy, SendOutcome, Sender};
+use crate::journal::{Decision, DeclineReason, Journal, TreeShape};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::notify::{Queued, Subscriber};
 use crate::persist::{self, Checkpoint, WalRecord};
@@ -76,6 +79,18 @@ pub struct BrokerConfig {
     /// Unified rebuild policy: overlay/tombstone compaction thresholds
     /// plus the adaptive drift trigger. `max_overlay: 0` restores the
     /// seed's rebuild-on-every-subscribe behaviour.
+    ///
+    /// The drift half is a trigger, not a verdict. It fires when a
+    /// shard's estimate of the event distribution is
+    /// [`RebuildPolicy::drift_threshold`] further from the one its tree
+    /// was compiled under than sampling noise explains (or when that
+    /// estimate has been outgrown fourfold); the broker then prices the
+    /// rebuild with the cost model (Eq. 2) and commits it only if it
+    /// pays for itself — see [`Broker::decisions`] for each outcome.
+    /// Only the first trigger of a shard, the warm-up onto its first
+    /// estimate, is taken unpriced. On a stationary stream the loop
+    /// therefore settles: one rebuild, then a geometrically thinning
+    /// series of checks.
     pub rebuild: RebuildPolicy,
     /// How many recent events to keep for inspection (0 disables).
     pub history_capacity: usize,
@@ -97,21 +112,26 @@ pub struct BrokerConfig {
     /// reflects overlay matching (0 once the overlay is compacted).
     pub dfsa_dispatch: bool,
     /// Record every Nth published event into the per-shard drift
-    /// statistics (1 = every event, the seed behaviour; 0 disables
-    /// drift tracking entirely). Recording takes a per-shard `try_lock`
-    /// — under contention a sample is skipped rather than stalling the
-    /// publisher.
+    /// statistics (1 = every event, the default; 0 disables drift
+    /// tracking entirely, and with it every rebuild that is not a churn
+    /// compaction). Recording is a histogram update per attribute and,
+    /// every [`RebuildPolicy::drift_check_every`] events, one pass over
+    /// the cells — no allocation, about 60 ns an event on the `e2e`
+    /// populations — under a per-shard `try_lock`: under contention a
+    /// sample is skipped rather than stalling the publisher. The
+    /// statistics survive compactions (they are re-binned onto the new
+    /// cells), so what a larger N buys is that recording cost and
+    /// nothing else; the estimate just takes N times as long to form.
     pub stats_sample: u64,
     /// Self-tuning policy. When enabled (e.g.
-    /// [`TuningPolicy::standard`]), a drift trigger no longer rebuilds
-    /// the stale configuration blindly: the broker prices the candidate
-    /// (search-strategy, attribute-order) configurations under the
-    /// shard's online distribution estimate and commits a retuned
-    /// snapshot only when the predicted cost improvement clears
-    /// [`TuningPolicy::min_improvement`] — otherwise the rebuild is
-    /// declined and the drift detector re-arms. The default (disabled)
-    /// keeps the pre-tuning behaviour: drift rebuilds reuse the
-    /// configured tree shape with a refreshed event model.
+    /// [`TuningPolicy::standard`]), a drift trigger — the warm-up, or
+    /// the distribution having moved — also re-chooses the tree's
+    /// shape: the broker prices the candidate (search-strategy,
+    /// attribute-order) configurations under the shard's online
+    /// distribution estimate, and the cheapest is what has to clear
+    /// [`TuningPolicy::min_improvement`] and pay for its rebuild.
+    /// Disabled (the default), the candidate is the configured shape
+    /// recompiled under the estimate.
     pub tuning: TuningPolicy,
     /// Covering-pruned compilation: every compaction runs one bulk
     /// containment pass over the live population and compiles only the
@@ -190,6 +210,11 @@ struct SubEntry {
     profile: Profile,
     weight: f64,
     sender: Sender<Queued>,
+    /// Compiled representatives this entry was found to cover when it
+    /// entered the overlay: its share of
+    /// [`ShardWriter::antichain_dirty`], given back if it leaves the
+    /// overlay before a compaction.
+    dominated: usize,
 }
 
 /// One dispatch slot, aligned with the snapshot's global profile ids.
@@ -223,11 +248,45 @@ impl ShardSnapshot {
     }
 }
 
-/// Why a compaction ran (metrics attribution).
-#[derive(Clone, Copy, PartialEq)]
-enum CompactReason {
-    Churn,
-    Drift,
+/// The fallible first half of a compaction ([`ShardWriter::stage`]):
+/// the population about to be compiled and the configuration to compile
+/// it under. Nothing of the shard has changed yet, so a staged
+/// compaction can be priced and dropped.
+struct Staged {
+    /// The live population, in compaction order.
+    profiles: ProfileSet,
+    /// Its covering analysis, with [`BrokerConfig::covering`] on.
+    cover: Option<CoverSet>,
+    /// The representatives of `cover`: what the tree is compiled from.
+    reps: Option<ProfileSet>,
+    /// The shard's active shape, the event model to compile under and
+    /// the weights of the compiled profiles.
+    config: TreeConfig,
+    /// Time spent on this compaction so far (pricing it excluded).
+    spent: Duration,
+}
+
+impl Staged {
+    /// The profiles that enter the tree.
+    fn compiled_set(&self) -> &ProfileSet {
+        self.reps.as_ref().unwrap_or(&self.profiles)
+    }
+
+    /// The event model the tree is compiled under.
+    fn model(&self) -> &JointDist {
+        self.config
+            .event_model
+            .as_ref()
+            .expect("staging always sets the event model")
+    }
+
+    /// Compiles the tree for the staged population and configuration.
+    fn build_tree(&mut self) -> Result<ProfileTree, ServiceError> {
+        let t0 = Instant::now();
+        let tree = ProfileTree::build(self.compiled_set(), &self.config)?;
+        self.spent += t0.elapsed();
+        Ok(tree)
+    }
 }
 
 /// Writer-side state of one shard, guarded by its `Mutex`.
@@ -271,21 +330,15 @@ impl ShardWriter {
         self.base.len() - self.removed_count + self.overlay.len()
     }
 
-    /// The live profile set (non-tombstoned base + overlay), in
-    /// compaction order.
-    fn live_profiles(&self, schema: &Schema) -> ProfileSet {
-        let mut ps = ProfileSet::new(schema);
-        for e in self
-            .base
+    /// The live entries (non-tombstoned base, then overlay): compaction
+    /// order.
+    fn live_entries(&self) -> impl Iterator<Item = &SubEntry> {
+        self.base
             .iter()
             .enumerate()
             .filter(|(k, _)| !self.removed[*k])
             .map(|(_, e)| e)
             .chain(self.overlay.iter())
-        {
-            ps.insert(e.profile.clone());
-        }
-        ps
     }
 
     fn overlay_profiles(&self, schema: &Schema) -> ProfileSet {
@@ -390,31 +443,30 @@ impl ShardWriter {
     }
 
     /// Full rebuild: folds the overlay in, drops tombstones, recompiles
-    /// the tree with the shard's active configuration and the current
-    /// empirical event model (or, before any event was observed for the
-    /// current geometry, the configured model acting as a prior).
+    /// the tree with the shard's active configuration and the event
+    /// model the drift tracker hands out — the empirical estimate, whose
+    /// history survives the change of cell geometry, or the configured
+    /// model while that is still the better-founded prior.
     fn compact(
         &mut self,
         schema: &Schema,
         quench_inbound: bool,
         covering: bool,
-        reason: CompactReason,
     ) -> Result<ShardSnapshot, ServiceError> {
-        let pure_drift =
-            reason == CompactReason::Drift && self.overlay.is_empty() && self.removed_count == 0;
-        // Fallible phase first: the writer state is only committed after
-        // the new tree compiled, so a failed rebuild leaves the shard on
-        // its previous (consistent) snapshot.
+        let mut staged = self.stage(schema, covering)?;
+        let tree = staged.build_tree()?;
+        self.commit(staged, tree, schema, quench_inbound, false)
+    }
+
+    /// First half of a compaction: everything up to the tree build. The
+    /// writer state is only changed by [`ShardWriter::commit`], so a
+    /// failed or abandoned compaction leaves the shard on its previous
+    /// (consistent) snapshot.
+    fn stage(&mut self, schema: &Schema, covering: bool) -> Result<Staged, ServiceError> {
+        let t0 = Instant::now();
         let mut profiles = ProfileSet::new(schema);
         let mut weights = Vec::with_capacity(self.live_count());
-        let live_entries = self
-            .base
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| !self.removed[*k])
-            .map(|(_, e)| e)
-            .chain(self.overlay.iter());
-        for e in live_entries.clone() {
+        for e in self.live_entries() {
             profiles.insert(e.profile.clone());
             weights.push(e.weight);
         }
@@ -437,20 +489,10 @@ impl ShardWriter {
         // A representative keeps its own weight: its covered
         // subscriptions ride the same compiled states for free, so
         // boosting it further would distort the V2/V3 orderings.
-        let rep_set = match &cover {
-            Some(cs) => {
-                let mut reps = ProfileSet::new(schema);
-                for &s in cs.rep_slots() {
-                    let p = profiles
-                        .get(ProfileId::new(s))
-                        .expect("representative slots come from this population");
-                    reps.insert(p.clone());
-                }
-                Some(reps)
-            }
+        let reps = match &cover {
+            Some(cs) => Some(FilterSnapshot::cover_representatives(&profiles, cs)?),
             None => None,
         };
-        let compiled_set = rep_set.as_ref().unwrap_or(&profiles);
         let weights = if uniform {
             None
         } else {
@@ -464,27 +506,40 @@ impl ShardWriter {
             })
         };
 
-        let mut config = self.tree.clone();
-        let empirical = self.tracker.prepare_model(compiled_set, pure_drift)?;
-        // A configured event model is the active prior: it wins until
-        // real observations exist for the geometry being compiled, then
-        // the empirical estimate takes over. Only a pure drift rebuild
-        // keeps the observation history — a churn compaction changes
-        // the cell geometry and `prepare_model` starts fresh statistics
-        // (zero observations), so its near-uniform placeholder must not
-        // displace the prior.
-        let observed = pure_drift && self.tracker.statistics().events_posted() > 0;
-        if observed || config.event_model.is_none() {
-            config.event_model = Some(empirical);
-        }
-        config.profile_weights = weights;
-        let filter = match &cover {
-            Some(cs) => FilterSnapshot::compile_with_cover(&profiles, cs, &config)?,
-            None => FilterSnapshot::compile(&profiles, &config)?,
+        let mut staged = Staged {
+            profiles,
+            cover,
+            reps,
+            config: TreeConfig {
+                profile_weights: weights,
+                ..self.tree.clone()
+            },
+            spent: Duration::ZERO,
         };
-        self.tracker.finish_rebuild(pure_drift)?;
+        let model = self
+            .tracker
+            .prepare_model(staged.compiled_set(), staged.config.event_model.as_ref())?;
+        staged.config.event_model = Some(model);
+        staged.spent = t0.elapsed();
+        Ok(staged)
+    }
+
+    /// Second half of a compaction: flattens `tree` — compiled from
+    /// `staged` — into the snapshot and makes the staged population the
+    /// shard's base. `migrated` is passed on to
+    /// [`DriftTracker::finish_rebuild`].
+    fn commit(
+        &mut self,
+        staged: Staged,
+        tree: ProfileTree,
+        schema: &Schema,
+        quench_inbound: bool,
+        migrated: bool,
+    ) -> Result<ShardSnapshot, ServiceError> {
+        let filter = FilterSnapshot::from_tree(tree, staged.profiles.len(), staged.cover.as_ref())?;
+        self.tracker.finish_rebuild(migrated)?;
         let base_dispatch = Arc::new(
-            live_entries
+            self.live_entries()
                 .map(|e| DispatchEntry {
                     id: e.id,
                     sender: e.sender.clone(),
@@ -503,7 +558,7 @@ impl ShardWriter {
         self.removed = vec![false; live.len()];
         self.removed_count = 0;
         self.base = live;
-        self.cover = cover;
+        self.cover = staged.cover;
         self.overlay_cover.clear();
         self.antichain_dirty = 0;
         let quench = quench_inbound
@@ -515,6 +570,40 @@ impl ShardWriter {
             quench,
         })
     }
+}
+
+/// What a rebuild is charged: how many events' filtering compiling one
+/// profile costs. From two committed rows of `BENCH_throughput.json`:
+/// a compaction at `BrokerConfig::default()` takes 2.3–2.4 µs per
+/// profile (`broker_scaling.subscribe_latency`, `full_rebuild_ns_p50`
+/// over `population`, 1000 to 8000 profiles), and the flattened tree
+/// matches an event in 32 ns (environmental) to 67 ns (stock)
+/// (`workloads[].matchers`, `dfsa_csr_scratch`): 34 to 75 events per
+/// profile, 40 taken. A constant and not the clock, so
+/// that what a broker decides depends on what it was sent and nothing
+/// else; [`Decision::DriftRebuilt::rebuild_ns`] is there to check it by.
+const REBUILD_EVENTS_PER_PROFILE: f64 = 40.0;
+
+/// Whether a rebuild pays for itself: `None`, or why not.
+///
+/// Eq. 2 predicts it takes the shard from `stale_ops` to `new_ops`
+/// comparisons per event. The tree in place has served `served` events
+/// under the model it has, which is the best guess for how long the
+/// next one will: the rebuild is worth the share of those events'
+/// filtering it would have saved, and that has to cover what compiling
+/// `compiled` profiles costs ([`REBUILD_EVENTS_PER_PROFILE`]).
+fn price_rebuild(
+    stale_ops: f64,
+    new_ops: f64,
+    served: u64,
+    compiled: usize,
+) -> Option<DeclineReason> {
+    let saving = stale_ops - new_ops;
+    if saving.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        return Some(DeclineReason::NoSaving);
+    }
+    let repaid = saving / stale_ops * served as f64;
+    (repaid < REBUILD_EVENTS_PER_PROFILE * compiled as f64).then_some(DeclineReason::NotYetPaid)
 }
 
 struct Shard {
@@ -751,6 +840,8 @@ pub struct Broker {
     sequence: AtomicU64,
     next_sub: AtomicU64,
     metrics: Arc<Metrics>,
+    /// What the adaptive loop decided lately (see [`Broker::decisions`]).
+    journal: Journal,
     /// WAL + checkpoint state; `None` for in-memory brokers
     /// ([`Broker::new`]), `Some` after [`Broker::open`].
     durability: Option<Durability>,
@@ -811,6 +902,7 @@ impl Broker {
             sequence: AtomicU64::new(0),
             next_sub: AtomicU64::new(0),
             metrics: Arc::new(Metrics::default()),
+            journal: Journal::new(),
             durability: None,
             batch_fault: AtomicU64::new(0),
         })
@@ -868,6 +960,7 @@ impl Broker {
                     profile: e.profile,
                     weight: e.weight,
                     sender,
+                    dominated: 0,
                 });
             }
             if filter.removed_len() != removed_count {
@@ -892,6 +985,7 @@ impl Broker {
                     profile: e.profile,
                     weight: e.weight,
                     sender: tx,
+                    dominated: 0,
                 });
             }
             // The containment index is replayed verbatim from the
@@ -953,6 +1047,7 @@ impl Broker {
             sequence: AtomicU64::new(cp.sequence),
             next_sub: AtomicU64::new(cp.next_sub),
             metrics: Arc::new(Metrics::default()),
+            journal: Journal::new(),
             durability: None,
             batch_fault: AtomicU64::new(0),
         })
@@ -992,7 +1087,6 @@ impl Broker {
             &self.schema,
             self.config.quench_inbound,
             self.config.covering,
-            CompactReason::Churn,
         )?;
         *shard.snapshot.write() = Arc::new(snapshot);
         Ok(())
@@ -1140,6 +1234,7 @@ impl Broker {
             profile,
             weight,
             sender: tx,
+            dominated: dirty,
         });
         w.overlay_cover.push(entry_cover);
         w.antichain_dirty += dirty;
@@ -1149,7 +1244,6 @@ impl Broker {
                 &self.schema,
                 self.config.quench_inbound,
                 self.config.covering,
-                CompactReason::Churn,
             )
             .inspect(|_| {
                 self.metrics
@@ -1204,6 +1298,7 @@ impl Broker {
                 profile,
                 weight: 1.0,
                 sender: tx,
+                dominated: 0,
             });
             subscribers.push(Subscriber::new(id, rx));
         }
@@ -1230,7 +1325,6 @@ impl Broker {
                 &self.schema,
                 self.config.quench_inbound,
                 self.config.covering,
-                CompactReason::Churn,
             ) {
                 Ok(snapshot) => {
                     self.metrics
@@ -1323,7 +1417,10 @@ impl Broker {
             let entry_cover = w.overlay_cover.remove(k);
             let prev = shard.snapshot.read().clone();
             match w.delta_snapshot(&prev, &self.schema, self.config.quench_inbound) {
-                Ok(snapshot) => snapshot,
+                Ok(snapshot) => {
+                    w.antichain_dirty -= entry.dominated;
+                    snapshot
+                }
                 Err(e) => {
                     w.overlay.insert(k, entry);
                     w.overlay_cover.insert(k, entry_cover);
@@ -1343,7 +1440,6 @@ impl Broker {
                     &self.schema,
                     self.config.quench_inbound,
                     self.config.covering,
-                    CompactReason::Churn,
                 ) {
                     Ok(snapshot) => {
                         self.metrics
@@ -1820,136 +1916,209 @@ impl Broker {
     }
 
     /// Records `event` into every shard's drift statistics (skipping
-    /// shards whose writer lock is contended) and runs adaptive
-    /// rebuilds — with [`TuningPolicy`] arbitration when enabled —
-    /// where the drift policy fires.
+    /// shards whose writer lock is contended) and, where the drift
+    /// policy fires, decides whether the shard is rebuilt.
     fn observe_drift(&self, event: &Arc<Event>) -> Result<(), ServiceError> {
         for (s, shard) in self.shards.iter().enumerate() {
             let Some(mut w) = shard.writer.try_lock() else {
                 continue;
             };
-            if !w.tracker.observe(event)? {
-                continue;
-            }
-            let retuned = if self.config.tuning.is_enabled() {
-                if !self.retune_shard(shard, &mut w)? {
-                    continue;
-                }
-                true
-            } else {
-                false
-            };
-            let snapshot = w.compact(
-                &self.schema,
-                self.config.quench_inbound,
-                self.config.covering,
-                CompactReason::Drift,
-            )?;
-            self.metrics.tree_rebuilds.fetch_add(1, Ordering::Relaxed);
-            *shard.snapshot.write() = Arc::new(snapshot);
-            // An accepted retune changed the shard's active tree
-            // configuration — that survives restarts, so it is logged.
-            // (A plain drift rebuild only refreshes the event model
-            // from statistics that are not persisted anyway.)
-            if retuned && self.durability.is_some() {
-                let attribute_order = w.tree.attribute_order.clone();
-                let search = w.tree.search;
-                let event_model = w
-                    .tree
-                    .event_model
-                    .clone()
-                    .expect("accepted retune sets the event model");
-                match self.wal_log(|lsn| WalRecord::Retune {
-                    lsn,
-                    shard: s as u32,
-                    attribute_order,
-                    search,
-                    event_model,
-                }) {
-                    Ok(()) => {}
-                    // The retuned tree is live in memory either way; a
-                    // failed append only means the new shape may not
-                    // survive a restart. Publishing continues degraded
-                    // rather than failing on a background concern.
-                    Err(ServiceError::Persist(_)) => {}
-                    Err(e) => return Err(e),
-                }
+            if let Some(signal) = w.tracker.observe(event)? {
+                self.answer_drift(s, shard, &mut w, signal)?;
             }
         }
         Ok(())
     }
 
-    /// One tuning pass for a drift-triggered shard: prices the
-    /// candidate configurations of [`BrokerConfig::tuning`] under the
-    /// shard's online distribution estimate against the cost of keeping
-    /// the stale tree. Returns whether a rebuild should proceed — on
-    /// acceptance the shard's active [`TreeConfig`] is already switched
-    /// to the winning shape (the caller's `compact` stages and commits
-    /// the snapshot); on decline the drift detector is re-armed and no
-    /// rebuild happens.
+    /// Answers a drift trigger on shard `s`: stages the compaction,
+    /// prices the tree it would commit against the tree in place — both
+    /// under the shard's estimate, by Eq. 2 — and commits it only if it
+    /// pays for itself ([`price_rebuild`]).
+    ///
+    /// The candidate is the shard's shape recompiled under the estimate
+    /// or, with [`BrokerConfig::tuning`] enabled, the cheapest shape of
+    /// the policy's battery, which must also clear
+    /// [`TuningPolicy::min_improvement`]. Two triggers are not priced.
+    /// The warm-up (no estimate behind the tree in place) is committed:
+    /// there is one per shard, and nothing to weigh the estimate
+    /// against. And where the shard's shape does not read the event
+    /// model and is not up for re-choosing, the same tree would come
+    /// out: declined on the spot.
     ///
     /// The whole pass runs on the publishing thread under the shard's
-    /// writer lock; its cost (dominated by the candidate tree builds,
-    /// recorded in `tuning_nanos`) is why declines re-baseline the
-    /// detector. Known slack: the winning tree is rebuilt once more by
-    /// `compact` (~1/16 of the pass with the standard battery) —
-    /// threading the evaluated tree through would shave that off.
-    fn retune_shard(&self, shard: &Shard, w: &mut ShardWriter) -> Result<bool, ServiceError> {
-        let t0 = std::time::Instant::now();
-        let est = w.tracker.statistics().empirical_model()?;
-        // Candidates are priced over the population that would actually
-        // be compiled: the representative antichain under covering
-        // (tombstoned representatives included — they are still in the
-        // current tree), the full live set otherwise.
-        let profiles = match &w.cover {
-            Some(cs) => {
-                let mut ps = ProfileSet::new(&self.schema);
-                for &s in cs.rep_slots() {
-                    ps.insert(w.base[s as usize].profile.clone());
-                }
-                ps
+    /// writer lock. The tree that was priced is the tree committed.
+    fn answer_drift(
+        &self,
+        s: usize,
+        shard: &Shard,
+        w: &mut ShardWriter,
+        signal: DriftSignal,
+    ) -> Result<(), ServiceError> {
+        let tuning = self.config.tuning.is_enabled();
+        let decline = |w: &mut ShardWriter, saving, reason| {
+            if tuning {
+                self.metrics
+                    .retunes_declined
+                    .fetch_add(1, Ordering::Relaxed);
             }
-            None => w.live_profiles(&self.schema),
+            self.decline_drift(s, w, signal, saving, reason)
         };
-        // Covered overlay entries cost nothing at match time, so only
-        // uncovered ones carry the per-profile overlay floor.
-        let overlay_uncovered = w.overlay_cover.iter().filter(|c| c.is_none()).count();
-        // The stale baseline is the compiled base tree plus a one-op
-        // floor per overlay profile (accounted inside `evaluate`) —
-        // still an under-estimate of the side-matcher's true cost, so
-        // the decision stays conservative.
-        let snap = shard.snapshot.read().clone();
-        let decision = self.config.tuning.evaluate(
-            snap.filter.tree(),
-            overlay_uncovered,
-            &profiles,
-            &w.tree,
-            &est,
-        )?;
-        self.metrics
-            .tuning_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if decision.accepted {
-            self.metrics
-                .predicted_ops_bits
-                .store(decision.best_ops.to_bits(), Ordering::Relaxed);
-            self.metrics.retunes.fetch_add(1, Ordering::Relaxed);
-            w.tree.attribute_order = decision.attribute_order;
-            w.tree.search = decision.search;
-            // The estimate the retune was priced under becomes the
-            // shard's prior: marginals are domain-level (geometry-
-            // independent), so a later churn compaction — whose
-            // geometry reset starts statistics from zero — compiles
-            // with the last good estimate instead of uniform.
-            w.tree.event_model = Some(est);
-            Ok(true)
-        } else {
-            self.metrics
-                .retunes_declined
-                .fetch_add(1, Ordering::Relaxed);
-            w.tracker.decline_rebuild()?;
-            Ok(false)
+        if !tuning && !signal.is_warm_up() && !w.tree.uses_event_model() {
+            return decline(w, 0.0, DeclineReason::NoSaving);
         }
+        let snap = shard.snapshot.read().clone();
+        let mut staged = w.stage(&self.schema, self.config.covering)?;
+        // The candidate tree, the (stale, candidate) comparisons per
+        // event and, with tuning, whether the tuner's own bar was met.
+        let (tree, stale_ops, new_ops, refused) = if tuning {
+            let t0 = Instant::now();
+            // Covered overlay entries cost nothing at match time, so
+            // only uncovered ones carry the tuner's overlay floor.
+            let overlay_uncovered = w.overlay_cover.iter().filter(|c| c.is_none()).count();
+            let (decision, tree) = self.config.tuning.evaluate_with_tree(
+                snap.filter.tree(),
+                overlay_uncovered,
+                staged.compiled_set(),
+                &staged.config,
+                staged.model(),
+            )?;
+            self.metrics
+                .tuning_nanos
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            let refused = (!decision.accepted).then_some(DeclineReason::BelowTuningThreshold);
+            staged.config.attribute_order = decision.attribute_order;
+            staged.config.search = decision.search;
+            (tree, decision.stale_ops, decision.best_ops, refused)
+        } else {
+            let tree = staged.build_tree()?;
+            let stale_ops = expected_ops(snap.filter.tree(), staged.model())?;
+            let new_ops = expected_ops(&tree, staged.model())?;
+            (Some(tree), stale_ops, new_ops, None)
+        };
+        let refused = refused.or_else(|| {
+            if signal.is_warm_up() {
+                return None;
+            }
+            // The tracker counts the events it was shown.
+            let served = w.tracker.events_since_settled() * self.config.stats_sample;
+            price_rebuild(stale_ops, new_ops, served, staged.compiled_set().len())
+        });
+        let (Some(tree), None) = (tree, refused) else {
+            // (No candidate at all means the tuner accepted none.)
+            let reason = refused.unwrap_or(DeclineReason::BelowTuningThreshold);
+            return decline(w, stale_ops - new_ops, reason);
+        };
+
+        let from = TreeShape {
+            attribute_order: w.tree.attribute_order.clone(),
+            search: w.tree.search,
+        };
+        let to = TreeShape {
+            attribute_order: staged.config.attribute_order.clone(),
+            search: staged.config.search,
+        };
+        let event_model = staged.model().clone();
+        let (t0, spent) = (Instant::now(), staged.spent);
+        let snapshot = w.commit(
+            staged,
+            tree,
+            &self.schema,
+            self.config.quench_inbound,
+            signal.cause == DriftCause::Moved,
+        )?;
+        let rebuild_ns = (spent + t0.elapsed()).as_nanos() as u64;
+        *shard.snapshot.write() = Arc::new(snapshot);
+        self.metrics.tree_rebuilds.fetch_add(1, Ordering::Relaxed);
+        self.journal(Decision::DriftRebuilt {
+            shard: s,
+            cause: signal.cause,
+            drift: signal.drift,
+            noise: signal.noise,
+            predicted_stale: stale_ops,
+            predicted_new: new_ops,
+            rebuild_ns,
+        });
+        if !tuning {
+            return Ok(());
+        }
+        // An accepted retune changed the shard's active tree
+        // configuration — every later compaction keeps compiling the
+        // tuned shape, and it survives restarts, so it is logged. (A
+        // plain drift rebuild only refreshes the event model from
+        // statistics that are not persisted anyway.)
+        w.tree.attribute_order = to.attribute_order.clone();
+        w.tree.search = to.search;
+        self.metrics
+            .predicted_ops_bits
+            .store(new_ops.to_bits(), Ordering::Relaxed);
+        self.metrics.retunes.fetch_add(1, Ordering::Relaxed);
+        self.journal(Decision::Retuned {
+            shard: s,
+            from,
+            to: to.clone(),
+            predicted: new_ops,
+            measured: 0.0,
+        });
+        if self.durability.is_some() {
+            match self.wal_log(|lsn| WalRecord::Retune {
+                lsn,
+                shard: s as u32,
+                attribute_order: to.attribute_order,
+                search: to.search,
+                event_model,
+            }) {
+                Ok(()) => {}
+                // The retuned tree is live in memory either way; a
+                // failed append only means the new shape may not
+                // survive a restart. Publishing continues degraded
+                // rather than failing on a background concern.
+                Err(ServiceError::Persist(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Turns the drift trigger `signal` on shard `s` down for `reason`,
+    /// a rebuild having been predicted to save `saving` comparisons per
+    /// event. A rebuild that buys nothing settles the matter — the
+    /// detector's baseline moves onto the estimate that was priced; one
+    /// that does not pay yet is looked at again later.
+    fn decline_drift(
+        &self,
+        s: usize,
+        w: &mut ShardWriter,
+        signal: DriftSignal,
+        saving: f64,
+        reason: DeclineReason,
+    ) -> Result<(), ServiceError> {
+        let next_check_in = match reason {
+            DeclineReason::NotYetPaid => w.tracker.defer_rebuild(),
+            DeclineReason::NoSaving | DeclineReason::BelowTuningThreshold => {
+                w.tracker.decline_rebuild()?
+            }
+        };
+        self.metrics.drift_declined.fetch_add(1, Ordering::Relaxed);
+        self.journal(Decision::DriftDeclined {
+            shard: s,
+            cause: signal.cause,
+            drift: signal.drift,
+            noise: signal.noise,
+            predicted_saving: saving,
+            reason,
+            next_check_in,
+        });
+        Ok(())
+    }
+
+    /// Appends `decision` to the journal, with the counters
+    /// [`Decision::Retuned::measured`] is later read against.
+    fn journal(&self, decision: Decision) {
+        self.journal.record(
+            decision,
+            self.metrics.total_ops.load(Ordering::Relaxed),
+            self.metrics.events_published.load(Ordering::Relaxed),
+        );
     }
 
     /// Current quenching advice for producers, covering every live
@@ -1995,6 +2164,18 @@ impl Broker {
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.snapshot(self)
     }
+
+    /// The last [`journal::CAPACITY`](crate::journal::CAPACITY)
+    /// decisions of the adaptive loop, oldest first: every drift
+    /// trigger with what was measured, what Eq. 2 predicted and what
+    /// came of it.
+    #[must_use]
+    pub fn decisions(&self) -> Vec<Decision> {
+        self.journal.read(
+            self.metrics.total_ops.load(Ordering::Relaxed),
+            self.metrics.events_published.load(Ordering::Relaxed),
+        )
+    }
 }
 
 impl std::fmt::Debug for Broker {
@@ -2021,5 +2202,23 @@ mod tests {
         for _ in 0..1000 {
             assert!(disconnected_sender().same_channel(&first));
         }
+    }
+
+    #[test]
+    fn rebuild_pricing() {
+        use DeclineReason::{NoSaving, NotYetPaid};
+        // No saving, or none that is a number: never.
+        assert_eq!(price_rebuild(10.0, 10.0, u64::MAX, 1), Some(NoSaving));
+        assert_eq!(price_rebuild(10.0, 12.0, u64::MAX, 1), Some(NoSaving));
+        assert_eq!(price_rebuild(0.0, 0.0, u64::MAX, 1), Some(NoSaving));
+        assert_eq!(price_rebuild(f64::NAN, 1.0, u64::MAX, 1), Some(NoSaving));
+        // Half the comparisons saved: 100 profiles (4000 events' worth
+        // of filtering to compile) are repaid by the 8000th event
+        // served, not before.
+        assert_eq!(price_rebuild(10.0, 5.0, 7999, 100), Some(NotYetPaid));
+        assert_eq!(price_rebuild(10.0, 5.0, 8000, 100), None);
+        // A 2 % saving — sampling noise on a large tree — takes 200 000.
+        assert_eq!(price_rebuild(200.0, 196.0, 199_999, 100), Some(NotYetPaid));
+        assert_eq!(price_rebuild(200.0, 196.0, 200_000, 100), None);
     }
 }

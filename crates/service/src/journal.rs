@@ -1,0 +1,213 @@
+//! The decision journal: what the broker's adaptive loop decided, and
+//! on which numbers.
+//!
+//! A drift trigger ends in one of three ways — the shard is rebuilt,
+//! rebuilt in a new shape, or left alone — and each leaves a record
+//! here with what the detector measured and what the cost model
+//! (Eq. 2) predicted, so "what did it just decide and why" has an
+//! answer on a running broker ([`Broker::decisions`]). The journal is a
+//! ring of [`CAPACITY`] records allocated with the broker; a record is
+//! written per decision, never per event.
+//!
+//! [`Broker::decisions`]: crate::Broker::decisions
+
+use std::collections::VecDeque;
+
+use ens_filter::{AttributeOrder, DriftCause, SearchStrategy};
+use parking_lot::Mutex;
+
+/// Records the journal keeps; a new one evicts the oldest.
+pub const CAPACITY: usize = 64;
+
+/// The part of a tree configuration a retune re-decides.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TreeShape {
+    /// Order of the tree's levels.
+    pub attribute_order: AttributeOrder,
+    /// How a node's edges are searched.
+    pub search: SearchStrategy,
+}
+
+/// Why a drift trigger did not end in a rebuild.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeclineReason {
+    /// Eq. 2 prices the candidate no cheaper than the tree in place.
+    /// The detector's baseline moved onto the priced estimate.
+    NoSaving,
+    /// The best candidate's predicted improvement is below
+    /// `TuningPolicy::min_improvement`. Baseline moved likewise.
+    BelowTuningThreshold,
+    /// The candidate is cheaper, but at the predicted saving the tree
+    /// in place has not served long enough under its model for a
+    /// rebuild to be covered. The baseline stays: the same trigger is
+    /// priced again later.
+    NotYetPaid,
+}
+
+/// One decision of the adaptive loop (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Decision {
+    /// A drift trigger was answered with a rebuild.
+    DriftRebuilt {
+        /// The shard rebuilt.
+        shard: usize,
+        /// What fired the trigger.
+        cause: DriftCause,
+        /// Measured L1 drift at the trigger.
+        drift: f64,
+        /// Sampling-noise allowance a drift has to clear on top of the
+        /// threshold to count as the distribution having moved (0 on
+        /// the warm-up rebuild).
+        noise: f64,
+        /// Eq. 2 comparisons per event of the tree that was in place,
+        /// under the estimate.
+        predicted_stale: f64,
+        /// The same for the tree now in place.
+        predicted_new: f64,
+        /// Wall-clock cost of the rebuild (pricing excluded).
+        rebuild_ns: u64,
+    },
+    /// A drift trigger was turned down.
+    DriftDeclined {
+        /// The shard left alone.
+        shard: usize,
+        /// What fired the trigger.
+        cause: DriftCause,
+        /// Measured L1 drift at the trigger.
+        drift: f64,
+        /// Its sampling-noise allowance.
+        noise: f64,
+        /// Eq. 2 comparisons per event a rebuild was predicted to save
+        /// (negative: the candidate is dearer).
+        predicted_saving: f64,
+        /// Why that was not enough.
+        reason: DeclineReason,
+        /// Sampled events until the shard's drift is evaluated again.
+        next_check_in: u64,
+    },
+    /// The rebuild of a [`Decision::DriftRebuilt`] just before this
+    /// record used a shape the tuner chose.
+    Retuned {
+        /// The shard retuned.
+        shard: usize,
+        /// The shape it had.
+        from: TreeShape,
+        /// The shape it has now.
+        to: TreeShape,
+        /// Eq. 2 comparisons per event predicted for the new shape.
+        predicted: f64,
+        /// Comparisons per event the broker has counted since
+        /// (`total_ops` over `events_published`, all shards: the
+        /// shard's own on a one-shard broker); 0 before the next event.
+        measured: f64,
+    },
+}
+
+/// A journalled decision with the broker counters at the time, from
+/// which [`Decision::Retuned::measured`] is worked out when read.
+struct Entry {
+    decision: Decision,
+    total_ops: u64,
+    events_published: u64,
+}
+
+pub(crate) struct Journal {
+    ring: Mutex<VecDeque<Entry>>,
+}
+
+impl Journal {
+    pub(crate) fn new() -> Self {
+        Journal {
+            ring: Mutex::new(VecDeque::with_capacity(CAPACITY)),
+        }
+    }
+
+    /// Appends `decision`, taken with the broker's counters at
+    /// `total_ops` and `events_published`.
+    pub(crate) fn record(&self, decision: Decision, total_ops: u64, events_published: u64) {
+        let mut ring = self.ring.lock();
+        if ring.len() == CAPACITY {
+            ring.pop_front();
+        }
+        ring.push_back(Entry {
+            decision,
+            total_ops,
+            events_published,
+        });
+    }
+
+    /// The journalled decisions, oldest first, with the broker's
+    /// counters now at `total_ops` and `events_published`.
+    pub(crate) fn read(&self, total_ops: u64, events_published: u64) -> Vec<Decision> {
+        self.ring
+            .lock()
+            .iter()
+            .map(|entry| {
+                let mut decision = entry.decision.clone();
+                if let Decision::Retuned { measured, .. } = &mut decision {
+                    let events = events_published.saturating_sub(entry.events_published);
+                    if events > 0 {
+                        *measured =
+                            total_ops.saturating_sub(entry.total_ops) as f64 / events as f64;
+                    }
+                }
+                decision
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn declined(shard: usize) -> Decision {
+        Decision::DriftDeclined {
+            shard,
+            cause: DriftCause::Moved,
+            drift: 0.5,
+            noise: 0.1,
+            predicted_saving: 0.0,
+            reason: DeclineReason::NoSaving,
+            next_check_in: 1000,
+        }
+    }
+
+    #[test]
+    fn ring_keeps_the_newest_records() {
+        let journal = Journal::new();
+        for shard in 0..CAPACITY + 3 {
+            journal.record(declined(shard), 0, 0);
+        }
+        let read = journal.read(0, 0);
+        assert_eq!(read.len(), CAPACITY);
+        assert_eq!(read[0], declined(3));
+        assert_eq!(read[CAPACITY - 1], declined(CAPACITY + 2));
+    }
+
+    #[test]
+    fn retune_measures_ops_per_event_since_it_was_taken() {
+        let journal = Journal::new();
+        let shape = TreeShape {
+            attribute_order: AttributeOrder::Natural,
+            search: SearchStrategy::Binary,
+        };
+        journal.record(
+            Decision::Retuned {
+                shard: 0,
+                from: shape.clone(),
+                to: shape,
+                predicted: 3.0,
+                measured: 0.0,
+            },
+            1_000,
+            100,
+        );
+        let measured = |ops, events| match &journal.read(ops, events)[0] {
+            Decision::Retuned { measured, .. } => *measured,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(measured(1_000, 100), 0.0, "no event since");
+        assert_eq!(measured(1_400, 200), 4.0);
+    }
+}

@@ -15,7 +15,9 @@
 //! * [`CompositeDetector`] — composite events (sequence, conjunction,
 //!   disjunction over time windows), the §5 future-work extension;
 //! * [`MetricsSnapshot`] — service counters (events, notifications,
-//!   comparison operations, rebuilds).
+//!   comparison operations, rebuilds), and [`Decision`] — the journal
+//!   of what the adaptive loop decided and on which numbers
+//!   ([`Broker::decisions`]).
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@ mod channel;
 mod composite;
 mod error;
 pub mod federation;
+pub mod journal;
 mod metrics;
 mod notify;
 pub mod persist;
@@ -59,6 +62,7 @@ pub use channel::OverflowPolicy;
 pub use composite::{CompositeDetector, CompositeExpr, CompositeId};
 pub use error::ServiceError;
 pub use federation::{Federation, FederationConfig};
+pub use journal::{Decision, DeclineReason, TreeShape};
 pub use metrics::MetricsSnapshot;
 pub use notify::{Notification, Subscriber};
 pub use persist::{DurabilityConfig, FsyncPolicy};

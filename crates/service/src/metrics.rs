@@ -35,6 +35,9 @@ pub(crate) struct Metrics {
     pub tree_rebuilds: AtomicU64,
     /// Churn-triggered compactions (overlay/tombstone thresholds).
     pub overlay_compactions: AtomicU64,
+    /// Drift triggers that did not end in a rebuild: Eq. 2 priced the
+    /// rebuild at no saving, or at one that does not cover its cost yet.
+    pub drift_declined: AtomicU64,
     /// Accepted self-tuning retunes (drift rebuilds whose configuration
     /// was chosen by the cost model).
     pub retunes: AtomicU64,
@@ -77,6 +80,7 @@ impl Metrics {
             quenched_events: self.quenched_events.load(Ordering::Relaxed),
             tree_rebuilds: self.tree_rebuilds.load(Ordering::Relaxed),
             overlay_compactions: self.overlay_compactions.load(Ordering::Relaxed),
+            drift_declined: self.drift_declined.load(Ordering::Relaxed),
             retunes: self.retunes.load(Ordering::Relaxed),
             retunes_declined: self.retunes_declined.load(Ordering::Relaxed),
             tuning_nanos: self.tuning_nanos.load(Ordering::Relaxed),
@@ -147,12 +151,22 @@ pub struct MetricsSnapshot {
     /// Number of churn-triggered compactions (overlay/tombstone
     /// thresholds folding the subscription deltas into the tree).
     pub overlay_compactions: u64,
+    /// Drift triggers turned down, with tuning on or off: the cost
+    /// model priced the rebuild at no saving, or at a saving that does
+    /// not cover a rebuild's cost yet. [`Broker::decisions`] has the
+    /// numbers behind each.
+    ///
+    /// [`Broker::decisions`]: crate::Broker::decisions
+    #[serde(default)]
+    pub drift_declined: u64,
     /// Accepted self-tuning retunes: drift rebuilds whose
     /// (search-strategy, attribute-order) shape was re-chosen by the
     /// cost model under the online distribution estimate.
     pub retunes: u64,
-    /// Drift triggers the tuner declined because the predicted cost
-    /// improvement did not clear `TuningPolicy::min_improvement`.
+    /// The share of [`MetricsSnapshot::drift_declined`] turned down
+    /// with tuning enabled: the best candidate's predicted improvement
+    /// did not clear `TuningPolicy::min_improvement`, or does not pay
+    /// for the rebuild yet.
     pub retunes_declined: u64,
     /// Total wall-clock nanoseconds spent pricing retune candidates —
     /// the overhead the self-tuning loop adds to the write path.
@@ -239,11 +253,11 @@ impl MetricsSnapshot {
 
 impl fmt::Display for MetricsSnapshot {
     /// One-line operational summary, e.g.
-    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) cover=180/95 quenched=3 dropped=0 overflow=0 panics=0 rebuilds=1 compactions=4 retunes=1/2 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
+    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) cover=180/95 quenched=3 dropped=0 overflow=0 panics=0 rebuilds=1 declined=2 compactions=4 retunes=1/2 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) cover={}/{} quenched={} dropped={} overflow={} panics={} rebuilds={} compactions={} retunes={}/{} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
+            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) cover={}/{} quenched={} dropped={} overflow={} panics={} rebuilds={} declined={} compactions={} retunes={}/{} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
             self.events_published,
             self.batch_events,
             self.notifications_sent,
@@ -259,6 +273,7 @@ impl fmt::Display for MetricsSnapshot {
             self.overflow_dropped,
             self.shard_panics,
             self.tree_rebuilds,
+            self.drift_declined,
             self.overlay_compactions,
             self.retunes,
             self.retunes + self.retunes_declined,

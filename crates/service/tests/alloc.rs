@@ -167,6 +167,10 @@ fn warmed_publish_paths_allocate_receipts_only() {
         &schema,
         BrokerConfig {
             shards: 2,
+            // Sampling off: this half is about what the batch path
+            // allocates, and the statistics' share of a publish (one
+            // `observe` per event, none of it on the heap) is pinned by
+            // the per-event half above and by `ens-filter`'s own budget.
             stats_sample: 0,
             ..BrokerConfig::default()
         },

@@ -85,7 +85,6 @@ fn durability(dir: &Path) -> DurabilityConfig {
 fn config(covering: bool) -> BrokerConfig {
     BrokerConfig {
         covering,
-        stats_sample: 0,
         rebuild: RebuildPolicy {
             max_overlay: 64,
             max_removed: 64,

@@ -120,12 +120,12 @@ proptest! {
                         overflow,
                         quench_inbound: quench,
                         // Keep both twins on the snapshot that
-                        // `subscribe_many` compiled: a drift or
-                        // tombstone compaction lands after the event
-                        // that triggered it on one route and after that
+                        // `subscribe_many` compiled: a tombstone
+                        // compaction lands after the event that
+                        // triggered it on one route and after that
                         // event's batch on the other, and would move
-                        // the `quenched` flags apart.
-                        stats_sample: 0,
+                        // the `quenched` flags apart. (The streams are
+                        // far shorter than a drift evaluation takes.)
                         rebuild: RebuildPolicy {
                             max_overlay: 0,
                             max_removed: usize::MAX,

@@ -18,7 +18,6 @@ use proptest::prelude::*;
 fn churn_config() -> BrokerConfig {
     BrokerConfig {
         shards: 2,
-        stats_sample: 0,
         quench_inbound: true,
         rebuild: RebuildPolicy {
             max_overlay: 3,

@@ -52,7 +52,6 @@ fn durability(dir: &Path) -> DurabilityConfig {
 fn churn_config(dfsa_dispatch: bool) -> BrokerConfig {
     BrokerConfig {
         shards: 2,
-        stats_sample: 0,
         dfsa_dispatch,
         rebuild: RebuildPolicy {
             max_overlay: 4,
@@ -339,21 +338,16 @@ fn restarts_compose_and_ids_are_never_reused() {
         .collect();
     let schema = ens_workloads::scenario::environmental_schema();
 
-    let config = || BrokerConfig {
-        stats_sample: 0,
-        ..BrokerConfig::default()
-    };
-
     // Session 1: three subscriptions, no checkpoint, "crash".
     {
-        let r = Broker::open(&schema, config(), durability(&dir)).unwrap();
+        let r = Broker::open(&schema, BrokerConfig::default(), durability(&dir)).unwrap();
         for p in &profiles[..3] {
             r.broker.subscribe_profile(p.clone()).unwrap();
         }
     }
     // Session 2: WAL-only recovery; add one, checkpoint (truncates).
     {
-        let r = Broker::open(&schema, config(), durability(&dir)).unwrap();
+        let r = Broker::open(&schema, BrokerConfig::default(), durability(&dir)).unwrap();
         assert_eq!(r.subscribers.len(), 3);
         let s = r.broker.subscribe_profile(profiles[3].clone()).unwrap();
         assert_eq!(s.id().get(), 3, "ids continue after a WAL-only restart");
@@ -367,13 +361,13 @@ fn restarts_compose_and_ids_are_never_reused() {
     // Session 3: checkpoint-only recovery; unsubscribe one (appends to
     // the fresh WAL), "crash".
     {
-        let r = Broker::open(&schema, config(), durability(&dir)).unwrap();
+        let r = Broker::open(&schema, BrokerConfig::default(), durability(&dir)).unwrap();
         assert_eq!(r.subscribers.len(), 4);
         r.broker.unsubscribe(r.subscribers[0].id()).unwrap();
     }
     // Session 4: checkpoint + WAL; state composes, fresh ids advance.
     {
-        let r = Broker::open(&schema, config(), durability(&dir)).unwrap();
+        let r = Broker::open(&schema, BrokerConfig::default(), durability(&dir)).unwrap();
         let ids: Vec<u64> = r.subscribers.iter().map(|s| s.id().get()).collect();
         assert_eq!(ids, vec![1, 2, 3]);
         let s = r.broker.subscribe_profile(profiles[4].clone()).unwrap();
@@ -418,15 +412,7 @@ fn automatic_checkpoints_truncate_the_wal() {
         ..DurabilityConfig::new(&dir)
     };
     {
-        let r = Broker::open(
-            &schema,
-            BrokerConfig {
-                stats_sample: 0,
-                ..BrokerConfig::default()
-            },
-            d.clone(),
-        )
-        .unwrap();
+        let r = Broker::open(&schema, BrokerConfig::default(), d.clone()).unwrap();
         for p in &profiles {
             r.broker.subscribe_profile(p.clone()).unwrap();
         }
@@ -450,15 +436,7 @@ fn automatic_checkpoints_truncate_the_wal() {
             full.offsets.len()
         );
     }
-    let r = Broker::open(
-        &schema,
-        BrokerConfig {
-            stats_sample: 0,
-            ..BrokerConfig::default()
-        },
-        d,
-    )
-    .unwrap();
+    let r = Broker::open(&schema, BrokerConfig::default(), d).unwrap();
     assert_eq!(r.subscribers.len(), profiles.len());
     let _ = std::fs::remove_dir_all(&dir);
 }

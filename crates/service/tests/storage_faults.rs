@@ -56,11 +56,10 @@ fn db_dir() -> PathBuf {
 }
 
 /// Sharded + compaction-heavy, so crash points land on every snapshot
-/// state; no drift sampling, so the op stream is fully deterministic.
+/// state.
 fn config() -> BrokerConfig {
     BrokerConfig {
         shards: 2,
-        stats_sample: 0,
         rebuild: RebuildPolicy {
             max_overlay: 4,
             max_removed: 3,

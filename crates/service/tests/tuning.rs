@@ -46,6 +46,8 @@ fn retuned_broker_matches_oracle_across_phases() {
     let static_broker = Broker::new(
         &w.schema,
         BrokerConfig {
+            // The yardstick has to stay the tree it was given:
+            // sampling off is what "static" means here.
             stats_sample: 0,
             rebuild: RebuildPolicy {
                 min_events: u64::MAX,
@@ -147,11 +149,10 @@ fn disabled_tuning_keeps_legacy_drift_rebuilds() {
     assert_eq!(m.tuning_nanos, 0);
 }
 
-/// A churn compaction resets the statistics to the new subscription
-/// geometry (zero observations), so the configured event-model prior —
-/// not the fresh statistics' near-uniform placeholder — must drive the
-/// recompiled orderings, even when events had been observed before the
-/// compaction.
+/// A configured event-model prior stands until the statistics hold
+/// `min_events` observations: a handful of events seen before a churn
+/// compaction must not displace it, so the prior — not their thin
+/// estimate — drives the recompiled orderings.
 #[test]
 fn configured_prior_survives_churn_compactions() {
     use ens_dist::{Density, DistOverDomain, JointDist};
