@@ -1,15 +1,15 @@
 //! Matching-algorithm comparison (paper §2's algorithm classes):
 //! profile tree (pointer form and flattened DFSA) vs the naive
-//! per-profile scan vs the counting algorithm, on the environmental and
-//! stock workloads. The `*_scratch` variants run the allocation-free
-//! `match_into` fast path with reused buffers; `dfsa_nested` is the
-//! seed's pointer-heavy automaton layout, so the old-vs-new delta of
-//! the CSR rework stays visible side by side.
+//! per-profile scan vs the counting algorithm — the index the broker
+//! serves overlays with, built over the whole population — on the
+//! environmental and stock workloads. The `*_scratch` variants and
+//! `counting` run the allocation-free `match_into` fast path with
+//! reused buffers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ens_bench::BenchWorkload;
-use ens_filter::baseline::{CountingMatcher, NaiveMatcher, NestedDfsa};
-use ens_filter::{Dfsa, MatchScratch, Matcher, ProfileTree, TreeConfig};
+use ens_filter::baseline::NaiveMatcher;
+use ens_filter::{Dfsa, MatchScratch, Matcher, OverlayIndex, ProfileTree, TreeConfig};
 use ens_types::IndexedEvent;
 use std::hint::black_box;
 
@@ -24,9 +24,8 @@ fn bench_matchers(c: &mut Criterion) {
         let tree = ProfileTree::build(&workload.profiles, &TreeConfig::default())
             .expect("workload is valid");
         let dfsa = Dfsa::from_tree(&tree);
-        let nested = NestedDfsa::from_tree(&tree);
         let naive = NaiveMatcher::new(&workload.profiles).expect("workload is valid");
-        let counting = CountingMatcher::new(&workload.profiles).expect("workload is valid");
+        let counting = OverlayIndex::new(&workload.profiles).expect("workload is valid");
 
         group.bench_with_input(
             BenchmarkId::new("tree", workload.name),
@@ -57,19 +56,6 @@ fn bench_matchers(c: &mut Criterion) {
                         indexed.resolve_into(&schema, black_box(e)).expect("valid");
                         tree.match_into(&indexed, &mut scratch);
                         n += scratch.profiles().len();
-                    }
-                    n
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("dfsa_nested", workload.name),
-            &workload.events,
-            |b, events| {
-                b.iter(|| {
-                    let mut n = 0usize;
-                    for e in events {
-                        n += nested.match_event(black_box(e)).expect("valid").len();
                     }
                     n
                 });
@@ -126,14 +112,14 @@ fn bench_matchers(c: &mut Criterion) {
             BenchmarkId::new("counting", workload.name),
             &workload.events,
             |b, events| {
+                let mut indexed = IndexedEvent::new();
+                let mut scratch = MatchScratch::new();
                 b.iter(|| {
                     let mut n = 0usize;
                     for e in events {
-                        n += counting
-                            .match_event(black_box(e))
-                            .expect("valid")
-                            .profiles()
-                            .len();
+                        indexed.resolve_into(&schema, black_box(e)).expect("valid");
+                        counting.match_into(&indexed, &mut scratch);
+                        n += scratch.profiles().len();
                     }
                     n
                 });

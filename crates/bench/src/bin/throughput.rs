@@ -1,13 +1,14 @@
 //! Raw matching-throughput harness.
 //!
-//! Runs every matcher (profile tree, nested/seed DFSA, CSR DFSA, naive,
-//! counting) over the environmental and stock workloads, through both
-//! the allocating `match_event` entry points and the zero-allocation
-//! `match_into` fast path, and emits `BENCH_throughput.json` with
-//! events/sec, ns/event, mean comparison ops/event and heap
-//! allocations/event (measured with a counting global allocator), plus
-//! a summary of the CSR-vs-seed speedup — the perf trajectory every
-//! future PR has to beat.
+//! Runs every matcher (profile tree, CSR DFSA, naive, and the counting
+//! index the broker serves overlays with, built over the whole
+//! population) over the environmental and stock workloads, through
+//! the allocating `match_event` entry points where a matcher has one
+//! and the zero-allocation `match_into` fast path, and emits
+//! `BENCH_throughput.json` with events/sec, ns/event, mean comparison
+//! ops/event and heap allocations/event (measured with a counting
+//! global allocator) — the perf trajectory every future PR has to
+//! beat.
 //!
 //! Usage:
 //!
@@ -23,7 +24,7 @@ use std::time::Instant;
 use std::sync::Arc;
 
 use ens_bench::BenchWorkload;
-use ens_filter::baseline::{CountingMatcher, NaiveMatcher, NestedDfsa};
+use ens_filter::baseline::NaiveMatcher;
 use ens_filter::{
     BlockScratch, Dfsa, Direction, FilterSnapshot, MatchScratch, Matcher, OverlayIndex,
     ProfileTree, RebuildPolicy, SearchStrategy, SnapshotScratch, TreeConfig, TuningPolicy,
@@ -110,12 +111,9 @@ struct WorkloadReport {
 
 #[derive(Debug, Serialize)]
 struct Summary {
-    /// events/sec of `dfsa_csr_scratch` over events/sec of
-    /// `dfsa_nested_event` (the seed `Dfsa::match_event` call pattern),
-    /// per workload.
-    dfsa_csr_scratch_vs_seed_speedup: Vec<NamedRatio>,
-    /// Allocations/event eliminated by the fast path vs the seed DFSA
-    /// call, per workload.
+    /// Allocations/event of the allocating `Dfsa::match_event` wrapper
+    /// (`dfsa_csr_event`) that the fast path (`dfsa_csr_scratch`) does
+    /// not make, per workload.
     allocs_eliminated_per_event: Vec<NamedRatio>,
 }
 
@@ -598,7 +596,6 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         BenchWorkload::stock(opts.profiles.unwrap_or(1000), opts.events),
     ];
     let mut reports = Vec::new();
-    let mut speedups = Vec::new();
     let mut allocs_saved = Vec::new();
     let mut batch = Vec::new();
     for w in &workloads {
@@ -606,16 +603,12 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         let rate = |name: &str| -> Option<&MatcherReport> {
             report.matchers.iter().find(|m| m.name == name)
         };
-        let (Some(seed), Some(fast)) = (rate("dfsa_nested_event"), rate("dfsa_csr_scratch")) else {
-            unreachable!("both DFSA variants are always benched");
+        let (Some(wrapper), Some(fast)) = (rate("dfsa_csr_event"), rate("dfsa_csr_scratch")) else {
+            unreachable!("both DFSA entry points are always benched");
         };
-        speedups.push(NamedRatio {
-            workload: report.name.clone(),
-            value: fast.events_per_sec / seed.events_per_sec,
-        });
         allocs_saved.push(NamedRatio {
             workload: report.name.clone(),
-            value: seed.allocs_per_event - fast.allocs_per_event,
+            value: wrapper.allocs_per_event - fast.allocs_per_event,
         });
         if opts.sections == Sections::All {
             batch.push(bench_batch(w, opts, fast.events_per_sec, fast.matches)?);
@@ -629,7 +622,6 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         min_ms: opts.min_ms,
     };
     let summary = Summary {
-        dfsa_csr_scratch_vs_seed_speedup: speedups,
         allocs_eliminated_per_event: allocs_saved,
     };
     if opts.sections == Sections::Matchers {
@@ -684,16 +676,17 @@ fn bench_workload(
 ) -> Result<WorkloadReport, Box<dyn std::error::Error>> {
     let tree = ProfileTree::build(&w.profiles, &TreeConfig::default())?;
     let dfsa = Dfsa::from_tree(&tree);
-    let nested = NestedDfsa::from_tree(&tree);
     let naive = NaiveMatcher::new(&w.profiles)?;
-    let counting = CountingMatcher::new(&w.profiles)?;
+    // The counting baseline is the index the broker serves overlays
+    // with, over the whole population.
+    let counting = OverlayIndex::new(&w.profiles)?;
     let schema = &w.schema;
     let events = &w.events;
 
-    // Mean comparison ops/event for the counting matchers (one pass).
+    // Mean comparison ops/event for the matchers that count (one pass).
     let tree_ops = mean_ops(events, |e| tree.match_event(e).expect("valid").ops());
     let naive_ops = mean_ops(events, |e| naive.match_event(e).expect("valid").ops());
-    let counting_ops = mean_ops(events, |e| counting.match_event(e).expect("valid").ops());
+    let (counting_ops, _) = mean_scratch_ops(&counting, schema, events);
 
     let mut matchers = Vec::new();
 
@@ -702,13 +695,6 @@ fn bench_workload(
         let mut n = 0u64;
         for e in evts {
             n += tree.match_event(e).expect("valid").profiles().len() as u64;
-        }
-        n
-    }));
-    matchers.push(bench_pass(opts, "dfsa_nested_event", events, 0.0, |evts| {
-        let mut n = 0u64;
-        for e in evts {
-            n += nested.match_event(e).expect("valid").len() as u64;
         }
         n
     }));
@@ -726,19 +712,6 @@ fn bench_workload(
         }
         n
     }));
-    matchers.push(bench_pass(
-        opts,
-        "counting_event",
-        events,
-        counting_ops,
-        |evts| {
-            let mut n = 0u64;
-            for e in evts {
-                n += counting.match_event(e).expect("valid").profiles().len() as u64;
-            }
-            n
-        },
-    ));
 
     // Zero-allocation `match_into` fast paths (reused buffers).
     matchers.push(scratch_pass(

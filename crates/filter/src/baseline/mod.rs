@@ -1,26 +1,17 @@
 //! Baseline matching algorithms the tree is evaluated against.
 //!
 //! The paper's related-work section distinguishes "simple algorithms,
-//! clustering, and tree-based algorithms" (§2). Two baselines are
-//! provided for cross-validation and the throughput benchmarks:
-//!
-//! * [`NaiveMatcher`] — the simple algorithm: evaluate every profile's
-//!   predicates directly against the event;
-//! * [`CountingMatcher`] — the counting / predicate-index family
-//!   (Fabret et al., Aguilera et al.): one interval index per attribute
-//!   plus per-profile satisfied-predicate counters.
-//!
-//! [`NestedDfsa`] additionally preserves the workspace's original
-//! pointer-heavy DFSA layout so the throughput benchmarks can quantify
-//! what the CSR rework of [`crate::Dfsa`] buys.
+//! clustering, and tree-based algorithms" (§2). [`NaiveMatcher`] is the
+//! simple algorithm — evaluate every profile's predicates directly
+//! against the event — and the reference every oracle and benchmark
+//! compares against. The counting / predicate-index family (Fabret et
+//! al., Aguilera et al.) is [`crate::OverlayIndex`], the index the
+//! snapshot serves its subscription overlay with: built over a whole
+//! population it *is* the counting baseline.
 
-mod counting;
 mod naive;
-mod nested;
 
-pub use counting::CountingMatcher;
 pub use naive::NaiveMatcher;
-pub use nested::NestedDfsa;
 
 use ens_types::ProfileId;
 use serde::{Deserialize, Serialize};

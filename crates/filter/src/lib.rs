@@ -15,11 +15,12 @@
 //! * an **analytic cost model** ([`CostModel`]) implementing the paper's
 //!   Eq. 2 — expected comparison operations per event under arbitrary
 //!   event/profile distributions;
-//! * **statistic objects** ([`FilterStatistics`]) and an
-//!   [`AdaptiveFilter`] that restructures the tree when the observed
-//!   event distribution drifts;
-//! * a flattened [`Dfsa`] form for raw-throughput matching and the
-//!   [`baseline`] matchers (naive and counting) for comparison;
+//! * **statistic objects** ([`FilterStatistics`]) and a
+//!   [`DriftTracker`] that asks for the tree to be restructured when
+//!   the observed event distribution drifts;
+//! * a flattened [`Dfsa`] form for raw-throughput matching, the naive
+//!   [`baseline`] matcher and the counting [`OverlayIndex`] for
+//!   comparison;
 //! * an immutable [`FilterSnapshot`] (tree + DFSA + incremental
 //!   subscription overlay) for lock-free concurrent matching, with
 //!   [`RebuildPolicy`]/[`DriftTracker`] unifying churn compaction and
@@ -65,7 +66,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adaptive;
 pub mod baseline;
 mod cost;
 mod cover;
@@ -83,7 +83,6 @@ mod subrange;
 mod tree;
 mod tuning;
 
-pub use adaptive::{AdaptiveFilter, AdaptivePolicy};
 pub use cost::{expected_ops, CostBreakdown, CostModel, LevelCost, ProfileCost};
 pub use cover::CoverPlan;
 pub use dfsa::{Dfsa, BLOCK_LANES, JUMP_TABLE_MAX_DOMAIN};

@@ -242,8 +242,8 @@ impl OverlayIndex {
 impl Matcher for OverlayIndex {
     /// One binary search + posting scan per event attribute; counters
     /// reset by epoch, so cost is O(postings hit), not O(profiles).
-    /// Operation accounting matches the counting-matcher convention:
-    /// one op per binary-search step plus one per counter increment.
+    /// Operation accounting: one op per binary-search step plus one
+    /// per counter increment.
     fn match_into(&self, event: &IndexedEvent, scratch: &mut MatchScratch) {
         scratch.reset(0);
         scratch.begin_epoch(self.required.len());

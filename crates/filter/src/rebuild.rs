@@ -2,7 +2,7 @@
 //! filter path.
 //!
 //! The seed broker rebuilt the whole profile tree on *every* subscribe
-//! and unsubscribe, and the [`AdaptiveFilter`](crate::AdaptiveFilter)
+//! and unsubscribe, and its adaptive filter component (paper §1/§5)
 //! rebuilt it again when the observed event distribution drifted. Both
 //! triggers are really the same decision — "is the compiled tree stale
 //! enough to pay a rebuild?" — so [`RebuildPolicy`] unifies them:
@@ -13,8 +13,8 @@
 //!   the tree once the overlay reaches [`RebuildPolicy::max_overlay`]
 //!   entries (tombstoned removals likewise, via
 //!   [`RebuildPolicy::max_removed`]);
-//! * **distribution drift**: [`DriftTracker`] keeps the statistics and
-//!   the L1-drift detector of the adaptive filter (paper §4.2/§5) and
+//! * **distribution drift**: [`DriftTracker`] keeps the event history
+//!   and the L1-drift detector of that component (paper §4.2/§5) and
 //!   asks for a rebuild when the empirical event distribution has moved
 //!   [`RebuildPolicy::drift_threshold`] further from the one the tree
 //!   was optimised for than sampling noise explains. Whether the
@@ -26,15 +26,13 @@ use ens_dist::{JointDist, Pmf};
 use ens_types::{AttrId, Event, ProfileSet};
 use serde::{Deserialize, Serialize};
 
-use crate::adaptive::AdaptivePolicy;
 use crate::statistics::FilterStatistics;
 use crate::FilterError;
 
 /// When a compiled [`FilterSnapshot`](crate::FilterSnapshot) is rebuilt.
 ///
-/// Unifies the adaptive drift trigger (the first three fields, identical
-/// to [`AdaptivePolicy`]) with the incremental-subscription compaction
-/// thresholds.
+/// Unifies the adaptive drift trigger (the first three fields) with the
+/// incremental-subscription compaction thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RebuildPolicy {
     /// Do not consider a drift rebuild before this many events were
@@ -71,35 +69,13 @@ pub struct RebuildPolicy {
 
 impl Default for RebuildPolicy {
     fn default() -> Self {
-        let drift = AdaptivePolicy::default();
         RebuildPolicy {
-            min_events: drift.min_events,
-            drift_threshold: drift.drift_threshold,
-            decay_on_rebuild: drift.decay_on_rebuild,
+            min_events: 500,
+            drift_threshold: 0.25,
+            decay_on_rebuild: true,
             max_overlay: 64,
             max_removed: 64,
             drift_check_every: 32,
-        }
-    }
-}
-
-impl From<AdaptivePolicy> for RebuildPolicy {
-    fn from(p: AdaptivePolicy) -> Self {
-        RebuildPolicy {
-            min_events: p.min_events,
-            drift_threshold: p.drift_threshold,
-            decay_on_rebuild: p.decay_on_rebuild,
-            ..RebuildPolicy::default()
-        }
-    }
-}
-
-impl From<RebuildPolicy> for AdaptivePolicy {
-    fn from(p: RebuildPolicy) -> Self {
-        AdaptivePolicy {
-            min_events: p.min_events,
-            drift_threshold: p.drift_threshold,
-            decay_on_rebuild: p.decay_on_rebuild,
         }
     }
 }
@@ -184,8 +160,7 @@ impl Baseline {
 /// Owns the [`FilterStatistics`] and the per-attribute baseline the
 /// current tree was optimised for, so a broker can keep it under its
 /// own (briefly held) writer lock while the match path reads an
-/// immutable snapshot lock-free; [`AdaptiveFilter`](crate::AdaptiveFilter)
-/// runs the same detector.
+/// immutable snapshot lock-free.
 ///
 /// The policy fires when some attribute's empirical distribution is
 /// [`RebuildPolicy::drift_threshold`] further (L1) from the baseline
@@ -476,26 +451,6 @@ mod tests {
 
     fn event(schema: &Schema, x: i64) -> Event {
         Event::builder(schema).value("x", x).unwrap().build()
-    }
-
-    #[test]
-    fn policy_round_trips_through_adaptive_policy() {
-        let p = RebuildPolicy {
-            min_events: 7,
-            drift_threshold: 0.5,
-            decay_on_rebuild: false,
-            max_overlay: 3,
-            max_removed: 9,
-            drift_check_every: 4,
-        };
-        let a: AdaptivePolicy = p.into();
-        assert_eq!(a.min_events, 7);
-        let back: RebuildPolicy = a.into();
-        assert_eq!(back.min_events, 7);
-        assert_eq!(back.drift_threshold, 0.5);
-        assert!(!back.decay_on_rebuild);
-        // Compaction thresholds come from the default.
-        assert_eq!(back.max_overlay, RebuildPolicy::default().max_overlay);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub struct MatchScratch {
     pub(crate) per_level: Vec<u64>,
     /// Total comparison operations (0 for matchers that do not count).
     pub(crate) ops: u64,
-    /// Per-profile satisfied-predicate counters (counting matchers
+    /// Per-profile satisfied-predicate counters (counting index
     /// only). Values are valid only where `epochs` matches `epoch`; the
     /// epoch scheme means no per-event O(profiles) clearing.
     pub(crate) counters: Vec<u32>,
@@ -101,9 +101,8 @@ impl MatchScratch {
     /// re-zeroed only when the profile count changes or the 32-bit
     /// epoch wraps around.
     pub(crate) fn begin_epoch(&mut self, profiles: usize) {
-        // Both lengths are checked: a non-epoch matcher (e.g. the
-        // counting baseline) may have resized `counters` on this shared
-        // scratch without touching `epochs`.
+        // Both lengths are checked, so the two tables cannot get out
+        // of step whatever else touched `counters` on a shared scratch.
         if self.epochs.len() != profiles || self.counters.len() != profiles {
             self.epochs.clear();
             self.epochs.resize(profiles, 0);
@@ -437,7 +436,7 @@ pub trait Matcher {
 
 thread_local! {
     /// Shared working buffers of the allocating `match_event`
-    /// compatibility wrappers (tree, DFSA, naive, counting): resolving
+    /// compatibility wrappers (tree, DFSA, naive): resolving
     /// into a thread-local [`IndexedEvent`] + [`MatchScratch`] pair
     /// means a warmed-up wrapper call only allocates its owned result.
     static WRAPPER_SCRATCH: RefCell<(IndexedEvent, MatchScratch)> =
@@ -497,9 +496,9 @@ mod tests {
 
     #[test]
     fn epoch_counters_survive_foreign_counter_resize() {
-        // A non-epoch matcher (counting baseline) may resize `counters`
-        // on a shared scratch without touching `epochs`; the next epoch
-        // must re-synchronise both.
+        // Something else may resize `counters` on a shared scratch
+        // without touching `epochs`; the next epoch must re-synchronise
+        // both.
         let mut s = MatchScratch::new();
         s.begin_epoch(100);
         assert_eq!(s.bump_counter(99), 1);

@@ -8,9 +8,8 @@
 //! filter structure under that estimate, and "an adaptive filter
 //! component … optimizes the profile tree for certain applications
 //! based on the data distributions" (§1). Where the
-//! [`AdaptiveFilter`](crate::AdaptiveFilter) and
-//! [`DriftTracker`](crate::DriftTracker) only *refresh the model* of a
-//! fixed configuration, a [`TuningPolicy`] re-evaluates the
+//! [`DriftTracker`](crate::DriftTracker) only *refreshes the model* of
+//! a fixed configuration, a [`TuningPolicy`] re-evaluates the
 //! configuration itself — the V1–V3 value orders and binary search
 //! ([`SearchStrategy`]) crossed with the natural/A1/A2 attribute orders
 //! ([`AttributeOrder`]) — and recommends a retune only when the

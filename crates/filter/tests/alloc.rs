@@ -8,10 +8,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ens_filter::baseline::{CountingMatcher, NaiveMatcher};
+use ens_filter::baseline::NaiveMatcher;
 use ens_filter::{
-    BlockScratch, Dfsa, FilterSnapshot, MatchScratch, Matcher, ProfileTree, SnapshotBlockScratch,
-    SnapshotScratch, TreeConfig,
+    BlockScratch, Dfsa, FilterSnapshot, MatchScratch, Matcher, OverlayIndex, ProfileTree,
+    SnapshotBlockScratch, SnapshotScratch, TreeConfig,
 };
 use ens_types::{
     CoverOutcome, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId,
@@ -112,7 +112,7 @@ fn warm_fast_paths_allocate_nothing() {
     let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
     let dfsa = Dfsa::from_tree(&tree);
     let naive = NaiveMatcher::new(&ps).unwrap();
-    let counting = CountingMatcher::new(&ps).unwrap();
+    let counting = OverlayIndex::new(&ps).unwrap();
 
     let matchers: [(&str, &dyn Matcher); 4] = [
         ("dfsa", &dfsa),
@@ -179,7 +179,7 @@ fn warm_fast_paths_allocate_nothing() {
 
     // The allocating `match_event` wrappers resolve into a shared
     // thread-local buffer, so a warmed-up call only allocates its owned
-    // result: nothing for a non-matching DFSA/naive/counting event, one
+    // result: nothing for a non-matching DFSA/naive event, one
     // vector otherwise (the tree outcome additionally owns its
     // per-level counters). The seed wrappers paid ~1.65 extra
     // allocations per event for working buffers.
@@ -187,22 +187,19 @@ fn warm_fast_paths_allocate_nothing() {
         let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
         let dfsa = Dfsa::from_tree(&tree);
         let naive = NaiveMatcher::new(&ps).unwrap();
-        let counting = CountingMatcher::new(&ps).unwrap();
         let n = events.len() as u64;
 
-        // Warm the thread-local wrapper buffers (and the counting
-        // matcher's counter table) once.
+        // Warm the thread-local wrapper buffers once.
         let mut matching = 0u64;
         for e in &events {
             matching += u64::from(!dfsa.match_event(e).unwrap().is_empty());
             tree.match_event(e).unwrap();
             naive.match_event(e).unwrap();
-            counting.match_event(e).unwrap();
         }
         assert!(matching > 0, "workload should produce matches");
 
         type WrapperCall<'a> = (&'a str, &'a dyn Fn(&Event) -> bool, u64);
-        let wrappers: [WrapperCall<'_>; 4] = [
+        let wrappers: [WrapperCall<'_>; 3] = [
             // Result vector only on a match.
             (
                 "dfsa",
@@ -218,11 +215,6 @@ fn warm_fast_paths_allocate_nothing() {
             (
                 "naive",
                 &|e| naive.match_event(e).unwrap().is_match(),
-                matching,
-            ),
-            (
-                "counting",
-                &|e| counting.match_event(e).unwrap().is_match(),
                 matching,
             ),
         ];

@@ -2,7 +2,13 @@
 //! [`FilterSnapshot`]) agrees with the `NaiveMatcher` oracle — and with
 //! a fresh post-compaction [`FilterSnapshot::compile`] — under
 //! randomized subscribe/unsubscribe churn, including tombstones and
-//! events with missing attributes.
+//! events with missing attributes. The same checks run once over the
+//! full environmental and stock scenario populations held entirely in
+//! the overlay: there the counting index is the counting baseline of
+//! the paper's §2, compared three ways against the naive matcher and
+//! the compiled tree and DFSA.
+
+use std::sync::Once;
 
 use ens_filter::baseline::NaiveMatcher;
 use ens_filter::{
@@ -12,7 +18,10 @@ use ens_filter::{
 use ens_types::{
     Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId, ProfileSet, Schema,
 };
+use ens_workloads::{scenario, EventGenerator};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Two attributes: a small domain (jump-table DFSA states) and a large
 /// one (binary-search states), like the main DFSA property suite.
@@ -95,6 +104,150 @@ fn make_profile(schema: &Schema, px: &Predicate, py: &Predicate) -> Profile {
     Profile::from_predicates(schema, ProfileId::new(0), vec![px.clone(), py.clone()]).unwrap()
 }
 
+/// The overlay as the profile set `with_overlay` takes (dense ids in
+/// insertion order).
+fn overlay_set(schema: &Schema, overlay: &[Profile]) -> ProfileSet {
+    let mut ps = ProfileSet::new(schema);
+    for p in overlay {
+        ps.insert(p.clone());
+    }
+    ps
+}
+
+/// The oracle case: `snap` holds `base_set` compiled (less the
+/// `removed` tombstones) plus `overlay`; every event of `built` is
+/// matched through it and checked against the oracles.
+fn check_against_oracles(
+    schema: &Schema,
+    base_set: &ProfileSet,
+    removed: &[bool],
+    overlay: &ProfileSet,
+    snap: &FilterSnapshot,
+    built: &[Event],
+) {
+    assert_eq!(snap.overlay_len(), overlay.len());
+    assert_eq!(
+        snap.live_len(),
+        base_set.len() - snap.removed_len() + overlay.len()
+    );
+
+    // Oracles: the naive side-matcher over the overlay (what the
+    // counting index replaced) and a fresh full compile of the live
+    // set (what the next compaction would produce). `live` inserts
+    // base-live first, then overlay — the broker's compaction order
+    // — so global snapshot ids map positionally onto compiled ids.
+    let naive_overlay = NaiveMatcher::new(overlay).unwrap();
+    let counting_overlay = OverlayIndex::new(overlay).unwrap();
+    let mut live = ProfileSet::new(schema);
+    let mut live_of_base = vec![usize::MAX; base_set.len()];
+    let mut next = 0usize;
+    for (k, p) in base_set.iter().enumerate() {
+        if !removed[k] {
+            live.insert(p.clone());
+            live_of_base[k] = next;
+            next += 1;
+        }
+    }
+    for p in overlay.iter() {
+        live.insert(p.clone());
+    }
+    let compacted = FilterSnapshot::compile(&live, &TreeConfig::default()).unwrap();
+
+    let mut s = SnapshotScratch::new();
+    let mut s_dfsa = SnapshotScratch::new();
+    let mut s_compact = SnapshotScratch::new();
+    let mut naive_scratch = MatchScratch::new();
+    let mut counting_scratch = MatchScratch::new();
+    let mut block = SnapshotBlockScratch::new();
+    let mut batch = IndexedBatch::new();
+    batch.resolve_into(schema, built.iter()).unwrap();
+    snap.match_block(&batch, &mut block, true);
+    for (i, e) in built.iter().enumerate() {
+        let indexed = IndexedEvent::resolve(schema, e).unwrap();
+
+        // 1. Tree and DFSA dispatch agree.
+        snap.match_into(&indexed, &mut s, false);
+        snap.match_into(&indexed, &mut s_dfsa, true);
+        assert_eq!(s.matched(), s_dfsa.matched());
+
+        // 2. The overlay part equals the naive oracle over the
+        //    overlay set, and the counting index standalone.
+        let overlay_ids: Vec<u32> = s
+            .matched()
+            .iter()
+            .copied()
+            .filter(|g| *g >= snap.base_len() as u32)
+            .map(|g| g - snap.base_len() as u32)
+            .collect();
+        naive_overlay.match_into(&indexed, &mut naive_scratch);
+        counting_overlay.match_into(&indexed, &mut counting_scratch);
+        let naive_ids: Vec<u32> = naive_scratch
+            .profiles()
+            .iter()
+            .map(|p| p.index() as u32)
+            .collect();
+        assert_eq!(&overlay_ids, &naive_ids);
+        let counting_ids: Vec<u32> = counting_scratch
+            .profiles()
+            .iter()
+            .map(|p| p.index() as u32)
+            .collect();
+        assert_eq!(&overlay_ids, &counting_ids);
+
+        // 3. Global ids map positionally onto a fresh compile of
+        //    the live set (the post-compaction snapshot).
+        let live_base = next as u32;
+        let mapped: Vec<u32> = s
+            .matched()
+            .iter()
+            .map(|g| {
+                if *g < snap.base_len() as u32 {
+                    live_of_base[*g as usize] as u32
+                } else {
+                    live_base + (g - snap.base_len() as u32)
+                }
+            })
+            .collect();
+        compacted.match_into(&indexed, &mut s_compact, false);
+        assert_eq!(&mapped, &s_compact.matched().to_vec());
+
+        // 4. The ProfileSet oracle agrees with the compacted ids.
+        let oracle: Vec<u32> = live
+            .matches(e)
+            .unwrap()
+            .iter()
+            .map(|p| p.index() as u32)
+            .collect();
+        assert_eq!(&mapped, &oracle);
+
+        // 5. The block engine agrees with the per-event path.
+        assert_eq!(block.matched_of(i), s.matched());
+    }
+}
+
+/// A whole scenario population as one more input of the oracle case:
+/// nothing compiled, every profile in the overlay.
+fn check_scenario(profiles: &ProfileSet, generator: &EventGenerator, seed: u64) {
+    let schema = profiles.schema();
+    let empty = ProfileSet::new(schema);
+    let snap = FilterSnapshot::compile(&empty, &TreeConfig::default())
+        .unwrap()
+        .with_overlay(profiles)
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let built: Vec<Event> = (0..64)
+        .map(|k| match k % 4 {
+            0 => generator.sample_partial(&mut rng, 0.3),
+            _ => generator.sample(&mut rng),
+        })
+        .collect();
+    check_against_oracles(schema, &empty, &[], profiles, &snap, &built);
+}
+
+/// Runs the two scenario inputs once per test run, not once per
+/// generated case.
+static SCENARIOS: Once = Once::new();
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -104,6 +257,15 @@ proptest! {
         ops in arb_ops(),
         events in arb_events(),
     ) {
+        SCENARIOS.call_once(|| {
+            let mut rng = StdRng::seed_from_u64(1);
+            let env = scenario::environmental_profiles(1000, &mut rng).unwrap();
+            let model = scenario::environmental_event_model().unwrap();
+            check_scenario(&env, &EventGenerator::new(env.schema(), model).unwrap(), 2);
+            let stock = scenario::stock_profiles(1000, &mut rng).unwrap();
+            let model = scenario::stock_event_model().unwrap();
+            check_scenario(&stock, &EventGenerator::new(stock.schema(), model).unwrap(), 3);
+        });
         let schema = schema();
 
         // Writer-side model of the broker's shard state.
@@ -119,11 +281,7 @@ proptest! {
             match op {
                 ChurnOp::Subscribe(px, py) => {
                     overlay.push(make_profile(&schema, px, py));
-                    let mut ps = ProfileSet::new(&schema);
-                    for p in &overlay {
-                        ps.insert(p.clone());
-                    }
-                    snap = snap.with_overlay(&ps).unwrap();
+                    snap = snap.with_overlay(&overlay_set(&schema, &overlay)).unwrap();
                 }
                 ChurnOp::Tombstone(k) if !removed.is_empty() => {
                     let slot = *k % removed.len();
@@ -132,118 +290,16 @@ proptest! {
                 }
                 ChurnOp::DropOverlay(k) if !overlay.is_empty() => {
                     overlay.remove(*k % overlay.len());
-                    let mut ps = ProfileSet::new(&schema);
-                    for p in &overlay {
-                        ps.insert(p.clone());
-                    }
-                    snap = snap.with_overlay(&ps).unwrap();
+                    snap = snap.with_overlay(&overlay_set(&schema, &overlay)).unwrap();
                 }
                 _ => {}
             }
         }
-        prop_assert_eq!(snap.overlay_len(), overlay.len());
-        prop_assert_eq!(snap.live_len(),
-            base_set.len() - snap.removed_len() + overlay.len());
-
-        // Oracles: the naive side-matcher over the overlay (what the
-        // counting index replaced) and a fresh full compile of the live
-        // set (what the next compaction would produce). `live` inserts
-        // base-live first, then overlay — the broker's compaction order
-        // — so global snapshot ids map positionally onto compiled ids.
-        let mut overlay_set = ProfileSet::new(&schema);
-        for p in &overlay {
-            overlay_set.insert(p.clone());
-        }
-        let naive_overlay = NaiveMatcher::new(&overlay_set).unwrap();
-        let counting_overlay = OverlayIndex::new(&overlay_set).unwrap();
-        let mut live = ProfileSet::new(&schema);
-        let mut live_of_base = vec![usize::MAX; base_set.len()];
-        let mut next = 0usize;
-        for (k, p) in base_set.iter().enumerate() {
-            if !removed[k] {
-                live.insert(p.clone());
-                live_of_base[k] = next;
-                next += 1;
-            }
-        }
-        for p in &overlay {
-            live.insert(p.clone());
-        }
-        let compacted = FilterSnapshot::compile(&live, &TreeConfig::default()).unwrap();
-
-        let mut s = SnapshotScratch::new();
-        let mut s_dfsa = SnapshotScratch::new();
-        let mut s_compact = SnapshotScratch::new();
-        let mut naive_scratch = MatchScratch::new();
-        let mut counting_scratch = MatchScratch::new();
-        let mut block = SnapshotBlockScratch::new();
-        let mut batch = IndexedBatch::new();
         let built: Vec<Event> = events
             .iter()
             .map(|(x, y)| build_event(&schema, *x, *y))
             .collect();
-        batch.resolve_into(&schema, built.iter()).unwrap();
-        snap.match_block(&batch, &mut block, true);
-        for (i, e) in built.iter().enumerate() {
-            let indexed = IndexedEvent::resolve(&schema, e).unwrap();
-
-            // 1. Tree and DFSA dispatch agree.
-            snap.match_into(&indexed, &mut s, false);
-            snap.match_into(&indexed, &mut s_dfsa, true);
-            prop_assert_eq!(s.matched(), s_dfsa.matched());
-
-            // 2. The overlay part equals the naive oracle over the
-            //    overlay set, and the counting index standalone.
-            let overlay_ids: Vec<u32> = s
-                .matched()
-                .iter()
-                .copied()
-                .filter(|g| *g >= snap.base_len() as u32)
-                .map(|g| g - snap.base_len() as u32)
-                .collect();
-            naive_overlay.match_into(&indexed, &mut naive_scratch);
-            counting_overlay.match_into(&indexed, &mut counting_scratch);
-            let naive_ids: Vec<u32> = naive_scratch
-                .profiles()
-                .iter()
-                .map(|p| p.index() as u32)
-                .collect();
-            prop_assert_eq!(&overlay_ids, &naive_ids);
-            let counting_ids: Vec<u32> = counting_scratch
-                .profiles()
-                .iter()
-                .map(|p| p.index() as u32)
-                .collect();
-            prop_assert_eq!(&overlay_ids, &counting_ids);
-
-            // 3. Global ids map positionally onto a fresh compile of
-            //    the live set (the post-compaction snapshot).
-            let live_base = next as u32;
-            let mapped: Vec<u32> = s
-                .matched()
-                .iter()
-                .map(|g| {
-                    if *g < snap.base_len() as u32 {
-                        live_of_base[*g as usize] as u32
-                    } else {
-                        live_base + (g - snap.base_len() as u32)
-                    }
-                })
-                .collect();
-            compacted.match_into(&indexed, &mut s_compact, false);
-            prop_assert_eq!(&mapped, &s_compact.matched().to_vec());
-
-            // 4. The ProfileSet oracle agrees with the compacted ids.
-            let oracle: Vec<u32> = live
-                .matches(e)
-                .unwrap()
-                .iter()
-                .map(|p| p.index() as u32)
-                .collect();
-            prop_assert_eq!(&mapped, &oracle);
-
-            // 5. The block engine agrees with the per-event path.
-            prop_assert_eq!(block.matched_of(i), s.matched());
-        }
+        let overlay = overlay_set(&schema, &overlay);
+        check_against_oracles(&schema, &base_set, &removed, &overlay, &snap, &built);
     }
 }

@@ -1,7 +1,6 @@
 //! Property-based tests for the filter's structural invariants.
 
 use ens_dist::{Density, DistOverDomain, JointDist};
-use ens_filter::baseline::NestedDfsa;
 use ens_filter::{
     binary_hit_cost, binary_miss_cost, AttributePartition, CostModel, Dfsa, Direction,
     MatchScratch, Matcher, NodeOrdering, ProfileTree, SearchStrategy, TreeConfig, ValueOrder,
@@ -87,8 +86,8 @@ fn arb_profiles2() -> impl Strategy<Value = ProfileSet> {
 proptest! {
     /// Oracle agreement of every matching path: on random profile sets
     /// and random (possibly partial) events, the tree's `match_event`,
-    /// the `match_into` fast path, the CSR DFSA (plain and minimised)
-    /// and the seed nested DFSA all return the oracle's profile set —
+    /// the `match_into` fast path and the CSR DFSA (plain and
+    /// minimised) all return the oracle's profile set —
     /// including events with missing attributes and `(*)`-edge
     /// fallthrough past don't-care profiles.
     #[test]
@@ -103,7 +102,6 @@ proptest! {
         let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
         let dfsa = Dfsa::from_tree(&tree);
         let minimized = dfsa.minimize();
-        let nested = NestedDfsa::from_tree(&tree);
         let mut indexed = IndexedEvent::new();
         let mut scratch = MatchScratch::new();
         for (x, y) in events {
@@ -131,8 +129,6 @@ proptest! {
 
             minimized.match_into(&indexed, &mut scratch);
             prop_assert_eq!(scratch.profiles(), oracle.as_slice(), "minimised dfsa");
-
-            prop_assert_eq!(nested.match_event(&e).unwrap(), oracle.clone(), "nested dfsa");
         }
     }
 

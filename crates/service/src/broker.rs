@@ -83,10 +83,10 @@ pub struct BrokerConfig {
     /// The drift half is a trigger, not a verdict. It fires when a
     /// shard's estimate of the event distribution is
     /// [`RebuildPolicy::drift_threshold`] further from the one its tree
-    /// was compiled under than sampling noise explains (or when that
-    /// estimate has been outgrown fourfold); the broker then prices the
-    /// rebuild with the cost model (Eq. 2) and commits it only if it
-    /// pays for itself — see [`Broker::decisions`] for each outcome.
+    /// was compiled under than sampling noise explains; the broker then
+    /// prices the rebuild with the cost model (Eq. 2) and commits it
+    /// only if it pays for itself — see [`Broker::decisions`] for each
+    /// outcome.
     /// Only the first trigger of a shard, the warm-up onto its first
     /// estimate, is taken unpriced. On a stationary stream the loop
     /// therefore settles: one rebuild, then a geometrically thinning
@@ -864,7 +864,7 @@ impl Broker {
             let tracker = DriftTracker::new(&profiles, config.rebuild)?;
             // Distribution-dependent strategies need a model before any
             // event arrived: seed the first tree with the (uniform)
-            // empirical model, exactly like `AdaptiveFilter::new`.
+            // empirical model of an empty history.
             let mut tree = config.tree.clone();
             if tree.event_model.is_none() {
                 tree.event_model = Some(tracker.statistics().empirical_model()?);

@@ -15,8 +15,6 @@ pub enum ServiceError {
     Types(TypesError),
     /// The referenced subscription does not exist (or was cancelled).
     UnknownSubscription(SubscriptionId),
-    /// The referenced composite definition does not exist.
-    UnknownComposite(u64),
     /// Durable state (WAL or checkpoint) could not be written or
     /// recovered.
     Persist(String),
@@ -30,7 +28,6 @@ impl fmt::Display for ServiceError {
             ServiceError::UnknownSubscription(id) => {
                 write!(f, "unknown subscription {id}")
             }
-            ServiceError::UnknownComposite(id) => write!(f, "unknown composite definition {id}"),
             ServiceError::Persist(msg) => write!(f, "durable state error: {msg}"),
         }
     }

@@ -6,14 +6,13 @@
 //! (§5). This crate is that service layer:
 //!
 //! * [`Broker`] — thread-safe subscribe/publish hub delivering
-//!   [`Notification`]s over channels, filtering through an
-//!   [`AdaptiveFilter`](ens_filter::AdaptiveFilter) that restructures
-//!   its profile tree as the observed event distribution drifts;
+//!   [`Notification`]s over channels, filtering through per-shard
+//!   [`FilterSnapshot`](ens_filter::FilterSnapshot)s it recompiles as
+//!   subscriptions churn and — priced by the cost model — as the
+//!   observed event distribution drifts;
 //! * [`QuenchAdvice`] — Elvin-style quenching (§2): producers learn
 //!   which value ranges no subscription references and can drop dead
 //!   events at the source;
-//! * [`CompositeDetector`] — composite events (sequence, conjunction,
-//!   disjunction over time windows), the §5 future-work extension;
 //! * [`MetricsSnapshot`] — service counters (events, notifications,
 //!   comparison operations, rebuilds), and [`Decision`] — the journal
 //!   of what the adaptive loop decided and on which numbers
@@ -46,7 +45,6 @@
 
 mod broker;
 mod channel;
-mod composite;
 mod error;
 pub mod federation;
 pub mod journal;
@@ -59,7 +57,6 @@ pub mod vfs;
 
 pub use broker::{Broker, BrokerConfig, PublishReceipt, Recovered};
 pub use channel::OverflowPolicy;
-pub use composite::{CompositeDetector, CompositeExpr, CompositeId};
 pub use error::ServiceError;
 pub use federation::{Federation, FederationConfig};
 pub use journal::{Decision, DeclineReason, TreeShape};

@@ -691,10 +691,11 @@ pub struct AdaptiveSweepRow {
     pub rebuilds: u64,
 }
 
-/// Sweeps the adaptive filter's drift threshold on a workload whose
-/// event distribution shifts between two peaks (the §5 scenario: "the
-/// algorithm … has to maintain a history of events in order to
-/// determine the event distribution").
+/// Sweeps the drift detector's threshold ([`ens_filter::DriftTracker`]
+/// over a V1 [`ProfileTree`]) on a workload whose event distribution
+/// shifts between two peaks (the §5 scenario: "the algorithm … has to
+/// maintain a history of events in order to determine the event
+/// distribution").
 ///
 /// Returns one row per threshold; the last row (`threshold > 2`) is the
 /// non-adaptive control.
@@ -703,7 +704,7 @@ pub struct AdaptiveSweepRow {
 ///
 /// Propagates experiment errors.
 pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError> {
-    use ens_filter::{AdaptiveFilter, AdaptivePolicy};
+    use ens_filter::{DriftCause, DriftTracker, RebuildPolicy};
 
     let schema = Schema::builder()
         .attribute("x", Domain::int(0, 99))?
@@ -718,19 +719,29 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
 
     let mut rows = Vec::new();
     for threshold in [0.05, 0.15, 0.30, 0.60, 2.5] {
-        let config = TreeConfig {
-            search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
-            ..TreeConfig::default()
-        };
-        let policy = AdaptivePolicy {
+        // The drift is evaluated after every event and every trigger is
+        // honoured: pricing a rebuild against its cost is the broker's
+        // business, not the sweep's.
+        let policy = RebuildPolicy {
             min_events: 200,
             drift_threshold: threshold,
             decay_on_rebuild: true,
+            drift_check_every: 1,
+            ..RebuildPolicy::default()
         };
-        let mut filter = AdaptiveFilter::new(&profiles, config, policy)?;
+        let mut tracker = DriftTracker::new(&profiles, policy)?;
+        // The first tree is compiled under the (uniform) estimate of an
+        // empty history.
+        let mut config = TreeConfig {
+            search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
+            event_model: Some(tracker.statistics().empirical_model()?),
+            ..TreeConfig::default()
+        };
+        let mut tree = ProfileTree::build(&profiles, &config)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut total_ops = 0u64;
         let mut events = 0u64;
+        let mut rebuilds = 0u64;
         for phase in 0..6 {
             let dist = if phase % 2 == 0 { &low } else { &high };
             for _ in 0..1500 {
@@ -738,15 +749,20 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
                 let e = ens_types::Event::builder(&schema)
                     .value("x", idx as i64)?
                     .build();
-                let out = filter.process(&e)?;
-                total_ops += out.ops();
+                total_ops += tree.match_event(&e)?.ops();
                 events += 1;
+                if let Some(signal) = tracker.observe(&e)? {
+                    config.event_model = Some(tracker.prepare_model(&profiles, None)?);
+                    tree = ProfileTree::build(&profiles, &config)?;
+                    tracker.finish_rebuild(signal.cause == DriftCause::Moved)?;
+                    rebuilds += 1;
+                }
             }
         }
         rows.push(AdaptiveSweepRow {
             threshold,
             avg_ops: total_ops as f64 / events as f64,
-            rebuilds: filter.rebuild_count(),
+            rebuilds,
         });
     }
     Ok(rows)

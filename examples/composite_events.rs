@@ -4,8 +4,9 @@
 //!
 //! Run with `cargo run --example composite_events`.
 
+use ens::composite::{CompositeDetector, CompositeExpr};
 use ens::prelude::*;
-use ens::service::{BrokerConfig, CompositeDetector, CompositeExpr};
+use ens::service::BrokerConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schema = Schema::builder()

@@ -3,8 +3,8 @@
 //!
 //! A composite event is a temporal combination of primitive profile
 //! matches. The detector consumes the per-event match sets a
-//! [`Broker`](crate::Broker) reports (via
-//! [`PublishReceipt::matched`](crate::PublishReceipt)) together with a
+//! [`Broker`](ens_service::Broker) reports (via
+//! [`PublishReceipt::matched`](ens_service::PublishReceipt)) together with a
 //! logical timestamp, and fires composite ids when their expressions are
 //! satisfied.
 //!
@@ -23,8 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::subscription::SubscriptionId;
-use crate::ServiceError;
+use ens_service::SubscriptionId;
 
 /// Identifier of a registered composite definition.
 #[derive(
@@ -46,6 +45,18 @@ impl std::fmt::Display for CompositeId {
         write!(f, "c{}", self.0)
     }
 }
+
+/// The referenced composite definition does not exist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnknownComposite(pub CompositeId);
+
+impl std::fmt::Display for UnknownComposite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown composite definition {}", self.0.get())
+    }
+}
+
+impl std::error::Error for UnknownComposite {}
 
 /// A composite-event expression over primitive subscriptions.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -137,8 +148,8 @@ struct Definition {
 /// # Example
 ///
 /// ```
-/// use ens_service::{CompositeDetector, CompositeExpr};
-/// use ens_service::SubscriptionId;
+/// use ens::composite::{CompositeDetector, CompositeExpr};
+/// use ens::service::SubscriptionId;
 ///
 /// let heat = SubscriptionId::new(0);
 /// let dry = SubscriptionId::new(1);
@@ -186,12 +197,12 @@ impl CompositeDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::UnknownComposite`] for unknown ids.
-    pub fn unregister(&mut self, id: CompositeId) -> Result<(), ServiceError> {
+    /// Returns [`UnknownComposite`] for unknown ids.
+    pub fn unregister(&mut self, id: CompositeId) -> Result<(), UnknownComposite> {
         let before = self.defs.len();
         self.defs.retain(|d| d.id != id);
         if self.defs.len() == before {
-            return Err(ServiceError::UnknownComposite(id.get()));
+            return Err(UnknownComposite(id));
         }
         Ok(())
     }
@@ -213,13 +224,13 @@ impl CompositeDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::UnknownComposite`] for unknown ids.
-    pub fn primitives(&self, id: CompositeId) -> Result<Vec<SubscriptionId>, ServiceError> {
+    /// Returns [`UnknownComposite`] for unknown ids.
+    pub fn primitives(&self, id: CompositeId) -> Result<Vec<SubscriptionId>, UnknownComposite> {
         let def = self
             .defs
             .iter()
             .find(|d| d.id == id)
-            .ok_or(ServiceError::UnknownComposite(id.get()))?;
+            .ok_or(UnknownComposite(id))?;
         let mut out = Vec::new();
         def.expr.primitives(&mut out);
         out.sort_unstable();

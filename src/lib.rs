@@ -17,10 +17,14 @@
 //! * [`dist`] — distribution toolkit and named catalog ([`ens_dist`]);
 //! * [`filter`] — the profile-tree filter, cost model, selectivity
 //!   measures and baseline matchers ([`ens_filter`]);
-//! * [`service`] — a notification broker with adaptive re-optimisation,
-//!   quenching and composite events ([`ens_service`]);
+//! * [`service`] — a notification broker with adaptive re-optimisation
+//!   and quenching ([`ens_service`]);
 //! * [`workloads`] — scenario generators and the paper's experiment
 //!   harness ([`ens_workloads`]).
+//!
+//! One module lives here and not in a member crate: [`composite`], the
+//! composite-event detector of the paper's §5 outlook, which consumes
+//! what a broker reports and is used by nothing below this crate.
 //!
 //! # Quickstart
 //!
@@ -56,6 +60,8 @@
 // it — including the self-tuning tuning-guide example — is compiled
 // and executed as a doctest.
 #![doc = include_str!("../README.md")]
+
+pub mod composite;
 
 pub use ens_dist as dist;
 pub use ens_filter as filter;

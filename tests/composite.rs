@@ -9,7 +9,8 @@
 //! timestamps, zero windows, and gaps long enough to expire every
 //! window.
 
-use ens_service::{CompositeDetector, CompositeExpr, CompositeId, SubscriptionId};
+use ens::composite::{CompositeDetector, CompositeExpr, CompositeId};
+use ens::service::SubscriptionId;
 use proptest::prelude::*;
 
 /// Number of distinct primitive subscriptions the streams draw from.

@@ -2,12 +2,13 @@
 //! checked against the direct predicate-evaluation oracle.
 
 use ens::dist::JointDist;
-use ens::filter::baseline::{CountingMatcher, NaiveMatcher};
+use ens::filter::baseline::NaiveMatcher;
 use ens::filter::{
-    AttributeMeasure, AttributeOrder, Dfsa, Direction, ProfileTree, SearchStrategy, TreeConfig,
-    ValueOrder,
+    AttributeMeasure, AttributeOrder, Dfsa, Direction, MatchScratch, Matcher, OverlayIndex,
+    ProfileTree, SearchStrategy, TreeConfig, ValueOrder,
 };
 use ens::prelude::*;
+use ens::types::IndexedEvent;
 use ens::workloads::{scenario, EventGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,7 +48,9 @@ fn all_matchers_agree(profiles: &ProfileSet, joint: &JointDist, events: usize, s
         .collect();
     let dfsas: Vec<Dfsa> = trees.iter().map(Dfsa::from_tree).collect();
     let naive = NaiveMatcher::new(profiles).unwrap();
-    let counting = CountingMatcher::new(profiles).unwrap();
+    // The counting baseline: the overlay index over the whole population.
+    let counting = OverlayIndex::new(profiles).unwrap();
+    let mut scratch = MatchScratch::new();
 
     let mut rng = StdRng::seed_from_u64(seed);
     for k in 0..events {
@@ -76,10 +79,8 @@ fn all_matchers_agree(profiles: &ProfileSet, joint: &JointDist, events: usize, s
             );
         }
         assert_eq!(naive.match_event(&e).unwrap().profiles(), oracle.as_slice());
-        assert_eq!(
-            counting.match_event(&e).unwrap().profiles(),
-            oracle.as_slice()
-        );
+        counting.match_into(&IndexedEvent::resolve(schema, &e).unwrap(), &mut scratch);
+        assert_eq!(scratch.profiles(), oracle.as_slice());
     }
 }
 

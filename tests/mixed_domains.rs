@@ -2,10 +2,14 @@
 //! categoricals and booleans flowing through parsing, the tree, the
 //! DFSA, baselines and the broker.
 
-use ens::filter::baseline::{CountingMatcher, NaiveMatcher};
-use ens::filter::{Dfsa, Direction, ProfileTree, SearchStrategy, TreeConfig, ValueOrder};
+use ens::filter::baseline::NaiveMatcher;
+use ens::filter::{
+    Dfsa, Direction, MatchScratch, Matcher, OverlayIndex, ProfileTree, SearchStrategy, TreeConfig,
+    ValueOrder,
+};
 use ens::prelude::*;
 use ens::types::parse::{parse_event, parse_profile};
+use ens::types::IndexedEvent;
 
 fn weather_schema() -> Schema {
     Schema::builder()
@@ -90,7 +94,9 @@ fn every_matcher_agrees_on_the_full_mixed_event_space() {
         },
     ];
     let naive = NaiveMatcher::new(&ps).unwrap();
-    let counting = CountingMatcher::new(&ps).unwrap();
+    // The counting baseline: the overlay index over the whole set.
+    let counting = OverlayIndex::new(&ps).unwrap();
+    let mut scratch = MatchScratch::new();
     for config in configs {
         let tree = ProfileTree::build(&ps, &config).unwrap();
         let dfsa = Dfsa::from_tree(&tree).minimize();
@@ -104,10 +110,8 @@ fn every_matcher_agrees_on_the_full_mixed_event_space() {
             );
             assert_eq!(dfsa.match_event(&e).unwrap(), oracle);
             assert_eq!(naive.match_event(&e).unwrap().profiles(), oracle.as_slice());
-            assert_eq!(
-                counting.match_event(&e).unwrap().profiles(),
-                oracle.as_slice()
-            );
+            counting.match_into(&IndexedEvent::resolve(&schema, &e).unwrap(), &mut scratch);
+            assert_eq!(scratch.profiles(), oracle.as_slice());
         }
     }
 }

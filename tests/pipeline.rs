@@ -4,9 +4,10 @@
 
 use std::time::Duration;
 
-use ens_filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, ValueOrder};
-use ens_service::{Broker, BrokerConfig, CompositeDetector, CompositeExpr};
-use ens_types::{Domain, Event, Predicate, Schema};
+use ens::composite::{CompositeDetector, CompositeExpr};
+use ens::filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, ValueOrder};
+use ens::service::{Broker, BrokerConfig};
+use ens::types::{Domain, Event, Predicate, Schema};
 
 fn schema() -> Schema {
     Schema::builder()
