@@ -123,41 +123,6 @@ struct NamedRatio {
     value: f64,
 }
 
-/// One row of the concurrent-publisher strong-scaling table: `threads`
-/// publishers split the same event batch.
-#[derive(Debug, Serialize)]
-struct ThreadRow {
-    threads: u64,
-    events_per_sec: f64,
-    ns_per_event: f64,
-}
-
-/// One row of the `publish_batch` shard-fan-out table (single caller,
-/// one worker thread per shard).
-#[derive(Debug, Serialize)]
-struct ShardRow {
-    shards: u64,
-    events_per_sec: f64,
-    ns_per_event: f64,
-}
-
-/// Broker-level scaling for one workload.
-#[derive(Debug, Serialize)]
-struct BrokerWorkloadScaling {
-    name: String,
-    profiles: u64,
-    events: u64,
-    /// Strong scaling: k publisher threads over one shared broker
-    /// (snapshot-swap read path, thread-local scratch).
-    publish_threads: Vec<ThreadRow>,
-    /// 4-thread aggregate publish throughput over the 1-thread broker
-    /// baseline (≥ 1 means the read path scales; bounded by
-    /// `hardware_threads`).
-    speedup_4t: f64,
-    /// `publish_batch` with N shards, one `std::thread` worker each.
-    batch_shards: Vec<ShardRow>,
-}
-
 /// Subscribe latency at growing populations: the delta-overlay path vs
 /// the seed's full-rebuild-per-subscribe behaviour (`max_overlay: 0`).
 #[derive(Debug, Serialize)]
@@ -177,12 +142,12 @@ struct SubscribeLatency {
     overlay_growth_largest_over_smallest: f64,
 }
 
+/// Service-layer rows. (Strong scaling over publisher threads and
+/// shards is not measured here: the `batch_sharded` workload of the
+/// `e2e` benchmark times the shard fan-out, and nothing in this
+/// repository has been run on more than two cores.)
 #[derive(Debug, Serialize)]
 struct BrokerScaling {
-    /// `std::thread::available_parallelism()` — scaling rows beyond
-    /// this are time-sliced, not parallel.
-    hardware_threads: u64,
-    workloads: Vec<BrokerWorkloadScaling>,
     subscribe_latency: SubscribeLatency,
 }
 
@@ -639,13 +604,6 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
     let broker_scaling = BrokerScaling {
-        hardware_threads: std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(1),
-        workloads: workloads
-            .iter()
-            .map(|w| bench_broker_scaling(w, opts))
-            .collect::<Result<_, _>>()?,
         subscribe_latency: bench_subscribe_latency(opts)?,
     };
     let report = Report {
@@ -952,25 +910,6 @@ fn bench_pass(
     }
 }
 
-/// A broker loaded with the workload's profiles, at the default
-/// configuration — drift statistics on every event included: what the
-/// tables measure is what a user gets. (The warm-up rebuild falls into
-/// `broker_pass`'s warm-up pass.)
-fn bench_broker(
-    w: &BenchWorkload,
-    shards: usize,
-) -> Result<(Broker, Vec<Subscriber>), Box<dyn std::error::Error>> {
-    let broker = Broker::new(
-        &w.schema,
-        BrokerConfig {
-            shards,
-            ..BrokerConfig::default()
-        },
-    )?;
-    let subs = broker.subscribe_many(w.profiles.iter().cloned())?;
-    Ok((broker, subs))
-}
-
 /// Empties the subscribers' notification queues.
 fn drain(subs: &[Subscriber]) {
     for s in subs {
@@ -996,67 +935,6 @@ fn broker_pass(opts: &Options, subs: &[Subscriber], mut pass: impl FnMut()) -> f
         }
     }
     best.as_secs_f64()
-}
-
-/// Concurrent-publisher and batch-fan-out scaling for one workload.
-fn bench_broker_scaling(
-    w: &BenchWorkload,
-    opts: &Options,
-) -> Result<BrokerWorkloadScaling, Box<dyn std::error::Error>> {
-    let events: Vec<Arc<Event>> = w.events.iter().map(|e| Arc::new(e.clone())).collect();
-    let n_events = events.len() as f64;
-
-    // Strong scaling: k publisher threads split one event batch over a
-    // single-shard broker — the snapshot-swap read path is the only
-    // thing that lets them proceed in parallel.
-    let mut publish_threads = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let (broker, subs) = bench_broker(w, 1)?;
-        let chunk = events.len().div_ceil(threads);
-        let per_pass = broker_pass(opts, &subs, || {
-            std::thread::scope(|scope| {
-                for slice in events.chunks(chunk) {
-                    let broker = &broker;
-                    scope.spawn(move || {
-                        for e in slice {
-                            broker
-                                .publish_shared(Arc::clone(e))
-                                .expect("valid bench event");
-                        }
-                    });
-                }
-            });
-        });
-        publish_threads.push(ThreadRow {
-            threads: threads as u64,
-            events_per_sec: n_events / per_pass,
-            ns_per_event: per_pass * 1e9 / n_events,
-        });
-    }
-    let speedup_4t = publish_threads[2].events_per_sec / publish_threads[0].events_per_sec;
-
-    // Batch fan-out: one caller, one worker thread per shard.
-    let mut batch_shards = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let (broker, subs) = bench_broker(w, shards)?;
-        let per_pass = broker_pass(opts, &subs, || {
-            broker.publish_batch(&events).expect("valid bench batch");
-        });
-        batch_shards.push(ShardRow {
-            shards: shards as u64,
-            events_per_sec: n_events / per_pass,
-            ns_per_event: per_pass * 1e9 / n_events,
-        });
-    }
-
-    Ok(BrokerWorkloadScaling {
-        name: w.name.to_owned(),
-        profiles: w.profiles.len() as u64,
-        events: events.len() as u64,
-        publish_threads,
-        speedup_4t,
-        batch_shards,
-    })
 }
 
 /// Median of individually timed subscribes (ns).

@@ -768,15 +768,15 @@ impl OverlayCover {
     /// From the per-position form
     /// [`FilterSnapshot::with_overlay_covered`](crate::FilterSnapshot::with_overlay_covered)
     /// takes.
-    pub(crate) fn from_entries(
-        cover_of: &[Option<(u32, Vec<Residual>)>],
+    pub(crate) fn from_entries<R: AsRef<[Residual]>>(
+        cover_of: &[Option<(u32, R)>],
     ) -> Result<Self, PersistError> {
         let mut entries: Vec<(u32, u32, &[Residual])> = cover_of
             .iter()
             .enumerate()
             .filter_map(|(k, c)| {
                 c.as_ref()
-                    .map(|(rep, residual)| (*rep, k as u32, residual.as_slice()))
+                    .map(|(rep, residual)| (*rep, k as u32, residual.as_ref()))
             })
             .collect();
         entries.sort_unstable_by_key(|&(rep, pos, _)| (rep, pos));

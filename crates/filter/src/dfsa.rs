@@ -331,175 +331,6 @@ impl Dfsa {
             _ => Vec::new(),
         })
     }
-
-    /// Matches pre-resolved domain indices (one per schema attribute,
-    /// `None` for missing values), allocating the result vector. Prefer
-    /// [`Matcher::match_into`] in hot loops.
-    #[must_use]
-    pub fn match_indices(&self, indices: &[Option<u64>]) -> Vec<ProfileId> {
-        let raw: Vec<u64> = indices
-            .iter()
-            .map(|o| o.unwrap_or(IndexedEvent::MISSING))
-            .collect();
-        match self.terminal(&raw).unpack() {
-            Target::Leaf(l) => self.leaf(l).to_vec(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Hash-consing minimisation: merges structurally identical states
-    /// and leaves bottom-up, producing an equivalent automaton that is
-    /// usually much smaller (don't-care profiles duplicate subtrees
-    /// along sibling edges; minimisation shares them again).
-    #[must_use]
-    pub fn minimize(&self) -> Dfsa {
-        use std::collections::HashMap;
-
-        // 1. Dedup leaves by content (freeze() hash-conses leaves too, so
-        // this is the identity unless two leaves collide post-mapping).
-        let mut leaf_canon: HashMap<&[ProfileId], u32> = HashMap::new();
-        let mut new_leaves: Vec<Vec<ProfileId>> = Vec::new();
-        let mut leaf_map: Vec<u32> = Vec::with_capacity(self.leaf_count());
-        for l in 0..self.leaf_count() {
-            let leaf = self.leaf(l as u32);
-            let id = *leaf_canon.entry(leaf).or_insert_with(|| {
-                new_leaves.push(leaf.to_vec());
-                new_leaves.len() as u32 - 1
-            });
-            leaf_map.push(id);
-        }
-
-        // 2. Decode every state back into explicit edges (gap intervals
-        // stay as star-target entries for now; they are normalised away
-        // after child mapping).
-        let decoded: Vec<BuildState> = self.states.iter().map(|s| self.decode(s)).collect();
-
-        // 3. Post-order over the reachable states (children before
-        // parents, works for any DAG layout). Unreachable states are
-        // dropped as a side effect.
-        let mut order: Vec<usize> = Vec::with_capacity(self.states.len());
-        let mut visited = vec![false; self.states.len()];
-        if let Target::State(root) = self.root.unpack() {
-            let mut stack: Vec<(usize, bool)> = vec![(root as usize, false)];
-            while let Some((s, expanded)) = stack.pop() {
-                if expanded {
-                    order.push(s);
-                    continue;
-                }
-                if visited[s] {
-                    continue;
-                }
-                visited[s] = true;
-                stack.push((s, true));
-                let state = &decoded[s];
-                for t in state
-                    .edges
-                    .iter()
-                    .map(|(_, _, t)| t)
-                    .chain(std::iter::once(&state.star))
-                {
-                    if let Target::State(c) = t {
-                        if !visited[*c as usize] {
-                            stack.push((*c as usize, false));
-                        }
-                    }
-                }
-            }
-        }
-
-        type StateKey = (u32, Vec<(u64, u64, (u8, u32))>, (u8, u32));
-        let encode = |t: Target, state_map: &[u32], leaf_map: &[u32]| -> (u8, u32) {
-            match t {
-                Target::Reject => (0, 0),
-                Target::Leaf(l) => (1, leaf_map[l as usize]),
-                Target::State(s) => (2, state_map[s as usize]),
-            }
-        };
-        let decode_tag = |(tag, v): (u8, u32)| -> Target {
-            match tag {
-                0 => Target::Reject,
-                1 => Target::Leaf(v),
-                _ => Target::State(v),
-            }
-        };
-        let mut state_canon: HashMap<StateKey, u32> = HashMap::new();
-        let mut new_states: Vec<BuildState> = Vec::new();
-        let mut state_map: Vec<u32> = vec![0; self.states.len()];
-        for idx in order {
-            let s = &decoded[idx];
-            let star = encode(s.star, &state_map, &leaf_map);
-            // Normalise post-mapping: drop edges leading where the star
-            // already leads, merge adjacent intervals with equal targets.
-            let mut edges: Vec<(u64, u64, (u8, u32))> = Vec::with_capacity(s.edges.len());
-            for &(lo, hi, t) in &s.edges {
-                let t = encode(t, &state_map, &leaf_map);
-                if t == star {
-                    continue;
-                }
-                if let Some(last) = edges.last_mut() {
-                    if last.1 == lo && last.2 == t {
-                        last.1 = hi;
-                        continue;
-                    }
-                }
-                edges.push((lo, hi, t));
-            }
-            let key: StateKey = (s.attr.index() as u32, edges.clone(), star);
-            let id = *state_canon.entry(key).or_insert_with(|| {
-                new_states.push(BuildState {
-                    attr: s.attr,
-                    edges: edges
-                        .iter()
-                        .map(|&(lo, hi, t)| (lo, hi, decode_tag(t)))
-                        .collect(),
-                    star: decode_tag(star),
-                });
-                new_states.len() as u32 - 1
-            });
-            state_map[idx] = id;
-        }
-
-        let root = match self.root.unpack() {
-            Target::Reject => Target::Reject,
-            Target::Leaf(l) => Target::Leaf(leaf_map[l as usize]),
-            Target::State(s) => Target::State(state_map[s as usize]),
-        };
-        freeze(Arc::clone(&self.schema), &new_states, &new_leaves, root)
-    }
-
-    /// Reconstructs a state's explicit `[lo, hi) -> target` edge list
-    /// from its frozen arena ranges (including star-target gap entries).
-    fn decode(&self, s: &StateMeta) -> BuildState {
-        let attr = AttrId::new(s.attr);
-        let mut edges: Vec<(u64, u64, Target)> = Vec::new();
-        if s.jump {
-            // Run-length decode the dense table (stored for the covered
-            // span [s.lo, s.hi), indexed relative to s.lo).
-            let len = s.hi - s.lo;
-            let mut idx = 0u64;
-            while idx < len {
-                let t = self.jumps[s.t_off as usize + idx as usize];
-                let start = idx;
-                while idx < len && self.jumps[s.t_off as usize + idx as usize] == t {
-                    idx += 1;
-                }
-                if t != s.star {
-                    edges.push((s.lo + start, s.lo + idx, t.unpack()));
-                }
-            }
-        } else {
-            for j in 0..s.b_len.saturating_sub(1) {
-                let cut = self.cuts[(s.b_off + j) as usize];
-                let hi = self.cuts[(s.b_off + j + 1) as usize].bound;
-                edges.push((cut.bound, hi, cut.target.unpack()));
-            }
-        }
-        BuildState {
-            attr,
-            edges,
-            star: s.star.unpack(),
-        }
-    }
 }
 
 impl Matcher for Dfsa {
@@ -1135,6 +966,15 @@ mod tests {
         // Every domain here has <= 50 points, far under the threshold;
         // only edge-less `*` states fall back to the search kind.
         assert!(dfsa.jump_state_count() > 0);
+        // A raw row is not validated: an index outside the domain must
+        // satisfy no edge (jump tables bounds-check), like a missing
+        // value.
+        let mut scratch = MatchScratch::new();
+        dfsa.match_into(&IndexedEvent::from_indices(vec![None; 3]), &mut scratch);
+        let star = scratch.profiles().to_vec();
+        let outside = IndexedEvent::from_indices(vec![Some(1_000_000); 3]);
+        dfsa.match_into(&outside, &mut scratch);
+        assert_eq!(scratch.profiles(), star);
     }
 
     #[test]
@@ -1208,103 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn minimize_preserves_semantics_and_shrinks() {
-        // Multi-interval predicates produce several edges leading to
-        // identical subtrees; minimisation must share them.
-        let schema = Schema::builder()
-            .attribute("x", Domain::int(0, 19))
-            .unwrap()
-            .attribute("y", Domain::int(0, 19))
-            .unwrap()
-            .build();
-        let mut ps = ProfileSet::new(&schema);
-        ps.insert_with(|b| {
-            b.predicate("x", Predicate::in_set([3, 7, 11]))?
-                .predicate("y", Predicate::le(10))
-        })
-        .unwrap();
-        ps.insert_with(|b| b.predicate("x", Predicate::in_set([5, 15])))
-            .unwrap();
-        // One don't-care-on-x profile that appears below every x edge.
-        ps.insert_with(|b| b.predicate("y", Predicate::eq(5)))
-            .unwrap();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
-        // Lowering-time interior consing already shares the duplicated
-        // subtrees, so minimisation can only tighten further (edge
-        // normalisation: dropping edges that lead where star leads,
-        // merging adjacent equal-target intervals).
-        assert!(
-            dfsa.state_count() < tree.node_count(),
-            "{} vs {}",
-            dfsa.state_count(),
-            tree.node_count()
-        );
-        let min = dfsa.minimize();
-        assert!(
-            min.state_count() <= dfsa.state_count(),
-            "{} vs {}",
-            min.state_count(),
-            dfsa.state_count()
-        );
-        assert!(min.leaf_count() <= dfsa.leaf_count());
-        for x in 0..20 {
-            for y in 0..20 {
-                let e = ens_types::Event::builder(&schema)
-                    .value("x", x)
-                    .unwrap()
-                    .value("y", y)
-                    .unwrap()
-                    .build();
-                assert_eq!(min.match_event(&e).unwrap(), dfsa.match_event(&e).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn minimize_random_workloads_agree() {
-        let (schema, ps) = random_profiles(17, 35);
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
-        let min = dfsa.minimize();
-        assert!(min.state_count() <= dfsa.state_count());
-        let mut rng = StdRng::seed_from_u64(18);
-        for _ in 0..300 {
-            let e = ens_types::Event::builder(&schema)
-                .value("x", rng.gen_range(0..50))
-                .unwrap()
-                .value("y", rng.gen_range(0..50))
-                .unwrap()
-                .value("z", rng.gen_range(0..10))
-                .unwrap()
-                .build();
-            assert_eq!(min.match_event(&e).unwrap(), dfsa.match_event(&e).unwrap());
-        }
-        // Idempotence: minimising twice changes nothing further.
-        let twice = min.minimize();
-        assert_eq!(twice.state_count(), min.state_count());
-        assert_eq!(twice.leaf_count(), min.leaf_count());
-    }
-
-    #[test]
-    fn minimize_large_domain_roundtrip() {
-        let (schema, ps) = random_profiles_large_domain(19, 25);
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
-        let min = dfsa.minimize();
-        let mut rng = StdRng::seed_from_u64(20);
-        for _ in 0..300 {
-            let e = ens_types::Event::builder(&schema)
-                .value("x", rng.gen_range(0..10_000))
-                .unwrap()
-                .value("y", rng.gen_range(0..50))
-                .unwrap()
-                .build();
-            assert_eq!(min.match_event(&e).unwrap(), dfsa.match_event(&e).unwrap());
-        }
-    }
-
-    #[test]
     fn match_block_agrees_with_single_path() {
         use crate::scratch::BlockScratch;
         use ens_types::IndexedBatch;
@@ -1352,24 +1095,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn match_indices_short_circuit() {
-        let schema = Schema::builder()
-            .attribute("x", Domain::int(0, 9))
-            .unwrap()
-            .build();
-        let mut ps = ProfileSet::new(&schema);
-        ps.insert_with(|b| b.predicate("x", Predicate::eq(5)))
-            .unwrap();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
-        assert_eq!(dfsa.match_indices(&[Some(5)]).len(), 1);
-        assert!(dfsa.match_indices(&[Some(4)]).is_empty());
-        assert!(dfsa.match_indices(&[None]).is_empty());
-        // Out-of-domain indices satisfy no edge (jump tables must bounds-check).
-        assert!(dfsa.match_indices(&[Some(1_000_000)]).is_empty());
     }
 
     #[test]

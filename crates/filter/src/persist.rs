@@ -179,6 +179,27 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Wraps `payload` into one `[u32 len][u32 crc][payload]` frame: the
+/// unit of WAL framing and of the federation wire.
+///
+/// # Errors
+///
+/// [`PersistErrorKind::Unencodable`] if the payload exceeds the `u32`
+/// length prefix.
+pub fn frame(payload: &[u8]) -> Result<Vec<u8>, PersistError> {
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        PersistError::unencodable(format!(
+            "frame payload of {} bytes exceeds the u32 length prefix",
+            payload.len()
+        ))
+    })?;
+    let mut out = Vec::with_capacity(8 + payload.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    Ok(out)
+}
+
 /// Validates a `[u32 len][u32 crc][payload]` frame starting at byte
 /// `pos` of `bytes`: the header must be complete, the declared payload
 /// in bounds, and the checksum hold. Returns the payload slice and the

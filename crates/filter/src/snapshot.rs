@@ -552,15 +552,16 @@ impl FilterSnapshot {
     /// instead — so a covered subscribe does not grow effective
     /// matching cost at all.
     ///
-    /// `cover_of` must be parallel to `overlay`.
+    /// `cover_of` must be parallel to `overlay`; its residuals may be
+    /// owned or borrowed.
     ///
     /// # Errors
     ///
     /// Propagates predicate lowering errors.
-    pub fn with_overlay_covered(
+    pub fn with_overlay_covered<R: AsRef<[Residual]>>(
         &self,
         overlay: &ProfileSet,
-        cover_of: &[Option<(u32, Vec<Residual>)>],
+        cover_of: &[Option<(u32, R)>],
     ) -> Result<Self, FilterError> {
         debug_assert_eq!(cover_of.len(), overlay.len());
         let mut next = self.clone();

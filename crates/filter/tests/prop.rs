@@ -101,7 +101,6 @@ proptest! {
         let schema = ps.schema().clone();
         let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
         let dfsa = Dfsa::from_tree(&tree);
-        let minimized = dfsa.minimize();
         let mut indexed = IndexedEvent::new();
         let mut scratch = MatchScratch::new();
         for (x, y) in events {
@@ -126,9 +125,6 @@ proptest! {
             dfsa.match_into(&indexed, &mut scratch);
             prop_assert_eq!(scratch.profiles(), oracle.as_slice(), "CSR dfsa scratch");
             prop_assert_eq!(dfsa.match_event(&e).unwrap(), oracle.clone(), "CSR dfsa event");
-
-            minimized.match_into(&indexed, &mut scratch);
-            prop_assert_eq!(scratch.profiles(), oracle.as_slice(), "minimised dfsa");
         }
     }
 

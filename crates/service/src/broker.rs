@@ -17,6 +17,10 @@
 //!   of the total subscription count) and `unsubscribe` tombstones
 //!   compiled profiles; the expensive tree rebuild runs only when the
 //!   [`RebuildPolicy`] thresholds or its adaptive drift trigger fire.
+//!   The writer side is the `shard` module: whatever changes a shard
+//!   is an operation there, staged against the writer's entries,
+//!   committed and swapped in by one routine. This module picks the
+//!   shard, calls the operation and writes the WAL record.
 //! * **Sharded dispatch** — subscriptions are partitioned across
 //!   [`BrokerConfig::shards`] shards, each with its own snapshot,
 //!   writer lock and drift statistics, so churn and rebuilds on one
@@ -42,22 +46,21 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use ens_dist::JointDist;
 use ens_filter::{
-    expected_ops, AttributeOrder, DriftCause, DriftSignal, DriftTracker, FilterSnapshot,
-    ProfileTree, RebuildPolicy, SearchStrategy, SnapshotBlockScratch, SnapshotScratch, TreeConfig,
-    TuningPolicy,
+    expected_ops, AttributeOrder, DriftCause, DriftSignal, FilterSnapshot, RebuildPolicy,
+    SearchStrategy, SnapshotBlockScratch, SnapshotScratch, TreeConfig, TuningPolicy,
 };
 use ens_types::{
-    CoverOutcome, CoverSet, Event, IndexedBatch, IndexedEvent, Profile, ProfileBuilder, ProfileId,
-    ProfileSet, Residual, Schema, TypesError,
+    Event, IndexedBatch, IndexedEvent, Profile, ProfileBuilder, ProfileId, ProfileSet, Schema,
+    TypesError,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use crate::channel::{self, OverflowPolicy, SendOutcome, Sender};
+use crate::channel::{OverflowPolicy, SendOutcome, Sender};
 use crate::journal::{Decision, DeclineReason, Journal, TreeShape};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::notify::{Queued, Subscriber};
@@ -68,8 +71,11 @@ use crate::ServiceError;
 
 #[path = "durability.rs"]
 mod durability;
+#[path = "shard.rs"]
+mod shard;
 
 use durability::Durability;
+use shard::{notify_channel, Shard, ShardGuard, SubEntry};
 
 /// Broker configuration.
 #[derive(Debug, Clone)]
@@ -205,18 +211,6 @@ pub struct PublishReceipt {
     pub quenched: bool,
 }
 
-struct SubEntry {
-    id: SubscriptionId,
-    profile: Profile,
-    weight: f64,
-    sender: Sender<Queued>,
-    /// Compiled representatives this entry was found to cover when it
-    /// entered the overlay: its share of
-    /// [`ShardWriter::antichain_dirty`], given back if it leaves the
-    /// overlay before a compaction.
-    dominated: usize,
-}
-
 /// One dispatch slot, aligned with the snapshot's global profile ids.
 struct DispatchEntry {
     id: SubscriptionId,
@@ -245,330 +239,6 @@ impl ShardSnapshot {
         } else {
             &self.overlay_dispatch[gpid - base]
         }
-    }
-}
-
-/// The fallible first half of a compaction ([`ShardWriter::stage`]):
-/// the population about to be compiled and the configuration to compile
-/// it under. Nothing of the shard has changed yet, so a staged
-/// compaction can be priced and dropped.
-struct Staged {
-    /// The live population, in compaction order.
-    profiles: ProfileSet,
-    /// Its covering analysis, with [`BrokerConfig::covering`] on.
-    cover: Option<CoverSet>,
-    /// The representatives of `cover`: what the tree is compiled from.
-    reps: Option<ProfileSet>,
-    /// The shard's active shape, the event model to compile under and
-    /// the weights of the compiled profiles.
-    config: TreeConfig,
-    /// Time spent on this compaction so far (pricing it excluded).
-    spent: Duration,
-}
-
-impl Staged {
-    /// The profiles that enter the tree.
-    fn compiled_set(&self) -> &ProfileSet {
-        self.reps.as_ref().unwrap_or(&self.profiles)
-    }
-
-    /// The event model the tree is compiled under.
-    fn model(&self) -> &JointDist {
-        self.config
-            .event_model
-            .as_ref()
-            .expect("staging always sets the event model")
-    }
-
-    /// Compiles the tree for the staged population and configuration.
-    fn build_tree(&mut self) -> Result<ProfileTree, ServiceError> {
-        let t0 = Instant::now();
-        let tree = ProfileTree::build(self.compiled_set(), &self.config)?;
-        self.spent += t0.elapsed();
-        Ok(tree)
-    }
-}
-
-/// Writer-side state of one shard, guarded by its `Mutex`.
-struct ShardWriter {
-    /// Compiled subscriptions, aligned with the snapshot's base profile
-    /// ids (tombstoned entries stay until compaction).
-    base: Vec<SubEntry>,
-    /// Subscriptions that arrived since the last compaction, aligned
-    /// with overlay profile ids.
-    overlay: Vec<SubEntry>,
-    removed: Vec<bool>,
-    removed_count: usize,
-    /// Containment index over the compiled base, rebuilt by every
-    /// compaction when [`BrokerConfig::covering`] is on. Slot `s` is
-    /// the index into `base`: compaction rebuilds both in the same
-    /// order and `base` is append-free between compactions, so the
-    /// alignment holds until the next rebuild.
-    cover: Option<CoverSet>,
-    /// Covering outcome per overlay position, parallel to `overlay`:
-    /// `Some((compiled representative id, residual))` for entries the
-    /// probe found covered, `None` for uncovered (index-matched) ones.
-    /// Maintained in lock-step with `overlay` on every push/remove,
-    /// covering on or off.
-    overlay_cover: Vec<Option<(u32, Vec<Residual>)>>,
-    /// Compaction pressure from antichain inversions: uncovered
-    /// subscribes that themselves cover already-compiled
-    /// representatives. Folding them in would shrink the compiled
-    /// tree, so each dominated representative counts toward the
-    /// overlay-full threshold on top of the overlay length.
-    antichain_dirty: usize,
-    tracker: DriftTracker,
-    /// The shard's *active* tree configuration. Starts as
-    /// [`BrokerConfig::tree`]; an accepted retune replaces its
-    /// attribute order and search strategy, so every later compaction
-    /// (churn or drift) keeps compiling the tuned shape.
-    tree: TreeConfig,
-}
-
-impl ShardWriter {
-    fn live_count(&self) -> usize {
-        self.base.len() - self.removed_count + self.overlay.len()
-    }
-
-    /// The live entries (non-tombstoned base, then overlay): compaction
-    /// order.
-    fn live_entries(&self) -> impl Iterator<Item = &SubEntry> {
-        self.base
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| !self.removed[*k])
-            .map(|(_, e)| e)
-            .chain(self.overlay.iter())
-    }
-
-    fn overlay_profiles(&self, schema: &Schema) -> ProfileSet {
-        let mut ps = ProfileSet::new(schema);
-        for e in &self.overlay {
-            ps.insert(e.profile.clone());
-        }
-        ps
-    }
-
-    fn overlay_dispatch(&self) -> Arc<Vec<DispatchEntry>> {
-        Arc::new(
-            self.overlay
-                .iter()
-                .map(|e| DispatchEntry {
-                    id: e.id,
-                    sender: e.sender.clone(),
-                })
-                .collect(),
-        )
-    }
-
-    /// Rebuilds the base dispatch table from the writer's entries —
-    /// used after a tombstoned entry's sender was swapped out, so the
-    /// cancelled channel is released as soon as older snapshots retire.
-    fn base_dispatch(&self) -> Arc<Vec<DispatchEntry>> {
-        Arc::new(
-            self.base
-                .iter()
-                .map(|e| DispatchEntry {
-                    id: e.id,
-                    sender: e.sender.clone(),
-                })
-                .collect(),
-        )
-    }
-
-    /// Shared quench policy for incremental snapshots: base partitions
-    /// only cover compiled profiles, so quenching pauses while the
-    /// overlay is non-empty (tombstones stay conservative).
-    fn delta_quench(
-        &self,
-        prev: &ShardSnapshot,
-        filter: &FilterSnapshot,
-        schema: &Schema,
-        quench_inbound: bool,
-    ) -> Option<Arc<QuenchAdvice>> {
-        if quench_inbound && self.overlay.is_empty() {
-            prev.quench.clone().or_else(|| {
-                Some(Arc::new(QuenchAdvice::from_partitions(
-                    schema,
-                    filter.partitions(),
-                )))
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Incremental snapshot after an overlay change: shares the
-    /// compiled base *and* the tombstone set of `prev` — cost
-    /// O(overlay), independent of the compiled subscription count.
-    fn delta_snapshot(
-        &self,
-        prev: &ShardSnapshot,
-        schema: &Schema,
-        quench_inbound: bool,
-    ) -> Result<ShardSnapshot, ServiceError> {
-        let overlay = self.overlay_profiles(schema);
-        let filter = if self.cover.is_some() {
-            prev.filter
-                .with_overlay_covered(&overlay, &self.overlay_cover)?
-        } else {
-            prev.filter.with_overlay(&overlay)?
-        };
-        let quench = self.delta_quench(prev, &filter, schema, quench_inbound);
-        Ok(ShardSnapshot {
-            filter,
-            base_dispatch: Arc::clone(&prev.base_dispatch),
-            overlay_dispatch: self.overlay_dispatch(),
-            quench,
-        })
-    }
-
-    /// Incremental snapshot after tombstone changes: replaces the
-    /// tombstone bitmap and rebuilds the base dispatch (releasing
-    /// swapped-out senders); the compiled base and overlay are shared.
-    fn tombstone_snapshot(
-        &self,
-        prev: &ShardSnapshot,
-        schema: &Schema,
-        quench_inbound: bool,
-    ) -> ShardSnapshot {
-        let filter = prev.filter.with_removed(self.removed.clone());
-        let quench = self.delta_quench(prev, &filter, schema, quench_inbound);
-        ShardSnapshot {
-            filter,
-            base_dispatch: self.base_dispatch(),
-            overlay_dispatch: Arc::clone(&prev.overlay_dispatch),
-            quench,
-        }
-    }
-
-    /// Full rebuild: folds the overlay in, drops tombstones, recompiles
-    /// the tree with the shard's active configuration and the event
-    /// model the drift tracker hands out — the empirical estimate, whose
-    /// history survives the change of cell geometry, or the configured
-    /// model while that is still the better-founded prior.
-    fn compact(
-        &mut self,
-        schema: &Schema,
-        quench_inbound: bool,
-        covering: bool,
-    ) -> Result<ShardSnapshot, ServiceError> {
-        let mut staged = self.stage(schema, covering)?;
-        let tree = staged.build_tree()?;
-        self.commit(staged, tree, schema, quench_inbound, false)
-    }
-
-    /// First half of a compaction: everything up to the tree build. The
-    /// writer state is only changed by [`ShardWriter::commit`], so a
-    /// failed or abandoned compaction leaves the shard on its previous
-    /// (consistent) snapshot.
-    fn stage(&mut self, schema: &Schema, covering: bool) -> Result<Staged, ServiceError> {
-        let t0 = Instant::now();
-        let mut profiles = ProfileSet::new(schema);
-        let mut weights = Vec::with_capacity(self.live_count());
-        for e in self.live_entries() {
-            profiles.insert(e.profile.clone());
-            weights.push(e.weight);
-        }
-        let uniform = weights.iter().all(|w| (*w - 1.0).abs() < f64::EPSILON);
-
-        // One bulk containment pass over the whole live population
-        // (general-first sweep, not per-profile probes): only the
-        // representative antichain is compiled, everything else joins
-        // the expansion map.
-        let cover = if covering {
-            Some(CoverSet::build_bulk(
-                schema,
-                profiles.iter().map(|p| (p.id().index() as u32, p)),
-            )?)
-        } else {
-            None
-        };
-        // Statistics geometry and profile weights follow the set that
-        // is actually compiled — the representatives under covering.
-        // A representative keeps its own weight: its covered
-        // subscriptions ride the same compiled states for free, so
-        // boosting it further would distort the V2/V3 orderings.
-        let reps = match &cover {
-            Some(cs) => Some(FilterSnapshot::cover_representatives(&profiles, cs)?),
-            None => None,
-        };
-        let weights = if uniform {
-            None
-        } else {
-            Some(match &cover {
-                Some(cs) => cs
-                    .rep_slots()
-                    .iter()
-                    .map(|&s| weights[s as usize])
-                    .collect(),
-                None => weights,
-            })
-        };
-
-        let mut staged = Staged {
-            profiles,
-            cover,
-            reps,
-            config: TreeConfig {
-                profile_weights: weights,
-                ..self.tree.clone()
-            },
-            spent: Duration::ZERO,
-        };
-        let model = self
-            .tracker
-            .prepare_model(staged.compiled_set(), staged.config.event_model.as_ref())?;
-        staged.config.event_model = Some(model);
-        staged.spent = t0.elapsed();
-        Ok(staged)
-    }
-
-    /// Second half of a compaction: flattens `tree` — compiled from
-    /// `staged` — into the snapshot and makes the staged population the
-    /// shard's base. `migrated` is passed on to
-    /// [`DriftTracker::finish_rebuild`].
-    fn commit(
-        &mut self,
-        staged: Staged,
-        tree: ProfileTree,
-        schema: &Schema,
-        quench_inbound: bool,
-        migrated: bool,
-    ) -> Result<ShardSnapshot, ServiceError> {
-        let filter = FilterSnapshot::from_tree(tree, staged.profiles.len(), staged.cover.as_ref())?;
-        self.tracker.finish_rebuild(migrated)?;
-        let base_dispatch = Arc::new(
-            self.live_entries()
-                .map(|e| DispatchEntry {
-                    id: e.id,
-                    sender: e.sender.clone(),
-                })
-                .collect::<Vec<_>>(),
-        );
-
-        // Commit.
-        let mut live: Vec<SubEntry> = Vec::with_capacity(base_dispatch.len());
-        for (k, e) in std::mem::take(&mut self.base).into_iter().enumerate() {
-            if !self.removed[k] {
-                live.push(e);
-            }
-        }
-        live.append(&mut self.overlay);
-        self.removed = vec![false; live.len()];
-        self.removed_count = 0;
-        self.base = live;
-        self.cover = staged.cover;
-        self.overlay_cover.clear();
-        self.antichain_dirty = 0;
-        let quench = quench_inbound
-            .then(|| Arc::new(QuenchAdvice::from_partitions(schema, filter.partitions())));
-        Ok(ShardSnapshot {
-            filter,
-            base_dispatch,
-            overlay_dispatch: Arc::new(Vec::new()),
-            quench,
-        })
     }
 }
 
@@ -604,11 +274,6 @@ fn price_rebuild(
     }
     let repaid = saving / stale_ops * served as f64;
     (repaid < REBUILD_EVENTS_PER_PROFILE * compiled as f64).then_some(DeclineReason::NotYetPaid)
-}
-
-struct Shard {
-    snapshot: RwLock<Arc<ShardSnapshot>>,
-    writer: Mutex<ShardWriter>,
 }
 
 /// The result of opening a durable broker: the recovered state plus a
@@ -773,22 +438,6 @@ impl ShardBatch {
     }
 }
 
-/// A sender whose receiver is already gone: placeholder for tombstoned
-/// dispatch slots (every send fails immediately; never matched anyway).
-/// Every tombstone in the process clones one severed channel.
-fn disconnected_sender() -> Sender<Queued> {
-    static SEVERED: OnceLock<Sender<Queued>> = OnceLock::new();
-    SEVERED
-        .get_or_init(|| channel::channel(0, OverflowPolicy::default()).0)
-        .clone()
-}
-
-/// A fresh subscriber channel under `config`'s capacity and overflow
-/// policy.
-fn notify_channel(config: &BrokerConfig) -> (Sender<Queued>, channel::Receiver<Queued>) {
-    channel::channel(config.notify_capacity, config.overflow)
-}
-
 /// Per-event delivery outcome, accumulated across shards.
 #[derive(Default)]
 struct Delivery {
@@ -857,55 +506,12 @@ impl Broker {
     ///
     /// Propagates filter construction errors.
     pub fn new(schema: &Schema, config: BrokerConfig) -> Result<Self, ServiceError> {
-        let n = config.shards.max(1);
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            let profiles = ProfileSet::new(schema);
-            let tracker = DriftTracker::new(&profiles, config.rebuild)?;
-            // Distribution-dependent strategies need a model before any
-            // event arrived: seed the first tree with the (uniform)
-            // empirical model of an empty history.
-            let mut tree = config.tree.clone();
-            if tree.event_model.is_none() {
-                tree.event_model = Some(tracker.statistics().empirical_model()?);
-            }
-            let filter = FilterSnapshot::compile(&profiles, &tree)?;
-            let quench = config
-                .quench_inbound
-                .then(|| Arc::new(QuenchAdvice::from_partitions(schema, filter.partitions())));
-            let snapshot = ShardSnapshot {
-                filter,
-                base_dispatch: Arc::new(Vec::new()),
-                overlay_dispatch: Arc::new(Vec::new()),
-                quench,
-            };
-            shards.push(Shard {
-                snapshot: RwLock::new(Arc::new(snapshot)),
-                writer: Mutex::new(ShardWriter {
-                    base: Vec::new(),
-                    overlay: Vec::new(),
-                    removed: Vec::new(),
-                    removed_count: 0,
-                    cover: None,
-                    overlay_cover: Vec::new(),
-                    antichain_dirty: 0,
-                    tracker,
-                    tree: config.tree.clone(),
-                }),
-            });
-        }
-        Ok(Broker {
-            schema: Arc::new(schema.clone()),
-            config,
-            shards: shards.into_boxed_slice(),
-            history: Mutex::new(VecDeque::new()),
-            sequence: AtomicU64::new(0),
-            next_sub: AtomicU64::new(0),
-            metrics: Arc::new(Metrics::default()),
-            journal: Journal::new(),
-            durability: None,
-            batch_fault: AtomicU64::new(0),
-        })
+        let schema = Arc::new(schema.clone());
+        let metrics = Arc::new(Metrics::default());
+        let shards = (0..config.shards.max(1))
+            .map(|_| Shard::new(&schema, &config, &metrics))
+            .collect::<Result<_, _>>()?;
+        Ok(Self::over(schema, config, metrics, shards, 0, 0))
     }
 
     /// Rebuilds the broker from a loaded checkpoint: no recompilation —
@@ -928,144 +534,47 @@ impl Broker {
                 cp.shards.len()
             )));
         }
-        let mut shards = Vec::with_capacity(n);
-        for cs in cp.shards {
-            let filter = FilterSnapshot::from_bytes(&cs.filter)?;
-            if filter.base_len() != cs.base.len() || filter.overlay_len() != cs.overlay.len() {
-                return Err(ServiceError::Persist(format!(
-                    "checkpoint entries ({} base, {} overlay) do not line up \
-                     with the shard's filter snapshot ({}, {})",
-                    cs.base.len(),
-                    cs.overlay.len(),
-                    filter.base_len(),
-                    filter.overlay_len()
-                )));
-            }
-            let mut base = Vec::with_capacity(cs.base.len());
-            let mut removed = Vec::with_capacity(cs.base.len());
-            let mut removed_count = 0;
-            for e in cs.base {
-                let id = SubscriptionId::new(e.id);
-                let sender = if e.tombstoned {
-                    removed_count += 1;
-                    disconnected_sender()
-                } else {
-                    let (tx, rx) = notify_channel(&config);
-                    subscribers.insert(e.id, Subscriber::new(id, rx));
-                    tx
-                };
-                removed.push(e.tombstoned);
-                base.push(SubEntry {
-                    id,
-                    profile: e.profile,
-                    weight: e.weight,
-                    sender,
-                    dominated: 0,
-                });
-            }
-            if filter.removed_len() != removed_count {
-                return Err(ServiceError::Persist(format!(
-                    "checkpoint tombstones ({removed_count}) do not line up \
-                     with the shard's filter snapshot ({})",
-                    filter.removed_len()
-                )));
-            }
-            let mut overlay = Vec::with_capacity(cs.overlay.len());
-            for e in cs.overlay {
-                if e.tombstoned {
-                    return Err(ServiceError::Persist(
-                        "checkpoint overlay entries cannot be tombstoned".into(),
-                    ));
-                }
-                let id = SubscriptionId::new(e.id);
-                let (tx, rx) = notify_channel(&config);
-                subscribers.insert(e.id, Subscriber::new(id, rx));
-                overlay.push(SubEntry {
-                    id,
-                    profile: e.profile,
-                    weight: e.weight,
-                    sender: tx,
-                    dominated: 0,
-                });
-            }
-            // The containment index is replayed verbatim from the
-            // snapshot's expansion plan — representatives are
-            // re-hashed, but no pairwise containment is re-derived.
-            let cover = match (config.covering, filter.cover_plan()) {
-                (true, Some(plan)) => {
-                    let reps = plan
-                        .rep_slots()
-                        .iter()
-                        .map(|&s| (s, &base[s as usize].profile));
-                    Some(CoverSet::from_parts(schema, reps, plan.child_triples())?)
-                }
-                // A checkpoint written with covering off (or vice
-                // versa): the next compaction switches the shard over.
-                _ => None,
-            };
-            let overlay_cover = if cover.is_some() {
-                filter.overlay_cover_entries()
-            } else {
-                vec![None; overlay.len()]
-            };
-            let writer = ShardWriter {
-                base,
-                overlay,
-                removed,
-                removed_count,
-                cover,
-                overlay_cover,
-                antichain_dirty: 0,
-                // Drift statistics are not persisted: the tracker
-                // restarts over the recovered live set, so the first
-                // post-recovery rebuild decision waits for fresh
-                // observations (conservative, never wrong).
-                tracker: DriftTracker::new(&ProfileSet::new(schema), config.rebuild)?,
-                tree: cs.tree,
-            };
-            // Mirror `delta_quench`: quenching is only safe while the
-            // overlay is empty (overlay profiles are outside the
-            // compiled coverage map).
-            let quench = (config.quench_inbound && writer.overlay.is_empty())
-                .then(|| Arc::new(QuenchAdvice::from_partitions(schema, filter.partitions())));
-            let snapshot = ShardSnapshot {
-                filter,
-                base_dispatch: writer.base_dispatch(),
-                overlay_dispatch: writer.overlay_dispatch(),
-                quench,
-            };
-            shards.push(Shard {
-                snapshot: RwLock::new(Arc::new(snapshot)),
-                writer: Mutex::new(writer),
-            });
-        }
-        Ok(Broker {
-            schema: Arc::new(schema.clone()),
+        let schema = Arc::new(schema.clone());
+        let metrics = Arc::new(Metrics::default());
+        let shards = cp.shards.into_iter();
+        let shards = shards
+            .map(|cs| Shard::restore(&schema, &config, &metrics, cs, subscribers))
+            .collect::<Result<_, _>>()?;
+        let (sequence, next_sub) = (cp.sequence, cp.next_sub);
+        Ok(Self::over(
+            schema, config, metrics, shards, sequence, next_sub,
+        ))
+    }
+
+    /// An in-memory broker over `shards`, resuming the two counters.
+    fn over(
+        schema: Arc<Schema>,
+        config: BrokerConfig,
+        metrics: Arc<Metrics>,
+        shards: Vec<Shard>,
+        sequence: u64,
+        next_sub: u64,
+    ) -> Self {
+        Broker {
+            schema,
             config,
             shards: shards.into_boxed_slice(),
             history: Mutex::new(VecDeque::new()),
-            sequence: AtomicU64::new(cp.sequence),
-            next_sub: AtomicU64::new(cp.next_sub),
-            metrics: Arc::new(Metrics::default()),
+            sequence: AtomicU64::new(sequence),
+            next_sub: AtomicU64::new(next_sub),
+            metrics,
             journal: Journal::new(),
             durability: None,
             batch_fault: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Whether `id` is a live (non-tombstoned) subscription.
     fn is_live(&self, id: SubscriptionId) -> bool {
-        let w = self.shard_of(id).writer.lock();
-        w.overlay.iter().any(|e| e.id == id)
-            || w.base
-                .iter()
-                .enumerate()
-                .any(|(k, e)| e.id == id && !w.removed[k])
+        self.shard_of(id).lock().is_live(id)
     }
 
-    /// Replays an accepted retune: switches the shard's active tree
-    /// configuration and recompiles, exactly like the original
-    /// drift-triggered rebuild did.
+    /// Replays an accepted retune on the shard it was logged for.
     fn apply_retune(
         &self,
         shard_index: usize,
@@ -1079,17 +588,7 @@ impl Broker {
                 self.shards.len()
             )));
         };
-        let mut w = shard.writer.lock();
-        w.tree.attribute_order = attribute_order;
-        w.tree.search = search;
-        w.tree.event_model = Some(event_model);
-        let snapshot = w.compact(
-            &self.schema,
-            self.config.quench_inbound,
-            self.config.covering,
-        )?;
-        *shard.snapshot.write() = Arc::new(snapshot);
-        Ok(())
+        shard.lock().retune(attribute_order, search, event_model)
     }
 
     /// The broker's schema.
@@ -1200,9 +699,8 @@ impl Broker {
         Ok(sub)
     }
 
-    /// The in-memory half of a subscribe: overlay insert, compact or
-    /// delta snapshot, swap. Shared by the public paths (which then
-    /// log) and WAL replay (which must not).
+    /// The in-memory half of a subscribe, shared by the public paths
+    /// (which then log) and WAL replay (which must not).
     fn commit_subscribe(
         &self,
         id: SubscriptionId,
@@ -1210,62 +708,14 @@ impl Broker {
         weight: f64,
     ) -> Result<Subscriber, ServiceError> {
         let (tx, rx) = notify_channel(&self.config);
-        let shard = self.shard_of(id);
-        let mut w = shard.writer.lock();
-        // Probe the containment index before committing: a covered
-        // subscribe rides its representative's compiled states through
-        // the expansion map (zero added matching cost); an uncovered
-        // one that dominates compiled representatives inverts the
-        // antichain and adds compaction pressure instead.
-        let (entry_cover, dirty) = match (self.config.covering, &w.cover) {
-            (true, Some(cs)) => match cs.probe(&profile)? {
-                CoverOutcome::Covered { rep, residual } => {
-                    let compiled = cs
-                        .compiled_index_of(rep)
-                        .expect("probe only returns representative slots");
-                    (Some((compiled, residual)), 0)
-                }
-                CoverOutcome::Rep => (None, cs.dominated_reps(&profile)?.len()),
-            },
-            _ => (None, 0),
-        };
-        w.overlay.push(SubEntry {
+        let sub = SubEntry {
             id,
             profile,
             weight,
-            sender: tx,
-            dominated: dirty,
-        });
-        w.overlay_cover.push(entry_cover);
-        w.antichain_dirty += dirty;
-        let pressure = w.overlay.len() + w.antichain_dirty;
-        let result = if w.base.is_empty() || self.config.rebuild.overlay_full(pressure) {
-            w.compact(
-                &self.schema,
-                self.config.quench_inbound,
-                self.config.covering,
-            )
-            .inspect(|_| {
-                self.metrics
-                    .overlay_compactions
-                    .fetch_add(1, Ordering::Relaxed);
-            })
-        } else {
-            let prev = shard.snapshot.read().clone();
-            w.delta_snapshot(&prev, &self.schema, self.config.quench_inbound)
+            sender: Some(tx),
         };
-        match result {
-            Ok(snapshot) => {
-                *shard.snapshot.write() = Arc::new(snapshot);
-                Ok(Subscriber::new(id, rx))
-            }
-            Err(e) => {
-                w.overlay.pop();
-                w.overlay_cover.pop();
-                w.antichain_dirty -= dirty;
-                Err(e)
-            }
-        }
+        self.shard_of(id).lock().add([sub], false)?;
+        Ok(Subscriber::new(id, rx))
     }
 
     /// Bulk-registers many subscriptions with a single compaction per
@@ -1282,8 +732,8 @@ impl Broker {
     where
         I: IntoIterator<Item = Profile>,
     {
-        // Group entries per shard first: one writer lock per touched
-        // shard instead of one per profile.
+        // Group entries per shard first: one writer lock, and one
+        // recompile, per touched shard instead of one per profile.
         let mut subscribers = Vec::new();
         let mut pending: Vec<Vec<SubEntry>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         let mut log = Vec::new();
@@ -1297,91 +747,32 @@ impl Broker {
                 id,
                 profile,
                 weight: 1.0,
-                sender: tx,
-                dominated: 0,
+                sender: Some(tx),
             });
             subscribers.push(Subscriber::new(id, rx));
         }
-        let pushed: Vec<Vec<SubscriptionId>> = pending
-            .iter()
-            .map(|p| p.iter().map(|e| e.id).collect())
-            .collect();
-        for (shard, entries) in self.shards.iter().zip(&mut pending) {
-            if !entries.is_empty() {
-                let mut w = shard.writer.lock();
-                // No per-profile probes here: the compaction below runs
-                // the bulk containment pass over the whole shard batch.
-                w.overlay_cover.extend(entries.iter().map(|_| None));
-                w.overlay.append(entries);
-            }
-        }
-        let mut failure = None;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if pushed[s].is_empty() {
+        for (s, entries) in pending.into_iter().enumerate() {
+            if entries.is_empty() {
                 continue;
             }
-            let mut w = shard.writer.lock();
-            match w.compact(
-                &self.schema,
-                self.config.quench_inbound,
-                self.config.covering,
-            ) {
-                Ok(snapshot) => {
-                    self.metrics
-                        .overlay_compactions
-                        .fetch_add(1, Ordering::Relaxed);
-                    *shard.snapshot.write() = Arc::new(snapshot);
+            // Each shard takes its share or none of it. (The guard is
+            // gone before the shards below are locked.)
+            let added = self.shards[s].lock().add(entries, true);
+            if let Err(e) = added {
+                // The shards before have committed theirs: cancelled
+                // again — which cannot fail, what is left compiled
+                // before — so that a failed bulk load leaves no phantom
+                // subscriptions and, nothing having been logged yet, no
+                // record.
+                let ids: Vec<_> = subscribers.iter().map(Subscriber::id).collect();
+                for shard in &self.shards[..s] {
+                    let _ = shard.lock().remove(&ids);
                 }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
+                return Err(e);
             }
         }
-        if let Some(e) = failure {
-            // Roll every pushed entry back out so a failed bulk load
-            // leaves no phantom subscriptions and no shard poisoned by
-            // an invalid profile. Concurrent writers may have published
-            // snapshots containing (or even compacted) these entries in
-            // the meantime, so the cleanup handles both locations under
-            // the writer lock and republishes a consistent snapshot:
-            // every entry left behind is known-compilable, so the
-            // rebuild cannot fail (defensively skipped if it does).
-            for (s, ids) in pushed.iter().enumerate() {
-                if ids.is_empty() {
-                    continue;
-                }
-                let shard = &self.shards[s];
-                let mut w = shard.writer.lock();
-                let keep: Vec<bool> = w.overlay.iter().map(|e| !ids.contains(&e.id)).collect();
-                let mut it = keep.iter();
-                w.overlay.retain(|_| *it.next().unwrap());
-                let mut it = keep.iter();
-                w.overlay_cover.retain(|_| *it.next().unwrap());
-                for k in 0..w.base.len() {
-                    if !w.removed[k] && ids.contains(&w.base[k].id) {
-                        w.removed[k] = true;
-                        w.removed_count += 1;
-                        w.base[k].sender = disconnected_sender();
-                    }
-                }
-                let prev = shard.snapshot.read().clone();
-                if let Ok(delta) = w.delta_snapshot(&prev, &self.schema, self.config.quench_inbound)
-                {
-                    let snapshot = ShardSnapshot {
-                        filter: delta.filter.with_removed(w.removed.clone()),
-                        base_dispatch: w.base_dispatch(),
-                        overlay_dispatch: delta.overlay_dispatch,
-                        quench: delta.quench,
-                    };
-                    *shard.snapshot.write() = Arc::new(snapshot);
-                }
-            }
-            return Err(e);
-        }
-        // Nothing was logged for a failed bulk load (the rollback
-        // above restored the pre-call state); on success every entry
-        // becomes durable before the handles are returned.
+        // On success every entry becomes durable before the handles are
+        // returned.
         for (id, profile) in log {
             self.wal_log(|lsn| WalRecord::Subscribe {
                 lsn,
@@ -1407,78 +798,17 @@ impl Broker {
     }
 
     fn remove_subscription(&self, id: SubscriptionId) -> Result<(), ServiceError> {
-        let shard = self.shard_of(id);
-        let mut w = shard.writer.lock();
-        let snapshot = if let Some(k) = w.overlay.iter().position(|e| e.id == id) {
-            // Build the new snapshot before committing the removal so a
-            // failed rebuild leaves writer state and published snapshot
-            // in agreement.
-            let entry = w.overlay.remove(k);
-            let entry_cover = w.overlay_cover.remove(k);
-            let prev = shard.snapshot.read().clone();
-            match w.delta_snapshot(&prev, &self.schema, self.config.quench_inbound) {
-                Ok(snapshot) => {
-                    w.antichain_dirty -= entry.dominated;
-                    snapshot
-                }
-                Err(e) => {
-                    w.overlay.insert(k, entry);
-                    w.overlay_cover.insert(k, entry_cover);
-                    return Err(e);
-                }
-            }
-        } else if let Some(k) = w
-            .base
-            .iter()
-            .enumerate()
-            .position(|(k, e)| e.id == id && !w.removed[k])
-        {
-            w.removed[k] = true;
-            w.removed_count += 1;
-            if self.config.rebuild.removed_full(w.removed_count) {
-                match w.compact(
-                    &self.schema,
-                    self.config.quench_inbound,
-                    self.config.covering,
-                ) {
-                    Ok(snapshot) => {
-                        self.metrics
-                            .overlay_compactions
-                            .fetch_add(1, Ordering::Relaxed);
-                        snapshot
-                    }
-                    Err(e) => {
-                        w.removed[k] = false;
-                        w.removed_count -= 1;
-                        return Err(e);
-                    }
-                }
-            } else {
-                // Release the cancelled subscription's channel now
-                // instead of at the next compaction: matching skips
-                // tombstones, so the dispatch slot only needs a
-                // placeholder sender. (Infallible past this point.)
-                w.base[k].sender = disconnected_sender();
-                let prev = shard.snapshot.read().clone();
-                w.tombstone_snapshot(&prev, &self.schema, self.config.quench_inbound)
-            }
-        } else {
-            return Err(ServiceError::UnknownSubscription(id));
-        };
-        *shard.snapshot.write() = Arc::new(snapshot);
+        let mut shard = self.shard_of(id).lock();
+        shard.remove(&[id])?;
         // Under the writer lock, so a concurrent checkpoint serializes
         // cleanly before or after the (commit, log) pair.
-        self.wal_log(|lsn| WalRecord::Unsubscribe { lsn, id: id.get() })?;
-        Ok(())
+        self.wal_log(|lsn| WalRecord::Unsubscribe { lsn, id: id.get() })
     }
 
     /// Number of live subscriptions.
     #[must_use]
     pub fn subscription_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.writer.lock().live_count())
-            .sum()
+        self.shards.iter().map(|s| s.lock().live_count()).sum()
     }
 
     /// Publishes one event: filters, delivers notifications, updates the
@@ -1920,7 +1250,7 @@ impl Broker {
     /// policy fires, decides whether the shard is rebuilt.
     fn observe_drift(&self, event: &Arc<Event>) -> Result<(), ServiceError> {
         for (s, shard) in self.shards.iter().enumerate() {
-            let Some(mut w) = shard.writer.try_lock() else {
+            let Some(mut w) = shard.try_lock() else {
                 continue;
             };
             if let Some(signal) = w.tracker.observe(event)? {
@@ -1951,11 +1281,11 @@ impl Broker {
         &self,
         s: usize,
         shard: &Shard,
-        w: &mut ShardWriter,
+        w: &mut ShardGuard<'_>,
         signal: DriftSignal,
     ) -> Result<(), ServiceError> {
         let tuning = self.config.tuning.is_enabled();
-        let decline = |w: &mut ShardWriter, saving, reason| {
+        let decline = |w: &mut ShardGuard<'_>, saving, reason| {
             if tuning {
                 self.metrics
                     .retunes_declined
@@ -1963,22 +1293,21 @@ impl Broker {
             }
             self.decline_drift(s, w, signal, saving, reason)
         };
-        if !tuning && !signal.is_warm_up() && !w.tree.uses_event_model() {
+        if !tuning && !signal.is_warm_up() && !w.tree().uses_event_model() {
             return decline(w, 0.0, DeclineReason::NoSaving);
         }
         let snap = shard.snapshot.read().clone();
-        let mut staged = w.stage(&self.schema, self.config.covering)?;
+        let mut staged = w.stage()?;
         // The candidate tree, the (stale, candidate) comparisons per
         // event and, with tuning, whether the tuner's own bar was met.
         let (tree, stale_ops, new_ops, refused) = if tuning {
             let t0 = Instant::now();
-            // Covered overlay entries cost nothing at match time, so
-            // only uncovered ones carry the tuner's overlay floor.
-            let overlay_uncovered = w.overlay_cover.iter().filter(|c| c.is_none()).count();
+            // Only uncovered overlay entries carry the tuner's overlay
+            // floor.
             let (decision, tree) = self.config.tuning.evaluate_with_tree(
                 snap.filter.tree(),
-                overlay_uncovered,
-                staged.compiled_set(),
+                w.overlay_uncovered(),
+                &staged.compiled,
                 &staged.config,
                 staged.model(),
             )?;
@@ -2001,7 +1330,7 @@ impl Broker {
             }
             // The tracker counts the events it was shown.
             let served = w.tracker.events_since_settled() * self.config.stats_sample;
-            price_rebuild(stale_ops, new_ops, served, staged.compiled_set().len())
+            price_rebuild(stale_ops, new_ops, served, staged.compiled.len())
         });
         let (Some(tree), None) = (tree, refused) else {
             // (No candidate at all means the tuner accepted none.)
@@ -2010,8 +1339,8 @@ impl Broker {
         };
 
         let from = TreeShape {
-            attribute_order: w.tree.attribute_order.clone(),
-            search: w.tree.search,
+            attribute_order: w.tree().attribute_order.clone(),
+            search: w.tree().search,
         };
         let to = TreeShape {
             attribute_order: staged.config.attribute_order.clone(),
@@ -2019,16 +1348,8 @@ impl Broker {
         };
         let event_model = staged.model().clone();
         let (t0, spent) = (Instant::now(), staged.spent);
-        let snapshot = w.commit(
-            staged,
-            tree,
-            &self.schema,
-            self.config.quench_inbound,
-            signal.cause == DriftCause::Moved,
-        )?;
+        w.rebuild(staged, tree, signal.cause == DriftCause::Moved)?;
         let rebuild_ns = (spent + t0.elapsed()).as_nanos() as u64;
-        *shard.snapshot.write() = Arc::new(snapshot);
-        self.metrics.tree_rebuilds.fetch_add(1, Ordering::Relaxed);
         self.journal(Decision::DriftRebuilt {
             shard: s,
             cause: signal.cause,
@@ -2046,8 +1367,6 @@ impl Broker {
         // tuned shape, and it survives restarts, so it is logged. (A
         // plain drift rebuild only refreshes the event model from
         // statistics that are not persisted anyway.)
-        w.tree.attribute_order = to.attribute_order.clone();
-        w.tree.search = to.search;
         self.metrics
             .predicted_ops_bits
             .store(new_ops.to_bits(), Ordering::Relaxed);
@@ -2087,7 +1406,7 @@ impl Broker {
     fn decline_drift(
         &self,
         s: usize,
-        w: &mut ShardWriter,
+        w: &mut ShardGuard<'_>,
         signal: DriftSignal,
         saving: f64,
         reason: DeclineReason,
@@ -2127,14 +1446,8 @@ impl Broker {
     pub fn quench_advice(&self) -> QuenchAdvice {
         let mut live = ProfileSet::new(&self.schema);
         for shard in self.shards.iter() {
-            let w = shard.writer.lock();
-            for (k, e) in w.base.iter().enumerate() {
-                if !w.removed[k] {
-                    live.insert(e.profile.clone());
-                }
-            }
-            for e in &w.overlay {
-                live.insert(e.profile.clone());
+            for profile in shard.lock().live_profiles() {
+                live.insert(profile.clone());
             }
         }
         QuenchAdvice::from_profiles(&self.schema, &live)
@@ -2190,6 +1503,7 @@ impl std::fmt::Debug for Broker {
 
 #[cfg(test)]
 mod tests {
+    use super::shard::disconnected_sender;
     use super::*;
 
     /// Every tombstoned dispatch slot — on each unsubscribe, and for

@@ -38,15 +38,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::notify::Subscriber;
-use crate::persist::{
-    self, Checkpoint, CheckpointEntry, CheckpointShard, DurabilityConfig, FsyncPolicy, WalRecord,
-    WalScan,
-};
+use crate::persist::{self, Checkpoint, DurabilityConfig, FsyncPolicy, WalRecord, WalScan};
 use crate::subscription::SubscriptionId;
 use crate::vfs::VfsFile;
 use crate::ServiceError;
 
-use super::{Broker, Recovered, SubEntry};
+use super::{Broker, Recovered};
 
 pub(super) fn io_persist(e: std::io::Error) -> ServiceError {
     ServiceError::Persist(e.to_string())
@@ -493,30 +490,9 @@ impl Broker {
         // Freeze every shard (writer locks in index order), then the
         // log: everything at or below the captured LSN is in the
         // image, everything after it will replay on top.
-        let writers: Vec<_> = self.shards.iter().map(|s| s.writer.lock()).collect();
+        let writers: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
         let mut wal = d.wal.lock();
-        let entry = |e: &SubEntry, tombstoned: bool| CheckpointEntry {
-            id: e.id.get(),
-            weight: e.weight,
-            tombstoned,
-            profile: e.profile.clone(),
-        };
-        let shards = self
-            .shards
-            .iter()
-            .zip(&writers)
-            .map(|(shard, w)| CheckpointShard {
-                tree: w.tree.clone(),
-                filter: shard.snapshot.read().filter.to_bytes(),
-                base: w
-                    .base
-                    .iter()
-                    .zip(&w.removed)
-                    .map(|(e, r)| entry(e, *r))
-                    .collect(),
-                overlay: w.overlay.iter().map(|e| entry(e, false)).collect(),
-            })
-            .collect();
+        let shards = writers.iter().map(|w| w.checkpoint()).collect();
         let last_lsn = wal.next_lsn - 1;
         let cp = Checkpoint {
             schema: (*self.schema).clone(),

@@ -1378,21 +1378,9 @@ impl Federation {
 /// as a `Hello`, returning the announcing node id. `Ok(None)` means
 /// incomplete; `Err` means the stream is not a federation greeting.
 fn identify_hello(buf: &[u8], schema: &Schema) -> Result<Option<u64>, ()> {
-    if buf.len() < wire::FRAME_HEADER {
+    let Some(payload) = wire::first_frame(buf).map_err(|_| ())? else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
-    if len > wire::MAX_FRAME {
-        return Err(());
-    }
-    if buf.len() < wire::FRAME_HEADER + len {
-        return Ok(None);
-    }
-    let crc = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let payload = &buf[wire::FRAME_HEADER..wire::FRAME_HEADER + len];
-    if ens_filter::persist::crc32(payload) != crc {
-        return Err(());
-    }
+    };
     match Msg::decode(payload, schema) {
         Ok(Msg::Hello { node, .. }) => Ok(Some(node)),
         _ => Err(()),

@@ -25,8 +25,10 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use ens_filter::persist::frame;
+
 use super::transport::{Transport, TransportError};
-use super::wire::{frame, FrameBuffer, FRAME_HEADER};
+use super::wire::{FrameBuffer, FRAME_HEADER};
 
 /// Probabilities and delay bounds for injected faults. All
 /// probabilities are independent per frame; the default plan is a
@@ -224,7 +226,7 @@ impl Transport for SimTransport {
         if !s.connected(self.local, self.peer) {
             return Err(TransportError::Disconnected);
         }
-        let mut bytes = frame(payload);
+        let mut bytes = frame(payload).map_err(|e| TransportError::Corrupt(e.to_string()))?;
         let plan = s.plan;
         if s.chance(plan.drop_p) {
             return Ok(()); // vanished on the wire

@@ -20,7 +20,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use super::wire::{frame, FrameBuffer};
+use ens_filter::persist::frame;
+
+use super::wire::FrameBuffer;
 
 /// Ceiling on bytes buffered for an unwritable socket. A peer that
 /// falls this far behind is indistinguishable from a dead one: the
@@ -258,7 +260,8 @@ impl Transport for TcpTransport {
             self.drop_stream();
             return Err(TransportError::Disconnected);
         }
-        self.wbuf.extend_from_slice(&frame(payload));
+        let framed = frame(payload).map_err(|e| TransportError::Corrupt(e.to_string()))?;
+        self.wbuf.extend_from_slice(&framed);
         self.flush_wbuf()
     }
 

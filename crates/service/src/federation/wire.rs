@@ -27,7 +27,7 @@
 //! consumes one per row. `Hello`, `Ack` and `Heartbeat` are
 //! unsequenced control traffic.
 
-use ens_filter::persist::{crc32, ByteReader, ByteWriter, PersistError};
+use ens_filter::persist::{frame_at, ByteReader, ByteWriter, PersistError};
 use ens_types::{IndexedEvent, Profile, Schema};
 
 use crate::persist::{decode_profile, encode_profile, schema_fingerprint};
@@ -53,14 +53,32 @@ pub fn schema_hash(schema: &Schema) -> u64 {
     h
 }
 
-/// Wraps `payload` into one wire frame.
-#[must_use]
-pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// The payload of the frame `bytes` starts with; `None` while more
+/// bytes are needed. The [`MAX_FRAME`] cap is checked before waiting
+/// for the body, so a nonsense length word cannot make a reader buffer
+/// without bound.
+///
+/// # Errors
+///
+/// Returns a corruption error for an oversized length word or a CRC
+/// mismatch; the stream is unrecoverable past that point.
+pub(crate) fn first_frame(bytes: &[u8]) -> Result<Option<&[u8]>, PersistError> {
+    if bytes.len() < FRAME_HEADER {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
+    if len > MAX_FRAME {
+        return Err(PersistError::new(format!(
+            "frame length {len} exceeds the {MAX_FRAME}-byte cap"
+        )));
+    }
+    if bytes.len() < FRAME_HEADER + len {
+        return Ok(None);
+    }
+    match frame_at(bytes, 0) {
+        Some((payload, _)) => Ok(Some(payload)),
+        None => Err(PersistError::new("frame CRC mismatch")),
+    }
 }
 
 /// Incremental deframer over a byte stream.
@@ -100,34 +118,14 @@ impl FrameBuffer {
         self.buf.len() - self.pos
     }
 
-    /// Extracts the next complete frame's payload, `None` if more
-    /// bytes are needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a corruption error for an oversized length word or a
-    /// CRC mismatch; the stream is unrecoverable past that point.
+    /// Extracts the next complete frame's payload ([`first_frame`] of
+    /// what is buffered).
     pub(crate) fn next_frame(&mut self) -> Result<Option<Vec<u8>>, PersistError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < FRAME_HEADER {
+        let Some(payload) = first_frame(&self.buf[self.pos..])? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[0..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME {
-            return Err(PersistError::new(format!(
-                "frame length {len} exceeds the {MAX_FRAME}-byte cap"
-            )));
-        }
-        if avail.len() < FRAME_HEADER + len {
-            return Ok(None);
-        }
-        let want = u32::from_le_bytes(avail[4..8].try_into().expect("4 bytes"));
-        let payload = &avail[FRAME_HEADER..FRAME_HEADER + len];
-        if crc32(payload) != want {
-            return Err(PersistError::new("frame CRC mismatch"));
-        }
+        };
         let out = payload.to_vec();
-        self.pos += FRAME_HEADER + len;
+        self.pos += FRAME_HEADER + out.len();
         Ok(Some(out))
     }
 }
@@ -374,6 +372,7 @@ impl Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ens_filter::persist::frame;
     use ens_types::{Domain, Event, Predicate};
 
     fn schema() -> Schema {
@@ -456,8 +455,8 @@ mod tests {
 
     #[test]
     fn frame_buffer_reassembles_split_frames() {
-        let a = frame(&Msg::Heartbeat.encode().unwrap());
-        let b = frame(&Msg::Ack { high: 3 }.encode().unwrap());
+        let a = frame(&Msg::Heartbeat.encode().unwrap()).unwrap();
+        let b = frame(&Msg::Ack { high: 3 }.encode().unwrap()).unwrap();
         let stream: Vec<u8> = a.iter().chain(&b).copied().collect();
         let mut fb = FrameBuffer::new();
         // Feed one byte at a time: frames must reassemble across
@@ -475,7 +474,7 @@ mod tests {
 
     #[test]
     fn corrupt_frames_are_detected() {
-        let mut bytes = frame(&Msg::Heartbeat.encode().unwrap());
+        let mut bytes = frame(&Msg::Heartbeat.encode().unwrap()).unwrap();
         *bytes.last_mut().unwrap() ^= 0xFF;
         let mut fb = FrameBuffer::new();
         fb.extend(&bytes);

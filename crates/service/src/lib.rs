@@ -301,14 +301,39 @@ mod broker_tests {
     #[test]
     fn subscribe_many_rolls_back_on_invalid_profile() {
         let s = schema();
-        let broker = Broker::new(&s, BrokerConfig::default()).unwrap();
-        let good = ens_types::Profile::builder(&s)
-            .predicate("temperature", Predicate::ge(35))
-            .unwrap()
-            .build(ens_types::ProfileId::new(0));
+        let broker = Broker::new(
+            &s,
+            BrokerConfig {
+                shards: 3,
+                ..BrokerConfig::default()
+            },
+        )
+        .unwrap();
+        let hotter_than = |t: i64| {
+            ens_types::Profile::builder(&s)
+                .predicate("temperature", Predicate::ge(t))
+                .unwrap()
+                .build(ens_types::ProfileId::new(0))
+        };
+        // Ids 0..6 compiled, two a shard; id 6 in shard 0's overlay.
+        let compiled = broker
+            .subscribe_many((0..6).map(|k| hotter_than(10 * k - 20)))
+            .unwrap();
+        let overlaid = broker.subscribe_profile(hotter_than(45)).unwrap();
+        let battery: Vec<Event> = (-30..=50).step_by(5).map(|t| event(&s, t, 50)).collect();
+        let probe = || -> Vec<_> {
+            let matched = |e| broker.publish(e).unwrap().matched;
+            battery.iter().map(matched).collect()
+        };
+        let before = (broker.subscription_count(), probe(), broker.quench_advice());
+        assert_eq!(before.0, 7);
+        assert_eq!(before.1.last().unwrap().len(), 7, "50 degrees: everyone");
+
         // A profile built against a wider foreign schema: its predicate
         // value lies outside the broker schema's domain, so compaction
-        // fails when the profile is lowered.
+        // fails when the profile is lowered. It is handed id 8 — the
+        // last shard — behind a valid profile for each of the shards
+        // before, which have compiled theirs in by the time it fails.
         let other = Schema::builder()
             .attribute("temperature", Domain::int(-1000, 1000))
             .unwrap()
@@ -319,16 +344,21 @@ mod broker_tests {
             .predicate("temperature", Predicate::between(400, 500))
             .unwrap()
             .build(ens_types::ProfileId::new(0));
-        assert!(broker.subscribe_many([good.clone(), bad]).is_err());
+        let bulk = [hotter_than(0), bad, hotter_than(5)];
+        let compactions = broker.rebuild_counts().1;
+        assert!(broker.subscribe_many(bulk).is_err());
+        assert_eq!(broker.rebuild_counts().1, compactions + 2, "two shards in");
         assert_eq!(
-            broker.subscription_count(),
-            0,
+            (broker.subscription_count(), probe(), broker.quench_advice()),
+            before,
             "failed bulk load must leave no phantom subscriptions"
         );
-        // The shard is not poisoned: later subscribes and publishes work.
-        let sub = broker.subscribe_profile(good).unwrap();
-        let receipt = broker.publish(&event(&s, 40, 95)).unwrap();
-        assert_eq!(receipt.matched, vec![sub.id()]);
+        // No shard is poisoned: later subscribes and publishes work.
+        let sub = broker.subscribe_profile(hotter_than(50)).unwrap();
+        let receipt = broker.publish(&event(&s, 50, 95)).unwrap();
+        let mut everyone: Vec<_> = compiled.iter().map(Subscriber::id).collect();
+        everyone.extend([overlaid.id(), sub.id()]);
+        assert_eq!(receipt.matched, everyone);
     }
 
     #[test]

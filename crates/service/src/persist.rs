@@ -35,7 +35,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ens_dist::JointDist;
-use ens_filter::persist::{crc32, frame_at, ByteReader, ByteWriter, PersistError};
+use ens_filter::persist::{frame, frame_at, ByteReader, ByteWriter, PersistError};
 use ens_filter::{AttributeOrder, SearchStrategy, TreeConfig};
 use ens_types::{Predicate, Profile, ProfileId, Schema, Value};
 use serde::{Deserialize, Serialize};
@@ -213,18 +213,7 @@ impl WalRecord {
 pub fn encode_frame(record: &WalRecord) -> Result<Vec<u8>, PersistError> {
     let mut payload = ByteWriter::new();
     payload.serde(record);
-    let payload = payload.into_bytes();
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        PersistError::unencodable(format!(
-            "WAL frame payload of {} bytes exceeds the u32 length prefix",
-            payload.len()
-        ))
-    })?;
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    Ok(out)
+    frame(&payload.into_bytes())
 }
 
 /// The result of scanning a WAL byte stream.

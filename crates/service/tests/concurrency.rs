@@ -225,6 +225,82 @@ fn publish_batch_is_ordered_and_matches_oracle() {
     }
 }
 
+/// A bulk load is atomic per shard: while it holds a profile that does
+/// not compile, nobody else can find it in the overlay. A valid
+/// subscribe on the same shard used to be able to slip in between the
+/// bulk load's push and its compaction (all of the compactions of the
+/// shards before it), build its snapshot over the half-loaded overlay,
+/// and be handed the lowering error of someone else's profile.
+#[test]
+fn failed_bulk_load_never_fails_a_concurrent_subscribe() {
+    const ROUNDS: usize = 40;
+    const SHARDS: usize = 4;
+    let schema = small_schema();
+    let range = |lo: i64, hi: i64| {
+        Profile::builder(&schema)
+            .predicate("x", Predicate::between(lo, hi))
+            .unwrap()
+            .build(ProfileId::new(0))
+    };
+    // A compiled population, so a subscribe takes the overlay path; and
+    // several shards, which the bulk load compiles one after the other:
+    // time enough for the subscriber to visit the one holding the
+    // profile that will not compile.
+    let config = BrokerConfig {
+        shards: SHARDS,
+        ..BrokerConfig::default()
+    };
+    let broker = Broker::new(&schema, config).unwrap();
+    let compiled = broker
+        .subscribe_many((0..50).map(|k| range(k, k + 40)))
+        .unwrap();
+    // Built against a wider foreign schema: lowering it fails.
+    let foreign = Schema::builder()
+        .attribute("x", Domain::int(-1000, 1000))
+        .unwrap()
+        .build();
+    let poison = Profile::builder(&foreign)
+        .predicate("x", Predicate::between(400, 500))
+        .unwrap()
+        .build(ProfileId::new(0));
+    let bulk: Vec<Profile> = (0..400)
+        .map(|k| range(k % 90, k % 90 + 5))
+        .chain([poison])
+        .collect();
+
+    // Both threads start every round together, and neither leaves the
+    // other waiting: what went wrong is reported after the last round.
+    let start = std::sync::Barrier::new(2);
+    let (loaded, refused) = std::thread::scope(|scope| {
+        let loader = scope.spawn(|| {
+            let mut loaded = 0;
+            for _ in 0..ROUNDS {
+                start.wait();
+                loaded += usize::from(broker.subscribe_many(bulk.iter().cloned()).is_ok());
+            }
+            loaded
+        });
+        let subscriber = scope.spawn(|| {
+            let mut refused = Vec::new();
+            for round in 0..ROUNDS {
+                start.wait();
+                // Ids go round the shards: one subscribe on each.
+                for _ in 0..SHARDS {
+                    match broker.subscribe_profile(range(10, 20)) {
+                        Ok(sub) => broker.unsubscribe(sub.id()).unwrap(),
+                        Err(e) => refused.push((round, e.to_string())),
+                    }
+                }
+            }
+            refused
+        });
+        (loader.join().unwrap(), subscriber.join().unwrap())
+    });
+    assert_eq!(loaded, 0, "the poisoned bulk load must fail");
+    assert!(refused.is_empty(), "valid subscribes failed: {refused:?}");
+    assert_eq!(broker.subscription_count(), compiled.len());
+}
+
 // --- Property test: random profiles/events, concurrent replay ---------
 
 fn small_schema() -> Schema {

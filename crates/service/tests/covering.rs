@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use ens_filter::{FilterSnapshot, RebuildPolicy};
 use ens_service::persist::{checkpoint_gen_file, Checkpoint};
-use ens_service::{Broker, BrokerConfig, DurabilityConfig, FsyncPolicy};
+use ens_service::{Broker, BrokerConfig, DurabilityConfig, FsyncPolicy, SubscriptionId};
 use ens_types::{Domain, Event, Predicate, Profile, ProfileId, Schema};
 
 fn schema() -> Schema {
@@ -196,4 +196,108 @@ fn covering_broker_is_observationally_identical_to_uncovered() {
             assert_eq!(ra.matched, rb.matched, "batch, dfsa_dispatch = {dfsa}");
         }
     }
+}
+
+/// What a broker re-opened from the checkpoint image `cp` serves: its
+/// live ids, and who each event of the battery is delivered to.
+fn reopened(
+    schema: &Schema,
+    cfg: &BrokerConfig,
+    cp: &[u8],
+    tag: &str,
+) -> (Vec<SubscriptionId>, Vec<Vec<SubscriptionId>>) {
+    let dir = scratch_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(checkpoint_gen_file(1)), cp).unwrap();
+    let recovered = Broker::open(schema, cfg.clone(), durability(&dir)).unwrap();
+    let live = recovered.subscribers.iter().map(|s| s.id()).collect();
+    let battery = events(schema)
+        .iter()
+        .map(|e| recovered.broker.publish(e).unwrap().matched)
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    (live, battery)
+}
+
+/// A subscribe that fails, and an unsubscribe whose compaction fails,
+/// leave a covering shard — containment index, overlay expansion
+/// entries, tombstones — as it was. Checked from outside: a broker
+/// re-opened from a checkpoint taken after the failed call serves what
+/// one re-opened from a checkpoint taken before it serves. (The files
+/// cannot be compared: a failed subscribe still uses up its id.)
+#[test]
+fn failed_operations_leave_the_covering_state_intact() {
+    let schema = schema();
+    let cfg = BrokerConfig {
+        // Every unsubscribe of a compiled entry compacts.
+        rebuild: RebuildPolicy {
+            max_removed: 0,
+            ..config(true).rebuild
+        },
+        // The battery must not set off a drift rebuild.
+        stats_sample: 0,
+        ..config(true)
+    };
+    let dir = scratch_dir("intact");
+    let broker = Broker::open(&schema, cfg.clone(), durability(&dir))
+        .unwrap()
+        .broker;
+    let subs = broker.subscribe_many(covered_population(&schema)).unwrap();
+    // Overlay-resident: one covered by a compiled root, one not.
+    for price in [Predicate::ge(100), Predicate::between(490, 500)] {
+        let preds = vec![price, Predicate::eq(1), Predicate::DontCare];
+        broker.subscribe_profile(profile(&schema, preds)).unwrap();
+    }
+    // The latest checkpoint image (one generation is kept).
+    let image = |gen: u64, dir: &Path| std::fs::read(dir.join(checkpoint_gen_file(gen))).unwrap();
+
+    // A profile built against a wider schema: lowering it fails.
+    let wide = Schema::builder()
+        .attribute("price", Domain::int(0, 5000))
+        .unwrap()
+        .build();
+    let foreign = Profile::builder(&wide)
+        .predicate("price", Predicate::between(4000, 4500))
+        .unwrap()
+        .build(ProfileId::new(0));
+    assert!(broker.checkpoint().unwrap());
+    let before = image(1, &dir);
+    assert!(broker.subscribe_profile(foreign).is_err());
+    assert!(broker.checkpoint().unwrap());
+    let after = image(2, &dir);
+    let served = reopened(&schema, &cfg, &before, "subscribe-before");
+    assert_eq!(served.0.len(), subs.len() + 2);
+    assert_eq!(reopened(&schema, &cfg, &after, "subscribe-after"), served);
+    drop(broker);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // No profile that is live can fail to compile, so the compaction is
+    // made to fail from the checkpoint: the image above with weights no
+    // tree can be built with, which a restore takes as they are.
+    let mut poisoned = Checkpoint::from_bytes(&after).unwrap();
+    for entry in poisoned.shards.iter_mut().flat_map(|s| &mut s.base) {
+        entry.weight = f64::NAN;
+    }
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join(checkpoint_gen_file(1)),
+        poisoned.to_bytes().unwrap(),
+    )
+    .unwrap();
+    let broker = Broker::open(&schema, cfg.clone(), durability(&dir))
+        .unwrap()
+        .broker;
+    assert!(broker.checkpoint().unwrap());
+    let before = image(2, &dir);
+    let live = broker.subscription_count();
+    assert!(broker.unsubscribe(subs[5].id()).is_err());
+    assert_eq!(broker.subscription_count(), live);
+    assert!(broker.checkpoint().unwrap());
+    let after = image(3, &dir);
+    assert_eq!(
+        reopened(&schema, &cfg, &before, "compaction-before"),
+        served
+    );
+    assert_eq!(reopened(&schema, &cfg, &after, "compaction-after"), served);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -22,7 +22,7 @@ use ens_service::persist::{
 use ens_service::{
     Broker, BrokerConfig, DurabilityConfig, FsyncPolicy, Subscriber, SubscriptionId,
 };
-use ens_types::{Event, Profile, Schema};
+use ens_types::{Domain, Event, Predicate, Profile, ProfileId, Schema};
 use ens_workloads::{alert_churn_profiles, churn_burst_plan, hot_band_migration, ChurnOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -185,7 +185,29 @@ fn record_churn(
     let mut checkpointed = None;
     let midpoint = plan.ops.len() / 2;
     let mut churn_live: Vec<Subscriber> = Vec::new();
+    let mut issued = baseline_subs.len();
     for (i, op) in plan.ops.iter().enumerate() {
+        if i == midpoint {
+            // A bulk load that fails on its last shard, after shard 0
+            // has compiled its share in: rolled back, it must leave no
+            // record and — in the checkpoint below — no live id. The
+            // profile that fails is built against a wider schema, and
+            // one or two valid ones put its id on shard 1.
+            let wide = Schema::builder()
+                .attribute("temperature", Domain::int(-1000, 1000))
+                .unwrap()
+                .build();
+            let poison = Profile::builder(&wide)
+                .predicate("temperature", Predicate::between(400, 500))
+                .unwrap()
+                .build(ProfileId::new(0));
+            let valid = baseline.iter().take(1 + issued % 2).cloned();
+            let bulk: Vec<Profile> = valid.chain([poison]).collect();
+            issued += bulk.len();
+            let compactions = broker.rebuild_counts().1;
+            assert!(broker.subscribe_many(bulk).is_err());
+            assert_eq!(broker.rebuild_counts().1, compactions + 1, "shard 0 in");
+        }
         if checkpoint_midway && i == midpoint {
             assert!(broker.checkpoint_keep_wal().unwrap());
             let wal_len = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len() as usize;
@@ -196,6 +218,7 @@ fn record_churn(
         match op {
             ChurnOp::Subscribe(p) => {
                 churn_live.push(broker.subscribe_profile(p.clone()).unwrap());
+                issued += 1;
             }
             ChurnOp::Unsubscribe(k) => {
                 let sub = churn_live.remove(*k);
