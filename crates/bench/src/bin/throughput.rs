@@ -337,16 +337,16 @@ struct FederationReport {
     /// reported by the federation metrics.
     bounded_overflow_dropped: u64,
     /// Covering-based interest aggregation on a duplicate-heavy
-    /// covered population, measured with the analysis on and off.
+    /// covered population (one row; kept a list for the report's
+    /// readers).
     aggregation: Vec<AggregationRow>,
     /// Multi-hop routing on a 3-broker line under per-origin
     /// duplicate suppression: the relay must deliver exactly once.
     line_topology: LineTopologyRow,
 }
 
-/// One row of the interest-aggregation comparison: the same
-/// subscription population forwarded with covering analysis
-/// (`mode: "aggregated"`) or without (`mode: "individual"`).
+/// The interest-aggregation row: a subscription population forwarded
+/// as its covering antichain (`mode: "aggregated"`, the only mode).
 #[derive(Debug, Serialize)]
 struct AggregationRow {
     mode: String,
@@ -1679,9 +1679,8 @@ fn bench_federation(opts: &Options) -> Result<FederationReport, Box<dyn std::err
     // exact dedup — only the covering analysis can shrink the
     // forwarded set, and the minimal antichain is exactly the 8
     // bands). Publisher B sweeps the domain; forwarded interest and
-    // forwarded events are measured per mode.
+    // forwarded events are measured.
     let mk_cfg = |node: u64,
-                  aggregate: bool,
                   max_hops: u8,
                   link: LinkConfig|
      -> Result<Federation, Box<dyn std::error::Error>> {
@@ -1690,18 +1689,16 @@ fn bench_federation(opts: &Options) -> Result<FederationReport, Box<dyn std::err
             FederationConfig {
                 node,
                 epoch: 1,
-                aggregate_interest: aggregate,
                 max_hops,
                 link,
             },
         ))
     };
     let agg_events = opts.events.clamp(256, 2048) as u64;
-    let mut aggregation = Vec::new();
-    for (mode, aggregate) in [("aggregated", true), ("individual", false)] {
+    let aggregation = {
         let net = SimNet::new(9004);
-        let a = mk_cfg(1, aggregate, 0, sim_link)?;
-        let b = mk_cfg(2, aggregate, 0, sim_link)?;
+        let a = mk_cfg(1, 0, sim_link)?;
+        let b = mk_cfg(2, 0, sim_link)?;
         a.add_peer(2, Box::new(net.transport(1, 2)), 0);
         b.add_peer(1, Box::new(net.transport(2, 1)), 0);
         let mut local_subs = 0u64;
@@ -1731,21 +1728,21 @@ fn bench_federation(opts: &Options) -> Result<FederationReport, Box<dyn std::err
         drained += pump_sim(&net, &[&a, &b], 20)?;
         std::hint::black_box(drained);
         let forwarded = b.metrics().forwarded_rows;
-        aggregation.push(AggregationRow {
-            mode: mode.to_string(),
+        vec![AggregationRow {
+            mode: "aggregated".to_string(),
             local_subs,
             forwarded_interest: a.forwarded_interest(2) as u64,
             forwarded_rows: forwarded,
             forwarded_event_ratio: forwarded as f64 / agg_events as f64,
-        });
-    }
+        }]
+    };
 
     // --- Exactly-once relay on a 3-broker line ----------------------
     let net = SimNet::new(9005);
     let line_events = opts.events.clamp(256, 2048) as u64;
-    let f1 = mk_cfg(1, true, 2, sim_link)?;
-    let f2 = mk_cfg(2, true, 2, sim_link)?;
-    let f3 = mk_cfg(3, true, 2, sim_link)?;
+    let f1 = mk_cfg(1, 2, sim_link)?;
+    let f2 = mk_cfg(2, 2, sim_link)?;
+    let f3 = mk_cfg(3, 2, sim_link)?;
     f1.add_peer(2, Box::new(net.transport(1, 2)), 0);
     f2.add_peer(1, Box::new(net.transport(2, 1)), 0);
     f2.add_peer(3, Box::new(net.transport(2, 3)), 0);

@@ -897,9 +897,10 @@ impl Broker {
 
     /// Like [`Broker::publish_batch`], but takes the batch's resolved
     /// [`IndexedBatch`] from the caller instead of resolving it here —
-    /// the path for rows that arrive *already indexed* (federation
-    /// ingress decodes wire rows straight into a batch) or that the
-    /// caller resolved once for its own matching and wants to share.
+    /// the path for rows that arrive *already indexed* (a federation
+    /// `Batch` decodes into one, and ingress passes the rows it
+    /// accepts on in another) or that the caller resolved once for its
+    /// own matching and wants to share.
     ///
     /// `indexed.row(i)` must be `events[i]`'s resolved form under this
     /// broker's schema; the shape is checked, the cell values are

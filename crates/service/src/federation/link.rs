@@ -37,7 +37,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ens_types::{Profile, Schema};
+use ens_types::{IndexedBatch, Profile, Schema};
 
 use super::transport::Transport;
 use super::wire::Msg;
@@ -138,7 +138,7 @@ pub(crate) enum LinkEvent {
         origin: u64,
         ttl: u32,
         origin_seqs: Vec<u64>,
-        rows: Vec<Vec<u64>>,
+        rows: IndexedBatch,
         skip: usize,
     },
     /// The connection dropped (reconnect is scheduled).
@@ -455,7 +455,6 @@ impl PeerLink {
                 ttl,
                 origin_seqs,
                 rows,
-                ..
             } => {
                 let span = rows.len() as u64;
                 if span == 0 || origin_seqs.len() != rows.len() {
@@ -656,7 +655,7 @@ mod tests {
     use super::*;
     use crate::federation::sim::{FaultPlan, SimNet, SimTransport};
     use crate::federation::transport::TransportError;
-    use ens_types::{Domain, Event, IndexedEvent, Predicate, ProfileId};
+    use ens_types::{Domain, Event, Predicate, ProfileId};
 
     fn schema() -> Arc<Schema> {
         Arc::new(
@@ -714,21 +713,21 @@ mod tests {
         events
     }
 
-    fn row(s: &Schema, x: i64) -> Vec<u64> {
-        let e = Event::builder(s).value("x", x).unwrap().build();
-        IndexedEvent::resolve(s, &e).unwrap().raw().to_vec()
-    }
-
-    /// A single-hop batch as the federation layer would emit it (the
-    /// origin-sequence values are immaterial to link-level tests).
-    fn batch(rows: Vec<Vec<u64>>) -> Msg {
-        let origin_seqs = (1..=rows.len() as u64).collect();
+    /// A single-hop batch of events `x = xs[i]` as the federation
+    /// layer would emit it (the origin-sequence values are immaterial
+    /// to link-level tests).
+    fn batch(s: &Schema, xs: impl IntoIterator<Item = i64>) -> Msg {
+        let events: Vec<Event> = xs
+            .into_iter()
+            .map(|x| Event::builder(s).value("x", x).unwrap().build())
+            .collect();
+        let mut rows = IndexedBatch::new();
+        rows.resolve_into(s, events.iter()).unwrap();
         Msg::Batch {
             first_seq: 0,
             origin: 1,
             ttl: 0,
-            width: 1,
-            origin_seqs,
+            origin_seqs: (1..=rows.len() as u64).collect(),
             rows,
         }
     }
@@ -738,7 +737,7 @@ mod tests {
             .iter()
             .filter_map(|e| match e {
                 LinkEvent::Rows { rows, skip, .. } => {
-                    Some(rows[*skip..].iter().map(|r| r[0]).collect::<Vec<_>>())
+                    Some((*skip..rows.len()).map(|i| rows.row(i)[0]))
                 }
                 _ => None,
             })
@@ -757,7 +756,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, LinkEvent::Established { peer: 1, .. })));
 
-        a.enqueue(batch(vec![row(&s, 5), row(&s, 6)]));
+        a.enqueue(batch(&s, [5, 6]));
         let events = pump(&net, &mut [&mut a, &mut b], 3);
         assert_eq!(delivered_xs(&events), vec![5, 6]);
         assert_eq!(b.recv_high(), 2);
@@ -778,7 +777,7 @@ mod tests {
         let (mut a, mut b) = link_pair(&net, &s);
         let mut all = pump(&net, &mut [&mut a, &mut b], 10);
         for group in 0..20 {
-            a.enqueue(batch((0..5).map(|i| row(&s, group * 5 + i)).collect()));
+            a.enqueue(batch(&s, (0..5).map(|i| group * 5 + i)));
             all.extend(pump(&net, &mut [&mut a, &mut b], 5));
         }
         all.extend(pump(&net, &mut [&mut a, &mut b], 100));
@@ -873,11 +872,11 @@ mod tests {
         let net = SimNet::new(21);
         let (mut a, mut b) = link_pair(&net, &s);
         let mut all = pump(&net, &mut [&mut a, &mut b], 5);
-        a.enqueue(batch(vec![row(&s, 1), row(&s, 2)]));
+        a.enqueue(batch(&s, [1, 2]));
         all.extend(pump(&net, &mut [&mut a, &mut b], 5));
         net.partition(1, 2);
         // Traffic queued during the partition waits in pending.
-        a.enqueue(batch(vec![row(&s, 3)]));
+        a.enqueue(batch(&s, [3]));
         all.extend(pump(&net, &mut [&mut a, &mut b], 60));
         assert!(!a.is_up() && !b.is_up(), "timeout must drop both sides");
         net.heal(1, 2);
@@ -896,7 +895,7 @@ mod tests {
         let net = SimNet::new(31);
         let (mut a, mut b) = link_pair(&net, &s);
         let mut all = pump(&net, &mut [&mut a, &mut b], 3);
-        a.enqueue(batch(vec![row(&s, 1), row(&s, 2), row(&s, 3)]));
+        a.enqueue(batch(&s, [1, 2, 3]));
         all.extend(pump(&net, &mut [&mut a, &mut b], 5));
         assert_eq!(b.recv_high(), 3);
         // "Crash" b and restart it with its persisted floor; the
@@ -913,7 +912,7 @@ mod tests {
             Box::new(net.transport(2, 1)),
             fast_config(),
         );
-        a.enqueue(batch(vec![row(&s, 4)]));
+        a.enqueue(batch(&s, [4]));
         let all2 = pump(&net, &mut [&mut a, &mut b2], 120);
         assert_eq!(delivered_xs(&all2), vec![4], "floor must absorb 1..=3");
         assert!(
@@ -964,7 +963,7 @@ mod tests {
         let net = SimNet::new(61);
         let (mut a, mut b) = link_pair(&net, &s);
         let mut all = pump(&net, &mut [&mut a, &mut b], 3);
-        a.enqueue(batch(vec![row(&s, 1), row(&s, 2), row(&s, 3)]));
+        a.enqueue(batch(&s, [1, 2, 3]));
         all.extend(pump(&net, &mut [&mut a, &mut b], 5));
         assert_eq!(b.recv_high(), 3);
 
@@ -994,7 +993,7 @@ mod tests {
             }),
             fast_config(),
         );
-        a2.enqueue(batch(vec![row(&s, 7), row(&s, 8), row(&s, 9)]));
+        a2.enqueue(batch(&s, [7, 8, 9]));
         let all2 = pump(&net, &mut [&mut a2, &mut b], 300);
         assert_eq!(
             delivered_xs(&all2),

@@ -11,13 +11,36 @@
 //! published at the receiving broker as ordinary events, notifying
 //! its local subscribers.
 //!
+//! ## One routing table
+//!
+//! A broker keeps one record per directly connected peer — the link,
+//! the interest that peer sent us with the filter compiled from it,
+//! the ledger of the interest we sent it — and two routines work on
+//! those records:
+//!
+//! * `Federation::admit`: an interest contribution (a local
+//!   subscription or, multi-hop, one learned from a peer) appears,
+//!   changes or goes; every ledger but the one on the source's own
+//!   link is updated and the wire delta queued. Subscribing,
+//!   unsubscribing, a peer's `Subscribe`/`Unsubscribe`, retiring an
+//!   older incarnation's interest and seeding a link added later are
+//!   calls to it, and it is where interest off the wire is checked: a
+//!   profile that does not lower against the schema is refused and
+//!   counted ([`FederationMetrics::rejected_interest`]), never stored.
+//! * `Federation::forward`: rows, their origin sequences, the origin,
+//!   the hops left and the peers to skip go in; one `Batch` per
+//!   interested peer is queued. Publishing and transit differ in those
+//!   arguments only. A peer's filter is compiled when rows are next
+//!   matched against it and its interest changed since, not per
+//!   `Subscribe`; rows stay one [`IndexedBatch`] from the publisher's
+//!   resolve through the `Batch` message to the receiver's publish.
+//!
 //! ## Routing efficiency
 //!
 //! Two mechanisms keep the network as selective as the matcher:
 //!
-//! * **Covering-based interest aggregation**
-//!   ([`FederationConfig::aggregate_interest`], on by default): each
-//!   link carries a [`ens_types::CoverSet`]-backed ledger of every
+//! * **Covering-based interest aggregation**: each peer record
+//!   carries a [`ens_types::CoverSet`]-backed ledger of every
 //!   interest contribution bound for that peer, and only the minimal
 //!   covering antichain is actually forwarded — a subscription covered
 //!   by an already-forwarded representative costs zero wire traffic,
@@ -82,7 +105,7 @@ pub mod sim;
 pub mod transport;
 mod wire;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -114,11 +137,6 @@ pub struct FederationConfig {
     /// Process incarnation, announced in greetings. Bump it on
     /// restart so surviving peers re-forward their interest state.
     pub epoch: u64,
-    /// Forward only the minimal covering antichain of interest per
-    /// peer (on by default). Off forwards every distinct interest
-    /// profile individually — the baseline the BENCH aggregation
-    /// rows compare against.
-    pub aggregate_interest: bool,
     /// Hop budget for re-forwarding remote event rows and remote
     /// interest. 0 (the default) is classic single-hop full-mesh
     /// federation: remote rows are never re-forwarded. A positive
@@ -135,7 +153,6 @@ impl Default for FederationConfig {
         FederationConfig {
             node: 0,
             epoch: 1,
-            aggregate_interest: true,
             max_hops: 0,
             link: LinkConfig::default(),
         }
@@ -200,6 +217,10 @@ pub struct FederationMetrics {
     /// Rows from peers that failed validation (corrupt indices or
     /// width) and were discarded.
     pub rejected_rows: u64,
+    /// `Subscribe`s from peers refused because the profile does not
+    /// lower against the schema (a value outside its domain, reversed
+    /// bounds): a filter holding one could never be compiled.
+    pub rejected_interest: u64,
     /// Rows from peers that decoded fine but whose local publish
     /// failed (e.g. a durable broker's checkpoint IO error). They are
     /// counted — never silently absorbed — because the link has
@@ -236,26 +257,31 @@ struct InterestEntry {
 /// a half-replaced interest set).
 #[derive(Default)]
 struct PeerInterest {
-    subs: HashMap<u64, InterestEntry>,
-    snapshot: Option<FilterSnapshot>,
+    /// By wire id, ascending: the order profiles are compiled in, so
+    /// compiled filters are reproducible run to run.
+    subs: BTreeMap<u64, InterestEntry>,
+    filter: Option<FilterSnapshot>,
+    /// `subs` changed since `filter` was compiled from it.
+    stale: bool,
 }
 
 impl PeerInterest {
-    fn recompile(&mut self, schema: &Schema) -> Result<(), ServiceError> {
-        if self.subs.is_empty() {
-            self.snapshot = None;
-            return Ok(());
+    /// The filter over the current subscriptions (`None`: the peer
+    /// wants nothing), compiled here if they changed since the last
+    /// call — once per burst of interest traffic, not once per message.
+    fn filter(&mut self, schema: &Schema) -> Option<&FilterSnapshot> {
+        if std::mem::take(&mut self.stale) {
+            let mut set = ProfileSet::new(schema);
+            for entry in self.subs.values() {
+                set.insert(entry.profile.clone());
+            }
+            // `admit` stored only profiles that lower, which is all a
+            // default-configured compile can refuse.
+            self.filter = (!set.is_empty())
+                .then(|| FilterSnapshot::compile(&set, &TreeConfig::default()).ok())
+                .flatten();
         }
-        let mut set = ProfileSet::new(schema);
-        // Deterministic insert order (subscription id) so compiled
-        // trees are reproducible run to run.
-        let mut ids: Vec<u64> = self.subs.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            set.insert(self.subs[&id].profile.clone());
-        }
-        self.snapshot = Some(FilterSnapshot::compile(&set, &TreeConfig::default())?);
-        Ok(())
+        self.filter.as_ref()
     }
 }
 
@@ -319,32 +345,30 @@ struct SigEntry {
 ///
 /// Contributions are keyed by their profile's canonical lowered
 /// signature, so exact duplicates — including a broker's own interest
-/// echoed back around a cycle — are absorbed with zero wire traffic
-/// in *any* mode. With aggregation on, a [`CoverSet`] additionally
-/// reduces the forwarded set to the minimal covering antichain: a
-/// probe landing on `Covered` is the O(1) fast path (record only),
-/// and only a new representative (or a representative's departure)
-/// pays a full antichain recompute and emits deltas.
+/// echoed back around a cycle — are absorbed with zero wire traffic.
+/// A [`CoverSet`] additionally reduces the forwarded set to the
+/// minimal covering antichain: a probe landing on `Covered` is the
+/// O(1) fast path (record only), and only a new representative (or a
+/// representative's departure) pays a full antichain recompute and
+/// emits deltas.
 struct OutboundInterest {
-    aggregate: bool,
     /// Contribution source → the signature it currently carries.
     sources: HashMap<SourceKey, Vec<u8>>,
     /// Signature → its refcounted entry.
     by_sig: HashMap<Vec<u8>, SigEntry>,
     /// Covering state over the lowerable entries, rebuilt on
-    /// antichain changes (empty when aggregation is off).
+    /// antichain changes.
     cover: CoverSet,
     /// Signature → wire id of the `Subscribe` currently forwarded.
     /// Invariant: keys are exactly the antichain representatives plus
-    /// every non-lowerable entry (or all entries, aggregation off).
+    /// every non-lowerable entry.
     forwarded: HashMap<Vec<u8>, u64>,
     next_slot: u32,
 }
 
 impl OutboundInterest {
-    fn new(schema: &Schema, aggregate: bool) -> Self {
+    fn new(schema: &Schema) -> Self {
         OutboundInterest {
-            aggregate,
             sources: HashMap::new(),
             by_sig: HashMap::new(),
             cover: CoverSet::new(schema),
@@ -353,34 +377,25 @@ impl OutboundInterest {
         }
     }
 
-    /// Signature key for `profile`: `0x01 ++ canonical signature` for
-    /// lowerable profiles, a unique `0xFF`-prefixed key otherwise
-    /// (the profile then never merges with anything).
-    fn sig_key(&self, schema: &Schema, profile: &Profile) -> (Vec<u8>, bool) {
-        match profile_signature(schema, profile) {
-            Ok(sig) => {
-                let mut key = Vec::with_capacity(sig.len() + 1);
-                key.push(1);
-                key.extend_from_slice(&sig);
-                (key, true)
-            }
-            Err(_) => {
-                let mut key = vec![0xFF];
-                key.extend_from_slice(&self.next_slot.to_le_bytes());
-                (key, false)
-            }
-        }
-    }
-
+    /// `sig` is `profile_signature(schema, profile)`, computed once by
+    /// the caller for all ledgers; `None` when the profile does not
+    /// lower.
     fn insert(
         &mut self,
         schema: &Schema,
         source: SourceKey,
         profile: &Profile,
+        sig: Option<&[u8]>,
         next_id: &mut u64,
     ) -> InterestDelta {
         let mut delta = InterestDelta::default();
-        let (sig, lowers) = self.sig_key(schema, profile);
+        // Ledger key: `0x01 ++ canonical signature`, or a unique
+        // `0xFF`-prefixed key for a profile that does not lower (it
+        // then never merges with anything).
+        let (sig, lowers) = match sig {
+            Some(sig) => ([&[1], sig].concat(), true),
+            None => ([&[0xFF][..], &self.next_slot.to_le_bytes()].concat(), false),
+        };
         if let Some(old) = self.sources.get(&source) {
             if *old == sig {
                 return delta; // same interest re-announced
@@ -403,7 +418,7 @@ impl OutboundInterest {
                 lowers,
             },
         );
-        if !self.aggregate || !lowers {
+        if !lowers {
             let id = *next_id;
             *next_id += 1;
             self.forwarded.insert(sig, id);
@@ -439,8 +454,7 @@ impl OutboundInterest {
         }
         let entry = self.by_sig.remove(&sig).expect("entry present");
         if self.forwarded.contains_key(&sig) {
-            if self.aggregate && entry.lowers && self.cover.compiled_index_of(entry.slot).is_some()
-            {
+            if entry.lowers && self.cover.compiled_index_of(entry.slot).is_some() {
                 // A representative left: rebuild so its covered
                 // children are promoted onto the wire (no false
                 // negatives after unsubscribing a representative).
@@ -525,12 +539,6 @@ impl OutboundInterest {
         out.sort_unstable_by_key(|(id, _)| *id);
         out
     }
-
-    /// Number of interest rows currently forwarded (the antichain
-    /// size with aggregation on; the distinct-signature count off).
-    fn forwarded_count(&self) -> usize {
-        self.forwarded.len()
-    }
 }
 
 /// An accepted TCP connection whose first frame (the identifying
@@ -541,15 +549,26 @@ struct PendingAccept {
     deadline: Instant,
 }
 
+/// Everything this broker keeps about one directly connected peer.
+struct Peer {
+    link: PeerLink,
+    /// What the peer asked us for, and the filter compiled from it.
+    interest: PeerInterest,
+    /// What we asked the peer for.
+    ledger: OutboundInterest,
+    /// Where an accepted TCP connection is handed to a passive link.
+    slot: Option<AdoptSlot>,
+}
+
 /// Mutable federation state, behind one mutex (the pump is the only
 /// hot path and publishes only enqueue).
+#[derive(Default)]
 struct FedState {
-    links: Vec<PeerLink>,
-    interest: HashMap<u64, PeerInterest>,
-    /// Per-peer outbound interest ledgers (what *we* forward).
-    outbound: HashMap<u64, OutboundInterest>,
+    /// One record per peer, in the order peers were added — the order
+    /// links are polled and rows forwarded in.
+    peers: Vec<Peer>,
     /// Local subscriptions contributing interest: id → profile.
-    local_subs: HashMap<u64, Profile>,
+    local_subs: BTreeMap<u64, Profile>,
     epoch: u64,
     /// Allocator for forwarded-interest wire ids (unique across all
     /// links so covering representatives never collide).
@@ -558,7 +577,7 @@ struct FedState {
     next_origin_seq: u64,
     /// Highest origin sequence seen per origin broker (multi-hop
     /// duplicate suppression; exact on acyclic overlays).
-    origin_floors: HashMap<u64, u64>,
+    origin_floors: BTreeMap<u64, u64>,
     scratch: SnapshotScratch,
     ix_scratch: IndexedEvent,
     /// Reusable arena for batched egress resolution and ingress
@@ -566,13 +585,15 @@ struct FedState {
     batch_scratch: IndexedBatch,
     listener: Option<TcpListener>,
     pending_accepts: Vec<PendingAccept>,
-    /// Passive-side adoption slots, by peer node id.
-    slots: HashMap<u64, AdoptSlot>,
-    delivered_rows: u64,
-    rejected_rows: u64,
-    forwarded_rows: u64,
-    publish_failures: u64,
-    origin_duplicates: u64,
+    /// The counters this layer keeps itself; [`Federation::metrics`]
+    /// adds the links' on top.
+    counters: FederationMetrics,
+}
+
+impl FedState {
+    fn peer_mut(&mut self, id: u64) -> Option<&mut Peer> {
+        self.peers.iter_mut().find(|p| p.link.peer() == id)
+    }
 }
 
 /// A federated broker endpoint: wraps an [`Broker`] (shared, so the
@@ -581,10 +602,7 @@ struct FedState {
 pub struct Federation {
     broker: Arc<Broker>,
     schema: Arc<Schema>,
-    node: u64,
-    aggregate_interest: bool,
-    max_hops: u8,
-    link_config: LinkConfig,
+    config: FederationConfig,
     state: Mutex<FedState>,
 }
 
@@ -597,30 +615,12 @@ impl Federation {
         Federation {
             broker,
             schema,
-            node: config.node,
-            aggregate_interest: config.aggregate_interest,
-            max_hops: config.max_hops,
-            link_config: config.link,
+            config,
             state: Mutex::new(FedState {
-                links: Vec::new(),
-                interest: HashMap::new(),
-                outbound: HashMap::new(),
-                local_subs: HashMap::new(),
                 epoch: config.epoch,
                 next_interest_id: 1,
                 next_origin_seq: 1,
-                origin_floors: HashMap::new(),
-                scratch: SnapshotScratch::new(),
-                ix_scratch: IndexedEvent::new(),
-                batch_scratch: IndexedBatch::new(),
-                listener: None,
-                pending_accepts: Vec::new(),
-                slots: HashMap::new(),
-                delivered_rows: 0,
-                rejected_rows: 0,
-                forwarded_rows: 0,
-                publish_failures: 0,
-                origin_duplicates: 0,
+                ..FedState::default()
             }),
         }
     }
@@ -638,75 +638,78 @@ impl Federation {
     /// This endpoint's node id.
     #[must_use]
     pub fn node(&self) -> u64 {
-        self.node
+        self.config.node
     }
 
     /// Adds a peer over an explicit transport (tests use the
     /// fault-injection network here). `recv_floor` is the persisted
     /// receive floor from a previous incarnation, 0 for a fresh pairing.
     pub fn add_peer(&self, peer: u64, transport: Box<dyn Transport>, recv_floor: u64) {
+        self.add_link(peer, transport, recv_floor, None);
+    }
+
+    fn add_link(
+        &self,
+        peer: u64,
+        transport: Box<dyn Transport>,
+        recv_floor: u64,
+        slot: Option<AdoptSlot>,
+    ) {
         let st = &mut *self.lock();
-        let mut link = PeerLink::new(
-            self.node,
+        let link = PeerLink::new(
+            self.config.node,
             peer,
             Arc::clone(&self.schema),
             st.epoch,
             recv_floor,
             transport,
-            self.link_config,
+            self.config.link,
         );
-        // Build the link's outbound ledger from the interest that
-        // already exists — local subscriptions, plus (multi-hop)
-        // interest learned from other peers — and forward its
-        // covering antichain; later contributions arrive as deltas.
-        let mut ledger = OutboundInterest::new(&self.schema, self.aggregate_interest);
-        let mut delta = InterestDelta::default();
-        let mut ids: Vec<u64> = st.local_subs.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let profile = st.local_subs[&id].clone();
-            delta.merge(ledger.insert(
-                &self.schema,
-                SourceKey::Local(id),
-                &profile,
-                &mut st.next_interest_id,
-            ));
+        // A re-added peer gets a new link and ledger; what it asked us
+        // for still stands.
+        let interest = match st.peers.iter().position(|p| p.link.peer() == peer) {
+            Some(old) => st.peers.remove(old).interest,
+            None => PeerInterest::default(),
+        };
+        st.peers.push(Peer {
+            link,
+            interest,
+            ledger: OutboundInterest::new(&self.schema),
+            slot,
+        });
+        // Seed the new ledger with the interest that already exists —
+        // local subscriptions, plus (multi-hop) what other peers sent
+        // — so the link's first traffic is its covering antichain.
+        // Every older ledger already holds these contributions and
+        // ignores them.
+        let local = st
+            .local_subs
+            .iter()
+            .map(|(id, p)| (SourceKey::Local(*id), p));
+        let relayed = st.peers.iter().filter(|_| self.config.max_hops > 0);
+        let remote = relayed.flat_map(|p| {
+            let peer = p.link.peer();
+            let subs = p.interest.subs.iter();
+            subs.map(move |(id, e)| (SourceKey::Remote { peer, id: *id }, &e.profile))
+        });
+        let existing: Vec<(SourceKey, Profile)> =
+            local.chain(remote).map(|(k, p)| (k, p.clone())).collect();
+        for (source, profile) in existing {
+            self.admit(st, source, Some(&profile));
         }
-        if self.max_hops > 0 {
-            let mut peers: Vec<u64> = st.interest.keys().copied().filter(|p| *p != peer).collect();
-            peers.sort_unstable();
-            for p in peers {
-                let mut sids: Vec<u64> = st.interest[&p].subs.keys().copied().collect();
-                sids.sort_unstable();
-                for sid in sids {
-                    let profile = st.interest[&p].subs[&sid].profile.clone();
-                    delta.merge(ledger.insert(
-                        &self.schema,
-                        SourceKey::Remote { peer: p, id: sid },
-                        &profile,
-                        &mut st.next_interest_id,
-                    ));
-                }
-            }
-        }
-        delta.apply(&mut link);
-        st.outbound.insert(peer, ledger);
-        st.links.retain(|l| l.peer() != peer);
-        st.links.push(link);
     }
 
     /// Adds a TCP peer. The side with the lower node id dials `addr`;
     /// the higher side waits for the peer to dial in through this
     /// endpoint's [`Federation::bind`] listener.
     pub fn add_tcp_peer(&self, peer: u64, addr: SocketAddr, recv_floor: u64) {
-        let transport: Box<dyn Transport> = if self.node < peer {
-            Box::new(TcpTransport::dial(addr))
+        if self.config.node < peer {
+            self.add_link(peer, Box::new(TcpTransport::dial(addr)), recv_floor, None);
         } else {
             let slot: AdoptSlot = Arc::new(Mutex::new(AdoptState::default()));
-            self.lock().slots.insert(peer, Arc::clone(&slot));
-            Box::new(TcpTransport::passive(slot))
-        };
-        self.add_peer(peer, transport, recv_floor);
+            let transport = Box::new(TcpTransport::passive(Arc::clone(&slot)));
+            self.add_link(peer, transport, recv_floor, Some(slot));
+        }
     }
 
     /// Starts listening for inbound federation connections. Returns
@@ -723,12 +726,55 @@ impl Federation {
         Ok(bound)
     }
 
+    /// The one place an interest contribution changes: `source` now
+    /// asks for `profile` (`None`: for nothing). Every peer's ledger
+    /// but the one on the source's own link is updated and the
+    /// `Subscribe`/`Unsubscribe` delta that leaves queued on its link.
+    ///
+    /// Returns whether the contribution stands. Interest from a peer
+    /// is checked here, where it enters: a profile that does not lower
+    /// (the wire codec checks tags and attribute indices, not values
+    /// against their domains) is refused and counted — stored, it
+    /// would fail every later compile of that peer's filter.
+    fn admit(&self, st: &mut FedState, source: SourceKey, profile: Option<&Profile>) -> bool {
+        let profile = profile.map(|p| (p, profile_signature(&self.schema, p).ok()));
+        let from = match source {
+            SourceKey::Local(_) => None,
+            SourceKey::Remote { peer, .. } => {
+                if matches!(profile, Some((_, None))) {
+                    st.counters.rejected_interest += 1;
+                    return false;
+                }
+                if self.config.max_hops == 0 {
+                    // Single-hop: remote interest is never carried on.
+                    return true;
+                }
+                Some(peer)
+            }
+        };
+        for p in &mut st.peers {
+            if Some(p.link.peer()) == from {
+                continue;
+            }
+            let next_id = &mut st.next_interest_id;
+            let delta = match &profile {
+                Some((profile, sig)) => {
+                    p.ledger
+                        .insert(&self.schema, source, profile, sig.as_deref(), next_id)
+                }
+                None => p.ledger.remove(&self.schema, source, next_id),
+            };
+            delta.apply(&mut p.link);
+        }
+        true
+    }
+
     /// Registers a weighted subscription locally and offers its
     /// profile to every peer's outbound ledger, so remote events
     /// matching it reach this broker. The weight only shapes the
-    /// *local* broker's cost model; it never crosses the wire. With
-    /// interest aggregation the profile is forwarded only when no
-    /// already-forwarded profile covers it.
+    /// *local* broker's cost model; it never crosses the wire. The
+    /// profile is forwarded only when no already-forwarded profile
+    /// covers it.
     ///
     /// # Errors
     ///
@@ -744,19 +790,8 @@ impl Federation {
             .subscribe_profile_weighted(profile.clone(), weight)?;
         let id = sub.id().get();
         let st = &mut *self.lock();
-        st.local_subs.insert(id, profile.clone());
-        for link in &mut st.links {
-            if let Some(ledger) = st.outbound.get_mut(&link.peer()) {
-                ledger
-                    .insert(
-                        &self.schema,
-                        SourceKey::Local(id),
-                        &profile,
-                        &mut st.next_interest_id,
-                    )
-                    .apply(link);
-            }
-        }
+        self.admit(st, SourceKey::Local(id), Some(&profile));
+        st.local_subs.insert(id, profile);
         Ok(sub)
     }
 
@@ -790,19 +825,8 @@ impl Federation {
     pub fn unsubscribe(&self, id: SubscriptionId) -> Result<(), ServiceError> {
         self.broker.unsubscribe(id)?;
         let st = &mut *self.lock();
-        if st.local_subs.remove(&id.get()).is_some() {
-            for link in &mut st.links {
-                if let Some(ledger) = st.outbound.get_mut(&link.peer()) {
-                    ledger
-                        .remove(
-                            &self.schema,
-                            SourceKey::Local(id.get()),
-                            &mut st.next_interest_id,
-                        )
-                        .apply(link);
-                }
-            }
-        }
+        st.local_subs.remove(&id.get());
+        self.admit(st, SourceKey::Local(id.get()), None);
         Ok(())
     }
 
@@ -818,12 +842,11 @@ impl Federation {
         let st = &mut *self.lock();
         let mut batch = std::mem::take(&mut st.batch_scratch);
         let resolved = batch.resolve_into(&self.schema, std::iter::once(event));
-        if let Err(e) = resolved {
-            st.batch_scratch = batch;
-            return Err(ServiceError::Types(e));
+        if resolved.is_ok() {
+            self.forward_published(st, &batch);
         }
-        self.forward_indexed(st, &batch);
         st.batch_scratch = batch;
+        resolved.map_err(ServiceError::Types)?;
         Ok(receipt)
     }
 
@@ -844,64 +867,67 @@ impl Federation {
         }
         let st = &mut *self.lock();
         let mut batch = std::mem::take(&mut st.batch_scratch);
-        let resolved = batch.resolve_into(&self.schema, events.iter().map(Arc::as_ref));
-        if let Err(e) = resolved {
-            st.batch_scratch = batch;
-            return Err(ServiceError::Types(e));
+        let receipts = batch
+            .resolve_into(&self.schema, events.iter().map(Arc::as_ref))
+            .map_err(ServiceError::Types)
+            .and_then(|()| self.broker.publish_batch_prepared(events, &batch));
+        if receipts.is_ok() {
+            self.forward_published(st, &batch);
         }
-        let receipts = match self.broker.publish_batch_prepared(events, &batch) {
-            Ok(r) => r,
-            Err(e) => {
-                st.batch_scratch = batch;
-                return Err(e);
-            }
-        };
-        self.forward_indexed(st, &batch);
         st.batch_scratch = batch;
-        Ok(receipts)
+        receipts
     }
 
-    /// Matches each resolved row against every peer's interest filter
-    /// and enqueues one `Batch` per interested peer, stamping each row
-    /// with this broker's origin id and a fresh origin sequence.
+    /// Stamps each row this broker's application just published with a
+    /// fresh origin sequence and forwards them with a full hop budget.
     /// Origin sequences are consumed even when no link is up so that
     /// they stay unique per published event across link churn.
-    fn forward_indexed(&self, st: &mut FedState, batch: &IndexedBatch) {
+    fn forward_published(&self, st: &mut FedState, batch: &IndexedBatch) {
         let first = st.next_origin_seq;
         st.next_origin_seq += batch.len() as u64;
-        if st.links.is_empty() {
-            return;
-        }
-        let width = batch.width() as u32;
-        let mut per_peer: HashMap<u64, (Vec<u64>, Vec<Vec<u64>>)> = HashMap::new();
-        for i in 0..batch.len() {
-            let row = batch.row(i);
-            st.ix_scratch.copy_from_raw(row);
-            for link in &st.links {
-                let peer = link.peer();
-                let Some(interest) = st.interest.get(&peer) else {
-                    continue;
-                };
-                let Some(snapshot) = interest.snapshot.as_ref() else {
-                    continue;
-                };
-                snapshot.match_into(&st.ix_scratch, &mut st.scratch, false);
+        let origin_seqs: Vec<u64> = (first..st.next_origin_seq).collect();
+        let ttl = u32::from(self.config.max_hops);
+        self.forward(st, batch, &origin_seqs, self.config.node, ttl, &[]);
+    }
+
+    /// The one way rows leave this broker: row `i` of `batch` (which
+    /// `origin` published as its `origin_seqs[i]`-th) goes to every
+    /// peer not in `skip` whose interest filter matches it, as one
+    /// `Batch` per interested peer with `ttl` hops left to travel.
+    fn forward(
+        &self,
+        st: &mut FedState,
+        batch: &IndexedBatch,
+        origin_seqs: &[u64],
+        origin: u64,
+        ttl: u32,
+        skip: &[u64],
+    ) {
+        for p in &mut st.peers {
+            if skip.contains(&p.link.peer()) {
+                continue;
+            }
+            let Some(filter) = p.interest.filter(&self.schema) else {
+                continue;
+            };
+            let mut rows = IndexedBatch::new();
+            rows.reset(batch.width());
+            let mut seqs = Vec::new();
+            for (i, &seq) in origin_seqs.iter().enumerate() {
+                st.ix_scratch.copy_from_raw(batch.row(i));
+                filter.match_into(&st.ix_scratch, &mut st.scratch, true);
                 if st.scratch.is_match() {
-                    let (seqs, rows) = per_peer.entry(peer).or_default();
-                    seqs.push(first + i as u64);
-                    rows.push(row.to_vec());
+                    rows.push_raw(batch.row(i));
+                    seqs.push(seq);
                 }
             }
-        }
-        for link in &mut st.links {
-            if let Some((origin_seqs, rows)) = per_peer.remove(&link.peer()) {
-                st.forwarded_rows += rows.len() as u64;
-                link.enqueue(Msg::Batch {
+            if !seqs.is_empty() {
+                st.counters.forwarded_rows += seqs.len() as u64;
+                p.link.enqueue(Msg::Batch {
                     first_seq: 0,
-                    origin: self.node,
-                    ttl: u32::from(self.max_hops),
-                    width,
-                    origin_seqs,
+                    origin,
+                    ttl,
+                    origin_seqs: seqs,
                     rows,
                 });
             }
@@ -928,50 +954,23 @@ impl Federation {
                 }
             }
         }
-        let mut i = 0;
-        while i < st.pending_accepts.len() {
-            enum Verdict {
-                Keep,
-                Drop,
-                Adopt(u64),
-            }
-            let pa = &mut st.pending_accepts[i];
-            let mut verdict = Verdict::Keep;
+        for mut pa in std::mem::take(&mut st.pending_accepts) {
             let mut chunk = [0u8; 4096];
-            loop {
+            let open = loop {
                 match pa.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        verdict = Verdict::Drop;
-                        break;
-                    }
+                    Ok(0) => break false,
                     Ok(n) => pa.buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break true,
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        verdict = Verdict::Drop;
-                        break;
-                    }
+                    Err(_) => break false,
                 }
+            };
+            if !open {
+                continue; // closed under us: dropped
             }
-            if matches!(verdict, Verdict::Keep) {
-                match identify_hello(&pa.buf, &self.schema) {
-                    Ok(Some(node)) => verdict = Verdict::Adopt(node),
-                    Ok(None) => {
-                        if Instant::now() >= pa.deadline {
-                            verdict = Verdict::Drop;
-                        }
-                    }
-                    Err(()) => verdict = Verdict::Drop,
-                }
-            }
-            match verdict {
-                Verdict::Keep => i += 1,
-                Verdict::Drop => {
-                    st.pending_accepts.swap_remove(i);
-                }
-                Verdict::Adopt(node) => {
-                    let pa = st.pending_accepts.swap_remove(i);
-                    if let Some(slot) = st.slots.get(&node) {
+            match identify_hello(&pa.buf, &self.schema) {
+                Ok(Some(node)) => {
+                    if let Some(slot) = st.peer_mut(node).and_then(|p| p.slot.as_ref()) {
                         let mut s = slot.lock().unwrap_or_else(|e| e.into_inner());
                         // Hand over the stream plus everything read,
                         // *including* the Hello frame, so the link
@@ -980,6 +979,10 @@ impl Federation {
                         s.preread = pa.buf;
                     }
                 }
+                // Still short of a frame: wait for the rest, for a while.
+                Ok(None) if Instant::now() < pa.deadline => st.pending_accepts.push(pa),
+                // Not a greeting, or too slow: dropped.
+                _ => {}
             }
         }
     }
@@ -993,19 +996,18 @@ impl Federation {
     ///
     /// # Errors
     ///
-    /// Propagates interest-filter compilation errors for forwarded
-    /// subscriptions. Local publish failures for remote events are
-    /// *not* propagated — the link has already advanced past those
-    /// rows, so aborting would silently drop the rest of the batch;
-    /// they are counted in [`FederationMetrics::publish_failures`]
-    /// instead.
+    /// None today. The link has already advanced its floor past every
+    /// event handled here, so returning early would lose the rest of
+    /// them for good: what cannot be applied is counted instead
+    /// ([`FederationMetrics`]'s `rejected_interest`, `rejected_rows`,
+    /// `publish_failures`) and the loop goes on.
     pub fn pump(&self, now_ms: u64) -> Result<PumpReport, ServiceError> {
         let mut report = PumpReport::default();
         let st = &mut *self.lock();
         self.poll_accepts(st);
         let mut events = Vec::new();
-        for link in &mut st.links {
-            link.poll(now_ms, &mut events);
+        for p in &mut st.peers {
+            p.link.poll(now_ms, &mut events);
         }
         for ev in events {
             match ev {
@@ -1019,14 +1021,9 @@ impl Federation {
                         // ledger's covering set — exactly what the old
                         // incarnation knew (its receive floor dedupes
                         // any that survived in flight).
-                        let resend: Vec<(u64, Profile)> = st
-                            .outbound
-                            .get(&peer)
-                            .map(OutboundInterest::forwarded_entries)
-                            .unwrap_or_default();
-                        if let Some(link) = st.links.iter_mut().find(|l| l.peer() == peer) {
-                            for (id, profile) in resend {
-                                link.enqueue(Msg::Subscribe {
+                        if let Some(p) = st.peer_mut(peer) {
+                            for (id, profile) in p.ledger.forwarded_entries() {
+                                p.link.enqueue(Msg::Subscribe {
                                     seq: 0,
                                     id,
                                     profile,
@@ -1050,78 +1047,33 @@ impl Federation {
                     profile,
                     epoch,
                 } => {
-                    let interest = st.interest.entry(peer).or_default();
+                    if !self.admit(st, SourceKey::Remote { peer, id }, Some(&profile)) {
+                        continue;
+                    }
+                    let Some(p) = st.peer_mut(peer) else {
+                        continue;
+                    };
                     // First word from a newer incarnation retires
-                    // everything inherited from older ones.
-                    let mut stale: Vec<u64> = interest
-                        .subs
-                        .iter()
+                    // everything inherited from older ones — after the
+                    // new entry is in, so the peers we relay to can
+                    // only be over-asked meanwhile.
+                    p.interest.subs.insert(id, InterestEntry { epoch, profile });
+                    let stale: Vec<u64> = (p.interest.subs.iter())
                         .filter(|(_, e)| e.epoch < epoch)
                         .map(|(sid, _)| *sid)
                         .collect();
-                    stale.sort_unstable();
-                    interest.subs.retain(|_, e| e.epoch >= epoch);
-                    interest.subs.insert(
-                        id,
-                        InterestEntry {
-                            epoch,
-                            profile: profile.clone(),
-                        },
-                    );
-                    interest.recompile(&self.schema)?;
-                    if self.max_hops > 0 {
-                        // Mirror the remote interest into every *other*
-                        // peer's ledger so events from elsewhere can
-                        // route through this broker toward `peer`.
-                        for link in &mut st.links {
-                            let out = link.peer();
-                            if out == peer {
-                                continue;
-                            }
-                            let Some(ledger) = st.outbound.get_mut(&out) else {
-                                continue;
-                            };
-                            let mut delta = InterestDelta::default();
-                            for sid in &stale {
-                                delta.merge(ledger.remove(
-                                    &self.schema,
-                                    SourceKey::Remote { peer, id: *sid },
-                                    &mut st.next_interest_id,
-                                ));
-                            }
-                            delta.merge(ledger.insert(
-                                &self.schema,
-                                SourceKey::Remote { peer, id },
-                                &profile,
-                                &mut st.next_interest_id,
-                            ));
-                            delta.apply(link);
-                        }
+                    p.interest.subs.retain(|_, e| e.epoch >= epoch);
+                    p.interest.stale = true;
+                    for sid in stale {
+                        self.admit(st, SourceKey::Remote { peer, id: sid }, None);
                     }
                 }
                 LinkEvent::Unsubscribe { peer, id } => {
-                    if let Some(interest) = st.interest.get_mut(&peer) {
-                        interest.subs.remove(&id);
-                        interest.recompile(&self.schema)?;
+                    if let Some(p) = st.peer_mut(peer) {
+                        p.interest.subs.remove(&id);
+                        p.interest.stale = true;
                     }
-                    if self.max_hops > 0 {
-                        for link in &mut st.links {
-                            let out = link.peer();
-                            if out == peer {
-                                continue;
-                            }
-                            let Some(ledger) = st.outbound.get_mut(&out) else {
-                                continue;
-                            };
-                            ledger
-                                .remove(
-                                    &self.schema,
-                                    SourceKey::Remote { peer, id },
-                                    &mut st.next_interest_id,
-                                )
-                                .apply(link);
-                        }
-                    }
+                    self.admit(st, SourceKey::Remote { peer, id }, None);
                 }
                 LinkEvent::Rows {
                     peer,
@@ -1132,50 +1084,52 @@ impl Federation {
                     rows,
                     skip,
                 } => {
+                    // A batch has one width: if it is not this
+                    // schema's (padded the way `IndexedBatch` pads),
+                    // every row of it is refused.
+                    if rows.width() != self.schema.len().max(1) {
+                        st.counters.rejected_rows += (rows.len() - skip) as u64;
+                        continue;
+                    }
                     // Batched ingress: validate and dedupe each row,
                     // collect the survivors into one IndexedBatch, and
                     // resolve + block-match them through the broker in
                     // a single pass.
                     let mut batch = std::mem::take(&mut st.batch_scratch);
-                    batch.reset(self.schema.len().max(1));
-                    let mut accepted: Vec<(Arc<Event>, u64, u64)> = Vec::new();
-                    for (offset, row) in rows.iter().enumerate().skip(skip) {
-                        if row.len() != self.schema.len() {
-                            st.rejected_rows += 1;
-                            continue;
-                        }
-                        let oseq = origin_seqs[offset];
-                        if origin == self.node {
+                    batch.reset(rows.width());
+                    let mut events: Vec<Arc<Event>> = Vec::new();
+                    let (mut seqs, mut oseqs) = (Vec::new(), Vec::new());
+                    for (offset, &oseq) in origin_seqs.iter().enumerate().skip(skip) {
+                        if origin == self.config.node {
                             // Our own event echoed around a cycle.
-                            st.origin_duplicates += 1;
+                            st.counters.origin_duplicates += 1;
                             continue;
                         }
-                        if self.max_hops > 0 {
+                        if self.config.max_hops > 0 {
                             // Per-origin floor: exact duplicate
                             // suppression on acyclic overlays, where
                             // each origin's rows arrive along a single
                             // FIFO path and thus in seq order.
                             let floor = st.origin_floors.entry(origin).or_insert(0);
                             if oseq <= *floor {
-                                st.origin_duplicates += 1;
+                                st.counters.origin_duplicates += 1;
                                 continue;
                             }
                             *floor = oseq;
                         }
-                        st.ix_scratch.copy_from_raw(row);
-                        let event = match st.ix_scratch.to_event(&self.schema) {
-                            Ok(e) => Arc::new(e),
+                        st.ix_scratch.copy_from_raw(rows.row(offset));
+                        match st.ix_scratch.to_event(&self.schema) {
+                            Ok(e) => events.push(Arc::new(e)),
                             Err(_) => {
-                                st.rejected_rows += 1;
+                                st.counters.rejected_rows += 1;
                                 continue;
                             }
-                        };
-                        batch.push_raw(row);
-                        accepted.push((event, first_seq + offset as u64, oseq));
+                        }
+                        batch.push_raw(rows.row(offset));
+                        seqs.push(first_seq + offset as u64);
+                        oseqs.push(oseq);
                     }
-                    if !accepted.is_empty() {
-                        let events: Vec<Arc<Event>> =
-                            accepted.iter().map(|(e, _, _)| Arc::clone(e)).collect();
+                    if !events.is_empty() {
                         // A publish failure must NOT abort the pump:
                         // the link already advanced its floor past
                         // this whole batch, so the next lazy ack will
@@ -1184,18 +1138,18 @@ impl Federation {
                         // drop every later link event on the floor.
                         // Count the failed rows and keep going.
                         if self.broker.publish_batch_prepared(&events, &batch).is_ok() {
-                            st.delivered_rows += accepted.len() as u64;
-                            for (event, seq, origin_seq) in &accepted {
+                            st.counters.delivered_rows += events.len() as u64;
+                            for (i, event) in events.iter().enumerate() {
                                 report.delivered.push(RemoteDelivery {
                                     peer,
-                                    seq: *seq,
+                                    seq: seqs[i],
                                     origin,
-                                    origin_seq: *origin_seq,
+                                    origin_seq: oseqs[i],
                                     event: Arc::clone(event),
                                 });
                             }
                         } else {
-                            st.publish_failures += accepted.len() as u64;
+                            st.counters.publish_failures += events.len() as u64;
                         }
                         // Transit: re-forward the accepted rows along
                         // the overlay while the hop budget lasts —
@@ -1204,46 +1158,9 @@ impl Federation {
                         // even when local publish failed: routing is
                         // this broker's duty to the overlay, delivery
                         // only to its own subscribers.
-                        if self.max_hops > 0 && ttl > 0 {
-                            let ttl_out = (ttl - 1).min(u32::from(self.max_hops));
-                            let width = batch.width() as u32;
-                            let mut per_peer: HashMap<u64, (Vec<u64>, Vec<Vec<u64>>)> =
-                                HashMap::new();
-                            for (i, (_, _, oseq)) in accepted.iter().enumerate() {
-                                let row = batch.row(i);
-                                st.ix_scratch.copy_from_raw(row);
-                                for link in &st.links {
-                                    let out = link.peer();
-                                    if out == peer || out == origin {
-                                        continue;
-                                    }
-                                    let Some(interest) = st.interest.get(&out) else {
-                                        continue;
-                                    };
-                                    let Some(snapshot) = interest.snapshot.as_ref() else {
-                                        continue;
-                                    };
-                                    snapshot.match_into(&st.ix_scratch, &mut st.scratch, false);
-                                    if st.scratch.is_match() {
-                                        let (seqs, out_rows) = per_peer.entry(out).or_default();
-                                        seqs.push(*oseq);
-                                        out_rows.push(row.to_vec());
-                                    }
-                                }
-                            }
-                            for link in &mut st.links {
-                                if let Some((oseqs, out_rows)) = per_peer.remove(&link.peer()) {
-                                    st.forwarded_rows += out_rows.len() as u64;
-                                    link.enqueue(Msg::Batch {
-                                        first_seq: 0,
-                                        origin,
-                                        ttl: ttl_out,
-                                        width,
-                                        origin_seqs: oseqs,
-                                        rows: out_rows,
-                                    });
-                                }
-                            }
+                        if self.config.max_hops > 0 && ttl > 0 {
+                            let ttl = (ttl - 1).min(u32::from(self.config.max_hops));
+                            self.forward(st, &batch, &oseqs, origin, ttl, &[peer, origin]);
                         }
                     }
                     st.batch_scratch = batch;
@@ -1251,32 +1168,30 @@ impl Federation {
                 LinkEvent::Down { .. } => {}
             }
         }
-        report.floors = st.links.iter().map(|l| (l.peer(), l.recv_high())).collect();
+        report.floors = (st.peers.iter())
+            .map(|p| (p.link.peer(), p.link.recv_high()))
+            .collect();
         Ok(report)
     }
 
-    /// Number of peers whose forwarded interest currently compiles to
-    /// a live filter — i.e. peers that would receive matching events
-    /// published here. Publishers that must not race the initial
-    /// subscription exchange can gate on this.
+    /// Number of peers with live interest here — i.e. peers that
+    /// would receive matching events published here. Publishers that
+    /// must not race the initial subscription exchange can gate on
+    /// this.
     #[must_use]
     pub fn interested_peers(&self) -> usize {
-        self.lock()
-            .interest
-            .values()
-            .filter(|i| i.snapshot.is_some())
-            .count()
+        let st = self.lock();
+        let live = st.peers.iter().filter(|p| !p.interest.subs.is_empty());
+        live.count()
     }
 
     /// Per-peer receive floors (highest contiguous sequence received),
     /// the state to persist for exactly-once restarts.
     #[must_use]
     pub fn recv_floors(&self) -> Vec<(u64, u64)> {
-        self.lock()
-            .links
-            .iter()
-            .map(|l| (l.peer(), l.recv_high()))
-            .collect()
+        let st = self.lock();
+        let floors = st.peers.iter().map(|p| (p.link.peer(), p.link.recv_high()));
+        floors.collect()
     }
 
     /// Outbound messages queued or awaiting acknowledgement across
@@ -1284,19 +1199,18 @@ impl Federation {
     /// received (useful for draining before shutdown).
     #[must_use]
     pub fn backlog(&self) -> usize {
-        self.lock().links.iter().map(PeerLink::backlog).sum()
+        self.lock().peers.iter().map(|p| p.link.backlog()).sum()
     }
 
-    /// Number of interest rows currently forwarded to `peer` — with
-    /// aggregation this is the size of the minimal covering antichain
-    /// (plus any profiles the covering analysis could not lower),
-    /// which is what the routing-efficiency benchmark measures.
+    /// Number of interest rows currently forwarded to `peer` — the
+    /// size of the minimal covering antichain (plus any profiles the
+    /// covering analysis could not lower), which is what the
+    /// routing-efficiency benchmark measures.
     #[must_use]
     pub fn forwarded_interest(&self, peer: u64) -> usize {
-        self.lock()
-            .outbound
-            .get(&peer)
-            .map_or(0, OutboundInterest::forwarded_count)
+        let st = self.lock();
+        let peer = st.peers.iter().find(|p| p.link.peer() == peer);
+        peer.map_or(0, |p| p.ledger.forwarded.len())
     }
 
     /// Snapshot of the per-origin duplicate-suppression floors
@@ -1307,9 +1221,7 @@ impl Federation {
     #[must_use]
     pub fn origin_floors(&self) -> Vec<(u64, u64)> {
         let st = self.lock();
-        let mut floors: Vec<(u64, u64)> = st.origin_floors.iter().map(|(o, f)| (*o, *f)).collect();
-        floors.sort_unstable();
-        floors
+        st.origin_floors.iter().map(|(o, f)| (*o, *f)).collect()
     }
 
     /// Restores a per-origin duplicate-suppression floor (see
@@ -1341,8 +1253,8 @@ impl Federation {
     pub fn set_epoch(&self, epoch: u64) {
         let mut st = self.lock();
         st.epoch = epoch;
-        for link in &mut st.links {
-            link.set_epoch(epoch);
+        for p in &mut st.peers {
+            p.link.set_epoch(epoch);
         }
     }
 
@@ -1350,15 +1262,8 @@ impl Federation {
     #[must_use]
     pub fn metrics(&self) -> FederationMetrics {
         let st = self.lock();
-        let mut m = FederationMetrics {
-            delivered_rows: st.delivered_rows,
-            rejected_rows: st.rejected_rows,
-            forwarded_rows: st.forwarded_rows,
-            publish_failures: st.publish_failures,
-            origin_duplicates: st.origin_duplicates,
-            ..FederationMetrics::default()
-        };
-        for link in &st.links {
+        let mut m = st.counters;
+        for link in st.peers.iter().map(|p| &p.link) {
             let s: LinkStats = link.stats();
             m.sent += s.sent;
             m.retransmits += s.retransmits;
@@ -1408,7 +1313,6 @@ mod tests {
             FederationConfig {
                 node,
                 epoch: 1,
-                aggregate_interest: true,
                 max_hops: 0,
                 link: link::LinkConfig {
                     heartbeat_ms: 50,
@@ -1475,6 +1379,71 @@ mod tests {
         // a forwarded exactly one row.
         assert_eq!(a.metrics().forwarded_rows, 1);
         assert_eq!(b.metrics().delivered_rows, 1);
+    }
+
+    #[test]
+    fn hostile_peer_frames_are_refused_counted_and_survived() {
+        // Node 2 is a raw transport, so it can say what no broker
+        // would: CRC-valid frames the wire codec accepts and the
+        // schema does not.
+        let net = SimNet::new(4);
+        let a = fed(&net, 1, &[2]);
+        a.pump(net.now_ms()).unwrap();
+        let s = schema();
+        let mut raw = net.transport(2, 1);
+        let mut say = |msg: Msg| raw.send(&msg.encode().unwrap()).unwrap();
+        say(Msg::Hello {
+            node: 2,
+            schema_hash: schema_hash(&s),
+            epoch: 1,
+            recv_high: 0,
+            your_epoch: None,
+        });
+        // A value outside the domain, reversed bounds, then a valid
+        // profile behind them.
+        let asks = [
+            Predicate::Eq(5000.into()),
+            Predicate::between(900, 100),
+            Predicate::ge(500),
+        ];
+        for (id, p) in (1..).zip(asks) {
+            let id0 = ens_types::ProfileId::new(0);
+            let profile = Profile::from_predicates(&s, id0, vec![p]).unwrap();
+            say(Msg::Subscribe {
+                seq: id,
+                id,
+                profile,
+            });
+        }
+        // A row of two cells under a one-attribute schema.
+        let mut rows = IndexedBatch::new();
+        rows.reset(2);
+        rows.push_raw(&[7, 7]);
+        say(Msg::Batch {
+            first_seq: 4,
+            origin: 2,
+            ttl: 0,
+            origin_seqs: vec![1],
+            rows,
+        });
+        // Every pump succeeds, each refusal is counted, and the valid
+        // Subscribe behind the bad ones is applied, not lost with the
+        // rest of the event list.
+        assert!(pump_all(&net, &[&a], 3).is_empty());
+        let m = a.metrics();
+        assert_eq!((m.rejected_interest, m.rejected_rows), (2, 1));
+        assert_eq!(a.interested_peers(), 1);
+        a.publish(&event(&s, 400)).unwrap();
+        a.publish(&event(&s, 600)).unwrap();
+        assert_eq!(a.metrics().forwarded_rows, 1);
+        pump_all(&net, &[&a], 2);
+        let mut forwarded: Vec<u64> = Vec::new();
+        while let Some(payload) = raw.recv().unwrap() {
+            if let Msg::Batch { rows, .. } = Msg::decode(&payload, &s).unwrap() {
+                forwarded.extend(rows.raw());
+            }
+        }
+        assert_eq!(forwarded, [600]);
     }
 
     #[test]

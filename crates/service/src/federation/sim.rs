@@ -226,7 +226,7 @@ impl Transport for SimTransport {
         if !s.connected(self.local, self.peer) {
             return Err(TransportError::Disconnected);
         }
-        let mut bytes = frame(payload).map_err(|e| TransportError::Corrupt(e.to_string()))?;
+        let mut bytes = frame(payload)?;
         let plan = s.plan;
         if s.chance(plan.drop_p) {
             return Ok(()); // vanished on the wire
@@ -271,7 +271,7 @@ impl Transport for SimTransport {
                     // both sides, like a TCP reset after bad framing.
                     s.sever(self.local, self.peer);
                     self.rbuf = FrameBuffer::new();
-                    return Err(TransportError::Corrupt(e.to_string()));
+                    return Err(e.into());
                 }
             }
             let Some(q) = s.queues.get_mut(&(self.peer, self.local)) else {

@@ -20,7 +20,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ens_filter::persist::frame;
+use ens_filter::persist::{frame, PersistError};
 
 use super::wire::FrameBuffer;
 
@@ -52,6 +52,12 @@ impl fmt::Display for TransportError {
 }
 
 impl std::error::Error for TransportError {}
+
+impl From<PersistError> for TransportError {
+    fn from(e: PersistError) -> Self {
+        TransportError::Corrupt(e.to_string())
+    }
+}
 
 /// A reliable-until-it-isn't, message-framed byte transport.
 ///
@@ -260,7 +266,7 @@ impl Transport for TcpTransport {
             self.drop_stream();
             return Err(TransportError::Disconnected);
         }
-        let framed = frame(payload).map_err(|e| TransportError::Corrupt(e.to_string()))?;
+        let framed = frame(payload)?;
         self.wbuf.extend_from_slice(&framed);
         self.flush_wbuf()
     }
@@ -272,36 +278,27 @@ impl Transport for TcpTransport {
         if self.stream.is_some() && self.wpos < self.wbuf.len() {
             self.flush_wbuf()?;
         }
-        // Serve already-buffered frames first (e.g. adopted preread).
-        match self.rbuf.next_frame() {
-            Ok(Some(p)) => return Ok(Some(p)),
-            Ok(None) => {}
-            Err(e) => {
-                self.drop_stream();
-                return Err(TransportError::Corrupt(e.to_string()));
-            }
-        }
-        let Some(stream) = self.stream.as_mut() else {
-            return Err(TransportError::Disconnected);
-        };
         let mut chunk = [0u8; 16 * 1024];
         loop {
+            // Frames already buffered first (e.g. adopted preread),
+            // then whatever each read completes.
+            match self.rbuf.next_frame() {
+                Ok(Some(p)) => return Ok(Some(p)),
+                Ok(None) => {}
+                Err(e) => {
+                    self.drop_stream();
+                    return Err(e.into());
+                }
+            }
+            let Some(stream) = self.stream.as_mut() else {
+                return Err(TransportError::Disconnected);
+            };
             match stream.read(&mut chunk) {
                 Ok(0) => {
                     self.drop_stream();
                     return Err(TransportError::Disconnected);
                 }
-                Ok(n) => {
-                    self.rbuf.extend(&chunk[..n]);
-                    match self.rbuf.next_frame() {
-                        Ok(Some(p)) => return Ok(Some(p)),
-                        Ok(None) => {}
-                        Err(e) => {
-                            self.drop_stream();
-                            return Err(TransportError::Corrupt(e.to_string()));
-                        }
-                    }
-                }
+                Ok(n) => self.rbuf.extend(&chunk[..n]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {

@@ -19,7 +19,7 @@
 //! | 1   | `Hello`       | node, `schema_hash`, epoch, `recv_high`, `your_epoch` |
 //! | 2   | `Subscribe`   | seq, id, profile |
 //! | 3   | `Unsubscribe` | seq, id |
-//! | 4   | `Batch`       | `first_seq`, origin, ttl, count, width, rows (`origin_seq`, then cells as `vu64(idx+1)`, 0 = missing) |
+//! | 4   | `Batch`       | `first_seq`, origin, ttl, count, width (the [`IndexedBatch`]'s `len()` and `width()`), rows (`origin_seq`, then cells as `vu64(idx+1)`, 0 = missing) |
 //! | 5   | `Ack`         | high (cumulative) |
 //! | 6   | `Heartbeat`   | — |
 //!
@@ -28,7 +28,7 @@
 //! unsequenced control traffic.
 
 use ens_filter::persist::{frame_at, ByteReader, ByteWriter, PersistError};
-use ens_types::{IndexedEvent, Profile, Schema};
+use ens_types::{IndexedBatch, IndexedEvent, Profile, Schema};
 
 use crate::persist::{decode_profile, encode_profile, schema_fingerprint};
 
@@ -66,7 +66,7 @@ pub(crate) fn first_frame(bytes: &[u8]) -> Result<Option<&[u8]>, PersistError> {
     if bytes.len() < FRAME_HEADER {
         return Ok(None);
     }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
+    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
     if len > MAX_FRAME {
         return Err(PersistError::new(format!(
             "frame length {len} exceeds the {MAX_FRAME}-byte cap"
@@ -159,7 +159,10 @@ pub(crate) enum Msg {
     Unsubscribe { seq: u64, id: u64 },
     /// A block of matched events as sentinel-encoded index rows
     /// (schema order, [`IndexedEvent::MISSING`] for absent
-    /// attributes). Row `i` carries link sequence `first_seq + i`.
+    /// attributes), in the arena the matcher and the broker's batched
+    /// publish read — a row keeps this shape from the publisher's
+    /// resolve to the receiver's ingress. Row `i` carries link
+    /// sequence `first_seq + i`.
     ///
     /// Multi-hop routing metadata rides alongside: `origin` is the
     /// broker that first published the rows, `ttl` the remaining hop
@@ -171,9 +174,8 @@ pub(crate) enum Msg {
         first_seq: u64,
         origin: u64,
         ttl: u32,
-        width: u32,
         origin_seqs: Vec<u64>,
-        rows: Vec<Vec<u64>>,
+        rows: IndexedBatch,
     },
     /// Cumulative acknowledgement: every sequence `<= high` is
     /// received and processed.
@@ -246,7 +248,6 @@ impl Msg {
                 first_seq,
                 origin,
                 ttl,
-                width,
                 origin_seqs,
                 rows,
             } => {
@@ -255,12 +256,11 @@ impl Msg {
                 w.vu64(*origin);
                 w.vu32(*ttl);
                 w.vu64(rows.len() as u64);
-                w.vu32(*width);
+                w.vu32(rows.width() as u32);
                 debug_assert_eq!(origin_seqs.len(), rows.len());
-                for (row, &oseq) in rows.iter().zip(origin_seqs) {
-                    debug_assert_eq!(row.len(), *width as usize);
+                for (i, &oseq) in origin_seqs.iter().enumerate() {
                     w.vu64(oseq);
-                    for &idx in row {
+                    for &idx in rows.row(i) {
                         // Missing → 0, index i → i+1: keeps the varint
                         // short for the common low indices and gives
                         // the sentinel the shortest encoding of all.
@@ -326,9 +326,12 @@ impl Msg {
                 // payload bytes remain. Checking before the allocation
                 // means a hostile CRC-valid 20-byte frame cannot
                 // demand gigabytes; allocations stay proportional to
-                // the bytes actually received.
+                // the bytes actually received. A row has at least one
+                // cell (senders pad an empty schema to width 1), so
+                // width 0 is nonsense, not a batch of empty rows.
                 let cells = count.checked_mul(u64::from(width) + 1);
-                if width as usize > u16::MAX as usize
+                if width == 0
+                    || width as usize > u16::MAX as usize
                     || cells.is_none_or(|c| c > r.remaining() as u64)
                 {
                     return Err(PersistError::new(format!(
@@ -337,21 +340,22 @@ impl Msg {
                     )));
                 }
                 let mut origin_seqs = Vec::with_capacity(count as usize);
-                let mut rows = Vec::with_capacity(count as usize);
+                let mut rows = IndexedBatch::new();
+                rows.reset(width as usize);
+                let mut row = Vec::new();
                 for _ in 0..count {
                     origin_seqs.push(r.vu64()?);
-                    let mut row = Vec::with_capacity(width as usize);
+                    row.clear();
                     for _ in 0..width {
                         let v = r.vu64()?;
                         row.push(if v == 0 { IndexedEvent::MISSING } else { v - 1 });
                     }
-                    rows.push(row);
+                    rows.push_raw(&row);
                 }
                 Msg::Batch {
                     first_seq,
                     origin,
                     ttl,
-                    width,
                     origin_seqs,
                     rows,
                 }
@@ -388,6 +392,15 @@ mod tests {
         Msg::decode(&msg.encode().unwrap(), schema).unwrap()
     }
 
+    fn rows(width: usize, rows: &[&[u64]]) -> IndexedBatch {
+        let mut batch = IndexedBatch::new();
+        batch.reset(width);
+        for row in rows {
+            batch.push_raw(row);
+        }
+        batch
+    }
+
     #[test]
     fn all_message_kinds_round_trip() {
         let s = schema();
@@ -395,6 +408,19 @@ mod tests {
             .predicate("x", Predicate::ge(50))
             .unwrap()
             .build(ens_types::ProfileId::new(0));
+        let batch = Msg::Batch {
+            first_seq: 6,
+            origin: 3,
+            ttl: 2,
+            origin_seqs: vec![10, 300],
+            rows: rows(2, &[&[3, IndexedEvent::MISSING], &[99, 1]]),
+        };
+        // These rows as the commit before this shape encoded them
+        // (`width` a field of its own, a heap vector per row): a peer
+        // still running that encoder must read us and be read by us.
+        const PARENT: [u8; 13] = [4, 6, 3, 2, 2, 2, 10, 4, 0, 172, 2, 100, 2];
+        assert_eq!(batch.encode().unwrap(), PARENT);
+        assert_eq!(Msg::decode(&PARENT, &s).unwrap(), batch);
         let msgs = [
             Msg::Hello {
                 node: 7,
@@ -416,14 +442,7 @@ mod tests {
                 profile,
             },
             Msg::Unsubscribe { seq: 5, id: 9 },
-            Msg::Batch {
-                first_seq: 6,
-                origin: 3,
-                ttl: 2,
-                width: 2,
-                origin_seqs: vec![10, 14],
-                rows: vec![vec![3, IndexedEvent::MISSING], vec![99, 1]],
-            },
+            batch,
             Msg::Ack { high: 11 },
             Msg::Heartbeat,
         ];
@@ -441,15 +460,14 @@ mod tests {
             first_seq: 1,
             origin: 1,
             ttl: 0,
-            width: 2,
             origin_seqs: vec![1],
-            rows: vec![ix.raw().to_vec()],
+            rows: rows(2, &[ix.raw()]),
         };
         let Msg::Batch { rows, .. } = round_trip(&m, &s) else {
             panic!("wrong kind");
         };
         let mut back = IndexedEvent::new();
-        back.copy_from_raw(&rows[0]);
+        back.copy_from_raw(rows.row(0));
         assert_eq!(back.to_event(&s).unwrap(), e);
     }
 
@@ -489,27 +507,43 @@ mod tests {
     #[test]
     fn hostile_batch_shapes_are_rejected_before_allocation() {
         let s = schema();
+        // A `Batch` up to and including its declared shape.
+        let header = |count: u64, width: u32| {
+            let mut w = ByteWriter::new();
+            w.u8(4);
+            w.vu64(1); // first_seq
+            w.vu64(0); // origin
+            w.vu32(4); // ttl
+            w.vu64(count);
+            w.vu32(width);
+            w
+        };
         // A ~16-byte frame claiming 67M rows of 2 columns: more
         // cells than payload bytes, so it must fail before any
         // row allocation happens.
-        let mut w = ByteWriter::new();
-        w.u8(4);
-        w.vu64(1); // first_seq
-        w.vu64(0); // origin
-        w.vu32(4); // ttl
-        w.vu64(1 << 26); // count
-        w.vu32(2); // width
-        assert!(Msg::decode(&w.into_bytes(), &s).is_err());
+        assert!(Msg::decode(&header(1 << 26, 2).into_bytes(), &s).is_err());
         // Width 0 must not make rows free either: the per-row
         // origin-sequence prefix still costs a byte each.
-        let mut w = ByteWriter::new();
-        w.u8(4);
-        w.vu64(1);
-        w.vu64(0);
-        w.vu32(4);
-        w.vu64(1 << 20);
-        w.vu32(0);
+        assert!(Msg::decode(&header(1 << 20, 0).into_bytes(), &s).is_err());
+        // One row of width 0 passes the cell count (its origin
+        // sequence is a byte) but is no row an `IndexedBatch` can
+        // hold: refused here, not by a panic in `push_raw`.
+        let mut w = header(1, 0);
+        w.vu64(1); // origin_seq
         assert!(Msg::decode(&w.into_bytes(), &s).is_err());
+        // A width that is merely not this schema's (3 against 2) is a
+        // well-formed batch: it decodes, and ingress refuses and counts
+        // its rows (`hostile_peer_frames_are_refused_counted_and_survived`
+        // in the parent module).
+        let mut w = header(1, 3);
+        for v in [1, 1, 0, 2] {
+            w.vu64(v); // origin_seq, then three cells
+        }
+        let Msg::Batch { rows, .. } = Msg::decode(&w.into_bytes(), &s).unwrap() else {
+            panic!("wrong kind");
+        };
+        assert_eq!((rows.len(), rows.width()), (1, 3));
+        assert_eq!(rows.row(0), &[0, IndexedEvent::MISSING, 1]);
     }
 
     #[test]

@@ -64,7 +64,6 @@ fn build(net: &SimNet, topo: &Topology, epoch: u64) -> HashMap<u64, Federation> 
             FederationConfig {
                 node,
                 epoch,
-                aggregate_interest: true,
                 max_hops,
                 link: fast_link(),
             },
@@ -320,7 +319,6 @@ fn restart_with_restored_origin_state_resumes_exactly_once() {
         FederationConfig {
             node: 1,
             epoch: 2,
-            aggregate_interest: true,
             max_hops: u8::try_from(topo.diameter()).expect("small"),
             link: fast_link(),
         },

@@ -57,7 +57,7 @@ fn fast_link() -> LinkConfig {
     }
 }
 
-fn pair(net: &SimNet, aggregate: bool) -> (Federation, Federation) {
+fn pair(net: &SimNet) -> (Federation, Federation) {
     let s = schema();
     let mk = |node: u64| {
         Federation::new(
@@ -65,7 +65,6 @@ fn pair(net: &SimNet, aggregate: bool) -> (Federation, Federation) {
             FederationConfig {
                 node,
                 epoch: 1,
-                aggregate_interest: aggregate,
                 max_hops: 0,
                 link: fast_link(),
             },
@@ -126,7 +125,7 @@ proptest! {
     ) {
         let s = schema();
         let net = SimNet::new(99);
-        let (a, b) = pair(&net, true);
+        let (a, b) = pair(&net);
         pump_both(&net, &a, &b, 6);
 
         let mut live: Vec<(Subscriber, Profile)> = Vec::new();
@@ -152,6 +151,16 @@ proptest! {
                 "forwarded set must be the minimal covering antichain",
             );
         }
+
+        // A link added only now is seeded through the same routine the
+        // churn went through: it is offered the antichain of what is
+        // live, not the history, and the older link's ledger is left
+        // as it was.
+        a.add_peer(3, Box::new(net.transport(1, 3)), 0);
+        let profiles: Vec<Profile> = live.iter().map(|(_, p)| p.clone()).collect();
+        let want = oracle_antichain(&s, &profiles);
+        prop_assert_eq!(a.forwarded_interest(3), want);
+        prop_assert_eq!(a.forwarded_interest(2), want);
 
         // Equivalence: probe the domain from the peer; each live
         // subscriber must see exactly its matching events. A false
@@ -194,7 +203,7 @@ fn covered_subscription_causes_no_wire_traffic() {
     // we assert on).
     let s = schema();
     let net = SimNet::new(7);
-    let (a, b) = pair(&net, true);
+    let (a, b) = pair(&net);
     pump_both(&net, &a, &b, 6);
 
     let _wide = a
@@ -202,6 +211,16 @@ fn covered_subscription_causes_no_wire_traffic() {
         .expect("subscribe");
     pump_both(&net, &a, &b, 4);
     assert_eq!(a.forwarded_interest(2), 1);
+
+    // An exact duplicate collapses onto the signature already on the
+    // wire (the echo-damping invariant that keeps cyclic meshes
+    // quiet), and the row stays while either contributor does.
+    let twin = a
+        .subscribe_profile(range_profile(&s, 0, 99))
+        .expect("subscribe");
+    assert_eq!(a.forwarded_interest(2), 1, "duplicates share one row");
+    a.unsubscribe(twin.id()).expect("unsubscribe");
+    assert_eq!(a.forwarded_interest(2), 1, "one contributor is left");
 
     let narrow = a
         .subscribe_profile(range_profile(&s, 40, 60))
@@ -228,7 +247,7 @@ fn unsubscribing_the_representative_promotes_the_covered() {
     // in place (no stale over-forwarding).
     let s = schema();
     let net = SimNet::new(8);
-    let (a, b) = pair(&net, true);
+    let (a, b) = pair(&net);
     pump_both(&net, &a, &b, 6);
 
     let wide = a
@@ -255,32 +274,4 @@ fn unsubscribing_the_representative_promotes_the_covered() {
         1,
         "the out-of-range event must not have crossed the wire"
     );
-}
-
-#[test]
-fn aggregation_off_forwards_every_distinct_profile() {
-    // Control: with aggregation disabled every distinct profile is
-    // forwarded individually, duplicates still collapse by signature
-    // (the echo-damping invariant that keeps cyclic meshes quiet).
-    let s = schema();
-    let net = SimNet::new(9);
-    let (a, b) = pair(&net, false);
-    pump_both(&net, &a, &b, 6);
-
-    let _w = a
-        .subscribe_profile(range_profile(&s, 0, 99))
-        .expect("subscribe");
-    let _n1 = a
-        .subscribe_profile(range_profile(&s, 40, 60))
-        .expect("subscribe");
-    let _n2 = a
-        .subscribe_profile(range_profile(&s, 40, 60))
-        .expect("subscribe");
-    pump_both(&net, &a, &b, 4);
-    assert_eq!(
-        a.forwarded_interest(2),
-        2,
-        "no covering analysis, but exact duplicates still collapse"
-    );
-    let _ = b;
 }
