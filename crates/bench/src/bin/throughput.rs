@@ -17,6 +17,7 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -30,7 +31,9 @@ use ens_filter::{
     ProfileTree, RebuildPolicy, SearchStrategy, SnapshotScratch, TreeConfig, TuningPolicy,
     ValueOrder,
 };
-use ens_service::{Broker, BrokerConfig, DurabilityConfig, FsyncPolicy, Subscriber};
+use ens_service::{
+    Broker, BrokerConfig, Decision, DurabilityConfig, FaultFs, FsyncPolicy, Subscriber, Vfs,
+};
 use ens_types::{Event, IndexedBatch, IndexedEvent, Schema};
 use ens_workloads::DriftWorkload;
 use serde::Serialize;
@@ -260,11 +263,37 @@ struct RecoveryRow {
     checkpoint_bytes: u64,
 }
 
-/// Restart cost: checkpoint reload vs recompile-from-profiles.
+/// What a steady-state automatic checkpoint costs, split the way the
+/// broker's decision journal splits it
+/// ([`Decision::CheckpointWritten`]): writing the image, and trimming
+/// the WAL behind it. The shape is fixed (it does not follow
+/// `--profiles`): 1000 subscriptions, `checkpoint_every: 4096`, two
+/// retained generations, in-memory storage — the broker's work, not the
+/// runner's disk or system calls.
+#[derive(Debug, Serialize)]
+struct CheckpointCostRow {
+    subscriptions: u64,
+    /// Records in the log when the checkpoint trimmed it (two
+    /// checkpoint intervals: the older retained generation's and the
+    /// newer's).
+    wal_records: u64,
+    /// Bytes the trim cut off the front of the log / left in it.
+    wal_bytes_dropped: u64,
+    wal_bytes_kept: u64,
+    /// Freeze, serialize, write and rename the image (best of the
+    /// steady-state checkpoints, like `trim_ms`).
+    image_ms: f64,
+    /// Copy the kept suffix of the log into place.
+    trim_ms: f64,
+}
+
+/// Restart cost: checkpoint reload vs recompile-from-profiles; and
+/// what writing the checkpoints costs a running broker.
 #[derive(Debug, Serialize)]
 struct RecoveryReport {
     workload: String,
     rows: Vec<RecoveryRow>,
+    checkpoint_cost: CheckpointCostRow,
 }
 
 /// One (population, size) cell of the covering scale study: the same
@@ -1344,6 +1373,98 @@ fn bench_recovery(opts: &Options) -> Result<RecoveryReport, Box<dyn std::error::
     Ok(RecoveryReport {
         workload: "environmental".to_owned(),
         rows,
+        checkpoint_cost: bench_checkpoint_cost(&schema, config, durability)?,
+    })
+}
+
+/// 3 × 4096 subscribe/unsubscribe operations over a standing
+/// population of 1000 on a durable broker that checkpoints every 4096
+/// records: three automatic checkpoints, of which the last two are in
+/// steady state — the log holds two intervals and loses the older one.
+/// The numbers are the broker's own, from its decision journal.
+fn bench_checkpoint_cost(
+    schema: &Schema,
+    config: BrokerConfig,
+    mut durability: DurabilityConfig,
+) -> Result<CheckpointCostRow, Box<dyn std::error::Error>> {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const STANDING: usize = 1000;
+    const INTERVAL: usize = 4096;
+    const OPS: usize = 3 * INTERVAL;
+    durability.checkpoint_every = INTERVAL as u64;
+    durability.checkpoint_generations = 2;
+    // In memory: on the real filesystem the trim's create / rename /
+    // reopen are the runner's system calls, not the broker's work.
+    // (`FaultFs` journals every write; at this fixed size that is a
+    // few megabytes.)
+    let fs = Arc::new(FaultFs::new());
+    durability.vfs = fs.clone();
+    let wal_path = durability.dir.join(ens_service::persist::WAL_FILE);
+
+    let mut rng = StdRng::seed_from_u64(473);
+    let mut profiles =
+        ens_workloads::scenario::environmental_profiles(STANDING + OPS / 2, &mut rng)?
+            .iter()
+            .cloned()
+            .collect::<Vec<_>>()
+            .into_iter();
+    let broker = Broker::open(schema, config, durability.clone())?.broker;
+    let mut live: VecDeque<_> = broker
+        .subscribe_many(profiles.by_ref().take(STANDING))?
+        .into();
+    // Generation 1 covers the standing population; the intervals
+    // counted below start here.
+    broker.checkpoint()?;
+    let mut wal_records = 0;
+    for op in 0..OPS {
+        if op + 1 == OPS {
+            // The last operation completes the third interval.
+            let log = fs.read(&wal_path)?;
+            wal_records = ens_service::persist::decode_wal(&log).offsets.len() as u64 + 1;
+        }
+        if op % 2 == 0 {
+            let profile = profiles.next().ok_or("checkpoint_cost: out of profiles")?;
+            live.push_back(broker.subscribe_profile(profile)?);
+        } else {
+            let oldest = live.pop_front().ok_or("checkpoint_cost: nothing live")?;
+            broker.unsubscribe(oldest.id())?;
+        }
+    }
+    // (dropped, kept, image ns, trim ns) of generations 3 and 4.
+    let steady: Vec<(u64, u64, u64, u64)> = broker
+        .decisions()
+        .iter()
+        .filter_map(|d| match d {
+            Decision::CheckpointWritten {
+                generation,
+                wal_bytes_dropped,
+                wal_bytes_kept,
+                ns,
+                trim_ns,
+                ..
+            } if *generation >= 3 => {
+                Some((*wal_bytes_dropped, *wal_bytes_kept, ns - trim_ns, *trim_ns))
+            }
+            _ => None,
+        })
+        .collect();
+    let &[first, last] = steady.as_slice() else {
+        return Err(
+            format!("checkpoint_cost: generations 3 and 4 expected, got {steady:?}").into(),
+        );
+    };
+    if first.0 == 0 || last.0 == 0 {
+        return Err(format!("checkpoint_cost: a steady-state trim cut nothing: {steady:?}").into());
+    }
+    Ok(CheckpointCostRow {
+        subscriptions: STANDING as u64,
+        wal_records,
+        wal_bytes_dropped: last.0,
+        wal_bytes_kept: last.1,
+        image_ms: first.2.min(last.2) as f64 / 1e6,
+        trim_ms: first.3.min(last.3) as f64 / 1e6,
     })
 }
 

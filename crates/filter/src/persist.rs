@@ -187,17 +187,41 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// [`PersistErrorKind::Unencodable`] if the payload exceeds the `u32`
 /// length prefix.
 pub fn frame(payload: &[u8]) -> Result<Vec<u8>, PersistError> {
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        PersistError::unencodable(format!(
-            "frame payload of {} bytes exceeds the u32 length prefix",
-            payload.len()
-        ))
-    })?;
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+    out.extend_from_slice(&[0; FRAME_HEADER]);
     out.extend_from_slice(payload);
+    seal_frame(&mut out)?;
     Ok(out)
+}
+
+/// Bytes of the `[u32 len][u32 crc]` header in front of a frame's
+/// payload.
+const FRAME_HEADER: usize = 8;
+
+/// Completes a frame built in place: `buf` is the header's bytes
+/// (any value; a writer reserves them with `u64(0)`) followed by the
+/// payload, and the length and checksum are written over them — the
+/// same bytes [`frame`] returns, without copying the payload.
+///
+/// # Errors
+///
+/// Returns a [`PersistErrorKind::Unencodable`] error if `buf` has no
+/// room for the header or the payload exceeds the `u32` length prefix.
+pub fn seal_frame(buf: &mut [u8]) -> Result<(), PersistError> {
+    let len = buf
+        .len()
+        .checked_sub(FRAME_HEADER)
+        .and_then(|len| u32::try_from(len).ok())
+        .ok_or_else(|| {
+            PersistError::unencodable(format!(
+                "a frame of {} bytes has no header or exceeds the u32 length prefix",
+                buf.len()
+            ))
+        })?;
+    let (header, payload) = buf.split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
 }
 
 /// Validates a `[u32 len][u32 crc][payload]` frame starting at byte
@@ -297,6 +321,14 @@ pub(crate) fn read_id_diff(
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
+}
+
+/// Continues writing behind the bytes of `buf` — for a caller that
+/// keeps one buffer across writes for its allocation.
+impl From<Vec<u8>> for ByteWriter {
+    fn from(buf: Vec<u8>) -> Self {
+        ByteWriter { buf }
+    }
 }
 
 impl ByteWriter {

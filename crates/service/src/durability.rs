@@ -26,6 +26,19 @@
 //!    full in-memory state, un-logged changes included) clears the
 //!    flag.
 //!
+//! A checkpoint costs what it writes: the image, and a copy of the
+//! part of the log it keeps. What the retained generations still need
+//! of the WAL is a byte suffix of the file, and a checkpoint — which
+//! holds the WAL lock from the moment it captures its LSN — records
+//! the file's length as the offset where the frames *after* it begin
+//! ([`GenTable`]; for the generation a restart loaded, the recovery
+//! scan yields it). Trimming is `bytes[offset..]` through the
+//! `wal.tmp` → fsync → rename → directory-fsync protocol; no frame is
+//! decoded on that path. Bytes salvage would quarantine stay where
+//! they are until they fall behind a cut. Every checkpoint journals a
+//! [`Decision::CheckpointWritten`] with what it wrote, dropped and
+//! kept, and how long each part took.
+//!
 //! Lock order: shard writer mutexes (index order) → WAL mutex →
 //! generation-table mutex.
 //!
@@ -34,9 +47,11 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use crate::journal::Decision;
 use crate::notify::Subscriber;
 use crate::persist::{self, Checkpoint, DurabilityConfig, FsyncPolicy, WalRecord, WalScan};
 use crate::subscription::SubscriptionId;
@@ -64,13 +79,17 @@ pub(super) struct WalState {
     /// The log's length in fully-appended bytes — the rollback target
     /// when an append tears mid-frame.
     len: u64,
+    /// The frame being appended, encoded in place; kept for its
+    /// allocation.
+    frame: Vec<u8>,
 }
 
-/// The checkpoint generations currently on disk, ascending. The
-/// covered LSN is known only for generations written (or recovered
-/// from) in this process; `None` marks a generation that merely
-/// exists, which the WAL-trim floor treats conservatively (trim
-/// nothing).
+/// The checkpoint generations currently on disk, ascending, each with
+/// the WAL offset just past the last record it covers — where the
+/// frames a replay on top of it needs begin. The offset is known only
+/// for generations written (or recovered from) in this process; `None`
+/// marks a generation that merely exists, which the WAL trim treats
+/// conservatively (trim nothing).
 #[derive(Default)]
 pub(super) struct GenTable {
     entries: Vec<(u64, Option<u64>)>,
@@ -81,9 +100,9 @@ impl GenTable {
         self.entries.last().map_or(0, |e| e.0)
     }
 
-    fn insert(&mut self, gen: u64, last_lsn: Option<u64>) {
+    fn insert(&mut self, gen: u64, covered_to: Option<u64>) {
         self.entries.retain(|(g, _)| *g != gen);
-        self.entries.push((gen, last_lsn));
+        self.entries.push((gen, covered_to));
         self.entries.sort_unstable_by_key(|(g, _)| *g);
     }
 
@@ -105,7 +124,7 @@ impl GenTable {
         retired
     }
 
-    /// The highest LSN the WAL may be trimmed past: the minimum LSN
+    /// The offset the WAL may be trimmed up to: the lowest offset
     /// covered by the generations in the retention window. `0` (trim
     /// nothing) when the window reaches the empty-state origin or
     /// contains a generation whose coverage is unknown — conservative
@@ -119,11 +138,20 @@ impl GenTable {
         let mut floor = u64::MAX;
         for gen in (newest - keep + 1)..=newest {
             match self.entries.iter().find(|(g, _)| *g == gen) {
-                Some((_, Some(lsn))) => floor = floor.min(*lsn),
+                Some((_, Some(offset))) => floor = floor.min(*offset),
                 _ => return 0,
             }
         }
         floor
+    }
+
+    /// The log lost its first `cut` bytes: every known offset moves
+    /// down with it (none is below the floor that was cut at; one that
+    /// were would land on `0`, trim nothing).
+    fn rebase(&mut self, cut: u64) {
+        for offset in self.entries.iter_mut().filter_map(|(_, o)| o.as_mut()) {
+            *offset = offset.saturating_sub(cut);
+        }
     }
 }
 
@@ -156,11 +184,13 @@ impl Broker {
     /// scanned ([`persist::salvage_wal`] when
     /// [`DurabilityConfig::salvage`] is on, [`persist::decode_wal`]
     /// otherwise) and every record with an LSN above the checkpoint's
-    /// is replayed. A torn tail is truncated and logging resumes from
-    /// the surviving prefix; a checkpoint followed by a crash *before*
-    /// the log was trimmed replays idempotently (records at or below
-    /// the checkpoint LSN are skipped, and a subscribe for an id that
-    /// is already live is a no-op).
+    /// is replayed; where those records begin is kept as the loaded
+    /// generation's trim offset, and only they count towards the next
+    /// automatic checkpoint. A torn tail is truncated and logging
+    /// resumes from the surviving prefix; a checkpoint followed by a
+    /// crash *before* the log was trimmed replays idempotently (records
+    /// at or below the checkpoint LSN are skipped, and a subscribe for
+    /// an id that is already live is a no-op).
     ///
     /// If every generation on disk is corrupt, recovery proceeds from
     /// the empty state only when the WAL reaches back to LSN 1 —
@@ -284,11 +314,19 @@ impl Broker {
         } = scan;
         let mut max_lsn = last_lsn;
         let mut max_sub = None;
-        for record in records {
+        // Where the records the loaded checkpoint already covers end:
+        // the frames replayed below are the byte suffix from here on.
+        let mut covered_to = 0u64;
+        let mut replayed = 0u64;
+        for (record, &end) in records.into_iter().zip(&offsets) {
             max_lsn = max_lsn.max(record.lsn());
             if record.lsn() <= last_lsn {
+                if replayed == 0 {
+                    covered_to = end as u64;
+                }
                 continue;
             }
+            replayed += 1;
             match record {
                 WalRecord::Subscribe {
                     id,
@@ -365,16 +403,16 @@ impl Broker {
             if removed.contains(&gen) {
                 continue;
             }
-            let lsn = (Some(gen) == chosen_gen).then_some(last_lsn);
-            table.insert(gen, lsn);
+            table.insert(gen, (Some(gen) == chosen_gen).then_some(covered_to));
         }
         broker.durability = Some(Durability {
             config: durability,
             wal: Mutex::new(WalState {
                 file,
                 next_lsn: max_lsn + 1,
-                since_checkpoint: offsets.len() as u64,
+                since_checkpoint: replayed,
                 len: consumed as u64,
+                frame: Vec::new(),
             }),
             checkpoint_due: AtomicBool::new(false),
             gens: Mutex::new(table),
@@ -398,25 +436,26 @@ impl Broker {
         let Some(d) = &self.durability else {
             return Ok(());
         };
-        let mut wal = d.wal.lock();
-        let frame = match persist::encode_frame(&make(wal.next_lsn)) {
-            Ok(frame) => frame,
-            Err(e) => {
-                self.metrics.durability_degraded.store(1, Ordering::Relaxed);
-                return Err(persist_err(e));
-            }
-        };
-        if let Err(e) = wal.file.append(&frame) {
+        let mut guard = d.wal.lock();
+        let wal = &mut *guard;
+        if let Err(e) = persist::encode_frame_into(&mut wal.frame, &make(wal.next_lsn)) {
+            self.metrics.durability_degraded.store(1, Ordering::Relaxed);
+            return Err(persist_err(e));
+        }
+        if let Err(e) = wal.file.append(&wal.frame) {
             // The append may have torn mid-frame (a real ENOSPC does):
             // drop the partial bytes so a later successful append
             // extends a clean frame boundary. Salvage covers the case
-            // where even the rollback fails.
+            // where even the rollback fails — the partial bytes stay,
+            // and the rollback target moves past them so that a later
+            // rollback cannot cut into frames appended behind them.
             self.metrics.durability_degraded.store(1, Ordering::Relaxed);
-            let len = wal.len;
-            let _ = wal.file.set_len(len);
+            if wal.file.set_len(wal.len).is_err() {
+                wal.len = wal.file.byte_len().unwrap_or(wal.len);
+            }
             return Err(io_persist(e));
         }
-        wal.len += frame.len() as u64;
+        wal.len += wal.frame.len() as u64;
         wal.next_lsn += 1;
         wal.since_checkpoint += 1;
         if d.config.fsync == FsyncPolicy::Always {
@@ -446,7 +485,12 @@ impl Broker {
         let Some(d) = &self.durability else {
             return;
         };
-        if d.checkpoint_due.swap(false, Ordering::Relaxed) && self.write_checkpoint(true).is_err() {
+        // Every publish passes here: read the flag, and write it only
+        // when set, so publishers share the line instead of trading it.
+        if d.checkpoint_due.load(Ordering::Relaxed)
+            && d.checkpoint_due.swap(false, Ordering::Relaxed)
+            && self.write_checkpoint(true).is_err()
+        {
             self.metrics.durability_degraded.store(1, Ordering::Relaxed);
         }
     }
@@ -487,6 +531,7 @@ impl Broker {
         let vfs = &d.config.vfs;
         let dir = &d.config.dir;
         let strict_sync = d.config.fsync != FsyncPolicy::Never;
+        let started = Instant::now();
         // Freeze every shard (writer locks in index order), then the
         // log: everything at or below the captured LSN is in the
         // image, everything after it will replay on top.
@@ -494,6 +539,10 @@ impl Broker {
         let mut wal = d.wal.lock();
         let shards = writers.iter().map(|w| w.checkpoint()).collect();
         let last_lsn = wal.next_lsn - 1;
+        // Where record `last_lsn` ends and the next frame will start.
+        // The file's real length, not `wal.len`: bytes a failed
+        // rollback left behind are in the file and move every offset.
+        let covered_to = wal.file.byte_len().map_err(io_persist)?;
         let cp = Checkpoint {
             schema: (*self.schema).clone(),
             last_lsn,
@@ -526,7 +575,7 @@ impl Broker {
             // but the *acknowledged* checkpoint must stick.
             vfs.sync_dir(dir).map_err(io_persist)?;
         }
-        gens.insert(gen, Some(last_lsn));
+        gens.insert(gen, Some(covered_to));
 
         // Retire generations that fell out of the retention window,
         // then trim the WAL to what the remaining window still needs.
@@ -540,8 +589,12 @@ impl Broker {
                 dirty_dir = true;
             }
         }
+        let (mut cut, mut trim_ns) = (0, 0);
         if trim_wal {
-            self.rewrite_wal(d, &mut wal, gens.floor(keep))?;
+            cut = gens.floor(keep);
+            let trim_started = Instant::now();
+            self.rewrite_wal(d, &mut wal, &mut gens, cut)?;
+            trim_ns = trim_started.elapsed().as_nanos() as u64;
             wal.since_checkpoint = 0;
         }
         if dirty_dir && strict_sync {
@@ -549,59 +602,67 @@ impl Broker {
         }
         d.checkpoint_due.store(false, Ordering::Relaxed);
         self.metrics.durability_degraded.store(0, Ordering::Relaxed);
+        self.journal(Decision::CheckpointWritten {
+            generation: gen,
+            image_bytes: bytes.len() as u64,
+            wal_bytes_dropped: cut,
+            wal_bytes_kept: covered_to - cut,
+            ns: started.elapsed().as_nanos() as u64,
+            trim_ns,
+        });
         Ok(true)
     }
 
-    /// Rewrites the WAL keeping only records with LSN above `floor`
-    /// (what the oldest retained checkpoint generation still needs
-    /// for replay), via temp file + rename + directory fsync. With a
-    /// single retained generation this empties the log, matching the
-    /// pre-generational truncate-on-checkpoint behaviour.
+    /// Trims the WAL to its byte suffix from `cut` on — the frames the
+    /// oldest retained checkpoint generation still needs for replay —
+    /// via temp file + rename + directory fsync. Frames are copied, not
+    /// decoded: `cut` is a frame boundary recorded when a checkpoint
+    /// froze the log. With a single retained generation this empties
+    /// the log, matching the pre-generational truncate-on-checkpoint
+    /// behaviour.
     fn rewrite_wal(
         &self,
         d: &Durability,
         wal: &mut WalState,
-        floor: u64,
+        gens: &mut GenTable,
+        cut: u64,
     ) -> Result<(), ServiceError> {
+        if cut == 0 {
+            return Ok(());
+        }
         let vfs = &d.config.vfs;
         let dir = &d.config.dir;
         let strict_sync = d.config.fsync != FsyncPolicy::Never;
         let wal_path = dir.join(persist::WAL_FILE);
-        let bytes = match vfs.read(&wal_path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_persist(e)),
+        let bytes = vfs.read(&wal_path).map_err(io_persist)?;
+        // A short read would pass for a short log and drop its tail.
+        let whole = wal.file.byte_len().map_err(io_persist)?;
+        let kept = bytes.get(cut as usize..);
+        let Some(kept) = kept.filter(|_| bytes.len() as u64 == whole) else {
+            return Err(ServiceError::Persist(format!(
+                "WAL read returned {} of {whole} bytes, cut at {cut}; not trimming",
+                bytes.len()
+            )));
         };
-        let scan = if d.config.salvage {
-            persist::salvage_wal(&bytes)
-        } else {
-            persist::decode_wal(&bytes)
-        };
-        let kept: Vec<&WalRecord> = scan.records.iter().filter(|r| r.lsn() > floor).collect();
-        if kept.len() == scan.records.len() && scan.consumed == bytes.len() {
-            // Nothing to drop and no garbage to clear out.
-            return Ok(());
-        }
-        let mut out = Vec::new();
-        for record in &kept {
-            out.extend_from_slice(&persist::encode_frame(record).map_err(persist_err)?);
-        }
         let tmp = dir.join(persist::WAL_TMP_FILE);
         {
             let mut f = vfs.create(&tmp).map_err(io_persist)?;
-            if !out.is_empty() {
-                f.append(&out).map_err(io_persist)?;
+            if !kept.is_empty() {
+                f.append(kept).map_err(io_persist)?;
             }
             if strict_sync {
                 f.sync_data().map_err(io_persist)?;
             }
         }
         vfs.rename(&tmp, &wal_path).map_err(io_persist)?;
+        // The name now means the trimmed file: the table and the append
+        // handle follow it before anything else can fail.
+        gens.rebase(cut);
+        wal.file = vfs.open_append(&wal_path).map_err(io_persist)?;
+        wal.len = kept.len() as u64;
         if strict_sync {
             vfs.sync_dir(dir).map_err(io_persist)?;
         }
-        wal.file = vfs.open_append(&wal_path).map_err(io_persist)?;
-        wal.len = out.len() as u64;
         Ok(())
     }
 }

@@ -9,6 +9,11 @@
 //! ring of [`CAPACITY`] records allocated with the broker; a record is
 //! written per decision, never per event.
 //!
+//! A durable broker's checkpoints — the automatic ones it decides on
+//! and the ones it is told to write — are journalled beside them
+//! ([`Decision::CheckpointWritten`]): what the image weighed, what the
+//! WAL trim dropped and kept, and how long the log was held for it.
+//!
 //! [`Broker::decisions`]: crate::Broker::decisions
 
 use std::collections::VecDeque;
@@ -100,6 +105,26 @@ pub enum Decision {
         /// (`total_ops` over `events_published`, all shards: the
         /// shard's own on a one-shard broker); 0 before the next event.
         measured: f64,
+    },
+    /// A checkpoint generation was written (automatic, or by
+    /// [`Broker::checkpoint`](crate::Broker::checkpoint) or
+    /// [`Broker::checkpoint_keep_wal`](crate::Broker::checkpoint_keep_wal)).
+    CheckpointWritten {
+        /// The generation written.
+        generation: u64,
+        /// Size of the checkpoint image.
+        image_bytes: u64,
+        /// Bytes cut off the front of the WAL: the frames no retained
+        /// generation needs for replay, and any quarantined bytes among
+        /// them (0 when the WAL was kept or nothing could be cut).
+        wal_bytes_dropped: u64,
+        /// Bytes of the WAL after the checkpoint.
+        wal_bytes_kept: u64,
+        /// Wall-clock cost of the whole checkpoint; the WAL is locked
+        /// for nearly all of it.
+        ns: u64,
+        /// The part of `ns` spent trimming the WAL.
+        trim_ns: u64,
     },
 }
 

@@ -15,8 +15,8 @@
 //!   events at the source;
 //! * [`MetricsSnapshot`] — service counters (events, notifications,
 //!   comparison operations, rebuilds), and [`Decision`] — the journal
-//!   of what the adaptive loop decided and on which numbers
-//!   ([`Broker::decisions`]).
+//!   of what the adaptive loop decided and on which numbers, and of
+//!   the checkpoints a durable broker wrote ([`Broker::decisions`]).
 //!
 //! # Example
 //!

@@ -22,6 +22,11 @@
 //!   additionally rescans past a corrupt *interior* frame to the next
 //!   checksummed frame boundary, counting salvaged frames and
 //!   quarantined bytes instead of discarding the rest of the log.
+//!   Because frames delimit themselves and LSNs only grow, what a
+//!   checkpoint generation still needs of the log is a byte suffix of
+//!   it: the broker trims by copying that suffix from an offset it
+//!   recorded, never through this codec, and quarantined bytes leave
+//!   the log when they fall behind such a cut.
 //!
 //! Records carry a monotonically increasing log sequence number
 //! (LSN, starting at 1). A checkpoint stores the highest LSN it
@@ -35,7 +40,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ens_dist::JointDist;
-use ens_filter::persist::{frame, frame_at, ByteReader, ByteWriter, PersistError};
+use ens_filter::persist::{frame_at, seal_frame, ByteReader, ByteWriter, PersistError};
 use ens_filter::{AttributeOrder, SearchStrategy, TreeConfig};
 use ens_types::{Predicate, Profile, ProfileId, Schema, Value};
 use serde::{Deserialize, Serialize};
@@ -122,7 +127,10 @@ pub struct DurabilityConfig {
     /// recovery survives bit rot in the newest checkpoint by falling
     /// back to an older generation; the WAL is only trimmed past what
     /// the *oldest retained* generation covers, so the fallback can
-    /// replay forward to the present.
+    /// replay forward to the present — which means the log always
+    /// carries the older generations' intervals (at `N = 2`, one full
+    /// `checkpoint_every` interval right after a checkpoint), and is
+    /// empty after a checkpoint only at `N = 1`.
     pub checkpoint_generations: usize,
     /// WAL salvage mode: recovery scans past a CRC-corrupt interior
     /// frame to the next valid frame boundary (counting salvaged
@@ -211,9 +219,22 @@ impl WalRecord {
 ///
 /// [`PersistErrorKind::Unencodable`]: ens_filter::PersistErrorKind::Unencodable
 pub fn encode_frame(record: &WalRecord) -> Result<Vec<u8>, PersistError> {
-    let mut payload = ByteWriter::new();
-    payload.serde(record);
-    frame(&payload.into_bytes())
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, record)?;
+    Ok(out)
+}
+
+/// [`encode_frame`] into a buffer the caller keeps (the broker's WAL
+/// appends reuse one): the header is reserved, the payload serialized
+/// behind it and the header patched in place, so the payload is never
+/// copied. Whatever `buf` held is replaced.
+pub(crate) fn encode_frame_into(buf: &mut Vec<u8>, record: &WalRecord) -> Result<(), PersistError> {
+    buf.clear();
+    let mut w = ByteWriter::from(std::mem::take(buf));
+    w.u64(0);
+    w.serde(record);
+    *buf = w.into_bytes();
+    seal_frame(buf)
 }
 
 /// The result of scanning a WAL byte stream.

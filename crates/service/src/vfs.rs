@@ -306,6 +306,8 @@ struct LiveFaults {
     /// Appends fail (after writing half the buffer — a torn live
     /// write, like a real out-of-space failure).
     fail_appends: bool,
+    /// `set_len` fails, leaving the file as it is.
+    fail_truncates: bool,
     /// Reads fail with `EIO`.
     fail_reads: bool,
     /// Reads return at most this many bytes.
@@ -491,6 +493,13 @@ impl FaultFs {
         self.inner.lock().faults.fail_appends = enabled;
     }
 
+    /// Enables/disables failing every `set_len` — with
+    /// [`fail_appends`](Self::fail_appends), a torn append whose
+    /// rollback fails too, so the partial bytes stay in the file.
+    pub fn fail_truncates(&self, enabled: bool) {
+        self.inner.lock().faults.fail_truncates = enabled;
+    }
+
     /// Enables/disables `EIO` on every read.
     pub fn fail_reads(&self, enabled: bool) {
         self.inner.lock().faults.fail_reads = enabled;
@@ -655,6 +664,9 @@ impl VfsFile for FaultFile {
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         let mut st = self.fs.inner.lock();
+        if st.faults.fail_truncates {
+            return Err(io::Error::other("injected fault: truncate failed"));
+        }
         let len = usize::try_from(len)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "length overflow"))?;
         st.files[self.file].resize(len, 0);
@@ -970,6 +982,12 @@ mod tests {
         fs.fail_appends(false);
         // The failed append tore: half the buffer landed.
         assert_eq!(fs.read(&p).unwrap(), b"0123456789XX");
+
+        // A rollback of it that fails leaves the torn bytes in place.
+        fs.fail_truncates(true);
+        assert!(f.set_len(10).is_err());
+        fs.fail_truncates(false);
+        assert_eq!(f.byte_len().unwrap(), 12);
 
         fs.fail_reads(true);
         assert!(fs.read(&p).is_err());

@@ -464,6 +464,54 @@ fn automatic_checkpoints_truncate_the_wal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A restart counts towards the next automatic checkpoint only the
+/// records it replayed — not the ones the loaded generation covers,
+/// of which a log trimmed for two retained generations always carries
+/// a full interval (here: it once checkpointed on the first write
+/// after every restart).
+#[test]
+fn a_restart_does_not_checkpoint_on_its_first_write() {
+    let dir = scratch_dir("restart-cp");
+    let mut rng = StdRng::seed_from_u64(5);
+    let profiles: Vec<Profile> = alert_churn_profiles(32, &mut rng)
+        .unwrap()
+        .iter()
+        .cloned()
+        .collect();
+    let schema = ens_workloads::scenario::environmental_schema();
+    let d = DurabilityConfig {
+        checkpoint_every: 8,
+        ..DurabilityConfig::new(&dir)
+    };
+    let generations = || {
+        let mut gens: Vec<u64> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| parse_checkpoint_gen(&e.ok()?.file_name().to_string_lossy()))
+            .collect();
+        gens.sort_unstable();
+        gens
+    };
+    {
+        let r = Broker::open(&schema, BrokerConfig::default(), d.clone()).unwrap();
+        for p in &profiles[..26] {
+            r.broker.subscribe_profile(p.clone()).unwrap();
+        }
+        // Checkpoints at records 8, 16 and 24; two records since.
+        assert_eq!(generations(), vec![2, 3]);
+    }
+    let r = Broker::open(&schema, BrokerConfig::default(), d).unwrap();
+    assert_eq!(r.subscribers.len(), 26);
+    let mut held = r.subscribers;
+    held.push(r.broker.subscribe_profile(profiles[26].clone()).unwrap());
+    assert_eq!(generations(), vec![2, 3], "three records since, not eleven");
+    // The interval completes where it would have without the restart.
+    for p in &profiles[27..32] {
+        held.push(r.broker.subscribe_profile(p.clone()).unwrap());
+    }
+    assert_eq!(generations(), vec![3, 4]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Accepted retunes are durable: a drift-triggered reconfiguration is
 /// WAL-logged, and the recovered broker still matches the oracle on
 /// the post-drift stream.
