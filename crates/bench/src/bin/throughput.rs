@@ -433,6 +433,27 @@ struct DriftSettleReport {
     churn_rounds: DriftSettleRow,
 }
 
+/// What compiling one population costs, stage by stage, as the broker's
+/// decision journal splits it ([`Decision::Compacted`]): one shard, one
+/// `subscribe_many`. The shape is fixed (it does not follow
+/// `--profiles`): 1000 profiles, `BrokerConfig::default()`; each stage
+/// is the best of five loads.
+#[derive(Debug, Serialize)]
+struct CompileStagesRow {
+    workload: String,
+    profiles: u64,
+    /// Profiles that entered the tree (the covering representatives).
+    compiled: u64,
+    /// Statistics onto the new cells and the empirical event model.
+    model_ns: u64,
+    /// The bulk containment pass.
+    cover_ns: u64,
+    /// The tree build.
+    tree_ns: u64,
+    /// Lowering to the DFSA and the expansion index.
+    lower_ns: u64,
+}
+
 #[derive(Debug, Serialize)]
 struct Report {
     config: Config,
@@ -443,6 +464,7 @@ struct Report {
     broker_scaling: BrokerScaling,
     tuning: TuningReport,
     drift_settle: DriftSettleReport,
+    compile_stages: Vec<CompileStagesRow>,
     recovery: RecoveryReport,
     profile_scale: ProfileScaleReport,
     federation: FederationReport,
@@ -644,6 +666,7 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         broker_scaling,
         tuning: bench_tuning(opts)?,
         drift_settle: bench_drift_settle(opts)?,
+        compile_stages: bench_compile_stages()?,
         recovery: bench_recovery(opts)?,
         profile_scale: bench_profile_scale(opts)?,
         federation: bench_federation(opts)?,
@@ -1260,6 +1283,63 @@ fn bench_drift_settle(opts: &Options) -> Result<DriftSettleReport, Box<dyn std::
         stationary_stock,
         churn_rounds,
     })
+}
+
+/// The `compile_stages` section: what the journal says a bulk load of
+/// 1000 profiles spent in each stage of the compile pipeline.
+fn bench_compile_stages() -> Result<Vec<CompileStagesRow>, Box<dyn std::error::Error>> {
+    use ens_workloads::scenario::{
+        environmental_profiles, environmental_schema, stock_profiles, stock_schema,
+    };
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const PROFILES: usize = 1000;
+    let mut rng = StdRng::seed_from_u64(474);
+    let populations = [
+        (
+            "environmental",
+            environmental_schema(),
+            environmental_profiles(PROFILES, &mut rng)?,
+        ),
+        ("stock", stock_schema(), stock_profiles(PROFILES, &mut rng)?),
+    ];
+    let mut rows = Vec::new();
+    for (workload, schema, profiles) in populations {
+        let mut row = CompileStagesRow {
+            workload: workload.to_owned(),
+            profiles: PROFILES as u64,
+            compiled: 0,
+            model_ns: u64::MAX,
+            cover_ns: u64::MAX,
+            tree_ns: u64::MAX,
+            lower_ns: u64::MAX,
+        };
+        for _ in 0..5 {
+            let broker = Broker::new(&schema, BrokerConfig::default())?;
+            let _subs = broker.subscribe_many(profiles.iter().cloned())?;
+            let decisions = broker.decisions();
+            let [Decision::Compacted {
+                population: PROFILES,
+                compiled,
+                model_ns,
+                cover_ns,
+                tree_ns,
+                lower_ns,
+                ..
+            }] = decisions[..]
+            else {
+                return Err(format!("compile_stages: one bulk load, got {decisions:?}").into());
+            };
+            row.compiled = compiled as u64;
+            row.model_ns = row.model_ns.min(model_ns);
+            row.cover_ns = row.cover_ns.min(cover_ns);
+            row.tree_ns = row.tree_ns.min(tree_ns);
+            row.lower_ns = row.lower_ns.min(lower_ns);
+        }
+        rows.push(row);
+    }
+    Ok(rows)
 }
 
 /// Cold-start-to-serving at large populations: recompiling the filter

@@ -4,7 +4,7 @@ use ens_types::IndexInterval;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::Density;
+use crate::{Density, DistError};
 
 /// A probability distribution over the `d` grid points of a domain.
 ///
@@ -52,20 +52,83 @@ impl DistOverDomain {
     pub fn new(density: Density, size: u64) -> Self {
         assert!(size > 0, "a domain distribution needs at least one point");
         let d = size as f64;
-        let mut pmf: Vec<f64> = (0..size)
+        let pmf = (0..size)
             .map(|i| {
                 density
                     .mass_between(i as f64 / d, (i + 1) as f64 / d)
                     .max(0.0)
             })
             .collect();
+        Self::from_masses(density, size, pmf)
+    }
+
+    /// The distribution that spreads `weight` evenly over each of
+    /// `cells` — disjoint index intervals in ascending order, gaps
+    /// allowed — and normalises: a histogram over the subrange cells of
+    /// a filter, at domain resolution.
+    ///
+    /// Equal, bit for bit (density, point masses, prefix sums), to
+    /// [`DistOverDomain::new`] over the [`Density::Mixture`] of one
+    /// [`Density::window`] per cell, but each point's mass is read from
+    /// the one cell that owns it — every other window contributes an
+    /// exact `+0.0` — so the cost is O(`size` + cells) where integrating
+    /// the mixture is O(`size` × cells). Weights whose sum is zero (no
+    /// cells, too) degrade to uniform as there.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DistError::InvalidDensity`] if `size == 0`, a cell is
+    /// empty, reaches past `size`, overlaps or precedes the one before
+    /// it, or a weight is negative or not finite.
+    pub fn from_cells(size: u64, cells: &[(IndexInterval, f64)]) -> Result<Self, DistError> {
+        let invalid = |msg: String| Err(DistError::InvalidDensity(msg));
+        if size == 0 {
+            return invalid("a domain distribution needs at least one point".into());
+        }
+        let mut end = 0;
+        for (cell, weight) in cells {
+            if cell.is_empty() || cell.lo() < end || cell.hi() > size {
+                return invalid(format!(
+                    "cell {cell} is empty, out of order or outside the {size}-point domain"
+                ));
+            }
+            if !weight.is_finite() || *weight < 0.0 {
+                return invalid(format!(
+                    "cell weight {weight} must be finite and non-negative"
+                ));
+            }
+            end = cell.hi();
+        }
+        let d = size as f64;
+        let windows: Vec<(f64, Density)> = cells
+            .iter()
+            .map(|(c, w)| (*w, Density::window(c.lo() as f64 / d, c.hi() as f64 / d)))
+            .collect();
+        // What `Density::Mixture::mass_between` works out for a grid
+        // cell, minus the terms that are zero.
+        let total: f64 = windows.iter().map(|(w, _)| w).sum();
+        let mut pmf = vec![0.0; size as usize];
+        if total > 0.0 {
+            for ((cell, _), (weight, window)) in cells.iter().zip(&windows) {
+                for i in cell.lo()..cell.hi() {
+                    let mass = window.mass_between(i as f64 / d, (i + 1) as f64 / d);
+                    pmf[i as usize] = (weight * mass / total).max(0.0);
+                }
+            }
+        }
+        Ok(Self::from_masses(Density::Mixture(windows), size, pmf))
+    }
+
+    /// Normalises the per-point masses of `density` (uniform if they
+    /// carry no mass) and takes their prefix sums.
+    fn from_masses(density: Density, size: u64, mut pmf: Vec<f64>) -> Self {
         let total: f64 = pmf.iter().sum();
         if total > 0.0 && total.is_finite() {
             for p in &mut pmf {
                 *p /= total;
             }
         } else {
-            pmf.fill(1.0 / d);
+            pmf.fill(1.0 / size as f64);
         }
         let mut cdf = Vec::with_capacity(pmf.len() + 1);
         let mut acc = 0.0;
@@ -75,7 +138,7 @@ impl DistOverDomain {
             cdf.push(acc);
         }
         // Pin the final prefix sum so sampling never falls off the end.
-        *cdf.last_mut().expect("non-empty") = 1.0;
+        cdf[pmf.len()] = 1.0;
         DistOverDomain {
             density,
             size,
@@ -227,6 +290,52 @@ mod tests {
         let json = serde_json::to_string(&d).unwrap();
         let back: DistOverDomain = serde_json::from_str(&json).unwrap();
         assert_eq!(d, back);
+    }
+
+    #[test]
+    fn cells_match_the_window_mixture_they_stand_for() {
+        // The paper's Example 2 marginal again, with a gap over [60, 65).
+        let cells = [
+            (IndexInterval::new(0, 11), 0.02),
+            (IndexInterval::new(11, 60), 0.17),
+            (IndexInterval::new(65, 81), 0.80),
+        ];
+        let d = DistOverDomain::from_cells(81, &cells).unwrap();
+        let w = |lo: f64, hi: f64| Density::window(lo / 81.0, hi / 81.0);
+        let mixture = Density::Mixture(vec![
+            (0.02, w(0.0, 11.0)),
+            (0.17, w(11.0, 60.0)),
+            (0.80, w(65.0, 81.0)),
+        ]);
+        assert_eq!(d, DistOverDomain::new(mixture, 81));
+        assert_eq!(d.mass_between(60, 65), 0.0);
+        assert!((d.mass_between(65, 81) - 0.80 / 0.99).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cells_that_are_no_partition_are_rejected() {
+        let cell = |lo, hi| (IndexInterval::new(lo, hi), 1.0);
+        let rejected = |size, cells: &[(IndexInterval, f64)]| {
+            matches!(
+                DistOverDomain::from_cells(size, cells),
+                Err(DistError::InvalidDensity(_))
+            )
+        };
+        assert!(rejected(0, &[]), "no points");
+        assert!(rejected(10, &[cell(0, 6), cell(5, 10)]), "overlap");
+        assert!(rejected(10, &[cell(5, 10), cell(0, 5)]), "unsorted");
+        assert!(rejected(10, &[cell(3, 3)]), "empty cell");
+        assert!(rejected(10, &[cell(5, 11)]), "past the domain");
+        assert!(rejected(10, &[cell(u64::MAX - 1, u64::MAX)]), "far past");
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let cells = [(IndexInterval::new(0, 5), bad)];
+            assert!(rejected(10, &cells), "weight {bad}");
+        }
+        // No mass at all is not an error: uniform, as `new` has it.
+        for cells in [vec![], vec![(IndexInterval::new(2, 4), 0.0)]] {
+            let d = DistOverDomain::from_cells(10, &cells).unwrap();
+            assert_eq!(d.pmf, [0.1; 10]);
+        }
     }
 
     #[test]

@@ -66,7 +66,10 @@ impl JointDist {
         self.marginals[j].size()
     }
 
-    /// A clone of the marginal of attribute `j`.
+    /// A clone of the marginal of attribute `j` — a deep copy of its
+    /// per-point tables, 16 bytes a domain point (318 kB for a
+    /// 19,901-point attribute): borrow through
+    /// [`JointDist::marginals`] unless the copy is what is wanted.
     ///
     /// # Panics
     ///

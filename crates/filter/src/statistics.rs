@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use ens_dist::{Density, DistOverDomain, Histogram, JointDist, Pmf};
+use ens_dist::{DistOverDomain, Histogram, JointDist, Pmf};
 use ens_types::{AttrId, Event, Operator, ProfileSet};
 
 use crate::subrange::AttributePartition;
@@ -299,9 +299,12 @@ impl FilterStatistics {
         )?)
     }
 
-    /// Converts the empirical event histogram of `attr` into a density
-    /// over the attribute's domain (a mixture of uniform windows, one
-    /// per cell).
+    /// Converts the empirical event histogram of `attr` into a
+    /// distribution over the attribute's domain: each cell's smoothed
+    /// probability spread evenly over the cell's points (the paper's
+    /// `Pe`, defined per subrange, at domain resolution). One sweep over
+    /// the cells; the value is what integrating a mixture of one uniform
+    /// window per cell gives, bit for bit.
     ///
     /// # Errors
     ///
@@ -309,26 +312,14 @@ impl FilterStatistics {
     pub fn empirical_marginal(&self, attr: AttrId) -> Result<DistOverDomain, FilterError> {
         let part = &self.partitions[attr.index()];
         let pmf = self.event_pmf(attr)?;
-        let d = part.domain_size() as f64;
-        let parts: Vec<(f64, Density)> = part
+        let cells: Vec<_> = part
             .cells()
             .iter()
             .enumerate()
             .filter(|(k, _)| pmf.prob(*k) > 0.0)
-            .map(|(k, cell)| {
-                (
-                    pmf.prob(k),
-                    Density::window(
-                        cell.interval().lo() as f64 / d,
-                        cell.interval().hi() as f64 / d,
-                    ),
-                )
-            })
+            .map(|(k, cell)| (*cell.interval(), pmf.prob(k)))
             .collect();
-        Ok(DistOverDomain::new(
-            Density::Mixture(parts),
-            part.domain_size(),
-        ))
+        Ok(DistOverDomain::from_cells(part.domain_size(), &cells)?)
     }
 
     /// The full empirical (independence-assuming) event model.

@@ -208,7 +208,6 @@ pub struct ProfileTree {
     config: TreeConfig,
     attribute_order: Vec<AttrId>,
     partitions: Vec<AttributePartition>,
-    marginals: Option<Vec<DistOverDomain>>,
     root: NodeRef,
     profile_count: usize,
 }
@@ -226,7 +225,8 @@ impl ProfileTree {
     pub fn build(profiles: &ProfileSet, config: &TreeConfig) -> Result<Self, FilterError> {
         let schema = Arc::new(profiles.schema().clone());
 
-        // Validate / extract the event model.
+        // Validate the event model; its per-point tables are borrowed
+        // for the build and held once, in the tree's copy of `config`.
         let marginals = match &config.event_model {
             Some(joint) => {
                 if joint.arity() != schema.len() {
@@ -250,11 +250,7 @@ impl ProfileTree {
                         });
                     }
                 }
-                Some(
-                    (0..schema.len())
-                        .map(|j| joint.marginal(j))
-                        .collect::<Vec<_>>(),
-                )
+                Some(joint.marginals())
             }
             None => None,
         };
@@ -313,7 +309,7 @@ impl ProfileTree {
                     *direction,
                     profiles,
                     &partitions,
-                    marginals.as_deref(),
+                    marginals,
                     config.search,
                 )?
             }
@@ -336,7 +332,7 @@ impl ProfileTree {
             profiles,
             schema: schema.as_ref(),
             order: &attribute_order,
-            marginals: marginals.as_deref(),
+            marginals,
             strategy: config.search,
             early_termination: !config.disable_early_termination,
             global_cuts,
@@ -349,7 +345,6 @@ impl ProfileTree {
             config: config.clone(),
             attribute_order,
             partitions,
-            marginals,
             root,
             profile_count: profiles.len(),
         })
@@ -391,7 +386,7 @@ impl ProfileTree {
     /// (schema order).
     #[must_use]
     pub fn marginals(&self) -> Option<&[DistOverDomain]> {
-        self.marginals.as_deref()
+        self.config.event_model.as_ref().map(JointDist::marginals)
     }
 
     /// Number of profiles indexed.
@@ -816,7 +811,7 @@ impl ProfileTree {
         for p in &self.partitions {
             p.encode(w);
         }
-        match &self.marginals {
+        match self.marginals() {
             None => w.bool(false),
             Some(m) => {
                 w.bool(true);
@@ -870,11 +865,18 @@ impl ProfileTree {
         for _ in 0..n_parts {
             partitions.push(AttributePartition::decode(r)?);
         }
+        // The section repeats the model's per-point tables (the format
+        // predates their being held once): checked, not kept.
         let marginals = if r.bool()? {
             Some(r.serde::<Vec<DistOverDomain>>()?)
         } else {
             None
         };
+        if marginals.as_deref() != config.event_model.as_ref().map(JointDist::marginals) {
+            return Err(PersistError::new(
+                "marginals section disagrees with the configured event model",
+            ));
+        }
         let profile_count = r.u64()? as usize;
         let ctx = OrderCtx {
             schema: &schema,
@@ -888,7 +890,6 @@ impl ProfileTree {
             config,
             attribute_order,
             partitions,
-            marginals,
             root,
             profile_count,
         })

@@ -7,6 +7,11 @@
 use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::FilterStatistics;
 use ens_types::{AttrId, Domain, Predicate, Profile, ProfileId, ProfileSet, Schema};
+use ens_workloads::scenario::{
+    environmental_event_model, environmental_profiles, environmental_schema, stock_event_model,
+    stock_profiles, stock_schema,
+};
+use ens_workloads::{hot_band_migration, EventGenerator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,5 +101,67 @@ proptest! {
         let model = stats.empirical_model().unwrap();
         prop_assert_eq!(model.arity(), 1);
         prop_assert_eq!(model.domain_size(0), D);
+    }
+}
+
+/// The empirical marginal of `attr` the way it used to be built: a
+/// mixture of one uniform window per cell, integrated over every
+/// domain point.
+fn marginal_by_integration(stats: &FilterStatistics, attr: AttrId) -> DistOverDomain {
+    let part = &stats.partitions()[attr.index()];
+    let pmf = stats.event_pmf(attr).unwrap();
+    let d = part.domain_size() as f64;
+    let windows = part
+        .cells()
+        .iter()
+        .enumerate()
+        .filter(|(k, _)| pmf.prob(*k) > 0.0)
+        .map(|(k, cell)| {
+            let (lo, hi) = (cell.interval().lo(), cell.interval().hi());
+            (pmf.prob(k), Density::window(lo as f64 / d, hi as f64 / d))
+        })
+        .collect();
+    DistOverDomain::new(Density::Mixture(windows), part.domain_size())
+}
+
+/// The one-sweep model is the integrated one — the same value, not a
+/// close one: trees, Eq. 2 predictions and checkpoints are functions
+/// of it. Checked on the three scenario populations before any event,
+/// on a thin estimate and on a settled one.
+#[test]
+fn empirical_model_equals_the_integrated_window_mixture() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let band = hot_band_migration(41, 80, 0).unwrap();
+    let populations = [
+        (
+            "environmental",
+            environmental_schema(),
+            environmental_profiles(1000, &mut rng).unwrap(),
+            environmental_event_model().unwrap(),
+        ),
+        (
+            "stock",
+            stock_schema(),
+            stock_profiles(500, &mut rng).unwrap(),
+            stock_event_model().unwrap(),
+        ),
+        ("band", band.schema, band.profiles, band.model_a),
+    ];
+    for (name, schema, profiles, model) in populations {
+        let generator = EventGenerator::new(&schema, model).unwrap();
+        let mut stats = FilterStatistics::new(&profiles).unwrap();
+        for observed in [0, 500, 5_000] {
+            while stats.events_posted() < observed {
+                stats.record_event(&generator.sample(&mut rng)).unwrap();
+            }
+            let model = stats.empirical_model().unwrap();
+            for (j, marginal) in model.marginals().iter().enumerate() {
+                let integrated = marginal_by_integration(&stats, AttrId::new(j as u32));
+                assert_eq!(
+                    *marginal, integrated,
+                    "{name}, attribute {j}, {observed} events"
+                );
+            }
+        }
     }
 }

@@ -9,6 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::persist::crc32;
 use ens_filter::{FilterSnapshot, TreeConfig};
 use ens_types::{CoverOutcome, Domain, Predicate, Profile, ProfileId, ProfileSet, Schema};
@@ -108,6 +109,37 @@ fn valid_snapshot() -> Vec<u8> {
         .to_bytes()
 }
 
+/// A snapshot compiled under an event model, whose image therefore
+/// carries the model's per-point tables twice (configuration and
+/// marginals section), with one mass of the section's copy overwritten
+/// and the checksum put right.
+fn snapshot_with_disagreeing_marginals() -> Vec<u8> {
+    let schema = Schema::builder()
+        .attribute("x", Domain::int(0, 99))
+        .unwrap()
+        .build();
+    let mut profiles = ProfileSet::new(&schema);
+    profiles
+        .insert_with(|b| b.predicate("x", Predicate::between(10, 19)))
+        .unwrap();
+    let x = DistOverDomain::new(Density::falling(), 100);
+    let mass = x.prob_index(37).to_le_bytes();
+    let config = TreeConfig {
+        event_model: Some(JointDist::independent(vec![x]).unwrap()),
+        ..TreeConfig::default()
+    };
+    let mut bytes = FilterSnapshot::compile(&profiles, &config)
+        .unwrap()
+        .to_bytes();
+    let sites: Vec<usize> = (0..bytes.len() - 8)
+        .filter(|&at| bytes[at..at + 8] == mass)
+        .collect();
+    assert_eq!(sites.len(), 2, "the mass is written twice");
+    bytes[sites[1]..sites[1] + 8].copy_from_slice(&0.5f64.to_le_bytes());
+    reseal(&mut bytes);
+    bytes
+}
+
 /// Replaces the trailing checksum by the right one, so that a mutated
 /// payload gets past it to the decoders.
 fn reseal(bytes: &mut Vec<u8>) {
@@ -152,6 +184,11 @@ proptest! {
     fn from_bytes_never_panics_and_allocates_within_its_input(seed in 0u64..=u64::MAX) {
         let valid = valid_snapshot();
         prop_assert!(decode_within_budget(&valid));
+        // The model is held once, and the section that repeats it must
+        // repeat it: refused, not resolved in favour of either copy.
+        let torn = FilterSnapshot::from_bytes(&snapshot_with_disagreeing_marginals());
+        let refusal = torn.err().map(|e| e.to_string()).unwrap_or_default();
+        prop_assert!(refusal.contains("marginals section"), "{refusal:?}");
         let mut rng = StdRng::seed_from_u64(seed);
         let (mut accepted, mut rejected) = (0u32, 0u32);
         for case in 0..6000 {
@@ -198,8 +235,8 @@ proptest! {
             }
         }
         // Both outcomes are reached: a mutation that only touches, say,
-        // a marginal's mass still decodes, one that breaks structure
-        // does not.
+        // a profile id in a leaf still decodes, one that breaks
+        // structure does not.
         prop_assert!(accepted > 0 && rejected > 1000, "{accepted} accepted, {rejected} rejected");
     }
 }

@@ -242,3 +242,48 @@ fn empty_base_round_trips() {
     reloaded.match_into(&indexed, &mut scratch, true);
     assert!(scratch.matched().is_empty());
 }
+
+/// `fixtures/stock_modelled_snapshot_pr21.bin` is the snapshot the
+/// commit before the one-sweep model wrote for the population rebuilt
+/// here: 200 stock profiles compiled in event order under the empirical
+/// model of 500 observed trades — a model built by integrating a
+/// 375-window mixture over the 19,901 price points, and serialized
+/// twice, in the configuration and in the marginals section. The model
+/// is now filled in one sweep and held once; the bytes must not know:
+/// a fresh compile still encodes to exactly the old image, and the old
+/// image loads and re-encodes to itself.
+#[test]
+fn parent_written_stock_snapshot_loads_and_re_encodes_identically() {
+    use ens_filter::FilterStatistics;
+    use ens_workloads::scenario::{stock_event_model, stock_profiles, stock_schema};
+    use ens_workloads::EventGenerator;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let fixture: &[u8] = include_bytes!("fixtures/stock_modelled_snapshot_pr21.bin");
+    let mut rng = StdRng::seed_from_u64(21);
+    let profiles = stock_profiles(200, &mut rng).unwrap();
+    let generator = EventGenerator::new(&stock_schema(), stock_event_model().unwrap()).unwrap();
+    let mut stats = FilterStatistics::new(&profiles).unwrap();
+    for _ in 0..500 {
+        stats.record_event(&generator.sample(&mut rng)).unwrap();
+    }
+    let config = TreeConfig {
+        search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
+        event_model: Some(stats.empirical_model().unwrap()),
+        ..TreeConfig::default()
+    };
+    let fresh = FilterSnapshot::compile(&profiles, &config).unwrap();
+    assert!(
+        fresh.to_bytes() == fixture,
+        "this build encodes the population as the old one did"
+    );
+    let old = FilterSnapshot::from_bytes(fixture).unwrap();
+    assert!(
+        old.to_bytes() == fixture,
+        "the old image re-encodes to itself"
+    );
+    assert_eq!(
+        old.tree().marginals(),
+        config.event_model.as_ref().map(JointDist::marginals)
+    );
+}

@@ -489,8 +489,9 @@ pub struct Broker {
     sequence: AtomicU64,
     next_sub: AtomicU64,
     metrics: Arc<Metrics>,
-    /// What the adaptive loop decided lately (see [`Broker::decisions`]).
-    journal: Journal,
+    /// What the adaptive loop decided lately (see [`Broker::decisions`]);
+    /// every shard journals its recompiles into it.
+    journal: Arc<Journal>,
     /// WAL + checkpoint state; `None` for in-memory brokers
     /// ([`Broker::new`]), `Some` after [`Broker::open`].
     durability: Option<Durability>,
@@ -508,10 +509,11 @@ impl Broker {
     pub fn new(schema: &Schema, config: BrokerConfig) -> Result<Self, ServiceError> {
         let schema = Arc::new(schema.clone());
         let metrics = Arc::new(Metrics::default());
+        let journal = Arc::new(Journal::new());
         let shards = (0..config.shards.max(1))
-            .map(|_| Shard::new(&schema, &config, &metrics))
+            .map(|s| Shard::new(s, &schema, &config, &metrics, &journal))
             .collect::<Result<_, _>>()?;
-        Ok(Self::over(schema, config, metrics, shards, 0, 0))
+        Ok(Self::over(schema, config, metrics, journal, shards, 0, 0))
     }
 
     /// Rebuilds the broker from a loaded checkpoint: no recompilation —
@@ -536,13 +538,14 @@ impl Broker {
         }
         let schema = Arc::new(schema.clone());
         let metrics = Arc::new(Metrics::default());
-        let shards = cp.shards.into_iter();
+        let journal = Arc::new(Journal::new());
+        let shards = cp.shards.into_iter().enumerate();
         let shards = shards
-            .map(|cs| Shard::restore(&schema, &config, &metrics, cs, subscribers))
+            .map(|(s, cs)| Shard::restore(s, &schema, &config, &metrics, &journal, cs, subscribers))
             .collect::<Result<_, _>>()?;
         let (sequence, next_sub) = (cp.sequence, cp.next_sub);
         Ok(Self::over(
-            schema, config, metrics, shards, sequence, next_sub,
+            schema, config, metrics, journal, shards, sequence, next_sub,
         ))
     }
 
@@ -551,6 +554,7 @@ impl Broker {
         schema: Arc<Schema>,
         config: BrokerConfig,
         metrics: Arc<Metrics>,
+        journal: Arc<Journal>,
         shards: Vec<Shard>,
         sequence: u64,
         next_sub: u64,
@@ -563,7 +567,7 @@ impl Broker {
             sequence: AtomicU64::new(sequence),
             next_sub: AtomicU64::new(next_sub),
             metrics,
-            journal: Journal::new(),
+            journal,
             durability: None,
             batch_fault: AtomicU64::new(0),
         }
@@ -1434,11 +1438,7 @@ impl Broker {
     /// Appends `decision` to the journal, with the counters
     /// [`Decision::Retuned::measured`] is later read against.
     fn journal(&self, decision: Decision) {
-        self.journal.record(
-            decision,
-            self.metrics.total_ops.load(Ordering::Relaxed),
-            self.metrics.events_published.load(Ordering::Relaxed),
-        );
+        self.journal.record(decision, &self.metrics);
     }
 
     /// Current quenching advice for producers, covering every live
@@ -1485,10 +1485,7 @@ impl Broker {
     /// came of it.
     #[must_use]
     pub fn decisions(&self) -> Vec<Decision> {
-        self.journal.read(
-            self.metrics.total_ops.load(Ordering::Relaxed),
-            self.metrics.events_published.load(Ordering::Relaxed),
-        )
+        self.journal.read(&self.metrics)
     }
 }
 

@@ -13,13 +13,20 @@
 //! and the ones it is told to write — are journalled beside them
 //! ([`Decision::CheckpointWritten`]): what the image weighed, what the
 //! WAL trim dropped and kept, and how long the log was held for it.
+//! And every recompile of a shard, whatever asked for it
+//! ([`Decision::Compacted`]): how many profiles went in and what each
+//! stage of the compile pipeline — event model, containment pass, tree,
+//! lowering — cost under the shard's writer lock.
 //!
 //! [`Broker::decisions`]: crate::Broker::decisions
 
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 
 use ens_filter::{AttributeOrder, DriftCause, SearchStrategy};
 use parking_lot::Mutex;
+
+use crate::metrics::Metrics;
 
 /// Records the journal keeps; a new one evicts the oldest.
 pub const CAPACITY: usize = 64;
@@ -106,6 +113,32 @@ pub enum Decision {
         /// shard's own on a one-shard broker); 0 before the next event.
         measured: f64,
     },
+    /// A shard recompiled its subscriptions: a bulk load, a churn
+    /// compaction, a replayed retune, or the rebuild of the
+    /// [`Decision::DriftRebuilt`] that follows this record. The four
+    /// stages of the compile pipeline are timed apart; what is left of a
+    /// recompile (collecting the live profiles, the dispatch tables) is
+    /// in none of them.
+    Compacted {
+        /// The shard recompiled.
+        shard: usize,
+        /// Live subscriptions the shard serves after it.
+        population: usize,
+        /// Profiles that entered the tree: the representatives under
+        /// covering, else the whole population.
+        compiled: usize,
+        /// Statistics re-binned onto the new cells and the event model
+        /// filled from them.
+        model_ns: u64,
+        /// The bulk containment pass (0 with covering off).
+        cover_ns: u64,
+        /// The tree build (0 where the tuner's battery built the tree:
+        /// that time is in `MetricsSnapshot::tuning_nanos`).
+        tree_ns: u64,
+        /// Lowering the tree to the DFSA and the covering expansion
+        /// index.
+        lower_ns: u64,
+    },
     /// A checkpoint generation was written (automatic, or by
     /// [`Broker::checkpoint`](crate::Broker::checkpoint) or
     /// [`Broker::checkpoint_keep_wal`](crate::Broker::checkpoint_keep_wal)).
@@ -136,6 +169,14 @@ struct Entry {
     events_published: u64,
 }
 
+/// `(total_ops, events_published)` as `metrics` has them now.
+fn counters(metrics: &Metrics) -> (u64, u64) {
+    (
+        metrics.total_ops.load(Ordering::Relaxed),
+        metrics.events_published.load(Ordering::Relaxed),
+    )
+}
+
 pub(crate) struct Journal {
     ring: Mutex<VecDeque<Entry>>,
 }
@@ -147,9 +188,10 @@ impl Journal {
         }
     }
 
-    /// Appends `decision`, taken with the broker's counters at
-    /// `total_ops` and `events_published`.
-    pub(crate) fn record(&self, decision: Decision, total_ops: u64, events_published: u64) {
+    /// Appends `decision`, taken with the broker's counters where
+    /// `metrics` has them.
+    pub(crate) fn record(&self, decision: Decision, metrics: &Metrics) {
+        let (total_ops, events_published) = counters(metrics);
         let mut ring = self.ring.lock();
         if ring.len() == CAPACITY {
             ring.pop_front();
@@ -162,8 +204,9 @@ impl Journal {
     }
 
     /// The journalled decisions, oldest first, with the broker's
-    /// counters now at `total_ops` and `events_published`.
-    pub(crate) fn read(&self, total_ops: u64, events_published: u64) -> Vec<Decision> {
+    /// counters now where `metrics` has them.
+    pub(crate) fn read(&self, metrics: &Metrics) -> Vec<Decision> {
+        let (total_ops, events_published) = counters(metrics);
         self.ring
             .lock()
             .iter()
@@ -200,11 +243,11 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_newest_records() {
-        let journal = Journal::new();
+        let (journal, metrics) = (Journal::new(), Metrics::default());
         for shard in 0..CAPACITY + 3 {
-            journal.record(declined(shard), 0, 0);
+            journal.record(declined(shard), &metrics);
         }
-        let read = journal.read(0, 0);
+        let read = journal.read(&metrics);
         assert_eq!(read.len(), CAPACITY);
         assert_eq!(read[0], declined(3));
         assert_eq!(read[CAPACITY - 1], declined(CAPACITY + 2));
@@ -212,11 +255,16 @@ mod tests {
 
     #[test]
     fn retune_measures_ops_per_event_since_it_was_taken() {
-        let journal = Journal::new();
+        let (journal, metrics) = (Journal::new(), Metrics::default());
+        let at = |ops, events| {
+            metrics.total_ops.store(ops, Ordering::Relaxed);
+            metrics.events_published.store(events, Ordering::Relaxed);
+        };
         let shape = TreeShape {
             attribute_order: AttributeOrder::Natural,
             search: SearchStrategy::Binary,
         };
+        at(1_000, 100);
         journal.record(
             Decision::Retuned {
                 shard: 0,
@@ -225,12 +273,14 @@ mod tests {
                 predicted: 3.0,
                 measured: 0.0,
             },
-            1_000,
-            100,
+            &metrics,
         );
-        let measured = |ops, events| match &journal.read(ops, events)[0] {
-            Decision::Retuned { measured, .. } => *measured,
-            other => panic!("{other:?}"),
+        let measured = |ops, events| {
+            at(ops, events);
+            match &journal.read(&metrics)[0] {
+                Decision::Retuned { measured, .. } => *measured,
+                other => panic!("{other:?}"),
+            }
         };
         assert_eq!(measured(1_000, 100), 0.0, "no event since");
         assert_eq!(measured(1_400, 200), 4.0);

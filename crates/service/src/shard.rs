@@ -30,6 +30,7 @@ use ens_types::{CoverOutcome, CoverSet, Profile, ProfileSet, Residual, Schema};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::channel::{self, OverflowPolicy, Sender};
+use crate::journal::{Decision, Journal};
 use crate::metrics::Metrics;
 use crate::notify::{Queued, Subscriber};
 use crate::persist::{CheckpointEntry, CheckpointShard};
@@ -123,8 +124,14 @@ pub(super) struct Staged {
     /// The shape to compile, the event model to compile under and the
     /// weights of the compiled profiles.
     pub(super) config: TreeConfig,
-    /// Time spent on this recompile so far (pricing it excluded).
+    /// Time spent on this recompile so far (pricing it excluded), and
+    /// the parts of it that went into the containment pass, the event
+    /// model (statistics re-binned onto the new cells included) and the
+    /// tree build.
     pub(super) spent: Duration,
+    cover_time: Duration,
+    model_time: Duration,
+    tree_time: Duration,
 }
 
 impl Staged {
@@ -140,7 +147,8 @@ impl Staged {
     pub(super) fn build_tree(&mut self) -> Result<ProfileTree, ServiceError> {
         let t0 = Instant::now();
         let tree = ProfileTree::build(&self.compiled, &self.config)?;
-        self.spent += t0.elapsed();
+        self.tree_time = t0.elapsed();
+        self.spent += self.tree_time;
         Ok(tree)
     }
 }
@@ -192,6 +200,10 @@ pub(super) struct ShardWriter {
     quench_inbound: bool,
     covering: bool,
     metrics: Arc<Metrics>,
+    /// The broker's decision journal, and the index this shard signs
+    /// its records with.
+    journal: Arc<Journal>,
+    index: usize,
 }
 
 impl ShardWriter {
@@ -320,6 +332,7 @@ impl ShardWriter {
         // (general-first sweep, not per-profile probes): only the
         // representative antichain is compiled, everything else joins
         // the expansion map.
+        let t_cover = Instant::now();
         let cover = if self.covering {
             Some(CoverSet::build_bulk(
                 &self.schema,
@@ -338,6 +351,7 @@ impl ShardWriter {
             Some(cs) => FilterSnapshot::cover_representatives(&profiles, cs)?,
             None => profiles,
         };
+        let cover_time = t_cover.elapsed();
         let weights = if uniform {
             None
         } else {
@@ -360,11 +374,16 @@ impl ShardWriter {
                 ..tree
             },
             spent: Duration::ZERO,
+            cover_time,
+            model_time: Duration::ZERO,
+            tree_time: Duration::ZERO,
         };
+        let t_model = Instant::now();
         let model = self
             .tracker
             .prepare_model(&staged.compiled, staged.config.event_model.as_ref())?;
         staged.config.event_model = Some(model);
+        staged.model_time = t_model.elapsed();
         staged.spent = t0.elapsed();
         Ok(staged)
     }
@@ -405,9 +424,11 @@ pub(super) struct Shard {
 impl Shard {
     /// An empty shard.
     pub(super) fn new(
+        index: usize,
         schema: &Arc<Schema>,
         config: &BrokerConfig,
         metrics: &Arc<Metrics>,
+        journal: &Arc<Journal>,
     ) -> Result<Self, ServiceError> {
         let nothing = ProfileSet::new(schema);
         let tracker = DriftTracker::new(&nothing, config.rebuild)?;
@@ -430,6 +451,8 @@ impl Shard {
             quench_inbound: config.quench_inbound,
             covering: config.covering,
             metrics: Arc::clone(metrics),
+            journal: Arc::clone(journal),
+            index,
         };
         Self::serving(writer, filter)
     }
@@ -439,9 +462,11 @@ impl Shard {
     /// is attached to a fresh channel, whose consumer end goes into
     /// `subscribers` under the subscription's id.
     pub(super) fn restore(
+        index: usize,
         schema: &Arc<Schema>,
         config: &BrokerConfig,
         metrics: &Arc<Metrics>,
+        journal: &Arc<Journal>,
         cs: CheckpointShard,
         subscribers: &mut BTreeMap<u64, Subscriber>,
     ) -> Result<Self, ServiceError> {
@@ -515,6 +540,8 @@ impl Shard {
             quench_inbound: config.quench_inbound,
             covering: config.covering,
             metrics: Arc::clone(metrics),
+            journal: Arc::clone(journal),
+            index,
         };
         Self::serving(writer, filter)
     }
@@ -716,10 +743,20 @@ impl ShardGuard<'_> {
         let (snapshot, folded) = match recompile {
             Some(r) => {
                 let (population, cover) = (r.staged.population, r.staged.cover.as_ref());
+                let t0 = Instant::now();
                 let filter = FilterSnapshot::from_tree(r.tree, population, cover)?;
+                let compacted = Decision::Compacted {
+                    shard: w.index,
+                    population,
+                    compiled: r.staged.compiled.len(),
+                    model_ns: r.staged.model_time.as_nanos() as u64,
+                    cover_ns: r.staged.cover_time.as_nanos() as u64,
+                    tree_ns: r.staged.tree_time.as_nanos() as u64,
+                    lower_ns: t0.elapsed().as_nanos() as u64,
+                };
                 w.tracker.finish_rebuild(r.migrated)?;
                 let snapshot = w.snapshot_after(&change, Source::Compiled(filter))?;
-                (snapshot, Some((r.staged.cover, r.counter)))
+                (snapshot, Some((r.staged.cover, r.counter, compacted)))
             }
             None => {
                 let prev = self.shard.snapshot.read().clone();
@@ -739,7 +776,7 @@ impl ShardGuard<'_> {
         });
         match folded {
             None => w.overlay.extend(change.add),
-            Some((cover, counter)) => {
+            Some((cover, counter, compacted)) => {
                 let mut base = Vec::with_capacity(w.live_count() + change.add.len());
                 let compiled = std::mem::take(&mut w.base).into_iter();
                 base.extend(compiled.filter(SubEntry::is_live));
@@ -751,6 +788,7 @@ impl ShardGuard<'_> {
                 if let Some(counter) = counter {
                     counter(&w.metrics).fetch_add(1, Ordering::Relaxed);
                 }
+                w.journal.record(compacted, &w.metrics);
             }
         }
         // Swap.

@@ -1,0 +1,96 @@
+//! Live-bytes budget of a broker at rest: an event model's per-point
+//! tables (16 bytes a domain point) are held once a shard — in the
+//! compiled tree's configuration — not again beside it.
+//!
+//! This file deliberately contains a single `#[test]` so no concurrent
+//! test thread can disturb the global byte counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use ens_service::{Broker, BrokerConfig};
+use ens_workloads::scenario::{stock_profiles, stock_schema};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+struct LiveBytes;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter publishes no
+// other data.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(new_size, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
+
+/// Bytes still allocated of what `make` allocated, with its result
+/// alive.
+fn retained<T>(make: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let made = make();
+    (made, LIVE.load(Ordering::Relaxed).saturating_sub(before))
+}
+
+#[test]
+fn a_shard_holds_its_model_tables_once() {
+    let schema = stock_schema();
+    // Point masses and prefix sums of one model over the schema.
+    let points: u64 = schema.iter().map(|(_, a)| a.domain().size()).sum();
+    let tables = 16 * points as usize;
+    assert!(tables > 330_000, "the price attribute has 19,901 points");
+    let config = || BrokerConfig {
+        shards: 2,
+        ..BrokerConfig::default()
+    };
+
+    // Empty: each shard's seed tree is compiled under the uniform model
+    // of an empty history. (1,362,118 bytes when the tree kept a second
+    // copy of the tables.)
+    let (broker, empty) = retained(|| Broker::new(&schema, config()).unwrap());
+    assert!(
+        (2 * tables..=760_000).contains(&empty),
+        "an empty 2-shard stock broker retains {empty} bytes ({tables} a model)"
+    );
+    drop(broker);
+
+    // Loaded: few enough subscriptions that a second copy of the tables
+    // would not hide among them.
+    let profiles = stock_profiles(64, &mut StdRng::seed_from_u64(12)).unwrap();
+    let (loaded, bytes) = retained(|| {
+        let broker = Broker::new(&schema, config()).unwrap();
+        let subs = broker.subscribe_many(profiles.iter().cloned()).unwrap();
+        (broker, subs)
+    });
+    assert!(
+        (2 * tables..3 * tables).contains(&bytes),
+        "a loaded 2-shard stock broker retains {bytes} bytes ({tables} a model)"
+    );
+    drop(loaded);
+}

@@ -46,6 +46,14 @@ fn read_as_moved(d: &Decision) -> bool {
     )
 }
 
+/// What the adaptive loop decided: the journal without the records
+/// the recompiles leave of themselves.
+fn drift_decisions(broker: &Broker) -> Vec<Decision> {
+    let mut decisions = broker.decisions();
+    decisions.retain(|d| !matches!(d, Decision::Compacted { .. }));
+    decisions
+}
+
 fn v1() -> TreeConfig {
     TreeConfig {
         search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
@@ -77,7 +85,7 @@ fn stationary_stock_stream_rebuilds_once() {
     // Exact for this seed: the warm-up onto the first estimate, and not
     // a trigger after it.
     assert_eq!((m.tree_rebuilds, m.drift_declined), (1, 0), "{m}");
-    let decisions = broker.decisions();
+    let decisions = drift_decisions(&broker);
     let [Decision::DriftRebuilt {
         cause: DriftCause::WarmUp,
         noise,
@@ -248,7 +256,7 @@ fn skewed_stream_settles_on_the_true_order() {
     // The warm-up does the work, and nothing after it is a trigger.
     let m = adaptive.metrics();
     assert_eq!((m.tree_rebuilds, m.drift_declined), (1, 0), "{m}");
-    let decisions = adaptive.decisions();
+    let decisions = drift_decisions(&adaptive);
     let [Decision::DriftRebuilt {
         cause: DriftCause::WarmUp,
         predicted_stale,
@@ -428,7 +436,7 @@ fn priced_tree_is_the_tree_committed() {
     for e in &w.phase_a[..64] {
         broker.publish(e).unwrap();
     }
-    let decisions = broker.decisions();
+    let decisions = drift_decisions(&broker);
     let Decision::DriftRebuilt {
         cause: DriftCause::WarmUp,
         predicted_new,
@@ -461,4 +469,69 @@ fn priced_tree_is_the_tree_committed() {
             tree.match_event(e).unwrap().ops()
         );
     }
+}
+
+/// Every recompile journals itself, whatever asked for it: the bulk
+/// load leaves one record a shard, and a drift rebuild's record comes
+/// just before the decision it belongs to, its four stages inside the
+/// rebuild's wall-clock cost.
+#[test]
+fn recompiles_journal_their_stage_costs() {
+    let schema = stock_schema();
+    let mut rng = StdRng::seed_from_u64(11);
+    let profiles = stock_profiles(400, &mut rng).unwrap();
+    let config = BrokerConfig {
+        shards: 2,
+        ..BrokerConfig::default()
+    };
+    let broker = Broker::new(&schema, config).unwrap();
+    assert_eq!(broker.decisions(), [], "an empty shard compiles nothing");
+    let subs = broker.subscribe_many(profiles.iter().cloned()).unwrap();
+    let loaded = broker.decisions();
+    let mut populations = [0, 0];
+    for (s, d) in loaded.iter().enumerate() {
+        let Decision::Compacted {
+            shard,
+            population,
+            compiled,
+            tree_ns,
+            ..
+        } = d
+        else {
+            panic!("{loaded:#?}");
+        };
+        assert_eq!(*shard, s, "shards load in order");
+        assert!(0 < *compiled && compiled <= population && *tree_ns > 0);
+        populations[s] = *population;
+    }
+    assert_eq!(loaded.len(), 2);
+    assert_eq!(populations[0] + populations[1], 400);
+
+    let generator = EventGenerator::new(&schema, stock_event_model().unwrap()).unwrap();
+    while broker.metrics().tree_rebuilds == 0 {
+        broker.publish(&generator.sample(&mut rng)).unwrap();
+        drain(&subs);
+    }
+    let decisions = broker.decisions();
+    let [.., Decision::Compacted {
+        shard: compacted,
+        population,
+        model_ns,
+        cover_ns,
+        tree_ns,
+        lower_ns,
+        ..
+    }, Decision::DriftRebuilt {
+        shard: rebuilt,
+        cause: DriftCause::WarmUp,
+        rebuild_ns,
+        ..
+    }] = decisions[..]
+    else {
+        panic!("{decisions:#?}");
+    };
+    assert_eq!(compacted, rebuilt);
+    assert_eq!(population, populations[rebuilt], "a rebuild moves nobody");
+    assert!(model_ns > 0 && tree_ns > 0 && lower_ns > 0);
+    assert!(model_ns + cover_ns + tree_ns + lower_ns <= rebuild_ns);
 }
