@@ -92,7 +92,7 @@ pub use order::{
 };
 pub use overlay::OverlayIndex;
 pub use persist::{PersistError, PersistErrorKind};
-pub use rebuild::{DriftCause, DriftSignal, DriftTracker, RebuildPolicy};
+pub use rebuild::{DriftCause, DriftSignal, DriftTracker, RebinnedHistory, RebuildPolicy};
 pub use scratch::{BlockScratch, MatchScratch, Matcher};
 pub use selectivity::{
     attribute_selectivities, order_attributes, AttributeMeasure, A3_MAX_ATTRIBUTES,

@@ -31,7 +31,7 @@ use crate::FilterError;
 
 /// When a compiled [`FilterSnapshot`](crate::FilterSnapshot) is rebuilt.
 ///
-/// Unifies the adaptive drift trigger (the first three fields) with the
+/// Unifies the adaptive drift trigger (the first two fields) with the
 /// incremental-subscription compaction thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RebuildPolicy {
@@ -45,11 +45,6 @@ pub struct RebuildPolicy {
     /// top of the distance sampling noise alone accounts for (see
     /// [`DriftSignal::noise`]).
     pub drift_threshold: f64,
-    /// After a rebuild that answered a real drift, halve the history
-    /// counters so the estimate follows recent traffic. Rebuilds that
-    /// did not change the model (subscription churn, the warm-up onto
-    /// the first estimate) keep the whole history either way.
-    pub decay_on_rebuild: bool,
     /// Compact the subscription overlay into the tree once it holds more
     /// than this many profiles. `0` compacts on every subscribe — the
     /// seed's rebuild-per-subscribe behaviour.
@@ -72,7 +67,6 @@ impl Default for RebuildPolicy {
         RebuildPolicy {
             min_events: 500,
             drift_threshold: 0.25,
-            decay_on_rebuild: true,
             max_overlay: 64,
             max_removed: 64,
             drift_check_every: 32,
@@ -177,13 +171,6 @@ impl Baseline {
 #[derive(Debug)]
 pub struct DriftTracker {
     stats: FilterStatistics,
-    /// Statistics re-binned for a new geometry by
-    /// [`DriftTracker::prepare_model`], with whether their estimate is
-    /// the model handed out; committed only by
-    /// [`DriftTracker::finish_rebuild`] — so an abandoned rebuild (the
-    /// caller's compile failed, or the trigger was turned down) leaves
-    /// the live statistics untouched.
-    pending: Option<(FilterStatistics, bool)>,
     /// Per attribute, what the current tree was optimised for.
     assumed: Vec<Baseline>,
     events_since_decision: u64,
@@ -197,6 +184,17 @@ pub struct DriftTracker {
     policy: RebuildPolicy,
 }
 
+/// The event history re-binned onto the cells of the profile set a
+/// rebuild is about to compile ([`DriftTracker::prepare_model`]); it
+/// becomes the tracker's when the rebuild is finished.
+#[derive(Debug)]
+pub struct RebinnedHistory {
+    stats: FilterStatistics,
+    /// Whether the model handed out with it is its own estimate (not a
+    /// configured prior).
+    estimated: bool,
+}
+
 impl DriftTracker {
     /// Creates a tracker over the compiled profile set.
     ///
@@ -208,7 +206,6 @@ impl DriftTracker {
         let assumed = Self::baselines(&stats, true)?;
         Ok(DriftTracker {
             stats,
-            pending: None,
             assumed,
             events_since_decision: 0,
             events_since_settled: 0,
@@ -360,7 +357,6 @@ impl DriftTracker {
     /// same drift fires again, after twice as many events as last time.
     /// Returns that number.
     pub fn defer_rebuild(&mut self) -> u64 {
-        self.pending = None;
         self.events_since_decision = 0;
         self.next_check = self.next_check.saturating_mul(2);
         self.next_check
@@ -376,54 +372,52 @@ impl DriftTracker {
     /// configured prior stands until an estimate exists that the policy
     /// itself would act on.
     ///
-    /// Nothing is committed: an abandoned rebuild leaves the tracker as
-    /// it was.
+    /// Nothing is committed: the re-binned history is the caller's to
+    /// hand back to [`DriftTracker::finish_rebuild`] once the tree is
+    /// compiled, or to drop with a rebuild it abandons.
     ///
     /// # Errors
     ///
     /// Propagates distribution errors.
     pub fn prepare_model(
-        &mut self,
+        &self,
         live: &ProfileSet,
         prior: Option<&JointDist>,
-    ) -> Result<JointDist, FilterError> {
-        // A previous prepare whose rebuild never finished is stale.
-        self.pending = None;
+    ) -> Result<(JointDist, RebinnedHistory), FilterError> {
         let mut stats = FilterStatistics::new(live)?;
         stats.adopt_history(&self.stats);
         let (model, estimated) = match prior {
             Some(prior) if stats.events_posted() < self.policy.min_events => (prior.clone(), false),
             _ => (stats.empirical_model()?, true),
         };
-        self.pending = Some((stats, estimated));
-        Ok(model)
+        Ok((model, RebinnedHistory { stats, estimated }))
     }
 
     /// Second rebuild phase, after the new tree was compiled: commits
-    /// the re-binned statistics, takes the baseline from them (a
-    /// placeholder if the tree was compiled under a prior) and starts
-    /// the next detection window.
+    /// the statistics [`DriftTracker::prepare_model`] re-binned, takes
+    /// the baseline from them (a placeholder if the tree was compiled
+    /// under a prior) and starts the next detection window.
     ///
     /// `migrated` says the rebuild answered [`DriftCause::Moved`] —
-    /// the distribution moved, not just the profile set — in which case [`RebuildPolicy::decay_on_rebuild`] halves
-    /// the history, so the estimate follows the new traffic. A rebuild
-    /// that did not change the model keeps every observation.
+    /// the distribution moved, not just the profile set — in which
+    /// case the history is halved, so the estimate follows the new
+    /// traffic. A rebuild that did not change the model (subscription
+    /// churn, the warm-up onto the first estimate) keeps every
+    /// observation.
     ///
     /// # Errors
     ///
     /// Propagates distribution errors.
-    pub fn finish_rebuild(&mut self, migrated: bool) -> Result<(), FilterError> {
-        let estimated = match self.pending.take() {
-            Some((stats, estimated)) => {
-                self.stats = stats;
-                estimated
-            }
-            None => true,
-        };
-        if migrated && self.policy.decay_on_rebuild {
+    pub fn finish_rebuild(
+        &mut self,
+        history: RebinnedHistory,
+        migrated: bool,
+    ) -> Result<(), FilterError> {
+        self.stats = history.stats;
+        if migrated {
             self.stats.decay();
         }
-        self.assumed = Self::baselines(&self.stats, estimated)?;
+        self.assumed = Self::baselines(&self.stats, history.estimated)?;
         self.events_since_decision = 0;
         self.events_since_settled = 0;
         self.next_check = self.policy.min_events;
@@ -480,13 +474,18 @@ mod tests {
         })
     }
 
+    /// A rebuild for `live` from prepare to finish, nothing in between.
+    fn rebuild(t: &mut DriftTracker, live: &ProfileSet, migrated: bool) {
+        let (_, history) = t.prepare_model(live, None).unwrap();
+        t.finish_rebuild(history, migrated).unwrap();
+    }
+
     #[test]
     fn drift_fires_after_min_events_under_skew() {
         let (schema, ps) = setup();
         let policy = RebuildPolicy {
             min_events: 20,
             drift_threshold: 0.3,
-            decay_on_rebuild: false,
             ..RebuildPolicy::default()
         };
         let mut t = DriftTracker::new(&ps, policy).unwrap();
@@ -499,9 +498,9 @@ mod tests {
         assert!(signal.is_warm_up());
         assert_eq!(signal.noise, 0.0);
         assert!(signal.drift >= 0.3);
-        let model = t.prepare_model(&ps, None).unwrap();
+        let (model, history) = t.prepare_model(&ps, None).unwrap();
         assert_eq!(model.arity(), 1);
-        t.finish_rebuild(false).unwrap();
+        t.finish_rebuild(history, false).unwrap();
         assert!(t.current_drift().unwrap() < 1e-12);
         assert_eq!(t.statistics().events_posted(), 20, "history is kept");
     }
@@ -552,8 +551,7 @@ mod tests {
             t.defer_rebuild();
         }
         assert_eq!(waits, [10, 20, 40, 80]);
-        t.prepare_model(&ps, None).unwrap();
-        t.finish_rebuild(true).unwrap();
+        rebuild(&mut t, &ps, true);
         let (_, after) = observe_until_fired(&mut t, &schema, 15, 1000).unwrap();
         assert!(after < 80, "a rebuild resets the wait: fired after {after}");
     }
@@ -591,8 +589,7 @@ mod tests {
             let e = event(&schema, rng.gen_range(0..2000));
             if let Some(signal) = t.observe(&e).unwrap() {
                 fired.push((n, signal.cause));
-                t.prepare_model(&ps, None).unwrap();
-                t.finish_rebuild(signal.cause == DriftCause::Moved).unwrap();
+                rebuild(&mut t, &ps, signal.cause == DriftCause::Moved);
             }
             if n % 100 == 0 {
                 worst = worst.max(t.current_drift().unwrap());
@@ -624,8 +621,7 @@ mod tests {
             let e = event(&schema, rng.gen_range(0..25));
             if let Some(signal) = t.observe(&e).unwrap() {
                 assert_ne!(signal.cause, DriftCause::Moved, "phase A is stationary");
-                t.prepare_model(&ps, None).unwrap();
-                t.finish_rebuild(false).unwrap();
+                rebuild(&mut t, &ps, false);
             }
         }
         // Phase B: everything moves to the upper half. With `n` events
@@ -670,10 +666,10 @@ mod tests {
         bigger
             .insert_with(|b| b.predicate("x", Predicate::between(40, 59)))
             .unwrap();
-        t.prepare_model(&bigger, None).unwrap();
+        let (_, history) = t.prepare_model(&bigger, None).unwrap();
         // Staged only: an abandoned rebuild leaves the tracker alone.
         assert_eq!(t.statistics().partitions()[0].cells().len(), 5);
-        t.finish_rebuild(false).unwrap();
+        t.finish_rebuild(history, false).unwrap();
         assert_eq!(t.statistics().partitions()[0].cells().len(), 7);
         assert_eq!(t.statistics().events_posted(), 10, "history survives");
         assert_eq!(t.statistics().event_observations(AttrId::new(0)), 10.0);
@@ -700,14 +696,15 @@ mod tests {
         for _ in 0..29 {
             t.observe(&event(&schema, 15)).unwrap();
         }
-        assert_eq!(t.prepare_model(&ps, Some(&prior)).unwrap(), prior);
-        t.finish_rebuild(false).unwrap();
+        let (model, history) = t.prepare_model(&ps, Some(&prior)).unwrap();
+        assert_eq!(model, prior);
+        t.finish_rebuild(history, false).unwrap();
         assert_eq!(t.assumed[0].observations, 0.0, "placeholder baseline");
         t.observe(&event(&schema, 15)).unwrap();
-        let model = t.prepare_model(&ps, Some(&prior)).unwrap();
+        let (model, history) = t.prepare_model(&ps, Some(&prior)).unwrap();
         assert!(model != prior, "30 observations displace the prior");
         assert!(model.marginal(0).mass_between(10, 20) > 0.9);
-        t.finish_rebuild(false).unwrap();
+        t.finish_rebuild(history, false).unwrap();
         assert_eq!(t.assumed[0].observations, 30.0);
     }
 
@@ -716,15 +713,12 @@ mod tests {
     fn decay_follows_migrations_only() {
         let (schema, ps) = setup();
         let mut t = DriftTracker::new(&ps, RebuildPolicy::default()).unwrap();
-        assert!(t.policy().decay_on_rebuild);
         for _ in 0..8 {
             t.observe(&event(&schema, 85)).unwrap();
         }
-        t.prepare_model(&ps, None).unwrap();
-        t.finish_rebuild(false).unwrap();
+        rebuild(&mut t, &ps, false);
         assert_eq!(t.statistics().event_observations(AttrId::new(0)), 8.0);
-        t.prepare_model(&ps, None).unwrap();
-        t.finish_rebuild(true).unwrap();
+        rebuild(&mut t, &ps, true);
         assert_eq!(t.statistics().event_observations(AttrId::new(0)), 4.0);
         assert_eq!(t.assumed[0].observations, 4.0);
     }

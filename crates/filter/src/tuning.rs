@@ -140,6 +140,13 @@ impl TuningPolicy {
     /// is intentional: a retune accepted on the tombstone margin
     /// reclaims real per-event cost by folding them out.
     ///
+    /// The winning candidate's tree — `profiles` compiled under `base`
+    /// with the decision's attribute order and search strategy and
+    /// `joint` for an event model — is handed back with the decision,
+    /// so a caller that accepts it commits the tree that was priced
+    /// instead of building it a second time. `None` when no candidate
+    /// could be built.
+    ///
     /// # Errors
     ///
     /// Propagates cost-model errors for the *stale* evaluation — if the
@@ -147,27 +154,6 @@ impl TuningPolicy {
     /// mismatch), the caller's estimate pipeline is broken and tuning
     /// must not silently proceed.
     pub fn evaluate(
-        &self,
-        current: &ProfileTree,
-        overlay_len: usize,
-        profiles: &ProfileSet,
-        base: &TreeConfig,
-        joint: &JointDist,
-    ) -> Result<RetuneDecision, FilterError> {
-        self.evaluate_with_tree(current, overlay_len, profiles, base, joint)
-            .map(|(decision, _)| decision)
-    }
-
-    /// [`TuningPolicy::evaluate`], also handing back the winning
-    /// candidate's tree — `profiles` compiled under
-    /// [`RetuneDecision::into_config`] — so a caller that accepts the
-    /// decision commits the tree that was priced instead of building it
-    /// a second time. `None` when no candidate could be built.
-    ///
-    /// # Errors
-    ///
-    /// As [`TuningPolicy::evaluate`].
-    pub fn evaluate_with_tree(
         &self,
         current: &ProfileTree,
         overlay_len: usize,
@@ -249,9 +235,11 @@ impl TuningPolicy {
 /// let est = JointDist::independent(vec![
 ///     DistOverDomain::new(Density::window(0.9, 1.0), 100),
 /// ])?;
-/// let decision = TuningPolicy::standard().evaluate(&stale, 0, &ps, &TreeConfig::default(), &est)?;
+/// let (decision, tuned) =
+///     TuningPolicy::standard().evaluate(&stale, 0, &ps, &TreeConfig::default(), &est)?;
 /// assert!(decision.accepted, "scanning the hot band first must win");
 /// assert!(decision.best_ops < decision.stale_ops);
+/// assert!(tuned.is_some(), "the tree that was priced comes with it");
 /// # Ok(())
 /// # }
 /// ```
@@ -280,19 +268,6 @@ impl RetuneDecision {
             1.0 - self.best_ops / self.stale_ops
         } else {
             0.0
-        }
-    }
-
-    /// Materialises the chosen configuration: `base` with this
-    /// decision's attribute order and search strategy, optimised for
-    /// `joint`.
-    #[must_use]
-    pub fn into_config(self, base: &TreeConfig, joint: JointDist) -> TreeConfig {
-        TreeConfig {
-            attribute_order: self.attribute_order,
-            search: self.search,
-            event_model: Some(joint),
-            ..base.clone()
         }
     }
 }
@@ -326,10 +301,10 @@ mod tests {
         let stale = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
         let est = JointDist::independent(vec![DistOverDomain::new(Density::window(0.9, 1.0), 100)])
             .unwrap();
-        let d = TuningPolicy::default()
+        let (d, tree) = TuningPolicy::default()
             .evaluate(&stale, 0, &ps, &TreeConfig::default(), &est)
             .unwrap();
-        assert!(!d.accepted);
+        assert!(!d.accepted && tree.is_none());
         assert_eq!(d.best_ops, d.stale_ops, "no candidates: stale is best");
         assert_eq!(d.improvement(), 0.0);
     }
@@ -346,7 +321,7 @@ mod tests {
             min_improvement: 0.9,
             ..TuningPolicy::standard()
         };
-        let d = policy.evaluate(&stale, 0, &ps, &config, &est).unwrap();
+        let (d, _) = policy.evaluate(&stale, 0, &ps, &config, &est).unwrap();
         assert!(!d.accepted, "{d:?}");
         assert!(d.best_ops <= d.stale_ops + 1e-9);
     }
@@ -365,7 +340,7 @@ mod tests {
             strategies: vec![config.search],
             attribute_orders: vec![config.attribute_order.clone()],
         };
-        let d = policy.evaluate(&stale, 0, &ps, &config, &est).unwrap();
+        let (d, _) = policy.evaluate(&stale, 0, &ps, &config, &est).unwrap();
         assert!((d.best_ops - d.stale_ops).abs() < 1e-12, "{d:?}");
         assert!(!d.accepted, "equal cost is not a win: {d:?}");
     }
@@ -376,7 +351,7 @@ mod tests {
         let ps = ProfileSet::new(&schema);
         let stale = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
         let est = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)]).unwrap();
-        let d = TuningPolicy::standard()
+        let (d, _) = TuningPolicy::standard()
             .evaluate(&stale, 0, &ps, &TreeConfig::default(), &est)
             .unwrap();
         assert!(!d.accepted);
@@ -407,12 +382,11 @@ mod tests {
         let est =
             JointDist::independent(vec![DistOverDomain::new(Density::gaussian(0.9, 0.05), 100)])
                 .unwrap();
-        let d = TuningPolicy::standard()
+        let (d, tuned) = TuningPolicy::standard()
             .evaluate(&stale, 0, &ps, &config, &est)
             .unwrap();
         assert!(d.accepted, "{d:?}");
-        let tuned_config = d.into_config(&config, est);
-        let tuned = ProfileTree::build(&ps, &tuned_config).unwrap();
+        let tuned = tuned.expect("an accepted decision comes with its tree");
         let mut indexed = IndexedEvent::new();
         let mut a = crate::MatchScratch::new();
         let mut b = crate::MatchScratch::new();
@@ -444,11 +418,11 @@ mod tests {
         let high =
             JointDist::independent(vec![DistOverDomain::new(Density::window(0.9, 1.0), 100)])
                 .unwrap();
-        let d = TuningPolicy::standard()
+        let (d, tuned) = TuningPolicy::standard()
             .evaluate(&stale, 0, &ps, &config, &high)
             .unwrap();
         assert!(d.accepted, "{d:?}");
-        let tuned = ProfileTree::build(&ps, &d.clone().into_config(&config, high)).unwrap();
+        let tuned = tuned.expect("an accepted decision comes with its tree");
         // Measured ops on hot-band events: retuned must be cheaper.
         let mut stale_ops = 0u64;
         let mut tuned_ops = 0u64;

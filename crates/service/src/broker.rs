@@ -815,6 +815,23 @@ impl Broker {
         self.shards.iter().map(|s| s.lock().live_count()).sum()
     }
 
+    /// Hands `f` every live subscription's id and profile, one shard's
+    /// writer lock at a time (so `f` must not call back into the
+    /// broker).
+    pub(crate) fn for_each_live(&self, mut f: impl FnMut(SubscriptionId, &Profile)) {
+        for shard in self.shards.iter() {
+            for (id, profile) in shard.lock().live_entries() {
+                f(id, profile);
+            }
+        }
+    }
+
+    /// How many subscriptions publishing has garbage-collected because
+    /// their consumer hung up: moves only after they are gone.
+    pub(crate) fn collected(&self) -> u64 {
+        self.metrics.dropped_notifications.load(Ordering::Relaxed)
+    }
+
     /// Publishes one event: filters, delivers notifications, updates the
     /// adaptive statistics and possibly restructures a shard's tree.
     ///
@@ -1227,22 +1244,26 @@ impl Broker {
         }
         self.count_expansion(delivery.cover_checks, delivery.cover_delivered);
         if !delivery.dead.is_empty() {
-            self.metrics
-                .dropped_notifications
-                .fetch_add(delivery.dead.len() as u64, Ordering::Relaxed);
+            let dead = delivery.dead.len() as u64;
             // Garbage-collect subscriptions whose consumers hung up
             // (racing GCs may have removed them already).
-            for id in delivery.dead.drain(..) {
+            let collected = delivery.dead.drain(..).try_for_each(|id| {
                 match self.remove_subscription(id) {
-                    Ok(()) | Err(ServiceError::UnknownSubscription(_)) => {}
+                    Ok(()) | Err(ServiceError::UnknownSubscription(_)) => Ok(()),
                     // The in-memory removal committed and only the WAL
                     // append failed: the broker is already flagged
                     // degraded, and the publish that noticed the dead
                     // consumer must keep serving the match path.
-                    Err(ServiceError::Persist(_)) => {}
-                    Err(e) => return Err(e),
+                    Err(ServiceError::Persist(_)) => Ok(()),
+                    Err(e) => Err(e),
                 }
-            }
+            });
+            // Counted once the entries are gone: whoever sees the
+            // counter move ([`Broker::collected`]) finds them gone.
+            self.metrics
+                .dropped_notifications
+                .fetch_add(dead, Ordering::Relaxed);
+            collected?;
         }
         if !quenched && self.config.stats_sample > 0 && sequence % self.config.stats_sample == 0 {
             self.observe_drift(event)?;
@@ -1309,7 +1330,7 @@ impl Broker {
             let t0 = Instant::now();
             // Only uncovered overlay entries carry the tuner's overlay
             // floor.
-            let (decision, tree) = self.config.tuning.evaluate_with_tree(
+            let (decision, tree) = self.config.tuning.evaluate(
                 snap.filter.tree(),
                 w.overlay_uncovered(),
                 &staged.compiled,
@@ -1446,11 +1467,9 @@ impl Broker {
     #[must_use]
     pub fn quench_advice(&self) -> QuenchAdvice {
         let mut live = ProfileSet::new(&self.schema);
-        for shard in self.shards.iter() {
-            for profile in shard.lock().live_profiles() {
-                live.insert(profile.clone());
-            }
-        }
+        self.for_each_live(|_, profile| {
+            live.insert(profile.clone());
+        });
         QuenchAdvice::from_profiles(&self.schema, &live)
             .expect("live profiles were already compiled once")
     }

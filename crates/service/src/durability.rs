@@ -181,10 +181,12 @@ impl Broker {
     /// serialized, without recompiling — while corrupt newer
     /// generations are counted as fallbacks and deleted. Generations
     /// older than the retention window are cleaned up. Then the WAL is
-    /// scanned ([`persist::salvage_wal`] when
-    /// [`DurabilityConfig::salvage`] is on, [`persist::decode_wal`]
-    /// otherwise) and every record with an LSN above the checkpoint's
-    /// is replayed; where those records begin is kept as the loaded
+    /// scanned ([`persist::salvage_wal`]: past a CRC-corrupt interior
+    /// frame to the next valid frame boundary, counting what it
+    /// salvaged and what it quarantined, so that bit rot in the middle
+    /// of the log does not drop the acknowledged subscriptions behind
+    /// it) and every record with an LSN above the checkpoint's is
+    /// replayed; where those records begin is kept as the loaded
     /// generation's trim offset, and only they count towards the next
     /// automatic checkpoint. A torn tail is truncated and logging
     /// resumes from the surviving prefix; a checkpoint followed by a
@@ -292,11 +294,7 @@ impl Broker {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(io_persist(e)),
         };
-        let scan = if durability.salvage {
-            persist::salvage_wal(&wal_bytes)
-        } else {
-            persist::decode_wal(&wal_bytes)
-        };
+        let scan = persist::salvage_wal(&wal_bytes);
         if all_generations_corrupt && scan.records.first().map(WalRecord::lsn) != Some(1) {
             return Err(ServiceError::Persist(
                 "every checkpoint generation is corrupt and the WAL does not reach \

@@ -14,19 +14,26 @@
 //! ## One routing table
 //!
 //! A broker keeps one record per directly connected peer — the link,
-//! the interest that peer sent us with the filter compiled from it,
-//! the ledger of the interest we sent it — and two routines work on
-//! those records:
+//! the interest that peer sent us with the one automaton compiled from
+//! it, the ledger of the interest we sent it (one record per distinct
+//! signature) — and two routines work on those records. A local
+//! subscription itself has one holder, the [`Broker`]: of those made
+//! through this endpoint the federation keeps the ids and reads the
+//! profiles off the broker's entries when a link is added.
 //!
 //! * `Federation::admit`: an interest contribution (a local
 //!   subscription or, multi-hop, one learned from a peer) appears,
 //!   changes or goes; every ledger but the one on the source's own
 //!   link is updated and the wire delta queued. Subscribing,
 //!   unsubscribing, a peer's `Subscribe`/`Unsubscribe`, retiring an
-//!   older incarnation's interest and seeding a link added later are
-//!   calls to it, and it is where interest off the wire is checked: a
-//!   profile that does not lower against the schema is refused and
-//!   counted ([`FederationMetrics::rejected_interest`]), never stored.
+//!   older incarnation's interest, retracting a subscription whose
+//!   consumer hung up (the broker collects it on the next event it
+//!   would have notified it of; the pump that sees the broker's
+//!   collection count move holds its ids against the broker's entries)
+//!   and seeding a link added later are calls to it, and it is where
+//!   interest off the wire is checked: a profile that does not lower
+//!   against the schema is refused and counted
+//!   ([`FederationMetrics::rejected_interest`]), never stored.
 //! * `Federation::forward`: rows, their origin sequences, the origin,
 //!   the hops left and the peers to skip go in; one `Batch` per
 //!   interested peer is queued. Publishing and transit differ in those
@@ -105,13 +112,14 @@ pub mod sim;
 pub mod transport;
 mod wire;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use ens_filter::{FilterSnapshot, SnapshotScratch, TreeConfig};
+use ens_filter::{BlockScratch, Dfsa, Matcher, ProfileTree, TreeConfig};
 use ens_types::{
     profile_signature, CoverOutcome, CoverSet, Event, IndexedBatch, IndexedEvent, Profile,
     ProfileSet, Schema,
@@ -246,8 +254,8 @@ struct InterestEntry {
     profile: Profile,
 }
 
-/// A peer's forwarded subscriptions, compiled into a filter the
-/// forwarding hot path can match one [`IndexedEvent`] against.
+/// A peer's forwarded subscriptions, compiled into the automaton the
+/// forwarding hot path matches an [`IndexedBatch`] against.
 ///
 /// Interest survives the peer's restarts *conservatively*: entries
 /// from an older incarnation are kept — over-forwarding wastes
@@ -260,7 +268,7 @@ struct PeerInterest {
     /// By wire id, ascending: the order profiles are compiled in, so
     /// compiled filters are reproducible run to run.
     subs: BTreeMap<u64, InterestEntry>,
-    filter: Option<FilterSnapshot>,
+    filter: Option<Dfsa>,
     /// `subs` changed since `filter` was compiled from it.
     stale: bool,
 }
@@ -269,17 +277,18 @@ impl PeerInterest {
     /// The filter over the current subscriptions (`None`: the peer
     /// wants nothing), compiled here if they changed since the last
     /// call — once per burst of interest traffic, not once per message.
-    fn filter(&mut self, schema: &Schema) -> Option<&FilterSnapshot> {
+    fn filter(&mut self, schema: &Schema) -> Option<&Dfsa> {
         if std::mem::take(&mut self.stale) {
             let mut set = ProfileSet::new(schema);
             for entry in self.subs.values() {
                 set.insert(entry.profile.clone());
             }
             // `admit` stored only profiles that lower, which is all a
-            // default-configured compile can refuse.
+            // default-configured build can refuse.
             self.filter = (!set.is_empty())
-                .then(|| FilterSnapshot::compile(&set, &TreeConfig::default()).ok())
-                .flatten();
+                .then(|| ProfileTree::build(&set, &TreeConfig::default()).ok())
+                .flatten()
+                .map(|tree| Dfsa::from_tree(&tree));
         }
         self.filter.as_ref()
     }
@@ -326,17 +335,13 @@ impl InterestDelta {
 
 /// One distinct interest signature bound for a peer.
 struct SigEntry {
-    /// Dense slot used as the [`CoverSet`] key.
-    slot: u32,
     /// How many sources currently contribute this signature.
     refs: u32,
     /// A representative profile carrying the signature.
     profile: Profile,
-    /// Whether the profile lowers (participates in covering
-    /// analysis); profiles that do not are always forwarded
-    /// individually — missing a merge is safe, losing interest is
-    /// not.
-    lowers: bool,
+    /// Wire id of the `Subscribe` currently forwarded for it: `Some`
+    /// exactly while the entry is a representative of the antichain.
+    wire_id: Option<u64>,
 }
 
 /// The per-link outbound interest ledger: every contribution bound
@@ -354,77 +359,53 @@ struct SigEntry {
 struct OutboundInterest {
     /// Contribution source → the signature it currently carries.
     sources: HashMap<SourceKey, Vec<u8>>,
-    /// Signature → its refcounted entry.
-    by_sig: HashMap<Vec<u8>, SigEntry>,
-    /// Covering state over the lowerable entries, rebuilt on
-    /// antichain changes.
+    /// Signature → its one record, in the (ascending) order wire ids
+    /// are allotted in.
+    by_sig: BTreeMap<Vec<u8>, SigEntry>,
+    /// Covering state over the entries, rebuilt on antichain changes;
+    /// an entry's slot in it is its position in `by_sig` at the time.
     cover: CoverSet,
-    /// Signature → wire id of the `Subscribe` currently forwarded.
-    /// Invariant: keys are exactly the antichain representatives plus
-    /// every non-lowerable entry.
-    forwarded: HashMap<Vec<u8>, u64>,
-    next_slot: u32,
 }
 
 impl OutboundInterest {
     fn new(schema: &Schema) -> Self {
         OutboundInterest {
             sources: HashMap::new(),
-            by_sig: HashMap::new(),
+            by_sig: BTreeMap::new(),
             cover: CoverSet::new(schema),
-            forwarded: HashMap::new(),
-            next_slot: 0,
         }
     }
 
     /// `sig` is `profile_signature(schema, profile)`, computed once by
-    /// the caller for all ledgers; `None` when the profile does not
-    /// lower.
+    /// the caller for all ledgers.
     fn insert(
         &mut self,
         schema: &Schema,
         source: SourceKey,
         profile: &Profile,
-        sig: Option<&[u8]>,
+        sig: &[u8],
         next_id: &mut u64,
     ) -> InterestDelta {
         let mut delta = InterestDelta::default();
-        // Ledger key: `0x01 ++ canonical signature`, or a unique
-        // `0xFF`-prefixed key for a profile that does not lower (it
-        // then never merges with anything).
-        let (sig, lowers) = match sig {
-            Some(sig) => ([&[1], sig].concat(), true),
-            None => ([&[0xFF][..], &self.next_slot.to_le_bytes()].concat(), false),
-        };
         if let Some(old) = self.sources.get(&source) {
-            if *old == sig {
+            if old == sig {
                 return delta; // same interest re-announced
             }
             delta.merge(self.remove(schema, source, next_id));
         }
-        self.sources.insert(source, sig.clone());
-        if let Some(entry) = self.by_sig.get_mut(&sig) {
+        self.sources.insert(source, sig.to_vec());
+        if let Some(entry) = self.by_sig.get_mut(sig) {
             entry.refs += 1;
             return delta; // duplicate of a tracked signature
         }
-        let slot = self.next_slot;
-        self.next_slot += 1;
         self.by_sig.insert(
-            sig.clone(),
+            sig.to_vec(),
             SigEntry {
-                slot,
                 refs: 1,
                 profile: profile.clone(),
-                lowers,
+                wire_id: None,
             },
         );
-        if !lowers {
-            let id = *next_id;
-            *next_id += 1;
-            self.forwarded.insert(sig, id);
-            delta.subscribe.push((id, profile.clone()));
-            return delta;
-        }
         match self.cover.probe(profile) {
             // Covered by a representative already on the wire: the
             // O(1) duplicate-heavy fast path — no recompute, no
@@ -444,86 +425,51 @@ impl OutboundInterest {
         let Some(sig) = self.sources.remove(&source) else {
             return delta;
         };
-        let entry = self
-            .by_sig
-            .get_mut(&sig)
-            .expect("sourced signature tracked");
-        entry.refs -= 1;
-        if entry.refs > 0 {
+        let Entry::Occupied(mut entry) = self.by_sig.entry(sig) else {
+            return delta;
+        };
+        entry.get_mut().refs -= 1;
+        if entry.get().refs > 0 {
             return delta;
         }
-        let entry = self.by_sig.remove(&sig).expect("entry present");
-        if self.forwarded.contains_key(&sig) {
-            if entry.lowers && self.cover.compiled_index_of(entry.slot).is_some() {
-                // A representative left: rebuild so its covered
-                // children are promoted onto the wire (no false
-                // negatives after unsubscribing a representative).
-                return self.recompute(schema, next_id);
-            }
-            let id = self.forwarded.remove(&sig).expect("checked present");
-            delta.unsubscribe.push(id);
+        let Some(id) = entry.remove().wire_id else {
+            // Covered contribution: nothing was on the wire for it.
             return delta;
-        }
-        // Covered contribution: nothing was on the wire for it.
+        };
+        // A representative left: rebuild so its covered children are
+        // promoted onto the wire (no false negatives after
+        // unsubscribing a representative).
+        delta = self.recompute(schema, next_id);
+        delta.unsubscribe.push(id);
         delta
     }
 
-    /// Rebuilds the covering antichain over every lowerable entry and
-    /// diffs the desired wire set against what is forwarded.
+    /// Rebuilds the covering antichain over every entry and, in one
+    /// walk of them, puts each new representative on the wire and
+    /// takes each former one off it.
     fn recompute(&mut self, schema: &Schema, next_id: &mut u64) -> InterestDelta {
         let mut delta = InterestDelta::default();
-        let mut slot_to_sig: HashMap<u32, &Vec<u8>> = HashMap::new();
-        for (sig, e) in &self.by_sig {
-            slot_to_sig.insert(e.slot, sig);
-        }
-        let mut desired: Vec<Vec<u8>> = Vec::new();
-        match CoverSet::build_bulk(
-            schema,
-            self.by_sig
-                .values()
-                .filter(|e| e.lowers)
-                .map(|e| (e.slot, &e.profile)),
-        ) {
-            Ok(cover) => {
-                for &slot in cover.rep_slots() {
-                    desired.push((*slot_to_sig[&slot]).clone());
+        let entries = self.by_sig.values().map(|e| &e.profile);
+        // Every entry's profile lowered when its signature was taken,
+        // which is all a bulk build can refuse.
+        let Ok(cover) = CoverSet::build_bulk(schema, (0..).zip(entries)) else {
+            return delta;
+        };
+        self.cover = cover;
+        for (slot, e) in (0..).zip(self.by_sig.values_mut()) {
+            let representative = self.cover.compiled_index_of(slot).is_some();
+            match e.wire_id {
+                None if representative => {
+                    e.wire_id = Some(*next_id);
+                    delta.subscribe.push((*next_id, e.profile.clone()));
+                    *next_id += 1;
                 }
-                self.cover = cover;
+                Some(id) if !representative => {
+                    e.wire_id = None;
+                    delta.unsubscribe.push(id);
+                }
+                _ => {}
             }
-            Err(_) => {
-                // Lowering failed mid-rebuild (cannot normally happen
-                // for profiles whose signature lowered before): fall
-                // back to forwarding everything individually — over-
-                // forwarding is safe, losing interest is not.
-                self.cover = CoverSet::new(schema);
-                desired.extend(self.by_sig.keys().filter(|s| s[0] == 1).cloned());
-            }
-        }
-        desired.extend(
-            self.by_sig
-                .iter()
-                .filter(|(_, e)| !e.lowers)
-                .map(|(sig, _)| sig.clone()),
-        );
-        desired.sort_unstable();
-        for sig in &desired {
-            if !self.forwarded.contains_key(sig) {
-                let id = *next_id;
-                *next_id += 1;
-                self.forwarded.insert(sig.clone(), id);
-                delta.subscribe.push((id, self.by_sig[sig].profile.clone()));
-            }
-        }
-        let mut stale: Vec<Vec<u8>> = self
-            .forwarded
-            .keys()
-            .filter(|sig| desired.binary_search(sig).is_err())
-            .cloned()
-            .collect();
-        stale.sort_unstable();
-        for sig in stale {
-            let id = self.forwarded.remove(&sig).expect("stale key present");
-            delta.unsubscribe.push(id);
         }
         delta
     }
@@ -531,10 +477,9 @@ impl OutboundInterest {
     /// The `Subscribe`s currently on the wire, ascending by id — what
     /// a reconnecting peer with a new epoch must be re-offered.
     fn forwarded_entries(&self) -> Vec<(u64, Profile)> {
-        let mut out: Vec<(u64, Profile)> = self
-            .forwarded
-            .iter()
-            .map(|(sig, &id)| (id, self.by_sig[sig].profile.clone()))
+        let entries = self.by_sig.values();
+        let mut out: Vec<(u64, Profile)> = entries
+            .filter_map(|e| Some((e.wire_id?, e.profile.clone())))
             .collect();
         out.sort_unstable_by_key(|(id, _)| *id);
         out
@@ -552,7 +497,7 @@ struct PendingAccept {
 /// Everything this broker keeps about one directly connected peer.
 struct Peer {
     link: PeerLink,
-    /// What the peer asked us for, and the filter compiled from it.
+    /// What the peer asked us for, and the automaton compiled from it.
     interest: PeerInterest,
     /// What we asked the peer for.
     ledger: OutboundInterest,
@@ -567,8 +512,13 @@ struct FedState {
     /// One record per peer, in the order peers were added — the order
     /// links are polled and rows forwarded in.
     peers: Vec<Peer>,
-    /// Local subscriptions contributing interest: id → profile.
-    local_subs: BTreeMap<u64, Profile>,
+    /// Ids of the broker's subscriptions that were made through this
+    /// endpoint, the ones peers hear about. The broker holds their
+    /// profiles, and is the one to say whether they still exist.
+    federated: BTreeSet<u64>,
+    /// [`Broker::collected`] when `federated` was last held against
+    /// the broker's entries.
+    collected_seen: u64,
     epoch: u64,
     /// Allocator for forwarded-interest wire ids (unique across all
     /// links so covering representatives never collide).
@@ -578,7 +528,7 @@ struct FedState {
     /// Highest origin sequence seen per origin broker (multi-hop
     /// duplicate suppression; exact on acyclic overlays).
     origin_floors: BTreeMap<u64, u64>,
-    scratch: SnapshotScratch,
+    block_scratch: BlockScratch,
     ix_scratch: IndexedEvent,
     /// Reusable arena for batched egress resolution and ingress
     /// assembly.
@@ -678,22 +628,26 @@ impl Federation {
             slot,
         });
         // Seed the new ledger with the interest that already exists —
-        // local subscriptions, plus (multi-hop) what other peers sent
-        // — so the link's first traffic is its covering antichain.
-        // Every older ledger already holds these contributions and
-        // ignores them.
-        let local = st
-            .local_subs
-            .iter()
-            .map(|(id, p)| (SourceKey::Local(*id), p));
+        // the federated subscriptions the broker holds, in one pass
+        // over its entries, plus (multi-hop) what other peers sent — so
+        // the link's first traffic is its covering antichain. Every
+        // older ledger already holds these contributions and ignores
+        // them.
+        let mut local: Vec<(u64, Profile)> = Vec::new();
+        self.broker.for_each_live(|id, profile| {
+            if st.federated.contains(&id.get()) {
+                local.push((id.get(), profile.clone()));
+            }
+        });
+        local.sort_unstable_by_key(|(id, _)| *id);
+        let local = local.into_iter().map(|(id, p)| (SourceKey::Local(id), p));
         let relayed = st.peers.iter().filter(|_| self.config.max_hops > 0);
         let remote = relayed.flat_map(|p| {
             let peer = p.link.peer();
             let subs = p.interest.subs.iter();
-            subs.map(move |(id, e)| (SourceKey::Remote { peer, id: *id }, &e.profile))
+            subs.map(move |(id, e)| (SourceKey::Remote { peer, id: *id }, e.profile.clone()))
         });
-        let existing: Vec<(SourceKey, Profile)> =
-            local.chain(remote).map(|(k, p)| (k, p.clone())).collect();
+        let existing: Vec<(SourceKey, Profile)> = local.chain(remote).collect();
         for (source, profile) in existing {
             self.admit(st, source, Some(&profile));
         }
@@ -737,14 +691,14 @@ impl Federation {
     /// against their domains) is refused and counted — stored, it
     /// would fail every later compile of that peer's filter.
     fn admit(&self, st: &mut FedState, source: SourceKey, profile: Option<&Profile>) -> bool {
-        let profile = profile.map(|p| (p, profile_signature(&self.schema, p).ok()));
+        let signed = profile.map(|p| profile_signature(&self.schema, p).map(|sig| (p, sig)));
+        let Ok(profile) = signed.transpose() else {
+            st.counters.rejected_interest += 1;
+            return false;
+        };
         let from = match source {
             SourceKey::Local(_) => None,
             SourceKey::Remote { peer, .. } => {
-                if matches!(profile, Some((_, None))) {
-                    st.counters.rejected_interest += 1;
-                    return false;
-                }
                 if self.config.max_hops == 0 {
                     // Single-hop: remote interest is never carried on.
                     return true;
@@ -759,8 +713,7 @@ impl Federation {
             let next_id = &mut st.next_interest_id;
             let delta = match &profile {
                 Some((profile, sig)) => {
-                    p.ledger
-                        .insert(&self.schema, source, profile, sig.as_deref(), next_id)
+                    p.ledger.insert(&self.schema, source, profile, sig, next_id)
                 }
                 None => p.ledger.remove(&self.schema, source, next_id),
             };
@@ -791,7 +744,7 @@ impl Federation {
         let id = sub.id().get();
         let st = &mut *self.lock();
         self.admit(st, SourceKey::Local(id), Some(&profile));
-        st.local_subs.insert(id, profile);
+        st.federated.insert(id);
         Ok(sub)
     }
 
@@ -821,13 +774,39 @@ impl Federation {
     ///
     /// # Errors
     ///
-    /// Propagates [`Broker::unsubscribe`] errors.
+    /// Propagates [`Broker::unsubscribe`] errors. Where the broker no
+    /// longer holds the subscription all the same — only the WAL
+    /// append failed, behind the removal, or a publish had collected
+    /// it already — it is retracted before the error is returned.
     pub fn unsubscribe(&self, id: SubscriptionId) -> Result<(), ServiceError> {
-        self.broker.unsubscribe(id)?;
-        let st = &mut *self.lock();
-        st.local_subs.remove(&id.get());
-        self.admit(st, SourceKey::Local(id.get()), None);
-        Ok(())
+        use ServiceError::{Persist, UnknownSubscription};
+        let removed = self.broker.unsubscribe(id);
+        if matches!(removed, Ok(()) | Err(Persist(_) | UnknownSubscription(_))) {
+            let st = &mut *self.lock();
+            st.federated.remove(&id.get());
+            self.admit(st, SourceKey::Local(id.get()), None);
+        }
+        removed
+    }
+
+    /// Retracts from every peer the federated subscriptions the broker
+    /// has garbage-collected — their consumer hung up — since the last
+    /// look: one pass over the broker's entries, and only when its
+    /// collection count moved.
+    fn retire_collected(&self, st: &mut FedState) {
+        let collected = self.broker.collected();
+        if collected == st.collected_seen {
+            return;
+        }
+        st.collected_seen = collected;
+        let mut gone = st.federated.clone();
+        self.broker.for_each_live(|id, _| {
+            gone.remove(&id.get());
+        });
+        for id in gone {
+            st.federated.remove(&id);
+            self.admit(st, SourceKey::Local(id), None);
+        }
     }
 
     /// Publishes a locally originated event: local subscribers are
@@ -910,13 +889,12 @@ impl Federation {
             let Some(filter) = p.interest.filter(&self.schema) else {
                 continue;
             };
+            filter.match_block(batch, &mut st.block_scratch);
             let mut rows = IndexedBatch::new();
             rows.reset(batch.width());
             let mut seqs = Vec::new();
             for (i, &seq) in origin_seqs.iter().enumerate() {
-                st.ix_scratch.copy_from_raw(batch.row(i));
-                filter.match_into(&st.ix_scratch, &mut st.scratch, true);
-                if st.scratch.is_match() {
+                if !st.block_scratch.profiles_of(i).is_empty() {
                     rows.push_raw(batch.row(i));
                     seqs.push(seq);
                 }
@@ -1168,6 +1146,8 @@ impl Federation {
                 LinkEvent::Down { .. } => {}
             }
         }
+        // A row published above may have found a consumer gone.
+        self.retire_collected(st);
         report.floors = (st.peers.iter())
             .map(|p| (p.link.peer(), p.link.recv_high()))
             .collect();
@@ -1203,14 +1183,14 @@ impl Federation {
     }
 
     /// Number of interest rows currently forwarded to `peer` — the
-    /// size of the minimal covering antichain (plus any profiles the
-    /// covering analysis could not lower), which is what the
+    /// size of the minimal covering antichain, which is what the
     /// routing-efficiency benchmark measures.
     #[must_use]
     pub fn forwarded_interest(&self, peer: u64) -> usize {
         let st = self.lock();
         let peer = st.peers.iter().find(|p| p.link.peer() == peer);
-        peer.map_or(0, |p| p.ledger.forwarded.len())
+        let on_wire = |e: &&SigEntry| e.wire_id.is_some();
+        peer.map_or(0, |p| p.ledger.by_sig.values().filter(on_wire).count())
     }
 
     /// Snapshot of the per-origin duplicate-suppression floors

@@ -216,7 +216,6 @@ mod broker_tests {
             rebuild: RebuildPolicy {
                 min_events: 50,
                 drift_threshold: 0.2,
-                decay_on_rebuild: true,
                 ..RebuildPolicy::default()
             },
             ..BrokerConfig::default()

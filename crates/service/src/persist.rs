@@ -132,18 +132,12 @@ pub struct DurabilityConfig {
     /// `checkpoint_every` interval right after a checkpoint), and is
     /// empty after a checkpoint only at `N = 1`.
     pub checkpoint_generations: usize,
-    /// WAL salvage mode: recovery scans past a CRC-corrupt interior
-    /// frame to the next valid frame boundary (counting salvaged
-    /// frames and quarantined bytes) instead of discarding everything
-    /// after the first bad byte. Off, a corrupt frame ends the replay
-    /// there, exactly like a torn tail.
-    pub salvage: bool,
 }
 
 impl DurabilityConfig {
     /// A configuration with the default knobs in `dir`: checkpoint
     /// every 4096 records, fsync on checkpoint, the real filesystem,
-    /// two retained checkpoint generations, salvage on.
+    /// two retained checkpoint generations.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
@@ -152,7 +146,6 @@ impl DurabilityConfig {
             fsync: FsyncPolicy::default(),
             vfs: Arc::new(OsFs),
             checkpoint_generations: 2,
-            salvage: true,
         }
     }
 }

@@ -24,7 +24,8 @@ use std::time::{Duration, Instant};
 
 use ens_dist::JointDist;
 use ens_filter::{
-    AttributeOrder, DriftTracker, FilterSnapshot, ProfileTree, SearchStrategy, TreeConfig,
+    AttributeOrder, DriftTracker, FilterSnapshot, ProfileTree, RebinnedHistory, SearchStrategy,
+    TreeConfig,
 };
 use ens_types::{CoverOutcome, CoverSet, Profile, ProfileSet, Residual, Schema};
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -124,6 +125,9 @@ pub(super) struct Staged {
     /// The shape to compile, the event model to compile under and the
     /// weights of the compiled profiles.
     pub(super) config: TreeConfig,
+    /// The event history on the cells of `compiled`, the drift
+    /// tracker's once the recompile commits.
+    history: RebinnedHistory,
     /// Time spent on this recompile so far (pricing it excluded), and
     /// the parts of it that went into the containment pass, the event
     /// model (statistics re-binned onto the new cells included) and the
@@ -318,7 +322,7 @@ impl ShardWriter {
     /// the one the drift tracker hands out — the empirical estimate,
     /// whose history survives the change of cell geometry, or `tree`'s
     /// while that is still the better-founded prior.
-    fn stage(&mut self, change: &Change, tree: TreeConfig) -> Result<Staged, ServiceError> {
+    fn stage(&self, change: &Change, tree: TreeConfig) -> Result<Staged, ServiceError> {
         let t0 = Instant::now();
         let mut profiles = ProfileSet::new(&self.schema);
         let mut weights = Vec::with_capacity(self.live_count() + change.add.len());
@@ -365,40 +369,38 @@ impl ShardWriter {
             })
         };
 
-        let mut staged = Staged {
+        let t_model = Instant::now();
+        let (model, history) = self
+            .tracker
+            .prepare_model(&compiled, tree.event_model.as_ref())?;
+        let model_time = t_model.elapsed();
+        Ok(Staged {
             population,
             cover,
             compiled,
             config: TreeConfig {
                 profile_weights: weights,
+                event_model: Some(model),
                 ..tree
             },
-            spent: Duration::ZERO,
+            history,
+            spent: t0.elapsed(),
             cover_time,
-            model_time: Duration::ZERO,
+            model_time,
             tree_time: Duration::ZERO,
-        };
-        let t_model = Instant::now();
-        let model = self
-            .tracker
-            .prepare_model(&staged.compiled, staged.config.event_model.as_ref())?;
-        staged.config.event_model = Some(model);
-        staged.model_time = t_model.elapsed();
-        staged.spent = t0.elapsed();
-        Ok(staged)
+        })
     }
 
     /// Whether `id` is a live (non-tombstoned) subscription.
     pub(super) fn is_live(&self, id: SubscriptionId) -> bool {
-        self.overlay.iter().any(|e| e.sub.id == id)
-            || self.base.iter().any(|e| e.id == id && e.is_live())
+        self.live_entries().any(|(live, _)| live == id)
     }
 
-    /// The live subscriptions' profiles.
-    pub(super) fn live_profiles(&self) -> impl Iterator<Item = &Profile> {
+    /// The live subscriptions: id and profile.
+    pub(super) fn live_entries(&self) -> impl Iterator<Item = (SubscriptionId, &Profile)> {
         let base = self.base.iter().filter(|e| e.is_live());
         base.chain(self.overlay.iter().map(|e| &e.sub))
-            .map(|e| &e.profile)
+            .map(|e| (e.id, &e.profile))
     }
 
     /// Overlay entries the overlay index matches: covered ones cost
@@ -682,9 +684,8 @@ impl ShardGuard<'_> {
     /// Stages a recompile of the shard as it is, for the broker to
     /// price; [`ShardGuard::rebuild`] commits it, dropping it abandons
     /// it.
-    pub(super) fn stage(&mut self) -> Result<Staged, ServiceError> {
-        let tree = self.tree.clone();
-        self.w.stage(&Change::default(), tree)
+    pub(super) fn stage(&self) -> Result<Staged, ServiceError> {
+        self.w.stage(&Change::default(), self.tree.clone())
     }
 
     /// Commits a drift rebuild: `tree`, compiled from `staged` (whose
@@ -754,7 +755,7 @@ impl ShardGuard<'_> {
                     tree_ns: r.staged.tree_time.as_nanos() as u64,
                     lower_ns: t0.elapsed().as_nanos() as u64,
                 };
-                w.tracker.finish_rebuild(r.migrated)?;
+                w.tracker.finish_rebuild(r.staged.history, r.migrated)?;
                 let snapshot = w.snapshot_after(&change, Source::Compiled(filter))?;
                 (snapshot, Some((r.staged.cover, r.counter, compacted)))
             }

@@ -157,7 +157,6 @@ fn concurrent_publishers_and_churn_match_oracle_aggressive_compaction() {
                 max_removed: 2,
                 min_events: 40,
                 drift_threshold: 0.15,
-                decay_on_rebuild: true,
                 drift_check_every: 1,
             },
             shards: 2,

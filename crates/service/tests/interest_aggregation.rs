@@ -14,13 +14,20 @@
 //! * **Minimality** — the forwarded set never exceeds the size of
 //!   the true minimal covering antichain of the live population,
 //!   recomputed from scratch by the `ens-types` covering oracle.
+//!
+//! "Live" is the broker's word: a subscription leaves the population by
+//! `unsubscribe`, or when its consumer hangs up and the next publish
+//! that would have notified it collects it.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use ens_service::federation::link::LinkConfig;
 use ens_service::federation::sim::SimNet;
-use ens_service::{Broker, BrokerConfig, Federation, FederationConfig, OverflowPolicy, Subscriber};
+use ens_service::{
+    Broker, BrokerConfig, DurabilityConfig, FaultFs, Federation, FederationConfig, FsyncPolicy,
+    OverflowPolicy, ServiceError, Subscriber,
+};
 use ens_types::{
     profile_signature, CoverSet, Domain, Event, Predicate, Profile, ProfileId, Schema, Value,
 };
@@ -57,24 +64,35 @@ fn fast_link() -> LinkConfig {
     }
 }
 
-fn pair(net: &SimNet) -> (Federation, Federation) {
-    let s = schema();
-    let mk = |node: u64| {
-        Federation::new(
-            Arc::new(Broker::new(&s, BrokerConfig::default()).expect("broker")),
-            FederationConfig {
-                node,
-                epoch: 1,
-                max_hops: 0,
-                link: fast_link(),
-            },
-        )
-    };
-    let a = mk(1);
-    let b = mk(2);
+fn node(id: u64, broker: Broker) -> Federation {
+    Federation::new(
+        Arc::new(broker),
+        FederationConfig {
+            node: id,
+            epoch: 1,
+            max_hops: 0,
+            link: fast_link(),
+        },
+    )
+}
+
+/// Nodes 1 and 2 linked over `net`, node 1 serving `broker`.
+fn pair_over(net: &SimNet, broker: Broker) -> (Federation, Federation) {
+    let a = node(1, broker);
+    let b = node(
+        2,
+        Broker::new(&schema(), BrokerConfig::default()).expect("broker"),
+    );
     a.add_peer(2, Box::new(net.transport(1, 2)), 0);
     b.add_peer(1, Box::new(net.transport(2, 1)), 0);
     (a, b)
+}
+
+fn pair(net: &SimNet) -> (Federation, Federation) {
+    pair_over(
+        net,
+        Broker::new(&schema(), BrokerConfig::default()).expect("broker"),
+    )
 }
 
 fn pump_both(net: &SimNet, a: &Federation, b: &Federation, steps: u32) {
@@ -109,17 +127,19 @@ fn oracle_antichain(s: &Schema, live: &[Profile]) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random subscribe/unsubscribe churn on interval profiles. After
-    /// every converged step, the forwarded set must stay minimal, and
+    /// Random subscribe/unsubscribe/hang-up churn on interval profiles.
+    /// After every converged step, the forwarded set must stay minimal, and
     /// probe events published at the peer must reach exactly the
     /// subscribers whose profiles match — i.e. the covering set never
     /// under-approximates the live population.
     #[test]
     fn churn_preserves_equivalence_and_minimality(
         ops in prop::collection::vec(
-            // (subscribe?, lo, len): subscribe [lo, lo+len] or drop
-            // the (lo % live)-th live subscription.
-            (0u8..2, 0i64..90, 0i64..40),
+            // (step, lo, len): 1 subscribes [lo, lo+len]; 0 cancels
+            // the (lo % live)-th live subscription; 2 has its consumer
+            // hang up instead, which the broker finds out from the
+            // next event it would have notified it of.
+            (0u8..3, 0i64..90, 0i64..40),
             1..14,
         ),
     ) {
@@ -129,17 +149,25 @@ proptest! {
         pump_both(&net, &a, &b, 6);
 
         let mut live: Vec<(Subscriber, Profile)> = Vec::new();
-        for (subscribe, lo, len) in ops {
-            if subscribe == 1 || live.is_empty() {
+        for (step, lo, len) in ops {
+            if step == 1 || live.is_empty() {
                 let profile = range_profile(&s, lo, (lo + len).min(99));
                 let sub = a.subscribe_profile(profile.clone()).expect("subscribe");
                 live.push((sub, profile));
             } else {
                 let idx = usize::try_from(lo).expect("positive") % live.len();
-                let (sub, _) = live.swap_remove(idx);
-                a.unsubscribe(sub.id()).expect("unsubscribe");
+                let (sub, profile) = live.swap_remove(idx);
+                if step == 0 {
+                    a.unsubscribe(sub.id()).expect("unsubscribe");
+                } else {
+                    drop(sub);
+                    let inside = (0..100).find(|&x| {
+                        profile.matches(&s, &event(&s, x)).expect("matches")
+                    });
+                    b.publish(&event(&s, inside.expect("not empty"))).expect("publish");
+                }
             }
-            pump_both(&net, &a, &b, 4);
+            pump_both(&net, &a, &b, 6);
 
             // Minimality: never more forwarded rows than the true
             // minimal covering antichain of what is live right now.
@@ -274,4 +302,109 @@ fn unsubscribing_the_representative_promotes_the_covered() {
         1,
         "the out-of-range event must not have crossed the wire"
     );
+}
+
+#[test]
+fn dropped_subscriber_is_retracted_from_peers() {
+    // The consumer hangs up without unsubscribing. The broker collects
+    // the subscription on the next event it would have notified it of;
+    // from then on no peer may hold interest for it, and no row may be
+    // forwarded to a broker with nobody to deliver it to.
+    let s = schema();
+    let net = SimNet::new(9);
+    let (a, b) = pair(&net);
+    pump_both(&net, &a, &b, 6);
+
+    let sub = a
+        .subscribe_profile(range_profile(&s, 40, 60))
+        .expect("subscribe");
+    pump_both(&net, &a, &b, 4);
+    assert_eq!(a.forwarded_interest(2), 1);
+    assert_eq!(b.interested_peers(), 1);
+
+    drop(sub);
+    b.publish(&event(&s, 50)).expect("publish");
+    pump_both(&net, &a, &b, 10);
+    assert_eq!(a.broker().subscription_count(), 0, "collected");
+    assert_eq!(a.forwarded_interest(2), 0, "and retracted");
+    assert_eq!(b.interested_peers(), 0);
+
+    let forwarded = b.metrics().forwarded_rows;
+    for _ in 0..5 {
+        b.publish(&event(&s, 50)).expect("publish");
+    }
+    pump_both(&net, &a, &b, 10);
+    assert_eq!(b.metrics().forwarded_rows, forwarded);
+}
+
+#[test]
+fn link_added_after_a_collection_is_not_offered_the_collected() {
+    let s = schema();
+    let net = SimNet::new(10);
+    let (a, b) = pair(&net);
+    pump_both(&net, &a, &b, 6);
+
+    let _kept = a
+        .subscribe_profile(range_profile(&s, 0, 9))
+        .expect("subscribe");
+    let gone = a
+        .subscribe_profile(range_profile(&s, 40, 60))
+        .expect("subscribe");
+    // Made on the shared broker directly: local only, as ever.
+    let _local = a
+        .broker()
+        .subscribe_profile(range_profile(&s, 80, 99))
+        .expect("subscribe");
+    pump_both(&net, &a, &b, 4);
+    assert_eq!(a.forwarded_interest(2), 2);
+
+    // Collected by a publish on the shared broker, between two pumps.
+    drop(gone);
+    a.broker().publish(&event(&s, 50)).expect("publish");
+    assert_eq!(a.broker().subscription_count(), 2);
+
+    // The new link is seeded from what the broker holds now…
+    a.add_peer(3, Box::new(net.transport(1, 3)), 0);
+    assert_eq!(a.forwarded_interest(3), 1);
+    // …and the older one hears of the collection with the next pump.
+    pump_both(&net, &a, &b, 4);
+    assert_eq!(a.forwarded_interest(2), 1);
+    assert_eq!(a.forwarded_interest(3), 1);
+}
+
+#[test]
+fn unsubscribe_retracts_when_only_the_wal_append_failed() {
+    // The broker cancels in memory, then logs: with the disk full the
+    // subscription is gone and the call still fails. The peers must
+    // hear of the first half.
+    let s = schema();
+    let fs = FaultFs::new();
+    let durability = DurabilityConfig {
+        fsync: FsyncPolicy::Always,
+        vfs: Arc::new(fs.clone()),
+        ..DurabilityConfig::new("db")
+    };
+    let broker = Broker::open(&s, BrokerConfig::default(), durability)
+        .expect("open")
+        .broker;
+    let net = SimNet::new(11);
+    let (a, b) = pair_over(&net, broker);
+    pump_both(&net, &a, &b, 6);
+
+    let sub = a
+        .subscribe_profile(range_profile(&s, 40, 60))
+        .expect("subscribe");
+    pump_both(&net, &a, &b, 4);
+    assert_eq!(a.forwarded_interest(2), 1);
+
+    fs.fail_appends(true);
+    let failed = a.unsubscribe(sub.id());
+    assert!(
+        matches!(failed, Err(ServiceError::Persist(_))),
+        "{failed:?}"
+    );
+    assert_eq!(a.broker().subscription_count(), 0);
+    assert_eq!(a.forwarded_interest(2), 0);
+    pump_both(&net, &a, &b, 4);
+    assert_eq!(b.interested_peers(), 0);
 }

@@ -40,13 +40,12 @@ fn db_dir() -> PathBuf {
     PathBuf::from("db")
 }
 
-fn durability(vfs: Arc<dyn Vfs>, generations: usize, salvage: bool) -> DurabilityConfig {
+fn durability(vfs: Arc<dyn Vfs>, generations: usize) -> DurabilityConfig {
     DurabilityConfig {
         checkpoint_every: 0,
         fsync: FsyncPolicy::Always,
         vfs,
         checkpoint_generations: generations,
-        salvage,
         ..DurabilityConfig::new(db_dir())
     }
 }
@@ -99,7 +98,7 @@ fn ids_of(subscribers: &[Subscriber]) -> Vec<u64> {
 /// `Broker::open` on a copy of `fs` in which only the generations up
 /// to `gen` exist must reproduce `live`: the trimmed log still carries
 /// every frame that generation needs.
-fn assert_opens_from(fs: &FaultFs, gen: u64, generations: usize, salvage: bool, live: &[u64]) {
+fn assert_opens_from(fs: &FaultFs, gen: u64, generations: usize, live: &[u64]) {
     let img = fs.crash_image(fs.boundaries(), &FaultPlan::clean(0));
     for newer in generations_on(&img).into_iter().filter(|g| *g > gen) {
         img.remove_file(&db_dir().join(checkpoint_gen_file(newer)))
@@ -108,7 +107,7 @@ fn assert_opens_from(fs: &FaultFs, gen: u64, generations: usize, salvage: bool, 
     let r = Broker::open(
         &schema(),
         BrokerConfig::default(),
-        durability(Arc::new(img), generations, salvage),
+        durability(Arc::new(img), generations),
     )
     .unwrap_or_else(|e| panic!("open from generation {gen}: {e}"));
     assert_eq!(ids_of(&r.subscribers), live, "from generation {gen}");
@@ -123,9 +122,7 @@ proptest! {
     fn a_trimmed_wal_is_the_byte_suffix_its_generations_need(
         ops in prop::collection::vec(0u8..10, 8..48),
         generations in 1usize..=3,
-        salvage in 0u8..2,
     ) {
-        let salvage = salvage == 1;
         let schema = schema();
         let fs = FaultFs::new();
         let wal_path = db_dir().join(WAL_FILE);
@@ -133,7 +130,7 @@ proptest! {
             Broker::open(
                 &schema,
                 BrokerConfig::default(),
-                durability(Arc::new(fs.clone()), generations, salvage),
+                durability(Arc::new(fs.clone()), generations),
             )
             .unwrap()
         };
@@ -188,7 +185,7 @@ proptest! {
                     }
                     let live = ids_of(&held);
                     for g in generations_on(&fs) {
-                        assert_opens_from(&fs, g, generations, salvage, &live);
+                        assert_opens_from(&fs, g, generations, &live);
                     }
                 }
                 9 => {
@@ -213,49 +210,47 @@ proptest! {
 #[test]
 fn a_restarted_broker_trims_at_the_offset_its_scan_found() {
     let schema = schema();
-    for salvage in [true, false] {
-        let fs = FaultFs::new();
-        let wal_path = db_dir().join(WAL_FILE);
-        let config = || durability(Arc::new(fs.clone()), 2, salvage);
-        let mut held = Vec::new();
-        {
-            let broker = Broker::open(&schema, BrokerConfig::default(), config())
-                .unwrap()
-                .broker;
-            for i in 0..5 {
-                held.push(broker.subscribe_profile(profile(&schema, i)).unwrap());
-            }
-            broker.checkpoint().unwrap(); // generation 1 covers LSN 5
-            for i in 5..8 {
-                held.push(broker.subscribe_profile(profile(&schema, i)).unwrap());
-            }
-            broker.checkpoint().unwrap(); // generation 2 covers LSN 8
-            held.push(broker.subscribe_profile(profile(&schema, 8)).unwrap());
+    let fs = FaultFs::new();
+    let wal_path = db_dir().join(WAL_FILE);
+    let config = || durability(Arc::new(fs.clone()), 2);
+    let mut held = Vec::new();
+    {
+        let broker = Broker::open(&schema, BrokerConfig::default(), config())
+            .unwrap()
+            .broker;
+        for i in 0..5 {
+            held.push(broker.subscribe_profile(profile(&schema, i)).unwrap());
         }
-        let r = Broker::open(&schema, BrokerConfig::default(), config()).unwrap();
-        assert_eq!(r.subscribers.len(), 9);
-        held = r.subscribers;
-        held.push(r.broker.subscribe_profile(profile(&schema, 9)).unwrap());
+        broker.checkpoint().unwrap(); // generation 1 covers LSN 5
+        for i in 5..8 {
+            held.push(broker.subscribe_profile(profile(&schema, i)).unwrap());
+        }
+        broker.checkpoint().unwrap(); // generation 2 covers LSN 8
+        held.push(broker.subscribe_profile(profile(&schema, 8)).unwrap());
+    }
+    let r = Broker::open(&schema, BrokerConfig::default(), config()).unwrap();
+    assert_eq!(r.subscribers.len(), 9);
+    held = r.subscribers;
+    held.push(r.broker.subscribe_profile(profile(&schema, 9)).unwrap());
 
-        // Generation 3 joins a window whose other member, 2, was loaded
-        // at the restart: the log (LSN 6..=10) is cut behind LSN 8.
-        let before = fs.read(&wal_path).unwrap();
-        r.broker.checkpoint().unwrap();
-        let after = fs.read(&wal_path).unwrap();
-        let (gen, dropped, kept) = last_checkpoint(&r.broker);
-        assert_eq!(gen, 3);
-        let cut = first_frame_above(&before, 8);
-        assert_eq!(after, before[cut..]);
-        assert_eq!((dropped, kept), (cut as u64, after.len() as u64));
-        let lsns: Vec<u64> = decode_wal(&after)
-            .records
-            .iter()
-            .map(WalRecord::lsn)
-            .collect();
-        assert_eq!(lsns, vec![9, 10]);
-        for gen in [2, 3] {
-            assert_opens_from(&fs, gen, 2, salvage, &ids_of(&held));
-        }
+    // Generation 3 joins a window whose other member, 2, was loaded
+    // at the restart: the log (LSN 6..=10) is cut behind LSN 8.
+    let before = fs.read(&wal_path).unwrap();
+    r.broker.checkpoint().unwrap();
+    let after = fs.read(&wal_path).unwrap();
+    let (gen, dropped, kept) = last_checkpoint(&r.broker);
+    assert_eq!(gen, 3);
+    let cut = first_frame_above(&before, 8);
+    assert_eq!(after, before[cut..]);
+    assert_eq!((dropped, kept), (cut as u64, after.len() as u64));
+    let lsns: Vec<u64> = decode_wal(&after)
+        .records
+        .iter()
+        .map(WalRecord::lsn)
+        .collect();
+    assert_eq!(lsns, vec![9, 10]);
+    for gen in [2, 3] {
+        assert_opens_from(&fs, gen, 2, &ids_of(&held));
     }
 }
 
@@ -270,7 +265,7 @@ fn a_short_read_trims_nothing() {
     let broker = Broker::open(
         &schema,
         BrokerConfig::default(),
-        durability(Arc::new(fs.clone()), 1, true),
+        durability(Arc::new(fs.clone()), 1),
     )
     .unwrap()
     .broker;
@@ -283,11 +278,11 @@ fn a_short_read_trims_nothing() {
     assert!(broker.checkpoint().is_err());
     fs.short_reads(None);
     assert_eq!(fs.read(&wal_path).unwrap(), before, "the log stands");
-    assert_opens_from(&fs, 0, 1, true, &ids_of(&held));
+    assert_opens_from(&fs, 0, 1, &ids_of(&held));
 
     assert!(broker.checkpoint().unwrap());
     assert!(fs.read(&wal_path).unwrap().is_empty());
-    assert_opens_from(&fs, 2, 1, true, &ids_of(&held));
+    assert_opens_from(&fs, 2, 1, &ids_of(&held));
 }
 
 /// A durable broker, three acknowledged subscribes, then a torn append
@@ -302,7 +297,7 @@ struct TornLog {
 impl TornLog {
     fn new(schema: &Schema) -> Self {
         let fs = FaultFs::new();
-        let config = durability(Arc::new(fs.clone()), 2, true);
+        let config = durability(Arc::new(fs.clone()), 2);
         let broker = Broker::open(schema, BrokerConfig::default(), config)
             .unwrap()
             .broker;
@@ -383,7 +378,7 @@ fn garbage_from_a_failed_rollback_does_not_move_the_cut() {
     assert_eq!(ids, ids_of(&log.held[log.held.len() - 2..]));
 
     for gen in [1, 2] {
-        assert_opens_from(&log.fs, gen, 2, true, &ids_of(&log.held));
+        assert_opens_from(&log.fs, gen, 2, &ids_of(&log.held));
     }
 }
 
@@ -400,7 +395,7 @@ fn a_later_rollback_does_not_reach_back_over_acknowledged_frames() {
     assert!(log.wal().starts_with(&before), "acked frames stand");
     log.subscribe(&schema, 2);
     // From the log alone (no generation yet): every ack is in it.
-    assert_opens_from(&log.fs, 0, 2, true, &ids_of(&log.held));
+    assert_opens_from(&log.fs, 0, 2, &ids_of(&log.held));
 }
 
 /// On-disk compatibility. `fixtures/parent_dir` was written by the
@@ -429,7 +424,7 @@ fn a_directory_written_before_the_offset_trim_opens_trims_and_reopens() {
     {
         let d = DurabilityConfig {
             checkpoint_every: 8,
-            ..durability(Arc::new(ours.clone()), 2, true)
+            ..durability(Arc::new(ours.clone()), 2)
         };
         let broker = Broker::open(&schema, BrokerConfig::default(), d)
             .unwrap()
@@ -447,7 +442,7 @@ fn a_directory_written_before_the_offset_trim_opens_trims_and_reopens() {
         );
     }
 
-    let config = || durability(Arc::new(fs.clone()), 2, true);
+    let config = || durability(Arc::new(fs.clone()), 2);
     let r = Broker::open(&schema, BrokerConfig::default(), config()).unwrap();
     assert_eq!(ids_of(&r.subscribers), (0..26).collect::<Vec<u64>>());
     let mut held = r.subscribers;
@@ -463,6 +458,6 @@ fn a_directory_written_before_the_offset_trim_opens_trims_and_reopens() {
     assert_eq!(last_checkpoint(&r.broker).0, 4);
     assert_eq!(generations_on(&fs), vec![3, 4]);
     for gen in [3, 4] {
-        assert_opens_from(&fs, gen, 2, true, &ids_of(&held));
+        assert_opens_from(&fs, gen, 2, &ids_of(&held));
     }
 }

@@ -725,7 +725,6 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
         let policy = RebuildPolicy {
             min_events: 200,
             drift_threshold: threshold,
-            decay_on_rebuild: true,
             drift_check_every: 1,
             ..RebuildPolicy::default()
         };
@@ -752,9 +751,10 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
                 total_ops += tree.match_event(&e)?.ops();
                 events += 1;
                 if let Some(signal) = tracker.observe(&e)? {
-                    config.event_model = Some(tracker.prepare_model(&profiles, None)?);
+                    let (model, history) = tracker.prepare_model(&profiles, None)?;
+                    config.event_model = Some(model);
                     tree = ProfileTree::build(&profiles, &config)?;
-                    tracker.finish_rebuild(signal.cause == DriftCause::Moved)?;
+                    tracker.finish_rebuild(history, signal.cause == DriftCause::Moved)?;
                     rebuilds += 1;
                 }
             }

@@ -29,7 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             rebuild: RebuildPolicy {
                 min_events: 300,
                 drift_threshold: 0.25,
-                decay_on_rebuild: true,
                 ..RebuildPolicy::default()
             },
             ..BrokerConfig::default()

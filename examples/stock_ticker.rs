@@ -27,7 +27,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             rebuild: RebuildPolicy {
                 min_events: 2_000,
                 drift_threshold: 0.2,
-                decay_on_rebuild: true,
                 ..RebuildPolicy::default()
             },
             history_capacity: 16,

@@ -44,7 +44,6 @@ fn fire_risk_pipeline_end_to_end() {
             rebuild: RebuildPolicy {
                 min_events: 100,
                 drift_threshold: 0.4,
-                decay_on_rebuild: true,
                 ..RebuildPolicy::default()
             },
             history_capacity: 8,
@@ -147,7 +146,6 @@ fn adaptive_rebuilds_do_not_lose_notifications() {
             rebuild: RebuildPolicy {
                 min_events: 30,
                 drift_threshold: 0.15,
-                decay_on_rebuild: true,
                 ..RebuildPolicy::default()
             },
             ..BrokerConfig::default()
