@@ -143,6 +143,20 @@ struct SubscribeLatency {
     /// smallest — ~1.0 means subscribe no longer scales with the total
     /// subscription count.
     overlay_growth_largest_over_smallest: f64,
+    /// Subscribe and unsubscribe at a standing overlay depth, 1000
+    /// compiled profiles (a fixed shape, whatever `--profiles` says):
+    /// a change should cost what it touches, not what the overlay holds.
+    depth_rows: Vec<DepthRow>,
+}
+
+/// One probe subscribe lands on an overlay of `overlay_depth - 1`
+/// standing subscriptions and is cancelled again, many times over.
+#[derive(Debug, Serialize)]
+struct DepthRow {
+    overlay_depth: u64,
+    probes: u64,
+    subscribe_ns_p50: f64,
+    unsubscribe_ns_p50: f64,
 }
 
 /// Service-layer rows. (Strong scaling over publisher threads and
@@ -1070,7 +1084,66 @@ fn bench_subscribe_latency(opts: &Options) -> Result<SubscribeLatency, Box<dyn s
         workload: "environmental".to_owned(),
         rows,
         overlay_growth_largest_over_smallest: growth,
+        depth_rows: bench_overlay_depth_latency(&schema)?,
     })
+}
+
+/// Subscribe and unsubscribe p50 at overlay depths 1, 16 and 64 over
+/// 1000 compiled environmental profiles: `depth - 1` standing overlay
+/// subscriptions, then 256 probes, each subscribed (the overlay reaches
+/// `depth`) and cancelled again. Cancelled probes stay as tombstones
+/// until the overlay packs them away, as they would in a running broker.
+fn bench_overlay_depth_latency(
+    schema: &ens_types::Schema,
+) -> Result<Vec<DepthRow>, Box<dyn std::error::Error>> {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const PROBES: usize = 256;
+    let mut rng = StdRng::seed_from_u64(173);
+    let profiles = ens_workloads::scenario::environmental_profiles(1000 + 64 + PROBES, &mut rng)?;
+    let profiles: Vec<ens_types::Profile> = profiles.iter().cloned().collect();
+    let (load, rest) = profiles.split_at(1000);
+    let (standing, probes) = rest.split_at(64);
+    let p50 = |mut samples: Vec<u128>| {
+        samples.sort_unstable();
+        samples[samples.len() / 2] as f64
+    };
+    let mut rows = Vec::new();
+    for depth in [1, 16, 64] {
+        let broker = Broker::new(
+            schema,
+            BrokerConfig {
+                rebuild: RebuildPolicy {
+                    max_overlay: usize::MAX,
+                    ..RebuildPolicy::default()
+                },
+                ..BrokerConfig::default()
+            },
+        )?;
+        let _loaded = broker.subscribe_many(load.iter().cloned())?;
+        let _standing = standing[..depth - 1]
+            .iter()
+            .map(|p| broker.subscribe_profile(p.clone()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (mut subscribe, mut unsubscribe) = (Vec::new(), Vec::new());
+        for p in probes {
+            let p = p.clone();
+            let t0 = Instant::now();
+            let sub = broker.subscribe_profile(p)?;
+            subscribe.push(t0.elapsed().as_nanos());
+            let t0 = Instant::now();
+            broker.unsubscribe(sub.id())?;
+            unsubscribe.push(t0.elapsed().as_nanos());
+        }
+        rows.push(DepthRow {
+            overlay_depth: depth as u64,
+            probes: PROBES as u64,
+            subscribe_ns_p50: p50(subscribe),
+            unsubscribe_ns_p50: p50(unsubscribe),
+        });
+    }
+    Ok(rows)
 }
 
 /// The drift-workload broker: V1 (event-probability descending) edge

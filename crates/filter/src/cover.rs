@@ -400,6 +400,143 @@ impl ExpandIndex {
     fn child_count(&self) -> usize {
         self.rows[self.rows.len() - 1].children as usize
     }
+
+    /// The `slot` column value of a strict child whose further residuals
+    /// are `rest`: the slot itself, or — with `rest` laid out in `more`
+    /// and `terms`, referenced by id so they sit wherever the child
+    /// lands — a flagged reference.
+    fn child_target(&mut self, slot: u32, rest: &[Residual]) -> Result<u32, PersistError> {
+        if rest.is_empty() {
+            return Ok(slot);
+        }
+        let id = len_u32(self.more.len())?;
+        if id & MORE != 0 {
+            return Err(PersistError::new("too many multi-attribute cover children"));
+        }
+        for res in rest {
+            for iv in res.allowed.as_slice() {
+                self.term_lo.push(iv.lo());
+                self.term_hi.push(iv.hi());
+            }
+            self.terms.push(Term {
+                attr: res.attr.index() as u32,
+                ivs_end: len_u32(self.term_lo.len())?,
+            });
+        }
+        self.more.push(More {
+            slot,
+            terms_end: len_u32(self.terms.len())?,
+        });
+        Ok(id | MORE)
+    }
+
+    /// A copy with room for one more child in the columns a child goes
+    /// into, so that adding it reallocates nothing.
+    fn clone_with_room(&self) -> Self {
+        ExpandIndex {
+            rows: with_room(&self.rows),
+            runs: with_room(&self.runs),
+            groups: with_room(&self.groups),
+            lo: with_room(&self.lo),
+            hi: with_room(&self.hi),
+            slot: with_room(&self.slot),
+            block_hi: with_room(&self.block_hi),
+            more: self.more.clone(),
+            terms: self.terms.clone(),
+            term_lo: self.term_lo.clone(),
+            term_hi: self.term_hi.clone(),
+        }
+    }
+
+    /// Inserts an empty row before row `at`.
+    fn insert_row(&mut self, at: usize) {
+        let start = self.rows[at];
+        self.rows.insert(at, start);
+    }
+
+    /// Adds a child to row `row` of a finished index where
+    /// [`ExpandBuilder`] would have put it — a duplicate into the row's
+    /// run, a strict child's entries into its groups in `(lo, hi)` order
+    /// — shifting what follows and summarising the blocks again.
+    fn insert_child(
+        &mut self,
+        row: usize,
+        slot: u32,
+        residual: &[Residual],
+    ) -> Result<(), PersistError> {
+        if slot & MORE != 0 {
+            return Err(PersistError::new(format!("cover slot {slot} out of range")));
+        }
+        let Some((first, rest)) = residual.split_first() else {
+            let (from, to) = (self.rows[row].run as usize, self.rows[row + 1].run as usize);
+            let at = from + self.runs[from..to].partition_point(|&s| s < slot);
+            self.runs.insert(at, slot);
+            for r in &mut self.rows[row + 1..] {
+                r.run += 1;
+                r.children += 1;
+            }
+            return Ok(());
+        };
+        let target = self.child_target(slot, rest)?;
+        let attr = first.attr.index() as u32;
+        len_u32(self.lo.len() + first_entries(first).count())?;
+        for (lo, hi) in first_entries(first) {
+            let (g0, g1) = (
+                self.rows[row].group as usize,
+                self.rows[row + 1].group as usize,
+            );
+            let g = g0 + self.groups[g0..g1].partition_point(|gr| gr.attr < attr);
+            if g == g1 || self.groups[g].attr != attr {
+                // The closing sentinel guarantees a group at `g`, whose
+                // start is where this row's entries end.
+                let start = self.groups[g].start;
+                self.groups.insert(g, Group { attr, start });
+                for r in &mut self.rows[row + 1..] {
+                    r.group += 1;
+                }
+            }
+            let (start, end) = (
+                self.groups[g].start as usize,
+                self.groups[g + 1].start as usize,
+            );
+            let at = (start..end)
+                .find(|&i| (self.lo[i], self.hi[i], self.slot[i]) > (lo, hi, target))
+                .unwrap_or(end);
+            self.lo.insert(at, lo);
+            self.hi.insert(at, hi);
+            self.slot.insert(at, target);
+            for gr in &mut self.groups[g + 1..] {
+                gr.start += 1;
+            }
+        }
+        for r in &mut self.rows[row + 1..] {
+            r.children += 1;
+        }
+        self.summarise_blocks();
+        Ok(())
+    }
+
+    /// Recomputes the max-`hi` summary of every block.
+    fn summarise_blocks(&mut self) {
+        self.block_hi.clear();
+        let blocks = self.hi.chunks(BLOCK);
+        (self.block_hi).extend(blocks.map(|b| b.iter().copied().max().unwrap_or(0)));
+    }
+}
+
+/// The `(lo, hi)` column entries of a strict child's first residual:
+/// one per interval, or one no value passes for an empty set.
+fn first_entries(first: &Residual) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let empty = first.allowed.is_empty().then_some((u64::MAX, 0));
+    let ivs = first.allowed.as_slice().iter();
+    empty.into_iter().chain(ivs.map(|iv| (iv.lo(), iv.hi())))
+}
+
+/// A copy of `v` with room for two more.
+fn with_room<T: Copy>(v: &[T]) -> Vec<T> {
+    let mut out = Vec::with_capacity(v.len() + 2);
+    out.extend_from_slice(v);
+    out
 }
 
 /// Builds an [`ExpandIndex`] row by row, checking what the expansion
@@ -473,36 +610,10 @@ impl ExpandBuilder {
             self.index.runs.push(slot);
             return Ok(());
         };
-        let target = if rest.is_empty() {
-            slot
-        } else {
-            let id = len_u32(self.index.more.len())?;
-            if id & MORE != 0 {
-                return Err(PersistError::new("too many multi-attribute cover children"));
-            }
-            for res in rest {
-                for iv in res.allowed.as_slice() {
-                    self.index.term_lo.push(iv.lo());
-                    self.index.term_hi.push(iv.hi());
-                }
-                self.index.terms.push(Term {
-                    attr: res.attr.index() as u32,
-                    ivs_end: len_u32(self.index.term_lo.len())?,
-                });
-            }
-            self.index.more.push(More {
-                slot,
-                terms_end: len_u32(self.index.terms.len())?,
-            });
-            id | MORE
-        };
+        let target = self.index.child_target(slot, rest)?;
         let attr = first.attr.index() as u32;
-        if first.allowed.is_empty() {
-            self.pending.push((attr, u64::MAX, 0, target));
-        }
-        for iv in first.allowed.as_slice() {
-            self.pending.push((attr, iv.lo(), iv.hi(), target));
-        }
+        let entries = first_entries(first).map(|(lo, hi)| (attr, lo, hi, target));
+        self.pending.extend(entries);
         Ok(())
     }
 
@@ -540,11 +651,7 @@ impl ExpandBuilder {
             attr: 0,
             start: index.lo.len() as u32,
         });
-        index.block_hi = index
-            .hi
-            .chunks(BLOCK)
-            .map(|b| b.iter().copied().max().unwrap_or(0))
-            .collect();
+        index.summarise_blocks();
         index.runs.shrink_to_fit();
         index.groups.shrink_to_fit();
         index.lo.shrink_to_fit();
@@ -765,29 +872,48 @@ impl OverlayCover {
         })
     }
 
-    /// From the per-position form
-    /// [`FilterSnapshot::with_overlay_covered`](crate::FilterSnapshot::with_overlay_covered)
-    /// takes.
+    /// From `(compiled id, overlay position, residual)` entries, in any
+    /// order, over positions `0..overlay_len`.
     pub(crate) fn from_entries<R: AsRef<[Residual]>>(
-        cover_of: &[Option<(u32, R)>],
+        overlay_len: usize,
+        mut entries: Vec<(u32, u32, R)>,
     ) -> Result<Self, PersistError> {
-        let mut entries: Vec<(u32, u32, &[Residual])> = cover_of
-            .iter()
-            .enumerate()
-            .filter_map(|(k, c)| {
-                c.as_ref()
-                    .map(|(rep, residual)| (*rep, k as u32, residual.as_ref()))
-            })
-            .collect();
         entries.sort_unstable_by_key(|&(rep, pos, _)| (rep, pos));
-        Self::build(cover_of.len(), entries.into_iter().map(Ok))
+        Self::build(overlay_len, entries.into_iter().map(Ok))
+    }
+
+    /// A copy with one more entry: overlay position `pos`, above every
+    /// position held, under compiled id `rep` — laid out where
+    /// [`OverlayCover::from_entries`] would have put it, so matching it
+    /// costs the same.
+    pub(crate) fn with_entry(
+        &self,
+        rep: u32,
+        pos: u32,
+        residual: &[Residual],
+    ) -> Result<Self, PersistError> {
+        let mut next = OverlayCover {
+            reps: with_room(&self.reps),
+            index: self.index.clone_with_room(),
+        };
+        let row = match next.reps.binary_search(&rep) {
+            Ok(row) => row,
+            Err(at) => {
+                next.reps.insert(at, rep);
+                next.index.insert_row(at);
+                at
+            }
+        };
+        next.index.insert_child(row, pos, residual)?;
+        Ok(next)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
         self.reps.is_empty()
     }
 
-    /// The inverse of [`OverlayCover::from_entries`].
+    /// Per position `0..overlay_len`: the compiled id and residual it
+    /// is delivered through, if any.
     pub(crate) fn to_entries(&self, overlay_len: usize) -> Vec<Option<(u32, Vec<Residual>)>> {
         let mut out = vec![None; overlay_len];
         for (row, &rep) in self.reps.iter().enumerate() {
@@ -1065,7 +1191,11 @@ mod tests {
             Some((1, vec![])),
             Some((4, vec![])),
         ];
-        let cover = OverlayCover::from_entries(&entries).unwrap();
+        let triples = entries.iter().enumerate().filter_map(|(pos, e)| {
+            e.as_ref()
+                .map(|(rep, residual)| (*rep, pos as u32, residual.clone()))
+        });
+        let cover = OverlayCover::from_entries(4, triples.collect()).unwrap();
         assert!(!cover.is_empty());
         assert_eq!(cover.to_entries(4), entries);
         let event = IndexedEvent::from_indices(vec![Some(2)]);
@@ -1111,6 +1241,76 @@ mod tests {
             "a position under two reps"
         );
         assert!(OverlayCover::default().is_empty());
+    }
+
+    /// Entries appended one at a time land where a build over all of
+    /// them puts them: same layout, same bytes, same expansions.
+    #[test]
+    fn appended_entries_lay_out_like_a_build() {
+        let entries: Vec<(u32, Vec<Residual>)> = vec![
+            (4, vec![residual(0, &[(1, 3)])]),
+            (1, vec![]),
+            (4, vec![]),
+            (4, vec![residual(0, &[(0, 2)])]),
+            (2, vec![residual(1, &[(2, 3), (5, 9)])]),
+            (4, vec![residual(1, &[])]),
+            (1, vec![residual(0, &[(4, 6)])]),
+            (4, vec![residual(0, &[(1, 2)])]),
+            (4, vec![residual(1, &[(0, 1)])]),
+            (1, vec![]),
+        ];
+        let mut appended = OverlayCover::default();
+        for (n, (rep, res)) in entries.iter().enumerate() {
+            appended = appended.with_entry(*rep, n as u32, res).unwrap();
+            let triples = entries[..=n].iter().enumerate();
+            let triples = triples.map(|(pos, (rep, res))| (*rep, pos as u32, res.clone()));
+            let built = OverlayCover::from_entries(n + 1, triples.collect()).unwrap();
+            assert_eq!(appended, built, "after {} entries", n + 1);
+        }
+        let mut w = ByteWriter::new();
+        appended.encode(&mut w);
+        let bytes = w.into_bytes();
+        let back = OverlayCover::decode(&mut ByteReader::new(&bytes), 5, entries.len()).unwrap();
+        assert_eq!(back, appended);
+        // A multi-attribute residual, too: equal expansions and bytes,
+        // though the conjunct table may be numbered in another order.
+        let more = vec![residual(1, &[(0, 4)]), residual(0, &[(2, 3)])];
+        let appended = appended
+            .with_entry(2, 10, &more)
+            .unwrap()
+            .with_entry(2, 11, &more)
+            .unwrap();
+        let all = entries
+            .iter()
+            .cloned()
+            .chain([(2, more.clone()), (2, more)]);
+        let all = all
+            .enumerate()
+            .map(|(pos, (rep, res))| (rep, pos as u32, res));
+        let built = OverlayCover::from_entries(12, all.collect()).unwrap();
+        assert_eq!(appended.to_entries(12), built.to_entries(12));
+        let bytes = |c: &OverlayCover| {
+            let mut w = ByteWriter::new();
+            c.encode(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(bytes(&appended), bytes(&built));
+        for raw in [[0, 0], [2, 1], [5, 2], [1, 6], [u64::MAX, 3]] {
+            for c in 0..6 {
+                let mut out = [Vec::new(), Vec::new()];
+                for (cover, out) in [&appended, &built].into_iter().zip(&mut out) {
+                    let mut list = Appended {
+                        out: &mut *out,
+                        offset: 0,
+                        floor: 0,
+                        ascending: true,
+                    };
+                    cover.expand(c, &raw, &mut list);
+                    out.sort_unstable();
+                }
+                assert_eq!(out[0], out[1], "rep {c}, event {raw:?}");
+            }
+        }
     }
 
     #[test]

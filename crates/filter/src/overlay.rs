@@ -7,8 +7,8 @@
 //! side set, so churn-heavy shards decayed toward naive-scan cost as
 //! the overlay grew. [`OverlayIndex`] replaces it with the counting /
 //! predicate-index scheme (Fabret et al., Aguilera et al. — the
-//! paper's §2 "counting algorithms" family), laid out for the overlay's
-//! rebuild-per-subscribe lifecycle:
+//! paper's §2 "counting algorithms" family), laid out for an overlay
+//! that changes between events:
 //!
 //! * **per-attribute posting lists** — each attribute's overlay
 //!   predicate intervals are cut into sorted elementary segments; one
@@ -20,17 +20,22 @@
 //!   *logically* by bumping an epoch tag, so matching never pays a
 //!   per-event O(profiles) clearing pass (see
 //!   [`MatchScratch::begin_epoch`]);
-//! * **O(overlay) construction** — building the index touches each
-//!   overlay predicate interval once (plus sorting the segment cuts),
-//!   which keeps [`FilterSnapshot::with_overlay`](crate::FilterSnapshot::with_overlay)
-//!   independent of the compiled subscription count.
+//! * **built over what it matches** — the index covers only the overlay
+//!   positions it matches (covered entries are delivered by expansion,
+//!   tombstoned ones not at all) and touches each of their predicate
+//!   intervals once, plus sorting the segment cuts. A snapshot rebuilds
+//!   it only when an uncovered subscription joins or the overlay is
+//!   packed ([`FilterSnapshot::with_indexed_entry`](crate::FilterSnapshot::with_indexed_entry),
+//!   [`FilterSnapshot::with_overlay_entries`](crate::FilterSnapshot::with_overlay_entries)):
+//!   a covered subscribe and an unsubscribe share it untouched, and no
+//!   build depends on the compiled subscription count.
 //!
 //! Matching cost is O(postings hit) instead of O(profiles ×
 //! predicates): an event only pays for the predicates it actually
 //! satisfies. The `overlay_depth` section of `BENCH_throughput.json`
 //! quantifies the gap against the naive side-matcher.
 
-use ens_types::{IndexedEvent, ProfileId, ProfileSet};
+use ens_types::{IndexedEvent, Profile, ProfileId, ProfileSet, Schema};
 
 use crate::persist::{ByteReader, ByteWriter, PersistError};
 use crate::scratch::{MatchScratch, Matcher};
@@ -120,43 +125,35 @@ impl OverlayIndex {
     ///
     /// Propagates predicate lowering errors.
     pub fn new(overlay: &ProfileSet) -> Result<Self, FilterError> {
-        Self::build(overlay, &[])
+        let entries = overlay.iter().enumerate();
+        let entries: Vec<_> = entries.map(|(k, p)| (k as u32, p)).collect();
+        Self::from_entries(overlay.schema(), &entries)
     }
 
-    /// Like [`OverlayIndex::new`], but positions with `skip[k]` set are
-    /// excluded from matching entirely: they contribute no postings, are
-    /// never unconditional, and their `required` count is an
-    /// unreachable sentinel. Dense ids still span the *full* overlay
-    /// (`0..overlay.len()`), so unskipped positions keep their ids.
+    /// Builds the counting index over the overlay positions `entries`
+    /// names (ascending), each with its profile. Every other position
+    /// is excluded from matching entirely: it contributes no postings,
+    /// is never unconditional, and its `required` count is an
+    /// unreachable sentinel — or, after the last named position, absent
+    /// ([`OverlayIndex::profile_count`] stops there).
     ///
     /// Used by covering-aware snapshots: overlay subscriptions covered
     /// by a compiled representative are delivered through the expansion
-    /// map instead and must not also match through the counting index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates predicate lowering errors.
-    pub fn new_filtered(overlay: &ProfileSet, skip: &[bool]) -> Result<Self, FilterError> {
-        debug_assert_eq!(skip.len(), overlay.len());
-        Self::build(overlay, skip)
-    }
-
-    fn build(overlay: &ProfileSet, skip: &[bool]) -> Result<Self, FilterError> {
-        let skipped = |k: usize| skip.get(k).copied().unwrap_or(false);
-        let schema = overlay.schema();
-        let mut required = Vec::with_capacity(overlay.len());
+    /// map instead, and tombstoned ones not at all.
+    pub(crate) fn from_entries(
+        schema: &Schema,
+        entries: &[(u32, &Profile)],
+    ) -> Result<Self, FilterError> {
+        let len = entries.last().map_or(0, |&(k, _)| k as usize + 1);
+        // Unsatisfiable sentinel: counters never reach it.
+        let mut required = vec![u32::MAX; len];
         let mut unconditional = Vec::new();
-        for (k, p) in overlay.iter().enumerate() {
-            if skipped(k) {
-                // Unsatisfiable sentinel: counters never reach it.
-                required.push(u32::MAX);
-                continue;
-            }
+        for &(k, p) in entries {
             let r = p.specified_len() as u32;
             if r == 0 {
-                unconditional.push(ProfileId::new(k as u32));
+                unconditional.push(ProfileId::new(k));
             }
-            required.push(r);
+            required[k as usize] = r;
         }
 
         let mut attrs = Vec::with_capacity(schema.len());
@@ -164,17 +161,14 @@ impl OverlayIndex {
         let mut spans: Vec<(u32, u64, u64)> = Vec::new();
         for (id, a) in schema.iter() {
             spans.clear();
-            for (k, p) in overlay.iter().enumerate() {
-                if skipped(k) {
-                    continue;
-                }
+            for &(k, p) in entries {
                 let pred = p.predicate(id);
                 if pred.is_dont_care() {
                     continue;
                 }
                 for iv in pred.to_intervals(a.domain())?.iter() {
                     if !iv.is_empty() {
-                        spans.push((k as u32, iv.lo(), iv.hi()));
+                        spans.push((k, iv.lo(), iv.hi()));
                     }
                 }
             }
@@ -232,7 +226,8 @@ impl OverlayIndex {
         })
     }
 
-    /// Number of overlay profiles indexed.
+    /// Number of overlay positions the index spans: up to and including
+    /// the last one it matches.
     #[must_use]
     pub fn profile_count(&self) -> usize {
         self.required.len()
@@ -267,17 +262,29 @@ impl Matcher for OverlayIndex {
 }
 
 impl OverlayIndex {
-    /// Appends the posting-list arenas in the dense binary form.
-    pub(crate) fn encode(&self, w: &mut ByteWriter) {
-        w.seq_len(self.attrs.len());
-        for a in &self.attrs {
-            w.slice_u64(&a.bounds);
-            w.slice_u32(&a.off);
-            w.slice_u32(&a.postings);
+    /// Appends the posting-list arenas in the dense binary form, as an
+    /// index over all `len` positions of an overlay whose schema has
+    /// `attrs` attributes: positions past the end of `index` (all of
+    /// them without one) are written as never matched — the bytes a
+    /// build over the whole overlay writes.
+    pub(crate) fn encode(index: Option<&Self>, attrs: usize, len: usize, w: &mut ByteWriter) {
+        let (postings, required, unconditional) = match index {
+            Some(x) => (&x.attrs[..], &x.required[..], &x.unconditional[..]),
+            None => (&[][..], &[][..], &[][..]),
+        };
+        w.seq_len(attrs);
+        for k in 0..attrs {
+            let a = postings.get(k);
+            w.slice_u64(a.map_or(&[], |a| &a.bounds));
+            w.slice_u32(a.map_or(&[], |a| &a.off));
+            w.slice_u32(a.map_or(&[], |a| &a.postings));
         }
-        w.slice_u32(&self.required);
-        w.seq_len(self.unconditional.len());
-        for p in &self.unconditional {
+        w.seq_len(len);
+        for k in 0..len {
+            w.u32(required.get(k).copied().unwrap_or(u32::MAX));
+        }
+        w.seq_len(unconditional.len());
+        for p in unconditional {
             w.u32(p.index() as u32);
         }
     }

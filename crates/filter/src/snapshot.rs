@@ -9,13 +9,21 @@
 //!
 //! * [`FilterSnapshot::compile`] — full build, the expensive path taken
 //!   only on compaction or adaptive drift rebuilds;
-//! * [`FilterSnapshot::with_overlay`] — O(overlay) rebuild of the small
-//!   [`OverlayIndex`] counting index holding subscriptions that arrived
-//!   since the last compaction (the tree and DFSA are shared
-//!   untouched), so overlay matching costs O(postings hit) instead of
-//!   the naive side-matcher's O(profiles × predicates);
+//! * the **overlay** holds subscriptions that arrived since the last
+//!   compaction (the tree and DFSA are shared untouched). Between packs
+//!   an overlay entry keeps its position, and a change touches only its
+//!   own entry: [`FilterSnapshot::with_covered_entry`] appends one child
+//!   to a copy of the expansion map of covered entries, sharing the
+//!   counting index; [`FilterSnapshot::with_indexed_entry`] rebuilds the
+//!   small [`OverlayIndex`] counting index over the entries it matches
+//!   (so overlay matching costs O(postings hit) instead of the naive
+//!   side-matcher's O(profiles × predicates));
+//!   [`FilterSnapshot::with_overlay_removed`] sets one bit of the
+//!   overlay's tombstone bitmap. [`FilterSnapshot::with_overlay_entries`]
+//!   packs: the whole overlay, built anew at dense positions;
 //! * [`FilterSnapshot::with_removed`] — O(base) copy of the tombstone
-//!   bitmap for unsubscriptions (tree, DFSA and overlay shared).
+//!   bitmap for unsubscriptions of compiled profiles (tree, DFSA and
+//!   overlay shared).
 //!
 //! Besides the per-event [`FilterSnapshot::match_into`], the snapshot
 //! exposes [`FilterSnapshot::match_block`]: whole pre-resolved event
@@ -24,13 +32,14 @@
 //!
 //! Matched profiles are reported in a single *global* id space: compiled
 //! (base) profiles keep their dense tree ids `0..base_len`, overlay
-//! profiles follow at `base_len..base_len + overlay_len`. The caller
+//! positions follow at `base_len..base_len + overlay_len`, tombstoned
+//! ones never reported. The caller
 //! (e.g. the `ens-service` broker) maps those ids onto its dispatch
 //! table, which is versioned together with the snapshot.
 
 use std::sync::Arc;
 
-use ens_types::{CoverSet, IndexedBatch, IndexedEvent, ProfileId, ProfileSet, Residual};
+use ens_types::{CoverSet, IndexedBatch, IndexedEvent, Profile, ProfileId, ProfileSet, Residual};
 
 use crate::cover::{Appended, CoverPlan, CoverScratch, Expand, OverlayCover};
 use crate::dfsa::Dfsa;
@@ -291,8 +300,14 @@ pub struct FilterSnapshot {
     /// tombstone set was attached.
     removed: Arc<[u64]>,
     removed_count: usize,
+    /// The counting index over the overlay positions it matches; `None`
+    /// when it matches none. It may span fewer than `overlay_len`
+    /// positions: those past it are never posted.
     overlay: Option<Arc<OverlayIndex>>,
     overlay_len: usize,
+    /// Tombstoned overlay positions, in the layout of `removed`.
+    overlay_removed: Arc<[u64]>,
+    overlay_removed_count: usize,
     /// Covering-pruned compilations only: the tree/DFSA hold the
     /// antichain representatives (compiled ids `0..plan.rep_count()`)
     /// and matches expand to original base slots through this plan.
@@ -386,7 +401,14 @@ impl Region<'_> {
                 out.truncate(kept);
             }
         }
-        x.delivered += (out.len() - start - listed.len()) as u64;
+        let listed_live = match self.dead {
+            [] => listed.len(),
+            dead => listed
+                .iter()
+                .filter(|p| is_live(dead, p.index() as u32))
+                .count(),
+        };
+        x.delivered += (out.len() - start - listed_live) as u64;
     }
 }
 
@@ -448,6 +470,8 @@ impl FilterSnapshot {
             removed_count: 0,
             overlay: None,
             overlay_len: 0,
+            overlay_removed: Arc::from(Vec::new()),
+            overlay_removed_count: 0,
             cover: plan,
             overlay_children: None,
         })
@@ -524,25 +548,14 @@ impl FilterSnapshot {
 
     /// A new snapshot with the overlay replaced by `overlay` (dense ids
     /// `0..overlay.len()`, reported offset by [`FilterSnapshot::base_len`]),
-    /// compiled into an [`OverlayIndex`] counting index. The compiled
-    /// base and the tombstones are shared.
-    ///
-    /// Cost is O(overlay) — independent of the compiled subscription
-    /// count, which is what makes subscribe cheap.
+    /// compiled into an [`OverlayIndex`] counting index — a pack (see
+    /// [`FilterSnapshot::with_overlay_entries`]) with nothing covered.
     ///
     /// # Errors
     ///
     /// Propagates predicate lowering errors.
     pub fn with_overlay(&self, overlay: &ProfileSet) -> Result<Self, FilterError> {
-        let mut next = self.clone();
-        next.overlay_len = overlay.len();
-        next.overlay = if overlay.is_empty() {
-            None
-        } else {
-            Some(Arc::new(OverlayIndex::new(overlay)?))
-        };
-        next.overlay_children = None;
-        Ok(next)
+        self.with_overlay_entries(overlay.iter().map(|p| (p, None)))
     }
 
     /// Like [`FilterSnapshot::with_overlay`], but overlay positions
@@ -564,17 +577,122 @@ impl FilterSnapshot {
         cover_of: &[Option<(u32, R)>],
     ) -> Result<Self, FilterError> {
         debug_assert_eq!(cover_of.len(), overlay.len());
+        let covers = cover_of
+            .iter()
+            .map(|c| c.as_ref().map(|(rep, r)| (*rep, r.as_ref())));
+        self.with_overlay_entries(overlay.iter().zip(covers))
+    }
+
+    /// Packs: a new snapshot whose overlay is `entries` at dense
+    /// positions `0..n`, each a profile and the compiled representative
+    /// and residual it is delivered through (`None`: the counting index
+    /// matches it). Tombstoned overlay positions are gone; the compiled
+    /// base and its tombstones are shared.
+    ///
+    /// Cost is O(overlay) — the counting index and the expansion map of
+    /// covered entries are built anew — and independent of the compiled
+    /// subscription count. The profiles are borrowed, never cloned.
+    ///
+    /// # Errors
+    ///
+    /// Propagates predicate lowering errors.
+    pub fn with_overlay_entries<'a>(
+        &self,
+        entries: impl IntoIterator<Item = (&'a Profile, Option<(u32, &'a [Residual])>)>,
+    ) -> Result<Self, FilterError> {
+        let mut indexed = Vec::new();
+        let mut covered = Vec::new();
+        let mut len = 0;
+        for (k, (profile, cover)) in entries.into_iter().enumerate() {
+            match cover {
+                Some((rep, residual)) => covered.push((rep, k as u32, residual)),
+                None => indexed.push((k as u32, profile)),
+            }
+            len = k + 1;
+        }
+        let children = OverlayCover::from_entries(len, covered)?;
         let mut next = self.clone();
-        next.overlay_len = overlay.len();
-        let children = OverlayCover::from_entries(cover_of)?;
-        let skip: Vec<bool> = cover_of.iter().map(Option::is_some).collect();
-        next.overlay = if overlay.is_empty() {
-            None
-        } else {
-            Some(Arc::new(OverlayIndex::new_filtered(overlay, &skip)?))
-        };
+        next.overlay_len = len;
+        next.overlay = self.index_over(&indexed)?;
+        next.overlay_removed = Arc::from(Vec::new());
+        next.overlay_removed_count = 0;
         next.overlay_children = (!children.is_empty()).then(|| Arc::new(children));
         Ok(next)
+    }
+
+    /// A new snapshot with one more overlay entry, at position
+    /// [`FilterSnapshot::overlay_len`], delivered through compiled
+    /// representative `rep`'s expansion with `residual`: one child
+    /// appended to a copy of the covered entries' expansion map. The
+    /// counting index is shared.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the overlay has no position left to give.
+    pub fn with_covered_entry(&self, rep: u32, residual: &[Residual]) -> Result<Self, FilterError> {
+        let pos = self.overlay_len as u32;
+        let children = match &self.overlay_children {
+            Some(children) => children.with_entry(rep, pos, residual)?,
+            None => OverlayCover::default().with_entry(rep, pos, residual)?,
+        };
+        let mut next = self.clone();
+        next.overlay_len += 1;
+        next.overlay_children = Some(Arc::new(children));
+        Ok(next)
+    }
+
+    /// A new snapshot with one more overlay entry, `profile` at position
+    /// [`FilterSnapshot::overlay_len`], matched by the counting index:
+    /// the index is rebuilt over `indexed` — the positions it is to keep
+    /// matching, ascending, each with its profile — and the new entry.
+    /// Cost is O(those entries); covered and tombstoned entries are not
+    /// touched.
+    ///
+    /// # Errors
+    ///
+    /// Propagates predicate lowering errors.
+    pub fn with_indexed_entry<'a>(
+        &self,
+        profile: &'a Profile,
+        indexed: impl IntoIterator<Item = (u32, &'a Profile)>,
+    ) -> Result<Self, FilterError> {
+        let pos = self.overlay_len as u32;
+        let kept = indexed.into_iter().filter(|&(k, _)| k < pos);
+        let entries: Vec<_> = kept.chain([(pos, profile)]).collect();
+        let mut next = self.clone();
+        next.overlay_len += 1;
+        next.overlay = self.index_over(&entries)?;
+        Ok(next)
+    }
+
+    /// A new snapshot with overlay position `pos` tombstoned: one bit
+    /// set in a copy of the overlay's tombstone bitmap, everything else
+    /// shared. A position outside the overlay changes nothing.
+    #[must_use]
+    pub fn with_overlay_removed(&self, pos: usize) -> Self {
+        let mut next = self.clone();
+        if pos >= self.overlay_len || !is_live(&self.overlay_removed, pos as u32) {
+            return next;
+        }
+        let dead = &self.overlay_removed;
+        let word =
+            |w: usize| dead.get(w).copied().unwrap_or(0) | u64::from(w == pos / 64) << (pos % 64);
+        next.overlay_removed = (0..dead.len().max(pos / 64 + 1)).map(word).collect();
+        next.overlay_removed_count += 1;
+        next
+    }
+
+    /// The counting index over `indexed` (positions ascending), or none
+    /// when it would match nothing.
+    fn index_over(
+        &self,
+        indexed: &[(u32, &Profile)],
+    ) -> Result<Option<Arc<OverlayIndex>>, FilterError> {
+        if indexed.is_empty() {
+            return Ok(None);
+        }
+        let index = OverlayIndex::from_entries(self.tree.schema(), indexed)?;
+        Ok(Some(Arc::new(index)))
     }
 
     /// A new snapshot with the tombstone bitmap replaced (length must be
@@ -603,8 +721,19 @@ impl FilterSnapshot {
     /// this is what makes checkpoint reload orders of magnitude cheaper
     /// than recompiling the profile set (see the `recovery` section of
     /// `BENCH_throughput.json`).
+    ///
+    /// The format has no overlay tombstones: pack the overlay first
+    /// ([`FilterSnapshot::with_overlay_entries`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an overlay position is tombstoned.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
+        assert_eq!(
+            self.overlay_removed_count, 0,
+            "pack the overlay before serializing the snapshot"
+        );
         let mut w = ByteWriter::new();
         w.u32(SNAPSHOT_MAGIC);
         w.u32(SNAPSHOT_VERSION);
@@ -626,16 +755,14 @@ impl FilterSnapshot {
             .take(n_removed.div_ceil(8))
             .collect();
         w.bytes(&packed);
-        match &self.overlay {
-            None => {
-                w.bool(false);
-                w.u64(self.overlay_len as u64);
-            }
-            Some(overlay) => {
-                w.bool(true);
-                w.u64(self.overlay_len as u64);
-                overlay.encode(&mut w);
-            }
+        // The index as a build over the whole overlay writes it: one
+        // sentinel per covered position, and present whenever the
+        // overlay is not empty.
+        w.bool(self.overlay_len > 0);
+        w.u64(self.overlay_len as u64);
+        if self.overlay_len > 0 {
+            let attrs = self.tree.schema().len();
+            OverlayIndex::encode(self.overlay.as_deref(), attrs, self.overlay_len, &mut w);
         }
         // Covering sections (v3): the expansion plan and the covered
         // overlay entries, so recovery reproduces the covering analysis
@@ -737,6 +864,8 @@ impl FilterSnapshot {
             removed_count,
             overlay,
             overlay_len,
+            overlay_removed: Arc::from(Vec::new()),
+            overlay_removed_count: 0,
             cover,
             overlay_children: (!overlay_children.is_empty()).then(|| Arc::new(overlay_children)),
         })
@@ -811,7 +940,8 @@ impl FilterSnapshot {
 
     /// Appends the overlay profiles one event delivers to `out` as
     /// global ids, ascending: the counting index's hits plus the
-    /// covered positions the compiled hits expand to.
+    /// covered positions the compiled hits expand to, less the
+    /// tombstoned positions.
     fn collect_overlay(
         &self,
         hits: &[ProfileId],
@@ -821,13 +951,23 @@ impl FilterSnapshot {
         x: &mut CoverScratch,
     ) {
         let off = self.base_len as u32;
+        let dead = &self.overlay_removed;
         match &self.overlay_children {
-            None => out.extend(overlay_hits.iter().map(|p| off + p.index() as u32)),
+            None if dead.is_empty() => {
+                out.extend(overlay_hits.iter().map(|p| off + p.index() as u32));
+            }
+            None => out.extend(
+                overlay_hits
+                    .iter()
+                    .map(|p| p.index() as u32)
+                    .filter(|&k| is_live(dead, k))
+                    .map(|k| off + k),
+            ),
             Some(children) => {
                 let region = Region {
                     slots: self.overlay_len,
                     offset: off,
-                    dead: &[],
+                    dead,
                 };
                 region.expand(&**children, hits, overlay_hits, raw, out, x);
             }
@@ -912,7 +1052,7 @@ impl FilterSnapshot {
         self.base_len
     }
 
-    /// Number of overlay profiles.
+    /// Number of overlay positions, including tombstoned ones.
     #[must_use]
     pub fn overlay_len(&self) -> usize {
         self.overlay_len
@@ -924,10 +1064,16 @@ impl FilterSnapshot {
         self.removed_count
     }
 
+    /// Number of tombstoned overlay positions.
+    #[must_use]
+    pub fn overlay_removed_len(&self) -> usize {
+        self.overlay_removed_count
+    }
+
     /// Number of profiles that can still match.
     #[must_use]
     pub fn live_len(&self) -> usize {
-        self.base_len - self.removed_count + self.overlay_len
+        self.base_len - self.removed_count + self.overlay_len - self.overlay_removed_count
     }
 
     /// Whether the snapshot is exactly its compiled base (no overlay, no

@@ -360,42 +360,64 @@ fn warm_fast_paths_allocate_nothing() {
         let snap = compiled
             .with_overlay_covered(&overlay, &overlay_cover)
             .unwrap()
-            .with_removed(removed);
-
-        for use_dfsa in [false, true] {
-            let mut indexed = IndexedEvent::new();
-            let mut scratch = SnapshotScratch::new();
-            let mut batch = IndexedBatch::new();
-            let mut block = SnapshotBlockScratch::new();
-            let mut run = |check: &mut (u64, u64)| {
-                for e in &events {
-                    indexed.resolve_into(&schema, e).unwrap();
-                    snap.match_into(&indexed, &mut scratch, use_dfsa);
-                    check.0 += scratch.matched().len() as u64;
-                    check.1 += scratch.cover_delivered();
-                }
-                for chunk in events.chunks(64) {
-                    batch.resolve_into(&schema, chunk.iter()).unwrap();
-                    snap.match_block(&batch, &mut block, use_dfsa);
-                    for i in 0..chunk.len() {
-                        check.0 += block.matched_of(i).len() as u64;
-                    }
-                    check.1 += block.cover_delivered();
+            .with_removed(removed.clone());
+        // The same overlay entered one entry at a time, every third
+        // position then tombstoned in place: the overlay's tombstone
+        // bitmap filters the counting index's hits and the expansion
+        // without touching the heap either.
+        let mut tombstoned = compiled.with_removed(removed);
+        let mut indexed: Vec<(u32, &Profile)> = Vec::new();
+        for (k, (p, cover)) in overlay.iter().zip(&overlay_cover).enumerate() {
+            tombstoned = match cover {
+                Some((rep, residual)) => tombstoned.with_covered_entry(*rep, residual).unwrap(),
+                None => {
+                    let next = tombstoned.with_indexed_entry(p, indexed.iter().copied());
+                    indexed.push((k as u32, p));
+                    next.unwrap()
                 }
             };
-            let mut warm = (0, 0);
-            run(&mut warm);
-            let before = allocations();
-            let mut hot = (0, 0);
-            run(&mut hot);
-            let allocated = allocations() - before;
-            assert_eq!(
-                allocated, 0,
-                "covered snapshot (dfsa={use_dfsa}): warm match_into + match_block \
+        }
+        for k in (0..overlay.len()).step_by(3) {
+            tombstoned = tombstoned.with_overlay_removed(k);
+        }
+        assert!(tombstoned.overlay_removed_len() > 0);
+
+        for (name, snap) in [("covered", &snap), ("tombstoned overlay", &tombstoned)] {
+            for use_dfsa in [false, true] {
+                let mut indexed = IndexedEvent::new();
+                let mut scratch = SnapshotScratch::new();
+                let mut batch = IndexedBatch::new();
+                let mut block = SnapshotBlockScratch::new();
+                let mut run = |check: &mut (u64, u64)| {
+                    for e in &events {
+                        indexed.resolve_into(&schema, e).unwrap();
+                        snap.match_into(&indexed, &mut scratch, use_dfsa);
+                        check.0 += scratch.matched().len() as u64;
+                        check.1 += scratch.cover_delivered();
+                    }
+                    for chunk in events.chunks(64) {
+                        batch.resolve_into(&schema, chunk.iter()).unwrap();
+                        snap.match_block(&batch, &mut block, use_dfsa);
+                        for i in 0..chunk.len() {
+                            check.0 += block.matched_of(i).len() as u64;
+                        }
+                        check.1 += block.cover_delivered();
+                    }
+                };
+                let mut warm = (0, 0);
+                run(&mut warm);
+                let before = allocations();
+                let mut hot = (0, 0);
+                run(&mut hot);
+                let allocated = allocations() - before;
+                assert_eq!(
+                    allocated, 0,
+                    "{name} snapshot (dfsa={use_dfsa}): warm match_into + match_block \
                  loops performed {allocated} heap allocations"
-            );
-            assert_eq!(warm, hot, "covered snapshot: passes disagree");
-            assert!(hot.1 > 0, "covered snapshot: expansion should deliver");
+                );
+                assert_eq!(warm, hot, "{name} snapshot: passes disagree");
+                assert!(hot.1 > 0, "{name} snapshot: expansion should deliver");
+            }
         }
     }
 

@@ -7,6 +7,13 @@
 //! the overlay: there the counting index is the counting baseline of
 //! the paper's §2, compared three ways against the naive matcher and
 //! the compiled tree and DFSA.
+//!
+//! The incremental overlay has its own property: random sequences of
+//! covered appends, uncovered appends, overlay tombstones and packs,
+//! each touching only its own entry, must after every step match
+//! exactly what the naive matcher and a fresh compile of the live set
+//! match — per event and per block — and a tombstone-free overlay must
+//! serialize to the bytes of one built whole.
 
 use std::sync::Once;
 
@@ -16,7 +23,8 @@ use ens_filter::{
     TreeConfig,
 };
 use ens_types::{
-    Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId, ProfileSet, Schema,
+    CoverOutcome, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId,
+    ProfileSet, Residual, Schema,
 };
 use ens_workloads::{scenario, EventGenerator};
 use proptest::prelude::*;
@@ -301,5 +309,196 @@ proptest! {
             .collect();
         let overlay = overlay_set(&schema, &overlay);
         check_against_oracles(&schema, &base_set, &removed, &overlay, &snap, &built);
+    }
+
+    #[test]
+    fn incremental_overlay_agrees_with_oracles_after_every_step(
+        base in prop::collection::vec(arb_profile(), 1..6),
+        ops in arb_incremental_ops(),
+        events in arb_events(),
+    ) {
+        let schema = schema();
+        let mut base_set = ProfileSet::new(&schema);
+        for (px, py) in &base {
+            base_set.insert(make_profile(&schema, px, py));
+        }
+        let (compiled, cover) =
+            FilterSnapshot::compile_covered(&base_set, &TreeConfig::default()).unwrap();
+        let built: Vec<Event> = events
+            .iter()
+            .map(|(x, y)| build_event(&schema, *x, *y))
+            .collect();
+
+        // The overlay as the writer keeps it: stable positions, each
+        // with its cover and whether it is still live.
+        let mut overlay: Vec<Slot> = Vec::new();
+        let mut snap = compiled.clone();
+        for op in &ops {
+            match op {
+                Step::Append(px, py) | Step::Child(_, px, py) => {
+                    let profile = match op {
+                        Step::Child(k, ..) => {
+                            narrowed(&schema, base_set.iter().nth(k % base_set.len()).unwrap(), px)
+                        }
+                        _ => make_profile(&schema, px, py),
+                    };
+                    let entry = match cover.probe(&profile).unwrap() {
+                        CoverOutcome::Covered { rep, residual } => {
+                            Some((cover.compiled_index_of(rep).unwrap(), residual))
+                        }
+                        CoverOutcome::Rep => None,
+                    };
+                    snap = match &entry {
+                        Some((rep, residual)) => snap.with_covered_entry(*rep, residual).unwrap(),
+                        None => {
+                            let indexed = overlay.iter().enumerate().filter(|(_, s)| {
+                                s.live && s.cover.is_none()
+                            });
+                            let indexed = indexed.map(|(k, s)| (k as u32, &s.profile));
+                            snap.with_indexed_entry(&profile, indexed).unwrap()
+                        }
+                    };
+                    overlay.push(Slot { profile, cover: entry, live: true });
+                }
+                Step::Tombstone(k) if !overlay.is_empty() => {
+                    let k = k % overlay.len();
+                    overlay[k].live = false;
+                    snap = snap.with_overlay_removed(k);
+                }
+                Step::Pack => {
+                    overlay.retain(|s| s.live);
+                    snap = snap.with_overlay_entries(overlay.iter().map(Slot::entry)).unwrap();
+                }
+                _ => {}
+            }
+            check_incremental(&schema, &base_set, &compiled, &overlay, &snap, &built);
+        }
+    }
+}
+
+/// One step of the incremental overlay's property.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A random profile, covered or not as the probe finds it.
+    Append(Predicate, Predicate),
+    /// Base profile `k` (modulo the base) with its `x` predicate
+    /// replaced by the given one where it had none: covered by
+    /// construction.
+    Child(usize, Predicate, Predicate),
+    /// Tombstone overlay position `k` (modulo the overlay).
+    Tombstone(usize),
+    /// Rebuild the overlay from its live entries.
+    Pack,
+}
+
+fn arb_incremental_ops() -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec(
+        prop_oneof![
+            3 => arb_profile().prop_map(|(px, py)| Step::Append(px, py)),
+            3 => (0usize..8, arb_profile()).prop_map(|(k, (px, py))| Step::Child(k, px, py)),
+            3 => (0usize..32).prop_map(Step::Tombstone),
+            1 => Just(Step::Pack),
+        ],
+        1..20,
+    )
+}
+
+/// An overlay entry of the model.
+struct Slot {
+    profile: Profile,
+    cover: Option<(u32, Vec<Residual>)>,
+    live: bool,
+}
+
+impl Slot {
+    fn entry(&self) -> (&Profile, Option<(u32, &[Residual])>) {
+        let cover = self.cover.as_ref();
+        (&self.profile, cover.map(|(rep, r)| (*rep, r.as_slice())))
+    }
+}
+
+/// `p` narrowed on `x` to `px` where it leaves `x` open — otherwise an
+/// exact duplicate. Either way some compiled representative covers it.
+fn narrowed(schema: &Schema, p: &Profile, px: &Predicate) -> Profile {
+    let mut preds = p.predicates().to_vec();
+    if preds[0].is_dont_care() {
+        preds[0] = px.clone();
+    }
+    Profile::from_predicates(schema, ProfileId::new(0), preds).unwrap()
+}
+
+/// The incremental snapshot `snap` against its oracles: the naive
+/// matcher and a fresh compile over the live set (base, then the live
+/// overlay entries in position order), per event and per block; and,
+/// with no tombstone in the overlay, the bytes of an overlay built
+/// whole.
+fn check_incremental(
+    schema: &Schema,
+    base_set: &ProfileSet,
+    compiled: &FilterSnapshot,
+    overlay: &[Slot],
+    snap: &FilterSnapshot,
+    built: &[Event],
+) {
+    let dead = overlay.iter().filter(|s| !s.live).count();
+    assert_eq!(snap.overlay_len(), overlay.len());
+    assert_eq!(snap.overlay_removed_len(), dead);
+    assert_eq!(snap.live_len(), base_set.len() + overlay.len() - dead);
+
+    let mut live = base_set.clone();
+    // Global id -> position in `live`.
+    let mut rank: Vec<u32> = (0..base_set.len() as u32).collect();
+    rank.resize(base_set.len() + overlay.len(), u32::MAX);
+    for (k, s) in overlay.iter().enumerate().filter(|(_, s)| s.live) {
+        rank[base_set.len() + k] = live.len() as u32;
+        live.insert(s.profile.clone());
+    }
+    let naive = NaiveMatcher::new(&live).unwrap();
+    let fresh = FilterSnapshot::compile(&live, &TreeConfig::default()).unwrap();
+
+    let mut batch = IndexedBatch::new();
+    batch.resolve_into(schema, built.iter()).unwrap();
+    let mut blocks = [SnapshotBlockScratch::new(), SnapshotBlockScratch::new()];
+    for (use_dfsa, block) in [false, true].into_iter().zip(&mut blocks) {
+        snap.match_block(&batch, block, use_dfsa);
+    }
+    let (mut s, mut s_fresh, mut s_naive) = (
+        SnapshotScratch::new(),
+        SnapshotScratch::new(),
+        MatchScratch::new(),
+    );
+    for (i, e) in built.iter().enumerate() {
+        let indexed = IndexedEvent::resolve(schema, e).unwrap();
+        naive.match_into(&indexed, &mut s_naive);
+        let want: Vec<u32> = s_naive
+            .profiles()
+            .iter()
+            .map(|p| p.index() as u32)
+            .collect();
+        fresh.match_into(&indexed, &mut s_fresh, true);
+        assert_eq!(s_fresh.matched(), &want[..], "fresh compile vs naive");
+        for (use_dfsa, block) in [false, true].into_iter().zip(&blocks) {
+            snap.match_into(&indexed, &mut s, use_dfsa);
+            assert_eq!(block.matched_of(i), s.matched(), "block vs per event");
+            let mapped: Vec<u32> = s.matched().iter().map(|&g| rank[g as usize]).collect();
+            assert_eq!(mapped, want, "event {i}, dfsa {use_dfsa}");
+        }
+    }
+
+    if dead == 0 {
+        let whole = compiled
+            .with_overlay_entries(overlay.iter().map(Slot::entry))
+            .unwrap();
+        let bytes = snap.to_bytes();
+        assert_eq!(
+            bytes,
+            whole.to_bytes(),
+            "incremental vs whole-overlay image"
+        );
+        let reloaded = FilterSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(
+            reloaded.overlay_cover_entries(),
+            snap.overlay_cover_entries()
+        );
     }
 }

@@ -12,11 +12,15 @@
 //!   uncontended read-lock acquisition), then matches **lock-free**
 //!   against the snapshot using thread-local scratch buffers; after
 //!   warm-up the matching step performs no heap allocation.
-//! * **Incremental subscription deltas** — `subscribe` puts the new
-//!   profile into a small overlay side-matcher (O(overlay), independent
-//!   of the total subscription count) and `unsubscribe` tombstones
-//!   compiled profiles; the expensive tree rebuild runs only when the
-//!   [`RebuildPolicy`] thresholds or its adaptive drift trigger fire.
+//! * **Incremental subscription deltas** — `subscribe` appends the new
+//!   profile to a small overlay and `unsubscribe` tombstones it where it
+//!   is; either change touches only its own entry (a covered subscribe
+//!   joins the expansion map, an uncovered one rebuilds the counting
+//!   index over the uncovered entries, independent of the total
+//!   subscription count), and the overlay is packed once its tombstones
+//!   reach its live entries. The expensive tree rebuild runs only when
+//!   the [`RebuildPolicy`] thresholds or its adaptive drift trigger
+//!   fire.
 //!   The writer side is the `shard` module: whatever changes a shard
 //!   is an operation there, staged against the writer's entries,
 //!   committed and swapped in by one routine. This module picks the
@@ -75,7 +79,7 @@ mod durability;
 mod shard;
 
 use durability::Durability;
-use shard::{notify_channel, Shard, ShardGuard, SubEntry};
+use shard::{notify_channel, OverlayDispatch, Shard, ShardGuard, SubEntry};
 
 /// Broker configuration.
 #[derive(Debug, Clone)]
@@ -212,6 +216,7 @@ pub struct PublishReceipt {
 }
 
 /// One dispatch slot, aligned with the snapshot's global profile ids.
+#[derive(Clone)]
 struct DispatchEntry {
     id: SubscriptionId,
     sender: Sender<Queued>,
@@ -223,8 +228,8 @@ struct ShardSnapshot {
     /// Dispatch for compiled profiles (dense tree ids, tombstones
     /// included so indices stay aligned).
     base_dispatch: Arc<Vec<DispatchEntry>>,
-    /// Dispatch for overlay profiles.
-    overlay_dispatch: Arc<Vec<DispatchEntry>>,
+    /// Dispatch for overlay positions, tombstones included.
+    overlay_dispatch: OverlayDispatch,
     /// Pre-computed quenching advice; `None` disables inbound
     /// quenching for this snapshot (overlay pending, or quenching off).
     quench: Option<Arc<QuenchAdvice>>,
@@ -237,7 +242,7 @@ impl ShardSnapshot {
         if gpid < base {
             &self.base_dispatch[gpid]
         } else {
-            &self.overlay_dispatch[gpid - base]
+            self.overlay_dispatch.get(gpid - base)
         }
     }
 }
@@ -573,11 +578,6 @@ impl Broker {
         }
     }
 
-    /// Whether `id` is a live (non-tombstoned) subscription.
-    fn is_live(&self, id: SubscriptionId) -> bool {
-        self.shard_of(id).lock().is_live(id)
-    }
-
     /// Replays an accepted retune on the shard it was logged for.
     fn apply_retune(
         &self,
@@ -649,9 +649,12 @@ impl Broker {
 
     /// Registers a pre-built profile as a subscription.
     ///
-    /// The profile enters the shard's overlay side-matcher immediately
-    /// — cost O(overlay), independent of the total subscription count —
-    /// and is folded into the compiled tree at the next compaction.
+    /// The profile is appended to the shard's overlay immediately — a
+    /// covered profile as one child of its representative's expansion,
+    /// an uncovered one by rebuilding the counting index over the
+    /// overlay's uncovered entries; neither depends on the total
+    /// subscription count — and is folded into the compiled tree at the
+    /// next compaction.
     ///
     /// # Errors
     ///
@@ -1073,6 +1076,18 @@ impl Broker {
         self.batch_fault.store(shard as u64 + 1, Ordering::Relaxed);
     }
 
+    /// Packs every shard's overlay that holds tombstones, as a
+    /// checkpoint does first — the hook behind the test that an image
+    /// is the same either way. Not part of the supported API.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filter errors.
+    #[doc(hidden)]
+    pub fn pack_overlays(&self) -> Result<(), ServiceError> {
+        self.shards.iter().try_for_each(|s| s.lock().pack())
+    }
+
     /// Processes the whole batch for one shard: matches it into `out`'s
     /// rows through the snapshot's block matching engine, then delivers
     /// the rows subscriber by subscriber.
@@ -1096,7 +1111,7 @@ impl Broker {
         }
         out.begin(
             events.len(),
-            snap.filter.base_len() + snap.overlay_dispatch.len(),
+            snap.filter.base_len() + snap.filter.overlay_len(),
         );
         if let Some(quench) = &snap.quench {
             // Inbound quenching pre-filters per event before matching;

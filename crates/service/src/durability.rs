@@ -334,7 +334,9 @@ impl Broker {
                 } => {
                     max_sub = max_sub.max(Some(id));
                     let sid = SubscriptionId::new(id);
-                    if broker.is_live(sid) {
+                    // `subscribers` holds exactly the live ids: restore
+                    // and replay keep it in step with the broker.
+                    if subscribers.contains_key(&id) {
                         continue;
                     }
                     let sub = broker.commit_subscribe(sid, profile, weight)?;
@@ -533,7 +535,10 @@ impl Broker {
         // Freeze every shard (writer locks in index order), then the
         // log: everything at or below the captured LSN is in the
         // image, everything after it will replay on top.
-        let writers: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        let mut writers: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        for w in &mut writers {
+            w.pack()?;
+        }
         let mut wal = d.wal.lock();
         let shards = writers.iter().map(|w| w.checkpoint()).collect();
         let last_lsn = wal.next_lsn - 1;

@@ -35,6 +35,8 @@ pub(crate) struct Metrics {
     pub tree_rebuilds: AtomicU64,
     /// Churn-triggered compactions (overlay/tombstone thresholds).
     pub overlay_compactions: AtomicU64,
+    /// Overlay packs: an overlay rebuilt without its tombstones.
+    pub overlay_packs: AtomicU64,
     /// Drift triggers that did not end in a rebuild: Eq. 2 priced the
     /// rebuild at no saving, or at one that does not cover its cost yet.
     pub drift_declined: AtomicU64,
@@ -80,6 +82,7 @@ impl Metrics {
             quenched_events: self.quenched_events.load(Ordering::Relaxed),
             tree_rebuilds: self.tree_rebuilds.load(Ordering::Relaxed),
             overlay_compactions: self.overlay_compactions.load(Ordering::Relaxed),
+            overlay_packs: self.overlay_packs.load(Ordering::Relaxed),
             drift_declined: self.drift_declined.load(Ordering::Relaxed),
             retunes: self.retunes.load(Ordering::Relaxed),
             retunes_declined: self.retunes_declined.load(Ordering::Relaxed),
@@ -151,6 +154,14 @@ pub struct MetricsSnapshot {
     /// Number of churn-triggered compactions (overlay/tombstone
     /// thresholds folding the subscription deltas into the tree).
     pub overlay_compactions: u64,
+    /// Number of overlay packs: an unsubscribe leaves its overlay entry
+    /// in place as a tombstone, and the overlay is rebuilt without them
+    /// once they reach its live entries, or before a checkpoint.
+    /// Emptying an overlay of `n` one unsubscribe at a time packs
+    /// ⌈log₂ n⌉ + 1 times; a count near the unsubscribe count means the
+    /// amortisation is not happening.
+    #[serde(default)]
+    pub overlay_packs: u64,
     /// Drift triggers turned down, with tuning on or off: the cost
     /// model priced the rebuild at no saving, or at a saving that does
     /// not cover a rebuild's cost yet. [`Broker::decisions`] has the
@@ -253,11 +264,11 @@ impl MetricsSnapshot {
 
 impl fmt::Display for MetricsSnapshot {
     /// One-line operational summary, e.g.
-    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) cover=180/95 quenched=3 dropped=0 overflow=0 panics=0 rebuilds=1 declined=2 compactions=4 retunes=1/2 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
+    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) cover=180/95 quenched=3 dropped=0 overflow=0 panics=0 rebuilds=1 declined=2 compactions=4 packs=5 retunes=1/2 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) cover={}/{} quenched={} dropped={} overflow={} panics={} rebuilds={} declined={} compactions={} retunes={}/{} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
+            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) cover={}/{} quenched={} dropped={} overflow={} panics={} rebuilds={} declined={} compactions={} packs={} retunes={}/{} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
             self.events_published,
             self.batch_events,
             self.notifications_sent,
@@ -275,6 +286,7 @@ impl fmt::Display for MetricsSnapshot {
             self.tree_rebuilds,
             self.drift_declined,
             self.overlay_compactions,
+            self.overlay_packs,
             self.retunes,
             self.retunes + self.retunes_declined,
             self.predicted_ops_per_event,

@@ -4,7 +4,10 @@
 //! `broker` (the parent module) keeps the read path — the published
 //! [`ShardSnapshot`] and everything that matches against it. What
 //! changes a shard is here: **add** ([`ShardGuard::add`], one entry or
-//! a bulk), **remove** ([`ShardGuard::remove`]), **recompile** (the
+//! a bulk), **remove** ([`ShardGuard::remove`]), **pack** (the overlay
+//! rebuilt without its tombstones, when a removal makes them reach its
+//! live entries, and before a checkpoint: [`ShardGuard::pack`]),
+//! **recompile** (the
 //! churn compaction an add or a remove runs into, a replayed
 //! [`ShardGuard::retune`], or a drift rebuild the broker priced between
 //! [`ShardGuard::stage`] and [`ShardGuard::rebuild`]) and **restore**
@@ -69,7 +72,8 @@ impl SubEntry {
 }
 
 /// A subscription that arrived since the last recompile; its position
-/// in [`ShardWriter::overlay`] is its overlay profile id.
+/// in [`ShardWriter::overlay`] is its overlay profile id. A cancelled
+/// entry keeps its position, as a tombstone, until the next pack.
 struct OverlayEntry {
     sub: SubEntry,
     /// What the containment probe found when the entry arrived: the
@@ -80,6 +84,14 @@ struct OverlayEntry {
     /// Folding it in would shrink the compiled tree, so each counts
     /// toward the overlay-full threshold on top of the entry.
     dominated: usize,
+}
+
+impl OverlayEntry {
+    /// The representative and residual the entry is delivered through.
+    fn cover(&self) -> Option<(u32, &[Residual])> {
+        let cover = self.cover.as_ref();
+        cover.map(|(rep, residual)| (*rep, residual.as_slice()))
+    }
 }
 
 /// A sender whose receiver is already gone: placeholder for tombstoned
@@ -98,16 +110,67 @@ pub(super) fn notify_channel(config: &BrokerConfig) -> (Sender<Queued>, channel:
     channel::channel(config.notify_capacity, config.overflow)
 }
 
+/// Overlay positions per chunk of an [`OverlayDispatch`].
+const DISPATCH_CHUNK: usize = 16;
+
+/// The dispatch slots of the overlay positions, in chunks of
+/// [`DISPATCH_CHUNK`]. The next snapshot's table copies the one chunk a
+/// change touches and shares the others, so appending a slot or
+/// severing one costs about the same at any overlay depth.
+#[derive(Clone, Default)]
+pub(super) struct OverlayDispatch(Vec<Arc<Vec<DispatchEntry>>>);
+
+impl OverlayDispatch {
+    fn new(slots: impl IntoIterator<Item = DispatchEntry>) -> Self {
+        let mut slots = slots.into_iter().peekable();
+        let mut chunks = Vec::new();
+        while slots.peek().is_some() {
+            chunks.push(Arc::new(slots.by_ref().take(DISPATCH_CHUNK).collect()));
+        }
+        OverlayDispatch(chunks)
+    }
+
+    /// Position `k`'s slot.
+    pub(super) fn get(&self, k: usize) -> &DispatchEntry {
+        &self.0[k / DISPATCH_CHUNK][k % DISPATCH_CHUNK]
+    }
+
+    /// Appends a slot, in a copy of the last chunk.
+    fn push(&mut self, slot: DispatchEntry) {
+        match self.0.last_mut() {
+            Some(last) if last.len() < DISPATCH_CHUNK => {
+                let mut chunk = Vec::with_capacity(DISPATCH_CHUNK);
+                chunk.extend(last.iter().cloned());
+                chunk.push(slot);
+                *last = Arc::new(chunk);
+            }
+            _ => {
+                let mut chunk = Vec::with_capacity(DISPATCH_CHUNK);
+                chunk.push(slot);
+                self.0.push(Arc::new(chunk));
+            }
+        }
+    }
+
+    /// Replaces position `k`'s slot, in a copy of its chunk.
+    fn set(&mut self, k: usize, slot: DispatchEntry) {
+        Arc::make_mut(&mut self.0[k / DISPATCH_CHUNK])[k % DISPATCH_CHUNK] = slot;
+    }
+}
+
 /// What an operation is about to do to a shard's entries (positions
 /// ascending).
 #[derive(Default)]
 struct Change {
     /// Entries joining, behind the overlay's.
     add: Vec<OverlayEntry>,
-    /// Overlay positions leaving.
+    /// Live overlay positions being cancelled.
     drop_overlay: Vec<usize>,
     /// Live base positions being cancelled.
     drop_base: Vec<usize>,
+    /// Whether the overlay is packed: rebuilt at dense positions from
+    /// its live entries, instead of `drop_overlay` being tombstoned.
+    pack: bool,
 }
 
 /// The fallible first half of a recompile ([`ShardWriter::stage`]): the
@@ -188,6 +251,8 @@ pub(super) struct ShardWriter {
     /// How many of `base` are tombstoned.
     removed_count: usize,
     overlay: Vec<OverlayEntry>,
+    /// How many of `overlay` are tombstoned.
+    overlay_removed: usize,
     /// Containment index over the compiled base, rebuilt by every
     /// recompile when `covering` is on. Slot `s` is the index into
     /// `base`: a recompile rebuilds both in the same order and `base` is
@@ -213,17 +278,35 @@ pub(super) struct ShardWriter {
 impl ShardWriter {
     /// Number of live subscriptions.
     pub(super) fn live_count(&self) -> usize {
-        self.base.len() - self.removed_count + self.overlay.len()
+        self.base.len() - self.removed_count + self.overlay.len() - self.overlay_removed
     }
 
-    /// The overlay as `change` leaves it.
+    /// The live overlay entries as `change` leaves them.
     fn overlay_after<'a>(&'a self, change: &'a Change) -> impl Iterator<Item = &'a OverlayEntry> {
-        let stays = |(k, e)| change.drop_overlay.binary_search(&k).is_err().then_some(e);
+        let stays = |(k, e): (usize, &'a OverlayEntry)| {
+            (e.sub.is_live() && change.drop_overlay.binary_search(&k).is_err()).then_some(e)
+        };
         self.overlay
             .iter()
             .enumerate()
             .filter_map(stays)
             .chain(&change.add)
+    }
+
+    /// The overlay positions the counting index matches once the first
+    /// `n` entries of `change.add` have joined: the live uncovered ones.
+    fn indexed_after<'a>(
+        &'a self,
+        change: &'a Change,
+        n: usize,
+    ) -> impl Iterator<Item = (u32, &'a Profile)> {
+        let entries = self.overlay.iter().chain(&change.add[..n]).enumerate();
+        let indexed = move |(k, e): &(usize, &OverlayEntry)| {
+            e.cover.is_none() && e.sub.is_live() && change.drop_overlay.binary_search(k).is_err()
+        };
+        entries
+            .filter(indexed)
+            .map(|(k, e)| (k as u32, &e.sub.profile))
     }
 
     /// The live entries as `change` leaves them (non-tombstoned base,
@@ -241,10 +324,15 @@ impl ShardWriter {
     /// with the filter's profile ids, tombstones included) and the rule
     /// for inbound quenching.
     ///
-    /// From the published snapshot the cost is O(overlay) for a change
-    /// to the overlay — independent of the compiled subscription count,
-    /// which is what makes subscribe cheap — and one pass over the base
-    /// for a tombstone.
+    /// From the published snapshot a change to the overlay touches only
+    /// its own entry, and never depends on the compiled subscription
+    /// count: a covered subscribe appends one child to a copy of the
+    /// expansion map and one slot to a copy of the overlay dispatch
+    /// table; an uncovered one also rebuilds the counting index over the
+    /// uncovered entries; an unsubscribe sets one tombstone bit and
+    /// severs its slot. A pack rebuilds the overlay from its live
+    /// entries, O(overlay). A compiled entry's tombstone is one pass over
+    /// the base.
     fn snapshot_after(
         &self,
         change: &Change,
@@ -259,36 +347,40 @@ impl ShardWriter {
                     .collect::<Vec<_>>(),
             )
         };
-        let overlay_table = || {
-            let slots = self.overlay_after(change).map(|e| e.sub.dispatch(false));
-            Arc::new(slots.collect::<Vec<_>>())
-        };
+        let overlay_table =
+            || OverlayDispatch::new(self.overlay_after(change).map(|e| e.sub.dispatch(false)));
         let (filter, base_dispatch, overlay_dispatch, advice) = match source {
             Source::Compiled(filter) => {
                 let slots = self.live_after(change).map(|e| e.dispatch(false));
                 let slots = Arc::new(slots.collect::<Vec<_>>());
-                (filter, slots, Arc::default(), None)
+                (filter, slots, OverlayDispatch::default(), None)
             }
             Source::Restored(filter) => (filter, base_table(), overlay_table(), None),
             Source::Published(prev) => {
+                let mut filter = prev.filter.clone();
                 let mut base_dispatch = Arc::clone(&prev.base_dispatch);
-                let mut overlay_dispatch = Arc::clone(&prev.overlay_dispatch);
-                let mut filter = if change.add.is_empty() && change.drop_overlay.is_empty() {
-                    prev.filter.clone()
-                } else {
-                    let mut profiles = ProfileSet::new(&self.schema);
-                    let mut covers = Vec::with_capacity(self.overlay.len() + change.add.len());
-                    for e in self.overlay_after(change) {
-                        profiles.insert(e.sub.profile.clone());
-                        let cover = e.cover.as_ref();
-                        covers.push(cover.map(|(rep, residual)| (*rep, residual.as_slice())));
-                    }
+                let mut overlay_dispatch = prev.overlay_dispatch.clone();
+                if change.pack {
+                    let entries = self.overlay_after(change);
+                    filter = filter
+                        .with_overlay_entries(entries.map(|e| (&e.sub.profile, e.cover())))?;
                     overlay_dispatch = overlay_table();
-                    match self.cover {
-                        Some(_) => prev.filter.with_overlay_covered(&profiles, &covers)?,
-                        None => prev.filter.with_overlay(&profiles)?,
+                } else {
+                    for &k in &change.drop_overlay {
+                        filter = filter.with_overlay_removed(k);
+                        overlay_dispatch.set(k, self.overlay[k].sub.dispatch(true));
                     }
-                };
+                    for (n, e) in change.add.iter().enumerate() {
+                        filter = match e.cover() {
+                            Some((rep, residual)) => filter.with_covered_entry(rep, residual)?,
+                            None => {
+                                let indexed = self.indexed_after(change, n);
+                                filter.with_indexed_entry(&e.sub.profile, indexed)?
+                            }
+                        };
+                        overlay_dispatch.push(e.sub.dispatch(false));
+                    }
+                }
                 if !change.drop_base.is_empty() {
                     let tombstones = self.base.iter().enumerate();
                     let tombstones = tombstones.map(|(k, e)| !e.is_live() || cancelled(k));
@@ -391,22 +483,18 @@ impl ShardWriter {
         })
     }
 
-    /// Whether `id` is a live (non-tombstoned) subscription.
-    pub(super) fn is_live(&self, id: SubscriptionId) -> bool {
-        self.live_entries().any(|(live, _)| live == id)
-    }
-
     /// The live subscriptions: id and profile.
     pub(super) fn live_entries(&self) -> impl Iterator<Item = (SubscriptionId, &Profile)> {
-        let base = self.base.iter().filter(|e| e.is_live());
-        base.chain(self.overlay.iter().map(|e| &e.sub))
-            .map(|e| (e.id, &e.profile))
+        let overlay = self.overlay.iter().map(|e| &e.sub);
+        let entries = self.base.iter().chain(overlay).filter(|e| e.is_live());
+        entries.map(|e| (e.id, &e.profile))
     }
 
-    /// Overlay entries the overlay index matches: covered ones cost
+    /// Live overlay entries the overlay index matches: covered ones cost
     /// nothing at match time.
     pub(super) fn overlay_uncovered(&self) -> usize {
-        self.overlay.iter().filter(|e| e.cover.is_none()).count()
+        let uncovered = |e: &&OverlayEntry| e.cover.is_none() && e.sub.is_live();
+        self.overlay.iter().filter(uncovered).count()
     }
 
     /// The shard's active tree configuration.
@@ -446,6 +534,7 @@ impl Shard {
             base: Vec::new(),
             removed_count: 0,
             overlay: Vec::new(),
+            overlay_removed: 0,
             cover: None,
             tracker,
             tree: config.tree.clone(),
@@ -531,6 +620,7 @@ impl Shard {
             base,
             removed_count: tombstones,
             overlay: overlay.collect(),
+            overlay_removed: 0,
             cover,
             // Drift statistics are not persisted: the tracker restarts
             // on the empty set, so the first post-recovery rebuild
@@ -591,9 +681,12 @@ impl std::ops::DerefMut for ShardGuard<'_> {
 }
 
 impl ShardGuard<'_> {
-    /// Adds subscriptions. One at a time, an entry goes into the overlay
-    /// — cost O(overlay), independent of the compiled subscription count
-    /// — unless that fills the overlay, or the shard has compiled
+    /// Adds subscriptions. One at a time, an entry is appended to the
+    /// overlay — a covered one costs a containment probe and a copy of
+    /// the covered entries' expansion map and of the overlay dispatch
+    /// table, an uncovered one a rebuild of the counting index over the
+    /// uncovered entries; neither depends on the compiled subscription
+    /// count — unless that fills the overlay, or the shard has compiled
     /// nothing yet. A `bulk` is compiled in at once, with no per-profile
     /// probes: the recompile runs the bulk containment pass over the
     /// whole population.
@@ -635,9 +728,13 @@ impl ShardGuard<'_> {
     }
 
     /// Cancels the live subscriptions among `ids` (ascending, not
-    /// empty): overlay entries leave, compiled ones are tombstoned —
-    /// matching skips them from the next snapshot on — or, past the
-    /// threshold, compiled out.
+    /// empty): they are tombstoned — matching skips them from the next
+    /// snapshot on — or, past the thresholds, packed out of the overlay
+    /// or compiled out.
+    ///
+    /// The overlay is packed once its tombstones reach its live
+    /// entries, so emptying an overlay of `n` one entry at a time packs
+    /// ⌈log₂ n⌉ + 1 times, and a tombstone never outweighs a live entry.
     ///
     /// # Errors
     ///
@@ -658,7 +755,22 @@ impl ShardGuard<'_> {
         }
         let tombstones = self.removed_count + change.drop_base.len();
         let full = !change.drop_base.is_empty() && self.tracker.policy().removed_full(tombstones);
+        let dead = self.overlay_removed + change.drop_overlay.len();
+        change.pack = !full && !change.drop_overlay.is_empty() && dead >= self.overlay.len() - dead;
         self.apply(change, full)
+    }
+
+    /// Packs the overlay if it holds tombstones: what a checkpoint does
+    /// first, its image having none.
+    pub(super) fn pack(&mut self) -> Result<(), ServiceError> {
+        if self.overlay_removed == 0 {
+            return Ok(());
+        }
+        let change = Change {
+            pack: true,
+            ..Change::default()
+        };
+        self.commit(change, None)
     }
 
     /// Replays an accepted retune: switches the shard's active shape and
@@ -764,25 +876,33 @@ impl ShardGuard<'_> {
                 (w.snapshot_after(&change, Source::Published(&prev))?, None)
             }
         };
-        // Commit: the entries, in the order `live_after` listed them —
-        // the order the snapshot's tables are in.
+        // Commit: the entries, in the order the snapshot's tables are
+        // in — cancelled ones tombstoned in place, new ones appended,
+        // and the tombstones dropped where the tables were rebuilt.
         for &k in &change.drop_base {
             w.base[k].sender = None;
         }
         w.removed_count += change.drop_base.len();
-        let mut k = 0;
-        w.overlay.retain(|_| {
-            k += 1;
-            change.drop_overlay.binary_search(&(k - 1)).is_err()
-        });
+        for &k in &change.drop_overlay {
+            w.overlay[k].sub.sender = None;
+        }
+        w.overlay_removed += change.drop_overlay.len();
+        w.overlay.extend(change.add);
+        if change.pack || folded.is_some() {
+            w.overlay.retain(|e| e.sub.is_live());
+            w.overlay_removed = 0;
+        }
         match folded {
-            None => w.overlay.extend(change.add),
+            None if change.pack => {
+                w.metrics.overlay_packs.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {}
             Some((cover, counter, compacted)) => {
-                let mut base = Vec::with_capacity(w.live_count() + change.add.len());
+                let mut base = Vec::with_capacity(w.live_count());
                 let compiled = std::mem::take(&mut w.base).into_iter();
                 base.extend(compiled.filter(SubEntry::is_live));
                 let overlay = std::mem::take(&mut w.overlay).into_iter();
-                base.extend(overlay.chain(change.add).map(|e| e.sub));
+                base.extend(overlay.map(|e| e.sub));
                 w.base = base;
                 w.removed_count = 0;
                 w.cover = cover;
@@ -797,7 +917,8 @@ impl ShardGuard<'_> {
         Ok(())
     }
 
-    /// The shard in its checkpoint form.
+    /// The shard in its checkpoint form ([`ShardGuard::pack`] first: the
+    /// form has no overlay tombstones).
     pub(super) fn checkpoint(&self) -> CheckpointShard {
         let entry = |e: &SubEntry| CheckpointEntry {
             id: e.id.get(),
