@@ -5,7 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ens_bench::BenchWorkload;
-use ens_filter::{Direction, ProfileTree, SearchStrategy, TreeConfig, ValueOrder};
+use ens_filter::{
+    Direction, MatchScratch, Matcher, ProfileTree, SearchStrategy, TreeConfig, ValueOrder,
+};
+use ens_types::IndexedEvent;
 use std::hint::black_box;
 
 fn bench_ablations(c: &mut Criterion) {
@@ -29,10 +32,16 @@ fn bench_ablations(c: &mut Criterion) {
             BenchmarkId::new(name, "d39-gauss"),
             &w.events,
             |b, events| {
+                let mut indexed = IndexedEvent::new();
+                let mut scratch = MatchScratch::new();
                 b.iter(|| {
                     let mut ops = 0u64;
                     for e in events {
-                        ops += tree.match_event(black_box(e)).expect("valid").ops();
+                        indexed
+                            .resolve_into(&w.schema, black_box(e))
+                            .expect("valid");
+                        tree.match_into(&indexed, &mut scratch);
+                        ops += scratch.ops();
                     }
                     ops
                 });

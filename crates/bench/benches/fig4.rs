@@ -8,7 +8,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ens_bench::BenchWorkload;
-use ens_filter::{Direction, ProfileTree, SearchStrategy, TreeConfig, ValueOrder};
+use ens_filter::{
+    Direction, MatchScratch, Matcher, ProfileTree, SearchStrategy, TreeConfig, ValueOrder,
+};
+use ens_types::IndexedEvent;
 use std::hint::black_box;
 
 fn bench_value_orders(c: &mut Criterion) {
@@ -39,10 +42,16 @@ fn bench_value_orders(c: &mut Criterion) {
                 BenchmarkId::new(name, format!("{pe}-{pp}")),
                 &w.events,
                 |b, events| {
+                    let mut indexed = IndexedEvent::new();
+                    let mut scratch = MatchScratch::new();
                     b.iter(|| {
                         let mut ops = 0u64;
                         for e in events {
-                            ops += tree.match_event(black_box(e)).expect("valid event").ops();
+                            indexed
+                                .resolve_into(&w.schema, black_box(e))
+                                .expect("valid event");
+                            tree.match_into(&indexed, &mut scratch);
+                            ops += scratch.ops();
                         }
                         ops
                     });

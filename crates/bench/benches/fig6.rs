@@ -5,9 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ens_bench::BenchWorkload;
 use ens_filter::{
-    AttributeMeasure, AttributeOrder, Direction, ProfileTree, SearchStrategy, TreeConfig,
-    ValueOrder,
+    AttributeMeasure, AttributeOrder, Direction, MatchScratch, Matcher, ProfileTree,
+    SearchStrategy, TreeConfig, ValueOrder,
 };
+use ens_types::IndexedEvent;
 use std::hint::black_box;
 
 fn bench_attribute_orders(c: &mut Criterion) {
@@ -49,10 +50,16 @@ fn bench_attribute_orders(c: &mut Criterion) {
                 BenchmarkId::new(search_name, order_name),
                 &w.events,
                 |b, events| {
+                    let mut indexed = IndexedEvent::new();
+                    let mut scratch = MatchScratch::new();
                     b.iter(|| {
                         let mut ops = 0u64;
                         for e in events {
-                            ops += tree.match_event(black_box(e)).expect("valid event").ops();
+                            indexed
+                                .resolve_into(&w.schema, black_box(e))
+                                .expect("valid event");
+                            tree.match_into(&indexed, &mut scratch);
+                            ops += scratch.ops();
                         }
                         ops
                     });

@@ -2,9 +2,8 @@
 //!
 //! Runs every matcher (profile tree, CSR DFSA, naive, and the counting
 //! index the broker serves overlays with, built over the whole
-//! population) over the environmental and stock workloads, through
-//! the allocating `match_event` entry points where a matcher has one
-//! and the zero-allocation `match_into` fast path, and emits
+//! population) over the environmental and stock workloads through the
+//! zero-allocation `match_into` fast path, and emits
 //! `BENCH_throughput.json` with events/sec, ns/event, mean comparison
 //! ops/event and heap allocations/event (measured with a counting
 //! global allocator) — the perf trajectory every future PR has to
@@ -34,12 +33,12 @@ use ens_filter::{
 use ens_service::{
     Broker, BrokerConfig, Decision, DurabilityConfig, FaultFs, FsyncPolicy, Subscriber, Vfs,
 };
-use ens_types::{Event, IndexedBatch, IndexedEvent, Schema};
+use ens_types::{CoverSet, Event, IndexedBatch, IndexedEvent, Schema};
 use ens_workloads::DriftWorkload;
 use serde::Serialize;
 
 /// Counts heap allocations so the harness can verify the fast path's
-/// zero-allocation claim (and quantify what the wrappers spend).
+/// zero-allocation claim.
 ///
 /// Deliberately duplicated in `crates/filter/tests/alloc.rs`: a global
 /// allocator must live in the final binary's crate root, and keeping
@@ -110,20 +109,6 @@ struct WorkloadReport {
     profiles: u64,
     events: u64,
     matchers: Vec<MatcherReport>,
-}
-
-#[derive(Debug, Serialize)]
-struct Summary {
-    /// Allocations/event of the allocating `Dfsa::match_event` wrapper
-    /// (`dfsa_csr_event`) that the fast path (`dfsa_csr_scratch`) does
-    /// not make, per workload.
-    allocs_eliminated_per_event: Vec<NamedRatio>,
-}
-
-#[derive(Debug, Serialize)]
-struct NamedRatio {
-    workload: String,
-    value: f64,
 }
 
 /// Subscribe latency at growing populations: the delta-overlay path vs
@@ -472,7 +457,6 @@ struct CompileStagesRow {
 struct Report {
     config: Config,
     workloads: Vec<WorkloadReport>,
-    summary: Summary,
     overlay_depth: OverlayDepthReport,
     batch: Vec<BatchReport>,
     broker_scaling: BrokerScaling,
@@ -491,7 +475,6 @@ struct Report {
 struct MatchersReport {
     config: Config,
     workloads: Vec<WorkloadReport>,
-    summary: Summary,
 }
 
 /// The reduced report of `--sections profile_scale`: just the covering
@@ -517,7 +500,7 @@ struct Config {
 #[derive(Clone, Copy, PartialEq)]
 enum Sections {
     All,
-    /// Config + per-matcher workload tables + summary only.
+    /// Config + per-matcher workload tables only.
     Matchers,
     /// Config + the covering scale study only.
     ProfileScale,
@@ -626,20 +609,16 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         BenchWorkload::stock(opts.profiles.unwrap_or(1000), opts.events),
     ];
     let mut reports = Vec::new();
-    let mut allocs_saved = Vec::new();
     let mut batch = Vec::new();
     for w in &workloads {
         let report = bench_workload(w, opts)?;
-        let rate = |name: &str| -> Option<&MatcherReport> {
-            report.matchers.iter().find(|m| m.name == name)
+        let Some(fast) = report
+            .matchers
+            .iter()
+            .find(|m| m.name == "dfsa_csr_scratch")
+        else {
+            unreachable!("the DFSA fast path is always benched");
         };
-        let (Some(wrapper), Some(fast)) = (rate("dfsa_csr_event"), rate("dfsa_csr_scratch")) else {
-            unreachable!("both DFSA entry points are always benched");
-        };
-        allocs_saved.push(NamedRatio {
-            workload: report.name.clone(),
-            value: wrapper.allocs_per_event - fast.allocs_per_event,
-        });
         if opts.sections == Sections::All {
             batch.push(bench_batch(w, opts, fast.events_per_sec, fast.matches)?);
         }
@@ -651,14 +630,10 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         stock_profiles: opts.profiles.unwrap_or(1000) as u64,
         min_ms: opts.min_ms,
     };
-    let summary = Summary {
-        allocs_eliminated_per_event: allocs_saved,
-    };
     if opts.sections == Sections::Matchers {
         let report = MatchersReport {
             config,
             workloads: reports,
-            summary,
         };
         let json = serde_json::to_string_pretty(&report)?;
         std::fs::write(&opts.out, &json)?;
@@ -674,7 +649,6 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let report = Report {
         config,
         workloads: reports,
-        summary,
         overlay_depth: bench_overlay_depth(opts)?,
         batch,
         broker_scaling,
@@ -708,75 +682,31 @@ fn bench_workload(
     let events = &w.events;
 
     // Mean comparison ops/event for the matchers that count (one pass).
-    let tree_ops = mean_ops(events, |e| tree.match_event(e).expect("valid").ops());
-    let naive_ops = mean_ops(events, |e| naive.match_event(e).expect("valid").ops());
+    let (tree_ops, _) = mean_scratch_ops(&tree, schema, events);
+    let (naive_ops, _) = mean_scratch_ops(&naive, schema, events);
     let (counting_ops, _) = mean_scratch_ops(&counting, schema, events);
 
-    let mut matchers = Vec::new();
-
-    // Allocating `match_event` entry points (the seed call pattern).
-    matchers.push(bench_pass(opts, "tree_event", events, tree_ops, |evts| {
-        let mut n = 0u64;
-        for e in evts {
-            n += tree.match_event(e).expect("valid").profiles().len() as u64;
-        }
-        n
-    }));
-    matchers.push(bench_pass(opts, "dfsa_csr_event", events, 0.0, |evts| {
-        let mut n = 0u64;
-        for e in evts {
-            n += dfsa.match_event(e).expect("valid").len() as u64;
-        }
-        n
-    }));
-    matchers.push(bench_pass(opts, "naive_event", events, naive_ops, |evts| {
-        let mut n = 0u64;
-        for e in evts {
-            n += naive.match_event(e).expect("valid").profiles().len() as u64;
-        }
-        n
-    }));
-
     // Zero-allocation `match_into` fast paths (reused buffers).
-    matchers.push(scratch_pass(
-        opts,
-        "tree_scratch",
-        schema,
-        events,
-        tree_ops,
-        &tree,
-    ));
-    matchers.push(scratch_pass(
-        opts,
-        "dfsa_csr_scratch",
-        schema,
-        events,
-        0.0,
-        &dfsa,
-    ));
-    matchers.push(scratch_pass(
-        opts,
-        "naive_scratch",
-        schema,
-        events,
-        naive_ops,
-        &naive,
-    ));
-    matchers.push(scratch_pass(
-        opts,
-        "counting_scratch",
-        schema,
-        events,
-        counting_ops,
-        &counting,
-    ));
+    let matchers = vec![
+        scratch_pass(opts, "tree_scratch", schema, events, tree_ops, &tree),
+        scratch_pass(opts, "dfsa_csr_scratch", schema, events, 0.0, &dfsa),
+        scratch_pass(opts, "naive_scratch", schema, events, naive_ops, &naive),
+        scratch_pass(
+            opts,
+            "counting_scratch",
+            schema,
+            events,
+            counting_ops,
+            &counting,
+        ),
+    ];
 
     // Cross-check: every variant must have found the same matches.
     let expected = matchers[0].matches;
     for m in &matchers {
         assert_eq!(
             m.matches, expected,
-            "{} disagrees with tree_event on total matches",
+            "{} disagrees with tree_scratch on total matches",
             m.name
         );
     }
@@ -787,11 +717,6 @@ fn bench_workload(
         events: events.len() as u64,
         matchers,
     })
-}
-
-fn mean_ops(events: &[Event], mut f: impl FnMut(&Event) -> u64) -> f64 {
-    let total: u64 = events.iter().map(&mut f).sum();
-    total as f64 / events.len() as f64
 }
 
 /// Mean `match_into` ops/event of one matcher over the fast path.
@@ -1699,7 +1624,9 @@ fn bench_profile_scale(opts: &Options) -> Result<ProfileScaleReport, Box<dyn std
 
             let live0 = live_bytes();
             let t0 = Instant::now();
-            let (covered, cover) = FilterSnapshot::compile_covered(&profiles, &tree_config)?;
+            let cover =
+                CoverSet::build_bulk(&schema, profiles.iter().map(|p| (p.id().index() as u32, p)))?;
+            let covered = FilterSnapshot::compile_with_cover(&profiles, &cover, &tree_config)?;
             let build_ms_on = t0.elapsed().as_secs_f64() * 1e3;
             // The broker keeps the CoverSet for subscribe-time probes,
             // but it is not part of the compiled snapshot; drop it so

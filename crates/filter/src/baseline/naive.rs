@@ -1,6 +1,5 @@
-use ens_types::{AttrId, Event, IndexedEvent, IntervalSet, ProfileSet, Schema};
+use ens_types::{AttrId, IndexedEvent, IntervalSet, ProfileSet};
 
-use super::BaselineOutcome;
 use crate::scratch::{MatchScratch, Matcher};
 use crate::FilterError;
 
@@ -14,7 +13,7 @@ use crate::FilterError;
 /// # Example
 ///
 /// ```
-/// use ens_filter::baseline::NaiveMatcher;
+/// use ens_filter::{baseline::NaiveMatcher, Matcher};
 /// use ens_types::{Schema, Domain, Predicate, ProfileSet, Event};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +22,7 @@ use crate::FilterError;
 /// ps.insert_with(|b| b.predicate("x", Predicate::ge(50)))?;
 /// let matcher = NaiveMatcher::new(&ps)?;
 /// let e = Event::builder(&schema).value("x", 70)?.build();
-/// let out = matcher.match_event(&e)?;
+/// let out = matcher.match_event(&schema, &e)?;
 /// assert!(out.is_match());
 /// assert_eq!(out.ops(), 1);
 /// # Ok(())
@@ -31,7 +30,6 @@ use crate::FilterError;
 /// ```
 #[derive(Debug, Clone)]
 pub struct NaiveMatcher {
-    schema: Schema,
     /// Per profile: the non-don't-care predicates, pre-lowered to
     /// interval sets (so evaluation cost is comparable with the tree's).
     profiles: Vec<Vec<(AttrId, IntervalSet)>>,
@@ -44,7 +42,7 @@ impl NaiveMatcher {
     ///
     /// Propagates predicate lowering errors.
     pub fn new(profiles: &ProfileSet) -> Result<Self, FilterError> {
-        let schema = profiles.schema().clone();
+        let schema = profiles.schema();
         let mut lowered = Vec::with_capacity(profiles.len());
         for p in profiles.iter() {
             let mut preds = Vec::new();
@@ -57,34 +55,13 @@ impl NaiveMatcher {
             }
             lowered.push(preds);
         }
-        Ok(NaiveMatcher {
-            schema,
-            profiles: lowered,
-        })
+        Ok(NaiveMatcher { profiles: lowered })
     }
 
     /// Number of profiles indexed.
     #[must_use]
     pub fn profile_count(&self) -> usize {
         self.profiles.len()
-    }
-
-    /// Matches one event.
-    ///
-    /// Convenience wrapper over the allocation-free
-    /// [`Matcher::match_into`] fast path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates domain errors for ill-typed event values.
-    pub fn match_event(&self, event: &Event) -> Result<BaselineOutcome, FilterError> {
-        // Resolve indices once per event (shared with all profiles),
-        // into the reused thread-local wrapper buffers.
-        let outcome = crate::scratch::with_wrapper_scratch(&self.schema, event, |ix, scratch| {
-            self.match_into(ix, scratch);
-            BaselineOutcome::new(scratch.profiles().to_vec(), scratch.ops())
-        })?;
-        Ok(outcome)
     }
 }
 
@@ -114,7 +91,7 @@ impl Matcher for NaiveMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ens_types::{Domain, Predicate, ProfileId};
+    use ens_types::{Domain, Event, Predicate, ProfileId, Schema};
 
     fn setup() -> (Schema, ProfileSet) {
         let schema = Schema::builder()
@@ -148,7 +125,7 @@ mod tests {
                     .unwrap()
                     .build();
                 assert_eq!(
-                    m.match_event(&e).unwrap().profiles(),
+                    m.match_event(&schema, &e).unwrap().profiles(),
                     ps.matches(&e).unwrap().as_slice()
                 );
             }
@@ -167,7 +144,7 @@ mod tests {
             .value("y", 9)
             .unwrap()
             .build();
-        let out = m.match_event(&e).unwrap();
+        let out = m.match_event(&schema, &e).unwrap();
         assert_eq!(out.ops(), 2);
         assert_eq!(out.profiles(), &[ProfileId::new(1), ProfileId::new(2)]);
     }
@@ -177,7 +154,7 @@ mod tests {
         let (schema, ps) = setup();
         let m = NaiveMatcher::new(&ps).unwrap();
         let e = Event::builder(&schema).build();
-        let out = m.match_event(&e).unwrap();
+        let out = m.match_event(&schema, &e).unwrap();
         assert_eq!(
             out.profiles(),
             &[ProfileId::new(2)],
@@ -192,7 +169,7 @@ mod tests {
         ps.insert_with(|b| Ok(b)).unwrap();
         let m = NaiveMatcher::new(&ps).unwrap();
         let e = Event::builder(&schema).value("x", 1).unwrap().build();
-        let out = m.match_event(&e).unwrap();
+        let out = m.match_event(&schema, &e).unwrap();
         assert_eq!(out.ops(), 0);
         assert!(out.is_match());
     }

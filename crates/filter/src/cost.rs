@@ -572,6 +572,7 @@ mod golden {
 mod tests {
     use super::*;
     use crate::order::{SearchStrategy, ValueOrder};
+    use crate::scratch::Matcher;
     use crate::tree::{AttributeOrder, TreeConfig};
     use crate::Direction;
     use ens_dist::{Density, DistOverDomain};
@@ -639,7 +640,7 @@ mod tests {
                     .value("y", idx[1] as i64)
                     .unwrap()
                     .build();
-                let out = tree.match_event(&e).unwrap();
+                let out = tree.match_event(&schema, &e).unwrap();
                 total_ops += out.ops();
                 notifications += out.profiles().len() as u64;
                 if out.is_match() {

@@ -4,7 +4,7 @@
 //! automaton (DFSA) is created". [`Dfsa`] lowers a [`ProfileTree`] into
 //! structure-of-arrays state tables — the representation used for
 //! raw-throughput matching, where operation counting is not needed.
-//! Semantics are identical to [`ProfileTree::match_event`] (asserted by
+//! It matches exactly what its [`ProfileTree`] matches (asserted by
 //! tests and the `matchers` bench).
 //!
 //! # Layout
@@ -32,14 +32,11 @@
 //! [`MatchScratch`] performs zero heap allocations after warm-up
 //! (asserted by `crates/filter/tests/alloc.rs`).
 
-use std::sync::Arc;
-
-use ens_types::{AttrId, Event, IndexedBatch, IndexedEvent, ProfileId, Schema};
+use ens_types::{AttrId, IndexedBatch, IndexedEvent, ProfileId};
 
 use crate::persist::{ByteReader, ByteWriter, PersistError};
 use crate::scratch::{BlockScratch, MatchScratch, Matcher};
 use crate::tree::{NodeRef, ProfileTree, Star};
-use crate::FilterError;
 
 /// Number of events traversed concurrently by [`Matcher::match_block`]:
 /// one automaton step is issued for every in-flight lane before any
@@ -119,14 +116,6 @@ impl PTarget {
             }
         }
     }
-
-    fn unpack(self) -> Target {
-        match self.0 >> TAG_SHIFT {
-            TAG_STATE => Target::State(self.0 & PAYLOAD_MASK),
-            TAG_LEAF => Target::Leaf(self.0 & PAYLOAD_MASK),
-            _ => Target::Reject,
-        }
-    }
 }
 
 /// One cut point of a binary-search state, fused with the target of the
@@ -177,7 +166,7 @@ struct BuildState {
 /// # Example
 ///
 /// ```
-/// use ens_filter::{Dfsa, ProfileTree, TreeConfig};
+/// use ens_filter::{Dfsa, Matcher, ProfileTree, TreeConfig};
 /// use ens_types::{Schema, Domain, Predicate, ProfileSet, Event};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -187,13 +176,12 @@ struct BuildState {
 /// let tree = ProfileTree::build(&ps, &TreeConfig::default())?;
 /// let dfsa = Dfsa::from_tree(&tree);
 /// let e = Event::builder(&schema).value("x", 15)?.build();
-/// assert_eq!(dfsa.match_event(&e)?.len(), 1);
+/// assert_eq!(dfsa.match_event(&schema, &e)?.profiles().len(), 1);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dfsa {
-    schema: Arc<Schema>,
     states: Vec<StateMeta>,
     /// Cut points of all binary-search states, each fused with the
     /// target of the interval it opens (so the probe that finds a cut
@@ -211,8 +199,8 @@ pub struct Dfsa {
 }
 
 impl Dfsa {
-    /// Lowers a profile tree into flat CSR state tables. The schema is
-    /// shared with the tree (no deep copy).
+    /// Lowers a profile tree into flat CSR state tables. The automaton
+    /// holds no schema: events reach it already resolved.
     #[must_use]
     pub fn from_tree(tree: &ProfileTree) -> Self {
         let mut lowering = Lowering {
@@ -222,12 +210,7 @@ impl Dfsa {
             state_canon: std::collections::HashMap::new(),
         };
         let root = lowering.lower(tree.root());
-        freeze(
-            Arc::clone(tree.schema_shared()),
-            &lowering.states,
-            &lowering.leaves,
-            root,
-        )
+        freeze(&lowering.states, &lowering.leaves, root)
     }
 
     /// Number of states.
@@ -309,27 +292,6 @@ impl Dfsa {
             t = self.step(state, idx);
         }
         t
-    }
-
-    /// Matches an event; returns matched profile ids ascending.
-    ///
-    /// Convenience wrapper over the allocation-free
-    /// [`Matcher::match_into`] fast path: the event is resolved into a
-    /// reused thread-local buffer, so a warmed-up call allocates only
-    /// the returned vector (nothing at all on a non-match). Hot loops
-    /// should reuse an [`IndexedEvent`] and a [`MatchScratch`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates domain errors for ill-typed event values.
-    pub fn match_event(&self, event: &Event) -> Result<Vec<ProfileId>, FilterError> {
-        let t = crate::scratch::with_wrapper_scratch(self.schema.as_ref(), event, |indexed, _| {
-            self.terminal(indexed.raw())
-        })?;
-        Ok(match t.unpack() {
-            Target::Leaf(l) => self.leaf(l).to_vec(),
-            _ => Vec::new(),
-        })
     }
 }
 
@@ -491,12 +453,7 @@ impl Lowering {
 }
 
 /// Packs build states and leaves into the shared CSR arenas.
-fn freeze(
-    schema: Arc<Schema>,
-    states: &[BuildState],
-    leaves: &[Vec<ProfileId>],
-    root: Target,
-) -> Dfsa {
+fn freeze(states: &[BuildState], leaves: &[Vec<ProfileId>], root: Target) -> Dfsa {
     let mut metas = Vec::with_capacity(states.len());
     let mut cuts: Vec<Cut> = Vec::new();
     let mut jumps: Vec<PTarget> = Vec::new();
@@ -613,7 +570,6 @@ fn freeze(
     }
 
     Dfsa {
-        schema,
         states: metas,
         cuts,
         jumps,
@@ -626,10 +582,7 @@ fn freeze(
 
 impl Dfsa {
     /// Appends the automaton arenas in the dense binary checkpoint
-    /// form. The schema is *not* written — it travels with the profile
-    /// tree of the same snapshot and is passed back to
-    /// [`Dfsa::decode_from`], so a checkpoint stores it exactly once.
-    /// The leaf arena is likewise stored as references into `tree`'s
+    /// form. The leaf arena is stored as references into `tree`'s
     /// leaves whenever the lists agree (see below), which halves the
     /// dominant leaf bytes of a snapshot.
     pub(crate) fn encode_into(&self, w: &mut ByteWriter, tree: &ProfileTree) {
@@ -706,12 +659,11 @@ impl Dfsa {
         w.u32(self.root.0);
     }
 
-    /// Decodes an automaton written by [`Dfsa::encode_into`], rebinding
-    /// it to the given schema. `tree` must be the profile tree decoded
-    /// from the same snapshot — leaf references resolve against it.
+    /// Decodes an automaton written by [`Dfsa::encode_into`]. `tree`
+    /// must be the profile tree decoded from the same snapshot — leaf
+    /// references resolve against it.
     pub(crate) fn decode_from(
         r: &mut ByteReader<'_>,
-        schema: Arc<Schema>,
         tree: &ProfileTree,
     ) -> Result<Self, PersistError> {
         let n_states = r.seq_len(10)?;
@@ -832,7 +784,6 @@ impl Dfsa {
         };
         let root = PTarget(r.u32()?);
         Ok(Dfsa {
-            schema,
             states,
             cuts,
             jumps,
@@ -930,10 +881,10 @@ mod tests {
                 .unwrap()
                 .build();
             let oracle = ps.matches(&e).unwrap();
-            let via_tree = tree.match_event(&e).unwrap();
-            let via_dfsa = dfsa.match_event(&e).unwrap();
+            let via_tree = tree.match_event(&schema, &e).unwrap();
+            let via_dfsa = dfsa.match_event(&schema, &e).unwrap();
             assert_eq!(via_tree.profiles(), oracle.as_slice());
-            assert_eq!(via_dfsa, oracle);
+            assert_eq!(via_dfsa.profiles(), oracle);
         }
     }
 
@@ -954,7 +905,10 @@ mod tests {
                 .value("y", rng.gen_range(0..50))
                 .unwrap()
                 .build();
-            assert_eq!(dfsa.match_event(&e).unwrap(), ps.matches(&e).unwrap());
+            assert_eq!(
+                dfsa.match_event(&schema, &e).unwrap().profiles(),
+                ps.matches(&e).unwrap()
+            );
         }
     }
 
@@ -987,7 +941,7 @@ mod tests {
             .unwrap()
             .build();
         assert_eq!(
-            dfsa.match_event(&e).unwrap(),
+            dfsa.match_event(&schema, &e).unwrap().profiles(),
             ps.matches(&e).unwrap(),
             "partial events agree with the oracle"
         );
@@ -1042,7 +996,10 @@ mod tests {
                     .value("y", y)
                     .unwrap()
                     .build();
-                assert_eq!(dfsa.match_event(&e).unwrap(), ps.matches(&e).unwrap());
+                assert_eq!(
+                    dfsa.match_event(&schema, &e).unwrap().profiles(),
+                    ps.matches(&e).unwrap()
+                );
             }
         }
     }

@@ -34,7 +34,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use ens_filter::{ProfileTree, TreeConfig};
+//! use ens_filter::{Matcher, ProfileTree, TreeConfig};
 //! use ens_types::{Schema, Domain, Predicate, ProfileSet, Event};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -53,7 +53,7 @@
 //!     .value("temperature", 40)?
 //!     .value("humidity", 95)?
 //!     .build();
-//! let outcome = tree.match_event(&event)?;
+//! let outcome = tree.match_event(&schema, &event)?;
 //! assert!(outcome.is_match());
 //! println!("matched {} profiles in {} comparisons", outcome.profiles().len(), outcome.ops());
 //! # Ok(())
@@ -100,7 +100,7 @@ pub use selectivity::{
 pub use snapshot::{FilterSnapshot, SnapshotBlockScratch, SnapshotScratch};
 pub use statistics::FilterStatistics;
 pub use subrange::{AttributePartition, Cell};
-pub use tree::{AttributeOrder, MatchOutcome, ProfileTree, TreeConfig};
+pub use tree::{AttributeOrder, ProfileTree, TreeConfig};
 pub use tuning::{RetuneDecision, TuningPolicy};
 
 /// Convenience result alias used across this crate.

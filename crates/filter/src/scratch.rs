@@ -1,10 +1,8 @@
 //! The allocation-free matching fast path: reusable scratch buffers and
 //! the [`Matcher`] trait.
 //!
-//! The paper's whole point is minimising per-event matching cost; the
-//! original `match_event` entry points heap-allocate a fresh result for
-//! every event (profile list, per-level counters) and re-resolve domain
-//! indices at every tree level. The fast path splits that work:
+//! The paper's whole point is minimising per-event matching cost, so
+//! matching splits its work:
 //!
 //! 1. the caller resolves the event once into an
 //!    [`IndexedEvent`](ens_types::IndexedEvent) (reused across events via
@@ -18,16 +16,12 @@
 //! [`IndexedBatch`](ens_types::IndexedBatch) through one call with a
 //! [`BlockScratch`], amortising per-event call overhead; the
 //! [`crate::Dfsa`] overrides it with an interleaved multi-event
-//! traversal.
-//!
-//! The original `match_event` signatures remain as thin compatibility
-//! wrappers over this path; they share one `thread_local!`
-//! ([`IndexedEvent`], [`MatchScratch`]) pair so a warmed-up wrapper call
-//! only allocates its owned result, not its working buffers.
+//! traversal. [`Matcher::match_event`] is the one convenience entry for
+//! a single raw [`Event`]: it allocates fresh buffers per call.
 
-use std::cell::RefCell;
+use ens_types::{Event, IndexedBatch, IndexedEvent, ProfileId, Schema};
 
-use ens_types::{Event, IndexedBatch, IndexedEvent, ProfileId, Schema, TypesError};
+use crate::FilterError;
 
 /// Caller-owned, reusable buffers for one matching call.
 ///
@@ -432,30 +426,23 @@ pub trait Matcher {
             off.push(profiles.len() as u32);
         }
     }
-}
 
-thread_local! {
-    /// Shared working buffers of the allocating `match_event`
-    /// compatibility wrappers (tree, DFSA, naive): resolving
-    /// into a thread-local [`IndexedEvent`] + [`MatchScratch`] pair
-    /// means a warmed-up wrapper call only allocates its owned result.
-    static WRAPPER_SCRATCH: RefCell<(IndexedEvent, MatchScratch)> =
-        RefCell::new((IndexedEvent::new(), MatchScratch::new()));
-}
-
-/// Resolves `event` into the thread-local wrapper buffers and hands
-/// them to `f`. Non-reentrant (the closure must not call another
-/// `match_event` wrapper); all crate-internal uses are leaf calls.
-pub(crate) fn with_wrapper_scratch<R>(
-    schema: &Schema,
-    event: &Event,
-    f: impl FnOnce(&IndexedEvent, &mut MatchScratch) -> R,
-) -> Result<R, TypesError> {
-    WRAPPER_SCRATCH.with(|cell| {
-        let (indexed, scratch) = &mut *cell.borrow_mut();
-        indexed.resolve_into(schema, event)?;
-        Ok(f(indexed, scratch))
-    })
+    /// Matches one raw event: resolves it against `schema` into a fresh
+    /// [`IndexedEvent`], runs [`Matcher::match_into`] and returns the
+    /// scratch holding the result. Allocates per call; hot loops reuse
+    /// an [`IndexedEvent`] and a [`MatchScratch`] instead.
+    ///
+    /// # Errors
+    ///
+    /// Propagates domain errors for ill-typed event values. Resolution
+    /// is eager over the whole schema: a value that is ill-typed for
+    /// *any* attribute errors, even one no matcher state would test.
+    fn match_event(&self, schema: &Schema, event: &Event) -> Result<MatchScratch, FilterError> {
+        let indexed = IndexedEvent::resolve(schema, event)?;
+        let mut scratch = MatchScratch::new();
+        self.match_into(&indexed, &mut scratch);
+        Ok(scratch)
+    }
 }
 
 #[cfg(test)]

@@ -477,37 +477,18 @@ impl FilterSnapshot {
         })
     }
 
-    /// Covering-pruned compilation: runs one bulk containment pass over
-    /// `profiles`, compiles only the antichain representatives into the
-    /// tree/DFSA, and attaches the expansion plan so matches still
-    /// report *original* base slots. Returns the [`CoverSet`] so the
-    /// caller can probe future subscriptions against it.
-    ///
-    /// Match semantics are identical to [`FilterSnapshot::compile`];
-    /// on duplicate-heavy populations build time and compiled bytes
-    /// drop with the representative count instead of the population
-    /// size (the `profile_scale` section of `BENCH_throughput.json`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering and tree construction errors.
-    pub fn compile_covered(
-        profiles: &ProfileSet,
-        config: &TreeConfig,
-    ) -> Result<(Self, CoverSet), FilterError> {
-        let cover = CoverSet::build_bulk(
-            profiles.schema(),
-            profiles.iter().map(|p| (p.id().index() as u32, p)),
-        )?;
-        let snap = Self::compile_with_cover(profiles, &cover, config)?;
-        Ok((snap, cover))
-    }
-
     /// Compiles `profiles` pruned by an already-built covering
     /// analysis: only `cover`'s representatives enter the tree/DFSA
     /// (in ascending slot order, so compiled id `c` is the rank of its
     /// slot), and the snapshot carries the expansion plan derived from
-    /// `cover`.
+    /// `cover`, so matches still report *original* base slots. Build
+    /// `cover` with [`CoverSet::build_bulk`] over `profiles` keyed by
+    /// their ids, and keep it to probe later subscriptions against.
+    ///
+    /// Match semantics are identical to [`FilterSnapshot::compile`]; on
+    /// duplicate-heavy populations build time and compiled bytes drop
+    /// with the representative count instead of the population size
+    /// (the `profile_scale` section of `BENCH_throughput.json`).
     ///
     /// # Errors
     ///
@@ -556,31 +537,6 @@ impl FilterSnapshot {
     /// Propagates predicate lowering errors.
     pub fn with_overlay(&self, overlay: &ProfileSet) -> Result<Self, FilterError> {
         self.with_overlay_entries(overlay.iter().map(|p| (p, None)))
-    }
-
-    /// Like [`FilterSnapshot::with_overlay`], but overlay positions
-    /// covered by a compiled representative (`cover_of[k]` gives the
-    /// representative's *compiled* id and the residual) are excluded
-    /// from the counting index and delivered through the expansion map
-    /// instead — so a covered subscribe does not grow effective
-    /// matching cost at all.
-    ///
-    /// `cover_of` must be parallel to `overlay`; its residuals may be
-    /// owned or borrowed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates predicate lowering errors.
-    pub fn with_overlay_covered<R: AsRef<[Residual]>>(
-        &self,
-        overlay: &ProfileSet,
-        cover_of: &[Option<(u32, R)>],
-    ) -> Result<Self, FilterError> {
-        debug_assert_eq!(cover_of.len(), overlay.len());
-        let covers = cover_of
-            .iter()
-            .map(|c| c.as_ref().map(|(rep, r)| (*rep, r.as_ref())));
-        self.with_overlay_entries(overlay.iter().zip(covers))
     }
 
     /// Packs: a new snapshot whose overlay is `entries` at dense
@@ -809,7 +765,7 @@ impl FilterSnapshot {
             )));
         }
         let tree = ProfileTree::decode(r)?;
-        let dfsa = Dfsa::decode_from(r, Arc::clone(tree.schema_shared()), &tree)?;
+        let dfsa = Dfsa::decode_from(r, &tree)?;
         let base_len = r.u64()? as usize;
         let n_removed = r.u32()? as usize;
         let packed = r.bytes()?;
@@ -1110,7 +1066,7 @@ impl FilterSnapshot {
     /// Per overlay position: the compiled representative id and
     /// residual it is delivered through, or `None` for positions
     /// matched by the counting index — the inverse of the argument to
-    /// [`FilterSnapshot::with_overlay_covered`], used to rebuild writer
+    /// [`FilterSnapshot::with_overlay_entries`], used to rebuild writer
     /// state at recovery.
     #[must_use]
     pub fn overlay_cover_entries(&self) -> Vec<Option<(u32, Vec<Residual>)>> {

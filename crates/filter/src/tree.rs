@@ -11,12 +11,12 @@
 //!
 //! Matching an event follows a single path; the number of comparison
 //! operations per node is governed by the configured [`SearchStrategy`]
-//! and recorded in the [`MatchOutcome`].
+//! and recorded in the [`MatchScratch`].
 
 use std::sync::Arc;
 
 use ens_dist::{DistOverDomain, JointDist};
-use ens_types::{AttrId, Event, IndexInterval, IndexedEvent, ProfileId, ProfileSet, Schema};
+use ens_types::{AttrId, IndexInterval, IndexedEvent, ProfileId, ProfileSet, Schema};
 use serde::{Deserialize, Serialize};
 
 use crate::order::{NodeOrdering, SearchStrategy};
@@ -139,48 +139,12 @@ pub(crate) enum Star {
     Else(Box<NodeRef>),
 }
 
-/// Result of matching one event against a [`ProfileTree`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MatchOutcome {
-    profiles: Vec<ProfileId>,
-    ops: u64,
-    per_level: Vec<u64>,
-}
-
-impl MatchOutcome {
-    /// Ids of the matched profiles, ascending.
-    #[must_use]
-    pub fn profiles(&self) -> &[ProfileId] {
-        &self.profiles
-    }
-
-    /// Total comparison operations spent (the paper's performance
-    /// metric).
-    #[must_use]
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Operations spent per tree level (level = position in
-    /// [`ProfileTree::attribute_order`]).
-    #[must_use]
-    pub fn per_level(&self) -> &[u64] {
-        &self.per_level
-    }
-
-    /// Whether any profile matched.
-    #[must_use]
-    pub fn is_match(&self) -> bool {
-        !self.profiles.is_empty()
-    }
-}
-
 /// The distribution-aware profile tree (the paper's core structure).
 ///
 /// # Example
 ///
 /// ```
-/// use ens_filter::{ProfileTree, TreeConfig};
+/// use ens_filter::{Matcher, ProfileTree, TreeConfig};
 /// use ens_types::{Schema, Domain, Predicate, ProfileSet, Event};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -198,7 +162,7 @@ impl MatchOutcome {
 ///     .value("temperature", 40)?
 ///     .value("humidity", 95)?
 ///     .build();
-/// assert!(tree.match_event(&hot)?.is_match());
+/// assert!(tree.match_event(&schema, &hot)?.is_match());
 /// # Ok(())
 /// # }
 /// ```
@@ -356,13 +320,6 @@ impl ProfileTree {
         self.schema.as_ref()
     }
 
-    /// The shared schema handle (cheap to clone; used by [`crate::Dfsa`]
-    /// and the service layer to avoid deep-copying the schema).
-    #[must_use]
-    pub fn schema_shared(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
     /// The configuration the tree was built with.
     #[must_use]
     pub fn config(&self) -> &TreeConfig {
@@ -397,36 +354,6 @@ impl ProfileTree {
 
     pub(crate) fn root(&self) -> &NodeRef {
         &self.root
-    }
-
-    /// Matches one event, counting comparison operations.
-    ///
-    /// This is a convenience wrapper over the allocation-free
-    /// [`Matcher::match_into`] fast path: it resolves the event's domain
-    /// indices once and allocates a fresh [`MatchOutcome`]. Hot loops
-    /// should call [`Matcher::match_into`] with reused buffers instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates domain errors for ill-typed event values. Resolution
-    /// is eager over the whole schema: a value that is ill-typed for
-    /// *any* attribute errors, even if no tree node on the matching
-    /// path would have tested it (events built against this tree's own
-    /// schema are always fully valid and unaffected).
-    pub fn match_event(&self, event: &Event) -> Result<MatchOutcome, FilterError> {
-        let outcome = crate::scratch::with_wrapper_scratch(
-            self.schema.as_ref(),
-            event,
-            |indexed, scratch| {
-                self.match_into(indexed, scratch);
-                MatchOutcome {
-                    profiles: scratch.profiles().to_vec(),
-                    ops: scratch.ops(),
-                    per_level: scratch.per_level().to_vec(),
-                }
-            },
-        )?;
-        Ok(outcome)
     }
 
     fn walk_indexed(
@@ -649,9 +576,9 @@ impl ProfileTree {
 }
 
 impl Matcher for ProfileTree {
-    /// The allocation-free fast path: one tree walk with operation
-    /// counting, writing into caller-owned buffers. Semantics are
-    /// identical to [`ProfileTree::match_event`].
+    /// One tree walk with operation counting (total and per level,
+    /// level = position in [`ProfileTree::attribute_order`]), writing
+    /// into caller-owned buffers.
     fn match_into(&self, event: &IndexedEvent, scratch: &mut MatchScratch) {
         scratch.reset(self.attribute_order.len());
         self.walk_indexed(&self.root, event, 0, scratch);
@@ -1064,7 +991,7 @@ fn decode_node(
 mod tests {
     use super::*;
     use crate::order::ValueOrder;
-    use ens_types::{Domain, Predicate};
+    use ens_types::{Domain, Event, Predicate};
 
     /// Example 1 of the paper.
     pub(crate) fn example1() -> (Schema, ProfileSet) {
@@ -1122,7 +1049,9 @@ mod tests {
     fn paper_event_matches_p2_p5() {
         let (schema, ps) = example1();
         let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let out = tree.match_event(&event(&schema, 30, 90, 2)).unwrap();
+        let out = tree
+            .match_event(&schema, &event(&schema, 30, 90, 2))
+            .unwrap();
         assert_eq!(
             out.profiles(),
             &[ProfileId::new(1), ProfileId::new(4)],
@@ -1159,7 +1088,7 @@ mod tests {
                     for a3 in [1, 35, 40, 50, 70, 100] {
                         let e = event(&schema, a1, a2, a3);
                         let expect = ps.matches(&e).unwrap();
-                        let got = tree.match_event(&e).unwrap();
+                        let got = tree.match_event(&schema, &e).unwrap();
                         assert_eq!(
                             got.profiles(),
                             expect.as_slice(),
@@ -1182,11 +1111,11 @@ mod tests {
             .value("a2", 95)
             .unwrap()
             .build();
-        let out = tree.match_event(&e).unwrap();
+        let out = tree.match_event(&schema, &e).unwrap();
         assert_eq!(out.profiles(), &[ProfileId::new(1), ProfileId::new(4)]);
         // a1 missing: nothing specifies don't-care on a1, so no match.
         let e = Event::builder(&schema).value("a2", 95).unwrap().build();
-        assert!(!tree.match_event(&e).unwrap().is_match());
+        assert!(!tree.match_event(&schema, &e).unwrap().is_match());
     }
 
     #[test]
@@ -1205,13 +1134,16 @@ mod tests {
         })
         .unwrap();
         let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let out = tree.match_event(&event(&schema, 40, 95, 40)).unwrap();
+        let out = tree
+            .match_event(&schema, &event(&schema, 40, 95, 40))
+            .unwrap();
         assert_eq!(out.profiles(), &[ProfileId::new(0)]);
         assert_eq!(
             crate::Dfsa::from_tree(&tree)
-                .match_event(&event(&schema, 40, 95, 40))
-                .unwrap(),
-            vec![ProfileId::new(0)]
+                .match_event(&schema, &event(&schema, 40, 95, 40))
+                .unwrap()
+                .profiles(),
+            [ProfileId::new(0)]
         );
         let uniform = ens_dist::JointDist::independent(
             schema
@@ -1233,7 +1165,9 @@ mod tests {
     fn per_level_ops_sum_to_total() {
         let (schema, ps) = example1();
         let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let out = tree.match_event(&event(&schema, 40, 95, 40)).unwrap();
+        let out = tree
+            .match_event(&schema, &event(&schema, 40, 95, 40))
+            .unwrap();
         assert_eq!(out.per_level().iter().sum::<u64>(), out.ops());
         assert_eq!(out.per_level().len(), 3);
     }
@@ -1247,7 +1181,9 @@ mod tests {
         // P2,P3,P5): [80,90), [90,100]; 90 in the second -> 2 ops. Level
         // a3: edges [35,50] (P3 + dc); 2 misses at cost 1, then (*) at 1
         // -> 2 ops. Total 6.
-        let out = tree.match_event(&event(&schema, 30, 90, 2)).unwrap();
+        let out = tree
+            .match_event(&schema, &event(&schema, 30, 90, 2))
+            .unwrap();
         assert_eq!(out.per_level(), &[2, 2, 2]);
         assert_eq!(out.ops(), 6);
     }
@@ -1259,7 +1195,9 @@ mod tests {
         // a1 = 0 falls in the gap between [-30,-20] and [30,35): the
         // natural ascending scan stops at the second edge (2 ops) and
         // there is no (*) at the root.
-        let out = tree.match_event(&event(&schema, 0, 90, 2)).unwrap();
+        let out = tree
+            .match_event(&schema, &event(&schema, 0, 90, 2))
+            .unwrap();
         assert!(!out.is_match());
         assert_eq!(out.ops(), 2);
         assert_eq!(out.per_level(), &[2, 0, 0]);
@@ -1311,7 +1249,7 @@ mod tests {
                     for a3 in [1, 37, 45, 90] {
                         let e = event(&schema, a1, a2, a3);
                         assert_eq!(
-                            tree.match_event(&e).unwrap().profiles(),
+                            tree.match_event(&schema, &e).unwrap().profiles(),
                             ps.matches(&e).unwrap().as_slice(),
                             "{search:?} at ({a1},{a2},{a3})"
                         );
@@ -1341,9 +1279,9 @@ mod tests {
         )
         .unwrap();
         let hit = Event::builder(&schema).value("x", 42).unwrap().build();
-        assert_eq!(tree.match_event(&hit).unwrap().ops(), 1);
+        assert_eq!(tree.match_event(&schema, &hit).unwrap().ops(), 1);
         let miss = Event::builder(&schema).value("x", 50).unwrap().build();
-        assert_eq!(tree.match_event(&miss).unwrap().ops(), 1);
+        assert_eq!(tree.match_event(&schema, &miss).unwrap().ops(), 1);
     }
 
     #[test]
@@ -1369,7 +1307,7 @@ mod tests {
         )
         .unwrap();
         let hi = Event::builder(&schema).value("x", 85).unwrap().build();
-        assert_eq!(equal.match_event(&hi).unwrap().ops(), 2);
+        assert_eq!(equal.match_event(&schema, &hi).unwrap().ops(), 2);
         // Prioritising p1 moves its range to the front of the node.
         let weighted = ProfileTree::build(
             &ps,
@@ -1380,11 +1318,11 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(weighted.match_event(&hi).unwrap().ops(), 1);
+        assert_eq!(weighted.match_event(&schema, &hi).unwrap().ops(), 1);
         // Semantics unchanged.
         let lo = Event::builder(&schema).value("x", 15).unwrap().build();
         assert_eq!(
-            weighted.match_event(&lo).unwrap().profiles(),
+            weighted.match_event(&schema, &lo).unwrap().profiles(),
             ps.matches(&lo).unwrap().as_slice()
         );
     }
@@ -1416,7 +1354,7 @@ mod tests {
         let (schema, _) = example1();
         let ps = ProfileSet::new(&schema);
         let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let out = tree.match_event(&event(&schema, 0, 0, 1)).unwrap();
+        let out = tree.match_event(&schema, &event(&schema, 0, 0, 1)).unwrap();
         assert!(!out.is_match());
     }
 

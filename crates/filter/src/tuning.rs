@@ -275,6 +275,7 @@ impl RetuneDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Matcher;
     use ens_dist::{Density, DistOverDomain};
     use ens_types::{Domain, Event, IndexedEvent, Predicate, Schema};
 
@@ -428,8 +429,8 @@ mod tests {
         let mut tuned_ops = 0u64;
         for x in 90..100 {
             let e = Event::builder(&schema).value("x", x).unwrap().build();
-            stale_ops += stale.match_event(&e).unwrap().ops();
-            tuned_ops += tuned.match_event(&e).unwrap().ops();
+            stale_ops += stale.match_event(&schema, &e).unwrap().ops();
+            tuned_ops += tuned.match_event(&schema, &e).unwrap().ops();
         }
         assert!(
             tuned_ops < stale_ops,

@@ -14,8 +14,8 @@ use ens_filter::{
     SnapshotBlockScratch, SnapshotScratch, TreeConfig,
 };
 use ens_types::{
-    CoverOutcome, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId,
-    ProfileSet, Schema,
+    CoverOutcome, CoverSet, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile,
+    ProfileId, ProfileSet, Schema,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -177,63 +177,6 @@ fn warm_fast_paths_allocate_nothing() {
         assert!(hot > 0, "block: workload should produce matches");
     }
 
-    // The allocating `match_event` wrappers resolve into a shared
-    // thread-local buffer, so a warmed-up call only allocates its owned
-    // result: nothing for a non-matching DFSA/naive event, one
-    // vector otherwise (the tree outcome additionally owns its
-    // per-level counters). The seed wrappers paid ~1.65 extra
-    // allocations per event for working buffers.
-    {
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
-        let naive = NaiveMatcher::new(&ps).unwrap();
-        let n = events.len() as u64;
-
-        // Warm the thread-local wrapper buffers once.
-        let mut matching = 0u64;
-        for e in &events {
-            matching += u64::from(!dfsa.match_event(e).unwrap().is_empty());
-            tree.match_event(e).unwrap();
-            naive.match_event(e).unwrap();
-        }
-        assert!(matching > 0, "workload should produce matches");
-
-        type WrapperCall<'a> = (&'a str, &'a dyn Fn(&Event) -> bool, u64);
-        let wrappers: [WrapperCall<'_>; 3] = [
-            // Result vector only on a match.
-            (
-                "dfsa",
-                &|e| !dfsa.match_event(e).unwrap().is_empty(),
-                matching,
-            ),
-            // Profiles (only when non-empty) + per-level vector.
-            (
-                "tree",
-                &|e| tree.match_event(e).unwrap().is_match(),
-                matching + n,
-            ),
-            (
-                "naive",
-                &|e| naive.match_event(e).unwrap().is_match(),
-                matching,
-            ),
-        ];
-        for (name, call, budget) in wrappers {
-            let before = allocations();
-            let mut hits = 0u64;
-            for e in &events {
-                hits += u64::from(call(e));
-            }
-            let allocated = allocations() - before;
-            assert_eq!(hits, matching, "{name}: wrapper changed semantics");
-            assert!(
-                allocated <= budget,
-                "{name}: warm match_event spent {allocated} allocations \
-                 over {n} events (budget {budget} — the result itself)"
-            );
-        }
-    }
-
     // A checkpoint-reloaded snapshot is a first-class matcher: after
     // the serde round trip (overlay and tombstones included) and one
     // warm-up pass, its per-event and block paths — tree and DFSA
@@ -328,8 +271,14 @@ fn warm_fast_paths_allocate_nothing() {
                 population.insert(narrowed.unwrap());
             }
         }
-        let (compiled, cover) =
-            FilterSnapshot::compile_covered(&population, &TreeConfig::default()).unwrap();
+        let cover = CoverSet::build_bulk(
+            &schema,
+            population.iter().map(|p| (p.id().index() as u32, p)),
+        )
+        .unwrap();
+        let compiled =
+            FilterSnapshot::compile_with_cover(&population, &cover, &TreeConfig::default())
+                .unwrap();
         let plan = compiled.cover_plan().unwrap();
         assert!(
             plan.covered_count() >= 60,
@@ -357,8 +306,11 @@ fn warm_fast_paths_allocate_nothing() {
         assert!(overlay_cover.iter().any(Option::is_some));
         let removed: Vec<bool> = (0..population.len()).map(|k| k % 7 == 0).collect();
         assert!(plan.rep_slots().iter().any(|&s| removed[s as usize]));
+        let covers = overlay_cover
+            .iter()
+            .map(|c| c.as_ref().map(|(rep, r)| (*rep, r.as_slice())));
         let snap = compiled
-            .with_overlay_covered(&overlay, &overlay_cover)
+            .with_overlay_entries(overlay.iter().zip(covers))
             .unwrap()
             .with_removed(removed.clone());
         // The same overlay entered one entry at a time, every third

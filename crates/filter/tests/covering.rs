@@ -68,6 +68,30 @@ fn random_profile(schema: &Schema, rng: &mut StdRng, pool: &[Profile]) -> Profil
     Profile::from_predicates(schema, ProfileId::new(0), preds).unwrap()
 }
 
+/// A covering-pruned compile of `ps`: one bulk containment pass, then
+/// only its representatives compiled.
+fn covered_compile(ps: &ProfileSet) -> (FilterSnapshot, CoverSet) {
+    let slots = ps.iter().map(|p| (p.id().index() as u32, p));
+    let cover = CoverSet::build_bulk(ps.schema(), slots).unwrap();
+    let snap = FilterSnapshot::compile_with_cover(ps, &cover, &TreeConfig::default()).unwrap();
+    (snap, cover)
+}
+
+/// `snap` with its overlay packed to `overlay`, each entry delivered
+/// through the compiled representative and residual `cover_of` gives
+/// it, or matched by the counting index.
+fn with_overlay(
+    snap: &FilterSnapshot,
+    overlay: &ProfileSet,
+    cover_of: &[Option<(u32, Vec<Residual>)>],
+) -> FilterSnapshot {
+    let covers = cover_of
+        .iter()
+        .map(|c| c.as_ref().map(|(rep, r)| (*rep, r.as_slice())));
+    snap.with_overlay_entries(overlay.iter().zip(covers))
+        .unwrap()
+}
+
 fn random_event(schema: &Schema, rng: &mut StdRng) -> Event {
     let mut b = Event::builder(schema);
     if rng.gen_bool(0.9) {
@@ -96,7 +120,7 @@ fn covered_compile_matches_uncovered_compile() {
         ps.insert(p);
     }
     let plain = FilterSnapshot::compile(&ps, &TreeConfig::default()).unwrap();
-    let (covered, cover) = FilterSnapshot::compile_covered(&ps, &TreeConfig::default()).unwrap();
+    let (covered, cover) = covered_compile(&ps);
     assert_eq!(cover.rep_count() + cover.covered_count(), ps.len());
     assert!(
         covered.compiled_len() < ps.len(),
@@ -142,7 +166,7 @@ fn covered_snapshot_round_trips_bytes_exactly() {
         pool.push(p.clone());
         ps.insert(p);
     }
-    let (snap, cover) = FilterSnapshot::compile_covered(&ps, &TreeConfig::default()).unwrap();
+    let (snap, cover) = covered_compile(&ps);
     // Add a covered + an uncovered overlay entry and a tombstone.
     let mut overlay = ProfileSet::new(&schema);
     let mut overlay_cover = Vec::new();
@@ -162,10 +186,7 @@ fn covered_snapshot_round_trips_bytes_exactly() {
     );
     let mut removed = vec![false; snap.base_len()];
     removed[3] = true;
-    let snap = snap
-        .with_overlay_covered(&overlay, &overlay_cover)
-        .unwrap()
-        .with_removed(removed);
+    let snap = with_overlay(&snap, &overlay, &overlay_cover).with_removed(removed);
 
     let bytes = snap.to_bytes();
     let back = FilterSnapshot::from_bytes(&bytes).unwrap();
@@ -218,7 +239,7 @@ fn covering_churn_agrees_with_profile_set_oracle() {
         for p in base {
             ps.insert(p.clone());
         }
-        FilterSnapshot::compile_covered(&ps, &TreeConfig::default()).unwrap()
+        covered_compile(&ps)
     };
     let rebuild_overlay = |snap: &FilterSnapshot,
                            overlay: &[Profile],
@@ -228,7 +249,7 @@ fn covering_churn_agrees_with_profile_set_oracle() {
         for p in overlay {
             ps.insert(p.clone());
         }
-        snap.with_overlay_covered(&ps, overlay_cover).unwrap()
+        with_overlay(snap, &ps, overlay_cover)
     };
 
     let (mut snap, mut cover) = compile(&base);
@@ -375,7 +396,7 @@ fn head_written_checkpoint_loads_and_re_encodes_identically() {
         pool.push(p.clone());
         ps.insert(p);
     }
-    let (snap, cover) = FilterSnapshot::compile_covered(&ps, &TreeConfig::default()).unwrap();
+    let (snap, cover) = covered_compile(&ps);
     let mut overlay = ProfileSet::new(&schema);
     let mut overlay_cover = Vec::new();
     for _ in 0..12 {
@@ -389,10 +410,7 @@ fn head_written_checkpoint_loads_and_re_encodes_identically() {
         overlay.insert(p);
     }
     let removed: Vec<bool> = (0..snap.base_len()).map(|k| k % 9 == 3).collect();
-    let snap = snap
-        .with_overlay_covered(&overlay, &overlay_cover)
-        .unwrap()
-        .with_removed(removed.clone());
+    let snap = with_overlay(&snap, &overlay, &overlay_cover).with_removed(removed.clone());
     assert_eq!(
         snap.to_bytes(),
         fixture,
@@ -586,11 +604,8 @@ proptest! {
         let removed: Vec<bool> = (0..base.len()).map(|_| rng.gen_bool(0.25)).collect();
 
         let config = TreeConfig::default();
-        let covered = FilterSnapshot::compile_with_cover(&base, &cover, &config)
-            .unwrap()
-            .with_overlay_covered(&overlay, &overlay_cover)
-            .unwrap()
-            .with_removed(removed.clone());
+        let compiled = FilterSnapshot::compile_with_cover(&base, &cover, &config).unwrap();
+        let covered = with_overlay(&compiled, &overlay, &overlay_cover).with_removed(removed.clone());
         let plain = FilterSnapshot::compile(&base, &config)
             .unwrap()
             .with_overlay(&overlay)

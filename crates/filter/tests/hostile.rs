@@ -12,7 +12,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::persist::crc32;
 use ens_filter::{FilterSnapshot, TreeConfig};
-use ens_types::{CoverOutcome, Domain, Predicate, Profile, ProfileId, ProfileSet, Schema};
+use ens_types::{
+    CoverOutcome, CoverSet, Domain, Predicate, Profile, ProfileId, ProfileSet, Schema,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,7 +91,9 @@ fn valid_snapshot() -> Vec<u8> {
         pool.push(p.clone());
         base.insert(p);
     }
-    let (snap, cover) = FilterSnapshot::compile_covered(&base, &TreeConfig::default()).unwrap();
+    let cover =
+        CoverSet::build_bulk(&schema, base.iter().map(|p| (p.id().index() as u32, p))).unwrap();
+    let snap = FilterSnapshot::compile_with_cover(&base, &cover, &TreeConfig::default()).unwrap();
     let mut overlay = ProfileSet::new(&schema);
     let mut overlay_cover = Vec::new();
     for _ in 0..8 {
@@ -103,7 +107,10 @@ fn valid_snapshot() -> Vec<u8> {
         overlay.insert(p);
     }
     assert!(overlay_cover.iter().any(Option::is_some));
-    snap.with_overlay_covered(&overlay, &overlay_cover)
+    let covers = overlay_cover
+        .iter()
+        .map(|c| c.as_ref().map(|(rep, r)| (*rep, r.as_slice())));
+    snap.with_overlay_entries(overlay.iter().zip(covers))
         .unwrap()
         .with_removed((0..base.len()).map(|k| k % 5 == 0).collect())
         .to_bytes()

@@ -23,8 +23,8 @@ use ens_filter::{
     TreeConfig,
 };
 use ens_types::{
-    CoverOutcome, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId,
-    ProfileSet, Residual, Schema,
+    CoverOutcome, CoverSet, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile,
+    ProfileId, ProfileSet, Residual, Schema,
 };
 use ens_workloads::{scenario, EventGenerator};
 use proptest::prelude::*;
@@ -322,8 +322,12 @@ proptest! {
         for (px, py) in &base {
             base_set.insert(make_profile(&schema, px, py));
         }
-        let (compiled, cover) =
-            FilterSnapshot::compile_covered(&base_set, &TreeConfig::default()).unwrap();
+        let cover = CoverSet::build_bulk(
+            &schema,
+            base_set.iter().map(|p| (p.id().index() as u32, p)),
+        ).unwrap();
+        let compiled =
+            FilterSnapshot::compile_with_cover(&base_set, &cover, &TreeConfig::default()).unwrap();
         let built: Vec<Event> = events
             .iter()
             .map(|(x, y)| build_event(&schema, *x, *y))

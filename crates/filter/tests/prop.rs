@@ -114,7 +114,7 @@ proptest! {
             let e = b.build();
             let oracle = ps.matches(&e).unwrap();
 
-            let out = tree.match_event(&e).unwrap();
+            let out = tree.match_event(&schema, &e).unwrap();
             prop_assert_eq!(out.profiles(), oracle.as_slice(), "tree at {:?}", (x, y));
 
             indexed.resolve_into(&schema, &e).unwrap();
@@ -124,7 +124,7 @@ proptest! {
 
             dfsa.match_into(&indexed, &mut scratch);
             prop_assert_eq!(scratch.profiles(), oracle.as_slice(), "CSR dfsa scratch");
-            prop_assert_eq!(dfsa.match_event(&e).unwrap(), oracle.clone(), "CSR dfsa event");
+            prop_assert_eq!(dfsa.match_event(&schema, &e).unwrap().profiles(), oracle.as_slice(), "CSR dfsa event");
         }
     }
 
@@ -253,7 +253,7 @@ proptest! {
                     .value("x", Value::Int(i as i64))
                     .unwrap()
                     .build();
-                let out = tree.match_event(&e).unwrap();
+                let out = tree.match_event(&schema, &e).unwrap();
                 expected += dist.prob_index(i) * out.ops() as f64;
                 // Matching is always oracle-correct.
                 let oracle = ps.matches(&e).unwrap();
@@ -283,8 +283,8 @@ proptest! {
             ..TreeConfig::default()
         }).unwrap();
         let e = Event::builder(&schema).value("x", x).unwrap().build();
-        let a = unweighted.match_event(&e).unwrap();
-        let b = weighted.match_event(&e).unwrap();
+        let a = unweighted.match_event(&schema, &e).unwrap();
+        let b = weighted.match_event(&schema, &e).unwrap();
         prop_assert_eq!(a.profiles(), b.profiles());
         prop_assert_eq!(a.ops(), b.ops());
     }

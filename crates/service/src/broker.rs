@@ -865,15 +865,14 @@ impl Broker {
             let (indexed, scratch) = &mut *cell.borrow_mut();
             indexed.resolve_into(&self.schema, &event)?;
             let sequence = self.sequence.fetch_add(1, Ordering::Relaxed);
-            self.record_history(&event);
+            self.record_history(std::slice::from_ref(&event));
             for shard in self.shards.iter() {
                 let snap = shard.snapshot.read().clone();
                 self.match_and_deliver(&snap, indexed, scratch, &event, sequence, &mut delivery);
             }
             Ok(sequence)
         })?;
-        let quenched = delivery.rejecting_shards == self.shards.len();
-        self.finish_publish(&event, sequence, &mut delivery)?;
+        let quenched = self.finish_publish(&event, sequence, &mut delivery)?;
         self.maybe_checkpoint();
         delivery.matched.sort_unstable();
         Ok(PublishReceipt {
@@ -961,15 +960,7 @@ impl Broker {
         let base_seq = self
             .sequence
             .fetch_add(events.len() as u64, Ordering::Relaxed);
-        if self.config.history_capacity > 0 {
-            let mut history = self.history.lock();
-            for event in events {
-                if history.len() == self.config.history_capacity {
-                    history.pop_front();
-                }
-                history.push_back(Arc::clone(event));
-            }
-        }
+        self.record_history(events);
 
         // Taken out rather than borrowed: nothing below can then find
         // the cell busy, whatever it calls.
@@ -1054,9 +1045,8 @@ impl Broker {
             for (snap, batch) in snaps.iter().zip(shards.iter()) {
                 batch.collect(snap, i, &mut delivery);
             }
-            let quenched = delivery.rejecting_shards == self.shards.len();
             let sequence = base_seq + i as u64;
-            self.finish_publish(event, sequence, &mut delivery)?;
+            let quenched = self.finish_publish(event, sequence, &mut delivery)?;
             delivery.matched.sort_unstable();
             receipts.push(PublishReceipt {
                 sequence,
@@ -1210,26 +1200,30 @@ impl Broker {
         }
     }
 
-    fn record_history(&self, event: &Arc<Event>) {
+    /// Appends `events` to the history ring, in order, under one lock.
+    fn record_history(&self, events: &[Arc<Event>]) {
         if self.config.history_capacity > 0 {
             let mut history = self.history.lock();
-            if history.len() == self.config.history_capacity {
-                history.pop_front();
+            for event in events {
+                if history.len() == self.config.history_capacity {
+                    history.pop_front();
+                }
+                history.push_back(Arc::clone(event));
             }
-            history.push_back(Arc::clone(event));
         }
     }
 
     /// Post-delivery bookkeeping shared by `publish` and
     /// `publish_batch`: metrics, sampled drift statistics (with
     /// adaptive rebuilds) and garbage collection of hung-up
-    /// subscribers.
+    /// subscribers. Returns whether the event was quenched: every
+    /// shard rejected it.
     fn finish_publish(
         &self,
         event: &Arc<Event>,
         sequence: u64,
         delivery: &mut Delivery,
-    ) -> Result<(), ServiceError> {
+    ) -> Result<bool, ServiceError> {
         let quenched = delivery.rejecting_shards == self.shards.len();
         self.metrics
             .events_published
@@ -1283,7 +1277,7 @@ impl Broker {
         if !quenched && self.config.stats_sample > 0 && sequence % self.config.stats_sample == 0 {
             self.observe_drift(event)?;
         }
-        Ok(())
+        Ok(quenched)
     }
 
     /// Records `event` into every shard's drift statistics (skipping

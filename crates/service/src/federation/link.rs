@@ -99,7 +99,8 @@ pub struct LinkStats {
     /// Connection resets (corruption, EOF, timeouts).
     pub resets: u64,
     /// Messages that could not be encoded for the wire and were
-    /// abandoned (unencodable predicate variants).
+    /// abandoned (unencodable predicate variants; a control message
+    /// that fails to encode also resets the link).
     pub unencodable: u64,
 }
 
@@ -328,6 +329,19 @@ impl PeerLink {
         }
     }
 
+    /// Encodes and sends a control message (hello, ack, heartbeat),
+    /// resetting the link on failure. One that does not encode is
+    /// counted as `unencodable` and fails like a send. Returns whether
+    /// the send succeeded.
+    fn send_control(&mut self, msg: &Msg, now_ms: u64, events: &mut Vec<LinkEvent>) -> bool {
+        let Ok(payload) = msg.encode() else {
+            self.stats.unencodable += 1;
+            self.reset(now_ms, events);
+            return false;
+        };
+        self.send_or_reset(&payload, now_ms, events)
+    }
+
     /// Sends a payload, resetting the link on failure. Returns
     /// whether the send succeeded.
     fn send_or_reset(&mut self, payload: &[u8], now_ms: u64, events: &mut Vec<LinkEvent>) -> bool {
@@ -516,10 +530,9 @@ impl PeerLink {
                     return;
                 }
                 if self.transport.connect(now_ms) {
-                    let hello = self.hello().encode().expect("hello is always encodable");
                     self.phase = Phase::Greeting;
                     self.last_rx_ms = now_ms;
-                    if !self.send_or_reset(&hello, now_ms, events) {
+                    if !self.send_control(&self.hello(), now_ms, events) {
                         return;
                     }
                 } else {
@@ -538,13 +551,8 @@ impl PeerLink {
         // poll, so the application has already seen (and could log)
         // those deliveries and floors.
         if self.phase == Phase::Up && (self.ack_due || self.recv_high != self.last_acked_sent) {
-            let ack = Msg::Ack {
-                high: self.recv_high,
-            }
-            .encode()
-            .expect("ack is always encodable");
             let high = self.recv_high;
-            if !self.send_or_reset(&ack, now_ms, events) {
+            if !self.send_control(&Msg::Ack { high }, now_ms, events) {
                 return;
             }
             self.last_acked_sent = high;
@@ -579,8 +587,10 @@ impl PeerLink {
         if self.phase == Phase::Up {
             // Flush pending messages into the Go-Back-N window,
             // assigning sequence numbers at the moment of first send.
-            while !self.pending.is_empty() && self.unacked.len() < self.config.send_window {
-                let mut msg = self.pending.pop_front().expect("checked non-empty");
+            while self.unacked.len() < self.config.send_window {
+                let Some(mut msg) = self.pending.pop_front() else {
+                    break;
+                };
                 let span = msg.seq_span();
                 msg.set_first_seq(self.next_seq);
                 let payload = match msg.encode() {
@@ -630,13 +640,10 @@ impl PeerLink {
             }
 
             // Keep an otherwise idle link measurably alive.
-            if now_ms.saturating_sub(self.last_tx_ms) >= self.config.heartbeat_ms {
-                let hb = Msg::Heartbeat
-                    .encode()
-                    .expect("heartbeat is trivially encodable");
-                if !self.send_or_reset(&hb, now_ms, events) {
-                    return;
-                }
+            if now_ms.saturating_sub(self.last_tx_ms) >= self.config.heartbeat_ms
+                && !self.send_control(&Msg::Heartbeat, now_ms, events)
+            {
+                return;
             }
         }
 

@@ -1406,12 +1406,25 @@ mod tests {
             origin_seqs: vec![1],
             rows,
         });
+        // A row of the right width whose cell lies outside `x`'s
+        // 0..=999 domain, above the origin's floor so that it is not
+        // taken for a duplicate first.
+        let mut rows = IndexedBatch::new();
+        rows.reset(1);
+        rows.push_raw(&[1000]);
+        say(Msg::Batch {
+            first_seq: 5,
+            origin: 2,
+            ttl: 0,
+            origin_seqs: vec![2],
+            rows,
+        });
         // Every pump succeeds, each refusal is counted, and the valid
         // Subscribe behind the bad ones is applied, not lost with the
         // rest of the event list.
         assert!(pump_all(&net, &[&a], 3).is_empty());
         let m = a.metrics();
-        assert_eq!((m.rejected_interest, m.rejected_rows), (2, 1));
+        assert_eq!((m.rejected_interest, m.rejected_rows), (2, 2));
         assert_eq!(a.interested_peers(), 1);
         a.publish(&event(&s, 400)).unwrap();
         a.publish(&event(&s, 600)).unwrap();

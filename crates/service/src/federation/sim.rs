@@ -277,13 +277,13 @@ impl Transport for SimTransport {
             let Some(q) = s.queues.get_mut(&(self.peer, self.local)) else {
                 return Ok(None);
             };
-            let Some((&key, _)) = q.iter().next() else {
+            let Some(next) = q.first_entry() else {
                 return Ok(None);
             };
-            if key.0 > now {
+            if next.key().0 > now {
                 return Ok(None);
             }
-            let bytes = q.remove(&key).expect("key just observed");
+            let bytes = next.remove();
             // Each queued blob is one send() call's worth of stream
             // bytes. A blob shorter than its own declared frame is a
             // torn write whose tail will never arrive (the sender
@@ -291,10 +291,9 @@ impl Transport for SimTransport {
             // now instead of waiting for later bytes to misalign the
             // CRC. Only decidable when the buffer holds no earlier
             // partial frame.
-            if self.rbuf.pending() == 0 && bytes.len() >= FRAME_HEADER {
-                let declared =
-                    u32::from_le_bytes(bytes[..4].try_into().expect("length checked")) as usize;
-                if bytes.len() < FRAME_HEADER + declared {
+            if let (0, Some(&[a, b, c, d])) = (self.rbuf.pending(), bytes.get(..4)) {
+                let declared = u32::from_le_bytes([a, b, c, d]) as usize;
+                if (FRAME_HEADER..FRAME_HEADER + declared).contains(&bytes.len()) {
                     s.sever(self.local, self.peer);
                     self.rbuf = FrameBuffer::new();
                     return Err(TransportError::Corrupt(format!(

@@ -10,7 +10,8 @@
 use std::sync::Arc;
 
 use ens_filter::{
-    Direction, DriftCause, ProfileTree, RebuildPolicy, SearchStrategy, TreeConfig, ValueOrder,
+    Direction, DriftCause, Matcher, ProfileTree, RebuildPolicy, SearchStrategy, TreeConfig,
+    ValueOrder,
 };
 use ens_service::{
     Broker, BrokerConfig, Decision, DeclineReason, DurabilityConfig, FaultFs, FsyncPolicy,
@@ -466,7 +467,7 @@ fn priced_tree_is_the_tree_committed() {
     for e in &w.phase_a[64..128] {
         assert_eq!(
             broker.publish(e).unwrap().ops,
-            tree.match_event(e).unwrap().ops()
+            tree.match_event(w.profiles.schema(), e).unwrap().ops()
         );
     }
 }

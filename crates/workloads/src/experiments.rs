@@ -12,10 +12,10 @@ use std::time::Instant;
 use ens_dist::stats::{PrecisionStopper, RunningStats};
 use ens_dist::{Density, DistOverDomain, DistributionCatalog, JointDist};
 use ens_filter::{
-    AttributeMeasure, AttributeOrder, CostModel, Direction, ProfileTree, SearchStrategy,
-    TreeConfig, ValueOrder,
+    AttributeMeasure, AttributeOrder, CostModel, Direction, MatchScratch, Matcher, ProfileTree,
+    SearchStrategy, TreeConfig, ValueOrder,
 };
-use ens_types::{Domain, Predicate, ProfileSet, Schema};
+use ens_types::{Domain, IndexedEvent, Predicate, ProfileSet, Schema};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -407,10 +407,12 @@ pub fn run_measured(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = RunningStats::new();
     let mut converged = false;
+    let (mut indexed, mut scratch) = (IndexedEvent::new(), MatchScratch::new());
     while stats.len() < max_events {
         let e = generator.sample(&mut rng);
-        let out = tree.match_event(&e)?;
-        stats.push(out.ops() as f64);
+        indexed.resolve_into(tree.schema(), &e)?;
+        tree.match_into(&indexed, &mut scratch);
+        stats.push(scratch.ops() as f64);
         if stopper.is_done(&stats) {
             converged = true;
             break;
@@ -741,6 +743,7 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
         let mut total_ops = 0u64;
         let mut events = 0u64;
         let mut rebuilds = 0u64;
+        let (mut indexed, mut scratch) = (IndexedEvent::new(), MatchScratch::new());
         for phase in 0..6 {
             let dist = if phase % 2 == 0 { &low } else { &high };
             for _ in 0..1500 {
@@ -748,7 +751,9 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
                 let e = ens_types::Event::builder(&schema)
                     .value("x", idx as i64)?
                     .build();
-                total_ops += tree.match_event(&e)?.ops();
+                indexed.resolve_into(&schema, &e)?;
+                tree.match_into(&indexed, &mut scratch);
+                total_ops += scratch.ops();
                 events += 1;
                 if let Some(signal) = tracker.observe(&e)? {
                     let (model, history) = tracker.prepare_model(&profiles, None)?;

@@ -3,7 +3,8 @@
 //! Every experiment produces a [`FigureTable`]: named series over a list
 //! of row labels (the x-axis groups of the paper's bar charts). Tables
 //! render as aligned ASCII (for the `repro` binary), CSV (for plotting)
-//! and JSON (via serde) so EXPERIMENTS.md can record paper-vs-measured.
+//! and JSON (via serde), as `repro` prints them (README, "Regenerating the
+//! paper's figures").
 
 use serde::{Deserialize, Serialize};
 

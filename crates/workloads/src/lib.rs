@@ -20,8 +20,8 @@
 //!   per figure ([`figure_4a`], [`figure_4b`], [`figure_5`],
 //!   [`figure_6`]);
 //! * [`FigureTable`] — row×series data with ASCII/CSV/JSON rendering,
-//!   consumed by the `repro` binary in `ens-bench` and recorded in
-//!   EXPERIMENTS.md.
+//!   consumed by the `repro` binary in `ens-bench` (README,
+//!   "Regenerating the paper's figures").
 //!
 //! # Example
 //!

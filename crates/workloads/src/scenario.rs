@@ -228,18 +228,20 @@ mod tests {
 
     #[test]
     fn environmental_matching_end_to_end() {
-        use ens_filter::{ProfileTree, TreeConfig};
+        use ens_filter::{MatchScratch, Matcher, ProfileTree, TreeConfig};
         let schema = environmental_schema();
         let mut rng = StdRng::seed_from_u64(4);
         let ps = environmental_profiles(50, &mut rng).unwrap();
         let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
         let gen =
             crate::EventGenerator::new(&schema, environmental_event_model().unwrap()).unwrap();
+        let (mut indexed, mut scratch) = (ens_types::IndexedEvent::new(), MatchScratch::new());
         for _ in 0..200 {
             let e = gen.sample(&mut rng);
-            let got = tree.match_event(&e).unwrap();
+            indexed.resolve_into(&schema, &e).unwrap();
+            tree.match_into(&indexed, &mut scratch);
             let want = ps.matches(&e).unwrap();
-            assert_eq!(got.profiles(), want.as_slice());
+            assert_eq!(scratch.profiles(), want.as_slice());
         }
     }
 }

@@ -7,7 +7,7 @@
 //! Run with `cargo run --example environmental_monitoring`.
 
 use ens::filter::{
-    AttributeMeasure, AttributeOrder, CostModel, Direction, ProfileTree, SearchStrategy,
+    AttributeMeasure, AttributeOrder, CostModel, Direction, Matcher, ProfileTree, SearchStrategy,
     TreeConfig, ValueOrder,
 };
 use ens::workloads::scenario;
@@ -61,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 20_000;
     for _ in 0..n {
         let e = generator.sample(&mut rng);
-        ops[0] += plain.match_event(&e)?.ops();
-        let out = optimised.match_event(&e)?;
+        ops[0] += plain.match_event(&schema, &e)?.ops();
+        let out = optimised.match_event(&schema, &e)?;
         ops[1] += out.ops();
         alerts += u64::from(out.is_match());
     }

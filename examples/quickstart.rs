@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &schema,
         "event(temperature = 36; humidity = 92; radiation = 10)",
     )?;
-    let outcome = tree.match_event(&event)?;
+    let outcome = tree.match_event(&schema, &event)?;
     println!(
         "event matched {} profile(s) in {} comparison operations: {:?}",
         outcome.profiles().len(),

@@ -48,7 +48,7 @@
 //!     .value("temperature", 40)?
 //!     .value("humidity", 95)?
 //!     .build();
-//! let outcome = tree.match_event(&event)?;
+//! let outcome = tree.match_event(&schema, &event)?;
 //! assert_eq!(outcome.profiles().len(), 1);
 //! # Ok(())
 //! # }
@@ -73,8 +73,8 @@ pub use ens_workloads as workloads;
 pub mod prelude {
     pub use ens_dist::{DistOverDomain, DistributionCatalog, Histogram};
     pub use ens_filter::{
-        AttributeMeasure, MatchOutcome, ProfileTree, RebuildPolicy, SearchStrategy, TreeConfig,
-        TuningPolicy, ValueOrder,
+        AttributeMeasure, MatchScratch, Matcher, ProfileTree, RebuildPolicy, SearchStrategy,
+        TreeConfig, TuningPolicy, ValueOrder,
     };
     pub use ens_service::{Broker, BrokerConfig, Subscriber};
     pub use ens_types::{

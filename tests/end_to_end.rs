@@ -61,7 +61,7 @@ fn all_matchers_agree(profiles: &ProfileSet, joint: &JointDist, events: usize, s
         };
         let oracle = profiles.matches(&e).unwrap();
         for (i, tree) in trees.iter().enumerate() {
-            let got = tree.match_event(&e).unwrap();
+            let got = tree.match_event(schema, &e).unwrap();
             assert_eq!(
                 got.profiles(),
                 oracle.as_slice(),
@@ -73,12 +73,15 @@ fn all_matchers_agree(profiles: &ProfileSet, joint: &JointDist, events: usize, s
                 "per-level ops consistency, config {i}"
             );
             assert_eq!(
-                dfsas[i].match_event(&e).unwrap(),
-                oracle,
+                dfsas[i].match_event(schema, &e).unwrap().profiles(),
+                oracle.as_slice(),
                 "dfsa {i} event {k}"
             );
         }
-        assert_eq!(naive.match_event(&e).unwrap().profiles(), oracle.as_slice());
+        assert_eq!(
+            naive.match_event(schema, &e).unwrap().profiles(),
+            oracle.as_slice()
+        );
         counting.match_into(&IndexedEvent::resolve(schema, &e).unwrap(), &mut scratch);
         assert_eq!(scratch.profiles(), oracle.as_slice());
     }
@@ -172,7 +175,7 @@ fn profile_round_trip_through_json_preserves_matching() {
     for _ in 0..100 {
         let e = generator.sample(&mut rng);
         assert_eq!(
-            tree.match_event(&e).unwrap().profiles(),
+            tree.match_event(restored.schema(), &e).unwrap().profiles(),
             profiles.matches(&e).unwrap().as_slice()
         );
     }

@@ -103,13 +103,16 @@ fn every_matcher_agrees_on_the_full_mixed_event_space() {
         for e in all_events(&schema) {
             let oracle = ps.matches(&e).unwrap();
             assert_eq!(
-                tree.match_event(&e).unwrap().profiles(),
+                tree.match_event(&schema, &e).unwrap().profiles(),
                 oracle.as_slice(),
                 "{config:?} on {}",
                 e.display(&schema)
             );
-            assert_eq!(dfsa.match_event(&e).unwrap(), oracle);
-            assert_eq!(naive.match_event(&e).unwrap().profiles(), oracle.as_slice());
+            assert_eq!(dfsa.match_event(&schema, &e).unwrap().profiles(), oracle);
+            assert_eq!(
+                naive.match_event(&schema, &e).unwrap().profiles(),
+                oracle.as_slice()
+            );
             counting.match_into(&IndexedEvent::resolve(&schema, &e).unwrap(), &mut scratch);
             assert_eq!(scratch.profiles(), oracle.as_slice());
         }
@@ -130,7 +133,7 @@ fn float_values_snap_to_the_grid_consistently() {
         .value("sky", "clear")
         .unwrap()
         .build();
-    let out = tree.match_event(&e).unwrap();
+    let out = tree.match_event(&schema, &e).unwrap();
     assert_eq!(out.profiles(), ps.matches(&e).unwrap().as_slice());
     assert!(out.is_match(), "snapped value satisfies ph <= 6.5");
 }

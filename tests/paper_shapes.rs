@@ -1,7 +1,8 @@
 //! Shape assertions for every reproduced figure: the qualitative
 //! conclusions of the paper's §4.3 must hold in our regenerated data
 //! (who wins, by roughly what factor, where the crossovers fall).
-//! EXPERIMENTS.md records the concrete numbers.
+//! The concrete numbers are what `repro` prints (README, "Regenerating
+//! the paper's figures").
 
 use ens_workloads::{
     ablation_table, adaptive_sweep, figure_4a, figure_4b, figure_5, figure_6,

@@ -95,12 +95,12 @@ proptest! {
         for t in &events {
             let e = build_event(&schema, t);
             let oracle = ps.matches(&e).unwrap();
-            let via_tree = tree.match_event(&e).unwrap();
+            let via_tree = tree.match_event(&schema, &e).unwrap();
             prop_assert_eq!(via_tree.profiles(), oracle.as_slice());
-            let via_binary = binary.match_event(&e).unwrap();
+            let via_binary = binary.match_event(&schema, &e).unwrap();
             prop_assert_eq!(via_binary.profiles(), oracle.as_slice());
-            prop_assert_eq!(dfsa.match_event(&e).unwrap(), oracle.clone());
-            let via_naive = naive.match_event(&e).unwrap();
+            prop_assert_eq!(dfsa.match_event(&schema, &e).unwrap().profiles(), oracle.as_slice());
+            let via_naive = naive.match_event(&schema, &e).unwrap();
             prop_assert_eq!(via_naive.profiles(), oracle.as_slice());
             counting.match_into(&IndexedEvent::resolve(&schema, &e).unwrap(), &mut scratch);
             prop_assert_eq!(scratch.profiles(), oracle.as_slice());
@@ -135,7 +135,7 @@ proptest! {
                 for b in 0..DOMAIN_SIZES[1] as i64 {
                     for c in 0..DOMAIN_SIZES[2] as i64 {
                         let e = build_event(&schema, &(Some(a), Some(b), Some(c)));
-                        let out = tree.match_event(&e).unwrap();
+                        let out = tree.match_event(&schema, &e).unwrap();
                         total_ops += out.ops();
                         notifications += out.profiles().len() as u64;
                         matches += u64::from(out.is_match());
@@ -168,8 +168,8 @@ proptest! {
         }).unwrap();
         for t in &events {
             let e = build_event(&schema, t);
-            let a = natural.match_event(&e).unwrap();
-            let b = reordered.match_event(&e).unwrap();
+            let a = natural.match_event(&schema, &e).unwrap();
+            let b = reordered.match_event(&schema, &e).unwrap();
             prop_assert_eq!(a.profiles(), b.profiles());
         }
     }
@@ -186,8 +186,8 @@ proptest! {
         }).unwrap();
         for t in &events {
             let e = build_event(&schema, t);
-            let a = default.match_event(&e).unwrap();
-            let b = ablated.match_event(&e).unwrap();
+            let a = default.match_event(&schema, &e).unwrap();
+            let b = ablated.match_event(&schema, &e).unwrap();
             prop_assert_eq!(a.profiles(), b.profiles());
             // Removing early termination can only increase the cost.
             prop_assert!(b.ops() >= a.ops());
