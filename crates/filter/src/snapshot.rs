@@ -46,7 +46,6 @@ use crate::dfsa::Dfsa;
 use crate::overlay::OverlayIndex;
 use crate::persist::{ByteReader, ByteWriter, PersistError};
 use crate::scratch::{BlockScratch, MatchScratch, Matcher};
-use crate::subrange::AttributePartition;
 use crate::tree::{ProfileTree, TreeConfig};
 use crate::FilterError;
 
@@ -171,11 +170,8 @@ impl SnapshotBlockScratch {
         self.len() == 0
     }
 
-    /// Empties the block, keeping its buffers, so that a caller which
-    /// matches event by event (behind a per-event pre-filter, say) can
-    /// still hand its results on in block form with
-    /// [`SnapshotBlockScratch::push_event`].
-    pub fn clear(&mut self) {
+    /// Empties the block, keeping its buffers.
+    fn clear(&mut self) {
         self.off.clear();
         self.off.push(0);
         self.matched.clear();
@@ -185,24 +181,6 @@ impl SnapshotBlockScratch {
         self.event_overlay_ops.clear();
         self.cover.checks = 0;
         self.cover.delivered = 0;
-    }
-
-    /// Appends one event's result — what `event` holds after its
-    /// [`FilterSnapshot::match_into`], or an empty row for an event
-    /// that was not matched at all — as the next row of a block started
-    /// with [`SnapshotBlockScratch::clear`].
-    pub fn push_event(&mut self, event: Option<&SnapshotScratch>) {
-        let (ops, overlay_ops) = event.map_or((0, 0), |e| (e.ops, e.overlay_ops));
-        if let Some(e) = event {
-            self.matched.extend_from_slice(&e.matched);
-            self.cover.checks += e.cover.checks;
-            self.cover.delivered += e.cover.delivered;
-        }
-        self.off.push(self.matched.len() as u32);
-        self.ops += ops;
-        self.overlay_ops += overlay_ops;
-        self.event_ops.push(ops);
-        self.event_overlay_ops.push(overlay_ops);
     }
 
     /// Global profile ids matched by event `i` of the last block,
@@ -994,14 +972,6 @@ impl FilterSnapshot {
         &self.dfsa
     }
 
-    /// The compiled base's per-attribute partitions (schema order) —
-    /// the input for quenching advice. Note these cover only the
-    /// compiled base; see [`FilterSnapshot::is_pure_base`].
-    #[must_use]
-    pub fn partitions(&self) -> &[AttributePartition] {
-        self.tree.partitions()
-    }
-
     /// Number of compiled (base) profiles, including tombstoned ones.
     #[must_use]
     pub fn base_len(&self) -> usize {
@@ -1030,20 +1000,6 @@ impl FilterSnapshot {
     #[must_use]
     pub fn live_len(&self) -> usize {
         self.base_len - self.removed_count + self.overlay_len - self.overlay_removed_count
-    }
-
-    /// Whether the snapshot is exactly its compiled base (no overlay, no
-    /// tombstones) — the only state in which the base partitions
-    /// describe the full live profile set (e.g. for quenching).
-    ///
-    /// With a covering plan the partitions describe the representative
-    /// set only, but quench advice derived from them is exactly as
-    /// strong: every covered profile's match region is contained in its
-    /// representative's, so a zero-subdomain of the representatives is
-    /// a zero-subdomain of the full population.
-    #[must_use]
-    pub fn is_pure_base(&self) -> bool {
-        self.overlay_len == 0 && self.removed_count == 0
     }
 
     /// The covering expansion plan, when this snapshot was compiled
@@ -1111,7 +1067,7 @@ mod tests {
         let schema = schema();
         let snap = FilterSnapshot::compile(&base(&schema), &TreeConfig::default()).unwrap();
         assert_eq!(snap.base_len(), 2);
-        assert!(snap.is_pure_base());
+        assert_eq!((snap.overlay_len(), snap.removed_len()), (0, 0));
         assert_eq!(matched(&snap, &schema, 17, false), &[0, 1]);
 
         let mut delta = ProfileSet::new(&schema);
@@ -1119,7 +1075,7 @@ mod tests {
             .insert_with(|b| b.predicate("x", Predicate::between(16, 40)))
             .unwrap();
         let snap = snap.with_overlay(&delta).unwrap();
-        assert!(!snap.is_pure_base());
+        assert_eq!(snap.overlay_len(), 1);
         assert_eq!(snap.live_len(), 3);
         assert_eq!(matched(&snap, &schema, 17, false), &[0, 1, 2]);
         assert_eq!(matched(&snap, &schema, 35, false), &[2]);

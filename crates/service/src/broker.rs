@@ -48,7 +48,7 @@
 //! [`Notification::sequence`]: crate::Notification::sequence
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -62,7 +62,6 @@ use ens_types::{
     Event, IndexedBatch, IndexedEvent, Profile, ProfileBuilder, ProfileId, ProfileSet, Schema,
     TypesError,
 };
-use parking_lot::Mutex;
 
 use crate::channel::{OverflowPolicy, SendOutcome, Sender};
 use crate::journal::{Decision, DeclineReason, Journal, TreeShape};
@@ -102,15 +101,6 @@ pub struct BrokerConfig {
     /// therefore settles: one rebuild, then a geometrically thinning
     /// series of checks.
     pub rebuild: RebuildPolicy,
-    /// How many recent events to keep for inspection (0 disables).
-    pub history_capacity: usize,
-    /// Drop events in the zero-subdomain before filtering (broker-side
-    /// quenching; producers can do the same with
-    /// [`Broker::quench_advice`]). Only active while a shard's overlay
-    /// is empty — overlay profiles are not part of the compiled
-    /// coverage map, so quenching pauses (conservatively) until the
-    /// next compaction.
-    pub quench_inbound: bool,
     /// Number of subscription shards (0 is treated as 1). Each shard
     /// owns an independent snapshot, writer lock and drift statistics;
     /// `publish_batch` runs one worker per shard, shard 0 on the
@@ -186,8 +176,6 @@ impl Default for BrokerConfig {
         BrokerConfig {
             tree: TreeConfig::default(),
             rebuild: RebuildPolicy::default(),
-            history_capacity: 0,
-            quench_inbound: false,
             shards: 1,
             dfsa_dispatch: false,
             stats_sample: 1,
@@ -204,15 +192,12 @@ impl Default for BrokerConfig {
 pub struct PublishReceipt {
     /// Publish-order sequence number of the event.
     pub sequence: u64,
-    /// Subscriptions notified by this event (ascending id; empty if
-    /// quenched).
+    /// Subscriptions notified by this event (ascending id).
     pub matched: Vec<SubscriptionId>,
-    /// Comparison operations spent filtering: tree plus overlay ops (0
-    /// if quenched; with [`BrokerConfig::dfsa_dispatch`] the compiled
-    /// base counts no ops, so only overlay matching contributes).
+    /// Comparison operations spent filtering: tree plus overlay ops
+    /// (with [`BrokerConfig::dfsa_dispatch`] the compiled base counts
+    /// no ops, so only overlay matching contributes).
     pub ops: u64,
-    /// Whether the inbound quench pre-filter dropped the event.
-    pub quenched: bool,
 }
 
 /// One dispatch slot, aligned with the snapshot's global profile ids.
@@ -230,9 +215,6 @@ struct ShardSnapshot {
     base_dispatch: Arc<Vec<DispatchEntry>>,
     /// Dispatch for overlay positions, tombstones included.
     overlay_dispatch: OverlayDispatch,
-    /// Pre-computed quenching advice; `None` disables inbound
-    /// quenching for this snapshot (overlay pending, or quenching off).
-    quench: Option<Arc<QuenchAdvice>>,
 }
 
 impl ShardSnapshot {
@@ -336,15 +318,15 @@ struct ShardBatch {
     dead: Vec<u32>,
     /// Notifications of this batch lost to the overflow policy.
     overflowed: u64,
-    /// Per event: dropped by this shard's inbound quench pre-filter.
-    rejected: Vec<bool>,
+    /// The shard's worker panicked on this batch: `rows` hold nothing,
+    /// and the shard contributes nothing to the receipts.
+    panicked: bool,
 }
 
 impl ShardBatch {
-    /// Sizes the per-event and per-slot arrays for a batch of `events`
-    /// against a snapshot with `slots` dispatch slots, and clears the
-    /// previous batch's marks.
-    fn begin(&mut self, events: usize, slots: usize) {
+    /// Sizes the per-slot arrays for a snapshot with `slots` dispatch
+    /// slots, and clears the previous batch's marks.
+    fn begin(&mut self, slots: usize) {
         for g in self.dead.drain(..) {
             self.dead_from[g as usize] = ALIVE;
         }
@@ -353,19 +335,7 @@ impl ShardBatch {
             self.dead_from.resize(slots, ALIVE);
         }
         self.overflowed = 0;
-        self.rejected.clear();
-        self.rejected.resize(events, false);
-    }
-
-    /// The share of a shard whose worker panicked: `events` empty rows.
-    fn blank(events: usize) -> Self {
-        let mut blank = ShardBatch::default();
-        blank.begin(events, 0);
-        blank.rows.clear();
-        for _ in 0..events {
-            blank.rows.push_event(None);
-        }
-        blank
+        self.panicked = false;
     }
 
     /// Groups the rows by slot and appends each slot's run to its
@@ -424,9 +394,11 @@ impl ShardBatch {
     /// subscriber is in `matched` up to the event its channel was
     /// found severed at, and in `dead` from there on.
     fn collect(&self, snap: &ShardSnapshot, i: usize, into: &mut Delivery) {
+        if self.panicked {
+            return;
+        }
         into.ops += self.rows.ops_of(i);
         into.overlay_ops += self.rows.overlay_ops_of(i);
-        into.rejecting_shards += usize::from(self.rejected[i]);
         let row = self.rows.matched_of(i);
         if self.dead.is_empty() {
             into.matched.extend(row.iter().map(|&g| snap.entry(g).id));
@@ -459,7 +431,6 @@ struct Delivery {
     /// only; batches count theirs once per batch instead).
     cover_checks: u64,
     cover_delivered: u64,
-    rejecting_shards: usize,
 }
 
 /// A thread-safe event notification broker (a miniature GENAS, the
@@ -488,9 +459,6 @@ pub struct Broker {
     schema: Arc<Schema>,
     config: BrokerConfig,
     shards: Box<[Shard]>,
-    /// Publish history, split out of the filter path so readers of
-    /// [`Broker::recent_events`] never contend with matching.
-    history: Mutex<VecDeque<Arc<Event>>>,
     sequence: AtomicU64,
     next_sub: AtomicU64,
     metrics: Arc<Metrics>,
@@ -568,7 +536,6 @@ impl Broker {
             schema,
             config,
             shards: shards.into_boxed_slice(),
-            history: Mutex::new(VecDeque::new()),
             sequence: AtomicU64::new(sequence),
             next_sub: AtomicU64::new(next_sub),
             metrics,
@@ -839,10 +806,9 @@ impl Broker {
     /// adaptive statistics and possibly restructures a shard's tree.
     ///
     /// The event is wrapped in one [`Arc`] (a single allocation per
-    /// publish) which every notified subscriber and the history ring
-    /// buffer share; matching runs lock-free against the current
-    /// snapshots with thread-local scratch and allocates nothing after
-    /// warm-up.
+    /// publish) which every notified subscriber shares; matching runs
+    /// lock-free against the current snapshots with thread-local
+    /// scratch and allocates nothing after warm-up.
     ///
     /// # Errors
     ///
@@ -865,21 +831,19 @@ impl Broker {
             let (indexed, scratch) = &mut *cell.borrow_mut();
             indexed.resolve_into(&self.schema, &event)?;
             let sequence = self.sequence.fetch_add(1, Ordering::Relaxed);
-            self.record_history(std::slice::from_ref(&event));
             for shard in self.shards.iter() {
                 let snap = shard.snapshot.read().clone();
                 self.match_and_deliver(&snap, indexed, scratch, &event, sequence, &mut delivery);
             }
             Ok(sequence)
         })?;
-        let quenched = self.finish_publish(&event, sequence, &mut delivery)?;
+        self.finish_publish(&event, sequence, &mut delivery)?;
         self.maybe_checkpoint();
         delivery.matched.sort_unstable();
         Ok(PublishReceipt {
             sequence,
             matched: delivery.matched,
             ops: delivery.ops,
-            quenched,
         })
     }
 
@@ -960,7 +924,6 @@ impl Broker {
         let base_seq = self
             .sequence
             .fetch_add(events.len() as u64, Ordering::Relaxed);
-        self.record_history(events);
 
         // Taken out rather than borrowed: nothing below can then find
         // the cell busy, whatever it calls.
@@ -993,7 +956,7 @@ impl Broker {
         // A panicking worker (a poisoned profile, a bug in a matching
         // strategy) must not take the broker down or lose the other
         // shards' deliveries: the panic is caught, counted, and the
-        // panicked shard contributes empty rows for this batch.
+        // panicked shard contributes nothing to this batch's receipts.
         // `AssertUnwindSafe` is sound here: a worker reads the
         // immutable snapshot, sends on channels whose shared state is
         // lock-protected and stays consistent, and writes only its own
@@ -1005,7 +968,10 @@ impl Broker {
             }));
             if caught.is_err() {
                 self.metrics.shard_panics.fetch_add(1, Ordering::Relaxed);
-                *out = ShardBatch::blank(events.len());
+                *out = ShardBatch {
+                    panicked: true,
+                    ..ShardBatch::default()
+                };
             }
         };
         // Shard 0 runs on the calling thread, beside one spawned worker
@@ -1037,7 +1003,8 @@ impl Broker {
         );
         let mut receipts = Vec::with_capacity(events.len());
         for (i, event) in events.iter().enumerate() {
-            let hits = shards.iter().map(|b| b.rows.matched_of(i).len()).sum();
+            let live = shards.iter().filter(|b| !b.panicked);
+            let hits = live.map(|b| b.rows.matched_of(i).len()).sum();
             let mut delivery = Delivery {
                 matched: Vec::with_capacity(hits),
                 ..Delivery::default()
@@ -1046,13 +1013,12 @@ impl Broker {
                 batch.collect(snap, i, &mut delivery);
             }
             let sequence = base_seq + i as u64;
-            let quenched = self.finish_publish(event, sequence, &mut delivery)?;
+            self.finish_publish(event, sequence, &mut delivery)?;
             delivery.matched.sort_unstable();
             receipts.push(PublishReceipt {
                 sequence,
                 matched: delivery.matched,
                 ops: delivery.ops,
-                quenched,
             });
         }
         Ok(receipts)
@@ -1099,33 +1065,9 @@ impl Broker {
         {
             panic!("injected batch worker fault (shard {shard_idx})");
         }
-        out.begin(
-            events.len(),
-            snap.filter.base_len() + snap.filter.overlay_len(),
-        );
-        if let Some(quench) = &snap.quench {
-            // Inbound quenching pre-filters per event before matching;
-            // match event by event so quenched events pay (and count)
-            // nothing.
-            SCRATCH.with(|cell| {
-                let (row, scratch) = &mut *cell.borrow_mut();
-                out.rows.clear();
-                for i in 0..events.len() {
-                    row.copy_from_raw(indexed.row(i));
-                    if quench.allows_indexed(row) {
-                        snap.filter
-                            .match_into(row, scratch, self.config.dfsa_dispatch);
-                        out.rows.push_event(Some(scratch));
-                    } else {
-                        out.rejected[i] = true;
-                        out.rows.push_event(None);
-                    }
-                }
-            });
-        } else {
-            snap.filter
-                .match_block(indexed, &mut out.rows, self.config.dfsa_dispatch);
-        }
+        out.begin(snap.filter.base_len() + snap.filter.overlay_len());
+        snap.filter
+            .match_block(indexed, &mut out.rows, self.config.dfsa_dispatch);
         out.deliver(snap, events, base_seq);
     }
 
@@ -1156,8 +1098,8 @@ impl Broker {
         }
     }
 
-    /// The lock-free per-(event, shard) hot path: quench check, match
-    /// against the snapshot, deliver to matched subscribers.
+    /// The lock-free per-(event, shard) hot path: match against the
+    /// snapshot, deliver to matched subscribers.
     fn match_and_deliver(
         &self,
         snap: &ShardSnapshot,
@@ -1167,12 +1109,6 @@ impl Broker {
         sequence: u64,
         out: &mut Delivery,
     ) {
-        if let Some(q) = &snap.quench {
-            if !q.allows_indexed(indexed) {
-                out.rejecting_shards += 1;
-                return;
-            }
-        }
         snap.filter
             .match_into(indexed, scratch, self.config.dfsa_dispatch);
         out.ops += scratch.ops();
@@ -1200,37 +1136,19 @@ impl Broker {
         }
     }
 
-    /// Appends `events` to the history ring, in order, under one lock.
-    fn record_history(&self, events: &[Arc<Event>]) {
-        if self.config.history_capacity > 0 {
-            let mut history = self.history.lock();
-            for event in events {
-                if history.len() == self.config.history_capacity {
-                    history.pop_front();
-                }
-                history.push_back(Arc::clone(event));
-            }
-        }
-    }
-
     /// Post-delivery bookkeeping shared by `publish` and
     /// `publish_batch`: metrics, sampled drift statistics (with
     /// adaptive rebuilds) and garbage collection of hung-up
-    /// subscribers. Returns whether the event was quenched: every
-    /// shard rejected it.
+    /// subscribers.
     fn finish_publish(
         &self,
         event: &Arc<Event>,
         sequence: u64,
         delivery: &mut Delivery,
-    ) -> Result<bool, ServiceError> {
-        let quenched = delivery.rejecting_shards == self.shards.len();
+    ) -> Result<(), ServiceError> {
         self.metrics
             .events_published
             .fetch_add(1, Ordering::Relaxed);
-        if quenched {
-            self.metrics.quenched_events.fetch_add(1, Ordering::Relaxed);
-        }
         if delivery.ops > 0 {
             self.metrics
                 .total_ops
@@ -1274,10 +1192,10 @@ impl Broker {
                 .fetch_add(dead, Ordering::Relaxed);
             collected?;
         }
-        if !quenched && self.config.stats_sample > 0 && sequence % self.config.stats_sample == 0 {
+        if self.config.stats_sample > 0 && sequence % self.config.stats_sample == 0 {
             self.observe_drift(event)?;
         }
-        Ok(quenched)
+        Ok(())
     }
 
     /// Records `event` into every shard's drift statistics (skipping
@@ -1481,14 +1399,6 @@ impl Broker {
         });
         QuenchAdvice::from_profiles(&self.schema, &live)
             .expect("live profiles were already compiled once")
-    }
-
-    /// Recently published events (newest last), up to the configured
-    /// history capacity. Returns shared handles — the events themselves
-    /// are not copied.
-    #[must_use]
-    pub fn recent_events(&self) -> Vec<Arc<Event>> {
-        self.history.lock().iter().map(Arc::clone).collect()
     }
 
     /// Total adaptive (drift-triggered) rebuilds plus churn compactions

@@ -12,7 +12,7 @@
 //!   observed event distribution drifts;
 //! * [`QuenchAdvice`] — Elvin-style quenching (§2): producers learn
 //!   which value ranges no subscription references and can drop dead
-//!   events at the source;
+//!   events at the source (the broker matches every event it is sent);
 //! * [`MetricsSnapshot`] — service counters (events, notifications,
 //!   comparison operations, rebuilds), and [`Decision`] — the journal
 //!   of what the adaptive loop decided and on which numbers, and of
@@ -142,47 +142,6 @@ mod broker_tests {
         broker.publish(&event(&s, 40, 95)).unwrap();
         assert_eq!(broker.subscription_count(), 0);
         assert_eq!(broker.metrics().dropped_notifications, 1);
-    }
-
-    #[test]
-    fn quench_inbound_drops_dead_events() {
-        let s = schema();
-        let config = BrokerConfig {
-            quench_inbound: true,
-            ..BrokerConfig::default()
-        };
-        let broker = Broker::new(&s, config).unwrap();
-        let _hot = broker
-            .subscribe(|b| b.predicate("temperature", Predicate::ge(35)))
-            .unwrap();
-        // humidity is don't-care everywhere; temperature < 35 is dead.
-        let receipt = broker.publish(&event(&s, 0, 50)).unwrap();
-        assert!(receipt.quenched);
-        assert_eq!(receipt.ops, 0);
-        let m = broker.metrics();
-        assert_eq!(m.quenched_events, 1);
-        // A matchable event passes.
-        let receipt = broker.publish(&event(&s, 40, 50)).unwrap();
-        assert!(!receipt.quenched);
-        assert_eq!(receipt.matched.len(), 1);
-    }
-
-    #[test]
-    fn history_ring_buffer() {
-        let s = schema();
-        let config = BrokerConfig {
-            history_capacity: 2,
-            ..BrokerConfig::default()
-        };
-        let broker = Broker::new(&s, config).unwrap();
-        for t in [1, 2, 3] {
-            broker.publish(&event(&s, t, 0)).unwrap();
-        }
-        let recent = broker.recent_events();
-        assert_eq!(recent.len(), 2);
-        let t0 = s.attr("temperature").unwrap();
-        assert_eq!(recent[0].value(t0), Some(&ens_types::Value::Int(2)));
-        assert_eq!(recent[1].value(t0), Some(&ens_types::Value::Int(3)));
     }
 
     #[test]

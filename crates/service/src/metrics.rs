@@ -30,7 +30,6 @@ pub(crate) struct Metrics {
     /// Batch shard workers that panicked and were isolated (the
     /// remaining shards still delivered).
     pub shard_panics: AtomicU64,
-    pub quenched_events: AtomicU64,
     /// Adaptive (drift-triggered) tree rebuilds across all shards.
     pub tree_rebuilds: AtomicU64,
     /// Churn-triggered compactions (overlay/tombstone thresholds).
@@ -79,7 +78,6 @@ impl Metrics {
             dropped_notifications: self.dropped_notifications.load(Ordering::Relaxed),
             overflow_dropped: self.overflow_dropped.load(Ordering::Relaxed),
             shard_panics: self.shard_panics.load(Ordering::Relaxed),
-            quenched_events: self.quenched_events.load(Ordering::Relaxed),
             tree_rebuilds: self.tree_rebuilds.load(Ordering::Relaxed),
             overlay_compactions: self.overlay_compactions.load(Ordering::Relaxed),
             overlay_packs: self.overlay_packs.load(Ordering::Relaxed),
@@ -146,8 +144,6 @@ pub struct MetricsSnapshot {
     /// every other shard delivered normally.
     #[serde(default)]
     pub shard_panics: u64,
-    /// Events rejected by the quenching pre-filter.
-    pub quenched_events: u64,
     /// Number of adaptive (drift-triggered) tree rebuilds, including
     /// accepted retunes.
     pub tree_rebuilds: u64,
@@ -264,11 +260,11 @@ impl MetricsSnapshot {
 
 impl fmt::Display for MetricsSnapshot {
     /// One-line operational summary, e.g.
-    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) cover=180/95 quenched=3 dropped=0 overflow=0 panics=0 rebuilds=1 declined=2 compactions=4 packs=5 retunes=1/2 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
+    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) cover=180/95 dropped=0 overflow=0 panics=0 rebuilds=1 declined=2 compactions=4 packs=5 retunes=1/2 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) cover={}/{} quenched={} dropped={} overflow={} panics={} rebuilds={} declined={} compactions={} packs={} retunes={}/{} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
+            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) cover={}/{} dropped={} overflow={} panics={} rebuilds={} declined={} compactions={} packs={} retunes={}/{} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
             self.events_published,
             self.batch_events,
             self.notifications_sent,
@@ -279,7 +275,6 @@ impl fmt::Display for MetricsSnapshot {
             self.overlay_ops_per_event(),
             self.cover_delivered,
             self.cover_checks,
-            self.quenched_events,
             self.dropped_notifications,
             self.overflow_dropped,
             self.shard_panics,

@@ -8,13 +8,11 @@
 //! match anything and need not be sent at all.
 //!
 //! [`QuenchAdvice`] is the broker's exportable summary of covered value
-//! ranges per attribute; producers (or the broker itself, as a
-//! pre-filter) use [`QuenchAdvice::allows`] to drop dead events early.
+//! ranges per attribute; producers use [`QuenchAdvice::allows`] to drop
+//! dead events before they are sent.
 
 use ens_filter::AttributePartition;
-use ens_types::{
-    AttrId, Event, IndexInterval, IndexedEvent, IntervalSet, ProfileSet, Schema, TypesError,
-};
+use ens_types::{AttrId, Event, IndexInterval, IntervalSet, ProfileSet, Schema, TypesError};
 
 /// Per-attribute coverage map derived from the current profile set.
 ///
@@ -113,22 +111,6 @@ impl QuenchAdvice {
             }
         }
         Ok(true)
-    }
-
-    /// [`QuenchAdvice::allows`] over an already-resolved event — the
-    /// allocation-free form the broker's hot path uses (domain indices
-    /// were validated during resolution, so no error is possible).
-    #[must_use]
-    pub fn allows_indexed(&self, event: &IndexedEvent) -> bool {
-        for (k, &idx) in event.raw().iter().enumerate() {
-            if idx != IndexedEvent::MISSING
-                && k < self.covered.len()
-                && !self.covered[k].contains(idx)
-            {
-                return false;
-            }
-        }
-        true
     }
 
     /// The fraction of each attribute's domain that is covered — a

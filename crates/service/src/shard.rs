@@ -38,7 +38,6 @@ use crate::journal::{Decision, Journal};
 use crate::metrics::Metrics;
 use crate::notify::{Queued, Subscriber};
 use crate::persist::{CheckpointEntry, CheckpointShard};
-use crate::quench::QuenchAdvice;
 use crate::subscription::SubscriptionId;
 use crate::ServiceError;
 
@@ -265,8 +264,7 @@ pub(super) struct ShardWriter {
     /// drift) keeps compiling the tuned shape.
     tree: TreeConfig,
     schema: Arc<Schema>,
-    /// [`BrokerConfig::quench_inbound`] and [`BrokerConfig::covering`].
-    quench_inbound: bool,
+    /// [`BrokerConfig::covering`].
     covering: bool,
     metrics: Arc<Metrics>,
     /// The broker's decision journal, and the index this shard signs
@@ -321,8 +319,7 @@ impl ShardWriter {
 
     /// The one place a [`ShardSnapshot`] is made: the shard as it will
     /// be once `change` is committed. Owns the dispatch tables (aligned
-    /// with the filter's profile ids, tombstones included) and the rule
-    /// for inbound quenching.
+    /// with the filter's profile ids, tombstones included).
     ///
     /// From the published snapshot a change to the overlay touches only
     /// its own entry, and never depends on the compiled subscription
@@ -349,13 +346,13 @@ impl ShardWriter {
         };
         let overlay_table =
             || OverlayDispatch::new(self.overlay_after(change).map(|e| e.sub.dispatch(false)));
-        let (filter, base_dispatch, overlay_dispatch, advice) = match source {
+        let (filter, base_dispatch, overlay_dispatch) = match source {
             Source::Compiled(filter) => {
                 let slots = self.live_after(change).map(|e| e.dispatch(false));
                 let slots = Arc::new(slots.collect::<Vec<_>>());
-                (filter, slots, OverlayDispatch::default(), None)
+                (filter, slots, OverlayDispatch::default())
             }
-            Source::Restored(filter) => (filter, base_table(), overlay_table(), None),
+            Source::Restored(filter) => (filter, base_table(), overlay_table()),
             Source::Published(prev) => {
                 let mut filter = prev.filter.clone();
                 let mut base_dispatch = Arc::clone(&prev.base_dispatch);
@@ -387,24 +384,13 @@ impl ShardWriter {
                     filter = filter.with_removed(tombstones.collect());
                     base_dispatch = base_table();
                 }
-                // The compiled base is `prev`'s, and so is its advice.
-                (filter, base_dispatch, overlay_dispatch, prev.quench.clone())
+                (filter, base_dispatch, overlay_dispatch)
             }
         };
-        // The partitions the advice is computed from only cover compiled
-        // profiles, so quenching pauses while the overlay is non-empty
-        // (tombstones stay conservative).
-        let quench = (self.quench_inbound && filter.overlay_len() == 0).then(|| {
-            advice.unwrap_or_else(|| {
-                let partitions = filter.partitions();
-                Arc::new(QuenchAdvice::from_partitions(&self.schema, partitions))
-            })
-        });
         Ok(ShardSnapshot {
             filter,
             base_dispatch,
             overlay_dispatch,
-            quench,
         })
     }
 
@@ -539,7 +525,6 @@ impl Shard {
             tracker,
             tree: config.tree.clone(),
             schema: Arc::clone(schema),
-            quench_inbound: config.quench_inbound,
             covering: config.covering,
             metrics: Arc::clone(metrics),
             journal: Arc::clone(journal),
@@ -629,7 +614,6 @@ impl Shard {
             tracker: DriftTracker::new(&ProfileSet::new(schema), config.rebuild)?,
             tree: cs.tree,
             schema: Arc::clone(schema),
-            quench_inbound: config.quench_inbound,
             covering: config.covering,
             metrics: Arc::clone(metrics),
             journal: Arc::clone(journal),

@@ -10,7 +10,6 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ens_filter::RebuildPolicy;
 use ens_service::{
     Broker, BrokerConfig, Notification, OverflowPolicy, PublishReceipt, Subscriber, SubscriptionId,
 };
@@ -74,8 +73,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// `publish_batch` ≡ N × `publish_shared`, over shards × channel
-    /// capacity × overflow policy, with inbound quenching (the batch
-    /// path's event-by-event matching) on and off.
+    /// capacity × overflow policy.
     ///
     /// Subscribers die on both routes: one consumer hangs up between
     /// two batches (a handle cannot be dropped *during* a
@@ -88,7 +86,6 @@ proptest! {
         xs in prop::collection::vec(0i64..100, 8..100),
         batch_len in 1usize..40,
         hang_up in 0usize..4,
-        quench in prop_oneof![Just(false), Just(true)],
     ) {
         let schema = schema();
         let ranges: Vec<(i64, i64)> = ranges.iter().map(|(a, b)| (*a.min(b), *a.max(b))).collect();
@@ -118,19 +115,6 @@ proptest! {
                         shards,
                         notify_capacity,
                         overflow,
-                        quench_inbound: quench,
-                        // Keep both twins on the snapshot that
-                        // `subscribe_many` compiled: a tombstone
-                        // compaction lands after the event that
-                        // triggered it on one route and after that
-                        // event's batch on the other, and would move
-                        // the `quenched` flags apart. (The streams are
-                        // far shorter than a drift evaluation takes.)
-                        rebuild: RebuildPolicy {
-                            max_overlay: 0,
-                            max_removed: usize::MAX,
-                            ..RebuildPolicy::default()
-                        },
                         ..BrokerConfig::default()
                     };
                     let case = format!("{shards} shards, capacity {notify_capacity}, {overflow:?}");
@@ -150,8 +134,8 @@ proptest! {
 
                     for (a, b) in batched.receipts.iter().zip(&single.receipts) {
                         prop_assert_eq!(
-                            (a.sequence, &a.matched, a.quenched),
-                            (b.sequence, &b.matched, b.quenched),
+                            (a.sequence, &a.matched),
+                            (b.sequence, &b.matched),
                             "{}", case
                         );
                     }

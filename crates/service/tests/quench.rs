@@ -3,13 +3,13 @@
 //! The invariant (paper §2, Elvin's quenching): an event may be
 //! quenched only if *no* live subscription matches it. This must hold
 //! at every instant of a churn-and-burst run — while subscriptions sit
-//! in the overlay, after tombstoning, and across compactions — for
-//! both the exported [`QuenchAdvice`] and the broker's inbound
-//! pre-filter.
+//! in the overlay, after tombstoning, and across compactions — for the
+//! exported [`QuenchAdvice`], while every publish still matches exactly
+//! the live subscriptions the event satisfies.
 
 use ens_filter::RebuildPolicy;
 use ens_service::{Broker, BrokerConfig, Subscriber, SubscriptionId};
-use ens_types::{Event, IndexedEvent, Predicate, Profile};
+use ens_types::{Event, Predicate, Profile};
 use ens_workloads::{churn_burst_plan, scenario::environmental_schema, ChurnOp};
 use proptest::prelude::*;
 
@@ -18,7 +18,6 @@ use proptest::prelude::*;
 fn churn_config() -> BrokerConfig {
     BrokerConfig {
         shards: 2,
-        quench_inbound: true,
         rebuild: RebuildPolicy {
             max_overlay: 3,
             max_removed: 2,
@@ -62,35 +61,15 @@ proptest! {
                             ids.sort_unstable();
                             ids
                         };
-                        let matchable = !oracle.is_empty();
-                        if matchable {
+                        if !oracle.is_empty() {
                             prop_assert!(
                                 advice.allows(event).unwrap(),
                                 "advice dropped a matchable event (seed {})",
                                 seed
                             );
                         }
-                        // The hot-path form agrees with the checked one.
-                        let indexed =
-                            IndexedEvent::resolve(&plan.schema, event).unwrap();
-                        prop_assert_eq!(
-                            advice.allows(event).unwrap(),
-                            advice.allows_indexed(&indexed)
-                        );
-                        // Broker-side inbound quenching obeys the same
-                        // bound, and passed-through events still match
-                        // exactly the oracle set.
                         let receipt = broker.publish(event).unwrap();
-                        if receipt.quenched {
-                            prop_assert!(receipt.matched.is_empty());
-                            prop_assert!(
-                                !matchable,
-                                "inbound quench dropped a matchable event (seed {})",
-                                seed
-                            );
-                        } else {
-                            prop_assert_eq!(&receipt.matched, &oracle);
-                        }
+                        prop_assert_eq!(&receipt.matched, &oracle);
                     }
                 }
             }

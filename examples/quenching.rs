@@ -5,7 +5,6 @@
 
 use ens::prelude::*;
 use ens::service::BrokerConfig;
-use ens::types::AttrId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schema = Schema::builder()
@@ -13,13 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .attribute("humidity", Domain::int(0, 100))?
         .build();
 
-    let broker = Broker::new(
-        &schema,
-        BrokerConfig {
-            quench_inbound: true,
-            ..BrokerConfig::default()
-        },
-    )?;
+    let broker = Broker::new(&schema, BrokerConfig::default())?;
     let _heat = broker.subscribe_parsed("profile(temperature >= 40)")?;
     let _frost = broker.subscribe_parsed("profile(temperature <= -15; humidity >= 80)")?;
 
@@ -40,22 +33,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             dead.join(", ")
         );
     }
-    let _ = AttrId::new(0);
 
-    // Publish a mixed stream; the broker-side pre-filter drops the dead
-    // ones before any tree work.
+    // A producer with the advice sends only what some profile can match;
+    // the dead events never reach the broker.
     let mut quenched = 0;
     for t in (-30..=50).step_by(5) {
         let e = Event::builder(&schema)
             .value("temperature", t)?
             .value("humidity", 50)?
             .build();
-        let receipt = broker.publish(&e)?;
-        quenched += i32::from(receipt.quenched);
+        if advice.allows(&e)? {
+            broker.publish(&e)?;
+        } else {
+            quenched += 1;
+        }
     }
     let m = broker.metrics();
     println!(
-        "published {} events; {} quenched without filtering, {} notifications, {:.2} ops/event overall",
+        "published {} events; {} quenched at the source, {} notifications, {:.2} ops/event",
         m.events_published,
         quenched,
         m.notifications_sent,

@@ -29,8 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 drift_threshold: 0.2,
                 ..RebuildPolicy::default()
             },
-            history_capacity: 16,
-            quench_inbound: false,
             ..BrokerConfig::default()
         },
     )?;

@@ -46,8 +46,6 @@ fn fire_risk_pipeline_end_to_end() {
                 drift_threshold: 0.4,
                 ..RebuildPolicy::default()
             },
-            history_capacity: 8,
-            quench_inbound: true,
             ..BrokerConfig::default()
         },
     )
@@ -96,8 +94,11 @@ fn fire_risk_pipeline_end_to_end() {
     // one don't-care profile, so no value lies in a zero-subdomain and
     // nothing may be dropped (dropping would lose don't-care matches).
     let calm = event(&s, 0, 60, 10);
+    assert!(
+        broker.quench_advice().allows(&calm).unwrap(),
+        "don't-care coverage disables quenching"
+    );
     let receipt = broker.publish(&calm).unwrap();
-    assert!(!receipt.quenched, "don't-care coverage disables quenching");
     assert!(receipt.matched.is_empty());
     assert_eq!(
         broker.metrics().events_published as usize,
@@ -108,9 +109,10 @@ fn fire_risk_pipeline_end_to_end() {
     // keep only the heat watcher and publish the same calm event.
     broker.unsubscribe(drought.id()).unwrap();
     broker.unsubscribe(storm.id()).unwrap();
-    let receipt = broker.publish(&calm).unwrap();
-    assert!(receipt.quenched, "temperature 0 is now in D0");
-    assert!(broker.metrics().quenched_events >= 1);
+    assert!(
+        !broker.quench_advice().allows(&calm).unwrap(),
+        "temperature 0 is now in D0"
+    );
 }
 
 #[test]
