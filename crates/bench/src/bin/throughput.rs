@@ -27,8 +27,7 @@ use ens_bench::BenchWorkload;
 use ens_filter::baseline::NaiveMatcher;
 use ens_filter::{
     BlockScratch, Dfsa, Direction, FilterSnapshot, MatchScratch, Matcher, OverlayIndex,
-    ProfileTree, RebuildPolicy, SearchStrategy, SnapshotScratch, TreeConfig, TuningPolicy,
-    ValueOrder,
+    ProfileTree, RebuildPolicy, SearchStrategy, SnapshotScratch, TreeConfig, ValueOrder,
 };
 use ens_service::{
     Broker, BrokerConfig, Decision, DurabilityConfig, FaultFs, FsyncPolicy, Subscriber, Vfs,
@@ -361,7 +360,7 @@ struct FederationReport {
     /// had recovered every one of them.
     recovery_after_partition_virtual_ms: u64,
     /// Same partition scenario under a small bounded pending buffer:
-    /// sequence numbers shed by the overflow policy (DropOldest), as
+    /// sequence numbers evicted, oldest first, from the full buffer, as
     /// reported by the federation metrics.
     bounded_overflow_dropped: u64,
     /// Covering-based interest aggregation on a duplicate-heavy
@@ -1097,7 +1096,7 @@ fn tuning_broker(
                 drift_threshold: 0.6,
                 ..RebuildPolicy::default()
             },
-            tuning: TuningPolicy::standard(),
+            tuning: true,
             ..BrokerConfig::default()
         }
     } else {
@@ -1739,7 +1738,6 @@ fn bench_federation(opts: &Options) -> Result<FederationReport, Box<dyn std::err
         rto_ms: 40,
         send_window: 64,
         pending_cap: 0,
-        ..LinkConfig::default()
     };
 
     // --- TCP loopback fan-out latency -------------------------------

@@ -25,7 +25,7 @@
 //!   subscription overlay) for lock-free concurrent matching, with
 //!   [`RebuildPolicy`]/[`DriftTracker`] unifying churn compaction and
 //!   adaptive drift rebuilds behind a single snapshot-swap writer;
-//! * a [`TuningPolicy`] that closes the observe → estimate →
+//! * a [`tuning`] pass that closes the observe → estimate →
 //!   re-optimize loop: when drift fires, it prices candidate
 //!   (search-strategy, attribute-order) configurations under the
 //!   online distribution estimate and recommends a retune only when
@@ -81,7 +81,7 @@ mod snapshot;
 mod statistics;
 mod subrange;
 mod tree;
-mod tuning;
+pub mod tuning;
 
 pub use cost::{expected_ops, CostBreakdown, CostModel, LevelCost, ProfileCost};
 pub use cover::CoverPlan;
@@ -101,7 +101,7 @@ pub use snapshot::{FilterSnapshot, SnapshotBlockScratch, SnapshotScratch};
 pub use statistics::FilterStatistics;
 pub use subrange::{AttributePartition, Cell};
 pub use tree::{AttributeOrder, ProfileTree, TreeConfig};
-pub use tuning::{RetuneDecision, TuningPolicy};
+pub use tuning::RetuneDecision;
 
 /// Convenience result alias used across this crate.
 pub type Result<T> = std::result::Result<T, FilterError>;

@@ -10,9 +10,8 @@
 //! * **subscription churn**: new profiles enter a small overlay
 //!   side-matcher immediately (see
 //!   [`FilterSnapshot`](crate::FilterSnapshot)) and are only folded into
-//!   the tree once the overlay reaches [`RebuildPolicy::max_overlay`]
-//!   entries (tombstoned removals likewise, via
-//!   [`RebuildPolicy::max_removed`]);
+//!   the tree once the overlay — or the tombstoned removals — pass
+//!   [`RebuildPolicy::max_overlay`] entries;
 //! * **distribution drift**: [`DriftTracker`] keeps the event history
 //!   and the L1-drift detector of that component (paper §4.2/§5) and
 //!   asks for a rebuild when the empirical event distribution has moved
@@ -32,7 +31,7 @@ use crate::FilterError;
 /// When a compiled [`FilterSnapshot`](crate::FilterSnapshot) is rebuilt.
 ///
 /// Unifies the adaptive drift trigger (the first two fields) with the
-/// incremental-subscription compaction thresholds.
+/// incremental-subscription compaction threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RebuildPolicy {
     /// Do not consider a drift rebuild before this many events were
@@ -46,13 +45,11 @@ pub struct RebuildPolicy {
     /// [`DriftSignal::noise`]).
     pub drift_threshold: f64,
     /// Compact the subscription overlay into the tree once it holds more
-    /// than this many profiles. `0` compacts on every subscribe — the
-    /// seed's rebuild-per-subscribe behaviour.
+    /// than this many profiles, or once more than this many tombstoned
+    /// (unsubscribed but still compiled) profiles accumulate. `0`
+    /// compacts on every subscribe and unsubscribe — the seed's
+    /// rebuild-per-change behaviour.
     pub max_overlay: usize,
-    /// Compact once more than this many tombstoned (unsubscribed but
-    /// still compiled) profiles accumulate. `0` compacts on every
-    /// unsubscribe.
-    pub max_removed: usize,
     /// Once `min_events` is reached, evaluate the drift distance only
     /// every this-many observed events (`1` — or `0`, treated as `1` —
     /// checks on every event). The histogram update is O(1) per event,
@@ -68,23 +65,17 @@ impl Default for RebuildPolicy {
             min_events: 500,
             drift_threshold: 0.25,
             max_overlay: 64,
-            max_removed: 64,
             drift_check_every: 32,
         }
     }
 }
 
 impl RebuildPolicy {
-    /// Whether an overlay of `len` profiles is due for compaction.
+    /// Whether an overlay of `len` profiles, or `len` tombstoned ones,
+    /// is due for compaction.
     #[must_use]
-    pub fn overlay_full(&self, len: usize) -> bool {
+    pub fn compaction_due(&self, len: usize) -> bool {
         len > self.max_overlay
-    }
-
-    /// Whether `len` tombstoned profiles are due for compaction.
-    #[must_use]
-    pub fn removed_full(&self, len: usize) -> bool {
-        len > self.max_removed
     }
 }
 
@@ -451,12 +442,25 @@ mod tests {
     fn thresholds() {
         let p = RebuildPolicy {
             max_overlay: 0,
-            max_removed: 2,
             ..RebuildPolicy::default()
         };
-        assert!(p.overlay_full(1), "max_overlay = 0 compacts immediately");
-        assert!(!p.removed_full(2));
-        assert!(p.removed_full(3));
+        assert!(p.compaction_due(1), "max_overlay = 0 compacts immediately");
+        assert!(!p.compaction_due(0));
+    }
+
+    /// One count for both sides of churn: tombstones compact where the
+    /// overlay does, at the default as at a configured `max_overlay`.
+    #[test]
+    fn tombstones_compact_at_max_overlay() {
+        let default = RebuildPolicy::default();
+        assert!(!default.compaction_due(64));
+        assert!(default.compaction_due(65));
+        let p = RebuildPolicy {
+            max_overlay: 2,
+            ..default
+        };
+        assert!(!p.compaction_due(2));
+        assert!(p.compaction_due(3));
     }
 
     /// Observes `x` until the policy fires, at most `limit` times;

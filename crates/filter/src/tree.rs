@@ -429,7 +429,7 @@ impl ProfileTree {
             debug_assert_eq!(executed, budget, "scan agrees with the cost table");
             (executed, found)
         } else {
-            // Binary / interpolation / hash strategies: the
+            // Binary / interpolation / hash search: the
             // `partition_point` above is the executed probe sequence;
             // operations are charged from the precomputed ordering.
             (budget, None)

@@ -4,17 +4,17 @@
 //! This module closes the loop the paper sketches across §4 and §5: the
 //! statistic objects (§4.2, [`FilterStatistics`](crate::FilterStatistics))
 //! estimate the event distribution online, the analytic cost model
-//! (Eq. 2, [`CostModel`](crate::CostModel)) prices every candidate
+//! (Eq. 2, [`CostModel`]) prices every candidate
 //! filter structure under that estimate, and "an adaptive filter
 //! component … optimizes the profile tree for certain applications
 //! based on the data distributions" (§1). Where the
 //! [`DriftTracker`](crate::DriftTracker) only *refreshes the model* of
-//! a fixed configuration, a [`TuningPolicy`] re-evaluates the
+//! a fixed configuration, [`evaluate`] re-evaluates the
 //! configuration itself — the V1–V3 value orders and binary search
 //! ([`SearchStrategy`]) crossed with the natural/A1/A2 attribute orders
 //! ([`AttributeOrder`]) — and recommends a retune only when the
-//! predicted cost improvement clears a threshold, so a service never
-//! pays a rebuild for a marginal win.
+//! predicted cost improvement clears [`MIN_IMPROVEMENT`], so a service
+//! never pays a rebuild for a marginal win.
 //!
 //! The decision is purely advisory: callers (e.g. the `ens-service`
 //! broker) stage the rebuild through their usual snapshot-swap commit
@@ -30,197 +30,126 @@ use crate::selectivity::AttributeMeasure;
 use crate::tree::{AttributeOrder, ProfileTree, TreeConfig};
 use crate::{Direction, FilterError, ValueOrder};
 
-/// When (and among which candidates) a filter re-chooses its structure.
+/// The smallest predicted fractional improvement (`1 − best/stale`) a
+/// retune must clear: below it a rebuild buys too little to be worth
+/// the churn near break-even.
+pub const MIN_IMPROVEMENT: f64 = 0.10;
+
+/// The candidate per-node searches — the distribution-sensitive linear
+/// orders the paper evaluates (§4.2: natural, V1/V2/V3 descending) —
+/// plus binary search.
+const STRATEGIES: [SearchStrategy; 5] = [
+    SearchStrategy::Linear(ValueOrder::Natural(Direction::Ascending)),
+    SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
+    SearchStrategy::Linear(ValueOrder::ProfileProb(Direction::Descending)),
+    SearchStrategy::Linear(ValueOrder::Combined(Direction::Descending)),
+    SearchStrategy::Binary,
+];
+
+/// The candidate attribute orders (§4.1: natural, A1 and A2
+/// descending). A3 is deliberately absent — its `O(n!)` search is
+/// "only sensible for applications with stable distributions" (§4.1),
+/// the opposite of the drifting workloads a tuner serves.
+const ATTRIBUTE_ORDERS: [AttributeOrder; 3] = [
+    AttributeOrder::Natural,
+    AttributeOrder::Selectivity {
+        measure: AttributeMeasure::A1,
+        direction: Direction::Descending,
+    },
+    AttributeOrder::Selectivity {
+        measure: AttributeMeasure::A2,
+        direction: Direction::Descending,
+    },
+];
+
+/// Prices every candidate configuration — the V1–V3 value orders and
+/// binary search crossed with the natural/A1/A2 attribute orders — for
+/// `profiles` under the estimated event model `joint` and compares the
+/// best against the cost of keeping the current structure unchanged
+/// under the same model: `current` (the stale compiled tree) plus a
+/// floor of one comparison per event for each of the `overlay_len`
+/// profiles still matched by the incremental side-matcher (a candidate
+/// tree folds them in, the stale structure pays them on every event).
+/// The floor is a deliberate under-estimate, so the decision stays
+/// conservative.
 ///
-/// The candidate space is the cross product of
-/// [`TuningPolicy::strategies`] and [`TuningPolicy::attribute_orders`].
-/// An empty cross product disables tuning entirely — that is the
-/// [`Default`], so embedding this policy in a service configuration
-/// changes nothing until the operator opts in (typically via
-/// [`TuningPolicy::standard`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TuningPolicy {
-    /// Minimum predicted fractional cost improvement
-    /// (`1 − best/stale`, unitless in `[0, 1]`) a candidate must clear
-    /// before a retune is recommended. `0.0` retunes on any predicted
-    /// win; values around `0.1`–`0.2` avoid rebuild churn near
-    /// break-even.
-    pub min_improvement: f64,
-    /// Candidate per-node search strategies (paper §4.2: the eight
-    /// linear value orders and binary search).
-    pub strategies: Vec<SearchStrategy>,
-    /// Candidate tree-level attribute orders (paper §4.1: natural and
-    /// the selectivity measures). A3 is deliberately absent from
-    /// [`TuningPolicy::standard`] — its `O(n!)` search is "only
-    /// sensible for applications with stable distributions" (§4.1),
-    /// the opposite of the drifting workloads a tuner serves.
-    pub attribute_orders: Vec<AttributeOrder>,
-}
-
-impl Default for TuningPolicy {
-    /// Tuning disabled: no candidates, infinite threshold.
-    fn default() -> Self {
-        TuningPolicy {
-            min_improvement: f64::INFINITY,
-            strategies: Vec::new(),
-            attribute_orders: Vec::new(),
-        }
-    }
-}
-
-impl TuningPolicy {
-    /// The standard candidate battery: the distribution-sensitive
-    /// linear orders the paper evaluates (natural, V1/V2/V3 descending)
-    /// plus binary search, crossed with the natural, A1-descending and
-    /// A2-descending attribute orders, at a 10 % improvement threshold.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ens_filter::TuningPolicy;
-    ///
-    /// let policy = TuningPolicy::standard();
-    /// assert!(policy.is_enabled());
-    /// assert_eq!(policy.candidate_count(), 5 * 3);
-    /// assert!(!TuningPolicy::default().is_enabled());
-    /// ```
-    #[must_use]
-    pub fn standard() -> Self {
-        let selectivity = |measure| AttributeOrder::Selectivity {
-            measure,
-            direction: Direction::Descending,
-        };
-        TuningPolicy {
-            min_improvement: 0.10,
-            strategies: vec![
-                SearchStrategy::Linear(ValueOrder::Natural(Direction::Ascending)),
-                SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
-                SearchStrategy::Linear(ValueOrder::ProfileProb(Direction::Descending)),
-                SearchStrategy::Linear(ValueOrder::Combined(Direction::Descending)),
-                SearchStrategy::Binary,
-            ],
-            attribute_orders: vec![
-                AttributeOrder::Natural,
-                selectivity(AttributeMeasure::A1),
-                selectivity(AttributeMeasure::A2),
-            ],
-        }
-    }
-
-    /// Whether the candidate space is non-empty.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        !self.strategies.is_empty() && !self.attribute_orders.is_empty()
-    }
-
-    /// Number of `(strategy, attribute order)` candidates evaluated per
-    /// tuning pass.
-    #[must_use]
-    pub fn candidate_count(&self) -> usize {
-        self.strategies.len() * self.attribute_orders.len()
-    }
-
-    /// Prices every candidate configuration for `profiles` under the
-    /// estimated event model `joint` and compares the best against the
-    /// cost of keeping the current structure unchanged under the same
-    /// model: `current` (the stale compiled tree) plus a floor of one
-    /// comparison per event for each of the `overlay_len` profiles
-    /// still matched by the incremental side-matcher (a candidate tree
-    /// folds them in, the stale structure pays them on every event).
-    /// The floor is a deliberate under-estimate, so the decision stays
-    /// conservative.
-    ///
-    /// Candidates that fail to build (e.g. an A3 order on a too-wide
-    /// schema) are skipped. `base` supplies everything a candidate does
-    /// not re-decide (ablation flags, profile weights).
-    ///
-    /// Tombstoned (unsubscribed but still compiled) profiles remain in
-    /// `current` and genuinely cost operations on every event, while
-    /// candidates are priced over the live set only — that asymmetry
-    /// is intentional: a retune accepted on the tombstone margin
-    /// reclaims real per-event cost by folding them out.
-    ///
-    /// The winning candidate's tree — `profiles` compiled under `base`
-    /// with the decision's attribute order and search strategy and
-    /// `joint` for an event model — is handed back with the decision,
-    /// so a caller that accepts it commits the tree that was priced
-    /// instead of building it a second time. `None` when no candidate
-    /// could be built.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cost-model errors for the *stale* evaluation — if the
-    /// current tree cannot be priced under `joint` (arity/domain
-    /// mismatch), the caller's estimate pipeline is broken and tuning
-    /// must not silently proceed.
-    pub fn evaluate(
-        &self,
-        current: &ProfileTree,
-        overlay_len: usize,
-        profiles: &ProfileSet,
-        base: &TreeConfig,
-        joint: &JointDist,
-    ) -> Result<(RetuneDecision, Option<ProfileTree>), FilterError> {
-        let stale_ops = CostModel::new(current, joint)?
-            .evaluate()?
-            .expected_total_ops()
-            + overlay_len as f64;
-        let mut best: Option<(f64, SearchStrategy, AttributeOrder, ProfileTree)> = None;
-        for &search in &self.strategies {
-            for order in &self.attribute_orders {
-                let config = TreeConfig {
-                    attribute_order: order.clone(),
-                    search,
-                    event_model: Some(joint.clone()),
-                    ..base.clone()
-                };
-                let Ok(tree) = ProfileTree::build(profiles, &config) else {
-                    continue;
-                };
-                let Ok(cost) = CostModel::new(&tree, joint).and_then(|m| m.evaluate()) else {
-                    continue;
-                };
-                let ops = cost.expected_total_ops();
-                if best.as_ref().is_none_or(|(b, ..)| ops < *b) {
-                    best = Some((ops, search, config.attribute_order, tree));
-                }
+/// Candidates that fail to build (e.g. an A3 order on a too-wide
+/// schema) are skipped. `base` supplies everything a candidate does
+/// not re-decide (ablation flags, profile weights).
+///
+/// Tombstoned (unsubscribed but still compiled) profiles remain in
+/// `current` and genuinely cost operations on every event, while
+/// candidates are priced over the live set only — that asymmetry
+/// is intentional: a retune accepted on the tombstone margin
+/// reclaims real per-event cost by folding them out.
+///
+/// The winning candidate's tree — `profiles` compiled under `base`
+/// with the decision's attribute order and search strategy and
+/// `joint` for an event model — is handed back with the decision,
+/// so a caller that accepts it commits the tree that was priced
+/// instead of building it a second time. `None` when no candidate
+/// could be built.
+///
+/// # Errors
+///
+/// Propagates cost-model errors for the *stale* evaluation — if the
+/// current tree cannot be priced under `joint` (arity/domain
+/// mismatch), the caller's estimate pipeline is broken and tuning
+/// must not silently proceed.
+pub fn evaluate(
+    current: &ProfileTree,
+    overlay_len: usize,
+    profiles: &ProfileSet,
+    base: &TreeConfig,
+    joint: &JointDist,
+) -> Result<(RetuneDecision, Option<ProfileTree>), FilterError> {
+    let stale_ops = CostModel::new(current, joint)?
+        .evaluate()?
+        .expected_total_ops()
+        + overlay_len as f64;
+    let mut best: Option<(f64, SearchStrategy, AttributeOrder, ProfileTree)> = None;
+    for search in STRATEGIES {
+        for order in &ATTRIBUTE_ORDERS {
+            let config = TreeConfig {
+                attribute_order: order.clone(),
+                search,
+                event_model: Some(joint.clone()),
+                ..base.clone()
+            };
+            let Ok(tree) = ProfileTree::build(profiles, &config) else {
+                continue;
+            };
+            let Ok(cost) = CostModel::new(&tree, joint).and_then(|m| m.evaluate()) else {
+                continue;
+            };
+            let ops = cost.expected_total_ops();
+            if best.as_ref().is_none_or(|(b, ..)| ops < *b) {
+                best = Some((ops, search, config.attribute_order, tree));
             }
         }
-        let (best_ops, search, attribute_order, tree) = match best {
-            Some((ops, search, order, tree)) => (ops, search, order, Some(tree)),
-            None => (stale_ops, base.search, base.attribute_order.clone(), None),
-        };
-        let decision = RetuneDecision {
-            stale_ops,
-            best_ops,
-            search,
-            attribute_order,
-            accepted: false,
-        };
-        // A retune must predict a *strict* win: with `min_improvement:
-        // 0.0` a zero-improvement candidate (or the stale fallback when
-        // every candidate failed to build) would otherwise trigger an
-        // endless rebuild-for-nothing loop on every drift fire.
-        let accepted = stale_ops > 0.0
-            && decision.best_ops < decision.stale_ops
-            && decision.improvement() >= self.min_improvement;
-        Ok((
-            RetuneDecision {
-                accepted,
-                ..decision
-            },
-            tree,
-        ))
     }
+    let (best_ops, search, attribute_order, tree) = match best {
+        Some((ops, search, order, tree)) => (ops, search, order, Some(tree)),
+        None => (stale_ops, base.search, base.attribute_order.clone(), None),
+    };
+    let mut decision = RetuneDecision {
+        stale_ops,
+        best_ops,
+        search,
+        attribute_order,
+        accepted: false,
+    };
+    decision.accepted = decision.improvement() >= MIN_IMPROVEMENT;
+    Ok((decision, tree))
 }
 
-/// The outcome of one tuning pass (see [`TuningPolicy::evaluate`]).
+/// The outcome of one tuning pass (see [`evaluate`]).
 ///
 /// # Example
 ///
 /// ```
 /// use ens_dist::{Density, DistOverDomain, JointDist};
-/// use ens_filter::{ProfileTree, TreeConfig, TuningPolicy};
+/// use ens_filter::{tuning, ProfileTree, TreeConfig};
 /// use ens_types::{Domain, Predicate, ProfileSet, Schema};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -236,7 +165,7 @@ impl TuningPolicy {
 ///     DistOverDomain::new(Density::window(0.9, 1.0), 100),
 /// ])?;
 /// let (decision, tuned) =
-///     TuningPolicy::standard().evaluate(&stale, 0, &ps, &TreeConfig::default(), &est)?;
+///     tuning::evaluate(&stale, 0, &ps, &TreeConfig::default(), &est)?;
 /// assert!(decision.accepted, "scanning the hot band first must win");
 /// assert!(decision.best_ops < decision.stale_ops);
 /// assert!(tuned.is_some(), "the tree that was priced comes with it");
@@ -254,8 +183,7 @@ pub struct RetuneDecision {
     pub search: SearchStrategy,
     /// The best candidate's attribute order.
     pub attribute_order: AttributeOrder,
-    /// Whether the improvement clears
-    /// [`TuningPolicy::min_improvement`].
+    /// Whether the improvement clears [`MIN_IMPROVEMENT`].
     pub accepted: bool,
 }
 
@@ -296,21 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_policy_never_accepts() {
-        let schema = schema();
-        let ps = banded_profiles(&schema, &[(0, 9), (90, 99)]);
-        let stale = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let est = JointDist::independent(vec![DistOverDomain::new(Density::window(0.9, 1.0), 100)])
-            .unwrap();
-        let (d, tree) = TuningPolicy::default()
-            .evaluate(&stale, 0, &ps, &TreeConfig::default(), &est)
-            .unwrap();
-        assert!(!d.accepted && tree.is_none());
-        assert_eq!(d.best_ops, d.stale_ops, "no candidates: stale is best");
-        assert_eq!(d.improvement(), 0.0);
-    }
-
-    #[test]
     fn high_threshold_declines_marginal_wins() {
         let schema = schema();
         let ps = banded_profiles(&schema, &[(0, 49), (50, 99)]);
@@ -318,32 +231,10 @@ mod tests {
         let stale = ProfileTree::build(&ps, &config).unwrap();
         // Uniform traffic: nothing beats the stale tree by much.
         let est = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)]).unwrap();
-        let policy = TuningPolicy {
-            min_improvement: 0.9,
-            ..TuningPolicy::standard()
-        };
-        let (d, _) = policy.evaluate(&stale, 0, &ps, &config, &est).unwrap();
+        let (d, _) = evaluate(&stale, 0, &ps, &config, &est).unwrap();
         assert!(!d.accepted, "{d:?}");
+        assert!(d.improvement() < MIN_IMPROVEMENT, "{d:?}");
         assert!(d.best_ops <= d.stale_ops + 1e-9);
-    }
-
-    #[test]
-    fn zero_threshold_still_requires_a_strict_win() {
-        let schema = schema();
-        let ps = banded_profiles(&schema, &[(0, 9), (50, 59)]);
-        let config = TreeConfig::default();
-        let stale = ProfileTree::build(&ps, &config).unwrap();
-        let est = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)]).unwrap();
-        // The only candidate is the stale configuration itself: equal
-        // cost, so even `min_improvement: 0.0` must decline.
-        let policy = TuningPolicy {
-            min_improvement: 0.0,
-            strategies: vec![config.search],
-            attribute_orders: vec![config.attribute_order.clone()],
-        };
-        let (d, _) = policy.evaluate(&stale, 0, &ps, &config, &est).unwrap();
-        assert!((d.best_ops - d.stale_ops).abs() < 1e-12, "{d:?}");
-        assert!(!d.accepted, "equal cost is not a win: {d:?}");
     }
 
     #[test]
@@ -352,9 +243,7 @@ mod tests {
         let ps = ProfileSet::new(&schema);
         let stale = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
         let est = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)]).unwrap();
-        let (d, _) = TuningPolicy::standard()
-            .evaluate(&stale, 0, &ps, &TreeConfig::default(), &est)
-            .unwrap();
+        let (d, _) = evaluate(&stale, 0, &ps, &TreeConfig::default(), &est).unwrap();
         assert!(!d.accepted);
         assert_eq!(d.improvement(), 0.0);
     }
@@ -365,9 +254,7 @@ mod tests {
         let ps = banded_profiles(&schema, &[(0, 9)]);
         let stale = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
         let wrong = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 7)]).unwrap();
-        assert!(TuningPolicy::standard()
-            .evaluate(&stale, 0, &ps, &TreeConfig::default(), &wrong)
-            .is_err());
+        assert!(evaluate(&stale, 0, &ps, &TreeConfig::default(), &wrong).is_err());
     }
 
     /// The retuned configuration must deliver exactly the same matches
@@ -383,9 +270,7 @@ mod tests {
         let est =
             JointDist::independent(vec![DistOverDomain::new(Density::gaussian(0.9, 0.05), 100)])
                 .unwrap();
-        let (d, tuned) = TuningPolicy::standard()
-            .evaluate(&stale, 0, &ps, &config, &est)
-            .unwrap();
+        let (d, tuned) = evaluate(&stale, 0, &ps, &config, &est).unwrap();
         assert!(d.accepted, "{d:?}");
         let tuned = tuned.expect("an accepted decision comes with its tree");
         let mut indexed = IndexedEvent::new();
@@ -419,9 +304,7 @@ mod tests {
         let high =
             JointDist::independent(vec![DistOverDomain::new(Density::window(0.9, 1.0), 100)])
                 .unwrap();
-        let (d, tuned) = TuningPolicy::standard()
-            .evaluate(&stale, 0, &ps, &config, &high)
-            .unwrap();
+        let (d, tuned) = evaluate(&stale, 0, &ps, &config, &high).unwrap();
         assert!(d.accepted, "{d:?}");
         let tuned = tuned.expect("an accepted decision comes with its tree");
         // Measured ops on hot-band events: retuned must be cheaper.

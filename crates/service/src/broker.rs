@@ -55,15 +55,15 @@ use std::time::Instant;
 
 use ens_dist::JointDist;
 use ens_filter::{
-    expected_ops, AttributeOrder, DriftCause, DriftSignal, FilterSnapshot, RebuildPolicy,
-    SearchStrategy, SnapshotBlockScratch, SnapshotScratch, TreeConfig, TuningPolicy,
+    expected_ops, tuning, AttributeOrder, DriftCause, DriftSignal, FilterSnapshot, RebuildPolicy,
+    SearchStrategy, SnapshotBlockScratch, SnapshotScratch, TreeConfig,
 };
 use ens_types::{
     Event, IndexedBatch, IndexedEvent, Profile, ProfileBuilder, ProfileId, ProfileSet, Schema,
     TypesError,
 };
 
-use crate::channel::{OverflowPolicy, SendOutcome, Sender};
+use crate::channel::{SendOutcome, Sender};
 use crate::journal::{Decision, DeclineReason, Journal, TreeShape};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::notify::{Queued, Subscriber};
@@ -85,9 +85,9 @@ use shard::{notify_channel, OverlayDispatch, Shard, ShardGuard, SubEntry};
 pub struct BrokerConfig {
     /// Filter tree configuration (search strategy, attribute order).
     pub tree: TreeConfig,
-    /// Unified rebuild policy: overlay/tombstone compaction thresholds
-    /// plus the adaptive drift trigger. `max_overlay: 0` restores the
-    /// seed's rebuild-on-every-subscribe behaviour.
+    /// Unified rebuild policy: the overlay/tombstone compaction
+    /// threshold plus the adaptive drift trigger. `max_overlay: 0`
+    /// restores the seed's rebuild-on-every-subscribe behaviour.
     ///
     /// The drift half is a trigger, not a verdict. It fires when a
     /// shard's estimate of the event distribution is
@@ -123,16 +123,15 @@ pub struct BrokerConfig {
     /// cells), so what a larger N buys is that recording cost and
     /// nothing else; the estimate just takes N times as long to form.
     pub stats_sample: u64,
-    /// Self-tuning policy. When enabled (e.g.
-    /// [`TuningPolicy::standard`]), a drift trigger — the warm-up, or
-    /// the distribution having moved — also re-chooses the tree's
-    /// shape: the broker prices the candidate (search-strategy,
-    /// attribute-order) configurations under the shard's online
-    /// distribution estimate, and the cheapest is what has to clear
-    /// [`TuningPolicy::min_improvement`] and pay for its rebuild.
-    /// Disabled (the default), the candidate is the configured shape
-    /// recompiled under the estimate.
-    pub tuning: TuningPolicy,
+    /// Self-tuning. When on, a drift trigger — the warm-up, or the
+    /// distribution having moved — also re-chooses the tree's shape:
+    /// the broker prices the candidate (search-strategy,
+    /// attribute-order) configurations of [`tuning::evaluate`] under
+    /// the shard's online distribution estimate, and the cheapest is
+    /// what has to clear [`tuning::MIN_IMPROVEMENT`] and pay for its
+    /// rebuild. Off (the default), the candidate is the configured
+    /// shape recompiled under the estimate.
+    pub tuning: bool,
     /// Covering-pruned compilation: every compaction runs one bulk
     /// containment pass over the live population and compiles only the
     /// representative antichain into the tree/DFSA; covered
@@ -161,14 +160,11 @@ pub struct BrokerConfig {
     /// first, and what the consumer has claimed counts as received. A
     /// consumer that stops draining therefore holds at most this many
     /// notifications plus 7 — all of them in
-    /// [`Subscriber::pending`] — and overflow of the queue is resolved
-    /// by [`BrokerConfig::overflow`] and counted in
+    /// [`Subscriber::pending`]. A send into a full queue evicts its
+    /// oldest notification, counted in
     /// [`MetricsSnapshot::overflow_dropped`] and
     /// [`Subscriber::dropped`].
     pub notify_capacity: usize,
-    /// What a full subscriber channel does with the next notification
-    /// (only meaningful with `notify_capacity > 0`).
-    pub overflow: OverflowPolicy,
 }
 
 impl Default for BrokerConfig {
@@ -179,10 +175,9 @@ impl Default for BrokerConfig {
             shards: 1,
             dfsa_dispatch: false,
             stats_sample: 1,
-            tuning: TuningPolicy::default(),
+            tuning: false,
             covering: true,
             notify_capacity: 0,
-            overflow: OverflowPolicy::default(),
         }
     }
 }
@@ -316,7 +311,7 @@ struct ShardBatch {
     dead_from: Vec<u32>,
     /// Slots holding a `dead_from` mark.
     dead: Vec<u32>,
-    /// Notifications of this batch lost to the overflow policy.
+    /// Notifications of this batch evicted from full channels.
     overflowed: u64,
     /// The shard's worker panicked on this batch: `rows` hold nothing,
     /// and the shard contributes nothing to the receipts.
@@ -420,8 +415,8 @@ impl ShardBatch {
 struct Delivery {
     matched: Vec<SubscriptionId>,
     dead: Vec<SubscriptionId>,
-    /// Notifications lost to a bounded channel's overflow policy
-    /// (each one matched — the subscription stays in `matched`).
+    /// Notifications evicted from a full bounded channel (each one
+    /// matched — the subscription stays in `matched`).
     overflowed: u64,
     ops: u64,
     /// The overlay side-index's share of `ops` (metrics attribution:
@@ -989,8 +984,8 @@ impl Broker {
             }),
         }
 
-        // Every matched subscriber stays in `matched`; what the overflow
-        // policies shed is only counted.
+        // Every matched subscriber stays in `matched`; what full
+        // channels evict is only counted.
         let overflowed: u64 = shards.iter().map(|b| b.overflowed).sum();
         if overflowed > 0 {
             self.metrics
@@ -1090,7 +1085,7 @@ impl Broker {
             Ok(SendOutcome::Delivered) => out.matched.push(entry.id),
             Ok(SendOutcome::DroppedOne) => {
                 // The subscription matched and stays live; exactly one
-                // notification was lost to the overflow policy.
+                // queued notification was evicted to make room.
                 out.matched.push(entry.id);
                 out.overflowed += 1;
             }
@@ -1219,9 +1214,9 @@ impl Broker {
     /// pays for itself ([`price_rebuild`]).
     ///
     /// The candidate is the shard's shape recompiled under the estimate
-    /// or, with [`BrokerConfig::tuning`] enabled, the cheapest shape of
-    /// the policy's battery, which must also clear
-    /// [`TuningPolicy::min_improvement`]. Two triggers are not priced.
+    /// or, with [`BrokerConfig::tuning`] on, the cheapest shape of
+    /// [`tuning::evaluate`]'s battery, which must also clear
+    /// [`tuning::MIN_IMPROVEMENT`]. Two triggers are not priced.
     /// The warm-up (no estimate behind the tree in place) is committed:
     /// there is one per shard, and nothing to weigh the estimate
     /// against. And where the shard's shape does not read the event
@@ -1237,7 +1232,7 @@ impl Broker {
         w: &mut ShardGuard<'_>,
         signal: DriftSignal,
     ) -> Result<(), ServiceError> {
-        let tuning = self.config.tuning.is_enabled();
+        let tuning = self.config.tuning;
         let decline = |w: &mut ShardGuard<'_>, saving, reason| {
             if tuning {
                 self.metrics
@@ -1257,7 +1252,7 @@ impl Broker {
             let t0 = Instant::now();
             // Only uncovered overlay entries carry the tuner's overlay
             // floor.
-            let (decision, tree) = self.config.tuning.evaluate(
+            let (decision, tree) = tuning::evaluate(
                 snap.filter.tree(),
                 w.overlay_uncovered(),
                 &staged.compiled,

@@ -1,18 +1,16 @@
-//! Bounded multi-producer, single-consumer notification channels with
-//! explicit overflow policies.
+//! Bounded multi-producer, single-consumer notification channels that
+//! drop their oldest entry when full.
 //!
 //! The broker used to hand every subscriber an unbounded queue, which
 //! turns one stalled consumer into unbounded memory growth. This
 //! module supplies the replacement: a small MPSC channel whose `send`
 //! never blocks the publishing hot path and instead resolves overflow
-//! according to a configured [`OverflowPolicy`] — evict the oldest
-//! queued notification, refuse the newest, or sever the channel so the
-//! broker's dead-subscriber garbage collection prunes the
-//! subscription.
+//! by evicting the oldest queued notification, so a lagging consumer
+//! keeps seeing the freshest events at the price of a counted gap.
 //!
-//! `DropOldest` is why this is hand-rolled rather than a bounded
-//! channel from a library shim: eviction pops from the *send* side,
-//! an operation classical bounded channels do not expose.
+//! Eviction is why this is hand-rolled rather than a bounded channel
+//! from a library shim: it pops from the *send* side, an operation
+//! classical bounded channels do not expose.
 //!
 //! # The consumer claims its backlog
 //!
@@ -22,7 +20,7 @@
 //! and, when it is empty, takes the lock once and moves up to [`CLAIM`]
 //! queued entries across: a backlog of *n* costs ⌈*n*/`CLAIM`⌉ lock
 //! pairs, not *n*. Claimed is received: the capacity bounds what is
-//! *queued*, the overflow policy sheds only queued entries, a stalled
+//! *queued*, overflow sheds only queued entries, a stalled
 //! consumer holds at most `capacity + CLAIM − 1`, and the consumer
 //! parks only with an empty claim.
 //!
@@ -41,37 +39,17 @@ use std::time::{Duration, Instant};
 /// The most entries one lock moves from the queue to the consumer.
 pub(crate) const CLAIM: usize = 8;
 
-/// What a bounded subscriber channel does when a send finds it full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Evict the oldest queued notification to admit the new one: the
-    /// consumer keeps seeing the freshest events at the price of a gap
-    /// (the default — matches a monitoring consumer that only cares
-    /// about current state).
-    #[default]
-    DropOldest,
-    /// Refuse the new notification and keep the queued backlog intact:
-    /// the consumer drains a contiguous prefix and misses the tail.
-    DropNewest,
-    /// Sever the channel: the subscriber is treated as hung-up, and
-    /// the broker's dead-subscriber garbage collection cancels the
-    /// subscription on this publish.
-    Disconnect,
-}
-
 /// How a send was resolved (the broker turns these into metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SendOutcome {
     /// Queued without loss.
     Delivered,
-    /// Queued, but one previously queued notification was evicted
-    /// (`DropOldest`) — or the new one was refused (`DropNewest`).
-    /// Either way exactly one notification was lost.
+    /// Queued, but the oldest queued notification was evicted to make
+    /// room.
     DroppedOne,
 }
 
-/// The channel is severed: the receiver is gone, or an overflow under
-/// [`OverflowPolicy::Disconnect`] closed it.
+/// The channel is severed: the receiver is gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Disconnected;
 
@@ -80,23 +58,22 @@ pub(crate) struct Disconnected;
 /// aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Pushed {
-    /// The leading notifications of the run that the channel took:
-    /// queued, or counted against the overflow policy.
+    /// The notifications of the run that the channel queued: all of
+    /// them, or none if it is severed.
     pub(crate) accepted: usize,
-    /// How many of those were lost to `DropOldest`/`DropNewest`.
+    /// Queued notifications evicted to make room for them.
     pub(crate) lost: usize,
-    /// The channel is severed: every notification from index
-    /// `accepted` on was refused and the subscription should be
-    /// garbage-collected.
+    /// The channel is severed: the run was refused and the
+    /// subscription should be garbage-collected.
     pub(crate) severed: bool,
 }
 
 struct State<T> {
     buf: VecDeque<T>,
-    /// Set by an overflow under [`OverflowPolicy::Disconnect`] and by
-    /// dropping the receiver; once closed the channel stays closed.
+    /// Set by dropping the receiver; once closed the channel stays
+    /// closed.
     closed: bool,
-    /// Notifications lost to the overflow policy on this channel.
+    /// Notifications evicted from this channel's full queue.
     dropped: u64,
     /// The receiver is in `wait_timeout` and no sender has woken it.
     parked: bool,
@@ -143,8 +120,8 @@ impl<T> Inner<T> {
 
 /// Creates a notification channel. `capacity == 0` means unbounded
 /// (the seed behaviour); otherwise at most `capacity` notifications
-/// are queued and `policy` resolves overflow.
-pub(crate) fn channel<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>, Receiver<T>) {
+/// are queued and a send into a full queue evicts the oldest.
+pub(crate) fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     let inner = Arc::new(Inner {
         state: Mutex::new(State {
             buf: VecDeque::new(),
@@ -161,7 +138,6 @@ pub(crate) fn channel<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>,
         Sender {
             inner: Arc::clone(&inner),
             capacity,
-            policy,
         },
         Receiver {
             inner,
@@ -174,7 +150,6 @@ pub(crate) fn channel<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>,
 pub(crate) struct Sender<T> {
     inner: Arc<Inner<T>>,
     capacity: usize,
-    policy: OverflowPolicy,
 }
 
 /// The subscriber-side half, wrapped by
@@ -186,9 +161,9 @@ pub(crate) struct Receiver<T> {
 }
 
 impl<T> Sender<T> {
-    /// Enqueues a notification without ever blocking. Overflow is
-    /// resolved by the channel's policy; `Err` means the channel is
-    /// severed and the subscription should be garbage-collected.
+    /// Enqueues a notification without ever blocking, evicting the
+    /// oldest if the queue is full; `Err` means the channel is severed
+    /// and the subscription should be garbage-collected.
     ///
     /// Written out and not as [`Sender::send_many`] of one: handed a
     /// one-element iterator, the compiler has spilled the notification
@@ -199,15 +174,14 @@ impl<T> Sender<T> {
             return Err(Disconnected);
         };
         let outcome = self.enqueue(&mut s, msg);
-        self.release(s, outcome.is_err());
-        outcome
+        self.release(s);
+        Ok(outcome)
     }
 
     /// Enqueues a run of notifications, in order, under one lock and
     /// with at most one wake-up, without ever blocking. The outcome is
-    /// exactly that of one [`Sender::send`] per notification; the
-    /// iterator is not advanced past the notification that finds the
-    /// channel severed.
+    /// exactly that of one [`Sender::send`] per notification; a
+    /// severed channel does not advance the iterator.
     pub(crate) fn send_many<I>(&self, msgs: I) -> Pushed
     where
         I: IntoIterator<Item = T>,
@@ -222,17 +196,12 @@ impl<T> Sender<T> {
         };
         pushed.severed = false;
         for msg in msgs {
-            match self.enqueue(&mut s, msg) {
-                Ok(SendOutcome::Delivered) => {}
-                Ok(SendOutcome::DroppedOne) => pushed.lost += 1,
-                Err(Disconnected) => {
-                    pushed.severed = true;
-                    break;
-                }
+            if self.enqueue(&mut s, msg) == SendOutcome::DroppedOne {
+                pushed.lost += 1;
             }
             pushed.accepted += 1;
         }
-        self.release(s, pushed.severed);
+        self.release(s);
         pushed
     }
 
@@ -244,28 +213,18 @@ impl<T> Sender<T> {
         (!s.closed).then_some(s)
     }
 
-    /// Queues one notification, or resolves the overflow it meets by
-    /// the channel's policy (`Err`: the policy closed the channel).
+    /// Queues one notification, evicting the oldest if the queue is
+    /// full.
     #[inline]
-    fn enqueue(&self, s: &mut State<T>, msg: T) -> Result<SendOutcome, Disconnected> {
+    fn enqueue(&self, s: &mut State<T>, msg: T) -> SendOutcome {
         if self.capacity == 0 || s.buf.len() < self.capacity {
             s.buf.push_back(msg);
-            return Ok(SendOutcome::Delivered);
+            return SendOutcome::Delivered;
         }
-        match self.policy {
-            OverflowPolicy::DropOldest => {
-                s.buf.pop_front();
-                s.buf.push_back(msg);
-            }
-            OverflowPolicy::DropNewest => {}
-            OverflowPolicy::Disconnect => {
-                s.closed = true;
-                s.buf.clear();
-                return Err(Disconnected);
-            }
-        }
+        s.buf.pop_front();
+        s.buf.push_back(msg);
         s.dropped += 1;
-        Ok(SendOutcome::DroppedOne)
+        SendOutcome::DroppedOne
     }
 
     /// Unlocks and wakes the receiver if it has something to see.
@@ -278,8 +237,8 @@ impl<T> Sender<T> {
     /// flag is up, or it has yet to take the lock and will find the
     /// queue non-empty.
     #[inline]
-    fn release(&self, mut s: MutexGuard<'_, State<T>>, severed: bool) {
-        let wake = s.parked && (severed || !s.buf.is_empty());
+    fn release(&self, mut s: MutexGuard<'_, State<T>>) {
+        let wake = s.parked && !s.buf.is_empty();
         s.parked &= !wake;
         drop(s);
         if wake {
@@ -294,7 +253,6 @@ impl<T> Clone for Sender<T> {
         Sender {
             inner: Arc::clone(&self.inner),
             capacity: self.capacity,
-            policy: self.policy,
         }
     }
 }
@@ -360,7 +318,7 @@ impl<T> Receiver<T> {
         self.inner.state().buf.len() + self.claimed.borrow().len()
     }
 
-    /// Notifications this channel has lost to its overflow policy.
+    /// Notifications evicted from this channel's full queue.
     pub(crate) fn dropped(&self) -> u64 {
         self.inner.state().dropped
     }
@@ -385,7 +343,6 @@ impl<T> fmt::Debug for Sender<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Sender")
             .field("capacity", &self.capacity)
-            .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
 }
@@ -400,15 +357,9 @@ impl<T> fmt::Debug for Receiver<T> {
 mod tests {
     use super::*;
 
-    const POLICIES: [OverflowPolicy; 3] = [
-        OverflowPolicy::DropOldest,
-        OverflowPolicy::DropNewest,
-        OverflowPolicy::Disconnect,
-    ];
-
     #[test]
     fn unbounded_when_capacity_zero() {
-        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+        let (tx, rx) = channel(0);
         for i in 0..1000 {
             assert_eq!(tx.send(i), Ok(SendOutcome::Delivered));
         }
@@ -418,7 +369,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_keeps_the_freshest_tail() {
-        let (tx, rx) = channel(3, OverflowPolicy::DropOldest);
+        let (tx, rx) = channel(3);
         for i in 0..10 {
             let out = tx.send(i).unwrap();
             if i < 3 {
@@ -436,34 +387,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_newest_keeps_the_prefix() {
-        let (tx, rx) = channel(3, OverflowPolicy::DropNewest);
-        for i in 0..10 {
-            tx.send(i).unwrap();
-        }
-        assert_eq!(rx.dropped(), 7);
-        assert_eq!(rx.try_recv(), Some(0));
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.try_recv(), Some(2));
-        assert_eq!(rx.try_recv(), None);
-        assert!(!rx.is_disconnected());
-    }
-
-    #[test]
-    fn disconnect_policy_severs_the_channel() {
-        let (tx, rx) = channel(2, OverflowPolicy::Disconnect);
-        assert!(tx.send(0).is_ok());
-        assert!(tx.send(1).is_ok());
-        assert_eq!(tx.send(2), Err(Disconnected));
-        // Severed for good: the backlog is gone and later sends fail.
-        assert_eq!(rx.try_recv(), None);
-        assert!(rx.is_disconnected());
-        assert_eq!(tx.send(3), Err(Disconnected));
-    }
-
-    #[test]
     fn dropped_receiver_fails_sends_and_frees_its_backlog() {
-        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+        let (tx, rx) = channel(0);
         let item = Arc::new(7);
         for _ in 0..20 {
             tx.send(Arc::clone(&item)).unwrap();
@@ -483,7 +408,7 @@ mod tests {
 
     #[test]
     fn recv_timeout_wakes_on_cross_thread_send() {
-        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+        let (tx, rx) = channel(0);
         assert_eq!(rx.recv_timeout(Duration::from_millis(5)), None);
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
@@ -516,7 +441,7 @@ mod tests {
 
     #[test]
     fn sends_wake_only_a_parked_receiver_and_only_once() {
-        let (tx, mut rx) = channel(0, OverflowPolicy::DropOldest);
+        let (tx, mut rx) = channel(0);
         tx.send(1).unwrap();
         assert_eq!(tx.send_many([2, 3, 4]).accepted, 3);
         assert_eq!(tx.send_many(std::iter::empty()).accepted, 0);
@@ -556,7 +481,7 @@ mod tests {
 
     #[test]
     fn last_sender_drop_wakes_a_parked_receiver() {
-        let (tx, rx) = channel::<u8>(0, OverflowPolicy::DropOldest);
+        let (tx, rx) = channel::<u8>(0);
         let consumer = std::thread::spawn(move || {
             let t0 = Instant::now();
             (rx.recv_timeout(Duration::from_secs(10)), t0.elapsed())
@@ -573,7 +498,7 @@ mod tests {
     /// sending and no wait.
     #[test]
     fn recv_timeout_serves_the_claim_before_it_parks() {
-        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+        let (tx, rx) = channel(0);
         assert_eq!(tx.send_many(0..5).accepted, 5);
         let consumer = std::thread::spawn(move || {
             let t0 = Instant::now();
@@ -599,39 +524,23 @@ mod tests {
     }
 
     /// What the channel promises, written the slow way: a queue the
-    /// policy guards and a claim it does not.
+    /// capacity guards and a claim it does not.
     struct Model {
         capacity: usize,
-        policy: OverflowPolicy,
         queued: VecDeque<u32>,
         claimed: VecDeque<u32>,
         dropped: u64,
-        closed: bool,
     }
 
     impl Model {
-        fn send(&mut self, item: u32) -> Result<SendOutcome, Disconnected> {
-            if self.closed {
-                return Err(Disconnected);
+        fn send(&mut self, item: u32) -> SendOutcome {
+            self.queued.push_back(item);
+            if self.queued.len() <= self.capacity {
+                return SendOutcome::Delivered;
             }
-            if self.queued.len() < self.capacity {
-                self.queued.push_back(item);
-                return Ok(SendOutcome::Delivered);
-            }
-            match self.policy {
-                OverflowPolicy::DropOldest => {
-                    self.queued.pop_front();
-                    self.queued.push_back(item);
-                }
-                OverflowPolicy::DropNewest => {}
-                OverflowPolicy::Disconnect => {
-                    self.closed = true;
-                    self.queued.clear();
-                    return Err(Disconnected);
-                }
-            }
+            self.queued.pop_front();
             self.dropped += 1;
-            Ok(SendOutcome::DroppedOne)
+            SendOutcome::DroppedOne
         }
 
         fn recv(&mut self) -> Option<u32> {
@@ -643,87 +552,67 @@ mod tests {
         }
     }
 
-    /// Claimed is received: the capacity bounds the queue alone, the
-    /// policies shed from the queue alone, `len` counts both — under
-    /// every policy, with receives in between sends and runs.
+    /// Claimed is received: the capacity bounds the queue alone,
+    /// overflow sheds from the queue alone, `len` counts both — with
+    /// receives in between sends and runs.
     #[test]
     fn capacity_and_policy_govern_the_queue_not_the_claim() {
-        for policy in POLICIES {
-            for capacity in [1, 3, CLAIM, 20] {
-                let mut most_held = 0;
-                for seed in 0..24u32 {
-                    let (tx, rx) = channel(capacity, policy);
-                    let mut model = Model {
-                        capacity,
-                        policy,
-                        queued: VecDeque::new(),
-                        claimed: VecDeque::new(),
-                        dropped: 0,
-                        closed: false,
-                    };
-                    let mut received = Vec::new();
-                    let mut next = 0u32;
-                    let mut r = seed.wrapping_mul(2_654_435_761).wrapping_add(12_345);
-                    for step in 0..400 {
-                        r = r.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                        // Send-heavy and receive-heavy stretches.
-                        let sending = (step / 40 + seed) % 2 == 0;
-                        let case = format!("{policy:?} cap {capacity} seed {seed} step {step}");
-                        // Six sends in eight, or two.
-                        let op = (r >> 24) % 8;
-                        if op >= if sending { 6 } else { 2 } {
-                            let got = rx.try_recv();
-                            assert_eq!(got, model.recv(), "{case}");
-                            received.extend(got);
-                        } else if op % 2 == 0 {
-                            assert_eq!(tx.send(next), model.send(next), "{case}");
-                            next += 1;
-                        } else {
-                            let run = next..next + (r >> 16) % 12;
-                            let mut expect = Pushed {
-                                accepted: 0,
-                                lost: 0,
-                                severed: model.closed,
-                            };
-                            for item in run.clone() {
-                                if expect.severed {
-                                    break;
-                                }
-                                match model.send(item) {
-                                    Ok(SendOutcome::Delivered) => expect.accepted += 1,
-                                    Ok(SendOutcome::DroppedOne) => {
-                                        expect.accepted += 1;
-                                        expect.lost += 1;
-                                    }
-                                    Err(Disconnected) => expect.severed = true,
-                                }
+        for capacity in [1, 3, CLAIM, 20] {
+            let mut most_held = 0;
+            for seed in 0..24u32 {
+                let (tx, rx) = channel(capacity);
+                let mut model = Model {
+                    capacity,
+                    queued: VecDeque::new(),
+                    claimed: VecDeque::new(),
+                    dropped: 0,
+                };
+                let mut received = Vec::new();
+                let mut next = 0u32;
+                let mut r = seed.wrapping_mul(2_654_435_761).wrapping_add(12_345);
+                for step in 0..400 {
+                    r = r.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    // Send-heavy and receive-heavy stretches.
+                    let sending = (step / 40 + seed) % 2 == 0;
+                    let case = format!("cap {capacity} seed {seed} step {step}");
+                    // Six sends in eight, or two.
+                    let op = (r >> 24) % 8;
+                    if op >= if sending { 6 } else { 2 } {
+                        let got = rx.try_recv();
+                        assert_eq!(got, model.recv(), "{case}");
+                        received.extend(got);
+                    } else if op % 2 == 0 {
+                        assert_eq!(tx.send(next), Ok(model.send(next)), "{case}");
+                        next += 1;
+                    } else {
+                        let run = next..next + (r >> 16) % 12;
+                        let mut expect = Pushed {
+                            accepted: 0,
+                            lost: 0,
+                            severed: false,
+                        };
+                        for item in run.clone() {
+                            expect.accepted += 1;
+                            if model.send(item) == SendOutcome::DroppedOne {
+                                expect.lost += 1;
                             }
-                            assert_eq!(tx.send_many(run.clone()), expect, "{case}");
-                            next = run.end;
                         }
-                        assert_eq!(rx.len(), model.queued.len() + model.claimed.len(), "{case}");
-                        assert_eq!(rx.inner.state().buf.len(), model.queued.len(), "{case}");
-                        assert_eq!(rx.dropped(), model.dropped, "{case}");
-                        assert_eq!(rx.is_disconnected(), model.closed, "{case}");
-                        assert!(model.queued.len() <= capacity, "{case}");
-                        most_held = most_held.max(rx.len());
+                        assert_eq!(tx.send_many(run.clone()), expect, "{case}");
+                        next = run.end;
                     }
-                    if policy == OverflowPolicy::Disconnect {
-                        // Nothing is shed before the cut and nothing
-                        // arrives after it: a contiguous prefix.
-                        received.extend(std::iter::from_fn(|| rx.try_recv()));
-                        assert_eq!(rx.dropped(), 0);
-                        assert!(received.iter().copied().eq(0..received.len() as u32));
-                    }
+                    assert_eq!(rx.len(), model.queued.len() + model.claimed.len(), "{case}");
+                    assert_eq!(rx.inner.state().buf.len(), model.queued.len(), "{case}");
+                    assert_eq!(rx.dropped(), model.dropped, "{case}");
+                    assert!(!rx.is_disconnected(), "{case}");
+                    assert!(model.queued.len() <= capacity, "{case}");
+                    most_held = most_held.max(rx.len());
                 }
-                // The most a stalled consumer holds — and does hold,
-                // where an overflow is not the end of the channel.
-                let bound = capacity + CLAIM.min(capacity) - 1;
-                assert!(most_held <= bound, "{policy:?} cap {capacity}");
-                if policy != OverflowPolicy::Disconnect {
-                    assert_eq!(most_held, bound, "{policy:?} cap {capacity}");
-                }
+                // Eviction leaves gaps, never reorders.
+                assert!(received.windows(2).all(|w| w[0] < w[1]));
             }
+            // The most a stalled consumer holds — and does hold.
+            let bound = capacity + CLAIM.min(capacity) - 1;
+            assert_eq!(most_held, bound, "cap {capacity}");
         }
     }
 
@@ -736,7 +625,7 @@ mod tests {
     fn one_consumer_gets_every_item_once_in_order_without_stalling() {
         const PRODUCERS: u32 = 3;
         const PER_PRODUCER: u32 = 4_000;
-        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+        let (tx, rx) = channel(0);
         let consumer = std::thread::spawn(move || {
             let mut got = Vec::new();
             let mut slowest = Duration::ZERO;
@@ -792,59 +681,40 @@ mod tests {
     #[test]
     fn send_many_equals_a_sequence_of_sends() {
         let drain = |rx: &Receiver<i32>| std::iter::from_fn(|| rx.try_recv()).collect::<Vec<_>>();
-        for policy in POLICIES {
-            for capacity in [0, 1, 4, 64] {
-                for prefill in [0, 1, 3, 4, 63, 64] {
-                    for run in [0, 1, 2, 5, 70] {
-                        // Receives between prefill and run: the run
-                        // meets a queue partly claimed away.
-                        for receives in [0, 1, 9] {
-                            let (one, one_rx) = channel(capacity, policy);
-                            let (many, many_rx) = channel(capacity, policy);
-                            for i in 0..prefill {
-                                assert_eq!(one.send(i).is_ok(), many.send(i).is_ok());
-                            }
-                            for _ in 0..receives {
-                                assert_eq!(one_rx.try_recv(), many_rx.try_recv());
-                            }
-                            let mut expect = Pushed {
-                                accepted: 0,
-                                lost: 0,
-                                severed: false,
-                            };
-                            for i in 1000..1000 + run {
-                                match one.send(i) {
-                                    _ if expect.severed => {}
-                                    Ok(SendOutcome::Delivered) => expect.accepted += 1,
-                                    Ok(SendOutcome::DroppedOne) => {
-                                        expect.accepted += 1;
-                                        expect.lost += 1;
-                                    }
-                                    Err(Disconnected) => expect.severed = true,
-                                }
-                            }
-                            if run == 0 {
-                                // A run of sends cannot see a severed
-                                // channel without sending; an empty
-                                // `send_many` can.
-                                expect.severed = one_rx.is_disconnected();
-                            }
-                            let case = format!(
-                                "{policy:?} cap {capacity} prefill {prefill} \
-                                 receives {receives} run {run}"
-                            );
-                            assert_eq!(many.send_many(1000..1000 + run), expect, "{case}");
-                            assert_eq!(one_rx.len(), many_rx.len(), "{case}");
-                            assert_eq!(one_rx.dropped(), many_rx.dropped(), "{case}");
-                            assert_eq!(
-                                one_rx.is_disconnected(),
-                                many_rx.is_disconnected(),
-                                "{case}"
-                            );
-                            // A later send sees the same channel.
-                            assert_eq!(one.send(9), many.send(9), "{case}");
-                            assert_eq!(drain(&one_rx), drain(&many_rx), "{case}");
+        for capacity in [0, 1, 4, 64] {
+            for prefill in [0, 1, 3, 4, 63, 64] {
+                for run in [0, 1, 2, 5, 70] {
+                    // Receives between prefill and run: the run meets a
+                    // queue partly claimed away.
+                    for receives in [0, 1, 9] {
+                        let (one, one_rx) = channel(capacity);
+                        let (many, many_rx) = channel(capacity);
+                        for i in 0..prefill {
+                            assert_eq!(one.send(i), many.send(i));
                         }
+                        for _ in 0..receives {
+                            assert_eq!(one_rx.try_recv(), many_rx.try_recv());
+                        }
+                        let mut expect = Pushed {
+                            accepted: 0,
+                            lost: 0,
+                            severed: false,
+                        };
+                        for i in 1000..1000 + run {
+                            expect.accepted += 1;
+                            if one.send(i) == Ok(SendOutcome::DroppedOne) {
+                                expect.lost += 1;
+                            }
+                        }
+                        let case = format!(
+                            "cap {capacity} prefill {prefill} receives {receives} run {run}"
+                        );
+                        assert_eq!(many.send_many(1000..1000 + run), expect, "{case}");
+                        assert_eq!(one_rx.len(), many_rx.len(), "{case}");
+                        assert_eq!(one_rx.dropped(), many_rx.dropped(), "{case}");
+                        // A later send sees the same channel.
+                        assert_eq!(one.send(9), many.send(9), "{case}");
+                        assert_eq!(drain(&one_rx), drain(&many_rx), "{case}");
                     }
                 }
             }

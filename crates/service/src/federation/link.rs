@@ -9,8 +9,9 @@
 //! ## Reliability model (Go-Back-N, at-least-once, receiver dedup)
 //!
 //! Outbound sequenced messages wait unsequenced in `pending` (the
-//! bounded in-flight buffer the overflow policy governs), receive
-//! their sequence numbers only at send time — so an overflow drop can
+//! bounded in-flight buffer, which drops its oldest message when
+//! full), receive their sequence numbers only at send time — so an
+//! overflow drop can
 //! never tear a hole in the sequence space — and then sit in
 //! `unacked` until the peer's cumulative ack covers them. A
 //! retransmission timeout resends everything unacked, in order. The
@@ -41,7 +42,6 @@ use ens_types::{IndexedBatch, Profile, Schema};
 
 use super::transport::Transport;
 use super::wire::Msg;
-use crate::channel::OverflowPolicy;
 
 /// Tuning knobs for one peer link. The defaults suit LAN federation;
 /// the tests shrink the timers to keep virtual runs short.
@@ -61,10 +61,8 @@ pub struct LinkConfig {
     /// window, in messages).
     pub send_window: usize,
     /// Maximum messages queued awaiting a connection / window space;
-    /// 0 means unbounded.
+    /// 0 means unbounded. A message queued past it evicts the oldest.
     pub pending_cap: usize,
-    /// What to do when `pending_cap` is hit.
-    pub overflow: OverflowPolicy,
 }
 
 impl Default for LinkConfig {
@@ -77,7 +75,6 @@ impl Default for LinkConfig {
             rto_ms: 400,
             send_window: 64,
             pending_cap: 4_096,
-            overflow: OverflowPolicy::DropOldest,
         }
     }
 }
@@ -89,8 +86,8 @@ pub struct LinkStats {
     pub sent: u64,
     /// Messages resent by the retransmission timer.
     pub retransmits: u64,
-    /// Sequence numbers dropped from the pending buffer by the
-    /// overflow policy (rows count individually).
+    /// Sequence numbers evicted from the full pending buffer (rows
+    /// count individually).
     pub overflow_dropped: u64,
     /// Inbound duplicates absorbed by the `recv_high` floor.
     pub duplicates: u64,
@@ -155,7 +152,7 @@ enum Phase {
     Greeting,
     /// Greeting exchanged; traffic flows.
     Up,
-    /// Permanently failed (schema mismatch or overflow-disconnect).
+    /// Permanently failed (schema mismatch).
     Failed,
 }
 
@@ -275,38 +272,19 @@ impl PeerLink {
         self.epoch = epoch;
     }
 
-    /// Queues a sequenced message, applying the pending-buffer
-    /// overflow policy. Returns whether the message was accepted.
-    pub(crate) fn enqueue(&mut self, msg: Msg) -> bool {
+    /// Queues a sequenced message, evicting the oldest pending one if
+    /// the buffer is at `pending_cap`. A failed link drops it.
+    pub(crate) fn enqueue(&mut self, msg: Msg) {
         if self.phase == Phase::Failed {
             self.stats.overflow_dropped += msg.seq_span();
-            return false;
+            return;
         }
         if self.config.pending_cap > 0 && self.pending.len() >= self.config.pending_cap {
-            match self.config.overflow {
-                OverflowPolicy::DropOldest => {
-                    if let Some(old) = self.pending.pop_front() {
-                        self.stats.overflow_dropped += old.seq_span();
-                    }
-                }
-                OverflowPolicy::DropNewest => {
-                    self.stats.overflow_dropped += msg.seq_span();
-                    return false;
-                }
-                OverflowPolicy::Disconnect => {
-                    // The operator asked for failure over loss: stop
-                    // the link entirely and surface it via
-                    // `is_failed` / metrics.
-                    self.stats.overflow_dropped += msg.seq_span();
-                    self.phase = Phase::Failed;
-                    self.transport.close();
-                    self.pending.clear();
-                    return false;
-                }
+            if let Some(old) = self.pending.pop_front() {
+                self.stats.overflow_dropped += old.seq_span();
             }
         }
         self.pending.push_back(msg);
-        true
     }
 
     fn backoff_ms(&mut self, attempt: u32) -> u64 {
@@ -682,7 +660,6 @@ mod tests {
             rto_ms: 40,
             send_window: 8,
             pending_cap: 0,
-            overflow: OverflowPolicy::DropOldest,
         }
     }
 
@@ -1010,42 +987,27 @@ mod tests {
     }
 
     #[test]
-    fn pending_overflow_policies_apply() {
+    fn full_pending_buffer_drops_its_oldest_message() {
         let s = schema();
         let net = SimNet::new(41);
-        let mut cfg = fast_config();
-        cfg.pending_cap = 2;
-        cfg.overflow = OverflowPolicy::DropNewest;
-        let mut a = PeerLink::new(
-            1,
-            2,
-            Arc::clone(&s),
-            1,
-            0,
-            Box::new(net.transport(1, 2)),
-            cfg,
-        );
-        // Not yet connected: everything stays pending.
-        assert!(a.enqueue(Msg::Unsubscribe { seq: 0, id: 1 }));
-        assert!(a.enqueue(Msg::Unsubscribe { seq: 0, id: 2 }));
-        assert!(!a.enqueue(Msg::Unsubscribe { seq: 0, id: 3 }));
-        assert_eq!(a.stats().overflow_dropped, 1);
-
-        cfg = fast_config();
-        cfg.pending_cap = 1;
-        cfg.overflow = OverflowPolicy::Disconnect;
-        let mut c = PeerLink::new(
-            3,
-            4,
-            Arc::clone(&s),
-            1,
-            0,
-            Box::new(net.transport(3, 4)),
-            cfg,
-        );
-        assert!(c.enqueue(Msg::Unsubscribe { seq: 0, id: 1 }));
-        assert!(!c.enqueue(Msg::Unsubscribe { seq: 0, id: 2 }));
-        assert!(c.is_failed(), "Disconnect overflow fails the link");
+        let cfg = LinkConfig {
+            pending_cap: 2,
+            ..fast_config()
+        };
+        let link = |me, peer| {
+            let transport = Box::new(net.transport(me, peer));
+            PeerLink::new(me, peer, Arc::clone(&s), 1, 0, transport, cfg)
+        };
+        let (mut a, mut b) = (link(1, 2), link(2, 1));
+        // Not yet connected: everything stays pending, and the third
+        // message evicts the first, both of its rows counted.
+        a.enqueue(batch(&s, [1, 2]));
+        a.enqueue(batch(&s, [3]));
+        a.enqueue(batch(&s, [4]));
+        assert_eq!(a.stats().overflow_dropped, 2);
+        assert!(!a.is_failed(), "overflow never fails a link");
+        let events = pump(&net, &mut [&mut a, &mut b], 20);
+        assert_eq!(delivered_xs(&events), vec![3, 4]);
     }
 
     #[test]

@@ -208,7 +208,7 @@ pub struct FederationMetrics {
     pub sent: u64,
     /// Go-Back-N retransmissions.
     pub retransmits: u64,
-    /// Sequence numbers lost to pending-buffer overflow policies.
+    /// Sequence numbers evicted from full pending buffers.
     pub overflow_dropped: u64,
     /// Inbound duplicates absorbed by receive floors.
     pub duplicates: u64,
@@ -240,8 +240,7 @@ pub struct FederationMetrics {
     pub origin_duplicates: u64,
     /// Peer links currently up.
     pub peers_up: usize,
-    /// Peer links permanently failed (schema mismatch or
-    /// overflow-disconnect).
+    /// Peer links permanently failed (schema mismatch).
     pub peers_failed: usize,
 }
 
@@ -732,7 +731,7 @@ impl Federation {
     /// # Errors
     ///
     /// Propagates local subscription errors; forwarding is
-    /// best-effort (bounded by the links' overflow policies).
+    /// best-effort (bounded by the links' pending buffers).
     pub fn subscribe_profile_weighted(
         &self,
         profile: Profile,
@@ -1302,7 +1301,6 @@ mod tests {
                     rto_ms: 40,
                     send_window: 16,
                     pending_cap: 0,
-                    overflow: crate::channel::OverflowPolicy::DropOldest,
                 },
             },
         );

@@ -47,7 +47,7 @@ pub enum DeclineReason {
     /// The detector's baseline moved onto the priced estimate.
     NoSaving,
     /// The best candidate's predicted improvement is below
-    /// `TuningPolicy::min_improvement`. Baseline moved likewise.
+    /// `ens_filter::tuning::MIN_IMPROVEMENT`. Baseline moved likewise.
     BelowTuningThreshold,
     /// The candidate is cheaper, but at the predicted saving the tree
     /// in place has not served long enough under its model for a

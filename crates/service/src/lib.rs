@@ -56,7 +56,6 @@ mod subscription;
 pub mod vfs;
 
 pub use broker::{Broker, BrokerConfig, PublishReceipt, Recovered};
-pub use channel::OverflowPolicy;
 pub use error::ServiceError;
 pub use federation::{Federation, FederationConfig};
 pub use journal::{Decision, DeclineReason, TreeShape};

@@ -22,10 +22,7 @@ pub(crate) struct Metrics {
     /// engine) rather than the single-event path.
     pub batch_events: AtomicU64,
     pub dropped_notifications: AtomicU64,
-    /// Notifications lost to a bounded channel's overflow policy
-    /// (`DropOldest`/`DropNewest` evictions; `Disconnect` overflows
-    /// count under `dropped_notifications` once the subscriber is
-    /// garbage-collected).
+    /// Notifications a full bounded channel evicted.
     pub overflow_dropped: AtomicU64,
     /// Batch shard workers that panicked and were isolated (the
     /// remaining shards still delivered).
@@ -131,12 +128,11 @@ pub struct MetricsSnapshot {
     /// Events published through `publish_batch` — the block matching
     /// engine — as opposed to the single-event path.
     pub batch_events: u64,
-    /// Notifications dropped because the subscriber hung up (or was
-    /// disconnected by an `OverflowPolicy::Disconnect` overflow).
+    /// Notifications dropped because the subscriber hung up.
     pub dropped_notifications: u64,
-    /// Notifications lost to a bounded subscriber channel's overflow
-    /// policy: `DropOldest` evictions and `DropNewest` refusals. Zero
-    /// with unbounded channels (`notify_capacity: 0`, the default).
+    /// Notifications a full bounded subscriber channel evicted, oldest
+    /// first. Zero with unbounded channels (`notify_capacity: 0`, the
+    /// default).
     #[serde(default)]
     pub overflow_dropped: u64,
     /// Batch shard workers that panicked and were isolated — the
@@ -172,8 +168,8 @@ pub struct MetricsSnapshot {
     pub retunes: u64,
     /// The share of [`MetricsSnapshot::drift_declined`] turned down
     /// with tuning enabled: the best candidate's predicted improvement
-    /// did not clear `TuningPolicy::min_improvement`, or does not pay
-    /// for the rebuild yet.
+    /// did not clear the tuner's 10 % bar, or does not pay for the
+    /// rebuild yet.
     pub retunes_declined: u64,
     /// Total wall-clock nanoseconds spent pricing retune candidates —
     /// the overhead the self-tuning loop adds to the write path.
@@ -241,19 +237,6 @@ impl MetricsSnapshot {
             0.0
         } else {
             self.notifications_sent as f64 / self.events_published as f64
-        }
-    }
-
-    /// Average tuning (estimation + candidate pricing) overhead per
-    /// published event, in nanoseconds. This is the price of the
-    /// self-tuning loop amortised over traffic; it only accrues when a
-    /// drift trigger fires.
-    #[must_use]
-    pub fn tuning_ns_per_event(&self) -> f64 {
-        if self.events_published == 0 {
-            0.0
-        } else {
-            self.tuning_nanos as f64 / self.events_published as f64
         }
     }
 }

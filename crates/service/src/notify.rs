@@ -34,10 +34,9 @@ pub(crate) struct Queued {
 /// Dropping the subscriber closes the channel and frees its backlog;
 /// the broker garbage-collects the subscription on the next publish
 /// that matches it. The queue is bounded by
-/// [`BrokerConfig::notify_capacity`] (unbounded by default), with
-/// overflow resolved by the configured
-/// [`OverflowPolicy`](crate::OverflowPolicy); [`Subscriber::dropped`]
-/// reports how many notifications this channel has lost to it.
+/// [`BrokerConfig::notify_capacity`] (unbounded by default); a full
+/// queue evicts its oldest notification, and [`Subscriber::dropped`]
+/// reports how many this channel has lost that way.
 ///
 /// `Send` and not `Sync`, like `std::sync::mpsc::Receiver`: move the
 /// subscriber to the thread that consumes it.
@@ -97,17 +96,16 @@ impl Subscriber {
         self.rx.len()
     }
 
-    /// Notifications this subscription's channel has lost to its
-    /// overflow policy (0 on unbounded channels).
+    /// Notifications this subscription's full channel has evicted (0
+    /// on unbounded channels).
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.rx.dropped()
     }
 
     /// Whether the channel has been severed: the broker dropped its
-    /// sender (subscription cancelled) or an
-    /// [`OverflowPolicy::Disconnect`](crate::OverflowPolicy::Disconnect)
-    /// overflow closed it. Queued notifications may still be pending.
+    /// sender (subscription cancelled). Queued notifications may still
+    /// be pending.
     #[must_use]
     pub fn is_disconnected(&self) -> bool {
         self.rx.is_disconnected()

@@ -33,7 +33,7 @@ use ens_filter::{
 use ens_types::{CoverOutcome, CoverSet, Profile, ProfileSet, Residual, Schema};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use crate::channel::{self, OverflowPolicy, Sender};
+use crate::channel::{self, Sender};
 use crate::journal::{Decision, Journal};
 use crate::metrics::Metrics;
 use crate::notify::{Queued, Subscriber};
@@ -98,15 +98,12 @@ impl OverlayEntry {
 /// Every tombstone in the process clones one severed channel.
 pub(super) fn disconnected_sender() -> Sender<Queued> {
     static SEVERED: OnceLock<Sender<Queued>> = OnceLock::new();
-    SEVERED
-        .get_or_init(|| channel::channel(0, OverflowPolicy::default()).0)
-        .clone()
+    SEVERED.get_or_init(|| channel::channel(0).0).clone()
 }
 
-/// A fresh subscriber channel under `config`'s capacity and overflow
-/// policy.
+/// A fresh subscriber channel under `config`'s capacity.
 pub(super) fn notify_channel(config: &BrokerConfig) -> (Sender<Queued>, channel::Receiver<Queued>) {
-    channel::channel(config.notify_capacity, config.overflow)
+    channel::channel(config.notify_capacity)
 }
 
 /// Overlay positions per chunk of an [`OverlayDispatch`].
@@ -707,7 +704,7 @@ impl ShardGuard<'_> {
             });
         }
         let pressure: usize = self.overlay_after(&change).map(|e| 1 + e.dominated).sum();
-        let full = bulk || self.base.is_empty() || self.tracker.policy().overlay_full(pressure);
+        let full = bulk || self.base.is_empty() || self.tracker.policy().compaction_due(pressure);
         self.apply(change, full)
     }
 
@@ -738,7 +735,7 @@ impl ShardGuard<'_> {
             return Err(ServiceError::UnknownSubscription(ids[0]));
         }
         let tombstones = self.removed_count + change.drop_base.len();
-        let full = !change.drop_base.is_empty() && self.tracker.policy().removed_full(tombstones);
+        let full = !change.drop_base.is_empty() && self.tracker.policy().compaction_due(tombstones);
         let dead = self.overlay_removed + change.drop_overlay.len();
         change.pack = !full && !change.drop_overlay.is_empty() && dead >= self.overlay.len() - dead;
         self.apply(change, full)

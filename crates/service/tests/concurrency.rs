@@ -154,7 +154,6 @@ fn concurrent_publishers_and_churn_match_oracle_aggressive_compaction() {
         BrokerConfig {
             rebuild: RebuildPolicy {
                 max_overlay: 2,
-                max_removed: 2,
                 min_events: 40,
                 drift_threshold: 0.15,
                 drift_check_every: 1,

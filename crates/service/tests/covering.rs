@@ -87,7 +87,6 @@ fn config(covering: bool) -> BrokerConfig {
         covering,
         rebuild: RebuildPolicy {
             max_overlay: 64,
-            max_removed: 64,
             ..RebuildPolicy::default()
         },
         ..BrokerConfig::default()
@@ -229,11 +228,6 @@ fn reopened(
 fn failed_operations_leave_the_covering_state_intact() {
     let schema = schema();
     let cfg = BrokerConfig {
-        // Every unsubscribe of a compiled entry compacts.
-        rebuild: RebuildPolicy {
-            max_removed: 0,
-            ..config(true).rebuild
-        },
         // The battery must not set off a drift rebuild.
         stats_sample: 0,
         ..config(true)
@@ -284,7 +278,15 @@ fn failed_operations_leave_the_covering_state_intact() {
         poisoned.to_bytes().unwrap(),
     )
     .unwrap();
-    let broker = Broker::open(&schema, cfg.clone(), durability(&dir))
+    // Every unsubscribe of a compiled entry compacts.
+    let compacting = BrokerConfig {
+        rebuild: RebuildPolicy {
+            max_overlay: 0,
+            ..cfg.rebuild
+        },
+        ..cfg.clone()
+    };
+    let broker = Broker::open(&schema, compacting, durability(&dir))
         .unwrap()
         .broker;
     assert!(broker.checkpoint().unwrap());

@@ -10,9 +10,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ens_service::{
-    Broker, BrokerConfig, Notification, OverflowPolicy, PublishReceipt, Subscriber, SubscriptionId,
-};
+use ens_service::{Broker, BrokerConfig, Notification, PublishReceipt, Subscriber, SubscriptionId};
 use ens_types::{Domain, Event, Predicate, Profile, ProfileId, Schema};
 use proptest::prelude::*;
 
@@ -73,13 +71,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// `publish_batch` ≡ N × `publish_shared`, over shards × channel
-    /// capacity × overflow policy.
+    /// capacity.
     ///
     /// Subscribers die on both routes: one consumer hangs up between
     /// two batches (a handle cannot be dropped *during* a
-    /// `publish_batch` call), and under `Disconnect` every consumer
-    /// that does not drain is severed in the middle of a batch, as soon
-    /// as its channel overflows.
+    /// `publish_batch` call).
     #[test]
     fn batch_delivery_equals_sequential_delivery(
         ranges in prop::collection::vec((0i64..100, 0i64..100), 2..9),
@@ -106,82 +102,75 @@ proptest! {
 
         for shards in [1, 2, 4] {
             for notify_capacity in [0, 1, 4, 64] {
-                for overflow in [
-                    OverflowPolicy::DropOldest,
-                    OverflowPolicy::DropNewest,
-                    OverflowPolicy::Disconnect,
-                ] {
-                    let config = BrokerConfig {
-                        shards,
-                        notify_capacity,
-                        overflow,
-                        ..BrokerConfig::default()
-                    };
-                    let case = format!("{shards} shards, capacity {notify_capacity}, {overflow:?}");
-                    let mut batched = Twin::new(&schema, &config, &profiles);
-                    let mut single = Twin::new(&schema, &config, &profiles);
-                    for (b, chunk) in events.chunks(batch_len).enumerate() {
-                        batched.between_batches(b, hang_up);
-                        single.between_batches(b, hang_up);
-                        batched.receipts.extend(batched.broker.publish_batch(chunk).unwrap());
-                        for event in chunk {
-                            let receipt = single.broker.publish_shared(Arc::clone(event)).unwrap();
-                            single.receipts.push(receipt);
-                        }
+                let config = BrokerConfig {
+                    shards,
+                    notify_capacity,
+                    ..BrokerConfig::default()
+                };
+                let case = format!("{shards} shards, capacity {notify_capacity}");
+                let mut batched = Twin::new(&schema, &config, &profiles);
+                let mut single = Twin::new(&schema, &config, &profiles);
+                for (b, chunk) in events.chunks(batch_len).enumerate() {
+                    batched.between_batches(b, hang_up);
+                    single.between_batches(b, hang_up);
+                    batched.receipts.extend(batched.broker.publish_batch(chunk).unwrap());
+                    for event in chunk {
+                        let receipt = single.broker.publish_shared(Arc::clone(event)).unwrap();
+                        single.receipts.push(receipt);
                     }
-                    batched.drain_all();
-                    single.drain_all();
+                }
+                batched.drain_all();
+                single.drain_all();
 
-                    for (a, b) in batched.receipts.iter().zip(&single.receipts) {
-                        prop_assert_eq!(
-                            (a.sequence, &a.matched),
-                            (b.sequence, &b.matched),
-                            "{}", case
+                for (a, b) in batched.receipts.iter().zip(&single.receipts) {
+                    prop_assert_eq!(
+                        (a.sequence, &a.matched),
+                        (b.sequence, &b.matched),
+                        "{}", case
+                    );
+                }
+                prop_assert_eq!(batched.receipts.len(), events.len());
+                prop_assert_eq!(&batched.ids, &single.ids);
+                prop_assert_eq!(&batched.streams, &single.streams, "{}", case);
+                for (a, b) in batched.subs.iter().zip(&single.subs) {
+                    let state = |sub: &Option<Subscriber>| {
+                        sub.as_ref().map(|s| (s.dropped(), s.is_disconnected()))
+                    };
+                    prop_assert_eq!(state(a), state(b), "{}", case);
+                }
+                let (a, b) = (batched.broker.metrics(), single.broker.metrics());
+                prop_assert_eq!(a.notifications_sent, b.notifications_sent, "{}", case);
+                prop_assert_eq!(a.overflow_dropped, b.overflow_dropped, "{}", case);
+                prop_assert_eq!(a.subscriptions, b.subscriptions, "{}", case);
+
+                // `dropped_notifications` counts refused sends. A
+                // subscriber found dead at event i is cancelled
+                // before event i + 1 is *matched*, which on the
+                // batch route is the next batch: there the rest of
+                // its hits in i's batch are refused and counted
+                // too. The receipts (equal on both routes) say who
+                // died where: a hit that no receipt names.
+                let mut deaths = 0;
+                let mut refused_in_batch = 0;
+                for sub in 0..profiles.len() {
+                    let id = single.ids[sub];
+                    let missing = |e: &usize| {
+                        hits(sub, *e) && !single.receipts[*e].matched.contains(&id)
+                    };
+                    if let Some(died) = (0..events.len()).find(missing) {
+                        deaths += 1;
+                        let batch_end = (died / batch_len + 1) * batch_len;
+                        refused_in_batch += (died..batch_end.min(events.len()))
+                            .filter(|e| hits(sub, *e))
+                            .count() as u64;
+                        prop_assert!(
+                            (died..events.len()).all(|e| !hits(sub, e) || missing(&e)),
+                            "{}: subscriber {} notified after it died", case, sub
                         );
                     }
-                    prop_assert_eq!(batched.receipts.len(), events.len());
-                    prop_assert_eq!(&batched.ids, &single.ids);
-                    prop_assert_eq!(&batched.streams, &single.streams, "{}", case);
-                    for (a, b) in batched.subs.iter().zip(&single.subs) {
-                        let state = |sub: &Option<Subscriber>| {
-                            sub.as_ref().map(|s| (s.dropped(), s.is_disconnected()))
-                        };
-                        prop_assert_eq!(state(a), state(b), "{}", case);
-                    }
-                    let (a, b) = (batched.broker.metrics(), single.broker.metrics());
-                    prop_assert_eq!(a.notifications_sent, b.notifications_sent, "{}", case);
-                    prop_assert_eq!(a.overflow_dropped, b.overflow_dropped, "{}", case);
-                    prop_assert_eq!(a.subscriptions, b.subscriptions, "{}", case);
-
-                    // `dropped_notifications` counts refused sends. A
-                    // subscriber found dead at event i is cancelled
-                    // before event i + 1 is *matched*, which on the
-                    // batch route is the next batch: there the rest of
-                    // its hits in i's batch are refused and counted
-                    // too. The receipts (equal on both routes) say who
-                    // died where: a hit that no receipt names.
-                    let mut deaths = 0;
-                    let mut refused_in_batch = 0;
-                    for sub in 0..profiles.len() {
-                        let id = single.ids[sub];
-                        let missing = |e: &usize| {
-                            hits(sub, *e) && !single.receipts[*e].matched.contains(&id)
-                        };
-                        if let Some(died) = (0..events.len()).find(missing) {
-                            deaths += 1;
-                            let batch_end = (died / batch_len + 1) * batch_len;
-                            refused_in_batch += (died..batch_end.min(events.len()))
-                                .filter(|e| hits(sub, *e))
-                                .count() as u64;
-                            prop_assert!(
-                                (died..events.len()).all(|e| !hits(sub, e) || missing(&e)),
-                                "{}: subscriber {} notified after it died", case, sub
-                            );
-                        }
-                    }
-                    prop_assert_eq!(b.dropped_notifications, deaths, "{}", case);
-                    prop_assert_eq!(a.dropped_notifications, refused_in_batch, "{}", case);
                 }
+                prop_assert_eq!(b.dropped_notifications, deaths, "{}", case);
+                prop_assert_eq!(a.dropped_notifications, refused_in_batch, "{}", case);
             }
         }
     }

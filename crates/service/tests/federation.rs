@@ -12,7 +12,7 @@ use std::sync::Arc;
 use ens_service::federation::link::LinkConfig;
 use ens_service::federation::sim::{FaultPlan, SimNet};
 use ens_service::federation::RemoteDelivery;
-use ens_service::{Broker, BrokerConfig, Federation, FederationConfig, OverflowPolicy};
+use ens_service::{Broker, BrokerConfig, Federation, FederationConfig};
 use ens_types::{Domain, Event, Schema};
 use ens_workloads::{flap_plan, FlapOp};
 
@@ -36,7 +36,6 @@ fn fast_link() -> LinkConfig {
         rto_ms: 40,
         send_window: 16,
         pending_cap: 0,
-        overflow: OverflowPolicy::DropOldest,
     }
 }
 

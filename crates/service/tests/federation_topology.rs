@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use ens_service::federation::link::LinkConfig;
 use ens_service::federation::sim::{FaultPlan, SimNet};
-use ens_service::{Broker, BrokerConfig, Federation, FederationConfig, OverflowPolicy};
+use ens_service::{Broker, BrokerConfig, Federation, FederationConfig};
 use ens_types::{Domain, Event, Schema, Value};
 use ens_workloads::{line_topology, star_topology, tree_topology, Topology};
 
@@ -47,7 +47,6 @@ fn fast_link() -> LinkConfig {
         rto_ms: 40,
         send_window: 32,
         pending_cap: 0,
-        overflow: OverflowPolicy::DropOldest,
     }
 }
 

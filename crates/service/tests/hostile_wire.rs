@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use ens_service::federation::link::LinkConfig;
 use ens_service::federation::sim::{SimNet, SimTransport};
 use ens_service::federation::transport::{Transport, TransportError};
-use ens_service::{Broker, BrokerConfig, Federation, FederationConfig, OverflowPolicy};
+use ens_service::{Broker, BrokerConfig, Federation, FederationConfig};
 use ens_types::{Domain, Event, Schema};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -123,7 +123,6 @@ fn node(id: u64) -> Federation {
                 rto_ms: 40,
                 send_window: 32,
                 pending_cap: 0,
-                overflow: OverflowPolicy::DropOldest,
             },
         },
     )

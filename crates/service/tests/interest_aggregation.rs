@@ -26,7 +26,7 @@ use ens_service::federation::link::LinkConfig;
 use ens_service::federation::sim::SimNet;
 use ens_service::{
     Broker, BrokerConfig, DurabilityConfig, FaultFs, Federation, FederationConfig, FsyncPolicy,
-    OverflowPolicy, ServiceError, Subscriber,
+    ServiceError, Subscriber,
 };
 use ens_types::{
     profile_signature, CoverSet, Domain, Event, Predicate, Profile, ProfileId, Schema, Value,
@@ -60,7 +60,6 @@ fn fast_link() -> LinkConfig {
         rto_ms: 40,
         send_window: 32,
         pending_cap: 0,
-        overflow: OverflowPolicy::DropOldest,
     }
 }
 

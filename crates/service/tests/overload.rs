@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use ens_service::{Broker, BrokerConfig, OverflowPolicy};
+use ens_service::{Broker, BrokerConfig};
 use ens_types::{Domain, Event, Schema};
 
 fn schema() -> Schema {
@@ -25,7 +25,6 @@ fn broker(config: BrokerConfig) -> Broker {
 fn slow_consumer_overflows_without_disturbing_the_fast_one() {
     let b = broker(BrokerConfig {
         notify_capacity: 4,
-        overflow: OverflowPolicy::DropOldest,
         ..BrokerConfig::default()
     });
     let s = schema();
@@ -49,7 +48,7 @@ fn slow_consumer_overflows_without_disturbing_the_fast_one() {
     // The healthy consumer saw every event, in publish order.
     assert_eq!(got, (0..20).collect::<Vec<_>>());
     // The parked one kept only the newest `capacity` notifications —
-    // DropOldest sheds from the front — and knows how many it lost.
+    // a full queue sheds from the front — and knows how many it lost.
     assert_eq!(parked.pending(), 4);
     assert_eq!(parked.dropped(), 16);
     let kept: Vec<i64> = parked
@@ -67,57 +66,6 @@ fn slow_consumer_overflows_without_disturbing_the_fast_one() {
     assert_eq!(m.overflow_dropped, 16);
     assert_eq!(m.subscriptions, 2);
     assert!(!parked.is_disconnected());
-}
-
-#[test]
-fn drop_newest_sheds_the_incoming_notification() {
-    let b = broker(BrokerConfig {
-        notify_capacity: 4,
-        overflow: OverflowPolicy::DropNewest,
-        ..BrokerConfig::default()
-    });
-    let s = schema();
-    let parked = b.subscribe_parsed("profile(x >= 0)").unwrap();
-    for x in 0..20 {
-        b.publish(&event(&s, x)).unwrap();
-    }
-    let kept: Vec<i64> = parked
-        .drain()
-        .iter()
-        .map(|n| match n.event.value(s.require("x").unwrap()) {
-            Some(ens_types::Value::Int(i)) => *i,
-            other => panic!("unexpected value {other:?}"),
-        })
-        .collect();
-    assert_eq!(kept, vec![0, 1, 2, 3]);
-    assert_eq!(b.metrics().overflow_dropped, 16);
-}
-
-#[test]
-fn disconnect_policy_prunes_the_overflowing_subscription() {
-    let b = broker(BrokerConfig {
-        notify_capacity: 2,
-        overflow: OverflowPolicy::Disconnect,
-        ..BrokerConfig::default()
-    });
-    let s = schema();
-    let doomed = b.subscribe_parsed("profile(x >= 0)").unwrap();
-    let healthy = b.subscribe_parsed("profile(x >= 0)").unwrap();
-    // Two fills the channel; the third trips Disconnect, which closes
-    // the channel — the *next* delivery attempt fails and the broker
-    // garbage-collects the subscription.
-    for x in 0..5 {
-        b.publish(&event(&s, x)).unwrap();
-        let _ = healthy.drain(); // keep the healthy channel from filling
-    }
-    assert!(doomed.is_disconnected());
-    assert_eq!(b.metrics().subscriptions, 1, "doomed should be pruned");
-    // Disconnect is fail-stop: the queue is discarded with the
-    // channel, so the consumer sees a crisp cut, not a stale tail.
-    assert!(doomed.drain().is_empty());
-    // The healthy subscriber never missed an event.
-    b.publish(&event(&s, 99)).unwrap();
-    assert_eq!(healthy.drain().len(), 1);
 }
 
 #[test]
@@ -166,7 +114,7 @@ fn dropped_consumer_frees_its_backlog_at_once() {
 }
 
 /// What a receive has claimed is received: `notify_capacity` bounds
-/// the queue, the policies shed from the queue, `pending` counts both.
+/// the queue, overflow sheds from the queue, `pending` counts both.
 #[test]
 fn capacity_bounds_what_is_queued_not_what_the_consumer_claimed() {
     // One lock moves up to `CLAIM` = 8 queued notifications to the
@@ -178,54 +126,39 @@ fn capacity_bounds_what_is_queued_not_what_the_consumer_claimed() {
         Some(ens_types::Value::Int(i)) => *i,
         other => panic!("unexpected value {other:?}"),
     };
-    for overflow in [
-        OverflowPolicy::DropOldest,
-        OverflowPolicy::DropNewest,
-        OverflowPolicy::Disconnect,
-    ] {
-        let b = broker(BrokerConfig {
-            notify_capacity: CAPACITY,
-            overflow,
-            ..BrokerConfig::default()
-        });
-        let sub = b.subscribe_parsed("profile(x >= 0)").unwrap();
-        for x in 0..10 {
-            b.publish(&event(&s, x)).unwrap();
-        }
-        assert_eq!(sub.pending(), CAPACITY);
-        // 0 received, 1..=7 claimed, 8 and 9 queued.
-        assert_eq!(sub.try_recv().as_ref().map(x_of), Some(0));
-        assert_eq!(sub.pending(), CAPACITY - 1);
-        // Room for eight more: the queue is what the capacity bounds.
-        for x in 10..18 {
-            b.publish(&event(&s, x)).unwrap();
-        }
-        assert_eq!(sub.pending(), CAPACITY + CLAIMED, "{overflow:?}");
-        assert_eq!((sub.dropped(), b.metrics().overflow_dropped), (0, 0));
-        // A receive between the sends, from the claim: the queue
-        // stays full.
-        assert_eq!(sub.try_recv().as_ref().map(x_of), Some(1));
-        // Two too many, as one run (the batch path).
-        let run: Vec<_> = (18..20).map(|x| Arc::new(event(&s, x))).collect();
-        b.publish_batch(&run).unwrap();
-        let (shed, kept): (u64, Vec<i64>) = match overflow {
-            OverflowPolicy::DropOldest => (2, (2..8).chain(10..20).collect()),
-            OverflowPolicy::DropNewest => (2, (2..18).collect()),
-            // The queue goes with the channel; the claim is the
-            // consumer's: a contiguous prefix, then nothing.
-            OverflowPolicy::Disconnect => (0, (2..8).collect()),
-        };
-        assert_eq!(sub.pending(), kept.len(), "{overflow:?}");
-        assert_eq!(sub.dropped(), shed, "{overflow:?}");
-        assert_eq!(b.metrics().overflow_dropped, shed, "{overflow:?}");
-        assert_eq!(
-            sub.is_disconnected(),
-            overflow == OverflowPolicy::Disconnect
-        );
-        let got: Vec<i64> = sub.drain().iter().map(x_of).collect();
-        assert_eq!(got, kept, "{overflow:?}");
-        assert_eq!(sub.pending(), 0);
+    let b = broker(BrokerConfig {
+        notify_capacity: CAPACITY,
+        ..BrokerConfig::default()
+    });
+    let sub = b.subscribe_parsed("profile(x >= 0)").unwrap();
+    for x in 0..10 {
+        b.publish(&event(&s, x)).unwrap();
     }
+    assert_eq!(sub.pending(), CAPACITY);
+    // 0 received, 1..=7 claimed, 8 and 9 queued.
+    assert_eq!(sub.try_recv().as_ref().map(x_of), Some(0));
+    assert_eq!(sub.pending(), CAPACITY - 1);
+    // Room for eight more: the queue is what the capacity bounds.
+    for x in 10..18 {
+        b.publish(&event(&s, x)).unwrap();
+    }
+    assert_eq!(sub.pending(), CAPACITY + CLAIMED);
+    assert_eq!((sub.dropped(), b.metrics().overflow_dropped), (0, 0));
+    // A receive between the sends, from the claim: the queue stays
+    // full.
+    assert_eq!(sub.try_recv().as_ref().map(x_of), Some(1));
+    // Two too many, as one run (the batch path): the two oldest queued
+    // go, the claim stays.
+    let run: Vec<_> = (18..20).map(|x| Arc::new(event(&s, x))).collect();
+    b.publish_batch(&run).unwrap();
+    let kept: Vec<i64> = (2..8).chain(10..20).collect();
+    assert_eq!(sub.pending(), kept.len());
+    assert_eq!(sub.dropped(), 2);
+    assert_eq!(b.metrics().overflow_dropped, 2);
+    assert!(!sub.is_disconnected());
+    let got: Vec<i64> = sub.drain().iter().map(x_of).collect();
+    assert_eq!(got, kept);
+    assert_eq!(sub.pending(), 0);
 }
 
 /// Shard 0 of a batch runs on the publishing thread and shard 1 on a

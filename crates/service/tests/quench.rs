@@ -20,7 +20,6 @@ fn churn_config() -> BrokerConfig {
         shards: 2,
         rebuild: RebuildPolicy {
             max_overlay: 3,
-            max_removed: 2,
             ..RebuildPolicy::default()
         },
         ..BrokerConfig::default()

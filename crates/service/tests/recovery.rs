@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ens_filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, TuningPolicy, ValueOrder};
+use ens_filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, ValueOrder};
 use ens_service::persist::{
     checkpoint_gen_file, decode_wal, parse_checkpoint_gen, WalRecord, CHECKPOINT_FILE, WAL_FILE,
 };
@@ -55,7 +55,6 @@ fn churn_config(dfsa_dispatch: bool) -> BrokerConfig {
         dfsa_dispatch,
         rebuild: RebuildPolicy {
             max_overlay: 4,
-            max_removed: 3,
             ..RebuildPolicy::default()
         },
         ..BrokerConfig::default()
@@ -530,7 +529,7 @@ fn accepted_retunes_survive_recovery() {
             drift_threshold: 0.6,
             ..RebuildPolicy::default()
         },
-        tuning: TuningPolicy::standard(),
+        tuning: true,
         ..BrokerConfig::default()
     };
     {

@@ -5,14 +5,14 @@
 //! (`publish_batch_prepared`). These tests pin down that the batched
 //! path is observationally equivalent to the per-row path it
 //! replaced, including its interaction with bounded notification
-//! channels and every [`OverflowPolicy`]: the same rows arrive, the
-//! same rows are shed, and the shed count is reported.
+//! channels, which drop their oldest notification when full: the same
+//! rows arrive, the same rows are shed, and the shed count is reported.
 
 use std::sync::Arc;
 
 use ens_service::federation::link::LinkConfig;
 use ens_service::federation::sim::SimNet;
-use ens_service::{Broker, BrokerConfig, Federation, FederationConfig, OverflowPolicy};
+use ens_service::{Broker, BrokerConfig, Federation, FederationConfig};
 use ens_types::{Domain, Event, Schema, Value};
 
 fn schema() -> Schema {
@@ -38,13 +38,12 @@ fn fast_link() -> LinkConfig {
         rto_ms: 40,
         send_window: 64,
         pending_cap: 0,
-        overflow: OverflowPolicy::DropOldest,
     }
 }
 
 /// Publisher `a` (unbounded) and subscriber `b` whose local broker
-/// bounds each notification channel at `capacity` under `policy`.
-fn pair(net: &SimNet, capacity: usize, policy: OverflowPolicy) -> (Federation, Federation) {
+/// bounds each notification channel at `capacity`.
+fn pair(net: &SimNet, capacity: usize) -> (Federation, Federation) {
     let s = schema();
     let a = Federation::new(
         Arc::new(Broker::new(&s, BrokerConfig::default()).expect("broker")),
@@ -61,7 +60,6 @@ fn pair(net: &SimNet, capacity: usize, policy: OverflowPolicy) -> (Federation, F
                 &s,
                 BrokerConfig {
                     notify_capacity: capacity,
-                    overflow: policy,
                     ..BrokerConfig::default()
                 },
             )
@@ -106,7 +104,7 @@ fn remote_batch_delivery_matches_the_per_row_oracle() {
     // stream equals the matching rows in publish order — exactly
     // what N single publishes produced before batched ingress.
     let net = SimNet::new(3);
-    let (a, b) = pair(&net, 0, OverflowPolicy::DropOldest);
+    let (a, b) = pair(&net, 0);
     let sub = b.subscribe_parsed("profile(x >= 100)").expect("subscribe");
     pump_both(&net, &a, &b, 6);
 
@@ -123,11 +121,10 @@ fn remote_batch_delivery_matches_the_per_row_oracle() {
 
 #[test]
 fn drop_oldest_keeps_the_newest_suffix_and_reports_shedding() {
-    // The remote batch overruns a capacity-8 channel: DropOldest
-    // keeps the *last* 8 matching rows, sheds the rest, and the shed
+    // The remote batch overruns a capacity-8 channel, which keeps the *last* 8 matching rows, sheds the rest, and the shed
     // count is visible on the subscriber.
     let net = SimNet::new(5);
-    let (a, b) = pair(&net, 8, OverflowPolicy::DropOldest);
+    let (a, b) = pair(&net, 8);
     let sub = b.subscribe_parsed("profile(x >= 0)").expect("subscribe");
     pump_both(&net, &a, &b, 6);
 
@@ -142,43 +139,9 @@ fn drop_oldest_keeps_the_newest_suffix_and_reports_shedding() {
     let got = xs(&sub.drain());
     assert_eq!(got, (42..50).collect::<Vec<i64>>());
     assert_eq!(sub.dropped(), 42, "shed rows must be counted, not silent");
-}
-
-#[test]
-fn drop_newest_keeps_the_oldest_prefix() {
-    let net = SimNet::new(6);
-    let (a, b) = pair(&net, 8, OverflowPolicy::DropNewest);
-    let sub = b.subscribe_parsed("profile(x >= 0)").expect("subscribe");
-    pump_both(&net, &a, &b, 6);
-
-    let events: Vec<Arc<Event>> = (0..50).map(|i| Arc::new(event(i))).collect();
-    a.publish_batch(&events).expect("publish");
-    pump_both(&net, &a, &b, 40);
-
-    let got = xs(&sub.drain());
-    assert_eq!(got, (0..8).collect::<Vec<i64>>());
-    assert_eq!(sub.dropped(), 42);
-}
-
-#[test]
-fn disconnect_policy_severs_the_laggard_but_not_the_federation() {
-    // Disconnect kills the overflowing subscriber's channel; the
-    // federation link itself keeps flowing and a healthy subscriber
-    // added afterwards sees later batches.
-    let net = SimNet::new(7);
-    let (a, b) = pair(&net, 4, OverflowPolicy::Disconnect);
-    let laggard = b.subscribe_parsed("profile(x >= 0)").expect("subscribe");
-    pump_both(&net, &a, &b, 6);
-
-    let events: Vec<Arc<Event>> = (0..30).map(|i| Arc::new(event(i))).collect();
-    a.publish_batch(&events).expect("publish");
-    pump_both(&net, &a, &b, 40);
-    assert!(laggard.is_disconnected(), "overflow must disconnect");
-
-    let healthy = b.subscribe_parsed("profile(x >= 0)").expect("subscribe");
-    pump_both(&net, &a, &b, 6);
+    // Shedding severs neither the channel nor the link.
     let more: Vec<Arc<Event>> = (100..103).map(|i| Arc::new(event(i))).collect();
     a.publish_batch(&more).expect("publish");
     pump_both(&net, &a, &b, 40);
-    assert_eq!(xs(&healthy.drain()), vec![100, 101, 102]);
+    assert_eq!(xs(&sub.drain()), vec![100, 101, 102]);
 }

@@ -62,7 +62,6 @@ fn config() -> BrokerConfig {
         shards: 2,
         rebuild: RebuildPolicy {
             max_overlay: 4,
-            max_removed: 3,
             ..RebuildPolicy::default()
         },
         ..BrokerConfig::default()

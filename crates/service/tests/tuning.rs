@@ -4,7 +4,7 @@
 //! the retune — and the retuned structure must be measurably cheaper
 //! on the new distribution.
 
-use ens_filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, TuningPolicy, ValueOrder};
+use ens_filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, ValueOrder};
 use ens_service::{Broker, BrokerConfig, SubscriptionId};
 use ens_workloads::hot_band_migration;
 
@@ -20,7 +20,7 @@ fn tuned_broker_config(w: &ens_workloads::DriftWorkload) -> BrokerConfig {
             drift_threshold: 0.6,
             ..RebuildPolicy::default()
         },
-        tuning: TuningPolicy::standard(),
+        tuning: true,
         ..BrokerConfig::default()
     }
 }
@@ -53,7 +53,7 @@ fn retuned_broker_matches_oracle_across_phases() {
                 min_events: u64::MAX,
                 ..RebuildPolicy::default()
             },
-            tuning: TuningPolicy::default(),
+            tuning: false,
             ..tuned_broker_config(&w)
         },
     )
@@ -128,7 +128,7 @@ fn retuned_broker_matches_oracle_across_phases() {
 fn disabled_tuning_keeps_legacy_drift_rebuilds() {
     let w = hot_band_migration(42, 40, 300).unwrap();
     let mut config = tuned_broker_config(&w);
-    config.tuning = TuningPolicy::default();
+    config.tuning = false;
     let broker = Broker::new(&w.schema, config).unwrap();
     let _subs: Vec<_> = w
         .profiles
@@ -231,7 +231,7 @@ fn order_invariant_tree_declines_retunes() {
                 drift_check_every: 1,
                 ..RebuildPolicy::default()
             },
-            tuning: TuningPolicy::standard(),
+            tuning: true,
             ..BrokerConfig::default()
         },
     )

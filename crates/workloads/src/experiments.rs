@@ -184,10 +184,10 @@ fn combo_table(
     id: &str,
     title: &str,
     combos: &[(&str, &str)],
-    strategies: &[(&str, SearchStrategy)],
+    searches: &[(&str, SearchStrategy)],
     metric: Metric,
 ) -> Result<FigureTable, WorkloadError> {
-    let mut series: Vec<Series> = strategies
+    let mut series: Vec<Series> = searches
         .iter()
         .map(|(label, _)| Series {
             label: (*label).to_owned(),
@@ -204,7 +204,7 @@ fn combo_table(
             SINGLE_ATTR_DOMAIN,
             1000 + k as u64,
         )?;
-        for ((_, search), s) in strategies.iter().zip(series.iter_mut()) {
+        for ((_, search), s) in searches.iter().zip(series.iter_mut()) {
             let cost = evaluate_strategy(&profiles, &joint, *search, AttributeOrder::Natural)?;
             s.values.push(match metric {
                 Metric::PerEvent => cost.expected_total_ops(),
@@ -639,7 +639,7 @@ pub fn run_tv_suite(seed: u64) -> Result<TvReport, WorkloadError> {
 ///
 /// Propagates experiment errors.
 pub fn search_strategy_table() -> Result<FigureTable, WorkloadError> {
-    let strategies: [(&str, SearchStrategy); 4] = [
+    let strategies = [
         (
             "events order search",
             SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),

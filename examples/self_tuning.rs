@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release --example self_tuning`.
 
-use ens::filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, TuningPolicy, ValueOrder};
+use ens::filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, ValueOrder};
 use ens::service::{Broker, BrokerConfig, Subscriber};
 use ens::types::Event;
 use ens::workloads::{hot_band_migration, DriftWorkload};
@@ -34,7 +34,7 @@ fn broker(
                 drift_threshold: 0.6,
                 ..RebuildPolicy::default()
             },
-            tuning: TuningPolicy::standard(),
+            tuning: true,
             ..BrokerConfig::default()
         }
     } else {

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use ens_dist::{DistOverDomain, DistributionCatalog, Histogram};
     pub use ens_filter::{
         AttributeMeasure, MatchScratch, Matcher, ProfileTree, RebuildPolicy, SearchStrategy,
-        TreeConfig, TuningPolicy, ValueOrder,
+        TreeConfig, ValueOrder,
     };
     pub use ens_service::{Broker, BrokerConfig, Subscriber};
     pub use ens_types::{
