@@ -2,10 +2,26 @@
 //!
 //! §3: "from a given set of profiles, a deterministic finite state
 //! automaton (DFSA) is created". [`Dfsa`] lowers a [`ProfileTree`] into
-//! structure-of-arrays state tables — the representation used for
-//! raw-throughput matching, where operation counting is not needed.
-//! It matches exactly what its [`ProfileTree`] matches (asserted by
-//! tests and the `matchers` bench).
+//! structure-of-arrays state tables — the representation every event is
+//! matched with. It matches exactly what its [`ProfileTree`] matches and
+//! counts exactly the comparison operations the tree charges (asserted
+//! by tests and the `matchers` bench): each transition carries the
+//! tree's charge for it, so a walk adds the charges up instead of
+//! running the tree's search.
+//!
+//! # Charges
+//!
+//! The tree charges every [`SearchStrategy`](crate::SearchStrategy)
+//! from fixed per-node tables ([`NodeOrdering`](crate::NodeOrdering)):
+//! a value in edge `g` costs `hit_cost[g]`; one in the gap before edge
+//! `g` (`g = 0` / `g = m`: below / above every edge) costs
+//! `miss_cost[g]`, plus 1 when an else edge `(*)` follows; a missing
+//! attribute, or any value at an edge-less node, costs 1 with a star
+//! edge and 0 without. A transition (a `Hop`) carries the charge of
+//! its interval and a state the charges of its three out-of-span cases,
+//! and all of them are part of the hash-consing key, so two nodes the
+//! tree charges differently never share a state. Checkpoints carry no
+//! charges: they are the tree's, and decoding derives them from it.
 //!
 //! # Layout
 //!
@@ -13,17 +29,17 @@
 //! the workspace started with, 2.5× slower per event), all states share
 //! contiguous arenas:
 //!
-//! * `cuts` — sorted cut points, each fused with the packed target of
-//!   the interval it opens; a binary-search state owns one
-//!   `(offset, len)` range describing a piecewise-constant map from
-//!   domain index to transition target (gaps between profile edges are
-//!   materialised as explicit intervals leading to the star target, so
-//!   a lookup is a single `partition_point`, optionally narrowed by a
-//!   per-state bucket index);
-//! * `jumps` — dense **jump tables** (one packed target per domain
-//!   point over the state's covered span), chosen automatically for
-//!   spans of at most [`JUMP_TABLE_MAX_DOMAIN`] points (a lookup is
-//!   then one range check + one load, no search at all);
+//! * `cuts` — sorted cut points, each fused with the hop of the interval
+//!   it opens; a binary-search state owns one `(offset, len)` range
+//!   describing a piecewise-constant map from domain index to hop (gaps
+//!   between profile edges are materialised as explicit intervals
+//!   leading to the star target, so a lookup is a single
+//!   `partition_point`, optionally narrowed by a per-state bucket
+//!   index);
+//! * `jumps` — dense **jump tables** (one hop per domain point over the
+//!   state's covered span), chosen automatically for spans of at most
+//!   [`JUMP_TABLE_MAX_DOMAIN`] points (a lookup is then one range check
+//!   + one load, no search at all);
 //! * `leaf_profiles` — a flat leaf arena with per-leaf offsets; leaf
 //!   profile lists are sorted, deduplicated and hash-consed at build
 //!   time, so the match loop never sorts.
@@ -32,11 +48,11 @@
 //! [`MatchScratch`] performs zero heap allocations after warm-up
 //! (asserted by `crates/filter/tests/alloc.rs`).
 
-use ens_types::{AttrId, IndexedBatch, IndexedEvent, ProfileId};
+use ens_types::{IndexedBatch, IndexedEvent, ProfileId};
 
 use crate::persist::{ByteReader, ByteWriter, PersistError};
 use crate::scratch::{BlockScratch, MatchScratch, Matcher};
-use crate::tree::{NodeRef, ProfileTree, Star};
+use crate::tree::{Node, NodeRef, ProfileTree, Star};
 
 /// Number of events traversed concurrently by [`Matcher::match_block`]:
 /// one automaton step is issued for every in-flight lane before any
@@ -63,7 +79,7 @@ fn prefetch<T>(p: *const T) {
 }
 
 /// Largest covered index span (in grid points) for which a state stores
-/// a dense jump table (`index -> target`) instead of binary-searched
+/// a dense jump table (`index -> hop`) instead of binary-searched
 /// bounds. The table covers only the span between the state's first and
 /// last edge, so even large domains get jump tables when the
 /// subscriptions cluster.
@@ -77,19 +93,11 @@ const SEARCH_ACCEL_MIN_BOUNDS: usize = 8;
 /// Sentinel for "no bucket index".
 const NO_ACCEL: u32 = u32::MAX;
 
-/// Transition target of a DFSA state (build/minimise-time form).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Target {
-    State(u32),
-    Leaf(u32),
-    Reject,
-}
-
-/// Match-time target, packed into 4 bytes: tag in the top two bits
+/// Transition target, packed into 4 bytes: tag in the top two bits
 /// (`00` reject, `01` state, `10` leaf), payload index below. Packing
 /// halves the arena footprint — jump tables in particular — which keeps
 /// more of the automaton in cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PTarget(u32);
 
 const TAG_SHIFT: u32 = 30;
@@ -100,65 +108,129 @@ const PAYLOAD_MASK: u32 = (1 << TAG_SHIFT) - 1;
 impl PTarget {
     const REJECT: PTarget = PTarget(0);
 
-    fn pack(t: Target) -> PTarget {
-        match t {
-            Target::Reject => PTarget::REJECT,
-            Target::State(s) => {
-                assert!(
-                    s <= PAYLOAD_MASK,
-                    "DFSA state index overflows packed target"
-                );
-                PTarget((TAG_STATE << TAG_SHIFT) | s)
-            }
-            Target::Leaf(l) => {
-                assert!(l <= PAYLOAD_MASK, "DFSA leaf index overflows packed target");
-                PTarget((TAG_LEAF << TAG_SHIFT) | l)
-            }
-        }
+    fn state(s: u32) -> PTarget {
+        assert!(
+            s <= PAYLOAD_MASK,
+            "DFSA state index overflows packed target"
+        );
+        PTarget((TAG_STATE << TAG_SHIFT) | s)
+    }
+
+    fn leaf(l: u32) -> PTarget {
+        assert!(l <= PAYLOAD_MASK, "DFSA leaf index overflows packed target");
+        PTarget((TAG_LEAF << TAG_SHIFT) | l)
     }
 }
 
-/// One cut point of a binary-search state, fused with the target of the
-/// interval it opens (`[cut.bound, next_cut.bound) -> cut.target`; the
-/// last cut of a state carries a dummy target).
-#[derive(Debug, Clone, Copy)]
+/// One transition: where a value leads, and the comparison operations
+/// the tree charges for finding that out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Hop {
+    target: PTarget,
+    cost: u32,
+}
+
+/// One cut point of a binary-search state, fused with the hop of the
+/// interval it opens (`[cut.bound, next_cut.bound) -> cut.hop`; the
+/// last cut of a state carries a dummy hop). The charge sits where the
+/// struct had 4 bytes of padding: 16 bytes either way.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Cut {
     bound: u64,
-    target: PTarget,
+    hop: Hop,
 }
 
 /// Per-state metadata, flat (no enum indirection) so the hot loop reads
 /// one cache line per state. A state is either a **jump table**
-/// (`jump == true`: `jumps[t_off + (idx - lo)]` for `idx` in
+/// (`jump == true`: `jumps[off + (idx - lo)]` for `idx` in
 /// `[lo, hi)`) or a **binary-search** state over
-/// `cuts[b_off .. b_off + b_len]`. `lo`/`hi` cache the covered index
+/// `cuts[off .. off + b_len]`. `lo`/`hi` cache the covered index
 /// range so out-of-range values (including the
 /// [`IndexedEvent::MISSING`] sentinel) fall to `star` without touching
-/// the arenas. When `acc_off != NO_ACCEL`, `accel[acc_off + k]` counts
-/// the cut points below bucket `k`'s first value (bucket = index
-/// `>> shift`), narrowing the binary search to one bucket.
-#[derive(Debug, Clone, Copy)]
+/// the arenas, charged `below`, `above` or `missing`. When
+/// `acc_off != NO_ACCEL`, `accel[acc_off + k]` counts the cut points
+/// below bucket `k`'s first value (bucket = index `>> shift`),
+/// narrowing the binary search to one bucket.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct StateMeta {
     /// Schema position of the tested attribute.
     attr: u32,
     shift: u8,
     jump: bool,
+    /// Charged for a missing attribute: 1 with a star edge, 0 without.
+    missing: u8,
     star: PTarget,
     /// Covered index range: `lo == hi` means no specific edges.
     lo: u64,
     hi: u64,
-    b_off: u32,
+    /// Start of the state's jump table in `jumps`, or of its cut points
+    /// in `cuts`.
+    off: u32,
     b_len: u32,
-    t_off: u32,
     acc_off: u32,
+    /// Charged for a value below the covered span.
+    below: u32,
+    /// Charged for a (present) value at or above the covered span.
+    above: u32,
 }
 
-/// Pre-freeze form of a state: explicit `[lo, hi) -> target` edges.
+/// Pre-freeze form of a state, and its hash-consing key: the tested
+/// attribute, the covered span cut into runs of values that take the
+/// same hop, and the out-of-span charges. Two tree nodes share a state
+/// only if they send every value to the same place at the same cost.
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct BuildState {
-    attr: AttrId,
-    /// Sorted, non-overlapping, non-empty intervals.
-    edges: Vec<(u64, u64, Target)>,
-    star: Target,
+    attr: u32,
+    /// `(lo, hop)`: values from `lo` up to the next run's `lo` (the last
+    /// run's: up to `hi`) take `hop`. The gaps between the node's edges
+    /// are runs to the star target. Empty for an edge-less node.
+    runs: Vec<(u64, Hop)>,
+    hi: u64,
+    star: PTarget,
+    missing: u8,
+    below: u32,
+    above: u32,
+}
+
+impl BuildState {
+    /// The state tree node `n` lowers to when its star edge leads to
+    /// `star` and its edge `g`, the automaton's run number `run`, to
+    /// `edge(g, run)`; charged as the module docs say.
+    fn of_node(n: &Node, star: PTarget, mut edge: impl FnMut(usize, usize) -> PTarget) -> Self {
+        let missing = u8::from(!matches!(n.star, Star::None));
+        let else_cost = u32::from(matches!(n.star, Star::Else(_)));
+        // A decoded tree has its tables checked against its edges; the
+        // fallback only keeps this total.
+        let charge = |costs: &[u32], g: usize| costs.get(g).copied().unwrap_or_default();
+        let gap = |g: usize| charge(&n.ordering.miss_cost, g).saturating_add(else_cost);
+        let mut runs = Vec::with_capacity(2 * n.edges.len());
+        let mut hi = 0;
+        for (g, e) in n.edges.iter().enumerate() {
+            let lo = e.interval.lo();
+            if g > 0 && hi < lo {
+                let cost = gap(g);
+                runs.push((hi, Hop { target: star, cost }));
+            }
+            let target = edge(g, runs.len());
+            let cost = charge(&n.ordering.hit_cost, g);
+            runs.push((lo, Hop { target, cost }));
+            hi = e.interval.hi();
+        }
+        let (below, above) = if n.edges.is_empty() {
+            (u32::from(missing), u32::from(missing))
+        } else {
+            (gap(0), gap(n.edges.len()))
+        };
+        BuildState {
+            attr: n.attr.index() as u32,
+            runs,
+            hi,
+            star,
+            missing,
+            below,
+            above,
+        }
+    }
 }
 
 /// The flattened automaton.
@@ -176,19 +248,21 @@ struct BuildState {
 /// let tree = ProfileTree::build(&ps, &TreeConfig::default())?;
 /// let dfsa = Dfsa::from_tree(&tree);
 /// let e = Event::builder(&schema).value("x", 15)?.build();
-/// assert_eq!(dfsa.match_event(&schema, &e)?.profiles().len(), 1);
+/// let out = dfsa.match_event(&schema, &e)?;
+/// assert_eq!(out.profiles().len(), 1);
+/// assert_eq!(out.ops(), tree.match_event(&schema, &e)?.ops());
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dfsa {
     states: Vec<StateMeta>,
-    /// Cut points of all binary-search states, each fused with the
-    /// target of the interval it opens (so the probe that finds a cut
-    /// has its target on the same cache line).
+    /// Cut points of all binary-search states, each fused with the hop
+    /// of the interval it opens (so the probe that finds a cut has its
+    /// hop on the same cache line).
     cuts: Vec<Cut>,
     /// Dense jump tables of all jump states.
-    jumps: Vec<PTarget>,
+    jumps: Vec<Hop>,
     /// Bucket indices for accelerated search states (see [`StateMeta`]).
     accel: Vec<u32>,
     /// `leaf_off[l] .. leaf_off[l+1]` delimits leaf `l` in
@@ -222,7 +296,7 @@ impl Dfsa {
     /// Number of distinct leaves.
     #[must_use]
     pub fn leaf_count(&self) -> usize {
-        self.leaf_off.len() - 1
+        self.leaf_off.len().saturating_sub(1)
     }
 
     /// Number of states resolved by a dense jump table (the rest use
@@ -242,18 +316,28 @@ impl Dfsa {
     /// ([`IndexedEvent::MISSING`] falls outside every covered range and
     /// follows the star target like any other uncovered value).
     #[inline]
-    fn step(&self, state: &StateMeta, idx: u64) -> PTarget {
+    fn step(&self, state: &StateMeta, idx: u64) -> Hop {
         // One range check covers: missing values, out-of-domain indices,
         // edge-less `*` states (lo == hi) and gap values beyond the
         // covered span — without touching the arenas.
         if idx < state.lo || idx >= state.hi {
-            return state.star;
+            let cost = if idx < state.lo {
+                state.below
+            } else if idx == IndexedEvent::MISSING {
+                u32::from(state.missing)
+            } else {
+                state.above
+            };
+            return Hop {
+                target: state.star,
+                cost,
+            };
         }
         if state.jump {
             // The table covers the span [lo, hi), indexed relative to lo.
-            return self.jumps[state.t_off as usize + (idx - state.lo) as usize];
+            return self.jumps[state.off as usize + (idx - state.lo) as usize];
         }
-        let cuts = &self.cuts[state.b_off as usize..(state.b_off + state.b_len) as usize];
+        let cuts = &self.cuts[state.off as usize..(state.off + state.b_len) as usize];
         let k = if state.acc_off == NO_ACCEL {
             // Unaccelerated states are small (< SEARCH_ACCEL_MIN_BOUNDS
             // cuts): a forward scan beats a branchy binary search here
@@ -275,33 +359,36 @@ impl Dfsa {
             }
             k
         };
-        cuts[k - 1].target
+        cuts[k - 1].hop
     }
 
     /// Runs the automaton to its terminal target over the raw
-    /// sentinel-encoded index slice.
+    /// sentinel-encoded index slice, adding up the charges on the way.
     #[inline]
-    fn terminal(&self, raw: &[u64]) -> PTarget {
-        let mut t = self.root;
+    fn terminal(&self, raw: &[u64]) -> (PTarget, u64) {
+        let (mut t, mut ops) = (self.root, 0);
         while t.0 >> TAG_SHIFT == TAG_STATE {
             let state = &self.states[(t.0 & PAYLOAD_MASK) as usize];
             let idx = raw
                 .get(state.attr as usize)
                 .copied()
                 .unwrap_or(IndexedEvent::MISSING);
-            t = self.step(state, idx);
+            let hop = self.step(state, idx);
+            ops += u64::from(hop.cost);
+            t = hop.target;
         }
-        t
+        (t, ops)
     }
 }
 
 impl Matcher for Dfsa {
-    /// The raw-throughput fast path: one automaton walk, leaf profiles
-    /// copied from the pre-sorted arena. `ops`/`per_level` stay zero —
-    /// the DFSA does not count comparison operations.
+    /// One automaton walk, leaf profiles copied from the pre-sorted
+    /// arena. `ops` is the tree's count for the event; `per_level`
+    /// stays empty — the automaton has states, not levels.
     fn match_into(&self, event: &IndexedEvent, scratch: &mut MatchScratch) {
         scratch.reset(0);
-        let t = self.terminal(event.raw());
+        let (t, ops) = self.terminal(event.raw());
+        scratch.ops = ops;
         if t.0 >> TAG_SHIFT == TAG_LEAF {
             scratch
                 .profiles
@@ -317,8 +404,8 @@ impl Matcher for Dfsa {
     /// while the current round completes. Per-event call overhead
     /// (scratch reset, result handoff) is paid once per block.
     ///
-    /// Semantics are identical to looping [`Matcher::match_into`];
-    /// `ops` stays zero (the DFSA does not count operations).
+    /// Semantics, per-event `ops` included, are identical to looping
+    /// [`Matcher::match_into`].
     fn match_block(&self, batch: &IndexedBatch, scratch: &mut BlockScratch) {
         let n = batch.len();
         scratch.reset_block(n);
@@ -329,6 +416,7 @@ impl Matcher for Dfsa {
         while base < n {
             let m = BLOCK_LANES.min(n - base);
             let mut t = [self.root; BLOCK_LANES];
+            let mut ops = [0u64; BLOCK_LANES];
             // Active-lane list, compacted each round: only lanes still
             // inside the automaton are revisited. Row start offsets are
             // computed once per chunk, not per step.
@@ -352,8 +440,10 @@ impl Matcher for Dfsa {
                         .get(row_off[l] + state.attr as usize)
                         .copied()
                         .unwrap_or(IndexedEvent::MISSING);
-                    let next = self.step(state, idx);
+                    let hop = self.step(state, idx);
+                    let next = hop.target;
                     t[l] = next;
+                    ops[l] += u64::from(hop.cost);
                     match next.0 >> TAG_SHIFT {
                         TAG_STATE => {
                             prefetch(&self.states[(next.0 & PAYLOAD_MASK) as usize]);
@@ -368,13 +458,15 @@ impl Matcher for Dfsa {
             }
             // Emit the chunk's CSR rows in event order (lanes finish
             // out of order, but `t` keeps them positional).
-            for &tl in t.iter().take(m) {
+            for (l, &tl) in t.iter().take(m).enumerate() {
                 if tl.0 >> TAG_SHIFT == TAG_LEAF {
                     scratch
                         .profiles
                         .extend_from_slice(self.leaf(tl.0 & PAYLOAD_MASK));
                 }
                 scratch.seal_event();
+                scratch.event_ops[base + l] = ops[l];
+                scratch.ops += ops[l];
             }
             base += m;
         }
@@ -383,43 +475,38 @@ impl Matcher for Dfsa {
 
 /// Tree-to-build-state lowering with leaf *and* interior-state
 /// hash-consing: structurally identical states (same tested attribute,
-/// edge list and star target) are emitted once and shared. Don't-care
-/// profiles duplicate whole subtrees along sibling edges of the tree;
-/// because children are lowered before their parent is keyed, equal
-/// subtrees collapse bottom-up into one state chain — on duplicate-heavy
-/// populations the automaton is much smaller than the tree even when
-/// containment analysis misses the duplicates.
-/// Structural key of an interior state: tested attribute, `(lo, hi,
-/// target)` edge list, star target.
-type StateKey = (AttrId, Vec<(u64, u64, Target)>, Target);
-
+/// runs, star target and charges) are emitted once and shared.
+/// Don't-care profiles duplicate whole subtrees along sibling edges of
+/// the tree; because children are lowered before their parent is
+/// keyed, equal subtrees collapse bottom-up into one state chain — on
+/// duplicate-heavy populations the automaton is much smaller than the
+/// tree even when containment analysis misses the duplicates.
 struct Lowering {
     states: Vec<BuildState>,
     leaves: Vec<Vec<ProfileId>>,
     leaf_canon: std::collections::HashMap<Vec<ProfileId>, u32>,
-    /// `(attr, edges, star)` -> existing state. Exact structural
-    /// equality: leaves below are already consed, so equal keys imply
-    /// equal languages.
-    state_canon: std::collections::HashMap<StateKey, u32>,
+    /// Built state -> its slot. Exact structural equality: leaves below
+    /// are already consed, so equal keys imply equal languages (and,
+    /// the charges being part of the key, equal counts).
+    state_canon: std::collections::HashMap<BuildState, u32>,
 }
 
 impl Lowering {
-    fn lower(&mut self, node: &NodeRef) -> Target {
+    fn lower(&mut self, node: &NodeRef) -> PTarget {
         match node {
             NodeRef::Leaf(ids) => {
                 if ids.is_empty() {
-                    Target::Reject
-                } else {
-                    // Tree leaves are already sorted and unique; dedup
-                    // identical lists so the arena stays small.
-                    if let Some(&l) = self.leaf_canon.get(ids) {
-                        return Target::Leaf(l);
-                    }
-                    self.leaves.push(ids.clone());
-                    let l = self.leaves.len() as u32 - 1;
-                    self.leaf_canon.insert(ids.clone(), l);
-                    Target::Leaf(l)
+                    return PTarget::REJECT;
                 }
+                // Tree leaves are already sorted and unique; dedup
+                // identical lists so the arena stays small.
+                if let Some(&l) = self.leaf_canon.get(ids) {
+                    return PTarget::leaf(l);
+                }
+                self.leaves.push(ids.clone());
+                let l = self.leaves.len() as u32 - 1;
+                self.leaf_canon.insert(ids.clone(), l);
+                PTarget::leaf(l)
             }
             NodeRef::Inner(n) => {
                 // Children first, so the parent's structural key is over
@@ -427,135 +514,33 @@ impl Lowering {
                 // its root through an explicit target (no slot-0
                 // assumption anywhere), so the children-before-parents
                 // layout is safe.
-                let mut edges = Vec::with_capacity(n.edges.len());
-                for e in &n.edges {
-                    let target = self.lower(&e.child);
-                    edges.push((e.interval.lo(), e.interval.hi(), target));
-                }
+                let edges: Vec<PTarget> = n.edges.iter().map(|e| self.lower(&e.child)).collect();
                 let star = match &n.star {
-                    Star::None => Target::Reject,
+                    Star::None => PTarget::REJECT,
                     Star::All(child) | Star::Else(child) => self.lower(child),
                 };
-                if let Some(&s) = self.state_canon.get(&(n.attr, edges.clone(), star)) {
-                    return Target::State(s);
+                let state = BuildState::of_node(n, star, |g, _| edges[g]);
+                if let Some(&s) = self.state_canon.get(&state) {
+                    return PTarget::state(s);
                 }
                 let slot = self.states.len() as u32;
-                self.state_canon.insert((n.attr, edges.clone(), star), slot);
-                self.states.push(BuildState {
-                    attr: n.attr,
-                    edges,
-                    star,
-                });
-                Target::State(slot)
+                self.state_canon.insert(state.clone(), slot);
+                self.states.push(state);
+                PTarget::state(slot)
             }
         }
     }
 }
 
 /// Packs build states and leaves into the shared CSR arenas.
-fn freeze(states: &[BuildState], leaves: &[Vec<ProfileId>], root: Target) -> Dfsa {
-    let mut metas = Vec::with_capacity(states.len());
+fn freeze(states: &[BuildState], leaves: &[Vec<ProfileId>], root: PTarget) -> Dfsa {
     let mut cuts: Vec<Cut> = Vec::new();
-    let mut jumps: Vec<PTarget> = Vec::new();
+    let mut jumps: Vec<Hop> = Vec::new();
     let mut accel: Vec<u32> = Vec::new();
-    for s in states {
-        let star = PTarget::pack(s.star);
-        let mut meta = StateMeta {
-            attr: s.attr.index() as u32,
-            shift: 0,
-            jump: false,
-            star,
-            lo: 0,
-            hi: 0,
-            b_off: 0,
-            b_len: 0,
-            t_off: 0,
-            acc_off: NO_ACCEL,
-        };
-        if s.edges.is_empty() {
-            // `*` node: lo == hi, every value follows the star target.
-            metas.push(meta);
-            continue;
-        }
-        let span_lo = s.edges[0].0;
-        let span_hi = s.edges[s.edges.len() - 1].1;
-        meta.lo = span_lo;
-        meta.hi = span_hi;
-        if span_hi - span_lo <= JUMP_TABLE_MAX_DOMAIN {
-            // Dense jump table over the covered span, indexed by
-            // `idx - lo`; gaps read the pre-filled star target.
-            meta.jump = true;
-            meta.t_off = jumps.len() as u32;
-            jumps.resize(jumps.len() + (span_hi - span_lo) as usize, star);
-            for &(lo, hi, t) in &s.edges {
-                let t = PTarget::pack(t);
-                let start = meta.t_off as usize + (lo - span_lo) as usize;
-                let end = meta.t_off as usize + (hi - span_lo) as usize;
-                for slot in &mut jumps[start..end] {
-                    *slot = t;
-                }
-            }
-        } else {
-            meta.b_off = cuts.len() as u32;
-            let mut prev_hi: Option<u64> = None;
-            for &(lo, hi, t) in &s.edges {
-                match prev_hi {
-                    None => cuts.push(Cut {
-                        bound: lo,
-                        target: PTarget::pack(t),
-                    }),
-                    Some(p) => {
-                        // The previous edge's closing cut opens either a
-                        // gap interval (to the star target) or, when the
-                        // edges are adjacent, the next edge directly.
-                        if p < lo {
-                            cuts.push(Cut {
-                                bound: p,
-                                target: star,
-                            });
-                            cuts.push(Cut {
-                                bound: lo,
-                                target: PTarget::pack(t),
-                            });
-                        } else {
-                            cuts.push(Cut {
-                                bound: lo,
-                                target: PTarget::pack(t),
-                            });
-                        }
-                    }
-                }
-                prev_hi = Some(hi);
-            }
-            // Closing cut of the last edge (dummy target: values at or
-            // beyond it take the star path via the range check).
-            cuts.push(Cut {
-                bound: span_hi,
-                target: PTarget::REJECT,
-            });
-            meta.b_len = (cuts.len() as u32) - meta.b_off;
-            let state_cuts = &cuts[meta.b_off as usize..];
-            if state_cuts.len() >= SEARCH_ACCEL_MIN_BOUNDS {
-                // Bucket width 2^shift over the covered span, adapted to
-                // the cut density so a bucket holds ~2 cuts on average
-                // (one accel line + one or two probes per lookup);
-                // accel[k] counts the cut points below bucket k's first
-                // value.
-                let span = span_hi - span_lo;
-                // span / (cuts/2), computed division-first so huge
-                // domains (e.g. full i64 ranges) cannot overflow.
-                let target_width = (span / (state_cuts.len() as u64 / 2).max(1)).max(1);
-                meta.shift = (63 - target_width.leading_zeros() as u64) as u8;
-                let nb = ((span - 1) >> meta.shift) + 1;
-                meta.acc_off = accel.len() as u32;
-                for k in 0..=nb {
-                    let first = span_lo + (k << meta.shift);
-                    accel.push(state_cuts.partition_point(|c| c.bound < first) as u32);
-                }
-            }
-        }
-        metas.push(meta);
-    }
+    let metas = states
+        .iter()
+        .map(|s| freeze_state(s, &mut cuts, &mut jumps, &mut accel))
+        .collect();
 
     let mut leaf_off: Vec<u32> = Vec::with_capacity(leaves.len() + 1);
     let mut leaf_profiles: Vec<ProfileId> = Vec::new();
@@ -576,20 +561,122 @@ fn freeze(states: &[BuildState], leaves: &[Vec<ProfileId>], root: Target) -> Dfs
         accel,
         leaf_off,
         leaf_profiles,
-        root: PTarget::pack(root),
+        root,
     }
+}
+
+/// Appends one state's jump table or cut points (and bucket index) to
+/// the arenas and returns its metadata.
+fn freeze_state(
+    s: &BuildState,
+    cuts: &mut Vec<Cut>,
+    jumps: &mut Vec<Hop>,
+    accel: &mut Vec<u32>,
+) -> StateMeta {
+    let mut meta = StateMeta {
+        attr: s.attr,
+        shift: 0,
+        jump: false,
+        missing: s.missing,
+        star: s.star,
+        lo: 0,
+        hi: 0,
+        off: 0,
+        b_len: 0,
+        acc_off: NO_ACCEL,
+        below: s.below,
+        above: s.above,
+    };
+    let Some(&(span_lo, _)) = s.runs.first() else {
+        // `*` node: lo == hi, every value follows the star target.
+        return meta;
+    };
+    let span_hi = s.hi;
+    meta.lo = span_lo;
+    meta.hi = span_hi;
+    if span_hi - span_lo <= JUMP_TABLE_MAX_DOMAIN {
+        // Dense jump table over the covered span, indexed by `idx - lo`.
+        meta.jump = true;
+        meta.off = jumps.len() as u32;
+        for (k, &(lo, hop)) in s.runs.iter().enumerate() {
+            let end = s.runs.get(k + 1).map_or(span_hi, |next| next.0);
+            jumps.extend(std::iter::repeat_n(hop, (end - lo) as usize));
+        }
+        return meta;
+    }
+    meta.off = cuts.len() as u32;
+    cuts.extend(s.runs.iter().map(|&(bound, hop)| Cut { bound, hop }));
+    // Closing cut of the last edge (dummy hop: values at or beyond it
+    // take the star path via the range check).
+    cuts.push(Cut {
+        bound: span_hi,
+        hop: Hop {
+            target: PTarget::REJECT,
+            cost: 0,
+        },
+    });
+    meta.b_len = (cuts.len() as u32) - meta.off;
+    let state_cuts = &cuts[meta.off as usize..];
+    if state_cuts.len() >= SEARCH_ACCEL_MIN_BOUNDS {
+        // Bucket width 2^shift over the covered span, adapted to the
+        // cut density so a bucket holds ~2 cuts on average (one accel
+        // line + one or two probes per lookup); accel[k] counts the cut
+        // points below bucket k's first value.
+        let span = span_hi - span_lo;
+        // span / (cuts/2), computed division-first so huge domains
+        // (e.g. full i64 ranges) cannot overflow.
+        let target_width = (span / (state_cuts.len() as u64 / 2).max(1)).max(1);
+        meta.shift = (63 - target_width.leading_zeros() as u64) as u8;
+        let nb = ((span - 1) >> meta.shift) + 1;
+        meta.acc_off = accel.len() as u32;
+        for k in 0..=nb {
+            let first = span_lo + (k << meta.shift);
+            accel.push(state_cuts.partition_point(|c| c.bound < first) as u32);
+        }
+    }
+    meta
+}
+
+/// `stored` has the shape of `fresh` (`same_shape` holds element-wise);
+/// on a state's first visit it takes `fresh`'s charges, on a later one
+/// it must already hold them.
+fn settle<T: Copy + PartialEq>(
+    stored: Option<&mut [T]>,
+    fresh: &[T],
+    first: bool,
+    same_shape: impl Fn(&T, &T) -> bool,
+) -> bool {
+    let Some(stored) = stored else {
+        return false;
+    };
+    if stored.len() != fresh.len() || !stored.iter().zip(fresh).all(|(a, b)| same_shape(a, b)) {
+        return false;
+    }
+    if first {
+        stored.copy_from_slice(fresh);
+        true
+    } else {
+        stored == fresh
+    }
+}
+
+/// Arena position `off + k`, if it is one.
+fn slot(off: u32, k: u64) -> Option<usize> {
+    usize::try_from(k).ok()?.checked_add(off as usize)
 }
 
 impl Dfsa {
     /// Appends the automaton arenas in the dense binary checkpoint
-    /// form. The leaf arena is stored as references into `tree`'s
-    /// leaves whenever the lists agree (see below), which halves the
-    /// dominant leaf bytes of a snapshot.
+    /// form: targets only, the charges being the tree's. The leaf arena
+    /// is stored as references into `tree`'s leaves whenever the lists
+    /// agree (see below), which halves the dominant leaf bytes of a
+    /// snapshot.
     pub(crate) fn encode_into(&self, w: &mut ByteWriter, tree: &ProfileTree) {
         // Column-oriented: each `StateMeta` field becomes one packed
         // array. Per-state offsets are monotone and the rest are small
         // or repetitive, so the zig-zag deltas compress the 42-byte
-        // row-form to a few bytes per state.
+        // row-form to a few bytes per state. `off` is written as the
+        // two columns it is, by state kind.
         let states = &self.states;
         w.seq_len(states.len());
         let col_u32 = |w: &mut ByteWriter, f: &dyn Fn(&StateMeta) -> u32| {
@@ -606,15 +693,15 @@ impl Dfsa {
         col_u32(w, &|s| s.star.0);
         col_u64(w, &|s| s.lo);
         col_u64(w, &|s| s.hi);
-        col_u32(w, &|s| s.b_off);
+        col_u32(w, &|s| if s.jump { 0 } else { s.off });
         col_u32(w, &|s| s.b_len);
-        col_u32(w, &|s| s.t_off);
+        col_u32(w, &|s| if s.jump { s.off } else { 0 });
         col_u32(w, &|s| s.acc_off);
         let cut_bounds: Vec<u64> = self.cuts.iter().map(|c| c.bound).collect();
-        let cut_targets: Vec<u32> = self.cuts.iter().map(|c| c.target.0).collect();
+        let cut_targets: Vec<u32> = self.cuts.iter().map(|c| c.hop.target.0).collect();
         w.packed_u64(&cut_bounds);
         w.packed_u32(&cut_targets);
-        let jumps: Vec<u32> = self.jumps.iter().map(|j| j.0).collect();
+        let jumps: Vec<u32> = self.jumps.iter().map(|j| j.target.0).collect();
         w.packed_u32(&jumps);
         w.packed_u32(&self.accel);
         // Leaf arena: every DFSA leaf is a sorted, deduplicated copy of
@@ -661,7 +748,8 @@ impl Dfsa {
 
     /// Decodes an automaton written by [`Dfsa::encode_into`]. `tree`
     /// must be the profile tree decoded from the same snapshot — leaf
-    /// references resolve against it.
+    /// references resolve against it, and the automaton is checked
+    /// against it and charged from it ([`Dfsa::charge_from`]).
     pub(crate) fn decode_from(
         r: &mut ByteReader<'_>,
         tree: &ProfileTree,
@@ -701,24 +789,32 @@ impl Dfsa {
         for i in 0..n_states {
             let s = u8::try_from(shift[i])
                 .map_err(|_| PersistError::new(format!("state shift {} overflows u8", shift[i])))?;
-            let j = match jump[i] {
-                0 => false,
-                1 => true,
+            let (j, off, other) = match jump[i] {
+                0 => (false, b_off[i], t_off[i]),
+                1 => (true, t_off[i], b_off[i]),
                 other => {
                     return Err(PersistError::new(format!("invalid jump flag {other}")));
                 }
             };
+            if other != 0 {
+                return Err(PersistError::new(format!(
+                    "state {i} has an offset into the other kind's arena"
+                )));
+            }
+            // Charges are filled in by `charge_from` below.
             states.push(StateMeta {
                 attr: attr[i],
                 shift: s,
                 jump: j,
+                missing: 0,
                 star: PTarget(star[i]),
                 lo: lo[i],
                 hi: hi[i],
-                b_off: b_off[i],
+                off,
                 b_len: b_len[i],
-                t_off: t_off[i],
                 acc_off: acc_off[i],
+                below: 0,
+                above: 0,
             });
         }
         let cut_bounds = r.vec_u64_packed()?;
@@ -730,15 +826,19 @@ impl Dfsa {
                 cut_targets.len()
             )));
         }
+        let uncharged = |target| Hop {
+            target: PTarget(target),
+            cost: 0,
+        };
         let cuts = cut_bounds
             .into_iter()
             .zip(cut_targets)
             .map(|(bound, target)| Cut {
                 bound,
-                target: PTarget(target),
+                hop: uncharged(target),
             })
             .collect();
-        let jumps = r.vec_u32_packed()?.into_iter().map(PTarget).collect();
+        let jumps = r.vec_u32_packed()?.into_iter().map(uncharged).collect();
         let accel = r.vec_u32_packed()?;
         let (leaf_off, leaf_profiles) = match r.u8()? {
             1 => {
@@ -783,7 +883,7 @@ impl Dfsa {
             }
         };
         let root = PTarget(r.u32()?);
-        Ok(Dfsa {
+        let mut dfsa = Dfsa {
             states,
             cuts,
             jumps,
@@ -791,7 +891,155 @@ impl Dfsa {
             leaf_off,
             leaf_profiles,
             root,
-        })
+        };
+        dfsa.charge_from(tree)?;
+        Ok(dfsa)
+    }
+
+    /// Walks a decoded automaton and `tree` side by side from their
+    /// roots. Each tree node must reach the very state
+    /// [`Dfsa::from_tree`] would have frozen for it — same attribute,
+    /// span, runs, bucket index and star — and each tree leaf a leaf
+    /// with its profiles (an empty one: reject). The state then takes
+    /// the node's charges, and a state several nodes reach must be
+    /// charged alike by each. A state the walk accepted therefore
+    /// indexes nothing outside its arenas, and the automaton answers
+    /// and counts what the tree does; anything else is refused.
+    fn charge_from(&mut self, tree: &ProfileTree) -> Result<(), PersistError> {
+        let refuse = |what: &str| {
+            Err(PersistError::new(format!(
+                "automaton disagrees with its tree: {what}"
+            )))
+        };
+        let mut charged = vec![false; self.states.len()];
+        let (mut cuts, mut jumps, mut accel) = (Vec::new(), Vec::new(), Vec::new());
+        let mut stack = vec![(tree.root(), self.root)];
+        while let Some((node, t)) = stack.pop() {
+            let n = match node {
+                NodeRef::Inner(n) => n,
+                NodeRef::Leaf(ids) => {
+                    let agrees = match t.0 >> TAG_SHIFT {
+                        TAG_LEAF => self.leaf_checked(t.0 & PAYLOAD_MASK) == Some(ids.as_slice()),
+                        _ => t == PTarget::REJECT && ids.is_empty(),
+                    };
+                    if !agrees {
+                        return refuse("a leaf lists other profiles");
+                    }
+                    continue;
+                }
+            };
+            let s = (t.0 & PAYLOAD_MASK) as usize;
+            let stored = match self.states.get(s) {
+                Some(stored) if t.0 >> TAG_SHIFT == TAG_STATE => *stored,
+                _ => return refuse("a node reaches no state"),
+            };
+            if !n.edges.is_empty() && matches!(n.star, Star::All(_)) {
+                return refuse("a node has a star edge beside specific edges");
+            }
+            let star = match n.star {
+                Star::None => PTarget::REJECT,
+                Star::All(_) | Star::Else(_) => stored.star,
+            };
+            let mut targets = Vec::with_capacity(n.edges.len());
+            let fresh = BuildState::of_node(n, star, |g, run| {
+                let target = self.stored_target(&stored, n, g, run);
+                targets.push(target);
+                target
+            });
+            cuts.clear();
+            jumps.clear();
+            accel.clear();
+            let meta = freeze_state(&fresh, &mut cuts, &mut jumps, &mut accel);
+            if !self.settle_state(s, meta, &cuts, &jumps, &accel, !charged[s]) {
+                return refuse("a state is not the one its node lowers to");
+            }
+            charged[s] = true;
+            if let Star::All(child) | Star::Else(child) = &n.star {
+                stack.push((child, star));
+            }
+            stack.extend(n.edges.iter().map(|e| &e.child).zip(targets));
+        }
+        Ok(())
+    }
+
+    /// Where the stored state `s` sends edge `g` of `n`, its run number
+    /// `run` — reject where its arena has no such run, which the shape
+    /// check then refuses.
+    fn stored_target(&self, s: &StateMeta, n: &Node, g: usize, run: usize) -> PTarget {
+        let hop = if s.jump {
+            n.edges[g]
+                .interval
+                .lo()
+                .checked_sub(s.lo)
+                .and_then(|d| slot(s.off, d))
+                .and_then(|k| self.jumps.get(k))
+        } else {
+            slot(s.off, run as u64)
+                .and_then(|k| self.cuts.get(k))
+                .map(|c| &c.hop)
+        };
+        hop.map_or(PTarget::REJECT, |h| h.target)
+    }
+
+    /// Checks stored state `s` against `fresh`, its freeze from the node
+    /// reaching it (into the empty arenas `cuts`, `jumps`, `accel`):
+    /// the shape (targets included) must agree, and the charges are
+    /// settled (see [`settle`]).
+    fn settle_state(
+        &mut self,
+        s: usize,
+        fresh: StateMeta,
+        cuts: &[Cut],
+        jumps: &[Hop],
+        accel: &[u32],
+        first: bool,
+    ) -> bool {
+        let Some(stored) = self.states.get_mut(s) else {
+            return false;
+        };
+        let expect = StateMeta {
+            off: stored.off,
+            acc_off: if fresh.acc_off == NO_ACCEL {
+                NO_ACCEL
+            } else {
+                stored.acc_off
+            },
+            ..fresh
+        };
+        let shape = |m: &StateMeta| StateMeta {
+            missing: 0,
+            below: 0,
+            above: 0,
+            ..*m
+        };
+        if !settle(
+            Some(std::slice::from_mut(stored)),
+            &[expect],
+            first,
+            |a, b| shape(a) == shape(b),
+        ) {
+            return false;
+        }
+        let (off, acc) = (expect.off as usize, expect.acc_off as usize);
+        let accel_agrees =
+            expect.acc_off == NO_ACCEL || self.accel.get(acc..acc + accel.len()) == Some(accel);
+        accel_agrees
+            && if expect.jump {
+                let stored = self.jumps.get_mut(off..off + jumps.len());
+                settle(stored, jumps, first, |a, b| a.target == b.target)
+            } else {
+                let stored = self.cuts.get_mut(off..off + cuts.len());
+                settle(stored, cuts, first, |a, b| {
+                    a.bound == b.bound && a.hop.target == b.hop.target
+                })
+            }
+    }
+
+    /// Leaf `l`'s profiles, if the arena holds such a leaf.
+    fn leaf_checked(&self, l: u32) -> Option<&[ProfileId]> {
+        let lo = *self.leaf_off.get(l as usize)? as usize;
+        let hi = *self.leaf_off.get(l as usize + 1)? as usize;
+        self.leaf_profiles.get(lo..hi)
     }
 }
 
@@ -1040,7 +1288,7 @@ mod tests {
                 batch.resolve_into(&schema, chunk.iter()).unwrap();
                 dfsa.match_block(&batch, &mut block);
                 assert_eq!(block.len(), size);
-                assert_eq!(block.ops(), 0);
+                let mut ops = 0;
                 for (i, e) in chunk.iter().enumerate() {
                     indexed.resolve_into(&schema, e).unwrap();
                     dfsa.match_into(&indexed, &mut single);
@@ -1049,7 +1297,11 @@ mod tests {
                         single.profiles(),
                         "event {i} of block size {size}"
                     );
+                    assert_eq!(block.ops_of(i), single.ops(), "event {i}");
+                    assert_eq!(single.ops(), tree.match_event(&schema, e).unwrap().ops());
+                    ops += single.ops();
                 }
+                assert_eq!(block.ops(), ops);
             }
         }
     }
@@ -1074,7 +1326,81 @@ mod tests {
             indexed.resolve_into(&schema, &e).unwrap();
             dfsa.match_into(&indexed, &mut scratch);
             assert_eq!(scratch.profiles(), ps.matches(&e).unwrap().as_slice());
-            assert_eq!(scratch.ops(), 0, "the DFSA does not count operations");
+            let by_tree = tree.match_event(&schema, &e).unwrap().ops();
+            assert_eq!(
+                scratch.ops(),
+                by_tree,
+                "the DFSA counts what the tree counts"
+            );
+        }
+    }
+    #[test]
+    fn charges_take_no_bytes_in_states_or_cuts() {
+        assert_eq!(std::mem::size_of::<StateMeta>(), 48);
+        assert_eq!(std::mem::size_of::<Cut>(), 16);
+    }
+
+    /// The checkpoint form carries no charges: decoding takes them from
+    /// the tree it is decoded beside — the same automaton counts a
+    /// binary search or a linear scan, as its tree does — and refuses a
+    /// tree the automaton was not lowered from.
+    #[test]
+    fn decoding_charges_from_the_tree_and_refuses_another() {
+        let (schema, ps) = random_profiles_large_domain(41, 30);
+        let binary = TreeConfig {
+            search: crate::SearchStrategy::Binary,
+            ..TreeConfig::default()
+        };
+        let tree = ProfileTree::build(&ps, &binary).unwrap();
+        let dfsa = Dfsa::from_tree(&tree);
+        let mut w = ByteWriter::new();
+        dfsa.encode_into(&mut w, &tree);
+        let bytes = w.into_bytes();
+        let linear = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut scratch = MatchScratch::new();
+        for tree in [&tree, &linear] {
+            let decoded = Dfsa::decode_from(&mut ByteReader::new(&bytes), tree).unwrap();
+            for _ in 0..300 {
+                let x = rng.gen_range(0..10_000u64);
+                let y = rng.gen_bool(0.8).then(|| rng.gen_range(0..50u64));
+                let e = IndexedEvent::from_indices(vec![Some(x), y]);
+                decoded.match_into(&e, &mut scratch);
+                let want = tree
+                    .match_event(&schema, &e.to_event(&schema).unwrap())
+                    .unwrap();
+                assert_eq!(scratch.profiles(), want.profiles());
+                assert_eq!(scratch.ops(), want.ops());
+            }
+        }
+        let mut more = ps.clone();
+        for p in random_profiles_large_domain(42, 10).1.iter() {
+            more.insert(p.clone());
+        }
+        let foreign = ProfileTree::build(&more, &binary).unwrap();
+        let refused = Dfsa::decode_from(&mut ByteReader::new(&bytes), &foreign).unwrap_err();
+        assert!(
+            refused.message().contains("disagrees with its tree"),
+            "{refused}"
+        );
+        // So is an arena entry of the automaton's own tree changed: a jump
+        // target, a cut point, a bucket count.
+        assert!(!dfsa.jumps.is_empty() && dfsa.cuts.len() > 2 && !dfsa.accel.is_empty());
+        for tamper in 0..3 {
+            let mut bad = dfsa.clone();
+            match tamper {
+                0 => bad.jumps[0].target = PTarget::REJECT,
+                1 => bad.cuts[1].bound += 1,
+                _ => bad.accel[1] += 1,
+            }
+            let mut w = ByteWriter::new();
+            bad.encode_into(&mut w, &tree);
+            let bytes = w.into_bytes();
+            let refused = Dfsa::decode_from(&mut ByteReader::new(&bytes), &tree).unwrap_err();
+            assert!(
+                refused.message().contains("disagrees with its tree"),
+                "{refused}"
+            );
         }
     }
 }

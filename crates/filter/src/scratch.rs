@@ -133,7 +133,8 @@ impl MatchScratch {
     }
 
     /// Comparison operations spent by the last call (0 for matchers that
-    /// do not count operations, e.g. the raw-throughput DFSA).
+    /// do not count operations). The tree and the DFSA lowered from it
+    /// report the same count.
     #[must_use]
     pub fn ops(&self) -> u64 {
         self.ops

@@ -87,8 +87,8 @@ impl SnapshotScratch {
     }
 
     /// Comparison operations spent by the last call: base plus overlay.
-    /// The DFSA base path does not count operations, so with `use_dfsa`
-    /// only the overlay contributes.
+    /// The same with `use_dfsa` as without — the automaton counts what
+    /// the tree counts.
     #[must_use]
     pub fn ops(&self) -> u64 {
         self.ops
@@ -194,8 +194,8 @@ impl SnapshotBlockScratch {
         &self.matched[self.off[i] as usize..self.off[i + 1] as usize]
     }
 
-    /// Total comparison operations over the block (base plus overlay;
-    /// the DFSA base path counts none).
+    /// Total comparison operations over the block (base plus overlay,
+    /// on either base path).
     #[must_use]
     pub fn ops(&self) -> u64 {
         self.ops
@@ -810,9 +810,10 @@ impl FilterSnapshot {
     /// after scratch warm-up.
     ///
     /// With `use_dfsa` the compiled base is matched through the
-    /// flattened [`Dfsa`] (fastest, but comparison operations are not
-    /// counted); otherwise through the [`ProfileTree`] (the paper's
-    /// cost-model semantics, `scratch.ops()` populated).
+    /// flattened [`Dfsa`] (the fast path); otherwise through the
+    /// [`ProfileTree`], which runs the configured search for real (the
+    /// reference path). Either way the result and `scratch.ops()` — the
+    /// paper's comparison count — are the same.
     pub fn match_into(&self, event: &IndexedEvent, scratch: &mut SnapshotScratch, use_dfsa: bool) {
         scratch.matched.clear();
         scratch.overlay_ops = 0;
@@ -915,8 +916,8 @@ impl FilterSnapshot {
     /// The compiled base runs through [`Matcher::match_block`] — with
     /// `use_dfsa` the DFSA's interleaved multi-event traversal, the
     /// fastest path in the system — and the overlay's counting index is
-    /// applied per event on top. Semantics are identical to calling
-    /// [`FilterSnapshot::match_into`] per event.
+    /// applied per event on top. Semantics, per-event ops included, are
+    /// identical to calling [`FilterSnapshot::match_into`] per event.
     pub fn match_block(
         &self,
         batch: &IndexedBatch,
@@ -1036,7 +1037,7 @@ impl FilterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ens_types::{Domain, Event, Predicate, Schema};
+    use ens_types::{CoverSet, Domain, Event, Predicate, Schema};
 
     fn schema() -> Schema {
         Schema::builder()
@@ -1111,17 +1112,46 @@ mod tests {
     }
 
     #[test]
-    fn ops_counted_on_tree_path_only() {
+    fn dfsa_path_counts_the_tree_ops() {
         let schema = schema();
-        let snap = FilterSnapshot::compile(&base(&schema), &TreeConfig::default()).unwrap();
-        let e = Event::builder(&schema).value("x", 17).unwrap().build();
-        let indexed = IndexedEvent::resolve(&schema, &e).unwrap();
-        let mut s = SnapshotScratch::new();
-        snap.match_into(&indexed, &mut s, false);
-        assert!(s.ops() > 0);
-        assert!(s.is_match());
-        snap.match_into(&indexed, &mut s, true);
-        assert_eq!(s.ops(), 0, "the DFSA does not count operations");
+        let mut base = base(&schema);
+        base.insert_with(|b| b.predicate("x", Predicate::between(11, 13)))
+            .unwrap();
+        let mut delta = ProfileSet::new(&schema);
+        delta
+            .insert_with(|b| b.predicate("x", Predicate::ge(90)))
+            .unwrap();
+        delta
+            .insert_with(|b| b.predicate("x", Predicate::le(20)))
+            .unwrap();
+        let cover =
+            CoverSet::build_bulk(&schema, base.iter().map(|p| (p.id().index() as u32, p))).unwrap();
+        let config = TreeConfig::default();
+        let uncovered = FilterSnapshot::compile(&base, &config).unwrap();
+        let covered = FilterSnapshot::compile_with_cover(&base, &cover, &config).unwrap();
+        assert!(covered.compiled_len() < base.len());
+        for snap in [uncovered, covered] {
+            let snap = snap
+                .with_overlay(&delta)
+                .unwrap()
+                .with_removed(vec![false, true, false])
+                .with_overlay_removed(0);
+            let (mut tree, mut dfsa) = (SnapshotScratch::new(), SnapshotScratch::new());
+            for x in 0..100 {
+                let e = Event::builder(&schema).value("x", x).unwrap().build();
+                let indexed = IndexedEvent::resolve(&schema, &e).unwrap();
+                snap.match_into(&indexed, &mut tree, false);
+                snap.match_into(&indexed, &mut dfsa, true);
+                assert!(tree.ops() > tree.overlay_ops());
+                assert_eq!(dfsa.matched(), tree.matched(), "x = {x}");
+                assert_eq!(
+                    dfsa.ops(),
+                    tree.ops(),
+                    "the DFSA counts what the tree counts"
+                );
+                assert_eq!(dfsa.overlay_ops(), tree.overlay_ops());
+            }
+        }
     }
 
     #[test]

@@ -942,12 +942,17 @@ fn decode_node(
                 )));
             }
             let n_edges = r.seq_len(2)?;
-            let mut intervals = Vec::with_capacity(n_edges);
+            let mut intervals: Vec<IndexInterval> = Vec::with_capacity(n_edges);
             for _ in 0..n_edges {
                 let lo = r.vu64()?;
                 let hi = lo
                     .checked_add(r.vu64()?)
                     .ok_or_else(|| PersistError::new("edge interval overflows u64"))?;
+                // Both matchers locate a value by these being ascending,
+                // disjoint and non-empty.
+                if hi == lo || intervals.last().is_some_and(|prev| prev.hi() > lo) {
+                    return Err(PersistError::new("edge intervals out of order"));
+                }
                 intervals.push(IndexInterval::new(lo, hi));
             }
             let ordering = match r.u8()? {
@@ -961,6 +966,11 @@ fn decode_node(
                     return Err(PersistError::new(format!("unknown ordering tag {tag}")));
                 }
             };
+            if n_edges > 0
+                && (ordering.hit_cost.len() != n_edges || ordering.miss_cost.len() != n_edges + 1)
+            {
+                return Err(PersistError::new("ordering does not fit the node's edges"));
+            }
             let star = match r.u8()? {
                 0 => Star::None,
                 1 => Star::All(Box::new(decode_node(r, depth + 1, ctx, prev)?)),
@@ -1159,6 +1169,75 @@ mod tests {
             .evaluate()
             .unwrap();
         assert!(predicted.match_probability() > 0.0);
+    }
+
+    /// The x edges of a multi-interval predicate lead to identical y
+    /// nodes, which the automaton shares — until one of them charges
+    /// otherwise.
+    #[test]
+    fn automaton_keeps_apart_nodes_charged_differently() {
+        let schema = Schema::builder()
+            .attribute("x", Domain::int(0, 49))
+            .unwrap()
+            .attribute("y", Domain::int(0, 49))
+            .unwrap()
+            .build();
+        let mut ps = ProfileSet::new(&schema);
+        ps.insert_with(|b| {
+            b.predicate("x", Predicate::in_set([3, 13, 23, 33]))?
+                .predicate("y", Predicate::le(10))
+        })
+        .unwrap();
+        let config = TreeConfig {
+            search: SearchStrategy::Binary,
+            ..TreeConfig::default()
+        };
+        let mut tree = ProfileTree::build(&ps, &config).unwrap();
+        let shared = crate::Dfsa::from_tree(&tree);
+        let mut image = ByteWriter::new();
+        shared.encode_into(&mut image, &tree);
+        let NodeRef::Inner(root) = &mut tree.root else {
+            panic!("x is tested at the root");
+        };
+        let NodeRef::Inner(y) = &mut root.edges[0].child else {
+            panic!("y is tested below x");
+        };
+        y.ordering.hit_cost[0] += 5;
+        let dfsa = crate::Dfsa::from_tree(&tree);
+        assert_eq!(dfsa.state_count(), shared.state_count() + 1);
+        // Nor does decoding let the shared state stand beside this tree.
+        let image = image.into_bytes();
+        let refused = crate::Dfsa::decode_from(&mut ByteReader::new(&image), &tree).unwrap_err();
+        assert!(refused.message().contains("disagrees"), "{refused}");
+        for x in 0..50 {
+            for y in [0, 10, 11, 49] {
+                let e = Event::builder(&schema)
+                    .value("x", x)
+                    .unwrap()
+                    .value("y", y)
+                    .unwrap()
+                    .build();
+                let (a, b) = (tree.match_event(&schema, &e), dfsa.match_event(&schema, &e));
+                assert_eq!(a.unwrap().ops(), b.unwrap().ops(), "({x}, {y})");
+            }
+        }
+    }
+
+    /// Both matchers charge from a node's tables by edge and gap index:
+    /// a checkpoint whose tables do not fit the node's edges is refused.
+    #[test]
+    fn decoding_refuses_tables_that_do_not_fit_the_edges() {
+        let (_, ps) = example1();
+        let mut tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let NodeRef::Inner(root) = &mut tree.root else {
+            panic!("a1 is tested at the root");
+        };
+        root.ordering.miss_cost.pop();
+        let mut w = ByteWriter::new();
+        tree.encode(&mut w);
+        let image = w.into_bytes();
+        let refused = ProfileTree::decode(&mut ByteReader::new(&image)).unwrap_err();
+        assert!(refused.message().contains("does not fit"), "{refused}");
     }
 
     #[test]

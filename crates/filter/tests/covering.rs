@@ -439,10 +439,16 @@ fn head_written_checkpoint_loads_and_re_encodes_identically() {
             want.push((ps.len() + p.id().index()) as u32);
         }
         let ie = IndexedEvent::resolve(&schema, &e).unwrap();
+        let mut ops = Vec::new();
         for use_dfsa in [false, true] {
             old.match_into(&ie, &mut scratch, use_dfsa);
             assert_eq!(scratch.matched(), want.as_slice(), "use_dfsa = {use_dfsa}");
+            ops.push(scratch.ops());
         }
+        assert_eq!(
+            ops[0], ops[1],
+            "the decoded automaton counts what its tree counts"
+        );
     }
 }
 

@@ -11,9 +11,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::persist::crc32;
-use ens_filter::{FilterSnapshot, TreeConfig};
+use ens_filter::{FilterSnapshot, SnapshotScratch, TreeConfig};
 use ens_types::{
-    CoverOutcome, CoverSet, Domain, Predicate, Profile, ProfileId, ProfileSet, Schema,
+    CoverOutcome, CoverSet, Domain, IndexedEvent, Predicate, Profile, ProfileId, ProfileSet, Schema,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -147,6 +147,52 @@ fn snapshot_with_disagreeing_marginals() -> Vec<u8> {
     bytes
 }
 
+/// Two one-profile snapshots whose images line up byte for byte but
+/// where the profile's range shows, spliced at every byte they differ
+/// at — among them the splices that pair the first image's tree with
+/// the second's automaton. Every accepted splice serves what its tree
+/// does, and counts it too; the refusals are returned.
+fn spliced_refusals() -> Vec<String> {
+    let schema = Schema::builder()
+        .attribute("x", Domain::int(0, 99))
+        .unwrap()
+        .build();
+    let image = |lo: i64| {
+        let mut profiles = ProfileSet::new(&schema);
+        profiles
+            .insert_with(|b| b.predicate("x", Predicate::between(lo, lo + 9)))
+            .unwrap();
+        FilterSnapshot::compile(&profiles, &TreeConfig::default())
+            .unwrap()
+            .to_bytes()
+    };
+    let (a, b) = (image(10), image(20));
+    assert_eq!(a.len(), b.len(), "the images line up");
+    let mut refusals = Vec::new();
+    let (mut by_tree, mut by_dfsa) = (SnapshotScratch::new(), SnapshotScratch::new());
+    for at in (0..a.len() - 4).filter(|&at| a[at] != b[at]) {
+        let mut bytes = [&a[..at], &b[at..]].concat();
+        reseal(&mut bytes);
+        match FilterSnapshot::from_bytes(&bytes) {
+            Err(e) => refusals.push(e.to_string()),
+            Ok(snap) => {
+                for x in 0..100 {
+                    let e = IndexedEvent::from_indices(vec![Some(x)]);
+                    snap.match_into(&e, &mut by_tree, false);
+                    snap.match_into(&e, &mut by_dfsa, true);
+                    assert_eq!(
+                        by_dfsa.matched(),
+                        by_tree.matched(),
+                        "splice at {at}, x {x}"
+                    );
+                    assert_eq!(by_dfsa.ops(), by_tree.ops(), "splice at {at}, x {x}");
+                }
+            }
+        }
+    }
+    refusals
+}
+
 /// Replaces the trailing checksum by the right one, so that a mutated
 /// payload gets past it to the decoders.
 fn reseal(bytes: &mut Vec<u8>) {
@@ -196,6 +242,13 @@ proptest! {
         let torn = FilterSnapshot::from_bytes(&snapshot_with_disagreeing_marginals());
         let refusal = torn.err().map(|e| e.to_string()).unwrap_or_default();
         prop_assert!(refusal.contains("marginals section"), "{refusal:?}");
+        // The automaton is checked against its tree, not trusted: one
+        // lowered from another tree is refused.
+        let refusals = spliced_refusals();
+        prop_assert!(
+            refusals.iter().any(|r| r.contains("automaton disagrees with its tree")),
+            "{refusals:?}"
+        );
         let mut rng = StdRng::seed_from_u64(seed);
         let (mut accepted, mut rejected) = (0u32, 0u32);
         for case in 0..6000 {

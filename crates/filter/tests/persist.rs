@@ -286,4 +286,17 @@ fn parent_written_stock_snapshot_loads_and_re_encodes_identically() {
         old.tree().marginals(),
         config.event_model.as_ref().map(JointDist::marginals)
     );
+    // The image carries no charges: the decoded automaton takes its
+    // tree's, and counts what the tree counts.
+    let (mut by_tree, mut by_dfsa) = (SnapshotScratch::new(), SnapshotScratch::new());
+    let mut indexed = IndexedEvent::new();
+    for _ in 0..500 {
+        indexed
+            .resolve_into(&stock_schema(), &generator.sample(&mut rng))
+            .unwrap();
+        old.match_into(&indexed, &mut by_tree, false);
+        old.match_into(&indexed, &mut by_dfsa, true);
+        assert_eq!(by_dfsa.matched(), by_tree.matched());
+        assert_eq!(by_dfsa.ops(), by_tree.ops());
+    }
 }

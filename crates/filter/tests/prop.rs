@@ -2,11 +2,13 @@
 
 use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::{
-    binary_hit_cost, binary_miss_cost, AttributePartition, CostModel, Dfsa, Direction,
-    MatchScratch, Matcher, NodeOrdering, ProfileTree, SearchStrategy, TreeConfig, ValueOrder,
+    binary_hit_cost, binary_miss_cost, AttributePartition, BlockScratch, CostModel, Dfsa,
+    Direction, MatchScratch, Matcher, NodeOrdering, ProfileTree, SearchStrategy, TreeConfig,
+    ValueOrder,
 };
 use ens_types::{
-    AttrId, Domain, Event, IndexedEvent, Predicate, Profile, ProfileId, ProfileSet, Schema, Value,
+    AttrId, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId, ProfileSet,
+    Schema, Value,
 };
 use proptest::prelude::*;
 
@@ -86,45 +88,74 @@ fn arb_profiles2() -> impl Strategy<Value = ProfileSet> {
 proptest! {
     /// Oracle agreement of every matching path: on random profile sets
     /// and random (possibly partial) events, the tree's `match_event`,
-    /// the `match_into` fast path and the CSR DFSA (plain and
-    /// minimised) all return the oracle's profile set —
-    /// including events with missing attributes and `(*)`-edge
-    /// fallthrough past don't-care profiles.
+    /// the `match_into` fast path and the CSR DFSA return the oracle's
+    /// profile set — including events with missing attributes and
+    /// `(*)`-edge fallthrough past don't-care profiles — and the DFSA
+    /// counts exactly the tree's operations, event by event, through
+    /// `match_into` and `match_block`: under every search strategy, with
+    /// and without early termination, for missing values and for values
+    /// below and above a node's span (out-of-domain indices included).
     #[test]
     fn fast_paths_agree_with_oracle(
         ps in arb_profiles2(),
         events in prop::collection::vec(
-            (prop::option::of(0..D as i64), prop::option::of(0..D2)),
+            (prop::option::of(0..D + 2), prop::option::of(0..D2 as u64 + 2)),
             1..16,
         ),
     ) {
         let schema = ps.schema().clone();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
-        let mut indexed = IndexedEvent::new();
-        let mut scratch = MatchScratch::new();
-        for (x, y) in events {
-            let mut b = Event::builder(&schema);
-            if let Some(x) = x {
-                b = b.value("x", x).unwrap();
+        let model = JointDist::independent(vec![
+            DistOverDomain::new(Density::falling(), D),
+            DistOverDomain::new(Density::Uniform, D2 as u64),
+        ])
+        .unwrap();
+        let rows: Vec<IndexedEvent> = events
+            .iter()
+            .map(|&(x, y)| IndexedEvent::from_indices(vec![x, y]))
+            .collect();
+        let mut batch = IndexedBatch::new();
+        batch.reset(schema.len());
+        for row in &rows {
+            batch.push_raw(row.raw());
+        }
+        let (mut scratch, mut by_tree) = (MatchScratch::new(), MatchScratch::new());
+        let mut block = BlockScratch::new();
+        let searches = ValueOrder::ALL
+            .iter()
+            .map(|o| SearchStrategy::Linear(*o))
+            .chain([SearchStrategy::Binary, SearchStrategy::Interpolation, SearchStrategy::Hash]);
+        for search in searches {
+            for disable_early_termination in [false, true] {
+                let config = TreeConfig {
+                    search,
+                    event_model: Some(model.clone()),
+                    disable_early_termination,
+                    ..TreeConfig::default()
+                };
+                let tree = ProfileTree::build(&ps, &config).unwrap();
+                let dfsa = Dfsa::from_tree(&tree);
+                dfsa.match_block(&batch, &mut block);
+                for (i, row) in rows.iter().enumerate() {
+                    let at = (search, disable_early_termination, row.raw());
+                    tree.match_into(row, &mut by_tree);
+                    dfsa.match_into(row, &mut scratch);
+                    prop_assert_eq!(scratch.profiles(), by_tree.profiles(), "CSR dfsa scratch {:?}", at);
+                    prop_assert_eq!(scratch.ops(), by_tree.ops(), "dfsa ops {:?}", at);
+                    prop_assert_eq!(block.profiles_of(i), by_tree.profiles(), "dfsa block {:?}", at);
+                    prop_assert_eq!(block.ops_of(i), by_tree.ops(), "dfsa block ops {:?}", at);
+
+                    let Ok(e) = row.to_event(&schema) else {
+                        continue; // out of domain: no event, no oracle
+                    };
+                    let oracle = ps.matches(&e).unwrap();
+                    prop_assert_eq!(by_tree.profiles(), oracle.as_slice(), "tree scratch {:?}", at);
+                    let out = tree.match_event(&schema, &e).unwrap();
+                    prop_assert_eq!(out.profiles(), oracle.as_slice(), "tree at {:?}", at);
+                    prop_assert_eq!(out.ops(), by_tree.ops(), "scratch ops agree with match_event");
+                    let out = dfsa.match_event(&schema, &e).unwrap();
+                    prop_assert_eq!(out.profiles(), oracle.as_slice(), "CSR dfsa event {:?}", at);
+                }
             }
-            if let Some(y) = y {
-                b = b.value("y", y).unwrap();
-            }
-            let e = b.build();
-            let oracle = ps.matches(&e).unwrap();
-
-            let out = tree.match_event(&schema, &e).unwrap();
-            prop_assert_eq!(out.profiles(), oracle.as_slice(), "tree at {:?}", (x, y));
-
-            indexed.resolve_into(&schema, &e).unwrap();
-            tree.match_into(&indexed, &mut scratch);
-            prop_assert_eq!(scratch.profiles(), oracle.as_slice(), "tree scratch");
-            prop_assert_eq!(scratch.ops(), out.ops(), "scratch ops agree with match_event");
-
-            dfsa.match_into(&indexed, &mut scratch);
-            prop_assert_eq!(scratch.profiles(), oracle.as_slice(), "CSR dfsa scratch");
-            prop_assert_eq!(dfsa.match_event(&schema, &e).unwrap().profiles(), oracle.as_slice(), "CSR dfsa event");
         }
     }
 

@@ -106,10 +106,15 @@ pub struct BrokerConfig {
     /// `publish_batch` runs one worker per shard, shard 0 on the
     /// calling thread.
     pub shards: usize,
-    /// Match the compiled base through the flattened DFSA instead of
-    /// the profile tree: fastest dispatch, but the base's comparison
-    /// operations are not counted — `PublishReceipt::ops` then only
-    /// reflects overlay matching (0 once the overlay is compacted).
+    /// Match the compiled base through the flattened DFSA (the
+    /// default) rather than the profile tree. Both find the same
+    /// subscriptions and count the same comparison operations, so
+    /// receipts, metrics and the decision journal read alike either
+    /// way; the automaton just gets there without searching. `false`
+    /// keeps the tree as the reference path: it runs the configured
+    /// search for real, so its wall-clock follows the counted
+    /// operations — the one place where the edge order a scan uses
+    /// shows in time.
     pub dfsa_dispatch: bool,
     /// Record every Nth published event into the per-shard drift
     /// statistics (1 = every event, the default; 0 disables drift
@@ -173,7 +178,7 @@ impl Default for BrokerConfig {
             tree: TreeConfig::default(),
             rebuild: RebuildPolicy::default(),
             shards: 1,
-            dfsa_dispatch: false,
+            dfsa_dispatch: true,
             stats_sample: 1,
             tuning: false,
             covering: true,
@@ -189,9 +194,9 @@ pub struct PublishReceipt {
     pub sequence: u64,
     /// Subscriptions notified by this event (ascending id).
     pub matched: Vec<SubscriptionId>,
-    /// Comparison operations spent filtering: tree plus overlay ops
-    /// (with [`BrokerConfig::dfsa_dispatch`] the compiled base counts
-    /// no ops, so only overlay matching contributes).
+    /// Comparison operations spent filtering: the compiled base's as
+    /// its tree's search counts them (Eq. 2), on either
+    /// [`BrokerConfig::dfsa_dispatch`] path, plus the overlay's.
     pub ops: u64,
 }
 
@@ -273,16 +278,52 @@ pub struct Recovered {
 }
 
 thread_local! {
-    /// Per-thread match buffers: any number of brokers share them, so a
+    /// Per-thread match buffers, and the buffer shards' receipt rows
+    /// are merged through: any number of brokers share them, so a
     /// warmed-up publisher thread allocates nothing per publish.
-    static SCRATCH: RefCell<(IndexedEvent, SnapshotScratch)> =
-        RefCell::new((IndexedEvent::new(), SnapshotScratch::new()));
+    static SCRATCH: RefCell<(IndexedEvent, SnapshotScratch, Vec<SubscriptionId>)> =
+        RefCell::new((IndexedEvent::new(), SnapshotScratch::new(), Vec::new()));
 
     /// Per-thread batch buffers, one [`ShardBatch`] per shard, owned by
     /// the *publishing* thread and lent to the shard workers for the
-    /// length of a batch: a warmed-up `publish_batch` caller allocates
-    /// receipts and nothing else, however short-lived its workers are.
-    static BATCH_SCRATCH: RefCell<Vec<ShardBatch>> = const { RefCell::new(Vec::new()) };
+    /// length of a batch, and the merge buffer: a warmed-up
+    /// `publish_batch` caller allocates receipts and nothing else,
+    /// however short-lived its workers are.
+    static BATCH_SCRATCH: RefCell<(Vec<ShardBatch>, Vec<SubscriptionId>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Makes `ids` ascending, given `ids[..mid]` is: `ids[mid..]`, one
+/// shard's receipt row, joins it by a branch-free merge through `buf`
+/// (the buffer is reused, so a warm merge allocates nothing). A row is
+/// ascending — only the rows' concatenation is not, ids being sharded
+/// `id % N` — but one that is not (say after a recovery) is sorted in
+/// with the rest.
+fn merge_row(ids: &mut [SubscriptionId], mid: usize, buf: &mut Vec<SubscriptionId>) {
+    let (left, right) = ids.split_at(mid);
+    if !right.is_sorted() {
+        ids.sort_unstable();
+        return;
+    }
+    match (left.last(), right.first()) {
+        (Some(last), Some(first)) if last > first => {}
+        _ => return,
+    }
+    buf.clear();
+    buf.extend_from_slice(left);
+    let (mut i, mut j, mut k) = (0, mid, 0);
+    while i < buf.len() && j < ids.len() {
+        // A select, not a branch: interleaved rows would mispredict
+        // nearly every comparison.
+        let (a, b) = (buf[i], ids[j]);
+        let from_right = b < a;
+        ids[k] = if from_right { b } else { a };
+        i += usize::from(!from_right);
+        j += usize::from(from_right);
+        k += 1;
+    }
+    // The rest of the right row is in place already.
+    ids[k..k + buf.len() - i].copy_from_slice(&buf[i..]);
 }
 
 /// `ShardBatch::dead_from` of a slot whose channel took everything.
@@ -823,18 +864,19 @@ impl Broker {
     pub fn publish_shared(&self, event: Arc<Event>) -> Result<PublishReceipt, ServiceError> {
         let mut delivery = Delivery::default();
         let sequence = SCRATCH.with(|cell| -> Result<u64, ServiceError> {
-            let (indexed, scratch) = &mut *cell.borrow_mut();
+            let (indexed, scratch, merge) = &mut *cell.borrow_mut();
             indexed.resolve_into(&self.schema, &event)?;
             let sequence = self.sequence.fetch_add(1, Ordering::Relaxed);
             for shard in self.shards.iter() {
                 let snap = shard.snapshot.read().clone();
+                let start = delivery.matched.len();
                 self.match_and_deliver(&snap, indexed, scratch, &event, sequence, &mut delivery);
+                merge_row(&mut delivery.matched, start, merge);
             }
             Ok(sequence)
         })?;
         self.finish_publish(&event, sequence, &mut delivery)?;
         self.maybe_checkpoint();
-        delivery.matched.sort_unstable();
         Ok(PublishReceipt {
             sequence,
             matched: delivery.matched,
@@ -922,22 +964,24 @@ impl Broker {
 
         // Taken out rather than borrowed: nothing below can then find
         // the cell busy, whatever it calls.
-        let mut scratch = BATCH_SCRATCH.take();
-        let receipts = self.run_batch(events, indexed, base_seq, &mut scratch);
-        BATCH_SCRATCH.set(scratch);
+        let (mut scratch, mut merge) = BATCH_SCRATCH.take();
+        let receipts = self.run_batch(events, indexed, base_seq, &mut scratch, &mut merge);
+        BATCH_SCRATCH.set((scratch, merge));
         let receipts = receipts?;
         self.maybe_checkpoint();
         Ok(receipts)
     }
 
     /// Matches and delivers a validated batch shard by shard, then
-    /// merges the shards' rows into one receipt per event.
+    /// merges the shards' rows into one receipt per event (through
+    /// `merge`, see [`merge_row`]).
     fn run_batch(
         &self,
         events: &[Arc<Event>],
         indexed: &IndexedBatch,
         base_seq: u64,
         scratch: &mut Vec<ShardBatch>,
+        merge: &mut Vec<SubscriptionId>,
     ) -> Result<Vec<PublishReceipt>, ServiceError> {
         let snaps: Vec<Arc<ShardSnapshot>> = self
             .shards
@@ -1005,11 +1049,12 @@ impl Broker {
                 ..Delivery::default()
             };
             for (snap, batch) in snaps.iter().zip(shards.iter()) {
+                let start = delivery.matched.len();
                 batch.collect(snap, i, &mut delivery);
+                merge_row(&mut delivery.matched, start, merge);
             }
             let sequence = base_seq + i as u64;
             self.finish_publish(event, sequence, &mut delivery)?;
-            delivery.matched.sort_unstable();
             receipts.push(PublishReceipt {
                 sequence,
                 matched: delivery.matched,
@@ -1447,6 +1492,39 @@ mod tests {
         for _ in 0..1000 {
             assert!(disconnected_sender().same_channel(&first));
         }
+    }
+
+    #[test]
+    fn rows_merge_into_ascending_receipts() {
+        let ids = |raw: &[u64]| {
+            raw.iter()
+                .copied()
+                .map(SubscriptionId::new)
+                .collect::<Vec<_>>()
+        };
+        let mut buf = Vec::new();
+        // Three shards' rows joined one by one, as the publish paths do;
+        // an empty row and a row out of order (sorted in) on the way.
+        let rows: [&[u64]; 5] = [
+            &[3, 6, 9, 12],
+            &[],
+            &[1, 4, 7, 13, 16],
+            &[2, 8],
+            &[15, 5, 0],
+        ];
+        let mut merged = Vec::new();
+        for row in rows {
+            let mid = merged.len();
+            merged.extend(ids(row));
+            merge_row(&mut merged, mid, &mut buf);
+        }
+        let mut want = ids(&rows.concat());
+        want.sort_unstable();
+        assert_eq!(merged, want);
+        // Rows already in order are left as they are.
+        let mut disjoint = ids(&[1, 2, 3, 4]);
+        merge_row(&mut disjoint, 2, &mut buf);
+        assert_eq!(disjoint, ids(&[1, 2, 3, 4]));
     }
 
     #[test]

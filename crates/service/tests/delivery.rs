@@ -5,7 +5,8 @@
 //! in one locked append; `publish_shared` sends them one at a time.
 //! The oracle below gives twin brokers the same subscriptions, events,
 //! drains and hang-ups and demands that nothing a caller can observe
-//! tells the two apart.
+//! tells the two apart. Across shard counts, the receipts that merge
+//! the shards' rows must name what one shard's do.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -172,6 +173,73 @@ proptest! {
                 prop_assert_eq!(b.dropped_notifications, deaths, "{}", case);
                 prop_assert_eq!(a.dropped_notifications, refused_in_batch, "{}", case);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A sharded broker's receipt merges its shards' rows: with 2 and 3
+    /// shards the receipts are ascending and name exactly what one
+    /// shard's do — compiled and overlay subscriptions, through
+    /// `publish_batch` and `publish_shared` alike, a consumer hanging
+    /// up between two batches included.
+    #[test]
+    fn sharded_receipts_equal_one_shards(
+        ranges in prop::collection::vec((0i64..100, 0i64..100), 2..24),
+        xs in prop::collection::vec(0i64..100, 8..60),
+        batch_len in 1usize..20,
+        hang_up in 0usize..3,
+    ) {
+        let schema = schema();
+        let profiles: Vec<Profile> = ranges
+            .iter()
+            .map(|&(a, b)| {
+                Profile::builder(&schema)
+                    .predicate("x", Predicate::between(a.min(b), a.max(b)))
+                    .unwrap()
+                    .build(ProfileId::new(0))
+            })
+            .collect();
+        let (compiled, overlay) = profiles.split_at(profiles.len() / 2);
+        let events: Vec<Arc<Event>> = xs
+            .iter()
+            .map(|x| Arc::new(Event::builder(&schema).value("x", *x).unwrap().build()))
+            .collect();
+        for batched in [true, false] {
+            let mut by_shards = Vec::new();
+            for shards in [1, 2, 3] {
+                let config = BrokerConfig {
+                    shards,
+                    ..BrokerConfig::default()
+                };
+                let mut twin = Twin::new(&schema, &config, compiled);
+                for p in overlay {
+                    let sub = twin.broker.subscribe_profile(p.clone()).unwrap();
+                    twin.ids.push(sub.id());
+                    twin.subs.push(Some(sub));
+                    twin.streams.push(Vec::new());
+                }
+                for (b, chunk) in events.chunks(batch_len).enumerate() {
+                    twin.between_batches(b, hang_up);
+                    if batched {
+                        twin.receipts.extend(twin.broker.publish_batch(chunk).unwrap());
+                    } else {
+                        for event in chunk {
+                            twin.receipts.push(twin.broker.publish_shared(Arc::clone(event)).unwrap());
+                        }
+                    }
+                }
+                let matched: Vec<Vec<SubscriptionId>> =
+                    twin.receipts.into_iter().map(|r| r.matched).collect();
+                for row in &matched {
+                    prop_assert!(row.is_sorted(), "{} shards: {:?}", shards, row);
+                }
+                by_shards.push(matched);
+            }
+            prop_assert_eq!(&by_shards[1], &by_shards[0], "2 shards, batched {}", batched);
+            prop_assert_eq!(&by_shards[2], &by_shards[0], "3 shards, batched {}", batched);
         }
     }
 }

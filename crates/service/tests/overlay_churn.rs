@@ -106,6 +106,71 @@ fn churn_rounds_match_the_oracle_and_pack_logarithmically() {
     assert!(m.to_string().contains(&format!("packs={packs}")), "{m}");
 }
 
+/// The automaton counts what the tree counts: over churn rounds whose
+/// bursts go out half through `publish`, half through `publish_batch`,
+/// a default broker's receipts — matches and comparison counts — and
+/// its `total_ops` / `overlay_ops` are a tree-dispatching twin's.
+#[test]
+fn dfsa_dispatch_reads_what_the_tree_reads() {
+    let schema = scenario::environmental_schema();
+    let load = population(1000, 12);
+    let twins = [true, false].map(|dfsa_dispatch| {
+        let config = BrokerConfig {
+            shards: 2,
+            dfsa_dispatch,
+            ..BrokerConfig::default()
+        };
+        let broker = Broker::new(&schema, config).unwrap();
+        let held = broker.subscribe_many(load.iter().cloned()).unwrap();
+        (broker, held, Vec::<Subscriber>::new())
+    });
+    let [mut dfsa, mut tree] = twins;
+    assert!(
+        BrokerConfig::default().dfsa_dispatch,
+        "the automaton serves by default"
+    );
+    let plan = churn_burst_plan(12, 6, 64, CHURN).unwrap();
+    for op in &plan.ops {
+        for (broker, held, churn) in [&mut dfsa, &mut tree] {
+            match op {
+                ChurnOp::Subscribe(p) => churn.push(broker.subscribe_profile(p.clone()).unwrap()),
+                ChurnOp::Unsubscribe(k) => broker.unsubscribe(churn.remove(*k).id()).unwrap(),
+                ChurnOp::Burst(_) => {
+                    for sub in held.iter().chain(churn.iter()) {
+                        let _ = sub.drain();
+                    }
+                }
+            }
+        }
+        let ChurnOp::Burst(range) = op else {
+            continue;
+        };
+        let events: Vec<Arc<Event>> = plan.events[range.clone()]
+            .iter()
+            .cloned()
+            .map(Arc::new)
+            .collect();
+        let (single, batch) = events.split_at(events.len() / 2);
+        let receipts = |broker: &Broker| {
+            let mut receipts: Vec<_> = single
+                .iter()
+                .map(|e| broker.publish_shared(Arc::clone(e)).unwrap())
+                .collect();
+            receipts.extend(broker.publish_batch(batch).unwrap());
+            receipts
+                .into_iter()
+                .map(|r| (r.matched, r.ops))
+                .collect::<Vec<_>>()
+        };
+        let (by_dfsa, by_tree) = (receipts(&dfsa.0), receipts(&tree.0));
+        assert!(by_tree.iter().any(|(_, ops)| *ops > 0));
+        assert_eq!(by_dfsa, by_tree);
+    }
+    let (a, b) = (dfsa.0.metrics(), tree.0.metrics());
+    assert!(a.overlay_ops > 0 && a.total_ops > a.overlay_ops, "{a}");
+    assert_eq!((a.total_ops, a.overlay_ops), (b.total_ops, b.overlay_ops));
+}
+
 fn db_dir() -> PathBuf {
     PathBuf::from("db")
 }
