@@ -254,7 +254,7 @@ struct RecoveryRow {
     /// broker + `subscribe_many` + first probe publish.
     recompile_ms: f64,
     /// Cold start to serving via `Broker::open` over a checkpoint:
-    /// deserialize the CSR arenas + first probe publish.
+    /// decode and lower the profile trees + first probe publish.
     reload_ms: f64,
     /// recompile/reload — what checkpoint reload saves on restart.
     reload_speedup: f64,

@@ -21,7 +21,8 @@
 //! its interval and a state the charges of its three out-of-span cases,
 //! and all of them are part of the hash-consing key, so two nodes the
 //! tree charges differently never share a state. Checkpoints carry no
-//! charges: they are the tree's, and decoding derives them from it.
+//! automaton at all: loading one lowers the decoded tree, as compiling
+//! does, so [`Dfsa::from_tree`] is the only way an automaton is built.
 //!
 //! # Layout
 //!
@@ -41,16 +42,18 @@
 //!   [`JUMP_TABLE_MAX_DOMAIN`] points (a lookup is then one range check
 //!   + one load, no search at all);
 //! * `leaf_profiles` — a flat leaf arena with per-leaf offsets; leaf
-//!   profile lists are sorted, deduplicated and hash-consed at build
-//!   time, so the match loop never sorts.
+//!   profile lists come from the tree strictly ascending and are
+//!   hash-consed at build time, so the match loop never sorts.
 //!
 //! Matching through [`Matcher::match_into`] with a reused
 //! [`MatchScratch`] performs zero heap allocations after warm-up
 //! (asserted by `crates/filter/tests/alloc.rs`).
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
 use ens_types::{IndexedBatch, IndexedEvent, ProfileId};
 
-use crate::persist::{ByteReader, ByteWriter, PersistError};
 use crate::scratch::{BlockScratch, MatchScratch, Matcher};
 use crate::tree::{Node, NodeRef, ProfileTree, Star};
 
@@ -194,9 +197,9 @@ struct BuildState {
 
 impl BuildState {
     /// The state tree node `n` lowers to when its star edge leads to
-    /// `star` and its edge `g`, the automaton's run number `run`, to
-    /// `edge(g, run)`; charged as the module docs say.
-    fn of_node(n: &Node, star: PTarget, mut edge: impl FnMut(usize, usize) -> PTarget) -> Self {
+    /// `star` and its edge `g` to `edges[g]`; charged as the module docs
+    /// say.
+    fn of_node(n: &Node, star: PTarget, edges: &[PTarget]) -> Self {
         let missing = u8::from(!matches!(n.star, Star::None));
         let else_cost = u32::from(matches!(n.star, Star::Else(_)));
         // A decoded tree has its tables checked against its edges; the
@@ -211,8 +214,7 @@ impl BuildState {
                 let cost = gap(g);
                 runs.push((hi, Hop { target: star, cost }));
             }
-            let target = edge(g, runs.len());
-            let cost = charge(&n.ordering.hit_cost, g);
+            let (target, cost) = (edges[g], charge(&n.ordering.hit_cost, g));
             runs.push((lo, Hop { target, cost }));
             hi = e.interval.hi();
         }
@@ -277,12 +279,7 @@ impl Dfsa {
     /// holds no schema: events reach it already resolved.
     #[must_use]
     pub fn from_tree(tree: &ProfileTree) -> Self {
-        let mut lowering = Lowering {
-            states: Vec::new(),
-            leaves: Vec::new(),
-            leaf_canon: std::collections::HashMap::new(),
-            state_canon: std::collections::HashMap::new(),
-        };
+        let mut lowering = Lowering::default();
         let root = lowering.lower(tree.root());
         freeze(&lowering.states, &lowering.leaves, root)
     }
@@ -473,6 +470,28 @@ impl Matcher for Dfsa {
     }
 }
 
+/// Ids of a leaf that [`leaf_key`] reads one by one.
+const LEAF_KEY_SAMPLE: usize = 8;
+
+/// Leaves sharing a key that a lowering compares a leaf with before it
+/// takes the leaf as new: a tree built to make keys collide then costs
+/// a duplicate leaf, not a comparison with every leaf before it.
+const LEAF_CHAIN_MAX: usize = 8;
+
+/// The dedup key of a leaf: its length, the wrapping sum of its ids and
+/// at most [`LEAF_KEY_SAMPLE`] of them, spread over the list, mixed by
+/// multiply-rotate steps. Equal leaves have equal keys, and a key costs
+/// no hashing of the whole list.
+fn leaf_key(ids: &[ProfileId]) -> u64 {
+    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let sum = ids
+        .iter()
+        .fold(0u64, |s, p| s.wrapping_add(p.index() as u64));
+    let step = ids.len().div_ceil(LEAF_KEY_SAMPLE).max(1);
+    let sample = ids.iter().step_by(step).map(|p| p.index() as u64);
+    sample.fold(mix(ids.len() as u64, sum), mix)
+}
+
 /// Tree-to-build-state lowering with leaf *and* interior-state
 /// hash-consing: structurally identical states (same tested attribute,
 /// runs, star target and charges) are emitted once and shared.
@@ -481,31 +500,42 @@ impl Matcher for Dfsa {
 /// keyed, equal subtrees collapse bottom-up into one state chain — on
 /// duplicate-heavy populations the automaton is much smaller than the
 /// tree even when containment analysis misses the duplicates.
-struct Lowering {
+#[derive(Default)]
+struct Lowering<'t> {
     states: Vec<BuildState>,
-    leaves: Vec<Vec<ProfileId>>,
-    leaf_canon: std::collections::HashMap<Vec<ProfileId>, u32>,
+    /// Distinct non-empty leaves, as the tree holds them: strictly
+    /// ascending (the build sorts them, the decoder refuses others).
+    leaves: Vec<&'t [ProfileId]>,
+    /// [`leaf_key`] -> the last leaf with that key; `leaf_chain[l]` is
+    /// the leaf before `l` with `l`'s key.
+    leaf_canon: HashMap<u64, u32>,
+    leaf_chain: Vec<Option<u32>>,
     /// Built state -> its slot. Exact structural equality: leaves below
     /// are already consed, so equal keys imply equal languages (and,
-    /// the charges being part of the key, equal counts).
-    state_canon: std::collections::HashMap<BuildState, u32>,
+    /// the charges being part of the key, equal counts). The default
+    /// hasher stays: the keys come from subscriptions and checkpoints,
+    /// input from outside the process.
+    state_canon: HashMap<BuildState, u32>,
 }
 
-impl Lowering {
-    fn lower(&mut self, node: &NodeRef) -> PTarget {
+impl<'t> Lowering<'t> {
+    fn lower(&mut self, node: &'t NodeRef) -> PTarget {
         match node {
             NodeRef::Leaf(ids) => {
                 if ids.is_empty() {
                     return PTarget::REJECT;
                 }
-                // Tree leaves are already sorted and unique; dedup
-                // identical lists so the arena stays small.
-                if let Some(&l) = self.leaf_canon.get(ids) {
+                let key = leaf_key(ids);
+                let head = self.leaf_canon.get(&key).copied();
+                let chain = std::iter::successors(head, |&l| self.leaf_chain[l as usize]);
+                let mut same = chain.take(LEAF_CHAIN_MAX);
+                if let Some(l) = same.find(|&l| self.leaves[l as usize] == ids.as_slice()) {
                     return PTarget::leaf(l);
                 }
-                self.leaves.push(ids.clone());
-                let l = self.leaves.len() as u32 - 1;
-                self.leaf_canon.insert(ids.clone(), l);
+                let l = self.leaves.len() as u32;
+                self.leaves.push(ids);
+                self.leaf_chain.push(head);
+                self.leaf_canon.insert(key, l);
                 PTarget::leaf(l)
             }
             NodeRef::Inner(n) => {
@@ -519,21 +549,23 @@ impl Lowering {
                     Star::None => PTarget::REJECT,
                     Star::All(child) | Star::Else(child) => self.lower(child),
                 };
-                let state = BuildState::of_node(n, star, |g, _| edges[g]);
-                if let Some(&s) = self.state_canon.get(&state) {
-                    return PTarget::state(s);
-                }
+                let state = BuildState::of_node(n, star, &edges);
                 let slot = self.states.len() as u32;
-                self.state_canon.insert(state.clone(), slot);
-                self.states.push(state);
-                PTarget::state(slot)
+                match self.state_canon.entry(state) {
+                    Entry::Occupied(seen) => PTarget::state(*seen.get()),
+                    Entry::Vacant(new) => {
+                        self.states.push(new.key().clone());
+                        PTarget::state(*new.insert(slot))
+                    }
+                }
             }
         }
     }
 }
 
-/// Packs build states and leaves into the shared CSR arenas.
-fn freeze(states: &[BuildState], leaves: &[Vec<ProfileId>], root: PTarget) -> Dfsa {
+/// Packs build states and leaves into the shared CSR arenas, each left
+/// at its exact size: the automaton lives as long as its snapshot.
+fn freeze(states: &[BuildState], leaves: &[&[ProfileId]], root: PTarget) -> Dfsa {
     let mut cuts: Vec<Cut> = Vec::new();
     let mut jumps: Vec<Hop> = Vec::new();
     let mut accel: Vec<u32> = Vec::new();
@@ -541,16 +573,15 @@ fn freeze(states: &[BuildState], leaves: &[Vec<ProfileId>], root: PTarget) -> Df
         .iter()
         .map(|s| freeze_state(s, &mut cuts, &mut jumps, &mut accel))
         .collect();
+    cuts.shrink_to_fit();
+    jumps.shrink_to_fit();
+    accel.shrink_to_fit();
 
     let mut leaf_off: Vec<u32> = Vec::with_capacity(leaves.len() + 1);
-    let mut leaf_profiles: Vec<ProfileId> = Vec::new();
+    let mut leaf_profiles = Vec::with_capacity(leaves.iter().map(|l| l.len()).sum());
     leaf_off.push(0);
     for leaf in leaves {
-        let mut ids = leaf.clone();
-        // Pre-sort at build time so the match loop never sorts.
-        ids.sort_unstable();
-        ids.dedup();
-        leaf_profiles.extend_from_slice(&ids);
+        leaf_profiles.extend_from_slice(leaf);
         leaf_off.push(leaf_profiles.len() as u32);
     }
 
@@ -635,412 +666,6 @@ fn freeze_state(
         }
     }
     meta
-}
-
-/// `stored` has the shape of `fresh` (`same_shape` holds element-wise);
-/// on a state's first visit it takes `fresh`'s charges, on a later one
-/// it must already hold them.
-fn settle<T: Copy + PartialEq>(
-    stored: Option<&mut [T]>,
-    fresh: &[T],
-    first: bool,
-    same_shape: impl Fn(&T, &T) -> bool,
-) -> bool {
-    let Some(stored) = stored else {
-        return false;
-    };
-    if stored.len() != fresh.len() || !stored.iter().zip(fresh).all(|(a, b)| same_shape(a, b)) {
-        return false;
-    }
-    if first {
-        stored.copy_from_slice(fresh);
-        true
-    } else {
-        stored == fresh
-    }
-}
-
-/// Arena position `off + k`, if it is one.
-fn slot(off: u32, k: u64) -> Option<usize> {
-    usize::try_from(k).ok()?.checked_add(off as usize)
-}
-
-impl Dfsa {
-    /// Appends the automaton arenas in the dense binary checkpoint
-    /// form: targets only, the charges being the tree's. The leaf arena
-    /// is stored as references into `tree`'s leaves whenever the lists
-    /// agree (see below), which halves the dominant leaf bytes of a
-    /// snapshot.
-    pub(crate) fn encode_into(&self, w: &mut ByteWriter, tree: &ProfileTree) {
-        // Column-oriented: each `StateMeta` field becomes one packed
-        // array. Per-state offsets are monotone and the rest are small
-        // or repetitive, so the zig-zag deltas compress the 42-byte
-        // row-form to a few bytes per state. `off` is written as the
-        // two columns it is, by state kind.
-        let states = &self.states;
-        w.seq_len(states.len());
-        let col_u32 = |w: &mut ByteWriter, f: &dyn Fn(&StateMeta) -> u32| {
-            let col: Vec<u32> = states.iter().map(f).collect();
-            w.packed_u32(&col);
-        };
-        let col_u64 = |w: &mut ByteWriter, f: &dyn Fn(&StateMeta) -> u64| {
-            let col: Vec<u64> = states.iter().map(f).collect();
-            w.packed_u64(&col);
-        };
-        col_u32(w, &|s| s.attr);
-        col_u32(w, &|s| u32::from(s.shift));
-        col_u32(w, &|s| u32::from(s.jump));
-        col_u32(w, &|s| s.star.0);
-        col_u64(w, &|s| s.lo);
-        col_u64(w, &|s| s.hi);
-        col_u32(w, &|s| if s.jump { 0 } else { s.off });
-        col_u32(w, &|s| s.b_len);
-        col_u32(w, &|s| if s.jump { s.off } else { 0 });
-        col_u32(w, &|s| s.acc_off);
-        let cut_bounds: Vec<u64> = self.cuts.iter().map(|c| c.bound).collect();
-        let cut_targets: Vec<u32> = self.cuts.iter().map(|c| c.hop.target.0).collect();
-        w.packed_u64(&cut_bounds);
-        w.packed_u32(&cut_targets);
-        let jumps: Vec<u32> = self.jumps.iter().map(|j| j.target.0).collect();
-        w.packed_u32(&jumps);
-        w.packed_u32(&self.accel);
-        // Leaf arena: every DFSA leaf is a sorted, deduplicated copy of
-        // a tree leaf, and the tree's leaves precede the automaton in
-        // the snapshot stream. When each list matches one of the tree's
-        // (byte-for-byte — the normal case, since tree leaves are built
-        // sorted), store a single position per leaf instead of
-        // repeating millions of profile ids; the decoder replays the
-        // references against [`ProfileTree::leaf_slices`].
-        let tree_leaves = tree.leaf_slices();
-        let mut by_content: std::collections::HashMap<&[ProfileId], u32> =
-            std::collections::HashMap::with_capacity(tree_leaves.len());
-        for (i, s) in tree_leaves.iter().enumerate() {
-            by_content.entry(s).or_insert(i as u32);
-        }
-        let refs: Option<Vec<u32>> = self
-            .leaf_off
-            .windows(2)
-            .map(|lh| {
-                let list = &self.leaf_profiles[lh[0] as usize..lh[1] as usize];
-                by_content.get(list).copied()
-            })
-            .collect();
-        match refs {
-            Some(refs) => {
-                w.u8(1);
-                w.packed_u32(&refs);
-            }
-            None => {
-                // Some leaf was deduplicated away from its tree form:
-                // fall back to the verbatim arena.
-                w.u8(0);
-                w.packed_u32(&self.leaf_off);
-                let leaf_profiles: Vec<u32> = self
-                    .leaf_profiles
-                    .iter()
-                    .map(|p| p.index() as u32)
-                    .collect();
-                w.packed_u32(&leaf_profiles);
-            }
-        }
-        w.u32(self.root.0);
-    }
-
-    /// Decodes an automaton written by [`Dfsa::encode_into`]. `tree`
-    /// must be the profile tree decoded from the same snapshot — leaf
-    /// references resolve against it, and the automaton is checked
-    /// against it and charged from it ([`Dfsa::charge_from`]).
-    pub(crate) fn decode_from(
-        r: &mut ByteReader<'_>,
-        tree: &ProfileTree,
-    ) -> Result<Self, PersistError> {
-        let n_states = r.seq_len(10)?;
-        let column = |r: &mut ByteReader<'_>, n: usize, what: &str| {
-            let col = r.vec_u32_packed()?;
-            if col.len() != n {
-                return Err(PersistError::new(format!(
-                    "state column {what} has {} entries, expected {n}",
-                    col.len()
-                )));
-            }
-            Ok(col)
-        };
-        let column64 = |r: &mut ByteReader<'_>, n: usize, what: &str| {
-            let col = r.vec_u64_packed()?;
-            if col.len() != n {
-                return Err(PersistError::new(format!(
-                    "state column {what} has {} entries, expected {n}",
-                    col.len()
-                )));
-            }
-            Ok(col)
-        };
-        let attr = column(r, n_states, "attr")?;
-        let shift = column(r, n_states, "shift")?;
-        let jump = column(r, n_states, "jump")?;
-        let star = column(r, n_states, "star")?;
-        let lo = column64(r, n_states, "lo")?;
-        let hi = column64(r, n_states, "hi")?;
-        let b_off = column(r, n_states, "b_off")?;
-        let b_len = column(r, n_states, "b_len")?;
-        let t_off = column(r, n_states, "t_off")?;
-        let acc_off = column(r, n_states, "acc_off")?;
-        let mut states = Vec::with_capacity(n_states);
-        for i in 0..n_states {
-            let s = u8::try_from(shift[i])
-                .map_err(|_| PersistError::new(format!("state shift {} overflows u8", shift[i])))?;
-            let (j, off, other) = match jump[i] {
-                0 => (false, b_off[i], t_off[i]),
-                1 => (true, t_off[i], b_off[i]),
-                other => {
-                    return Err(PersistError::new(format!("invalid jump flag {other}")));
-                }
-            };
-            if other != 0 {
-                return Err(PersistError::new(format!(
-                    "state {i} has an offset into the other kind's arena"
-                )));
-            }
-            // Charges are filled in by `charge_from` below.
-            states.push(StateMeta {
-                attr: attr[i],
-                shift: s,
-                jump: j,
-                missing: 0,
-                star: PTarget(star[i]),
-                lo: lo[i],
-                hi: hi[i],
-                off,
-                b_len: b_len[i],
-                acc_off: acc_off[i],
-                below: 0,
-                above: 0,
-            });
-        }
-        let cut_bounds = r.vec_u64_packed()?;
-        let cut_targets = r.vec_u32_packed()?;
-        if cut_bounds.len() != cut_targets.len() {
-            return Err(PersistError::new(format!(
-                "cut columns disagree: {} bounds, {} targets",
-                cut_bounds.len(),
-                cut_targets.len()
-            )));
-        }
-        let uncharged = |target| Hop {
-            target: PTarget(target),
-            cost: 0,
-        };
-        let cuts = cut_bounds
-            .into_iter()
-            .zip(cut_targets)
-            .map(|(bound, target)| Cut {
-                bound,
-                hop: uncharged(target),
-            })
-            .collect();
-        let jumps = r.vec_u32_packed()?.into_iter().map(uncharged).collect();
-        let accel = r.vec_u32_packed()?;
-        let (leaf_off, leaf_profiles) = match r.u8()? {
-            1 => {
-                // Referenced form: rebuild the arena by copying the
-                // referenced tree leaves (a memcpy per leaf).
-                let refs = r.vec_u32_packed()?;
-                let tree_leaves = tree.leaf_slices();
-                let mut off: Vec<u32> = Vec::with_capacity(refs.len() + 1);
-                off.push(0);
-                let total: usize = refs
-                    .iter()
-                    .map(|&rf| {
-                        tree_leaves
-                            .get(rf as usize)
-                            .map(|s| s.len())
-                            .ok_or_else(|| {
-                                PersistError::new(format!("leaf reference {rf} out of range"))
-                            })
-                    })
-                    .sum::<Result<usize, PersistError>>()?;
-                if u32::try_from(total).is_err() {
-                    return Err(PersistError::new("leaf arena exceeds u32 offsets"));
-                }
-                let mut arena: Vec<ProfileId> = Vec::with_capacity(total);
-                for &rf in &refs {
-                    arena.extend_from_slice(tree_leaves[rf as usize]);
-                    off.push(arena.len() as u32);
-                }
-                (off, arena)
-            }
-            0 => {
-                let leaf_off = r.vec_u32_packed()?;
-                let leaf_profiles = r
-                    .vec_u32_packed()?
-                    .into_iter()
-                    .map(ProfileId::new)
-                    .collect();
-                (leaf_off, leaf_profiles)
-            }
-            tag => {
-                return Err(PersistError::new(format!("unknown leaf arena tag {tag}")));
-            }
-        };
-        let root = PTarget(r.u32()?);
-        let mut dfsa = Dfsa {
-            states,
-            cuts,
-            jumps,
-            accel,
-            leaf_off,
-            leaf_profiles,
-            root,
-        };
-        dfsa.charge_from(tree)?;
-        Ok(dfsa)
-    }
-
-    /// Walks a decoded automaton and `tree` side by side from their
-    /// roots. Each tree node must reach the very state
-    /// [`Dfsa::from_tree`] would have frozen for it — same attribute,
-    /// span, runs, bucket index and star — and each tree leaf a leaf
-    /// with its profiles (an empty one: reject). The state then takes
-    /// the node's charges, and a state several nodes reach must be
-    /// charged alike by each. A state the walk accepted therefore
-    /// indexes nothing outside its arenas, and the automaton answers
-    /// and counts what the tree does; anything else is refused.
-    fn charge_from(&mut self, tree: &ProfileTree) -> Result<(), PersistError> {
-        let refuse = |what: &str| {
-            Err(PersistError::new(format!(
-                "automaton disagrees with its tree: {what}"
-            )))
-        };
-        let mut charged = vec![false; self.states.len()];
-        let (mut cuts, mut jumps, mut accel) = (Vec::new(), Vec::new(), Vec::new());
-        let mut stack = vec![(tree.root(), self.root)];
-        while let Some((node, t)) = stack.pop() {
-            let n = match node {
-                NodeRef::Inner(n) => n,
-                NodeRef::Leaf(ids) => {
-                    let agrees = match t.0 >> TAG_SHIFT {
-                        TAG_LEAF => self.leaf_checked(t.0 & PAYLOAD_MASK) == Some(ids.as_slice()),
-                        _ => t == PTarget::REJECT && ids.is_empty(),
-                    };
-                    if !agrees {
-                        return refuse("a leaf lists other profiles");
-                    }
-                    continue;
-                }
-            };
-            let s = (t.0 & PAYLOAD_MASK) as usize;
-            let stored = match self.states.get(s) {
-                Some(stored) if t.0 >> TAG_SHIFT == TAG_STATE => *stored,
-                _ => return refuse("a node reaches no state"),
-            };
-            if !n.edges.is_empty() && matches!(n.star, Star::All(_)) {
-                return refuse("a node has a star edge beside specific edges");
-            }
-            let star = match n.star {
-                Star::None => PTarget::REJECT,
-                Star::All(_) | Star::Else(_) => stored.star,
-            };
-            let mut targets = Vec::with_capacity(n.edges.len());
-            let fresh = BuildState::of_node(n, star, |g, run| {
-                let target = self.stored_target(&stored, n, g, run);
-                targets.push(target);
-                target
-            });
-            cuts.clear();
-            jumps.clear();
-            accel.clear();
-            let meta = freeze_state(&fresh, &mut cuts, &mut jumps, &mut accel);
-            if !self.settle_state(s, meta, &cuts, &jumps, &accel, !charged[s]) {
-                return refuse("a state is not the one its node lowers to");
-            }
-            charged[s] = true;
-            if let Star::All(child) | Star::Else(child) = &n.star {
-                stack.push((child, star));
-            }
-            stack.extend(n.edges.iter().map(|e| &e.child).zip(targets));
-        }
-        Ok(())
-    }
-
-    /// Where the stored state `s` sends edge `g` of `n`, its run number
-    /// `run` — reject where its arena has no such run, which the shape
-    /// check then refuses.
-    fn stored_target(&self, s: &StateMeta, n: &Node, g: usize, run: usize) -> PTarget {
-        let hop = if s.jump {
-            n.edges[g]
-                .interval
-                .lo()
-                .checked_sub(s.lo)
-                .and_then(|d| slot(s.off, d))
-                .and_then(|k| self.jumps.get(k))
-        } else {
-            slot(s.off, run as u64)
-                .and_then(|k| self.cuts.get(k))
-                .map(|c| &c.hop)
-        };
-        hop.map_or(PTarget::REJECT, |h| h.target)
-    }
-
-    /// Checks stored state `s` against `fresh`, its freeze from the node
-    /// reaching it (into the empty arenas `cuts`, `jumps`, `accel`):
-    /// the shape (targets included) must agree, and the charges are
-    /// settled (see [`settle`]).
-    fn settle_state(
-        &mut self,
-        s: usize,
-        fresh: StateMeta,
-        cuts: &[Cut],
-        jumps: &[Hop],
-        accel: &[u32],
-        first: bool,
-    ) -> bool {
-        let Some(stored) = self.states.get_mut(s) else {
-            return false;
-        };
-        let expect = StateMeta {
-            off: stored.off,
-            acc_off: if fresh.acc_off == NO_ACCEL {
-                NO_ACCEL
-            } else {
-                stored.acc_off
-            },
-            ..fresh
-        };
-        let shape = |m: &StateMeta| StateMeta {
-            missing: 0,
-            below: 0,
-            above: 0,
-            ..*m
-        };
-        if !settle(
-            Some(std::slice::from_mut(stored)),
-            &[expect],
-            first,
-            |a, b| shape(a) == shape(b),
-        ) {
-            return false;
-        }
-        let (off, acc) = (expect.off as usize, expect.acc_off as usize);
-        let accel_agrees =
-            expect.acc_off == NO_ACCEL || self.accel.get(acc..acc + accel.len()) == Some(accel);
-        accel_agrees
-            && if expect.jump {
-                let stored = self.jumps.get_mut(off..off + jumps.len());
-                settle(stored, jumps, first, |a, b| a.target == b.target)
-            } else {
-                let stored = self.cuts.get_mut(off..off + cuts.len());
-                settle(stored, cuts, first, |a, b| {
-                    a.bound == b.bound && a.hop.target == b.hop.target
-                })
-            }
-    }
-
-    /// Leaf `l`'s profiles, if the arena holds such a leaf.
-    fn leaf_checked(&self, l: u32) -> Option<&[ProfileId]> {
-        let lo = *self.leaf_off.get(l as usize)? as usize;
-        let hi = *self.leaf_off.get(l as usize + 1)? as usize;
-        self.leaf_profiles.get(lo..hi)
-    }
 }
 
 #[cfg(test)]
@@ -1338,69 +963,5 @@ mod tests {
     fn charges_take_no_bytes_in_states_or_cuts() {
         assert_eq!(std::mem::size_of::<StateMeta>(), 48);
         assert_eq!(std::mem::size_of::<Cut>(), 16);
-    }
-
-    /// The checkpoint form carries no charges: decoding takes them from
-    /// the tree it is decoded beside — the same automaton counts a
-    /// binary search or a linear scan, as its tree does — and refuses a
-    /// tree the automaton was not lowered from.
-    #[test]
-    fn decoding_charges_from_the_tree_and_refuses_another() {
-        let (schema, ps) = random_profiles_large_domain(41, 30);
-        let binary = TreeConfig {
-            search: crate::SearchStrategy::Binary,
-            ..TreeConfig::default()
-        };
-        let tree = ProfileTree::build(&ps, &binary).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
-        let mut w = ByteWriter::new();
-        dfsa.encode_into(&mut w, &tree);
-        let bytes = w.into_bytes();
-        let linear = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let mut rng = StdRng::seed_from_u64(43);
-        let mut scratch = MatchScratch::new();
-        for tree in [&tree, &linear] {
-            let decoded = Dfsa::decode_from(&mut ByteReader::new(&bytes), tree).unwrap();
-            for _ in 0..300 {
-                let x = rng.gen_range(0..10_000u64);
-                let y = rng.gen_bool(0.8).then(|| rng.gen_range(0..50u64));
-                let e = IndexedEvent::from_indices(vec![Some(x), y]);
-                decoded.match_into(&e, &mut scratch);
-                let want = tree
-                    .match_event(&schema, &e.to_event(&schema).unwrap())
-                    .unwrap();
-                assert_eq!(scratch.profiles(), want.profiles());
-                assert_eq!(scratch.ops(), want.ops());
-            }
-        }
-        let mut more = ps.clone();
-        for p in random_profiles_large_domain(42, 10).1.iter() {
-            more.insert(p.clone());
-        }
-        let foreign = ProfileTree::build(&more, &binary).unwrap();
-        let refused = Dfsa::decode_from(&mut ByteReader::new(&bytes), &foreign).unwrap_err();
-        assert!(
-            refused.message().contains("disagrees with its tree"),
-            "{refused}"
-        );
-        // So is an arena entry of the automaton's own tree changed: a jump
-        // target, a cut point, a bucket count.
-        assert!(!dfsa.jumps.is_empty() && dfsa.cuts.len() > 2 && !dfsa.accel.is_empty());
-        for tamper in 0..3 {
-            let mut bad = dfsa.clone();
-            match tamper {
-                0 => bad.jumps[0].target = PTarget::REJECT,
-                1 => bad.cuts[1].bound += 1,
-                _ => bad.accel[1] += 1,
-            }
-            let mut w = ByteWriter::new();
-            bad.encode_into(&mut w, &tree);
-            let bytes = w.into_bytes();
-            let refused = Dfsa::decode_from(&mut ByteReader::new(&bytes), &tree).unwrap_err();
-            assert!(
-                refused.message().contains("disagrees with its tree"),
-                "{refused}"
-            );
-        }
     }
 }

@@ -289,7 +289,10 @@ impl OverlayIndex {
         }
     }
 
-    /// Decodes an index written by [`OverlayIndex::encode`].
+    /// Decodes an index written by [`OverlayIndex::encode`], refusing
+    /// one that [`Matcher::match_into`] could not walk: segment bounds
+    /// out of order, offsets that do not delimit the postings, or a
+    /// position past the index.
     pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
         let n_attrs = r.seq_len(12)?;
         let mut attrs = Vec::with_capacity(n_attrs);
@@ -305,6 +308,25 @@ impl OverlayIndex {
         let mut unconditional = Vec::with_capacity(n);
         for _ in 0..n {
             unconditional.push(ProfileId::new(r.u32()?));
+        }
+        let len = required.len();
+        let walkable = |a: &AttrPostings| {
+            let delimits = a.off.first() == Some(&0)
+                && a.off.windows(2).all(|w| w[0] <= w[1])
+                && a.off.last().map(|&end| end as usize) == Some(a.postings.len());
+            match a.bounds.len() {
+                0 => a.off.is_empty() && a.postings.is_empty(),
+                1 => false,
+                n => {
+                    a.bounds.windows(2).all(|w| w[0] < w[1])
+                        && a.off.len() == n
+                        && delimits
+                        && a.postings.iter().all(|&k| (k as usize) < len)
+                }
+            }
+        };
+        if !attrs.iter().all(walkable) || unconditional.iter().any(|p| p.index() >= len) {
+            return Err(PersistError::new("overlay index out of shape"));
         }
         Ok(OverlayIndex {
             attrs,

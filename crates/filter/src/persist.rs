@@ -1,8 +1,8 @@
 //! Compact length-prefixed binary persistence codec.
 //!
 //! Durability for the filter pipeline needs two things the textual
-//! serde shim does not provide: a *dense* encoding for the flat CSR
-//! arenas (`Vec<u32>`/`Vec<u64>` by the megabyte at 1M profiles), and
+//! serde shim does not provide: a *dense* encoding for the flat
+//! arrays (`Vec<u32>`/`Vec<u64>` by the megabyte at 1M profiles), and
 //! an integrity check so a torn or corrupted checkpoint is detected
 //! instead of deserialized into nonsense. This module supplies both:
 //!
@@ -121,8 +121,10 @@ const PACK_BLOCK: usize = 32;
 /// Slicing-by-8 lookup tables for [`crc32`], built at compile time.
 /// `CRC_TABLE[0]` is the classic byte-at-a-time table; table `j`
 /// advances a byte `j` positions further through the shift register,
-/// so eight table lookups consume eight input bytes at once.
-const CRC_TABLE: [[u32; 256]; 8] = build_crc_table();
+/// so eight table lookups consume eight input bytes at once. A
+/// `static`, not a `const`: an unoptimised build copies a `const`
+/// array at every use.
+static CRC_TABLE: [[u32; 256]; 8] = build_crc_table();
 
 const fn build_crc_table() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
@@ -153,7 +155,7 @@ const fn build_crc_table() -> [[u32; 256]; 8] {
 
 /// The IEEE CRC-32 checksum (polynomial `0xEDB88320`), slicing-by-8.
 ///
-/// Checkpoints checksum the filter's CSR arenas — megabytes at large
+/// Checkpoints checksum the filter's profile trees — megabytes at large
 /// subscription counts — so the checksum runs on the recovery path's
 /// critical section. The slicing form processes eight bytes per step
 /// instead of one bit.

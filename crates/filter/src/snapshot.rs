@@ -53,8 +53,12 @@ use crate::FilterError;
 const SNAPSHOT_MAGIC: u32 = 0x454E_5346;
 /// Bumped whenever the binary layout changes incompatibly.
 /// Version 3 added the covering sections (expansion plan + overlay
-/// cover entries).
-const SNAPSHOT_VERSION: u32 = 3;
+/// cover entries); version 4 dropped the automaton section, which a
+/// load derives from the tree.
+const SNAPSHOT_VERSION: u32 = 4;
+/// The last version that wrote the automaton section, which a load
+/// reads only to step over.
+const SNAPSHOT_VERSION_WITH_AUTOMATON: u32 = 3;
 
 /// Reusable buffers for one [`FilterSnapshot::match_into`] call.
 ///
@@ -303,6 +307,32 @@ pub struct FilterSnapshot {
 fn is_live(dead: &[u64], k: u32) -> bool {
     dead.get(k as usize / 64)
         .is_none_or(|word| word >> (k % 64) & 1 == 0)
+}
+
+/// Steps over a version 3 image's automaton section: a state count,
+/// ten packed state columns (two of them `u64`), the cut bounds
+/// (`u64`) and targets, the jump tables and the bucket index, the leaf
+/// arena (tag 1: references into the tree; tag 0: offsets and ids) and
+/// the root. No field of it is used, so none is checked.
+fn skip_automaton(r: &mut ByteReader<'_>) -> Result<(), PersistError> {
+    r.u32()?;
+    for wide in [0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0] {
+        if wide == 1 {
+            r.vec_u64_packed()?;
+        } else {
+            r.vec_u32_packed()?;
+        }
+    }
+    let leaf_columns = match r.u8()? {
+        1 => 1,
+        0 => 2,
+        tag => return Err(PersistError::new(format!("unknown leaf arena tag {tag}"))),
+    };
+    for _ in 0..leaf_columns {
+        r.vec_u32_packed()?;
+    }
+    r.u32()?;
+    Ok(())
 }
 
 /// Below this many slots per candidate an expansion is *sparse*: it
@@ -645,16 +675,16 @@ impl FilterSnapshot {
         next
     }
 
-    /// Serializes the complete snapshot — tree, DFSA arenas, tombstone
-    /// bitmap and overlay index — into the checkpoint byte form, sealed
+    /// Serializes the snapshot — tree, tombstone bitmap, overlay index
+    /// and covering sections — into the checkpoint byte form, sealed
     /// with a CRC-32.
     ///
-    /// The flat CSR arenas are written verbatim, so
-    /// [`FilterSnapshot::from_bytes`] restores a snapshot in O(bytes)
-    /// with no tree build, no DFSA minimisation and no re-optimisation —
-    /// this is what makes checkpoint reload orders of magnitude cheaper
-    /// than recompiling the profile set (see the `recovery` section of
-    /// `BENCH_throughput.json`).
+    /// The automaton is not written: [`FilterSnapshot::from_bytes`]
+    /// lowers the decoded tree, as [`FilterSnapshot::compile`] lowers
+    /// the built one. A reload still skips the tree build, the
+    /// covering analysis and every re-optimisation — what makes it
+    /// cheaper than recompiling the profile set (see the `recovery`
+    /// section of `BENCH_throughput.json`).
     ///
     /// The format has no overlay tombstones: pack the overlay first
     /// ([`FilterSnapshot::with_overlay_entries`]).
@@ -672,7 +702,6 @@ impl FilterSnapshot {
         w.u32(SNAPSHOT_MAGIC);
         w.u32(SNAPSHOT_VERSION);
         self.tree.encode(&mut w);
-        self.dfsa.encode_into(&mut w, &self.tree);
         w.u64(self.base_len as u64);
         // Tombstones, bit-packed (1M base profiles -> 122 KiB): the
         // bitmap's words in little-endian order, cut to whole bytes.
@@ -715,7 +744,9 @@ impl FilterSnapshot {
         w.into_bytes_crc()
     }
 
-    /// Restores a snapshot written by [`FilterSnapshot::to_bytes`].
+    /// Restores a snapshot written by [`FilterSnapshot::to_bytes`], and
+    /// lowers its tree into the automaton. A version 3 image also holds
+    /// the automaton; that section is stepped over, not read.
     ///
     /// # Errors
     ///
@@ -737,13 +768,15 @@ impl FilterSnapshot {
             )));
         }
         let version = r.u32()?;
-        if version != SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_WITH_AUTOMATON {
             return Err(PersistError::new(format!(
                 "unsupported snapshot version {version}"
             )));
         }
         let tree = ProfileTree::decode(r)?;
-        let dfsa = Dfsa::decode_from(r, &tree)?;
+        if version == SNAPSHOT_VERSION_WITH_AUTOMATON {
+            skip_automaton(r)?;
+        }
         let base_len = r.u64()? as usize;
         let n_removed = r.u32()? as usize;
         let packed = r.bytes()?;
@@ -761,9 +794,9 @@ impl FilterSnapshot {
                 u64::from_le_bytes(le)
             })
             .collect();
-        if n_removed % 64 != 0 {
+        if let Some(last) = removed.last_mut().filter(|_| n_removed % 64 != 0) {
             // Padding bits of the last byte carry no slot.
-            *removed.last_mut().expect("n_removed > 0") &= (1 << (n_removed % 64)) - 1;
+            *last &= (1 << (n_removed % 64)) - 1;
         }
         let removed_count = removed.iter().map(|w| w.count_ones() as usize).sum();
         let has_overlay = r.bool()?;
@@ -791,8 +824,8 @@ impl FilterSnapshot {
         }
         let overlay_children = OverlayCover::decode(r, compiled_len, overlay_len)?;
         Ok(FilterSnapshot {
+            dfsa: Arc::new(Dfsa::from_tree(&tree)),
             tree: Arc::new(tree),
-            dfsa: Arc::new(dfsa),
             base_len,
             removed: Arc::from(removed),
             removed_count,

@@ -11,9 +11,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::persist::crc32;
-use ens_filter::{FilterSnapshot, SnapshotScratch, TreeConfig};
+use ens_filter::{FilterSnapshot, SnapshotBlockScratch, SnapshotScratch, TreeConfig};
 use ens_types::{
-    CoverOutcome, CoverSet, Domain, IndexedEvent, Predicate, Profile, ProfileId, ProfileSet, Schema,
+    CoverOutcome, CoverSet, Domain, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId,
+    ProfileSet, Schema,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -149,10 +150,9 @@ fn snapshot_with_disagreeing_marginals() -> Vec<u8> {
 
 /// Two one-profile snapshots whose images line up byte for byte but
 /// where the profile's range shows, spliced at every byte they differ
-/// at — among them the splices that pair the first image's tree with
-/// the second's automaton. Every accepted splice serves what its tree
-/// does, and counts it too; the refusals are returned.
-fn spliced_refusals() -> Vec<String> {
+/// at. Every accepted splice serves what its tree does, and counts it
+/// too.
+fn splices_serve_what_their_trees_do() {
     let schema = Schema::builder()
         .attribute("x", Domain::int(0, 99))
         .unwrap()
@@ -168,29 +168,119 @@ fn spliced_refusals() -> Vec<String> {
     };
     let (a, b) = (image(10), image(20));
     assert_eq!(a.len(), b.len(), "the images line up");
-    let mut refusals = Vec::new();
     let (mut by_tree, mut by_dfsa) = (SnapshotScratch::new(), SnapshotScratch::new());
     for at in (0..a.len() - 4).filter(|&at| a[at] != b[at]) {
         let mut bytes = [&a[..at], &b[at..]].concat();
         reseal(&mut bytes);
-        match FilterSnapshot::from_bytes(&bytes) {
-            Err(e) => refusals.push(e.to_string()),
-            Ok(snap) => {
-                for x in 0..100 {
-                    let e = IndexedEvent::from_indices(vec![Some(x)]);
-                    snap.match_into(&e, &mut by_tree, false);
-                    snap.match_into(&e, &mut by_dfsa, true);
-                    assert_eq!(
-                        by_dfsa.matched(),
-                        by_tree.matched(),
-                        "splice at {at}, x {x}"
+        let Ok(snap) = FilterSnapshot::from_bytes(&bytes) else {
+            continue;
+        };
+        for x in 0..100 {
+            let e = IndexedEvent::from_indices(vec![Some(x)]);
+            snap.match_into(&e, &mut by_tree, false);
+            snap.match_into(&e, &mut by_dfsa, true);
+            assert_eq!(
+                by_dfsa.matched(),
+                by_tree.matched(),
+                "splice at {at}, x {x}"
+            );
+            assert_eq!(by_dfsa.ops(), by_tree.ops(), "splice at {at}, x {x}");
+        }
+    }
+}
+
+/// A small image over one attribute: three base profiles, the second
+/// inside the first and tombstoned, and two overlay entries, the first
+/// inside the first base profile — compiled with covering on or off.
+fn small_snapshot(covering: bool) -> Vec<u8> {
+    let schema = Schema::builder()
+        .attribute("x", Domain::int(0, 99))
+        .unwrap()
+        .build();
+    let profiles = |preds: &[Predicate]| {
+        let mut set = ProfileSet::new(&schema);
+        for p in preds {
+            set.insert(
+                Profile::from_predicates(&schema, ProfileId::new(0), vec![p.clone()]).unwrap(),
+            );
+        }
+        set
+    };
+    let base = profiles(&[
+        Predicate::between(10, 40),
+        Predicate::between(20, 30),
+        Predicate::ge(60),
+    ]);
+    let overlay = profiles(&[Predicate::between(25, 35), Predicate::le(5)]);
+    let cover =
+        CoverSet::build_bulk(&schema, base.iter().map(|p| (p.id().index() as u32, p))).unwrap();
+    let config = TreeConfig::default();
+    let snap = if covering {
+        FilterSnapshot::compile_with_cover(&base, &cover, &config)
+    } else {
+        FilterSnapshot::compile(&base, &config)
+    };
+    let overlay_cover: Vec<_> = overlay
+        .iter()
+        .map(|p| match cover.probe(p).unwrap() {
+            CoverOutcome::Covered { rep, residual } if covering => {
+                Some((cover.compiled_index_of(rep).unwrap(), residual))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(overlay_cover[0].is_some(), covering);
+    let covers = overlay_cover
+        .iter()
+        .map(|c| c.as_ref().map(|(rep, r)| (*rep, r.as_slice())));
+    snap.unwrap()
+        .with_overlay_entries(overlay.iter().zip(covers))
+        .unwrap()
+        .with_removed(vec![false, true, false])
+        .to_bytes()
+}
+
+/// Every single-byte change of `image`, resealed: no decode panics or
+/// overspends its budget, and whatever decodes matches only ids below
+/// `base_len + overlay_len`, per event and per block, on both engines.
+/// Returns how many changes decoded.
+fn sweep_every_byte(image: &[u8]) -> usize {
+    let mut accepted = 0;
+    let (mut single, mut block) = (SnapshotScratch::new(), SnapshotBlockScratch::new());
+    let (mut event, mut batch) = (IndexedEvent::new(), IndexedBatch::new());
+    for at in 0..image.len() - 4 {
+        for byte in (0..=u8::MAX).filter(|&b| b != image[at]) {
+            let mut bytes = image.to_vec();
+            bytes[at] = byte;
+            reseal(&mut bytes);
+            let Some(snap) = decode_within_budget(&bytes) else {
+                continue;
+            };
+            accepted += 1;
+            let ids = (snap.base_len() + snap.overlay_len()) as u64;
+            // Rows as wide as the decoded schema, the first attribute
+            // probed below, inside and above every range, and missing.
+            let mut row = vec![IndexedEvent::MISSING; snap.tree().schema().len().max(1)];
+            batch.reset(row.len());
+            for x in [0, 15, 25, 35, 60, 95, 100, IndexedEvent::MISSING] {
+                row[0] = x;
+                batch.push_raw(&row);
+            }
+            for use_dfsa in [false, true] {
+                snap.match_block(&batch, &mut block, use_dfsa);
+                for i in 0..batch.len() {
+                    event.copy_from_raw(batch.row(i));
+                    snap.match_into(&event, &mut single, use_dfsa);
+                    let mut emitted = single.matched().iter().chain(block.matched_of(i));
+                    assert!(
+                        emitted.all(|&id| u64::from(id) < ids),
+                        "byte {at} set to {byte} emits an id outside the snapshot"
                     );
-                    assert_eq!(by_dfsa.ops(), by_tree.ops(), "splice at {at}, x {x}");
                 }
             }
         }
     }
-    refusals
+    accepted
 }
 
 /// Replaces the trailing checksum by the right one, so that a mutated
@@ -207,7 +297,7 @@ fn reseal(bytes: &mut Vec<u8>) {
 /// 64 bytes per input byte (the widest decoded element per encoded
 /// byte, with room to spare): a length field read from the input never
 /// sizes an allocation on its own.
-fn decode_within_budget(bytes: &[u8]) -> bool {
+fn decode_within_budget(bytes: &[u8]) -> Option<FilterSnapshot> {
     LARGEST.store(0, Ordering::Relaxed);
     TOTAL.store(0, Ordering::Relaxed);
     let decoded = FilterSnapshot::from_bytes(bytes);
@@ -227,7 +317,7 @@ fn decode_within_budget(bytes: &[u8]) -> bool {
         total <= 4096 * len + (1 << 20),
         "{total} bytes allocated decoding {len} input bytes"
     );
-    decoded.is_ok()
+    decoded.ok()
 }
 
 proptest! {
@@ -236,19 +326,20 @@ proptest! {
     #[test]
     fn from_bytes_never_panics_and_allocates_within_its_input(seed in 0u64..=u64::MAX) {
         let valid = valid_snapshot();
-        prop_assert!(decode_within_budget(&valid));
+        prop_assert!(decode_within_budget(&valid).is_some());
         // The model is held once, and the section that repeats it must
         // repeat it: refused, not resolved in favour of either copy.
         let torn = FilterSnapshot::from_bytes(&snapshot_with_disagreeing_marginals());
         let refusal = torn.err().map(|e| e.to_string()).unwrap_or_default();
         prop_assert!(refusal.contains("marginals section"), "{refusal:?}");
-        // The automaton is checked against its tree, not trusted: one
-        // lowered from another tree is refused.
-        let refusals = spliced_refusals();
-        prop_assert!(
-            refusals.iter().any(|r| r.contains("automaton disagrees with its tree")),
-            "{refusals:?}"
-        );
+        splices_serve_what_their_trees_do();
+        // Exhaustively, on a small image: a changed domain bound or
+        // leaf id must not reach `Domain::size` or the dispatch tables.
+        for covering in [false, true] {
+            let image = small_snapshot(covering);
+            let decoded = sweep_every_byte(&image);
+            prop_assert!(decoded > 0 && decoded < 255 * image.len(), "{decoded} decoded");
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let (mut accepted, mut rejected) = (0u32, 0u32);
         for case in 0..6000 {
@@ -288,7 +379,7 @@ proptest! {
             if case % 8 != 0 {
                 reseal(&mut bytes);
             }
-            if decode_within_budget(&bytes) {
+            if decode_within_budget(&bytes).is_some() {
                 accepted += 1;
             } else {
                 rejected += 1;

@@ -9,11 +9,12 @@
 
 use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::{
-    Direction, FilterSnapshot, SearchStrategy, SnapshotBlockScratch, SnapshotScratch, TreeConfig,
-    ValueOrder,
+    Dfsa, Direction, FilterSnapshot, SearchStrategy, SnapshotBlockScratch, SnapshotScratch,
+    TreeConfig, ValueOrder,
 };
 use ens_types::{
-    Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId, ProfileSet, Schema,
+    CoverOutcome, CoverSet, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile,
+    ProfileId, ProfileSet, Schema,
 };
 use proptest::prelude::*;
 
@@ -54,21 +55,32 @@ fn arb_pred_pairs(max: usize) -> impl Strategy<Value = Vec<(Predicate, Predicate
     prop::collection::vec((arb_predicate_for(DX), arb_predicate_for(DY)), 1..max)
 }
 
-/// One of the tree configurations worth persisting: the default, and a
-/// distribution-tuned one exercising `event_model` + weights (whose
-/// floats must survive bit-exactly).
-fn config_for(variant: u8, base_len: usize) -> TreeConfig {
-    if variant == 0 {
-        TreeConfig::default()
-    } else {
-        let dx = DistOverDomain::new(Density::peak(0.3, 0.2, 0.7).unwrap(), DX as u64);
-        let dy = DistOverDomain::new(Density::Uniform, DY as u64);
-        TreeConfig {
-            search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
-            event_model: Some(JointDist::independent(vec![dx, dy]).unwrap()),
-            profile_weights: Some((0..base_len).map(|k| 1.0 + k as f64 * 0.25).collect()),
-            ..TreeConfig::default()
-        }
+/// Every search strategy: the eight linear orders, then binary,
+/// interpolation and hash search.
+fn strategy(k: usize) -> SearchStrategy {
+    match ValueOrder::ALL.get(k) {
+        Some(&order) => SearchStrategy::Linear(order),
+        None => [
+            SearchStrategy::Binary,
+            SearchStrategy::Interpolation,
+            SearchStrategy::Hash,
+        ][k - ValueOrder::ALL.len()],
+    }
+}
+
+/// A tree configuration worth persisting: `search`, under an event
+/// model if `modelled` or the search needs one, and with `weights`
+/// profile weights (the floats of both must survive bit-exactly).
+fn config_for(search: SearchStrategy, modelled: bool, weights: Option<Vec<f64>>) -> TreeConfig {
+    let dx = DistOverDomain::new(Density::peak(0.3, 0.2, 0.7).unwrap(), DX as u64);
+    let dy = DistOverDomain::new(Density::Uniform, DY as u64);
+    let model = (modelled || search.needs_event_model())
+        .then(|| JointDist::independent(vec![dx, dy]).unwrap());
+    TreeConfig {
+        search,
+        event_model: model,
+        profile_weights: weights,
+        ..TreeConfig::default()
     }
 }
 
@@ -103,13 +115,18 @@ proptest! {
     /// serialize → deserialize → match-agreement: the reloaded snapshot
     /// matches exactly like the original and like a fresh compile of
     /// the same live profiles, on both the tree and DFSA paths, per
-    /// event and per block — overlay entries and tombstones included.
+    /// event and per block — under every search strategy, covering on
+    /// and off, overlay entries (covered ones too) and tombstones
+    /// included. The automaton lowered at load is the one the original
+    /// compiled, and counts what it counts.
     #[test]
     fn snapshot_round_trip_matches(
         base_preds in arb_pred_pairs(12),
         overlay_preds in arb_pred_pairs(6),
         removed_seed in 0u64..=u64::MAX,
-        config_variant in 0u8..2,
+        search in 0usize..ValueOrder::ALL.len() + 3,
+        modelled in 0u8..2,
+        covered in 0u8..2,
         events in prop::collection::vec(
             (prop::option::of(0..DX), prop::option::of(0..DY)),
             1..12,
@@ -121,11 +138,33 @@ proptest! {
         let removed: Vec<bool> = (0..base.len())
             .map(|k| (removed_seed >> (k % 64)) & 1 == 1)
             .collect();
-        let config = config_for(config_variant, base.len());
-
-        let original = FilterSnapshot::compile(&base, &config)
+        let cover = (covered == 1).then(|| {
+            CoverSet::build_bulk(&schema, base.iter().map(|p| (p.id().index() as u32, p))).unwrap()
+        });
+        // Weights are per compiled profile: the uncovered compile's.
+        let weights = cover
+            .is_none()
+            .then(|| (0..base.len()).map(|k| 1.0 + k as f64 * 0.25).collect());
+        let config = config_for(strategy(search), modelled == 1, weights);
+        let compiled = match &cover {
+            Some(cover) => FilterSnapshot::compile_with_cover(&base, cover, &config),
+            None => FilterSnapshot::compile(&base, &config),
+        };
+        let overlay_cover: Vec<_> = overlay
+            .iter()
+            .map(|p| match cover.as_ref().map(|c| (c, c.probe(p).unwrap())) {
+                Some((c, CoverOutcome::Covered { rep, residual })) => {
+                    Some((c.compiled_index_of(rep).unwrap(), residual))
+                }
+                _ => None,
+            })
+            .collect();
+        let covers = overlay_cover
+            .iter()
+            .map(|c| c.as_ref().map(|(rep, r)| (*rep, r.as_slice())));
+        let original = compiled
             .unwrap()
-            .with_overlay(&overlay)
+            .with_overlay_entries(overlay.iter().zip(covers))
             .unwrap()
             .with_removed(removed.clone());
 
@@ -135,6 +174,10 @@ proptest! {
         prop_assert_eq!(reloaded.overlay_len(), original.overlay_len());
         prop_assert_eq!(reloaded.removed_len(), original.removed_len());
         prop_assert_eq!(reloaded.live_len(), original.live_len());
+        prop_assert_eq!(reloaded.overlay_cover_entries(), overlay_cover);
+        let shape = |d: &Dfsa| (d.state_count(), d.leaf_count(), d.jump_state_count());
+        prop_assert_eq!(shape(reloaded.dfsa()), shape(original.dfsa()));
+        prop_assert_eq!(shape(reloaded.dfsa()), shape(&Dfsa::from_tree(reloaded.tree())));
 
         // Serialization is deterministic: a second trip is identical.
         prop_assert_eq!(&reloaded.to_bytes(), &bytes);
@@ -158,23 +201,29 @@ proptest! {
         for e in &events {
             let want = oracle(&base, &removed, &overlay, e);
             indexed.resolve_into(&schema, e).unwrap();
+            let mut ops = Vec::new();
             for use_dfsa in [false, true] {
                 original.match_into(&indexed, &mut scratch, use_dfsa);
                 prop_assert_eq!(sorted(scratch.matched()), want.clone(), "original dfsa={use_dfsa}");
+                ops.push(scratch.ops());
                 reloaded.match_into(&indexed, &mut scratch, use_dfsa);
                 prop_assert_eq!(sorted(scratch.matched()), want.clone(), "reloaded dfsa={use_dfsa}");
+                ops.push(scratch.ops());
             }
+            prop_assert!(ops.iter().all(|&n| n == ops[0]), "ops {:?}", ops);
         }
 
         // Block path, both variants, whole stream at once.
         let mut batch = IndexedBatch::new();
         batch.resolve_into(&schema, events.iter()).unwrap();
-        let mut block = SnapshotBlockScratch::new();
+        let (mut block, mut before) = (SnapshotBlockScratch::new(), SnapshotBlockScratch::new());
         for use_dfsa in [false, true] {
             reloaded.match_block(&batch, &mut block, use_dfsa);
+            original.match_block(&batch, &mut before, use_dfsa);
             for (i, e) in events.iter().enumerate() {
                 let want = oracle(&base, &removed, &overlay, e);
                 prop_assert_eq!(sorted(block.matched_of(i)), want, "block dfsa={use_dfsa} event {i}");
+                prop_assert_eq!(block.ops_of(i), before.ops_of(i), "block dfsa={use_dfsa} event {i}");
             }
         }
 
@@ -243,15 +292,29 @@ fn empty_base_round_trips() {
     assert!(scratch.matched().is_empty());
 }
 
+/// Whether the `v4` image is the `v3` one with exactly one contiguous
+/// run of bytes removed, apart from the version word and the checksum.
+fn is_v3_less_one_run(v3: &[u8], v4: &[u8]) -> bool {
+    let version = |image: &[u8]| u32::from_le_bytes(image[4..8].try_into().unwrap());
+    // The magic, then everything between the version word and the
+    // checksum.
+    let body = |image: &[u8]| [&image[..4], &image[8..image.len() - 4]].concat();
+    let (old, new) = (body(v3), body(v4));
+    let head = old.iter().zip(&new).take_while(|(a, b)| a == b).count();
+    let cut = old.len().saturating_sub(new.len());
+    (version(v3), version(v4)) == (3, 4) && cut > 0 && old[head + cut..] == new[head..]
+}
+
 /// `fixtures/stock_modelled_snapshot_pr21.bin` is the snapshot the
 /// commit before the one-sweep model wrote for the population rebuilt
 /// here: 200 stock profiles compiled in event order under the empirical
 /// model of 500 observed trades — a model built by integrating a
 /// 375-window mixture over the 19,901 price points, and serialized
 /// twice, in the configuration and in the marginals section. The model
-/// is now filled in one sweep and held once; the bytes must not know:
-/// a fresh compile still encodes to exactly the old image, and the old
-/// image loads and re-encodes to itself.
+/// is now filled in one sweep and held once, and the version 3 image
+/// also stored the automaton, which version 4 leaves out: a fresh
+/// compile encodes to exactly the old image less that section, and the
+/// old image loads, serves, and re-encodes as the fresh compile does.
 #[test]
 fn parent_written_stock_snapshot_loads_and_re_encodes_identically() {
     use ens_filter::FilterStatistics;
@@ -272,22 +335,23 @@ fn parent_written_stock_snapshot_loads_and_re_encodes_identically() {
         event_model: Some(stats.empirical_model().unwrap()),
         ..TreeConfig::default()
     };
-    let fresh = FilterSnapshot::compile(&profiles, &config).unwrap();
+    let fresh = FilterSnapshot::compile(&profiles, &config)
+        .unwrap()
+        .to_bytes();
     assert!(
-        fresh.to_bytes() == fixture,
-        "this build encodes the population as the old one did"
+        is_v3_less_one_run(fixture, &fresh),
+        "this build encodes the population as the old one did, less the automaton"
     );
     let old = FilterSnapshot::from_bytes(fixture).unwrap();
     assert!(
-        old.to_bytes() == fixture,
-        "the old image re-encodes to itself"
+        old.to_bytes() == fresh,
+        "the old image re-encodes as a fresh compile"
     );
     assert_eq!(
         old.tree().marginals(),
         config.event_model.as_ref().map(JointDist::marginals)
     );
-    // The image carries no charges: the decoded automaton takes its
-    // tree's, and counts what the tree counts.
+    // The automaton lowered at load counts what the tree counts.
     let (mut by_tree, mut by_dfsa) = (SnapshotScratch::new(), SnapshotScratch::new());
     let mut indexed = IndexedEvent::new();
     for _ in 0..500 {

@@ -526,7 +526,7 @@ impl Broker {
     }
 
     /// Rebuilds the broker from a loaded checkpoint: no recompilation —
-    /// the serialized filter arenas are restored as-is.
+    /// each shard's serialized profile tree is restored and lowered.
     fn from_checkpoint(
         schema: &Schema,
         config: BrokerConfig,

@@ -175,7 +175,7 @@ impl Broker {
     /// Recovery chain: stale staging files (`checkpoint.tmp`,
     /// `wal.tmp`) are removed; the checkpoint generations on disk are
     /// tried newest-first and the first CRC-valid one is loaded —
-    /// every shard's compiled filter arenas, its active
+    /// every shard's compiled profile tree (lowered at load), its active
     /// [`TreeConfig`](ens_filter::TreeConfig) (accepted retunes
     /// included) and its subscription entries restored exactly as
     /// serialized, without recompiling — while corrupt newer

@@ -5,7 +5,7 @@
 //! * **`checkpoint.<gen>.ens`** — generational full images of every
 //!   shard: the active [`TreeConfig`] (including accepted retunes),
 //!   the compiled [`FilterSnapshot`](ens_filter::FilterSnapshot)
-//!   arenas, and the subscription entries (id, weight, profile,
+//!   (its tree), and the subscription entries (id, weight, profile,
 //!   tombstone flag) aligned with the snapshot's dispatch ids. Each is
 //!   sealed with a CRC-32 and written atomically (temp file + rename +
 //!   parent-directory fsync). The newest

@@ -531,7 +531,7 @@ impl Shard {
     }
 
     /// Restores a shard from its checkpoint form: no recompilation — the
-    /// serialized filter arenas are taken as they are. Every live entry
+    /// serialized profile tree is taken as it is and lowered. Every live entry
     /// is attached to a fresh channel, whose consumer end goes into
     /// `subscribers` under the subscription's id.
     pub(super) fn restore(

@@ -26,7 +26,7 @@ use crate::{FiniteF64, TypesError, Value};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 #[non_exhaustive]
 pub enum Domain {
     /// Integers `lo..=hi`.
@@ -123,12 +123,29 @@ impl Serialize for Categories {
     }
 }
 
-impl<'de> Deserialize<'de> for Categories {
+/// The serialized form of a [`Domain`], read back as the arguments of
+/// its constructors: a domain off disk or wire passes their checks, and
+/// a float grid's size is recomputed, not read.
+#[derive(Deserialize)]
+enum DomainArgs {
+    Int { lo: i64, hi: i64 },
+    Float { lo: f64, hi: f64, step: f64 },
+    Categorical(Vec<String>),
+    Bool,
+}
+
+impl<'de> Deserialize<'de> for Domain {
     fn deserialize<D>(deserializer: D) -> Result<Self, D::Error>
     where
         D: serde::Deserializer<'de>,
     {
-        Ok(Categories::new(Vec::<String>::deserialize(deserializer)?))
+        let domain = match DomainArgs::deserialize(deserializer)? {
+            DomainArgs::Int { lo, hi } => Domain::try_int(lo, hi),
+            DomainArgs::Float { lo, hi, step } => Domain::float(lo, hi, step),
+            DomainArgs::Categorical(names) => Domain::categorical(names),
+            DomainArgs::Bool => Ok(Domain::Bool),
+        };
+        domain.map_err(serde::de::Error::custom)
     }
 }
 
@@ -137,8 +154,8 @@ impl Domain {
     ///
     /// # Panics
     ///
-    /// Panics if `hi < lo`; use [`Domain::try_int`] for fallible
-    /// construction.
+    /// Panics if `hi < lo` or the domain is every `i64`; use
+    /// [`Domain::try_int`] for fallible construction.
     #[must_use]
     pub fn int(lo: i64, hi: i64) -> Self {
         Domain::try_int(lo, hi).expect("integer domain bounds must satisfy lo <= hi")
@@ -148,9 +165,11 @@ impl Domain {
     ///
     /// # Errors
     ///
-    /// Returns [`TypesError::EmptyDomain`] if `hi < lo`.
+    /// Returns [`TypesError::EmptyDomain`] if `hi < lo`, or if the
+    /// domain is every `i64`: its 2^64 points do not fit
+    /// [`Domain::size`].
     pub fn try_int(lo: i64, hi: i64) -> Result<Self, TypesError> {
-        if hi < lo {
+        if hi < lo || hi.abs_diff(lo) == u64::MAX {
             return Err(TypesError::EmptyDomain(format!(
                 "Int {{ lo: {lo}, hi: {hi} }}"
             )));
@@ -163,18 +182,25 @@ impl Domain {
     /// # Errors
     ///
     /// Returns [`TypesError::NonFiniteValue`] for non-finite inputs and
-    /// [`TypesError::EmptyDomain`] if `hi < lo` or `step <= 0`.
+    /// [`TypesError::EmptyDomain`] if `hi < lo`, `step <= 0` or the
+    /// grid has more points than a `u64` counts.
     pub fn float(lo: f64, hi: f64, step: f64) -> Result<Self, TypesError> {
         let lo = FiniteF64::new(lo)?;
         let hi = FiniteF64::new(hi)?;
         let step = FiniteF64::new(step)?;
-        if hi.get() < lo.get() || step.get() <= 0.0 {
+        let steps = ((hi.get() - lo.get()) / step.get()).round();
+        // `u64::MAX as f64` is 2^64: below it, `steps + 1` fits.
+        if hi.get() < lo.get() || step.get() <= 0.0 || steps >= u64::MAX as f64 {
             return Err(TypesError::EmptyDomain(format!(
                 "Float {{ lo: {lo}, hi: {hi}, step: {step} }}"
             )));
         }
-        let size = ((hi.get() - lo.get()) / step.get()).round() as u64 + 1;
-        Ok(Domain::Float { lo, hi, step, size })
+        Ok(Domain::Float {
+            lo,
+            hi,
+            step,
+            size: steps as u64 + 1,
+        })
     }
 
     /// Categorical domain from a list of category names (order defines the
@@ -205,7 +231,7 @@ impl Domain {
     #[must_use]
     pub fn size(&self) -> u64 {
         match self {
-            Domain::Int { lo, hi } => (hi - lo) as u64 + 1,
+            Domain::Int { lo, hi } => hi.abs_diff(*lo) + 1,
             Domain::Float { size, .. } => *size,
             Domain::Categorical(cats) => cats.names().len() as u64,
             Domain::Bool => 2,
@@ -246,7 +272,7 @@ impl Domain {
     pub fn try_index_of(&self, value: &Value) -> Option<u64> {
         match (self, value) {
             (Domain::Int { lo, hi }, Value::Int(x)) => {
-                (*lo <= *x && *x <= *hi).then(|| (x - lo) as u64)
+                (*lo <= *x && *x <= *hi).then(|| x.abs_diff(*lo))
             }
             (Domain::Float { lo, step, size, .. }, Value::Float(x)) => {
                 let k = ((x.get() - lo.get()) / step.get()).round();
@@ -296,7 +322,7 @@ impl Domain {
             self.size()
         );
         match self {
-            Domain::Int { lo, .. } => Value::Int(lo + index as i64),
+            Domain::Int { lo, .. } => Value::Int(lo.wrapping_add_unsigned(index)),
             Domain::Float { lo, step, .. } => {
                 let x = lo.get() + index as f64 * step.get();
                 Value::Float(FiniteF64::new(x).expect("grid point is finite"))

@@ -24,7 +24,8 @@ pub enum TypesError {
         /// Display form of the offending value.
         value: String,
     },
-    /// A domain was constructed with zero points (e.g. `hi < lo`).
+    /// A domain was constructed with zero points (e.g. `hi < lo`), or
+    /// with more than a `u64` counts.
     EmptyDomain(String),
     /// A range predicate had its bounds reversed.
     InvalidRange {
@@ -64,7 +65,9 @@ impl fmt::Display for TypesError {
             TypesError::OutOfDomain { attribute, value } => {
                 write!(f, "value {value} is outside the domain of `{attribute}`")
             }
-            TypesError::EmptyDomain(desc) => write!(f, "domain {desc} contains no points"),
+            TypesError::EmptyDomain(desc) => {
+                write!(f, "domain {desc} has no points or more than a u64 counts")
+            }
             TypesError::InvalidRange { lo, hi } => {
                 write!(
                     f,

@@ -271,3 +271,29 @@ proptest! {
         }
     }
 }
+
+/// A domain read back goes through its constructor: reversed bounds
+/// and a float grid too fine for a `u64` count are refused, a float
+/// grid's cached size is recomputed, and the widest integer domain
+/// that has a size is counted without overflow.
+#[test]
+fn deserialized_domains_pass_their_constructors() {
+    let read = |json: &str| serde_json::from_str::<Domain>(json);
+    let refused = |json: &str| {
+        read(json)
+            .unwrap_err()
+            .to_string()
+            .contains("no points or more")
+    };
+    assert!(refused(r#"{"Int":{"lo":100,"hi":99}}"#));
+    assert!(refused(
+        r#"{"Float":{"lo":0.0,"hi":1e300,"step":1e-300,"size":3}}"#
+    ));
+    let float = read(r#"{"Float":{"lo":0.0,"hi":1.0,"step":0.25,"size":99}}"#).unwrap();
+    assert_eq!(float.size(), 5);
+    assert!(Domain::try_int(i64::MIN, i64::MAX).is_err());
+    let wide = Domain::try_int(i64::MIN + 1, i64::MAX).unwrap();
+    assert_eq!(wide.size(), u64::MAX);
+    assert_eq!(wide.value_at(u64::MAX - 1), Value::Int(i64::MAX));
+    assert_eq!(wide.try_index_of(&Value::Int(i64::MAX)), Some(u64::MAX - 1));
+}
