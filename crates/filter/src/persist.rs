@@ -323,13 +323,21 @@ pub(crate) fn read_id_diff(
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
+    /// Whether a sequence too long for its `u32` prefix was written:
+    /// the bytes then describe nothing a reader accepts, and
+    /// [`ByteWriter::into_bytes_crc`] seals them with a checksum that
+    /// does not hold.
+    overlong: bool,
 }
 
 /// Continues writing behind the bytes of `buf` — for a caller that
 /// keeps one buffer across writes for its allocation.
 impl From<Vec<u8>> for ByteWriter {
     fn from(buf: Vec<u8>) -> Self {
-        ByteWriter { buf }
+        ByteWriter {
+            buf,
+            overlong: false,
+        }
     }
 }
 
@@ -359,10 +367,12 @@ impl ByteWriter {
     }
 
     /// Consumes the writer, appending a CRC-32 of everything written
-    /// (the counterpart of [`ByteReader::verify_crc`]).
+    /// (the counterpart of [`ByteReader::verify_crc`]) — off by one
+    /// bit if a sequence overran its length prefix, so that the image
+    /// is refused on load instead of misread.
     #[must_use]
     pub fn into_bytes_crc(mut self) -> Vec<u8> {
-        let crc = crc32(&self.buf);
+        let crc = crc32(&self.buf) ^ u32::from(self.overlong);
         self.buf.extend_from_slice(&crc.to_le_bytes());
         self.buf
     }
@@ -397,14 +407,18 @@ impl ByteWriter {
         self.u64(v.to_bits());
     }
 
-    /// Appends a sequence length as a `u32` prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds `u32::MAX` elements.
+    /// Appends a sequence length as a `u32` prefix. A sequence of more
+    /// than `u32::MAX` elements (each at least a byte, so a payload no
+    /// frame's `u32` length admits either) writes `u32::MAX` and marks
+    /// the writer's output undecodable.
     pub fn seq_len(&mut self, n: usize) {
-        let n = u32::try_from(n).expect("persisted sequence longer than u32::MAX");
-        self.u32(n);
+        match u32::try_from(n) {
+            Ok(n) => self.u32(n),
+            Err(_) => {
+                self.overlong = true;
+                self.u32(u32::MAX);
+            }
+        }
     }
 
     /// Appends a length-prefixed byte slice.

@@ -67,7 +67,7 @@ use crate::channel::{SendOutcome, Sender};
 use crate::journal::{Decision, DeclineReason, Journal, TreeShape};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::notify::{Queued, Subscriber};
-use crate::persist::{self, Checkpoint, WalRecord};
+use crate::persist::{self, Checkpoint, SubscribeBodies, WalRecord};
 use crate::quench::QuenchAdvice;
 use crate::subscription::SubscriptionId;
 use crate::ServiceError;
@@ -690,21 +690,21 @@ impl Broker {
             ));
         }
         let id = SubscriptionId::new(self.next_sub.fetch_add(1, Ordering::Relaxed));
-        let logged = self.durability.is_some().then(|| profile.clone());
+        // Encoded before the commit: a profile the log cannot hold is
+        // refused before anything changes.
+        let mut record = SubscribeBodies::default();
+        if self.durability.is_some() {
+            record
+                .push(id.get(), weight, &profile)
+                .map_err(|e| ServiceError::Persist(e.message().to_string()))?;
+        }
         let sub = self.commit_subscribe(id, profile, weight)?;
         // Log after the in-memory commit: an operation becomes durable
         // when its record hits the WAL, and it is acknowledged (the
         // subscriber handle returned) only after that. A checkpoint
         // sneaking between commit and append captures the entry early;
         // replay then skips the record's already-live id.
-        if let Some(profile) = logged {
-            self.wal_log(|lsn| WalRecord::Subscribe {
-                lsn,
-                id: id.get(),
-                weight,
-                profile,
-            })?;
-        }
+        self.wal_log_subscribes(&record)?;
         self.maybe_checkpoint();
         Ok(sub)
     }
@@ -746,13 +746,15 @@ impl Broker {
         // recompile, per touched shard instead of one per profile.
         let mut subscribers = Vec::new();
         let mut pending: Vec<Vec<SubEntry>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut log = Vec::new();
+        // Encoded before anything is committed, as one subscribe does.
+        let mut log = SubscribeBodies::default();
         for profile in profiles {
             let id = SubscriptionId::new(self.next_sub.fetch_add(1, Ordering::Relaxed));
-            let (tx, rx) = notify_channel(&self.config);
             if self.durability.is_some() {
-                log.push((id.get(), profile.clone()));
+                log.push(id.get(), 1.0, &profile)
+                    .map_err(|e| ServiceError::Persist(e.message().to_string()))?;
             }
+            let (tx, rx) = notify_channel(&self.config);
             pending[self.shard_index(id)].push(SubEntry {
                 id,
                 profile,
@@ -781,16 +783,9 @@ impl Broker {
                 return Err(e);
             }
         }
-        // On success every entry becomes durable before the handles are
-        // returned.
-        for (id, profile) in log {
-            self.wal_log(|lsn| WalRecord::Subscribe {
-                lsn,
-                id,
-                weight: 1.0,
-                profile,
-            })?;
-        }
+        // On success every entry becomes durable, in one group commit,
+        // before the handles are returned.
+        self.wal_log_subscribes(&log)?;
         self.maybe_checkpoint();
         Ok(subscribers)
     }

@@ -26,6 +26,14 @@
 //!    full in-memory state, un-logged changes included) clears the
 //!    flag.
 //!
+//! A subscribe encodes its WAL record before it commits anything (a
+//! profile the codec cannot write is refused up front), and the WAL
+//! lock only stamps LSNs on and frames the encoded bodies. A bulk load
+//! (`subscribe_many`) is one group commit: its n frames go out in one
+//! append and, under [`FsyncPolicy::Always`], one `sync_data` — one
+//! fsync instead of n. A crash during it keeps a prefix of the frames,
+//! as it would have kept a prefix of n separate appends.
+//!
 //! A checkpoint costs what it writes: the image, and a copy of the
 //! part of the log it keeps. What the retained generations still need
 //! of the WAL is a byte suffix of the file, and a checkpoint — which
@@ -67,6 +75,9 @@ pub(super) fn io_persist(e: std::io::Error) -> ServiceError {
 fn persist_err(e: ens_filter::persist::PersistError) -> ServiceError {
     ServiceError::Persist(e.message().to_string())
 }
+
+/// Bytes of frame buffer a WAL append keeps between appends.
+const FRAME_KEEP: usize = 4096;
 
 /// Mutable write-ahead-log state, guarded by [`Durability::wal`].
 pub(super) struct WalState {
@@ -294,7 +305,12 @@ impl Broker {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(io_persist(e)),
         };
-        let scan = persist::salvage_wal(&wal_bytes);
+        // A replayed profile passes the checks a subscribe made on its
+        // way in, or its frame is treated as one that does not decode.
+        let scan = persist::salvage_wal_where(&wal_bytes, |record| match record {
+            WalRecord::Subscribe { profile, .. } => profile.check(schema).is_ok(),
+            WalRecord::Unsubscribe { .. } | WalRecord::Retune { .. } => true,
+        });
         if all_generations_corrupt && scan.records.first().map(WalRecord::lsn) != Some(1) {
             return Err(ServiceError::Persist(
                 "every checkpoint generation is corrupt and the WAL does not reach \
@@ -423,26 +439,59 @@ impl Broker {
         })
     }
 
-    /// Appends one record to the WAL (no-op on in-memory brokers).
-    /// May be called with a shard writer lock held — the WAL lock
-    /// nests inside writer locks, never the other way around.
+    /// Appends one record to the WAL (no-op on in-memory brokers),
+    /// built by `make` from its LSN; see `wal_append`.
+    pub(super) fn wal_log(&self, make: impl FnOnce(u64) -> WalRecord) -> Result<(), ServiceError> {
+        self.wal_append(1, |buf, lsn| persist::append_frame(buf, &make(lsn)))
+    }
+
+    /// Appends subscribe records encoded before their commit, all of
+    /// them under one WAL lock as one group commit: one append and, at
+    /// [`FsyncPolicy::Always`], one `sync_data`.
+    pub(super) fn wal_log_subscribes(
+        &self,
+        bodies: &persist::SubscribeBodies,
+    ) -> Result<(), ServiceError> {
+        if bodies.len() == 0 {
+            return Ok(());
+        }
+        self.wal_append(bodies.len() as u64, |buf, lsn| bodies.frame_into(buf, lsn))
+    }
+
+    /// Appends the `records` frames `frame` writes into the WAL's
+    /// buffer, the first under the LSN it is handed and the others
+    /// under the LSNs after it, with one append and one sync (no-op on
+    /// in-memory brokers). May be called with a shard writer lock held
+    /// — the WAL lock nests inside writer locks, never the other way
+    /// around.
     ///
     /// A failed append flips
     /// [`MetricsSnapshot::durability_degraded`](crate::MetricsSnapshot::durability_degraded)
-    /// and rolls the partial frame back; the caller decides whether
+    /// and rolls the partial frames back; the caller decides whether
     /// its operation must fail (subscribe/unsubscribe acks) or can
     /// proceed degraded (publish-path bookkeeping).
-    pub(super) fn wal_log(&self, make: impl FnOnce(u64) -> WalRecord) -> Result<(), ServiceError> {
+    fn wal_append(
+        &self,
+        records: u64,
+        frame: impl FnOnce(&mut Vec<u8>, u64) -> Result<(), ens_filter::persist::PersistError>,
+    ) -> Result<(), ServiceError> {
         let Some(d) = &self.durability else {
             return Ok(());
         };
         let mut guard = d.wal.lock();
         let wal = &mut *guard;
-        if let Err(e) = persist::encode_frame_into(&mut wal.frame, &make(wal.next_lsn)) {
+        wal.frame.clear();
+        let framed = frame(&mut wal.frame, wal.next_lsn);
+        let appended = framed.is_ok().then(|| wal.file.append(&wal.frame));
+        let bytes = wal.frame.len() as u64;
+        // Keep an allocation for single records, not a bulk load's.
+        wal.frame.clear();
+        wal.frame.shrink_to(FRAME_KEEP);
+        if let Err(e) = framed {
             self.metrics.durability_degraded.store(1, Ordering::Relaxed);
             return Err(persist_err(e));
         }
-        if let Err(e) = wal.file.append(&wal.frame) {
+        if let Some(Err(e)) = appended {
             // The append may have torn mid-frame (a real ENOSPC does):
             // drop the partial bytes so a later successful append
             // extends a clean frame boundary. Salvage covers the case
@@ -455,9 +504,9 @@ impl Broker {
             }
             return Err(io_persist(e));
         }
-        wal.len += wal.frame.len() as u64;
-        wal.next_lsn += 1;
-        wal.since_checkpoint += 1;
+        wal.len += bytes;
+        wal.next_lsn += records;
+        wal.since_checkpoint += records;
         if d.config.fsync == FsyncPolicy::Always {
             if let Err(e) = wal.file.sync_data() {
                 // The frame is written but its durability is unknown;

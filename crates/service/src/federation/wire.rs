@@ -308,7 +308,7 @@ impl Msg {
             2 => Msg::Subscribe {
                 seq: r.vu64()?,
                 id: r.vu64()?,
-                profile: decode_profile(&mut r, schema)?,
+                profile: decode_profile(&mut r, schema.len())?,
             },
             3 => Msg::Unsubscribe {
                 seq: r.vu64()?,

@@ -16,7 +16,20 @@
 //! * **`wal.log`** — append-only [`WalRecord`] frames for everything
 //!   that changed *since* the oldest retained checkpoint: subscribes,
 //!   unsubscribes and accepted retunes. Each frame is
-//!   `[u32 len][u32 crc][payload]`. [`decode_wal`] stops at the first
+//!   `[u32 len][u32 crc][payload]`, and a payload's first byte says how
+//!   the rest is laid out:
+//!
+//!   | kind | payload after it |
+//!   |---|---|
+//!   | `1` Subscribe | `vu64 lsn`, `vu64 id`, `f64 weight`, `vu32` predicate count, the profile as checkpoint entries hold it |
+//!   | `2` Unsubscribe | `vu64 lsn`, `vu64 id` |
+//!   | `8` tagged | the whole record through the tagged serde codec (`8` is that codec's object tag): a Retune, or any record of a log written before kinds `1` and `2` |
+//!
+//!   A Subscribe frame over a few attributes is 30–40 bytes; the tagged
+//!   codec spent about 223. A Subscribe whose weight is not finite and
+//!   positive does not decode, and the broker's recovery also refuses,
+//!   like a frame that does not decode, one whose profile does not fit
+//!   its schema ([`Profile::check`]). [`decode_wal`] stops at the first
 //!   frame whose length or checksum does not hold (a torn final record
 //!   is indistinguishable from a clean end of log); [`salvage_wal`]
 //!   additionally rescans past a corrupt *interior* frame to the next
@@ -94,8 +107,9 @@ const CHECKPOINT_VERSION: u32 = 2;
 /// When WAL appends are flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// `fsync` after every appended record: no acknowledged
-    /// subscription change is ever lost, at per-record latency cost.
+    /// `fsync` before every acknowledgement — after each appended
+    /// record, and once after all of a bulk load's: no acknowledged
+    /// subscription change is ever lost, at per-call latency cost.
     Always,
     /// `fsync` only when a checkpoint is written; a crash may lose the
     /// OS-buffered WAL tail (the default, matching the recovery
@@ -202,32 +216,209 @@ impl WalRecord {
     }
 }
 
+/// First payload byte of a Subscribe frame.
+const KIND_SUBSCRIBE: u8 = 1;
+/// First payload byte of an Unsubscribe frame.
+const KIND_UNSUBSCRIBE: u8 = 2;
+/// First payload byte of a frame in the tagged serde codec: the tag of
+/// the object every [`WalRecord`] serializes to. Retune records are
+/// written this way, and so was every frame of a log written before
+/// the Subscribe and Unsubscribe kinds existed.
+const KIND_TAGGED: u8 = 8;
+/// The widest profile a Subscribe record may hold. The declared width
+/// sizes the dense predicate vector while only the specified predicates
+/// cost bytes, so the cap is what keeps a 22-byte frame from asking for
+/// more than ≈ 12 KiB.
+const MAX_RECORD_WIDTH: usize = u8::MAX as usize;
+
+/// Writes a Subscribe record's fields after its LSN: `vu64 id`,
+/// `f64 weight`, `vu32` predicate count, then [`encode_profile`].
+fn write_subscribe(
+    w: &mut ByteWriter,
+    id: u64,
+    weight: f64,
+    profile: &Profile,
+) -> Result<(), PersistError> {
+    let width = profile.predicates().len();
+    if width > MAX_RECORD_WIDTH {
+        return Err(PersistError::unencodable(format!(
+            "a profile over {width} attributes is wider than a WAL record allows"
+        )));
+    }
+    w.vu64(id);
+    w.f64(weight);
+    w.vu32(width as u32);
+    encode_profile(w, profile)
+}
+
+/// Runs `write` on a [`ByteWriter`] over `buf`, and takes back what it
+/// wrote if it fails.
+fn write_behind(
+    buf: &mut Vec<u8>,
+    write: impl FnOnce(&mut ByteWriter) -> Result<(), PersistError>,
+) -> Result<(), PersistError> {
+    let start = buf.len();
+    let mut w = ByteWriter::from(std::mem::take(buf));
+    let written = write(&mut w);
+    *buf = w.into_bytes();
+    if written.is_err() {
+        buf.truncate(start);
+    }
+    written
+}
+
 /// Encodes one record as a WAL frame: `[u32 len][u32 crc][payload]`.
+/// A Subscribe's payload is its kind byte, `vu64 lsn` and the fields
+/// `write_subscribe` lays out; an Unsubscribe's is its kind byte,
+/// `vu64 lsn` and `vu64 id`; a Retune goes through the tagged serde
+/// codec, whose first byte is `8`.
 ///
 /// # Errors
 ///
-/// Returns a [`PersistErrorKind::Unencodable`] error if the payload
-/// exceeds the `u32` length prefix — the caller degrades instead of
-/// panicking on the durability path.
+/// Returns a [`PersistErrorKind::Unencodable`] error for a profile the
+/// codec cannot write or a payload that exceeds the `u32` length
+/// prefix — the caller degrades instead of panicking on the durability
+/// path.
 ///
 /// [`PersistErrorKind::Unencodable`]: ens_filter::PersistErrorKind::Unencodable
 pub fn encode_frame(record: &WalRecord) -> Result<Vec<u8>, PersistError> {
-    let mut out = Vec::new();
-    encode_frame_into(&mut out, record)?;
+    // Room for a Subscribe over a few attributes in one allocation.
+    let mut out = Vec::with_capacity(128);
+    append_frame(&mut out, record)?;
     Ok(out)
 }
 
-/// [`encode_frame`] into a buffer the caller keeps (the broker's WAL
-/// appends reuse one): the header is reserved, the payload serialized
-/// behind it and the header patched in place, so the payload is never
-/// copied. Whatever `buf` held is replaced.
-pub(crate) fn encode_frame_into(buf: &mut Vec<u8>, record: &WalRecord) -> Result<(), PersistError> {
-    buf.clear();
-    let mut w = ByteWriter::from(std::mem::take(buf));
-    w.u64(0);
-    w.serde(record);
-    *buf = w.into_bytes();
-    seal_frame(buf)
+/// Appends [`encode_frame`]'s bytes to a buffer the caller keeps (the
+/// broker's WAL appends reuse one): the header is reserved, the
+/// payload written behind it and the header patched in place.
+pub(crate) fn append_frame(buf: &mut Vec<u8>, record: &WalRecord) -> Result<(), PersistError> {
+    let start = buf.len();
+    write_behind(buf, |w| {
+        w.u64(0);
+        match record {
+            WalRecord::Subscribe {
+                lsn,
+                id,
+                weight,
+                profile,
+            } => {
+                w.u8(KIND_SUBSCRIBE);
+                w.vu64(*lsn);
+                write_subscribe(w, *id, *weight, profile)
+            }
+            WalRecord::Unsubscribe { lsn, id } => {
+                w.u8(KIND_UNSUBSCRIBE);
+                w.vu64(*lsn);
+                w.vu64(*id);
+                Ok(())
+            }
+            WalRecord::Retune { .. } => {
+                w.serde(record);
+                Ok(())
+            }
+        }
+    })?;
+    seal_frame(&mut buf[start..])
+}
+
+/// Subscribe records encoded ahead of the WAL lock. A subscribe path
+/// encodes its profiles before it commits them, so that one the codec
+/// cannot write is refused before anything changes; the WAL lock then
+/// only stamps the LSNs on as it frames them, and never holds a
+/// profile.
+#[derive(Debug, Default)]
+pub(crate) struct SubscribeBodies {
+    /// Every record's fields after its LSN, back to back.
+    bytes: Vec<u8>,
+    /// Where each record's fields end in `bytes`.
+    ends: Vec<usize>,
+}
+
+impl SubscribeBodies {
+    /// Encodes one record's fields.
+    ///
+    /// # Errors
+    ///
+    /// A [`PersistErrorKind::Unencodable`] error for a profile the codec
+    /// cannot write; nothing is kept of it.
+    ///
+    /// [`PersistErrorKind::Unencodable`]: ens_filter::PersistErrorKind::Unencodable
+    pub(crate) fn push(
+        &mut self,
+        id: u64,
+        weight: f64,
+        profile: &Profile,
+    ) -> Result<(), PersistError> {
+        write_behind(&mut self.bytes, |w| write_subscribe(w, id, weight, profile))?;
+        self.ends.push(self.bytes.len());
+        Ok(())
+    }
+
+    /// How many records are held.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Appends one frame per record to `buf`, the first under
+    /// `first_lsn` and each next one under the next LSN.
+    pub(crate) fn frame_into(&self, buf: &mut Vec<u8>, first_lsn: u64) -> Result<(), PersistError> {
+        let mut from = 0;
+        for (lsn, &end) in (first_lsn..).zip(&self.ends) {
+            let start = buf.len();
+            write_behind(buf, |w| {
+                w.u64(0);
+                w.u8(KIND_SUBSCRIBE);
+                w.vu64(lsn);
+                Ok(())
+            })?;
+            buf.extend_from_slice(&self.bytes[from..end]);
+            seal_frame(&mut buf[start..])?;
+            from = end;
+        }
+        Ok(())
+    }
+}
+
+/// Decodes one frame's payload, by its first byte: a Subscribe or an
+/// Unsubscribe, or a record in the tagged serde codec (a Retune, or any
+/// record of a log written before the binary kinds). A Subscribe whose
+/// weight is not finite and positive is refused, as the subscribe paths
+/// refuse it.
+fn decode_record(payload: &[u8]) -> Result<WalRecord, PersistError> {
+    let mut r = ByteReader::new(payload);
+    let record = match r.u8()? {
+        KIND_SUBSCRIBE => {
+            let (lsn, id, weight) = (r.vu64()?, r.vu64()?, r.f64()?);
+            let width = r.vu32()? as usize;
+            if width > MAX_RECORD_WIDTH {
+                return Err(PersistError::new(format!(
+                    "a Subscribe record declares {width} attributes"
+                )));
+            }
+            WalRecord::Subscribe {
+                lsn,
+                id,
+                weight,
+                profile: decode_profile(&mut r, width)?,
+            }
+        }
+        KIND_UNSUBSCRIBE => WalRecord::Unsubscribe {
+            lsn: r.vu64()?,
+            id: r.vu64()?,
+        },
+        KIND_TAGGED => {
+            r = ByteReader::new(payload);
+            r.serde()?
+        }
+        kind => return Err(PersistError::new(format!("unknown WAL record kind {kind}"))),
+    };
+    r.expect_end()?;
+    match record {
+        WalRecord::Subscribe { weight, .. } if !(weight.is_finite() && weight > 0.0) => Err(
+            PersistError::new(format!("a Subscribe record carries weight {weight}")),
+        ),
+        record => Ok(record),
+    }
 }
 
 /// The result of scanning a WAL byte stream.
@@ -257,9 +448,7 @@ pub struct WalScan {
 /// one well-formed record.
 fn record_at(bytes: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
     let (payload, next) = frame_at(bytes, pos)?;
-    let mut r = ByteReader::new(payload);
-    let record = r.serde::<WalRecord>().ok()?;
-    r.is_empty().then_some((record, next))
+    Some((decode_record(payload).ok()?, next))
 }
 
 /// Scans a WAL byte stream, stopping cleanly at the first frame that
@@ -304,6 +493,13 @@ pub fn decode_wal(bytes: &[u8]) -> WalScan {
 /// [`decode_wal`].
 #[must_use]
 pub fn salvage_wal(bytes: &[u8]) -> WalScan {
+    salvage_wal_where(bytes, |_| true)
+}
+
+/// [`salvage_wal`] that treats every record `keep` turns down like a
+/// frame that does not decode: how a broker's recovery holds the
+/// records it replays to its schema ([`Profile::check`]).
+pub(crate) fn salvage_wal_where(bytes: &[u8], keep: impl Fn(&WalRecord) -> bool) -> WalScan {
     let mut records: Vec<WalRecord> = Vec::new();
     let mut offsets = Vec::new();
     let mut pos = 0usize;
@@ -311,8 +507,9 @@ pub fn salvage_wal(bytes: &[u8]) -> WalScan {
     let mut quarantined = 0u64;
     let mut skip_from: Option<usize> = None;
     while pos + 8 <= bytes.len() {
-        let accept = record_at(bytes, pos)
-            .filter(|(record, _)| records.last().is_none_or(|prev| record.lsn() > prev.lsn()));
+        let accept = record_at(bytes, pos).filter(|(record, _)| {
+            keep(record) && records.last().is_none_or(|prev| record.lsn() > prev.lsn())
+        });
         match accept {
             Some((record, next)) => {
                 if let Some(from) = skip_from.take() {
@@ -509,19 +706,21 @@ pub(crate) fn encode_profile(w: &mut ByteWriter, p: &Profile) -> Result<(), Pers
     Ok(())
 }
 
+/// Reads a profile [`encode_profile`] wrote over `width` attributes.
+/// Its values are not checked against any domain: a caller with the
+/// schema at hand holds the profile to it ([`Profile::check`]).
 pub(crate) fn decode_profile(
     r: &mut ByteReader<'_>,
-    schema: &Schema,
+    width: usize,
 ) -> Result<Profile, PersistError> {
     let id = ProfileId::new(r.vu32()?);
     let specified = r.vu32()? as usize;
-    let mut predicates = vec![Predicate::DontCare; schema.len()];
-    if specified > predicates.len() {
+    if specified > width {
         return Err(PersistError::new(format!(
-            "profile specifies {specified} attributes, schema has {}",
-            predicates.len()
+            "profile specifies {specified} attributes, schema has {width}"
         )));
     }
+    let mut predicates = vec![Predicate::DontCare; width];
     for _ in 0..specified {
         let attr = r.vu32()? as usize;
         if attr >= predicates.len() {
@@ -545,7 +744,7 @@ pub(crate) fn decode_profile(
         };
         predicates[attr] = pred;
     }
-    Profile::from_predicates(schema, id, predicates).map_err(|e| PersistError::new(e.to_string()))
+    Ok(Profile::from_parts(id, predicates))
 }
 
 fn encode_entries(w: &mut ByteWriter, entries: &[CheckpointEntry]) -> Result<(), PersistError> {
@@ -570,7 +769,7 @@ fn decode_entries(
             id: r.vu64()?,
             weight: r.f64()?,
             tombstoned: r.bool()?,
-            profile: decode_profile(r, schema)?,
+            profile: decode_profile(r, schema.len())?,
         });
     }
     Ok(out)
@@ -729,6 +928,48 @@ mod tests {
         let scan = decode_wal(&corrupt);
         assert_eq!(scan.records.len(), 1);
         assert!(scan.torn);
+    }
+
+    #[test]
+    fn bodies_framed_under_the_lock_are_encode_frame_bytes() {
+        let s = schema();
+        let mut bodies = SubscribeBodies::default();
+        let mut expected = Vec::new();
+        // LSNs and ids on both sides of a varint byte boundary.
+        for (lsn, lo) in (126..).zip([10, 50, 90]) {
+            let (id, weight) = (lsn * 3, lsn as f64 / 4.0);
+            bodies.push(id, weight, &profile(&s, lo)).unwrap();
+            let record = WalRecord::Subscribe {
+                lsn,
+                id,
+                weight,
+                profile: profile(&s, lo),
+            };
+            expected.extend(encode_frame(&record).unwrap());
+        }
+        let mut framed = vec![0xAB];
+        bodies.frame_into(&mut framed, 126).unwrap();
+        assert_eq!(framed[1..], expected[..], "appended behind what was there");
+        assert_eq!(decode_wal(&expected).records.len(), 3);
+    }
+
+    #[test]
+    fn an_unencodable_profile_is_refused_before_it_is_committed() {
+        let s = schema();
+        let d = DurabilityConfig {
+            vfs: Arc::new(crate::FaultFs::new()),
+            ..DurabilityConfig::new("db")
+        };
+        let broker = crate::Broker::open(&s, crate::BrokerConfig::default(), d)
+            .unwrap()
+            .broker;
+        FORCE_UNENCODABLE.with(|f| f.set(true));
+        let one = broker.subscribe_profile(profile(&s, 10));
+        let many = broker.subscribe_many([profile(&s, 20), profile(&s, 30)]);
+        FORCE_UNENCODABLE.with(|f| f.set(false));
+        assert!(one.is_err() && many.is_err());
+        assert_eq!(broker.subscription_count(), 0);
+        assert!(!broker.metrics().durability_degraded);
     }
 
     #[test]

@@ -352,6 +352,36 @@ fn crash_point_oracle_is_exact_at_every_boundary_under_every_plan() {
 /// (everything acknowledged) must lose nothing. Without the directory
 /// fsync after WAL creation / checkpoint rename, the log or the newest
 /// generation would simply not exist in the image.
+/// A bulk load is one group commit: `subscribe_many` of n profiles
+/// crosses exactly two journal boundaries — one append of n frames and
+/// one sync — and every one of them reopens.
+#[test]
+fn a_bulk_load_is_one_append_and_one_sync() {
+    let schema = schema();
+    let fs = FaultFs::new();
+    let broker = Broker::open(&schema, config(), durability(&fs))
+        .unwrap()
+        .broker;
+    broker.subscribe_profile(profile(&schema, 0)).unwrap();
+    let before = fs.boundaries();
+    let held = broker
+        .subscribe_many((1..=40).map(|i| profile(&schema, i)))
+        .unwrap();
+    assert_eq!(fs.boundaries(), before + 2);
+    let ids: Vec<u64> = held.iter().map(|s| s.id().get()).collect();
+    assert_eq!(
+        decode_wal(&fs.read(&db_dir().join(WAL_FILE)).unwrap())
+            .records
+            .len(),
+        41
+    );
+
+    let img = fs.crash_image(fs.boundaries(), &FaultPlan::clean(0));
+    let r = Broker::open(&schema, config(), durability(&img)).unwrap();
+    let reopened: Vec<u64> = r.subscribers.iter().map(|s| s.id().get()).collect();
+    assert_eq!(reopened[1..], ids[..]);
+}
+
 #[test]
 fn dropped_unsynced_directory_entries_never_lose_acked_state() {
     let schema = schema();

@@ -5,7 +5,12 @@
 //! yields a frame the oracle didn't write — corruption can only ever
 //! *remove* records, never invent or alter them.
 
-use ens_service::persist::{decode_wal, encode_frame, salvage_wal, WalRecord};
+use std::path::PathBuf;
+use std::sync::Arc;
+
+use ens_filter::persist::{frame, ByteWriter};
+use ens_service::persist::{decode_wal, encode_frame, salvage_wal, WalRecord, WAL_FILE};
+use ens_service::{Broker, BrokerConfig, DurabilityConfig, FaultFs, FsyncPolicy, Vfs};
 use ens_types::{Domain, Predicate, Profile, ProfileId, Schema};
 use proptest::prelude::*;
 
@@ -105,6 +110,109 @@ fn salvage_rejects_stale_lsns_on_resync() {
     let lsns: Vec<u64> = scan.records.iter().map(WalRecord::lsn).collect();
     assert_eq!(lsns, vec![1, 2, 3]);
     assert!(scan.quarantined > 0, "the stale duplicate is quarantined");
+}
+
+/// The frame a log written before the binary record kinds holds: the
+/// record through the tagged serde codec.
+fn legacy_frame(record: &WalRecord) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.serde(record);
+    frame(&w.into_bytes()).unwrap()
+}
+
+/// Replay holds each record to the checks a subscribe makes on the way
+/// in. A weight that is not finite and positive, a profile of another
+/// width and a value outside its attribute's domain are refused like a
+/// frame that does not decode — in the binary codec and in the tagged
+/// one older logs hold — and the broker opens on the records around
+/// them, then compacts them (a replayed NaN weight used to fail every
+/// later compaction of its shard).
+#[test]
+fn replay_refuses_what_a_subscribe_would_refuse() {
+    let schema = schema();
+    let wide = Schema::builder()
+        .attribute("x", Domain::int(0, 999))
+        .unwrap()
+        .attribute("y", Domain::int(0, 9))
+        .unwrap()
+        .build();
+    let profile =
+        |s: &Schema, preds| Profile::from_predicates(s, ProfileId::new(0), preds).unwrap();
+    let subscribe = |lsn: u64, weight, profile| WalRecord::Subscribe {
+        lsn,
+        id: lsn - 1,
+        weight,
+        profile,
+    };
+    let good = || profile(&schema, vec![Predicate::ge(10)]);
+    for legacy in [false, true] {
+        let records = [
+            subscribe(1, 1.0, good()),
+            subscribe(2, -1.0, good()),
+            subscribe(3, f64::NAN, good()),
+            subscribe(
+                4,
+                1.0,
+                profile(&wide, vec![Predicate::ge(10), Predicate::eq(3)]),
+            ),
+            subscribe(5, 1.0, profile(&schema, vec![Predicate::ge(5000)])),
+            subscribe(6, 2.0, good()),
+        ];
+        let mut wal = Vec::new();
+        for record in &records {
+            wal.extend(match legacy {
+                true => legacy_frame(record),
+                false => encode_frame(record).unwrap(),
+            });
+        }
+        let fs = FaultFs::new();
+        let dir = PathBuf::from("db");
+        fs.create_dir_all(&dir).unwrap();
+        fs.create(&dir.join(WAL_FILE))
+            .unwrap()
+            .append(&wal)
+            .unwrap();
+        let durability = DurabilityConfig {
+            checkpoint_every: 0,
+            fsync: FsyncPolicy::Always,
+            vfs: Arc::new(fs),
+            ..DurabilityConfig::new(dir)
+        };
+        let r = Broker::open(&schema, BrokerConfig::default(), durability).unwrap();
+        let ids: Vec<u64> = r.subscribers.iter().map(|s| s.id().get()).collect();
+        assert_eq!(ids, vec![0, 5], "legacy frames: {legacy}");
+        assert!(r.broker.metrics().wal_quarantined_bytes > 0);
+        assert!(r.broker.checkpoint().unwrap());
+        r.broker.subscribe_profile(good()).unwrap();
+    }
+}
+
+/// A Subscribe record costs what its profile carries: over the
+/// environmental population (three integer attributes), every frame is
+/// at most 100 bytes — the tagged codec wrote about 223.
+#[test]
+fn a_subscribe_frame_of_the_environmental_population_is_small() {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
+    let population = ens_workloads::scenario::environmental_profiles(1000, &mut rng).unwrap();
+    let sizes: Vec<usize> = population
+        .iter()
+        .zip(1..)
+        .map(|(p, lsn)| {
+            let record = WalRecord::Subscribe {
+                lsn,
+                id: lsn,
+                weight: 1.0,
+                profile: p.clone(),
+            };
+            encode_frame(&record).unwrap().len()
+        })
+        .collect();
+    let largest = sizes.iter().max().copied().unwrap_or(0);
+    let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
+    assert!(
+        largest <= 100,
+        "largest frame {largest} B (mean {mean:.1} B)"
+    );
 }
 
 proptest! {

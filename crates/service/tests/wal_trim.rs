@@ -438,12 +438,15 @@ fn same_checkpoint(a: &[u8], b: &[u8]) -> bool {
 /// 8`: generations 2 and 3, LSN 17..=26 in the log). Its checkpoint
 /// images hold version 3 filter snapshots, which also stored the
 /// automaton; this build writes version 4, which lowers it from the
-/// tree at load instead. Given the same 26 subscribes, this build
-/// writes the same log byte for byte — its appends and its two trims
-/// are the old ones — and checkpoint images that hold the same state.
-/// It opens the old directory, trims it at the offset the scan found
-/// and reopens it. (A change that alters the format on purpose
-/// regenerates the fixture.)
+/// tree at load instead. Its log holds records in the tagged serde
+/// codec; this build writes Subscribe records in the binary one. Given
+/// the same 26 subscribes, this build writes a log of the same records
+/// — its appends and its two trims are the old ones — byte for byte
+/// the log in `fixtures/binary_wal.log`, and checkpoint images that
+/// hold the same state. It opens the old directory, replays its legacy
+/// frames, appends a binary one, trims the log at the offset the scan
+/// found and reopens it. (A change that alters the format on purpose
+/// regenerates `binary_wal.log`.)
 #[test]
 fn a_directory_written_before_the_offset_trim_opens_trims_and_reopens() {
     const FILES: [&str; 3] = ["checkpoint.2.ens", "checkpoint.3.ens", WAL_FILE];
@@ -476,7 +479,13 @@ fn a_directory_written_before_the_offset_trim_opens_trims_and_reopens() {
         let path = db_dir().join(name);
         let (new, old) = (ours.read(&path).unwrap(), fs.read(&path).unwrap());
         if name == WAL_FILE {
-            assert!(new == old, "the log is no longer written byte for byte");
+            assert_eq!(
+                decode_wal(&new).records,
+                decode_wal(&old).records,
+                "the log holds other records"
+            );
+            let binary = std::fs::read(fixture.with_file_name("binary_wal.log")).unwrap();
+            assert!(new == binary, "the log is no longer written byte for byte");
         } else {
             assert!(same_checkpoint(&new, &old), "{name} holds another state");
         }

@@ -96,6 +96,39 @@ impl Profile {
         Ok(Profile { id, predicates })
     }
 
+    /// Reassembles a profile from its id and dense predicates where no
+    /// schema is at hand (a log decoder's view). Nothing is checked:
+    /// [`Profile::check`] holds the result to a schema.
+    #[must_use]
+    pub fn from_parts(id: ProfileId, predicates: Vec<Predicate>) -> Self {
+        Profile { id, predicates }
+    }
+
+    /// Checks the profile against `schema` the way the builder checks
+    /// each predicate: one predicate per attribute, and every specified
+    /// predicate's values in its attribute's domain.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypesError::UnknownAttribute`] for a width other than
+    /// the schema's and domain errors for ill-typed or out-of-range
+    /// values.
+    pub fn check(&self, schema: &Schema) -> Result<(), TypesError> {
+        if self.predicates.len() != schema.len() {
+            return Err(TypesError::UnknownAttribute(format!(
+                "expected {} predicates, got {}",
+                schema.len(),
+                self.predicates.len()
+            )));
+        }
+        for (pred, (_, attr)) in self.predicates.iter().zip(schema.iter()) {
+            if !pred.is_dont_care() {
+                pred.to_intervals(attr.domain())?;
+            }
+        }
+        Ok(())
+    }
+
     /// The profile's identifier.
     #[must_use]
     pub fn id(&self) -> ProfileId {
