@@ -29,7 +29,7 @@ use crate::{Density, DistError};
 /// let i = dist.sample_index(&mut rng);
 /// assert!((50..100).contains(&i));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DistOverDomain {
     density: Density,
     size: u64,
@@ -130,20 +130,11 @@ impl DistOverDomain {
         } else {
             pmf.fill(1.0 / size as f64);
         }
-        let mut cdf = Vec::with_capacity(pmf.len() + 1);
-        let mut acc = 0.0;
-        cdf.push(0.0);
-        for p in &pmf {
-            acc += p;
-            cdf.push(acc);
-        }
-        // Pin the final prefix sum so sampling never falls off the end.
-        cdf[pmf.len()] = 1.0;
         DistOverDomain {
             density,
             size,
+            cdf: prefix_sums(&pmf),
             pmf,
-            cdf,
         }
     }
 
@@ -186,6 +177,58 @@ impl DistOverDomain {
         // First index whose cumulative mass exceeds r.
         let i = self.cdf.partition_point(|c| *c <= r);
         (i.saturating_sub(1) as u64).min(self.size - 1)
+    }
+}
+
+/// `cdf` of the normalised point masses `pmf`.
+fn prefix_sums(pmf: &[f64]) -> Vec<f64> {
+    let mut cdf = Vec::with_capacity(pmf.len() + 1);
+    let mut acc = 0.0;
+    cdf.push(0.0);
+    for p in pmf {
+        acc += p;
+        cdf.push(acc);
+    }
+    // Pin the final prefix sum so sampling never falls off the end.
+    cdf[pmf.len()] = 1.0;
+    cdf
+}
+
+/// The serialized form of a [`DistOverDomain`]. A distribution off disk
+/// or wire is checked before it is trusted: every lookup indexes its
+/// tables by the declared size.
+#[derive(Deserialize)]
+struct DistArgs {
+    density: Density,
+    size: u64,
+    pmf: Vec<f64>,
+    cdf: Vec<f64>,
+}
+
+impl<'de> Deserialize<'de> for DistOverDomain {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let d = DistArgs::deserialize(deserializer)?;
+        let masses = d.pmf.iter().all(|p| p.is_finite() && *p >= 0.0);
+        if d.size == 0 || d.pmf.len() as u64 != d.size || !masses || d.cdf != prefix_sums(&d.pmf) {
+            return Err(serde::de::Error::custom(format!(
+                "a {}-point distribution's {} masses and {} prefix sums do not fit it",
+                d.size,
+                d.pmf.len(),
+                d.cdf.len()
+            )));
+        }
+        let DistArgs {
+            density,
+            size,
+            pmf,
+            cdf,
+        } = d;
+        Ok(DistOverDomain {
+            density,
+            size,
+            pmf,
+            cdf,
+        })
     }
 }
 
@@ -290,6 +333,25 @@ mod tests {
         let json = serde_json::to_string(&d).unwrap();
         let back: DistOverDomain = serde_json::from_str(&json).unwrap();
         assert_eq!(d, back);
+        // Tables that do not fit the size, or masses that are not
+        // finite and non-negative, are refused.
+        let first = format!("[{:?},", d.prob_index(0));
+        assert!(
+            json.contains("\"size\":25") && json.contains(&first),
+            "{json}"
+        );
+        for (from, to) in [
+            ("\"size\":25", "\"size\":26"),
+            ("\"size\":25", "\"size\":0"),
+            ("\"cdf\":[", "\"cdf\":[0.0,"),
+            (first.as_str(), "[-0.5,"),
+        ] {
+            let bad = json.replacen(from, to, 1);
+            assert!(
+                serde_json::from_str::<DistOverDomain>(&bad).is_err(),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

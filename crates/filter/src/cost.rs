@@ -241,10 +241,9 @@ impl<'a> CostModel<'a> {
         acc: &mut Acc,
     ) -> Result<(), FilterError> {
         match node {
-            NodeRef::Leaf(ids) => {
-                if ids.is_empty() {
-                    return Ok(());
-                }
+            NodeRef::Empty => Ok(()),
+            NodeRef::Leaf(l) => {
+                let ids = self.tree.leaves().get(*l);
                 let mass = self.joint.mass_of_box(constraints)?;
                 if mass <= 0.0 {
                     return Ok(());

@@ -18,11 +18,17 @@
 //! `miss_cost[g]`, plus 1 when an else edge `(*)` follows; a missing
 //! attribute, or any value at an edge-less node, costs 1 with a star
 //! edge and 0 without. A transition (a `Hop`) carries the charge of
-//! its interval and a state the charges of its three out-of-span cases,
-//! and all of them are part of the hash-consing key, so two nodes the
-//! tree charges differently never share a state. Checkpoints carry no
-//! automaton at all: loading one lowers the decoded tree, as compiling
-//! does, so [`Dfsa::from_tree`] is the only way an automaton is built.
+//! its interval and a state the charges of its three out-of-span cases.
+//!
+//! # Lowering
+//!
+//! [`Dfsa::from_tree`] is the only way an automaton is built; loading a
+//! checkpoint lowers the decoded tree, as compiling does. It is a copy:
+//! one post-order walk freezes each inner node into the arenas once its
+//! children have states, so the walk's node *i* is state *i* — no
+//! map, and no two nodes share a state. The leaves are not copied at
+//! all: the tree builder interns each distinct leaf list once, into a
+//! pool the automaton shares, and a leaf target is its index there.
 //!
 //! # Layout
 //!
@@ -41,21 +47,20 @@
 //!   state's covered span), chosen automatically for spans of at most
 //!   [`JUMP_TABLE_MAX_DOMAIN`] points (a lookup is then one range check
 //!   + one load, no search at all);
-//! * `leaf_profiles` — a flat leaf arena with per-leaf offsets; leaf
-//!   profile lists come from the tree strictly ascending and are
-//!   hash-consed at build time, so the match loop never sorts.
+//! * `leaves` — the tree's leaf pool, a flat arena with per-leaf
+//!   offsets; its lists are strictly ascending (the builder sorts them,
+//!   the decoder refuses others), so the match loop never sorts.
 //!
 //! Matching through [`Matcher::match_into`] with a reused
 //! [`MatchScratch`] performs zero heap allocations after warm-up
 //! (asserted by `crates/filter/tests/alloc.rs`).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use ens_types::{IndexedBatch, IndexedEvent, ProfileId};
+use ens_types::{IndexedBatch, IndexedEvent};
 
 use crate::scratch::{BlockScratch, MatchScratch, Matcher};
-use crate::tree::{Node, NodeRef, ProfileTree, Star};
+use crate::tree::{LeafPool, Node, NodeRef, ProfileTree, Star};
 
 /// Number of events traversed concurrently by [`Matcher::match_block`]:
 /// one automaton step is issued for every in-flight lane before any
@@ -100,7 +105,7 @@ const NO_ACCEL: u32 = u32::MAX;
 /// (`00` reject, `01` state, `10` leaf), payload index below. Packing
 /// halves the arena footprint — jump tables in particular — which keeps
 /// more of the automaton in cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PTarget(u32);
 
 const TAG_SHIFT: u32 = 30;
@@ -127,7 +132,7 @@ impl PTarget {
 
 /// One transition: where a value leads, and the comparison operations
 /// the tree charges for finding that out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Hop {
     target: PTarget,
     cost: u32,
@@ -177,64 +182,6 @@ struct StateMeta {
     above: u32,
 }
 
-/// Pre-freeze form of a state, and its hash-consing key: the tested
-/// attribute, the covered span cut into runs of values that take the
-/// same hop, and the out-of-span charges. Two tree nodes share a state
-/// only if they send every value to the same place at the same cost.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct BuildState {
-    attr: u32,
-    /// `(lo, hop)`: values from `lo` up to the next run's `lo` (the last
-    /// run's: up to `hi`) take `hop`. The gaps between the node's edges
-    /// are runs to the star target. Empty for an edge-less node.
-    runs: Vec<(u64, Hop)>,
-    hi: u64,
-    star: PTarget,
-    missing: u8,
-    below: u32,
-    above: u32,
-}
-
-impl BuildState {
-    /// The state tree node `n` lowers to when its star edge leads to
-    /// `star` and its edge `g` to `edges[g]`; charged as the module docs
-    /// say.
-    fn of_node(n: &Node, star: PTarget, edges: &[PTarget]) -> Self {
-        let missing = u8::from(!matches!(n.star, Star::None));
-        let else_cost = u32::from(matches!(n.star, Star::Else(_)));
-        // A decoded tree has its tables checked against its edges; the
-        // fallback only keeps this total.
-        let charge = |costs: &[u32], g: usize| costs.get(g).copied().unwrap_or_default();
-        let gap = |g: usize| charge(&n.ordering.miss_cost, g).saturating_add(else_cost);
-        let mut runs = Vec::with_capacity(2 * n.edges.len());
-        let mut hi = 0;
-        for (g, e) in n.edges.iter().enumerate() {
-            let lo = e.interval.lo();
-            if g > 0 && hi < lo {
-                let cost = gap(g);
-                runs.push((hi, Hop { target: star, cost }));
-            }
-            let (target, cost) = (edges[g], charge(&n.ordering.hit_cost, g));
-            runs.push((lo, Hop { target, cost }));
-            hi = e.interval.hi();
-        }
-        let (below, above) = if n.edges.is_empty() {
-            (u32::from(missing), u32::from(missing))
-        } else {
-            (gap(0), gap(n.edges.len()))
-        };
-        BuildState {
-            attr: n.attr.index() as u32,
-            runs,
-            hi,
-            star,
-            missing,
-            below,
-            above,
-        }
-    }
-}
-
 /// The flattened automaton.
 ///
 /// # Example
@@ -267,10 +214,8 @@ pub struct Dfsa {
     jumps: Vec<Hop>,
     /// Bucket indices for accelerated search states (see [`StateMeta`]).
     accel: Vec<u32>,
-    /// `leaf_off[l] .. leaf_off[l+1]` delimits leaf `l` in
-    /// `leaf_profiles`; always starts with 0.
-    leaf_off: Vec<u32>,
-    leaf_profiles: Vec<ProfileId>,
+    /// The tree's leaf pool: a leaf target indexes it.
+    leaves: Arc<LeafPool>,
     root: PTarget,
 }
 
@@ -281,7 +226,25 @@ impl Dfsa {
     pub fn from_tree(tree: &ProfileTree) -> Self {
         let mut lowering = Lowering::default();
         let root = lowering.lower(tree.root());
-        freeze(&lowering.states, &lowering.leaves, root)
+        let Lowering {
+            mut states,
+            mut cuts,
+            mut jumps,
+            mut accel,
+            ..
+        } = lowering;
+        states.shrink_to_fit();
+        cuts.shrink_to_fit();
+        jumps.shrink_to_fit();
+        accel.shrink_to_fit();
+        Dfsa {
+            states,
+            cuts,
+            jumps,
+            accel,
+            leaves: Arc::clone(tree.leaves()),
+            root,
+        }
     }
 
     /// Number of states.
@@ -293,7 +256,7 @@ impl Dfsa {
     /// Number of distinct leaves.
     #[must_use]
     pub fn leaf_count(&self) -> usize {
-        self.leaf_off.len().saturating_sub(1)
+        self.leaves.len()
     }
 
     /// Number of states resolved by a dense jump table (the rest use
@@ -301,12 +264,6 @@ impl Dfsa {
     #[must_use]
     pub fn jump_state_count(&self) -> usize {
         self.states.iter().filter(|s| s.jump).count()
-    }
-
-    fn leaf(&self, l: u32) -> &[ProfileId] {
-        let lo = self.leaf_off[l as usize] as usize;
-        let hi = self.leaf_off[l as usize + 1] as usize;
-        &self.leaf_profiles[lo..hi]
     }
 
     /// Resolves one state transition for a raw domain index
@@ -389,7 +346,7 @@ impl Matcher for Dfsa {
         if t.0 >> TAG_SHIFT == TAG_LEAF {
             scratch
                 .profiles
-                .extend_from_slice(self.leaf(t.0 & PAYLOAD_MASK));
+                .extend_from_slice(self.leaves.get(t.0 & PAYLOAD_MASK));
         }
     }
 
@@ -447,7 +404,7 @@ impl Matcher for Dfsa {
                             act[still] = l as u8;
                             still += 1;
                         }
-                        TAG_LEAF => prefetch(&self.leaf_off[(next.0 & PAYLOAD_MASK) as usize]),
+                        TAG_LEAF => prefetch(&self.leaves.off[(next.0 & PAYLOAD_MASK) as usize]),
                         _ => {}
                     }
                 }
@@ -459,7 +416,7 @@ impl Matcher for Dfsa {
                 if tl.0 >> TAG_SHIFT == TAG_LEAF {
                     scratch
                         .profiles
-                        .extend_from_slice(self.leaf(tl.0 & PAYLOAD_MASK));
+                        .extend_from_slice(self.leaves.get(tl.0 & PAYLOAD_MASK));
                 }
                 scratch.seal_event();
                 scratch.event_ops[base + l] = ops[l];
@@ -470,202 +427,140 @@ impl Matcher for Dfsa {
     }
 }
 
-/// Ids of a leaf that [`leaf_key`] reads one by one.
-const LEAF_KEY_SAMPLE: usize = 8;
-
-/// Leaves sharing a key that a lowering compares a leaf with before it
-/// takes the leaf as new: a tree built to make keys collide then costs
-/// a duplicate leaf, not a comparison with every leaf before it.
-const LEAF_CHAIN_MAX: usize = 8;
-
-/// The dedup key of a leaf: its length, the wrapping sum of its ids and
-/// at most [`LEAF_KEY_SAMPLE`] of them, spread over the list, mixed by
-/// multiply-rotate steps. Equal leaves have equal keys, and a key costs
-/// no hashing of the whole list.
-fn leaf_key(ids: &[ProfileId]) -> u64 {
-    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    let sum = ids
-        .iter()
-        .fold(0u64, |s, p| s.wrapping_add(p.index() as u64));
-    let step = ids.len().div_ceil(LEAF_KEY_SAMPLE).max(1);
-    let sample = ids.iter().step_by(step).map(|p| p.index() as u64);
-    sample.fold(mix(ids.len() as u64, sum), mix)
-}
-
-/// Tree-to-build-state lowering with leaf *and* interior-state
-/// hash-consing: structurally identical states (same tested attribute,
-/// runs, star target and charges) are emitted once and shared.
-/// Don't-care profiles duplicate whole subtrees along sibling edges of
-/// the tree; because children are lowered before their parent is
-/// keyed, equal subtrees collapse bottom-up into one state chain — on
-/// duplicate-heavy populations the automaton is much smaller than the
-/// tree even when containment analysis misses the duplicates.
+/// Tree-to-automaton lowering: a post-order walk that freezes each
+/// inner node into the arenas once its children have states.
 #[derive(Default)]
-struct Lowering<'t> {
-    states: Vec<BuildState>,
-    /// Distinct non-empty leaves, as the tree holds them: strictly
-    /// ascending (the build sorts them, the decoder refuses others).
-    leaves: Vec<&'t [ProfileId]>,
-    /// [`leaf_key`] -> the last leaf with that key; `leaf_chain[l]` is
-    /// the leaf before `l` with `l`'s key.
-    leaf_canon: HashMap<u64, u32>,
-    leaf_chain: Vec<Option<u32>>,
-    /// Built state -> its slot. Exact structural equality: leaves below
-    /// are already consed, so equal keys imply equal languages (and,
-    /// the charges being part of the key, equal counts). The default
-    /// hasher stays: the keys come from subscriptions and checkpoints,
-    /// input from outside the process.
-    state_canon: HashMap<BuildState, u32>,
+struct Lowering {
+    states: Vec<StateMeta>,
+    cuts: Vec<Cut>,
+    jumps: Vec<Hop>,
+    accel: Vec<u32>,
+    /// Edge targets of the nodes on the walk's path, innermost last.
+    edges: Vec<PTarget>,
 }
 
-impl<'t> Lowering<'t> {
-    fn lower(&mut self, node: &'t NodeRef) -> PTarget {
-        match node {
-            NodeRef::Leaf(ids) => {
-                if ids.is_empty() {
-                    return PTarget::REJECT;
-                }
-                let key = leaf_key(ids);
-                let head = self.leaf_canon.get(&key).copied();
-                let chain = std::iter::successors(head, |&l| self.leaf_chain[l as usize]);
-                let mut same = chain.take(LEAF_CHAIN_MAX);
-                if let Some(l) = same.find(|&l| self.leaves[l as usize] == ids.as_slice()) {
-                    return PTarget::leaf(l);
-                }
-                let l = self.leaves.len() as u32;
-                self.leaves.push(ids);
-                self.leaf_chain.push(head);
-                self.leaf_canon.insert(key, l);
-                PTarget::leaf(l)
+impl Lowering {
+    fn lower(&mut self, node: &NodeRef) -> PTarget {
+        let n = match node {
+            NodeRef::Inner(n) => n,
+            NodeRef::Leaf(l) => return PTarget::leaf(*l),
+            NodeRef::Empty => return PTarget::REJECT,
+        };
+        // Children first, in the order the node codec writes them. The
+        // automaton references its root through an explicit target (no
+        // slot-0 assumption anywhere), so the children-before-parents
+        // layout is safe.
+        let star = match &n.star {
+            Star::None => PTarget::REJECT,
+            Star::All(child) | Star::Else(child) => self.lower(child),
+        };
+        let first = self.edges.len();
+        for e in &n.edges {
+            let target = self.lower(&e.child);
+            self.edges.push(target);
+        }
+        let meta = self.freeze(n, star, first);
+        self.edges.truncate(first);
+        self.states.push(meta);
+        PTarget::state(self.states.len() as u32 - 1)
+    }
+
+    /// Appends node `n`'s jump table or cut points (and bucket index)
+    /// to the arenas and returns its metadata, charged as the module
+    /// docs say. Its star edge leads to `star`, its edge `g` to
+    /// `edges[first + g]`.
+    fn freeze(&mut self, n: &Node, star: PTarget, first: usize) -> StateMeta {
+        let missing = u8::from(!matches!(n.star, Star::None));
+        let else_cost = u32::from(matches!(n.star, Star::Else(_)));
+        // A decoded tree has its tables checked against its edges; the
+        // fallback only keeps this total.
+        let charge = |costs: &[u32], g: usize| costs.get(g).copied().unwrap_or_default();
+        let gap = |g: usize| charge(&n.ordering.miss_cost, g).saturating_add(else_cost);
+        let mut meta = StateMeta {
+            attr: n.attr.index() as u32,
+            shift: 0,
+            jump: false,
+            missing,
+            star,
+            lo: 0,
+            hi: 0,
+            off: 0,
+            b_len: 0,
+            acc_off: NO_ACCEL,
+            below: u32::from(missing),
+            above: u32::from(missing),
+        };
+        let (Some(head), Some(tail)) = (n.edges.first(), n.edges.last()) else {
+            // `*` node: lo == hi, every value follows the star target.
+            return meta;
+        };
+        let (span_lo, span_hi) = (head.interval.lo(), tail.interval.hi());
+        meta.lo = span_lo;
+        meta.hi = span_hi;
+        meta.below = gap(0);
+        meta.above = gap(n.edges.len());
+        // The covered span cut into runs `(lo, hi, hop)` of values that
+        // take the same hop: each edge, and the gap before it (to the
+        // star target) where there is one.
+        let targets = &self.edges[first..];
+        let runs = n.edges.iter().enumerate().flat_map(|(g, e)| {
+            let (lo, hi) = (e.interval.lo(), e.interval.hi());
+            let after = g.checked_sub(1).map_or(lo, |p| n.edges[p].interval.hi());
+            let to_star = Hop {
+                target: star,
+                cost: gap(g),
+            };
+            let to_child = Hop {
+                target: targets[g],
+                cost: charge(&n.ordering.hit_cost, g),
+            };
+            let before = (after < lo).then_some((after, lo, to_star));
+            before.into_iter().chain([(lo, hi, to_child)])
+        });
+        if span_hi - span_lo <= JUMP_TABLE_MAX_DOMAIN {
+            // Dense jump table over the covered span, indexed by `idx - lo`.
+            meta.jump = true;
+            meta.off = self.jumps.len() as u32;
+            for (lo, hi, hop) in runs {
+                self.jumps
+                    .extend(std::iter::repeat_n(hop, (hi - lo) as usize));
             }
-            NodeRef::Inner(n) => {
-                // Children first, so the parent's structural key is over
-                // already-canonical targets. The automaton references
-                // its root through an explicit target (no slot-0
-                // assumption anywhere), so the children-before-parents
-                // layout is safe.
-                let edges: Vec<PTarget> = n.edges.iter().map(|e| self.lower(&e.child)).collect();
-                let star = match &n.star {
-                    Star::None => PTarget::REJECT,
-                    Star::All(child) | Star::Else(child) => self.lower(child),
-                };
-                let state = BuildState::of_node(n, star, &edges);
-                let slot = self.states.len() as u32;
-                match self.state_canon.entry(state) {
-                    Entry::Occupied(seen) => PTarget::state(*seen.get()),
-                    Entry::Vacant(new) => {
-                        self.states.push(new.key().clone());
-                        PTarget::state(*new.insert(slot))
-                    }
-                }
+            return meta;
+        }
+        meta.off = self.cuts.len() as u32;
+        self.cuts
+            .extend(runs.map(|(bound, _, hop)| Cut { bound, hop }));
+        // Closing cut of the last edge (dummy hop: values at or beyond it
+        // take the star path via the range check).
+        self.cuts.push(Cut {
+            bound: span_hi,
+            hop: Hop {
+                target: PTarget::REJECT,
+                cost: 0,
+            },
+        });
+        meta.b_len = (self.cuts.len() as u32) - meta.off;
+        let state_cuts = &self.cuts[meta.off as usize..];
+        if state_cuts.len() >= SEARCH_ACCEL_MIN_BOUNDS {
+            // Bucket width 2^shift over the covered span, adapted to the
+            // cut density so a bucket holds ~2 cuts on average (one accel
+            // line + one or two probes per lookup); accel[k] counts the cut
+            // points below bucket k's first value.
+            let span = span_hi - span_lo;
+            // span / (cuts/2), computed division-first so huge domains
+            // (e.g. full i64 ranges) cannot overflow.
+            let target_width = (span / (state_cuts.len() as u64 / 2).max(1)).max(1);
+            meta.shift = (63 - target_width.leading_zeros() as u64) as u8;
+            let nb = ((span - 1) >> meta.shift) + 1;
+            meta.acc_off = self.accel.len() as u32;
+            for k in 0..=nb {
+                let first = span_lo + (k << meta.shift);
+                self.accel
+                    .push(state_cuts.partition_point(|c| c.bound < first) as u32);
             }
         }
+        meta
     }
-}
-
-/// Packs build states and leaves into the shared CSR arenas, each left
-/// at its exact size: the automaton lives as long as its snapshot.
-fn freeze(states: &[BuildState], leaves: &[&[ProfileId]], root: PTarget) -> Dfsa {
-    let mut cuts: Vec<Cut> = Vec::new();
-    let mut jumps: Vec<Hop> = Vec::new();
-    let mut accel: Vec<u32> = Vec::new();
-    let metas = states
-        .iter()
-        .map(|s| freeze_state(s, &mut cuts, &mut jumps, &mut accel))
-        .collect();
-    cuts.shrink_to_fit();
-    jumps.shrink_to_fit();
-    accel.shrink_to_fit();
-
-    let mut leaf_off: Vec<u32> = Vec::with_capacity(leaves.len() + 1);
-    let mut leaf_profiles = Vec::with_capacity(leaves.iter().map(|l| l.len()).sum());
-    leaf_off.push(0);
-    for leaf in leaves {
-        leaf_profiles.extend_from_slice(leaf);
-        leaf_off.push(leaf_profiles.len() as u32);
-    }
-
-    Dfsa {
-        states: metas,
-        cuts,
-        jumps,
-        accel,
-        leaf_off,
-        leaf_profiles,
-        root,
-    }
-}
-
-/// Appends one state's jump table or cut points (and bucket index) to
-/// the arenas and returns its metadata.
-fn freeze_state(
-    s: &BuildState,
-    cuts: &mut Vec<Cut>,
-    jumps: &mut Vec<Hop>,
-    accel: &mut Vec<u32>,
-) -> StateMeta {
-    let mut meta = StateMeta {
-        attr: s.attr,
-        shift: 0,
-        jump: false,
-        missing: s.missing,
-        star: s.star,
-        lo: 0,
-        hi: 0,
-        off: 0,
-        b_len: 0,
-        acc_off: NO_ACCEL,
-        below: s.below,
-        above: s.above,
-    };
-    let Some(&(span_lo, _)) = s.runs.first() else {
-        // `*` node: lo == hi, every value follows the star target.
-        return meta;
-    };
-    let span_hi = s.hi;
-    meta.lo = span_lo;
-    meta.hi = span_hi;
-    if span_hi - span_lo <= JUMP_TABLE_MAX_DOMAIN {
-        // Dense jump table over the covered span, indexed by `idx - lo`.
-        meta.jump = true;
-        meta.off = jumps.len() as u32;
-        for (k, &(lo, hop)) in s.runs.iter().enumerate() {
-            let end = s.runs.get(k + 1).map_or(span_hi, |next| next.0);
-            jumps.extend(std::iter::repeat_n(hop, (end - lo) as usize));
-        }
-        return meta;
-    }
-    meta.off = cuts.len() as u32;
-    cuts.extend(s.runs.iter().map(|&(bound, hop)| Cut { bound, hop }));
-    // Closing cut of the last edge (dummy hop: values at or beyond it
-    // take the star path via the range check).
-    cuts.push(Cut {
-        bound: span_hi,
-        hop: Hop {
-            target: PTarget::REJECT,
-            cost: 0,
-        },
-    });
-    meta.b_len = (cuts.len() as u32) - meta.off;
-    let state_cuts = &cuts[meta.off as usize..];
-    if state_cuts.len() >= SEARCH_ACCEL_MIN_BOUNDS {
-        // Bucket width 2^shift over the covered span, adapted to the
-        // cut density so a bucket holds ~2 cuts on average (one accel
-        // line + one or two probes per lookup); accel[k] counts the cut
-        // points below bucket k's first value.
-        let span = span_hi - span_lo;
-        // span / (cuts/2), computed division-first so huge domains
-        // (e.g. full i64 ranges) cannot overflow.
-        let target_width = (span / (state_cuts.len() as u64 / 2).max(1)).max(1);
-        meta.shift = (63 - target_width.leading_zeros() as u64) as u8;
-        let nb = ((span - 1) >> meta.shift) + 1;
-        meta.acc_off = accel.len() as u32;
-        for k in 0..=nb {
-            let first = span_lo + (k << meta.shift);
-            accel.push(state_cuts.partition_point(|c| c.bound < first) as u32);
-        }
-    }
-    meta
 }
 
 #[cfg(test)]
@@ -825,56 +720,8 @@ mod tests {
         let (_, ps) = random_profiles(3, 30);
         let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
         let dfsa = Dfsa::from_tree(&tree);
-        assert!(dfsa.state_count() <= tree.node_count());
+        assert_eq!(dfsa.state_count(), tree.node_count());
         assert!(dfsa.leaf_count() <= tree.leaf_count());
-    }
-
-    #[test]
-    fn interior_hash_consing_shares_duplicate_subtrees() {
-        // Exact duplicate profiles are distinct tree paths ending in
-        // distinct leaves, but pairs of duplicated *suffix* structure
-        // (don't-care duplication along sibling edges) must collapse.
-        let schema = Schema::builder()
-            .attribute("x", Domain::int(0, 49))
-            .unwrap()
-            .attribute("y", Domain::int(0, 49))
-            .unwrap()
-            .build();
-        let mut ps = ProfileSet::new(&schema);
-        // Multi-interval x-predicates: every x-interval of a profile
-        // leads to the *same* leaf set, so the y-subtree below each of
-        // its edges is structurally identical and must be emitted once.
-        for k in 0..4i64 {
-            ps.insert_with(|b| {
-                b.predicate("x", Predicate::in_set([k, k + 10, k + 20, k + 30]))?
-                    .predicate("y", Predicate::le(10 + k))
-            })
-            .unwrap();
-        }
-        ps.insert_with(|b| b.predicate("y", Predicate::le(10)))
-            .unwrap();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
-        assert!(
-            dfsa.state_count() < tree.node_count(),
-            "consing must share states: {} states for {} tree nodes",
-            dfsa.state_count(),
-            tree.node_count()
-        );
-        for x in 0..50 {
-            for y in [0, 5, 10, 11, 49] {
-                let e = ens_types::Event::builder(&schema)
-                    .value("x", x)
-                    .unwrap()
-                    .value("y", y)
-                    .unwrap()
-                    .build();
-                assert_eq!(
-                    dfsa.match_event(&schema, &e).unwrap().profiles(),
-                    ps.matches(&e).unwrap()
-                );
-            }
-        }
     }
 
     #[test]

@@ -54,8 +54,9 @@ const SNAPSHOT_MAGIC: u32 = 0x454E_5346;
 /// Bumped whenever the binary layout changes incompatibly.
 /// Version 3 added the covering sections (expansion plan + overlay
 /// cover entries); version 4 dropped the automaton section, which a
-/// load derives from the tree.
-const SNAPSHOT_VERSION: u32 = 4;
+/// load derives from the tree; version 5 writes the tree's leaf lists
+/// once, as a pool its leaves index, and its event model once.
+const SNAPSHOT_VERSION: u32 = 5;
 /// The last version that wrote the automaton section, which a load
 /// reads only to step over.
 const SNAPSHOT_VERSION_WITH_AUTOMATON: u32 = 3;
@@ -745,8 +746,9 @@ impl FilterSnapshot {
     }
 
     /// Restores a snapshot written by [`FilterSnapshot::to_bytes`], and
-    /// lowers its tree into the automaton. A version 3 image also holds
-    /// the automaton; that section is stepped over, not read.
+    /// lowers its tree into the automaton. Versions 3 and 4 still load:
+    /// their leaf lists are interned as they are read, and a version 3
+    /// image's automaton section is stepped over, not read.
     ///
     /// # Errors
     ///
@@ -768,12 +770,12 @@ impl FilterSnapshot {
             )));
         }
         let version = r.u32()?;
-        if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_WITH_AUTOMATON {
+        if !(SNAPSHOT_VERSION_WITH_AUTOMATON..=SNAPSHOT_VERSION).contains(&version) {
             return Err(PersistError::new(format!(
                 "unsupported snapshot version {version}"
             )));
         }
-        let tree = ProfileTree::decode(r)?;
+        let tree = ProfileTree::decode(r, version < SNAPSHOT_VERSION)?;
         if version == SNAPSHOT_VERSION_WITH_AUTOMATON {
             skip_automaton(r)?;
         }

@@ -155,18 +155,23 @@ impl AttributePartition {
         cuts.dedup();
 
         // Elementary cells between consecutive cuts, labelled by the
-        // profiles covering them.
-        let mut cells: Vec<Cell> = Vec::with_capacity(cuts.len().saturating_sub(1));
-        for w in cuts.windows(2) {
-            let interval = IndexInterval::new(w[0], w[1]);
-            if interval.is_empty() {
-                continue;
+        // profiles covering them: each interval of a profile lists the
+        // profile in the cells from its first cut up to its last, so
+        // the cost is what the labels hold, not cells × profiles.
+        let n_cells = cuts.len().saturating_sub(1);
+        let mut covers: Vec<Vec<ProfileId>> = vec![Vec::new(); n_cells];
+        for (id, set) in &spans {
+            for iv in set.iter() {
+                let first = cuts.partition_point(|&c| c < iv.lo());
+                let end = cuts.partition_point(|&c| c < iv.hi()).min(n_cells);
+                for covering in covers.get_mut(first..end).into_iter().flatten() {
+                    covering.push(*id);
+                }
             }
-            let mut covering: Vec<ProfileId> = spans
-                .iter()
-                .filter(|(_, set)| set.contains(interval.lo()))
-                .map(|(id, _)| *id)
-                .collect();
+        }
+        let mut cells: Vec<Cell> = Vec::with_capacity(n_cells);
+        for (w, mut covering) in cuts.windows(2).zip(covers) {
+            let interval = IndexInterval::new(w[0], w[1]);
             covering.sort_unstable();
             // Merge with the previous cell when the coverage is identical.
             match cells.last_mut() {

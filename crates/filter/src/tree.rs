@@ -13,6 +13,8 @@
 //! operations per node is governed by the configured [`SearchStrategy`]
 //! and recorded in the [`MatchScratch`].
 
+use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use ens_dist::{DistOverDomain, JointDist};
@@ -108,7 +110,99 @@ impl TreeConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum NodeRef {
     Inner(Box<Node>),
-    Leaf(Vec<ProfileId>),
+    /// A leaf's profiles: list `l` of the tree's [`LeafPool`].
+    Leaf(u32),
+    /// A leaf that notifies no profile.
+    Empty,
+}
+
+/// The distinct non-empty leaf lists of a tree, each strictly
+/// ascending, in one CSR arena: list `l` is `ids[off[l]..off[l + 1]]`.
+/// The tree and its automaton share it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LeafPool {
+    pub(crate) off: Vec<u32>,
+    pub(crate) ids: Vec<ProfileId>,
+}
+
+impl Default for LeafPool {
+    fn default() -> Self {
+        LeafPool {
+            off: vec![0],
+            ids: Vec::new(),
+        }
+    }
+}
+
+impl LeafPool {
+    /// Number of lists.
+    pub(crate) fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// List `l`.
+    pub(crate) fn get(&self, l: u32) -> &[ProfileId] {
+        &self.ids[self.off[l as usize] as usize..self.off[l as usize + 1] as usize]
+    }
+
+    fn push(&mut self, ids: &[ProfileId]) -> u32 {
+        self.ids.extend_from_slice(ids);
+        self.off.push(self.ids.len() as u32);
+        (self.off.len() - 2) as u32
+    }
+
+    /// The pool at its exact size: it lives as long as its tree.
+    fn shrunk(mut self) -> Arc<Self> {
+        self.off.shrink_to_fit();
+        self.ids.shrink_to_fit();
+        Arc::new(self)
+    }
+}
+
+/// Builds a [`LeafPool`] that holds each distinct list once: a list is
+/// looked up by a hash of its whole contents and compared with the
+/// lists of that hash. The default hasher stays: the lists come from
+/// subscriptions and checkpoints, input from outside the process.
+#[derive(Default)]
+struct LeafInterner {
+    pool: LeafPool,
+    /// Hash -> the last list with it; `earlier[l]` is the list before
+    /// `l` with `l`'s hash, or `u32::MAX`.
+    last: HashMap<u64, u32>,
+    earlier: Vec<u32>,
+}
+
+impl LeafInterner {
+    /// The leaf holding `ids`, which are strictly ascending.
+    fn intern(&mut self, ids: &[ProfileId]) -> NodeRef {
+        if ids.is_empty() {
+            return NodeRef::Empty;
+        }
+        let hash = self.last.hasher().hash_one(ids);
+        let head = self.last.get(&hash).copied().unwrap_or(u32::MAX);
+        let mut l = head;
+        while l != u32::MAX {
+            if self.pool.get(l) == ids {
+                return NodeRef::Leaf(l);
+            }
+            l = self.earlier[l as usize];
+        }
+        let l = self.pool.push(ids);
+        self.earlier.push(head);
+        self.last.insert(hash, l);
+        NodeRef::Leaf(l)
+    }
+}
+
+impl NodeRef {
+    /// `f` summed over this node and every node below it.
+    fn sum(&self, f: &impl Fn(&NodeRef) -> usize) -> usize {
+        let below = match self {
+            NodeRef::Inner(node) => node.children().map(|child| child.sum(f)).sum(),
+            NodeRef::Leaf(_) | NodeRef::Empty => 0,
+        };
+        f(self) + below
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -118,6 +212,17 @@ pub(crate) struct Node {
     pub(crate) edges: Vec<Edge>,
     pub(crate) ordering: NodeOrdering,
     pub(crate) star: Star,
+}
+
+impl Node {
+    /// The star edge's child, if any, then the edges' children.
+    fn children(&self) -> impl Iterator<Item = &NodeRef> {
+        let star = match &self.star {
+            Star::None => None,
+            Star::All(child) | Star::Else(child) => Some(&**child),
+        };
+        star.into_iter().chain(self.edges.iter().map(|e| &e.child))
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -173,6 +278,7 @@ pub struct ProfileTree {
     attribute_order: Vec<AttrId>,
     partitions: Vec<AttributePartition>,
     root: NodeRef,
+    leaves: Arc<LeafPool>,
     profile_count: usize,
 }
 
@@ -292,7 +398,7 @@ impl ProfileTree {
                 })
                 .collect()
         });
-        let builder = TreeBuilder {
+        let mut builder = TreeBuilder {
             profiles,
             schema: schema.as_ref(),
             order: &attribute_order,
@@ -301,8 +407,11 @@ impl ProfileTree {
             early_termination: !config.disable_early_termination,
             global_cuts,
             weights: config.profile_weights.clone(),
+            leaves: LeafInterner::default(),
+            leaf: Vec::new(),
         };
         let root = builder.build_node(&alive, 0)?;
+        let leaves = builder.leaves.pool.shrunk();
 
         Ok(ProfileTree {
             schema,
@@ -310,6 +419,7 @@ impl ProfileTree {
             attribute_order,
             partitions,
             root,
+            leaves,
             profile_count: profiles.len(),
         })
     }
@@ -356,6 +466,11 @@ impl ProfileTree {
         &self.root
     }
 
+    /// The leaf lists [`NodeRef::Leaf`] indexes.
+    pub(crate) fn leaves(&self) -> &Arc<LeafPool> {
+        &self.leaves
+    }
+
     fn walk_indexed(
         &self,
         node: &NodeRef,
@@ -364,10 +479,11 @@ impl ProfileTree {
         out: &mut MatchScratch,
     ) {
         let node = match node {
-            NodeRef::Leaf(ids) => {
-                out.profiles.extend_from_slice(ids);
+            NodeRef::Leaf(l) => {
+                out.profiles.extend_from_slice(self.leaves.get(*l));
                 return;
             }
+            NodeRef::Empty => return,
             NodeRef::Inner(n) => n,
         };
 
@@ -477,101 +593,59 @@ impl ProfileTree {
             let names: Vec<String> = ids.iter().map(ToString::to_string).collect();
             format!("{{{}}}", names.join(", "))
         }
-        fn walk(schema: &Schema, node: &NodeRef, indent: usize, out: &mut String) {
-            let pad = "  ".repeat(indent);
+        fn walk(tree: &ProfileTree, node: &NodeRef, indent: usize, out: &mut String) {
+            let (schema, pad) = (tree.schema.as_ref(), "  ".repeat(indent));
             match node {
-                NodeRef::Leaf(ids) => {
-                    out.push_str(&format!("{pad}=> {}\n", leaf_text(ids)));
+                NodeRef::Leaf(l) => {
+                    out.push_str(&format!("{pad}=> {}\n", leaf_text(tree.leaves.get(*l))));
                 }
+                NodeRef::Empty => out.push_str(&format!("{pad}=> {}\n", leaf_text(&[]))),
                 NodeRef::Inner(n) => {
                     let name = schema.attribute(n.attr).name();
                     for e in &n.edges {
                         out.push_str(&format!("{pad}{}\n", label(schema, n.attr, &e.interval)));
-                        walk(schema, &e.child, indent + 1, out);
+                        walk(tree, &e.child, indent + 1, out);
                     }
                     match &n.star {
                         Star::None => {}
                         Star::All(child) => {
                             out.push_str(&format!("{pad}{name} = *\n"));
-                            walk(schema, child, indent + 1, out);
+                            walk(tree, child, indent + 1, out);
                         }
                         Star::Else(child) => {
                             out.push_str(&format!("{pad}{name} = (*)\n"));
-                            walk(schema, child, indent + 1, out);
+                            walk(tree, child, indent + 1, out);
                         }
                     }
                 }
             }
         }
         let mut out = String::new();
-        walk(self.schema.as_ref(), &self.root, 0, &mut out);
+        walk(self, &self.root, 0, &mut out);
         out
     }
 
     /// Number of inner nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        fn count(n: &NodeRef) -> usize {
-            match n {
-                NodeRef::Leaf(_) => 0,
-                NodeRef::Inner(node) => {
-                    let mut c = 1;
-                    for e in &node.edges {
-                        c += count(&e.child);
-                    }
-                    match &node.star {
-                        Star::None => {}
-                        Star::All(ch) | Star::Else(ch) => c += count(ch),
-                    }
-                    c
-                }
-            }
-        }
-        count(&self.root)
+        self.root
+            .sum(&|n| usize::from(matches!(n, NodeRef::Inner(_))))
     }
 
     /// Number of edges (including `*`/`(*)` edges).
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        fn count(n: &NodeRef) -> usize {
-            match n {
-                NodeRef::Leaf(_) => 0,
-                NodeRef::Inner(node) => {
-                    let mut c = node.edges.len();
-                    for e in &node.edges {
-                        c += count(&e.child);
-                    }
-                    match &node.star {
-                        Star::None => {}
-                        Star::All(ch) | Star::Else(ch) => c += 1 + count(ch),
-                    }
-                    c
-                }
-            }
-        }
-        count(&self.root)
+        self.root.sum(&|n| match n {
+            NodeRef::Inner(node) => node.children().count(),
+            NodeRef::Leaf(_) | NodeRef::Empty => 0,
+        })
     }
 
     /// Number of leaves.
     #[must_use]
     pub fn leaf_count(&self) -> usize {
-        fn count(n: &NodeRef) -> usize {
-            match n {
-                NodeRef::Leaf(_) => 1,
-                NodeRef::Inner(node) => {
-                    let mut c = 0;
-                    for e in &node.edges {
-                        c += count(&e.child);
-                    }
-                    match &node.star {
-                        Star::None => {}
-                        Star::All(ch) | Star::Else(ch) => c += count(ch),
-                    }
-                    c
-                }
-            }
-        }
-        count(&self.root)
+        self.root
+            .sum(&|n| usize::from(!matches!(n, NodeRef::Inner(_))))
     }
 }
 
@@ -599,6 +673,9 @@ struct TreeBuilder<'a> {
     global_cuts: Option<Vec<Vec<u64>>>,
     /// Per-profile priority weights (id-indexed), defaulting to 1.
     weights: Option<Vec<f64>>,
+    leaves: LeafInterner,
+    /// The leaf being made, sorted here before it is interned.
+    leaf: Vec<ProfileId>,
 }
 
 impl TreeBuilder<'_> {
@@ -611,28 +688,25 @@ impl TreeBuilder<'_> {
         }
     }
 
-    fn build_node(&self, alive: &[ProfileId], level: usize) -> Result<NodeRef, FilterError> {
+    fn build_node(&mut self, alive: &[ProfileId], level: usize) -> Result<NodeRef, FilterError> {
         if alive.is_empty() {
-            return Ok(NodeRef::Leaf(Vec::new()));
+            return Ok(NodeRef::Empty);
         }
         if level == self.order.len() {
-            let mut ids = alive.to_vec();
-            ids.sort_unstable();
-            return Ok(NodeRef::Leaf(ids));
+            self.leaf.clear();
+            self.leaf.extend_from_slice(alive);
+            self.leaf.sort_unstable();
+            return Ok(self.leaves.intern(&self.leaf));
         }
         let attr = self.order[level];
         let domain = self.schema.attribute(attr).domain();
 
-        let mut dont_care: Vec<ProfileId> = Vec::new();
-        let mut specific: Vec<ProfileId> = Vec::new();
-        for id in alive {
-            let p = self.profiles.get(*id).expect("alive ids are valid");
-            if p.predicate(attr).is_dont_care() {
-                dont_care.push(*id);
-            } else {
-                specific.push(*id);
-            }
-        }
+        // Alive ids are the set's own.
+        let (dont_care, specific): (Vec<ProfileId>, Vec<ProfileId>) =
+            alive.iter().partition(|id| {
+                let profile = self.profiles.get(**id);
+                profile.is_some_and(|p| p.predicate(attr).is_dont_care())
+            });
 
         if specific.is_empty() {
             // All alive profiles ignore this attribute: a single `*`
@@ -650,12 +724,18 @@ impl TreeBuilder<'_> {
             })));
         }
 
+        // The star subtree is built first, so leaves enter the pool in
+        // the order the node codec writes them.
+        let star = if dont_care.is_empty() {
+            Star::None
+        } else {
+            Star::Else(Box::new(self.build_node(&dont_care, level + 1)?))
+        };
+
         // Per-branch elementary decomposition over the *specific*
         // profiles alive here (merging makes the Fig. 2 edges like
         // `[30, 100)` appear when profiles collapse).
-        let spec_profiles = specific
-            .iter()
-            .map(|id| self.profiles.get(*id).expect("alive ids are valid"));
+        let spec_profiles = specific.iter().filter_map(|id| self.profiles.get(*id));
         let part = match &self.global_cuts {
             None => AttributePartition::build(spec_profiles, attr, domain)?,
             Some(cuts) => AttributePartition::build_with_cuts(
@@ -672,13 +752,15 @@ impl TreeBuilder<'_> {
         let mut edge_pp: Vec<f64> = Vec::new();
         let mut gap_pe: Vec<f64> = vec![0.0];
         let marginal = self.marginals.map(|m| &m[attr.index()]);
+        let mut child_ids: Vec<ProfileId> = Vec::new();
         for cell in part.cells() {
             if cell.is_zero() {
                 let pe = marginal.map_or(0.0, |m| m.mass_of(cell.interval()));
-                *gap_pe.last_mut().expect("gap_pe is non-empty") += pe;
+                gap_pe[edges.len()] += pe;
                 continue;
             }
-            let mut child_ids = cell.profiles().to_vec();
+            child_ids.clear();
+            child_ids.extend_from_slice(cell.profiles());
             child_ids.extend_from_slice(&dont_care);
             let child = self.build_node(&child_ids, level + 1)?;
             edge_pe.push(marginal.map_or(0.0, |m| m.mass_of(cell.interval())));
@@ -707,12 +789,6 @@ impl TreeBuilder<'_> {
                 *mc = full;
             }
         }
-        let star = if dont_care.is_empty() {
-            Star::None
-        } else {
-            Star::Else(Box::new(self.build_node(&dont_care, level + 1)?))
-        };
-
         Ok(NodeRef::Inner(Box::new(Node {
             attr,
             edges,
@@ -727,9 +803,10 @@ impl TreeBuilder<'_> {
 const MAX_TREE_DEPTH: usize = 4096;
 
 impl ProfileTree {
-    /// Appends the tree in the binary checkpoint form: schema, config
-    /// and marginals through the serde codec, partitions and the node
-    /// structure hand-rolled (they dominate the payload at scale).
+    /// Appends the tree in the binary checkpoint form: schema and config
+    /// (the event model with it) through the serde codec, then the
+    /// partitions, the leaf pool and the node structure hand-rolled
+    /// (they dominate the payload at scale).
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.serde(self.schema.as_ref());
         w.serde(&self.config);
@@ -738,26 +815,32 @@ impl ProfileTree {
         for p in &self.partitions {
             p.encode(w);
         }
-        match self.marginals() {
-            None => w.bool(false),
-            Some(m) => {
-                w.bool(true);
-                w.serde(m);
-            }
-        }
         w.u64(self.profile_count as u64);
+        // Don't-care profiles are replicated into every leaf below the
+        // node that splits them off, and the pool holds the lists in the
+        // order the depth-first walk meets them: a list is stored as its
+        // symmetric difference against the one before it.
+        w.seq_len(self.leaves.len());
+        let mut prev: Vec<ProfileId> = Vec::new();
+        for l in 0..self.leaves.len() as u32 {
+            persist::write_id_diff(w, &mut prev, self.leaves.get(l));
+        }
         let ctx = OrderCtx {
             schema: &self.schema,
             strategy: self.config.search,
             early_termination: !self.config.disable_early_termination,
-            profiles: self.profile_count,
         };
-        let mut prev: Vec<ProfileId> = Vec::new();
-        encode_node(&self.root, w, &ctx, &mut prev);
+        encode_node(&self.root, w, &ctx);
     }
 
-    /// Decodes a tree written by [`ProfileTree::encode`].
-    pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
+    /// Decodes a tree written by [`ProfileTree::encode`] or, when
+    /// `inline_leaves`, by the format before it, which repeated the
+    /// event model in a marginals section and wrote each leaf's list in
+    /// place (interned here as it is read).
+    pub(crate) fn decode(
+        r: &mut ByteReader<'_>,
+        inline_leaves: bool,
+    ) -> Result<Self, PersistError> {
         let schema: Schema = r.serde()?;
         let config: TreeConfig = r.serde()?;
         let attribute_order: Vec<AttrId> = r.serde()?;
@@ -766,50 +849,93 @@ impl ProfileTree {
         for _ in 0..n_parts {
             partitions.push(AttributePartition::decode(r)?);
         }
-        // The section repeats the model's per-point tables (the format
-        // predates their being held once): checked, not kept.
-        let marginals = if r.bool()? {
-            Some(r.serde::<Vec<DistOverDomain>>()?)
-        } else {
-            None
-        };
-        if marginals.as_deref() != config.event_model.as_ref().map(JointDist::marginals) {
-            return Err(PersistError::new(
-                "marginals section disagrees with the configured event model",
-            ));
+        if inline_leaves {
+            // The repeated tables are checked, not kept.
+            let marginals = if r.bool()? {
+                Some(r.serde::<Vec<DistOverDomain>>()?)
+            } else {
+                None
+            };
+            if marginals.as_deref() != config.event_model.as_ref().map(JointDist::marginals) {
+                return Err(PersistError::new(
+                    "marginals section disagrees with the configured event model",
+                ));
+            }
         }
         let profile_count = r.u64()? as usize;
+        let mut leaves = if inline_leaves {
+            Leaves::Inline(Vec::new(), LeafInterner::default())
+        } else {
+            Leaves::Pooled(decode_pool(r, profile_count)?)
+        };
         let ctx = OrderCtx {
             schema: &schema,
             strategy: config.search,
             early_termination: !config.disable_early_termination,
-            profiles: profile_count,
         };
-        let mut prev: Vec<ProfileId> = Vec::new();
-        let root = decode_node(r, 0, &ctx, &mut prev)?;
+        let root = decode_node(r, 0, &ctx, &mut leaves, profile_count)?;
+        let pool = match leaves {
+            Leaves::Inline(_, interner) => interner.pool,
+            Leaves::Pooled(pool) => pool,
+        };
         Ok(ProfileTree {
             schema: Arc::new(schema),
             config,
             attribute_order,
             partitions,
             root,
+            leaves: pool.shrunk(),
             profile_count,
         })
     }
 }
 
-/// Context the node codec needs to check leaf ids and re-derive scan
-/// orderings: the probability-free strategies (natural-order linear,
-/// binary, interpolation, hash) compute `visit`/`hit_cost`/`miss_cost`
-/// from the edge intervals alone, so checkpoints omit the arrays — the
-/// bulk of the serialized tree — whenever the stored ordering equals
-/// that derivation.
+/// Where a decoded tree's leaves come from: lists written in place,
+/// each against the one before (formats 3 and 4), interned as they are
+/// read; or references into the pool read before the nodes.
+enum Leaves {
+    Inline(Vec<ProfileId>, LeafInterner),
+    Pooled(LeafPool),
+}
+
+/// Both matchers hand a leaf's ids out as they are: they must be the
+/// tree's profile ids, strictly ascending.
+fn check_leaf(ids: &[ProfileId], profiles: usize) -> Result<(), PersistError> {
+    if ids.windows(2).any(|w| w[0] >= w[1]) || ids.last().is_some_and(|p| p.index() >= profiles) {
+        return Err(PersistError::new("leaf ids out of order or out of range"));
+    }
+    Ok(())
+}
+
+/// Reads the leaf pool [`ProfileTree::encode`] writes: non-empty lists
+/// of the tree's profile ids, each strictly ascending.
+fn decode_pool(r: &mut ByteReader<'_>, profiles: usize) -> Result<LeafPool, PersistError> {
+    // Two packed lengths a list at least.
+    let n = r.seq_len(8)?;
+    let mut pool = LeafPool::default();
+    pool.off.reserve(n);
+    let mut prev: Vec<ProfileId> = Vec::new();
+    for _ in 0..n {
+        let ids = persist::read_id_diff(r, &mut prev)?;
+        check_leaf(&ids, profiles)?;
+        if ids.is_empty() {
+            return Err(PersistError::new("empty list in the leaf pool"));
+        }
+        pool.push(&ids);
+    }
+    Ok(pool)
+}
+
+/// Context the node codec needs to re-derive scan orderings: the
+/// probability-free strategies (natural-order linear, binary,
+/// interpolation, hash) compute `visit`/`hit_cost`/`miss_cost` from the
+/// edge intervals alone, so checkpoints omit the arrays — the bulk of
+/// the serialized tree — whenever the stored ordering equals that
+/// derivation.
 struct OrderCtx<'a> {
     schema: &'a Schema,
     strategy: SearchStrategy,
     early_termination: bool,
-    /// The tree's profile count, which every leaf id lies below.
-    profiles: usize,
 }
 
 impl OrderCtx<'_> {
@@ -849,18 +975,15 @@ impl OrderCtx<'_> {
     }
 }
 
-/// Encodes one node. `prev` carries the previously written leaf's
-/// profile list across the depth-first walk: don't-care profiles are
-/// replicated into every leaf below the node that splits them off, so
-/// adjacent leaves in DFS order overlap almost entirely and a leaf is
-/// stored as its symmetric difference against the predecessor (~20×
-/// fewer ids than the verbatim lists at checkpoint scale).
-fn encode_node(node: &NodeRef, w: &mut ByteWriter, ctx: &OrderCtx<'_>, prev: &mut Vec<ProfileId>) {
+/// Encodes one node, depth-first with the star child before the edges;
+/// a leaf is its index into the pool.
+fn encode_node(node: &NodeRef, w: &mut ByteWriter, ctx: &OrderCtx<'_>) {
     match node {
-        NodeRef::Leaf(profiles) => {
+        NodeRef::Leaf(l) => {
             w.u8(0);
-            persist::write_id_diff(w, prev, profiles);
+            w.vu32(*l);
         }
+        NodeRef::Empty => w.u8(2),
         NodeRef::Inner(node) => {
             w.u8(1);
             w.vu32(node.attr.index() as u32);
@@ -885,15 +1008,15 @@ fn encode_node(node: &NodeRef, w: &mut ByteWriter, ctx: &OrderCtx<'_>, prev: &mu
                 Star::None => w.u8(0),
                 Star::All(child) => {
                     w.u8(1);
-                    encode_node(child, w, ctx, prev);
+                    encode_node(child, w, ctx);
                 }
                 Star::Else(child) => {
                     w.u8(2);
-                    encode_node(child, w, ctx, prev);
+                    encode_node(child, w, ctx);
                 }
             }
             for edge in &node.edges {
-                encode_node(&edge.child, w, ctx, prev);
+                encode_node(&edge.child, w, ctx);
             }
         }
     }
@@ -903,24 +1026,27 @@ fn decode_node(
     r: &mut ByteReader<'_>,
     depth: usize,
     ctx: &OrderCtx<'_>,
-    prev: &mut Vec<ProfileId>,
+    leaves: &mut Leaves,
+    profiles: usize,
 ) -> Result<NodeRef, PersistError> {
     if depth > MAX_TREE_DEPTH {
         return Err(PersistError::new("profile tree nested too deeply"));
     }
-    match r.u8()? {
-        0 => {
-            // Both matchers hand a leaf's ids out as they are: they must
-            // be this tree's profile ids, strictly ascending.
-            let ids = persist::read_id_diff(r, prev)?;
-            if ids.windows(2).any(|w| w[0] >= w[1])
-                || ids.last().is_some_and(|p| p.index() >= ctx.profiles)
-            {
-                return Err(PersistError::new("leaf ids out of order or out of range"));
+    match (r.u8()?, &mut *leaves) {
+        (0, Leaves::Pooled(pool)) => {
+            let l = r.vu32()?;
+            if l as usize >= pool.len() {
+                return Err(PersistError::new(format!("leaf {l} outside the pool")));
             }
-            Ok(NodeRef::Leaf(ids))
+            Ok(NodeRef::Leaf(l))
         }
-        1 => {
+        (0, Leaves::Inline(prev, interner)) => {
+            let ids = persist::read_id_diff(r, prev)?;
+            check_leaf(&ids, profiles)?;
+            Ok(interner.intern(&ids))
+        }
+        (2, Leaves::Pooled(_)) => Ok(NodeRef::Empty),
+        (1, _) => {
             let attr = AttrId::new(r.vu32()?);
             if attr.index() >= ctx.schema.len() {
                 return Err(PersistError::new(format!(
@@ -958,10 +1084,12 @@ fn decode_node(
             {
                 return Err(PersistError::new("ordering does not fit the node's edges"));
             }
+            let mut child =
+                |r: &mut ByteReader<'_>| decode_node(r, depth + 1, ctx, leaves, profiles);
             let star = match r.u8()? {
                 0 => Star::None,
-                1 => Star::All(Box::new(decode_node(r, depth + 1, ctx, prev)?)),
-                2 => Star::Else(Box::new(decode_node(r, depth + 1, ctx, prev)?)),
+                1 => Star::All(Box::new(child(r)?)),
+                2 => Star::Else(Box::new(child(r)?)),
                 tag => {
                     return Err(PersistError::new(format!("unknown star tag {tag}")));
                 }
@@ -970,7 +1098,7 @@ fn decode_node(
             for interval in intervals {
                 edges.push(Edge {
                     interval,
-                    child: decode_node(r, depth + 1, ctx, prev)?,
+                    child: child(r)?,
                 });
             }
             Ok(NodeRef::Inner(Box::new(Node {
@@ -980,7 +1108,7 @@ fn decode_node(
                 star,
             })))
         }
-        tag => Err(PersistError::new(format!("unknown node tag {tag}"))),
+        (tag, _) => Err(PersistError::new(format!("unknown node tag {tag}"))),
     }
 }
 
@@ -1158,52 +1286,6 @@ mod tests {
         assert!(predicted.match_probability() > 0.0);
     }
 
-    /// The x edges of a multi-interval predicate lead to identical y
-    /// nodes, which the automaton shares — until one of them charges
-    /// otherwise.
-    #[test]
-    fn automaton_keeps_apart_nodes_charged_differently() {
-        let schema = Schema::builder()
-            .attribute("x", Domain::int(0, 49))
-            .unwrap()
-            .attribute("y", Domain::int(0, 49))
-            .unwrap()
-            .build();
-        let mut ps = ProfileSet::new(&schema);
-        ps.insert_with(|b| {
-            b.predicate("x", Predicate::in_set([3, 13, 23, 33]))?
-                .predicate("y", Predicate::le(10))
-        })
-        .unwrap();
-        let config = TreeConfig {
-            search: SearchStrategy::Binary,
-            ..TreeConfig::default()
-        };
-        let mut tree = ProfileTree::build(&ps, &config).unwrap();
-        let shared = crate::Dfsa::from_tree(&tree);
-        let NodeRef::Inner(root) = &mut tree.root else {
-            panic!("x is tested at the root");
-        };
-        let NodeRef::Inner(y) = &mut root.edges[0].child else {
-            panic!("y is tested below x");
-        };
-        y.ordering.hit_cost[0] += 5;
-        let dfsa = crate::Dfsa::from_tree(&tree);
-        assert_eq!(dfsa.state_count(), shared.state_count() + 1);
-        for x in 0..50 {
-            for y in [0, 10, 11, 49] {
-                let e = Event::builder(&schema)
-                    .value("x", x)
-                    .unwrap()
-                    .value("y", y)
-                    .unwrap()
-                    .build();
-                let (a, b) = (tree.match_event(&schema, &e), dfsa.match_event(&schema, &e));
-                assert_eq!(a.unwrap().ops(), b.unwrap().ops(), "({x}, {y})");
-            }
-        }
-    }
-
     /// Both matchers charge from a node's tables by edge and gap index:
     /// a checkpoint whose tables do not fit the node's edges is refused.
     #[test]
@@ -1217,7 +1299,7 @@ mod tests {
         let mut w = ByteWriter::new();
         tree.encode(&mut w);
         let image = w.into_bytes();
-        let refused = ProfileTree::decode(&mut ByteReader::new(&image)).unwrap_err();
+        let refused = ProfileTree::decode(&mut ByteReader::new(&image), false).unwrap_err();
         assert!(refused.message().contains("does not fit"), "{refused}");
     }
 

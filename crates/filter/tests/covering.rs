@@ -377,26 +377,19 @@ fn fixture_profile(schema: &Schema, rng: &mut StdRng, pool: &[Profile]) -> Profi
     Profile::from_predicates(schema, ProfileId::new(0), preds).unwrap()
 }
 
-/// Whether the `v4` image is the `v3` one with exactly one contiguous
-/// run of bytes removed, apart from the version word and the checksum.
-fn is_v3_less_one_run(v3: &[u8], v4: &[u8]) -> bool {
-    let version = |image: &[u8]| u32::from_le_bytes(image[4..8].try_into().unwrap());
-    // The magic, then everything between the version word and the
-    // checksum.
-    let body = |image: &[u8]| [&image[..4], &image[8..image.len() - 4]].concat();
-    let (old, new) = (body(v3), body(v4));
-    let head = old.iter().zip(&new).take_while(|(a, b)| a == b).count();
-    let cut = old.len().saturating_sub(new.len());
-    (version(v3), version(v4)) == (3, 4) && cut > 0 && old[head + cut..] == new[head..]
+/// The format version an image declares.
+fn version(image: &[u8]) -> u32 {
+    u32::from_le_bytes(image[4..8].try_into().unwrap())
 }
 
 /// `fixtures/covered_snapshot_pr12.bin` is the checkpoint the commit
 /// before the flat expansion index wrote for the population rebuilt
 /// here (80 base profiles, 12 overlay entries of which 5 covered,
 /// every ninth slot tombstoned), in the version 3 format that also
-/// stored the automaton. The old image loads and serves; it re-encodes
-/// to exactly what a fresh compile of the same population encodes to;
-/// and that is the old image less the automaton section.
+/// stored the automaton and wrote each leaf's list in place. The old
+/// image loads and serves; it re-encodes to exactly what a fresh
+/// compile of the same population encodes to, in the current format,
+/// which is smaller.
 #[test]
 fn head_written_checkpoint_loads_and_re_encodes_identically() {
     let fixture: &[u8] = include_bytes!("fixtures/covered_snapshot_pr12.bin");
@@ -425,10 +418,8 @@ fn head_written_checkpoint_loads_and_re_encodes_identically() {
     let removed: Vec<bool> = (0..snap.base_len()).map(|k| k % 9 == 3).collect();
     let snap = with_overlay(&snap, &overlay, &overlay_cover).with_removed(removed.clone());
     let fresh = snap.to_bytes();
-    assert!(
-        is_v3_less_one_run(fixture, &fresh),
-        "this build encodes the population as the old one did, less the automaton"
-    );
+    assert_eq!((version(fixture), version(&fresh)), (3, 5));
+    assert!(fresh.len() < fixture.len(), "no automaton, each leaf once");
 
     let old = FilterSnapshot::from_bytes(fixture).unwrap();
     assert_eq!(
@@ -436,6 +427,8 @@ fn head_written_checkpoint_loads_and_re_encodes_identically() {
         fresh,
         "the old image re-encodes as a fresh compile"
     );
+    let shape = |s: &FilterSnapshot| (s.dfsa().state_count(), s.dfsa().leaf_count());
+    assert_eq!(shape(&old), shape(&snap));
     let plan = old.cover_plan().unwrap();
     assert_eq!((plan.rep_count(), plan.covered_count()), (27, 53));
     assert_eq!(old.overlay_cover_entries(), overlay_cover);

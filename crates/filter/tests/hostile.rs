@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ens_dist::{Density, DistOverDomain, JointDist};
+use ens_dist::Density;
 use ens_filter::persist::crc32;
 use ens_filter::{FilterSnapshot, SnapshotBlockScratch, SnapshotScratch, TreeConfig};
 use ens_types::{
@@ -117,32 +117,22 @@ fn valid_snapshot() -> Vec<u8> {
         .to_bytes()
 }
 
-/// A snapshot compiled under an event model, whose image therefore
-/// carries the model's per-point tables twice (configuration and
-/// marginals section), with one mass of the section's copy overwritten
-/// and the checksum put right.
+/// `fixtures/stock_modelled_snapshot_pr21.bin`, a version 3 image,
+/// which carries the event model twice (configuration and marginals
+/// section), with one window weight of the price density in the
+/// section's copy overwritten and the checksum put right: each copy is
+/// a valid distribution, and they differ.
 fn snapshot_with_disagreeing_marginals() -> Vec<u8> {
-    let schema = Schema::builder()
-        .attribute("x", Domain::int(0, 99))
-        .unwrap()
-        .build();
-    let mut profiles = ProfileSet::new(&schema);
-    profiles
-        .insert_with(|b| b.predicate("x", Predicate::between(10, 19)))
-        .unwrap();
-    let x = DistOverDomain::new(Density::falling(), 100);
-    let mass = x.prob_index(37).to_le_bytes();
-    let config = TreeConfig {
-        event_model: Some(JointDist::independent(vec![x]).unwrap()),
-        ..TreeConfig::default()
+    let mut bytes = include_bytes!("fixtures/stock_modelled_snapshot_pr21.bin").to_vec();
+    let old = FilterSnapshot::from_bytes(&bytes).unwrap();
+    let Density::Mixture(windows) = old.tree().marginals().unwrap()[1].density() else {
+        panic!("the empirical model is a mixture of windows");
     };
-    let mut bytes = FilterSnapshot::compile(&profiles, &config)
-        .unwrap()
-        .to_bytes();
+    let weight = windows[0].0.to_le_bytes();
     let sites: Vec<usize> = (0..bytes.len() - 8)
-        .filter(|&at| bytes[at..at + 8] == mass)
+        .filter(|&at| bytes[at..at + 8] == weight)
         .collect();
-    assert_eq!(sites.len(), 2, "the mass is written twice");
+    assert_eq!(sites.len(), 2, "the weight is written twice");
     bytes[sites[1]..sites[1] + 8].copy_from_slice(&0.5f64.to_le_bytes());
     reseal(&mut bytes);
     bytes
@@ -189,9 +179,11 @@ fn splices_serve_what_their_trees_do() {
     }
 }
 
-/// A small image over one attribute: three base profiles, the second
-/// inside the first and tombstoned, and two overlay entries, the first
-/// inside the first base profile — compiled with covering on or off.
+/// A small image over one attribute: four base profiles, the second
+/// inside the first and tombstoned, the fourth inside the third, and
+/// two overlay entries, the first inside the first base profile —
+/// compiled with covering on or off. Uncovered, the last leaf list is
+/// the one before it plus an id, so one changed byte can repeat an id.
 fn small_snapshot(covering: bool) -> Vec<u8> {
     let schema = Schema::builder()
         .attribute("x", Domain::int(0, 99))
@@ -210,6 +202,7 @@ fn small_snapshot(covering: bool) -> Vec<u8> {
         Predicate::between(10, 40),
         Predicate::between(20, 30),
         Predicate::ge(60),
+        Predicate::between(90, 99),
     ]);
     let overlay = profiles(&[Predicate::between(25, 35), Predicate::le(5)]);
     let cover =
@@ -236,14 +229,14 @@ fn small_snapshot(covering: bool) -> Vec<u8> {
     snap.unwrap()
         .with_overlay_entries(overlay.iter().zip(covers))
         .unwrap()
-        .with_removed(vec![false, true, false])
+        .with_removed(vec![false, true, false, false])
         .to_bytes()
 }
 
 /// Every single-byte change of `image`, resealed: no decode panics or
 /// overspends its budget, and whatever decodes matches only ids below
-/// `base_len + overlay_len`, per event and per block, on both engines.
-/// Returns how many changes decoded.
+/// `base_len + overlay_len`, each once and ascending, per event and per
+/// block, on both engines. Returns how many changes decoded.
 fn sweep_every_byte(image: &[u8]) -> usize {
     let mut accepted = 0;
     let (mut single, mut block) = (SnapshotScratch::new(), SnapshotBlockScratch::new());
@@ -271,11 +264,16 @@ fn sweep_every_byte(image: &[u8]) -> usize {
                 for i in 0..batch.len() {
                     event.copy_from_raw(batch.row(i));
                     snap.match_into(&event, &mut single, use_dfsa);
-                    let mut emitted = single.matched().iter().chain(block.matched_of(i));
-                    assert!(
-                        emitted.all(|&id| u64::from(id) < ids),
-                        "byte {at} set to {byte} emits an id outside the snapshot"
-                    );
+                    for emitted in [single.matched(), block.matched_of(i)] {
+                        assert!(
+                            emitted.iter().all(|&id| u64::from(id) < ids),
+                            "byte {at} set to {byte} emits an id outside the snapshot"
+                        );
+                        assert!(
+                            emitted.windows(2).all(|w| w[0] < w[1]),
+                            "byte {at} set to {byte} emits ids out of order"
+                        );
+                    }
                 }
             }
         }
@@ -333,10 +331,12 @@ proptest! {
         let refusal = torn.err().map(|e| e.to_string()).unwrap_or_default();
         prop_assert!(refusal.contains("marginals section"), "{refusal:?}");
         splices_serve_what_their_trees_do();
-        // Exhaustively, on a small image: a changed domain bound or
-        // leaf id must not reach `Domain::size` or the dispatch tables.
-        for covering in [false, true] {
-            let image = small_snapshot(covering);
+        // Exhaustively, on small images — this build's, and the
+        // covered one the version 4 format wrote, whose leaves are read
+        // in place: a changed domain bound, leaf id or leaf reference
+        // must not reach `Domain::size` or the dispatch tables.
+        let v4: &[u8] = include_bytes!("fixtures/covered_small_snapshot_v4.bin");
+        for image in [small_snapshot(false), small_snapshot(true), v4.to_vec()] {
             let decoded = sweep_every_byte(&image);
             prop_assert!(decoded > 0 && decoded < 255 * image.len(), "{decoded} decoded");
         }

@@ -9,8 +9,8 @@
 
 use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::{
-    Dfsa, Direction, FilterSnapshot, SearchStrategy, SnapshotBlockScratch, SnapshotScratch,
-    TreeConfig, ValueOrder,
+    Dfsa, Direction, FilterSnapshot, MatchScratch, Matcher, SearchStrategy, SnapshotBlockScratch,
+    SnapshotScratch, TreeConfig, ValueOrder,
 };
 use ens_types::{
     CoverOutcome, CoverSet, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile,
@@ -292,17 +292,36 @@ fn empty_base_round_trips() {
     assert!(scratch.matched().is_empty());
 }
 
-/// Whether the `v4` image is the `v3` one with exactly one contiguous
-/// run of bytes removed, apart from the version word and the checksum.
-fn is_v3_less_one_run(v3: &[u8], v4: &[u8]) -> bool {
-    let version = |image: &[u8]| u32::from_le_bytes(image[4..8].try_into().unwrap());
-    // The magic, then everything between the version word and the
-    // checksum.
-    let body = |image: &[u8]| [&image[..4], &image[8..image.len() - 4]].concat();
-    let (old, new) = (body(v3), body(v4));
-    let head = old.iter().zip(&new).take_while(|(a, b)| a == b).count();
-    let cut = old.len().saturating_sub(new.len());
-    (version(v3), version(v4)) == (3, 4) && cut > 0 && old[head + cut..] == new[head..]
+/// The format version an image declares.
+fn version(image: &[u8]) -> u32 {
+    u32::from_le_bytes(image[4..8].try_into().unwrap())
+}
+
+/// Probes `old` — a snapshot loaded from an image an earlier format
+/// wrote — and `fresh`, this build's compile of the same population:
+/// the same automaton shape, and per event the same matches and ops on
+/// both engines, and the same compiled profiles and ops from the
+/// automaton alone.
+fn assert_loads_as_fresh(old: &FilterSnapshot, fresh: &FilterSnapshot, events: &[IndexedEvent]) {
+    let shape = |s: &FilterSnapshot| {
+        let d = s.dfsa();
+        (d.state_count(), d.leaf_count(), d.jump_state_count())
+    };
+    assert_eq!(shape(old), shape(fresh));
+    assert_eq!(old.dfsa().state_count(), old.tree().node_count());
+    let (mut a, mut b) = (SnapshotScratch::new(), SnapshotScratch::new());
+    let (mut c, mut d) = (MatchScratch::new(), MatchScratch::new());
+    for e in events {
+        for use_dfsa in [false, true] {
+            old.match_into(e, &mut a, use_dfsa);
+            fresh.match_into(e, &mut b, use_dfsa);
+            assert_eq!(a.matched(), b.matched(), "use_dfsa = {use_dfsa}");
+            assert_eq!(a.ops(), b.ops(), "use_dfsa = {use_dfsa}");
+        }
+        old.dfsa().match_into(e, &mut c);
+        fresh.dfsa().match_into(e, &mut d);
+        assert_eq!((c.profiles(), c.ops()), (d.profiles(), d.ops()));
+    }
 }
 
 /// `fixtures/stock_modelled_snapshot_pr21.bin` is the snapshot the
@@ -311,10 +330,10 @@ fn is_v3_less_one_run(v3: &[u8], v4: &[u8]) -> bool {
 /// model of 500 observed trades — a model built by integrating a
 /// 375-window mixture over the 19,901 price points, and serialized
 /// twice, in the configuration and in the marginals section. The model
-/// is now filled in one sweep and held once, and the version 3 image
-/// also stored the automaton, which version 4 leaves out: a fresh
-/// compile encodes to exactly the old image less that section, and the
-/// old image loads, serves, and re-encodes as the fresh compile does.
+/// is now filled in one sweep and written once, and the version 3
+/// image also stored the automaton and wrote each leaf's list in
+/// place: the old image loads, serves as a fresh compile does, and
+/// re-encodes to exactly the fresh compile's smaller image.
 #[test]
 fn parent_written_stock_snapshot_loads_and_re_encodes_identically() {
     use ens_filter::FilterStatistics;
@@ -335,13 +354,10 @@ fn parent_written_stock_snapshot_loads_and_re_encodes_identically() {
         event_model: Some(stats.empirical_model().unwrap()),
         ..TreeConfig::default()
     };
-    let fresh = FilterSnapshot::compile(&profiles, &config)
-        .unwrap()
-        .to_bytes();
-    assert!(
-        is_v3_less_one_run(fixture, &fresh),
-        "this build encodes the population as the old one did, less the automaton"
-    );
+    let compiled = FilterSnapshot::compile(&profiles, &config).unwrap();
+    let fresh = compiled.to_bytes();
+    assert_eq!((version(fixture), version(&fresh)), (3, 5));
+    assert!(fresh.len() < fixture.len(), "{} bytes", fresh.len());
     let old = FilterSnapshot::from_bytes(fixture).unwrap();
     assert!(
         old.to_bytes() == fresh,
@@ -353,14 +369,126 @@ fn parent_written_stock_snapshot_loads_and_re_encodes_identically() {
     );
     // The automaton lowered at load counts what the tree counts.
     let (mut by_tree, mut by_dfsa) = (SnapshotScratch::new(), SnapshotScratch::new());
-    let mut indexed = IndexedEvent::new();
+    let mut events = Vec::new();
     for _ in 0..500 {
-        indexed
-            .resolve_into(&stock_schema(), &generator.sample(&mut rng))
-            .unwrap();
+        let indexed = IndexedEvent::resolve(&stock_schema(), &generator.sample(&mut rng)).unwrap();
         old.match_into(&indexed, &mut by_tree, false);
         old.match_into(&indexed, &mut by_dfsa, true);
         assert_eq!(by_dfsa.matched(), by_tree.matched());
         assert_eq!(by_dfsa.ops(), by_tree.ops());
+        events.push(indexed);
+    }
+    assert_loads_as_fresh(&old, &compiled, &events);
+}
+
+/// `fixtures/covered_small_snapshot_v4.bin` is the image the version 4
+/// format wrote for the population rebuilt here (the small covered
+/// image `hostile.rs` sweeps): three base profiles, the second inside
+/// the first and tombstoned, and two overlay entries, the first inside
+/// the first base profile. It loads, serves as a fresh compile does,
+/// and re-encodes to exactly the fresh compile's image.
+#[test]
+fn a_version_4_image_loads_as_a_fresh_compile() {
+    let fixture: &[u8] = include_bytes!("fixtures/covered_small_snapshot_v4.bin");
+    let schema = Schema::builder()
+        .attribute("x", Domain::int(0, 99))
+        .unwrap()
+        .build();
+    let profiles = |preds: &[Predicate]| {
+        let mut set = ProfileSet::new(&schema);
+        for p in preds {
+            let profile = Profile::from_predicates(&schema, ProfileId::new(0), vec![p.clone()]);
+            set.insert(profile.unwrap());
+        }
+        set
+    };
+    let base = profiles(&[
+        Predicate::between(10, 40),
+        Predicate::between(20, 30),
+        Predicate::ge(60),
+    ]);
+    let overlay = profiles(&[Predicate::between(25, 35), Predicate::le(5)]);
+    let cover =
+        CoverSet::build_bulk(&schema, base.iter().map(|p| (p.id().index() as u32, p))).unwrap();
+    let overlay_cover: Vec<_> = overlay
+        .iter()
+        .map(|p| match cover.probe(p).unwrap() {
+            CoverOutcome::Covered { rep, residual } => {
+                Some((cover.compiled_index_of(rep).unwrap(), residual))
+            }
+            CoverOutcome::Rep => None,
+        })
+        .collect();
+    let covers = overlay_cover
+        .iter()
+        .map(|c| c.as_ref().map(|(rep, r)| (*rep, r.as_slice())));
+    let fresh = FilterSnapshot::compile_with_cover(&base, &cover, &TreeConfig::default())
+        .unwrap()
+        .with_overlay_entries(overlay.iter().zip(covers))
+        .unwrap()
+        .with_removed(vec![false, true, false]);
+    assert_eq!(version(fixture), 4);
+    let old = FilterSnapshot::from_bytes(fixture).unwrap();
+    assert!(old.cover_plan().is_some());
+    assert_eq!(old.overlay_cover_entries(), overlay_cover);
+    assert!(
+        old.to_bytes() == fresh.to_bytes(),
+        "re-encodes as a fresh compile"
+    );
+    let events: Vec<IndexedEvent> = (0..=100)
+        .map(Some)
+        .chain([None])
+        .map(|x| IndexedEvent::from_indices(vec![x]))
+        .collect();
+    assert_loads_as_fresh(&old, &fresh, &events);
+}
+
+/// A checkpoint's event model is decoded, not trusted: an image whose
+/// model has one prefix sum fewer than its size needs — every copy of
+/// it, so that no comparison of copies refuses it first — is refused
+/// at load, instead of reaching Eq. 2 as an index past the table.
+#[test]
+fn a_model_whose_tables_do_not_fit_its_size_is_refused() {
+    use ens_filter::persist::crc32;
+    use ens_filter::CostModel;
+
+    let schema = Schema::builder()
+        .attribute("x", Domain::int(0, 99))
+        .unwrap()
+        .build();
+    let mut profiles = ProfileSet::new(&schema);
+    profiles
+        .insert_with(|b| b.predicate("x", Predicate::ge(90)))
+        .unwrap();
+    let x = DistOverDomain::new(Density::falling(), 100);
+    let config = TreeConfig {
+        event_model: Some(JointDist::independent(vec![x]).unwrap()),
+        ..TreeConfig::default()
+    };
+    let mut bytes = FilterSnapshot::compile(&profiles, &config)
+        .unwrap()
+        .to_bytes();
+    // The prefix sums in the codec's tagged form: a sequence (tag 7) of
+    // 101 floats (tag 5), the first 0.0. Cut to 100, last one dropped.
+    let head: Vec<u8> = [&[7][..], &101u32.to_le_bytes(), &[5], &0f64.to_le_bytes()].concat();
+    let sites: Vec<usize> = (0..bytes.len() - head.len())
+        .filter(|&at| bytes[at..at + head.len()] == head[..])
+        .collect();
+    assert!(!sites.is_empty());
+    for &at in sites.iter().rev() {
+        bytes[at + 1..at + 5].copy_from_slice(&100u32.to_le_bytes());
+        let last = at + 5 + 100 * 9;
+        bytes.drain(last..last + 9);
+    }
+    let payload = bytes.len() - 4;
+    let crc = crc32(&bytes[..payload]);
+    bytes[payload..].copy_from_slice(&crc.to_le_bytes());
+    match FilterSnapshot::from_bytes(&bytes) {
+        Err(refused) => assert!(refused.to_string().contains("do not fit"), "{refused}"),
+        Ok(snap) => {
+            let model = snap.tree().config().event_model.clone().unwrap();
+            let priced = CostModel::new(snap.tree(), &model).and_then(|m| m.evaluate());
+            panic!("a model without its last prefix sum was accepted and priced: {priced:?}");
+        }
     }
 }

@@ -85,6 +85,16 @@ fn arb_profiles2() -> impl Strategy<Value = ProfileSet> {
     )
 }
 
+/// The distinct non-empty leaf lists of `tree`, read off its rendering.
+fn distinct_leaves(tree: &ProfileTree) -> usize {
+    let text = tree.render();
+    let leaves = text
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("=> "));
+    let lists: std::collections::BTreeSet<&str> = leaves.filter(|l| *l != "{}").collect();
+    lists.len()
+}
+
 proptest! {
     /// Oracle agreement of every matching path: on random profile sets
     /// and random (possibly partial) events, the tree's `match_event`,
@@ -95,6 +105,8 @@ proptest! {
     /// `match_into` and `match_block`: under every search strategy, with
     /// and without early termination, for missing values and for values
     /// below and above a node's span (out-of-domain indices included).
+    /// The automaton has one state per inner node and one leaf per
+    /// distinct non-empty leaf list.
     #[test]
     fn fast_paths_agree_with_oracle(
         ps in arb_profiles2(),
@@ -134,6 +146,8 @@ proptest! {
                 };
                 let tree = ProfileTree::build(&ps, &config).unwrap();
                 let dfsa = Dfsa::from_tree(&tree);
+                prop_assert_eq!(dfsa.state_count(), tree.node_count(), "node i is state i");
+                prop_assert_eq!(dfsa.leaf_count(), distinct_leaves(&tree), "each leaf list once");
                 dfsa.match_block(&batch, &mut block);
                 for (i, row) in rows.iter().enumerate() {
                     let at = (search, disable_early_termination, row.raw());
