@@ -443,8 +443,11 @@ struct CompileStagesRow {
     profiles: u64,
     /// Profiles that entered the tree (the covering representatives).
     compiled: u64,
-    /// Statistics onto the new cells and the empirical event model.
+    /// The empirical event model, for a shape that reads it: the same
+    /// load in event order (V1).
     model_ns: u64,
+    /// The event model at the default shape, which reads none: 0.
+    default_model_ns: u64,
     /// The bulk containment pass.
     cover_ns: u64,
     /// The tree build.
@@ -1287,7 +1290,9 @@ fn bench_drift_settle(opts: &Options) -> Result<DriftSettleReport, Box<dyn std::
 }
 
 /// The `compile_stages` section: what the journal says a bulk load of
-/// 1000 profiles spent in each stage of the compile pipeline.
+/// 1000 profiles spent in each stage of the compile pipeline, at the
+/// default shape, and on the event model in event order, the default
+/// shape building none.
 fn bench_compile_stages() -> Result<Vec<CompileStagesRow>, Box<dyn std::error::Error>> {
     use ens_workloads::scenario::{
         environmental_profiles, environmental_schema, stock_profiles, stock_schema,
@@ -1312,31 +1317,41 @@ fn bench_compile_stages() -> Result<Vec<CompileStagesRow>, Box<dyn std::error::E
             profiles: PROFILES as u64,
             compiled: 0,
             model_ns: u64::MAX,
+            default_model_ns: 0,
             cover_ns: u64::MAX,
             tree_ns: u64::MAX,
             lower_ns: u64::MAX,
         };
+        let event_order = SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending));
         for _ in 0..5 {
-            let broker = Broker::new(&schema, BrokerConfig::default())?;
-            let _subs = broker.subscribe_many(profiles.iter().cloned())?;
-            let decisions = broker.decisions();
-            let [Decision::Compacted {
-                population: PROFILES,
-                compiled,
-                model_ns,
-                cover_ns,
-                tree_ns,
-                lower_ns,
-                ..
-            }] = decisions[..]
-            else {
-                return Err(format!("compile_stages: one bulk load, got {decisions:?}").into());
-            };
-            row.compiled = compiled as u64;
-            row.model_ns = row.model_ns.min(model_ns);
-            row.cover_ns = row.cover_ns.min(cover_ns);
-            row.tree_ns = row.tree_ns.min(tree_ns);
-            row.lower_ns = row.lower_ns.min(lower_ns);
+            for search in [SearchStrategy::default(), event_order] {
+                let mut config = BrokerConfig::default();
+                config.tree.search = search;
+                let broker = Broker::new(&schema, config)?;
+                let _subs = broker.subscribe_many(profiles.iter().cloned())?;
+                let decisions = broker.decisions();
+                let [Decision::Compacted {
+                    population: PROFILES,
+                    compiled,
+                    model_ns,
+                    cover_ns,
+                    tree_ns,
+                    lower_ns,
+                    ..
+                }] = decisions[..]
+                else {
+                    return Err(format!("compile_stages: one bulk load, got {decisions:?}").into());
+                };
+                if search == event_order {
+                    row.model_ns = row.model_ns.min(model_ns);
+                    continue;
+                }
+                row.compiled = compiled as u64;
+                row.default_model_ns = row.default_model_ns.max(model_ns);
+                row.cover_ns = row.cover_ns.min(cover_ns);
+                row.tree_ns = row.tree_ns.min(tree_ns);
+                row.lower_ns = row.lower_ns.min(lower_ns);
+            }
         }
         rows.push(row);
     }

@@ -81,7 +81,7 @@ pub(crate) trait Deliver {
     /// A row's run: ascending, none of it delivered before.
     fn run(&mut self, slots: &[u32]);
     /// Up to `n` calls of [`Deliver::slot`] follow.
-    fn expect(&mut self, n: usize);
+    fn announce(&mut self, n: usize);
     fn slot(&mut self, s: u32);
 }
 
@@ -95,8 +95,8 @@ impl Deliver for SlotBits {
     }
 
     #[inline]
-    fn expect(&mut self, n: usize) {
-        self.announce(n);
+    fn announce(&mut self, n: usize) {
+        SlotBits::announce(self, n);
     }
 
     #[inline]
@@ -130,7 +130,7 @@ impl Deliver for Appended<'_> {
     }
 
     #[inline]
-    fn expect(&mut self, _: usize) {}
+    fn announce(&mut self, _: usize) {}
 
     #[inline]
     fn slot(&mut self, s: u32) {
@@ -260,7 +260,7 @@ impl ExpandIndex {
                 let stop = ((i | (BLOCK - 1)) + 1).min(hit);
                 if self.block_hi[i / BLOCK] > v {
                     checks += (stop - i) as u64;
-                    out.expect(stop - i);
+                    out.announce(stop - i);
                     for (&hi, &s) in self.hi[i..stop].iter().zip(&self.slot[i..stop]) {
                         if v < hi {
                             if s & MORE == 0 {
@@ -620,7 +620,9 @@ impl ExpandBuilder {
     /// Closes the open row: orders its run and lays its entries out in
     /// groups.
     pub(crate) fn end_row(&mut self) -> Result<(), PersistError> {
-        let open = *self.index.rows.last().expect("rows never empty");
+        let Some(&open) = self.index.rows.last() else {
+            return Err(PersistError::new("no open cover row"));
+        };
         self.index.runs[open.run as usize..].sort_unstable();
         self.pending.sort_unstable();
         for run in self.pending.chunk_by(|a, b| a.0 == b.0) {
@@ -701,8 +703,8 @@ impl CoverPlan {
         by_rep.sort_unstable_by_key(|&(c, child, _)| (c, child));
         let mut rows = by_rep.chunk_by(|a, b| a.0 == b.0).peekable();
         Self::build(rep_of, base_len, |c, b| {
-            if rows.peek().is_some_and(|row| row[0].0 == c) {
-                for (_, child, residual) in rows.next().expect("peeked") {
+            if let Some(row) = rows.next_if(|row| row[0].0 == c) {
+                for (_, child, residual) in row {
                     b.child(*child, residual.as_ref())?;
                 }
             }

@@ -150,7 +150,7 @@ impl Baseline {
 /// The policy fires when some attribute's empirical distribution is
 /// [`RebuildPolicy::drift_threshold`] further (L1) from the baseline
 /// than sampling noise explains — see [`DriftCause`]. The caller then
-/// either rebuilds ([`DriftTracker::prepare_model`], compile,
+/// either rebuilds ([`DriftTracker::rebin`], compile,
 /// [`DriftTracker::finish_rebuild`]) or turns the trigger down
 /// ([`DriftTracker::decline_rebuild`], [`DriftTracker::defer_rebuild`]),
 /// and every trigger turned down doubles the number of events before
@@ -176,14 +176,30 @@ pub struct DriftTracker {
 }
 
 /// The event history re-binned onto the cells of the profile set a
-/// rebuild is about to compile ([`DriftTracker::prepare_model`]); it
-/// becomes the tracker's when the rebuild is finished.
+/// rebuild is about to compile ([`DriftTracker::rebin`]); it becomes
+/// the tracker's when the rebuild is finished.
 #[derive(Debug)]
 pub struct RebinnedHistory {
     stats: FilterStatistics,
-    /// Whether the model handed out with it is its own estimate (not a
+    /// Whether the model it stands for is its own estimate (not the
     /// configured prior).
     estimated: bool,
+}
+
+impl RebinnedHistory {
+    /// The event model the rebuilt tree is optimised for: `prior`, the
+    /// one [`DriftTracker::rebin`] was given, while it stands, else the
+    /// empirical estimate of this history.
+    ///
+    /// # Errors
+    ///
+    /// Propagates distribution errors.
+    pub fn model(&self, prior: Option<&JointDist>) -> Result<JointDist, FilterError> {
+        match prior {
+            Some(prior) if !self.estimated => Ok(prior.clone()),
+            _ => self.stats.empirical_model(),
+        }
+    }
 }
 
 impl DriftTracker {
@@ -353,11 +369,10 @@ impl DriftTracker {
         self.next_check
     }
 
-    /// First rebuild phase: the event model the new tree should be
-    /// optimised for.
-    ///
-    /// `live` is the full profile set about to be compiled; the event
-    /// history is re-binned onto its cells. The model is the empirical
+    /// First rebuild phase: the event history re-binned onto the cells
+    /// of `live`, the full profile set about to be compiled. The event
+    /// model the new tree should be optimised for, if its shape reads
+    /// one, comes from it ([`RebinnedHistory::model`]): the empirical
     /// estimate, unless `prior` is given and fewer than
     /// [`RebuildPolicy::min_events`] events were ever observed — a
     /// configured prior stands until an estimate exists that the policy
@@ -370,22 +385,19 @@ impl DriftTracker {
     /// # Errors
     ///
     /// Propagates distribution errors.
-    pub fn prepare_model(
+    pub fn rebin(
         &self,
         live: &ProfileSet,
         prior: Option<&JointDist>,
-    ) -> Result<(JointDist, RebinnedHistory), FilterError> {
+    ) -> Result<RebinnedHistory, FilterError> {
         let mut stats = FilterStatistics::new(live)?;
         stats.adopt_history(&self.stats);
-        let (model, estimated) = match prior {
-            Some(prior) if stats.events_posted() < self.policy.min_events => (prior.clone(), false),
-            _ => (stats.empirical_model()?, true),
-        };
-        Ok((model, RebinnedHistory { stats, estimated }))
+        let estimated = prior.is_none() || stats.events_posted() >= self.policy.min_events;
+        Ok(RebinnedHistory { stats, estimated })
     }
 
     /// Second rebuild phase, after the new tree was compiled: commits
-    /// the statistics [`DriftTracker::prepare_model`] re-binned, takes
+    /// the statistics [`DriftTracker::rebin`] re-binned, takes
     /// the baseline from them (a placeholder if the tree was compiled
     /// under a prior) and starts the next detection window.
     ///
@@ -480,7 +492,7 @@ mod tests {
 
     /// A rebuild for `live` from prepare to finish, nothing in between.
     fn rebuild(t: &mut DriftTracker, live: &ProfileSet, migrated: bool) {
-        let (_, history) = t.prepare_model(live, None).unwrap();
+        let history = t.rebin(live, None).unwrap();
         t.finish_rebuild(history, migrated).unwrap();
     }
 
@@ -502,8 +514,8 @@ mod tests {
         assert!(signal.is_warm_up());
         assert_eq!(signal.noise, 0.0);
         assert!(signal.drift >= 0.3);
-        let (model, history) = t.prepare_model(&ps, None).unwrap();
-        assert_eq!(model.arity(), 1);
+        let history = t.rebin(&ps, None).unwrap();
+        assert_eq!(history.model(None).unwrap().arity(), 1);
         t.finish_rebuild(history, false).unwrap();
         assert!(t.current_drift().unwrap() < 1e-12);
         assert_eq!(t.statistics().events_posted(), 20, "history is kept");
@@ -670,7 +682,7 @@ mod tests {
         bigger
             .insert_with(|b| b.predicate("x", Predicate::between(40, 59)))
             .unwrap();
-        let (_, history) = t.prepare_model(&bigger, None).unwrap();
+        let history = t.rebin(&bigger, None).unwrap();
         // Staged only: an abandoned rebuild leaves the tracker alone.
         assert_eq!(t.statistics().partitions()[0].cells().len(), 5);
         t.finish_rebuild(history, false).unwrap();
@@ -700,12 +712,13 @@ mod tests {
         for _ in 0..29 {
             t.observe(&event(&schema, 15)).unwrap();
         }
-        let (model, history) = t.prepare_model(&ps, Some(&prior)).unwrap();
-        assert_eq!(model, prior);
+        let history = t.rebin(&ps, Some(&prior)).unwrap();
+        assert_eq!(history.model(Some(&prior)).unwrap(), prior);
         t.finish_rebuild(history, false).unwrap();
         assert_eq!(t.assumed[0].observations, 0.0, "placeholder baseline");
         t.observe(&event(&schema, 15)).unwrap();
-        let (model, history) = t.prepare_model(&ps, Some(&prior)).unwrap();
+        let history = t.rebin(&ps, Some(&prior)).unwrap();
+        let model = history.model(Some(&prior)).unwrap();
         assert!(model != prior, "30 observations displace the prior");
         assert!(model.marginal(0).mass_between(10, 20) > 0.9);
         t.finish_rebuild(history, false).unwrap();

@@ -10,7 +10,7 @@
 use ens_types::{AttrId, Domain, IndexInterval, Profile, ProfileId, TypesError};
 use serde::{Deserialize, Serialize};
 
-use crate::persist::{self, ByteReader, ByteWriter, PersistError};
+use crate::persist::{self, ByteReader, PersistError};
 
 /// One elementary subrange of an attribute's domain.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -91,33 +91,14 @@ impl AttributePartition {
     where
         I: IntoIterator<Item = &'a Profile>,
     {
-        Self::build_with(profiles, attr, domain, true)
+        Self::build_with_cuts(profiles, attr, domain, true, &[])
     }
 
     /// Like [`AttributePartition::build`], with cell merging optional
-    /// (the `false` form keeps every elementary subrange separate; used
-    /// by the merging-ablation benchmark).
-    ///
-    /// # Errors
-    ///
-    /// Propagates predicate lowering errors ([`TypesError`]).
-    pub fn build_with<'a, I>(
-        profiles: I,
-        attr: AttrId,
-        domain: &Domain,
-        merge: bool,
-    ) -> Result<Self, TypesError>
-    where
-        I: IntoIterator<Item = &'a Profile>,
-    {
-        Self::build_with_cuts(profiles, attr, domain, merge, &[])
-    }
-
-    /// Like [`AttributePartition::build_with`], additionally forcing the
-    /// given cut points into the decomposition. The tree builder uses
-    /// this (with merging disabled) to keep the *global* elementary
-    /// subranges at every node — the unoptimised structure the Fig. 1 →
-    /// Fig. 2 merging improves on.
+    /// and the given cut points forced into the decomposition. The tree
+    /// builder uses this (with merging disabled) to keep the *global*
+    /// elementary subranges at every node — the unoptimised structure
+    /// the Fig. 1 → Fig. 2 merging improves on.
     ///
     /// # Errors
     ///
@@ -274,41 +255,11 @@ impl AttributePartition {
 }
 
 impl AttributePartition {
-    /// Appends the partition in the dense binary checkpoint form.
-    ///
-    /// Hand-rolled instead of riding the serde `Value` codec: at 1M
-    /// profiles the cell posting lists are the bulk of a checkpoint.
-    /// Cells tile the domain contiguously, so only each cell's width is
-    /// stored; a covering profile spans a run of adjacent cells, so the
-    /// per-cell lists are diff-coded against their left neighbour (each
-    /// profile then costs one "added" and one "removed" entry per run
-    /// instead of one entry per covered cell).
-    pub(crate) fn encode(&self, w: &mut ByteWriter) {
-        w.u32(self.attr.index() as u32);
-        w.u64(self.domain_size);
-        w.seq_len(self.cells.len());
-        w.vu64(self.cells.first().map_or(0, |c| c.interval.lo()));
-        let mut bound = 0u64;
-        let mut prev: Vec<ProfileId> = Vec::new();
-        for cell in &self.cells {
-            debug_assert!(
-                bound == 0 || cell.interval.lo() == bound,
-                "partition cells must tile the domain"
-            );
-            w.vu64(cell.interval.hi() - cell.interval.lo());
-            bound = cell.interval.hi();
-            persist::write_id_diff(w, &mut prev, &cell.profiles);
-        }
-        w.packed_u32(
-            &self
-                .dont_care
-                .iter()
-                .map(|p| p.index() as u32)
-                .collect::<Vec<_>>(),
-        );
-    }
-
-    /// Decodes a partition written by [`AttributePartition::encode`].
+    /// Decodes a partition in the form older images wrote (this build
+    /// writes none: a tree keeps no partitions): the attribute, the
+    /// domain size, the cells as widths from the first bound (they tile
+    /// the domain), each cell's list diff-coded against its left
+    /// neighbour, and the don't-care ids.
     pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
         let attr = AttrId::new(r.u32()?);
         let domain_size = r.u64()?;

@@ -71,8 +71,10 @@ pub struct TreeConfig {
     /// Per-node edge search strategy.
     pub search: SearchStrategy,
     /// Event distribution model (one marginal per schema attribute).
-    /// Required by distribution-dependent orders (V1/V3, A2/A3);
-    /// optional otherwise.
+    /// Required by distribution-dependent orders (V1/V3, A2/A3) and
+    /// optional otherwise. It is checked against the schema either way,
+    /// but a tree keeps it only if [`TreeConfig::uses_event_model`]: the
+    /// [`ProfileTree::config`] of any other shape holds `None`.
     pub event_model: Option<JointDist>,
     /// Ablation: disable the lookup-table early-termination rule of
     /// §4.2/Example 5 for linear scans — a miss then costs a full node
@@ -104,6 +106,20 @@ impl TreeConfig {
                 &self.attribute_order,
                 AttributeOrder::Selectivity { measure, .. } if measure.needs_event_model()
             )
+    }
+
+    /// What a tree keeps of this configuration: all of it, less an
+    /// event model its shape does not read.
+    fn kept(&self) -> TreeConfig {
+        let read = self.uses_event_model();
+        TreeConfig {
+            attribute_order: self.attribute_order.clone(),
+            search: self.search,
+            event_model: self.event_model.as_ref().filter(|_| read).cloned(),
+            disable_early_termination: self.disable_early_termination,
+            disable_cell_merging: self.disable_cell_merging,
+            profile_weights: self.profile_weights.clone(),
+        }
     }
 }
 
@@ -276,7 +292,6 @@ pub struct ProfileTree {
     schema: Arc<Schema>,
     config: TreeConfig,
     attribute_order: Vec<AttrId>,
-    partitions: Vec<AttributePartition>,
     root: NodeRef,
     leaves: Arc<LeafPool>,
     profile_count: usize,
@@ -284,6 +299,12 @@ pub struct ProfileTree {
 
 impl ProfileTree {
     /// Builds the tree for `profiles` under `config`.
+    ///
+    /// The tree keeps `config` less an event model its shape does not
+    /// read ([`TreeConfig::uses_event_model`]); the model is checked
+    /// against the schema all the same. What only the build reads —
+    /// the global attribute partitions of a selectivity order or of the
+    /// merging ablation — is dropped with it.
     ///
     /// # Errors
     ///
@@ -296,7 +317,8 @@ impl ProfileTree {
         let schema = Arc::new(profiles.schema().clone());
 
         // Validate the event model; its per-point tables are borrowed
-        // for the build and held once, in the tree's copy of `config`.
+        // for the build and, if the shape reads them, held once in the
+        // tree's copy of `config`.
         let marginals = match &config.event_model {
             Some(joint) => {
                 if joint.arity() != schema.len() {
@@ -324,6 +346,7 @@ impl ProfileTree {
             }
             None => None,
         };
+        let marginals = marginals.filter(|_| config.uses_event_model());
         if config.search.needs_event_model() && marginals.is_none() {
             return Err(FilterError::MissingDistribution {
                 needed_by: format!("search strategy `{}`", config.search.label()),
@@ -346,12 +369,18 @@ impl ProfileTree {
             }
         }
 
-        // Global per-attribute partitions (used by selectivity measures,
-        // statistics and the cost model).
-        let mut partitions = Vec::with_capacity(schema.len());
-        for (id, a) in schema.iter() {
-            partitions.push(AttributePartition::build(profiles.iter(), id, a.domain())?);
-        }
+        // Global per-attribute partitions: the scaffolding of a
+        // selectivity order and of the merging ablation, nothing else.
+        let partitions = if config.disable_cell_merging
+            || matches!(config.attribute_order, AttributeOrder::Selectivity { .. })
+        {
+            let build = |(id, a): (AttrId, &ens_types::Attribute)| {
+                AttributePartition::build(profiles.iter(), id, a.domain())
+            };
+            schema.iter().map(build).collect::<Result<Vec<_>, _>>()?
+        } else {
+            Vec::new()
+        };
 
         // Resolve the attribute order.
         let attribute_order = match &config.attribute_order {
@@ -415,9 +444,8 @@ impl ProfileTree {
 
         Ok(ProfileTree {
             schema,
-            config: config.clone(),
+            config: config.kept(),
             attribute_order,
-            partitions,
             root,
             leaves,
             profile_count: profiles.len(),
@@ -441,19 +469,6 @@ impl ProfileTree {
     #[must_use]
     pub fn attribute_order(&self) -> &[AttrId] {
         &self.attribute_order
-    }
-
-    /// Global per-attribute partitions (schema order, not tree order).
-    #[must_use]
-    pub fn partitions(&self) -> &[AttributePartition] {
-        &self.partitions
-    }
-
-    /// Per-attribute event marginals, if an event model was supplied
-    /// (schema order).
-    #[must_use]
-    pub fn marginals(&self) -> Option<&[DistOverDomain]> {
-        self.config.event_model.as_ref().map(JointDist::marginals)
     }
 
     /// Number of profiles indexed.
@@ -804,17 +819,15 @@ const MAX_TREE_DEPTH: usize = 4096;
 
 impl ProfileTree {
     /// Appends the tree in the binary checkpoint form: schema and config
-    /// (the event model with it) through the serde codec, then the
-    /// partitions, the leaf pool and the node structure hand-rolled
-    /// (they dominate the payload at scale).
+    /// (the event model with it, if the shape reads one) through the
+    /// serde codec, an empty partitions section, then the leaf pool and
+    /// the node structure hand-rolled (they dominate the payload at
+    /// scale).
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.serde(self.schema.as_ref());
         w.serde(&self.config);
         w.serde(&self.attribute_order);
-        w.seq_len(self.partitions.len());
-        for p in &self.partitions {
-            p.encode(w);
-        }
+        w.seq_len(0);
         w.u64(self.profile_count as u64);
         // Don't-care profiles are replicated into every leaf below the
         // node that splits them off, and the pool holds the lists in the
@@ -836,18 +849,18 @@ impl ProfileTree {
     /// Decodes a tree written by [`ProfileTree::encode`] or, when
     /// `inline_leaves`, by the format before it, which repeated the
     /// event model in a marginals section and wrote each leaf's list in
-    /// place (interned here as it is read).
+    /// place (interned here as it is read). An older image's attribute
+    /// partitions and an event model its shape does not read are
+    /// decoded, and so checked, then dropped.
     pub(crate) fn decode(
         r: &mut ByteReader<'_>,
         inline_leaves: bool,
     ) -> Result<Self, PersistError> {
         let schema: Schema = r.serde()?;
-        let config: TreeConfig = r.serde()?;
+        let mut config: TreeConfig = r.serde()?;
         let attribute_order: Vec<AttrId> = r.serde()?;
-        let n_parts = r.seq_len(12)?;
-        let mut partitions = Vec::with_capacity(n_parts);
-        for _ in 0..n_parts {
-            partitions.push(AttributePartition::decode(r)?);
+        for _ in 0..r.seq_len(12)? {
+            AttributePartition::decode(r)?;
         }
         if inline_leaves {
             // The repeated tables are checked, not kept.
@@ -878,11 +891,13 @@ impl ProfileTree {
             Leaves::Inline(_, interner) => interner.pool,
             Leaves::Pooled(pool) => pool,
         };
+        if !config.uses_event_model() {
+            config.event_model = None;
+        }
         Ok(ProfileTree {
             schema: Arc::new(schema),
             config,
             attribute_order,
-            partitions,
             root,
             leaves: pool.shrunk(),
             profile_count,

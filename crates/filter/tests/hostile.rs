@@ -125,7 +125,8 @@ fn valid_snapshot() -> Vec<u8> {
 fn snapshot_with_disagreeing_marginals() -> Vec<u8> {
     let mut bytes = include_bytes!("fixtures/stock_modelled_snapshot_pr21.bin").to_vec();
     let old = FilterSnapshot::from_bytes(&bytes).unwrap();
-    let Density::Mixture(windows) = old.tree().marginals().unwrap()[1].density() else {
+    let model = old.tree().config().event_model.as_ref().unwrap();
+    let Density::Mixture(windows) = model.marginals()[1].density() else {
         panic!("the empirical model is a mixture of windows");
     };
     let weight = windows[0].0.to_le_bytes();
@@ -331,12 +332,19 @@ proptest! {
         let refusal = torn.err().map(|e| e.to_string()).unwrap_or_default();
         prop_assert!(refusal.contains("marginals section"), "{refusal:?}");
         splices_serve_what_their_trees_do();
-        // Exhaustively, on small images — this build's, and the
-        // covered one the version 4 format wrote, whose leaves are read
-        // in place: a changed domain bound, leaf id or leaf reference
+        // Exhaustively, on small images — this build's, the covered one
+        // the version 4 format wrote, whose leaves are read in place,
+        // and a covered version 5 one written with its partitions and
+        // an event model its shape does not read, both decoded and then
+        // dropped (`x` in 0..=3; profiles `x <= 1`, `x = 1` inside it
+        // and `x >= 2`; the natural order under a falling density): a
+        // changed domain bound, leaf id or leaf reference
         // must not reach `Domain::size` or the dispatch tables.
         let v4: &[u8] = include_bytes!("fixtures/covered_small_snapshot_v4.bin");
-        for image in [small_snapshot(false), small_snapshot(true), v4.to_vec()] {
+        let unread: &[u8] = include_bytes!("fixtures/tiny_unread_model_v5.bin");
+        let loaded = FilterSnapshot::from_bytes(unread).unwrap();
+        prop_assert!(loaded.tree().config().event_model.is_none());
+        for image in [small_snapshot(false), small_snapshot(true), v4.to_vec(), unread.to_vec()] {
             let decoded = sweep_every_byte(&image);
             prop_assert!(decoded > 0 && decoded < 255 * image.len(), "{decoded} decoded");
         }

@@ -363,10 +363,7 @@ fn parent_written_stock_snapshot_loads_and_re_encodes_identically() {
         old.to_bytes() == fresh,
         "the old image re-encodes as a fresh compile"
     );
-    assert_eq!(
-        old.tree().marginals(),
-        config.event_model.as_ref().map(JointDist::marginals)
-    );
+    assert_eq!(old.tree().config().event_model, config.event_model);
     // The automaton lowered at load counts what the tree counts.
     let (mut by_tree, mut by_dfsa) = (SnapshotScratch::new(), SnapshotScratch::new());
     let mut events = Vec::new();
@@ -378,6 +375,52 @@ fn parent_written_stock_snapshot_loads_and_re_encodes_identically() {
         assert_eq!(by_dfsa.ops(), by_tree.ops());
         events.push(indexed);
     }
+    assert_loads_as_fresh(&old, &compiled, &events);
+}
+
+/// `fixtures/stock_unread_model_v5.bin` is an image of this format
+/// written while a tree still kept every event model it was given and
+/// its attribute partitions, for the population rebuilt here: 300 stock
+/// profiles, covering on, the default natural-order shape — which reads
+/// no model — under the empirical model of 500 observed trades (334 kB
+/// of tables). It loads into a tree that holds neither the model nor
+/// the partitions, serves 4,096 events as a fresh compile does, and
+/// re-encodes to exactly the fresh compile's image, over 5× smaller.
+#[test]
+fn an_image_with_an_unread_model_loads_without_it() {
+    use ens_workloads::scenario::{stock_event_model, stock_profiles, stock_schema};
+    use ens_workloads::EventGenerator;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let fixture: &[u8] = include_bytes!("fixtures/stock_unread_model_v5.bin");
+    let schema = stock_schema();
+    let mut rng = StdRng::seed_from_u64(34);
+    let profiles = stock_profiles(300, &mut rng).unwrap();
+    let cover =
+        CoverSet::build_bulk(&schema, profiles.iter().map(|p| (p.id().index() as u32, p))).unwrap();
+    let compiled =
+        FilterSnapshot::compile_with_cover(&profiles, &cover, &TreeConfig::default()).unwrap();
+    let fresh = compiled.to_bytes();
+    assert_eq!((version(fixture), version(&fresh)), (5, 5));
+    let old = FilterSnapshot::from_bytes(fixture).unwrap();
+    assert_eq!(old.tree().config().event_model, None);
+    let again = old.to_bytes();
+    assert!(again == fresh, "re-encodes as a fresh compile");
+    assert!(
+        5 * again.len() <= fixture.len(),
+        "{} bytes re-encoded from {}",
+        again.len(),
+        fixture.len()
+    );
+    let generator = EventGenerator::new(&schema, stock_event_model().unwrap()).unwrap();
+    let events: Vec<IndexedEvent> = (0..4096)
+        .map(|_| IndexedEvent::resolve(&schema, &generator.sample(&mut rng)).unwrap())
+        .collect();
+    assert!(events.iter().any(|e| {
+        let mut scratch = SnapshotScratch::new();
+        old.match_into(e, &mut scratch, true);
+        !scratch.matched().is_empty()
+    }));
     assert_loads_as_fresh(&old, &compiled, &events);
 }
 
@@ -446,7 +489,9 @@ fn a_version_4_image_loads_as_a_fresh_compile() {
 /// A checkpoint's event model is decoded, not trusted: an image whose
 /// model has one prefix sum fewer than its size needs — every copy of
 /// it, so that no comparison of copies refuses it first — is refused
-/// at load, instead of reaching Eq. 2 as an index past the table.
+/// at load, instead of reaching Eq. 2 as an index past the table. (The
+/// tree is compiled in event order: a shape that reads no model keeps
+/// none, and its image has no model to cut.)
 #[test]
 fn a_model_whose_tables_do_not_fit_its_size_is_refused() {
     use ens_filter::persist::crc32;
@@ -462,6 +507,7 @@ fn a_model_whose_tables_do_not_fit_its_size_is_refused() {
         .unwrap();
     let x = DistOverDomain::new(Density::falling(), 100);
     let config = TreeConfig {
+        search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
         event_model: Some(JointDist::independent(vec![x]).unwrap()),
         ..TreeConfig::default()
     };

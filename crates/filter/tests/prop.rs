@@ -2,13 +2,13 @@
 
 use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::{
-    binary_hit_cost, binary_miss_cost, AttributePartition, BlockScratch, CostModel, Dfsa,
-    Direction, MatchScratch, Matcher, NodeOrdering, ProfileTree, SearchStrategy, TreeConfig,
-    ValueOrder,
+    binary_hit_cost, binary_miss_cost, AttributeMeasure, AttributeOrder, AttributePartition,
+    BlockScratch, CostModel, Dfsa, Direction, FilterSnapshot, MatchScratch, Matcher, NodeOrdering,
+    ProfileTree, SearchStrategy, SnapshotScratch, TreeConfig, ValueOrder,
 };
 use ens_types::{
-    AttrId, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId, ProfileSet,
-    Schema, Value,
+    AttrId, CoverSet, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId,
+    ProfileSet, Schema, Value,
 };
 use proptest::prelude::*;
 
@@ -168,6 +168,81 @@ proptest! {
                     prop_assert_eq!(out.ops(), by_tree.ops(), "scratch ops agree with match_event");
                     let out = dfsa.match_event(&schema, &e).unwrap();
                     prop_assert_eq!(out.profiles(), oracle.as_slice(), "CSR dfsa event {:?}", at);
+                }
+            }
+        }
+    }
+
+    /// A tree keeps an event model only if its shape reads one. Under
+    /// every search that reads none, in natural and A1 attribute order,
+    /// covering on and off, a tree compiled with a model is the tree
+    /// compiled without: no model kept, the same nodes, leaf pool and
+    /// scan orders (one image, byte for byte), and the same matches and
+    /// ops per event on both engines.
+    #[test]
+    fn a_model_the_shape_does_not_read_changes_nothing(
+        ps in arb_profiles2(),
+        events in prop::collection::vec(
+            (prop::option::of(0..D), prop::option::of(0..D2 as u64)),
+            1..16,
+        ),
+    ) {
+        let schema = ps.schema().clone();
+        let model = JointDist::independent(vec![
+            DistOverDomain::new(Density::falling(), D),
+            DistOverDomain::new(Density::peak(0.3, 0.2, 0.7).unwrap(), D2 as u64),
+        ])
+        .unwrap();
+        let cover =
+            CoverSet::build_bulk(&schema, ps.iter().map(|p| (p.id().index() as u32, p))).unwrap();
+        let rows: Vec<IndexedEvent> = events
+            .iter()
+            .map(|&(x, y)| IndexedEvent::from_indices(vec![x, y]))
+            .collect();
+        let (mut with_scratch, mut without_scratch) =
+            (SnapshotScratch::new(), SnapshotScratch::new());
+        let searches = ValueOrder::ALL
+            .iter()
+            .map(|o| SearchStrategy::Linear(*o))
+            .chain([SearchStrategy::Binary, SearchStrategy::Interpolation, SearchStrategy::Hash])
+            .filter(|s| !s.needs_event_model());
+        let orders = [
+            AttributeOrder::Natural,
+            AttributeOrder::Selectivity {
+                measure: AttributeMeasure::A1,
+                direction: Direction::Descending,
+            },
+        ];
+        for search in searches {
+            for order in &orders {
+                for covering in [false, true] {
+                    let compile = |event_model| {
+                        let config = TreeConfig {
+                            attribute_order: order.clone(),
+                            search,
+                            event_model,
+                            ..TreeConfig::default()
+                        };
+                        if covering {
+                            FilterSnapshot::compile_with_cover(&ps, &cover, &config).unwrap()
+                        } else {
+                            FilterSnapshot::compile(&ps, &config).unwrap()
+                        }
+                    };
+                    let (with, without) = (compile(Some(model.clone())), compile(None));
+                    let at = (search, order, covering);
+                    prop_assert!(with.tree().config().event_model.is_none(), "{:?}", at);
+                    prop_assert_eq!(with.tree().node_count(), without.tree().node_count());
+                    prop_assert_eq!(with.dfsa().leaf_count(), without.dfsa().leaf_count());
+                    prop_assert!(with.to_bytes() == without.to_bytes(), "{:?}", at);
+                    for row in &rows {
+                        for use_dfsa in [false, true] {
+                            with.match_into(row, &mut with_scratch, use_dfsa);
+                            without.match_into(row, &mut without_scratch, use_dfsa);
+                            prop_assert_eq!(with_scratch.matched(), without_scratch.matched());
+                            prop_assert_eq!(with_scratch.ops(), without_scratch.ops(), "{:?}", at);
+                        }
+                    }
                 }
             }
         }

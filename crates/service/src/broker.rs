@@ -1261,7 +1261,9 @@ impl Broker {
     /// there is one per shard, and nothing to weigh the estimate
     /// against. And where the shard's shape does not read the event
     /// model and is not up for re-choosing, the same tree would come
-    /// out: declined on the spot.
+    /// out: declined on the spot. Such a shape compiles under no model,
+    /// so the estimate is built for the pricing alone (the warm-up's
+    /// journal numbers, or the tuner's battery).
     ///
     /// The whole pass runs on the publishing thread under the shard's
     /// writer lock. The tree that was priced is the tree committed.
@@ -1286,6 +1288,9 @@ impl Broker {
         }
         let snap = shard.snapshot.read().clone();
         let mut staged = w.stage()?;
+        // The estimate both trees are priced under: built here for a
+        // shape that compiles under none.
+        let model = staged.model()?;
         // The candidate tree, the (stale, candidate) comparisons per
         // event and, with tuning, whether the tuner's own bar was met.
         let (tree, stale_ops, new_ops, refused) = if tuning {
@@ -1297,7 +1302,7 @@ impl Broker {
                 w.overlay_uncovered(),
                 &staged.compiled,
                 &staged.config,
-                staged.model(),
+                &model,
             )?;
             self.metrics
                 .tuning_nanos
@@ -1308,8 +1313,8 @@ impl Broker {
             (tree, decision.stale_ops, decision.best_ops, refused)
         } else {
             let tree = staged.build_tree()?;
-            let stale_ops = expected_ops(snap.filter.tree(), staged.model())?;
-            let new_ops = expected_ops(&tree, staged.model())?;
+            let stale_ops = expected_ops(snap.filter.tree(), &model)?;
+            let new_ops = expected_ops(&tree, &model)?;
             (Some(tree), stale_ops, new_ops, None)
         };
         let refused = refused.or_else(|| {
@@ -1334,7 +1339,6 @@ impl Broker {
             attribute_order: staged.config.attribute_order.clone(),
             search: staged.config.search,
         };
-        let event_model = staged.model().clone();
         let (t0, spent) = (Instant::now(), staged.spent);
         w.rebuild(staged, tree, signal.cause == DriftCause::Moved)?;
         let rebuild_ns = (spent + t0.elapsed()).as_nanos() as u64;
@@ -1372,7 +1376,7 @@ impl Broker {
                 shard: s as u32,
                 attribute_order: to.attribute_order,
                 search: to.search,
-                event_model,
+                event_model: model,
             }) {
                 Ok(()) => {}
                 // The retuned tree is live in memory either way; a

@@ -127,8 +127,9 @@ pub enum Decision {
         /// Profiles that entered the tree: the representatives under
         /// covering, else the whole population.
         compiled: usize,
-        /// Statistics re-binned onto the new cells and the event model
-        /// filled from them.
+        /// The event model filled from the statistics re-binned onto
+        /// the new cells: 0 for a shape that reads none, which has none
+        /// built (re-binning the statistics is in none of the stages).
         model_ns: u64,
         /// The bulk containment pass (0 with covering off).
         cover_ns: u64,

@@ -74,6 +74,7 @@ impl Subscriber {
 
     /// Non-blocking receive.
     #[must_use]
+    #[inline]
     pub fn try_recv(&self) -> Option<Notification> {
         self.rx.try_recv().map(|q| self.notification(q))
     }

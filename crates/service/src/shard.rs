@@ -181,16 +181,16 @@ pub(super) struct Staged {
     /// The profiles that enter the tree: the representatives of `cover`,
     /// or the whole population in compaction order.
     pub(super) compiled: ProfileSet,
-    /// The shape to compile, the event model to compile under and the
-    /// weights of the compiled profiles.
+    /// The shape to compile and the weights of the compiled profiles.
+    /// Its event model is the one to compile under for a shape that
+    /// reads one, else the configured prior, passed along unread.
     pub(super) config: TreeConfig,
     /// The event history on the cells of `compiled`, the drift
     /// tracker's once the recompile commits.
     history: RebinnedHistory,
     /// Time spent on this recompile so far (pricing it excluded), and
     /// the parts of it that went into the containment pass, the event
-    /// model (statistics re-binned onto the new cells included) and the
-    /// tree build.
+    /// model (zero for a shape that reads none) and the tree build.
     pub(super) spent: Duration,
     cover_time: Duration,
     model_time: Duration,
@@ -198,12 +198,14 @@ pub(super) struct Staged {
 }
 
 impl Staged {
-    /// The event model the tree is compiled under.
-    pub(super) fn model(&self) -> &JointDist {
-        self.config
-            .event_model
-            .as_ref()
-            .expect("staging always sets the event model")
+    /// The event model a rebuild is priced under: the one the tree is
+    /// compiled under or, for a shape that reads none, the one it would
+    /// be compiled under, built here.
+    pub(super) fn model(&self) -> Result<JointDist, ServiceError> {
+        match &self.config.event_model {
+            Some(model) if self.config.uses_event_model() => Ok(model.clone()),
+            prior => Ok(self.history.model(prior.as_ref())?),
+        }
     }
 
     /// Compiles the tree for the staged population and configuration.
@@ -393,10 +395,12 @@ impl ShardWriter {
 
     /// First half of a recompile of the shard as `change` leaves it,
     /// under the configuration `tree`: everything up to the tree build.
-    /// Folds the overlay in and drops the tombstones; the event model is
-    /// the one the drift tracker hands out — the empirical estimate,
+    /// Folds the overlay in, drops the tombstones and re-binds the drift
+    /// history onto the new cells. A shape that reads an event model
+    /// gets the one the history stands for — the empirical estimate,
     /// whose history survives the change of cell geometry, or `tree`'s
-    /// while that is still the better-founded prior.
+    /// while that is still the better-founded prior; no other shape has
+    /// one built.
     fn stage(&self, change: &Change, tree: TreeConfig) -> Result<Staged, ServiceError> {
         let t0 = Instant::now();
         let mut profiles = ProfileSet::new(&self.schema);
@@ -444,18 +448,21 @@ impl ShardWriter {
             })
         };
 
-        let t_model = Instant::now();
-        let (model, history) = self
-            .tracker
-            .prepare_model(&compiled, tree.event_model.as_ref())?;
-        let model_time = t_model.elapsed();
+        let history = self.tracker.rebin(&compiled, tree.event_model.as_ref())?;
+        let (event_model, model_time) = if tree.uses_event_model() {
+            let t_model = Instant::now();
+            let model = history.model(tree.event_model.as_ref())?;
+            (Some(model), t_model.elapsed())
+        } else {
+            (tree.event_model, Duration::ZERO)
+        };
         Ok(Staged {
             population,
             cover,
             compiled,
             config: TreeConfig {
                 profile_weights: weights,
-                event_model: Some(model),
+                event_model,
                 ..tree
             },
             history,
@@ -509,7 +516,7 @@ impl Shard {
         // event arrived: seed the first tree with the (uniform)
         // empirical model of an empty history.
         let mut tree = config.tree.clone();
-        if tree.event_model.is_none() {
+        if tree.event_model.is_none() && tree.uses_event_model() {
             tree.event_model = Some(tracker.statistics().empirical_model()?);
         }
         let filter = FilterSnapshot::compile(&nothing, &tree)?;
@@ -688,9 +695,11 @@ impl ShardGuard<'_> {
             let (cover, dominated) = match &self.cover {
                 Some(cs) if !bulk => match cs.probe(&sub.profile)? {
                     CoverOutcome::Covered { rep, residual } => {
-                        let compiled = cs
-                            .compiled_index_of(rep)
-                            .expect("probe only returns representative slots");
+                        let Some(compiled) = cs.compiled_index_of(rep) else {
+                            return Err(ServiceError::Persist(format!(
+                                "the containment probe named slot {rep}, not a representative"
+                            )));
+                        };
                         (Some((compiled, residual)), 0)
                     }
                     CoverOutcome::Rep => (None, cs.dominated_reps(&sub.profile)?.len()),

@@ -1,6 +1,7 @@
 //! Live-bytes budget of a broker at rest: an event model's per-point
 //! tables (16 bytes a domain point) are held once a shard — in the
-//! compiled tree's configuration — not again beside it.
+//! compiled tree's configuration — not again beside it, and only by a
+//! shard whose tree's shape reads them.
 //!
 //! This file deliberately contains a single `#[test]` so no concurrent
 //! test thread can disturb the global byte counter.
@@ -8,6 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use ens_filter::{Direction, SearchStrategy, TreeConfig, ValueOrder};
 use ens_service::{Broker, BrokerConfig};
 use ens_workloads::scenario::{stock_profiles, stock_schema};
 use rand::rngs::StdRng;
@@ -65,32 +67,56 @@ fn a_shard_holds_its_model_tables_once() {
     let points: u64 = schema.iter().map(|(_, a)| a.domain().size()).sum();
     let tables = 16 * points as usize;
     assert!(tables > 330_000, "the price attribute has 19,901 points");
-    let config = || BrokerConfig {
+    let config = |search| BrokerConfig {
         shards: 2,
+        tree: TreeConfig {
+            search,
+            ..TreeConfig::default()
+        },
         ..BrokerConfig::default()
     };
+    let event_order = SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending));
+    // Few enough subscriptions that a copy of the tables would not hide
+    // among them.
+    let profiles = stock_profiles(64, &mut StdRng::seed_from_u64(12)).unwrap();
+    let loaded = |search| {
+        retained(|| {
+            let broker = Broker::new(&schema, config(search)).unwrap();
+            let subs = broker.subscribe_many(profiles.iter().cloned()).unwrap();
+            (broker, subs)
+        })
+    };
 
-    // Empty: each shard's seed tree is compiled under the uniform model
-    // of an empty history. (1,362,118 bytes when the tree kept a second
-    // copy of the tables.)
-    let (broker, empty) = retained(|| Broker::new(&schema, config()).unwrap());
+    // In event order, empty: each shard's seed tree is compiled under
+    // the uniform model of an empty history. (1,362,118 bytes when the
+    // tree kept a second copy of the tables.)
+    let (broker, empty) = retained(|| Broker::new(&schema, config(event_order)).unwrap());
     assert!(
         (2 * tables..=760_000).contains(&empty),
-        "an empty 2-shard stock broker retains {empty} bytes ({tables} a model)"
+        "an empty 2-shard stock broker in event order retains {empty} bytes ({tables} a model)"
+    );
+    drop(broker);
+    let (broker, bytes) = loaded(event_order);
+    assert!(
+        (2 * tables..3 * tables).contains(&bytes),
+        "a loaded 2-shard stock broker in event order retains {bytes} bytes ({tables} a model)"
     );
     drop(broker);
 
-    // Loaded: few enough subscriptions that a second copy of the tables
-    // would not hide among them.
-    let profiles = stock_profiles(64, &mut StdRng::seed_from_u64(12)).unwrap();
-    let (loaded, bytes) = retained(|| {
-        let broker = Broker::new(&schema, config()).unwrap();
-        let subs = broker.subscribe_many(profiles.iter().cloned()).unwrap();
-        (broker, subs)
-    });
+    // In natural order, which reads no model, no shard builds or holds
+    // one: 21,294 and 136,914 bytes, where each shard held one at the
+    // default shape before.
+    let natural = SearchStrategy::default();
+    let (broker, empty) = retained(|| Broker::new(&schema, config(natural)).unwrap());
     assert!(
-        (2 * tables..3 * tables).contains(&bytes),
-        "a loaded 2-shard stock broker retains {bytes} bytes ({tables} a model)"
+        empty < tables / 8,
+        "an empty 2-shard stock broker in natural order retains {empty} bytes"
     );
-    drop(loaded);
+    drop(broker);
+    let (broker, bytes) = loaded(natural);
+    assert!(
+        bytes < tables,
+        "a loaded 2-shard stock broker in natural order retains {bytes} bytes"
+    );
+    drop(broker);
 }

@@ -756,8 +756,8 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
                 total_ops += scratch.ops();
                 events += 1;
                 if let Some(signal) = tracker.observe(&e)? {
-                    let (model, history) = tracker.prepare_model(&profiles, None)?;
-                    config.event_model = Some(model);
+                    let history = tracker.rebin(&profiles, None)?;
+                    config.event_model = Some(history.model(None)?);
                     tree = ProfileTree::build(&profiles, &config)?;
                     tracker.finish_rebuild(history, signal.cause == DriftCause::Moved)?;
                     rebuilds += 1;

@@ -6,8 +6,8 @@
 
 use ens::dist::{Density, DistOverDomain, JointDist};
 use ens::filter::{
-    attribute_selectivities, AttributeMeasure, AttributeOrder, CostModel, Direction, ProfileTree,
-    SearchStrategy, TreeConfig, ValueOrder,
+    attribute_selectivities, AttributeMeasure, AttributeOrder, AttributePartition, CostModel,
+    Direction, ProfileTree, SearchStrategy, TreeConfig, ValueOrder,
 };
 use ens::prelude::*;
 use ens::types::parse::parse_profile;
@@ -62,22 +62,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ])?;
 
-    let natural = ProfileTree::build(
-        &profiles,
-        &TreeConfig {
-            event_model: Some(joint.clone()),
-            ..TreeConfig::default()
-        },
-    )?;
+    let natural = ProfileTree::build(&profiles, &TreeConfig::default())?;
     println!("=== Fig. 1: the natural-order profile tree ===");
     print!("{}", natural.render());
 
-    let s1 = attribute_selectivities(AttributeMeasure::A1, natural.partitions(), None)?;
-    let s2 = attribute_selectivities(
-        AttributeMeasure::A2,
-        natural.partitions(),
-        natural.marginals(),
-    )?;
+    // The global elementary subranges of each attribute (Fig. 1's edges
+    // before the tree splits them per branch): what A1 and A2 rank.
+    let partitions = schema
+        .iter()
+        .map(|(id, a)| AttributePartition::build(profiles.iter(), id, a.domain()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let s1 = attribute_selectivities(AttributeMeasure::A1, &partitions, None)?;
+    let s2 = attribute_selectivities(AttributeMeasure::A2, &partitions, Some(joint.marginals()))?;
     println!("\nattribute selectivities  A1 = {s1:?}");
     println!("                         A2 = {s2:?}");
 
