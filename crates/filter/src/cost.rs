@@ -17,7 +17,7 @@
 //! #operations computed based on #operations and event distribution").
 
 use ens_dist::JointDist;
-use ens_types::{AttrId, IndexInterval};
+use ens_types::{AttrId, IndexInterval, Schema};
 use serde::{Deserialize, Serialize};
 
 use crate::tree::{NodeRef, ProfileTree, Star};
@@ -177,24 +177,7 @@ impl<'a> CostModel<'a> {
     /// Returns [`FilterError::ModelMismatch`] if the model's arity or
     /// domain sizes disagree with the tree's schema.
     pub fn new(tree: &'a ProfileTree, joint: &'a JointDist) -> Result<Self, FilterError> {
-        let schema = tree.schema();
-        if joint.arity() != schema.len() {
-            return Err(FilterError::ModelMismatch {
-                message: format!("model arity {} vs schema {}", joint.arity(), schema.len()),
-            });
-        }
-        for (j, (_, a)) in schema.iter().enumerate() {
-            if joint.domain_size(j) != a.domain().size() {
-                return Err(FilterError::ModelMismatch {
-                    message: format!(
-                        "attribute `{}`: model size {} vs domain size {}",
-                        a.name(),
-                        joint.domain_size(j),
-                        a.domain().size()
-                    ),
-                });
-            }
-        }
+        check_model(tree.schema(), joint)?;
         Ok(CostModel { tree, joint })
     }
 
@@ -336,23 +319,39 @@ impl<'a> CostModel<'a> {
     }
 }
 
+/// Checks that `joint` models events of `schema`: one marginal per
+/// attribute, each over the attribute's domain.
+///
+/// # Errors
+///
+/// Returns [`FilterError::ModelMismatch`] if the model's arity or
+/// domain sizes disagree with the schema.
+pub(crate) fn check_model(schema: &Schema, joint: &JointDist) -> Result<(), FilterError> {
+    if joint.arity() != schema.len() {
+        return Err(FilterError::ModelMismatch {
+            message: format!("model arity {} vs schema {}", joint.arity(), schema.len()),
+        });
+    }
+    for (j, (_, a)) in schema.iter().enumerate() {
+        if joint.domain_size(j) != a.domain().size() {
+            return Err(FilterError::ModelMismatch {
+                message: format!(
+                    "attribute `{}`: model size {} vs domain size {}",
+                    a.name(),
+                    joint.domain_size(j),
+                    a.domain().size()
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
 struct Acc {
     per_level: Vec<LevelCost>,
     per_profile: Vec<ProfileCost>,
     match_probability: f64,
     expected_notifications: f64,
-}
-
-/// Convenience: total expected operations per event of `tree` under
-/// `joint`.
-///
-/// # Errors
-///
-/// See [`CostModel::new`] and [`CostModel::evaluate`].
-pub fn expected_ops(tree: &ProfileTree, joint: &JointDist) -> Result<f64, FilterError> {
-    Ok(CostModel::new(tree, joint)?
-        .evaluate()?
-        .expected_total_ops())
 }
 
 #[cfg(test)]

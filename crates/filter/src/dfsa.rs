@@ -30,6 +30,25 @@
 //! all: the tree builder interns each distinct leaf list once, into a
 //! pool the automaton shares, and a leaf target is its index there.
 //!
+//! # Raising
+//!
+//! Lowering is invertible. Beside the transitions, an automaton keeps
+//! one bit per cut point or jump-table slot that says where an edge
+//! (rather than a gap to the star target) begins, whether each star
+//! edge is `*` or `(*)`, and the [`NodeOrdering`] of every node whose
+//! ordering the checkpoint codec cannot derive from its edges (the
+//! probability-driven V1–V3 orders, and a few edge-less nodes). From
+//! these and the tree's header the tree is raised again, equal to the
+//! one lowered, and its checkpoint section is written straight off the
+//! automaton.
+//!
+//! # Expected cost
+//!
+//! [`Dfsa::expected_ops`] is Eq. 2 on the automaton: one pass over the
+//! states, parents before children, each state's probability flowing
+//! along its hops weighted by their intervals' masses under the tested
+//! attribute's marginal.
+//!
 //! # Layout
 //!
 //! Instead of one heap allocation per state (the pointer-heavy layout
@@ -57,10 +76,13 @@
 
 use std::sync::Arc;
 
-use ens_types::{IndexedBatch, IndexedEvent};
+use ens_dist::JointDist;
+use ens_types::{AttrId, IndexInterval, IndexedBatch, IndexedEvent};
 
+use crate::order::NodeOrdering;
 use crate::scratch::{BlockScratch, MatchScratch, Matcher};
-use crate::tree::{LeafPool, Node, NodeRef, ProfileTree, Star};
+use crate::tree::{LeafPool, Node, NodeRef, OrderCtx, ProfileTree, Star};
+use crate::FilterError;
 
 /// Number of events traversed concurrently by [`Matcher::match_block`]:
 /// one automaton step is issued for every in-flight lane before any
@@ -128,6 +150,48 @@ impl PTarget {
         assert!(l <= PAYLOAD_MASK, "DFSA leaf index overflows packed target");
         PTarget((TAG_LEAF << TAG_SHIFT) | l)
     }
+
+    fn next(self) -> Next {
+        match self.0 >> TAG_SHIFT {
+            TAG_STATE => Next::State(self.0 & PAYLOAD_MASK),
+            TAG_LEAF => Next::Leaf(self.0 & PAYLOAD_MASK),
+            _ => Next::Reject,
+        }
+    }
+}
+
+/// Where a transition leads, as the tree sees it: a node (state), a
+/// leaf (of the pool), or the empty leaf.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Next {
+    State(u32),
+    Leaf(u32),
+    Reject,
+}
+
+/// Sets bit `i` of a bitmap over an arena's slots.
+fn set_bit(words: &mut Vec<u64>, i: usize) {
+    if words.len() <= i / 64 {
+        words.resize(i / 64 + 1, 0);
+    }
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Bit `i` of a bitmap; slots past its end are clear.
+fn bit(words: &[u64], i: usize) -> bool {
+    words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
+
+/// The first set bit of `words` in `from..end`, or `end`.
+fn next_bit(words: &[u64], mut from: usize, end: usize) -> usize {
+    while from < end {
+        let word = words.get(from / 64).map_or(0, |w| w >> (from % 64));
+        if word != 0 {
+            return (from + word.trailing_zeros() as usize).min(end);
+        }
+        from = (from / 64 + 1) * 64;
+    }
+    end
 }
 
 /// One transition: where a value leads, and the comparison operations
@@ -167,6 +231,8 @@ struct StateMeta {
     jump: bool,
     /// Charged for a missing attribute: 1 with a star edge, 0 without.
     missing: u8,
+    /// The star edge is `*` (the node has no specific edges), not `(*)`.
+    star_all: bool,
     star: PTarget,
     /// Covered index range: `lo == hi` means no specific edges.
     lo: u64,
@@ -217,6 +283,15 @@ pub struct Dfsa {
     /// The tree's leaf pool: a leaf target indexes it.
     leaves: Arc<LeafPool>,
     root: PTarget,
+    /// Bitmaps: set where a cut point opens an edge rather than a gap;
+    /// where a run of equal jump-table slots (an edge or a gap) begins,
+    /// and where one that is an edge begins.
+    cut_edges: Box<[u64]>,
+    jump_runs: Box<[u64]>,
+    jump_edges: Box<[u64]>,
+    /// The orderings the checkpoint codec does not derive, by state,
+    /// ascending.
+    orderings: Box<[(u32, NodeOrdering)]>,
 }
 
 impl Dfsa {
@@ -225,12 +300,16 @@ impl Dfsa {
     #[must_use]
     pub fn from_tree(tree: &ProfileTree) -> Self {
         let mut lowering = Lowering::default();
-        let root = lowering.lower(tree.root());
+        let root = lowering.lower(tree.root(), &OrderCtx::new(tree.header()));
         let Lowering {
             mut states,
             mut cuts,
             mut jumps,
             mut accel,
+            cut_edges,
+            jump_runs,
+            jump_edges,
+            orderings,
             ..
         } = lowering;
         states.shrink_to_fit();
@@ -244,7 +323,139 @@ impl Dfsa {
             accel,
             leaves: Arc::clone(tree.leaves()),
             root,
+            cut_edges: cut_edges.into_boxed_slice(),
+            jump_runs: jump_runs.into_boxed_slice(),
+            jump_edges: jump_edges.into_boxed_slice(),
+            orderings: orderings.into_boxed_slice(),
         }
+    }
+
+    /// Eq. 2 on the automaton: the expected comparison operations per
+    /// event under `joint`, which is what
+    /// [`CostModel::evaluate`](crate::CostModel::evaluate) returns for
+    /// the tree this automaton was lowered from, to rounding.
+    ///
+    /// One pass over the states, parents before children (lowering
+    /// numbers a node after its children, so in descending order): a
+    /// state's probability flows along each hop in proportion to the
+    /// mass of the hop's interval under the tested attribute's
+    /// marginal, and pays the hop's charge. Every state tests one
+    /// attribute, once per path, and the model is a product of
+    /// marginals, so the pass is exact.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FilterError::ModelMismatch`] when a state tests an
+    /// attribute the model does not have, or has edges beyond its
+    /// domain.
+    pub fn expected_ops(&self, joint: &JointDist) -> Result<f64, FilterError> {
+        let mut reach = vec![0.0; self.states.len()];
+        if let Next::State(root) = self.root.next() {
+            reach[root as usize] = 1.0;
+        }
+        let mut ops = 0.0;
+        for (s, state) in self.states.iter().enumerate().rev() {
+            let Some(marginal) = joint.marginals().get(state.attr as usize) else {
+                return Err(FilterError::ModelMismatch {
+                    message: format!("the model has no attribute {}", state.attr),
+                });
+            };
+            let size = marginal.size();
+            if state.hi > size {
+                return Err(FilterError::ModelMismatch {
+                    message: format!("attribute {}: edges beyond {size} points", state.attr),
+                });
+            }
+            let p = reach[s];
+            if p == 0.0 {
+                continue;
+            }
+            let mut flow = |lo: u64, hi: u64, hop: Hop| {
+                let mass = p * marginal.mass_between(lo, hi);
+                ops += mass * f64::from(hop.cost);
+                if let Next::State(t) = hop.target.next() {
+                    reach[t as usize] += mass;
+                }
+            };
+            let star = |cost| Hop {
+                target: state.star,
+                cost,
+            };
+            flow(0, state.lo, star(state.below));
+            flow(state.hi, size, star(state.above));
+            for (lo, hi, hop, _) in self.runs(state) {
+                flow(lo, hi, hop);
+            }
+        }
+        Ok(ops)
+    }
+
+    /// `state`'s covered span as runs `(lo, hi, hop, is_edge)` of values
+    /// that take the same hop, ascending: its edges, and the gaps
+    /// between them that lead to the star target.
+    fn runs(&self, state: &StateMeta) -> Vec<(u64, u64, Hop, bool)> {
+        let off = state.off as usize;
+        let mut runs = Vec::new();
+        if state.jump {
+            let end = off + (state.hi - state.lo) as usize;
+            let at = |k: usize| state.lo + (k - off) as u64;
+            let mut run = off;
+            while run < end {
+                let next = next_bit(&self.jump_runs, run + 1, end);
+                runs.push((
+                    at(run),
+                    at(next),
+                    self.jumps[run],
+                    bit(&self.jump_edges, run),
+                ));
+                run = next;
+            }
+        } else {
+            let cuts = &self.cuts[off..off + state.b_len as usize];
+            for (k, pair) in cuts.windows(2).enumerate() {
+                let is_edge = bit(&self.cut_edges, off + k);
+                runs.push((pair[0].bound, pair[1].bound, pair[0].hop, is_edge));
+            }
+        }
+        runs
+    }
+
+    /// Where matching starts.
+    pub(crate) fn root(&self) -> Next {
+        self.root.next()
+    }
+
+    /// The leaf lists a [`Next::Leaf`] indexes.
+    pub(crate) fn leaves(&self) -> &Arc<LeafPool> {
+        &self.leaves
+    }
+
+    /// The attribute state `s` tests.
+    pub(crate) fn attr(&self, s: u32) -> AttrId {
+        AttrId::new(self.states[s as usize].attr)
+    }
+
+    /// State `s`'s star edge, if it has one: whether it is `*` rather
+    /// than `(*)`, and where it leads.
+    pub(crate) fn star(&self, s: u32) -> Option<(bool, Next)> {
+        let state = &self.states[s as usize];
+        (state.missing != 0).then(|| (state.star_all, state.star.next()))
+    }
+
+    /// State `s`'s ordering, when the checkpoint codec does not derive
+    /// it.
+    pub(crate) fn ordering(&self, s: u32) -> Option<&NodeOrdering> {
+        let k = self.orderings.binary_search_by_key(&s, |(t, _)| *t).ok()?;
+        self.orderings.get(k).map(|(_, ordering)| ordering)
+    }
+
+    /// State `s`'s edges, ascending: each interval and where it leads.
+    pub(crate) fn edges(&self, s: u32) -> Vec<(IndexInterval, Next)> {
+        let runs = self.runs(&self.states[s as usize]).into_iter();
+        let edges = runs.filter(|run| run.3);
+        edges
+            .map(|(lo, hi, hop, _)| (IndexInterval::new(lo, hi), hop.target.next()))
+            .collect()
     }
 
     /// Number of states.
@@ -437,10 +648,16 @@ struct Lowering {
     accel: Vec<u32>,
     /// Edge targets of the nodes on the walk's path, innermost last.
     edges: Vec<PTarget>,
+    cut_edges: Vec<u64>,
+    jump_runs: Vec<u64>,
+    jump_edges: Vec<u64>,
+    orderings: Vec<(u32, NodeOrdering)>,
 }
 
 impl Lowering {
-    fn lower(&mut self, node: &NodeRef) -> PTarget {
+    /// Lowers `node`; `ctx` tells the orderings the codec derives from
+    /// those it writes, which are kept.
+    fn lower(&mut self, node: &NodeRef, ctx: &OrderCtx<'_>) -> PTarget {
         let n = match node {
             NodeRef::Inner(n) => n,
             NodeRef::Leaf(l) => return PTarget::leaf(*l),
@@ -452,17 +669,21 @@ impl Lowering {
         // layout is safe.
         let star = match &n.star {
             Star::None => PTarget::REJECT,
-            Star::All(child) | Star::Else(child) => self.lower(child),
+            Star::All(child) | Star::Else(child) => self.lower(child, ctx),
         };
         let first = self.edges.len();
         for e in &n.edges {
-            let target = self.lower(&e.child);
+            let target = self.lower(&e.child, ctx);
             self.edges.push(target);
         }
         let meta = self.freeze(n, star, first);
         self.edges.truncate(first);
+        let s = self.states.len() as u32;
+        if ctx.written(n) {
+            self.orderings.push((s, n.ordering.clone()));
+        }
         self.states.push(meta);
-        PTarget::state(self.states.len() as u32 - 1)
+        PTarget::state(s)
     }
 
     /// Appends node `n`'s jump table or cut points (and bucket index)
@@ -481,6 +702,7 @@ impl Lowering {
             shift: 0,
             jump: false,
             missing,
+            star_all: matches!(n.star, Star::All(_)),
             star,
             lo: 0,
             hi: 0,
@@ -499,9 +721,9 @@ impl Lowering {
         meta.hi = span_hi;
         meta.below = gap(0);
         meta.above = gap(n.edges.len());
-        // The covered span cut into runs `(lo, hi, hop)` of values that
-        // take the same hop: each edge, and the gap before it (to the
-        // star target) where there is one.
+        // The covered span cut into runs `(lo, hi, hop, is_edge)` of
+        // values that take the same hop: each edge, and the gap before
+        // it (to the star target) where there is one.
         let targets = &self.edges[first..];
         let runs = n.edges.iter().enumerate().flat_map(|(g, e)| {
             let (lo, hi) = (e.interval.lo(), e.interval.hi());
@@ -514,22 +736,30 @@ impl Lowering {
                 target: targets[g],
                 cost: charge(&n.ordering.hit_cost, g),
             };
-            let before = (after < lo).then_some((after, lo, to_star));
-            before.into_iter().chain([(lo, hi, to_child)])
+            let before = (after < lo).then_some((after, lo, to_star, false));
+            before.into_iter().chain([(lo, hi, to_child, true)])
         });
         if span_hi - span_lo <= JUMP_TABLE_MAX_DOMAIN {
             // Dense jump table over the covered span, indexed by `idx - lo`.
             meta.jump = true;
             meta.off = self.jumps.len() as u32;
-            for (lo, hi, hop) in runs {
+            for (lo, hi, hop, is_edge) in runs {
+                set_bit(&mut self.jump_runs, self.jumps.len());
+                if is_edge {
+                    set_bit(&mut self.jump_edges, self.jumps.len());
+                }
                 self.jumps
                     .extend(std::iter::repeat_n(hop, (hi - lo) as usize));
             }
             return meta;
         }
         meta.off = self.cuts.len() as u32;
-        self.cuts
-            .extend(runs.map(|(bound, _, hop)| Cut { bound, hop }));
+        for (bound, _, hop, is_edge) in runs {
+            if is_edge {
+                set_bit(&mut self.cut_edges, self.cuts.len());
+            }
+            self.cuts.push(Cut { bound, hop });
+        }
         // Closing cut of the last edge (dummy hop: values at or beyond it
         // take the star path via the range check).
         self.cuts.push(Cut {

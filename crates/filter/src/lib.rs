@@ -14,15 +14,17 @@
 //!   events are rejected as early as possible;
 //! * an **analytic cost model** ([`CostModel`]) implementing the paper's
 //!   Eq. 2 — expected comparison operations per event under arbitrary
-//!   event/profile distributions;
+//!   event/profile distributions — on a tree, and the same expectation
+//!   priced on the automaton ([`Dfsa::expected_ops`]);
 //! * **statistic objects** ([`FilterStatistics`]) and a
 //!   [`DriftTracker`] that asks for the tree to be restructured when
 //!   the observed event distribution drifts;
 //! * a flattened [`Dfsa`] form for raw-throughput matching, the naive
 //!   [`baseline`] matcher and the counting [`OverlayIndex`] for
 //!   comparison;
-//! * an immutable [`FilterSnapshot`] (tree + DFSA + incremental
-//!   subscription overlay) for lock-free concurrent matching, with
+//! * an immutable [`FilterSnapshot`] (DFSA + incremental subscription
+//!   overlay; the tree it was lowered from is raised on demand) for
+//!   lock-free concurrent matching, with
 //!   [`RebuildPolicy`]/[`DriftTracker`] unifying churn compaction and
 //!   adaptive drift rebuilds behind a single snapshot-swap writer;
 //! * a [`tuning`] pass that closes the observe → estimate →
@@ -83,7 +85,7 @@ mod subrange;
 mod tree;
 pub mod tuning;
 
-pub use cost::{expected_ops, CostBreakdown, CostModel, LevelCost, ProfileCost};
+pub use cost::{CostBreakdown, CostModel, LevelCost, ProfileCost};
 pub use cover::CoverPlan;
 pub use dfsa::{Dfsa, BLOCK_LANES, JUMP_TABLE_MAX_DOMAIN};
 pub use error::FilterError;

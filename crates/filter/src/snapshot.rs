@@ -1,16 +1,18 @@
 //! Immutable compiled filter snapshots for the lock-free read path.
 //!
 //! A [`FilterSnapshot`] packages everything the hot matching path needs
-//! — the optimised [`ProfileTree`], its flattened [`Dfsa`], the
+//! — the [`Dfsa`] lowered from the optimised [`ProfileTree`], the
 //! incremental-subscription overlay and the tombstone set — behind
-//! cheaply clonable [`Arc`]s. Readers clone a handle and match without
-//! any lock; writers build a *new* snapshot (sharing every unchanged
-//! part) and swap it in:
+//! cheaply clonable [`Arc`]s. It keeps no tree: only the tree's header
+//! (schema, configuration, attribute order, profile count), from which
+//! and the automaton the tree is raised on demand. Readers clone a
+//! handle and match without any lock; writers build a *new* snapshot
+//! (sharing every unchanged part) and swap it in:
 //!
 //! * [`FilterSnapshot::compile`] — full build, the expensive path taken
 //!   only on compaction or adaptive drift rebuilds;
 //! * the **overlay** holds subscriptions that arrived since the last
-//!   compaction (the tree and DFSA are shared untouched). Between packs
+//!   compaction (the DFSA is shared untouched). Between packs
 //!   an overlay entry keeps its position, and a change touches only its
 //!   own entry: [`FilterSnapshot::with_covered_entry`] appends one child
 //!   to a copy of the expansion map of covered entries, sharing the
@@ -22,8 +24,8 @@
 //!   overlay's tombstone bitmap. [`FilterSnapshot::with_overlay_entries`]
 //!   packs: the whole overlay, built anew at dense positions;
 //! * [`FilterSnapshot::with_removed`] — O(base) copy of the tombstone
-//!   bitmap for unsubscriptions of compiled profiles (tree, DFSA and
-//!   overlay shared).
+//!   bitmap for unsubscriptions of compiled profiles (DFSA and overlay
+//!   shared).
 //!
 //! Besides the per-event [`FilterSnapshot::match_into`], the snapshot
 //! exposes [`FilterSnapshot::match_block`]: whole pre-resolved event
@@ -37,16 +39,19 @@
 //! (e.g. the `ens-service` broker) maps those ids onto its dispatch
 //! table, which is versioned together with the snapshot.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use ens_types::{CoverSet, IndexedBatch, IndexedEvent, Profile, ProfileId, ProfileSet, Residual};
+use ens_dist::JointDist;
+use ens_types::{
+    CoverSet, IndexedBatch, IndexedEvent, Profile, ProfileId, ProfileSet, Residual, Schema,
+};
 
 use crate::cover::{Appended, CoverPlan, CoverScratch, Expand, OverlayCover};
 use crate::dfsa::Dfsa;
 use crate::overlay::OverlayIndex;
 use crate::persist::{ByteReader, ByteWriter, PersistError};
 use crate::scratch::{BlockScratch, MatchScratch, Matcher};
-use crate::tree::{ProfileTree, TreeConfig};
+use crate::tree::{encode_section, ProfileTree, TreeConfig, TreeHeader};
 use crate::FilterError;
 
 /// Leading magic of a serialized snapshot (`"ENSF"`).
@@ -92,8 +97,8 @@ impl SnapshotScratch {
     }
 
     /// Comparison operations spent by the last call: base plus overlay.
-    /// The same with `use_dfsa` as without — the automaton counts what
-    /// the tree counts.
+    /// The same on the reference path as on the automaton — the
+    /// automaton counts what the tree counts.
     #[must_use]
     pub fn ops(&self) -> u64 {
         self.ops
@@ -245,8 +250,8 @@ impl SnapshotBlockScratch {
     }
 }
 
-/// An immutable, shareable compiled filter: tree + DFSA + overlay +
-/// tombstones.
+/// An immutable, shareable compiled filter: DFSA + overlay +
+/// tombstones, and the header of the tree the DFSA was lowered from.
 ///
 /// # Example
 ///
@@ -275,8 +280,7 @@ impl SnapshotBlockScratch {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FilterSnapshot {
-    tree: Arc<ProfileTree>,
-    dfsa: Arc<Dfsa>,
+    compiled: Arc<Compiled>,
     base_len: usize,
     /// Tombstoned base profiles, one bit per slot (the word layout of
     /// the expansion bitmap, which masks with it); empty when no
@@ -300,6 +304,29 @@ pub struct FilterSnapshot {
     /// by the counting index, delivered by expansion instead. `None`
     /// when there are none.
     overlay_children: Option<Arc<OverlayCover>>,
+}
+
+/// The compiled base: what it is served from, and what the tree it was
+/// lowered from needs besides to be raised again.
+#[derive(Debug)]
+struct Compiled {
+    dfsa: Dfsa,
+    header: TreeHeader,
+    /// The tree, raised the first time it is asked for (boxed: most
+    /// snapshots never raise one).
+    tree: OnceLock<Box<ProfileTree>>,
+}
+
+impl Compiled {
+    /// Lowers `tree` and keeps its header.
+    fn lower(tree: ProfileTree) -> Arc<Self> {
+        let dfsa = Dfsa::from_tree(&tree);
+        Arc::new(Compiled {
+            dfsa,
+            header: tree.into_header(),
+            tree: OnceLock::new(),
+        })
+    }
 }
 
 /// Whether slot `k` is not set in the tombstone bitmap `dead` (slots
@@ -437,7 +464,8 @@ impl FilterSnapshot {
     /// flattening, expansion plan): what [`FilterSnapshot::compile`] and
     /// [`FilterSnapshot::compile_with_cover`] do after building theirs.
     /// For a caller that built the tree to price it first and now
-    /// commits that same tree.
+    /// commits that same tree. The snapshot keeps the tree's header,
+    /// not its nodes.
     ///
     /// `tree` must be compiled from the `base_len` profiles of the
     /// population themselves, or — with `cover` — from that covering
@@ -470,10 +498,8 @@ impl FilterSnapshot {
             )?)),
             None => None,
         };
-        let dfsa = Dfsa::from_tree(&tree);
         Ok(FilterSnapshot {
-            tree: Arc::new(tree),
-            dfsa: Arc::new(dfsa),
+            compiled: Compiled::lower(tree),
             base_len,
             removed: Arc::from(Vec::new()),
             removed_count: 0,
@@ -656,7 +682,7 @@ impl FilterSnapshot {
         if indexed.is_empty() {
             return Ok(None);
         }
-        let index = OverlayIndex::from_entries(self.tree.schema(), indexed)?;
+        let index = OverlayIndex::from_entries(self.schema(), indexed)?;
         Ok(Some(Arc::new(index)))
     }
 
@@ -680,9 +706,11 @@ impl FilterSnapshot {
     /// and covering sections — into the checkpoint byte form, sealed
     /// with a CRC-32.
     ///
-    /// The automaton is not written: [`FilterSnapshot::from_bytes`]
-    /// lowers the decoded tree, as [`FilterSnapshot::compile`] lowers
-    /// the built one. A reload still skips the tree build, the
+    /// The tree section is written off the automaton, which keeps all
+    /// the codec needs of the tree; no tree is raised. The automaton
+    /// itself is not written: [`FilterSnapshot::from_bytes`] lowers the
+    /// decoded tree, as [`FilterSnapshot::compile`] lowers the built
+    /// one. A reload still skips the tree build, the
     /// covering analysis and every re-optimisation — what makes it
     /// cheaper than recompiling the profile set (see the `recovery`
     /// section of `BENCH_throughput.json`).
@@ -702,7 +730,7 @@ impl FilterSnapshot {
         let mut w = ByteWriter::new();
         w.u32(SNAPSHOT_MAGIC);
         w.u32(SNAPSHOT_VERSION);
-        self.tree.encode(&mut w);
+        encode_section(&self.compiled.header, &self.compiled.dfsa, &mut w);
         w.u64(self.base_len as u64);
         // Tombstones, bit-packed (1M base profiles -> 122 KiB): the
         // bitmap's words in little-endian order, cut to whole bytes.
@@ -725,7 +753,7 @@ impl FilterSnapshot {
         w.bool(self.overlay_len > 0);
         w.u64(self.overlay_len as u64);
         if self.overlay_len > 0 {
-            let attrs = self.tree.schema().len();
+            let attrs = self.schema().len();
             OverlayIndex::encode(self.overlay.as_deref(), attrs, self.overlay_len, &mut w);
         }
         // Covering sections (v3): the expansion plan and the covered
@@ -826,8 +854,7 @@ impl FilterSnapshot {
         }
         let overlay_children = OverlayCover::decode(r, compiled_len, overlay_len)?;
         Ok(FilterSnapshot {
-            dfsa: Arc::new(Dfsa::from_tree(&tree)),
-            tree: Arc::new(tree),
+            compiled: Compiled::lower(tree),
             base_len,
             removed: Arc::from(removed),
             removed_count,
@@ -845,19 +872,22 @@ impl FilterSnapshot {
     /// after scratch warm-up.
     ///
     /// With `use_dfsa` the compiled base is matched through the
-    /// flattened [`Dfsa`] (the fast path); otherwise through the
-    /// [`ProfileTree`], which runs the configured search for real (the
-    /// reference path). Either way the result and `scratch.ops()` — the
-    /// paper's comparison count — are the same.
+    /// flattened [`Dfsa`] (the fast path). Otherwise it goes through
+    /// the reference path, the [`ProfileTree`] of
+    /// [`FilterSnapshot::tree`], which runs the configured search for
+    /// real and is raised on first use; it stays for the end-to-end
+    /// benchmark harness until that harness serves from the automaton
+    /// alone. Either way the result and `scratch.ops()` — the paper's
+    /// comparison count — are the same.
     pub fn match_into(&self, event: &IndexedEvent, scratch: &mut SnapshotScratch, use_dfsa: bool) {
         scratch.matched.clear();
         scratch.overlay_ops = 0;
         scratch.cover.checks = 0;
         scratch.cover.delivered = 0;
         if use_dfsa {
-            self.dfsa.match_into(event, &mut scratch.base);
+            self.compiled.dfsa.match_into(event, &mut scratch.base);
         } else {
-            self.tree.match_into(event, &mut scratch.base);
+            self.tree().match_into(event, &mut scratch.base);
         }
         scratch.ops = scratch.base.ops();
         let hits = scratch.base.profiles();
@@ -950,9 +980,11 @@ impl FilterSnapshot {
     ///
     /// The compiled base runs through [`Matcher::match_block`] — with
     /// `use_dfsa` the DFSA's interleaved multi-event traversal, the
-    /// fastest path in the system — and the overlay's counting index is
-    /// applied per event on top. Semantics, per-event ops included, are
-    /// identical to calling [`FilterSnapshot::match_into`] per event.
+    /// fastest path in the system; without it the reference path of
+    /// [`FilterSnapshot::match_into`], the tree raised on first use —
+    /// and the overlay's counting index is applied per event on top.
+    /// Semantics, per-event ops included, are identical to calling
+    /// [`FilterSnapshot::match_into`] per event.
     pub fn match_block(
         &self,
         batch: &IndexedBatch,
@@ -960,9 +992,9 @@ impl FilterSnapshot {
         use_dfsa: bool,
     ) {
         if use_dfsa {
-            self.dfsa.match_block(batch, &mut scratch.base);
+            self.compiled.dfsa.match_block(batch, &mut scratch.base);
         } else {
-            self.tree.match_block(batch, &mut scratch.base);
+            self.tree().match_block(batch, &mut scratch.base);
         }
         scratch.clear();
         scratch.ops = scratch.base.ops();
@@ -996,16 +1028,41 @@ impl FilterSnapshot {
         }
     }
 
-    /// The compiled profile tree.
+    /// The compiled profile tree, for the reference path: raised from
+    /// the automaton and the tree's header the first time it is asked
+    /// for, sharing the automaton's leaf pool, and kept for as long as
+    /// the compiled base lives. The snapshot serves, prices and
+    /// persists without it; it stays for the end-to-end benchmark
+    /// harness until that harness serves from the automaton alone.
     #[must_use]
     pub fn tree(&self) -> &ProfileTree {
-        &self.tree
+        let Compiled { dfsa, header, tree } = &*self.compiled;
+        tree.get_or_init(|| Box::new(ProfileTree::raise(dfsa, header.clone())))
     }
 
     /// The flattened DFSA of the compiled tree.
     #[must_use]
     pub fn dfsa(&self) -> &Dfsa {
-        &self.dfsa
+        &self.compiled.dfsa
+    }
+
+    /// The schema the compiled profiles are over.
+    fn schema(&self) -> &Schema {
+        &self.compiled.header.schema
+    }
+
+    /// Eq. 2 for the compiled base under `joint`, priced on the
+    /// automaton ([`Dfsa::expected_ops`]): the expected comparison
+    /// operations per event the compiled tree costs. The overlay is not
+    /// priced.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FilterError::ModelMismatch`] if the model's arity or
+    /// domain sizes disagree with the schema.
+    pub fn expected_ops(&self, joint: &JointDist) -> Result<f64, FilterError> {
+        crate::cost::check_model(self.schema(), joint)?;
+        self.compiled.dfsa.expected_ops(joint)
     }
 
     /// Number of compiled (base) profiles, including tombstoned ones.
@@ -1228,6 +1285,34 @@ mod tests {
             assert_eq!(block.overlay_ops(), total_overlay);
             assert!(block.overlay_ops() > 0);
         }
+    }
+
+    /// Serving, pricing and persisting go through the automaton; only
+    /// the reference path raises the tree, once, and the snapshots
+    /// derived from one share it.
+    #[test]
+    fn only_the_reference_path_raises_the_tree() {
+        let schema = schema();
+        let snap = FilterSnapshot::compile(&base(&schema), &TreeConfig::default()).unwrap();
+        let uniform = ens_dist::JointDist::independent(vec![ens_dist::DistOverDomain::new(
+            ens_dist::Density::Uniform,
+            100,
+        )])
+        .unwrap();
+        let raised = |snap: &FilterSnapshot| snap.compiled.tree.get().is_some();
+        matched(&snap, &schema, 17, true);
+        let image = snap.to_bytes();
+        assert!(snap.expected_ops(&uniform).unwrap() > 0.0);
+        let loaded = FilterSnapshot::from_bytes(&image).unwrap();
+        assert!(!raised(&snap) && !raised(&loaded));
+        let derived = snap.with_removed(vec![true, false]);
+        assert_eq!(matched(&snap, &schema, 17, false), &[0, 1]);
+        assert!(raised(&snap) && raised(&derived));
+        assert!(std::ptr::eq(snap.tree(), derived.tree()));
+        assert_eq!(
+            derived.to_bytes(),
+            loaded.with_removed(vec![true, false]).to_bytes()
+        );
     }
 
     #[test]

@@ -21,7 +21,8 @@ use ens_dist::{DistOverDomain, JointDist};
 use ens_types::{AttrId, IndexInterval, IndexedEvent, ProfileId, ProfileSet, Schema};
 use serde::{Deserialize, Serialize};
 
-use crate::order::{NodeOrdering, SearchStrategy};
+use crate::dfsa::{Dfsa, Next};
+use crate::order::{NodeOrdering, SearchStrategy, ValueOrder};
 use crate::persist::{self, ByteReader, ByteWriter, PersistError};
 use crate::scratch::{MatchScratch, Matcher};
 use crate::selectivity::AttributeMeasure;
@@ -287,14 +288,35 @@ pub(crate) enum Star {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileTree {
-    schema: Arc<Schema>,
-    config: TreeConfig,
-    attribute_order: Vec<AttrId>,
+    header: TreeHeader,
     root: NodeRef,
     leaves: Arc<LeafPool>,
-    profile_count: usize,
+}
+
+/// What a tree is besides its nodes and leaves: what it was built for
+/// and how. A [`FilterSnapshot`](crate::FilterSnapshot) keeps it beside
+/// the automaton, from which the nodes can be raised again.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TreeHeader {
+    pub(crate) schema: Arc<Schema>,
+    pub(crate) config: TreeConfig,
+    pub(crate) attribute_order: Vec<AttrId>,
+    pub(crate) profile_count: usize,
+}
+
+impl TreeHeader {
+    /// Writes the head of the tree section: schema and config (the
+    /// event model with it, if the shape reads one) through the serde
+    /// codec, an empty partitions section and the profile count.
+    fn encode(&self, w: &mut ByteWriter) {
+        w.serde(self.schema.as_ref());
+        w.serde(&self.config);
+        w.serde(&self.attribute_order);
+        w.seq_len(0);
+        w.u64(self.profile_count as u64);
+    }
 }
 
 impl ProfileTree {
@@ -321,27 +343,7 @@ impl ProfileTree {
         // tree's copy of `config`.
         let marginals = match &config.event_model {
             Some(joint) => {
-                if joint.arity() != schema.len() {
-                    return Err(FilterError::ModelMismatch {
-                        message: format!(
-                            "model has {} attributes, schema has {}",
-                            joint.arity(),
-                            schema.len()
-                        ),
-                    });
-                }
-                for (j, (_, a)) in schema.iter().enumerate() {
-                    if joint.domain_size(j) != a.domain().size() {
-                        return Err(FilterError::ModelMismatch {
-                            message: format!(
-                                "attribute `{}`: model size {} vs domain size {}",
-                                a.name(),
-                                joint.domain_size(j),
-                                a.domain().size()
-                            ),
-                        });
-                    }
-                }
+                crate::cost::check_model(&schema, joint)?;
                 Some(joint.marginals())
             }
             None => None,
@@ -443,38 +445,62 @@ impl ProfileTree {
         let leaves = builder.leaves.pool.shrunk();
 
         Ok(ProfileTree {
-            schema,
-            config: config.kept(),
-            attribute_order,
+            header: TreeHeader {
+                schema,
+                config: config.kept(),
+                attribute_order,
+                profile_count: profiles.len(),
+            },
             root,
             leaves,
-            profile_count: profiles.len(),
         })
+    }
+
+    /// The tree `dfsa` was lowered from, given its header: lowering
+    /// keeps, beside the transitions, which of them are edges and every
+    /// node ordering the codec does not derive, so nothing is lost.
+    pub(crate) fn raise(dfsa: &Dfsa, header: TreeHeader) -> Self {
+        let ctx = OrderCtx::new(&header);
+        let root = raise_node(dfsa, dfsa.root(), &ctx);
+        ProfileTree {
+            header,
+            root,
+            leaves: Arc::clone(dfsa.leaves()),
+        }
+    }
+
+    pub(crate) fn header(&self) -> &TreeHeader {
+        &self.header
+    }
+
+    /// The tree less its nodes and leaves.
+    pub(crate) fn into_header(self) -> TreeHeader {
+        self.header
     }
 
     /// The schema this tree was built for.
     #[must_use]
     pub fn schema(&self) -> &Schema {
-        self.schema.as_ref()
+        self.header.schema.as_ref()
     }
 
     /// The configuration the tree was built with.
     #[must_use]
     pub fn config(&self) -> &TreeConfig {
-        &self.config
+        &self.header.config
     }
 
     /// The resolved attribute order: `attribute_order()[k]` is tested at
     /// level `k`.
     #[must_use]
     pub fn attribute_order(&self) -> &[AttrId] {
-        &self.attribute_order
+        &self.header.attribute_order
     }
 
     /// Number of profiles indexed.
     #[must_use]
     pub fn profile_count(&self) -> usize {
-        self.profile_count
+        self.header.profile_count
     }
 
     pub(crate) fn root(&self) -> &NodeRef {
@@ -539,7 +565,7 @@ impl ProfileTree {
         } else {
             node.ordering.miss_cost[g]
         });
-        let (cost, found) = if matches!(self.config.search, SearchStrategy::Linear(_)) {
+        let (cost, found) = if matches!(self.config().search, SearchStrategy::Linear(_)) {
             // Execute the configured scan for real: visit the edges in
             // the defined order, one containment test per visited edge,
             // stopping on the hit or at the lookup-table bound on a
@@ -609,7 +635,7 @@ impl ProfileTree {
             format!("{{{}}}", names.join(", "))
         }
         fn walk(tree: &ProfileTree, node: &NodeRef, indent: usize, out: &mut String) {
-            let (schema, pad) = (tree.schema.as_ref(), "  ".repeat(indent));
+            let (schema, pad) = (tree.schema(), "  ".repeat(indent));
             match node {
                 NodeRef::Leaf(l) => {
                     out.push_str(&format!("{pad}=> {}\n", leaf_text(tree.leaves.get(*l))));
@@ -669,7 +695,7 @@ impl Matcher for ProfileTree {
     /// level = position in [`ProfileTree::attribute_order`]), writing
     /// into caller-owned buffers.
     fn match_into(&self, event: &IndexedEvent, scratch: &mut MatchScratch) {
-        scratch.reset(self.attribute_order.len());
+        scratch.reset(self.attribute_order().len());
         self.walk_indexed(&self.root, event, 0, scratch);
         scratch.profiles.sort_unstable();
         scratch.profiles.dedup();
@@ -730,11 +756,7 @@ impl TreeBuilder<'_> {
             return Ok(NodeRef::Inner(Box::new(Node {
                 attr,
                 edges: Vec::new(),
-                ordering: NodeOrdering {
-                    visit: Vec::new(),
-                    hit_cost: Vec::new(),
-                    miss_cost: vec![0],
-                },
+                ordering: star_ordering(),
                 star: Star::All(Box::new(child)),
             })));
         }
@@ -817,36 +839,106 @@ impl TreeBuilder<'_> {
 /// one level per schema attribute; anything deeper is corrupt input.
 const MAX_TREE_DEPTH: usize = 4096;
 
-impl ProfileTree {
-    /// Appends the tree in the binary checkpoint form: schema and config
-    /// (the event model with it, if the shape reads one) through the
-    /// serde codec, an empty partitions section, then the leaf pool and
-    /// the node structure hand-rolled (they dominate the payload at
-    /// scale).
-    pub(crate) fn encode(&self, w: &mut ByteWriter) {
-        w.serde(self.schema.as_ref());
-        w.serde(&self.config);
-        w.serde(&self.attribute_order);
-        w.seq_len(0);
-        w.u64(self.profile_count as u64);
-        // Don't-care profiles are replicated into every leaf below the
-        // node that splits them off, and the pool holds the lists in the
-        // order the depth-first walk meets them: a list is stored as its
-        // symmetric difference against the one before it.
-        w.seq_len(self.leaves.len());
-        let mut prev: Vec<ProfileId> = Vec::new();
-        for l in 0..self.leaves.len() as u32 {
-            persist::write_id_diff(w, &mut prev, self.leaves.get(l));
-        }
-        let ctx = OrderCtx {
-            schema: &self.schema,
-            strategy: self.config.search,
-            early_termination: !self.config.disable_early_termination,
-        };
-        encode_node(&self.root, w, &ctx);
+/// Appends the tree section of a checkpoint for the tree `dfsa` was
+/// lowered from, read off the automaton: the header, the leaf pool,
+/// then the nodes, depth-first with the star child before the edges. A
+/// node's ordering is written only where the decoder cannot derive it,
+/// and the automaton keeps exactly those.
+pub(crate) fn encode_section(header: &TreeHeader, dfsa: &Dfsa, w: &mut ByteWriter) {
+    header.encode(w);
+    // Don't-care profiles are replicated into every leaf below the node
+    // that splits them off, and the pool holds the lists in the order
+    // the depth-first walk meets them: a list is stored as its
+    // symmetric difference against the one before it.
+    let leaves = dfsa.leaves();
+    w.seq_len(leaves.len());
+    let mut prev: Vec<ProfileId> = Vec::new();
+    for l in 0..leaves.len() as u32 {
+        persist::write_id_diff(w, &mut prev, leaves.get(l));
     }
+    encode_node(dfsa, dfsa.root(), w);
+}
 
-    /// Decodes a tree written by [`ProfileTree::encode`] or, when
+/// Encodes the node `next` leads to; a leaf is its index into the pool.
+fn encode_node(dfsa: &Dfsa, next: Next, w: &mut ByteWriter) {
+    let s = match next {
+        Next::Leaf(l) => {
+            w.u8(0);
+            w.vu32(l);
+            return;
+        }
+        Next::Reject => return w.u8(2),
+        Next::State(s) => s,
+    };
+    w.u8(1);
+    w.vu32(dfsa.attr(s).index() as u32);
+    let edges = dfsa.edges(s);
+    w.seq_len(edges.len());
+    for (interval, _) in &edges {
+        // Edge intervals are cell indices with `hi >= lo`, so both land
+        // in a byte or two as varints.
+        w.vu64(interval.lo());
+        w.vu64(interval.hi() - interval.lo());
+    }
+    match dfsa.ordering(s) {
+        None => w.u8(0),
+        Some(ordering) => {
+            w.u8(1);
+            w.packed_u32(&ordering.visit);
+            w.packed_u32(&ordering.hit_cost);
+            w.packed_u32(&ordering.miss_cost);
+        }
+    }
+    match dfsa.star(s) {
+        None => w.u8(0),
+        Some((all, child)) => {
+            w.u8(if all { 1 } else { 2 });
+            encode_node(dfsa, child, w);
+        }
+    }
+    for (_, child) in edges {
+        encode_node(dfsa, child, w);
+    }
+}
+
+/// The node `next` leads to, raised from the automaton.
+fn raise_node(dfsa: &Dfsa, next: Next, ctx: &OrderCtx<'_>) -> NodeRef {
+    let s = match next {
+        Next::Leaf(l) => return NodeRef::Leaf(l),
+        Next::Reject => return NodeRef::Empty,
+        Next::State(s) => s,
+    };
+    let attr = dfsa.attr(s);
+    let edges: Vec<Edge> = dfsa
+        .edges(s)
+        .into_iter()
+        .map(|(interval, child)| Edge {
+            interval,
+            child: raise_node(dfsa, child, ctx),
+        })
+        .collect();
+    let ordering = match dfsa.ordering(s) {
+        Some(ordering) => ordering.clone(),
+        None => {
+            let intervals: Vec<IndexInterval> = edges.iter().map(|e| e.interval).collect();
+            ctx.derive(attr, &intervals)
+        }
+    };
+    let star = match dfsa.star(s) {
+        None => Star::None,
+        Some((true, child)) => Star::All(Box::new(raise_node(dfsa, child, ctx))),
+        Some((false, child)) => Star::Else(Box::new(raise_node(dfsa, child, ctx))),
+    };
+    NodeRef::Inner(Box::new(Node {
+        attr,
+        edges,
+        ordering,
+        star,
+    }))
+}
+
+impl ProfileTree {
+    /// Decodes a tree written by [`encode_section`] or, when
     /// `inline_leaves`, by the format before it, which repeated the
     /// event model in a marginals section and wrote each leaf's list in
     /// place (interned here as it is read). An older image's attribute
@@ -881,26 +973,24 @@ impl ProfileTree {
         } else {
             Leaves::Pooled(decode_pool(r, profile_count)?)
         };
-        let ctx = OrderCtx {
-            schema: &schema,
-            strategy: config.search,
-            early_termination: !config.disable_early_termination,
+        if !config.uses_event_model() {
+            config.event_model = None;
+        }
+        let header = TreeHeader {
+            schema: Arc::new(schema),
+            config,
+            attribute_order,
+            profile_count,
         };
-        let root = decode_node(r, 0, &ctx, &mut leaves, profile_count)?;
+        let root = decode_node(r, 0, &OrderCtx::new(&header), &mut leaves, profile_count)?;
         let pool = match leaves {
             Leaves::Inline(_, interner) => interner.pool,
             Leaves::Pooled(pool) => pool,
         };
-        if !config.uses_event_model() {
-            config.event_model = None;
-        }
         Ok(ProfileTree {
-            schema: Arc::new(schema),
-            config,
-            attribute_order,
+            header,
             root,
             leaves: pool.shrunk(),
-            profile_count,
         })
     }
 }
@@ -922,7 +1012,7 @@ fn check_leaf(ids: &[ProfileId], profiles: usize) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Reads the leaf pool [`ProfileTree::encode`] writes: non-empty lists
+/// Reads the leaf pool [`encode_section`] writes: non-empty lists
 /// of the tree's profile ids, each strictly ascending.
 fn decode_pool(r: &mut ByteReader<'_>, profiles: usize) -> Result<LeafPool, PersistError> {
     // Two packed lengths a list at least.
@@ -941,19 +1031,36 @@ fn decode_pool(r: &mut ByteReader<'_>, profiles: usize) -> Result<LeafPool, Pers
     Ok(pool)
 }
 
+/// The ordering of a node without edges: its star edge always passes.
+fn star_ordering() -> NodeOrdering {
+    NodeOrdering {
+        visit: Vec::new(),
+        hit_cost: Vec::new(),
+        miss_cost: vec![0],
+    }
+}
+
 /// Context the node codec needs to re-derive scan orderings: the
 /// probability-free strategies (natural-order linear, binary,
 /// interpolation, hash) compute `visit`/`hit_cost`/`miss_cost` from the
 /// edge intervals alone, so checkpoints omit the arrays — the bulk of
 /// the serialized tree — whenever the stored ordering equals that
-/// derivation.
-struct OrderCtx<'a> {
+/// derivation, and an automaton keeps only the others.
+pub(crate) struct OrderCtx<'a> {
     schema: &'a Schema,
     strategy: SearchStrategy,
     early_termination: bool,
 }
 
-impl OrderCtx<'_> {
+impl<'a> OrderCtx<'a> {
+    pub(crate) fn new(header: &'a TreeHeader) -> Self {
+        OrderCtx {
+            schema: &header.schema,
+            strategy: header.config.search,
+            early_termination: !header.config.disable_early_termination,
+        }
+    }
+
     /// The ordering the decoder can reconstruct without persisted
     /// probabilities (both marginals set to zero). Matches the build
     /// exactly for every strategy whose keys ignore probability mass.
@@ -963,11 +1070,7 @@ impl OrderCtx<'_> {
             // Edge-less `*` nodes are hand-built with a zero miss cost
             // (the star edge always passes), bypassing the ordering
             // computation and the early-termination ablation.
-            return NodeOrdering {
-                visit: Vec::new(),
-                hit_cost: Vec::new(),
-                miss_cost: vec![0],
-            };
+            return star_ordering();
         }
         let zeros = vec![0.0; m];
         let gap_zeros = vec![0.0; m + 1];
@@ -988,52 +1091,33 @@ impl OrderCtx<'_> {
         }
         ordering
     }
-}
 
-/// Encodes one node, depth-first with the star child before the edges;
-/// a leaf is its index into the pool.
-fn encode_node(node: &NodeRef, w: &mut ByteWriter, ctx: &OrderCtx<'_>) {
-    match node {
-        NodeRef::Leaf(l) => {
-            w.u8(0);
-            w.vu32(*l);
+    /// Whether every node with edges has the derived ordering: the
+    /// strategy's keys ignore probability mass (the builder derives it
+    /// the same way, and the decoder refuses another).
+    fn always_derived(&self) -> bool {
+        match self.strategy {
+            SearchStrategy::Linear(order) => matches!(order, ValueOrder::Natural(_)),
+            SearchStrategy::Binary | SearchStrategy::Interpolation | SearchStrategy::Hash => true,
         }
-        NodeRef::Empty => w.u8(2),
-        NodeRef::Inner(node) => {
-            w.u8(1);
-            w.vu32(node.attr.index() as u32);
-            w.seq_len(node.edges.len());
-            for edge in &node.edges {
-                // Edge intervals are cell indices with `hi >= lo`, so
-                // both land in a byte or two as varints.
-                w.vu64(edge.interval.lo());
-                w.vu64(edge.interval.hi() - edge.interval.lo());
-            }
-            let intervals: Vec<IndexInterval> = node.edges.iter().map(|e| e.interval).collect();
-            let derived = ctx.derive(node.attr, &intervals);
-            if derived == node.ordering {
-                w.u8(0);
-            } else {
-                w.u8(1);
-                w.packed_u32(&node.ordering.visit);
-                w.packed_u32(&node.ordering.hit_cost);
-                w.packed_u32(&node.ordering.miss_cost);
-            }
-            match &node.star {
-                Star::None => w.u8(0),
-                Star::All(child) => {
-                    w.u8(1);
-                    encode_node(child, w, ctx);
-                }
-                Star::Else(child) => {
-                    w.u8(2);
-                    encode_node(child, w, ctx);
-                }
-            }
-            for edge in &node.edges {
-                encode_node(&edge.child, w, ctx);
-            }
+    }
+
+    /// Whether `node`'s ordering is not the one the decoder derives, so
+    /// that the codec writes it out and an automaton keeps it.
+    pub(crate) fn written(&self, node: &Node) -> bool {
+        if node.edges.is_empty() {
+            let NodeOrdering {
+                visit,
+                hit_cost,
+                miss_cost,
+            } = &node.ordering;
+            return !(visit.is_empty() && hit_cost.is_empty() && miss_cost[..] == [0]);
         }
+        if self.always_derived() {
+            return false;
+        }
+        let intervals: Vec<IndexInterval> = node.edges.iter().map(|e| e.interval).collect();
+        node.ordering != self.derive(node.attr, &intervals)
     }
 }
 
@@ -1085,11 +1169,24 @@ fn decode_node(
             }
             let ordering = match r.u8()? {
                 0 => ctx.derive(attr, &intervals),
-                1 => NodeOrdering {
-                    visit: r.vec_u32_packed()?,
-                    hit_cost: r.vec_u32_packed()?,
-                    miss_cost: r.vec_u32_packed()?,
-                },
+                1 => {
+                    let ordering = NodeOrdering {
+                        visit: r.vec_u32_packed()?,
+                        hit_cost: r.vec_u32_packed()?,
+                        miss_cost: r.vec_u32_packed()?,
+                    };
+                    // A strategy that ignores probability mass has one
+                    // ordering per node: the automaton keeps no other.
+                    if n_edges > 0
+                        && ctx.always_derived()
+                        && ordering != ctx.derive(attr, &intervals)
+                    {
+                        return Err(PersistError::new(
+                            "ordering disagrees with the search strategy",
+                        ));
+                    }
+                    ordering
+                }
                 tag => {
                     return Err(PersistError::new(format!("unknown ordering tag {tag}")));
                 }
@@ -1301,21 +1398,166 @@ mod tests {
         assert!(predicted.match_probability() > 0.0);
     }
 
+    /// The tree section of `tree` as a checkpoint holds it, under
+    /// `header`.
+    fn section(header: &TreeHeader, tree: &ProfileTree) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_section(header, &Dfsa::from_tree(tree), &mut w);
+        w.into_bytes()
+    }
+
+    fn profile_order() -> TreeConfig {
+        TreeConfig {
+            search: SearchStrategy::Linear(ValueOrder::ProfileProb(Direction::Descending)),
+            ..TreeConfig::default()
+        }
+    }
+
     /// Both matchers charge from a node's tables by edge and gap index:
     /// a checkpoint whose tables do not fit the node's edges is refused.
     #[test]
     fn decoding_refuses_tables_that_do_not_fit_the_edges() {
         let (_, ps) = example1();
-        let mut tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let mut tree = ProfileTree::build(&ps, &profile_order()).unwrap();
         let NodeRef::Inner(root) = &mut tree.root else {
             panic!("a1 is tested at the root");
         };
         root.ordering.miss_cost.pop();
-        let mut w = ByteWriter::new();
-        tree.encode(&mut w);
-        let image = w.into_bytes();
+        let image = section(&tree.header, &tree);
         let refused = ProfileTree::decode(&mut ByteReader::new(&image), false).unwrap_err();
         assert!(refused.message().contains("does not fit"), "{refused}");
+    }
+
+    /// A strategy that ignores probability mass has one ordering per
+    /// node, which the automaton does not keep: an image that writes
+    /// another out is refused rather than served or raised unlike it.
+    #[test]
+    fn decoding_refuses_an_ordering_its_strategy_would_not_build() {
+        let (_, ps) = example1();
+        let tree = ProfileTree::build(&ps, &profile_order()).unwrap();
+        let natural = TreeHeader {
+            config: TreeConfig::default(),
+            ..tree.header.clone()
+        };
+        let image = section(&natural, &tree);
+        let refused = ProfileTree::decode(&mut ByteReader::new(&image), false).unwrap_err();
+        assert!(refused.message().contains("disagrees"), "{refused}");
+        let image = section(&tree.header, &tree);
+        assert!(ProfileTree::decode(&mut ByteReader::new(&image), false).is_ok());
+    }
+
+    /// The tree section as it was written off the tree itself, before
+    /// the automaton kept what the codec needs: the oracle the
+    /// automaton's encoder is held to, byte for byte.
+    fn section_off_the_tree(tree: &ProfileTree) -> Vec<u8> {
+        fn node(n: &NodeRef, w: &mut ByteWriter, ctx: &OrderCtx<'_>) {
+            match n {
+                NodeRef::Leaf(l) => {
+                    w.u8(0);
+                    w.vu32(*l);
+                }
+                NodeRef::Empty => w.u8(2),
+                NodeRef::Inner(n) => {
+                    w.u8(1);
+                    w.vu32(n.attr.index() as u32);
+                    w.seq_len(n.edges.len());
+                    for e in &n.edges {
+                        w.vu64(e.interval.lo());
+                        w.vu64(e.interval.hi() - e.interval.lo());
+                    }
+                    let intervals: Vec<IndexInterval> =
+                        n.edges.iter().map(|e| e.interval).collect();
+                    if ctx.derive(n.attr, &intervals) == n.ordering {
+                        w.u8(0);
+                    } else {
+                        w.u8(1);
+                        w.packed_u32(&n.ordering.visit);
+                        w.packed_u32(&n.ordering.hit_cost);
+                        w.packed_u32(&n.ordering.miss_cost);
+                    }
+                    match &n.star {
+                        Star::None => w.u8(0),
+                        Star::All(c) => {
+                            w.u8(1);
+                            node(c, w, ctx);
+                        }
+                        Star::Else(c) => {
+                            w.u8(2);
+                            node(c, w, ctx);
+                        }
+                    }
+                    for e in &n.edges {
+                        node(&e.child, w, ctx);
+                    }
+                }
+            }
+        }
+        let mut w = ByteWriter::new();
+        tree.header.encode(&mut w);
+        w.seq_len(tree.leaves.len());
+        let mut prev = Vec::new();
+        for l in 0..tree.leaves.len() as u32 {
+            persist::write_id_diff(&mut w, &mut prev, tree.leaves.get(l));
+        }
+        node(&tree.root, &mut w, &OrderCtx::new(&tree.header));
+        w.into_bytes()
+    }
+
+    fn search_derived(search: SearchStrategy) -> bool {
+        !matches!(search, SearchStrategy::Linear(o) if !matches!(o, ValueOrder::Natural(_)))
+    }
+
+    #[test]
+    fn the_automaton_writes_the_section_the_tree_wrote_and_raises_the_tree() {
+        use ens_dist::{Density, DistOverDomain, JointDist};
+        let (schema, ps) = example1();
+        // An unsatisfiable specific profile leaves an edge-less `(*)`
+        // node, whose ordering the codec writes out.
+        let mut ps2 = ps.clone();
+        ps2.insert_with(|b| b.predicate("a3", Predicate::ge(10)))
+            .unwrap();
+        ps2.insert_with(|b| {
+            b.predicate("a2", Predicate::In(vec![]))?
+                .predicate("a3", Predicate::ge(10))
+        })
+        .unwrap();
+        let model = JointDist::independent(
+            schema
+                .iter()
+                .map(|(_, a)| DistOverDomain::new(Density::gaussian(0.7, 0.2), a.domain().size()))
+                .collect(),
+        )
+        .unwrap();
+        let mut searches = vec![
+            SearchStrategy::Binary,
+            SearchStrategy::Interpolation,
+            SearchStrategy::Hash,
+        ];
+        searches.extend(ValueOrder::ALL.map(SearchStrategy::Linear));
+        for search in searches {
+            for ablate in [false, true] {
+                for ps in [&ps, &ps2] {
+                    let config = TreeConfig {
+                        search,
+                        event_model: Some(model.clone()),
+                        disable_early_termination: ablate,
+                        disable_cell_merging: ablate,
+                        ..TreeConfig::default()
+                    };
+                    let tree = ProfileTree::build(ps, &config).unwrap();
+                    let image = section(&tree.header, &tree);
+                    assert_eq!(image, section_off_the_tree(&tree), "{search:?}");
+                    let dfsa = Dfsa::from_tree(&tree);
+                    let kept = (0..dfsa.state_count() as u32).any(|s| dfsa.ordering(s).is_some());
+                    if search_derived(search) {
+                        // Only the edge-less `(*)` node's is kept.
+                        assert_eq!(kept, std::ptr::eq(ps, &ps2), "{search:?}");
+                    }
+                    let raised = ProfileTree::raise(&dfsa, tree.header.clone());
+                    assert_eq!(raised, tree, "{search:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::cost::CostModel;
 use crate::order::SearchStrategy;
 use crate::selectivity::AttributeMeasure;
 use crate::tree::{AttributeOrder, ProfileTree, TreeConfig};
-use crate::{Direction, FilterError, ValueOrder};
+use crate::{Direction, FilterError, FilterSnapshot, ValueOrder};
 
 /// The smallest predicted fractional improvement (`1 − best/stale`) a
 /// retune must clear: below it a rebuild buys too little to be worth
@@ -66,10 +66,11 @@ const ATTRIBUTE_ORDERS: [AttributeOrder; 3] = [
 /// binary search crossed with the natural/A1/A2 attribute orders — for
 /// `profiles` under the estimated event model `joint` and compares the
 /// best against the cost of keeping the current structure unchanged
-/// under the same model: `current` (the stale compiled tree) plus a
-/// floor of one comparison per event for each of the `overlay_len`
-/// profiles still matched by the incremental side-matcher (a candidate
-/// tree folds them in, the stale structure pays them on every event).
+/// under the same model: `current` (the stale compiled snapshot,
+/// priced on its automaton) plus a floor of one comparison per event
+/// for each of the `overlay_len` profiles still matched by the
+/// incremental side-matcher (a candidate tree folds them in, the stale
+/// structure pays them on every event).
 /// The floor is a deliberate under-estimate, so the decision stays
 /// conservative.
 ///
@@ -78,10 +79,10 @@ const ATTRIBUTE_ORDERS: [AttributeOrder; 3] = [
 /// not re-decide (ablation flags, profile weights).
 ///
 /// Tombstoned (unsubscribed but still compiled) profiles remain in
-/// `current` and genuinely cost operations on every event, while
-/// candidates are priced over the live set only — that asymmetry
-/// is intentional: a retune accepted on the tombstone margin
-/// reclaims real per-event cost by folding them out.
+/// `current`'s automaton and genuinely cost operations on every event,
+/// while candidates are priced over the live set only — that asymmetry
+/// is intentional: a retune accepted on the tombstone margin reclaims
+/// real per-event cost by folding them out.
 ///
 /// The winning candidate's tree — `profiles` compiled under `base`
 /// with the decision's attribute order and search strategy and
@@ -93,20 +94,17 @@ const ATTRIBUTE_ORDERS: [AttributeOrder; 3] = [
 /// # Errors
 ///
 /// Propagates cost-model errors for the *stale* evaluation — if the
-/// current tree cannot be priced under `joint` (arity/domain
+/// current snapshot cannot be priced under `joint` (arity/domain
 /// mismatch), the caller's estimate pipeline is broken and tuning
 /// must not silently proceed.
 pub fn evaluate(
-    current: &ProfileTree,
+    current: &FilterSnapshot,
     overlay_len: usize,
     profiles: &ProfileSet,
     base: &TreeConfig,
     joint: &JointDist,
 ) -> Result<(RetuneDecision, Option<ProfileTree>), FilterError> {
-    let stale_ops = CostModel::new(current, joint)?
-        .evaluate()?
-        .expected_total_ops()
-        + overlay_len as f64;
+    let stale_ops = current.expected_ops(joint)? + overlay_len as f64;
     let mut best: Option<(f64, SearchStrategy, AttributeOrder, ProfileTree)> = None;
     for search in STRATEGIES {
         for order in &ATTRIBUTE_ORDERS {
@@ -149,7 +147,7 @@ pub fn evaluate(
 ///
 /// ```
 /// use ens_dist::{Density, DistOverDomain, JointDist};
-/// use ens_filter::{tuning, ProfileTree, TreeConfig};
+/// use ens_filter::{tuning, FilterSnapshot, TreeConfig};
 /// use ens_types::{Domain, Predicate, ProfileSet, Schema};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -159,7 +157,7 @@ pub fn evaluate(
 /// ps.insert_with(|b| b.predicate("x", Predicate::between(90, 99)))?;
 ///
 /// // The stale tree was built with no model: natural ascending order.
-/// let stale = ProfileTree::build(&ps, &TreeConfig::default())?;
+/// let stale = FilterSnapshot::compile(&ps, &TreeConfig::default())?;
 /// // Traffic turns out to concentrate on the high band.
 /// let est = JointDist::independent(vec![
 ///     DistOverDomain::new(Density::window(0.9, 1.0), 100),
@@ -228,7 +226,7 @@ mod tests {
         let schema = schema();
         let ps = banded_profiles(&schema, &[(0, 49), (50, 99)]);
         let config = TreeConfig::default();
-        let stale = ProfileTree::build(&ps, &config).unwrap();
+        let stale = FilterSnapshot::compile(&ps, &config).unwrap();
         // Uniform traffic: nothing beats the stale tree by much.
         let est = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)]).unwrap();
         let (d, _) = evaluate(&stale, 0, &ps, &config, &est).unwrap();
@@ -241,7 +239,7 @@ mod tests {
     fn empty_profile_set_never_retunes() {
         let schema = schema();
         let ps = ProfileSet::new(&schema);
-        let stale = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let stale = FilterSnapshot::compile(&ps, &TreeConfig::default()).unwrap();
         let est = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)]).unwrap();
         let (d, _) = evaluate(&stale, 0, &ps, &TreeConfig::default(), &est).unwrap();
         assert!(!d.accepted);
@@ -252,7 +250,7 @@ mod tests {
     fn model_mismatch_is_an_error() {
         let schema = schema();
         let ps = banded_profiles(&schema, &[(0, 9)]);
-        let stale = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let stale = FilterSnapshot::compile(&ps, &TreeConfig::default()).unwrap();
         let wrong = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 7)]).unwrap();
         assert!(evaluate(&stale, 0, &ps, &TreeConfig::default(), &wrong).is_err());
     }
@@ -266,7 +264,7 @@ mod tests {
         let bands: Vec<(i64, i64)> = (0..20).map(|k| (k * 5, k * 5 + 3)).collect();
         let ps = banded_profiles(&schema, &bands);
         let config = TreeConfig::default();
-        let stale = ProfileTree::build(&ps, &config).unwrap();
+        let stale = FilterSnapshot::compile(&ps, &config).unwrap();
         let est =
             JointDist::independent(vec![DistOverDomain::new(Density::gaussian(0.9, 0.05), 100)])
                 .unwrap();
@@ -280,7 +278,7 @@ mod tests {
         for x in 0..100 {
             let e = Event::builder(&schema).value("x", x).unwrap().build();
             indexed.resolve_into(&schema, &e).unwrap();
-            stale.match_into(&indexed, &mut a);
+            stale.dfsa().match_into(&indexed, &mut a);
             tuned.match_into(&indexed, &mut b);
             assert_eq!(a.profiles(), b.profiles(), "x={x}");
         }
@@ -299,7 +297,7 @@ mod tests {
             event_model: Some(low.clone()),
             ..TreeConfig::default()
         };
-        let stale = ProfileTree::build(&ps, &config).unwrap();
+        let stale = FilterSnapshot::compile(&ps, &config).unwrap();
         // Traffic migrated to the high band.
         let high =
             JointDist::independent(vec![DistOverDomain::new(Density::window(0.9, 1.0), 100)])
@@ -312,7 +310,7 @@ mod tests {
         let mut tuned_ops = 0u64;
         for x in 90..100 {
             let e = Event::builder(&schema).value("x", x).unwrap().build();
-            stale_ops += stale.match_event(&schema, &e).unwrap().ops();
+            stale_ops += stale.dfsa().match_event(&schema, &e).unwrap().ops();
             tuned_ops += tuned.match_event(&schema, &e).unwrap().ops();
         }
         assert!(

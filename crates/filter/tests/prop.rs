@@ -58,6 +58,30 @@ fn schema2() -> Schema {
         .build()
 }
 
+/// Like [`schema2`], with a domain just wide enough for binary-search
+/// states, so that a model over it is cheap to encode.
+const D3: i64 = 600;
+
+fn arb_profiles3() -> impl Strategy<Value = ProfileSet> {
+    prop::collection::vec((arb_predicate_for(D as i64), arb_predicate_for(D3)), 1..12).prop_map(
+        |preds| {
+            let schema = Schema::builder()
+                .attribute("x", Domain::int(0, D as i64 - 1))
+                .unwrap()
+                .attribute("y", Domain::int(0, D3 - 1))
+                .unwrap()
+                .build();
+            let mut ps = ProfileSet::new(&schema);
+            for (px, py) in preds {
+                let profile =
+                    Profile::from_predicates(&schema, ProfileId::new(0), vec![px, py]).unwrap();
+                ps.insert(profile);
+            }
+            ps
+        },
+    )
+}
+
 fn arb_predicate_for(hi: i64) -> impl Strategy<Value = Predicate> {
     let v = 0..hi;
     prop_oneof![
@@ -407,5 +431,235 @@ proptest! {
         let b = weighted.match_event(&schema, &e).unwrap();
         prop_assert_eq!(a.profiles(), b.profiles());
         prop_assert_eq!(a.ops(), b.ops());
+    }
+}
+
+proptest! {
+    // Each case compiles, encodes and reloads its profiles 704 ways.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Lowering is invertible: the tree a snapshot raises from its
+    /// automaton and header is the tree it was compiled from, and so
+    /// is the one a reload raises; a snapshot compiled from the raised
+    /// tree writes the same image. Under every search strategy and
+    /// attribute order, covered and not, with and without the two
+    /// ablations and profile weights.
+    #[test]
+    fn raising_inverts_lowering(ps in arb_profiles3(), weight in 0.5f64..4.0) {
+        let schema = ps.schema().clone();
+        let model = JointDist::independent(vec![
+            DistOverDomain::new(Density::falling(), D),
+            DistOverDomain::new(Density::peak(0.3, 0.2, 0.7).unwrap(), D3 as u64),
+        ])
+        .unwrap();
+        let cover =
+            CoverSet::build_bulk(&schema, ps.iter().map(|p| (p.id().index() as u32, p))).unwrap();
+        let reps = FilterSnapshot::cover_representatives(&ps, &cover).unwrap();
+        let searches = ValueOrder::ALL
+            .iter()
+            .map(|o| SearchStrategy::Linear(*o))
+            .chain([SearchStrategy::Binary, SearchStrategy::Interpolation, SearchStrategy::Hash]);
+        let mut orders = vec![
+            AttributeOrder::Natural,
+            AttributeOrder::Explicit(vec![AttrId::new(1), AttrId::new(0)]),
+        ];
+        for measure in [AttributeMeasure::A1, AttributeMeasure::A2, AttributeMeasure::A3] {
+            for direction in [Direction::Ascending, Direction::Descending] {
+                orders.push(AttributeOrder::Selectivity { measure, direction });
+            }
+        }
+        for search in searches {
+            for order in &orders {
+                for (covering, compiled) in [(false, &ps), (true, &reps)] {
+                    for ablate in [false, true] {
+                        for weighted in [false, true] {
+                            let config = TreeConfig {
+                                attribute_order: order.clone(),
+                                search,
+                                event_model: Some(model.clone()),
+                                disable_early_termination: ablate,
+                                disable_cell_merging: ablate,
+                                profile_weights: weighted.then(|| {
+                                    (0..compiled.len()).map(|k| weight + k as f64).collect()
+                                }),
+                            };
+                            let tree = ProfileTree::build(compiled, &config).unwrap();
+                            let cover = covering.then_some(&cover);
+                            let at = (search, order, covering, ablate, weighted);
+                            let snap =
+                                FilterSnapshot::from_tree(tree.clone(), ps.len(), cover).unwrap();
+                            let image = snap.to_bytes();
+                            prop_assert!(snap.tree() == &tree, "{:?}", at);
+                            let again =
+                                FilterSnapshot::from_tree(snap.tree().clone(), ps.len(), cover)
+                                    .unwrap();
+                            prop_assert!(again.to_bytes() == image, "{:?}", at);
+                            let loaded = FilterSnapshot::from_bytes(&image).unwrap();
+                            prop_assert!(loaded.tree() == &tree, "{:?}", at);
+                            let eq2 = CostModel::new(&tree, &model).unwrap().evaluate().unwrap();
+                            let eq2 = eq2.expected_total_ops();
+                            let priced = snap.expected_ops(&model).unwrap();
+                            prop_assert!((priced - eq2).abs() <= 1e-9 * eq2.max(1.0), "{:?}", at);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The populations of the six end-to-end workloads, smaller, each with
+/// the event model its workload publishes under.
+fn e2e_populations() -> Vec<(&'static str, ProfileSet, JointDist)> {
+    use ens_workloads::scenario::{
+        environmental_event_model, environmental_profiles, environmental_schema, stock_event_model,
+        stock_profiles,
+    };
+    use ens_workloads::{
+        covered_profiles, CoveredPopulationConfig, ProfileGenConfig, ProfileGenerator,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(35);
+    let env = environmental_schema();
+    let env_model = environmental_event_model().unwrap();
+    let uniform: Vec<DistOverDomain> = env
+        .iter()
+        .map(|(_, a)| DistOverDomain::new(Density::Uniform, a.domain().size()))
+        .collect();
+    let selective = ProfileGenConfig {
+        dont_care_prob: 0.02,
+        eq_prob: 0.6,
+        range_width_frac: 0.05,
+    };
+    let selective = ProfileGenerator::new(&env, uniform, selective)
+        .unwrap()
+        .generate(2000, &mut rng)
+        .unwrap();
+    let covered = CoveredPopulationConfig {
+        coverage_density: 0.9,
+        duplicate_frac: 0.4,
+        zipf_exponent: 1.2,
+        roots: ProfileGenConfig {
+            dont_care_prob: 0.1,
+            eq_prob: 0.6,
+            range_width_frac: 0.05,
+        },
+    };
+    let covered = covered_profiles(&env, 3000, &covered, &mut rng).unwrap();
+    // The federation workload's bands: eight wide ones, narrowings
+    // inside each.
+    let line = Schema::builder()
+        .attribute("x", Domain::int(0, 9999))
+        .unwrap()
+        .build();
+    let mut bands = ProfileSet::new(&line);
+    let mut starts = Vec::new();
+    for band in 0..8i64 {
+        let lo = band * 1250 + rng.gen_range(0..=300);
+        starts.push(lo);
+        bands
+            .insert_with(|b| b.predicate("x", Predicate::between(lo, lo + 624)))
+            .unwrap();
+    }
+    for k in 8..300 {
+        let lo = starts[k % 8] + rng.gen_range(0..=520);
+        bands
+            .insert_with(|b| b.predicate("x", Predicate::between(lo, lo + 100)))
+            .unwrap();
+    }
+    let line_model =
+        JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 10_000)]).unwrap();
+    vec![
+        (
+            "fanout_env",
+            environmental_profiles(1000, &mut rng).unwrap(),
+            env_model.clone(),
+        ),
+        (
+            "durable_churn",
+            environmental_profiles(500, &mut rng).unwrap(),
+            env_model.clone(),
+        ),
+        ("selective_10k", selective, env_model.clone()),
+        ("covered_100k", covered, env_model),
+        (
+            "batch_sharded",
+            stock_profiles(1000, &mut rng).unwrap(),
+            stock_event_model().unwrap(),
+        ),
+        ("fed_line3", bands, line_model),
+    ]
+}
+
+/// Eq. 2 priced on the automaton is Eq. 2 priced on the tree, to 1e-9
+/// relative, on the end-to-end populations: covered and not, at the
+/// default shape and in event order.
+#[test]
+fn the_automaton_prices_what_the_tree_prices() {
+    for (name, ps, model) in e2e_populations() {
+        let schema = ps.schema().clone();
+        let cover =
+            CoverSet::build_bulk(&schema, ps.iter().map(|p| (p.id().index() as u32, p))).unwrap();
+        for search in [
+            SearchStrategy::default(),
+            SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
+        ] {
+            let config = TreeConfig {
+                search,
+                event_model: Some(model.clone()),
+                ..TreeConfig::default()
+            };
+            for covering in [false, true] {
+                let snap = if covering {
+                    FilterSnapshot::compile_with_cover(&ps, &cover, &config).unwrap()
+                } else {
+                    FilterSnapshot::compile(&ps, &config).unwrap()
+                };
+                let priced = snap.expected_ops(&model).unwrap();
+                let eq2 = CostModel::new(snap.tree(), &model)
+                    .unwrap()
+                    .evaluate()
+                    .unwrap()
+                    .expected_total_ops();
+                assert!(
+                    (priced - eq2).abs() <= 1e-9 * eq2,
+                    "{name} {search:?} covering {covering}: {priced} vs {eq2}"
+                );
+            }
+        }
+    }
+}
+
+/// FNV-1a, 64 bits.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every committed filter fixture — formats 3, 4 and 5 — loads and
+/// re-encodes to the image the build before the automaton kept the
+/// codec's share of the tree wrote for it (its length and FNV-1a hash):
+/// the section written off the automaton is the one written off the
+/// tree.
+#[test]
+fn every_fixture_reencodes_to_the_image_written_off_the_tree() {
+    for (name, len, hash) in [
+        ("covered_small_snapshot_v4.bin", 489, 0xb680_29f3_2fe6_8bdc),
+        ("covered_snapshot_pr12.bin", 8_384, 0xbf3a_5dfb_3037_4ac0),
+        (
+            "stock_modelled_snapshot_pr21.bin",
+            435_899,
+            0x80b2_01f8_7043_bbac,
+        ),
+        ("stock_unread_model_v5.bin", 21_772, 0xca5a_1a08_32b3_f822),
+        ("tiny_unread_model_v5.bin", 406, 0xd7de_fb4e_b077_b5a6),
+    ] {
+        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        let fixture = std::fs::read(&path).unwrap();
+        let image = FilterSnapshot::from_bytes(&fixture).unwrap().to_bytes();
+        assert_eq!((image.len(), fnv(&image)), (len, hash), "{name}");
     }
 }

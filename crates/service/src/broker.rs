@@ -55,8 +55,8 @@ use std::time::Instant;
 
 use ens_dist::JointDist;
 use ens_filter::{
-    expected_ops, tuning, AttributeOrder, DriftCause, DriftSignal, FilterSnapshot, RebuildPolicy,
-    SearchStrategy, SnapshotBlockScratch, SnapshotScratch, TreeConfig,
+    tuning, AttributeOrder, DriftCause, DriftSignal, FilterSnapshot, RebuildPolicy, SearchStrategy,
+    SnapshotBlockScratch, SnapshotScratch, TreeConfig,
 };
 use ens_types::{
     Event, IndexedBatch, IndexedEvent, Profile, ProfileBuilder, ProfileId, ProfileSet, Schema,
@@ -111,10 +111,11 @@ pub struct BrokerConfig {
     /// subscriptions and count the same comparison operations, so
     /// receipts, metrics and the decision journal read alike either
     /// way; the automaton just gets there without searching. `false`
-    /// keeps the tree as the reference path: it runs the configured
-    /// search for real, so its wall-clock follows the counted
-    /// operations — the one place where the edge order a scan uses
-    /// shows in time.
+    /// is the reference path: each shard's tree is raised from its
+    /// automaton on first use ([`FilterSnapshot::tree`]) and runs the
+    /// configured search for real, so its wall-clock follows the
+    /// counted operations. It stays for the end-to-end benchmark
+    /// harness until that harness serves from the automaton alone.
     pub dfsa_dispatch: bool,
     /// Record every Nth published event into the per-shard drift
     /// statistics (1 = every event, the default; 0 disables drift
@@ -1249,9 +1250,9 @@ impl Broker {
     }
 
     /// Answers a drift trigger on shard `s`: stages the compaction,
-    /// prices the tree it would commit against the tree in place — both
-    /// under the shard's estimate, by Eq. 2 — and commits it only if it
-    /// pays for itself ([`price_rebuild`]).
+    /// prices the filter it would commit against the filter in place —
+    /// both under the shard's estimate, by Eq. 2 on their automata —
+    /// and commits it only if it pays for itself ([`price_rebuild`]).
     ///
     /// The candidate is the shard's shape recompiled under the estimate
     /// or, with [`BrokerConfig::tuning`] on, the cheapest shape of
@@ -1266,7 +1267,8 @@ impl Broker {
     /// journal numbers, or the tuner's battery).
     ///
     /// The whole pass runs on the publishing thread under the shard's
-    /// writer lock. The tree that was priced is the tree committed.
+    /// writer lock. The filter that was priced is the filter committed,
+    /// and no tree is raised.
     fn answer_drift(
         &self,
         s: usize,
@@ -1283,22 +1285,22 @@ impl Broker {
             }
             self.decline_drift(s, w, signal, saving, reason)
         };
-        if !tuning && !signal.is_warm_up() && !w.tree().uses_event_model() {
+        if !tuning && !signal.is_warm_up() && !w.active_config().uses_event_model() {
             return decline(w, 0.0, DeclineReason::NoSaving);
         }
         let snap = shard.snapshot.read().clone();
         let mut staged = w.stage()?;
-        // The estimate both trees are priced under: built here for a
+        // The estimate both filters are priced under: built here for a
         // shape that compiles under none.
         let model = staged.model()?;
-        // The candidate tree, the (stale, candidate) comparisons per
+        // The candidate filter, the (stale, candidate) comparisons per
         // event and, with tuning, whether the tuner's own bar was met.
-        let (tree, stale_ops, new_ops, refused) = if tuning {
+        let (candidate, stale_ops, new_ops, refused) = if tuning {
             let t0 = Instant::now();
             // Only uncovered overlay entries carry the tuner's overlay
             // floor.
             let (decision, tree) = tuning::evaluate(
-                snap.filter.tree(),
+                &snap.filter,
                 w.overlay_uncovered(),
                 &staged.compiled,
                 &staged.config,
@@ -1310,12 +1312,15 @@ impl Broker {
             let refused = (!decision.accepted).then_some(DeclineReason::BelowTuningThreshold);
             staged.config.attribute_order = decision.attribute_order;
             staged.config.search = decision.search;
-            (tree, decision.stale_ops, decision.best_ops, refused)
+            let tree = tree.filter(|_| refused.is_none());
+            let filter = tree.map(|tree| staged.lower(tree)).transpose()?;
+            (filter, decision.stale_ops, decision.best_ops, refused)
         } else {
             let tree = staged.build_tree()?;
-            let stale_ops = expected_ops(snap.filter.tree(), &model)?;
-            let new_ops = expected_ops(&tree, &model)?;
-            (Some(tree), stale_ops, new_ops, None)
+            let filter = staged.lower(tree)?;
+            let stale_ops = snap.filter.expected_ops(&model)?;
+            let new_ops = filter.expected_ops(&model)?;
+            (Some(filter), stale_ops, new_ops, None)
         };
         let refused = refused.or_else(|| {
             if signal.is_warm_up() {
@@ -1325,22 +1330,22 @@ impl Broker {
             let served = w.tracker.events_since_settled() * self.config.stats_sample;
             price_rebuild(stale_ops, new_ops, served, staged.compiled.len())
         });
-        let (Some(tree), None) = (tree, refused) else {
+        let (Some(filter), None) = (candidate, refused) else {
             // (No candidate at all means the tuner accepted none.)
             let reason = refused.unwrap_or(DeclineReason::BelowTuningThreshold);
             return decline(w, stale_ops - new_ops, reason);
         };
 
         let from = TreeShape {
-            attribute_order: w.tree().attribute_order.clone(),
-            search: w.tree().search,
+            attribute_order: w.active_config().attribute_order.clone(),
+            search: w.active_config().search,
         };
         let to = TreeShape {
             attribute_order: staged.config.attribute_order.clone(),
             search: staged.config.search,
         };
         let (t0, spent) = (Instant::now(), staged.spent);
-        w.rebuild(staged, tree, signal.cause == DriftCause::Moved)?;
+        w.rebuild(staged, filter, signal.cause == DriftCause::Moved)?;
         let rebuild_ns = (spent + t0.elapsed()).as_nanos() as u64;
         self.journal(Decision::DriftRebuilt {
             shard: s,

@@ -190,11 +190,13 @@ pub(super) struct Staged {
     history: RebinnedHistory,
     /// Time spent on this recompile so far (pricing it excluded), and
     /// the parts of it that went into the containment pass, the event
-    /// model (zero for a shape that reads none) and the tree build.
+    /// model (zero for a shape that reads none), the tree build and
+    /// the lowering.
     pub(super) spent: Duration,
     cover_time: Duration,
     model_time: Duration,
     tree_time: Duration,
+    lower_time: Duration,
 }
 
 impl Staged {
@@ -216,12 +218,29 @@ impl Staged {
         self.spent += self.tree_time;
         Ok(tree)
     }
+
+    /// Lowers `tree`, compiled from the staged population, into the
+    /// filter a commit serves from.
+    pub(super) fn lower(&mut self, tree: ProfileTree) -> Result<FilterSnapshot, ServiceError> {
+        let t0 = Instant::now();
+        let filter = FilterSnapshot::from_tree(tree, self.population, self.cover.as_ref())?;
+        self.lower_time = t0.elapsed();
+        self.spent += self.lower_time;
+        Ok(filter)
+    }
+
+    /// Builds and lowers the filter for the staged population and
+    /// configuration.
+    fn compile(&mut self) -> Result<FilterSnapshot, ServiceError> {
+        let tree = self.build_tree()?;
+        self.lower(tree)
+    }
 }
 
-/// A recompile ready to commit: `tree` was compiled from `staged`.
+/// A recompile ready to commit: `filter` was compiled from `staged`.
 struct Recompile {
     staged: Staged,
-    tree: ProfileTree,
+    filter: FilterSnapshot,
     /// Passed on to [`DriftTracker::finish_rebuild`].
     migrated: bool,
     /// What the swap counts it as, if anything.
@@ -470,6 +489,7 @@ impl ShardWriter {
             cover_time,
             model_time,
             tree_time: Duration::ZERO,
+            lower_time: Duration::ZERO,
         })
     }
 
@@ -488,7 +508,7 @@ impl ShardWriter {
     }
 
     /// The shard's active tree configuration.
-    pub(super) fn tree(&self) -> &TreeConfig {
+    pub(super) fn active_config(&self) -> &TreeConfig {
         &self.tree
     }
 }
@@ -790,19 +810,19 @@ impl ShardGuard<'_> {
         self.w.stage(&Change::default(), self.tree.clone())
     }
 
-    /// Commits a drift rebuild: `tree`, compiled from `staged` (whose
+    /// Commits a drift rebuild: `filter`, compiled from `staged` (whose
     /// shape becomes the shard's), is what the shard serves from here
     /// on. `migrated`: see [`DriftTracker::finish_rebuild`].
     pub(super) fn rebuild(
         &mut self,
         staged: Staged,
-        tree: ProfileTree,
+        filter: FilterSnapshot,
         migrated: bool,
     ) -> Result<(), ServiceError> {
         let shape = (staged.config.attribute_order.clone(), staged.config.search);
         let recompile = Recompile {
             staged,
-            tree,
+            filter,
             migrated,
             counter: Some(|m| &m.tree_rebuilds),
         };
@@ -829,7 +849,7 @@ impl ShardGuard<'_> {
     ) -> Result<(), ServiceError> {
         let mut staged = self.w.stage(&change, tree)?;
         let recompile = Recompile {
-            tree: staged.build_tree()?,
+            filter: staged.compile()?,
             staged,
             migrated: false,
             counter,
@@ -845,20 +865,17 @@ impl ShardGuard<'_> {
         // Everything that can fail happens here.
         let (snapshot, folded) = match recompile {
             Some(r) => {
-                let (population, cover) = (r.staged.population, r.staged.cover.as_ref());
-                let t0 = Instant::now();
-                let filter = FilterSnapshot::from_tree(r.tree, population, cover)?;
                 let compacted = Decision::Compacted {
                     shard: w.index,
-                    population,
+                    population: r.staged.population,
                     compiled: r.staged.compiled.len(),
                     model_ns: r.staged.model_time.as_nanos() as u64,
                     cover_ns: r.staged.cover_time.as_nanos() as u64,
                     tree_ns: r.staged.tree_time.as_nanos() as u64,
-                    lower_ns: t0.elapsed().as_nanos() as u64,
+                    lower_ns: r.staged.lower_time.as_nanos() as u64,
                 };
                 w.tracker.finish_rebuild(r.staged.history, r.migrated)?;
-                let snapshot = w.snapshot_after(&change, Source::Compiled(filter))?;
+                let snapshot = w.snapshot_after(&change, Source::Compiled(r.filter))?;
                 (snapshot, Some((r.staged.cover, r.counter, compacted)))
             }
             None => {

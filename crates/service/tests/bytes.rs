@@ -1,7 +1,9 @@
 //! Live-bytes budget of a broker at rest: an event model's per-point
 //! tables (16 bytes a domain point) are held once a shard — in the
-//! compiled tree's configuration — not again beside it, and only by a
-//! shard whose tree's shape reads them.
+//! configuration its filter keeps of the compiled tree — not again
+//! beside it, and only by a shard whose tree's shape reads them. A
+//! shard keeps the automaton and no tree: publishing, pricing a drift
+//! trigger and checkpointing raise none.
 //!
 //! This file deliberately contains a single `#[test]` so no concurrent
 //! test thread can disturb the global byte counter.
@@ -10,8 +12,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ens_filter::{Direction, SearchStrategy, TreeConfig, ValueOrder};
-use ens_service::{Broker, BrokerConfig};
-use ens_workloads::scenario::{stock_profiles, stock_schema};
+use ens_service::{Broker, BrokerConfig, Decision, DurabilityConfig, FsyncPolicy};
+use ens_workloads::scenario::{stock_event_model, stock_profiles, stock_schema};
+use ens_workloads::EventGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -104,8 +107,9 @@ fn a_shard_holds_its_model_tables_once() {
     drop(broker);
 
     // In natural order, which reads no model, no shard builds or holds
-    // one: 21,294 and 136,914 bytes, where each shard held one at the
-    // default shape before.
+    // one: 21,694 and 116,490 bytes, where each shard held one at the
+    // default shape before, and 136,914 loaded while each kept its tree
+    // beside the automaton.
     let natural = SearchStrategy::default();
     let (broker, empty) = retained(|| Broker::new(&schema, config(natural)).unwrap());
     assert!(
@@ -115,8 +119,60 @@ fn a_shard_holds_its_model_tables_once() {
     drop(broker);
     let (broker, bytes) = loaded(natural);
     assert!(
-        bytes < tables,
+        bytes < 120_000,
         "a loaded 2-shard stock broker in natural order retains {bytes} bytes"
     );
     drop(broker);
+
+    // Serving, answering a drift trigger (the warm-up rebuild, priced
+    // on both automata) and checkpointing raise no tree: a thousand
+    // subscriptions retain less after all three than on a broker that
+    // matched through the trees, by more than either tree (1,509,901
+    // against 1,807,405 bytes).
+    let profiles = stock_profiles(1000, &mut StdRng::seed_from_u64(13)).unwrap();
+    let generator = EventGenerator::new(&schema, stock_event_model().unwrap()).unwrap();
+    let mut rng = StdRng::seed_from_u64(14);
+    let events: Vec<_> = (0..600).map(|_| generator.sample(&mut rng)).collect();
+    let dir = std::env::temp_dir().join(format!("ens-bytes-{}", std::process::id()));
+    let run = |dfsa_dispatch: bool| {
+        let _ = std::fs::remove_dir_all(&dir);
+        retained(|| {
+            let durability = DurabilityConfig {
+                checkpoint_every: 0,
+                fsync: FsyncPolicy::Never,
+                ..DurabilityConfig::new(&dir)
+            };
+            let config = BrokerConfig {
+                dfsa_dispatch,
+                // One queued notification a subscriber: what they
+                // retain does not grow with the events.
+                notify_capacity: 1,
+                ..config(natural)
+            };
+            let opened = Broker::open(&schema, config, durability).unwrap();
+            let subs = opened
+                .broker
+                .subscribe_many(profiles.iter().cloned())
+                .unwrap();
+            for event in &events {
+                opened.broker.publish(event).unwrap();
+            }
+            assert!(opened.broker.checkpoint().unwrap());
+            (opened.broker, subs)
+        })
+    };
+    let ((broker, _subs), served) = run(true);
+    let rebuilt = |d: &Decision| matches!(d, Decision::DriftRebuilt { .. });
+    assert!(
+        broker.decisions().iter().any(rebuilt),
+        "a drift trigger was answered"
+    );
+    drop((broker, _subs));
+    let ((broker, _subs), reference) = run(false);
+    drop((broker, _subs));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        served + 200_000 < reference,
+        "served from the automata, {served} bytes; through the raised trees, {reference}"
+    );
 }

@@ -468,7 +468,11 @@ fn priced_tree_is_the_tree_committed() {
         },
     )
     .unwrap();
-    let repriced = ens_filter::expected_ops(&tree, &model).unwrap();
+    // The broker priced the automaton; Eq. 2 on the tree agrees.
+    let repriced = ens_filter::CostModel::new(&tree, &model)
+        .and_then(|m| m.evaluate())
+        .unwrap()
+        .expected_total_ops();
     assert!((repriced - predicted_new).abs() < 1e-9 * repriced);
     // And what is served costs what that tree costs.
     for e in &w.phase_a[64..128] {
