@@ -5,9 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ens_bench::BenchWorkload;
-use ens_filter::{
-    Direction, MatchScratch, Matcher, ProfileTree, SearchStrategy, TreeConfig, ValueOrder,
-};
+use ens_filter::{Dfsa, Direction, MatchScratch, Matcher, SearchStrategy, TreeConfig, ValueOrder};
 use ens_types::IndexedEvent;
 use std::hint::black_box;
 
@@ -27,7 +25,7 @@ fn bench_ablations(c: &mut Criterion) {
             disable_cell_merging: no_merge,
             ..TreeConfig::default()
         };
-        let tree = ProfileTree::build(&w.profiles, &config).expect("workload is valid");
+        let tree = Dfsa::build(&w.profiles, &config).expect("workload is valid");
         group.bench_with_input(
             BenchmarkId::new(name, "d39-gauss"),
             &w.events,

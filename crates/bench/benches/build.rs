@@ -1,10 +1,10 @@
 //! Tree-construction cost (the TV1 "creation of profile tree" phase):
-//! build time as a function of profile count, plus the DFSA flattening
-//! pass.
+//! build time, straight into the automaton, as a function of profile
+//! count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ens_bench::BenchWorkload;
-use ens_filter::{Dfsa, ProfileTree, TreeConfig};
+use ens_filter::{Dfsa, TreeConfig};
 use std::hint::black_box;
 
 fn bench_build(c: &mut Criterion) {
@@ -14,16 +14,11 @@ fn bench_build(c: &mut Criterion) {
         group.throughput(Throughput::Elements(p as u64));
         group.bench_with_input(BenchmarkId::new("stock", p), &w, |b, w| {
             b.iter(|| {
-                ProfileTree::build(black_box(&w.profiles), &TreeConfig::default())
+                Dfsa::build(black_box(&w.profiles), &TreeConfig::default())
                     .expect("workload is valid")
             });
         });
     }
-    let w = BenchWorkload::stock(400, 1);
-    let tree = ProfileTree::build(&w.profiles, &TreeConfig::default()).expect("valid");
-    group.bench_function("dfsa_flatten/stock_400", |b| {
-        b.iter(|| Dfsa::from_tree(black_box(&tree)));
-    });
     group.finish();
 }
 

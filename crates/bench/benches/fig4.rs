@@ -8,9 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ens_bench::BenchWorkload;
-use ens_filter::{
-    Direction, MatchScratch, Matcher, ProfileTree, SearchStrategy, TreeConfig, ValueOrder,
-};
+use ens_filter::{Dfsa, Direction, MatchScratch, Matcher, SearchStrategy, TreeConfig, ValueOrder};
 use ens_types::IndexedEvent;
 use std::hint::black_box;
 
@@ -37,7 +35,7 @@ fn bench_value_orders(c: &mut Criterion) {
                 event_model: Some(w.joint.clone()),
                 ..TreeConfig::default()
             };
-            let tree = ProfileTree::build(&w.profiles, &config).expect("workload is valid");
+            let tree = Dfsa::build(&w.profiles, &config).expect("workload is valid");
             group.bench_with_input(
                 BenchmarkId::new(name, format!("{pe}-{pp}")),
                 &w.events,

@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ens_bench::BenchWorkload;
 use ens_filter::{
-    AttributeMeasure, AttributeOrder, Direction, MatchScratch, Matcher, ProfileTree,
-    SearchStrategy, TreeConfig, ValueOrder,
+    AttributeMeasure, AttributeOrder, Dfsa, Direction, MatchScratch, Matcher, SearchStrategy,
+    TreeConfig, ValueOrder,
 };
 use ens_types::IndexedEvent;
 use std::hint::black_box;
@@ -45,7 +45,7 @@ fn bench_attribute_orders(c: &mut Criterion) {
                 event_model: Some(w.joint.clone()),
                 ..TreeConfig::default()
             };
-            let tree = ProfileTree::build(&w.profiles, &config).expect("workload is valid");
+            let tree = Dfsa::build(&w.profiles, &config).expect("workload is valid");
             group.bench_with_input(
                 BenchmarkId::new(search_name, order_name),
                 &w.events,

@@ -1,5 +1,5 @@
 //! Matching-algorithm comparison (paper §2's algorithm classes):
-//! profile tree (pointer form and flattened DFSA) vs the naive
+//! profile tree (as the compiled automaton) vs the naive
 //! per-profile scan vs the counting algorithm — the index the broker
 //! serves overlays with, built over the whole population — on the
 //! environmental and stock workloads. Every row runs the
@@ -10,7 +10,7 @@ use criterion::{
 };
 use ens_bench::BenchWorkload;
 use ens_filter::baseline::NaiveMatcher;
-use ens_filter::{Dfsa, MatchScratch, Matcher, OverlayIndex, ProfileTree, TreeConfig};
+use ens_filter::{Dfsa, MatchScratch, Matcher, OverlayIndex, TreeConfig};
 use ens_types::IndexedEvent;
 use std::hint::black_box;
 
@@ -50,12 +50,10 @@ fn bench_matchers(c: &mut Criterion) {
         BenchWorkload::stock(300, 2048),
     ] {
         group.throughput(Throughput::Elements(workload.events.len() as u64));
-        let tree = ProfileTree::build(&workload.profiles, &TreeConfig::default())
-            .expect("workload is valid");
-        let dfsa = Dfsa::from_tree(&tree);
+        let dfsa =
+            Dfsa::build(&workload.profiles, &TreeConfig::default()).expect("workload is valid");
         let naive = NaiveMatcher::new(&workload.profiles).expect("workload is valid");
         let counting = OverlayIndex::new(&workload.profiles).expect("workload is valid");
-        bench_matcher(&mut group, "tree_scratch", &workload, &tree);
         bench_matcher(&mut group, "dfsa_csr", &workload, &dfsa);
         bench_matcher(&mut group, "naive", &workload, &naive);
         bench_matcher(&mut group, "counting", &workload, &counting);

@@ -27,7 +27,7 @@ use ens_bench::BenchWorkload;
 use ens_filter::baseline::NaiveMatcher;
 use ens_filter::{
     BlockScratch, Dfsa, Direction, FilterSnapshot, MatchScratch, Matcher, OverlayIndex,
-    ProfileTree, RebuildPolicy, SearchStrategy, SnapshotScratch, TreeConfig, ValueOrder,
+    RebuildPolicy, SearchStrategy, SnapshotScratch, TreeConfig, ValueOrder,
 };
 use ens_service::{
     Broker, BrokerConfig, Decision, DurabilityConfig, FaultFs, FsyncPolicy, Subscriber, Vfs,
@@ -92,9 +92,8 @@ struct MatcherReport {
     name: String,
     events_per_sec: f64,
     ns_per_event: f64,
-    /// Mean comparison operations per event (0 on the DFSA rows, which
-    /// are only timed: the automaton counts what its tree does, the
-    /// `tree_scratch` row).
+    /// Mean comparison operations per event (0 for a matcher that does
+    /// not count them).
     ops_per_event: f64,
     /// Heap allocations per event in the steady state (warmed buffers).
     allocs_per_event: f64,
@@ -450,10 +449,9 @@ struct CompileStagesRow {
     default_model_ns: u64,
     /// The bulk containment pass.
     cover_ns: u64,
-    /// The tree build.
+    /// The tree build, straight into the automaton, and the expansion
+    /// plan.
     tree_ns: u64,
-    /// Lowering to the DFSA and the expansion index.
-    lower_ns: u64,
 }
 
 #[derive(Debug, Serialize)]
@@ -675,8 +673,7 @@ fn bench_workload(
     w: &BenchWorkload,
     opts: &Options,
 ) -> Result<WorkloadReport, Box<dyn std::error::Error>> {
-    let tree = ProfileTree::build(&w.profiles, &TreeConfig::default())?;
-    let dfsa = Dfsa::from_tree(&tree);
+    let dfsa = Dfsa::build(&w.profiles, &TreeConfig::default())?;
     let naive = NaiveMatcher::new(&w.profiles)?;
     // The counting baseline is the index the broker serves overlays
     // with, over the whole population.
@@ -685,14 +682,13 @@ fn bench_workload(
     let events = &w.events;
 
     // Mean comparison ops/event for the matchers that count (one pass).
-    let (tree_ops, _) = mean_scratch_ops(&tree, schema, events);
+    let (dfsa_ops, _) = mean_scratch_ops(&dfsa, schema, events);
     let (naive_ops, _) = mean_scratch_ops(&naive, schema, events);
     let (counting_ops, _) = mean_scratch_ops(&counting, schema, events);
 
     // Zero-allocation `match_into` fast paths (reused buffers).
     let matchers = vec![
-        scratch_pass(opts, "tree_scratch", schema, events, tree_ops, &tree),
-        scratch_pass(opts, "dfsa_csr_scratch", schema, events, 0.0, &dfsa),
+        scratch_pass(opts, "dfsa_csr_scratch", schema, events, dfsa_ops, &dfsa),
         scratch_pass(opts, "naive_scratch", schema, events, naive_ops, &naive),
         scratch_pass(
             opts,
@@ -709,7 +705,7 @@ fn bench_workload(
     for m in &matchers {
         assert_eq!(
             m.matches, expected,
-            "{} disagrees with tree_scratch on total matches",
+            "{} disagrees with dfsa_csr_scratch on total matches",
             m.name
         );
     }
@@ -813,8 +809,7 @@ fn bench_batch(
     single_matches: u64,
 ) -> Result<BatchReport, Box<dyn std::error::Error>> {
     const BLOCKS: [usize; 4] = [1, 8, 64, 256];
-    let tree = ProfileTree::build(&w.profiles, &TreeConfig::default())?;
-    let dfsa = Dfsa::from_tree(&tree);
+    let dfsa = Dfsa::build(&w.profiles, &TreeConfig::default())?;
     let schema = &w.schema;
     let events = &w.events;
 
@@ -1088,11 +1083,9 @@ fn tuning_broker(
         event_model: Some(w.model_a.clone()),
         ..TreeConfig::default()
     };
-    // Both on the tree path: its executed scan is what edge order speeds up.
     let config = if tuned {
         BrokerConfig {
             tree,
-            dfsa_dispatch: false,
             stats_sample: 1,
             rebuild: RebuildPolicy {
                 min_events: (events_per_phase as u64 / 4).max(64),
@@ -1108,7 +1101,6 @@ fn tuning_broker(
     } else {
         BrokerConfig {
             tree,
-            dfsa_dispatch: false,
             rebuild: RebuildPolicy {
                 min_events: u64::MAX,
                 ..RebuildPolicy::default()
@@ -1320,7 +1312,6 @@ fn bench_compile_stages() -> Result<Vec<CompileStagesRow>, Box<dyn std::error::E
             default_model_ns: 0,
             cover_ns: u64::MAX,
             tree_ns: u64::MAX,
-            lower_ns: u64::MAX,
         };
         let event_order = SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending));
         for _ in 0..5 {
@@ -1336,7 +1327,6 @@ fn bench_compile_stages() -> Result<Vec<CompileStagesRow>, Box<dyn std::error::E
                     model_ns,
                     cover_ns,
                     tree_ns,
-                    lower_ns,
                     ..
                 }] = decisions[..]
                 else {
@@ -1350,7 +1340,6 @@ fn bench_compile_stages() -> Result<Vec<CompileStagesRow>, Box<dyn std::error::E
                 row.default_model_ns = row.default_model_ns.max(model_ns);
                 row.cover_ns = row.cover_ns.min(cover_ns);
                 row.tree_ns = row.tree_ns.min(tree_ns);
-                row.lower_ns = row.lower_ns.min(lower_ns);
             }
         }
         rows.push(row);

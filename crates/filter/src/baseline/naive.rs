@@ -67,7 +67,7 @@ impl NaiveMatcher {
 
 impl Matcher for NaiveMatcher {
     fn match_into(&self, event: &IndexedEvent, scratch: &mut MatchScratch) {
-        scratch.reset(0);
+        scratch.reset();
         for (k, preds) in self.profiles.iter().enumerate() {
             let mut ok = true;
             for (attr, set) in preds {

@@ -9,18 +9,18 @@
 //!
 //! where the first sum is the expected cost of successful edge
 //! traversals and the second the cost of dismissing events that fall
-//! into zero-subdomains. The evaluator walks the concrete
-//! [`ProfileTree`] and weights every node-local cost (from
-//! [`NodeOrdering`](crate::order::NodeOrdering)) with the exact
-//! probability of reaching it under a [`JointDist`] event model — the
-//! same computation the paper's TV4 test series performs ("average
+//! into zero-subdomains. The evaluator prices the compiled [`Dfsa`]:
+//! every transition's charge (from the node's
+//! [`NodeOrdering`](crate::order::NodeOrdering)) is weighted with the
+//! exact probability of taking it under a [`JointDist`] event model —
+//! the same computation the paper's TV4 test series performs ("average
 //! #operations computed based on #operations and event distribution").
 
 use ens_dist::JointDist;
-use ens_types::{AttrId, IndexInterval, Schema};
+use ens_types::{AttrId, Schema};
 use serde::{Deserialize, Serialize};
 
-use crate::tree::{NodeRef, ProfileTree, Star};
+use crate::dfsa::{Dfsa, Next};
 use crate::FilterError;
 
 /// Expected operations at one tree level.
@@ -57,7 +57,8 @@ impl ProfileCost {
     }
 }
 
-/// The full analytic cost breakdown of a tree under an event model.
+/// The full analytic cost breakdown of a compiled filter under an event
+/// model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostBreakdown {
     per_level: Vec<LevelCost>,
@@ -141,22 +142,22 @@ impl CostBreakdown {
     }
 }
 
-/// Evaluator binding a tree to an event model.
+/// Evaluator binding a compiled automaton to an event model.
 ///
 /// # Example
 ///
 /// ```
 /// use ens_dist::{Density, DistOverDomain, JointDist};
-/// use ens_filter::{CostModel, ProfileTree, TreeConfig};
+/// use ens_filter::{CostModel, Dfsa, TreeConfig};
 /// use ens_types::{Schema, Domain, Predicate, ProfileSet};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let schema = Schema::builder().attribute("x", Domain::int(0, 99))?.build();
 /// let mut ps = ProfileSet::new(&schema);
 /// ps.insert_with(|b| b.predicate("x", Predicate::between(10, 19)))?;
-/// let tree = ProfileTree::build(&ps, &TreeConfig::default())?;
+/// let dfsa = Dfsa::build(&ps, &TreeConfig::default())?;
 /// let joint = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)])?;
-/// let cost = CostModel::new(&tree, &joint)?.evaluate()?;
+/// let cost = CostModel::new(&dfsa, &joint)?.evaluate()?;
 /// // Every event pays exactly one comparison at the single node.
 /// assert!((cost.expected_total_ops() - 1.0).abs() < 1e-9);
 /// assert!((cost.match_probability() - 0.1).abs() < 1e-9);
@@ -165,157 +166,129 @@ impl CostBreakdown {
 /// ```
 #[derive(Debug)]
 pub struct CostModel<'a> {
-    tree: &'a ProfileTree,
+    dfsa: &'a Dfsa,
     joint: &'a JointDist,
 }
 
 impl<'a> CostModel<'a> {
-    /// Binds `tree` to an event model.
+    /// Binds `dfsa` to an event model.
     ///
     /// # Errors
     ///
     /// Returns [`FilterError::ModelMismatch`] if the model's arity or
-    /// domain sizes disagree with the tree's schema.
-    pub fn new(tree: &'a ProfileTree, joint: &'a JointDist) -> Result<Self, FilterError> {
-        check_model(tree.schema(), joint)?;
-        Ok(CostModel { tree, joint })
+    /// domain sizes disagree with the automaton's schema.
+    pub fn new(dfsa: &'a Dfsa, joint: &'a JointDist) -> Result<Self, FilterError> {
+        check_model(dfsa.schema(), joint)?;
+        Ok(CostModel { dfsa, joint })
     }
 
-    /// Runs the exact expectation over the tree.
+    /// Runs the exact expectation: one pass over the states, parents
+    /// before children (a state is numbered after its children, so in
+    /// descending order). Each state passes on the probability of
+    /// reaching it, and that probability times the operations spent on
+    /// the way, along each run of its values in proportion to the run's
+    /// mass under the tested attribute's marginal, paying the run's
+    /// charge at the state's level: an edge or a gap to the `(*)` edge
+    /// as match operations, a gap to rejection as reject operations.
+    /// What reaches a leaf is spread over its profiles. Every state tests
+    /// one attribute, once per path, and the model is a product of
+    /// marginals, so the pass is exact.
     ///
     /// # Errors
     ///
-    /// Propagates distribution errors.
+    /// Returns [`FilterError::ModelMismatch`] when a state tests an
+    /// attribute outside the model or the attribute order, or has
+    /// edges beyond its domain.
     pub fn evaluate(&self) -> Result<CostBreakdown, FilterError> {
-        let n_levels = self.tree.attribute_order().len();
-        let mut acc = Acc {
-            per_level: self
-                .tree
-                .attribute_order()
-                .iter()
-                .map(|a| LevelCost {
-                    attr: *a,
-                    match_ops: 0.0,
-                    reject_ops: 0.0,
-                })
-                .collect(),
-            per_profile: vec![ProfileCost::default(); self.tree.profile_count()],
-            match_probability: 0.0,
-            expected_notifications: 0.0,
-        };
-        let mut constraints: Vec<Option<IndexInterval>> =
-            vec![None; n_levels.max(self.joint.arity())];
-        self.walk(self.tree.root(), 0, &mut constraints, 0.0, &mut acc)?;
-        Ok(CostBreakdown {
-            per_level: acc.per_level,
-            per_profile: acc.per_profile,
-            match_probability: acc.match_probability,
-            expected_notifications: acc.expected_notifications,
-            profile_count: self.tree.profile_count(),
-        })
-    }
-
-    fn walk(
-        &self,
-        node: &NodeRef,
-        level: usize,
-        constraints: &mut Vec<Option<IndexInterval>>,
-        ops_so_far: f64,
-        acc: &mut Acc,
-    ) -> Result<(), FilterError> {
-        match node {
-            NodeRef::Empty => Ok(()),
-            NodeRef::Leaf(l) => {
-                let ids = self.tree.leaves().get(*l);
-                let mass = self.joint.mass_of_box(constraints)?;
-                if mass <= 0.0 {
-                    return Ok(());
-                }
-                acc.match_probability += mass;
-                acc.expected_notifications += mass * ids.len() as f64;
-                for id in ids {
-                    let pc = &mut acc.per_profile[id.index()];
-                    pc.prob += mass;
-                    pc.ops_weighted += mass * ops_so_far;
-                }
-                Ok(())
-            }
-            NodeRef::Inner(n) => {
-                let j = n.attr.index();
-                let domain_size = self.joint.domain_size(j);
-                debug_assert!(constraints[j].is_none(), "attribute tested once per path");
-
-                if n.edges.is_empty() {
-                    // `*` edge: one operation, all values pass (as on
-                    // an edge-less `Else` star, whose specific profiles
-                    // admit no value at all).
-                    if let Star::All(child) | Star::Else(child) = &n.star {
-                        let mass = self.joint.mass_of_box(constraints)?;
-                        if mass > 0.0 {
-                            acc.per_level[level].match_ops += mass;
-                            self.walk(child, level + 1, constraints, ops_so_far + 1.0, acc)?;
-                        }
-                    }
-                    return Ok(());
-                }
-
-                // Specific edges.
-                for (g, edge) in n.edges.iter().enumerate() {
-                    constraints[j] = Some(edge.interval);
-                    let mass = self.joint.mass_of_box(constraints)?;
-                    constraints[j] = None;
-                    if mass <= 0.0 {
-                        continue;
-                    }
-                    let cost = f64::from(n.ordering.hit_cost[g]);
-                    acc.per_level[level].match_ops += mass * cost;
-                    constraints[j] = Some(edge.interval);
-                    self.walk(&edge.child, level + 1, constraints, ops_so_far + cost, acc)?;
-                    constraints[j] = None;
-                }
-
-                // Gap slots (zero-subdomain parts at this node).
-                for g in 0..=n.edges.len() {
-                    let lo = if g == 0 {
-                        0
-                    } else {
-                        n.edges[g - 1].interval.hi()
-                    };
-                    let hi = if g == n.edges.len() {
-                        domain_size
-                    } else {
-                        n.edges[g].interval.lo()
-                    };
-                    let gap = IndexInterval::new(lo, hi);
-                    if gap.is_empty() {
-                        continue;
-                    }
-                    constraints[j] = Some(gap);
-                    let mass = self.joint.mass_of_box(constraints)?;
-                    constraints[j] = None;
-                    if mass <= 0.0 {
-                        continue;
-                    }
-                    let miss = f64::from(n.ordering.miss_cost[g]);
-                    match &n.star {
-                        Star::Else(child) => {
-                            // The event survives on the (*) edge: the
-                            // scan plus one operation, then continues.
-                            let cost = miss + 1.0;
-                            acc.per_level[level].match_ops += mass * cost;
-                            constraints[j] = Some(gap);
-                            self.walk(child, level + 1, constraints, ops_so_far + cost, acc)?;
-                            constraints[j] = None;
-                        }
-                        Star::None => {
-                            acc.per_level[level].reject_ops += mass * miss;
-                        }
-                        Star::All(_) => unreachable!("All-star nodes have no edges"),
-                    }
-                }
-                Ok(())
+        let (dfsa, marginals) = (self.dfsa, self.joint.marginals());
+        let order = dfsa.attribute_order();
+        let mut per_level: Vec<LevelCost> = order
+            .iter()
+            .map(|&attr| LevelCost {
+                attr,
+                match_ops: 0.0,
+                reject_ops: 0.0,
+            })
+            .collect();
+        let mut level_of = vec![usize::MAX; marginals.len()];
+        for (k, attr) in order.iter().enumerate() {
+            if let Some(level) = level_of.get_mut(attr.index()) {
+                *level = k;
             }
         }
+        // Per state and per leaf: (probability of reaching it, that
+        // probability times the operations spent on the way).
+        let mut states = vec![(0.0, 0.0); dfsa.state_count()];
+        let mut leaves = vec![(0.0, 0.0); dfsa.leaf_count()];
+        let mut arrive = |states: &mut [(f64, f64)], next, mass: f64, ops: f64| {
+            let at = match next {
+                Next::State(s) => states.get_mut(s as usize),
+                Next::Leaf(l) => leaves.get_mut(l as usize),
+                Next::Reject => None,
+            };
+            if let Some((reach, spent)) = at {
+                *reach += mass;
+                *spent += ops;
+            }
+        };
+        arrive(&mut states, dfsa.root(), 1.0, 0.0);
+        for s in (0..dfsa.state_count() as u32).rev() {
+            let (p, spent) = states[s as usize];
+            if p <= 0.0 {
+                continue;
+            }
+            let attr = dfsa.attr(s).index();
+            let mismatch = |message: String| FilterError::ModelMismatch { message };
+            let marginal = marginals
+                .get(attr)
+                .ok_or_else(|| mismatch(format!("the model has no attribute {attr}")))?;
+            let level = level_of
+                .get(attr)
+                .and_then(|&k| per_level.get_mut(k))
+                .ok_or_else(|| mismatch(format!("attribute {attr} is outside the order")))?;
+            let size = marginal.size();
+            let runs = dfsa.runs(s, size);
+            if runs.last().is_some_and(|run| run.hi > size) {
+                return Err(mismatch(format!(
+                    "attribute {attr}: edges beyond {size} points"
+                )));
+            }
+            let to_star = dfsa.star(s).is_some();
+            for run in runs {
+                let share = marginal.mass_between(run.lo, run.hi);
+                let mass = p * share;
+                let ops = mass * f64::from(run.cost);
+                if run.edge || to_star {
+                    level.match_ops += ops;
+                } else {
+                    level.reject_ops += ops;
+                }
+                arrive(&mut states, run.next, mass, share * spent + ops);
+            }
+        }
+        let mut per_profile = vec![ProfileCost::default(); dfsa.profile_count()];
+        let (mut match_probability, mut expected_notifications) = (0.0, 0.0);
+        for (l, &(mass, spent)) in leaves.iter().enumerate() {
+            if mass <= 0.0 {
+                continue;
+            }
+            let ids = dfsa.leaves().get(l as u32);
+            match_probability += mass;
+            expected_notifications += mass * ids.len() as f64;
+            for id in ids {
+                if let Some(cost) = per_profile.get_mut(id.index()) {
+                    cost.prob += mass;
+                    cost.ops_weighted += spent;
+                }
+            }
+        }
+        Ok(CostBreakdown {
+            per_level,
+            per_profile,
+            match_probability,
+            expected_notifications,
+            profile_count: dfsa.profile_count(),
+        })
     }
 }
 
@@ -345,13 +318,6 @@ pub(crate) fn check_model(schema: &Schema, joint: &JointDist) -> Result<(), Filt
         }
     }
     Ok(())
-}
-
-struct Acc {
-    per_level: Vec<LevelCost>,
-    per_profile: Vec<ProfileCost>,
-    match_probability: f64,
-    expected_notifications: f64,
 }
 
 #[cfg(test)]
@@ -409,7 +375,7 @@ mod golden {
             event_model: Some(joint.clone()),
             ..TreeConfig::default()
         };
-        let tree = crate::ProfileTree::build(&ps, &config).unwrap();
+        let tree = crate::Dfsa::build(&ps, &config).unwrap();
         CostModel::new(&tree, &joint).unwrap().evaluate().unwrap()
     }
 
@@ -522,7 +488,7 @@ mod golden {
             event_model: Some(joint.clone()),
             ..TreeConfig::default()
         };
-        let tree = crate::ProfileTree::build(&ps, &config).unwrap();
+        let tree = crate::Dfsa::build(&ps, &config).unwrap();
         let cost = CostModel::new(&tree, &joint).unwrap().evaluate().unwrap();
         let levels = cost.per_level();
         assert!((levels[0].match_ops - 0.85).abs() < 1e-9, "{levels:?}");
@@ -545,7 +511,7 @@ mod golden {
                 event_model: Some(joint.clone()),
                 ..TreeConfig::default()
             };
-            let tree = crate::ProfileTree::build(&ps, &config).unwrap();
+            let tree = crate::Dfsa::build(&ps, &config).unwrap();
             CostModel::new(&tree, &joint).unwrap().evaluate().unwrap()
         };
         let natural = build(vec![0, 1, 2]);
@@ -622,7 +588,7 @@ mod tests {
                 event_model: Some(joint.clone()),
                 ..TreeConfig::default()
             };
-            let tree = crate::ProfileTree::build(&ps, &config).unwrap();
+            let tree = crate::Dfsa::build(&ps, &config).unwrap();
             let analytic = CostModel::new(&tree, &joint).unwrap().evaluate().unwrap();
 
             let mut rng = StdRng::seed_from_u64(99);
@@ -679,7 +645,7 @@ mod tests {
             .unwrap();
         let joint =
             JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)]).unwrap();
-        let tree = crate::ProfileTree::build(
+        let tree = crate::Dfsa::build(
             &ps,
             &TreeConfig {
                 event_model: Some(joint.clone()),
@@ -708,7 +674,7 @@ mod tests {
         let mut ps = ProfileSet::new(&schema);
         ps.insert_with(|b| b.predicate("x", Predicate::eq(3)))
             .unwrap();
-        let tree = crate::ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let tree = crate::Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         let wrong =
             JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 11)]).unwrap();
         assert!(matches!(
@@ -724,7 +690,7 @@ mod tests {
             .unwrap()
             .build();
         let ps = ProfileSet::new(&schema);
-        let tree = crate::ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let tree = crate::Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         let joint =
             JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 10)]).unwrap();
         let cost = CostModel::new(&tree, &joint).unwrap().evaluate().unwrap();

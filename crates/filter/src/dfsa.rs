@@ -1,57 +1,45 @@
-//! Flattened DFSA form of a profile tree, in a cache-friendly CSR layout.
+//! The compiled filter: the paper's profile tree as a deterministic
+//! finite state automaton, in a cache-friendly CSR layout.
 //!
 //! §3: "from a given set of profiles, a deterministic finite state
-//! automaton (DFSA) is created". [`Dfsa`] lowers a [`ProfileTree`] into
-//! structure-of-arrays state tables — the representation every event is
-//! matched with. It matches exactly what its [`ProfileTree`] matches and
-//! counts exactly the comparison operations the tree charges (asserted
-//! by tests and the `matchers` bench): each transition carries the
-//! tree's charge for it, so a walk adds the charges up instead of
-//! running the tree's search.
+//! automaton (DFSA) is created". [`Dfsa`] is the one compiled form of a
+//! profile set: [`Dfsa::build`] builds the paper's profile tree straight
+//! into structure-of-arrays state tables, one state per tree node, and
+//! a checkpoint decodes into them the same way. Every event is matched
+//! with it, Eq. 2 ([`CostModel`](crate::CostModel)) prices it, and a
+//! checkpoint's tree section is written off it. Each transition carries
+//! the comparison operations the paper's search charges for it, so a
+//! walk adds the charges up instead of running the search.
 //!
 //! # Charges
 //!
-//! The tree charges every [`SearchStrategy`](crate::SearchStrategy)
-//! from fixed per-node tables ([`NodeOrdering`](crate::NodeOrdering)):
-//! a value in edge `g` costs `hit_cost[g]`; one in the gap before edge
-//! `g` (`g = 0` / `g = m`: below / above every edge) costs
-//! `miss_cost[g]`, plus 1 when an else edge `(*)` follows; a missing
-//! attribute, or any value at an edge-less node, costs 1 with a star
-//! edge and 0 without. A transition (a `Hop`) carries the charge of
-//! its interval and a state the charges of its three out-of-span cases.
+//! A node charges every [`SearchStrategy`](crate::SearchStrategy) from
+//! fixed tables ([`NodeOrdering`](crate::NodeOrdering)): a value in
+//! edge `g` costs `hit_cost[g]`; one in the gap before edge `g`
+//! (`g = 0` / `g = m`: below / above every edge) costs `miss_cost[g]`,
+//! plus 1 when an else edge `(*)` follows; a missing attribute, or any
+//! value at an edge-less node, costs 1 with a star edge and 0 without.
+//! A transition (a `Hop`) carries the charge of its interval and a
+//! state the charges of its three out-of-span cases.
 //!
-//! # Lowering
+//! # Building
 //!
-//! [`Dfsa::from_tree`] is the only way an automaton is built; loading a
-//! checkpoint lowers the decoded tree, as compiling does. It is a copy:
-//! one post-order walk freezes each inner node into the arenas once its
-//! children have states, so the walk's node *i* is state *i* — no
-//! map, and no two nodes share a state. The leaves are not copied at
-//! all: the tree builder interns each distinct leaf list once, into a
-//! pool the automaton shares, and a leaf target is its index there.
-//!
-//! # Raising
-//!
-//! Lowering is invertible. Beside the transitions, an automaton keeps
-//! one bit per cut point or jump-table slot that says where an edge
-//! (rather than a gap to the star target) begins, whether each star
-//! edge is `*` or `(*)`, and the [`NodeOrdering`] of every node whose
-//! ordering the checkpoint codec cannot derive from its edges (the
-//! probability-driven V1–V3 orders, and a few edge-less nodes). From
-//! these and the tree's header the tree is raised again, equal to the
-//! one lowered, and its checkpoint section is written straight off the
-//! automaton.
-//!
-//! # Expected cost
-//!
-//! [`Dfsa::expected_ops`] is Eq. 2 on the automaton: one pass over the
-//! states, parents before children, each state's probability flowing
-//! along its hops weighted by their intervals' masses under the tested
-//! attribute's marginal.
+//! The tree builder and the checkpoint decoder walk the tree
+//! depth-first and freeze each node into the arenas once its children
+//! have states (post-order: the star child, then the edges), so node
+//! *i* of the walk is state *i* — no map, and no two nodes share a
+//! state. Leaves are interned into one pool as they are met, and a leaf
+//! target is its index there. Beside the transitions, an automaton
+//! keeps one bit per cut point or jump-table slot that says where an
+//! edge (rather than a gap to the star target) begins, whether each
+//! star edge is `*` or `(*)`, and the [`NodeOrdering`] of every node
+//! whose ordering the checkpoint codec cannot derive from its edges
+//! (the probability-driven V1–V3 orders, and a few edge-less nodes):
+//! all that the tree section of a checkpoint holds.
 //!
 //! # Layout
 //!
-//! Instead of one heap allocation per state (the pointer-heavy layout
+//! Instead of one heap allocation per node (the pointer-heavy layout
 //! the workspace started with, 2.5× slower per event), all states share
 //! contiguous arenas:
 //!
@@ -66,23 +54,19 @@
 //!   state's covered span), chosen automatically for spans of at most
 //!   [`JUMP_TABLE_MAX_DOMAIN`] points (a lookup is then one range check
 //!   + one load, no search at all);
-//! * `leaves` — the tree's leaf pool, a flat arena with per-leaf
-//!   offsets; its lists are strictly ascending (the builder sorts them,
-//!   the decoder refuses others), so the match loop never sorts.
+//! * `leaves` — the leaf pool, a flat arena with per-leaf offsets; its
+//!   lists are strictly ascending (the builder sorts them, the decoder
+//!   refuses others), so the match loop never sorts.
 //!
 //! Matching through [`Matcher::match_into`] with a reused
 //! [`MatchScratch`] performs zero heap allocations after warm-up
 //! (asserted by `crates/filter/tests/alloc.rs`).
 
-use std::sync::Arc;
-
-use ens_dist::JointDist;
-use ens_types::{AttrId, IndexInterval, IndexedBatch, IndexedEvent};
+use ens_types::{AttrId, IndexInterval, IndexedBatch, IndexedEvent, ProfileId, Schema};
 
 use crate::order::NodeOrdering;
 use crate::scratch::{BlockScratch, MatchScratch, Matcher};
-use crate::tree::{LeafPool, Node, NodeRef, OrderCtx, ProfileTree, Star};
-use crate::FilterError;
+use crate::tree::{LeafPool, OrderCtx, TreeConfig, TreeHeader};
 
 /// Number of events traversed concurrently by [`Matcher::match_block`]:
 /// one automaton step is issued for every in-flight lane before any
@@ -128,7 +112,7 @@ const NO_ACCEL: u32 = u32::MAX;
 /// halves the arena footprint — jump tables in particular — which keeps
 /// more of the automaton in cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PTarget(u32);
+pub(crate) struct PTarget(u32);
 
 const TAG_SHIFT: u32 = 30;
 const TAG_STATE: u32 = 0b01;
@@ -136,7 +120,7 @@ const TAG_LEAF: u32 = 0b10;
 const PAYLOAD_MASK: u32 = (1 << TAG_SHIFT) - 1;
 
 impl PTarget {
-    const REJECT: PTarget = PTarget(0);
+    pub(crate) const REJECT: PTarget = PTarget(0);
 
     fn state(s: u32) -> PTarget {
         assert!(
@@ -146,7 +130,7 @@ impl PTarget {
         PTarget((TAG_STATE << TAG_SHIFT) | s)
     }
 
-    fn leaf(l: u32) -> PTarget {
+    pub(crate) fn leaf(l: u32) -> PTarget {
         assert!(l <= PAYLOAD_MASK, "DFSA leaf index overflows packed target");
         PTarget((TAG_LEAF << TAG_SHIFT) | l)
     }
@@ -248,29 +232,31 @@ struct StateMeta {
     above: u32,
 }
 
-/// The flattened automaton.
+/// The compiled filter: the profile tree of a profile set as a flat
+/// automaton, with what it was built for and how.
 ///
 /// # Example
 ///
 /// ```
-/// use ens_filter::{Dfsa, Matcher, ProfileTree, TreeConfig};
+/// use ens_filter::{Dfsa, Matcher, TreeConfig};
 /// use ens_types::{Schema, Domain, Predicate, ProfileSet, Event};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let schema = Schema::builder().attribute("x", Domain::int(0, 99))?.build();
 /// let mut ps = ProfileSet::new(&schema);
 /// ps.insert_with(|b| b.predicate("x", Predicate::between(10, 19)))?;
-/// let tree = ProfileTree::build(&ps, &TreeConfig::default())?;
-/// let dfsa = Dfsa::from_tree(&tree);
+/// let dfsa = Dfsa::build(&ps, &TreeConfig::default())?;
 /// let e = Event::builder(&schema).value("x", 15)?.build();
 /// let out = dfsa.match_event(&schema, &e)?;
 /// assert_eq!(out.profiles().len(), 1);
-/// assert_eq!(out.ops(), tree.match_event(&schema, &e)?.ops());
+/// // One natural-order scan step finds the single edge.
+/// assert_eq!(out.ops(), 1);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dfsa {
+    header: TreeHeader,
     states: Vec<StateMeta>,
     /// Cut points of all binary-search states, each fused with the hop
     /// of the interval it opens (so the probe that finds a cut has its
@@ -280,8 +266,8 @@ pub struct Dfsa {
     jumps: Vec<Hop>,
     /// Bucket indices for accelerated search states (see [`StateMeta`]).
     accel: Vec<u32>,
-    /// The tree's leaf pool: a leaf target indexes it.
-    leaves: Arc<LeafPool>,
+    /// The leaf pool: a leaf target indexes it.
+    leaves: LeafPool,
     root: PTarget,
     /// Bitmaps: set where a cut point opens an edge rather than a gap;
     /// where a run of equal jump-table slots (an edge or a gap) begins,
@@ -294,129 +280,85 @@ pub struct Dfsa {
     orderings: Box<[(u32, NodeOrdering)]>,
 }
 
+/// A run of values that one state sends the same way: `lo..hi`, where
+/// to, at what charge, and whether it is an edge of the node rather
+/// than a gap to its star target.
+pub(crate) struct Run {
+    pub(crate) lo: u64,
+    pub(crate) hi: u64,
+    pub(crate) next: Next,
+    pub(crate) cost: u32,
+    pub(crate) edge: bool,
+}
+
 impl Dfsa {
-    /// Lowers a profile tree into flat CSR state tables. The automaton
-    /// holds no schema: events reach it already resolved.
+    pub(crate) fn header(&self) -> &TreeHeader {
+        &self.header
+    }
+
+    /// The schema this automaton was built for.
     #[must_use]
-    pub fn from_tree(tree: &ProfileTree) -> Self {
-        let mut lowering = Lowering::default();
-        let root = lowering.lower(tree.root(), &OrderCtx::new(tree.header()));
-        let Lowering {
-            mut states,
-            mut cuts,
-            mut jumps,
-            mut accel,
-            cut_edges,
-            jump_runs,
-            jump_edges,
-            orderings,
-            ..
-        } = lowering;
-        states.shrink_to_fit();
-        cuts.shrink_to_fit();
-        jumps.shrink_to_fit();
-        accel.shrink_to_fit();
-        Dfsa {
-            states,
-            cuts,
-            jumps,
-            accel,
-            leaves: Arc::clone(tree.leaves()),
-            root,
-            cut_edges: cut_edges.into_boxed_slice(),
-            jump_runs: jump_runs.into_boxed_slice(),
-            jump_edges: jump_edges.into_boxed_slice(),
-            orderings: orderings.into_boxed_slice(),
-        }
+    pub fn schema(&self) -> &Schema {
+        &self.header.schema
     }
 
-    /// Eq. 2 on the automaton: the expected comparison operations per
-    /// event under `joint`, which is what
-    /// [`CostModel::evaluate`](crate::CostModel::evaluate) returns for
-    /// the tree this automaton was lowered from, to rounding.
-    ///
-    /// One pass over the states, parents before children (lowering
-    /// numbers a node after its children, so in descending order): a
-    /// state's probability flows along each hop in proportion to the
-    /// mass of the hop's interval under the tested attribute's
-    /// marginal, and pays the hop's charge. Every state tests one
-    /// attribute, once per path, and the model is a product of
-    /// marginals, so the pass is exact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FilterError::ModelMismatch`] when a state tests an
-    /// attribute the model does not have, or has edges beyond its
-    /// domain.
-    pub fn expected_ops(&self, joint: &JointDist) -> Result<f64, FilterError> {
-        let mut reach = vec![0.0; self.states.len()];
-        if let Next::State(root) = self.root.next() {
-            reach[root as usize] = 1.0;
-        }
-        let mut ops = 0.0;
-        for (s, state) in self.states.iter().enumerate().rev() {
-            let Some(marginal) = joint.marginals().get(state.attr as usize) else {
-                return Err(FilterError::ModelMismatch {
-                    message: format!("the model has no attribute {}", state.attr),
-                });
-            };
-            let size = marginal.size();
-            if state.hi > size {
-                return Err(FilterError::ModelMismatch {
-                    message: format!("attribute {}: edges beyond {size} points", state.attr),
-                });
-            }
-            let p = reach[s];
-            if p == 0.0 {
-                continue;
-            }
-            let mut flow = |lo: u64, hi: u64, hop: Hop| {
-                let mass = p * marginal.mass_between(lo, hi);
-                ops += mass * f64::from(hop.cost);
-                if let Next::State(t) = hop.target.next() {
-                    reach[t as usize] += mass;
-                }
-            };
-            let star = |cost| Hop {
-                target: state.star,
-                cost,
-            };
-            flow(0, state.lo, star(state.below));
-            flow(state.hi, size, star(state.above));
-            for (lo, hi, hop, _) in self.runs(state) {
-                flow(lo, hi, hop);
-            }
-        }
-        Ok(ops)
+    /// The configuration the automaton was built with, less an event
+    /// model its shape does not read.
+    #[must_use]
+    pub fn config(&self) -> &TreeConfig {
+        &self.header.config
     }
 
-    /// `state`'s covered span as runs `(lo, hi, hop, is_edge)` of values
-    /// that take the same hop, ascending: its edges, and the gaps
-    /// between them that lead to the star target.
-    fn runs(&self, state: &StateMeta) -> Vec<(u64, u64, Hop, bool)> {
+    /// The resolved attribute order: `attribute_order()[k]` is tested
+    /// at level `k` of the tree.
+    #[must_use]
+    pub fn attribute_order(&self) -> &[AttrId] {
+        &self.header.attribute_order
+    }
+
+    /// Number of profiles compiled.
+    #[must_use]
+    pub fn profile_count(&self) -> usize {
+        self.header.profile_count
+    }
+
+    /// State `s`'s transitions over a domain of `size` points,
+    /// ascending: the values below its covered span, its edges and the
+    /// gaps between them, and the values above the span (up to `size`,
+    /// or to the span's end if that lies beyond).
+    pub(crate) fn runs(&self, s: u32, size: u64) -> Vec<Run> {
+        let state = &self.states[s as usize];
+        let run = |lo, hi, hop: Hop, edge| Run {
+            lo,
+            hi,
+            next: hop.target.next(),
+            cost: hop.cost,
+            edge,
+        };
+        let star = |cost| Hop {
+            target: state.star,
+            cost,
+        };
         let off = state.off as usize;
-        let mut runs = Vec::new();
+        let mut runs = vec![run(0, state.lo, star(state.below), false)];
         if state.jump {
             let end = off + (state.hi - state.lo) as usize;
             let at = |k: usize| state.lo + (k - off) as u64;
-            let mut run = off;
-            while run < end {
-                let next = next_bit(&self.jump_runs, run + 1, end);
-                runs.push((
-                    at(run),
-                    at(next),
-                    self.jumps[run],
-                    bit(&self.jump_edges, run),
-                ));
-                run = next;
+            let mut k = off;
+            while k < end {
+                let next = next_bit(&self.jump_runs, k + 1, end);
+                let edge = bit(&self.jump_edges, k);
+                runs.push(run(at(k), at(next), self.jumps[k], edge));
+                k = next;
             }
         } else {
             let cuts = &self.cuts[off..off + state.b_len as usize];
             for (k, pair) in cuts.windows(2).enumerate() {
-                let is_edge = bit(&self.cut_edges, off + k);
-                runs.push((pair[0].bound, pair[1].bound, pair[0].hop, is_edge));
+                let edge = bit(&self.cut_edges, off + k);
+                runs.push(run(pair[0].bound, pair[1].bound, pair[0].hop, edge));
             }
         }
+        runs.push(run(state.hi, size.max(state.hi), star(state.above), false));
         runs
     }
 
@@ -426,7 +368,7 @@ impl Dfsa {
     }
 
     /// The leaf lists a [`Next::Leaf`] indexes.
-    pub(crate) fn leaves(&self) -> &Arc<LeafPool> {
+    pub(crate) fn leaves(&self) -> &LeafPool {
         &self.leaves
     }
 
@@ -451,14 +393,12 @@ impl Dfsa {
 
     /// State `s`'s edges, ascending: each interval and where it leads.
     pub(crate) fn edges(&self, s: u32) -> Vec<(IndexInterval, Next)> {
-        let runs = self.runs(&self.states[s as usize]).into_iter();
-        let edges = runs.filter(|run| run.3);
-        edges
-            .map(|(lo, hi, hop, _)| (IndexInterval::new(lo, hi), hop.target.next()))
+        let runs = self.runs(s, 0).into_iter().filter(|run| run.edge);
+        runs.map(|r| (IndexInterval::new(r.lo, r.hi), r.next))
             .collect()
     }
 
-    /// Number of states.
+    /// Number of states: the tree's inner nodes.
     #[must_use]
     pub fn state_count(&self) -> usize {
         self.states.len()
@@ -470,11 +410,64 @@ impl Dfsa {
         self.leaves.len()
     }
 
+    /// Number of the tree's edges, `*` and `(*)` edges included.
+    #[must_use]
+    pub fn edge_count(&self) -> usize {
+        (0..self.states.len() as u32)
+            .map(|s| self.edges(s).len() + usize::from(self.star(s).is_some()))
+            .sum()
+    }
+
     /// Number of states resolved by a dense jump table (the rest use
     /// binary search over their bounds range).
     #[must_use]
     pub fn jump_state_count(&self) -> usize {
         self.states.iter().filter(|s| s.jump).count()
+    }
+
+    /// Renders the tree in the style of the paper's Fig. 1: one line per
+    /// edge, labelled with the attribute name and the inclusive value
+    /// range (`*` for all-values edges, `(*)` for the else edge), leaves
+    /// listing the matched profiles.
+    ///
+    /// ```text
+    /// a1 [30, 34] -> a2 [90, 100] -> (leaf) {p2, p5}
+    /// ```
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_from(self.root(), 0, &mut out);
+        out
+    }
+
+    fn render_from(&self, next: Next, indent: usize, out: &mut String) {
+        let pad = "  ".repeat(indent);
+        let leaf = |ids: &[ProfileId]| {
+            let names: Vec<String> = ids.iter().map(ToString::to_string).collect();
+            format!("{pad}=> {{{}}}\n", names.join(", "))
+        };
+        let s = match next {
+            Next::State(s) => s,
+            Next::Leaf(l) => return out.push_str(&leaf(self.leaves.get(l))),
+            Next::Reject => return out.push_str(&leaf(&[])),
+        };
+        let attribute = self.schema().attribute(self.attr(s));
+        let (name, domain) = (attribute.name(), attribute.domain());
+        for (interval, child) in self.edges(s) {
+            let (lo, hi) = (interval.lo(), interval.hi() - 1);
+            out.push_str(&if lo == hi {
+                format!("{pad}{name} = {}\n", domain.value_at(lo))
+            } else {
+                let (lo, hi) = (domain.value_at(lo), domain.value_at(hi));
+                format!("{pad}{name} in [{lo}, {hi}]\n")
+            });
+            self.render_from(child, indent + 1, out);
+        }
+        if let Some((all, child)) = self.star(s) {
+            let star = if all { "*" } else { "(*)" };
+            out.push_str(&format!("{pad}{name} = {star}\n"));
+            self.render_from(child, indent + 1, out);
+        }
     }
 
     /// Resolves one state transition for a raw domain index
@@ -548,10 +541,9 @@ impl Dfsa {
 
 impl Matcher for Dfsa {
     /// One automaton walk, leaf profiles copied from the pre-sorted
-    /// arena. `ops` is the tree's count for the event; `per_level`
-    /// stays empty — the automaton has states, not levels.
+    /// arena; `ops` is the paper's count for the event.
     fn match_into(&self, event: &IndexedEvent, scratch: &mut MatchScratch) {
-        scratch.reset(0);
+        scratch.reset();
         let (t, ops) = self.terminal(event.raw());
         scratch.ops = ops;
         if t.0 >> TAG_SHIFT == TAG_LEAF {
@@ -638,62 +630,46 @@ impl Matcher for Dfsa {
     }
 }
 
-/// Tree-to-automaton lowering: a post-order walk that freezes each
-/// inner node into the arenas once its children have states.
+/// An automaton being built: the tree builder and the checkpoint
+/// decoder freeze each node into the arenas once its children have
+/// states, so the walk's node *i* is state *i*.
 #[derive(Default)]
-struct Lowering {
+pub(crate) struct Arenas {
     states: Vec<StateMeta>,
     cuts: Vec<Cut>,
     jumps: Vec<Hop>,
     accel: Vec<u32>,
-    /// Edge targets of the nodes on the walk's path, innermost last.
-    edges: Vec<PTarget>,
+    /// Edge targets of the nodes on the walk's path, innermost last: a
+    /// node pushes its edges' targets as it builds them and
+    /// [`Arenas::freeze`] pops them.
+    pub(crate) targets: Vec<PTarget>,
     cut_edges: Vec<u64>,
     jump_runs: Vec<u64>,
     jump_edges: Vec<u64>,
     orderings: Vec<(u32, NodeOrdering)>,
 }
 
-impl Lowering {
-    /// Lowers `node`; `ctx` tells the orderings the codec derives from
-    /// those it writes, which are kept.
-    fn lower(&mut self, node: &NodeRef, ctx: &OrderCtx<'_>) -> PTarget {
-        let n = match node {
-            NodeRef::Inner(n) => n,
-            NodeRef::Leaf(l) => return PTarget::leaf(*l),
-            NodeRef::Empty => return PTarget::REJECT,
-        };
-        // Children first, in the order the node codec writes them. The
-        // automaton references its root through an explicit target (no
-        // slot-0 assumption anywhere), so the children-before-parents
-        // layout is safe.
-        let star = match &n.star {
-            Star::None => PTarget::REJECT,
-            Star::All(child) | Star::Else(child) => self.lower(child, ctx),
-        };
-        let first = self.edges.len();
-        for e in &n.edges {
-            let target = self.lower(&e.child, ctx);
-            self.edges.push(target);
-        }
-        let meta = self.freeze(n, star, first);
-        self.edges.truncate(first);
-        let s = self.states.len() as u32;
-        if ctx.written(n) {
-            self.orderings.push((s, n.ordering.clone()));
-        }
-        self.states.push(meta);
-        PTarget::state(s)
-    }
+/// A node ready to freeze: the attribute it tests, its edges in natural
+/// (ascending interval) order, whose targets are the walk's
+/// `targets[first..]`, its scan ordering and its star edge (whether it
+/// is `*` rather than `(*)`, and where it leads).
+pub(crate) struct NodeSpec<'a> {
+    pub(crate) attr: AttrId,
+    pub(crate) intervals: &'a [IndexInterval],
+    pub(crate) first: usize,
+    pub(crate) ordering: NodeOrdering,
+    pub(crate) star: Option<(bool, PTarget)>,
+}
 
+impl Arenas {
     /// Appends node `n`'s jump table or cut points (and bucket index)
-    /// to the arenas and returns its metadata, charged as the module
-    /// docs say. Its star edge leads to `star`, its edge `g` to
-    /// `edges[first + g]`.
-    fn freeze(&mut self, n: &Node, star: PTarget, first: usize) -> StateMeta {
-        let missing = u8::from(!matches!(n.star, Star::None));
-        let else_cost = u32::from(matches!(n.star, Star::Else(_)));
-        // A decoded tree has its tables checked against its edges; the
+    /// to the arenas, charged as the module docs say, and returns its
+    /// state. Its ordering is kept when `ctx` says the codec writes it.
+    pub(crate) fn freeze(&mut self, n: NodeSpec<'_>, ctx: &OrderCtx<'_>) -> PTarget {
+        let (star, star_all) = n.star.map_or((PTarget::REJECT, false), |(all, t)| (t, all));
+        let missing = u8::from(n.star.is_some());
+        let else_cost = u32::from(n.star.is_some() && !star_all);
+        // A decoded node has its tables checked against its edges; the
         // fallback only keeps this total.
         let charge = |costs: &[u32], g: usize| costs.get(g).copied().unwrap_or_default();
         let gap = |g: usize| charge(&n.ordering.miss_cost, g).saturating_add(else_cost);
@@ -702,7 +678,7 @@ impl Lowering {
             shift: 0,
             jump: false,
             missing,
-            star_all: matches!(n.star, Star::All(_)),
+            star_all,
             star,
             lo: 0,
             hi: 0,
@@ -712,33 +688,48 @@ impl Lowering {
             below: u32::from(missing),
             above: u32::from(missing),
         };
-        let (Some(head), Some(tail)) = (n.edges.first(), n.edges.last()) else {
-            // `*` node: lo == hi, every value follows the star target.
-            return meta;
-        };
-        let (span_lo, span_hi) = (head.interval.lo(), tail.interval.hi());
-        meta.lo = span_lo;
-        meta.hi = span_hi;
-        meta.below = gap(0);
-        meta.above = gap(n.edges.len());
-        // The covered span cut into runs `(lo, hi, hop, is_edge)` of
-        // values that take the same hop: each edge, and the gap before
-        // it (to the star target) where there is one.
-        let targets = &self.edges[first..];
-        let runs = n.edges.iter().enumerate().flat_map(|(g, e)| {
-            let (lo, hi) = (e.interval.lo(), e.interval.hi());
-            let after = g.checked_sub(1).map_or(lo, |p| n.edges[p].interval.hi());
-            let to_star = Hop {
-                target: star,
-                cost: gap(g),
-            };
-            let to_child = Hop {
-                target: targets[g],
-                cost: charge(&n.ordering.hit_cost, g),
-            };
-            let before = (after < lo).then_some((after, lo, to_star, false));
-            before.into_iter().chain([(lo, hi, to_child, true)])
-        });
+        // Taken for the walk below, which fills the arenas, and put back
+        // without this node's edges.
+        let mut targets = std::mem::take(&mut self.targets);
+        if let (Some(head), Some(tail)) = (n.intervals.first(), n.intervals.last()) {
+            // A `*` node keeps lo == hi: every value follows the star
+            // target.
+            meta.lo = head.lo();
+            meta.hi = tail.hi();
+            meta.below = gap(0);
+            meta.above = gap(n.intervals.len());
+            // The covered span cut into runs `(lo, hi, hop, is_edge)`
+            // of values that take the same hop: each edge, and the gap
+            // before it (to the star target) where there is one.
+            let runs = n.intervals.iter().enumerate().flat_map(|(g, e)| {
+                let after = g.checked_sub(1).map_or(e.lo(), |p| n.intervals[p].hi());
+                let to_star = Hop {
+                    target: star,
+                    cost: gap(g),
+                };
+                let to_child = Hop {
+                    target: targets.get(n.first + g).copied().unwrap_or(PTarget::REJECT),
+                    cost: charge(&n.ordering.hit_cost, g),
+                };
+                let before = (after < e.lo()).then_some((after, e.lo(), to_star, false));
+                before.into_iter().chain([(e.lo(), e.hi(), to_child, true)])
+            });
+            self.fill(&mut meta, runs);
+        }
+        targets.truncate(n.first);
+        self.targets = targets;
+        let s = self.states.len() as u32;
+        if ctx.written(n.attr, n.intervals, &n.ordering) {
+            self.orderings.push((s, n.ordering));
+        }
+        self.states.push(meta);
+        PTarget::state(s)
+    }
+
+    /// Lays the covered span's `runs` out as a jump table or as cut
+    /// points, whichever `meta`'s span calls for.
+    fn fill(&mut self, meta: &mut StateMeta, runs: impl Iterator<Item = (u64, u64, Hop, bool)>) {
+        let (span_lo, span_hi) = (meta.lo, meta.hi);
         if span_hi - span_lo <= JUMP_TABLE_MAX_DOMAIN {
             // Dense jump table over the covered span, indexed by `idx - lo`.
             meta.jump = true;
@@ -751,7 +742,7 @@ impl Lowering {
                 self.jumps
                     .extend(std::iter::repeat_n(hop, (hi - lo) as usize));
             }
-            return meta;
+            return;
         }
         meta.off = self.cuts.len() as u32;
         for (bound, _, hop, is_edge) in runs {
@@ -789,14 +780,47 @@ impl Lowering {
                     .push(state_cuts.partition_point(|c| c.bound < first) as u32);
             }
         }
-        meta
+    }
+
+    /// The automaton whose walk starts at `root`, at its exact size.
+    pub(crate) fn finish(self, header: TreeHeader, mut leaves: LeafPool, root: PTarget) -> Dfsa {
+        let Arenas {
+            mut states,
+            mut cuts,
+            mut jumps,
+            mut accel,
+            cut_edges,
+            jump_runs,
+            jump_edges,
+            orderings,
+            ..
+        } = self;
+        states.shrink_to_fit();
+        cuts.shrink_to_fit();
+        jumps.shrink_to_fit();
+        accel.shrink_to_fit();
+        leaves.off.shrink_to_fit();
+        leaves.ids.shrink_to_fit();
+        Dfsa {
+            header,
+            states,
+            cuts,
+            jumps,
+            accel,
+            leaves,
+            root,
+            cut_edges: cut_edges.into_boxed_slice(),
+            jump_runs: jump_runs.into_boxed_slice(),
+            jump_edges: jump_edges.into_boxed_slice(),
+            orderings: orderings.into_boxed_slice(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::{ProfileTree, TreeConfig};
+    use crate::tree::TreeConfig;
     use ens_types::{Domain, Predicate, ProfileSet, Schema};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -864,10 +888,9 @@ mod tests {
     }
 
     #[test]
-    fn dfsa_agrees_with_tree_and_oracle() {
+    fn dfsa_agrees_with_oracle() {
         let (schema, ps) = random_profiles(7, 40);
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
+        let dfsa = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..500 {
             let e = ens_types::Event::builder(&schema)
@@ -879,9 +902,7 @@ mod tests {
                 .unwrap()
                 .build();
             let oracle = ps.matches(&e).unwrap();
-            let via_tree = tree.match_event(&schema, &e).unwrap();
             let via_dfsa = dfsa.match_event(&schema, &e).unwrap();
-            assert_eq!(via_tree.profiles(), oracle.as_slice());
             assert_eq!(via_dfsa.profiles(), oracle);
         }
     }
@@ -889,8 +910,7 @@ mod tests {
     #[test]
     fn search_states_agree_with_oracle_on_large_domains() {
         let (schema, ps) = random_profiles_large_domain(5, 30);
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
+        let dfsa = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         assert!(
             dfsa.jump_state_count() < dfsa.state_count(),
             "the 10k-point domain must use binary-search states"
@@ -913,8 +933,7 @@ mod tests {
     #[test]
     fn small_domains_use_jump_tables() {
         let (_, ps) = random_profiles(3, 20);
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
+        let dfsa = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         // Every domain here has <= 50 points, far under the threshold;
         // only edge-less `*` states fall back to the search kind.
         assert!(dfsa.jump_state_count() > 0);
@@ -932,8 +951,7 @@ mod tests {
     #[test]
     fn missing_values_follow_star() {
         let (schema, ps) = random_profiles(11, 20);
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
+        let dfsa = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         let e = ens_types::Event::builder(&schema)
             .value("y", 25)
             .unwrap()
@@ -948,10 +966,24 @@ mod tests {
     #[test]
     fn structure_is_compact() {
         let (_, ps) = random_profiles(3, 30);
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
-        assert_eq!(dfsa.state_count(), tree.node_count());
-        assert!(dfsa.leaf_count() <= tree.leaf_count());
+        let dfsa = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
+        // Every state is reached from the root exactly once: node i is
+        // state i, and no two nodes share one.
+        let mut seen = vec![0; dfsa.state_count()];
+        let mut stack = vec![dfsa.root()];
+        while let Some(next) = stack.pop() {
+            if let Next::State(s) = next {
+                seen[s as usize] += 1;
+                stack.extend(dfsa.edges(s).into_iter().map(|(_, child)| child));
+                stack.extend(dfsa.star(s).map(|(_, child)| child));
+            }
+        }
+        assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
+        // Each leaf list is held once.
+        let lists: std::collections::BTreeSet<_> = (0..dfsa.leaf_count() as u32)
+            .map(|l| dfsa.leaves().get(l))
+            .collect();
+        assert_eq!(lists.len(), dfsa.leaf_count());
     }
 
     #[test]
@@ -965,8 +997,7 @@ mod tests {
             random_profiles(31, 40),
             random_profiles_large_domain(33, 30),
         ] {
-            let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-            let dfsa = Dfsa::from_tree(&tree);
+            let dfsa = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
             let mut rng = StdRng::seed_from_u64(34);
             let names: Vec<&str> = schema.iter().map(|(_, a)| a.name()).collect();
             let events: Vec<ens_types::Event> = (0..97)
@@ -1000,7 +1031,6 @@ mod tests {
                         "event {i} of block size {size}"
                     );
                     assert_eq!(block.ops_of(i), single.ops(), "event {i}");
-                    assert_eq!(single.ops(), tree.match_event(&schema, e).unwrap().ops());
                     ops += single.ops();
                 }
                 assert_eq!(block.ops(), ops);
@@ -1011,8 +1041,7 @@ mod tests {
     #[test]
     fn match_into_reuses_scratch() {
         let (schema, ps) = random_profiles(23, 30);
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
+        let dfsa = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         let mut scratch = MatchScratch::new();
         let mut indexed = IndexedEvent::new();
         let mut rng = StdRng::seed_from_u64(24);
@@ -1028,12 +1057,8 @@ mod tests {
             indexed.resolve_into(&schema, &e).unwrap();
             dfsa.match_into(&indexed, &mut scratch);
             assert_eq!(scratch.profiles(), ps.matches(&e).unwrap().as_slice());
-            let by_tree = tree.match_event(&schema, &e).unwrap().ops();
-            assert_eq!(
-                scratch.ops(),
-                by_tree,
-                "the DFSA counts what the tree counts"
-            );
+            let fresh = dfsa.match_event(&schema, &e).unwrap();
+            assert_eq!(scratch.ops(), fresh.ops(), "a reused scratch counts afresh");
         }
     }
     #[test]

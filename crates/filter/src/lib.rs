@@ -14,17 +14,16 @@
 //!   events are rejected as early as possible;
 //! * an **analytic cost model** ([`CostModel`]) implementing the paper's
 //!   Eq. 2 — expected comparison operations per event under arbitrary
-//!   event/profile distributions — on a tree, and the same expectation
-//!   priced on the automaton ([`Dfsa::expected_ops`]);
+//!   event/profile distributions — priced on the compiled automaton;
 //! * **statistic objects** ([`FilterStatistics`]) and a
 //!   [`DriftTracker`] that asks for the tree to be restructured when
 //!   the observed event distribution drifts;
-//! * a flattened [`Dfsa`] form for raw-throughput matching, the naive
-//!   [`baseline`] matcher and the counting [`OverlayIndex`] for
-//!   comparison;
+//! * one compiled form, the [`Dfsa`]: [`Dfsa::build`] builds the
+//!   profile tree straight into a flat automaton, and a checkpoint
+//!   decodes into one; beside it the naive [`baseline`] matcher and the
+//!   counting [`OverlayIndex`] for comparison;
 //! * an immutable [`FilterSnapshot`] (DFSA + incremental subscription
-//!   overlay; the tree it was lowered from is raised on demand) for
-//!   lock-free concurrent matching, with
+//!   overlay) for lock-free concurrent matching, with
 //!   [`RebuildPolicy`]/[`DriftTracker`] unifying churn compaction and
 //!   adaptive drift rebuilds behind a single snapshot-swap writer;
 //! * a [`tuning`] pass that closes the observe → estimate →
@@ -36,7 +35,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use ens_filter::{Matcher, ProfileTree, TreeConfig};
+//! use ens_filter::{Dfsa, Matcher, TreeConfig};
 //! use ens_types::{Schema, Domain, Predicate, ProfileSet, Event};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,12 +49,12 @@
 //!         .predicate("humidity", Predicate::ge(90))
 //! })?;
 //!
-//! let tree = ProfileTree::build(&profiles, &TreeConfig::default())?;
+//! let dfsa = Dfsa::build(&profiles, &TreeConfig::default())?;
 //! let event = Event::builder(&schema)
 //!     .value("temperature", 40)?
 //!     .value("humidity", 95)?
 //!     .build();
-//! let outcome = tree.match_event(&schema, &event)?;
+//! let outcome = dfsa.match_event(&schema, &event)?;
 //! assert!(outcome.is_match());
 //! println!("matched {} profiles in {} comparisons", outcome.profiles().len(), outcome.ops());
 //! # Ok(())
@@ -102,7 +101,7 @@ pub use selectivity::{
 pub use snapshot::{FilterSnapshot, SnapshotBlockScratch, SnapshotScratch};
 pub use statistics::FilterStatistics;
 pub use subrange::{AttributePartition, Cell};
-pub use tree::{AttributeOrder, ProfileTree, TreeConfig};
+pub use tree::{AttributeOrder, TreeConfig};
 pub use tuning::RetuneDecision;
 
 /// Convenience result alias used across this crate.

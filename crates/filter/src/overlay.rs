@@ -240,7 +240,7 @@ impl Matcher for OverlayIndex {
     /// Operation accounting: one op per binary-search step plus one
     /// per counter increment.
     fn match_into(&self, event: &IndexedEvent, scratch: &mut MatchScratch) {
-        scratch.reset(0);
+        scratch.reset();
         scratch.begin_epoch(self.required.len());
         let raw = event.raw();
         for (a, postings) in self.attrs.iter().enumerate() {

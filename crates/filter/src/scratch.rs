@@ -32,15 +32,14 @@ use crate::FilterError;
 /// # Example
 ///
 /// ```
-/// use ens_filter::{Dfsa, Matcher, MatchScratch, ProfileTree, TreeConfig};
+/// use ens_filter::{Dfsa, Matcher, MatchScratch, TreeConfig};
 /// use ens_types::{Domain, Event, IndexedEvent, Predicate, ProfileSet, Schema};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let schema = Schema::builder().attribute("x", Domain::int(0, 99))?.build();
 /// let mut ps = ProfileSet::new(&schema);
 /// ps.insert_with(|b| b.predicate("x", Predicate::between(10, 19)))?;
-/// let tree = ProfileTree::build(&ps, &TreeConfig::default())?;
-/// let dfsa = Dfsa::from_tree(&tree);
+/// let dfsa = Dfsa::build(&ps, &TreeConfig::default())?;
 ///
 /// let mut indexed = IndexedEvent::new();
 /// let mut scratch = MatchScratch::new();
@@ -58,9 +57,6 @@ pub struct MatchScratch {
     /// Matched profile ids, ascending and deduplicated after a
     /// [`Matcher::match_into`] call.
     pub(crate) profiles: Vec<ProfileId>,
-    /// Comparison operations per tree level (tree matcher only; empty
-    /// for matchers that do not track levels).
-    pub(crate) per_level: Vec<u64>,
     /// Total comparison operations (0 for matchers that do not count).
     pub(crate) ops: u64,
     /// Per-profile satisfied-predicate counters (counting index
@@ -80,12 +76,9 @@ impl MatchScratch {
         MatchScratch::default()
     }
 
-    /// Clears the result buffers for a new match. `levels` is the number
-    /// of per-level counters to zero (0 for level-less matchers).
-    pub(crate) fn reset(&mut self, levels: usize) {
+    /// Clears the result buffers for a new match.
+    pub(crate) fn reset(&mut self) {
         self.profiles.clear();
-        self.per_level.clear();
-        self.per_level.resize(levels, 0);
         self.ops = 0;
     }
 
@@ -133,18 +126,11 @@ impl MatchScratch {
     }
 
     /// Comparison operations spent by the last call (0 for matchers that
-    /// do not count operations). The tree and the DFSA lowered from it
-    /// report the same count.
+    /// do not count operations): for the automaton, the paper's count
+    /// for the tree it was built as.
     #[must_use]
     pub fn ops(&self) -> u64 {
         self.ops
-    }
-
-    /// Operations per tree level for the last call (empty for matchers
-    /// without levels).
-    #[must_use]
-    pub fn per_level(&self) -> &[u64] {
-        &self.per_level
     }
 
     /// Whether the last call matched any profile.
@@ -163,15 +149,14 @@ impl MatchScratch {
 /// # Example
 ///
 /// ```
-/// use ens_filter::{BlockScratch, Dfsa, Matcher, ProfileTree, TreeConfig};
+/// use ens_filter::{BlockScratch, Dfsa, Matcher, TreeConfig};
 /// use ens_types::{Domain, Event, IndexedBatch, Predicate, ProfileSet, Schema};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let schema = Schema::builder().attribute("x", Domain::int(0, 99))?.build();
 /// let mut ps = ProfileSet::new(&schema);
 /// ps.insert_with(|b| b.predicate("x", Predicate::between(10, 19)))?;
-/// let tree = ProfileTree::build(&ps, &TreeConfig::default())?;
-/// let dfsa = Dfsa::from_tree(&tree);
+/// let dfsa = Dfsa::build(&ps, &TreeConfig::default())?;
 ///
 /// let events: Vec<Event> = (0..4)
 ///     .map(|x| Event::builder(&schema).value("x", x * 10).unwrap().build())
@@ -451,18 +436,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reset_clears_and_sizes_levels() {
+    fn reset_clears_the_result() {
         let mut s = MatchScratch::new();
         s.profiles.push(ProfileId::new(3));
         s.ops = 9;
-        s.per_level.push(7);
-        s.reset(2);
+        s.reset();
         assert!(s.profiles().is_empty());
         assert!(!s.is_match());
         assert_eq!(s.ops(), 0);
-        assert_eq!(s.per_level(), &[0, 0]);
-        s.reset(0);
-        assert!(s.per_level().is_empty());
     }
 
     #[test]

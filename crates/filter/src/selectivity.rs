@@ -23,9 +23,10 @@ use ens_types::{AttrId, ProfileSet};
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
+use crate::dfsa::Dfsa;
 use crate::order::SearchStrategy;
 use crate::subrange::AttributePartition;
-use crate::tree::{AttributeOrder, ProfileTree, TreeConfig};
+use crate::tree::{AttributeOrder, TreeConfig};
 use crate::{Direction, FilterError};
 
 /// Maximum number of attributes for the exact A3 permutation search.
@@ -163,7 +164,7 @@ fn a3_order(
                 event_model: Some(joint.clone()),
                 ..TreeConfig::default()
             };
-            let tree = ProfileTree::build(profiles, &config)?;
+            let tree = Dfsa::build(profiles, &config)?;
             let cost = CostModel::new(&tree, &joint)?
                 .evaluate()?
                 .expected_total_ops();
@@ -378,7 +379,7 @@ mod tests {
                 event_model: Some(joint.clone()),
                 ..TreeConfig::default()
             };
-            let tree = ProfileTree::build(&ps, &config).unwrap();
+            let tree = Dfsa::build(&ps, &config).unwrap();
             CostModel::new(&tree, &joint)
                 .unwrap()
                 .evaluate()

@@ -1,13 +1,11 @@
 //! Immutable compiled filter snapshots for the lock-free read path.
 //!
 //! A [`FilterSnapshot`] packages everything the hot matching path needs
-//! — the [`Dfsa`] lowered from the optimised [`ProfileTree`], the
+//! — the compiled [`Dfsa`] of the optimised profile tree, the
 //! incremental-subscription overlay and the tombstone set — behind
-//! cheaply clonable [`Arc`]s. It keeps no tree: only the tree's header
-//! (schema, configuration, attribute order, profile count), from which
-//! and the automaton the tree is raised on demand. Readers clone a
-//! handle and match without any lock; writers build a *new* snapshot
-//! (sharing every unchanged part) and swap it in:
+//! cheaply clonable [`Arc`]s. Readers clone a handle and match without
+//! any lock; writers build a *new* snapshot (sharing every unchanged
+//! part) and swap it in:
 //!
 //! * [`FilterSnapshot::compile`] — full build, the expensive path taken
 //!   only on compaction or adaptive drift rebuilds;
@@ -39,19 +37,20 @@
 //! (e.g. the `ens-service` broker) maps those ids onto its dispatch
 //! table, which is versioned together with the snapshot.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use ens_dist::JointDist;
 use ens_types::{
     CoverSet, IndexedBatch, IndexedEvent, Profile, ProfileId, ProfileSet, Residual, Schema,
 };
 
+use crate::cost::CostModel;
 use crate::cover::{Appended, CoverPlan, CoverScratch, Expand, OverlayCover};
 use crate::dfsa::Dfsa;
 use crate::overlay::OverlayIndex;
 use crate::persist::{ByteReader, ByteWriter, PersistError};
 use crate::scratch::{BlockScratch, MatchScratch, Matcher};
-use crate::tree::{encode_section, ProfileTree, TreeConfig, TreeHeader};
+use crate::tree::{encode_section, TreeConfig};
 use crate::FilterError;
 
 /// Leading magic of a serialized snapshot (`"ENSF"`).
@@ -97,8 +96,6 @@ impl SnapshotScratch {
     }
 
     /// Comparison operations spent by the last call: base plus overlay.
-    /// The same on the reference path as on the automaton — the
-    /// automaton counts what the tree counts.
     #[must_use]
     pub fn ops(&self) -> u64 {
         self.ops
@@ -204,8 +201,7 @@ impl SnapshotBlockScratch {
         &self.matched[self.off[i] as usize..self.off[i + 1] as usize]
     }
 
-    /// Total comparison operations over the block (base plus overlay,
-    /// on either base path).
+    /// Total comparison operations over the block (base plus overlay).
     #[must_use]
     pub fn ops(&self) -> u64 {
         self.ops
@@ -251,7 +247,7 @@ impl SnapshotBlockScratch {
 }
 
 /// An immutable, shareable compiled filter: DFSA + overlay +
-/// tombstones, and the header of the tree the DFSA was lowered from.
+/// tombstones.
 ///
 /// # Example
 ///
@@ -280,7 +276,7 @@ impl SnapshotBlockScratch {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FilterSnapshot {
-    compiled: Arc<Compiled>,
+    compiled: Arc<Dfsa>,
     base_len: usize,
     /// Tombstoned base profiles, one bit per slot (the word layout of
     /// the expansion bitmap, which masks with it); empty when no
@@ -304,29 +300,6 @@ pub struct FilterSnapshot {
     /// by the counting index, delivered by expansion instead. `None`
     /// when there are none.
     overlay_children: Option<Arc<OverlayCover>>,
-}
-
-/// The compiled base: what it is served from, and what the tree it was
-/// lowered from needs besides to be raised again.
-#[derive(Debug)]
-struct Compiled {
-    dfsa: Dfsa,
-    header: TreeHeader,
-    /// The tree, raised the first time it is asked for (boxed: most
-    /// snapshots never raise one).
-    tree: OnceLock<Box<ProfileTree>>,
-}
-
-impl Compiled {
-    /// Lowers `tree` and keeps its header.
-    fn lower(tree: ProfileTree) -> Arc<Self> {
-        let dfsa = Dfsa::from_tree(&tree);
-        Arc::new(Compiled {
-            dfsa,
-            header: tree.into_header(),
-            tree: OnceLock::new(),
-        })
-    }
 }
 
 /// Whether slot `k` is not set in the tombstone bitmap `dead` (slots
@@ -449,44 +422,43 @@ impl Region<'_> {
 }
 
 impl FilterSnapshot {
-    /// Compiles `profiles` into a fresh snapshot (tree build + DFSA
-    /// flattening) with an empty overlay and no tombstones.
+    /// Compiles `profiles` into a fresh snapshot ([`Dfsa::build`]) with
+    /// an empty overlay and no tombstones.
     ///
     /// # Errors
     ///
     /// Propagates tree construction errors.
     pub fn compile(profiles: &ProfileSet, config: &TreeConfig) -> Result<Self, FilterError> {
-        let tree = ProfileTree::build(profiles, config)?;
-        Self::from_tree(tree, profiles.len(), None)
+        let dfsa = Dfsa::build(profiles, config)?;
+        Self::from_dfsa(dfsa, profiles.len(), None)
     }
 
-    /// Finishes a compilation around an already built `tree` (DFSA
-    /// flattening, expansion plan): what [`FilterSnapshot::compile`] and
+    /// Finishes a compilation around an already built automaton (the
+    /// expansion plan): what [`FilterSnapshot::compile`] and
     /// [`FilterSnapshot::compile_with_cover`] do after building theirs.
-    /// For a caller that built the tree to price it first and now
-    /// commits that same tree. The snapshot keeps the tree's header,
-    /// not its nodes.
+    /// For a caller that built the automaton to price it first and now
+    /// commits that same automaton.
     ///
-    /// `tree` must be compiled from the `base_len` profiles of the
+    /// `dfsa` must be built from the `base_len` profiles of the
     /// population themselves, or — with `cover` — from that covering
     /// analysis' representatives in ascending slot order (see
     /// [`FilterSnapshot::cover_representatives`]).
     ///
     /// # Errors
     ///
-    /// Returns [`FilterError::Persist`] when the tree does not hold as
-    /// many profiles as that, and propagates expansion-plan errors.
-    pub fn from_tree(
-        tree: ProfileTree,
+    /// Returns [`FilterError::Persist`] when the automaton does not hold
+    /// as many profiles as that, and propagates expansion-plan errors.
+    pub fn from_dfsa(
+        dfsa: Dfsa,
         base_len: usize,
         cover: Option<&CoverSet>,
     ) -> Result<Self, FilterError> {
         let compiled = cover.map_or(base_len, |c| c.rep_slots().len());
-        if tree.profile_count() != compiled {
+        if dfsa.profile_count() != compiled {
             return Err(FilterError::Persist {
                 message: format!(
-                    "tree holds {} profiles, the population compiles to {compiled}",
-                    tree.profile_count()
+                    "automaton holds {} profiles, the population compiles to {compiled}",
+                    dfsa.profile_count()
                 ),
             });
         }
@@ -499,7 +471,7 @@ impl FilterSnapshot {
             None => None,
         };
         Ok(FilterSnapshot {
-            compiled: Compiled::lower(tree),
+            compiled: Arc::new(dfsa),
             base_len,
             removed: Arc::from(Vec::new()),
             removed_count: 0,
@@ -534,8 +506,8 @@ impl FilterSnapshot {
         config: &TreeConfig,
     ) -> Result<Self, FilterError> {
         let reps = Self::cover_representatives(profiles, cover)?;
-        let tree = ProfileTree::build(&reps, config)?;
-        Self::from_tree(tree, profiles.len(), Some(cover))
+        let dfsa = Dfsa::build(&reps, config)?;
+        Self::from_dfsa(dfsa, profiles.len(), Some(cover))
     }
 
     /// The profiles a covering-pruned compilation of `profiles` puts in
@@ -707,13 +679,12 @@ impl FilterSnapshot {
     /// with a CRC-32.
     ///
     /// The tree section is written off the automaton, which keeps all
-    /// the codec needs of the tree; no tree is raised. The automaton
-    /// itself is not written: [`FilterSnapshot::from_bytes`] lowers the
-    /// decoded tree, as [`FilterSnapshot::compile`] lowers the built
-    /// one. A reload still skips the tree build, the
-    /// covering analysis and every re-optimisation — what makes it
-    /// cheaper than recompiling the profile set (see the `recovery`
-    /// section of `BENCH_throughput.json`).
+    /// the codec needs of the tree; [`FilterSnapshot::from_bytes`]
+    /// decodes it straight back into an automaton. A reload skips the
+    /// partitioning and ordering of the tree build, the covering
+    /// analysis and every re-optimisation — what makes it cheaper than
+    /// recompiling the profile set (see the `recovery` section of
+    /// `BENCH_throughput.json`).
     ///
     /// The format has no overlay tombstones: pack the overlay first
     /// ([`FilterSnapshot::with_overlay_entries`]).
@@ -730,7 +701,7 @@ impl FilterSnapshot {
         let mut w = ByteWriter::new();
         w.u32(SNAPSHOT_MAGIC);
         w.u32(SNAPSHOT_VERSION);
-        encode_section(&self.compiled.header, &self.compiled.dfsa, &mut w);
+        encode_section(&self.compiled, &mut w);
         w.u64(self.base_len as u64);
         // Tombstones, bit-packed (1M base profiles -> 122 KiB): the
         // bitmap's words in little-endian order, cut to whole bytes.
@@ -773,8 +744,8 @@ impl FilterSnapshot {
         w.into_bytes_crc()
     }
 
-    /// Restores a snapshot written by [`FilterSnapshot::to_bytes`], and
-    /// lowers its tree into the automaton. Versions 3 and 4 still load:
+    /// Restores a snapshot written by [`FilterSnapshot::to_bytes`],
+    /// decoding its tree into the automaton. Versions 3 and 4 still load:
     /// their leaf lists are interned as they are read, and a version 3
     /// image's automaton section is stepped over, not read.
     ///
@@ -803,7 +774,7 @@ impl FilterSnapshot {
                 "unsupported snapshot version {version}"
             )));
         }
-        let tree = ProfileTree::decode(r, version < SNAPSHOT_VERSION)?;
+        let dfsa = Dfsa::decode(r, version < SNAPSHOT_VERSION)?;
         if version == SNAPSHOT_VERSION_WITH_AUTOMATON {
             skip_automaton(r)?;
         }
@@ -849,12 +820,12 @@ impl FilterSnapshot {
             None
         };
         let compiled_len = cover.as_ref().map_or(base_len, |plan| plan.rep_count());
-        if tree.profile_count() != compiled_len {
+        if dfsa.profile_count() != compiled_len {
             return Err(PersistError::new("tree profile count mismatch"));
         }
         let overlay_children = OverlayCover::decode(r, compiled_len, overlay_len)?;
         Ok(FilterSnapshot {
-            compiled: Compiled::lower(tree),
+            compiled: Arc::new(dfsa),
             base_len,
             removed: Arc::from(removed),
             removed_count,
@@ -871,24 +842,17 @@ impl FilterSnapshot {
     /// global profile ids into `scratch`. Lock-free and allocation-free
     /// after scratch warm-up.
     ///
-    /// With `use_dfsa` the compiled base is matched through the
-    /// flattened [`Dfsa`] (the fast path). Otherwise it goes through
-    /// the reference path, the [`ProfileTree`] of
-    /// [`FilterSnapshot::tree`], which runs the configured search for
-    /// real and is raised on first use; it stays for the end-to-end
-    /// benchmark harness until that harness serves from the automaton
-    /// alone. Either way the result and `scratch.ops()` — the paper's
-    /// comparison count — are the same.
-    pub fn match_into(&self, event: &IndexedEvent, scratch: &mut SnapshotScratch, use_dfsa: bool) {
+    /// The compiled base is matched through its [`Dfsa`], the one
+    /// compiled form; `scratch.ops()` is the paper's comparison count.
+    /// The `bool` selects nothing: it is kept only because the frozen
+    /// end-to-end benchmark harness passes one, and ROADMAP items 1(b)
+    /// and 2(d) delete it.
+    pub fn match_into(&self, event: &IndexedEvent, scratch: &mut SnapshotScratch, _: bool) {
         scratch.matched.clear();
         scratch.overlay_ops = 0;
         scratch.cover.checks = 0;
         scratch.cover.delivered = 0;
-        if use_dfsa {
-            self.compiled.dfsa.match_into(event, &mut scratch.base);
-        } else {
-            self.tree().match_into(event, &mut scratch.base);
-        }
+        self.compiled.match_into(event, &mut scratch.base);
         scratch.ops = scratch.base.ops();
         let hits = scratch.base.profiles();
         self.collect_base(hits, event.raw(), &mut scratch.matched, &mut scratch.cover);
@@ -978,24 +942,14 @@ impl FilterSnapshot {
     /// writing per-event global profile ids into `scratch` (CSR
     /// layout). Lock-free and allocation-free after scratch warm-up.
     ///
-    /// The compiled base runs through [`Matcher::match_block`] — with
-    /// `use_dfsa` the DFSA's interleaved multi-event traversal, the
-    /// fastest path in the system; without it the reference path of
-    /// [`FilterSnapshot::match_into`], the tree raised on first use —
-    /// and the overlay's counting index is applied per event on top.
-    /// Semantics, per-event ops included, are identical to calling
-    /// [`FilterSnapshot::match_into`] per event.
-    pub fn match_block(
-        &self,
-        batch: &IndexedBatch,
-        scratch: &mut SnapshotBlockScratch,
-        use_dfsa: bool,
-    ) {
-        if use_dfsa {
-            self.compiled.dfsa.match_block(batch, &mut scratch.base);
-        } else {
-            self.tree().match_block(batch, &mut scratch.base);
-        }
+    /// The compiled base runs through the DFSA's interleaved
+    /// multi-event traversal ([`Matcher::match_block`]), the fastest
+    /// path in the system, and the overlay's counting index is applied
+    /// per event on top. Semantics, per-event ops included, are
+    /// identical to calling [`FilterSnapshot::match_into`] per event.
+    /// The `bool` selects nothing, as on [`FilterSnapshot::match_into`].
+    pub fn match_block(&self, batch: &IndexedBatch, scratch: &mut SnapshotBlockScratch, _: bool) {
+        self.compiled.match_block(batch, &mut scratch.base);
         scratch.clear();
         scratch.ops = scratch.base.ops();
         for i in 0..batch.len() {
@@ -1028,41 +982,36 @@ impl FilterSnapshot {
         }
     }
 
-    /// The compiled profile tree, for the reference path: raised from
-    /// the automaton and the tree's header the first time it is asked
-    /// for, sharing the automaton's leaf pool, and kept for as long as
-    /// the compiled base lives. The snapshot serves, prices and
-    /// persists without it; it stays for the end-to-end benchmark
-    /// harness until that harness serves from the automaton alone.
+    /// The same as [`FilterSnapshot::dfsa`]: the compiled tree is its
+    /// automaton. Kept only because the frozen end-to-end benchmark
+    /// harness names it; ROADMAP items 1(b) and 2(d) delete it.
     #[must_use]
-    pub fn tree(&self) -> &ProfileTree {
-        let Compiled { dfsa, header, tree } = &*self.compiled;
-        tree.get_or_init(|| Box::new(ProfileTree::raise(dfsa, header.clone())))
+    pub fn tree(&self) -> &Dfsa {
+        self.dfsa()
     }
 
-    /// The flattened DFSA of the compiled tree.
+    /// The compiled automaton.
     #[must_use]
     pub fn dfsa(&self) -> &Dfsa {
-        &self.compiled.dfsa
+        &self.compiled
     }
 
     /// The schema the compiled profiles are over.
     fn schema(&self) -> &Schema {
-        &self.compiled.header.schema
+        self.compiled.schema()
     }
 
-    /// Eq. 2 for the compiled base under `joint`, priced on the
-    /// automaton ([`Dfsa::expected_ops`]): the expected comparison
-    /// operations per event the compiled tree costs. The overlay is not
-    /// priced.
+    /// Eq. 2 for the compiled base under `joint` ([`CostModel`]): the
+    /// expected comparison operations per event the compiled tree
+    /// costs. The overlay is not priced.
     ///
     /// # Errors
     ///
     /// Returns [`FilterError::ModelMismatch`] if the model's arity or
     /// domain sizes disagree with the schema.
     pub fn expected_ops(&self, joint: &JointDist) -> Result<f64, FilterError> {
-        crate::cost::check_model(self.schema(), joint)?;
-        self.compiled.dfsa.expected_ops(joint)
+        let cost = CostModel::new(&self.compiled, joint)?.evaluate()?;
+        Ok(cost.expected_total_ops())
     }
 
     /// Number of compiled (base) profiles, including tombstoned ones.
@@ -1285,34 +1234,6 @@ mod tests {
             assert_eq!(block.overlay_ops(), total_overlay);
             assert!(block.overlay_ops() > 0);
         }
-    }
-
-    /// Serving, pricing and persisting go through the automaton; only
-    /// the reference path raises the tree, once, and the snapshots
-    /// derived from one share it.
-    #[test]
-    fn only_the_reference_path_raises_the_tree() {
-        let schema = schema();
-        let snap = FilterSnapshot::compile(&base(&schema), &TreeConfig::default()).unwrap();
-        let uniform = ens_dist::JointDist::independent(vec![ens_dist::DistOverDomain::new(
-            ens_dist::Density::Uniform,
-            100,
-        )])
-        .unwrap();
-        let raised = |snap: &FilterSnapshot| snap.compiled.tree.get().is_some();
-        matched(&snap, &schema, 17, true);
-        let image = snap.to_bytes();
-        assert!(snap.expected_ops(&uniform).unwrap() > 0.0);
-        let loaded = FilterSnapshot::from_bytes(&image).unwrap();
-        assert!(!raised(&snap) && !raised(&loaded));
-        let derived = snap.with_removed(vec![true, false]);
-        assert_eq!(matched(&snap, &schema, 17, false), &[0, 1]);
-        assert!(raised(&snap) && raised(&derived));
-        assert!(std::ptr::eq(snap.tree(), derived.tree()));
-        assert_eq!(
-            derived.to_bytes(),
-            loaded.with_removed(vec![true, false]).to_bytes()
-        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The profile tree: construction and event matching.
+//! The profile tree: construction, and its checkpoint codec, both
+//! straight into the automaton.
 //!
 //! From a profile set a deterministic matching structure of height `n`
 //! (one level per attribute) is built, following Gough & Smith's tree
@@ -9,22 +10,24 @@
 //! and Fig. 2). Don't-care profiles flow down every edge and also down a
 //! dedicated `(*)`-edge (`*` when a node has no specific edges at all).
 //!
-//! Matching an event follows a single path; the number of comparison
-//! operations per node is governed by the configured [`SearchStrategy`]
-//! and recorded in the [`MatchScratch`].
+//! No tree of pointers is made: [`Dfsa::build`] and the checkpoint
+//! decoder freeze each node into a [`Dfsa`] state as soon as its
+//! children have theirs, and the encoder writes the tree section off
+//! the automaton. Matching an event follows a single path; the number
+//! of comparison operations per node is governed by the configured
+//! [`SearchStrategy`].
 
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use ens_dist::{DistOverDomain, JointDist};
-use ens_types::{AttrId, IndexInterval, IndexedEvent, ProfileId, ProfileSet, Schema};
+use ens_types::{AttrId, IndexInterval, ProfileId, ProfileSet, Schema};
 use serde::{Deserialize, Serialize};
 
-use crate::dfsa::{Dfsa, Next};
+use crate::dfsa::{Arenas, Dfsa, Next, NodeSpec, PTarget};
 use crate::order::{NodeOrdering, SearchStrategy, ValueOrder};
 use crate::persist::{self, ByteReader, ByteWriter, PersistError};
-use crate::scratch::{MatchScratch, Matcher};
 use crate::selectivity::AttributeMeasure;
 use crate::subrange::AttributePartition;
 use crate::{Direction, FilterError};
@@ -51,7 +54,7 @@ pub enum AttributeOrder {
     },
 }
 
-/// Configuration of a [`ProfileTree`].
+/// Configuration of a profile tree ([`Dfsa::build`]).
 ///
 /// # Example
 ///
@@ -74,8 +77,8 @@ pub struct TreeConfig {
     /// Event distribution model (one marginal per schema attribute).
     /// Required by distribution-dependent orders (V1/V3, A2/A3) and
     /// optional otherwise. It is checked against the schema either way,
-    /// but a tree keeps it only if [`TreeConfig::uses_event_model`]: the
-    /// [`ProfileTree::config`] of any other shape holds `None`.
+    /// but an automaton keeps it only if [`TreeConfig::uses_event_model`]:
+    /// the [`Dfsa::config`] of any other shape holds `None`.
     pub event_model: Option<JointDist>,
     /// Ablation: disable the lookup-table early-termination rule of
     /// §4.2/Example 5 for linear scans — a miss then costs a full node
@@ -109,8 +112,8 @@ impl TreeConfig {
             )
     }
 
-    /// What a tree keeps of this configuration: all of it, less an
-    /// event model its shape does not read.
+    /// What an automaton keeps of this configuration: all of it, less
+    /// an event model its shape does not read.
     fn kept(&self) -> TreeConfig {
         let read = self.uses_event_model();
         TreeConfig {
@@ -124,19 +127,9 @@ impl TreeConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum NodeRef {
-    Inner(Box<Node>),
-    /// A leaf's profiles: list `l` of the tree's [`LeafPool`].
-    Leaf(u32),
-    /// A leaf that notifies no profile.
-    Empty,
-}
-
-/// The distinct non-empty leaf lists of a tree, each strictly
+/// The distinct non-empty leaf lists of an automaton, each strictly
 /// ascending, in one CSR arena: list `l` is `ids[off[l]..off[l + 1]]`.
-/// The tree and its automaton share it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct LeafPool {
     pub(crate) off: Vec<u32>,
     pub(crate) ids: Vec<ProfileId>,
@@ -167,13 +160,6 @@ impl LeafPool {
         self.off.push(self.ids.len() as u32);
         (self.off.len() - 2) as u32
     }
-
-    /// The pool at its exact size: it lives as long as its tree.
-    fn shrunk(mut self) -> Arc<Self> {
-        self.off.shrink_to_fit();
-        self.ids.shrink_to_fit();
-        Arc::new(self)
-    }
 }
 
 /// Builds a [`LeafPool`] that holds each distinct list once: a list is
@@ -191,114 +177,29 @@ struct LeafInterner {
 
 impl LeafInterner {
     /// The leaf holding `ids`, which are strictly ascending.
-    fn intern(&mut self, ids: &[ProfileId]) -> NodeRef {
+    fn intern(&mut self, ids: &[ProfileId]) -> PTarget {
         if ids.is_empty() {
-            return NodeRef::Empty;
+            return PTarget::REJECT;
         }
         let hash = self.last.hasher().hash_one(ids);
         let head = self.last.get(&hash).copied().unwrap_or(u32::MAX);
         let mut l = head;
         while l != u32::MAX {
             if self.pool.get(l) == ids {
-                return NodeRef::Leaf(l);
+                return PTarget::leaf(l);
             }
             l = self.earlier[l as usize];
         }
         let l = self.pool.push(ids);
         self.earlier.push(head);
         self.last.insert(hash, l);
-        NodeRef::Leaf(l)
+        PTarget::leaf(l)
     }
-}
-
-impl NodeRef {
-    /// `f` summed over this node and every node below it.
-    fn sum(&self, f: &impl Fn(&NodeRef) -> usize) -> usize {
-        let below = match self {
-            NodeRef::Inner(node) => node.children().map(|child| child.sum(f)).sum(),
-            NodeRef::Leaf(_) | NodeRef::Empty => 0,
-        };
-        f(self) + below
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Node {
-    pub(crate) attr: AttrId,
-    /// Edges in natural (ascending interval) order.
-    pub(crate) edges: Vec<Edge>,
-    pub(crate) ordering: NodeOrdering,
-    pub(crate) star: Star,
-}
-
-impl Node {
-    /// The star edge's child, if any, then the edges' children.
-    fn children(&self) -> impl Iterator<Item = &NodeRef> {
-        let star = match &self.star {
-            Star::None => None,
-            Star::All(child) | Star::Else(child) => Some(&**child),
-        };
-        star.into_iter().chain(self.edges.iter().map(|e| &e.child))
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Edge {
-    pub(crate) interval: IndexInterval,
-    pub(crate) child: NodeRef,
-}
-
-/// Don't-care continuation of a node.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Star {
-    /// No don't-care profiles: values outside every edge are rejected.
-    None,
-    /// `*`: the node has no specific edges; every value passes with one
-    /// operation.
-    All(Box<NodeRef>),
-    /// `(*)`: taken after the specific edges have been excluded, at one
-    /// additional operation.
-    Else(Box<NodeRef>),
-}
-
-/// The distribution-aware profile tree (the paper's core structure).
-///
-/// # Example
-///
-/// ```
-/// use ens_filter::{Matcher, ProfileTree, TreeConfig};
-/// use ens_types::{Schema, Domain, Predicate, ProfileSet, Event};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let schema = Schema::builder()
-///     .attribute("temperature", Domain::int(-30, 50))?
-///     .attribute("humidity", Domain::int(0, 100))?
-///     .build();
-/// let mut ps = ProfileSet::new(&schema);
-/// ps.insert_with(|b| {
-///     b.predicate("temperature", Predicate::ge(35))?
-///         .predicate("humidity", Predicate::ge(90))
-/// })?;
-/// let tree = ProfileTree::build(&ps, &TreeConfig::default())?;
-/// let hot = Event::builder(&schema)
-///     .value("temperature", 40)?
-///     .value("humidity", 95)?
-///     .build();
-/// assert!(tree.match_event(&schema, &hot)?.is_match());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileTree {
-    header: TreeHeader,
-    root: NodeRef,
-    leaves: Arc<LeafPool>,
 }
 
 /// What a tree is besides its nodes and leaves: what it was built for
-/// and how. A [`FilterSnapshot`](crate::FilterSnapshot) keeps it beside
-/// the automaton, from which the nodes can be raised again.
-#[derive(Debug, Clone, PartialEq)]
+/// and how. Its automaton carries it.
+#[derive(Debug, Clone)]
 pub(crate) struct TreeHeader {
     pub(crate) schema: Arc<Schema>,
     pub(crate) config: TreeConfig,
@@ -319,14 +220,51 @@ impl TreeHeader {
     }
 }
 
-impl ProfileTree {
-    /// Builds the tree for `profiles` under `config`.
+/// Whether `order` lists each of `n` attributes exactly once.
+fn is_permutation(order: &[AttrId], n: usize) -> bool {
+    let mut seen = vec![false; n];
+    order.len() == n
+        && order.iter().all(|id| {
+            seen.get_mut(id.index())
+                .is_some_and(|s| !std::mem::replace(s, true))
+        })
+}
+
+impl Dfsa {
+    /// Builds the profile tree for `profiles` under `config`, node by
+    /// node into the automaton.
     ///
-    /// The tree keeps `config` less an event model its shape does not
-    /// read ([`TreeConfig::uses_event_model`]); the model is checked
-    /// against the schema all the same. What only the build reads —
-    /// the global attribute partitions of a selectivity order or of the
+    /// The automaton keeps `config` less an event model its shape does
+    /// not read ([`TreeConfig::uses_event_model`]); the model is checked
+    /// against the schema all the same. What only the build reads — the
+    /// global attribute partitions of a selectivity order or of the
     /// merging ablation — is dropped with it.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ens_filter::{Dfsa, Matcher, TreeConfig};
+    /// use ens_types::{Schema, Domain, Predicate, ProfileSet, Event};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let schema = Schema::builder()
+    ///     .attribute("temperature", Domain::int(-30, 50))?
+    ///     .attribute("humidity", Domain::int(0, 100))?
+    ///     .build();
+    /// let mut ps = ProfileSet::new(&schema);
+    /// ps.insert_with(|b| {
+    ///     b.predicate("temperature", Predicate::ge(35))?
+    ///         .predicate("humidity", Predicate::ge(90))
+    /// })?;
+    /// let dfsa = Dfsa::build(&ps, &TreeConfig::default())?;
+    /// let hot = Event::builder(&schema)
+    ///     .value("temperature", 40)?
+    ///     .value("humidity", 95)?
+    ///     .build();
+    /// assert!(dfsa.match_event(&schema, &hot)?.is_match());
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
@@ -340,7 +278,7 @@ impl ProfileTree {
 
         // Validate the event model; its per-point tables are borrowed
         // for the build and, if the shape reads them, held once in the
-        // tree's copy of `config`.
+        // automaton's copy of `config`.
         let marginals = match &config.event_model {
             Some(joint) => {
                 crate::cost::check_model(&schema, joint)?;
@@ -388,18 +326,9 @@ impl ProfileTree {
         let attribute_order = match &config.attribute_order {
             AttributeOrder::Natural => schema.ids().collect(),
             AttributeOrder::Explicit(order) => {
-                let mut seen = vec![false; schema.len()];
-                for id in order {
-                    if id.index() >= schema.len() || seen[id.index()] {
-                        return Err(FilterError::ModelMismatch {
-                            message: format!("explicit order is not a permutation (at {id})"),
-                        });
-                    }
-                    seen[id.index()] = true;
-                }
-                if order.len() != schema.len() {
+                if !is_permutation(order, schema.len()) {
                     return Err(FilterError::ModelMismatch {
-                        message: "explicit order must list every attribute".into(),
+                        message: "an explicit order must list every attribute once".into(),
                     });
                 }
                 order.clone()
@@ -429,276 +358,29 @@ impl ProfileTree {
                 })
                 .collect()
         });
+        let header = TreeHeader {
+            schema,
+            config: config.kept(),
+            attribute_order,
+            profile_count: profiles.len(),
+        };
         let mut builder = TreeBuilder {
             profiles,
-            schema: schema.as_ref(),
-            order: &attribute_order,
+            schema: &header.schema,
+            order: &header.attribute_order,
             marginals,
             strategy: config.search,
             early_termination: !config.disable_early_termination,
             global_cuts,
-            weights: config.profile_weights.clone(),
+            weights: config.profile_weights.as_deref(),
+            ctx: OrderCtx::new(&header),
+            arenas: Arenas::default(),
             leaves: LeafInterner::default(),
             leaf: Vec::new(),
         };
         let root = builder.build_node(&alive, 0)?;
-        let leaves = builder.leaves.pool.shrunk();
-
-        Ok(ProfileTree {
-            header: TreeHeader {
-                schema,
-                config: config.kept(),
-                attribute_order,
-                profile_count: profiles.len(),
-            },
-            root,
-            leaves,
-        })
-    }
-
-    /// The tree `dfsa` was lowered from, given its header: lowering
-    /// keeps, beside the transitions, which of them are edges and every
-    /// node ordering the codec does not derive, so nothing is lost.
-    pub(crate) fn raise(dfsa: &Dfsa, header: TreeHeader) -> Self {
-        let ctx = OrderCtx::new(&header);
-        let root = raise_node(dfsa, dfsa.root(), &ctx);
-        ProfileTree {
-            header,
-            root,
-            leaves: Arc::clone(dfsa.leaves()),
-        }
-    }
-
-    pub(crate) fn header(&self) -> &TreeHeader {
-        &self.header
-    }
-
-    /// The tree less its nodes and leaves.
-    pub(crate) fn into_header(self) -> TreeHeader {
-        self.header
-    }
-
-    /// The schema this tree was built for.
-    #[must_use]
-    pub fn schema(&self) -> &Schema {
-        self.header.schema.as_ref()
-    }
-
-    /// The configuration the tree was built with.
-    #[must_use]
-    pub fn config(&self) -> &TreeConfig {
-        &self.header.config
-    }
-
-    /// The resolved attribute order: `attribute_order()[k]` is tested at
-    /// level `k`.
-    #[must_use]
-    pub fn attribute_order(&self) -> &[AttrId] {
-        &self.header.attribute_order
-    }
-
-    /// Number of profiles indexed.
-    #[must_use]
-    pub fn profile_count(&self) -> usize {
-        self.header.profile_count
-    }
-
-    pub(crate) fn root(&self) -> &NodeRef {
-        &self.root
-    }
-
-    /// The leaf lists [`NodeRef::Leaf`] indexes.
-    pub(crate) fn leaves(&self) -> &Arc<LeafPool> {
-        &self.leaves
-    }
-
-    fn walk_indexed(
-        &self,
-        node: &NodeRef,
-        event: &IndexedEvent,
-        level: usize,
-        out: &mut MatchScratch,
-    ) {
-        let node = match node {
-            NodeRef::Leaf(l) => {
-                out.profiles.extend_from_slice(self.leaves.get(*l));
-                return;
-            }
-            NodeRef::Empty => return,
-            NodeRef::Inner(n) => n,
-        };
-
-        // A missing attribute satisfies only don't-care predicates: the
-        // event descends the star edge (if any) without scanning.
-        let Some(idx) = event.get(node.attr) else {
-            match &node.star {
-                Star::None => return,
-                Star::All(child) | Star::Else(child) => {
-                    out.ops += 1;
-                    out.per_level[level] += 1;
-                    return self.walk_indexed(child, event, level + 1, out);
-                }
-            }
-        };
-
-        if node.edges.is_empty() {
-            // `*` edge: all values pass at one operation. So they do on
-            // an `Else` star without edges — a node whose specific
-            // profiles all admit no value — where the don't-care
-            // profiles must still be reached.
-            if let Star::All(child) | Star::Else(child) = &node.star {
-                out.ops += 1;
-                out.per_level[level] += 1;
-                return self.walk_indexed(child, event, level + 1, out);
-            }
-            return;
-        }
-
-        // Locate the edge containing `idx` — the lookup table of
-        // Example 5, which maps a value to its natural slot without
-        // counting as filter operations.
-        let g = node.edges.partition_point(|e| e.interval.hi() <= idx);
-        let hit = node.edges.get(g).is_some_and(|e| e.interval.contains(idx));
-
-        let budget = u64::from(if hit {
-            node.ordering.hit_cost[g]
-        } else {
-            node.ordering.miss_cost[g]
-        });
-        let (cost, found) = if matches!(self.config().search, SearchStrategy::Linear(_)) {
-            // Execute the configured scan for real: visit the edges in
-            // the defined order, one containment test per visited edge,
-            // stopping on the hit or at the lookup-table bound on a
-            // miss. The measured wall-clock therefore tracks the
-            // counted operations — the property the distribution-based
-            // orderings (and the self-tuning loop on top of them)
-            // optimise.
-            let mut executed = 0u64;
-            let mut found = None;
-            for &e in &node.ordering.visit[..budget as usize] {
-                executed += 1;
-                let edge = &node.edges[e as usize];
-                if edge.interval.contains(idx) {
-                    found = Some(&edge.child);
-                    break;
-                }
-            }
-            debug_assert_eq!(executed, budget, "scan agrees with the cost table");
-            (executed, found)
-        } else {
-            // Binary / interpolation / hash search: the
-            // `partition_point` above is the executed probe sequence;
-            // operations are charged from the precomputed ordering.
-            (budget, None)
-        };
-
-        out.ops += cost;
-        out.per_level[level] += cost;
-        if hit {
-            let child = found.unwrap_or(&node.edges[g].child);
-            return self.walk_indexed(child, event, level + 1, out);
-        }
-
-        // Miss: the (bounded) scan concluded absence; fall to `(*)`.
-        if let Star::Else(child) = &node.star {
-            out.ops += 1;
-            out.per_level[level] += 1;
-            self.walk_indexed(child, event, level + 1, out);
-        }
-    }
-
-    /// Renders the tree in the style of the paper's Fig. 1: one line per
-    /// edge, labelled with the attribute name and the inclusive value
-    /// range (`*` for all-values edges, `(*)` for the else edge), leaves
-    /// listing the matched profiles.
-    ///
-    /// ```text
-    /// a1 [30, 34] -> a2 [90, 100] -> (leaf) {p2, p5}
-    /// ```
-    #[must_use]
-    pub fn render(&self) -> String {
-        fn label(schema: &Schema, attr: AttrId, interval: &IndexInterval) -> String {
-            let domain = schema.attribute(attr).domain();
-            let name = schema.attribute(attr).name();
-            if interval.len() == 1 {
-                format!("{name} = {}", domain.value_at(interval.lo()))
-            } else {
-                format!(
-                    "{name} in [{}, {}]",
-                    domain.value_at(interval.lo()),
-                    domain.value_at(interval.hi() - 1)
-                )
-            }
-        }
-        fn leaf_text(ids: &[ProfileId]) -> String {
-            let names: Vec<String> = ids.iter().map(ToString::to_string).collect();
-            format!("{{{}}}", names.join(", "))
-        }
-        fn walk(tree: &ProfileTree, node: &NodeRef, indent: usize, out: &mut String) {
-            let (schema, pad) = (tree.schema(), "  ".repeat(indent));
-            match node {
-                NodeRef::Leaf(l) => {
-                    out.push_str(&format!("{pad}=> {}\n", leaf_text(tree.leaves.get(*l))));
-                }
-                NodeRef::Empty => out.push_str(&format!("{pad}=> {}\n", leaf_text(&[]))),
-                NodeRef::Inner(n) => {
-                    let name = schema.attribute(n.attr).name();
-                    for e in &n.edges {
-                        out.push_str(&format!("{pad}{}\n", label(schema, n.attr, &e.interval)));
-                        walk(tree, &e.child, indent + 1, out);
-                    }
-                    match &n.star {
-                        Star::None => {}
-                        Star::All(child) => {
-                            out.push_str(&format!("{pad}{name} = *\n"));
-                            walk(tree, child, indent + 1, out);
-                        }
-                        Star::Else(child) => {
-                            out.push_str(&format!("{pad}{name} = (*)\n"));
-                            walk(tree, child, indent + 1, out);
-                        }
-                    }
-                }
-            }
-        }
-        let mut out = String::new();
-        walk(self, &self.root, 0, &mut out);
-        out
-    }
-
-    /// Number of inner nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.root
-            .sum(&|n| usize::from(matches!(n, NodeRef::Inner(_))))
-    }
-
-    /// Number of edges (including `*`/`(*)` edges).
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.root.sum(&|n| match n {
-            NodeRef::Inner(node) => node.children().count(),
-            NodeRef::Leaf(_) | NodeRef::Empty => 0,
-        })
-    }
-
-    /// Number of leaves.
-    #[must_use]
-    pub fn leaf_count(&self) -> usize {
-        self.root
-            .sum(&|n| usize::from(!matches!(n, NodeRef::Inner(_))))
-    }
-}
-
-impl Matcher for ProfileTree {
-    /// One tree walk with operation counting (total and per level,
-    /// level = position in [`ProfileTree::attribute_order`]), writing
-    /// into caller-owned buffers.
-    fn match_into(&self, event: &IndexedEvent, scratch: &mut MatchScratch) {
-        scratch.reset(self.attribute_order().len());
-        self.walk_indexed(&self.root, event, 0, scratch);
-        scratch.profiles.sort_unstable();
-        scratch.profiles.dedup();
+        let TreeBuilder { arenas, leaves, .. } = builder;
+        Ok(arenas.finish(header, leaves.pool, root))
     }
 }
 
@@ -713,7 +395,9 @@ struct TreeBuilder<'a> {
     /// points forced into every node's decomposition.
     global_cuts: Option<Vec<Vec<u64>>>,
     /// Per-profile priority weights (id-indexed), defaulting to 1.
-    weights: Option<Vec<f64>>,
+    weights: Option<&'a [f64]>,
+    ctx: OrderCtx<'a>,
+    arenas: Arenas,
     leaves: LeafInterner,
     /// The leaf being made, sorted here before it is interned.
     leaf: Vec<ProfileId>,
@@ -723,15 +407,17 @@ impl TreeBuilder<'_> {
     /// Total priority mass of a set of profiles (1 per profile when no
     /// weights are configured).
     fn profile_mass(&self, ids: &[ProfileId]) -> f64 {
-        match &self.weights {
+        match self.weights {
             None => ids.len() as f64,
             Some(w) => ids.iter().map(|id| w[id.index()]).sum(),
         }
     }
 
-    fn build_node(&mut self, alive: &[ProfileId], level: usize) -> Result<NodeRef, FilterError> {
+    /// Builds the subtree of the profiles `alive` at `level` into the
+    /// automaton, and returns where it starts.
+    fn build_node(&mut self, alive: &[ProfileId], level: usize) -> Result<PTarget, FilterError> {
         if alive.is_empty() {
-            return Ok(NodeRef::Empty);
+            return Ok(PTarget::REJECT);
         }
         if level == self.order.len() {
             self.leaf.clear();
@@ -753,20 +439,22 @@ impl TreeBuilder<'_> {
             // All alive profiles ignore this attribute: a single `*`
             // edge.
             let child = self.build_node(alive, level + 1)?;
-            return Ok(NodeRef::Inner(Box::new(Node {
+            let node = NodeSpec {
                 attr,
-                edges: Vec::new(),
+                intervals: &[],
+                first: self.arenas.targets.len(),
                 ordering: star_ordering(),
-                star: Star::All(Box::new(child)),
-            })));
+                star: Some((true, child)),
+            };
+            return Ok(self.arenas.freeze(node, &self.ctx));
         }
 
         // The star subtree is built first, so leaves enter the pool in
         // the order the node codec writes them.
         let star = if dont_care.is_empty() {
-            Star::None
+            None
         } else {
-            Star::Else(Box::new(self.build_node(&dont_care, level + 1)?))
+            Some((false, self.build_node(&dont_care, level + 1)?))
         };
 
         // Per-branch elementary decomposition over the *specific*
@@ -784,7 +472,8 @@ impl TreeBuilder<'_> {
             )?,
         };
 
-        let mut edges: Vec<Edge> = Vec::new();
+        let first = self.arenas.targets.len();
+        let mut intervals: Vec<IndexInterval> = Vec::new();
         let mut edge_pe: Vec<f64> = Vec::new();
         let mut edge_pp: Vec<f64> = Vec::new();
         let mut gap_pe: Vec<f64> = vec![0.0];
@@ -793,59 +482,59 @@ impl TreeBuilder<'_> {
         for cell in part.cells() {
             if cell.is_zero() {
                 let pe = marginal.map_or(0.0, |m| m.mass_of(cell.interval()));
-                gap_pe[edges.len()] += pe;
+                gap_pe[intervals.len()] += pe;
                 continue;
             }
             child_ids.clear();
             child_ids.extend_from_slice(cell.profiles());
             child_ids.extend_from_slice(&dont_care);
             let child = self.build_node(&child_ids, level + 1)?;
+            self.arenas.targets.push(child);
             edge_pe.push(marginal.map_or(0.0, |m| m.mass_of(cell.interval())));
             edge_pp.push(self.profile_mass(cell.profiles()) / self.profile_mass(&specific));
-            edges.push(Edge {
-                interval: *cell.interval(),
-                child,
-            });
+            intervals.push(*cell.interval());
             gap_pe.push(0.0);
         }
 
-        let edge_intervals: Vec<IndexInterval> = edges.iter().map(|e| e.interval).collect();
         let mut ordering = NodeOrdering::compute_with_geometry(
             self.strategy,
             &edge_pe,
             &edge_pp,
             &gap_pe,
-            &edge_intervals,
+            &intervals,
             domain.size(),
         );
         if !self.early_termination && matches!(self.strategy, SearchStrategy::Linear(_)) {
             // Ablation: without the lookup table every miss scans the
             // whole node.
-            let full = edges.len().max(1) as u32;
+            let full = intervals.len().max(1) as u32;
             for mc in &mut ordering.miss_cost {
                 *mc = full;
             }
         }
-        Ok(NodeRef::Inner(Box::new(Node {
+        let node = NodeSpec {
             attr,
-            edges,
+            intervals: &intervals,
+            first,
             ordering,
             star,
-        })))
+        };
+        Ok(self.arenas.freeze(node, &self.ctx))
     }
 }
 
-/// Depth limit for decoded tree nodes. A well-formed tree is at most
-/// one level per schema attribute; anything deeper is corrupt input.
+/// The most levels a checkpoint's tree may have: its schema's attribute
+/// count, which a node's depth cannot pass. Anything longer is corrupt
+/// input, and would nest the decoder's walk without bound.
 const MAX_TREE_DEPTH: usize = 4096;
 
 /// Appends the tree section of a checkpoint for the tree `dfsa` was
-/// lowered from, read off the automaton: the header, the leaf pool,
-/// then the nodes, depth-first with the star child before the edges. A
+/// built from, read off the automaton: the header, the leaf pool, then
+/// the nodes, depth-first with the star child before the edges. A
 /// node's ordering is written only where the decoder cannot derive it,
 /// and the automaton keeps exactly those.
-pub(crate) fn encode_section(header: &TreeHeader, dfsa: &Dfsa, w: &mut ByteWriter) {
-    header.encode(w);
+pub(crate) fn encode_section(dfsa: &Dfsa, w: &mut ByteWriter) {
+    dfsa.header().encode(w);
     // Don't-care profiles are replicated into every leaf below the node
     // that splits them off, and the pool holds the lists in the order
     // the depth-first walk meets them: a list is stored as its
@@ -901,49 +590,16 @@ fn encode_node(dfsa: &Dfsa, next: Next, w: &mut ByteWriter) {
     }
 }
 
-/// The node `next` leads to, raised from the automaton.
-fn raise_node(dfsa: &Dfsa, next: Next, ctx: &OrderCtx<'_>) -> NodeRef {
-    let s = match next {
-        Next::Leaf(l) => return NodeRef::Leaf(l),
-        Next::Reject => return NodeRef::Empty,
-        Next::State(s) => s,
-    };
-    let attr = dfsa.attr(s);
-    let edges: Vec<Edge> = dfsa
-        .edges(s)
-        .into_iter()
-        .map(|(interval, child)| Edge {
-            interval,
-            child: raise_node(dfsa, child, ctx),
-        })
-        .collect();
-    let ordering = match dfsa.ordering(s) {
-        Some(ordering) => ordering.clone(),
-        None => {
-            let intervals: Vec<IndexInterval> = edges.iter().map(|e| e.interval).collect();
-            ctx.derive(attr, &intervals)
-        }
-    };
-    let star = match dfsa.star(s) {
-        None => Star::None,
-        Some((true, child)) => Star::All(Box::new(raise_node(dfsa, child, ctx))),
-        Some((false, child)) => Star::Else(Box::new(raise_node(dfsa, child, ctx))),
-    };
-    NodeRef::Inner(Box::new(Node {
-        attr,
-        edges,
-        ordering,
-        star,
-    }))
-}
-
-impl ProfileTree {
-    /// Decodes a tree written by [`encode_section`] or, when
+impl Dfsa {
+    /// Decodes a tree section written by [`encode_section`] or, when
     /// `inline_leaves`, by the format before it, which repeated the
     /// event model in a marginals section and wrote each leaf's list in
-    /// place (interned here as it is read). An older image's attribute
-    /// partitions and an event model its shape does not read are
-    /// decoded, and so checked, then dropped.
+    /// place (interned here as it is read), into the automaton. An
+    /// older image's attribute partitions and an event model its shape
+    /// does not read are decoded, and so checked, then dropped. The
+    /// builder's two invariants are refused broken: the attribute order
+    /// is a permutation of the schema, and the node at depth `k` tests
+    /// `attribute_order[k]`.
     pub(crate) fn decode(
         r: &mut ByteReader<'_>,
         inline_leaves: bool,
@@ -951,6 +607,12 @@ impl ProfileTree {
         let schema: Schema = r.serde()?;
         let mut config: TreeConfig = r.serde()?;
         let attribute_order: Vec<AttrId> = r.serde()?;
+        if attribute_order.len() > MAX_TREE_DEPTH || !is_permutation(&attribute_order, schema.len())
+        {
+            return Err(PersistError::new(
+                "attribute order is not a permutation of the schema",
+            ));
+        }
         for _ in 0..r.seq_len(12)? {
             AttributePartition::decode(r)?;
         }
@@ -967,11 +629,11 @@ impl ProfileTree {
                 ));
             }
         }
-        let profile_count = r.u64()? as usize;
-        let mut leaves = if inline_leaves {
+        let profiles = r.u64()? as usize;
+        let leaves = if inline_leaves {
             Leaves::Inline(Vec::new(), LeafInterner::default())
         } else {
-            Leaves::Pooled(decode_pool(r, profile_count)?)
+            Leaves::Pooled(decode_pool(r, profiles)?)
         };
         if !config.uses_event_model() {
             config.event_model = None;
@@ -980,18 +642,21 @@ impl ProfileTree {
             schema: Arc::new(schema),
             config,
             attribute_order,
-            profile_count,
+            profile_count: profiles,
         };
-        let root = decode_node(r, 0, &OrderCtx::new(&header), &mut leaves, profile_count)?;
+        let mut decoder = Decoder {
+            ctx: OrderCtx::new(&header),
+            leaves,
+            arenas: Arenas::default(),
+            profiles,
+        };
+        let root = decoder.node(r, 0)?;
+        let Decoder { leaves, arenas, .. } = decoder;
         let pool = match leaves {
             Leaves::Inline(_, interner) => interner.pool,
             Leaves::Pooled(pool) => pool,
         };
-        Ok(ProfileTree {
-            header,
-            root,
-            leaves: pool.shrunk(),
-        })
+        Ok(arenas.finish(header, pool, root))
     }
 }
 
@@ -1003,7 +668,7 @@ enum Leaves {
     Pooled(LeafPool),
 }
 
-/// Both matchers hand a leaf's ids out as they are: they must be the
+/// The matcher hands a leaf's ids out as they are: they must be the
 /// tree's profile ids, strictly ascending.
 fn check_leaf(ids: &[ProfileId], profiles: usize) -> Result<(), PersistError> {
     if ids.windows(2).any(|w| w[0] >= w[1]) || ids.last().is_some_and(|p| p.index() >= profiles) {
@@ -1048,6 +713,8 @@ fn star_ordering() -> NodeOrdering {
 /// derivation, and an automaton keeps only the others.
 pub(crate) struct OrderCtx<'a> {
     schema: &'a Schema,
+    /// The attribute tested at each level.
+    order: &'a [AttrId],
     strategy: SearchStrategy,
     early_termination: bool,
 }
@@ -1056,6 +723,7 @@ impl<'a> OrderCtx<'a> {
     pub(crate) fn new(header: &'a TreeHeader) -> Self {
         OrderCtx {
             schema: &header.schema,
+            order: &header.attribute_order,
             strategy: header.config.search,
             early_termination: !header.config.disable_early_termination,
         }
@@ -1102,132 +770,136 @@ impl<'a> OrderCtx<'a> {
         }
     }
 
-    /// Whether `node`'s ordering is not the one the decoder derives, so
+    /// Whether a node testing `attr` with edges `intervals` and
+    /// `ordering` does not have the ordering the decoder derives, so
     /// that the codec writes it out and an automaton keeps it.
-    pub(crate) fn written(&self, node: &Node) -> bool {
-        if node.edges.is_empty() {
-            let NodeOrdering {
-                visit,
-                hit_cost,
-                miss_cost,
-            } = &node.ordering;
-            return !(visit.is_empty() && hit_cost.is_empty() && miss_cost[..] == [0]);
+    pub(crate) fn written(
+        &self,
+        attr: AttrId,
+        intervals: &[IndexInterval],
+        ordering: &NodeOrdering,
+    ) -> bool {
+        if intervals.is_empty() {
+            return *ordering != star_ordering();
         }
-        if self.always_derived() {
-            return false;
-        }
-        let intervals: Vec<IndexInterval> = node.edges.iter().map(|e| e.interval).collect();
-        node.ordering != self.derive(node.attr, &intervals)
+        !self.always_derived() && *ordering != self.derive(attr, intervals)
     }
 }
 
-fn decode_node(
-    r: &mut ByteReader<'_>,
-    depth: usize,
-    ctx: &OrderCtx<'_>,
-    leaves: &mut Leaves,
+/// The checkpoint decoder's walk: each node read is frozen into
+/// `arenas` once its children are.
+struct Decoder<'a> {
+    ctx: OrderCtx<'a>,
+    leaves: Leaves,
+    arenas: Arenas,
+    /// The tree's profile count.
     profiles: usize,
-) -> Result<NodeRef, PersistError> {
-    if depth > MAX_TREE_DEPTH {
-        return Err(PersistError::new("profile tree nested too deeply"));
-    }
-    match (r.u8()?, &mut *leaves) {
-        (0, Leaves::Pooled(pool)) => {
-            let l = r.vu32()?;
-            if l as usize >= pool.len() {
-                return Err(PersistError::new(format!("leaf {l} outside the pool")));
-            }
-            Ok(NodeRef::Leaf(l))
-        }
-        (0, Leaves::Inline(prev, interner)) => {
-            let ids = persist::read_id_diff(r, prev)?;
-            check_leaf(&ids, profiles)?;
-            Ok(interner.intern(&ids))
-        }
-        (2, Leaves::Pooled(_)) => Ok(NodeRef::Empty),
-        (1, _) => {
-            let attr = AttrId::new(r.vu32()?);
-            if attr.index() >= ctx.schema.len() {
-                return Err(PersistError::new(format!(
-                    "node attribute {} out of schema range",
-                    attr.index()
-                )));
-            }
-            let n_edges = r.seq_len(2)?;
-            let mut intervals: Vec<IndexInterval> = Vec::with_capacity(n_edges);
-            for _ in 0..n_edges {
-                let lo = r.vu64()?;
-                let hi = lo
-                    .checked_add(r.vu64()?)
-                    .ok_or_else(|| PersistError::new("edge interval overflows u64"))?;
-                // Both matchers locate a value by these being ascending,
-                // disjoint and non-empty.
-                if hi == lo || intervals.last().is_some_and(|prev| prev.hi() > lo) {
-                    return Err(PersistError::new("edge intervals out of order"));
+}
+
+impl Decoder<'_> {
+    /// Reads the node at `depth` and returns where it starts.
+    fn node(&mut self, r: &mut ByteReader<'_>, depth: usize) -> Result<PTarget, PersistError> {
+        match (r.u8()?, &mut self.leaves) {
+            (0, Leaves::Pooled(pool)) => {
+                let l = r.vu32()?;
+                if l as usize >= pool.len() {
+                    return Err(PersistError::new(format!("leaf {l} outside the pool")));
                 }
-                intervals.push(IndexInterval::new(lo, hi));
+                Ok(PTarget::leaf(l))
             }
-            let ordering = match r.u8()? {
-                0 => ctx.derive(attr, &intervals),
-                1 => {
-                    let ordering = NodeOrdering {
-                        visit: r.vec_u32_packed()?,
-                        hit_cost: r.vec_u32_packed()?,
-                        miss_cost: r.vec_u32_packed()?,
-                    };
-                    // A strategy that ignores probability mass has one
-                    // ordering per node: the automaton keeps no other.
-                    if n_edges > 0
-                        && ctx.always_derived()
-                        && ordering != ctx.derive(attr, &intervals)
-                    {
-                        return Err(PersistError::new(
-                            "ordering disagrees with the search strategy",
-                        ));
+            (0, Leaves::Inline(prev, interner)) => {
+                let ids = persist::read_id_diff(r, prev)?;
+                check_leaf(&ids, self.profiles)?;
+                Ok(interner.intern(&ids))
+            }
+            (2, Leaves::Pooled(_)) => Ok(PTarget::REJECT),
+            (1, _) => {
+                // The builder tests `attribute_order[k]` at depth `k`:
+                // an attribute is tested once per path, and the tree is
+                // no deeper than the schema.
+                let attr = AttrId::new(r.vu32()?);
+                if self.ctx.order.get(depth) != Some(&attr) {
+                    return Err(PersistError::new(format!(
+                        "node at depth {depth} tests attribute {}, not its level's",
+                        attr.index()
+                    )));
+                }
+                let n_edges = r.seq_len(2)?;
+                let mut intervals: Vec<IndexInterval> = Vec::with_capacity(n_edges);
+                for _ in 0..n_edges {
+                    let lo = r.vu64()?;
+                    let hi = lo
+                        .checked_add(r.vu64()?)
+                        .ok_or_else(|| PersistError::new("edge interval overflows u64"))?;
+                    // The matcher locates a value by these being
+                    // ascending, disjoint and non-empty.
+                    if hi == lo || intervals.last().is_some_and(|prev| prev.hi() > lo) {
+                        return Err(PersistError::new("edge intervals out of order"));
                     }
-                    ordering
+                    intervals.push(IndexInterval::new(lo, hi));
                 }
-                tag => {
-                    return Err(PersistError::new(format!("unknown ordering tag {tag}")));
+                let ordering = match r.u8()? {
+                    0 => self.ctx.derive(attr, &intervals),
+                    1 => {
+                        let ordering = NodeOrdering {
+                            visit: r.vec_u32_packed()?,
+                            hit_cost: r.vec_u32_packed()?,
+                            miss_cost: r.vec_u32_packed()?,
+                        };
+                        // A strategy that ignores probability mass has
+                        // one ordering per node: the automaton keeps no
+                        // other.
+                        if n_edges > 0
+                            && self.ctx.always_derived()
+                            && ordering != self.ctx.derive(attr, &intervals)
+                        {
+                            return Err(PersistError::new(
+                                "ordering disagrees with the search strategy",
+                            ));
+                        }
+                        ordering
+                    }
+                    tag => {
+                        return Err(PersistError::new(format!("unknown ordering tag {tag}")));
+                    }
+                };
+                if n_edges > 0
+                    && (ordering.hit_cost.len() != n_edges
+                        || ordering.miss_cost.len() != n_edges + 1)
+                {
+                    return Err(PersistError::new("ordering does not fit the node's edges"));
                 }
-            };
-            if n_edges > 0
-                && (ordering.hit_cost.len() != n_edges || ordering.miss_cost.len() != n_edges + 1)
-            {
-                return Err(PersistError::new("ordering does not fit the node's edges"));
+                let star = match r.u8()? {
+                    0 => None,
+                    1 => Some((true, self.node(r, depth + 1)?)),
+                    2 => Some((false, self.node(r, depth + 1)?)),
+                    tag => {
+                        return Err(PersistError::new(format!("unknown star tag {tag}")));
+                    }
+                };
+                let first = self.arenas.targets.len();
+                for _ in 0..n_edges {
+                    let child = self.node(r, depth + 1)?;
+                    self.arenas.targets.push(child);
+                }
+                let node = NodeSpec {
+                    attr,
+                    intervals: &intervals,
+                    first,
+                    ordering,
+                    star,
+                };
+                Ok(self.arenas.freeze(node, &self.ctx))
             }
-            let mut child =
-                |r: &mut ByteReader<'_>| decode_node(r, depth + 1, ctx, leaves, profiles);
-            let star = match r.u8()? {
-                0 => Star::None,
-                1 => Star::All(Box::new(child(r)?)),
-                2 => Star::Else(Box::new(child(r)?)),
-                tag => {
-                    return Err(PersistError::new(format!("unknown star tag {tag}")));
-                }
-            };
-            let mut edges = Vec::with_capacity(n_edges);
-            for interval in intervals {
-                edges.push(Edge {
-                    interval,
-                    child: child(r)?,
-                });
-            }
-            Ok(NodeRef::Inner(Box::new(Node {
-                attr,
-                edges,
-                ordering,
-                star,
-            })))
+            (tag, _) => Err(PersistError::new(format!("unknown node tag {tag}"))),
         }
-        (tag, _) => Err(PersistError::new(format!("unknown node tag {tag}"))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::order::ValueOrder;
+    use crate::scratch::Matcher;
     use ens_types::{Domain, Event, Predicate};
 
     /// Example 1 of the paper.
@@ -1285,7 +957,7 @@ mod tests {
     #[test]
     fn paper_event_matches_p2_p5() {
         let (schema, ps) = example1();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let tree = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         let out = tree
             .match_event(&schema, &event(&schema, 30, 90, 2))
             .unwrap();
@@ -1319,7 +991,7 @@ mod tests {
                 ..TreeConfig::default()
             },
         ] {
-            let tree = ProfileTree::build(&ps, &config).unwrap();
+            let tree = Dfsa::build(&ps, &config).unwrap();
             for a1 in (-30..=50).step_by(5) {
                 for a2 in (0..=100).step_by(10) {
                     for a3 in [1, 35, 40, 50, 70, 100] {
@@ -1340,7 +1012,7 @@ mod tests {
     #[test]
     fn missing_attribute_reaches_only_dont_care() {
         let (schema, ps) = example1();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let tree = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         // a3 missing: P3/P4 (which specify a3) must not match; P2/P5 do.
         let e = Event::builder(&schema)
             .value("a1", 30)
@@ -1370,18 +1042,11 @@ mod tests {
                 .predicate("a3", Predicate::ge(10))
         })
         .unwrap();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let tree = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         let out = tree
             .match_event(&schema, &event(&schema, 40, 95, 40))
             .unwrap();
         assert_eq!(out.profiles(), &[ProfileId::new(0)]);
-        assert_eq!(
-            crate::Dfsa::from_tree(&tree)
-                .match_event(&schema, &event(&schema, 40, 95, 40))
-                .unwrap()
-                .profiles(),
-            [ProfileId::new(0)]
-        );
         let uniform = ens_dist::JointDist::independent(
             schema
                 .iter()
@@ -1398,14 +1063,6 @@ mod tests {
         assert!(predicted.match_probability() > 0.0);
     }
 
-    /// The tree section of `tree` as a checkpoint holds it, under
-    /// `header`.
-    fn section(header: &TreeHeader, tree: &ProfileTree) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        encode_section(header, &Dfsa::from_tree(tree), &mut w);
-        w.into_bytes()
-    }
-
     fn profile_order() -> TreeConfig {
         TreeConfig {
             search: SearchStrategy::Linear(ValueOrder::ProfileProb(Direction::Descending)),
@@ -1413,168 +1070,208 @@ mod tests {
         }
     }
 
-    /// Both matchers charge from a node's tables by edge and gap index:
+    /// A tree section written by hand: `x` and `y` in 0..=9 tested in
+    /// `order` under `config`, one profile, a pool of one list `{p0}`,
+    /// then the nodes `nodes` writes.
+    fn section(config: TreeConfig, order: &[u32], nodes: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+        let schema = Schema::builder()
+            .attribute("x", Domain::int(0, 9))
+            .unwrap()
+            .attribute("y", Domain::int(0, 9))
+            .unwrap()
+            .build();
+        let header = TreeHeader {
+            schema: Arc::new(schema),
+            config,
+            attribute_order: order.iter().map(|&a| AttrId::new(a)).collect(),
+            profile_count: 1,
+        };
+        let mut w = ByteWriter::new();
+        header.encode(&mut w);
+        w.seq_len(1);
+        persist::write_id_diff(&mut w, &mut Vec::new(), &[ProfileId::new(0)]);
+        nodes(&mut w);
+        w.into_bytes()
+    }
+
+    /// A node testing `attr` with one edge, `[2, 4)`, and `ordering`
+    /// written out if given; then its star tag, and no children.
+    fn node_head(w: &mut ByteWriter, attr: u32, ordering: Option<&NodeOrdering>, star: u8) {
+        w.u8(1);
+        w.vu32(attr);
+        w.seq_len(1);
+        w.vu64(2);
+        w.vu64(2);
+        match ordering {
+            None => w.u8(0),
+            Some(o) => {
+                w.u8(1);
+                w.packed_u32(&o.visit);
+                w.packed_u32(&o.hit_cost);
+                w.packed_u32(&o.miss_cost);
+            }
+        }
+        w.u8(star);
+    }
+
+    /// `y` below the edge of `x`: a `*` node, then the leaf.
+    fn star_to_leaf(w: &mut ByteWriter, attr: u32) {
+        w.u8(1);
+        w.vu32(attr);
+        w.seq_len(0);
+        w.u8(0);
+        w.u8(1);
+        w.u8(0);
+        w.vu32(0);
+    }
+
+    fn decode(image: &[u8]) -> Result<Dfsa, PersistError> {
+        Dfsa::decode(&mut ByteReader::new(image), false)
+    }
+
+    /// What the builder writes for `x in [2, 3]` decodes, and
+    /// re-encodes to the same bytes.
+    #[test]
+    fn decoding_reads_what_the_builder_writes() {
+        let image = section(TreeConfig::default(), &[0, 1], |w| {
+            node_head(w, 0, None, 0);
+            star_to_leaf(w, 1);
+        });
+        let dfsa = decode(&image).unwrap();
+        let mut w = ByteWriter::new();
+        encode_section(&dfsa, &mut w);
+        assert_eq!(w.into_bytes(), image);
+    }
+
+    /// The matcher charges from a node's tables by edge and gap index:
     /// a checkpoint whose tables do not fit the node's edges is refused.
     #[test]
     fn decoding_refuses_tables_that_do_not_fit_the_edges() {
-        let (_, ps) = example1();
-        let mut tree = ProfileTree::build(&ps, &profile_order()).unwrap();
-        let NodeRef::Inner(root) = &mut tree.root else {
-            panic!("a1 is tested at the root");
+        let short = NodeOrdering {
+            visit: vec![0],
+            hit_cost: vec![1],
+            miss_cost: vec![1],
         };
-        root.ordering.miss_cost.pop();
-        let image = section(&tree.header, &tree);
-        let refused = ProfileTree::decode(&mut ByteReader::new(&image), false).unwrap_err();
+        let image = section(profile_order(), &[0, 1], |w| {
+            node_head(w, 0, Some(&short), 0);
+            star_to_leaf(w, 1);
+        });
+        let refused = decode(&image).unwrap_err();
         assert!(refused.message().contains("does not fit"), "{refused}");
     }
 
     /// A strategy that ignores probability mass has one ordering per
     /// node, which the automaton does not keep: an image that writes
-    /// another out is refused rather than served or raised unlike it.
+    /// another out is refused rather than served unlike it.
     #[test]
     fn decoding_refuses_an_ordering_its_strategy_would_not_build() {
-        let (_, ps) = example1();
-        let tree = ProfileTree::build(&ps, &profile_order()).unwrap();
-        let natural = TreeHeader {
-            config: TreeConfig::default(),
-            ..tree.header.clone()
+        let other = NodeOrdering {
+            visit: vec![0],
+            hit_cost: vec![3],
+            miss_cost: vec![1, 1],
         };
-        let image = section(&natural, &tree);
-        let refused = ProfileTree::decode(&mut ByteReader::new(&image), false).unwrap_err();
+        let image = |config| {
+            section(config, &[0, 1], |w| {
+                node_head(w, 0, Some(&other), 0);
+                star_to_leaf(w, 1);
+            })
+        };
+        let refused = decode(&image(TreeConfig::default())).unwrap_err();
         assert!(refused.message().contains("disagrees"), "{refused}");
-        let image = section(&tree.header, &tree);
-        assert!(ProfileTree::decode(&mut ByteReader::new(&image), false).is_ok());
+        assert!(decode(&image(profile_order())).is_ok());
     }
 
-    /// The tree section as it was written off the tree itself, before
-    /// the automaton kept what the codec needs: the oracle the
-    /// automaton's encoder is held to, byte for byte.
-    fn section_off_the_tree(tree: &ProfileTree) -> Vec<u8> {
-        fn node(n: &NodeRef, w: &mut ByteWriter, ctx: &OrderCtx<'_>) {
-            match n {
-                NodeRef::Leaf(l) => {
-                    w.u8(0);
-                    w.vu32(*l);
-                }
-                NodeRef::Empty => w.u8(2),
-                NodeRef::Inner(n) => {
-                    w.u8(1);
-                    w.vu32(n.attr.index() as u32);
-                    w.seq_len(n.edges.len());
-                    for e in &n.edges {
-                        w.vu64(e.interval.lo());
-                        w.vu64(e.interval.hi() - e.interval.lo());
-                    }
-                    let intervals: Vec<IndexInterval> =
-                        n.edges.iter().map(|e| e.interval).collect();
-                    if ctx.derive(n.attr, &intervals) == n.ordering {
-                        w.u8(0);
-                    } else {
-                        w.u8(1);
-                        w.packed_u32(&n.ordering.visit);
-                        w.packed_u32(&n.ordering.hit_cost);
-                        w.packed_u32(&n.ordering.miss_cost);
-                    }
-                    match &n.star {
-                        Star::None => w.u8(0),
-                        Star::All(c) => {
-                            w.u8(1);
-                            node(c, w, ctx);
-                        }
-                        Star::Else(c) => {
-                            w.u8(2);
-                            node(c, w, ctx);
-                        }
-                    }
-                    for e in &n.edges {
-                        node(&e.child, w, ctx);
-                    }
-                }
-            }
-        }
-        let mut w = ByteWriter::new();
-        tree.header.encode(&mut w);
-        w.seq_len(tree.leaves.len());
-        let mut prev = Vec::new();
-        for l in 0..tree.leaves.len() as u32 {
-            persist::write_id_diff(&mut w, &mut prev, tree.leaves.get(l));
-        }
-        node(&tree.root, &mut w, &OrderCtx::new(&tree.header));
-        w.into_bytes()
-    }
-
-    fn search_derived(search: SearchStrategy) -> bool {
-        !matches!(search, SearchStrategy::Linear(o) if !matches!(o, ValueOrder::Natural(_)))
-    }
-
+    /// The builder tests every attribute once, at the level the
+    /// attribute order gives it: an order that is not a permutation of
+    /// the schema is refused.
     #[test]
-    fn the_automaton_writes_the_section_the_tree_wrote_and_raises_the_tree() {
-        use ens_dist::{Density, DistOverDomain, JointDist};
-        let (schema, ps) = example1();
-        // An unsatisfiable specific profile leaves an edge-less `(*)`
-        // node, whose ordering the codec writes out.
-        let mut ps2 = ps.clone();
-        ps2.insert_with(|b| b.predicate("a3", Predicate::ge(10)))
-            .unwrap();
-        ps2.insert_with(|b| {
-            b.predicate("a2", Predicate::In(vec![]))?
-                .predicate("a3", Predicate::ge(10))
-        })
-        .unwrap();
-        let model = JointDist::independent(
-            schema
-                .iter()
-                .map(|(_, a)| DistOverDomain::new(Density::gaussian(0.7, 0.2), a.domain().size()))
-                .collect(),
-        )
-        .unwrap();
-        let mut searches = vec![
-            SearchStrategy::Binary,
-            SearchStrategy::Interpolation,
-            SearchStrategy::Hash,
-        ];
-        searches.extend(ValueOrder::ALL.map(SearchStrategy::Linear));
-        for search in searches {
-            for ablate in [false, true] {
-                for ps in [&ps, &ps2] {
-                    let config = TreeConfig {
-                        search,
-                        event_model: Some(model.clone()),
-                        disable_early_termination: ablate,
-                        disable_cell_merging: ablate,
-                        ..TreeConfig::default()
-                    };
-                    let tree = ProfileTree::build(ps, &config).unwrap();
-                    let image = section(&tree.header, &tree);
-                    assert_eq!(image, section_off_the_tree(&tree), "{search:?}");
-                    let dfsa = Dfsa::from_tree(&tree);
-                    let kept = (0..dfsa.state_count() as u32).any(|s| dfsa.ordering(s).is_some());
-                    if search_derived(search) {
-                        // Only the edge-less `(*)` node's is kept.
-                        assert_eq!(kept, std::ptr::eq(ps, &ps2), "{search:?}");
-                    }
-                    let raised = ProfileTree::raise(&dfsa, tree.header.clone());
-                    assert_eq!(raised, tree, "{search:?}");
-                }
-            }
+    fn decoding_refuses_an_attribute_order_that_is_not_a_permutation() {
+        for order in [&[0, 0][..], &[0], &[0, 1, 1], &[0, 2]] {
+            let image = section(TreeConfig::default(), order, |w| {
+                node_head(w, 0, None, 0);
+                star_to_leaf(w, 1);
+            });
+            let refused = decode(&image).unwrap_err();
+            assert!(
+                refused.message().contains("permutation"),
+                "{order:?}: {refused}"
+            );
         }
+    }
+
+    /// ... and a node that does not test its level's attribute is
+    /// refused, at the root, below it, and below the last level.
+    #[test]
+    fn decoding_refuses_a_node_off_its_level() {
+        let swapped = section(TreeConfig::default(), &[0, 1], |w| {
+            node_head(w, 1, None, 0);
+            star_to_leaf(w, 0);
+        });
+        let repeated = section(TreeConfig::default(), &[0, 1], |w| {
+            node_head(w, 0, None, 0);
+            star_to_leaf(w, 0);
+        });
+        let too_deep = section(TreeConfig::default(), &[0, 1], |w| {
+            node_head(w, 0, None, 0);
+            w.u8(1);
+            w.vu32(1);
+            w.seq_len(0);
+            w.u8(0);
+            w.u8(1);
+            star_to_leaf(w, 0);
+        });
+        for image in [swapped, repeated, too_deep] {
+            let refused = decode(&image).unwrap_err();
+            assert!(refused.message().contains("level"), "{refused}");
+        }
+        let reordered = section(TreeConfig::default(), &[1, 0], |w| {
+            node_head(w, 1, None, 0);
+            star_to_leaf(w, 0);
+        });
+        assert!(decode(&reordered).is_ok());
+    }
+
+    /// A point mass at `event`: under it Eq. 2 is the event's own count,
+    /// level by level.
+    fn point_mass(schema: &Schema, event: &Event) -> ens_dist::JointDist {
+        let indexed = ens_types::IndexedEvent::resolve(schema, event).unwrap();
+        let marginals = schema.iter().zip(indexed.raw()).map(|((_, a), &i)| {
+            let cell = (IndexInterval::new(i, i + 1), 1.0);
+            ens_dist::DistOverDomain::from_cells(a.domain().size(), &[cell]).unwrap()
+        });
+        ens_dist::JointDist::independent(marginals.collect()).unwrap()
+    }
+
+    /// Eq. 2's operations at each level, under a point mass at `event`.
+    fn per_level(tree: &Dfsa, schema: &Schema, event: &Event) -> Vec<u64> {
+        let model = point_mass(schema, event);
+        let cost = crate::CostModel::new(tree, &model)
+            .unwrap()
+            .evaluate()
+            .unwrap();
+        let levels = cost.per_level().iter();
+        levels
+            .map(|l| (l.match_ops + l.reject_ops).round() as u64)
+            .collect()
     }
 
     #[test]
     fn per_level_ops_sum_to_total() {
         let (schema, ps) = example1();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let out = tree
-            .match_event(&schema, &event(&schema, 40, 95, 40))
-            .unwrap();
-        assert_eq!(out.per_level().iter().sum::<u64>(), out.ops());
-        assert_eq!(out.per_level().len(), 3);
+        let tree = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
+        let e = event(&schema, 40, 95, 40);
+        let levels = per_level(&tree, &schema, &e);
+        assert_eq!(levels.len(), 3);
+        assert_eq!(
+            levels.iter().sum::<u64>(),
+            tree.match_event(&schema, &e).unwrap().ops()
+        );
     }
 
     #[test]
     fn natural_linear_costs_match_hand_count() {
         let (schema, ps) = example1();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let tree = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         // Event (30, 90, 2): level a1 edges are [-30,-20], [30,35), [35,50];
         // 30 sits in the second edge -> 2 ops. Level a2 edges (branch of
         // P2,P3,P5): [80,90), [90,100]; 90 in the second -> 2 ops. Level
@@ -1583,14 +1280,17 @@ mod tests {
         let out = tree
             .match_event(&schema, &event(&schema, 30, 90, 2))
             .unwrap();
-        assert_eq!(out.per_level(), &[2, 2, 2]);
+        assert_eq!(
+            per_level(&tree, &schema, &event(&schema, 30, 90, 2)),
+            [2, 2, 2]
+        );
         assert_eq!(out.ops(), 6);
     }
 
     #[test]
     fn rejected_event_pays_early_termination_only() {
         let (schema, ps) = example1();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let tree = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         // a1 = 0 falls in the gap between [-30,-20] and [30,35): the
         // natural ascending scan stops at the second edge (2 ops) and
         // there is no (*) at the root.
@@ -1599,15 +1299,18 @@ mod tests {
             .unwrap();
         assert!(!out.is_match());
         assert_eq!(out.ops(), 2);
-        assert_eq!(out.per_level(), &[2, 0, 0]);
+        assert_eq!(
+            per_level(&tree, &schema, &event(&schema, 0, 90, 2)),
+            [2, 0, 0]
+        );
     }
 
     #[test]
     fn structure_counts() {
         let (_, ps) = example1();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        assert!(tree.node_count() > 3);
-        assert!(tree.leaf_count() >= 5);
+        let tree = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
+        assert!(tree.state_count() > 3);
+        assert!(tree.leaf_count() >= 4);
         assert!(tree.edge_count() >= tree.leaf_count());
         assert_eq!(tree.profile_count(), 5);
         assert_eq!(tree.attribute_order().len(), 3);
@@ -1616,7 +1319,7 @@ mod tests {
     #[test]
     fn render_reproduces_fig1_structure() {
         let (_, ps) = example1();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let tree = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         let text = tree.render();
         // Root edges of Fig. 1 (inclusive integer-grid rendering).
         assert!(text.contains("a1 in [-30, -20]"), "{text}");
@@ -1635,7 +1338,7 @@ mod tests {
     fn interpolation_and_hash_strategies_agree_with_oracle() {
         let (schema, ps) = example1();
         for search in [SearchStrategy::Interpolation, SearchStrategy::Hash] {
-            let tree = ProfileTree::build(
+            let tree = Dfsa::build(
                 &ps,
                 &TreeConfig {
                     search,
@@ -1669,7 +1372,7 @@ mod tests {
             ps.insert_with(|b| b.predicate("x", Predicate::eq(v)))
                 .unwrap();
         }
-        let tree = ProfileTree::build(
+        let tree = Dfsa::build(
             &ps,
             &TreeConfig {
                 search: SearchStrategy::Hash,
@@ -1697,7 +1400,7 @@ mod tests {
             .unwrap(); // p1, high values
         let v2 = SearchStrategy::Linear(ValueOrder::ProfileProb(Direction::Descending));
         // Equal weights: natural tie-break scans p0's range first.
-        let equal = ProfileTree::build(
+        let equal = Dfsa::build(
             &ps,
             &TreeConfig {
                 search: v2,
@@ -1708,7 +1411,7 @@ mod tests {
         let hi = Event::builder(&schema).value("x", 85).unwrap().build();
         assert_eq!(equal.match_event(&schema, &hi).unwrap().ops(), 2);
         // Prioritising p1 moves its range to the front of the node.
-        let weighted = ProfileTree::build(
+        let weighted = Dfsa::build(
             &ps,
             &TreeConfig {
                 search: v2,
@@ -1740,7 +1443,7 @@ mod tests {
             };
             assert!(
                 matches!(
-                    ProfileTree::build(&ps, &config),
+                    Dfsa::build(&ps, &config),
                     Err(FilterError::ModelMismatch { .. })
                 ),
                 "invalid weights must be rejected"
@@ -1752,7 +1455,7 @@ mod tests {
     fn empty_profile_set_matches_nothing() {
         let (schema, _) = example1();
         let ps = ProfileSet::new(&schema);
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let tree = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         let out = tree.match_event(&schema, &event(&schema, 0, 0, 1)).unwrap();
         assert!(!out.is_match());
     }
@@ -1769,14 +1472,14 @@ mod tests {
             ..TreeConfig::default()
         };
         assert!(matches!(
-            ProfileTree::build(&ps, &bad),
+            Dfsa::build(&ps, &bad),
             Err(FilterError::ModelMismatch { .. })
         ));
         let short = TreeConfig {
             attribute_order: AttributeOrder::Explicit(vec![AttrId::new(0)]),
             ..TreeConfig::default()
         };
-        assert!(ProfileTree::build(&ps, &short).is_err());
+        assert!(Dfsa::build(&ps, &short).is_err());
     }
 
     #[test]
@@ -1787,7 +1490,7 @@ mod tests {
             ..TreeConfig::default()
         };
         assert!(matches!(
-            ProfileTree::build(&ps, &config),
+            Dfsa::build(&ps, &config),
             Err(FilterError::MissingDistribution { .. })
         ));
     }
@@ -1803,7 +1506,7 @@ mod tests {
             ..TreeConfig::default()
         };
         assert!(matches!(
-            ProfileTree::build(&ps, &config),
+            Dfsa::build(&ps, &config),
             Err(FilterError::ModelMismatch { .. })
         ));
         let wrong_size = JointDist::independent(vec![
@@ -1816,6 +1519,6 @@ mod tests {
             event_model: Some(wrong_size),
             ..TreeConfig::default()
         };
-        assert!(ProfileTree::build(&ps, &config).is_err());
+        assert!(Dfsa::build(&ps, &config).is_err());
     }
 }

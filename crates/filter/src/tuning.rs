@@ -25,9 +25,10 @@ use ens_types::ProfileSet;
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
+use crate::dfsa::Dfsa;
 use crate::order::SearchStrategy;
 use crate::selectivity::AttributeMeasure;
-use crate::tree::{AttributeOrder, ProfileTree, TreeConfig};
+use crate::tree::{AttributeOrder, TreeConfig};
 use crate::{Direction, FilterError, FilterSnapshot, ValueOrder};
 
 /// The smallest predicted fractional improvement (`1 − best/stale`) a
@@ -84,7 +85,7 @@ const ATTRIBUTE_ORDERS: [AttributeOrder; 3] = [
 /// is intentional: a retune accepted on the tombstone margin reclaims
 /// real per-event cost by folding them out.
 ///
-/// The winning candidate's tree — `profiles` compiled under `base`
+/// The winning candidate's automaton — `profiles` compiled under `base`
 /// with the decision's attribute order and search strategy and
 /// `joint` for an event model — is handed back with the decision,
 /// so a caller that accepts it commits the tree that was priced
@@ -103,9 +104,9 @@ pub fn evaluate(
     profiles: &ProfileSet,
     base: &TreeConfig,
     joint: &JointDist,
-) -> Result<(RetuneDecision, Option<ProfileTree>), FilterError> {
+) -> Result<(RetuneDecision, Option<Dfsa>), FilterError> {
     let stale_ops = current.expected_ops(joint)? + overlay_len as f64;
-    let mut best: Option<(f64, SearchStrategy, AttributeOrder, ProfileTree)> = None;
+    let mut best: Option<(f64, SearchStrategy, AttributeOrder, Dfsa)> = None;
     for search in STRATEGIES {
         for order in &ATTRIBUTE_ORDERS {
             let config = TreeConfig {
@@ -114,7 +115,7 @@ pub fn evaluate(
                 event_model: Some(joint.clone()),
                 ..base.clone()
             };
-            let Ok(tree) = ProfileTree::build(profiles, &config) else {
+            let Ok(tree) = Dfsa::build(profiles, &config) else {
                 continue;
             };
             let Ok(cost) = CostModel::new(&tree, joint).and_then(|m| m.evaluate()) else {

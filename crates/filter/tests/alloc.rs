@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ens_filter::baseline::NaiveMatcher;
 use ens_filter::{
-    BlockScratch, Dfsa, FilterSnapshot, MatchScratch, Matcher, OverlayIndex, ProfileTree,
-    SnapshotBlockScratch, SnapshotScratch, TreeConfig,
+    BlockScratch, Dfsa, FilterSnapshot, MatchScratch, Matcher, OverlayIndex, SnapshotBlockScratch,
+    SnapshotScratch, TreeConfig,
 };
 use ens_types::{
     CoverOutcome, CoverSet, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile,
@@ -109,17 +109,12 @@ fn workload() -> (Schema, ProfileSet, Vec<Event>) {
 #[test]
 fn warm_fast_paths_allocate_nothing() {
     let (schema, ps, events) = workload();
-    let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-    let dfsa = Dfsa::from_tree(&tree);
+    let dfsa = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
     let naive = NaiveMatcher::new(&ps).unwrap();
     let counting = OverlayIndex::new(&ps).unwrap();
 
-    let matchers: [(&str, &dyn Matcher); 4] = [
-        ("dfsa", &dfsa),
-        ("tree", &tree),
-        ("naive", &naive),
-        ("counting", &counting),
-    ];
+    let matchers: [(&str, &dyn Matcher); 3] =
+        [("dfsa", &dfsa), ("naive", &naive), ("counting", &counting)];
     for (name, matcher) in matchers {
         let mut indexed = IndexedEvent::new();
         let mut scratch = MatchScratch::new();
@@ -150,8 +145,7 @@ fn warm_fast_paths_allocate_nothing() {
     // must also be allocation-free once the batch and block scratch
     // have grown to their steady-state footprint.
     {
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
+        let dfsa = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         let mut batch = IndexedBatch::new();
         let mut block = BlockScratch::new();
         let mut run = |check: &mut u64| {
@@ -179,8 +173,7 @@ fn warm_fast_paths_allocate_nothing() {
 
     // A checkpoint-reloaded snapshot is a first-class matcher: after
     // the serde round trip (overlay and tombstones included) and one
-    // warm-up pass, its per-event and block paths — tree and DFSA
-    // dispatch both — must match the original allocation-for-
+    // warm-up pass, its per-event and block paths must match the original allocation-for-
     // allocation: zero.
     {
         let overlay: ProfileSet = {

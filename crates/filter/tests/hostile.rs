@@ -9,9 +9,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ens_dist::Density;
+use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::persist::crc32;
-use ens_filter::{FilterSnapshot, SnapshotBlockScratch, SnapshotScratch, TreeConfig};
+use ens_filter::{
+    Direction, FilterSnapshot, SearchStrategy, SnapshotBlockScratch, SnapshotScratch, TreeConfig,
+    ValueOrder,
+};
 use ens_types::{
     CoverOutcome, CoverSet, Domain, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId,
     ProfileSet, Schema,
@@ -234,6 +237,35 @@ fn small_snapshot(covering: bool) -> Vec<u8> {
         .to_bytes()
 }
 
+/// A V1 image: `x` in 0..=9, profiles `x in [0, 1]`, `x in [4, 5]` and
+/// `x >= 8`, scanned in ascending event probability under a falling
+/// density — so its root's ordering is written out, and a changed byte
+/// can land in it.
+fn v1_snapshot() -> Vec<u8> {
+    let schema = Schema::builder()
+        .attribute("x", Domain::int(0, 9))
+        .unwrap()
+        .build();
+    let mut profiles = ProfileSet::new(&schema);
+    for p in [
+        Predicate::between(0, 1),
+        Predicate::between(4, 5),
+        Predicate::ge(8),
+    ] {
+        profiles.insert_with(|b| b.predicate("x", p)).unwrap();
+    }
+    let config = TreeConfig {
+        search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Ascending)),
+        event_model: Some(
+            JointDist::independent(vec![DistOverDomain::new(Density::falling(), 10)]).unwrap(),
+        ),
+        ..TreeConfig::default()
+    };
+    FilterSnapshot::compile(&profiles, &config)
+        .unwrap()
+        .to_bytes()
+}
+
 /// Every single-byte change of `image`, resealed: no decode panics or
 /// overspends its budget, and whatever decodes matches only ids below
 /// `base_len + overlay_len`, each once and ascending, per event and per
@@ -337,14 +369,22 @@ proptest! {
         // and a covered version 5 one written with its partitions and
         // an event model its shape does not read, both decoded and then
         // dropped (`x` in 0..=3; profiles `x <= 1`, `x = 1` inside it
-        // and `x >= 2`; the natural order under a falling density): a
-        // changed domain bound, leaf id or leaf reference
-        // must not reach `Domain::size` or the dispatch tables.
+        // and `x >= 2`; the natural order under a falling density), and
+        // a V1 one, whose written ordering is swept too: a changed
+        // domain bound, leaf id, leaf reference or scan table must not
+        // reach `Domain::size` or the dispatch tables, nor a match.
         let v4: &[u8] = include_bytes!("fixtures/covered_small_snapshot_v4.bin");
         let unread: &[u8] = include_bytes!("fixtures/tiny_unread_model_v5.bin");
         let loaded = FilterSnapshot::from_bytes(unread).unwrap();
         prop_assert!(loaded.tree().config().event_model.is_none());
-        for image in [small_snapshot(false), small_snapshot(true), v4.to_vec(), unread.to_vec()] {
+        let images = [
+            small_snapshot(false),
+            small_snapshot(true),
+            v4.to_vec(),
+            unread.to_vec(),
+            v1_snapshot(),
+        ];
+        for image in images {
             let decoded = sweep_every_byte(&image);
             prop_assert!(decoded > 0 && decoded < 255 * image.len(), "{decoded} decoded");
         }

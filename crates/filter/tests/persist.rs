@@ -177,7 +177,7 @@ proptest! {
         prop_assert_eq!(reloaded.overlay_cover_entries(), overlay_cover);
         let shape = |d: &Dfsa| (d.state_count(), d.leaf_count(), d.jump_state_count());
         prop_assert_eq!(shape(reloaded.dfsa()), shape(original.dfsa()));
-        prop_assert_eq!(shape(reloaded.dfsa()), shape(&Dfsa::from_tree(reloaded.tree())));
+        prop_assert_eq!(reloaded.dfsa().edge_count(), original.dfsa().edge_count());
 
         // Serialization is deterministic: a second trip is identical.
         prop_assert_eq!(&reloaded.to_bytes(), &bytes);
@@ -308,7 +308,7 @@ fn assert_loads_as_fresh(old: &FilterSnapshot, fresh: &FilterSnapshot, events: &
         (d.state_count(), d.leaf_count(), d.jump_state_count())
     };
     assert_eq!(shape(old), shape(fresh));
-    assert_eq!(old.dfsa().state_count(), old.tree().node_count());
+    assert_eq!(old.dfsa().edge_count(), fresh.dfsa().edge_count());
     let (mut a, mut b) = (SnapshotScratch::new(), SnapshotScratch::new());
     let (mut c, mut d) = (MatchScratch::new(), MatchScratch::new());
     for e in events {

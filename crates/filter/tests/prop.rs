@@ -4,13 +4,15 @@ use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::{
     binary_hit_cost, binary_miss_cost, AttributeMeasure, AttributeOrder, AttributePartition,
     BlockScratch, CostModel, Dfsa, Direction, FilterSnapshot, MatchScratch, Matcher, NodeOrdering,
-    ProfileTree, SearchStrategy, SnapshotScratch, TreeConfig, ValueOrder,
+    SearchStrategy, SnapshotScratch, TreeConfig, ValueOrder,
 };
 use ens_types::{
     AttrId, CoverSet, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId,
     ProfileSet, Schema, Value,
 };
 use proptest::prelude::*;
+
+mod reference;
 
 const D: u64 = 24;
 
@@ -110,7 +112,7 @@ fn arb_profiles2() -> impl Strategy<Value = ProfileSet> {
 }
 
 /// The distinct non-empty leaf lists of `tree`, read off its rendering.
-fn distinct_leaves(tree: &ProfileTree) -> usize {
+fn distinct_leaves(tree: &Dfsa) -> usize {
     let text = tree.render();
     let leaves = text
         .lines()
@@ -121,16 +123,16 @@ fn distinct_leaves(tree: &ProfileTree) -> usize {
 
 proptest! {
     /// Oracle agreement of every matching path: on random profile sets
-    /// and random (possibly partial) events, the tree's `match_event`,
-    /// the `match_into` fast path and the CSR DFSA return the oracle's
-    /// profile set — including events with missing attributes and
-    /// `(*)`-edge fallthrough past don't-care profiles — and the DFSA
-    /// counts exactly the tree's operations, event by event, through
-    /// `match_into` and `match_block`: under every search strategy, with
-    /// and without early termination, for missing values and for values
-    /// below and above a node's span (out-of-domain indices included).
-    /// The automaton has one state per inner node and one leaf per
-    /// distinct non-empty leaf list.
+    /// and random (possibly partial) events, the automaton's
+    /// `match_event`, `match_into` and `match_block` return the
+    /// oracle's profile set — including events with missing attributes
+    /// and `(*)`-edge fallthrough past don't-care profiles — and the
+    /// block counts what the single path counts, event by event: under
+    /// every search strategy, with and without early termination, for
+    /// missing values and for values below and above a node's span
+    /// (out-of-domain indices included). The automaton holds one leaf
+    /// per distinct non-empty leaf list. (What the ops are is held by
+    /// the reference walker, below.)
     #[test]
     fn fast_paths_agree_with_oracle(
         ps in arb_profiles2(),
@@ -154,7 +156,7 @@ proptest! {
         for row in &rows {
             batch.push_raw(row.raw());
         }
-        let (mut scratch, mut by_tree) = (MatchScratch::new(), MatchScratch::new());
+        let mut scratch = MatchScratch::new();
         let mut block = BlockScratch::new();
         let searches = ValueOrder::ALL
             .iter()
@@ -168,30 +170,23 @@ proptest! {
                     disable_early_termination,
                     ..TreeConfig::default()
                 };
-                let tree = ProfileTree::build(&ps, &config).unwrap();
-                let dfsa = Dfsa::from_tree(&tree);
-                prop_assert_eq!(dfsa.state_count(), tree.node_count(), "node i is state i");
-                prop_assert_eq!(dfsa.leaf_count(), distinct_leaves(&tree), "each leaf list once");
+                let dfsa = Dfsa::build(&ps, &config).unwrap();
+                prop_assert_eq!(dfsa.leaf_count(), distinct_leaves(&dfsa), "each leaf list once");
                 dfsa.match_block(&batch, &mut block);
                 for (i, row) in rows.iter().enumerate() {
                     let at = (search, disable_early_termination, row.raw());
-                    tree.match_into(row, &mut by_tree);
                     dfsa.match_into(row, &mut scratch);
-                    prop_assert_eq!(scratch.profiles(), by_tree.profiles(), "CSR dfsa scratch {:?}", at);
-                    prop_assert_eq!(scratch.ops(), by_tree.ops(), "dfsa ops {:?}", at);
-                    prop_assert_eq!(block.profiles_of(i), by_tree.profiles(), "dfsa block {:?}", at);
-                    prop_assert_eq!(block.ops_of(i), by_tree.ops(), "dfsa block ops {:?}", at);
+                    prop_assert_eq!(block.profiles_of(i), scratch.profiles(), "dfsa block {:?}", at);
+                    prop_assert_eq!(block.ops_of(i), scratch.ops(), "dfsa block ops {:?}", at);
 
                     let Ok(e) = row.to_event(&schema) else {
                         continue; // out of domain: no event, no oracle
                     };
                     let oracle = ps.matches(&e).unwrap();
-                    prop_assert_eq!(by_tree.profiles(), oracle.as_slice(), "tree scratch {:?}", at);
-                    let out = tree.match_event(&schema, &e).unwrap();
-                    prop_assert_eq!(out.profiles(), oracle.as_slice(), "tree at {:?}", at);
-                    prop_assert_eq!(out.ops(), by_tree.ops(), "scratch ops agree with match_event");
+                    prop_assert_eq!(scratch.profiles(), oracle.as_slice(), "dfsa scratch {:?}", at);
                     let out = dfsa.match_event(&schema, &e).unwrap();
-                    prop_assert_eq!(out.profiles(), oracle.as_slice(), "CSR dfsa event {:?}", at);
+                    prop_assert_eq!(out.profiles(), oracle.as_slice(), "dfsa event {:?}", at);
+                    prop_assert_eq!(out.ops(), scratch.ops(), "scratch ops agree with match_event");
                 }
             }
         }
@@ -202,7 +197,7 @@ proptest! {
     /// covering on and off, a tree compiled with a model is the tree
     /// compiled without: no model kept, the same nodes, leaf pool and
     /// scan orders (one image, byte for byte), and the same matches and
-    /// ops per event on both engines.
+    /// ops per event, whatever the engine `bool` says.
     #[test]
     fn a_model_the_shape_does_not_read_changes_nothing(
         ps in arb_profiles2(),
@@ -255,8 +250,8 @@ proptest! {
                     };
                     let (with, without) = (compile(Some(model.clone())), compile(None));
                     let at = (search, order, covering);
-                    prop_assert!(with.tree().config().event_model.is_none(), "{:?}", at);
-                    prop_assert_eq!(with.tree().node_count(), without.tree().node_count());
+                    prop_assert!(with.dfsa().config().event_model.is_none(), "{:?}", at);
+                    prop_assert_eq!(with.dfsa().state_count(), without.dfsa().state_count());
                     prop_assert_eq!(with.dfsa().leaf_count(), without.dfsa().leaf_count());
                     prop_assert!(with.to_bytes() == without.to_bytes(), "{:?}", at);
                     for row in &rows {
@@ -385,7 +380,7 @@ proptest! {
             SearchStrategy::Interpolation,
             SearchStrategy::Hash,
         ] {
-            let tree = ProfileTree::build(&ps, &TreeConfig {
+            let tree = Dfsa::build(&ps, &TreeConfig {
                 search,
                 event_model: Some(joint.clone()),
                 ..TreeConfig::default()
@@ -417,11 +412,11 @@ proptest! {
     fn uniform_weights_are_identity(ps in arb_profiles(), x in 0..D as i64) {
         let schema = ps.schema().clone();
         let v2 = SearchStrategy::Linear(ValueOrder::ProfileProb(Direction::Descending));
-        let unweighted = ProfileTree::build(&ps, &TreeConfig {
+        let unweighted = Dfsa::build(&ps, &TreeConfig {
             search: v2,
             ..TreeConfig::default()
         }).unwrap();
-        let weighted = ProfileTree::build(&ps, &TreeConfig {
+        let weighted = Dfsa::build(&ps, &TreeConfig {
             search: v2,
             profile_weights: Some(vec![2.5; ps.len()]),
             ..TreeConfig::default()
@@ -438,14 +433,23 @@ proptest! {
     // Each case compiles, encodes and reloads its profiles 704 ways.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Lowering is invertible: the tree a snapshot raises from its
-    /// automaton and header is the tree it was compiled from, and so
-    /// is the one a reload raises; a snapshot compiled from the raised
-    /// tree writes the same image. Under every search strategy and
+    /// The automaton matches and counts what the tree its checkpoint
+    /// image writes matches and counts, event by event, walked by the
+    /// reference walker off the image itself; the image reloads into an
+    /// automaton that writes it again; and Eq. 2's per-level breakdown
+    /// is the walker's per-level count summed over the whole event
+    /// space, weighted by the model. Under every search strategy and
     /// attribute order, covered and not, with and without the two
     /// ablations and profile weights.
     #[test]
-    fn raising_inverts_lowering(ps in arb_profiles3(), weight in 0.5f64..4.0) {
+    fn reference_walker_agrees_with_the_automaton(
+        ps in arb_profiles3(),
+        weight in 0.5f64..4.0,
+        events in prop::collection::vec(
+            (prop::option::of(0..D + 2), prop::option::of(0..D3 as u64 + 2)),
+            1..24,
+        ),
+    ) {
         let schema = ps.schema().clone();
         let model = JointDist::independent(vec![
             DistOverDomain::new(Density::falling(), D),
@@ -455,6 +459,17 @@ proptest! {
         let cover =
             CoverSet::build_bulk(&schema, ps.iter().map(|p| (p.id().index() as u32, p))).unwrap();
         let reps = FilterSnapshot::cover_representatives(&ps, &cover).unwrap();
+        let rows: Vec<IndexedEvent> = events
+            .iter()
+            .map(|&(x, y)| IndexedEvent::from_indices(vec![x, y]))
+            .collect();
+        let grid: Vec<(IndexedEvent, f64)> = (0..D)
+            .flat_map(|x| (0..D3 as u64).map(move |y| (x, y)))
+            .map(|(x, y)| {
+                let p = model.marginals()[0].prob_index(x) * model.marginals()[1].prob_index(y);
+                (IndexedEvent::from_indices(vec![Some(x), Some(y)]), p)
+            })
+            .collect();
         let searches = ValueOrder::ALL
             .iter()
             .map(|o| SearchStrategy::Linear(*o))
@@ -468,6 +483,7 @@ proptest! {
                 orders.push(AttributeOrder::Selectivity { measure, direction });
             }
         }
+        let mut scratch = MatchScratch::new();
         for search in searches {
             for order in &orders {
                 for (covering, compiled) in [(false, &ps), (true, &reps)] {
@@ -483,23 +499,62 @@ proptest! {
                                     (0..compiled.len()).map(|k| weight + k as f64).collect()
                                 }),
                             };
-                            let tree = ProfileTree::build(compiled, &config).unwrap();
-                            let cover = covering.then_some(&cover);
                             let at = (search, order, covering, ablate, weighted);
-                            let snap =
-                                FilterSnapshot::from_tree(tree.clone(), ps.len(), cover).unwrap();
+                            let snap = if covering {
+                                FilterSnapshot::compile_with_cover(&ps, &cover, &config)
+                            } else {
+                                FilterSnapshot::compile(&ps, &config)
+                            }
+                            .unwrap();
                             let image = snap.to_bytes();
-                            prop_assert!(snap.tree() == &tree, "{:?}", at);
-                            let again =
-                                FilterSnapshot::from_tree(snap.tree().clone(), ps.len(), cover)
-                                    .unwrap();
-                            prop_assert!(again.to_bytes() == image, "{:?}", at);
                             let loaded = FilterSnapshot::from_bytes(&image).unwrap();
-                            prop_assert!(loaded.tree() == &tree, "{:?}", at);
-                            let eq2 = CostModel::new(&tree, &model).unwrap().evaluate().unwrap();
-                            let eq2 = eq2.expected_total_ops();
-                            let priced = snap.expected_ops(&model).unwrap();
-                            prop_assert!((priced - eq2).abs() <= 1e-9 * eq2.max(1.0), "{:?}", at);
+                            prop_assert!(loaded.to_bytes() == image, "{:?}", at);
+                            let tree = reference::Tree::read(&image);
+                            let dfsa = snap.dfsa();
+                            prop_assert_eq!(dfsa.state_count(), tree.inner_nodes(), "node i is state i");
+                            for row in &rows {
+                                let walk = tree.walk(row);
+                                for d in [dfsa, loaded.dfsa()] {
+                                    d.match_into(row, &mut scratch);
+                                    prop_assert_eq!(scratch.profiles(), &walk.profiles[..], "{:?} {:?}", at, row.raw());
+                                    prop_assert_eq!(scratch.ops(), walk.ops, "{:?} {:?}", at, row.raw());
+                                }
+                            }
+                            if ablate || weighted {
+                                continue;
+                            }
+                            let eq2 = CostModel::new(dfsa, &model).unwrap().evaluate().unwrap();
+                            let mut levels = vec![0.0; 2];
+                            for (row, p) in &grid {
+                                let walk = tree.walk(row);
+                                for (k, ops) in walk.per_level.iter().enumerate() {
+                                    levels[k] += p * *ops as f64;
+                                }
+                            }
+                            for (level, enumerated) in eq2.per_level().iter().zip(&levels) {
+                                let priced = level.match_ops + level.reject_ops;
+                                prop_assert!(
+                                    (priced - enumerated).abs() <= 1e-9 * enumerated.max(1.0),
+                                    "{:?}: level {:?} priced {} vs enumerated {}", at, level.attr, priced, enumerated
+                                );
+                            }
+                            prop_assert_eq!(eq2.per_level().len(), 2);
+                            // Per profile: the chance of notifying it and
+                            // the operations that takes.
+                            let mut profiles = vec![(0.0, 0.0); dfsa.profile_count()];
+                            for (row, p) in &grid {
+                                let walk = tree.walk(row);
+                                for id in &walk.profiles {
+                                    profiles[id.index()].0 += p;
+                                    profiles[id.index()].1 += p * walk.ops as f64;
+                                }
+                            }
+                            for (priced, (prob, spent)) in eq2.per_profile().iter().zip(&profiles) {
+                                prop_assert!((priced.prob - prob).abs() <= 1e-9, "{:?}", at);
+                                let per = if *prob > 0.0 { spent / prob } else { 0.0 };
+                                let got = priced.ops_per_notification();
+                                prop_assert!((got - per).abs() <= 1e-9 * per.max(1.0), "{:?}", at);
+                            }
                         }
                     }
                 }
@@ -593,19 +648,57 @@ fn e2e_populations() -> Vec<(&'static str, ProfileSet, JointDist)> {
     ]
 }
 
-/// Eq. 2 priced on the automaton is Eq. 2 priced on the tree, to 1e-9
-/// relative, on the end-to-end populations: covered and not, at the
-/// default shape and in event order.
+/// Eq. 2 priced on the automaton is Eq. 2 as the pointer tree priced
+/// it, to 1e-9 relative, on the end-to-end populations, covered and
+/// not, at the default shape and in event order: expected operations
+/// (total, rejection), match probability, expected notifications, the
+/// mean operations per notified profile, and each level's match and
+/// rejection operations. The figures were computed by walking the
+/// pointer tree, before the automaton became the one compiled form.
 #[test]
 fn the_automaton_prices_what_the_tree_prices() {
+    /// Population, event order, covering; totals; per level (match,
+    /// reject).
+    type Priced = (&'static str, bool, bool, [f64; 5], &'static [(f64, f64)]);
+    #[rustfmt::skip]
+    const PRICED: [Priced; 24] = [
+        ("fanout_env", false, false, [27.035329628420865, 0.34763603217609185, 0.6523639678239072, 96.54152260866391, 53.799553749518886], &[(25.052377644345746, 0.045317864775551206), (0.73658244895795, 0.3023181674005406), (0.8987335029410782, 0.0)]),
+        ("fanout_env", false, true, [19.64617623056936, 0.3476360321760918, 0.652363967823908, 6.2392017873804715, 38.33432701132746], &[(17.78166721685912, 0.045317864775551206), (0.73658244895795, 0.30231816740054057), (0.7802905325761975, 0.0)]),
+        ("fanout_env", true, false, [22.24975914747455, 0.34763603217609185, 0.6523639678239072, 96.54152260866391, 44.770595340150244], &[(20.287428426021375, 0.045317864775551206), (0.7380579934767928, 0.3023181674005406), (0.8766366958002888, 0.0)]),
+        ("fanout_env", true, true, [13.90442469792243, 0.5289074912782966, 0.652363967823908, 6.2392017873804715, 27.179488343635253], &[(11.89827296696198, 0.22658932387775604), (0.7380579934767928, 0.30231816740054057), (0.7391862462053606, 0.0)]),
+        ("durable_churn", false, false, [27.03076099042291, 0.34763603217609185, 0.6523639678239068, 47.74441639316953, 53.612401203782184], &[(25.052377644345746, 0.045317864775551206), (0.73658244895795, 0.3023181674005406), (0.8941648649431208, 0.0)]),
+        ("durable_churn", false, true, [18.587376304898203, 0.34763603217609185, 0.6523639678239074, 5.75628640745648, 37.04085173728312], &[(16.724607685603893, 0.045317864775551206), (0.7365824489579499, 0.3023181674005406), (0.7785501381602715, 0.0)]),
+        ("durable_churn", true, false, [22.23818755041093, 0.34763603217609185, 0.6523639678239068, 47.74441639316953, 44.921299370971916], &[(20.287428426021375, 0.045317864775551206), (0.7380579934767928, 0.3023181674005406), (0.8650650987366704, 0.0)]),
+        ("durable_churn", true, true, [13.034434336605697, 0.5289074912782967, 0.6523639678239074, 5.75628640745648, 26.192328992970495], &[(11.02523079933764, 0.22658932387775604), (0.7380579934767927, 0.3023181674005406), (0.7422380525129684, 0.0)]),
+        ("selective_10k", false, false, [94.53882219789085, 2.3847559091716932, 0.1718280930626308, 0.18516403725931627, 86.20502294333448], &[(44.84748793877286, 0.0), (46.83437114796834, 0.5428385927514155), (0.47220720197796096, 1.8419173164202776)]),
+        ("selective_10k", false, true, [94.52735321120946, 2.3847559091716932, 0.17182809306263083, 0.18513425749078719, 86.24343586979512], &[(44.84748793877286, 0.0), (46.823267259364734, 0.5428385927514155), (0.4718421039001862, 1.8419173164202778)]),
+        ("selective_10k", true, false, [47.89636807651412, 1.1973088966012149, 0.1718280930626308, 0.18516403725931627, 85.59720581089844], &[(23.305257762955495, 0.0), (23.029556704950235, 0.2650238371136358), (0.36424471200717723, 0.9322850594875791)]),
+        ("selective_10k", true, true, [47.895792154543045, 1.1973088966012149, 0.17182809306263083, 0.18513425749078719, 85.55861326710675], &[(23.305257762955495, 0.0), (23.029084987816827, 0.2650238371136358), (0.36414050716951074, 0.932285059487579)]),
+        ("covered_100k", false, false, [84.91755380441884, 2.686224131055553, 0.3882020527992207, 1.6420029977606991, 87.32783833902005], &[(44.84748793877286, 0.0), (35.83723225480411, 0.0), (1.5466094797863215, 2.686224131055553)]),
+        ("covered_100k", false, true, [72.47957937626384, 2.2929135484487673, 0.3882020527992222, 0.455709486060315, 67.47680716428891], &[(44.84748793877286, 0.0), (23.996338134271795, 0.0), (1.3428397547704194, 2.2929135484487673)]),
+        ("covered_100k", true, false, [43.73810286349434, 0.8228484658388625, 0.3882020527992207, 1.6420029977606991, 88.95841431270269], &[(23.305257762955495, 0.0), (18.58051471928733, 0.0), (1.0294819154126535, 0.8228484658388625)]),
+        ("covered_100k", true, true, [35.68997521525563, 0.8679681527998395, 0.3882020527992222, 0.455709486060315, 64.16209832868347], &[(23.305257762955495, 0.0), (10.621110861523018, 0.0), (0.8956384379772779, 0.8679681527998395)]),
+        ("batch_sharded", false, false, [196.54687355203845, 62.94610505748269, 0.6970665739789133, 23.13003586452682, 173.41905079781472], &[(2.3349999999999995, 0.0), (128.21462913257213, 62.94441024022931), (3.0511393619836045, 0.0016948172533777727)]),
+        ("batch_sharded", false, true, [76.04428771381981, 23.72032958545111, 0.6970665739789105, 6.413467850694991, 71.43253396348828], &[(2.3349999999999995, 0.0), (46.93781876638513, 23.718634768197735), (3.0511393619835774, 0.0016948172533777727)]),
+        ("batch_sharded", true, false, [73.74278698068467, 0.3030047594041511, 0.6970665739789133, 23.13003586452682, 104.87422999448836], &[(2.3349999999999995, 0.0), (68.88287701023394, 0.3012386087677104), (2.2219052110465882, 0.0017661506364406976)]),
+        ("batch_sharded", true, true, [30.286084482131805, 0.3030047594041511, 0.6970665739789105, 6.413467850694991, 40.93937008132291], &[(2.3349999999999995, 0.0), (25.42617451168106, 0.3012386087677104), (2.2219052110465944, 0.0017661506364406976)]),
+        ("fed_line3", false, false, [290.0319999999999, 151.5282, 0.5, 3.449200000000003, 276.0901366600661], &[(138.50379999999993, 151.5282)]),
+        ("fed_line3", false, true, [4.8724, 2.6224, 0.5, 0.5, 4.5], &[(2.25, 2.6224)]),
+        ("fed_line3", true, false, [72.41469999999987, 0.5910000000000001, 0.5, 3.449200000000003, 156.6010593795379], &[(71.82369999999987, 0.5910000000000001)]),
+        ("fed_line3", true, true, [4.145099999999999, 1.8950999999999998, 0.5, 0.5, 4.5], &[(2.25, 1.8950999999999998)]),
+    ];
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-300);
+    let mut priced = PRICED.iter();
     for (name, ps, model) in e2e_populations() {
         let schema = ps.schema().clone();
         let cover =
             CoverSet::build_bulk(&schema, ps.iter().map(|p| (p.id().index() as u32, p))).unwrap();
-        for search in [
-            SearchStrategy::default(),
-            SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
-        ] {
+        for event_order in [false, true] {
+            let search = if event_order {
+                SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending))
+            } else {
+                SearchStrategy::default()
+            };
             let config = TreeConfig {
                 search,
                 event_model: Some(model.clone()),
@@ -617,16 +710,32 @@ fn the_automaton_prices_what_the_tree_prices() {
                 } else {
                     FilterSnapshot::compile(&ps, &config).unwrap()
                 };
-                let priced = snap.expected_ops(&model).unwrap();
-                let eq2 = CostModel::new(snap.tree(), &model)
+                let at = (name, event_order, covering);
+                let &(pin_name, pin_order, pin_covering, totals, levels) = priced.next().unwrap();
+                assert_eq!((pin_name, pin_order, pin_covering), at);
+                let eq2 = CostModel::new(snap.dfsa(), &model)
                     .unwrap()
                     .evaluate()
-                    .unwrap()
-                    .expected_total_ops();
+                    .unwrap();
+                let got = [
+                    eq2.expected_total_ops(),
+                    eq2.expected_reject_ops(),
+                    eq2.match_probability(),
+                    eq2.expected_notifications(),
+                    eq2.avg_ops_per_profile(),
+                ];
+                for (got, pinned) in got.iter().zip(totals) {
+                    assert!(close(*got, pinned), "{at:?}: {got:?} vs {totals:?}");
+                }
                 assert!(
-                    (priced - eq2).abs() <= 1e-9 * eq2,
-                    "{name} {search:?} covering {covering}: {priced} vs {eq2}"
+                    close(snap.expected_ops(&model).unwrap(), totals[0]),
+                    "{at:?}"
                 );
+                assert_eq!(eq2.per_level().len(), levels.len(), "{at:?}");
+                for (level, &(matched, rejected)) in eq2.per_level().iter().zip(levels) {
+                    assert!(close(level.match_ops, matched), "{at:?}: {level:?}");
+                    assert!(close(level.reject_ops, rejected), "{at:?}: {level:?}");
+                }
             }
         }
     }

@@ -106,16 +106,10 @@ pub struct BrokerConfig {
     /// `publish_batch` runs one worker per shard, shard 0 on the
     /// calling thread.
     pub shards: usize,
-    /// Match the compiled base through the flattened DFSA (the
-    /// default) rather than the profile tree. Both find the same
-    /// subscriptions and count the same comparison operations, so
-    /// receipts, metrics and the decision journal read alike either
-    /// way; the automaton just gets there without searching. `false`
-    /// is the reference path: each shard's tree is raised from its
-    /// automaton on first use ([`FilterSnapshot::tree`]) and runs the
-    /// configured search for real, so its wall-clock follows the
-    /// counted operations. It stays for the end-to-end benchmark
-    /// harness until that harness serves from the automaton alone.
+    /// Selects nothing: every shard is compiled to, and matched
+    /// through, its automaton, whatever this says. Kept only because
+    /// the frozen end-to-end benchmark harness names it; ROADMAP items
+    /// 1(b) and 2(d) delete it.
     pub dfsa_dispatch: bool,
     /// Record every Nth published event into the per-shard drift
     /// statistics (1 = every event, the default; 0 disables drift
@@ -196,8 +190,7 @@ pub struct PublishReceipt {
     /// Subscriptions notified by this event (ascending id).
     pub matched: Vec<SubscriptionId>,
     /// Comparison operations spent filtering: the compiled base's as
-    /// its tree's search counts them (Eq. 2), on either
-    /// [`BrokerConfig::dfsa_dispatch`] path, plus the overlay's.
+    /// its tree's search counts them (Eq. 2), plus the overlay's.
     pub ops: u64,
 }
 
@@ -887,9 +880,8 @@ impl Broker {
     /// The batch is resolved **once** into an [`IndexedBatch`] shared
     /// by every shard worker, and each worker drives it through
     /// [`FilterSnapshot::match_block`] — the DFSA's interleaved
-    /// multi-event traversal when [`BrokerConfig::dfsa_dispatch`] is
-    /// set — so per-event dispatch overhead is paid once per block, not
-    /// once per event.
+    /// multi-event traversal — so per-event dispatch overhead is paid
+    /// once per block, not once per event.
     ///
     /// Each shard processes the whole batch in order against one
     /// consistent snapshot, so every subscriber receives its
@@ -1102,8 +1094,7 @@ impl Broker {
             panic!("injected batch worker fault (shard {shard_idx})");
         }
         out.begin(snap.filter.base_len() + snap.filter.overlay_len());
-        snap.filter
-            .match_block(indexed, &mut out.rows, self.config.dfsa_dispatch);
+        snap.filter.match_block(indexed, &mut out.rows, true);
         out.deliver(snap, events, base_seq);
     }
 
@@ -1145,8 +1136,7 @@ impl Broker {
         sequence: u64,
         out: &mut Delivery,
     ) {
-        snap.filter
-            .match_into(indexed, scratch, self.config.dfsa_dispatch);
+        snap.filter.match_into(indexed, scratch, true);
         out.ops += scratch.ops();
         out.overlay_ops += scratch.overlay_ops();
         out.cover_checks += scratch.cover_checks();
@@ -1299,7 +1289,7 @@ impl Broker {
             let t0 = Instant::now();
             // Only uncovered overlay entries carry the tuner's overlay
             // floor.
-            let (decision, tree) = tuning::evaluate(
+            let (decision, built) = tuning::evaluate(
                 &snap.filter,
                 w.overlay_uncovered(),
                 &staged.compiled,
@@ -1312,12 +1302,11 @@ impl Broker {
             let refused = (!decision.accepted).then_some(DeclineReason::BelowTuningThreshold);
             staged.config.attribute_order = decision.attribute_order;
             staged.config.search = decision.search;
-            let tree = tree.filter(|_| refused.is_none());
-            let filter = tree.map(|tree| staged.lower(tree)).transpose()?;
+            let built = built.filter(|_| refused.is_none());
+            let filter = built.map(|d| staged.compile(Some(d))).transpose()?;
             (filter, decision.stale_ops, decision.best_ops, refused)
         } else {
-            let tree = staged.build_tree()?;
-            let filter = staged.lower(tree)?;
+            let filter = staged.compile(None)?;
             let stale_ops = snap.filter.expected_ops(&model)?;
             let new_ops = filter.expected_ops(&model)?;
             (Some(filter), stale_ops, new_ops, None)

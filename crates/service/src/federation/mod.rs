@@ -119,7 +119,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use ens_filter::{BlockScratch, Dfsa, Matcher, ProfileTree, TreeConfig};
+use ens_filter::{BlockScratch, Dfsa, Matcher, TreeConfig};
 use ens_types::{
     profile_signature, CoverOutcome, CoverSet, Event, IndexedBatch, IndexedEvent, Profile,
     ProfileSet, Schema,
@@ -285,9 +285,8 @@ impl PeerInterest {
             // `admit` stored only profiles that lower, which is all a
             // default-configured build can refuse.
             self.filter = (!set.is_empty())
-                .then(|| ProfileTree::build(&set, &TreeConfig::default()).ok())
-                .flatten()
-                .map(|tree| Dfsa::from_tree(&tree));
+                .then(|| Dfsa::build(&set, &TreeConfig::default()).ok())
+                .flatten();
         }
         self.filter.as_ref()
     }

@@ -15,8 +15,8 @@
 //! WAL trim dropped and kept, and how long the log was held for it.
 //! And every recompile of a shard, whatever asked for it
 //! ([`Decision::Compacted`]): how many profiles went in and what each
-//! stage of the compile pipeline — event model, containment pass, tree,
-//! lowering — cost under the shard's writer lock.
+//! stage of the compile pipeline — event model, containment pass, the
+//! tree built into its automaton — cost under the shard's writer lock.
 //!
 //! [`Broker::decisions`]: crate::Broker::decisions
 
@@ -133,12 +133,11 @@ pub enum Decision {
         model_ns: u64,
         /// The bulk containment pass (0 with covering off).
         cover_ns: u64,
-        /// The tree build (0 where the tuner's battery built the tree:
-        /// that time is in `MetricsSnapshot::tuning_nanos`).
+        /// The tree build, straight into the automaton, and the
+        /// covering expansion plan (where the tuner's battery built the
+        /// automaton, the plan alone: the build is in
+        /// `MetricsSnapshot::tuning_nanos`).
         tree_ns: u64,
-        /// Lowering the tree to the DFSA and the covering expansion
-        /// index.
-        lower_ns: u64,
     },
     /// A checkpoint generation was written (automatic, or by
     /// [`Broker::checkpoint`](crate::Broker::checkpoint) or

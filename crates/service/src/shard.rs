@@ -27,8 +27,7 @@ use std::time::{Duration, Instant};
 
 use ens_dist::JointDist;
 use ens_filter::{
-    AttributeOrder, DriftTracker, FilterSnapshot, ProfileTree, RebinnedHistory, SearchStrategy,
-    TreeConfig,
+    AttributeOrder, Dfsa, DriftTracker, FilterSnapshot, RebinnedHistory, SearchStrategy, TreeConfig,
 };
 use ens_types::{CoverOutcome, CoverSet, Profile, ProfileSet, Residual, Schema};
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -190,13 +189,12 @@ pub(super) struct Staged {
     history: RebinnedHistory,
     /// Time spent on this recompile so far (pricing it excluded), and
     /// the parts of it that went into the containment pass, the event
-    /// model (zero for a shape that reads none), the tree build and
-    /// the lowering.
+    /// model (zero for a shape that reads none) and the build of the
+    /// automaton and its expansion plan.
     pub(super) spent: Duration,
     cover_time: Duration,
     model_time: Duration,
     tree_time: Duration,
-    lower_time: Duration,
 }
 
 impl Staged {
@@ -210,30 +208,20 @@ impl Staged {
         }
     }
 
-    /// Compiles the tree for the staged population and configuration.
-    pub(super) fn build_tree(&mut self) -> Result<ProfileTree, ServiceError> {
+    /// Compiles the filter a commit serves from for the staged
+    /// population and configuration: its automaton, or `built` where
+    /// the tuner has built and priced that automaton already, and the
+    /// expansion plan.
+    pub(super) fn compile(&mut self, built: Option<Dfsa>) -> Result<FilterSnapshot, ServiceError> {
         let t0 = Instant::now();
-        let tree = ProfileTree::build(&self.compiled, &self.config)?;
+        let dfsa = match built {
+            Some(dfsa) => dfsa,
+            None => Dfsa::build(&self.compiled, &self.config)?,
+        };
+        let filter = FilterSnapshot::from_dfsa(dfsa, self.population, self.cover.as_ref())?;
         self.tree_time = t0.elapsed();
         self.spent += self.tree_time;
-        Ok(tree)
-    }
-
-    /// Lowers `tree`, compiled from the staged population, into the
-    /// filter a commit serves from.
-    pub(super) fn lower(&mut self, tree: ProfileTree) -> Result<FilterSnapshot, ServiceError> {
-        let t0 = Instant::now();
-        let filter = FilterSnapshot::from_tree(tree, self.population, self.cover.as_ref())?;
-        self.lower_time = t0.elapsed();
-        self.spent += self.lower_time;
         Ok(filter)
-    }
-
-    /// Builds and lowers the filter for the staged population and
-    /// configuration.
-    fn compile(&mut self) -> Result<FilterSnapshot, ServiceError> {
-        let tree = self.build_tree()?;
-        self.lower(tree)
     }
 }
 
@@ -489,7 +477,6 @@ impl ShardWriter {
             cover_time,
             model_time,
             tree_time: Duration::ZERO,
-            lower_time: Duration::ZERO,
         })
     }
 
@@ -849,7 +836,7 @@ impl ShardGuard<'_> {
     ) -> Result<(), ServiceError> {
         let mut staged = self.w.stage(&change, tree)?;
         let recompile = Recompile {
-            filter: staged.compile()?,
+            filter: staged.compile(None)?,
             staged,
             migrated: false,
             counter,
@@ -872,7 +859,6 @@ impl ShardGuard<'_> {
                     model_ns: r.staged.model_time.as_nanos() as u64,
                     cover_ns: r.staged.cover_time.as_nanos() as u64,
                     tree_ns: r.staged.tree_time.as_nanos() as u64,
-                    lower_ns: r.staged.lower_time.as_nanos() as u64,
                 };
                 w.tracker.finish_rebuild(r.staged.history, r.migrated)?;
                 let snapshot = w.snapshot_after(&change, Source::Compiled(r.filter))?;

@@ -10,8 +10,7 @@
 use std::sync::Arc;
 
 use ens_filter::{
-    Direction, DriftCause, Matcher, ProfileTree, RebuildPolicy, SearchStrategy, TreeConfig,
-    ValueOrder,
+    Dfsa, Direction, DriftCause, Matcher, RebuildPolicy, SearchStrategy, TreeConfig, ValueOrder,
 };
 use ens_service::{
     Broker, BrokerConfig, Decision, DeclineReason, DurabilityConfig, FaultFs, FsyncPolicy,
@@ -460,7 +459,7 @@ fn priced_tree_is_the_tree_committed() {
         stats.record_event(e).unwrap();
     }
     let model = stats.empirical_model().unwrap();
-    let tree = ProfileTree::build(
+    let tree = Dfsa::build(
         &w.profiles,
         &TreeConfig {
             event_model: Some(model.clone()),
@@ -468,7 +467,7 @@ fn priced_tree_is_the_tree_committed() {
         },
     )
     .unwrap();
-    // The broker priced the automaton; Eq. 2 on the tree agrees.
+    // The broker priced its automaton; Eq. 2 on one built afresh agrees.
     let repriced = ens_filter::CostModel::new(&tree, &model)
         .and_then(|m| m.evaluate())
         .unwrap()
@@ -485,7 +484,7 @@ fn priced_tree_is_the_tree_committed() {
 
 /// Every recompile journals itself, whatever asked for it: the bulk
 /// load leaves one record a shard, and a drift rebuild's record comes
-/// just before the decision it belongs to, its four stages inside the
+/// just before the decision it belongs to, its three stages inside the
 /// rebuild's wall-clock cost.
 #[test]
 fn recompiles_journal_their_stage_costs() {
@@ -531,7 +530,6 @@ fn recompiles_journal_their_stage_costs() {
         model_ns,
         cover_ns,
         tree_ns,
-        lower_ns,
         ..
     }, Decision::DriftRebuilt {
         shard: rebuilt,
@@ -545,6 +543,6 @@ fn recompiles_journal_their_stage_costs() {
     assert_eq!(compacted, rebuilt);
     assert_eq!(population, populations[rebuilt], "a rebuild moves nobody");
     // The natural order reads no event model, so none is built.
-    assert!(model_ns == 0 && tree_ns > 0 && lower_ns > 0);
-    assert!(model_ns + cover_ns + tree_ns + lower_ns <= rebuild_ns);
+    assert!(model_ns == 0 && tree_ns > 0);
+    assert!(model_ns + cover_ns + tree_ns <= rebuild_ns);
 }

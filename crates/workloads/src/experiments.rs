@@ -12,7 +12,7 @@ use std::time::Instant;
 use ens_dist::stats::{PrecisionStopper, RunningStats};
 use ens_dist::{Density, DistOverDomain, DistributionCatalog, JointDist};
 use ens_filter::{
-    AttributeMeasure, AttributeOrder, CostModel, Direction, MatchScratch, Matcher, ProfileTree,
+    AttributeMeasure, AttributeOrder, CostModel, Dfsa, Direction, MatchScratch, Matcher,
     SearchStrategy, TreeConfig, ValueOrder,
 };
 use ens_types::{Domain, IndexedEvent, Predicate, ProfileSet, Schema};
@@ -106,7 +106,7 @@ fn evaluate_strategy(
         event_model: Some(joint.clone()),
         ..TreeConfig::default()
     };
-    let tree = ProfileTree::build(profiles, &config)?;
+    let tree = Dfsa::build(profiles, &config)?;
     Ok(CostModel::new(&tree, joint)?.evaluate()?)
 }
 
@@ -398,7 +398,7 @@ pub struct MeasuredRun {
 ///
 /// Propagates matching errors.
 pub fn run_measured(
-    tree: &ProfileTree,
+    tree: &Dfsa,
     generator: &EventGenerator,
     stopper: PrecisionStopper,
     max_events: u64,
@@ -507,7 +507,7 @@ mod tests {
     #[test]
     fn run_measured_respects_cap_and_stopper() {
         let (ps, joint) = single_attribute_setup("gauss", "gauss", 30, 100, 5).unwrap();
-        let tree = ProfileTree::build(
+        let tree = Dfsa::build(
             &ps,
             &TreeConfig {
                 event_model: Some(joint.clone()),
@@ -587,7 +587,7 @@ pub fn run_tv_suite(seed: u64) -> Result<TvReport, WorkloadError> {
         ..TreeConfig::default()
     };
     let t0 = Instant::now();
-    let tree = ProfileTree::build(&profiles, &config)?;
+    let tree = Dfsa::build(&profiles, &config)?;
     let tv1_build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let generator = EventGenerator::new(&schema, joint)?;
     let stopper = PrecisionStopper::paper_default();
@@ -608,7 +608,7 @@ pub fn run_tv_suite(seed: u64) -> Result<TvReport, WorkloadError> {
         event_model: Some(sjoint.clone()),
         ..TreeConfig::default()
     };
-    let stree = ProfileTree::build(&sprofiles, &sconfig)?;
+    let stree = Dfsa::build(&sprofiles, &sconfig)?;
     let sgen = EventGenerator::new(sprofiles.schema(), sjoint.clone())?;
     // TV3 posts exactly 4,000 events (no early stop).
     let tv3 = run_measured(
@@ -694,7 +694,7 @@ pub struct AdaptiveSweepRow {
 }
 
 /// Sweeps the drift detector's threshold ([`ens_filter::DriftTracker`]
-/// over a V1 [`ProfileTree`]) on a workload whose event distribution
+/// over a V1 [`Dfsa`]) on a workload whose event distribution
 /// shifts between two peaks (the §5 scenario: "the algorithm … has to
 /// maintain a history of events in order to determine the event
 /// distribution").
@@ -738,7 +738,7 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
             event_model: Some(tracker.statistics().empirical_model()?),
             ..TreeConfig::default()
         };
-        let mut tree = ProfileTree::build(&profiles, &config)?;
+        let mut tree = Dfsa::build(&profiles, &config)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut total_ops = 0u64;
         let mut events = 0u64;
@@ -758,7 +758,7 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
                 if let Some(signal) = tracker.observe(&e)? {
                     let history = tracker.rebin(&profiles, None)?;
                     config.event_model = Some(history.model(None)?);
-                    tree = ProfileTree::build(&profiles, &config)?;
+                    tree = Dfsa::build(&profiles, &config)?;
                     tracker.finish_rebuild(history, signal.cause == DriftCause::Moved)?;
                     rebuilds += 1;
                 }
@@ -826,7 +826,7 @@ pub fn ablation_table() -> Result<FigureTable, WorkloadError> {
                 disable_cell_merging: *no_merge,
                 ..TreeConfig::default()
             };
-            let tree = ProfileTree::build(ps, &config)?;
+            let tree = Dfsa::build(ps, &config)?;
             s.values.push(
                 CostModel::new(&tree, joint)?
                     .evaluate()?

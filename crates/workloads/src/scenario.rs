@@ -228,11 +228,11 @@ mod tests {
 
     #[test]
     fn environmental_matching_end_to_end() {
-        use ens_filter::{MatchScratch, Matcher, ProfileTree, TreeConfig};
+        use ens_filter::{Dfsa, MatchScratch, Matcher, TreeConfig};
         let schema = environmental_schema();
         let mut rng = StdRng::seed_from_u64(4);
         let ps = environmental_profiles(50, &mut rng).unwrap();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+        let tree = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
         let gen =
             crate::EventGenerator::new(&schema, environmental_event_model().unwrap()).unwrap();
         let (mut indexed, mut scratch) = (ens_types::IndexedEvent::new(), MatchScratch::new());

@@ -7,7 +7,7 @@
 //! Run with `cargo run --example environmental_monitoring`.
 
 use ens::filter::{
-    AttributeMeasure, AttributeOrder, CostModel, Direction, Matcher, ProfileTree, SearchStrategy,
+    AttributeMeasure, AttributeOrder, CostModel, Dfsa, Direction, Matcher, SearchStrategy,
     TreeConfig, ValueOrder,
 };
 use ens::workloads::scenario;
@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Compare the plain tree against the fully distribution-optimised
     // one (V1 value order + A2 attribute order).
-    let plain = ProfileTree::build(&profiles, &TreeConfig::default())?;
-    let optimised = ProfileTree::build(
+    let plain = Dfsa::build(&profiles, &TreeConfig::default())?;
+    let optimised = Dfsa::build(
         &profiles,
         &TreeConfig {
             attribute_order: AttributeOrder::Selectivity {

@@ -30,11 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0.into(),
     )?);
 
-    // 3. Build the profile tree and match events.
-    let tree = ProfileTree::build(&profiles, &TreeConfig::default())?;
+    // 3. Build the profile tree, as its automaton, and match events.
+    let tree = Dfsa::build(&profiles, &TreeConfig::default())?;
     println!(
-        "tree: {} inner nodes, {} edges, {} leaves for {} profiles",
-        tree.node_count(),
+        "tree: {} inner nodes, {} edges, {} distinct leaves for {} profiles",
+        tree.state_count(),
         tree.edge_count(),
         tree.leaf_count(),
         tree.profile_count()

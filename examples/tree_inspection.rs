@@ -1,13 +1,14 @@
 //! Inspecting the profile tree: reproduce the paper's Example 1 / Fig. 1
-//! structure, print the tree, the attribute selectivities and the
-//! analytic cost breakdown, then reorder it like Fig. 2 and compare.
+//! structure, print the tree as its compiled automaton holds it, the
+//! attribute selectivities and the analytic cost breakdown, then
+//! reorder it like Fig. 2 and compare.
 //!
 //! Run with `cargo run --example tree_inspection`.
 
 use ens::dist::{Density, DistOverDomain, JointDist};
 use ens::filter::{
     attribute_selectivities, AttributeMeasure, AttributeOrder, AttributePartition, CostModel,
-    Direction, ProfileTree, SearchStrategy, TreeConfig, ValueOrder,
+    Direction, SearchStrategy, TreeConfig, ValueOrder,
 };
 use ens::prelude::*;
 use ens::types::parse::parse_profile;
@@ -62,8 +63,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ])?;
 
-    let natural = ProfileTree::build(&profiles, &TreeConfig::default())?;
-    println!("=== Fig. 1: the natural-order profile tree ===");
+    let natural = Dfsa::build(&profiles, &TreeConfig::default())?;
+    println!(
+        "=== Fig. 1: the natural-order profile tree ({} states, {} edges, {} leaves) ===",
+        natural.state_count(),
+        natural.edge_count(),
+        natural.leaf_count()
+    );
     print!("{}", natural.render());
 
     // The global elementary subranges of each attribute (Fig. 1's edges
@@ -77,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nattribute selectivities  A1 = {s1:?}");
     println!("                         A2 = {s2:?}");
 
-    let reordered = ProfileTree::build(
+    let reordered = Dfsa::build(
         &profiles,
         &TreeConfig {
             attribute_order: AttributeOrder::Selectivity {

@@ -43,12 +43,12 @@
 //!         .predicate("humidity", Predicate::ge(90))
 //! })?;
 //!
-//! let tree = ProfileTree::build(&profiles, &TreeConfig::default())?;
+//! let dfsa = Dfsa::build(&profiles, &TreeConfig::default())?;
 //! let event = Event::builder(&schema)
 //!     .value("temperature", 40)?
 //!     .value("humidity", 95)?
 //!     .build();
-//! let outcome = tree.match_event(&schema, &event)?;
+//! let outcome = dfsa.match_event(&schema, &event)?;
 //! assert_eq!(outcome.profiles().len(), 1);
 //! # Ok(())
 //! # }
@@ -73,8 +73,8 @@ pub use ens_workloads as workloads;
 pub mod prelude {
     pub use ens_dist::{DistOverDomain, DistributionCatalog, Histogram};
     pub use ens_filter::{
-        AttributeMeasure, MatchScratch, Matcher, ProfileTree, RebuildPolicy, SearchStrategy,
-        TreeConfig, ValueOrder,
+        AttributeMeasure, Dfsa, MatchScratch, Matcher, RebuildPolicy, SearchStrategy, TreeConfig,
+        ValueOrder,
     };
     pub use ens_service::{Broker, BrokerConfig, Subscriber};
     pub use ens_types::{

@@ -5,7 +5,7 @@ use ens::dist::JointDist;
 use ens::filter::baseline::NaiveMatcher;
 use ens::filter::{
     AttributeMeasure, AttributeOrder, Dfsa, Direction, MatchScratch, Matcher, OverlayIndex,
-    ProfileTree, SearchStrategy, TreeConfig, ValueOrder,
+    SearchStrategy, TreeConfig, ValueOrder,
 };
 use ens::prelude::*;
 use ens::types::IndexedEvent;
@@ -42,11 +42,10 @@ fn all_matchers_agree(profiles: &ProfileSet, joint: &JointDist, events: usize, s
             ..TreeConfig::default()
         },
     ];
-    let trees: Vec<ProfileTree> = configs
+    let dfsas: Vec<Dfsa> = configs
         .iter()
-        .map(|c| ProfileTree::build(profiles, c).unwrap())
+        .map(|c| Dfsa::build(profiles, c).unwrap())
         .collect();
-    let dfsas: Vec<Dfsa> = trees.iter().map(Dfsa::from_tree).collect();
     let naive = NaiveMatcher::new(profiles).unwrap();
     // The counting baseline: the overlay index over the whole population.
     let counting = OverlayIndex::new(profiles).unwrap();
@@ -60,22 +59,11 @@ fn all_matchers_agree(profiles: &ProfileSet, joint: &JointDist, events: usize, s
             generator.sample(&mut rng)
         };
         let oracle = profiles.matches(&e).unwrap();
-        for (i, tree) in trees.iter().enumerate() {
-            let got = tree.match_event(schema, &e).unwrap();
+        for (i, dfsa) in dfsas.iter().enumerate() {
             assert_eq!(
-                got.profiles(),
+                dfsa.match_event(schema, &e).unwrap().profiles(),
                 oracle.as_slice(),
-                "tree config {i} event {k}"
-            );
-            assert_eq!(
-                got.per_level().iter().sum::<u64>(),
-                got.ops(),
-                "per-level ops consistency, config {i}"
-            );
-            assert_eq!(
-                dfsas[i].match_event(schema, &e).unwrap().profiles(),
-                oracle.as_slice(),
-                "dfsa {i} event {k}"
+                "dfsa config {i} event {k}"
             );
         }
         assert_eq!(
@@ -162,7 +150,7 @@ fn profile_round_trip_through_json_preserves_matching() {
     let profiles = scenario::stock_profiles(50, &mut rng).unwrap();
     let json = serde_json::to_string(&profiles).unwrap();
     let restored: ProfileSet = serde_json::from_str(&json).unwrap();
-    let tree = ProfileTree::build(&restored, &TreeConfig::default()).unwrap();
+    let tree = Dfsa::build(&restored, &TreeConfig::default()).unwrap();
     let generator =
         EventGenerator::new(profiles.schema(), scenario::stock_event_model().unwrap()).unwrap();
     for _ in 0..100 {

@@ -4,8 +4,7 @@
 
 use ens::filter::baseline::NaiveMatcher;
 use ens::filter::{
-    Dfsa, Direction, MatchScratch, Matcher, OverlayIndex, ProfileTree, SearchStrategy, TreeConfig,
-    ValueOrder,
+    Dfsa, Direction, MatchScratch, Matcher, OverlayIndex, SearchStrategy, TreeConfig, ValueOrder,
 };
 use ens::prelude::*;
 use ens::types::parse::{parse_event, parse_profile};
@@ -98,17 +97,15 @@ fn every_matcher_agrees_on_the_full_mixed_event_space() {
     let counting = OverlayIndex::new(&ps).unwrap();
     let mut scratch = MatchScratch::new();
     for config in configs {
-        let tree = ProfileTree::build(&ps, &config).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
+        let dfsa = Dfsa::build(&ps, &config).unwrap();
         for e in all_events(&schema) {
             let oracle = ps.matches(&e).unwrap();
             assert_eq!(
-                tree.match_event(&schema, &e).unwrap().profiles(),
+                dfsa.match_event(&schema, &e).unwrap().profiles(),
                 oracle.as_slice(),
                 "{config:?} on {}",
                 e.display(&schema)
             );
-            assert_eq!(dfsa.match_event(&schema, &e).unwrap().profiles(), oracle);
             assert_eq!(
                 naive.match_event(&schema, &e).unwrap().profiles(),
                 oracle.as_slice()
@@ -123,7 +120,7 @@ fn every_matcher_agrees_on_the_full_mixed_event_space() {
 fn float_values_snap_to_the_grid_consistently() {
     let schema = weather_schema();
     let ps = profiles(&schema);
-    let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
+    let tree = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
     // 6.4 snaps to 6.5 on the 0.5-step grid: still <= 6.5.
     let e = Event::builder(&schema)
         .value("ph", Value::float(6.4).unwrap())

@@ -5,8 +5,8 @@
 use ens::dist::{Density, DistOverDomain, JointDist};
 use ens::filter::baseline::NaiveMatcher;
 use ens::filter::{
-    CostModel, Dfsa, Direction, MatchScratch, Matcher, OverlayIndex, ProfileTree, SearchStrategy,
-    TreeConfig, ValueOrder,
+    CostModel, Dfsa, Direction, MatchScratch, Matcher, OverlayIndex, SearchStrategy, TreeConfig,
+    ValueOrder,
 };
 use ens::prelude::*;
 use ens::types::{IndexedEvent, Profile};
@@ -82,12 +82,11 @@ proptest! {
     #[test]
     fn matchers_agree_with_oracle(ps in arb_profiles(12), events in prop::collection::vec(arb_event(), 8)) {
         let schema = ps.schema().clone();
-        let tree = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let binary = ProfileTree::build(&ps, &TreeConfig {
+        let dfsa = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
+        let binary = Dfsa::build(&ps, &TreeConfig {
             search: SearchStrategy::Binary,
             ..TreeConfig::default()
         }).unwrap();
-        let dfsa = Dfsa::from_tree(&tree);
         let naive = NaiveMatcher::new(&ps).unwrap();
         // The counting baseline: the overlay index over the whole set.
         let counting = OverlayIndex::new(&ps).unwrap();
@@ -95,8 +94,6 @@ proptest! {
         for t in &events {
             let e = build_event(&schema, t);
             let oracle = ps.matches(&e).unwrap();
-            let via_tree = tree.match_event(&schema, &e).unwrap();
-            prop_assert_eq!(via_tree.profiles(), oracle.as_slice());
             let via_binary = binary.match_event(&schema, &e).unwrap();
             prop_assert_eq!(via_binary.profiles(), oracle.as_slice());
             prop_assert_eq!(dfsa.match_event(&schema, &e).unwrap().profiles(), oracle.as_slice());
@@ -121,7 +118,7 @@ proptest! {
             SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
             SearchStrategy::Binary,
         ] {
-            let tree = ProfileTree::build(&ps, &TreeConfig {
+            let tree = Dfsa::build(&ps, &TreeConfig {
                 search,
                 event_model: Some(joint.clone()),
                 ..TreeConfig::default()
@@ -157,8 +154,8 @@ proptest! {
     #[test]
     fn attribute_order_is_semantically_transparent(ps in arb_profiles(10), events in prop::collection::vec(arb_event(), 6)) {
         let schema = ps.schema().clone();
-        let natural = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let reordered = ProfileTree::build(&ps, &TreeConfig {
+        let natural = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
+        let reordered = Dfsa::build(&ps, &TreeConfig {
             attribute_order: ens::filter::AttributeOrder::Explicit(vec![
                 ens::types::AttrId::new(2),
                 ens::types::AttrId::new(0),
@@ -178,8 +175,8 @@ proptest! {
     #[test]
     fn ablations_preserve_semantics(ps in arb_profiles(10), events in prop::collection::vec(arb_event(), 6)) {
         let schema = ps.schema().clone();
-        let default = ProfileTree::build(&ps, &TreeConfig::default()).unwrap();
-        let ablated = ProfileTree::build(&ps, &TreeConfig {
+        let default = Dfsa::build(&ps, &TreeConfig::default()).unwrap();
+        let ablated = Dfsa::build(&ps, &TreeConfig {
             disable_early_termination: true,
             disable_cell_merging: true,
             ..TreeConfig::default()
