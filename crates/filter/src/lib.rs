@@ -15,9 +15,11 @@
 //! * an **analytic cost model** ([`CostModel`]) implementing the paper's
 //!   Eq. 2 — expected comparison operations per event under arbitrary
 //!   event/profile distributions — priced on the compiled automaton;
-//! * **statistic objects** ([`FilterStatistics`]) and a
-//!   [`DriftTracker`] that asks for the tree to be restructured when
-//!   the observed event distribution drifts;
+//! * **statistic objects** ([`FilterStatistics`]: per attribute, the cut
+//!   points of the profiles' predicate bounds and one event-value count
+//!   per cell between them) and a [`DriftTracker`] that asks for the
+//!   tree to be restructured when the observed event distribution
+//!   drifts;
 //! * one compiled form, the [`Dfsa`]: [`Dfsa::build`] builds the
 //!   profile tree straight into a flat automaton, and a checkpoint
 //!   decodes into one; beside it the naive [`baseline`] matcher and the

@@ -225,9 +225,10 @@ impl DriftTracker {
     /// that is what the tree is compiled under and it holds
     /// observations, the uniform placeholder otherwise.
     fn baselines(stats: &FilterStatistics, estimate: bool) -> Result<Vec<Baseline>, FilterError> {
-        (0..stats.partitions().len())
-            .map(|j| {
-                let attr = AttrId::new(j as u32);
+        stats
+            .schema()
+            .ids()
+            .map(|attr| {
                 let observations = stats.event_observations(attr);
                 if estimate && observations > 0.0 {
                     Ok(Baseline {
@@ -236,9 +237,8 @@ impl DriftTracker {
                         noise_scale: stats.drift_noise_scale(attr)?,
                     })
                 } else {
-                    let cells = stats.partitions()[j].cells().len();
                     Ok(Baseline {
-                        pmf: Pmf::from_weights(vec![1.0; cells])?,
+                        pmf: Pmf::from_weights(vec![1.0; stats.cells(attr).len()])?,
                         observations: 0.0,
                         noise_scale: 0.0,
                     })
@@ -684,9 +684,9 @@ mod tests {
             .unwrap();
         let history = t.rebin(&bigger, None).unwrap();
         // Staged only: an abandoned rebuild leaves the tracker alone.
-        assert_eq!(t.statistics().partitions()[0].cells().len(), 5);
+        assert_eq!(t.statistics().cells(AttrId::new(0)).len(), 5);
         t.finish_rebuild(history, false).unwrap();
-        assert_eq!(t.statistics().partitions()[0].cells().len(), 7);
+        assert_eq!(t.statistics().cells(AttrId::new(0)).len(), 7);
         assert_eq!(t.statistics().events_posted(), 10, "history survives");
         assert_eq!(t.statistics().event_observations(AttrId::new(0)), 10.0);
         // The baseline is the estimate the tree was compiled under.

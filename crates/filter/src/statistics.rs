@@ -1,19 +1,15 @@
-//! Statistic objects: counters for events, attributes, operators and
-//! values (paper §4.2).
+//! Statistic objects: counters for events and values (paper §4.2).
 //!
 //! The prototype of the paper keeps counters that can either be filled
 //! by observing real events or "manipulated … in order to simulate a
 //! distribution". [`FilterStatistics`] does both: it bins observed event
-//! values into the per-attribute subrange partition, counts which
-//! operators the profile set uses, and can synthesise the empirical
-//! event model the adaptive filter rebuilds trees from.
-
-use std::collections::BTreeMap;
+//! values into the cells the profile set's predicate bounds cut each
+//! attribute's domain into, and can synthesise the empirical event model
+//! the adaptive filter rebuilds trees from.
 
 use ens_dist::{DistOverDomain, Histogram, JointDist, Pmf};
-use ens_types::{AttrId, Event, Operator, ProfileSet};
+use ens_types::{AttrId, Event, IndexInterval, ProfileSet};
 
-use crate::subrange::AttributePartition;
 use crate::FilterError;
 
 /// Laplace smoothing constant for the empirical event PMFs handed to
@@ -34,80 +30,87 @@ fn drift_alpha(total: f64) -> f64 {
     }
 }
 
-/// Counters over a profile set and its observed event stream.
+/// Value counters over the cells of a profile set.
+///
+/// Per attribute it keeps the ascending cut points of the profiles'
+/// lowered predicates — `0`, every interval endpoint, the domain size —
+/// and one count per cell between two consecutive cuts. Lowered sets
+/// are normalised, so every inner cut is a point where some profile's
+/// membership changes: these are the paper's elementary subranges
+/// (§3), without the lists of profiles that cover them.
 ///
 /// # Example
 ///
 /// ```
 /// use ens_filter::FilterStatistics;
-/// use ens_types::{Schema, Domain, Predicate, ProfileSet, Event, Operator};
+/// use ens_types::{AttrId, Schema, Domain, Predicate, ProfileSet, Event, IndexInterval};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let schema = Schema::builder().attribute("x", Domain::int(0, 99))?.build();
 /// let mut ps = ProfileSet::new(&schema);
 /// ps.insert_with(|b| b.predicate("x", Predicate::between(10, 19)))?;
 /// let mut stats = FilterStatistics::new(&ps)?;
-/// assert_eq!(stats.operator_count(Operator::Between), 1);
+/// let x = AttrId::new(0);
+/// let cells: Vec<IndexInterval> = stats.cells(x).collect();
+/// let bounds = [(0, 10), (10, 20), (20, 100)];
+/// assert_eq!(cells, bounds.map(|(lo, hi)| IndexInterval::new(lo, hi)));
 ///
 /// let e = Event::builder(&schema).value("x", 15)?.build();
 /// stats.record_event(&e)?;
 /// assert_eq!(stats.events_posted(), 1);
+/// assert_eq!(stats.event_count(x, 1), 1.0);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct FilterStatistics {
     schema: ens_types::Schema,
-    partitions: Vec<AttributePartition>,
+    /// Per attribute, the cell bounds: cell `k` is `[cuts[k], cuts[k+1])`.
+    cuts: Vec<Vec<u64>>,
     event_hists: Vec<Histogram>,
-    profile_counts: Vec<Vec<u64>>,
-    operator_counts: BTreeMap<Operator, u64>,
     events_posted: u64,
 }
 
 impl FilterStatistics {
-    /// Builds statistics for `profiles`: partitions every attribute and
-    /// counts profile references per cell and per operator.
+    /// Builds empty statistics over the cells of `profiles`.
     ///
     /// # Errors
     ///
     /// Propagates predicate lowering errors.
     pub fn new(profiles: &ProfileSet) -> Result<Self, FilterError> {
         let schema = profiles.schema();
-        let mut partitions = Vec::with_capacity(schema.len());
-        let mut profile_counts = Vec::with_capacity(schema.len());
+        let mut cuts = Vec::with_capacity(schema.len());
         let mut event_hists = Vec::with_capacity(schema.len());
         for (id, a) in schema.iter() {
-            let part = AttributePartition::build(profiles.iter(), id, a.domain())?;
-            profile_counts.push(
-                part.cells()
-                    .iter()
-                    .map(|c| c.profiles().len() as u64)
-                    .collect(),
-            );
-            event_hists.push(Histogram::new(part.cells().len()));
-            partitions.push(part);
-        }
-        let mut operator_counts = BTreeMap::new();
-        for p in profiles.iter() {
-            for pred in p.predicates() {
-                *operator_counts.entry(pred.operator()).or_insert(0) += 1;
+            // A don't-care lowers to the whole domain: `0` and `d`.
+            let mut at = vec![0, a.domain().size()];
+            for p in profiles.iter() {
+                let set = p.predicate(id).to_intervals(a.domain())?;
+                at.extend(set.iter().flat_map(|iv| [iv.lo(), iv.hi()]));
             }
+            at.sort_unstable();
+            at.dedup();
+            at.shrink_to_fit();
+            event_hists.push(Histogram::new(at.len() - 1));
+            cuts.push(at);
         }
         Ok(FilterStatistics {
             schema: schema.clone(),
-            partitions,
+            cuts,
             event_hists,
-            profile_counts,
-            operator_counts,
             events_posted: 0,
         })
     }
 
-    /// The per-attribute partitions (schema order).
-    #[must_use]
-    pub fn partitions(&self) -> &[AttributePartition] {
-        &self.partitions
+    /// The schema the counters are over.
+    pub(crate) fn schema(&self) -> &ens_types::Schema {
+        &self.schema
+    }
+
+    /// The cells of `attr` in ascending order: they tile its domain.
+    pub fn cells(&self, attr: AttrId) -> impl ExactSizeIterator<Item = IndexInterval> + '_ {
+        let cuts = &self.cuts[attr.index()];
+        cuts.windows(2).map(|w| IndexInterval::new(w[0], w[1]))
     }
 
     /// Total number of events recorded.
@@ -140,47 +143,35 @@ impl FilterStatistics {
     /// exists in both geometries keeps its count bit for bit, and so
     /// does the total. Replaces whatever history `self` held.
     pub fn adopt_history(&mut self, old: &FilterStatistics) {
-        for ((part, hist), (old_part, old_hist)) in self
-            .partitions
-            .iter()
-            .zip(&mut self.event_hists)
-            .zip(old.partitions.iter().zip(&old.event_hists))
-        {
+        let new = self.cuts.iter().zip(&mut self.event_hists);
+        for ((cuts, hist), (old_cuts, old_hist)) in new.zip(old.cuts.iter().zip(&old.event_hists)) {
             hist.clear();
-            if old_part.domain_size() != part.domain_size() {
+            if old_cuts.last() != cuts.last() {
                 continue;
             }
-            // Both cell lists tile `[0, domain_size)` in ascending
+            // Both cut lists tile `[0, domain_size)` in ascending
             // order: one merge sweep visits every overlapping pair.
-            let cells = part.cells();
             let mut k = 0;
-            for (j, from) in old_part.cells().iter().enumerate() {
+            for (j, from) in old_cuts.windows(2).enumerate() {
                 let count = old_hist.count(j);
-                let from = from.interval();
-                while k < cells.len() && cells[k].interval().hi() <= from.lo() {
+                let from = IndexInterval::new(from[0], from[1]);
+                while cuts[k + 1] <= from.lo() {
                     k += 1;
                 }
-                let mut at = k;
-                while at < cells.len() && cells[at].interval().lo() < from.hi() {
-                    let overlap = cells[at].interval().intersect(from).len();
+                for (at, to) in cuts.windows(2).enumerate().skip(k) {
+                    if to[0] >= from.hi() {
+                        break;
+                    }
+                    let overlap = IndexInterval::new(to[0], to[1]).intersect(&from).len();
                     if overlap == from.len() {
                         hist.add_mass(at, count);
                     } else {
                         hist.add_mass(at, count * (overlap as f64 / from.len() as f64));
                     }
-                    at += 1;
                 }
             }
         }
         self.events_posted = old.events_posted;
-    }
-
-    /// Number of profile predicates using `op` (the paper's operator
-    /// counters; don't-care positions count under
-    /// [`Operator::DontCare`]).
-    #[must_use]
-    pub fn operator_count(&self, op: Operator) -> u64 {
-        self.operator_counts.get(&op).copied().unwrap_or(0)
     }
 
     /// Records an observed event into the per-attribute value counters.
@@ -189,12 +180,11 @@ impl FilterStatistics {
     ///
     /// Propagates domain errors for ill-typed values.
     pub fn record_event(&mut self, event: &Event) -> Result<(), FilterError> {
-        for attr in 0..self.partitions.len() {
+        for attr in 0..self.cuts.len() {
             let id = AttrId::new(attr as u32);
             if let Some(v) = event.value(id) {
                 let idx = self.schema.attribute(id).domain().index_of(v)?;
-                let cell = self.partitions[attr].cell_of(idx);
-                self.event_hists[attr].record(cell);
+                self.record_value_index(id, idx);
             }
         }
         self.events_posted += 1;
@@ -205,9 +195,9 @@ impl FilterStatistics {
     /// the §4.2 counter-manipulation entry point ("for a test … the
     /// statistic objects are initialized for chosen distributions").
     pub fn record_value_index(&mut self, attr: AttrId, index: u64) {
-        let part = &self.partitions[attr.index()];
-        if index < part.domain_size() {
-            let cell = part.cell_of(index);
+        let cuts = &self.cuts[attr.index()];
+        if index < cuts[cuts.len() - 1] {
+            let cell = cuts.partition_point(|&c| c <= index) - 1;
             self.event_hists[attr.index()].record(cell);
         }
     }
@@ -215,11 +205,11 @@ impl FilterStatistics {
     /// Initialises the event counters of `attr` from a distribution, as
     /// if `scale` events had been posted with that distribution.
     pub fn simulate_event_distribution(&mut self, attr: AttrId, dist: &DistOverDomain, scale: u64) {
-        let part = &self.partitions[attr.index()];
+        let cuts = &self.cuts[attr.index()];
         let hist = &mut self.event_hists[attr.index()];
         hist.clear();
-        for (k, cell) in part.cells().iter().enumerate() {
-            let mass = dist.mass_of(cell.interval());
+        for (k, w) in cuts.windows(2).enumerate() {
+            let mass = dist.mass_of(&IndexInterval::new(w[0], w[1]));
             hist.record_n(k, (mass * scale as f64).round() as u64);
         }
     }
@@ -284,21 +274,6 @@ impl FilterStatistics {
             .sum())
     }
 
-    /// Profile PMF over the cells of `attr` (fraction of profiles
-    /// referencing each cell).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if no profile references the attribute at all.
-    pub fn profile_pmf(&self, attr: AttrId) -> Result<Pmf, FilterError> {
-        Ok(Pmf::from_weights(
-            self.profile_counts[attr.index()]
-                .iter()
-                .map(|c| *c as f64)
-                .collect(),
-        )?)
-    }
-
     /// Converts the empirical event histogram of `attr` into a
     /// distribution over the attribute's domain: each cell's smoothed
     /// probability spread evenly over the cell's points (the paper's
@@ -310,16 +285,15 @@ impl FilterStatistics {
     ///
     /// Propagates distribution errors.
     pub fn empirical_marginal(&self, attr: AttrId) -> Result<DistOverDomain, FilterError> {
-        let part = &self.partitions[attr.index()];
         let pmf = self.event_pmf(attr)?;
-        let cells: Vec<_> = part
-            .cells()
-            .iter()
+        let cells: Vec<_> = self
+            .cells(attr)
             .enumerate()
             .filter(|(k, _)| pmf.prob(*k) > 0.0)
-            .map(|(k, cell)| (*cell.interval(), pmf.prob(k)))
+            .map(|(k, cell)| (cell, pmf.prob(k)))
             .collect();
-        Ok(DistOverDomain::from_cells(part.domain_size(), &cells)?)
+        let domain_size = self.schema.attribute(attr).domain().size();
+        Ok(DistOverDomain::from_cells(domain_size, &cells)?)
     }
 
     /// The full empirical (independence-assuming) event model.
@@ -328,8 +302,10 @@ impl FilterStatistics {
     ///
     /// Propagates distribution errors.
     pub fn empirical_model(&self) -> Result<JointDist, FilterError> {
-        let marginals: Result<Vec<_>, _> = (0..self.partitions.len())
-            .map(|j| self.empirical_marginal(AttrId::new(j as u32)))
+        let marginals: Result<Vec<_>, _> = self
+            .schema
+            .ids()
+            .map(|attr| self.empirical_marginal(attr))
             .collect();
         Ok(JointDist::independent(marginals?)?)
     }
@@ -366,18 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn operator_counters() {
-        let (_, ps) = setup();
-        let stats = FilterStatistics::new(&ps).unwrap();
-        assert_eq!(stats.operator_count(Operator::Between), 1);
-        assert_eq!(stats.operator_count(Operator::Ge), 1);
-        assert_eq!(stats.operator_count(Operator::Eq), 1);
-        // Profile 0 leaves y unspecified.
-        assert_eq!(stats.operator_count(Operator::DontCare), 1);
-        assert_eq!(stats.operator_count(Operator::Lt), 0);
-    }
-
-    #[test]
     fn event_recording_bins_into_cells() {
         let (schema, ps) = setup();
         let mut stats = FilterStatistics::new(&ps).unwrap();
@@ -402,16 +366,6 @@ mod tests {
         stats.simulate_event_distribution(AttrId::new(0), &dist, 10_000);
         let pmf = stats.event_pmf(AttrId::new(0)).unwrap();
         assert!(pmf.prob(3) > 0.9, "mass concentrated on [50,100): {pmf:?}");
-    }
-
-    #[test]
-    fn profile_pmf_reflects_reference_counts() {
-        let (_, ps) = setup();
-        let stats = FilterStatistics::new(&ps).unwrap();
-        let pmf = stats.profile_pmf(AttrId::new(0)).unwrap();
-        // Two referenced cells with one profile each; zero cells carry 0.
-        assert_eq!(pmf.prob(1), 0.5);
-        assert_eq!(pmf.prob(3), 0.5);
     }
 
     #[test]

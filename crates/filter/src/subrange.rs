@@ -70,7 +70,6 @@ impl Cell {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AttributePartition {
-    attr: AttrId,
     domain_size: u64,
     cells: Vec<Cell>,
     /// Profiles that are don't-care on this attribute.
@@ -80,9 +79,11 @@ pub struct AttributePartition {
 impl AttributePartition {
     /// Builds the partition for `attr` from the given profiles.
     ///
-    /// Cells are maximal: adjacent elementary subranges with identical
-    /// covering profile sets are merged, which yields the paper's
-    /// "at the most `(2p-1)`" referenced subsets.
+    /// Cells are maximal — the paper's "at the most `(2p-1)`" referenced
+    /// subsets — without a merge step: lowered interval sets are
+    /// normalised (no two of a set's intervals touch), so at every
+    /// inner cut some profile's membership changes, and no two adjacent
+    /// cells are covered by the same profiles.
     ///
     /// # Errors
     ///
@@ -91,14 +92,13 @@ impl AttributePartition {
     where
         I: IntoIterator<Item = &'a Profile>,
     {
-        Self::build_with_cuts(profiles, attr, domain, true, &[])
+        Self::build_with_cuts(profiles, attr, domain, &[])
     }
 
-    /// Like [`AttributePartition::build`], with cell merging optional
-    /// and the given cut points forced into the decomposition. The tree
-    /// builder uses this (with merging disabled) to keep the *global*
-    /// elementary subranges at every node — the unoptimised structure
-    /// the Fig. 1 → Fig. 2 merging improves on.
+    /// Like [`AttributePartition::build`], with the given cut points
+    /// forced into the decomposition. The tree builder uses this to keep
+    /// the *global* elementary subranges at every node — the
+    /// unoptimised structure the Fig. 1 → Fig. 2 merging improves on.
     ///
     /// # Errors
     ///
@@ -107,7 +107,6 @@ impl AttributePartition {
         profiles: I,
         attr: AttrId,
         domain: &Domain,
-        merge: bool,
         extra_cuts: &[u64],
     ) -> Result<Self, TypesError>
     where
@@ -150,35 +149,21 @@ impl AttributePartition {
                 }
             }
         }
-        let mut cells: Vec<Cell> = Vec::with_capacity(n_cells);
-        for (w, mut covering) in cuts.windows(2).zip(covers) {
-            let interval = IndexInterval::new(w[0], w[1]);
-            covering.sort_unstable();
-            // Merge with the previous cell when the coverage is identical.
-            match cells.last_mut() {
-                Some(prev) if merge && prev.profiles == covering => {
-                    prev.interval = IndexInterval::new(prev.interval.lo(), interval.hi());
-                }
-                _ => cells.push(Cell {
-                    interval,
-                    profiles: covering,
-                }),
+        let cells = cuts.windows(2).zip(covers);
+        let cells = cells.map(|(w, mut profiles)| {
+            profiles.sort_unstable();
+            Cell {
+                interval: IndexInterval::new(w[0], w[1]),
+                profiles,
             }
-        }
+        });
 
         dont_care.sort_unstable();
         Ok(AttributePartition {
-            attr,
             domain_size: d,
-            cells,
+            cells: cells.collect(),
             dont_care,
         })
-    }
-
-    /// The attribute this partition belongs to.
-    #[must_use]
-    pub fn attr(&self) -> AttrId {
-        self.attr
     }
 
     /// Domain size `d`.
@@ -229,29 +214,6 @@ impl AttributePartition {
     pub fn uncovered_len(&self) -> u64 {
         self.zero_cells().map(|c| c.interval.len()).sum()
     }
-
-    /// Locates the cell containing a domain index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= domain_size` (callers obtain indices from the
-    /// same domain).
-    #[must_use]
-    pub fn cell_of(&self, index: u64) -> usize {
-        assert!(index < self.domain_size, "index outside the domain");
-        // Cells are sorted and contiguous: binary search on lower bounds.
-        let mut lo = 0usize;
-        let mut hi = self.cells.len() - 1;
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            if self.cells[mid].interval.lo() <= index {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        lo
-    }
 }
 
 impl AttributePartition {
@@ -261,7 +223,7 @@ impl AttributePartition {
     /// the domain), each cell's list diff-coded against its left
     /// neighbour, and the don't-care ids.
     pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let attr = AttrId::new(r.u32()?);
+        r.u32()?; // the attribute
         let domain_size = r.u64()?;
         let n_cells = r.seq_len(3)?;
         let mut bound = r.vu64()?;
@@ -284,7 +246,6 @@ impl AttributePartition {
             .map(ProfileId::new)
             .collect();
         Ok(AttributePartition {
-            attr,
             domain_size,
             cells,
             dont_care,
@@ -400,18 +361,6 @@ mod tests {
                 cursor = c.interval().hi();
             }
             assert_eq!(cursor, part.domain_size(), "{attr}: full tiling");
-        }
-    }
-
-    #[test]
-    fn cell_of_locates_every_index() {
-        let part = partition("a2");
-        for i in 0..part.domain_size() {
-            let k = part.cell_of(i);
-            assert!(
-                part.cells()[k].interval().contains(i),
-                "index {i} -> cell {k}"
-            );
         }
     }
 

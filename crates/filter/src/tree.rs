@@ -461,16 +461,11 @@ impl TreeBuilder<'_> {
         // profiles alive here (merging makes the Fig. 2 edges like
         // `[30, 100)` appear when profiles collapse).
         let spec_profiles = specific.iter().filter_map(|id| self.profiles.get(*id));
-        let part = match &self.global_cuts {
-            None => AttributePartition::build(spec_profiles, attr, domain)?,
-            Some(cuts) => AttributePartition::build_with_cuts(
-                spec_profiles,
-                attr,
-                domain,
-                false,
-                &cuts[attr.index()],
-            )?,
-        };
+        let cuts = self
+            .global_cuts
+            .as_ref()
+            .map_or(&[][..], |c| &c[attr.index()]);
+        let part = AttributePartition::build_with_cuts(spec_profiles, attr, domain, cuts)?;
 
         let first = self.arenas.targets.len();
         let mut intervals: Vec<IndexInterval> = Vec::new();

@@ -81,8 +81,8 @@ proptest! {
         let attr = AttrId::new(0);
         let pmf = stats.event_pmf(attr).unwrap();
         let marginal = stats.empirical_marginal(attr).unwrap();
-        for (k, cell) in stats.partitions()[0].cells().iter().enumerate() {
-            let true_mass = truth.mass_of(cell.interval());
+        for (k, cell) in stats.cells(attr).enumerate() {
+            let true_mass = truth.mass_of(&cell);
             // Cell-level PMF estimate.
             prop_assert!(
                 (pmf.prob(k) - true_mass).abs() < 0.05,
@@ -90,7 +90,7 @@ proptest! {
             );
             // Interval mass through the synthesised empirical marginal
             // (what the cost model actually consumes).
-            let est_mass = marginal.mass_of(cell.interval());
+            let est_mass = marginal.mass_of(&cell);
             prop_assert!(
                 (est_mass - true_mass).abs() < 0.05,
                 "cell {k}: marginal {est_mass} vs true {true_mass}"
@@ -108,20 +108,19 @@ proptest! {
 /// mixture of one uniform window per cell, integrated over every
 /// domain point.
 fn marginal_by_integration(stats: &FilterStatistics, attr: AttrId) -> DistOverDomain {
-    let part = &stats.partitions()[attr.index()];
     let pmf = stats.event_pmf(attr).unwrap();
-    let d = part.domain_size() as f64;
-    let windows = part
-        .cells()
-        .iter()
+    let domain_size = stats.cells(attr).last().unwrap().hi();
+    let d = domain_size as f64;
+    let windows = stats
+        .cells(attr)
         .enumerate()
         .filter(|(k, _)| pmf.prob(*k) > 0.0)
         .map(|(k, cell)| {
-            let (lo, hi) = (cell.interval().lo(), cell.interval().hi());
+            let (lo, hi) = (cell.lo(), cell.hi());
             (pmf.prob(k), Density::window(lo as f64 / d, hi as f64 / d))
         })
         .collect();
-    DistOverDomain::new(Density::Mixture(windows), part.domain_size())
+    DistOverDomain::new(Density::Mixture(windows), domain_size)
 }
 
 /// The one-sweep model is the integrated one — the same value, not a

@@ -3,12 +3,12 @@
 use ens_dist::{Density, DistOverDomain, JointDist};
 use ens_filter::{
     binary_hit_cost, binary_miss_cost, AttributeMeasure, AttributeOrder, AttributePartition,
-    BlockScratch, CostModel, Dfsa, Direction, FilterSnapshot, MatchScratch, Matcher, NodeOrdering,
-    SearchStrategy, SnapshotScratch, TreeConfig, ValueOrder,
+    BlockScratch, CostModel, Dfsa, Direction, FilterSnapshot, FilterStatistics, MatchScratch,
+    Matcher, NodeOrdering, SearchStrategy, SnapshotScratch, TreeConfig, ValueOrder,
 };
 use ens_types::{
-    AttrId, CoverSet, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId,
-    ProfileSet, Schema, Value,
+    AttrId, CoverSet, Domain, Event, IndexInterval, IndexedBatch, IndexedEvent, Predicate, Profile,
+    ProfileId, ProfileSet, Schema, Value,
 };
 use proptest::prelude::*;
 
@@ -770,5 +770,100 @@ fn every_fixture_reencodes_to_the_image_written_off_the_tree() {
         let fixture = std::fs::read(&path).unwrap();
         let image = FilterSnapshot::from_bytes(&fixture).unwrap().to_bytes();
         assert_eq!((image.len(), fnv(&image)), (len, hash), "{name}");
+    }
+}
+
+const COLOURS: [&str; 5] = ["red", "green", "blue", "grey", "teal"];
+
+/// An integer attribute and a categorical one.
+fn mixed_schema() -> Schema {
+    Schema::builder()
+        .attribute("x", Domain::int(0, D as i64 - 1))
+        .unwrap()
+        .attribute("c", Domain::categorical(COLOURS).unwrap())
+        .unwrap()
+        .build()
+}
+
+/// Populations over [`mixed_schema`] with every kind of predicate:
+/// ranges, points, `!=`, sets, categorical ones, don't-cares and
+/// predicates that hold on the whole domain.
+fn arb_mixed_profiles() -> impl Strategy<Value = ProfileSet> {
+    let x = prop_oneof![
+        4 => arb_predicate(),
+        1 => Just(Predicate::DontCare),
+        1 => Just(Predicate::between(0, D as i64 - 1)),
+        1 => Just(Predicate::ge(0)),
+    ];
+    let colour = (0..COLOURS.len()).prop_map(|i| COLOURS[i]);
+    let c = prop_oneof![
+        Just(Predicate::DontCare),
+        colour.clone().prop_map(Predicate::eq),
+        colour.clone().prop_map(Predicate::ne),
+        prop::collection::vec(colour, 1..4).prop_map(Predicate::in_set),
+        Just(Predicate::in_set(COLOURS)),
+    ];
+    prop::collection::vec((x, c), 1..14).prop_map(|preds| {
+        let schema = mixed_schema();
+        let mut ps = ProfileSet::new(&schema);
+        for (px, pc) in preds {
+            let profile = Profile::from_predicates(&schema, ProfileId::new(0), vec![px, pc]);
+            ps.insert(profile.unwrap());
+        }
+        ps
+    })
+}
+
+/// Per attribute, the cells [`FilterStatistics`] bins into and the
+/// cells of [`AttributePartition::build`].
+fn statistics_and_partition_cells(ps: &ProfileSet) -> [Vec<Vec<IndexInterval>>; 2] {
+    let stats = FilterStatistics::new(ps).unwrap();
+    let schema = ps.schema();
+    let binned = schema.ids().map(|a| stats.cells(a).collect()).collect();
+    let built = schema.iter().map(|(a, attr)| {
+        let part = AttributePartition::build(ps.iter(), a, attr.domain()).unwrap();
+        part.cells().iter().map(|c| *c.interval()).collect()
+    });
+    [binned, built.collect()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Lowered sets are normalised, so every cut is a point where some
+    /// profile's membership changes: no two adjacent cells of a
+    /// partition are covered by the same profiles, and the partition
+    /// needs no merge step.
+    #[test]
+    fn adjacent_cells_never_share_a_profile_list(ps in arb_mixed_profiles()) {
+        for (attr, a) in ps.schema().iter() {
+            let part = AttributePartition::build(ps.iter(), attr, a.domain()).unwrap();
+            for pair in part.cells().windows(2) {
+                prop_assert_ne!(pair[0].profiles(), pair[1].profiles(), "{}", a.name());
+            }
+        }
+    }
+
+    /// The statistics cut each domain where the partition does.
+    #[test]
+    fn statistics_cells_are_the_partition_cells(ps in arb_mixed_profiles()) {
+        let [binned, built] = statistics_and_partition_cells(&ps);
+        prop_assert_eq!(binned, built);
+    }
+}
+
+/// The same on the end-to-end populations, and on the representatives
+/// a covering compile keeps of each.
+#[test]
+fn statistics_cells_are_the_partition_cells_on_the_e2e_populations() {
+    for (name, ps, _) in e2e_populations() {
+        let cover =
+            CoverSet::build_bulk(ps.schema(), ps.iter().map(|p| (p.id().index() as u32, p)))
+                .unwrap();
+        let reps = FilterSnapshot::cover_representatives(&ps, &cover).unwrap();
+        for (compiled, set) in [("all", &ps), ("representatives", &reps)] {
+            let [binned, built] = statistics_and_partition_cells(set);
+            assert_eq!(binned, built, "{name}, {compiled}");
+        }
     }
 }

@@ -45,7 +45,7 @@ fn arb_bands() -> impl Strategy<Value = Vec<(i64, i64)>> {
 
 /// Observations per cell.
 fn counts(stats: &FilterStatistics) -> Vec<f64> {
-    (0..stats.partitions()[0].cells().len())
+    (0..stats.cells(x()).len())
         .map(|k| stats.event_count(x(), k))
         .collect()
 }
@@ -79,13 +79,10 @@ proptest! {
             "{} -> {}", total_before, total_after
         );
         let (from, to) = (counts(&before), counts(&after));
-        for (k, cell) in after.partitions()[0].cells().iter().enumerate() {
-            let same = before.partitions()[0]
-                .cells()
-                .iter()
-                .position(|c| c.interval() == cell.interval());
+        for (k, cell) in after.cells(x()).enumerate() {
+            let same = before.cells(x()).position(|c| c == cell);
             if let Some(j) = same {
-                prop_assert_eq!(to[k].to_bits(), from[j].to_bits(), "cell {:?}", cell.interval());
+                prop_assert_eq!(to[k].to_bits(), from[j].to_bits(), "cell {:?}", cell);
             }
         }
         // And back again: a geometry's own history is a fixed point.
@@ -118,7 +115,7 @@ fn empirical_marginal_survives_a_split_and_a_merge() {
 
     let mut split = FilterStatistics::new(&fine).unwrap();
     split.adopt_history(&stats);
-    assert_eq!(split.partitions()[0].cells().len(), 4);
+    assert_eq!(split.cells(x()).len(), 4);
     for (a, b) in before.iter().zip(masses(&split)) {
         assert!((a - b).abs() < 1e-9, "split: {a} vs {b}");
     }

@@ -40,6 +40,7 @@ use std::sync::Arc;
 
 use ens_types::{IndexedBatch, Profile, Schema};
 
+use super::sim::splitmix64;
 use super::transport::Transport;
 use super::wire::Msg;
 
@@ -189,14 +190,6 @@ pub(crate) struct PeerLink {
     last_rx_ms: u64,
     last_tx_ms: u64,
     stats: LinkStats,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl PeerLink {

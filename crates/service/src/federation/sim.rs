@@ -77,8 +77,9 @@ fn pair(a: u64, b: u64) -> (u64, u64) {
     (a.min(b), a.max(b))
 }
 
-/// splitmix64 — tiny, seedable, good enough for fault dice.
-fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64 — tiny, seedable, good enough for fault dice and
+/// reconnect jitter.
+pub(super) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -606,6 +606,19 @@ impl Shard {
             Some(_) => filter.overlay_cover_entries(),
             None => vec![None; cs.overlay.len()],
         };
+        // Drift statistics are not persisted: the tracker starts with no
+        // history, over the cells of the profiles the restored
+        // automaton was compiled from — the representatives under
+        // covering, else every base entry — and warms up as a fresh
+        // compile's would.
+        let reps = filter.cover_plan().map(|plan| plan.rep_slots());
+        let mut compiled = ProfileSet::new(schema);
+        for (slot, e) in base.iter().enumerate() {
+            if reps.is_none_or(|reps| reps.binary_search(&(slot as u32)).is_ok()) {
+                compiled.insert(e.profile.clone());
+            }
+        }
+        let tracker = DriftTracker::new(&compiled, config.rebuild)?;
         let overlay = cs.overlay.into_iter().zip(covers);
         let overlay = overlay.map(|(e, cover)| OverlayEntry {
             sub: attach(e),
@@ -618,11 +631,7 @@ impl Shard {
             overlay: overlay.collect(),
             overlay_removed: 0,
             cover,
-            // Drift statistics are not persisted: the tracker restarts
-            // on the empty set, so the first post-recovery rebuild
-            // decision waits for fresh observations (conservative, never
-            // wrong).
-            tracker: DriftTracker::new(&ProfileSet::new(schema), config.rebuild)?,
+            tracker,
             tree: cs.tree,
             schema: Arc::clone(schema),
             covering: config.covering,

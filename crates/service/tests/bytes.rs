@@ -127,8 +127,8 @@ fn a_shard_holds_its_model_tables_once() {
     // Serving, answering a drift trigger (the warm-up rebuild, priced
     // on both automata) and checkpointing hold the automata alone, and
     // `dfsa_dispatch` selects nothing: a thousand subscriptions retain
-    // the same bytes under either setting (1,507,478; 1,807,405 when
-    // `false` matched through trees raised beside the automata).
+    // the same bytes under either setting (1,807,405 when `false`
+    // matched through trees raised beside the automata).
     let profiles = stock_profiles(1000, &mut StdRng::seed_from_u64(13)).unwrap();
     let generator = EventGenerator::new(&schema, stock_event_model().unwrap()).unwrap();
     let mut rng = StdRng::seed_from_u64(14);
@@ -174,4 +174,11 @@ fn a_shard_holds_its_model_tables_once() {
     drop((broker, _subs));
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(served, reference, "retained with dfsa_dispatch on and off");
+    // The drift statistics keep cut points and counts: 1,137,974
+    // bytes, 1,507,477 while they kept a partition per attribute with
+    // every cell's covering-profile list.
+    assert!(
+        served < 1_250_000,
+        "a loaded durable 2-shard stock broker retains {served} bytes"
+    );
 }

@@ -546,3 +546,79 @@ fn recompiles_journal_their_stage_costs() {
     assert!(model_ns == 0 && tree_ns > 0);
     assert!(model_ns + cover_ns + tree_ns <= rebuild_ns);
 }
+
+/// A drift record without its wall-clock cost: whether the trigger
+/// was answered with a rebuild, and on which numbers.
+fn priced(d: &Decision) -> Option<(bool, usize, DriftCause, f64, f64)> {
+    match *d {
+        Decision::DriftRebuilt {
+            shard,
+            cause,
+            drift,
+            noise,
+            ..
+        } => Some((true, shard, cause, drift, noise)),
+        Decision::DriftDeclined {
+            shard,
+            cause,
+            drift,
+            noise,
+            ..
+        } => Some((false, shard, cause, drift, noise)),
+        _ => None,
+    }
+}
+
+/// (vi) Drift statistics are not persisted, but a shard restored from
+/// a checkpoint tracks the cells of the automaton it serves — of the
+/// representatives under covering, which here are fewer than the
+/// subscriptions: reopened at the checkpoint, a broker decides on the
+/// same stream what it decided the first time. (It used to track a
+/// single cell per attribute, read no drift and decide nothing.)
+#[test]
+fn a_restored_shard_decides_what_the_fresh_one_did() {
+    let w = hot_band_migration(41, 80, 2000).unwrap();
+    for covering in [true, false] {
+        let config = BrokerConfig {
+            tree: v1(),
+            rebuild: RebuildPolicy {
+                min_events: 64,
+                ..RebuildPolicy::default()
+            },
+            covering,
+            ..BrokerConfig::default()
+        };
+        let fs = FaultFs::new();
+        let open = || {
+            let durability = DurabilityConfig {
+                checkpoint_every: 0,
+                fsync: FsyncPolicy::Always,
+                vfs: Arc::new(fs.clone()),
+                ..DurabilityConfig::new("/db")
+            };
+            Broker::open(&w.schema, config.clone(), durability).unwrap()
+        };
+        let decide = |broker: &Broker| {
+            for e in &w.phase_a {
+                broker.publish(e).unwrap();
+            }
+            let decisions = broker.decisions();
+            decisions.iter().filter_map(priced).collect::<Vec<_>>()
+        };
+
+        let fresh = open().broker;
+        let subs = fresh.subscribe_many(w.profiles.iter().cloned()).unwrap();
+        let Some(&Decision::Compacted { compiled, .. }) = fresh.decisions().last() else {
+            panic!("{:#?}", fresh.decisions());
+        };
+        assert_eq!(compiled < w.profiles.len(), covering);
+        assert!(fresh.checkpoint().unwrap());
+        let first = decide(&fresh);
+        drop((subs, fresh));
+        assert!(first[0].2 == DriftCause::WarmUp && first[0].0, "{first:?}");
+
+        let reopened = open();
+        assert_eq!(reopened.subscribers.len(), w.profiles.len());
+        assert_eq!(decide(&reopened.broker), first, "covering {covering}");
+    }
+}
