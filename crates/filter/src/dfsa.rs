@@ -66,7 +66,7 @@ use ens_types::{AttrId, IndexInterval, IndexedBatch, IndexedEvent, ProfileId, Sc
 
 use crate::order::NodeOrdering;
 use crate::scratch::{BlockScratch, MatchScratch, Matcher};
-use crate::tree::{LeafPool, OrderCtx, TreeConfig, TreeHeader};
+use crate::tree::{Derived, LeafPool, OrderCtx, TreeConfig, TreeHeader};
 
 /// Number of events traversed concurrently by [`Matcher::match_block`]:
 /// one automaton step is issued for every in-flight lane before any
@@ -647,6 +647,8 @@ pub(crate) struct Arenas {
     jump_runs: Vec<u64>,
     jump_edges: Vec<u64>,
     orderings: Vec<(u32, NodeOrdering)>,
+    /// Where [`OrderCtx::written`] derives the orderings it compares.
+    derived: Derived,
 }
 
 /// A node ready to freeze: the attribute it tests, its edges in natural
@@ -657,7 +659,7 @@ pub(crate) struct NodeSpec<'a> {
     pub(crate) attr: AttrId,
     pub(crate) intervals: &'a [IndexInterval],
     pub(crate) first: usize,
-    pub(crate) ordering: NodeOrdering,
+    pub(crate) ordering: &'a NodeOrdering,
     pub(crate) star: Option<(bool, PTarget)>,
 }
 
@@ -719,8 +721,8 @@ impl Arenas {
         targets.truncate(n.first);
         self.targets = targets;
         let s = self.states.len() as u32;
-        if ctx.written(n.attr, n.intervals, &n.ordering) {
-            self.orderings.push((s, n.ordering));
+        if ctx.written(n.attr, n.intervals, n.ordering, &mut self.derived) {
+            self.orderings.push((s, n.ordering.clone()));
         }
         self.states.push(meta);
         PTarget::state(s)

@@ -139,7 +139,7 @@ impl Default for SearchStrategy {
 /// operations after which the scan concludes absence for a value falling
 /// in the gap with insertion index `g ∈ 0..=m` (`g` edges lie naturally
 /// below the value). `visit` lists edge indices in the defined order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeOrdering {
     /// Edge indices in visit (defined) order.
     pub visit: Vec<u32>,
@@ -166,16 +166,15 @@ impl NodeOrdering {
         edge_pp: &[f64],
         gap_pe: &[f64],
     ) -> Self {
-        let m = edge_pe.len();
-        assert_eq!(edge_pp.len(), m, "edge_pp length");
-        assert_eq!(gap_pe.len(), m + 1, "gap_pe length");
-        match strategy {
-            SearchStrategy::Binary => Self::binary(m),
-            SearchStrategy::Linear(order) => Self::linear(order, edge_pe, edge_pp, gap_pe),
-            // Without interval geometry these fall back to binary; the
-            // tree builder uses `compute_with_geometry`.
-            SearchStrategy::Interpolation | SearchStrategy::Hash => Self::binary(m),
-        }
+        // Without interval geometry interpolation and hash fall back to
+        // binary; the tree builder uses `compute_with_geometry`.
+        let strategy = match strategy {
+            SearchStrategy::Interpolation | SearchStrategy::Hash => SearchStrategy::Binary,
+            other => other,
+        };
+        let mut ordering = NodeOrdering::default();
+        ordering.recompute(strategy, edge_pe, edge_pp, gap_pe, &[], 0);
+        ordering
     }
 
     /// Computes the ordering with interval geometry available, enabling
@@ -196,59 +195,89 @@ impl NodeOrdering {
         edge_intervals: &[ens_types::IndexInterval],
         domain_size: u64,
     ) -> Self {
-        let m = edge_intervals.len();
-        assert_eq!(edge_pe.len(), m, "edge_pe length");
+        let mut ordering = NodeOrdering::default();
+        ordering.recompute(
+            strategy,
+            edge_pe,
+            edge_pp,
+            gap_pe,
+            edge_intervals,
+            domain_size,
+        );
+        ordering
+    }
+
+    /// [`NodeOrdering::compute_with_geometry`] into this ordering's
+    /// buffers, for a caller that orders many nodes one after another.
+    /// Only interpolation and hash read `edge_intervals`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths are inconsistent.
+    pub fn recompute(
+        &mut self,
+        strategy: SearchStrategy,
+        edge_pe: &[f64],
+        edge_pp: &[f64],
+        gap_pe: &[f64],
+        edge_intervals: &[ens_types::IndexInterval],
+        domain_size: u64,
+    ) {
+        let m = edge_pe.len();
+        assert_eq!(edge_pp.len(), m, "edge_pp length");
+        assert_eq!(gap_pe.len(), m + 1, "gap_pe length");
+        let geometric = matches!(
+            strategy,
+            SearchStrategy::Interpolation | SearchStrategy::Hash
+        );
+        assert!(
+            !geometric || edge_intervals.len() == m,
+            "edge_intervals length"
+        );
         match strategy {
-            SearchStrategy::Binary | SearchStrategy::Linear(_) => {
-                Self::compute(strategy, edge_pe, edge_pp, gap_pe)
-            }
+            SearchStrategy::Binary => self.binary(m),
+            SearchStrategy::Linear(order) => self.linear(order, edge_pe, edge_pp, gap_pe),
             SearchStrategy::Interpolation => {
                 let keys: Vec<u64> = edge_intervals
                     .iter()
                     .map(|iv| iv.lo() + (iv.len().saturating_sub(1)) / 2)
                     .collect();
-                let hit_cost = (0..m).map(|i| interpolation_cost(&keys, keys[i])).collect();
-                let miss_cost = (0..=m)
-                    .map(|g| {
-                        let lo = if g == 0 {
-                            0
-                        } else {
-                            edge_intervals[g - 1].hi()
-                        };
-                        let hi = if g == m {
-                            domain_size
-                        } else {
-                            edge_intervals[g].lo()
-                        };
-                        if hi <= lo {
-                            1 // empty gap slot: cost never charged
-                        } else {
-                            interpolation_cost(&keys, (lo + hi) / 2)
-                        }
-                    })
-                    .collect();
-                NodeOrdering {
-                    visit: (0..m as u32).collect(),
-                    hit_cost,
-                    miss_cost,
-                }
+                self.natural_visit(m);
+                self.hit_cost.clear();
+                let hits = keys.iter().map(|&k| interpolation_cost(&keys, k));
+                self.hit_cost.extend(hits);
+                self.miss_cost.clear();
+                self.miss_cost.extend((0..=m).map(|g| {
+                    let lo = g.checked_sub(1).map_or(0, |p| edge_intervals[p].hi());
+                    let hi = edge_intervals.get(g).map_or(domain_size, |e| e.lo());
+                    if hi <= lo {
+                        1 // empty gap slot: cost never charged
+                    } else {
+                        interpolation_cost(&keys, (lo + hi) / 2)
+                    }
+                }));
             }
             SearchStrategy::Hash => {
                 if m > 0 && edge_intervals.iter().all(|iv| iv.len() == 1) {
                     // Perfect-hashable node: every lookup is one probe.
-                    NodeOrdering {
-                        visit: (0..m as u32).collect(),
-                        hit_cost: vec![1; m],
-                        miss_cost: vec![1; m + 1],
-                    }
+                    self.natural_visit(m);
+                    self.hit_cost.clear();
+                    self.hit_cost.resize(m, 1);
+                    self.miss_cost.clear();
+                    self.miss_cost.resize(m + 1, 1);
                 } else {
-                    Self::binary(m)
+                    self.binary(m);
                 }
             }
         }
     }
 
-    fn linear(order: ValueOrder, edge_pe: &[f64], edge_pp: &[f64], gap_pe: &[f64]) -> Self {
+    fn natural_visit(&mut self, m: usize) {
+        self.visit.clear();
+        self.visit.extend(0..m as u32);
+    }
+
+    fn linear(&mut self, order: ValueOrder, edge_pe: &[f64], edge_pp: &[f64], gap_pe: &[f64]) {
         let m = edge_pe.len();
         // The sort key of an element: (primary, natural position). Gaps
         // use the fractional natural position g - 0.5 and their own
@@ -270,41 +299,40 @@ impl NodeOrdering {
         let key_lt =
             |a: (f64, f64), b: (f64, f64)| -> bool { a.0 < b.0 || (a.0 == b.0 && a.1 < b.1) };
 
-        let mut visit: Vec<u32> = (0..m as u32).collect();
-        visit.sort_by(|&a, &b| {
+        self.natural_visit(m);
+        // `total_cmp` orders these keys as `<` does: they are finite,
+        // and every key of one sort is the same expression of
+        // non-negative masses or positions, so its zeros share a sign.
+        // The natural position makes every key distinct, so an unstable
+        // sort orders them as a stable one would.
+        self.visit.sort_unstable_by(|&a, &b| {
             let (ka, kb) = (edge_key(a as usize), edge_key(b as usize));
-            ka.partial_cmp(&kb).expect("finite keys")
+            ka.0.total_cmp(&kb.0).then(ka.1.total_cmp(&kb.1))
         });
-        let mut hit_cost = vec![0u32; m];
-        for (pos, &e) in visit.iter().enumerate() {
-            hit_cost[e as usize] = pos as u32 + 1;
+        self.hit_cost.clear();
+        self.hit_cost.resize(m, 0);
+        for (pos, &e) in self.visit.iter().enumerate() {
+            self.hit_cost[e as usize] = pos as u32 + 1;
         }
         // Early-termination rule: a scan in the defined order stops at
         // the first element whose key exceeds the searched value's key,
         // i.e. after (#edges with key below the gap's key) + 1 visits,
         // capped at m when no such stop edge exists.
-        let miss_cost = (0..=m)
-            .map(|g| {
-                let gk = gap_key(g);
-                let below = (0..m).filter(|&i| key_lt(edge_key(i), gk)).count();
-                (below + 1).min(m.max(1)) as u32
-            })
-            .collect();
-        NodeOrdering {
-            visit,
-            hit_cost,
-            miss_cost,
-        }
+        self.miss_cost.clear();
+        self.miss_cost.extend((0..=m).map(|g| {
+            let gk = gap_key(g);
+            let below = (0..m).filter(|&i| key_lt(edge_key(i), gk)).count();
+            (below + 1).min(m.max(1)) as u32
+        }));
     }
 
-    fn binary(m: usize) -> Self {
-        let hit_cost = (0..m).map(|i| binary_hit_cost(m, i)).collect();
-        let miss_cost = (0..=m).map(|g| binary_miss_cost(m, g)).collect();
-        NodeOrdering {
-            visit: (0..m as u32).collect(),
-            hit_cost,
-            miss_cost,
-        }
+    fn binary(&mut self, m: usize) {
+        self.natural_visit(m);
+        self.hit_cost.clear();
+        self.hit_cost.extend((0..m).map(|i| binary_hit_cost(m, i)));
+        self.miss_cost.clear();
+        self.miss_cost
+            .extend((0..=m).map(|g| binary_miss_cost(m, g)));
     }
 }
 

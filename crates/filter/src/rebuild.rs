@@ -22,7 +22,7 @@
 //!   the detector off.
 
 use ens_dist::{JointDist, Pmf};
-use ens_types::{AttrId, Event, ProfileSet};
+use ens_types::{AttrId, Event, LoweredTable, ProfileSet};
 use serde::{Deserialize, Serialize};
 
 use crate::statistics::FilterStatistics;
@@ -370,7 +370,8 @@ impl DriftTracker {
     }
 
     /// First rebuild phase: the event history re-binned onto the cells
-    /// of `live`, the full profile set about to be compiled. The event
+    /// of `live`, the full profile set about to be compiled, lowered
+    /// over the tracker's schema. The event
     /// model the new tree should be optimised for, if its shape reads
     /// one, comes from it ([`RebinnedHistory::model`]): the empirical
     /// estimate, unless `prior` is given and fewer than
@@ -387,10 +388,10 @@ impl DriftTracker {
     /// Propagates distribution errors.
     pub fn rebin(
         &self,
-        live: &ProfileSet,
+        live: &LoweredTable,
         prior: Option<&JointDist>,
     ) -> Result<RebinnedHistory, FilterError> {
-        let mut stats = FilterStatistics::new(live)?;
+        let mut stats = FilterStatistics::from_lowered(self.stats.schema(), live);
         stats.adopt_history(&self.stats);
         let estimated = prior.is_none() || stats.events_posted() >= self.policy.min_events;
         Ok(RebinnedHistory { stats, estimated })
@@ -431,6 +432,10 @@ impl DriftTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lowered(ps: &ProfileSet) -> LoweredTable {
+        LoweredTable::lower(ps.schema(), ps.iter()).unwrap()
+    }
     use ens_types::{Domain, Predicate, Schema};
 
     fn setup() -> (Schema, ProfileSet) {
@@ -492,7 +497,7 @@ mod tests {
 
     /// A rebuild for `live` from prepare to finish, nothing in between.
     fn rebuild(t: &mut DriftTracker, live: &ProfileSet, migrated: bool) {
-        let history = t.rebin(live, None).unwrap();
+        let history = t.rebin(&lowered(live), None).unwrap();
         t.finish_rebuild(history, migrated).unwrap();
     }
 
@@ -514,7 +519,7 @@ mod tests {
         assert!(signal.is_warm_up());
         assert_eq!(signal.noise, 0.0);
         assert!(signal.drift >= 0.3);
-        let history = t.rebin(&ps, None).unwrap();
+        let history = t.rebin(&lowered(&ps), None).unwrap();
         assert_eq!(history.model(None).unwrap().arity(), 1);
         t.finish_rebuild(history, false).unwrap();
         assert!(t.current_drift().unwrap() < 1e-12);
@@ -682,7 +687,7 @@ mod tests {
         bigger
             .insert_with(|b| b.predicate("x", Predicate::between(40, 59)))
             .unwrap();
-        let history = t.rebin(&bigger, None).unwrap();
+        let history = t.rebin(&lowered(&bigger), None).unwrap();
         // Staged only: an abandoned rebuild leaves the tracker alone.
         assert_eq!(t.statistics().cells(AttrId::new(0)).len(), 5);
         t.finish_rebuild(history, false).unwrap();
@@ -712,12 +717,12 @@ mod tests {
         for _ in 0..29 {
             t.observe(&event(&schema, 15)).unwrap();
         }
-        let history = t.rebin(&ps, Some(&prior)).unwrap();
+        let history = t.rebin(&lowered(&ps), Some(&prior)).unwrap();
         assert_eq!(history.model(Some(&prior)).unwrap(), prior);
         t.finish_rebuild(history, false).unwrap();
         assert_eq!(t.assumed[0].observations, 0.0, "placeholder baseline");
         t.observe(&event(&schema, 15)).unwrap();
-        let history = t.rebin(&ps, Some(&prior)).unwrap();
+        let history = t.rebin(&lowered(&ps), Some(&prior)).unwrap();
         let model = history.model(Some(&prior)).unwrap();
         assert!(model != prior, "30 observations displace the prior");
         assert!(model.marginal(0).mass_between(10, 20) > 0.9);

@@ -19,7 +19,7 @@
 //!   model-expected filter operations.
 
 use ens_dist::{DistOverDomain, JointDist};
-use ens_types::{AttrId, ProfileSet};
+use ens_types::{AttrId, LoweredTable, Schema};
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
@@ -97,7 +97,9 @@ pub fn attribute_selectivities(
 /// [`crate::AttributeOrder::Selectivity`].
 ///
 /// `Descending` places the most selective attribute at the root;
-/// `Ascending` is the paper's worst-case control.
+/// `Ascending` is the paper's worst-case control. `profiles` are the
+/// population lowered over `schema` (A3 builds its trees from them),
+/// `partitions` their per-attribute partitions (A1, A2).
 ///
 /// # Errors
 ///
@@ -107,13 +109,14 @@ pub fn attribute_selectivities(
 pub fn order_attributes(
     measure: AttributeMeasure,
     direction: Direction,
-    profiles: &ProfileSet,
+    schema: &Schema,
+    profiles: &LoweredTable,
     partitions: &[AttributePartition],
     marginals: Option<&[DistOverDomain]>,
     strategy: SearchStrategy,
 ) -> Result<Vec<AttrId>, FilterError> {
     if let AttributeMeasure::A3 = measure {
-        let order = a3_order(profiles, marginals, strategy)?;
+        let order = a3_order(schema, profiles, marginals, strategy)?;
         return Ok(match direction {
             Direction::Descending => order,
             Direction::Ascending => order.into_iter().rev().collect(),
@@ -136,14 +139,15 @@ pub fn order_attributes(
 /// Exhaustive A3 search: the permutation with minimal model-expected
 /// operations per event.
 fn a3_order(
-    profiles: &ProfileSet,
+    schema: &Schema,
+    profiles: &LoweredTable,
     marginals: Option<&[DistOverDomain]>,
     strategy: SearchStrategy,
 ) -> Result<Vec<AttrId>, FilterError> {
     let marginals = marginals.ok_or_else(|| FilterError::MissingDistribution {
         needed_by: "attribute measure A3".into(),
     })?;
-    let n = profiles.schema().len();
+    let n = schema.len();
     if n > A3_MAX_ATTRIBUTES {
         return Err(FilterError::TooManyAttributes {
             n,
@@ -164,7 +168,7 @@ fn a3_order(
                 event_model: Some(joint.clone()),
                 ..TreeConfig::default()
             };
-            let tree = Dfsa::build(profiles, &config)?;
+            let tree = Dfsa::build_lowered(schema, profiles, &config)?;
             let cost = CostModel::new(&tree, &joint)?
                 .evaluate()?
                 .expected_total_ops();
@@ -196,7 +200,7 @@ where
 mod tests {
     use super::*;
     use ens_dist::Density;
-    use ens_types::{Domain, Predicate, Schema};
+    use ens_types::{Domain, Predicate, ProfileSet, Schema};
 
     /// Example 1 of the paper (see `tree::tests`).
     fn example1() -> ProfileSet {
@@ -239,6 +243,10 @@ mod tests {
         ps
     }
 
+    fn lowered(ps: &ProfileSet) -> LoweredTable {
+        LoweredTable::lower(ps.schema(), ps.iter()).unwrap()
+    }
+
     fn partitions(ps: &ProfileSet) -> Vec<AttributePartition> {
         ps.schema()
             .iter()
@@ -262,7 +270,8 @@ mod tests {
         let order = order_attributes(
             AttributeMeasure::A1,
             Direction::Descending,
-            &ps,
+            ps.schema(),
+            &lowered(&ps),
             &parts,
             None,
             SearchStrategy::default(),
@@ -334,7 +343,8 @@ mod tests {
         let desc = order_attributes(
             AttributeMeasure::A1,
             Direction::Descending,
-            &ps,
+            ps.schema(),
+            &lowered(&ps),
             &parts,
             None,
             SearchStrategy::default(),
@@ -343,7 +353,8 @@ mod tests {
         let asc = order_attributes(
             AttributeMeasure::A1,
             Direction::Ascending,
-            &ps,
+            ps.schema(),
+            &lowered(&ps),
             &parts,
             None,
             SearchStrategy::default(),
@@ -365,7 +376,8 @@ mod tests {
         let a3 = order_attributes(
             AttributeMeasure::A3,
             Direction::Descending,
-            &ps,
+            ps.schema(),
+            &lowered(&ps),
             &parts,
             Some(&marginals),
             strategy,
@@ -410,7 +422,8 @@ mod tests {
         let r = order_attributes(
             AttributeMeasure::A3,
             Direction::Descending,
-            &ps,
+            ps.schema(),
+            &lowered(&ps),
             &partitions(&ps),
             Some(&marginals),
             SearchStrategy::default(),

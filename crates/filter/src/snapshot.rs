@@ -41,7 +41,8 @@ use std::sync::Arc;
 
 use ens_dist::JointDist;
 use ens_types::{
-    CoverSet, IndexedBatch, IndexedEvent, Profile, ProfileId, ProfileSet, Residual, Schema,
+    CoverSet, IndexedBatch, IndexedEvent, LoweredTable, Profile, ProfileId, ProfileSet, Residual,
+    Schema,
 };
 
 use crate::cost::CostModel;
@@ -441,8 +442,8 @@ impl FilterSnapshot {
     ///
     /// `dfsa` must be built from the `base_len` profiles of the
     /// population themselves, or — with `cover` — from that covering
-    /// analysis' representatives in ascending slot order (see
-    /// [`FilterSnapshot::cover_representatives`]).
+    /// analysis' representatives in ascending slot order
+    /// ([`CoverSet::rep_slots`]).
     ///
     /// # Errors
     ///
@@ -505,33 +506,17 @@ impl FilterSnapshot {
         cover: &CoverSet,
         config: &TreeConfig,
     ) -> Result<Self, FilterError> {
-        let reps = Self::cover_representatives(profiles, cover)?;
-        let dfsa = Dfsa::build(&reps, config)?;
-        Self::from_dfsa(dfsa, profiles.len(), Some(cover))
-    }
-
-    /// The profiles a covering-pruned compilation of `profiles` puts in
-    /// the tree: `cover`'s representatives, in ascending slot order, so
-    /// compiled id `c` is the rank of its slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FilterError::Persist`] for a representative slot
-    /// outside `profiles`.
-    pub fn cover_representatives(
-        profiles: &ProfileSet,
-        cover: &CoverSet,
-    ) -> Result<ProfileSet, FilterError> {
-        let mut reps = ProfileSet::new(profiles.schema());
+        let schema = profiles.schema();
+        let mut reps = LoweredTable::new(schema);
         for &slot in cover.rep_slots() {
-            let p = profiles
-                .get(ProfileId::new(slot))
-                .ok_or_else(|| FilterError::Persist {
-                    message: format!("cover rep slot {slot} outside population"),
-                })?;
-            reps.insert(p.clone());
+            let rep = profiles.get(ProfileId::new(slot));
+            let rep = rep.ok_or_else(|| FilterError::Persist {
+                message: format!("cover rep slot {slot} outside population"),
+            })?;
+            reps.push(schema, rep)?;
         }
-        Ok(reps)
+        let dfsa = Dfsa::build_lowered(schema, &reps, config)?;
+        Self::from_dfsa(dfsa, profiles.len(), Some(cover))
     }
 
     /// A new snapshot with the overlay replaced by `overlay` (dense ids

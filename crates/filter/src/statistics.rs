@@ -8,7 +8,7 @@
 //! the adaptive filter rebuilds trees from.
 
 use ens_dist::{DistOverDomain, Histogram, JointDist, Pmf};
-use ens_types::{AttrId, Event, IndexInterval, ProfileSet};
+use ens_types::{AttrId, Event, IndexInterval, LoweredTable, ProfileSet, Schema};
 
 use crate::FilterError;
 
@@ -78,15 +78,22 @@ impl FilterStatistics {
     ///
     /// Propagates predicate lowering errors.
     pub fn new(profiles: &ProfileSet) -> Result<Self, FilterError> {
-        let schema = profiles.schema();
+        let table = LoweredTable::lower(profiles.schema(), profiles.iter())?;
+        Ok(Self::from_lowered(profiles.schema(), &table))
+    }
+
+    /// Builds empty statistics over the cells of a population lowered
+    /// over `schema` already.
+    #[must_use]
+    pub fn from_lowered(schema: &Schema, profiles: &LoweredTable) -> Self {
         let mut cuts = Vec::with_capacity(schema.len());
         let mut event_hists = Vec::with_capacity(schema.len());
         for (id, a) in schema.iter() {
             // A don't-care lowers to the whole domain: `0` and `d`.
             let mut at = vec![0, a.domain().size()];
-            for p in profiles.iter() {
-                let set = p.predicate(id).to_intervals(a.domain())?;
-                at.extend(set.iter().flat_map(|iv| [iv.lo(), iv.hi()]));
+            for row in 0..profiles.rows() {
+                let ivs = profiles.get(row, id.index()).unwrap_or_default();
+                at.extend(ivs.iter().flat_map(|iv| [iv.lo(), iv.hi()]));
             }
             at.sort_unstable();
             at.dedup();
@@ -94,12 +101,12 @@ impl FilterStatistics {
             event_hists.push(Histogram::new(at.len() - 1));
             cuts.push(at);
         }
-        Ok(FilterStatistics {
+        FilterStatistics {
             schema: schema.clone(),
             cuts,
             event_hists,
             events_posted: 0,
-        })
+        }
     }
 
     /// The schema the counters are over.

@@ -7,7 +7,7 @@
 //! subranges induced by all profile interval endpoints, each labelled
 //! with the profiles covering it.
 
-use ens_types::{AttrId, Domain, IndexInterval, Profile, ProfileId, TypesError};
+use ens_types::{AttrId, Domain, IndexInterval, IntervalSet, Profile, ProfileId, TypesError};
 use serde::{Deserialize, Serialize};
 
 use crate::persist::{self, ByteReader, PersistError};
@@ -57,11 +57,8 @@ impl Cell {
 /// ps.insert_with(|b| b.predicate("a2", Predicate::le(5)))?;
 /// ps.insert_with(|b| b.predicate("a2", Predicate::ge(80)))?;
 ///
-/// let part = AttributePartition::build(
-///     ps.iter(),
-///     schema.attr("a2").unwrap(),
-///     schema.attribute(schema.attr("a2").unwrap()).domain(),
-/// )?;
+/// let a2 = schema.attr("a2").ok_or("no attribute a2")?;
+/// let part = AttributePartition::build(ps.iter(), a2, schema.attribute(a2).domain())?;
 /// // Referenced subranges: [0,5], [80,90), [90,100]  ->  d0 = 75.
 /// assert_eq!(part.referenced_cells().count(), 3);
 /// assert_eq!(part.zero_len(), 74); // (5, 80) exclusive on the grid
@@ -92,78 +89,41 @@ impl AttributePartition {
     where
         I: IntoIterator<Item = &'a Profile>,
     {
-        Self::build_with_cuts(profiles, attr, domain, &[])
-    }
-
-    /// Like [`AttributePartition::build`], with the given cut points
-    /// forced into the decomposition. The tree builder uses this to keep
-    /// the *global* elementary subranges at every node — the
-    /// unoptimised structure the Fig. 1 → Fig. 2 merging improves on.
-    ///
-    /// # Errors
-    ///
-    /// Propagates predicate lowering errors ([`TypesError`]).
-    pub fn build_with_cuts<'a, I>(
-        profiles: I,
-        attr: AttrId,
-        domain: &Domain,
-        extra_cuts: &[u64],
-    ) -> Result<Self, TypesError>
-    where
-        I: IntoIterator<Item = &'a Profile>,
-    {
-        let d = domain.size();
-        let mut dont_care = Vec::new();
-        let mut spans: Vec<(ProfileId, ens_types::IntervalSet)> = Vec::new();
+        let mut lowered = Vec::new();
         for p in profiles {
             let pred = p.predicate(attr);
-            if pred.is_dont_care() {
-                dont_care.push(p.id());
-            } else {
-                spans.push((p.id(), pred.to_intervals(domain)?));
-            }
+            let set = (!pred.is_dont_care()).then(|| pred.to_intervals(domain));
+            lowered.push((p.id(), set.transpose()?));
         }
+        let entries = lowered
+            .iter()
+            .map(|(id, set)| (*id, set.as_ref().map(IntervalSet::as_slice)));
+        Ok(Self::from_lowered(entries, domain.size()))
+    }
 
-        // Collect all endpoints; always include the domain boundaries.
-        let mut cuts: Vec<u64> = vec![0, d];
-        cuts.extend_from_slice(extra_cuts);
-        for (_, set) in &spans {
-            cuts.extend(set.endpoints());
-        }
-        cuts.retain(|c| *c <= d);
-        cuts.sort_unstable();
-        cuts.dedup();
-
-        // Elementary cells between consecutive cuts, labelled by the
-        // profiles covering them: each interval of a profile lists the
-        // profile in the cells from its first cut up to its last, so
-        // the cost is what the labels hold, not cells × profiles.
-        let n_cells = cuts.len().saturating_sub(1);
-        let mut covers: Vec<Vec<ProfileId>> = vec![Vec::new(); n_cells];
-        for (id, set) in &spans {
-            for iv in set.iter() {
-                let first = cuts.partition_point(|&c| c < iv.lo());
-                let end = cuts.partition_point(|&c| c < iv.hi()).min(n_cells);
-                for covering in covers.get_mut(first..end).into_iter().flatten() {
-                    covering.push(*id);
-                }
-            }
-        }
-        let cells = cuts.windows(2).zip(covers);
-        let cells = cells.map(|(w, mut profiles)| {
-            profiles.sort_unstable();
-            Cell {
-                interval: IndexInterval::new(w[0], w[1]),
-                profiles,
-            }
-        });
-
+    /// The partition of one attribute over a domain of size `d`, from
+    /// each profile's lowered predicate on it (`None`: don't-care).
+    pub(crate) fn from_lowered<'s, I>(entries: I, d: u64) -> Self
+    where
+        I: Iterator<Item = (ProfileId, Option<&'s [IndexInterval]>)> + Clone,
+    {
+        let dont_care = entries
+            .clone()
+            .filter_map(|(id, set)| set.is_none().then_some(id));
+        let mut dont_care: Vec<ProfileId> = dont_care.collect();
         dont_care.sort_unstable();
-        Ok(AttributePartition {
+        let mut cells = Cells::default();
+        cells.decompose(entries.filter_map(|(id, set)| Some((id, set?))), d, &[]);
+        let cells = (0..cells.len()).map(|c| {
+            let (interval, profiles) = cells.cell(c);
+            let profiles = profiles.to_vec();
+            Cell { interval, profiles }
+        });
+        AttributePartition {
             domain_size: d,
             cells: cells.collect(),
             dont_care,
-        })
+        }
     }
 
     /// Domain size `d`.
@@ -213,6 +173,86 @@ impl AttributePartition {
     #[must_use]
     pub fn uncovered_len(&self) -> u64 {
         self.zero_cells().map(|c| c.interval.len()).sum()
+    }
+}
+
+/// An elementary decomposition of one attribute's domain in buffers
+/// kept from one decomposition to the next: the cut points, and the
+/// profiles covering each cell as CSR.
+#[derive(Debug, Default)]
+pub(crate) struct Cells {
+    /// Cell `c` is `[cuts[c], cuts[c + 1])`.
+    cuts: Vec<u64>,
+    /// Each interval's cells `first..end`, and its profile.
+    spans: Vec<(u32, u32, ProfileId)>,
+    /// Cell `c`'s profiles are `members[off[c]..off[c + 1]]`; `fill` is
+    /// where each cell's next one goes while they are placed.
+    off: Vec<u32>,
+    fill: Vec<u32>,
+    members: Vec<ProfileId>,
+}
+
+impl Cells {
+    /// Cuts `[0, d)` at `extra` and at every endpoint of the `specified`
+    /// profiles' intervals, and lists in each cell, ascending, the
+    /// profiles covering it. An interval lists its profile in the cells
+    /// from its first cut up to its last, so the cost is what the lists
+    /// hold, not cells × profiles.
+    pub(crate) fn decompose<'s, I>(&mut self, specified: I, d: u64, extra: &[u64])
+    where
+        I: Iterator<Item = (ProfileId, &'s [IndexInterval])> + Clone,
+    {
+        self.cuts.clear();
+        self.cuts.extend_from_slice(&[0, d]);
+        self.cuts.extend_from_slice(extra);
+        for (_, ivs) in specified.clone() {
+            self.cuts
+                .extend(ivs.iter().flat_map(|iv| [iv.lo(), iv.hi()]));
+        }
+        self.cuts.retain(|c| *c <= d);
+        self.cuts.sort_unstable();
+        self.cuts.dedup();
+        let n = self.len();
+        self.spans.clear();
+        self.off.clear();
+        self.off.resize(n + 1, 0);
+        for (id, ivs) in specified {
+            for iv in ivs {
+                let first = self.cuts.partition_point(|&c| c < iv.lo());
+                let end = self.cuts.partition_point(|&c| c < iv.hi()).min(n);
+                if first < end {
+                    self.spans.push((first as u32, end as u32, id));
+                    self.off[first + 1..=end].iter_mut().for_each(|k| *k += 1);
+                }
+            }
+        }
+        for c in 0..n {
+            self.off[c + 1] += self.off[c];
+        }
+        self.members.clear();
+        self.members.resize(self.off[n] as usize, ProfileId::new(0));
+        self.fill.clear();
+        self.fill.extend_from_slice(&self.off[..n]);
+        for &(first, end, id) in &self.spans {
+            for at in &mut self.fill[first as usize..end as usize] {
+                self.members[*at as usize] = id;
+                *at += 1;
+            }
+        }
+        for c in 0..n {
+            self.members[self.off[c] as usize..self.off[c + 1] as usize].sort_unstable();
+        }
+    }
+
+    /// Number of cells.
+    pub(crate) fn len(&self) -> usize {
+        self.cuts.len().saturating_sub(1)
+    }
+
+    /// Cell `c` and the profiles covering it, ascending.
+    pub(crate) fn cell(&self, c: usize) -> (IndexInterval, &[ProfileId]) {
+        let members = &self.members[self.off[c] as usize..self.off[c + 1] as usize];
+        (IndexInterval::new(self.cuts[c], self.cuts[c + 1]), members)
     }
 }
 

@@ -22,14 +22,14 @@ use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use ens_dist::{DistOverDomain, JointDist};
-use ens_types::{AttrId, IndexInterval, ProfileId, ProfileSet, Schema};
+use ens_types::{AttrId, IndexInterval, LoweredTable, ProfileId, ProfileSet, Schema};
 use serde::{Deserialize, Serialize};
 
 use crate::dfsa::{Arenas, Dfsa, Next, NodeSpec, PTarget};
 use crate::order::{NodeOrdering, SearchStrategy, ValueOrder};
 use crate::persist::{self, ByteReader, ByteWriter, PersistError};
 use crate::selectivity::AttributeMeasure;
-use crate::subrange::AttributePartition;
+use crate::subrange::{AttributePartition, Cells};
 use crate::{Direction, FilterError};
 
 /// How the tree's levels (attributes) are ordered.
@@ -274,7 +274,32 @@ impl Dfsa {
     ///   domain sizes disagree with the schema;
     /// * predicate lowering errors from the data model.
     pub fn build(profiles: &ProfileSet, config: &TreeConfig) -> Result<Self, FilterError> {
-        let schema = Arc::new(profiles.schema().clone());
+        let table = LoweredTable::lower(profiles.schema(), profiles.iter())?;
+        Self::build_lowered(profiles.schema(), &table, config)
+    }
+
+    /// [`Dfsa::build`] for a population lowered already: profile `r` is
+    /// row `r` of `table`, a table over `schema`'s attributes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dfsa::build`], and [`FilterError::ModelMismatch`] if
+    /// `table`'s rows are not as wide as the schema.
+    pub fn build_lowered(
+        schema: &Schema,
+        table: &LoweredTable,
+        config: &TreeConfig,
+    ) -> Result<Self, FilterError> {
+        let schema = Arc::new(schema.clone());
+        if table.width() != schema.len() {
+            return Err(FilterError::ModelMismatch {
+                message: format!(
+                    "a lowered table of {} attributes for a schema of {}",
+                    table.width(),
+                    schema.len()
+                ),
+            });
+        }
 
         // Validate the event model; its per-point tables are borrowed
         // for the build and, if the shape reads them, held once in the
@@ -293,13 +318,9 @@ impl Dfsa {
             });
         }
         if let Some(w) = &config.profile_weights {
-            if w.len() != profiles.len() {
+            if w.len() != table.rows() {
                 return Err(FilterError::ModelMismatch {
-                    message: format!(
-                        "{} profile weights for {} profiles",
-                        w.len(),
-                        profiles.len()
-                    ),
+                    message: format!("{} profile weights for {} profiles", w.len(), table.rows()),
                 });
             }
             if w.iter().any(|x| !x.is_finite() || *x <= 0.0) {
@@ -315,9 +336,11 @@ impl Dfsa {
             || matches!(config.attribute_order, AttributeOrder::Selectivity { .. })
         {
             let build = |(id, a): (AttrId, &ens_types::Attribute)| {
-                AttributePartition::build(profiles.iter(), id, a.domain())
+                let rows = (0..table.rows() as u32).map(ProfileId::new);
+                let entries = rows.map(|p| (p, table.get(p.index(), id.index())));
+                AttributePartition::from_lowered(entries, a.domain().size())
             };
-            schema.iter().map(build).collect::<Result<Vec<_>, _>>()?
+            schema.iter().map(build).collect()
         } else {
             Vec::new()
         };
@@ -337,7 +360,8 @@ impl Dfsa {
                 crate::selectivity::order_attributes(
                     *measure,
                     *direction,
-                    profiles,
+                    &schema,
+                    table,
                     &partitions,
                     marginals,
                     config.search,
@@ -345,7 +369,7 @@ impl Dfsa {
             }
         };
 
-        let alive: Vec<ProfileId> = profiles.iter().map(ens_types::Profile::id).collect();
+        let alive: Vec<ProfileId> = (0..table.rows() as u32).map(ProfileId::new).collect();
         // For the merging ablation every node keeps the global cut
         // points instead of re-decomposing per branch.
         let global_cuts: Option<Vec<Vec<u64>>> = config.disable_cell_merging.then(|| {
@@ -362,10 +386,10 @@ impl Dfsa {
             schema,
             config: config.kept(),
             attribute_order,
-            profile_count: profiles.len(),
+            profile_count: table.rows(),
         };
         let mut builder = TreeBuilder {
-            profiles,
+            table,
             schema: &header.schema,
             order: &header.attribute_order,
             marginals,
@@ -377,15 +401,17 @@ impl Dfsa {
             arenas: Arenas::default(),
             leaves: LeafInterner::default(),
             leaf: Vec::new(),
+            levels: Vec::new(),
+            star: star_ordering(),
         };
-        let root = builder.build_node(&alive, 0)?;
+        let root = builder.build_node(&alive, 0);
         let TreeBuilder { arenas, leaves, .. } = builder;
         Ok(arenas.finish(header, leaves.pool, root))
     }
 }
 
 struct TreeBuilder<'a> {
-    profiles: &'a ProfileSet,
+    table: &'a LoweredTable,
     schema: &'a Schema,
     order: &'a [AttrId],
     marginals: Option<&'a [DistOverDomain]>,
@@ -401,6 +427,31 @@ struct TreeBuilder<'a> {
     leaves: LeafInterner,
     /// The leaf being made, sorted here before it is interned.
     leaf: Vec<ProfileId>,
+    /// Per depth, the buffers its nodes reuse.
+    levels: Vec<Level>,
+    /// The ordering of a node without edges.
+    star: NodeOrdering,
+}
+
+/// The buffers the nodes at one depth reuse one after another: a node
+/// is done with its own before the next node at its depth starts.
+#[derive(Default)]
+struct Level {
+    /// The alive profiles don't-care on the level's attribute, and the
+    /// others, in alive order.
+    dont_care: Vec<ProfileId>,
+    specific: Vec<ProfileId>,
+    /// The decomposition of the level's attribute at this node.
+    cells: Cells,
+    /// The profiles alive in the child being built.
+    child: Vec<ProfileId>,
+    /// The edges and their event and profile masses, natural order,
+    /// and the event mass of the gaps between them.
+    intervals: Vec<IndexInterval>,
+    edge_pe: Vec<f64>,
+    edge_pp: Vec<f64>,
+    gap_pe: Vec<f64>,
+    ordering: NodeOrdering,
 }
 
 impl TreeBuilder<'_> {
@@ -415,106 +466,112 @@ impl TreeBuilder<'_> {
 
     /// Builds the subtree of the profiles `alive` at `level` into the
     /// automaton, and returns where it starts.
-    fn build_node(&mut self, alive: &[ProfileId], level: usize) -> Result<PTarget, FilterError> {
+    fn build_node(&mut self, alive: &[ProfileId], level: usize) -> PTarget {
         if alive.is_empty() {
-            return Ok(PTarget::REJECT);
+            return PTarget::REJECT;
         }
         if level == self.order.len() {
             self.leaf.clear();
             self.leaf.extend_from_slice(alive);
             self.leaf.sort_unstable();
-            return Ok(self.leaves.intern(&self.leaf));
+            return self.leaves.intern(&self.leaf);
         }
+        if self.levels.len() <= level {
+            self.levels.resize_with(level + 1, Level::default);
+        }
+        let mut scratch = std::mem::take(&mut self.levels[level]);
+        let node = self.inner_node(alive, level, &mut scratch);
+        self.levels[level] = scratch;
+        node
+    }
+
+    /// [`TreeBuilder::build_node`] below the leaves, in `s`'s buffers.
+    fn inner_node(&mut self, alive: &[ProfileId], level: usize, s: &mut Level) -> PTarget {
         let attr = self.order[level];
-        let domain = self.schema.attribute(attr).domain();
+        let a = attr.index();
+        let table = self.table;
+        s.dont_care.clear();
+        s.specific.clear();
+        for &id in alive {
+            if table.get(id.index(), a).is_none() {
+                s.dont_care.push(id);
+            } else {
+                s.specific.push(id);
+            }
+        }
 
-        // Alive ids are the set's own.
-        let (dont_care, specific): (Vec<ProfileId>, Vec<ProfileId>) =
-            alive.iter().partition(|id| {
-                let profile = self.profiles.get(**id);
-                profile.is_some_and(|p| p.predicate(attr).is_dont_care())
-            });
-
-        if specific.is_empty() {
+        if s.specific.is_empty() {
             // All alive profiles ignore this attribute: a single `*`
             // edge.
-            let child = self.build_node(alive, level + 1)?;
+            let child = self.build_node(alive, level + 1);
             let node = NodeSpec {
                 attr,
                 intervals: &[],
                 first: self.arenas.targets.len(),
-                ordering: star_ordering(),
+                ordering: &self.star,
                 star: Some((true, child)),
             };
-            return Ok(self.arenas.freeze(node, &self.ctx));
+            return self.arenas.freeze(node, &self.ctx);
         }
 
         // The star subtree is built first, so leaves enter the pool in
         // the order the node codec writes them.
-        let star = if dont_care.is_empty() {
-            None
-        } else {
-            Some((false, self.build_node(&dont_care, level + 1)?))
-        };
+        let star =
+            (!s.dont_care.is_empty()).then(|| (false, self.build_node(&s.dont_care, level + 1)));
 
         // Per-branch elementary decomposition over the *specific*
         // profiles alive here (merging makes the Fig. 2 edges like
         // `[30, 100)` appear when profiles collapse).
-        let spec_profiles = specific.iter().filter_map(|id| self.profiles.get(*id));
-        let cuts = self
-            .global_cuts
-            .as_ref()
-            .map_or(&[][..], |c| &c[attr.index()]);
-        let part = AttributePartition::build_with_cuts(spec_profiles, attr, domain, cuts)?;
+        let d = self.schema.attribute(attr).domain().size();
+        let global = self.global_cuts.as_ref().map_or(&[][..], |c| &c[a]);
+        let specified = s.specific.iter().map(|&id| (id, table.get(id.index(), a)));
+        let specified = specified.map(|(id, ivs)| (id, ivs.unwrap_or_default()));
+        s.cells.decompose(specified, d, global);
 
         let first = self.arenas.targets.len();
-        let mut intervals: Vec<IndexInterval> = Vec::new();
-        let mut edge_pe: Vec<f64> = Vec::new();
-        let mut edge_pp: Vec<f64> = Vec::new();
-        let mut gap_pe: Vec<f64> = vec![0.0];
-        let marginal = self.marginals.map(|m| &m[attr.index()]);
-        let mut child_ids: Vec<ProfileId> = Vec::new();
-        for cell in part.cells() {
-            if cell.is_zero() {
-                let pe = marginal.map_or(0.0, |m| m.mass_of(cell.interval()));
-                gap_pe[intervals.len()] += pe;
+        s.intervals.clear();
+        s.edge_pe.clear();
+        s.edge_pp.clear();
+        s.gap_pe.clear();
+        s.gap_pe.push(0.0);
+        let marginal = self.marginals.map(|m| &m[a]);
+        let specific_mass = self.profile_mass(&s.specific);
+        for c in 0..s.cells.len() {
+            let (interval, members) = s.cells.cell(c);
+            let pe = marginal.map_or(0.0, |m| m.mass_of(&interval));
+            if members.is_empty() {
+                if let Some(gap) = s.gap_pe.last_mut() {
+                    *gap += pe;
+                }
                 continue;
             }
-            child_ids.clear();
-            child_ids.extend_from_slice(cell.profiles());
-            child_ids.extend_from_slice(&dont_care);
-            let child = self.build_node(&child_ids, level + 1)?;
+            s.child.clear();
+            s.child.extend_from_slice(members);
+            s.child.extend_from_slice(&s.dont_care);
+            let child = self.build_node(&s.child, level + 1);
             self.arenas.targets.push(child);
-            edge_pe.push(marginal.map_or(0.0, |m| m.mass_of(cell.interval())));
-            edge_pp.push(self.profile_mass(cell.profiles()) / self.profile_mass(&specific));
-            intervals.push(*cell.interval());
-            gap_pe.push(0.0);
+            s.edge_pe.push(pe);
+            s.edge_pp.push(self.profile_mass(members) / specific_mass);
+            s.intervals.push(interval);
+            s.gap_pe.push(0.0);
         }
 
-        let mut ordering = NodeOrdering::compute_with_geometry(
-            self.strategy,
-            &edge_pe,
-            &edge_pp,
-            &gap_pe,
-            &intervals,
-            domain.size(),
-        );
-        if !self.early_termination && matches!(self.strategy, SearchStrategy::Linear(_)) {
+        let strategy = self.strategy;
+        s.ordering
+            .recompute(strategy, &s.edge_pe, &s.edge_pp, &s.gap_pe, &s.intervals, d);
+        if !self.early_termination && matches!(strategy, SearchStrategy::Linear(_)) {
             // Ablation: without the lookup table every miss scans the
             // whole node.
-            let full = intervals.len().max(1) as u32;
-            for mc in &mut ordering.miss_cost {
-                *mc = full;
-            }
+            s.ordering.miss_cost.fill(s.intervals.len().max(1) as u32);
         }
         let node = NodeSpec {
             attr,
-            intervals: &intervals,
+            intervals: &s.intervals,
             first,
-            ordering,
+            ordering: &s.ordering,
             star,
         };
-        Ok(self.arenas.freeze(node, &self.ctx))
+        self.arenas.freeze(node, &self.ctx)
     }
 }
 
@@ -728,31 +785,30 @@ impl<'a> OrderCtx<'a> {
     /// probabilities (both marginals set to zero). Matches the build
     /// exactly for every strategy whose keys ignore probability mass.
     fn derive(&self, attr: AttrId, intervals: &[IndexInterval]) -> NodeOrdering {
-        let m = intervals.len();
-        if m == 0 {
+        if intervals.is_empty() {
             // Edge-less `*` nodes are hand-built with a zero miss cost
             // (the star edge always passes), bypassing the ordering
             // computation and the early-termination ablation.
             return star_ordering();
         }
-        let zeros = vec![0.0; m];
-        let gap_zeros = vec![0.0; m + 1];
+        let mut derived = Derived::default();
+        self.derive_into(attr, intervals, &mut derived);
+        derived.ordering
+    }
+
+    /// [`OrderCtx::derive`] for a node with edges, in `d`'s buffers.
+    fn derive_into(&self, attr: AttrId, intervals: &[IndexInterval], d: &mut Derived) {
+        let m = intervals.len();
+        d.zeros.clear();
+        d.zeros.resize(m + 1, 0.0);
         let domain_size = self.schema.attribute(attr).domain().size();
-        let mut ordering = NodeOrdering::compute_with_geometry(
-            self.strategy,
-            &zeros,
-            &zeros,
-            &gap_zeros,
-            intervals,
-            domain_size,
-        );
-        if !self.early_termination && matches!(self.strategy, SearchStrategy::Linear(_)) {
-            let full = m.max(1) as u32;
-            for mc in &mut ordering.miss_cost {
-                *mc = full;
-            }
+        let zeros = &d.zeros[..m];
+        let strategy = self.strategy;
+        d.ordering
+            .recompute(strategy, zeros, zeros, &d.zeros, intervals, domain_size);
+        if !self.early_termination && matches!(strategy, SearchStrategy::Linear(_)) {
+            d.ordering.miss_cost.fill(m.max(1) as u32);
         }
-        ordering
     }
 
     /// Whether every node with edges has the derived ordering: the
@@ -767,18 +823,32 @@ impl<'a> OrderCtx<'a> {
 
     /// Whether a node testing `attr` with edges `intervals` and
     /// `ordering` does not have the ordering the decoder derives, so
-    /// that the codec writes it out and an automaton keeps it.
+    /// that the codec writes it out and an automaton keeps it. The
+    /// derivation is made in `d`'s buffers.
     pub(crate) fn written(
         &self,
         attr: AttrId,
         intervals: &[IndexInterval],
         ordering: &NodeOrdering,
+        d: &mut Derived,
     ) -> bool {
         if intervals.is_empty() {
-            return *ordering != star_ordering();
+            let star = ordering.visit.is_empty() && ordering.hit_cost.is_empty();
+            return !(star && ordering.miss_cost == [0]);
         }
-        !self.always_derived() && *ordering != self.derive(attr, intervals)
+        if self.always_derived() {
+            return false;
+        }
+        self.derive_into(attr, intervals, d);
+        *ordering != d.ordering
     }
+}
+
+/// The buffers [`OrderCtx::written`] derives an ordering in.
+#[derive(Default)]
+pub(crate) struct Derived {
+    ordering: NodeOrdering,
+    zeros: Vec<f64>,
 }
 
 /// The checkpoint decoder's walk: each node read is frozen into
@@ -881,7 +951,7 @@ impl Decoder<'_> {
                     attr,
                     intervals: &intervals,
                     first,
-                    ordering,
+                    ordering: &ordering,
                     star,
                 };
                 Ok(self.arenas.freeze(node, &self.ctx))

@@ -21,7 +21,7 @@
 //! protocol and can abandon it without side effects.
 
 use ens_dist::JointDist;
-use ens_types::ProfileSet;
+use ens_types::{LoweredTable, Schema};
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
@@ -65,7 +65,8 @@ const ATTRIBUTE_ORDERS: [AttributeOrder; 3] = [
 
 /// Prices every candidate configuration — the V1–V3 value orders and
 /// binary search crossed with the natural/A1/A2 attribute orders — for
-/// `profiles` under the estimated event model `joint` and compares the
+/// `profiles`, lowered over `schema` (every candidate reads the same
+/// table), under the estimated event model `joint` and compares the
 /// best against the cost of keeping the current structure unchanged
 /// under the same model: `current` (the stale compiled snapshot,
 /// priced on its automaton) plus a floor of one comparison per event
@@ -101,7 +102,8 @@ const ATTRIBUTE_ORDERS: [AttributeOrder; 3] = [
 pub fn evaluate(
     current: &FilterSnapshot,
     overlay_len: usize,
-    profiles: &ProfileSet,
+    schema: &Schema,
+    profiles: &LoweredTable,
     base: &TreeConfig,
     joint: &JointDist,
 ) -> Result<(RetuneDecision, Option<Dfsa>), FilterError> {
@@ -115,7 +117,7 @@ pub fn evaluate(
                 event_model: Some(joint.clone()),
                 ..base.clone()
             };
-            let Ok(tree) = Dfsa::build(profiles, &config) else {
+            let Ok(tree) = Dfsa::build_lowered(schema, profiles, &config) else {
                 continue;
             };
             let Ok(cost) = CostModel::new(&tree, joint).and_then(|m| m.evaluate()) else {
@@ -149,7 +151,7 @@ pub fn evaluate(
 /// ```
 /// use ens_dist::{Density, DistOverDomain, JointDist};
 /// use ens_filter::{tuning, FilterSnapshot, TreeConfig};
-/// use ens_types::{Domain, Predicate, ProfileSet, Schema};
+/// use ens_types::{Domain, LoweredTable, Predicate, ProfileSet, Schema};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let schema = Schema::builder().attribute("x", Domain::int(0, 99))?.build();
@@ -163,8 +165,9 @@ pub fn evaluate(
 /// let est = JointDist::independent(vec![
 ///     DistOverDomain::new(Density::window(0.9, 1.0), 100),
 /// ])?;
+/// let live = LoweredTable::lower(&schema, ps.iter())?;
 /// let (decision, tuned) =
-///     tuning::evaluate(&stale, 0, &ps, &TreeConfig::default(), &est)?;
+///     tuning::evaluate(&stale, 0, &schema, &live, &TreeConfig::default(), &est)?;
 /// assert!(decision.accepted, "scanning the hot band first must win");
 /// assert!(decision.best_ops < decision.stale_ops);
 /// assert!(tuned.is_some(), "the tree that was priced comes with it");
@@ -202,6 +205,18 @@ impl RetuneDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ens_types::ProfileSet;
+
+    /// [`evaluate`] of `ps` with an empty overlay.
+    fn price(
+        stale: &FilterSnapshot,
+        ps: &ProfileSet,
+        config: &TreeConfig,
+        joint: &JointDist,
+    ) -> Result<(RetuneDecision, Option<Dfsa>), FilterError> {
+        let live = LoweredTable::lower(ps.schema(), ps.iter())?;
+        evaluate(stale, 0, ps.schema(), &live, config, joint)
+    }
     use crate::Matcher;
     use ens_dist::{Density, DistOverDomain};
     use ens_types::{Domain, Event, IndexedEvent, Predicate, Schema};
@@ -230,7 +245,7 @@ mod tests {
         let stale = FilterSnapshot::compile(&ps, &config).unwrap();
         // Uniform traffic: nothing beats the stale tree by much.
         let est = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)]).unwrap();
-        let (d, _) = evaluate(&stale, 0, &ps, &config, &est).unwrap();
+        let (d, _) = price(&stale, &ps, &config, &est).unwrap();
         assert!(!d.accepted, "{d:?}");
         assert!(d.improvement() < MIN_IMPROVEMENT, "{d:?}");
         assert!(d.best_ops <= d.stale_ops + 1e-9);
@@ -242,7 +257,7 @@ mod tests {
         let ps = ProfileSet::new(&schema);
         let stale = FilterSnapshot::compile(&ps, &TreeConfig::default()).unwrap();
         let est = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)]).unwrap();
-        let (d, _) = evaluate(&stale, 0, &ps, &TreeConfig::default(), &est).unwrap();
+        let (d, _) = price(&stale, &ps, &TreeConfig::default(), &est).unwrap();
         assert!(!d.accepted);
         assert_eq!(d.improvement(), 0.0);
     }
@@ -253,7 +268,7 @@ mod tests {
         let ps = banded_profiles(&schema, &[(0, 9)]);
         let stale = FilterSnapshot::compile(&ps, &TreeConfig::default()).unwrap();
         let wrong = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 7)]).unwrap();
-        assert!(evaluate(&stale, 0, &ps, &TreeConfig::default(), &wrong).is_err());
+        assert!(price(&stale, &ps, &TreeConfig::default(), &wrong).is_err());
     }
 
     /// The retuned configuration must deliver exactly the same matches
@@ -269,7 +284,7 @@ mod tests {
         let est =
             JointDist::independent(vec![DistOverDomain::new(Density::gaussian(0.9, 0.05), 100)])
                 .unwrap();
-        let (d, tuned) = evaluate(&stale, 0, &ps, &config, &est).unwrap();
+        let (d, tuned) = price(&stale, &ps, &config, &est).unwrap();
         assert!(d.accepted, "{d:?}");
         let tuned = tuned.expect("an accepted decision comes with its tree");
         let mut indexed = IndexedEvent::new();
@@ -303,7 +318,7 @@ mod tests {
         let high =
             JointDist::independent(vec![DistOverDomain::new(Density::window(0.9, 1.0), 100)])
                 .unwrap();
-        let (d, tuned) = evaluate(&stale, 0, &ps, &config, &high).unwrap();
+        let (d, tuned) = price(&stale, &ps, &config, &high).unwrap();
         assert!(d.accepted, "{d:?}");
         let tuned = tuned.expect("an accepted decision comes with its tree");
         // Measured ops on hot-band events: retuned must be cheaper.

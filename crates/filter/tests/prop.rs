@@ -458,7 +458,7 @@ proptest! {
         .unwrap();
         let cover =
             CoverSet::build_bulk(&schema, ps.iter().map(|p| (p.id().index() as u32, p))).unwrap();
-        let reps = FilterSnapshot::cover_representatives(&ps, &cover).unwrap();
+        let reps = representatives(&ps, &cover);
         let rows: Vec<IndexedEvent> = events
             .iter()
             .map(|&(x, y)| IndexedEvent::from_indices(vec![x, y]))
@@ -561,6 +561,16 @@ proptest! {
             }
         }
     }
+}
+
+/// The profiles a covering-pruned compile of `ps` puts in the tree:
+/// `cover`'s representatives, in ascending slot order.
+fn representatives(ps: &ProfileSet, cover: &CoverSet) -> ProfileSet {
+    let mut reps = ProfileSet::new(ps.schema());
+    for &slot in cover.rep_slots() {
+        reps.insert(ps.get(ProfileId::new(slot)).unwrap().clone());
+    }
+    reps
 }
 
 /// The populations of the six end-to-end workloads, smaller, each with
@@ -860,7 +870,7 @@ fn statistics_cells_are_the_partition_cells_on_the_e2e_populations() {
         let cover =
             CoverSet::build_bulk(ps.schema(), ps.iter().map(|p| (p.id().index() as u32, p)))
                 .unwrap();
-        let reps = FilterSnapshot::cover_representatives(&ps, &cover).unwrap();
+        let reps = representatives(&ps, &cover);
         for (compiled, set) in [("all", &ps), ("representatives", &reps)] {
             let [binned, built] = statistics_and_partition_cells(set);
             assert_eq!(binned, built, "{name}, {compiled}");

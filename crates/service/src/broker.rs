@@ -230,7 +230,11 @@ impl ShardSnapshot {
 /// over `population`, 1000 to 8000 profiles), and the flattened tree
 /// matches an event in 32 ns (environmental) to 67 ns (stock)
 /// (`workloads[].matchers`, `dfsa_csr_scratch`): 34 to 75 events per
-/// profile, 40 taken. A constant and not the clock, so
+/// profile, 40 taken. Since a compile lowers each profile once and
+/// reuses its buffers per tree level, the same shape re-measures at
+/// ≈ 1.3 µs per profile at 1000 and ≈ 0.9 µs at 8000 (1.8 and 1.7 µs
+/// before, in alternating runs on one 2-core machine); the value stays
+/// 40 until the price is re-derived. A constant and not the clock, so
 /// that what a broker decides depends on what it was sent and nothing
 /// else; [`Decision::DriftRebuilt::rebuild_ns`] is there to check it by.
 const REBUILD_EVENTS_PER_PROFILE: f64 = 40.0;
@@ -1292,6 +1296,7 @@ impl Broker {
             let (decision, built) = tuning::evaluate(
                 &snap.filter,
                 w.overlay_uncovered(),
+                &staged.schema,
                 &staged.compiled,
                 &staged.config,
                 &model,
@@ -1317,7 +1322,7 @@ impl Broker {
             }
             // The tracker counts the events it was shown.
             let served = w.tracker.events_since_settled() * self.config.stats_sample;
-            price_rebuild(stale_ops, new_ops, served, staged.compiled.len())
+            price_rebuild(stale_ops, new_ops, served, staged.compiled.rows())
         });
         let (Some(filter), None) = (candidate, refused) else {
             // (No candidate at all means the tuner accepted none.)

@@ -29,7 +29,7 @@ use ens_dist::JointDist;
 use ens_filter::{
     AttributeOrder, Dfsa, DriftTracker, FilterSnapshot, RebinnedHistory, SearchStrategy, TreeConfig,
 };
-use ens_types::{CoverOutcome, CoverSet, Profile, ProfileSet, Residual, Schema};
+use ens_types::{CoverOutcome, CoverSet, LoweredTable, Profile, ProfileSet, Residual, Schema};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::channel::{self, Sender};
@@ -177,9 +177,11 @@ pub(super) struct Staged {
     population: usize,
     /// Its covering analysis, with [`BrokerConfig::covering`] on.
     cover: Option<CoverSet>,
-    /// The profiles that enter the tree: the representatives of `cover`,
-    /// or the whole population in compaction order.
-    pub(super) compiled: ProfileSet,
+    /// The shard's schema.
+    pub(super) schema: Arc<Schema>,
+    /// The profiles that enter the tree, lowered: the representatives
+    /// of `cover`, or the whole population in compaction order.
+    pub(super) compiled: LoweredTable,
     /// The shape to compile and the weights of the compiled profiles.
     /// Its event model is the one to compile under for a shape that
     /// reads one, else the configured prior, passed along unread.
@@ -216,7 +218,7 @@ impl Staged {
         let t0 = Instant::now();
         let dfsa = match built {
             Some(dfsa) => dfsa,
-            None => Dfsa::build(&self.compiled, &self.config)?,
+            None => Dfsa::build_lowered(&self.schema, &self.compiled, &self.config)?,
         };
         let filter = FilterSnapshot::from_dfsa(dfsa, self.population, self.cover.as_ref())?;
         self.tree_time = t0.elapsed();
@@ -410,10 +412,12 @@ impl ShardWriter {
     /// one built.
     fn stage(&self, change: &Change, tree: TreeConfig) -> Result<Staged, ServiceError> {
         let t0 = Instant::now();
-        let mut profiles = ProfileSet::new(&self.schema);
+        // One lowering per compile: the containment pass, the drift
+        // statistics and the automaton build all read this table.
+        let mut lowered = LoweredTable::new(&self.schema);
         let mut weights = Vec::with_capacity(self.live_count() + change.add.len());
         for e in self.live_after(change) {
-            profiles.insert(e.profile.clone());
+            lowered.push(&self.schema, &e.profile)?;
             weights.push(e.weight);
         }
         let uniform = weights.iter().all(|w| (*w - 1.0).abs() < f64::EPSILON);
@@ -423,23 +427,18 @@ impl ShardWriter {
         // representative antichain is compiled, everything else joins
         // the expansion map.
         let t_cover = Instant::now();
-        let cover = if self.covering {
-            Some(CoverSet::build_bulk(
-                &self.schema,
-                profiles.iter().map(|p| (p.id().index() as u32, p)),
-            )?)
-        } else {
-            None
-        };
+        let cover = self
+            .covering
+            .then(|| CoverSet::build_lowered(&self.schema, &lowered));
         // Statistics geometry and profile weights follow the set that
         // is actually compiled — the representatives under covering.
         // A representative keeps its own weight: its covered
         // subscriptions ride the same compiled states for free, so
         // boosting it further would distort the V2/V3 orderings.
-        let population = profiles.len();
+        let population = lowered.rows();
         let compiled = match &cover {
-            Some(cs) => FilterSnapshot::cover_representatives(&profiles, cs)?,
-            None => profiles,
+            Some(cs) => lowered.select(cs.rep_slots()),
+            None => lowered,
         };
         let cover_time = t_cover.elapsed();
         let weights = if uniform {
@@ -464,6 +463,7 @@ impl ShardWriter {
             (tree.event_model, Duration::ZERO)
         };
         Ok(Staged {
+            schema: Arc::clone(&self.schema),
             population,
             cover,
             compiled,
@@ -864,7 +864,7 @@ impl ShardGuard<'_> {
                 let compacted = Decision::Compacted {
                     shard: w.index,
                     population: r.staged.population,
-                    compiled: r.staged.compiled.len(),
+                    compiled: r.staged.compiled.rows(),
                     model_ns: r.staged.model_time.as_nanos() as u64,
                     cover_ns: r.staged.cover_time.as_nanos() as u64,
                     tree_ns: r.staged.tree_time.as_nanos() as u64,

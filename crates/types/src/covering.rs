@@ -36,9 +36,11 @@
 //! so expansion is exact, and exact duplicates (empty residual) are
 //! delivered for free.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::BuildHasher;
 
-use crate::{AttrId, IntervalSet, Profile, Schema, TypesError};
+use crate::interval::contains_slice;
+use crate::{AttrId, IndexInterval, IntervalSet, LoweredTable, Profile, Schema, TypesError};
 
 /// Returns whether `a` covers `b`: every event matching `b` matches `a`.
 ///
@@ -51,25 +53,18 @@ use crate::{AttrId, IntervalSet, Profile, Schema, TypesError};
 ///
 /// Propagates predicate lowering errors.
 pub fn covers(schema: &Schema, a: &Profile, b: &Profile) -> Result<bool, TypesError> {
-    let sa = lower(schema, a)?;
-    let sb = lower(schema, b)?;
+    let t = LoweredTable::lower(schema, [a, b])?;
+    let pairs = || (0..t.width()).map(|k| (t.get(0, k), t.get(1, k)));
     // An unsatisfiable `b` matches no event: vacuously covered.
-    if sb.iter().flatten().any(IntervalSet::is_empty) {
+    if pairs().any(|(_, y)| y.is_some_and(<[_]>::is_empty)) {
         return Ok(true);
     }
-    for (x, y) in sa.iter().zip(sb.iter()) {
-        match (x, y) {
-            (None, _) => {}
-            // An event missing this attribute matches `b` but not `a`.
-            (Some(_), None) => return Ok(false),
-            (Some(x), Some(y)) => {
-                if !x.contains_set(y) {
-                    return Ok(false);
-                }
-            }
-        }
-    }
-    Ok(true)
+    Ok(pairs().all(|pair| match pair {
+        (None, _) => true,
+        // An event missing this attribute matches `b` but not `a`.
+        (Some(_), None) => false,
+        (Some(x), Some(y)) => contains_slice(x, y),
+    }))
 }
 
 /// The canonical byte signature of `profile` under `schema`: the lowered
@@ -83,20 +78,20 @@ pub fn covers(schema: &Schema, a: &Profile, b: &Profile) -> Result<bool, TypesEr
 ///
 /// Propagates predicate lowering errors.
 pub fn profile_signature(schema: &Schema, profile: &Profile) -> Result<Vec<u8>, TypesError> {
-    Ok(signature(&lower(schema, profile)?))
-}
-
-/// Lowers a profile to its per-attribute index sets in schema order
-/// (`None` = don't-care).
-fn lower(schema: &Schema, p: &Profile) -> Result<Vec<Option<IntervalSet>>, TypesError> {
-    let mut out = Vec::with_capacity(schema.len());
-    for (id, attr) in schema.iter() {
-        let pred = p.predicate(id);
-        out.push(if pred.is_dont_care() {
-            None
-        } else {
-            Some(pred.to_intervals(attr.domain())?)
-        });
+    let t = LoweredTable::lower(schema, [profile])?;
+    let mut out = Vec::with_capacity(t.width() * 8);
+    for k in 0..t.width() {
+        match t.get(0, k) {
+            None => out.push(0),
+            Some(ivs) => {
+                out.push(1);
+                out.extend_from_slice(&(ivs.len() as u32).to_le_bytes());
+                for iv in ivs {
+                    out.extend_from_slice(&iv.lo().to_le_bytes());
+                    out.extend_from_slice(&iv.hi().to_le_bytes());
+                }
+            }
+        }
     }
     Ok(out)
 }
@@ -127,13 +122,8 @@ pub enum CoverOutcome {
     },
 }
 
-/// Marker bytes structuring the canonical signature of a lowered
-/// profile: per attribute either `SIG_DONT_CARE`, or `SIG_SPECIFIED`
-/// followed by the interval endpoints; `SIG_ANY` wildcards one
-/// attribute in the reduced signatures of the attribute-keyed index.
-const SIG_DONT_CARE: u8 = 0;
-const SIG_SPECIFIED: u8 = 1;
-const SIG_ANY: u8 = 2;
+/// The end of a chain in [`CoverSet`]'s indexes.
+const NONE: u32 = u32::MAX;
 
 /// The minimal-antichain tracker: which profiles of a population are
 /// covering representatives, which are covered by whom, and the
@@ -148,6 +138,10 @@ const SIG_ANY: u8 = 2;
 /// re-hashed but containment is never re-derived). Between compactions
 /// the set is probed read-only via [`CoverSet::probe`] /
 /// [`CoverSet::dominated_reps`].
+///
+/// The representatives' lowered rows are kept in one [`LoweredTable`].
+/// Both indexes hash rows where they lie and confirm a hit against the
+/// table: no signature is ever built.
 ///
 /// # Example
 ///
@@ -167,21 +161,27 @@ const SIG_ANY: u8 = 2;
 /// )?;
 /// assert_eq!(cover.rep_count(), 1);
 /// assert_eq!(cover.covered_count(), 2);
-/// assert_eq!(cover.cover_of(2).unwrap().0, 0);
+/// assert_eq!(cover.cover_of(2).map(|(rep, _)| rep), Some(0));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoverSet {
     schema: Schema,
-    /// Full canonical signature → representative slot (exact
-    /// duplicates).
-    full: HashMap<Vec<u8>, u32>,
-    /// `(attr, signature with that attribute wildcarded)` → candidate
-    /// representative slots (single-attribute weakenings).
-    by_attr: HashMap<(u32, Vec<u8>), Vec<u32>>,
-    /// Representative slot → its lowered per-attribute sets.
-    reps: HashMap<u32, Vec<Option<IntervalSet>>>,
+    /// The representatives' lowered rows, in the order they were indexed.
+    reps: LoweredTable,
+    /// Row of `reps` → its representative slot.
+    rep_slot: Vec<u32>,
+    /// Hash of a whole row → the last row indexed with it (exact
+    /// duplicates); `full_prev[row]` is the row before it with that
+    /// hash. A row equal to one indexed already is not indexed again.
+    full: HashMap<u64, u32>,
+    full_prev: Vec<u32>,
+    /// Hash of a row with attribute `j` wildcarded → the first and last
+    /// entry `row * width + j` indexed with it (single-attribute
+    /// weakenings); `attr_next[entry]` is the next one with that hash.
+    by_attr: HashMap<u64, (u32, u32)>,
+    attr_next: Vec<u32>,
     /// Representative slots, ascending — position in this list is the
     /// dense compiled id a covering-pruned compilation assigns.
     rep_sorted: Vec<u32>,
@@ -195,9 +195,12 @@ impl CoverSet {
     pub fn new(schema: &Schema) -> Self {
         CoverSet {
             schema: schema.clone(),
+            reps: LoweredTable::new(schema),
+            rep_slot: Vec::new(),
             full: HashMap::new(),
+            full_prev: Vec::new(),
             by_attr: HashMap::new(),
-            reps: HashMap::new(),
+            attr_next: Vec::new(),
             rep_sorted: Vec::new(),
             children: HashMap::new(),
         }
@@ -216,29 +219,54 @@ impl CoverSet {
     where
         I: IntoIterator<Item = (u32, &'a Profile)>,
     {
-        let mut lowered: Vec<(u32, Vec<Option<IntervalSet>>)> = Vec::new();
+        let mut table = LoweredTable::new(schema);
+        let mut slots = Vec::new();
         for (slot, p) in profiles {
-            lowered.push((slot, lower(schema, p)?));
+            table.push(schema, p)?;
+            slots.push(slot);
         }
+        Ok(Self::bulk(schema, &table, &slots))
+    }
+
+    /// [`CoverSet::build_bulk`] over a population lowered already, the
+    /// profile in row `r` of `table` at slot `r`.
+    #[must_use]
+    pub fn build_lowered(schema: &Schema, table: &LoweredTable) -> Self {
+        let slots: Vec<u32> = (0..table.rows() as u32).collect();
+        Self::bulk(schema, table, &slots)
+    }
+
+    fn bulk(schema: &Schema, table: &LoweredTable, slots: &[u32]) -> Self {
         // General-first: ascending count of specified attributes, then
         // descending total covered length (wider = weaker), then slot
         // for determinism. If `a` covers `b` then `a` specifies a
         // subset of `b`'s attributes with supersets per attribute, so
         // `a` sorts at or before `b`; ties are exact duplicates, where
         // either order yields a valid antichain.
-        lowered.sort_by(|(sa, xa), (sb, xb)| {
-            let ka = xa.iter().flatten().count();
-            let kb = xb.iter().flatten().count();
-            let la: u64 = xa.iter().flatten().map(IntervalSet::covered_len).sum();
-            let lb: u64 = xb.iter().flatten().map(IntervalSet::covered_len).sum();
-            ka.cmp(&kb).then(lb.cmp(&la)).then(sa.cmp(sb))
-        });
+        let mut order: Vec<(usize, std::cmp::Reverse<u64>, u32, u32)> = (0..slots.len())
+            .map(|row| {
+                let sets = (0..table.width()).filter_map(|k| table.get(row, k));
+                let (mut specified, mut len) = (0, 0);
+                for ivs in sets {
+                    specified += 1;
+                    len += ivs.iter().map(IndexInterval::len).sum::<u64>();
+                }
+                (specified, std::cmp::Reverse(len), slots[row], row as u32)
+            })
+            .collect();
+        order.sort_unstable();
         let mut out = CoverSet::new(schema);
-        for (slot, sets) in lowered {
-            out.insert_lowered(slot, sets);
+        for (_, _, slot, row) in order {
+            let row = row as usize;
+            match out.find_cover(table, row) {
+                Some(cover) => {
+                    out.children.insert(slot, cover);
+                }
+                None => out.index_rep(table, row, slot),
+            }
         }
         out.rep_sorted.sort_unstable();
-        Ok(out)
+        out
     }
 
     /// Rebuilds a cover set from persisted parts — the representative
@@ -257,13 +285,14 @@ impl CoverSet {
         C: IntoIterator<Item = (u32, u32, Vec<Residual>)>,
     {
         let mut out = CoverSet::new(schema);
+        let mut probe = LoweredTable::new(schema);
         for (slot, p) in reps {
-            let sets = lower(schema, p)?;
-            out.index_rep(slot, sets);
+            probe.push(schema, p)?;
+            out.index_rep(&probe, probe.rows() - 1, slot);
         }
         out.rep_sorted.sort_unstable();
         for (child, rep, residual) in children {
-            if !out.reps.contains_key(&rep) {
+            if out.rep_sorted.binary_search(&rep).is_err() {
                 return Err(TypesError::UnknownAttribute(format!(
                     "cover child {child} references unknown representative {rep}"
                 )));
@@ -283,8 +312,8 @@ impl CoverSet {
     ///
     /// Propagates predicate lowering errors.
     pub fn probe(&self, profile: &Profile) -> Result<CoverOutcome, TypesError> {
-        let sets = lower(&self.schema, profile)?;
-        Ok(match self.find_cover(&sets) {
+        let probe = LoweredTable::lower(&self.schema, [profile])?;
+        Ok(match self.find_cover(&probe, 0) {
             Some((rep, residual)) => CoverOutcome::Covered { rep, residual },
             None => CoverOutcome::Rep,
         })
@@ -301,26 +330,23 @@ impl CoverSet {
     ///
     /// Propagates predicate lowering errors.
     pub fn dominated_reps(&self, profile: &Profile) -> Result<Vec<u32>, TypesError> {
-        let sets = lower(&self.schema, profile)?;
+        let probe = LoweredTable::lower(&self.schema, [profile])?;
         let mut out = Vec::new();
-        if let Some(&rep) = self.full.get(&signature(&sets)) {
-            out.push(rep);
+        if let Some(row) = self.duplicate_of(&probe, 0) {
+            out.push(self.rep_slot[row]);
         }
-        for j in 0..sets.len() {
-            let Some(cands) = self.by_attr.get(&(j as u32, signature_without(&sets, j))) else {
-                continue;
-            };
-            for &cand in cands {
+        for j in 0..probe.width() {
+            for cand in self.weakenings(&probe, 0, j) {
                 // `cand` agrees with `profile` on every attribute but
                 // `j`; `profile` covers it iff `profile` is don't-care
                 // or a superset there.
-                let covered = match (&sets[j], &self.reps[&cand][j]) {
+                let covered = match (probe.get(0, j), self.reps.get(cand, j)) {
                     (None, Some(_)) => true,
-                    (Some(p), Some(r)) => p != r && p.contains_set(r),
+                    (Some(p), Some(r)) => p != r && contains_slice(p, r),
                     _ => false,
                 };
                 if covered {
-                    out.push(cand);
+                    out.push(self.rep_slot[cand]);
                 }
             }
         }
@@ -378,90 +404,106 @@ impl CoverSet {
         out
     }
 
-    fn insert_lowered(&mut self, slot: u32, sets: Vec<Option<IntervalSet>>) {
-        if let Some((rep, residual)) = self.find_cover(&sets) {
-            self.children.insert(slot, (rep, residual));
-        } else {
-            self.index_rep(slot, sets);
+    /// The representative covering row `row` of `probe`, and the
+    /// residual: an exact duplicate, else the first representative
+    /// indexed that is weaker on one attribute and equal on the rest.
+    fn find_cover(&self, probe: &LoweredTable, row: usize) -> Option<(u32, Vec<Residual>)> {
+        if let Some(rep) = self.duplicate_of(probe, row) {
+            return Some((self.rep_slot[rep], Vec::new()));
         }
-    }
-
-    fn find_cover(&self, sets: &[Option<IntervalSet>]) -> Option<(u32, Vec<Residual>)> {
-        if let Some(&rep) = self.full.get(&signature(sets)) {
-            return Some((rep, Vec::new()));
-        }
-        for (j, set) in sets.iter().enumerate() {
+        for j in 0..probe.width() {
             // A representative strictly weaker on a don't-care
             // attribute would have to be don't-care too — and then the
             // full signatures would have matched already.
-            let Some(set) = set else { continue };
-            let Some(cands) = self.by_attr.get(&(j as u32, signature_without(sets, j))) else {
+            let Some(set) = probe.get(row, j) else {
                 continue;
             };
-            for &cand in cands {
-                let covers_j = match &self.reps[&cand][j] {
-                    None => true,
-                    Some(r) => r.contains_set(set),
-                };
-                if covers_j {
+            for cand in self.weakenings(probe, row, j) {
+                if self
+                    .reps
+                    .get(cand, j)
+                    .is_none_or(|r| contains_slice(r, set))
+                {
                     let residual = vec![Residual {
                         attr: AttrId::new(j as u32),
-                        allowed: set.clone(),
+                        allowed: IntervalSet::from_normalized(set.to_vec()),
                     }];
-                    return Some((cand, residual));
+                    return Some((self.rep_slot[cand], residual));
                 }
             }
         }
         None
     }
 
-    fn index_rep(&mut self, slot: u32, sets: Vec<Option<IntervalSet>>) {
-        self.full.entry(signature(&sets)).or_insert(slot);
-        for j in 0..sets.len() {
-            self.by_attr
-                .entry((j as u32, signature_without(&sets, j)))
-                .or_default()
-                .push(slot);
+    /// Hash of row `row` of `table`, attribute `skip` wildcarded.
+    fn hash(&self, table: &LoweredTable, row: usize, skip: Option<usize>) -> u64 {
+        let mut state = self.full.hasher().build_hasher();
+        std::hash::Hash::hash(&skip, &mut state);
+        table.hash_row(row, skip, &mut state);
+        std::hash::Hasher::finish(&state)
+    }
+
+    /// The representative row equal to row `row` of `probe`.
+    fn duplicate_of(&self, probe: &LoweredTable, row: usize) -> Option<usize> {
+        let hash = self.hash(probe, row, None);
+        let mut r = self.full.get(&hash).copied().unwrap_or(NONE);
+        while r != NONE {
+            if self.reps.rows_agree(r as usize, probe, row, None) {
+                return Some(r as usize);
+            }
+            r = self.full_prev[r as usize];
         }
-        self.rep_sorted.push(slot);
-        self.reps.insert(slot, sets);
+        None
     }
-}
 
-/// Canonical byte signature of a lowered profile.
-fn signature(sets: &[Option<IntervalSet>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(sets.len() * 8);
-    for set in sets {
-        push_section(&mut out, set.as_ref());
+    /// The representative rows that agree with row `row` of `probe` on
+    /// every attribute but `j`, in the order they were indexed.
+    fn weakenings<'a>(
+        &'a self,
+        probe: &'a LoweredTable,
+        row: usize,
+        j: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let width = self.reps.width();
+        let hash = self.hash(probe, row, Some(j));
+        let head = self.by_attr.get(&hash).map_or(NONE, |&(first, _)| first);
+        let next = |&e: &u32| Some(self.attr_next[e as usize]).filter(|&n| n != NONE);
+        std::iter::successors(Some(head).filter(|&e| e != NONE), next)
+            .map(|e| e as usize)
+            .filter(move |&e| e % width == j)
+            .map(move |e| e / width)
+            .filter(move |&cand| self.reps.rows_agree(cand, probe, row, Some(j)))
     }
-    out
-}
 
-/// The signature with attribute `j` wildcarded.
-fn signature_without(sets: &[Option<IntervalSet>], j: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(sets.len() * 8);
-    for (k, set) in sets.iter().enumerate() {
-        if k == j {
-            out.push(SIG_ANY);
-        } else {
-            push_section(&mut out, set.as_ref());
-        }
-    }
-    out
-}
-
-fn push_section(out: &mut Vec<u8>, set: Option<&IntervalSet>) {
-    match set {
-        None => out.push(SIG_DONT_CARE),
-        Some(set) => {
-            out.push(SIG_SPECIFIED);
-            let ivs = set.as_slice();
-            out.extend_from_slice(&(ivs.len() as u32).to_le_bytes());
-            for iv in ivs {
-                out.extend_from_slice(&iv.lo().to_le_bytes());
-                out.extend_from_slice(&iv.hi().to_le_bytes());
+    /// Indexes row `row` of `table` as the representative at `slot`.
+    fn index_rep(&mut self, table: &LoweredTable, row: usize, slot: u32) {
+        let prev = match self.duplicate_of(table, row) {
+            Some(_) => NONE,
+            None => {
+                let hash = self.hash(table, row, None);
+                let r = self.reps.rows() as u32;
+                self.full.insert(hash, r).unwrap_or(NONE)
+            }
+        };
+        let r = self.reps.rows();
+        self.full_prev.push(prev);
+        for j in 0..table.width() {
+            let entry = (r * table.width() + j) as u32;
+            self.attr_next.push(NONE);
+            match self.by_attr.entry(self.hash(table, row, Some(j))) {
+                Entry::Occupied(mut o) => {
+                    let (_, last) = o.get_mut();
+                    self.attr_next[*last as usize] = entry;
+                    *last = entry;
+                }
+                Entry::Vacant(v) => {
+                    v.insert((entry, entry));
+                }
             }
         }
+        self.reps.push_row(table, row);
+        self.rep_slot.push(slot);
+        self.rep_sorted.push(slot);
     }
 }
 

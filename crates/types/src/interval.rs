@@ -126,18 +126,14 @@ impl IntervalSet {
     /// coalesce).
     #[must_use]
     pub fn from_intervals(mut intervals: Vec<IndexInterval>) -> Self {
-        intervals.retain(|iv| !iv.is_empty());
-        intervals.sort();
-        let mut merged: Vec<IndexInterval> = Vec::with_capacity(intervals.len());
-        for iv in intervals {
-            match merged.last_mut() {
-                Some(last) if iv.lo() <= last.hi() => {
-                    *last = IndexInterval::new(last.lo(), last.hi().max(iv.hi()));
-                }
-                _ => merged.push(iv),
-            }
-        }
-        IntervalSet { intervals: merged }
+        normalize_tail(&mut intervals, 0);
+        IntervalSet { intervals }
+    }
+
+    /// Wraps intervals that are normalised already: ascending,
+    /// non-empty, and none touching the next.
+    pub(crate) fn from_normalized(intervals: Vec<IndexInterval>) -> Self {
+        IntervalSet { intervals }
     }
 
     /// The full domain `[0, d)`.
@@ -177,24 +173,7 @@ impl IntervalSet {
     /// exactly when `b`'s lowered index set is contained in `a`'s.
     #[must_use]
     pub fn contains_set(&self, other: &IntervalSet) -> bool {
-        let mut i = 0;
-        'outer: for o in &other.intervals {
-            while i < self.intervals.len() {
-                let s = self.intervals[i];
-                if s.hi() <= o.lo() {
-                    // Entirely left of `o` — and of every later `o` too.
-                    i += 1;
-                    continue;
-                }
-                if s.lo() <= o.lo() && o.hi() <= s.hi() {
-                    // `o` contained; the same `s` may contain later `o`s.
-                    continue 'outer;
-                }
-                return false;
-            }
-            return false;
-        }
-        true
+        contains_slice(&self.intervals, &other.intervals)
     }
 
     /// Iterates over the disjoint intervals in ascending order.
@@ -242,31 +221,9 @@ impl IntervalSet {
     /// Intervals extending beyond `d` are clipped.
     #[must_use]
     pub fn complement(&self, d: u64) -> IntervalSet {
-        let mut out = Vec::new();
-        let mut cursor = 0u64;
-        for iv in &self.intervals {
-            let lo = iv.lo().min(d);
-            if cursor < lo {
-                out.push(IndexInterval::new(cursor, lo));
-            }
-            cursor = cursor.max(iv.hi());
-        }
-        if cursor < d {
-            out.push(IndexInterval::new(cursor, d));
-        }
-        IntervalSet { intervals: out }
-    }
-
-    /// All interval endpoints (both `lo` and `hi`), used by the subrange
-    /// decomposition in `ens-filter`.
-    #[must_use]
-    pub fn endpoints(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.intervals.len() * 2);
-        for iv in &self.intervals {
-            out.push(iv.lo());
-            out.push(iv.hi());
-        }
-        out
+        let mut intervals = self.intervals.clone();
+        complement_tail(&mut intervals, 0, d);
+        IntervalSet { intervals }
     }
 }
 
@@ -294,6 +251,72 @@ impl fmt::Display for IntervalSet {
             write!(f, "{iv}")?;
         }
         write!(f, "}}")
+    }
+}
+
+/// Whether the normalised `outer` covers every index of the normalised
+/// `inner`, by a single merge walk over the two sorted lists.
+pub(crate) fn contains_slice(outer: &[IndexInterval], inner: &[IndexInterval]) -> bool {
+    let mut i = 0;
+    'outer: for o in inner {
+        while i < outer.len() {
+            let s = outer[i];
+            if s.hi() <= o.lo() {
+                // Entirely left of `o` — and of every later `o` too.
+                i += 1;
+                continue;
+            }
+            if s.lo() <= o.lo() && o.hi() <= s.hi() {
+                // `o` contained; the same `s` may contain later `o`s.
+                continue 'outer;
+            }
+            return false;
+        }
+        return false;
+    }
+    true
+}
+
+/// Normalises `v[start..]` in place: empties dropped, the rest sorted
+/// and merged (overlapping *or adjacent* intervals coalesce).
+pub(crate) fn normalize_tail(v: &mut Vec<IndexInterval>, start: usize) {
+    v[start..].sort_unstable();
+    let mut w = start;
+    for r in start..v.len() {
+        let iv = v[r];
+        if iv.is_empty() {
+            continue;
+        }
+        match w.checked_sub(1).filter(|&l| l >= start) {
+            Some(l) if iv.lo() <= v[l].hi() => {
+                v[l] = IndexInterval::new(v[l].lo(), v[l].hi().max(iv.hi()));
+            }
+            _ => {
+                v[w] = iv;
+                w += 1;
+            }
+        }
+    }
+    v.truncate(w);
+}
+
+/// Replaces the normalised `v[start..]` by its complement in `[0, d)`,
+/// in place; intervals extending beyond `d` are clipped.
+pub(crate) fn complement_tail(v: &mut Vec<IndexInterval>, start: usize, d: u64) {
+    let (mut w, mut cursor) = (start, 0u64);
+    // Piece `w` is written after interval `r >= w` is read.
+    for r in start..v.len() {
+        let iv = v[r];
+        let lo = iv.lo().min(d);
+        if cursor < lo {
+            v[w] = IndexInterval::new(cursor, lo);
+            w += 1;
+        }
+        cursor = cursor.max(iv.hi());
+    }
+    v.truncate(w);
+    if cursor < d {
+        v.push(IndexInterval::new(cursor, d));
     }
 }
 

@@ -54,6 +54,7 @@ mod error;
 mod event;
 mod indexed;
 mod interval;
+mod lowered;
 pub mod parse;
 mod predicate;
 mod profile;
@@ -66,6 +67,7 @@ pub use error::TypesError;
 pub use event::{Event, EventBuilder};
 pub use indexed::{IndexedBatch, IndexedEvent};
 pub use interval::{IndexInterval, IntervalSet};
+pub use lowered::LoweredTable;
 pub use predicate::{Operator, Predicate};
 pub use profile::{Profile, ProfileBuilder, ProfileId, ProfileSet};
 pub use value::{FiniteF64, Value};

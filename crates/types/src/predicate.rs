@@ -2,6 +2,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::interval::{complement_tail, normalize_tail};
 use crate::{Domain, IndexInterval, IntervalSet, TypesError, Value};
 
 /// The comparison operator class of a predicate, used by the statistics
@@ -194,31 +195,40 @@ impl Predicate {
     /// Propagates kind mismatches and out-of-domain values; rejects
     /// reversed `Between` bounds with [`TypesError::InvalidRange`].
     pub fn to_intervals(&self, domain: &Domain) -> Result<IntervalSet, TypesError> {
+        let mut intervals = Vec::new();
+        self.lower_into(domain, &mut intervals)?;
+        Ok(IntervalSet::from_normalized(intervals))
+    }
+
+    /// Appends the lowering [`Predicate::to_intervals`] returns to `out`,
+    /// normalised, without a buffer of its own. On an error `out` may
+    /// hold part of it.
+    pub(crate) fn lower_into(
+        &self,
+        domain: &Domain,
+        out: &mut Vec<IndexInterval>,
+    ) -> Result<(), TypesError> {
         let d = domain.size();
-        let set = match self {
-            Predicate::DontCare => IntervalSet::full(d),
+        let mut push = |lo: u64, hi: u64| {
+            if lo < hi {
+                out.push(IndexInterval::new(lo, hi));
+            }
+        };
+        match self {
+            Predicate::DontCare => push(0, d),
             Predicate::Eq(v) => {
-                IntervalSet::from_intervals(vec![IndexInterval::point(domain.index_of(v)?)])
+                let i = domain.index_of(v)?;
+                push(i, i + 1);
             }
             Predicate::Ne(v) => {
                 let i = domain.index_of(v)?;
-                IntervalSet::from_intervals(vec![
-                    IndexInterval::new(0, i),
-                    IndexInterval::new(i + 1, d),
-                ])
+                push(0, i);
+                push(i + 1, d);
             }
-            Predicate::Lt(v) => {
-                IntervalSet::from_intervals(vec![IndexInterval::new(0, domain.index_of(v)?)])
-            }
-            Predicate::Le(v) => {
-                IntervalSet::from_intervals(vec![IndexInterval::new(0, domain.index_of(v)? + 1)])
-            }
-            Predicate::Gt(v) => {
-                IntervalSet::from_intervals(vec![IndexInterval::new(domain.index_of(v)? + 1, d)])
-            }
-            Predicate::Ge(v) => {
-                IntervalSet::from_intervals(vec![IndexInterval::new(domain.index_of(v)?, d)])
-            }
+            Predicate::Lt(v) => push(0, domain.index_of(v)?),
+            Predicate::Le(v) => push(0, domain.index_of(v)? + 1),
+            Predicate::Gt(v) => push(domain.index_of(v)? + 1, d),
+            Predicate::Ge(v) => push(domain.index_of(v)?, d),
             Predicate::Between(lo, hi) => {
                 let (i, j) = (domain.index_of(lo)?, domain.index_of(hi)?);
                 if j < i {
@@ -227,24 +237,20 @@ impl Predicate {
                         hi: hi.to_string(),
                     });
                 }
-                IntervalSet::from_intervals(vec![IndexInterval::new(i, j + 1)])
+                push(i, j + 1);
             }
-            Predicate::In(vs) => {
-                let mut ivs = Vec::with_capacity(vs.len());
+            Predicate::In(vs) | Predicate::NotIn(vs) => {
+                let start = out.len();
                 for v in vs {
-                    ivs.push(IndexInterval::point(domain.index_of(v)?));
+                    out.push(IndexInterval::point(domain.index_of(v)?));
                 }
-                IntervalSet::from_intervals(ivs)
-            }
-            Predicate::NotIn(vs) => {
-                let mut ivs = Vec::with_capacity(vs.len());
-                for v in vs {
-                    ivs.push(IndexInterval::point(domain.index_of(v)?));
+                normalize_tail(out, start);
+                if matches!(self, Predicate::NotIn(_)) {
+                    complement_tail(out, start, d);
                 }
-                IntervalSet::from_intervals(ivs).complement(d)
             }
-        };
-        Ok(set)
+        }
+        Ok(())
     }
 
     /// Direct evaluation against a single value.

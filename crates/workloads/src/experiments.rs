@@ -15,7 +15,7 @@ use ens_filter::{
     AttributeMeasure, AttributeOrder, CostModel, Dfsa, Direction, MatchScratch, Matcher,
     SearchStrategy, TreeConfig, ValueOrder,
 };
-use ens_types::{Domain, IndexedEvent, Predicate, ProfileSet, Schema};
+use ens_types::{Domain, IndexedEvent, LoweredTable, Predicate, ProfileSet, Schema};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -738,7 +738,8 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
             event_model: Some(tracker.statistics().empirical_model()?),
             ..TreeConfig::default()
         };
-        let mut tree = Dfsa::build(&profiles, &config)?;
+        let lowered = LoweredTable::lower(&schema, profiles.iter())?;
+        let mut tree = Dfsa::build_lowered(&schema, &lowered, &config)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut total_ops = 0u64;
         let mut events = 0u64;
@@ -756,9 +757,9 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
                 total_ops += scratch.ops();
                 events += 1;
                 if let Some(signal) = tracker.observe(&e)? {
-                    let history = tracker.rebin(&profiles, None)?;
+                    let history = tracker.rebin(&lowered, None)?;
                     config.event_model = Some(history.model(None)?);
-                    tree = Dfsa::build(&profiles, &config)?;
+                    tree = Dfsa::build_lowered(&schema, &lowered, &config)?;
                     tracker.finish_rebuild(history, signal.cause == DriftCause::Moved)?;
                     rebuilds += 1;
                 }
