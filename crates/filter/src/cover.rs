@@ -676,8 +676,8 @@ pub struct CoverPlan {
 impl CoverPlan {
     /// Builds a plan over base slots `0..base_len` from its raw parts:
     /// the representatives' slots and `(child slot, representative
-    /// slot, residual)` triples in any order — the inverse of
-    /// [`CoverPlan::child_triples`].
+    /// slot, residual)` triples in any order — a covering analysis's
+    /// expansion map ([`ens_types::CoverSet::children_sorted`]).
     ///
     /// # Errors
     ///
@@ -769,19 +769,6 @@ impl CoverPlan {
     #[must_use]
     pub fn rep_slots(&self) -> &[u32] {
         &self.rep_of
-    }
-
-    /// All `(child slot, representative slot, residual)` triples —
-    /// the form [`ens_types::CoverSet::from_parts`] replays at
-    /// recovery.
-    pub fn child_triples(&self) -> impl Iterator<Item = (u32, u32, Vec<Residual>)> + '_ {
-        self.rep_of.iter().enumerate().flat_map(|(c, &rep)| {
-            let mut row = Vec::new();
-            self.index.for_each_child(c, Some(rep), |slot, child| {
-                row.push((slot, rep, self.index.residual_of(child)));
-            });
-            row
-        })
     }
 
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
@@ -1051,29 +1038,29 @@ mod tests {
         out
     }
 
+    /// `(child, rep, residual)` triples of [`plan`].
+    fn triples() -> Vec<(u32, u32, Vec<Residual>)> {
+        vec![
+            // A duplicate, out of order on purpose.
+            (9, 3, vec![]),
+            (1, 0, vec![]),
+            // Two attributes, the second with two intervals.
+            (
+                2,
+                0,
+                vec![residual(0, &[(5, 9)]), residual(2, &[(0, 1), (4, 6)])],
+            ),
+            // Two intervals on the first attribute.
+            (4, 0, vec![residual(1, &[(2, 3), (6, 8)])]),
+            // An empty allowed set: never delivered, still a child.
+            (5, 3, vec![residual(1, &[])]),
+            (6, 7, vec![residual(1, &[]), residual(0, &[(0, 9)])]),
+            (8, 7, vec![residual(1, &[(2, 3)])]),
+        ]
+    }
+
     fn plan() -> CoverPlan {
-        CoverPlan::from_parts(
-            vec![0, 3, 7],
-            10,
-            vec![
-                // A duplicate, out of order on purpose.
-                (9, 3, vec![]),
-                (1, 0, vec![]),
-                // Two attributes, the second with two intervals.
-                (
-                    2,
-                    0,
-                    vec![residual(0, &[(5, 9)]), residual(2, &[(0, 1), (4, 6)])],
-                ),
-                // Two intervals on the first attribute.
-                (4, 0, vec![residual(1, &[(2, 3), (6, 8)])]),
-                // An empty allowed set: never delivered, still a child.
-                (5, 3, vec![residual(1, &[])]),
-                (6, 7, vec![residual(1, &[]), residual(0, &[(0, 9)])]),
-                (8, 7, vec![residual(1, &[(2, 3)])]),
-            ],
-        )
-        .unwrap()
+        CoverPlan::from_parts(vec![0, 3, 7], 10, triples()).unwrap()
     }
 
     #[test]
@@ -1105,23 +1092,10 @@ mod tests {
         assert_eq!(plan.rep_count(), 3);
         assert_eq!(plan.covered_count(), 7);
         assert_eq!(plan.rep_of(1), 3);
-        let triples: Vec<_> = plan.child_triples().collect();
-        assert_eq!(triples[0], (1, 0, vec![]));
+        // The triples' order does not matter.
+        let reversed = triples().into_iter().rev();
         assert_eq!(
-            triples[1],
-            (
-                2,
-                0,
-                vec![residual(0, &[(5, 9)]), residual(2, &[(0, 1), (4, 6)])]
-            )
-        );
-        assert_eq!(triples[4], (9, 3, vec![]));
-        assert_eq!(
-            triples[5],
-            (6, 7, vec![residual(1, &[]), residual(0, &[(0, 9)])])
-        );
-        assert_eq!(
-            CoverPlan::from_parts(plan.rep_slots().to_vec(), 10, triples).unwrap(),
+            CoverPlan::from_parts(plan.rep_slots().to_vec(), 10, reversed).unwrap(),
             plan
         );
 

@@ -491,7 +491,8 @@ impl FilterSnapshot {
     /// slot), and the snapshot carries the expansion plan derived from
     /// `cover`, so matches still report *original* base slots. Build
     /// `cover` with [`CoverSet::build_bulk`] over `profiles` keyed by
-    /// their ids, and keep it to probe later subscriptions against.
+    /// their ids. The plan takes a copy of its expansion map: to probe
+    /// later subscriptions, keep [`CoverSet::into_index`].
     ///
     /// Match semantics are identical to [`FilterSnapshot::compile`]; on
     /// duplicate-heavy populations build time and compiled bytes drop

@@ -141,12 +141,12 @@ pub struct BrokerConfig {
     /// and adds no compiled state — but it is not free to match: every
     /// hit on a representative is expanded back to its covered
     /// subscriptions (duplicates unchecked, strict children by one
-    /// interval stab per residual attribute), and the `e2e` benchmark
-    /// measured that expansion at about 350 of the 400 ns/event of
-    /// matching on its 1000-profile environmental population (91
-    /// subscriptions delivered per event; 1050 of 1110 ns before the
-    /// flat expansion index of PR 13), where the uncovered automaton
-    /// matches in about 40 ns. [`MetricsSnapshot::cover_checks`] and
+    /// interval stab per residual attribute), and the traced `e2e`
+    /// benchmark measures that expansion at 410–470 of the 430–490
+    /// ns/event of matching on its 1000-profile environmental
+    /// population (`fanout_env`, 91 subscriptions delivered per event),
+    /// where the uncovered automaton matches in about 40 ns.
+    /// [`MetricsSnapshot::cover_checks`] and
     /// [`MetricsSnapshot::cover_delivered`] count what it does on a
     /// running broker. On duplicate-heavy populations covering shrinks
     /// build time and compiled bytes by the coverage factor; on

@@ -360,8 +360,9 @@ struct OutboundInterest {
     /// Signature → its one record, in the (ascending) order wire ids
     /// are allotted in.
     by_sig: BTreeMap<Vec<u8>, SigEntry>,
-    /// Covering state over the entries, rebuilt on antichain changes;
-    /// an entry's slot in it is its position in `by_sig` at the time.
+    /// The representative index over the entries, rebuilt on antichain
+    /// changes; an entry's slot in it is its position in `by_sig` at
+    /// the time.
     cover: CoverSet,
 }
 
@@ -453,7 +454,8 @@ impl OutboundInterest {
         let Ok(cover) = CoverSet::build_bulk(schema, (0..).zip(entries)) else {
             return delta;
         };
-        self.cover = cover;
+        // Probes read the representatives only.
+        self.cover = cover.into_index();
         for (slot, e) in (0..).zip(self.by_sig.values_mut()) {
             let representative = self.cover.compiled_index_of(slot).is_some();
             match e.wire_id {

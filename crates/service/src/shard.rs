@@ -260,8 +260,9 @@ pub(super) struct ShardWriter {
     overlay: Vec<OverlayEntry>,
     /// How many of `overlay` are tombstoned.
     overlay_removed: usize,
-    /// Containment index over the compiled base, rebuilt by every
-    /// recompile when `covering` is on. Slot `s` is the index into
+    /// Containment index over the compiled base — its representatives
+    /// alone, the expansion map being the snapshot's plan — rebuilt by
+    /// every recompile when `covering` is on. Slot `s` is the index into
     /// `base`: a recompile rebuilds both in the same order and `base` is
     /// append-free in between, so the alignment holds until the next.
     cover: Option<CoverSet>,
@@ -589,14 +590,14 @@ impl Shard {
             }
         };
         let base: Vec<SubEntry> = cs.base.into_iter().map(&mut attach).collect();
-        // The containment index is replayed verbatim from the
-        // snapshot's expansion plan — representatives are re-hashed,
-        // but no pairwise containment is re-derived.
+        // The containment index is rebuilt from the plan's
+        // representatives alone — re-hashed, no containment re-derived;
+        // the expansion map stays in the restored plan.
         let cover = match (config.covering, filter.cover_plan()) {
             (true, Some(plan)) => {
                 let reps = plan.rep_slots().iter();
                 let reps = reps.map(|&s| (s, &base[s as usize].profile));
-                Some(CoverSet::from_parts(schema, reps, plan.child_triples())?)
+                Some(CoverSet::from_parts(schema, reps, [])?)
             }
             // A checkpoint written with covering off (or vice versa):
             // the next recompile switches the shard over.
@@ -907,7 +908,8 @@ impl ShardGuard<'_> {
                 base.extend(overlay.map(|e| e.sub));
                 w.base = base;
                 w.removed_count = 0;
-                w.cover = cover;
+                // The plan owns the expansion map now.
+                w.cover = cover.map(CoverSet::into_index);
                 if let Some(counter) = counter {
                     counter(&w.metrics).fetch_add(1, Ordering::Relaxed);
                 }

@@ -3,7 +3,8 @@
 //! configuration its filter keeps of the compiled tree — not again
 //! beside it, and only by a shard whose tree's shape reads them. A
 //! shard keeps the automaton and no tree: publishing, pricing a drift
-//! trigger and checkpointing raise none.
+//! trigger and checkpointing raise none. A covering shard keeps its
+//! expansion map once, in its filter's plan.
 //!
 //! This file deliberately contains a single `#[test]` so no concurrent
 //! test thread can disturb the global byte counter.
@@ -14,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use ens_filter::{Direction, SearchStrategy, TreeConfig, ValueOrder};
 use ens_service::{Broker, BrokerConfig, Decision, DurabilityConfig, FsyncPolicy};
 use ens_workloads::scenario::{stock_event_model, stock_profiles, stock_schema};
-use ens_workloads::EventGenerator;
+use ens_workloads::{covered_profiles, CoveredPopulationConfig, EventGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -181,4 +182,28 @@ fn a_shard_holds_its_model_tables_once() {
         served < 1_250_000,
         "a loaded durable 2-shard stock broker retains {served} bytes"
     );
+
+    // Covering keeps one copy of what it decided: a shard's expansion
+    // map (covered subscription -> representative, residual) lives in
+    // its snapshot's plan, and the containment index it probes holds
+    // the representatives alone. 2,000 subscriptions, nine in ten
+    // covered, most of those exact duplicates: 1,048 bytes a
+    // subscription, 1,102 while each shard kept the map a second time.
+    let duplicate_heavy = CoveredPopulationConfig {
+        duplicate_frac: 0.8,
+        ..CoveredPopulationConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(15);
+    let profiles = covered_profiles(&schema, 2000, &duplicate_heavy, &mut rng).unwrap();
+    let ((broker, subs), bytes) = retained(|| {
+        let broker = Broker::new(&schema, config(natural)).unwrap();
+        let subs = broker.subscribe_many(profiles.iter().cloned()).unwrap();
+        (broker, subs)
+    });
+    let per_sub = bytes / profiles.len();
+    assert!(
+        per_sub < 1_075,
+        "a covering 2-shard broker retains {per_sub} bytes a subscription"
+    );
+    drop((broker, subs));
 }

@@ -303,3 +303,79 @@ fn failed_operations_leave_the_covering_state_intact() {
     assert_eq!(reopened(&schema, &cfg, &after, "compaction-after"), served);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A broker re-opened from a covering checkpoint keeps covering: its
+/// containment index is rebuilt from the restored plan's
+/// representatives alone, and an exact duplicate of a compiled root
+/// subscribed after the restart is delivered through expansion, to the
+/// naive oracle's receipts, into the same filter a broker that never
+/// restarted compiles.
+#[test]
+fn a_duplicate_subscribed_after_recovery_is_delivered_through_expansion() {
+    let schema = schema();
+    let cfg = BrokerConfig {
+        // The battery must not set off a drift rebuild.
+        stats_sample: 0,
+        ..config(true)
+    };
+    let dir = scratch_dir("after-recovery");
+    let original = Broker::open(&schema, cfg.clone(), durability(&dir))
+        .unwrap()
+        .broker;
+    let population = covered_population(&schema);
+    let subs = original.subscribe_many(population.clone()).unwrap();
+    assert!(original.checkpoint().unwrap());
+    let image = std::fs::read(dir.join(checkpoint_gen_file(1))).unwrap();
+    let reopened_dir = scratch_dir("after-recovery-reopened");
+    std::fs::create_dir_all(&reopened_dir).unwrap();
+    std::fs::write(reopened_dir.join(checkpoint_gen_file(1)), &image).unwrap();
+    let restarted = Broker::open(&schema, cfg, durability(&reopened_dir)).unwrap();
+
+    // Root 1 (`price >= 100`) was compiled; subscribe it once more on
+    // both brokers.
+    let duplicate = population[7].clone();
+    let mut oracle: Vec<(SubscriptionId, Profile)> =
+        subs.iter().map(|s| s.id()).zip(population).collect();
+    let later = original.subscribe_profile(duplicate.clone()).unwrap();
+    let also = restarted
+        .broker
+        .subscribe_profile(duplicate.clone())
+        .unwrap();
+    assert_eq!(later.id(), also.id());
+    oracle.push((later.id(), duplicate));
+
+    let mut matching = 0;
+    for e in events(&schema) {
+        let want: Vec<SubscriptionId> = oracle
+            .iter()
+            .filter(|(_, p)| p.matches(&schema, &e).unwrap())
+            .map(|(id, _)| *id)
+            .collect();
+        let delivered = restarted.broker.metrics().cover_delivered;
+        let got = restarted.broker.publish(&e).unwrap().matched;
+        assert_eq!(got, want, "receipt after recovery");
+        assert_eq!(original.publish(&e).unwrap().matched, want);
+        if got.contains(&later.id()) {
+            matching += 1;
+            assert!(
+                restarted.broker.metrics().cover_delivered > delivered,
+                "the duplicate is delivered through expansion"
+            );
+        }
+    }
+    assert!(matching > 0, "the battery matches the duplicate");
+
+    assert!(original.checkpoint().unwrap());
+    assert!(restarted.broker.checkpoint().unwrap());
+    let shards = |dir: &Path| {
+        let image = std::fs::read(dir.join(checkpoint_gen_file(2))).unwrap();
+        Checkpoint::from_bytes(&image).unwrap().shards
+    };
+    let (never, after) = (shards(&dir), shards(&reopened_dir));
+    assert_eq!(never.len(), after.len());
+    for (a, b) in never.iter().zip(&after) {
+        assert_eq!(a.filter, b.filter, "filter bytes after recovery");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&reopened_dir);
+}

@@ -27,7 +27,9 @@
 //!   expected per probe — no O(n) pairwise scan — at the price of not
 //!   detecting covers that weaken several attributes at once; missing a
 //!   cover is always safe (the profile is simply compiled as its own
-//!   representative).
+//!   representative). A bulk pass also decides the expansion map; a
+//!   compile hands that to its plan, and what is kept between compiles
+//!   — and rebuilt at recovery — is the representative index alone.
 //!
 //! Every covered profile carries a [`Residual`]: the attributes on
 //! which it is *strictly stronger* than its representative, lowered to
@@ -130,14 +132,19 @@ const NONE: u32 = u32::MAX;
 /// residual each covered profile carries.
 ///
 /// Slots are caller-assigned dense `u32` positions (base indices in the
-/// broker, [`crate::ProfileSet`] ids in a bulk compile). Construction is
-/// either a bulk [`CoverSet::build_bulk`] pass (profiles sorted
-/// general-first so representatives are seen before the profiles they
-/// cover) or [`CoverSet::from_parts`] (crash recovery: representatives
-/// and the expansion map are replayed verbatim — signatures are
-/// re-hashed but containment is never re-derived). Between compactions
-/// the set is probed read-only via [`CoverSet::probe`] /
-/// [`CoverSet::dominated_reps`].
+/// broker, [`crate::ProfileSet`] ids in a bulk compile). A bulk
+/// [`CoverSet::build_bulk`] pass (profiles sorted general-first so
+/// representatives are seen before the profiles they cover) decides
+/// both halves: the **representative index** and the **expansion map**
+/// (covered slot → representative, residual). The expansion map is
+/// what a compile hands to its plan; once it has,
+/// [`CoverSet::into_index`] drops it, and the set the broker keeps is
+/// the representative index alone — probed read-only via
+/// [`CoverSet::probe`] / [`CoverSet::dominated_reps`] until the next
+/// compile. Crash recovery rebuilds that index from the
+/// representatives alone ([`CoverSet::from_parts`] with no children):
+/// signatures are re-hashed, containment is never re-derived, and the
+/// expansion map stays in the restored plan.
 ///
 /// The representatives' lowered rows are kept in one [`LoweredTable`].
 /// Both indexes hash rows where they lie and confirm a hit against the
@@ -185,8 +192,10 @@ pub struct CoverSet {
     /// Representative slots, ascending — position in this list is the
     /// dense compiled id a covering-pruned compilation assigns.
     rep_sorted: Vec<u32>,
-    /// Covered slot → (representative slot, residual).
-    children: HashMap<u32, (u32, Vec<Residual>)>,
+    /// The expansion map: `(covered slot, representative slot,
+    /// residual)`, ascending by covered slot. Empty in a set that is an
+    /// index only ([`CoverSet::into_index`]).
+    children: Vec<(u32, u32, Vec<Residual>)>,
 }
 
 impl CoverSet {
@@ -202,7 +211,7 @@ impl CoverSet {
             by_attr: HashMap::new(),
             attr_next: Vec::new(),
             rep_sorted: Vec::new(),
-            children: HashMap::new(),
+            children: Vec::new(),
         }
     }
 
@@ -219,13 +228,9 @@ impl CoverSet {
     where
         I: IntoIterator<Item = (u32, &'a Profile)>,
     {
-        let mut table = LoweredTable::new(schema);
-        let mut slots = Vec::new();
-        for (slot, p) in profiles {
-            table.push(schema, p)?;
-            slots.push(slot);
-        }
-        Ok(Self::bulk(schema, &table, &slots))
+        let (slots, profiles): (Vec<u32>, Vec<&Profile>) = profiles.into_iter().unzip();
+        let table = LoweredTable::lower(schema, profiles)?;
+        Ok(Self::bulk(schema, &table, &slots, true))
     }
 
     /// [`CoverSet::build_bulk`] over a population lowered already, the
@@ -233,17 +238,19 @@ impl CoverSet {
     #[must_use]
     pub fn build_lowered(schema: &Schema, table: &LoweredTable) -> Self {
         let slots: Vec<u32> = (0..table.rows() as u32).collect();
-        Self::bulk(schema, table, &slots)
+        Self::bulk(schema, table, &slots, true)
     }
 
-    fn bulk(schema: &Schema, table: &LoweredTable, slots: &[u32]) -> Self {
-        // General-first: ascending count of specified attributes, then
-        // descending total covered length (wider = weaker), then slot
-        // for determinism. If `a` covers `b` then `a` specifies a
-        // subset of `b`'s attributes with supersets per attribute, so
-        // `a` sorts at or before `b`; ties are exact duplicates, where
-        // either order yields a valid antichain.
-        let mut order: Vec<(usize, std::cmp::Reverse<u64>, u32, u32)> = (0..slots.len())
+    /// Indexes row `r` of `table` at slot `slots[r]`, general-first:
+    /// ascending count of specified attributes, then descending total
+    /// covered length (wider = weaker), then slot for determinism. If
+    /// `a` covers `b` then `a` specifies a subset of `b`'s attributes
+    /// with supersets per attribute, so `a` sorts at or before `b`; ties
+    /// are exact duplicates, where either order yields a valid
+    /// antichain. Each row is a representative or, `with_children`, a
+    /// child of the first representative indexed that covers it.
+    fn bulk(schema: &Schema, table: &LoweredTable, slots: &[u32], with_children: bool) -> Self {
+        let mut order: Vec<(usize, std::cmp::Reverse<u64>, u32, usize)> = (0..slots.len())
             .map(|row| {
                 let sets = (0..table.width()).filter_map(|k| table.get(row, k));
                 let (mut specified, mut len) = (0, 0);
@@ -251,29 +258,29 @@ impl CoverSet {
                     specified += 1;
                     len += ivs.iter().map(IndexInterval::len).sum::<u64>();
                 }
-                (specified, std::cmp::Reverse(len), slots[row], row as u32)
+                (specified, std::cmp::Reverse(len), slots[row], row)
             })
             .collect();
         order.sort_unstable();
         let mut out = CoverSet::new(schema);
         for (_, _, slot, row) in order {
-            let row = row as usize;
-            match out.find_cover(table, row) {
-                Some(cover) => {
-                    out.children.insert(slot, cover);
-                }
+            match with_children.then(|| out.find_cover(table, row)).flatten() {
+                Some((rep, residual)) => out.children.push((slot, rep, residual)),
                 None => out.index_rep(table, row, slot),
             }
         }
         out.rep_sorted.sort_unstable();
+        out.children.sort_unstable_by_key(|&(child, _, _)| child);
         out
     }
 
-    /// Rebuilds a cover set from persisted parts — the representative
-    /// profiles and the expansion map — without re-deriving any
-    /// containment: representatives are re-indexed (pure hashing) and
-    /// the `(child, rep, residual)` triples are replayed verbatim. This
-    /// is the crash-recovery path.
+    /// Rebuilds a cover set from its parts — the representatives and
+    /// the `(child, rep, residual)` triples of an expansion map —
+    /// without re-deriving any containment: representatives are
+    /// re-indexed (pure hashing) in the order a bulk pass over their
+    /// population indexed them, so a probe finds the representative it
+    /// found before, and the triples are taken verbatim. Crash recovery
+    /// passes no triples: the expansion map lives in the restored plan.
     ///
     /// # Errors
     ///
@@ -284,22 +291,29 @@ impl CoverSet {
         R: IntoIterator<Item = (u32, &'a Profile)>,
         C: IntoIterator<Item = (u32, u32, Vec<Residual>)>,
     {
-        let mut out = CoverSet::new(schema);
-        let mut probe = LoweredTable::new(schema);
-        for (slot, p) in reps {
-            probe.push(schema, p)?;
-            out.index_rep(&probe, probe.rows() - 1, slot);
-        }
-        out.rep_sorted.sort_unstable();
+        let (slots, reps): (Vec<u32>, Vec<&Profile>) = reps.into_iter().unzip();
+        let table = LoweredTable::lower(schema, reps)?;
+        let mut out = Self::bulk(schema, &table, &slots, false);
         for (child, rep, residual) in children {
             if out.rep_sorted.binary_search(&rep).is_err() {
                 return Err(TypesError::UnknownAttribute(format!(
                     "cover child {child} references unknown representative {rep}"
                 )));
             }
-            out.children.insert(child, (rep, residual));
+            out.children.push((child, rep, residual));
         }
+        out.children.sort_unstable_by_key(|&(child, _, _)| child);
         Ok(out)
+    }
+
+    /// The representative index alone: the expansion map dropped, once
+    /// a compile has handed it to its plan. What a broker keeps between
+    /// compiles — [`CoverSet::probe`], [`CoverSet::dominated_reps`] and
+    /// [`CoverSet::compiled_index_of`] read nothing else.
+    #[must_use]
+    pub fn into_index(mut self) -> Self {
+        self.children = Vec::new();
+        self
     }
 
     /// Probes whether `profile` is covered by a known representative,
@@ -361,7 +375,7 @@ impl CoverSet {
         self.rep_sorted.len()
     }
 
-    /// Number of covered (non-compiled) profiles.
+    /// Number of covered (non-compiled) profiles in the expansion map.
     #[must_use]
     pub fn covered_count(&self) -> usize {
         self.children.len()
@@ -382,26 +396,19 @@ impl CoverSet {
     }
 
     /// The representative covering `slot` and its residual, if `slot`
-    /// is covered.
+    /// is in the expansion map.
     #[must_use]
     pub fn cover_of(&self, slot: u32) -> Option<(u32, &[Residual])> {
-        self.children
-            .get(&slot)
-            .map(|(rep, residual)| (*rep, residual.as_slice()))
+        let k = self.children.partition_point(|c| c.0 < slot);
+        let (child, rep, residual) = self.children.get(k)?;
+        (*child == slot).then_some((*rep, residual.as_slice()))
     }
 
-    /// Covered slots with their `(representative, residual)` entries,
-    /// ascending by covered slot — the expansion map in serialisable
-    /// form.
-    #[must_use]
-    pub fn children_sorted(&self) -> Vec<(u32, u32, &[Residual])> {
-        let mut out: Vec<(u32, u32, &[Residual])> = self
-            .children
-            .iter()
-            .map(|(child, (rep, residual))| (*child, *rep, residual.as_slice()))
-            .collect();
-        out.sort_unstable_by_key(|&(child, _, _)| child);
-        out
+    /// The expansion map's `(covered slot, representative, residual)`
+    /// entries, ascending by covered slot.
+    pub fn children_sorted(&self) -> impl Iterator<Item = (u32, u32, &[Residual])> {
+        let children = self.children.iter();
+        children.map(|(child, rep, residual)| (*child, *rep, residual.as_slice()))
     }
 
     /// The representative covering row `row` of `probe`, and the

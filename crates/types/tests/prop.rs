@@ -272,6 +272,59 @@ proptest! {
     }
 }
 
+proptest! {
+    /// What a broker keeps between compiles — a bulk pass's index with
+    /// the expansion map dropped, or the index recovery rebuilds from
+    /// the representatives alone — probes as the bulk pass does.
+    #[test]
+    fn a_representative_index_probes_as_its_bulk_pass(
+        pop in prop::collection::vec(arb_cov_profile(), 1..16),
+        probe in arb_cov_profile(),
+    ) {
+        let schema = cov_schema();
+        let bulk = CoverSet::build_bulk(&schema, (0..).zip(&pop)).unwrap();
+        let reps = bulk.rep_slots().iter().map(|&s| (s, &pop[s as usize]));
+        let rebuilt = CoverSet::from_parts(&schema, reps, []).unwrap();
+        let index = bulk.clone().into_index();
+        for cover in [&index, &rebuilt] {
+            prop_assert_eq!(cover.covered_count(), 0);
+            prop_assert_eq!(cover.rep_slots(), bulk.rep_slots());
+            prop_assert_eq!(cover.probe(&probe).unwrap(), bulk.probe(&probe).unwrap());
+            prop_assert_eq!(
+                cover.dominated_reps(&probe).unwrap(),
+                bulk.dominated_reps(&probe).unwrap()
+            );
+        }
+    }
+}
+
+/// Two representatives that both cover a probe, the wider sorting
+/// first though its slot is the higher: an index rebuilt from them
+/// finds the one the bulk pass found.
+#[test]
+fn a_rebuilt_index_finds_the_representative_the_bulk_pass_found() {
+    let schema = cov_schema();
+    let x = |p: Predicate| {
+        let preds = vec![p, Predicate::DontCare, Predicate::DontCare];
+        Profile::from_predicates(&schema, ProfileId::new(0), preds).unwrap()
+    };
+    let (narrow, wide) = (x(Predicate::between(0, 4)), x(Predicate::between(-2, 3)));
+    let pop = [narrow, wide, x(Predicate::eq(1))];
+    let bulk = CoverSet::build_bulk(&schema, (0..).zip(&pop)).unwrap();
+    assert_eq!(
+        (bulk.rep_slots(), bulk.cover_of(2).map(|c| c.0)),
+        (&[0, 1][..], Some(1))
+    );
+    let rebuilt = CoverSet::from_parts(&schema, [(0, &pop[0]), (1, &pop[1])], []).unwrap();
+    let probe = x(Predicate::between(0, 3));
+    for cover in [&bulk, &bulk.clone().into_index(), &rebuilt] {
+        assert!(matches!(
+            cover.probe(&probe).unwrap(),
+            CoverOutcome::Covered { rep: 1, .. }
+        ));
+    }
+}
+
 /// A domain read back goes through its constructor: reversed bounds
 /// and a float grid too fine for a `u64` count are refused, a float
 /// grid's cached size is recomputed, and the widest integer domain
