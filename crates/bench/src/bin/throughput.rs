@@ -143,10 +143,11 @@ struct DepthRow {
     unsubscribe_ns_p50: f64,
 }
 
-/// Service-layer rows. (Strong scaling over publisher threads and
-/// shards is not measured here: the `batch_sharded` workload of the
-/// `e2e` benchmark times the shard fan-out, and nothing in this
-/// repository has been run on more than two cores.)
+/// Service-layer rows. (Strong scaling over publisher threads is not
+/// measured here: a batch walks its shards on the publishing thread,
+/// the `batch_sharded` workload of the `e2e` benchmark times that
+/// walk, and nothing in this repository has been run on more than two
+/// cores.)
 #[derive(Debug, Serialize)]
 struct BrokerScaling {
     subscribe_latency: SubscribeLatency,

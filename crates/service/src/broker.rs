@@ -28,9 +28,9 @@
 //! * **Sharded dispatch** — subscriptions are partitioned across
 //!   [`BrokerConfig::shards`] shards, each with its own snapshot,
 //!   writer lock and drift statistics, so churn and rebuilds on one
-//!   shard never stall the others. [`Broker::publish_batch`] fans a
-//!   batch out across shards: shard 0 on the calling thread, the
-//!   others on scoped `std::thread` workers.
+//!   shard never stall the others. [`Broker::publish_batch`] walks a
+//!   batch through the shards one after the other on the calling
+//!   thread, as `publish` does; more cores come from more publishers.
 //!
 //! * **Delivery** — a send takes the subscriber channel's lock, and
 //!   wakes the consumer only if it is parked (no syscall otherwise);
@@ -102,9 +102,9 @@ pub struct BrokerConfig {
     /// series of checks.
     pub rebuild: RebuildPolicy,
     /// Number of subscription shards (0 is treated as 1). Each shard
-    /// owns an independent snapshot, writer lock and drift statistics;
-    /// `publish_batch` runs one worker per shard, shard 0 on the
-    /// calling thread.
+    /// owns an independent snapshot, writer lock and drift statistics,
+    /// and compiles only its share of the subscriptions. Every publish
+    /// walks the shards on the calling thread, `publish_batch` included.
     pub shards: usize,
     /// Selects nothing: every shard is compiled to, and matched
     /// through, its automaton, whatever this says. Kept only because
@@ -282,11 +282,10 @@ thread_local! {
     static SCRATCH: RefCell<(IndexedEvent, SnapshotScratch, Vec<SubscriptionId>)> =
         RefCell::new((IndexedEvent::new(), SnapshotScratch::new(), Vec::new()));
 
-    /// Per-thread batch buffers, one [`ShardBatch`] per shard, owned by
-    /// the *publishing* thread and lent to the shard workers for the
-    /// length of a batch, and the merge buffer: a warmed-up
-    /// `publish_batch` caller allocates receipts and nothing else,
-    /// however short-lived its workers are.
+    /// Per-thread batch buffers, one [`ShardBatch`] per shard, reused
+    /// by every batch the thread publishes, and the merge buffer: a
+    /// warmed-up `publish_batch` caller allocates receipts and a
+    /// constant per batch, nothing per event or notification.
     static BATCH_SCRATCH: RefCell<(Vec<ShardBatch>, Vec<SubscriptionId>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -877,12 +876,12 @@ impl Broker {
         })
     }
 
-    /// Publishes a batch of events, fanning the work out across shards
-    /// on `std::thread` workers (one per shard when the broker has more
-    /// than one shard).
+    /// Publishes a batch of events, shard after shard on the calling
+    /// thread (no thread is spawned; publish from several threads to
+    /// use several cores).
     ///
     /// The batch is resolved **once** into an [`IndexedBatch`] shared
-    /// by every shard worker, and each worker drives it through
+    /// by every shard, and each shard drives it through
     /// [`FilterSnapshot::match_block`] — the DFSA's interleaved
     /// multi-event traversal — so per-event dispatch overhead is paid
     /// once per block, not once per event.
@@ -903,7 +902,7 @@ impl Broker {
         if events.is_empty() {
             return Ok(Vec::new());
         }
-        // Validate and resolve everything up front: a shard worker must
+        // Validate and resolve everything up front: a shard's pass must
         // never fail mid-batch, and resolving once saves re-indexing
         // the event in every shard.
         let mut indexed = IndexedBatch::new();
@@ -984,18 +983,22 @@ impl Broker {
             scratch.resize_with(snaps.len(), ShardBatch::default);
         }
         let shards = &mut scratch[..snaps.len()];
-        // A panicking worker (a poisoned profile, a bug in a matching
-        // strategy) must not take the broker down or lose the other
-        // shards' deliveries: the panic is caught, counted, and the
-        // panicked shard contributes nothing to this batch's receipts.
-        // `AssertUnwindSafe` is sound here: a worker reads the
+        // Every shard runs on the calling thread, in shard order: a
+        // thread per batch cost more than the second core gave back
+        // (ROADMAP, Settled), and more cores come from more publishers,
+        // the read path being lock-free. A panicking shard (a poisoned
+        // profile, a bug in a matching strategy) must not take the
+        // broker down or lose the other shards' deliveries: the panic
+        // is caught, counted, and the shard contributes nothing to
+        // this batch's receipts.
+        // `AssertUnwindSafe` is sound here: a shard's pass reads the
         // immutable snapshot, sends on channels whose shared state is
         // lock-protected and stays consistent, and writes only its own
         // `ShardBatch`, which is thrown away if it panics (drift
         // statistics are only touched later, in `finish_publish`).
-        let run_worker = |shard_idx: usize, snap: &ShardSnapshot, out: &mut ShardBatch| {
+        for (s, (snap, out)) in snaps.iter().zip(shards.iter_mut()).enumerate() {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.batch_worker(shard_idx, snap, indexed, events, base_seq, out);
+                self.batch_worker(s, snap, indexed, events, base_seq, out);
             }));
             if caught.is_err() {
                 self.metrics.shard_panics.fetch_add(1, Ordering::Relaxed);
@@ -1004,20 +1007,6 @@ impl Broker {
                     ..ShardBatch::default()
                 };
             }
-        };
-        // Shard 0 runs on the calling thread, beside one spawned worker
-        // for each of the others. The scope joins the workers; every
-        // panic, inline or spawned, is caught inside `run_worker`.
-        match &mut *shards {
-            [] => {}
-            [only] => run_worker(0, &snaps[0], only),
-            [first, rest @ ..] => std::thread::scope(|scope| {
-                for ((s, snap), out) in snaps.iter().enumerate().skip(1).zip(rest) {
-                    let run_worker = &run_worker;
-                    scope.spawn(move || run_worker(s, snap, out));
-                }
-                run_worker(0, &snaps[0], first);
-            }),
         }
 
         // Every matched subscriber stays in `matched`; what full

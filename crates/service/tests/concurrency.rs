@@ -2,7 +2,9 @@
 //! subscribe/unsubscribe churn must produce *exactly* the notifications
 //! a single-threaded oracle replay produces — per-subscriber sequence
 //! order, no loss and no duplicates while subscribed — across shard
-//! counts, dispatch modes and aggressive compaction policies.
+//! counts, dispatch modes, aggressive compaction policies and both
+//! publish paths. A batch walks its shards on its caller's thread, so
+//! concurrent publishers are where the concurrency comes from.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,10 +17,25 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// How each publisher thread hands its events to the broker.
+#[derive(Clone, Copy)]
+enum Publish {
+    /// One `publish_shared` per event.
+    Shared,
+    /// One `publish_batch` per chunk of this many events.
+    Batch(usize),
+}
+
 /// Runs `publishers` concurrent publisher threads over pre-sampled
 /// events while a churn thread subscribes/unsubscribes, then checks
 /// every stable subscriber against the oracle.
-fn run_churn_scenario(config: BrokerConfig, publishers: usize, events_per: usize, seed: u64) {
+fn run_churn_scenario(
+    config: BrokerConfig,
+    publishers: usize,
+    events_per: usize,
+    seed: u64,
+    publish: Publish,
+) {
     let schema = scenario::environmental_schema();
     let mut rng = StdRng::seed_from_u64(seed);
     let stable_profiles: Vec<Profile> = scenario::environmental_profiles(12, &mut rng)
@@ -56,9 +73,22 @@ fn run_churn_scenario(config: BrokerConfig, publishers: usize, events_per: usize
             let slice = &events[t * events_per..(t + 1) * events_per];
             handles.push(scope.spawn(move || {
                 let mut out = Vec::with_capacity(slice.len());
-                for (k, e) in slice.iter().enumerate() {
-                    let receipt = broker.publish_shared(Arc::clone(e)).unwrap();
-                    out.push((receipt.sequence, t * slice.len() + k));
+                match publish {
+                    Publish::Shared => {
+                        for (k, e) in slice.iter().enumerate() {
+                            let receipt = broker.publish_shared(Arc::clone(e)).unwrap();
+                            out.push((receipt.sequence, t * events_per + k));
+                        }
+                    }
+                    Publish::Batch(chunk) => {
+                        for (c, part) in slice.chunks(chunk).enumerate() {
+                            let receipts = broker.publish_batch(part).unwrap();
+                            assert_eq!(receipts.len(), part.len());
+                            for (k, receipt) in receipts.iter().enumerate() {
+                                out.push((receipt.sequence, t * events_per + c * chunk + k));
+                            }
+                        }
+                    }
                 }
                 out
             }));
@@ -113,13 +143,25 @@ fn run_churn_scenario(config: BrokerConfig, publishers: usize, events_per: usize
             "subscriber {} lost or gained events",
             sub.id()
         );
+        // Within one publisher, arrival order is sequence order.
+        let mut last = vec![None; publishers];
         for n in &drained {
+            let idx = seq_to_event[&n.sequence];
             assert_eq!(
                 n.event.as_ref(),
-                events[seq_to_event[&n.sequence]].as_ref(),
+                events[idx].as_ref(),
                 "sequence {} delivered the wrong event payload",
                 n.sequence
             );
+            let t = idx / events_per;
+            assert!(
+                last[t] < Some(n.sequence),
+                "subscriber {} got publisher {t}'s sequence {} after {:?}",
+                sub.id(),
+                n.sequence,
+                last[t]
+            );
+            last[t] = Some(n.sequence);
         }
     }
     let m = broker.metrics();
@@ -128,7 +170,7 @@ fn run_churn_scenario(config: BrokerConfig, publishers: usize, events_per: usize
 
 #[test]
 fn concurrent_publishers_and_churn_match_oracle_single_shard() {
-    run_churn_scenario(BrokerConfig::default(), 4, 150, 41);
+    run_churn_scenario(BrokerConfig::default(), 4, 150, 41, Publish::Shared);
 }
 
 #[test]
@@ -143,6 +185,7 @@ fn concurrent_publishers_and_churn_match_oracle_sharded_dfsa() {
         4,
         150,
         42,
+        Publish::Shared,
     );
 }
 
@@ -164,6 +207,23 @@ fn concurrent_publishers_and_churn_match_oracle_aggressive_compaction() {
         3,
         120,
         43,
+        Publish::Shared,
+    );
+}
+
+#[test]
+fn concurrent_batch_publishers_and_churn_match_oracle_sharded() {
+    // Three publishers, each a `publish_batch` of 64 at a time (the
+    // last chunk short), on three shards.
+    run_churn_scenario(
+        BrokerConfig {
+            shards: 3,
+            ..BrokerConfig::default()
+        },
+        3,
+        160,
+        44,
+        Publish::Batch(64),
     );
 }
 

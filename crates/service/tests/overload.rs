@@ -161,9 +161,9 @@ fn capacity_bounds_what_is_queued_not_what_the_consumer_claimed() {
     assert_eq!(sub.pending(), 0);
 }
 
-/// Shard 0 of a batch runs on the publishing thread and shard 1 on a
-/// spawned worker: a panic in either is caught, counted, and costs only
-/// that shard's share of that batch.
+/// Both shards of a batch run on the publishing thread, one after the
+/// other: a panic in either is caught, counted, and costs only that
+/// shard's share of that batch.
 #[test]
 fn batch_worker_panic_is_isolated_to_its_shard() {
     let b = broker(BrokerConfig {
