@@ -41,15 +41,19 @@
 //!
 //! # Order
 //!
-//! The routine delivers to a [`Deliver`] sink, of which there are two,
-//! chosen per event by how many slots the hit rows can deliver against
-//! how many exist. Many out of few (a fan-out population): slots are
-//! marked in a `SlotBits` bitmap and read back ascending, so ordering
-//! costs what is delivered, never what was scanned, and nothing is
-//! sorted. Few out of many (a large, selective population): they are
-//! appended to the output list, which one hit's run leaves ascending
-//! as it is, and which is sorted only when it is not — a bitmap would
-//! touch a cache line per slot there.
+//! The routine delivers to a [`Deliver`] sink. Only the per-event path
+//! (`FilterSnapshot::match_into`) chooses between sinks, per event, by
+//! how many slots the hit rows can deliver against how many exist.
+//! Many out of few (a fan-out population): slots are marked in a
+//! `SlotBits` bitmap and read back ascending, so ordering costs what is
+//! delivered, never what was scanned, and nothing is sorted. Few out of
+//! many (a large, selective population): they are appended to the
+//! output list, which one hit's run leaves ascending as it is, and
+//! which is sorted only when it is not — a bitmap would touch a cache
+//! line per slot there. The block path (`FilterSnapshot::match_block`)
+//! makes no choice: it appends every event's expansion as it comes
+//! ([`Unordered`]) and puts the whole block in order once, when it
+//! transposes the block by slot.
 
 use ens_types::{AttrId, IndexInterval, IndexedEvent, IntervalSet, Residual};
 
@@ -138,6 +142,30 @@ impl Deliver for Appended<'_> {
         self.ascending &= id >= self.floor;
         self.floor = id + 1;
         self.out.push(id);
+    }
+}
+
+/// The output list as a sink that keeps no order: slots go in as
+/// `offset + slot` in the order they are delivered, for the block path
+/// to order once per block.
+pub(crate) struct Unordered<'a> {
+    pub(crate) out: &'a mut Vec<u32>,
+    pub(crate) offset: u32,
+}
+
+impl Deliver for Unordered<'_> {
+    #[inline]
+    fn run(&mut self, slots: &[u32]) {
+        let offset = self.offset;
+        self.out.extend(slots.iter().map(|s| offset + s));
+    }
+
+    #[inline]
+    fn announce(&mut self, _: usize) {}
+
+    #[inline]
+    fn slot(&mut self, s: u32) {
+        self.out.push(self.offset + s);
     }
 }
 

@@ -28,7 +28,8 @@
 //! Besides the per-event [`FilterSnapshot::match_into`], the snapshot
 //! exposes [`FilterSnapshot::match_block`]: whole pre-resolved event
 //! blocks driven through the DFSA's interleaved traversal with one
-//! scratch setup, the batch fast path `ens-service` publishes through.
+//! scratch setup, and handed back both per event and per matched
+//! profile — the batch fast path `ens-service` publishes through.
 //!
 //! Matched profiles are reported in a single *global* id space: compiled
 //! (base) profiles keep their dense tree ids `0..base_len`, overlay
@@ -46,7 +47,7 @@ use ens_types::{
 };
 
 use crate::cost::CostModel;
-use crate::cover::{Appended, CoverPlan, CoverScratch, Expand, OverlayCover};
+use crate::cover::{Appended, CoverPlan, CoverScratch, Expand, OverlayCover, Unordered};
 use crate::dfsa::Dfsa;
 use crate::overlay::OverlayIndex;
 use crate::persist::{ByteReader, ByteWriter, PersistError};
@@ -133,11 +134,17 @@ impl SnapshotScratch {
     }
 }
 
-/// Reusable buffers for one [`FilterSnapshot::match_block`] call: the
-/// per-event global-id match lists of a whole block in one CSR arena.
+/// Reusable buffers for one [`FilterSnapshot::match_block`] call, and
+/// the block's matches in two views:
 ///
-/// Keep one per worker thread; after warm-up a block match performs no
-/// heap allocation.
+/// * **rows** — per event, the global profile ids it matched, ascending
+///   ([`SnapshotBlockScratch::matched_of`], one CSR arena);
+/// * **runs** — per matched slot, the events that matched it, ascending,
+///   slots ascending ([`SnapshotBlockScratch::runs`]): the rows
+///   transposed, what a broker delivers subscriber by subscriber.
+///
+/// Both leave tombstoned profiles out. Keep one per worker thread; after
+/// warm-up a block match performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotBlockScratch {
     /// Base-layer block scratch (also holds the row buffer the overlay
@@ -157,7 +164,39 @@ pub struct SnapshotBlockScratch {
     event_overlay_ops: Vec<u64>,
     /// Expansion scratch; its counters run over the whole block.
     cover: CoverScratch,
+    /// Per global id, while a block is transposed: its notification
+    /// count, then where its run is being written ([`DEAD`] for a
+    /// tombstoned one). All zero between blocks — only touched slots
+    /// are reset — so a block costs O(notifications), or O(slots) when
+    /// they are scanned for ([`SCAN_SLOTS_PER_NOTIFICATION`]).
+    cursor: Vec<u32>,
+    /// The slots the block touched, ascending.
+    touched: Vec<u32>,
+    /// Run `r` holds the events of slot `run_slot[r]`:
+    /// `run_event[run_off[r] .. run_off[r + 1]]`.
+    run_slot: Vec<u32>,
+    run_off: Vec<u32>,
+    run_event: Vec<u32>,
+    /// Per event, while its row is written back from the runs: where
+    /// its next id goes.
+    fill: Vec<u32>,
 }
+
+/// [`SnapshotBlockScratch::cursor`] of a touched slot that is
+/// tombstoned: its notifications are dropped.
+const DEAD: u32 = u32::MAX;
+
+/// A block's slot order comes from a scan of the per-slot counts when
+/// the slots number at most this many per notification, and from
+/// sorting the touched slots otherwise. The transposition alone, on
+/// uniformly spread slots, 500 to 1,000,000 of them (one core of a
+/// 2-core x86-64 host, CHANGES.md): scanning won at 8 slots per
+/// notification and below, sorting at 16 and above (a tie at 16 on
+/// 10,000 and 1,000,000 slots). Slots that repeat within a block make
+/// sorting cheaper still, so the cut is taken below the tie. The
+/// `e2e` batch workloads have under one slot per notification; one
+/// event at a time on 10,000 stock profiles has about forty.
+const SCAN_SLOTS_PER_NOTIFICATION: usize = 12;
 
 impl SnapshotBlockScratch {
     /// Creates an empty scratch.
@@ -192,7 +231,8 @@ impl SnapshotBlockScratch {
     }
 
     /// Global profile ids matched by event `i` of the last block,
-    /// ascending (same id space as [`SnapshotScratch::matched`]).
+    /// ascending (same id space as [`SnapshotScratch::matched`]): the
+    /// block's row view.
     ///
     /// # Panics
     ///
@@ -200,6 +240,98 @@ impl SnapshotBlockScratch {
     #[must_use]
     pub fn matched_of(&self, i: usize) -> &[u32] {
         &self.matched[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    /// The block's run view, the rows transposed: each matched global
+    /// profile id with the indices of the events that matched it,
+    /// ascending, ids ascending. An event is in id `g`'s run exactly
+    /// when `g` is in [`SnapshotBlockScratch::matched_of`] that event.
+    pub fn runs(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        let events = self.run_off.windows(2);
+        let events = events.map(|w| &self.run_event[w[0] as usize..w[1] as usize]);
+        self.run_slot.iter().copied().zip(events)
+    }
+
+    /// Puts the block in order once: transposes the rows (each in
+    /// delivery order, tombstoned ids included) by slot into the runs,
+    /// slots ascending, dropping the ids `live` refuses once per slot;
+    /// then, unless every row was `ordered` already, writes the rows
+    /// back ascending from the runs. `slots` bounds the ids.
+    fn transpose(&mut self, slots: usize, ordered: bool, live: impl Fn(u32) -> bool) {
+        if self.cursor.len() < slots {
+            self.cursor.resize(slots, 0);
+        }
+        let cursor = &mut self.cursor[..slots];
+        let touched = &mut self.touched;
+        touched.clear();
+        if self.matched.len() * SCAN_SLOTS_PER_NOTIFICATION >= slots {
+            for &g in &self.matched {
+                cursor[g as usize] += 1;
+            }
+            let hit = cursor.iter().enumerate().filter(|(_, &n)| n != 0);
+            touched.extend(hit.map(|(g, _)| g as u32));
+        } else {
+            for &g in &self.matched {
+                let n = &mut cursor[g as usize];
+                if *n == 0 {
+                    touched.push(g);
+                }
+                *n += 1;
+            }
+            touched.sort_unstable();
+        }
+        // Counts become run starts; a tombstoned slot gets no run.
+        self.run_slot.clear();
+        self.run_off.clear();
+        self.run_off.push(0);
+        let (mut total, mut dropped) = (0, 0);
+        for &g in touched.iter() {
+            let n = cursor[g as usize];
+            if live(g) {
+                cursor[g as usize] = total;
+                total += n;
+                self.run_slot.push(g);
+                self.run_off.push(total);
+            } else {
+                cursor[g as usize] = DEAD;
+                dropped += n;
+            }
+        }
+        // Events in order, so each run comes out ascending; a row
+        // loses its dropped ids from its length.
+        self.run_event.resize(total as usize, 0);
+        let (mut from, mut kept) = (0, 0);
+        for i in 0..self.off.len() - 1 {
+            let to = self.off[i + 1] as usize;
+            for &g in &self.matched[from..to] {
+                let at = cursor[g as usize];
+                if at != DEAD {
+                    self.run_event[at as usize] = i as u32;
+                    cursor[g as usize] = at + 1;
+                    kept += 1;
+                }
+            }
+            from = to;
+            self.off[i + 1] = kept;
+        }
+        for &g in touched.iter() {
+            cursor[g as usize] = 0;
+        }
+        // Only expansion leaves tombstoned ids in a row.
+        self.cover.delivered -= u64::from(dropped);
+        if !ordered || dropped > 0 {
+            // Slots in order, so each row comes out ascending.
+            self.matched.truncate(kept as usize);
+            self.fill.clear();
+            self.fill.extend_from_slice(&self.off[..self.off.len() - 1]);
+            for (g, events) in self.run_slot.iter().zip(self.run_off.windows(2)) {
+                for &i in &self.run_event[events[0] as usize..events[1] as usize] {
+                    let at = &mut self.fill[i as usize];
+                    self.matched[*at as usize] = *g;
+                    *at += 1;
+                }
+            }
+        }
     }
 
     /// Total comparison operations over the block (base plus overlay).
@@ -419,6 +551,34 @@ impl Region<'_> {
                 .count(),
         };
         x.delivered += (out.len() - start - listed_live) as u64;
+    }
+
+    /// Appends to `out`, in no order, the live ids of `listed` and the
+    /// ids of every slot the compiled `hits` expand to through `cover`,
+    /// dead ones included: the block path drops those once per slot
+    /// ([`SnapshotBlockScratch::transpose`]), and takes them back off
+    /// `x.delivered` there.
+    fn append<E: Expand>(
+        &self,
+        cover: &E,
+        hits: &[ProfileId],
+        listed: &[ProfileId],
+        raw: &[u64],
+        out: &mut Vec<u32>,
+        x: &mut CoverScratch,
+    ) {
+        let listed = listed.iter().map(|p| p.index() as u32);
+        let live = listed.filter(|&k| is_live(self.dead, k));
+        out.extend(live.map(|k| self.offset + k));
+        let start = out.len();
+        let mut list = Unordered {
+            out,
+            offset: self.offset,
+        };
+        for p in hits {
+            x.checks += cover.expand(p.index() as u32, raw, &mut list);
+        }
+        x.delivered += (out.len() - start) as u64;
     }
 }
 
@@ -841,7 +1001,8 @@ impl FilterSnapshot {
         self.compiled.match_into(event, &mut scratch.base);
         scratch.ops = scratch.base.ops();
         let hits = scratch.base.profiles();
-        self.collect_base(hits, event.raw(), &mut scratch.matched, &mut scratch.cover);
+        let matched = &mut scratch.matched;
+        self.collect_base(hits, event.raw(), matched, &mut scratch.cover, true);
         let mut overlay_hits: &[ProfileId] = &[];
         if let Some(overlay) = &self.overlay {
             overlay.match_into(event, &mut scratch.overlay);
@@ -855,20 +1016,24 @@ impl FilterSnapshot {
             event.raw(),
             &mut scratch.matched,
             &mut scratch.cover,
+            true,
         );
     }
 
-    /// Appends the base slots one event delivers to `out`, ascending:
-    /// the compiled hits themselves, or under a covering plan their
+    /// Appends the base slots one event delivers to `out`: the
+    /// compiled hits themselves, or under a covering plan their
     /// expansion. Tombstoned slots are left out — but a tombstoned
     /// representative stays compiled and still expands, so its live
-    /// children keep being delivered.
+    /// children keep being delivered. Ascending if `ordered`; if not, an
+    /// expansion comes in delivery order with its dead slots in
+    /// ([`Region::append`]).
     fn collect_base(
         &self,
         hits: &[ProfileId],
         raw: &[u64],
         out: &mut Vec<u32>,
         x: &mut CoverScratch,
+        ordered: bool,
     ) {
         match &self.cover {
             None if self.removed.is_empty() => out.extend(hits.iter().map(|p| p.index() as u32)),
@@ -883,15 +1048,19 @@ impl FilterSnapshot {
                     offset: 0,
                     dead: &self.removed,
                 };
-                region.expand(&**plan, hits, &[], raw, out, x);
+                if ordered {
+                    region.expand(&**plan, hits, &[], raw, out, x);
+                } else {
+                    region.append(&**plan, hits, &[], raw, out, x);
+                }
             }
         }
     }
 
     /// Appends the overlay profiles one event delivers to `out` as
-    /// global ids, ascending: the counting index's hits plus the
-    /// covered positions the compiled hits expand to, less the
-    /// tombstoned positions.
+    /// global ids: the counting index's hits plus the covered positions
+    /// the compiled hits expand to, less the tombstoned positions.
+    /// Ordered as [`FilterSnapshot::collect_base`] says.
     fn collect_overlay(
         &self,
         hits: &[ProfileId],
@@ -899,6 +1068,7 @@ impl FilterSnapshot {
         raw: &[u64],
         out: &mut Vec<u32>,
         x: &mut CoverScratch,
+        ordered: bool,
     ) {
         let off = self.base_len as u32;
         let dead = &self.overlay_removed;
@@ -919,20 +1089,29 @@ impl FilterSnapshot {
                     offset: off,
                     dead,
                 };
-                region.expand(&**children, hits, overlay_hits, raw, out, x);
+                if ordered {
+                    region.expand(&**children, hits, overlay_hits, raw, out, x);
+                } else {
+                    region.append(&**children, hits, overlay_hits, raw, out, x);
+                }
             }
         }
     }
 
     /// Matches a whole pre-resolved block against base and overlay,
-    /// writing per-event global profile ids into `scratch` (CSR
-    /// layout). Lock-free and allocation-free after scratch warm-up.
+    /// writing its global profile ids into `scratch` in both views: the
+    /// per-event rows and the per-slot runs. Lock-free and
+    /// allocation-free after scratch warm-up.
     ///
     /// The compiled base runs through the DFSA's interleaved
     /// multi-event traversal ([`Matcher::match_block`]), the fastest
     /// path in the system, and the overlay's counting index is applied
-    /// per event on top. Semantics, per-event ops included, are
-    /// identical to calling [`FilterSnapshot::match_into`] per event.
+    /// per event on top. Each event's covering expansion is appended as
+    /// it comes, unordered; the block is then put in order once, by
+    /// transposing it into the runs and writing the rows back from them
+    /// (skipped when nothing expands: every row is ascending already).
+    /// Semantics, per-event ops included, are identical to calling
+    /// [`FilterSnapshot::match_into`] per event.
     /// The `bool` selects nothing, as on [`FilterSnapshot::match_into`].
     pub fn match_block(&self, batch: &IndexedBatch, scratch: &mut SnapshotBlockScratch, _: bool) {
         self.compiled.match_block(batch, &mut scratch.base);
@@ -944,7 +1123,8 @@ impl FilterSnapshot {
             // `scratch.base.row`.
             let hits = &scratch.base.profiles
                 [scratch.base.off[i] as usize..scratch.base.off[i + 1] as usize];
-            self.collect_base(hits, raw, &mut scratch.matched, &mut scratch.cover);
+            let matched = &mut scratch.matched;
+            self.collect_base(hits, raw, matched, &mut scratch.cover, false);
             let mut overlay_ops = 0;
             let mut overlay_hits: &[ProfileId] = &[];
             if let Some(overlay) = &self.overlay {
@@ -959,12 +1139,24 @@ impl FilterSnapshot {
                 raw,
                 &mut scratch.matched,
                 &mut scratch.cover,
+                false,
             );
             scratch.ops += overlay_ops;
             scratch.overlay_ops += overlay_ops;
             scratch.event_ops.push(scratch.base.ops_of(i) + overlay_ops);
             scratch.event_overlay_ops.push(overlay_ops);
             scratch.off.push(scratch.matched.len() as u32);
+        }
+        let ordered = self.cover.is_none() && self.overlay_children.is_none();
+        let slots = self.base_len + self.overlay_len;
+        scratch.transpose(slots, ordered, |g| self.delivers(g));
+    }
+
+    /// Whether global id `g` is not tombstoned.
+    fn delivers(&self, g: u32) -> bool {
+        match g.checked_sub(self.base_len as u32) {
+            None => is_live(&self.removed, g),
+            Some(pos) => is_live(&self.overlay_removed, pos),
         }
     }
 

@@ -8,7 +8,7 @@
 //! the adaptive filter rebuilds trees from.
 
 use ens_dist::{DistOverDomain, Histogram, JointDist, Pmf};
-use ens_types::{AttrId, Event, IndexInterval, LoweredTable, ProfileSet, Schema};
+use ens_types::{AttrId, Event, IndexInterval, IndexedEvent, LoweredTable, ProfileSet, Schema};
 
 use crate::FilterError;
 
@@ -196,6 +196,21 @@ impl FilterStatistics {
         }
         self.events_posted += 1;
         Ok(())
+    }
+
+    /// Records an observed event from its resolved row: one domain index
+    /// per attribute in schema order, [`IndexedEvent::MISSING`] where it
+    /// is absent (the form [`IndexedEvent::raw`] and
+    /// [`ens_types::IndexedBatch::row`] hold). What
+    /// [`FilterStatistics::record_event`] records for the event the row
+    /// was resolved from, without resolving it again.
+    pub fn record_row(&mut self, row: &[u64]) {
+        for (attr, &index) in row.iter().take(self.cuts.len()).enumerate() {
+            if index != IndexedEvent::MISSING {
+                self.record_value_index(AttrId::new(attr as u32), index);
+            }
+        }
+        self.events_posted += 1;
     }
 
     /// Records a raw `(attribute, domain index)` observation. This is

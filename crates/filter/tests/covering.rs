@@ -510,6 +510,139 @@ fn narrowed(
     (child, residual)
 }
 
+/// The snapshots [`hand_built`] makes, and what they were made of.
+struct HandBuilt {
+    base: ProfileSet,
+    overlay: ProfileSet,
+    overlay_cover: Vec<Option<(u32, Vec<Residual>)>>,
+    removed: Vec<bool>,
+    /// The hand-built plan compiled, overlay and tombstones on.
+    covered: FilterSnapshot,
+    /// The same population compiled uncovered.
+    plain: FilterSnapshot,
+}
+
+/// A covering-pruned snapshot over an expansion plan of every shape the
+/// codec admits (see
+/// `hand_built_plans_agree_with_uncovered_compile_and_oracle`), with a
+/// covered and indexed overlay and base tombstones.
+fn hand_built(schema: &Schema, rng: &mut StdRng) -> HandBuilt {
+    // Base population: a few representatives, each with children
+    // hung under it, shuffled so child slots interleave with
+    // representatives' and with each other's.
+    let n_reps = rng.gen_range(1..6);
+    // (profile, representative it belongs to, residual under it —
+    // `None` for the representative itself).
+    let mut entries: Vec<(Profile, usize, Option<Vec<Residual>>)> = Vec::new();
+    let mut reps: Vec<Profile> = Vec::new();
+    for r in 0..n_reps {
+        let rep = random_profile(schema, rng, &[]);
+        reps.push(rep.clone());
+        entries.push((rep, r, None));
+    }
+    let attr_orders: [&[usize]; 8] = [
+        &[],
+        &[0],
+        &[1],
+        &[2],
+        &[1, 0],
+        &[0, 2],
+        &[2, 1, 0],
+        &[0, 1, 2],
+    ];
+    for _ in 0..rng.gen_range(0..40) {
+        let r = rng.gen_range(0..n_reps);
+        let attrs = attr_orders[rng.gen_range(0..attr_orders.len())];
+        let (child, residual) = narrowed(schema, &reps[r], attrs, rng);
+        entries.push((child, r, Some(residual)));
+    }
+    // Narrow bystanders that hardly ever match: they stretch the
+    // slot range, so that some cases expand few slots out of many
+    // (delivered through the list) and others many out of few
+    // (through the bitmap).
+    let bystander = |rng: &mut StdRng| {
+        let preds = vec![
+            Predicate::eq(rng.gen_range(0..100)),
+            Predicate::eq(rng.gen_range(0..10)),
+            Predicate::eq("a"),
+        ];
+        Profile::from_predicates(schema, ProfileId::new(0), preds).unwrap()
+    };
+    let mut n_reps = n_reps;
+    for _ in 0..[0, 0, 200, 800][rng.gen_range(0..4)] {
+        entries.push((bystander(rng), n_reps, None));
+        n_reps += 1;
+    }
+    for k in (1..entries.len()).rev() {
+        entries.swap(k, rng.gen_range(0..=k));
+    }
+    let mut base = ProfileSet::new(schema);
+    for (p, _, _) in &entries {
+        base.insert(p.clone());
+    }
+    let mut slot_of_rep = vec![0u32; n_reps];
+    for (k, (_, r, residual)) in entries.iter().enumerate() {
+        if residual.is_none() {
+            slot_of_rep[*r] = k as u32;
+        }
+    }
+    let cover = CoverSet::from_parts(
+        schema,
+        slot_of_rep
+            .iter()
+            .map(|&s| (s, base.get(ProfileId::new(s)).unwrap())),
+        entries
+            .iter()
+            .enumerate()
+            .filter_map(|(k, (_, r, residual))| {
+                residual
+                    .as_ref()
+                    .map(|residual| (k as u32, slot_of_rep[*r], residual.clone()))
+            }),
+    )
+    .unwrap();
+
+    // Overlay: covered entries ride the expansion, the rest the
+    // counting index.
+    let mut overlay = ProfileSet::new(schema);
+    let mut overlay_cover: Vec<Option<(u32, Vec<Residual>)>> = Vec::new();
+    for _ in 0..[0, 0, 200][rng.gen_range(0..3)] {
+        overlay.insert(bystander(rng));
+        overlay_cover.push(None);
+    }
+    for _ in 0..rng.gen_range(0..10) {
+        if rng.gen_bool(0.6) {
+            let r = rng.gen_range(0..reps.len());
+            let attrs = attr_orders[rng.gen_range(0..attr_orders.len())];
+            let (child, residual) = narrowed(schema, &reps[r], attrs, rng);
+            overlay.insert(child);
+            let compiled = cover.compiled_index_of(slot_of_rep[r]).unwrap();
+            overlay_cover.push(Some((compiled, residual)));
+        } else {
+            overlay.insert(random_profile(schema, rng, &[]));
+            overlay_cover.push(None);
+        }
+    }
+    let removed: Vec<bool> = (0..base.len()).map(|_| rng.gen_bool(0.25)).collect();
+
+    let config = TreeConfig::default();
+    let compiled = FilterSnapshot::compile_with_cover(&base, &cover, &config).unwrap();
+    let covered = with_overlay(&compiled, &overlay, &overlay_cover).with_removed(removed.clone());
+    let plain = FilterSnapshot::compile(&base, &config)
+        .unwrap()
+        .with_overlay(&overlay)
+        .unwrap()
+        .with_removed(removed.clone());
+    HandBuilt {
+        base,
+        overlay,
+        overlay_cover,
+        removed,
+        covered,
+        plain,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -528,101 +661,14 @@ proptest! {
         let schema = schema();
         let mut rng = StdRng::seed_from_u64(seed);
 
-        // Base population: a few representatives, each with children
-        // hung under it, shuffled so child slots interleave with
-        // representatives' and with each other's.
-        let n_reps = rng.gen_range(1..6);
-        // (profile, representative it belongs to, residual under it —
-        // `None` for the representative itself).
-        let mut entries: Vec<(Profile, usize, Option<Vec<Residual>>)> = Vec::new();
-        let mut reps: Vec<Profile> = Vec::new();
-        for r in 0..n_reps {
-            let rep = random_profile(&schema, &mut rng, &[]);
-            reps.push(rep.clone());
-            entries.push((rep, r, None));
-        }
-        let attr_orders: [&[usize]; 8] =
-            [&[], &[0], &[1], &[2], &[1, 0], &[0, 2], &[2, 1, 0], &[0, 1, 2]];
-        for _ in 0..rng.gen_range(0..40) {
-            let r = rng.gen_range(0..n_reps);
-            let attrs = attr_orders[rng.gen_range(0..attr_orders.len())];
-            let (child, residual) = narrowed(&schema, &reps[r], attrs, &mut rng);
-            entries.push((child, r, Some(residual)));
-        }
-        // Narrow bystanders that hardly ever match: they stretch the
-        // slot range, so that some cases expand few slots out of many
-        // (delivered through the list) and others many out of few
-        // (through the bitmap).
-        let bystander = |rng: &mut StdRng| {
-            let preds = vec![
-                Predicate::eq(rng.gen_range(0..100)),
-                Predicate::eq(rng.gen_range(0..10)),
-                Predicate::eq("a"),
-            ];
-            Profile::from_predicates(&schema, ProfileId::new(0), preds).unwrap()
-        };
-        let mut n_reps = n_reps;
-        for _ in 0..[0, 0, 200, 800][rng.gen_range(0..4)] {
-            entries.push((bystander(&mut rng), n_reps, None));
-            n_reps += 1;
-        }
-        for k in (1..entries.len()).rev() {
-            entries.swap(k, rng.gen_range(0..=k));
-        }
-        let mut base = ProfileSet::new(&schema);
-        for (p, _, _) in &entries {
-            base.insert(p.clone());
-        }
-        let mut slot_of_rep = vec![0u32; n_reps];
-        for (k, (_, r, residual)) in entries.iter().enumerate() {
-            if residual.is_none() {
-                slot_of_rep[*r] = k as u32;
-            }
-        }
-        let cover = CoverSet::from_parts(
-            &schema,
-            slot_of_rep
-                .iter()
-                .map(|&s| (s, base.get(ProfileId::new(s)).unwrap())),
-            entries.iter().enumerate().filter_map(|(k, (_, r, residual))| {
-                residual
-                    .as_ref()
-                    .map(|residual| (k as u32, slot_of_rep[*r], residual.clone()))
-            }),
-        )
-        .unwrap();
-
-        // Overlay: covered entries ride the expansion, the rest the
-        // counting index.
-        let mut overlay = ProfileSet::new(&schema);
-        let mut overlay_cover: Vec<Option<(u32, Vec<Residual>)>> = Vec::new();
-        for _ in 0..[0, 0, 200][rng.gen_range(0..3)] {
-            overlay.insert(bystander(&mut rng));
-            overlay_cover.push(None);
-        }
-        for _ in 0..rng.gen_range(0..10) {
-            if rng.gen_bool(0.6) {
-                let r = rng.gen_range(0..reps.len());
-                let attrs = attr_orders[rng.gen_range(0..attr_orders.len())];
-                let (child, residual) = narrowed(&schema, &reps[r], attrs, &mut rng);
-                overlay.insert(child);
-                let compiled = cover.compiled_index_of(slot_of_rep[r]).unwrap();
-                overlay_cover.push(Some((compiled, residual)));
-            } else {
-                overlay.insert(random_profile(&schema, &mut rng, &[]));
-                overlay_cover.push(None);
-            }
-        }
-        let removed: Vec<bool> = (0..base.len()).map(|_| rng.gen_bool(0.25)).collect();
-
-        let config = TreeConfig::default();
-        let compiled = FilterSnapshot::compile_with_cover(&base, &cover, &config).unwrap();
-        let covered = with_overlay(&compiled, &overlay, &overlay_cover).with_removed(removed.clone());
-        let plain = FilterSnapshot::compile(&base, &config)
-            .unwrap()
-            .with_overlay(&overlay)
-            .unwrap()
-            .with_removed(removed.clone());
+        let HandBuilt {
+            base,
+            overlay,
+            overlay_cover,
+            removed,
+            covered,
+            plain,
+        } = hand_built(&schema, &mut rng);
         let bytes = covered.to_bytes();
         let reloaded = FilterSnapshot::from_bytes(&bytes).unwrap();
         prop_assert_eq!(reloaded.to_bytes(), bytes);
@@ -666,4 +712,134 @@ proptest! {
             }
         }
     }
+}
+
+/// Matches `events` block by block, `block` events each, and holds both
+/// views of every block to the per-event path: `matched_of` is
+/// `match_into`'s row, every run is strictly ascending and names a
+/// slot strictly above the run before, and the runs read back by event
+/// are the rows again. Op and expansion counts agree too. Returns the
+/// most notifications a block held.
+fn check_block_views(
+    snap: &FilterSnapshot,
+    schema: &Schema,
+    events: &[Event],
+    block: usize,
+) -> usize {
+    let (mut batch, mut views) = (IndexedBatch::new(), SnapshotBlockScratch::new());
+    let mut single = SnapshotScratch::new();
+    let mut most = 0;
+    for chunk in events.chunks(block) {
+        batch.resolve_into(schema, chunk.iter()).unwrap();
+        snap.match_block(&batch, &mut views, true);
+        let mut rows = vec![Vec::new(); chunk.len()];
+        let mut last = None;
+        for (g, run) in views.runs() {
+            assert!(last < Some(g), "slot {g} after {last:?}");
+            last = Some(g);
+            assert!(!run.is_empty(), "slot {g} has an empty run");
+            assert!(run.windows(2).all(|w| w[0] < w[1]), "slot {g}: {run:?}");
+            for &i in run {
+                rows[i as usize].push(g);
+            }
+        }
+        let (mut checks, mut delivered, mut notes) = (0, 0, 0);
+        for (i, e) in chunk.iter().enumerate() {
+            let ie = IndexedEvent::resolve(schema, e).unwrap();
+            snap.match_into(&ie, &mut single, true);
+            assert_eq!(views.matched_of(i), single.matched(), "row {i}");
+            assert_eq!(rows[i], single.matched(), "runs of row {i}");
+            assert_eq!(views.ops_of(i), single.ops(), "ops of row {i}");
+            checks += single.cover_checks();
+            delivered += single.cover_delivered();
+            notes += rows[i].len();
+        }
+        assert_eq!(
+            (views.cover_checks(), views.cover_delivered()),
+            (checks, delivered)
+        );
+        most = most.max(notes);
+    }
+    most
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The block path orders a block once, by transposing it: over the
+    /// hand-built plans (residuals on several attributes, of several
+    /// intervals, the rarer `MORE` entries among them), a covered and
+    /// indexed overlay, base tombstones and — in place — overlay ones,
+    /// covered and plain, the runs and rows of every block agree with
+    /// `match_into` ([`check_block_views`]), whatever the block size.
+    #[test]
+    fn block_runs_transpose_to_match_into_rows(
+        seed in 0u64..=u64::MAX,
+        block in 1usize..40,
+    ) {
+        let schema = schema();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let built = hand_built(&schema, &mut rng);
+        let mut tombstoned = built.covered.clone();
+        for pos in (0..built.overlay.len()).step_by(3) {
+            tombstoned = tombstoned.with_overlay_removed(pos);
+        }
+        let events: Vec<Event> = (0..40).map(|_| random_event(&schema, &mut rng)).collect();
+        for snap in [&built.covered, &tombstoned, &built.plain] {
+            check_block_views(snap, &schema, &events, block);
+        }
+    }
+}
+
+/// A block's slot order comes from a scan of its per-slot counts or
+/// from sorting the slots it touched, by how many slots there are per
+/// notification. A selective 10,000-slot population — covered, with an
+/// overlay and tombstones — matched in 4-event blocks holds under
+/// 10,000 / 16 notifications a block, which sorts; in 256-event blocks
+/// more notifications than slots, which scans. Both agree with
+/// `match_into`.
+#[test]
+fn both_slot_orders_transpose_to_match_into_rows() {
+    let schema = schema();
+    let mut rng = StdRng::seed_from_u64(53);
+    let mut ps = ProfileSet::new(&schema);
+    for k in 0..10_000 {
+        let x = rng.gen_range(0..100);
+        let preds = vec![
+            Predicate::between(x, (x + rng.gen_range(0..2)).min(99)),
+            match k % 3 {
+                0 => Predicate::DontCare,
+                _ => Predicate::eq(rng.gen_range(0..10)),
+            },
+            Predicate::DontCare,
+        ];
+        ps.insert(Profile::from_predicates(&schema, ProfileId::new(0), preds).unwrap());
+    }
+    let (compiled, cover) = covered_compile(&ps);
+    assert!(compiled.compiled_len() < ps.len());
+    let mut overlay = ProfileSet::new(&schema);
+    let mut overlay_cover = Vec::new();
+    for p in ps.iter().step_by(97) {
+        overlay_cover.push(match cover.probe(p).unwrap() {
+            CoverOutcome::Covered { rep, residual } => {
+                Some((cover.compiled_index_of(rep).unwrap(), residual))
+            }
+            CoverOutcome::Rep => None,
+        });
+        overlay.insert(p.clone());
+    }
+    let removed: Vec<bool> = (0..ps.len()).map(|k| k % 5 == 0).collect();
+    let snap = with_overlay(&compiled, &overlay, &overlay_cover).with_removed(removed);
+    let slots = snap.base_len() + snap.overlay_len();
+    let events: Vec<Event> = (0..512).map(|_| random_event(&schema, &mut rng)).collect();
+    let sorted = check_block_views(&snap, &schema, &events, 4);
+    assert!(
+        sorted * 16 < slots,
+        "{sorted} notifications in a 4-event block"
+    );
+    let scanned = check_block_views(&snap, &schema, &events, 256);
+    assert!(
+        scanned > slots,
+        "{scanned} notifications in a 256-event block"
+    );
 }

@@ -5,8 +5,11 @@
 //! model is only as good as the estimate it prices under).
 
 use ens_dist::{Density, DistOverDomain, JointDist};
-use ens_filter::FilterStatistics;
-use ens_types::{AttrId, Domain, Predicate, Profile, ProfileId, ProfileSet, Schema};
+use ens_filter::{DriftCause, DriftTracker, FilterStatistics, RebuildPolicy};
+use ens_types::{
+    AttrId, Domain, Event, IndexedBatch, IndexedEvent, Predicate, Profile, ProfileId, ProfileSet,
+    Schema,
+};
 use ens_workloads::scenario::{
     environmental_event_model, environmental_profiles, environmental_schema, stock_event_model,
     stock_profiles, stock_schema,
@@ -161,6 +164,87 @@ fn empirical_model_equals_the_integrated_window_mixture() {
                     "{name}, attribute {j}, {observed} events"
                 );
             }
+        }
+    }
+}
+
+/// A tracker fed the rows a publish resolves (`observe_row`) ends where
+/// one fed the events (`observe`) does: equal signals at equal events,
+/// then equal histograms — observation counts and cell distributions of
+/// every attribute. On the environmental and stock streams, every
+/// seventh event missing an attribute, the second half drawn from the
+/// lower values of the first attribute so that the distribution moves.
+#[test]
+fn observing_rows_equals_observing_events() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let populations = [
+        (
+            "environmental",
+            environmental_schema(),
+            environmental_event_model().unwrap(),
+        ),
+        ("stock", stock_schema(), stock_event_model().unwrap()),
+    ];
+    for (name, schema, model) in populations {
+        let profiles = match name {
+            "stock" => stock_profiles(300, &mut rng).unwrap(),
+            _ => environmental_profiles(300, &mut rng).unwrap(),
+        };
+        let generator = EventGenerator::new(&schema, model).unwrap();
+        let first = |e: &Event| IndexedEvent::resolve(&schema, e).unwrap().raw()[0];
+        let mut low = Vec::new();
+        while low.len() < 4000 {
+            low.push(generator.sample(&mut rng));
+        }
+        low.sort_by_key(first);
+        let events: Vec<Event> = (0..3000)
+            .map(|k| {
+                // The second half from the lower half of the first
+                // attribute's values.
+                let e = match k {
+                    ..1500 => generator.sample(&mut rng),
+                    _ => low[k - 1500].clone(),
+                };
+                if k % 7 != 0 {
+                    return e;
+                }
+                let mut values = e.values().to_vec();
+                values[k % schema.len()] = None;
+                Event::from_values(&schema, values).unwrap()
+            })
+            .collect();
+        let mut batch = IndexedBatch::new();
+        batch.resolve_into(&schema, events.iter()).unwrap();
+
+        let policy = RebuildPolicy {
+            drift_check_every: 1,
+            ..RebuildPolicy::default()
+        };
+        let mut by_event = DriftTracker::new(&profiles, policy).unwrap();
+        let mut by_row = DriftTracker::new(&profiles, policy).unwrap();
+        let mut moved = 0;
+        for (i, e) in events.iter().enumerate() {
+            let signal = by_event.observe(e).unwrap();
+            assert_eq!(
+                signal,
+                by_row.observe_row(batch.row(i)).unwrap(),
+                "{name}: event {i}"
+            );
+            if let Some(signal) = signal {
+                moved += usize::from(signal.cause == DriftCause::Moved);
+                by_event.decline_rebuild().unwrap();
+                by_row.decline_rebuild().unwrap();
+            }
+        }
+        assert!(moved > 0, "{name}: the stream should move");
+        let (a, b) = (by_event.statistics(), by_row.statistics());
+        assert_eq!(a.events_posted(), b.events_posted());
+        for attr in schema.ids() {
+            assert_eq!(a.event_observations(attr), b.event_observations(attr));
+            assert_eq!(
+                a.event_drift_pmf(attr).unwrap(),
+                b.event_drift_pmf(attr).unwrap()
+            );
         }
     }
 }

@@ -36,9 +36,9 @@
 //!   wakes the consumer only if it is parked (no syscall otherwise);
 //!   the one consumer claims its backlog eight notifications a lock.
 //!   `publish` sends one notification per matched subscriber;
-//!   `publish_batch` transposes a shard's matches into one run of
-//!   events per subscriber and appends each run under one lock, with
-//!   the same overflow outcome as one send per notification.
+//!   `publish_batch` appends each run of events the filter's block
+//!   match hands over per subscriber under one lock, with the same
+//!   overflow outcome as one send per notification.
 //!
 //! Ordering: within one publisher thread (and within a batch),
 //! notifications reach each subscriber in sequence order. Across
@@ -282,12 +282,24 @@ thread_local! {
     static SCRATCH: RefCell<(IndexedEvent, SnapshotScratch, Vec<SubscriptionId>)> =
         RefCell::new((IndexedEvent::new(), SnapshotScratch::new(), Vec::new()));
 
-    /// Per-thread batch buffers, one [`ShardBatch`] per shard, reused
-    /// by every batch the thread publishes, and the merge buffer: a
-    /// warmed-up `publish_batch` caller allocates receipts and a
-    /// constant per batch, nothing per event or notification.
-    static BATCH_SCRATCH: RefCell<(Vec<ShardBatch>, Vec<SubscriptionId>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Per-thread batch buffers, reused by every batch the thread
+    /// publishes: a warmed-up `publish_batch` caller allocates receipts
+    /// and the receipt list, nothing per event or notification.
+    static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
+}
+
+/// The buffers of one thread's batches.
+#[derive(Default)]
+struct BatchScratch {
+    /// The batch resolved ([`Broker::publish_batch`] only).
+    indexed: IndexedBatch,
+    /// The shards' snapshot handles, for one batch: emptied after it,
+    /// so that no snapshot outlives the batch.
+    snaps: Vec<Arc<ShardSnapshot>>,
+    /// One per shard.
+    shards: Vec<ShardBatch>,
+    /// What receipt rows are merged through ([`merge_row`]).
+    merge: Vec<SubscriptionId>,
 }
 
 /// Makes `ids` ascending, given `ids[..mid]` is: `ids[mid..]`, one
@@ -327,22 +339,12 @@ fn merge_row(ids: &mut [SubscriptionId], mid: usize, buf: &mut Vec<SubscriptionI
 const ALIVE: u32 = u32::MAX;
 
 /// One shard's share of a batch, reused from batch to batch: the
-/// matched rows, their transposition into one run of events per
-/// subscriber, and what delivering those runs reported.
+/// matched rows and runs, and what delivering the runs reported.
 #[derive(Default)]
 struct ShardBatch {
-    /// Matched global profile ids per event (CSR rows), with op counts.
+    /// Matched global profile ids per event (rows, with op counts) and
+    /// per slot (runs).
     rows: SnapshotBlockScratch,
-    /// Per dispatch slot, while a batch is transposed: where the slot's
-    /// run in `runs` is being written. All zero between batches — only
-    /// touched slots are reset — so a batch costs O(notifications), not
-    /// O(subscriptions).
-    cursor: Vec<u32>,
-    /// Slots this batch matched, in order of first match.
-    touched: Vec<u32>,
-    /// The rows transposed: event indices grouped by slot in `touched`
-    /// order, ascending within a slot.
-    runs: Vec<u32>,
     /// Per dispatch slot: the first event of this batch whose
     /// notification the slot's channel refused as severed ([`ALIVE`]
     /// if none, and between batches).
@@ -363,53 +365,20 @@ impl ShardBatch {
         for g in self.dead.drain(..) {
             self.dead_from[g as usize] = ALIVE;
         }
-        if self.cursor.len() < slots {
-            self.cursor.resize(slots, 0);
+        if self.dead_from.len() < slots {
             self.dead_from.resize(slots, ALIVE);
         }
         self.overflowed = 0;
         self.panicked = false;
     }
 
-    /// Groups the rows by slot and appends each slot's run to its
-    /// subscriber channel under one lock, with at most one wake-up.
-    /// Every subscriber still sees its notifications in sequence
-    /// order, and every channel ends up exactly as after one send per
-    /// notification in event order (see [`Sender::send_many`]).
+    /// Appends each slot's run to its subscriber channel under one
+    /// lock, with at most one wake-up. Every subscriber still sees its
+    /// notifications in sequence order, and every channel ends up
+    /// exactly as after one send per notification in event order (see
+    /// [`Sender::send_many`]).
     fn deliver(&mut self, snap: &ShardSnapshot, events: &[Arc<Event>], base_seq: u64) {
-        // Count each slot's notifications, then turn the counts into
-        // run starts (a counting sort of the rows by slot).
-        for i in 0..events.len() {
-            for &g in self.rows.matched_of(i) {
-                let count = &mut self.cursor[g as usize];
-                if *count == 0 {
-                    self.touched.push(g);
-                }
-                *count += 1;
-            }
-        }
-        let mut total = 0;
-        for &g in &self.touched {
-            let start = total;
-            total += self.cursor[g as usize];
-            self.cursor[g as usize] = start;
-        }
-        self.runs.clear();
-        self.runs.resize(total as usize, 0);
-        for i in 0..events.len() {
-            for &g in self.rows.matched_of(i) {
-                let at = &mut self.cursor[g as usize];
-                self.runs[*at as usize] = i as u32;
-                *at += 1;
-            }
-        }
-        // Each cursor now stands at its run's end, where the next
-        // touched slot's run starts.
-        let mut start = 0;
-        for g in self.touched.drain(..) {
-            let end = std::mem::take(&mut self.cursor[g as usize]) as usize;
-            let run = &self.runs[start..end];
-            start = end;
+        for (g, run) in self.rows.runs() {
             let entry = snap.entry(g);
             let pushed = entry.sender.send_many(run.iter().map(|&i| Queued {
                 sequence: base_seq + u64::from(i),
@@ -445,6 +414,28 @@ impl ShardBatch {
                 into.matched.push(id);
             }
         }
+    }
+}
+
+/// What publishes add to the publish counters: one event's, or a
+/// batch's summed.
+#[derive(Default)]
+struct Tally {
+    events: u64,
+    ops: u64,
+    overlay_ops: u64,
+    notified: u64,
+    overflowed: u64,
+}
+
+impl Tally {
+    /// Adds one event, delivered as `delivery` says.
+    fn add(&mut self, delivery: &Delivery) {
+        self.events += 1;
+        self.ops += delivery.ops;
+        self.overlay_ops += delivery.overlay_ops;
+        self.notified += delivery.matched.len() as u64;
+        self.overflowed += delivery.overflowed;
     }
 }
 
@@ -865,9 +856,13 @@ impl Broker {
                 self.match_and_deliver(&snap, indexed, scratch, &event, sequence, &mut delivery);
                 merge_row(&mut delivery.matched, start, merge);
             }
+            let mut tally = Tally::default();
+            tally.add(&delivery);
+            self.count_published(&tally);
+            self.count_expansion(delivery.cover_checks, delivery.cover_delivered);
+            self.settle(indexed.raw(), sequence, &mut delivery.dead)?;
             Ok(sequence)
         })?;
-        self.finish_publish(&event, sequence, &mut delivery)?;
         self.maybe_checkpoint();
         Ok(PublishReceipt {
             sequence,
@@ -899,15 +894,19 @@ impl Broker {
         &self,
         events: &[Arc<Event>],
     ) -> Result<Vec<PublishReceipt>, ServiceError> {
-        if events.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Validate and resolve everything up front: a shard's pass must
-        // never fail mid-batch, and resolving once saves re-indexing
-        // the event in every shard.
-        let mut indexed = IndexedBatch::new();
-        indexed.resolve_into(&self.schema, events.iter().map(Arc::as_ref))?;
-        self.publish_batch_prepared(events, &indexed)
+        self.with_batch_scratch(events, |scratch| {
+            // Validate and resolve everything up front: a shard's pass
+            // must never fail mid-batch, and resolving once saves
+            // re-indexing the event in every shard.
+            let mut indexed = std::mem::take(&mut scratch.indexed);
+            let resolved = indexed.resolve_into(&self.schema, events.iter().map(Arc::as_ref));
+            let receipts = match resolved {
+                Ok(()) => self.run_batch(events, &indexed, scratch),
+                Err(e) => Err(e.into()),
+            };
+            scratch.indexed = indexed;
+            receipts
+        })
     }
 
     /// Like [`Broker::publish_batch`], but takes the batch's resolved
@@ -932,9 +931,39 @@ impl Broker {
         events: &[Arc<Event>],
         indexed: &IndexedBatch,
     ) -> Result<Vec<PublishReceipt>, ServiceError> {
+        self.with_batch_scratch(events, |scratch| self.run_batch(events, indexed, scratch))
+    }
+
+    /// Publishes a non-empty batch through `publish` with the thread's
+    /// batch buffers, then checkpoints if one is due.
+    fn with_batch_scratch(
+        &self,
+        events: &[Arc<Event>],
+        publish: impl FnOnce(&mut BatchScratch) -> Result<Vec<PublishReceipt>, ServiceError>,
+    ) -> Result<Vec<PublishReceipt>, ServiceError> {
         if events.is_empty() {
             return Ok(Vec::new());
         }
+        // Taken out rather than borrowed: nothing below can then find
+        // the cell busy, whatever it calls.
+        let mut scratch = BATCH_SCRATCH.take();
+        let receipts = publish(&mut scratch);
+        scratch.snaps.clear();
+        BATCH_SCRATCH.set(scratch);
+        let receipts = receipts?;
+        self.maybe_checkpoint();
+        Ok(receipts)
+    }
+
+    /// Matches and delivers a batch shard by shard, once its shape is
+    /// checked, then merges the shards' rows into one receipt per event
+    /// (see [`merge_row`]).
+    fn run_batch(
+        &self,
+        events: &[Arc<Event>],
+        indexed: &IndexedBatch,
+        scratch: &mut BatchScratch,
+    ) -> Result<Vec<PublishReceipt>, ServiceError> {
         if indexed.len() != events.len() || indexed.width() != self.schema.len().max(1) {
             return Err(ServiceError::Types(
                 ens_types::TypesError::UnknownAttribute(format!(
@@ -952,37 +981,17 @@ impl Broker {
         let base_seq = self
             .sequence
             .fetch_add(events.len() as u64, Ordering::Relaxed);
-
-        // Taken out rather than borrowed: nothing below can then find
-        // the cell busy, whatever it calls.
-        let (mut scratch, mut merge) = BATCH_SCRATCH.take();
-        let receipts = self.run_batch(events, indexed, base_seq, &mut scratch, &mut merge);
-        BATCH_SCRATCH.set((scratch, merge));
-        let receipts = receipts?;
-        self.maybe_checkpoint();
-        Ok(receipts)
-    }
-
-    /// Matches and delivers a validated batch shard by shard, then
-    /// merges the shards' rows into one receipt per event (through
-    /// `merge`, see [`merge_row`]).
-    fn run_batch(
-        &self,
-        events: &[Arc<Event>],
-        indexed: &IndexedBatch,
-        base_seq: u64,
-        scratch: &mut Vec<ShardBatch>,
-        merge: &mut Vec<SubscriptionId>,
-    ) -> Result<Vec<PublishReceipt>, ServiceError> {
-        let snaps: Vec<Arc<ShardSnapshot>> = self
-            .shards
-            .iter()
-            .map(|s| s.snapshot.read().clone())
-            .collect();
-        if scratch.len() < snaps.len() {
-            scratch.resize_with(snaps.len(), ShardBatch::default);
+        let BatchScratch {
+            snaps,
+            shards,
+            merge,
+            ..
+        } = scratch;
+        snaps.extend(self.shards.iter().map(|s| s.snapshot.read().clone()));
+        if shards.len() < snaps.len() {
+            shards.resize_with(snaps.len(), ShardBatch::default);
         }
-        let shards = &mut scratch[..snaps.len()];
+        let shards = &mut shards[..snaps.len()];
         // Every shard runs on the calling thread, in shard order: a
         // thread per batch cost more than the second core gave back
         // (ROADMAP, Settled), and more cores come from more publishers,
@@ -995,7 +1004,7 @@ impl Broker {
         // immutable snapshot, sends on channels whose shared state is
         // lock-protected and stays consistent, and writes only its own
         // `ShardBatch`, which is thrown away if it panics (drift
-        // statistics are only touched later, in `finish_publish`).
+        // statistics are only touched later, in `settle`).
         for (s, (snap, out)) in snaps.iter().zip(shards.iter_mut()).enumerate() {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.batch_worker(s, snap, indexed, events, base_seq, out);
@@ -1010,19 +1019,19 @@ impl Broker {
         }
 
         // Every matched subscriber stays in `matched`; what full
-        // channels evict is only counted.
-        let overflowed: u64 = shards.iter().map(|b| b.overflowed).sum();
-        if overflowed > 0 {
-            self.metrics
-                .overflow_dropped
-                .fetch_add(overflowed, Ordering::Relaxed);
-        }
+        // channels evict is only counted. The counters move once per
+        // batch, by what its events settled before any failed to.
+        let mut tally = Tally {
+            overflowed: shards.iter().map(|b| b.overflowed).sum(),
+            ..Tally::default()
+        };
         self.count_expansion(
             shards.iter().map(|b| b.rows.cover_checks()).sum(),
             shards.iter().map(|b| b.rows.cover_delivered()).sum(),
         );
         let mut receipts = Vec::with_capacity(events.len());
-        for (i, event) in events.iter().enumerate() {
+        let mut settled = Ok(());
+        for i in 0..events.len() {
             let live = shards.iter().filter(|b| !b.panicked);
             let hits = live.map(|b| b.rows.matched_of(i).len()).sum();
             let mut delivery = Delivery {
@@ -1034,15 +1043,20 @@ impl Broker {
                 batch.collect(snap, i, &mut delivery);
                 merge_row(&mut delivery.matched, start, merge);
             }
+            tally.add(&delivery);
             let sequence = base_seq + i as u64;
-            self.finish_publish(event, sequence, &mut delivery)?;
+            settled = self.settle(indexed.row(i), sequence, &mut delivery.dead);
+            if settled.is_err() {
+                break;
+            }
             receipts.push(PublishReceipt {
                 sequence,
                 matched: delivery.matched,
                 ops: delivery.ops,
             });
         }
-        Ok(receipts)
+        self.count_published(&tally);
+        settled.map(|()| receipts)
     }
 
     /// Arms the next `publish_batch` so the worker of `shard` panics
@@ -1155,45 +1169,37 @@ impl Broker {
         }
     }
 
-    /// Post-delivery bookkeeping shared by `publish` and
-    /// `publish_batch`: metrics, sampled drift statistics (with
-    /// adaptive rebuilds) and garbage collection of hung-up
-    /// subscribers.
-    fn finish_publish(
+    /// Adds one publish's, or one batch's, [`Tally`] to the metrics.
+    fn count_published(&self, tally: &Tally) {
+        let counters = [
+            (&self.metrics.events_published, tally.events),
+            (&self.metrics.total_ops, tally.ops),
+            (&self.metrics.overlay_ops, tally.overlay_ops),
+            (&self.metrics.notifications_sent, tally.notified),
+            (&self.metrics.overflow_dropped, tally.overflowed),
+        ];
+        for (counter, n) in counters {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Post-delivery bookkeeping of one event, shared by `publish` and
+    /// `publish_batch`: garbage collection of the hung-up subscribers
+    /// in `dead`, and sampled drift statistics (with adaptive rebuilds)
+    /// from the event's resolved `row`.
+    fn settle(
         &self,
-        event: &Arc<Event>,
+        row: &[u64],
         sequence: u64,
-        delivery: &mut Delivery,
+        dead: &mut Vec<SubscriptionId>,
     ) -> Result<(), ServiceError> {
-        self.metrics
-            .events_published
-            .fetch_add(1, Ordering::Relaxed);
-        if delivery.ops > 0 {
-            self.metrics
-                .total_ops
-                .fetch_add(delivery.ops, Ordering::Relaxed);
-        }
-        if delivery.overlay_ops > 0 {
-            self.metrics
-                .overlay_ops
-                .fetch_add(delivery.overlay_ops, Ordering::Relaxed);
-        }
-        if !delivery.matched.is_empty() {
-            self.metrics
-                .notifications_sent
-                .fetch_add(delivery.matched.len() as u64, Ordering::Relaxed);
-        }
-        if delivery.overflowed > 0 {
-            self.metrics
-                .overflow_dropped
-                .fetch_add(delivery.overflowed, Ordering::Relaxed);
-        }
-        self.count_expansion(delivery.cover_checks, delivery.cover_delivered);
-        if !delivery.dead.is_empty() {
-            let dead = delivery.dead.len() as u64;
+        if !dead.is_empty() {
+            let n = dead.len() as u64;
             // Garbage-collect subscriptions whose consumers hung up
             // (racing GCs may have removed them already).
-            let collected = delivery.dead.drain(..).try_for_each(|id| {
+            let collected = dead.drain(..).try_for_each(|id| {
                 match self.remove_subscription(id) {
                     Ok(()) | Err(ServiceError::UnknownSubscription(_)) => Ok(()),
                     // The in-memory removal committed and only the WAL
@@ -1208,24 +1214,25 @@ impl Broker {
             // counter move ([`Broker::collected`]) finds them gone.
             self.metrics
                 .dropped_notifications
-                .fetch_add(dead, Ordering::Relaxed);
+                .fetch_add(n, Ordering::Relaxed);
             collected?;
         }
         if self.config.stats_sample > 0 && sequence % self.config.stats_sample == 0 {
-            self.observe_drift(event)?;
+            self.observe_drift(row)?;
         }
         Ok(())
     }
 
-    /// Records `event` into every shard's drift statistics (skipping
-    /// shards whose writer lock is contended) and, where the drift
-    /// policy fires, decides whether the shard is rebuilt.
-    fn observe_drift(&self, event: &Arc<Event>) -> Result<(), ServiceError> {
+    /// Records the resolved event `row` into every shard's drift
+    /// statistics (skipping shards whose writer lock is contended) and,
+    /// where the drift policy fires, decides whether the shard is
+    /// rebuilt.
+    fn observe_drift(&self, row: &[u64]) -> Result<(), ServiceError> {
         for (s, shard) in self.shards.iter().enumerate() {
             let Some(mut w) = shard.try_lock() else {
                 continue;
             };
-            if let Some(signal) = w.tracker.observe(event)? {
+            if let Some(signal) = w.tracker.observe_row(row)? {
                 self.answer_drift(s, shard, &mut w, signal)?;
             }
         }

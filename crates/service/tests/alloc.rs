@@ -63,11 +63,11 @@ fn allocations() -> u64 {
 const BATCH: usize = 256;
 
 /// What one `publish_batch` on 2 shards may allocate besides receipts:
-/// the indexed batch, the snapshot handles and the receipt list came
-/// to 3 when this was written, every shard running on the caller. A
-/// thread spawn per batch took 4–6 more, so one brought back fails
-/// here.
-const PER_BATCH: u64 = 5;
+/// the receipt list, and nothing else — the indexed batch and the
+/// snapshot handles live in the thread's batch buffers. A buffer that
+/// goes back to being made per batch fails here, and so does a thread
+/// spawn per batch (4–6 more).
+const PER_BATCH: u64 = 1;
 
 /// Notifications received, and receipts that had somebody to name.
 #[derive(Default)]
@@ -158,8 +158,7 @@ fn warmed_publish_paths_allocate_receipts_only() {
     );
 
     // `publish_batch`, 256 events on 2 shards: one `Vec` per receipt
-    // plus a constant per batch — the indexed batch, the snapshot
-    // handles and the receipt list. Drift sampling off, as in the
+    // plus the receipt list. Drift sampling off, as in the
     // `batch_sharded` benchmark workload: with it on, this population
     // recompiles every few hundred events for good.
     let schema = stock_schema();

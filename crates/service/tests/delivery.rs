@@ -19,6 +19,8 @@ fn schema() -> Schema {
     Schema::builder()
         .attribute("x", Domain::int(0, 99))
         .unwrap()
+        .attribute("y", Domain::int(0, 9))
+        .unwrap()
         .build()
 }
 
@@ -49,6 +51,20 @@ impl Twin {
     /// before batch `hang_up`, every even one drains, the odd ones let
     /// their channels fill.
     fn between_batches(&mut self, batch: usize, hang_up: usize) {
+        self.between_batches_unsubscribing(batch, hang_up, &[]);
+    }
+
+    /// [`Twin::between_batches`], and before batch `b` each subscriber
+    /// `k` of an `(k, b)` in `unsubscribe` is unsubscribed.
+    fn between_batches_unsubscribing(
+        &mut self,
+        batch: usize,
+        hang_up: usize,
+        unsubscribe: &[(usize, usize)],
+    ) {
+        for &(k, _) in unsubscribe.iter().filter(|(_, b)| *b == batch) {
+            self.broker.unsubscribe(self.ids[k]).unwrap();
+        }
         if batch == hang_up {
             *self.subs.last_mut().unwrap() = None;
         }
@@ -72,34 +88,68 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// `publish_batch` ≡ N × `publish_shared`, over shards × channel
-    /// capacity.
+    /// capacity, on two attributes: a profile that also asks for `y`
+    /// under one that does not is covered with a residual on both.
     ///
     /// Subscribers die on both routes: one consumer hangs up between
     /// two batches (a handle cannot be dropped *during* a
-    /// `publish_batch` call).
+    /// `publish_batch` call). Compiled subscriptions are unsubscribed
+    /// between batches, which tombstones them — representatives
+    /// included, whose covered subscriptions go on being delivered.
     #[test]
     fn batch_delivery_equals_sequential_delivery(
-        ranges in prop::collection::vec((0i64..100, 0i64..100), 2..9),
-        xs in prop::collection::vec(0i64..100, 8..100),
+        ranges in prop::collection::vec(
+            (0i64..100, 0i64..100, prop::option::of((0i64..10, 0i64..10))),
+            2..16,
+        ),
+        xys in prop::collection::vec((0i64..100, prop::option::of(0i64..10)), 8..100),
         batch_len in 1usize..40,
         hang_up in 0usize..4,
+        unsubscribe in prop::collection::vec((0usize..16, 0usize..4), 0..4),
     ) {
         let schema = schema();
-        let ranges: Vec<(i64, i64)> = ranges.iter().map(|(a, b)| (*a.min(b), *a.max(b))).collect();
+        // Per profile: its `x` range, and its `y` range if it has one.
+        type Ranges = Vec<((i64, i64), Option<(i64, i64)>)>;
+        let ranges: Ranges = ranges
+            .iter()
+            .map(|&(a, b, y)| ((a.min(b), a.max(b)), y.map(|(c, d)| (c.min(d), c.max(d)))))
+            .collect();
         let profiles: Vec<Profile> = ranges
             .iter()
-            .map(|(lo, hi)| {
-                Profile::builder(&schema)
-                    .predicate("x", Predicate::between(*lo, *hi))
-                    .unwrap()
-                    .build(ProfileId::new(0))
+            .map(|&((lo, hi), y)| {
+                let b = Profile::builder(&schema).predicate("x", Predicate::between(lo, hi));
+                match y {
+                    None => b,
+                    Some((lo, hi)) => b.unwrap().predicate("y", Predicate::between(lo, hi)),
+                }
+                .unwrap()
+                .build(ProfileId::new(0))
             })
             .collect();
-        let events: Vec<Arc<Event>> = xs
+        let events: Vec<Arc<Event>> = xys
             .iter()
-            .map(|x| Arc::new(Event::builder(&schema).value("x", *x).unwrap().build()))
+            .map(|&(x, y)| {
+                let b = Event::builder(&schema).value("x", x).unwrap();
+                let b = match y {
+                    None => b,
+                    Some(y) => b.value("y", y).unwrap(),
+                };
+                Arc::new(b.build())
+            })
             .collect();
-        let hits = |sub: usize, event: usize| (ranges[sub].0..=ranges[sub].1).contains(&xs[event]);
+        let hits = |sub: usize, event: usize| {
+            let ((lo, hi), y) = ranges[sub];
+            let (x, event_y) = xys[event];
+            (lo..=hi).contains(&x)
+                && y.is_none_or(|(a, b)| event_y.is_some_and(|v| (a..=b).contains(&v)))
+        };
+        // Not the last subscriber, which hangs up; each one once.
+        let mut unsubscribe: Vec<(usize, usize)> = unsubscribe
+            .iter()
+            .map(|&(k, b)| (k % (profiles.len() - 1), b))
+            .collect();
+        unsubscribe.sort_unstable();
+        unsubscribe.dedup_by_key(|(k, _)| *k);
 
         for shards in [1, 2, 4] {
             for notify_capacity in [0, 1, 4, 64] {
@@ -112,8 +162,8 @@ proptest! {
                 let mut batched = Twin::new(&schema, &config, &profiles);
                 let mut single = Twin::new(&schema, &config, &profiles);
                 for (b, chunk) in events.chunks(batch_len).enumerate() {
-                    batched.between_batches(b, hang_up);
-                    single.between_batches(b, hang_up);
+                    batched.between_batches_unsubscribing(b, hang_up, &unsubscribe);
+                    single.between_batches_unsubscribing(b, hang_up, &unsubscribe);
                     batched.receipts.extend(batched.broker.publish_batch(chunk).unwrap());
                     for event in chunk {
                         let receipt = single.broker.publish_shared(Arc::clone(event)).unwrap();
@@ -131,6 +181,13 @@ proptest! {
                     );
                 }
                 prop_assert_eq!(batched.receipts.len(), events.len());
+                for &(k, b) in &unsubscribe {
+                    let mut after = batched.receipts.iter().skip(b * batch_len);
+                    prop_assert!(
+                        after.all(|r| !r.matched.contains(&batched.ids[k])),
+                        "{}: subscriber {} notified after it unsubscribed", case, k
+                    );
+                }
                 prop_assert_eq!(&batched.ids, &single.ids);
                 prop_assert_eq!(&batched.streams, &single.streams, "{}", case);
                 for (a, b) in batched.subs.iter().zip(&single.subs) {
@@ -150,10 +207,13 @@ proptest! {
                 // batch route is the next batch: there the rest of
                 // its hits in i's batch are refused and counted
                 // too. The receipts (equal on both routes) say who
-                // died where: a hit that no receipt names.
+                // died where: a hit that no receipt names. An
+                // unsubscribed subscriber is named no more without
+                // having died.
                 let mut deaths = 0;
                 let mut refused_in_batch = 0;
-                for sub in 0..profiles.len() {
+                let unsubscribed = |sub: usize| unsubscribe.iter().any(|&(k, _)| k == sub);
+                for sub in (0..profiles.len()).filter(|&sub| !unsubscribed(sub)) {
                     let id = single.ids[sub];
                     let missing = |e: &usize| {
                         hits(sub, *e) && !single.receipts[*e].matched.contains(&id)
