@@ -22,7 +22,7 @@
 //!   the detector off.
 
 use ens_dist::{JointDist, Pmf};
-use ens_types::{AttrId, Event, IndexedEvent, LoweredTable, ProfileSet};
+use ens_types::{AttrId, Event, LoweredTable, ProfileSet};
 use serde::{Deserialize, Serialize};
 
 use crate::statistics::FilterStatistics;
@@ -173,8 +173,6 @@ pub struct DriftTracker {
     /// turned down since the last rebuild.
     next_check: u64,
     policy: RebuildPolicy,
-    /// What [`DriftTracker::observe`] resolves an event into.
-    row: IndexedEvent,
 }
 
 /// The event history re-binned onto the cells of the profile set a
@@ -220,7 +218,6 @@ impl DriftTracker {
             events_since_settled: 0,
             next_check: policy.min_events,
             policy,
-            row: IndexedEvent::new(),
         })
     }
 
@@ -263,28 +260,7 @@ impl DriftTracker {
     }
 
     /// Records an observed event and reports whether the drift policy
-    /// asks for a rebuild: resolves it and hands the row to
-    /// [`DriftTracker::observe_row`]. Allocation-free once the tracker
-    /// has resolved one event.
-    ///
-    /// # Errors
-    ///
-    /// Propagates domain errors for ill-typed event values; nothing is
-    /// recorded then.
-    pub fn observe(&mut self, event: &Event) -> Result<Option<DriftSignal>, FilterError> {
-        let mut row = std::mem::take(&mut self.row);
-        let signal = match row.resolve_into(self.stats.schema(), event) {
-            Ok(()) => self.observe_row(row.raw()),
-            Err(e) => Err(e.into()),
-        };
-        self.row = row;
-        signal
-    }
-
-    /// Records an observed event from its resolved row (see
-    /// [`FilterStatistics::record_row`]) and reports whether the drift
-    /// policy asks for a rebuild — for a caller that resolved the event
-    /// already, as a publish has.
+    /// asks for a rebuild.
     ///
     /// Both the histogram update and the drift evaluation are
     /// allocation-free, so a broker can afford to call this on (a
@@ -292,9 +268,26 @@ impl DriftTracker {
     ///
     /// # Errors
     ///
+    /// Propagates domain errors for ill-typed event values.
+    pub fn observe(&mut self, event: &Event) -> Result<Option<DriftSignal>, FilterError> {
+        self.stats.record_event(event)?;
+        self.observed()
+    }
+
+    /// [`DriftTracker::observe`] for an event already resolved into its
+    /// row (see [`FilterStatistics::record_row`]), as a publish has it.
+    ///
+    /// # Errors
+    ///
     /// Propagates distribution errors of the drift evaluation.
     pub fn observe_row(&mut self, row: &[u64]) -> Result<Option<DriftSignal>, FilterError> {
         self.stats.record_row(row);
+        self.observed()
+    }
+
+    /// Counts the event just recorded and evaluates the drift when the
+    /// policy's schedule says so.
+    fn observed(&mut self) -> Result<Option<DriftSignal>, FilterError> {
         self.events_since_decision += 1;
         self.events_since_settled += 1;
         if self.events_since_decision < self.next_check {

@@ -166,12 +166,9 @@ pub struct SnapshotBlockScratch {
     cover: CoverScratch,
     /// Per global id, while a block is transposed: its notification
     /// count, then where its run is being written ([`DEAD`] for a
-    /// tombstoned one). All zero between blocks — only touched slots
-    /// are reset — so a block costs O(notifications), or O(slots) when
-    /// they are scanned for ([`SCAN_SLOTS_PER_NOTIFICATION`]).
+    /// tombstoned one). All zero between blocks; a block costs
+    /// O(notifications + slots).
     cursor: Vec<u32>,
-    /// The slots the block touched, ascending.
-    touched: Vec<u32>,
     /// Run `r` holds the events of slot `run_slot[r]`:
     /// `run_event[run_off[r] .. run_off[r + 1]]`.
     run_slot: Vec<u32>,
@@ -185,18 +182,6 @@ pub struct SnapshotBlockScratch {
 /// [`SnapshotBlockScratch::cursor`] of a touched slot that is
 /// tombstoned: its notifications are dropped.
 const DEAD: u32 = u32::MAX;
-
-/// A block's slot order comes from a scan of the per-slot counts when
-/// the slots number at most this many per notification, and from
-/// sorting the touched slots otherwise. The transposition alone, on
-/// uniformly spread slots, 500 to 1,000,000 of them (one core of a
-/// 2-core x86-64 host, CHANGES.md): scanning won at 8 slots per
-/// notification and below, sorting at 16 and above (a tie at 16 on
-/// 10,000 and 1,000,000 slots). Slots that repeat within a block make
-/// sorting cheaper still, so the cut is taken below the tie. The
-/// `e2e` batch workloads have under one slot per notification; one
-/// event at a time on 10,000 stock profiles has about forty.
-const SCAN_SLOTS_PER_NOTIFICATION: usize = 12;
 
 impl SnapshotBlockScratch {
     /// Creates an empty scratch.
@@ -262,39 +247,28 @@ impl SnapshotBlockScratch {
             self.cursor.resize(slots, 0);
         }
         let cursor = &mut self.cursor[..slots];
-        let touched = &mut self.touched;
-        touched.clear();
-        if self.matched.len() * SCAN_SLOTS_PER_NOTIFICATION >= slots {
-            for &g in &self.matched {
-                cursor[g as usize] += 1;
-            }
-            let hit = cursor.iter().enumerate().filter(|(_, &n)| n != 0);
-            touched.extend(hit.map(|(g, _)| g as u32));
-        } else {
-            for &g in &self.matched {
-                let n = &mut cursor[g as usize];
-                if *n == 0 {
-                    touched.push(g);
-                }
-                *n += 1;
-            }
-            touched.sort_unstable();
+        for &g in &self.matched {
+            cursor[g as usize] += 1;
         }
-        // Counts become run starts; a tombstoned slot gets no run.
+        // Counts become run starts, slots ascending; a tombstoned slot
+        // gets no run.
         self.run_slot.clear();
         self.run_off.clear();
         self.run_off.push(0);
         let (mut total, mut dropped) = (0, 0);
-        for &g in touched.iter() {
-            let n = cursor[g as usize];
-            if live(g) {
-                cursor[g as usize] = total;
-                total += n;
-                self.run_slot.push(g);
+        for (g, n) in cursor.iter_mut().enumerate() {
+            let count = *n;
+            if count == 0 {
+                continue;
+            }
+            if live(g as u32) {
+                *n = total;
+                total += count;
+                self.run_slot.push(g as u32);
                 self.run_off.push(total);
             } else {
-                cursor[g as usize] = DEAD;
-                dropped += n;
+                *n = DEAD;
+                dropped += count;
             }
         }
         // Events in order, so each run comes out ascending; a row
@@ -314,9 +288,7 @@ impl SnapshotBlockScratch {
             from = to;
             self.off[i + 1] = kept;
         }
-        for &g in touched.iter() {
-            cursor[g as usize] = 0;
-        }
+        cursor.fill(0);
         // Only expansion leaves tombstoned ids in a row.
         self.cover.delivered -= u64::from(dropped);
         if !ordered || dropped > 0 {

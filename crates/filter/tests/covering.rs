@@ -791,15 +791,13 @@ proptest! {
     }
 }
 
-/// A block's slot order comes from a scan of its per-slot counts or
-/// from sorting the slots it touched, by how many slots there are per
-/// notification. A selective 10,000-slot population — covered, with an
-/// overlay and tombstones — matched in 4-event blocks holds under
-/// 10,000 / 16 notifications a block, which sorts; in 256-event blocks
-/// more notifications than slots, which scans. Both agree with
+/// A selective 10,000-slot population — covered, with an overlay and
+/// tombstones — matched in 4-event blocks, which touch few of its
+/// slots (under one notification in 16 slots), and in 256-event
+/// blocks, which hold more notifications than slots. Both agree with
 /// `match_into`.
 #[test]
-fn both_slot_orders_transpose_to_match_into_rows() {
+fn sparse_and_dense_blocks_transpose_to_match_into_rows() {
     let schema = schema();
     let mut rng = StdRng::seed_from_u64(53);
     let mut ps = ProfileSet::new(&schema);
@@ -832,14 +830,11 @@ fn both_slot_orders_transpose_to_match_into_rows() {
     let snap = with_overlay(&compiled, &overlay, &overlay_cover).with_removed(removed);
     let slots = snap.base_len() + snap.overlay_len();
     let events: Vec<Event> = (0..512).map(|_| random_event(&schema, &mut rng)).collect();
-    let sorted = check_block_views(&snap, &schema, &events, 4);
+    let sparse = check_block_views(&snap, &schema, &events, 4);
     assert!(
-        sorted * 16 < slots,
-        "{sorted} notifications in a 4-event block"
+        sparse * 16 < slots,
+        "{sparse} notifications in a 4-event block"
     );
-    let scanned = check_block_views(&snap, &schema, &events, 256);
-    assert!(
-        scanned > slots,
-        "{scanned} notifications in a 256-event block"
-    );
+    let dense = check_block_views(&snap, &schema, &events, 256);
+    assert!(dense > slots, "{dense} notifications in a 256-event block");
 }

@@ -353,6 +353,9 @@ struct ShardBatch {
     dead: Vec<u32>,
     /// Notifications of this batch evicted from full channels.
     overflowed: u64,
+    /// Notifications of this batch made before their channel was found
+    /// severed: what the receipts name, evicted ones included.
+    notified: u64,
     /// The shard's worker panicked on this batch: `rows` hold nothing,
     /// and the shard contributes nothing to the receipts.
     panicked: bool,
@@ -369,6 +372,7 @@ impl ShardBatch {
             self.dead_from.resize(slots, ALIVE);
         }
         self.overflowed = 0;
+        self.notified = 0;
         self.panicked = false;
     }
 
@@ -388,6 +392,9 @@ impl ShardBatch {
             if pushed.severed {
                 self.dead_from[g as usize] = run[pushed.accepted];
                 self.dead.push(g);
+                self.notified += pushed.accepted as u64;
+            } else {
+                self.notified += run.len() as u64;
             }
         }
     }
@@ -414,28 +421,6 @@ impl ShardBatch {
                 into.matched.push(id);
             }
         }
-    }
-}
-
-/// What publishes add to the publish counters: one event's, or a
-/// batch's summed.
-#[derive(Default)]
-struct Tally {
-    events: u64,
-    ops: u64,
-    overlay_ops: u64,
-    notified: u64,
-    overflowed: u64,
-}
-
-impl Tally {
-    /// Adds one event, delivered as `delivery` says.
-    fn add(&mut self, delivery: &Delivery) {
-        self.events += 1;
-        self.ops += delivery.ops;
-        self.overlay_ops += delivery.overlay_ops;
-        self.notified += delivery.matched.len() as u64;
-        self.overflowed += delivery.overflowed;
     }
 }
 
@@ -856,9 +841,9 @@ impl Broker {
                 self.match_and_deliver(&snap, indexed, scratch, &event, sequence, &mut delivery);
                 merge_row(&mut delivery.matched, start, merge);
             }
-            let mut tally = Tally::default();
-            tally.add(&delivery);
-            self.count_published(&tally);
+            let notified = delivery.matched.len() as u64;
+            let (ops, overflowed) = (delivery.ops, delivery.overflowed);
+            self.count_published(1, ops, delivery.overlay_ops, notified, overflowed);
             self.count_expansion(delivery.cover_checks, delivery.cover_delivered);
             self.settle(indexed.raw(), sequence, &mut delivery.dead)?;
             Ok(sequence)
@@ -1020,17 +1005,21 @@ impl Broker {
 
         // Every matched subscriber stays in `matched`; what full
         // channels evict is only counted. The counters move once per
-        // batch, by what its events settled before any failed to.
-        let mut tally = Tally {
-            overflowed: shards.iter().map(|b| b.overflowed).sum(),
-            ..Tally::default()
-        };
+        // batch, before any of its events is sampled for drift: a
+        // retune inside the batch is measured from the next one, the
+        // first matched against it.
+        self.count_published(
+            events.len() as u64,
+            shards.iter().map(|b| b.rows.ops()).sum(),
+            shards.iter().map(|b| b.rows.overlay_ops()).sum(),
+            shards.iter().map(|b| b.notified).sum(),
+            shards.iter().map(|b| b.overflowed).sum(),
+        );
         self.count_expansion(
             shards.iter().map(|b| b.rows.cover_checks()).sum(),
             shards.iter().map(|b| b.rows.cover_delivered()).sum(),
         );
         let mut receipts = Vec::with_capacity(events.len());
-        let mut settled = Ok(());
         for i in 0..events.len() {
             let live = shards.iter().filter(|b| !b.panicked);
             let hits = live.map(|b| b.rows.matched_of(i).len()).sum();
@@ -1043,20 +1032,15 @@ impl Broker {
                 batch.collect(snap, i, &mut delivery);
                 merge_row(&mut delivery.matched, start, merge);
             }
-            tally.add(&delivery);
             let sequence = base_seq + i as u64;
-            settled = self.settle(indexed.row(i), sequence, &mut delivery.dead);
-            if settled.is_err() {
-                break;
-            }
+            self.settle(indexed.row(i), sequence, &mut delivery.dead)?;
             receipts.push(PublishReceipt {
                 sequence,
                 matched: delivery.matched,
                 ops: delivery.ops,
             });
         }
-        self.count_published(&tally);
-        settled.map(|()| receipts)
+        Ok(receipts)
     }
 
     /// Arms the next `publish_batch` so the worker of `shard` panics
@@ -1169,14 +1153,23 @@ impl Broker {
         }
     }
 
-    /// Adds one publish's, or one batch's, [`Tally`] to the metrics.
-    fn count_published(&self, tally: &Tally) {
+    /// Adds what one publish, or one batch, did to the metrics: its
+    /// events, their comparisons (and the overlay's share), the
+    /// notifications the receipts name and those full channels evicted.
+    fn count_published(
+        &self,
+        events: u64,
+        ops: u64,
+        overlay_ops: u64,
+        notified: u64,
+        overflowed: u64,
+    ) {
         let counters = [
-            (&self.metrics.events_published, tally.events),
-            (&self.metrics.total_ops, tally.ops),
-            (&self.metrics.overlay_ops, tally.overlay_ops),
-            (&self.metrics.notifications_sent, tally.notified),
-            (&self.metrics.overflow_dropped, tally.overflowed),
+            (&self.metrics.events_published, events),
+            (&self.metrics.total_ops, ops),
+            (&self.metrics.overlay_ops, overlay_ops),
+            (&self.metrics.notifications_sent, notified),
+            (&self.metrics.overflow_dropped, overflowed),
         ];
         for (counter, n) in counters {
             if n > 0 {

@@ -111,8 +111,8 @@ pub enum Decision {
         /// Comparisons per event the broker has counted since
         /// (`total_ops` over `events_published`, all shards: the
         /// shard's own on a one-shard broker); 0 before the next event.
-        /// A batch moves those counters once, after its last event, so
-        /// a retune taken inside a batch counts from that batch's first.
+        /// A batch adds all its events before any is sampled, so a
+        /// retune taken inside a batch counts from the next batch.
         measured: f64,
     },
     /// A shard recompiled its subscriptions: a bulk load, a churn

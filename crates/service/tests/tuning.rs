@@ -5,7 +5,9 @@
 //! on the new distribution.
 
 use ens_filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, ValueOrder};
-use ens_service::{Broker, BrokerConfig, SubscriptionId};
+use std::sync::Arc;
+
+use ens_service::{Broker, BrokerConfig, Decision, SubscriptionId};
 use ens_workloads::hot_band_migration;
 
 fn tuned_broker_config(w: &ens_workloads::DriftWorkload) -> BrokerConfig {
@@ -119,6 +121,52 @@ fn retuned_broker_matches_oracle_across_phases() {
         retuned_avg < predicted * 3.0 && retuned_avg > predicted / 3.0,
         "measured {retuned_avg:.1} vs predicted {predicted:.1}"
     );
+}
+
+/// A retune taken inside a `publish_batch` is measured from the next
+/// batch, the first matched against the retuned tree: the batch that
+/// held it was matched, and counted, before its events were sampled.
+#[test]
+fn retune_inside_a_batch_is_measured_from_the_next_batch() {
+    let w = hot_band_migration(41, 80, 400).unwrap();
+    let broker = Broker::new(&w.schema, tuned_broker_config(&w)).unwrap();
+    let _subscribers: Vec<_> = w
+        .profiles
+        .iter()
+        .map(|p| broker.subscribe_profile(p.clone()).unwrap())
+        .collect();
+    let measured = |broker: &Broker| -> Vec<f64> {
+        let decisions = broker.decisions().into_iter();
+        let retunes = decisions.filter_map(|d| match d {
+            Decision::Retuned { measured, .. } => Some(measured),
+            _ => None,
+        });
+        retunes.collect()
+    };
+    let events: Vec<Arc<ens_types::Event>> = w
+        .phase_a
+        .iter()
+        .chain(&w.phase_b)
+        .chain(&w.phase_b)
+        .cloned()
+        .map(Arc::new)
+        .collect();
+    // Comparisons and events since the latest retune.
+    let (mut ops, mut published) = (0, 0);
+    for batch in events.chunks(100) {
+        let before = measured(&broker).len();
+        let receipts = broker.publish_batch(batch).unwrap();
+        let after = measured(&broker);
+        if after.len() > before {
+            assert!(after[before..].iter().all(|&m| m == 0.0), "{after:?}");
+            (ops, published) = (0, 0);
+        } else if let Some(&last) = after.last() {
+            ops += receipts.iter().map(|r| r.ops).sum::<u64>();
+            published += batch.len();
+            assert_eq!(last, ops as f64 / published as f64);
+        }
+    }
+    assert!(published > 0, "a retune, then a batch after it");
 }
 
 /// With tuning disabled (the default), drift rebuilds keep the
