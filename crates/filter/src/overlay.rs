@@ -26,7 +26,7 @@
 //!   intervals once, plus sorting the segment cuts. A snapshot rebuilds
 //!   it only when an uncovered subscription joins or the overlay is
 //!   packed ([`FilterSnapshot::with_indexed_entry`](crate::FilterSnapshot::with_indexed_entry),
-//!   [`FilterSnapshot::with_overlay_entries`](crate::FilterSnapshot::with_overlay_entries)):
+//!   [`FilterSnapshot::with_overlay_packed`](crate::FilterSnapshot::with_overlay_packed)):
 //!   a covered subscribe and an unsubscribe share it untouched, and no
 //!   build depends on the compiled subscription count.
 //!
@@ -231,6 +231,11 @@ impl OverlayIndex {
     #[must_use]
     pub fn profile_count(&self) -> usize {
         self.required.len()
+    }
+
+    /// Whether the index matches overlay position `k`.
+    pub(crate) fn matches(&self, k: u32) -> bool {
+        matches!(self.required.get(k as usize), Some(&r) if r != u32::MAX)
     }
 }
 

@@ -151,7 +151,7 @@ impl Baseline {
 /// [`RebuildPolicy::drift_threshold`] further (L1) from the baseline
 /// than sampling noise explains — see [`DriftCause`]. The caller then
 /// either rebuilds ([`DriftTracker::rebin`], compile,
-/// [`DriftTracker::finish_rebuild`]) or turns the trigger down
+/// [`DriftTracker::rebuilt`]) or turns the trigger down
 /// ([`DriftTracker::decline_rebuild`], [`DriftTracker::defer_rebuild`]),
 /// and every trigger turned down doubles the number of events before
 /// the next one is evaluated.
@@ -397,7 +397,7 @@ impl DriftTracker {
     /// itself would act on.
     ///
     /// Nothing is committed: the re-binned history is the caller's to
-    /// hand back to [`DriftTracker::finish_rebuild`] once the tree is
+    /// hand back to [`DriftTracker::rebuilt`] once the tree is
     /// compiled, or to drop with a rebuild it abandons.
     ///
     /// # Errors
@@ -414,10 +414,12 @@ impl DriftTracker {
         Ok(RebinnedHistory { stats, estimated })
     }
 
-    /// Second rebuild phase, after the new tree was compiled: commits
-    /// the statistics [`DriftTracker::rebin`] re-binned, takes
-    /// the baseline from them (a placeholder if the tree was compiled
-    /// under a prior) and starts the next detection window.
+    /// Second rebuild phase, after the new tree was compiled: the
+    /// tracker that serves it, over the statistics
+    /// [`DriftTracker::rebin`] re-binned, with the baseline taken from
+    /// them (a placeholder if the tree was compiled under a prior) and
+    /// the next detection window started. `self` is not touched: the
+    /// caller commits by replacing it, once nothing else can fail.
     ///
     /// `migrated` says the rebuild answered [`DriftCause::Moved`] —
     /// the distribution moved, not just the profile set — in which
@@ -429,20 +431,19 @@ impl DriftTracker {
     /// # Errors
     ///
     /// Propagates distribution errors.
-    pub fn finish_rebuild(
-        &mut self,
-        history: RebinnedHistory,
-        migrated: bool,
-    ) -> Result<(), FilterError> {
-        self.stats = history.stats;
+    pub fn rebuilt(&self, history: RebinnedHistory, migrated: bool) -> Result<Self, FilterError> {
+        let mut stats = history.stats;
         if migrated {
-            self.stats.decay();
+            stats.decay();
         }
-        self.assumed = Self::baselines(&self.stats, history.estimated)?;
-        self.events_since_decision = 0;
-        self.events_since_settled = 0;
-        self.next_check = self.policy.min_events;
-        Ok(())
+        Ok(DriftTracker {
+            assumed: Self::baselines(&stats, history.estimated)?,
+            stats,
+            events_since_decision: 0,
+            events_since_settled: 0,
+            next_check: self.policy.min_events,
+            policy: self.policy,
+        })
     }
 }
 
@@ -515,7 +516,7 @@ mod tests {
     /// A rebuild for `live` from prepare to finish, nothing in between.
     fn rebuild(t: &mut DriftTracker, live: &ProfileSet, migrated: bool) {
         let history = t.rebin(&lowered(live), None).unwrap();
-        t.finish_rebuild(history, migrated).unwrap();
+        *t = t.rebuilt(history, migrated).unwrap();
     }
 
     #[test]
@@ -538,7 +539,7 @@ mod tests {
         assert!(signal.drift >= 0.3);
         let history = t.rebin(&lowered(&ps), None).unwrap();
         assert_eq!(history.model(None).unwrap().arity(), 1);
-        t.finish_rebuild(history, false).unwrap();
+        t = t.rebuilt(history, false).unwrap();
         assert!(t.current_drift().unwrap() < 1e-12);
         assert_eq!(t.statistics().events_posted(), 20, "history is kept");
     }
@@ -707,7 +708,7 @@ mod tests {
         let history = t.rebin(&lowered(&bigger), None).unwrap();
         // Staged only: an abandoned rebuild leaves the tracker alone.
         assert_eq!(t.statistics().cells(AttrId::new(0)).len(), 5);
-        t.finish_rebuild(history, false).unwrap();
+        t = t.rebuilt(history, false).unwrap();
         assert_eq!(t.statistics().cells(AttrId::new(0)).len(), 7);
         assert_eq!(t.statistics().events_posted(), 10, "history survives");
         assert_eq!(t.statistics().event_observations(AttrId::new(0)), 10.0);
@@ -736,14 +737,14 @@ mod tests {
         }
         let history = t.rebin(&lowered(&ps), Some(&prior)).unwrap();
         assert_eq!(history.model(Some(&prior)).unwrap(), prior);
-        t.finish_rebuild(history, false).unwrap();
+        t = t.rebuilt(history, false).unwrap();
         assert_eq!(t.assumed[0].observations, 0.0, "placeholder baseline");
         t.observe(&event(&schema, 15)).unwrap();
         let history = t.rebin(&lowered(&ps), Some(&prior)).unwrap();
         let model = history.model(Some(&prior)).unwrap();
         assert!(model != prior, "30 observations displace the prior");
         assert!(model.marginal(0).mass_between(10, 20) > 0.9);
-        t.finish_rebuild(history, false).unwrap();
+        t = t.rebuilt(history, false).unwrap();
         assert_eq!(t.assumed[0].observations, 30.0);
     }
 

@@ -19,8 +19,11 @@
 //!   (so overlay matching costs O(postings hit) instead of the naive
 //!   side-matcher's O(profiles × predicates));
 //!   [`FilterSnapshot::with_overlay_removed`] sets one bit of the
-//!   overlay's tombstone bitmap. [`FilterSnapshot::with_overlay_entries`]
-//!   packs: the whole overlay, built anew at dense positions;
+//!   overlay's tombstone bitmap. [`FilterSnapshot::with_overlay_packed`]
+//!   packs: the live positions, built anew at dense positions, each
+//!   matched as it was. The snapshot alone knows which positions its
+//!   counting index matches and which it expands: the writer hands it
+//!   profiles, never that split;
 //! * [`FilterSnapshot::with_removed`] — O(base) copy of the tombstone
 //!   bitmap for unsubscriptions of compiled profiles (DFSA and overlay
 //!   shared).
@@ -724,10 +727,11 @@ impl FilterSnapshot {
 
     /// A new snapshot with one more overlay entry, `profile` at position
     /// [`FilterSnapshot::overlay_len`], matched by the counting index:
-    /// the index is rebuilt over `indexed` — the positions it is to keep
-    /// matching, ascending, each with its profile — and the new entry.
-    /// Cost is O(those entries); covered and tombstoned entries are not
-    /// touched.
+    /// the index is rebuilt over the live positions it matches and the
+    /// new entry. `overlay` is the overlay's profiles by position,
+    /// tombstoned and covered ones included; only those the index
+    /// matches are read. Cost is O(overlay) to walk and O(those entries)
+    /// to build.
     ///
     /// # Errors
     ///
@@ -735,15 +739,52 @@ impl FilterSnapshot {
     pub fn with_indexed_entry<'a>(
         &self,
         profile: &'a Profile,
-        indexed: impl IntoIterator<Item = (u32, &'a Profile)>,
+        overlay: impl IntoIterator<Item = &'a Profile>,
     ) -> Result<Self, FilterError> {
         let pos = self.overlay_len as u32;
-        let kept = indexed.into_iter().filter(|&(k, _)| k < pos);
+        let kept = (0..pos).zip(overlay).filter(|&(k, _)| self.indexes(k));
         let entries: Vec<_> = kept.chain([(pos, profile)]).collect();
         let mut next = self.clone();
         next.overlay_len += 1;
         next.overlay = self.index_over(&entries)?;
         Ok(next)
+    }
+
+    /// Packs: a new snapshot whose overlay is its live positions at
+    /// dense positions, in order, each matched as it was — by the
+    /// counting index, or through the same representative's expansion
+    /// with the same residual. `overlay` is the overlay's profiles by
+    /// position, tombstoned ones included. The compiled base and its
+    /// tombstones are shared; cost is O(overlay).
+    ///
+    /// # Errors
+    ///
+    /// Propagates predicate lowering errors.
+    pub fn with_overlay_packed<'a>(
+        &self,
+        overlay: impl IntoIterator<Item = &'a Profile>,
+    ) -> Result<Self, FilterError> {
+        let covers = self.overlay_cover_entries();
+        let entries = (0..).zip(overlay.into_iter().zip(&covers));
+        let live = entries.filter(|&(k, _)| is_live(&self.overlay_removed, k));
+        let live = live.map(|(_, (p, cover))| (p, cover.as_ref().map(|(c, r)| (*c, &r[..]))));
+        self.with_overlay_entries(live)
+    }
+
+    /// Whether the counting index matches overlay position `k` and it
+    /// is live: true of every live position not delivered through a
+    /// compiled representative's expansion.
+    fn indexes(&self, k: u32) -> bool {
+        self.overlay.as_ref().is_some_and(|x| x.matches(k)) && is_live(&self.overlay_removed, k)
+    }
+
+    /// Number of live overlay positions the counting index matches:
+    /// those the overlay costs on every event, covered ones riding the
+    /// compiled representatives' states.
+    #[must_use]
+    pub fn overlay_indexed_len(&self) -> usize {
+        let positions = 0..self.overlay_len as u32;
+        positions.filter(|&k| self.indexes(k)).count()
     }
 
     /// A new snapshot with overlay position `pos` tombstoned: one bit
@@ -805,7 +846,7 @@ impl FilterSnapshot {
     /// `BENCH_throughput.json`).
     ///
     /// The format has no overlay tombstones: pack the overlay first
-    /// ([`FilterSnapshot::with_overlay_entries`]).
+    /// ([`FilterSnapshot::with_overlay_packed`]).
     ///
     /// # Panics
     ///
@@ -1214,8 +1255,8 @@ impl FilterSnapshot {
     /// Per overlay position: the compiled representative id and
     /// residual it is delivered through, or `None` for positions
     /// matched by the counting index — the inverse of the argument to
-    /// [`FilterSnapshot::with_overlay_entries`], used to rebuild writer
-    /// state at recovery.
+    /// [`FilterSnapshot::with_overlay_entries`], which a pack hands back
+    /// to it.
     #[must_use]
     pub fn overlay_cover_entries(&self) -> Vec<Option<(u32, Vec<Residual>)>> {
         match &self.overlay_children {

@@ -70,9 +70,9 @@ const ATTRIBUTE_ORDERS: [AttributeOrder; 3] = [
 /// best against the cost of keeping the current structure unchanged
 /// under the same model: `current` (the stale compiled snapshot,
 /// priced on its automaton) plus a floor of one comparison per event
-/// for each of the `overlay_len` profiles still matched by the
-/// incremental side-matcher (a candidate tree folds them in, the stale
-/// structure pays them on every event).
+/// for each overlay profile its counting index still matches
+/// ([`FilterSnapshot::overlay_indexed_len`]; a candidate tree folds
+/// them in, the stale structure pays them on every event).
 /// The floor is a deliberate under-estimate, so the decision stays
 /// conservative.
 ///
@@ -101,13 +101,12 @@ const ATTRIBUTE_ORDERS: [AttributeOrder; 3] = [
 /// must not silently proceed.
 pub fn evaluate(
     current: &FilterSnapshot,
-    overlay_len: usize,
     schema: &Schema,
     profiles: &LoweredTable,
     base: &TreeConfig,
     joint: &JointDist,
 ) -> Result<(RetuneDecision, Option<Dfsa>), FilterError> {
-    let stale_ops = current.expected_ops(joint)? + overlay_len as f64;
+    let stale_ops = current.expected_ops(joint)? + current.overlay_indexed_len() as f64;
     let mut best: Option<(f64, SearchStrategy, AttributeOrder, Dfsa)> = None;
     for search in STRATEGIES {
         for order in &ATTRIBUTE_ORDERS {
@@ -167,7 +166,7 @@ pub fn evaluate(
 /// ])?;
 /// let live = LoweredTable::lower(&schema, ps.iter())?;
 /// let (decision, tuned) =
-///     tuning::evaluate(&stale, 0, &schema, &live, &TreeConfig::default(), &est)?;
+///     tuning::evaluate(&stale, &schema, &live, &TreeConfig::default(), &est)?;
 /// assert!(decision.accepted, "scanning the hot band first must win");
 /// assert!(decision.best_ops < decision.stale_ops);
 /// assert!(tuned.is_some(), "the tree that was priced comes with it");
@@ -207,7 +206,7 @@ mod tests {
     use super::*;
     use ens_types::ProfileSet;
 
-    /// [`evaluate`] of `ps` with an empty overlay.
+    /// [`evaluate`] of `ps`.
     fn price(
         stale: &FilterSnapshot,
         ps: &ProfileSet,
@@ -215,7 +214,7 @@ mod tests {
         joint: &JointDist,
     ) -> Result<(RetuneDecision, Option<Dfsa>), FilterError> {
         let live = LoweredTable::lower(ps.schema(), ps.iter())?;
-        evaluate(stale, 0, ps.schema(), &live, config, joint)
+        evaluate(stale, ps.schema(), &live, config, joint)
     }
     use crate::Matcher;
     use ens_dist::{Density, DistOverDomain};

@@ -311,15 +311,12 @@ fn warm_fast_paths_allocate_nothing() {
         // bitmap filters the counting index's hits and the expansion
         // without touching the heap either.
         let mut tombstoned = compiled.with_removed(removed);
-        let mut indexed: Vec<(u32, &Profile)> = Vec::new();
         for (k, (p, cover)) in overlay.iter().zip(&overlay_cover).enumerate() {
             tombstoned = match cover {
                 Some((rep, residual)) => tombstoned.with_covered_entry(*rep, residual).unwrap(),
-                None => {
-                    let next = tombstoned.with_indexed_entry(p, indexed.iter().copied());
-                    indexed.push((k as u32, p));
-                    next.unwrap()
-                }
+                None => tombstoned
+                    .with_indexed_entry(p, overlay.iter().take(k))
+                    .unwrap(),
             };
         }
         for k in (0..overlay.len()).step_by(3) {

@@ -355,11 +355,8 @@ proptest! {
                     snap = match &entry {
                         Some((rep, residual)) => snap.with_covered_entry(*rep, residual).unwrap(),
                         None => {
-                            let indexed = overlay.iter().enumerate().filter(|(_, s)| {
-                                s.live && s.cover.is_none()
-                            });
-                            let indexed = indexed.map(|(k, s)| (k as u32, &s.profile));
-                            snap.with_indexed_entry(&profile, indexed).unwrap()
+                            let profiles = overlay.iter().map(|s| &s.profile);
+                            snap.with_indexed_entry(&profile, profiles).unwrap()
                         }
                     };
                     overlay.push(Slot { profile, cover: entry, live: true });
@@ -370,8 +367,8 @@ proptest! {
                     snap = snap.with_overlay_removed(k);
                 }
                 Step::Pack => {
+                    snap = snap.with_overlay_packed(overlay.iter().map(|s| &s.profile)).unwrap();
                     overlay.retain(|s| s.live);
-                    snap = snap.with_overlay_entries(overlay.iter().map(Slot::entry)).unwrap();
                 }
                 _ => {}
             }

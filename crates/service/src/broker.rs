@@ -138,8 +138,11 @@ pub struct BrokerConfig {
     /// subscriptions are delivered through the snapshot's expansion
     /// map instead. A subscribe whose profile is covered by a compiled
     /// representative joins the expansion map in O(schema) hash probes
-    /// and adds no compiled state — but it is not free to match: every
-    /// hit on a representative is expanded back to its covered
+    /// and adds no compiled state; what the probe found is held by the
+    /// shard's snapshot alone, so a broker reopened with this switched
+    /// matches the checkpointed overlay as it was compiled until its
+    /// next recompile. A covered subscription is not free to match:
+    /// every hit on a representative is expanded back to its covered
     /// subscriptions (duplicates unchecked, strict children by one
     /// interval stab per residual attribute), and the traced `e2e`
     /// benchmark measures that expansion at 410–470 of the 430–490
@@ -626,11 +629,13 @@ impl Broker {
     /// Registers a pre-built profile as a subscription.
     ///
     /// The profile is appended to the shard's overlay immediately — a
-    /// covered profile as one child of its representative's expansion,
-    /// an uncovered one by rebuilding the counting index over the
-    /// overlay's uncovered entries; neither depends on the total
-    /// subscription count — and is folded into the compiled tree at the
-    /// next compaction.
+    /// covered profile, as the containment probe finds it, as one child
+    /// of its representative's expansion; an uncovered one by rebuilding
+    /// the counting index over the overlay entries the shard's snapshot
+    /// matches by index; neither depends on the total subscription count
+    /// — and is folded into the compiled tree at the next compaction,
+    /// which an overlay of more than [`RebuildPolicy::max_overlay`] live
+    /// entries runs.
     ///
     /// # Errors
     ///
@@ -697,7 +702,7 @@ impl Broker {
             weight,
             sender: Some(tx),
         };
-        self.shard_of(id).lock().add([sub], false)?;
+        self.shard_of(id).lock().add(sub)?;
         Ok(Subscriber::new(id, rx))
     }
 
@@ -707,6 +712,11 @@ impl Broker {
     /// **one** containment pass over its whole batch (the bulk
     /// general-first sweep), not a per-profile probe, before anything
     /// is compiled.
+    ///
+    /// The load is all or nothing: every touched shard's share is
+    /// staged and compiled, under the writer locks of all of them,
+    /// before any is committed. A load that fails has changed no shard
+    /// and logged nothing.
     ///
     /// # Errors
     ///
@@ -736,25 +746,17 @@ impl Broker {
             });
             subscribers.push(Subscriber::new(id, rx));
         }
+        // Writer locks in shard order, as a checkpoint takes them; no
+        // share is committed before every one is staged.
+        let mut staged = Vec::new();
         for (s, entries) in pending.into_iter().enumerate() {
-            if entries.is_empty() {
-                continue;
+            if !entries.is_empty() {
+                let guard = self.shards[s].lock();
+                staged.push((guard.stage_bulk(entries)?, guard));
             }
-            // Each shard takes its share or none of it. (The guard is
-            // gone before the shards below are locked.)
-            let added = self.shards[s].lock().add(entries, true);
-            if let Err(e) = added {
-                // The shards before have committed theirs: cancelled
-                // again — which cannot fail, what is left compiled
-                // before — so that a failed bulk load leaves no phantom
-                // subscriptions and, nothing having been logged yet, no
-                // record.
-                let ids: Vec<_> = subscribers.iter().map(Subscriber::id).collect();
-                for shard in &self.shards[..s] {
-                    let _ = shard.lock().remove(&ids);
-                }
-                return Err(e);
-            }
+        }
+        for (share, mut guard) in staged {
+            guard.install(share);
         }
         // On success every entry becomes durable, in one group commit,
         // before the handles are returned.
@@ -786,7 +788,8 @@ impl Broker {
     /// Number of live subscriptions.
     #[must_use]
     pub fn subscription_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().live_count()).sum()
+        let live = |s: &Shard| s.snapshot.read().filter.live_len();
+        self.shards.iter().map(live).sum()
     }
 
     /// Hands `f` every live subscription's id and profile, one shard's
@@ -1280,11 +1283,8 @@ impl Broker {
         // event and, with tuning, whether the tuner's own bar was met.
         let (candidate, stale_ops, new_ops, refused) = if tuning {
             let t0 = Instant::now();
-            // Only uncovered overlay entries carry the tuner's overlay
-            // floor.
             let (decision, built) = tuning::evaluate(
                 &snap.filter,
-                w.overlay_uncovered(),
                 &staged.schema,
                 &staged.compiled,
                 &staged.config,

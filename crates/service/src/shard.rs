@@ -3,22 +3,33 @@
 //!
 //! `broker` (the parent module) keeps the read path — the published
 //! [`ShardSnapshot`] and everything that matches against it. What
-//! changes a shard is here: **add** ([`ShardGuard::add`], one entry or
-//! a bulk), **remove** ([`ShardGuard::remove`]), **pack** (the overlay
-//! rebuilt without its tombstones, when a removal makes them reach its
-//! live entries, and before a checkpoint: [`ShardGuard::pack`]),
-//! **recompile** (the
-//! churn compaction an add or a remove runs into, a replayed
-//! [`ShardGuard::retune`], or a drift rebuild the broker priced between
-//! [`ShardGuard::stage`] and [`ShardGuard::rebuild`]) and **restore**
-//! from a checkpoint shard ([`Shard::restore`]).
+//! changes a shard is here: **add** ([`ShardGuard::add`], one entry
+//! after a containment probe, or a bulk staged by
+//! [`ShardGuard::stage_bulk`]), **remove** ([`ShardGuard::remove`]),
+//! **pack** (the overlay rebuilt without its tombstones, when a removal
+//! makes them reach its live entries, and before a checkpoint:
+//! [`ShardGuard::pack`]), **recompile** (the churn compaction an add or
+//! a remove runs into, a bulk load, a replayed [`ShardGuard::retune`],
+//! or a drift rebuild the broker priced between [`ShardGuard::stage`]
+//! and [`ShardGuard::rebuild`]) and **restore** from a checkpoint shard
+//! ([`Shard::restore`]).
 //!
-//! Each goes through [`ShardGuard::commit`]: *stage* — the next snapshot
-//! is derived from the writer's entries plus the pending [`Change`] by
+//! Each fact has one holder. The writer holds the subscriptions — base
+//! and overlay alike, a list of [`SubEntry`] — and the published
+//! snapshot holds what they were compiled into, down to which overlay
+//! positions its counting index matches and which it expands through a
+//! compiled representative. A probe's answer for a new entry travels
+//! in the pending [`Change`] until the commit hands it to the snapshot.
+//!
+//! Each operation is staged, then committed: *stage*
+//! ([`ShardGuard::stage_commit`]) derives the next snapshot from the
+//! writer's entries plus the pending [`Change`] in
 //! [`ShardWriter::snapshot_after`], the one place a [`ShardSnapshot`] is
-//! made, with the writer untouched — then *commit* and *swap*, which
-//! cannot fail. An operation that fails has changed nothing, so nothing
-//! is ever rolled back.
+//! made, with the writer untouched; *commit* and *swap*
+//! ([`ShardGuard::install`]) cannot fail. An operation that fails has
+//! changed nothing, so nothing is ever rolled back — a bulk load over
+//! several shards included, which stages every shard before it commits
+//! any.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,29 +77,6 @@ impl SubEntry {
             id: self.id,
             sender: sender.unwrap_or_else(disconnected_sender),
         }
-    }
-}
-
-/// A subscription that arrived since the last recompile; its position
-/// in [`ShardWriter::overlay`] is its overlay profile id. A cancelled
-/// entry keeps its position, as a tombstone, until the next pack.
-struct OverlayEntry {
-    sub: SubEntry,
-    /// What the containment probe found when the entry arrived: the
-    /// compiled representative covering it and the residual, or `None`
-    /// for an entry the overlay index matches.
-    cover: Option<(u32, Vec<Residual>)>,
-    /// Compiled representatives this (uncovered) entry itself covers.
-    /// Folding it in would shrink the compiled tree, so each counts
-    /// toward the overlay-full threshold on top of the entry.
-    dominated: usize,
-}
-
-impl OverlayEntry {
-    /// The representative and residual the entry is delivered through.
-    fn cover(&self) -> Option<(u32, &[Residual])> {
-        let cover = self.cover.as_ref();
-        cover.map(|(rep, residual)| (*rep, residual.as_slice()))
     }
 }
 
@@ -153,18 +141,26 @@ impl OverlayDispatch {
     }
 }
 
+/// A covered entry's compiled representative and residual.
+type Cover = (u32, Vec<Residual>);
+
 /// What an operation is about to do to a shard's entries (positions
 /// ascending).
 #[derive(Default)]
 struct Change {
-    /// Entries joining, behind the overlay's.
-    add: Vec<OverlayEntry>,
+    /// Entries joining, behind the overlay's, each with what the
+    /// containment probe found: the compiled representative covering it
+    /// and the residual, or `None` for one the counting index is to
+    /// match. The commit hands that answer to the snapshot, its only
+    /// holder; the writer keeps the entry alone.
+    add: Vec<(SubEntry, Option<Cover>)>,
     /// Live overlay positions being cancelled.
     drop_overlay: Vec<usize>,
     /// Live base positions being cancelled.
     drop_base: Vec<usize>,
     /// Whether the overlay is packed: rebuilt at dense positions from
-    /// its live entries, instead of `drop_overlay` being tombstoned.
+    /// its live entries once `drop_overlay` is tombstoned (never beside
+    /// `add`).
     pack: bool,
 }
 
@@ -231,10 +227,31 @@ impl Staged {
 struct Recompile {
     staged: Staged,
     filter: FilterSnapshot,
-    /// Passed on to [`DriftTracker::finish_rebuild`].
+    /// Passed on to [`DriftTracker::rebuilt`].
     migrated: bool,
     /// What the swap counts it as, if anything.
     counter: Option<fn(&Metrics) -> &AtomicU64>,
+}
+
+/// A change staged on one shard ([`ShardGuard::stage_commit`]): the
+/// snapshot it publishes and, for a recompile, what the writer takes
+/// over with it. Built with the writer untouched; committing it
+/// ([`ShardGuard::install`]) cannot fail, so a bulk load stages every
+/// shard it touches before it commits any.
+pub(super) struct Pending {
+    change: Change,
+    snapshot: ShardSnapshot,
+    folded: Option<Folded>,
+}
+
+/// What a recompile hands the writer: the containment index of the
+/// population it compiled, the drift tracker over the new cells, the
+/// counter it moves and its journal record.
+struct Folded {
+    cover: Option<CoverSet>,
+    tracker: DriftTracker,
+    counter: Option<fn(&Metrics) -> &AtomicU64>,
+    compacted: Decision,
 }
 
 /// Where [`ShardWriter::snapshot_after`] takes the filter from.
@@ -255,11 +272,12 @@ pub(super) struct ShardWriter {
     /// Compiled subscriptions (tombstoned entries stay until the next
     /// recompile).
     base: Vec<SubEntry>,
-    /// How many of `base` are tombstoned.
-    removed_count: usize,
-    overlay: Vec<OverlayEntry>,
-    /// How many of `overlay` are tombstoned.
-    overlay_removed: usize,
+    /// Subscriptions that arrived since the last recompile; an entry's
+    /// position is its overlay profile id. A cancelled entry keeps its
+    /// position, as a tombstone, until the next pack. How each is
+    /// matched — by the counting index, or through a compiled
+    /// representative — the published snapshot alone holds.
+    overlay: Vec<SubEntry>,
     /// Containment index over the compiled base — its representatives
     /// alone, the expansion map being the snapshot's plan — rebuilt by
     /// every recompile when `covering` is on. Slot `s` is the index into
@@ -283,37 +301,17 @@ pub(super) struct ShardWriter {
 }
 
 impl ShardWriter {
-    /// Number of live subscriptions.
-    pub(super) fn live_count(&self) -> usize {
-        self.base.len() - self.removed_count + self.overlay.len() - self.overlay_removed
-    }
-
     /// The live overlay entries as `change` leaves them.
-    fn overlay_after<'a>(&'a self, change: &'a Change) -> impl Iterator<Item = &'a OverlayEntry> {
-        let stays = |(k, e): (usize, &'a OverlayEntry)| {
-            (e.sub.is_live() && change.drop_overlay.binary_search(&k).is_err()).then_some(e)
+    fn overlay_after<'a>(&'a self, change: &'a Change) -> impl Iterator<Item = &'a SubEntry> {
+        let stays = |(k, e): (usize, &'a SubEntry)| {
+            (e.is_live() && change.drop_overlay.binary_search(&k).is_err()).then_some(e)
         };
+        let joining = change.add.iter().map(|(e, _)| e);
         self.overlay
             .iter()
             .enumerate()
             .filter_map(stays)
-            .chain(&change.add)
-    }
-
-    /// The overlay positions the counting index matches once the first
-    /// `n` entries of `change.add` have joined: the live uncovered ones.
-    fn indexed_after<'a>(
-        &'a self,
-        change: &'a Change,
-        n: usize,
-    ) -> impl Iterator<Item = (u32, &'a Profile)> {
-        let entries = self.overlay.iter().chain(&change.add[..n]).enumerate();
-        let indexed = move |(k, e): &(usize, &OverlayEntry)| {
-            e.cover.is_none() && e.sub.is_live() && change.drop_overlay.binary_search(k).is_err()
-        };
-        entries
-            .filter(indexed)
-            .map(|(k, e)| (k as u32, &e.sub.profile))
+            .chain(joining)
     }
 
     /// The live entries as `change` leaves them (non-tombstoned base,
@@ -323,7 +321,7 @@ impl ShardWriter {
             (e.is_live() && change.drop_base.binary_search(&k).is_err()).then_some(e)
         };
         let base = self.base.iter().enumerate().filter_map(live);
-        base.chain(self.overlay_after(change).map(|e| &e.sub))
+        base.chain(self.overlay_after(change))
     }
 
     /// The one place a [`ShardSnapshot`] is made: the shard as it will
@@ -335,10 +333,11 @@ impl ShardWriter {
     /// count: a covered subscribe appends one child to a copy of the
     /// expansion map and one slot to a copy of the overlay dispatch
     /// table; an uncovered one also rebuilds the counting index over the
-    /// uncovered entries; an unsubscribe sets one tombstone bit and
-    /// severs its slot. A pack rebuilds the overlay from its live
-    /// entries, O(overlay). A compiled entry's tombstone is one pass over
-    /// the base.
+    /// entries the published snapshot says it matches; an unsubscribe
+    /// sets one tombstone bit and severs its slot. A pack rebuilds the
+    /// overlay from its live entries, each matched as the published
+    /// snapshot matched it, O(overlay). A compiled entry's tombstone is
+    /// one pass over the base.
     fn snapshot_after(
         &self,
         change: &Change,
@@ -354,7 +353,7 @@ impl ShardWriter {
             )
         };
         let overlay_table =
-            || OverlayDispatch::new(self.overlay_after(change).map(|e| e.sub.dispatch(false)));
+            || OverlayDispatch::new(self.overlay_after(change).map(|e| e.dispatch(false)));
         let (filter, base_dispatch, overlay_dispatch) = match source {
             Source::Compiled(filter) => {
                 let slots = self.live_after(change).map(|e| e.dispatch(false));
@@ -366,26 +365,27 @@ impl ShardWriter {
                 let mut filter = prev.filter.clone();
                 let mut base_dispatch = Arc::clone(&prev.base_dispatch);
                 let mut overlay_dispatch = prev.overlay_dispatch.clone();
+                for &k in &change.drop_overlay {
+                    filter = filter.with_overlay_removed(k);
+                }
                 if change.pack {
-                    let entries = self.overlay_after(change);
-                    filter = filter
-                        .with_overlay_entries(entries.map(|e| (&e.sub.profile, e.cover())))?;
+                    filter = filter.with_overlay_packed(self.overlay.iter().map(|e| &e.profile))?;
                     overlay_dispatch = overlay_table();
                 } else {
                     for &k in &change.drop_overlay {
-                        filter = filter.with_overlay_removed(k);
-                        overlay_dispatch.set(k, self.overlay[k].sub.dispatch(true));
+                        overlay_dispatch.set(k, self.overlay[k].dispatch(true));
                     }
-                    for (n, e) in change.add.iter().enumerate() {
-                        filter = match e.cover() {
-                            Some((rep, residual)) => filter.with_covered_entry(rep, residual)?,
-                            None => {
-                                let indexed = self.indexed_after(change, n);
-                                filter.with_indexed_entry(&e.sub.profile, indexed)?
-                            }
-                        };
-                        overlay_dispatch.push(e.sub.dispatch(false));
-                    }
+                }
+                for (n, (e, cover)) in change.add.iter().enumerate() {
+                    filter = match cover {
+                        Some((rep, residual)) => filter.with_covered_entry(*rep, residual)?,
+                        None => {
+                            let joined = change.add[..n].iter().map(|(e, _)| e);
+                            let overlay = self.overlay.iter().chain(joined);
+                            filter.with_indexed_entry(&e.profile, overlay.map(|e| &e.profile))?
+                        }
+                    };
+                    overlay_dispatch.push(e.dispatch(false));
                 }
                 if !change.drop_base.is_empty() {
                     let tombstones = self.base.iter().enumerate();
@@ -416,7 +416,8 @@ impl ShardWriter {
         // One lowering per compile: the containment pass, the drift
         // statistics and the automaton build all read this table.
         let mut lowered = LoweredTable::new(&self.schema);
-        let mut weights = Vec::with_capacity(self.live_count() + change.add.len());
+        let mut weights =
+            Vec::with_capacity(self.base.len() + self.overlay.len() + change.add.len());
         for e in self.live_after(change) {
             lowered.push(&self.schema, &e.profile)?;
             weights.push(e.weight);
@@ -483,16 +484,8 @@ impl ShardWriter {
 
     /// The live subscriptions: id and profile.
     pub(super) fn live_entries(&self) -> impl Iterator<Item = (SubscriptionId, &Profile)> {
-        let overlay = self.overlay.iter().map(|e| &e.sub);
-        let entries = self.base.iter().chain(overlay).filter(|e| e.is_live());
-        entries.map(|e| (e.id, &e.profile))
-    }
-
-    /// Live overlay entries the overlay index matches: covered ones cost
-    /// nothing at match time.
-    pub(super) fn overlay_uncovered(&self) -> usize {
-        let uncovered = |e: &&OverlayEntry| e.cover.is_none() && e.sub.is_live();
-        self.overlay.iter().filter(uncovered).count()
+        let entries = self.base.iter().chain(&self.overlay);
+        entries.filter(|e| e.is_live()).map(|e| (e.id, &e.profile))
     }
 
     /// The shard's active tree configuration.
@@ -504,7 +497,7 @@ impl ShardWriter {
 /// One shard: the snapshot the publish paths read, and the writer state
 /// it is derived from.
 pub(super) struct Shard {
-    /// Replaced by [`ShardGuard::commit`] and by nothing else.
+    /// Replaced by [`ShardGuard::install`] and by nothing else.
     pub(super) snapshot: RwLock<Arc<ShardSnapshot>>,
     writer: Mutex<ShardWriter>,
 }
@@ -530,9 +523,7 @@ impl Shard {
         let filter = FilterSnapshot::compile(&nothing, &tree)?;
         let writer = ShardWriter {
             base: Vec::new(),
-            removed_count: 0,
             overlay: Vec::new(),
-            overlay_removed: 0,
             cover: None,
             tracker,
             tree: config.tree.clone(),
@@ -603,10 +594,6 @@ impl Shard {
             // the next recompile switches the shard over.
             _ => None,
         };
-        let covers = match cover {
-            Some(_) => filter.overlay_cover_entries(),
-            None => vec![None; cs.overlay.len()],
-        };
         // Drift statistics are not persisted: the tracker starts with no
         // history, over the cells of the profiles the restored
         // automaton was compiled from — the representatives under
@@ -620,17 +607,9 @@ impl Shard {
             }
         }
         let tracker = DriftTracker::new(&compiled, config.rebuild)?;
-        let overlay = cs.overlay.into_iter().zip(covers);
-        let overlay = overlay.map(|(e, cover)| OverlayEntry {
-            sub: attach(e),
-            cover,
-            dominated: 0,
-        });
         let writer = ShardWriter {
             base,
-            removed_count: tombstones,
-            overlay: overlay.collect(),
-            overlay_removed: 0,
+            overlay: cs.overlay.into_iter().map(attach).collect(),
             cover,
             tracker,
             tree: cs.tree,
@@ -686,52 +665,51 @@ impl std::ops::DerefMut for ShardGuard<'_> {
 }
 
 impl ShardGuard<'_> {
-    /// Adds subscriptions. One at a time, an entry is appended to the
-    /// overlay — a covered one costs a containment probe and a copy of
-    /// the covered entries' expansion map and of the overlay dispatch
-    /// table, an uncovered one a rebuild of the counting index over the
-    /// uncovered entries; neither depends on the compiled subscription
-    /// count — unless that fills the overlay, or the shard has compiled
-    /// nothing yet. A `bulk` is compiled in at once, with no per-profile
-    /// probes: the recompile runs the bulk containment pass over the
-    /// whole population.
-    pub(super) fn add(
-        &mut self,
-        subs: impl IntoIterator<Item = SubEntry>,
-        bulk: bool,
-    ) -> Result<(), ServiceError> {
-        let subs = subs.into_iter();
-        let mut change = Change::default();
-        change.add.reserve(subs.size_hint().0);
-        for sub in subs {
-            // Probe the containment index first: a covered subscribe
-            // rides its representative's compiled states through the
-            // expansion map (zero added matching cost); an uncovered one
-            // that dominates compiled representatives inverts the
-            // antichain and adds compaction pressure instead.
-            let (cover, dominated) = match &self.cover {
-                Some(cs) if !bulk => match cs.probe(&sub.profile)? {
-                    CoverOutcome::Covered { rep, residual } => {
-                        let Some(compiled) = cs.compiled_index_of(rep) else {
-                            return Err(ServiceError::Persist(format!(
-                                "the containment probe named slot {rep}, not a representative"
-                            )));
-                        };
-                        (Some((compiled, residual)), 0)
-                    }
-                    CoverOutcome::Rep => (None, cs.dominated_reps(&sub.profile)?.len()),
-                },
-                _ => (None, 0),
-            };
-            change.add.push(OverlayEntry {
-                sub,
-                cover,
-                dominated,
-            });
-        }
-        let pressure: usize = self.overlay_after(&change).map(|e| 1 + e.dominated).sum();
-        let full = bulk || self.base.is_empty() || self.tracker.policy().compaction_due(pressure);
+    /// Adds one subscription. It is appended to the overlay — a covered
+    /// one costs a containment probe and a copy of the covered entries'
+    /// expansion map and of the overlay dispatch table, an uncovered one
+    /// a rebuild of the counting index over the entries it matches;
+    /// neither depends on the compiled subscription count — unless that
+    /// fills the overlay, or the shard has compiled nothing yet.
+    pub(super) fn add(&mut self, sub: SubEntry) -> Result<(), ServiceError> {
+        // Probe the containment index first: a covered subscribe rides
+        // its representative's compiled states through the expansion
+        // map (zero added matching cost); an uncovered one joins the
+        // counting index.
+        let cover = match &self.cover {
+            Some(cs) => match cs.probe(&sub.profile)? {
+                CoverOutcome::Covered { rep, residual } => {
+                    let Some(compiled) = cs.compiled_index_of(rep) else {
+                        return Err(ServiceError::Persist(format!(
+                            "the containment probe named slot {rep}, not a representative"
+                        )));
+                    };
+                    Some((compiled, residual))
+                }
+                CoverOutcome::Rep => None,
+            },
+            None => None,
+        };
+        let filter = &self.published().filter;
+        let overlay = filter.overlay_len() - filter.overlay_removed_len() + 1;
+        let full = self.base.is_empty() || self.tracker.policy().compaction_due(overlay);
+        let change = Change {
+            add: vec![(sub, cover)],
+            ..Change::default()
+        };
         self.apply(change, full)
+    }
+
+    /// Stages a bulk load of `subs`, compiled in at once with no
+    /// per-profile probes: the recompile runs the bulk containment pass
+    /// over the whole population. Nothing changes before
+    /// [`ShardGuard::install`].
+    pub(super) fn stage_bulk(&self, subs: Vec<SubEntry>) -> Result<Pending, ServiceError> {
+        let change = Change {
+            add: subs.into_iter().map(|sub| (sub, None)).collect(),
+            ..Change::default()
+        };
+        self.stage_recompile(change, self.tree.clone(), Some(|m| &m.overlay_compactions))
     }
 
     /// Cancels the live subscriptions among `ids` (ascending, not
@@ -750,9 +728,7 @@ impl ShardGuard<'_> {
         let named = |e: &SubEntry| e.is_live() && ids.binary_search(&e.id).is_ok();
         let mut change = Change::default();
         let overlay = self.overlay.iter().enumerate();
-        change.drop_overlay = overlay
-            .filter_map(|(k, e)| named(&e.sub).then_some(k))
-            .collect();
+        change.drop_overlay = overlay.filter_map(|(k, e)| named(e).then_some(k)).collect();
         if change.drop_overlay.len() < ids.len() {
             let base = self.base.iter().enumerate();
             change.drop_base = base.filter_map(|(k, e)| named(e).then_some(k)).collect();
@@ -760,9 +736,10 @@ impl ShardGuard<'_> {
         if change.drop_overlay.is_empty() && change.drop_base.is_empty() {
             return Err(ServiceError::UnknownSubscription(ids[0]));
         }
-        let tombstones = self.removed_count + change.drop_base.len();
+        let filter = &self.published().filter;
+        let tombstones = filter.removed_len() + change.drop_base.len();
         let full = !change.drop_base.is_empty() && self.tracker.policy().compaction_due(tombstones);
-        let dead = self.overlay_removed + change.drop_overlay.len();
+        let dead = filter.overlay_removed_len() + change.drop_overlay.len();
         change.pack = !full && !change.drop_overlay.is_empty() && dead >= self.overlay.len() - dead;
         self.apply(change, full)
     }
@@ -770,14 +747,14 @@ impl ShardGuard<'_> {
     /// Packs the overlay if it holds tombstones: what a checkpoint does
     /// first, its image having none.
     pub(super) fn pack(&mut self) -> Result<(), ServiceError> {
-        if self.overlay_removed == 0 {
+        if self.published().filter.overlay_removed_len() == 0 {
             return Ok(());
         }
         let change = Change {
             pack: true,
             ..Change::default()
         };
-        self.commit(change, None)
+        self.apply(change, false)
     }
 
     /// Replays an accepted retune: switches the shard's active shape and
@@ -795,7 +772,8 @@ impl ShardGuard<'_> {
             event_model: Some(event_model),
             ..self.tree.clone()
         };
-        self.recompile(Change::default(), tree.clone(), None)?;
+        let pending = self.stage_recompile(Change::default(), tree.clone(), None)?;
+        self.install(pending);
         self.tree = tree;
         Ok(())
     }
@@ -809,7 +787,7 @@ impl ShardGuard<'_> {
 
     /// Commits a drift rebuild: `filter`, compiled from `staged` (whose
     /// shape becomes the shard's), is what the shard serves from here
-    /// on. `migrated`: see [`DriftTracker::finish_rebuild`].
+    /// on. `migrated`: see [`DriftTracker::rebuilt`].
     pub(super) fn rebuild(
         &mut self,
         staged: Staged,
@@ -823,27 +801,36 @@ impl ShardGuard<'_> {
             migrated,
             counter: Some(|m| &m.tree_rebuilds),
         };
-        self.commit(Change::default(), Some(recompile))?;
+        let pending = self.stage_commit(Change::default(), Some(recompile))?;
+        self.install(pending);
         (self.tree.attribute_order, self.tree.search) = shape;
         Ok(())
     }
 
-    /// Commits `change`, through a churn compaction if `full`.
-    fn apply(&mut self, change: Change, full: bool) -> Result<(), ServiceError> {
-        if !full {
-            return self.commit(change, None);
-        }
-        let tree = self.tree.clone();
-        self.recompile(change, tree, Some(|m| &m.overlay_compactions))
+    /// The snapshot the shard serves: what the last commit published.
+    fn published(&self) -> Arc<ShardSnapshot> {
+        self.shard.snapshot.read().clone()
     }
 
-    /// Commits `change` by compiling what it leaves under `tree`.
-    fn recompile(
-        &mut self,
+    /// Commits `change`, through a churn compaction if `full`.
+    fn apply(&mut self, change: Change, full: bool) -> Result<(), ServiceError> {
+        let pending = if full {
+            let tree = self.tree.clone();
+            self.stage_recompile(change, tree, Some(|m| &m.overlay_compactions))?
+        } else {
+            self.stage_commit(change, None)?
+        };
+        self.install(pending);
+        Ok(())
+    }
+
+    /// Stages `change` by compiling what it leaves under `tree`.
+    fn stage_recompile(
+        &self,
         change: Change,
         tree: TreeConfig,
         counter: Option<fn(&Metrics) -> &AtomicU64>,
-    ) -> Result<(), ServiceError> {
+    ) -> Result<Pending, ServiceError> {
         let mut staged = self.w.stage(&change, tree)?;
         let recompile = Recompile {
             filter: staged.compile(None)?,
@@ -851,74 +838,84 @@ impl ShardGuard<'_> {
             migrated: false,
             counter,
         };
-        self.commit(change, Some(recompile))
+        self.stage_commit(change, Some(recompile))
     }
 
-    /// Stage → commit → swap, for every operation there is.
-    fn commit(&mut self, change: Change, recompile: Option<Recompile>) -> Result<(), ServiceError> {
-        let w = &mut *self.w;
-        // Stage: the next snapshot, from the writer as it is plus
-        // `change` — compiled, or derived from the published one.
-        // Everything that can fail happens here.
+    /// Stage: the next snapshot, from the writer as it is plus `change`
+    /// — compiled, or derived from the published one — and, for a
+    /// recompile, the state the writer takes over with it. Everything
+    /// that can fail happens here, and nothing of the shard changes.
+    fn stage_commit(
+        &self,
+        change: Change,
+        recompile: Option<Recompile>,
+    ) -> Result<Pending, ServiceError> {
+        let w = &*self.w;
         let (snapshot, folded) = match recompile {
             Some(r) => {
-                let compacted = Decision::Compacted {
-                    shard: w.index,
-                    population: r.staged.population,
-                    compiled: r.staged.compiled.rows(),
-                    model_ns: r.staged.model_time.as_nanos() as u64,
-                    cover_ns: r.staged.cover_time.as_nanos() as u64,
-                    tree_ns: r.staged.tree_time.as_nanos() as u64,
+                let folded = Folded {
+                    compacted: Decision::Compacted {
+                        shard: w.index,
+                        population: r.staged.population,
+                        compiled: r.staged.compiled.rows(),
+                        model_ns: r.staged.model_time.as_nanos() as u64,
+                        cover_ns: r.staged.cover_time.as_nanos() as u64,
+                        tree_ns: r.staged.tree_time.as_nanos() as u64,
+                    },
+                    tracker: w.tracker.rebuilt(r.staged.history, r.migrated)?,
+                    cover: r.staged.cover,
+                    counter: r.counter,
                 };
-                w.tracker.finish_rebuild(r.staged.history, r.migrated)?;
                 let snapshot = w.snapshot_after(&change, Source::Compiled(r.filter))?;
-                (snapshot, Some((r.staged.cover, r.counter, compacted)))
+                (snapshot, Some(folded))
             }
             None => {
-                let prev = self.shard.snapshot.read().clone();
+                let prev = self.published();
                 (w.snapshot_after(&change, Source::Published(&prev))?, None)
             }
         };
-        // Commit: the entries, in the order the snapshot's tables are
-        // in — cancelled ones tombstoned in place, new ones appended,
-        // and the tombstones dropped where the tables were rebuilt.
+        Ok(Pending {
+            change,
+            snapshot,
+            folded,
+        })
+    }
+
+    /// Commit and swap, which cannot fail: the entries, in the order the
+    /// staged snapshot's tables are in — cancelled ones tombstoned in
+    /// place, new ones appended, and the tombstones dropped where the
+    /// tables were rebuilt — then the snapshot is published.
+    pub(super) fn install(&mut self, pending: Pending) {
+        let (w, change) = (&mut *self.w, pending.change);
         for &k in &change.drop_base {
             w.base[k].sender = None;
         }
-        w.removed_count += change.drop_base.len();
         for &k in &change.drop_overlay {
-            w.overlay[k].sub.sender = None;
+            w.overlay[k].sender = None;
         }
-        w.overlay_removed += change.drop_overlay.len();
-        w.overlay.extend(change.add);
-        if change.pack || folded.is_some() {
-            w.overlay.retain(|e| e.sub.is_live());
-            w.overlay_removed = 0;
-        }
-        match folded {
+        w.overlay.extend(change.add.into_iter().map(|(sub, _)| sub));
+        match pending.folded {
             None if change.pack => {
+                w.overlay.retain(SubEntry::is_live);
                 w.metrics.overlay_packs.fetch_add(1, Ordering::Relaxed);
             }
             None => {}
-            Some((cover, counter, compacted)) => {
-                let mut base = Vec::with_capacity(w.live_count());
-                let compiled = std::mem::take(&mut w.base).into_iter();
-                base.extend(compiled.filter(SubEntry::is_live));
-                let overlay = std::mem::take(&mut w.overlay).into_iter();
-                base.extend(overlay.map(|e| e.sub));
+            Some(f) => {
+                let mut base = Vec::with_capacity(pending.snapshot.filter.base_len());
+                let overlay = std::mem::take(&mut w.overlay);
+                let entries = std::mem::take(&mut w.base).into_iter().chain(overlay);
+                base.extend(entries.filter(SubEntry::is_live));
                 w.base = base;
-                w.removed_count = 0;
                 // The plan owns the expansion map now.
-                w.cover = cover.map(CoverSet::into_index);
-                if let Some(counter) = counter {
+                w.cover = f.cover.map(CoverSet::into_index);
+                w.tracker = f.tracker;
+                if let Some(counter) = f.counter {
                     counter(&w.metrics).fetch_add(1, Ordering::Relaxed);
                 }
-                w.journal.record(compacted, &w.metrics);
+                w.journal.record(f.compacted, &w.metrics);
             }
         }
-        // Swap.
-        *self.shard.snapshot.write() = Arc::new(snapshot);
-        Ok(())
+        *self.shard.snapshot.write() = Arc::new(pending.snapshot);
     }
 
     /// The shard in its checkpoint form ([`ShardGuard::pack`] first: the
@@ -934,7 +931,7 @@ impl ShardGuard<'_> {
             tree: self.tree.clone(),
             filter: self.shard.snapshot.read().filter.to_bytes(),
             base: self.base.iter().map(entry).collect(),
-            overlay: self.overlay.iter().map(|e| entry(&e.sub)).collect(),
+            overlay: self.overlay.iter().map(entry).collect(),
         }
     }
 }

@@ -4,10 +4,13 @@
 //! subscribe/unsubscribe/publish sequence.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use ens_filter::{FilterSnapshot, RebuildPolicy};
 use ens_service::persist::{checkpoint_gen_file, Checkpoint};
-use ens_service::{Broker, BrokerConfig, DurabilityConfig, FsyncPolicy, SubscriptionId};
+use ens_service::{
+    Broker, BrokerConfig, DurabilityConfig, FsyncPolicy, Subscriber, SubscriptionId,
+};
 use ens_types::{Domain, Event, Predicate, Profile, ProfileId, Schema};
 
 fn schema() -> Schema {
@@ -378,4 +381,89 @@ fn a_duplicate_subscribed_after_recovery_is_delivered_through_expansion() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&reopened_dir);
+}
+
+/// A broker re-opened with covering switched off keeps matching the
+/// checkpointed overlay as the snapshot compiled it: an uncovered
+/// subscribe after the restart rebuilds the counting index over the
+/// positions the snapshot matches by index, never over a covered one,
+/// so a covered duplicate is named once and delivered once on both
+/// publish paths — and again after a second restart with covering on.
+#[test]
+fn a_covering_flip_on_reopen_delivers_a_covered_entry_once() {
+    let schema = schema();
+    let cfg = |covering| BrokerConfig {
+        // The battery must not set off a drift rebuild.
+        stats_sample: 0,
+        ..config(covering)
+    };
+    let root = |price| {
+        profile(
+            &schema,
+            vec![
+                Predicate::ge(price),
+                Predicate::DontCare,
+                Predicate::DontCare,
+            ],
+        )
+    };
+    let dir = scratch_dir("flip");
+    let broker = Broker::open(&schema, cfg(true), durability(&dir))
+        .unwrap()
+        .broker;
+    broker.subscribe_many([0, 100, 200, 300].map(root)).unwrap();
+    // An exact duplicate of a compiled root: a covered overlay entry.
+    let duplicate = broker.subscribe_profile(root(100)).unwrap().id();
+    assert!(broker.checkpoint().unwrap());
+    drop(broker);
+    let event = Arc::new(
+        Event::builder(&schema)
+            .value("price", 350)
+            .unwrap()
+            .value("qty", 1)
+            .unwrap()
+            .value("venue", "nyse")
+            .unwrap()
+            .build(),
+    );
+    // Publishes the event once through each path; returns both receipts'
+    // matched ids after checking the duplicate is named, and delivered,
+    // exactly once by each.
+    let serve = |broker: &Broker, subscribers: &[Subscriber]| {
+        let sub = subscribers.iter().find(|s| s.id() == duplicate).unwrap();
+        let once = |matched: &[SubscriptionId]| {
+            assert_eq!(matched.iter().filter(|&&id| id == duplicate).count(), 1);
+            assert_eq!(sub.drain().len(), 1, "one notification per publish");
+        };
+        let single = broker.publish(&event).unwrap().matched;
+        once(&single);
+        let batch = broker.publish_batch(&[Arc::clone(&event)]).unwrap();
+        once(&batch[0].matched);
+        assert_eq!(batch[0].matched, single);
+        single
+    };
+
+    // Covering off after the restart, then one uncovered subscribe.
+    let off = Broker::open(&schema, cfg(false), durability(&dir)).unwrap();
+    let mut subscribers = off.subscribers;
+    let uncovered = vec![
+        Predicate::between(490, 500),
+        Predicate::eq(1),
+        Predicate::DontCare,
+    ];
+    subscribers.push(
+        off.broker
+            .subscribe_profile(profile(&schema, uncovered))
+            .unwrap(),
+    );
+    let served = serve(&off.broker, &subscribers);
+    assert_eq!(served.len(), 5, "four roots and the duplicate");
+    assert!(off.broker.checkpoint().unwrap());
+    drop((off.broker, subscribers));
+
+    // Covering back on: the same receipts.
+    let on = Broker::open(&schema, cfg(true), durability(&dir)).unwrap();
+    assert_eq!(serve(&on.broker, &on.subscribers), served);
+    drop(on);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,10 +17,11 @@ use std::sync::Arc;
 
 use ens_filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, ValueOrder};
 use ens_service::persist::{
-    checkpoint_gen_file, decode_wal, parse_checkpoint_gen, WalRecord, CHECKPOINT_FILE, WAL_FILE,
+    checkpoint_gen_file, decode_wal, parse_checkpoint_gen, Checkpoint, WalRecord, CHECKPOINT_FILE,
+    WAL_FILE,
 };
 use ens_service::{
-    Broker, BrokerConfig, DurabilityConfig, FsyncPolicy, Subscriber, SubscriptionId,
+    Broker, BrokerConfig, Decision, DurabilityConfig, FsyncPolicy, Subscriber, SubscriptionId,
 };
 use ens_types::{Domain, Event, Predicate, Profile, ProfileId, Schema};
 use ens_workloads::{alert_churn_profiles, churn_burst_plan, hot_band_migration, ChurnOp};
@@ -188,7 +189,7 @@ fn record_churn(
     for (i, op) in plan.ops.iter().enumerate() {
         if i == midpoint {
             // A bulk load that fails on its last shard, after shard 0
-            // has compiled its share in: rolled back, it must leave no
+            // has staged its share: it must commit nothing, leave no
             // record and — in the checkpoint below — no live id. The
             // profile that fails is built against a wider schema, and
             // one or two valid ones put its id on shard 1.
@@ -205,7 +206,7 @@ fn record_churn(
             issued += bulk.len();
             let compactions = broker.rebuild_counts().1;
             assert!(broker.subscribe_many(bulk).is_err());
-            assert_eq!(broker.rebuild_counts().1, compactions + 1, "shard 0 in");
+            assert_eq!(broker.rebuild_counts().1, compactions, "nothing committed");
         }
         if checkpoint_midway && i == midpoint {
             assert!(broker.checkpoint_keep_wal().unwrap());
@@ -572,5 +573,66 @@ fn accepted_retunes_survive_recovery() {
         want.sort_unstable();
         assert_eq!(receipt.matched, want);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A bulk load that fails on its last shard commits no shard: every
+/// shard's checkpoint image after it is the image before it, byte for
+/// byte, and the decision journal holds no compaction from it.
+#[test]
+fn a_failed_bulk_load_changes_no_shard() {
+    let dir = scratch_dir("failed-bulk");
+    let schema = Schema::builder()
+        .attribute("temperature", Domain::int(-50, 50))
+        .unwrap()
+        .build();
+    let config = BrokerConfig {
+        // Nothing but the load may compile.
+        stats_sample: 0,
+        ..churn_config(true)
+    };
+    let broker = Broker::open(&schema, config, durability(&dir))
+        .unwrap()
+        .broker;
+    let hotter_than = |t: i64| {
+        Profile::builder(&schema)
+            .predicate("temperature", Predicate::ge(t))
+            .unwrap()
+            .build(ProfileId::new(0))
+    };
+    let _subs = broker
+        .subscribe_many((0..4).map(|k| hotter_than(10 * k - 20)))
+        .unwrap();
+    let shards = |gen: u64| {
+        let image = std::fs::read(dir.join(checkpoint_gen_file(gen))).unwrap();
+        let shards = Checkpoint::from_bytes(&image).unwrap().shards;
+        shards.iter().map(|s| format!("{s:?}")).collect::<Vec<_>>()
+    };
+    let compacted = || {
+        let decisions = broker.decisions().into_iter();
+        decisions
+            .filter(|d| matches!(d, Decision::Compacted { .. }))
+            .count()
+    };
+    assert!(broker.checkpoint().unwrap());
+    let (before, compactions) = (shards(1), compacted());
+    assert_eq!(before.len(), 2);
+
+    // Ids 4 and 5: a valid profile for shard 0, then one built against
+    // a wider foreign schema for shard 1, whose lowering fails.
+    let wide = Schema::builder()
+        .attribute("temperature", Domain::int(-1000, 1000))
+        .unwrap()
+        .attribute("humidity", Domain::int(0, 100))
+        .unwrap()
+        .build();
+    let foreign = Profile::builder(&wide)
+        .predicate("temperature", Predicate::between(400, 500))
+        .unwrap()
+        .build(ProfileId::new(0));
+    assert!(broker.subscribe_many([hotter_than(0), foreign]).is_err());
+    assert!(broker.checkpoint().unwrap());
+    assert_eq!(shards(2), before, "every shard image is unchanged");
+    assert_eq!(compacted(), compactions, "no compaction from the load");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -140,8 +140,7 @@ const NONE: u32 = u32::MAX;
 /// what a compile hands to its plan; once it has,
 /// [`CoverSet::into_index`] drops it, and the set the broker keeps is
 /// the representative index alone — probed read-only via
-/// [`CoverSet::probe`] / [`CoverSet::dominated_reps`] until the next
-/// compile. Crash recovery rebuilds that index from the
+/// [`CoverSet::probe`] until the next compile. Crash recovery rebuilds that index from the
 /// representatives alone ([`CoverSet::from_parts`] with no children):
 /// signatures are re-hashed, containment is never re-derived, and the
 /// expansion map stays in the restored plan.
@@ -308,8 +307,8 @@ impl CoverSet {
 
     /// The representative index alone: the expansion map dropped, once
     /// a compile has handed it to its plan. What a broker keeps between
-    /// compiles — [`CoverSet::probe`], [`CoverSet::dominated_reps`] and
-    /// [`CoverSet::compiled_index_of`] read nothing else.
+    /// compiles — [`CoverSet::probe`] and [`CoverSet::compiled_index_of`]
+    /// read nothing else.
     #[must_use]
     pub fn into_index(mut self) -> Self {
         self.children = Vec::new();
@@ -331,42 +330,6 @@ impl CoverSet {
             Some((rep, residual)) => CoverOutcome::Covered { rep, residual },
             None => CoverOutcome::Rep,
         })
-    }
-
-    /// Representative slots that `profile` covers (the reverse
-    /// direction: the new profile is *weaker* than existing entries),
-    /// through the same attribute-keyed index. Used to detect antichain
-    /// inversions — a new subscription dominating compiled
-    /// representatives — so the caller can schedule a compaction that
-    /// restores minimality.
-    ///
-    /// # Errors
-    ///
-    /// Propagates predicate lowering errors.
-    pub fn dominated_reps(&self, profile: &Profile) -> Result<Vec<u32>, TypesError> {
-        let probe = LoweredTable::lower(&self.schema, [profile])?;
-        let mut out = Vec::new();
-        if let Some(row) = self.duplicate_of(&probe, 0) {
-            out.push(self.rep_slot[row]);
-        }
-        for j in 0..probe.width() {
-            for cand in self.weakenings(&probe, 0, j) {
-                // `cand` agrees with `profile` on every attribute but
-                // `j`; `profile` covers it iff `profile` is don't-care
-                // or a superset there.
-                let covered = match (probe.get(0, j), self.reps.get(cand, j)) {
-                    (None, Some(_)) => true,
-                    (Some(p), Some(r)) => p != r && contains_slice(p, r),
-                    _ => false,
-                };
-                if covered {
-                    out.push(self.rep_slot[cand]);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
     }
 
     /// Number of covering representatives.
@@ -727,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_and_dominated_reps() {
+    fn probe_finds_duplicates_and_children() {
         let s = schema();
         let mut ps = ProfileSet::new(&s);
         ps.insert_with(|b| b.predicate("x", Predicate::ge(5)))
@@ -764,23 +727,12 @@ mod tests {
             vec![Predicate::DontCare, Predicate::eq(1), Predicate::DontCare],
         );
         assert_eq!(cover.probe(&other).unwrap(), CoverOutcome::Rep);
-        // Reverse direction: a weaker profile dominates the rep.
+        // A weaker profile is no child of the rep.
         let weaker = profile(
             &s,
             vec![Predicate::ge(2), Predicate::DontCare, Predicate::DontCare],
         );
-        assert_eq!(cover.dominated_reps(&weaker).unwrap(), vec![0]);
-        assert!(cover.dominated_reps(&narrower).unwrap().is_empty());
-        // Full don't-care dominates via the wildcard bucket.
-        let dc = profile(
-            &s,
-            vec![
-                Predicate::DontCare,
-                Predicate::DontCare,
-                Predicate::DontCare,
-            ],
-        );
-        assert_eq!(cover.dominated_reps(&dc).unwrap(), vec![0]);
+        assert_eq!(cover.probe(&weaker).unwrap(), CoverOutcome::Rep);
     }
 
     #[test]

@@ -760,7 +760,7 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
                     let history = tracker.rebin(&lowered, None)?;
                     config.event_model = Some(history.model(None)?);
                     tree = Dfsa::build_lowered(&schema, &lowered, &config)?;
-                    tracker.finish_rebuild(history, signal.cause == DriftCause::Moved)?;
+                    tracker = tracker.rebuilt(history, signal.cause == DriftCause::Moved)?;
                     rebuilds += 1;
                 }
             }
