@@ -17,16 +17,15 @@
 //!   counting index; [`FilterSnapshot::with_indexed_entry`] rebuilds the
 //!   small [`OverlayIndex`] counting index over the entries it matches
 //!   (so overlay matching costs O(postings hit) instead of the naive
-//!   side-matcher's O(profiles × predicates));
-//!   [`FilterSnapshot::with_overlay_removed`] sets one bit of the
-//!   overlay's tombstone bitmap. [`FilterSnapshot::with_overlay_packed`]
-//!   packs: the live positions, built anew at dense positions, each
-//!   matched as it was. The snapshot alone knows which positions its
-//!   counting index matches and which it expands: the writer hands it
-//!   profiles, never that split;
-//! * [`FilterSnapshot::with_removed`] — O(base) copy of the tombstone
-//!   bitmap for unsubscriptions of compiled profiles (DFSA and overlay
-//!   shared).
+//!   side-matcher's O(profiles × predicates)).
+//!   [`FilterSnapshot::with_overlay_packed`] packs: the live positions,
+//!   built anew at dense positions, each matched as it was. The
+//!   snapshot alone knows which positions its counting index matches
+//!   and which it expands: the writer hands it profiles, never that
+//!   split;
+//! * [`FilterSnapshot::with_removed`] tombstones one global id, compiled
+//!   or overlay alike: one bit set in a copy of its region's bitmap
+//!   (one bit per slot, so n/8 bytes), the DFSA and overlay shared.
 //!
 //! Besides the per-event [`FilterSnapshot::match_into`], the snapshot
 //! exposes [`FilterSnapshot::match_block`]: whole pre-resolved event
@@ -418,6 +417,13 @@ fn is_live(dead: &[u64], k: u32) -> bool {
         .is_none_or(|word| word >> (k % 64) & 1 == 0)
 }
 
+/// A copy of the tombstone bitmap `dead` with slot `k` set, over (at
+/// least) `slots` slots.
+fn with_bit(dead: &[u64], k: usize, slots: usize) -> Arc<[u64]> {
+    let word = |w: usize| dead.get(w).copied().unwrap_or(0) | u64::from(w == k / 64) << (k % 64);
+    (0..dead.len().max(slots.div_ceil(64))).map(word).collect()
+}
+
 /// Steps over a version 3 image's automaton section: a state count,
 /// ten packed state columns (two of them `u64`), the cut bounds
 /// (`u64`) and targets, the jump tables and the bucket index, the leaf
@@ -787,23 +793,6 @@ impl FilterSnapshot {
         positions.filter(|&k| self.indexes(k)).count()
     }
 
-    /// A new snapshot with overlay position `pos` tombstoned: one bit
-    /// set in a copy of the overlay's tombstone bitmap, everything else
-    /// shared. A position outside the overlay changes nothing.
-    #[must_use]
-    pub fn with_overlay_removed(&self, pos: usize) -> Self {
-        let mut next = self.clone();
-        if pos >= self.overlay_len || !is_live(&self.overlay_removed, pos as u32) {
-            return next;
-        }
-        let dead = &self.overlay_removed;
-        let word =
-            |w: usize| dead.get(w).copied().unwrap_or(0) | u64::from(w == pos / 64) << (pos % 64);
-        next.overlay_removed = (0..dead.len().max(pos / 64 + 1)).map(word).collect();
-        next.overlay_removed_count += 1;
-        next
-    }
-
     /// The counting index over `indexed` (positions ascending), or none
     /// when it would match nothing.
     fn index_over(
@@ -817,19 +806,24 @@ impl FilterSnapshot {
         Ok(Some(Arc::new(index)))
     }
 
-    /// A new snapshot with the tombstone bitmap replaced (length must be
-    /// [`FilterSnapshot::base_len`]). The compiled base and the overlay
-    /// are shared.
+    /// A new snapshot with global id `g` tombstoned: one bit set in a
+    /// copy of the bitmap of the region `g` falls in — the compiled
+    /// base's, or the overlay's — everything else shared. An id already
+    /// tombstoned, or outside the snapshot, changes nothing.
     #[must_use]
-    pub fn with_removed(&self, removed: Vec<bool>) -> Self {
-        debug_assert_eq!(removed.len(), self.base_len);
-        let mut words = vec![0u64; removed.len().div_ceil(64)];
-        for (k, _) in removed.iter().enumerate().filter(|(_, dead)| **dead) {
-            words[k / 64] |= 1 << (k % 64);
-        }
+    pub fn with_removed(&self, g: usize) -> Self {
         let mut next = self.clone();
-        next.removed_count = words.iter().map(|w| w.count_ones() as usize).sum();
-        next.removed = Arc::from(words);
+        match g.checked_sub(self.base_len) {
+            None if is_live(&self.removed, g as u32) => {
+                next.removed = with_bit(&self.removed, g, self.base_len);
+                next.removed_count += 1;
+            }
+            Some(k) if k < self.overlay_len && is_live(&self.overlay_removed, k as u32) => {
+                next.overlay_removed = with_bit(&self.overlay_removed, k, self.overlay_len);
+                next.overlay_removed_count += 1;
+            }
+            _ => {}
+        }
         next
     }
 
@@ -1313,10 +1307,15 @@ mod tests {
         assert_eq!(matched(&snap, &schema, 17, false), &[0, 1, 2]);
         assert_eq!(matched(&snap, &schema, 35, false), &[2]);
 
-        let snap = snap.with_removed(vec![false, true]);
+        let snap = snap.with_removed(1);
         assert_eq!(snap.removed_len(), 1);
         assert_eq!(snap.live_len(), 2);
         assert_eq!(matched(&snap, &schema, 17, false), &[0, 2]);
+        // The overlay's ids follow the base's; an id already tombstoned,
+        // or past the snapshot, changes nothing.
+        assert_eq!(matched(&snap.with_removed(2), &schema, 17, false), &[0]);
+        assert_eq!(snap.with_removed(2).overlay_removed_len(), 1);
+        assert_eq!(snap.with_removed(1).with_removed(3).live_len(), 2);
         // Clearing the overlay keeps the tombstones.
         let snap = snap.with_overlay(&ProfileSet::new(&schema)).unwrap();
         assert_eq!(matched(&snap, &schema, 17, false), &[0]);
@@ -1333,7 +1332,7 @@ mod tests {
             .unwrap()
             .with_overlay(&delta)
             .unwrap()
-            .with_removed(vec![true, false]);
+            .with_removed(0);
         for x in 0..100 {
             assert_eq!(
                 matched(&snap, &schema, x, false),
@@ -1366,8 +1365,8 @@ mod tests {
             let snap = snap
                 .with_overlay(&delta)
                 .unwrap()
-                .with_removed(vec![false, true, false])
-                .with_overlay_removed(0);
+                .with_removed(1)
+                .with_removed(3);
             let (mut tree, mut dfsa) = (SnapshotScratch::new(), SnapshotScratch::new());
             for x in 0..100 {
                 let e = Event::builder(&schema).value("x", x).unwrap().build();
@@ -1400,7 +1399,7 @@ mod tests {
             .unwrap()
             .with_overlay(&delta)
             .unwrap()
-            .with_removed(vec![true, false]);
+            .with_removed(0);
         let events: Vec<Event> = (0..100)
             .map(|x| Event::builder(&schema).value("x", x).unwrap().build())
             .collect();

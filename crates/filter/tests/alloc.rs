@@ -48,6 +48,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// `snap` with every base slot `removed` marks tombstoned.
+fn tombstoned(snap: FilterSnapshot, removed: &[bool]) -> FilterSnapshot {
+    let dead = (0..removed.len()).filter(|&k| removed[k]);
+    dead.fold(snap, |snap, k| snap.with_removed(k))
+}
+
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
@@ -187,8 +193,8 @@ fn warm_fast_paths_allocate_nothing() {
         let original = FilterSnapshot::compile(&ps, &TreeConfig::default())
             .unwrap()
             .with_overlay(&overlay)
-            .unwrap()
-            .with_removed(removed);
+            .unwrap();
+        let original = tombstoned(original, &removed);
         let reloaded = FilterSnapshot::from_bytes(&original.to_bytes()).unwrap();
 
         for (name, snap) in [("original", &original), ("reloaded", &reloaded)] {
@@ -304,13 +310,13 @@ fn warm_fast_paths_allocate_nothing() {
             .map(|c| c.as_ref().map(|(rep, r)| (*rep, r.as_slice())));
         let snap = compiled
             .with_overlay_entries(overlay.iter().zip(covers))
-            .unwrap()
-            .with_removed(removed.clone());
+            .unwrap();
+        let snap = tombstoned(snap, &removed);
         // The same overlay entered one entry at a time, every third
         // position then tombstoned in place: the overlay's tombstone
         // bitmap filters the counting index's hits and the expansion
         // without touching the heap either.
-        let mut tombstoned = compiled.with_removed(removed);
+        let mut tombstoned = tombstoned(compiled, &removed);
         for (k, (p, cover)) in overlay.iter().zip(&overlay_cover).enumerate() {
             tombstoned = match cover {
                 Some((rep, residual)) => tombstoned.with_covered_entry(*rep, residual).unwrap(),
@@ -320,7 +326,7 @@ fn warm_fast_paths_allocate_nothing() {
             };
         }
         for k in (0..overlay.len()).step_by(3) {
-            tombstoned = tombstoned.with_overlay_removed(k);
+            tombstoned = tombstoned.with_removed(tombstoned.base_len() + k);
         }
         assert!(tombstoned.overlay_removed_len() > 0);
 

@@ -92,6 +92,12 @@ fn with_overlay(
         .unwrap()
 }
 
+/// `snap` with every base slot `removed` marks tombstoned.
+fn tombstoned(snap: FilterSnapshot, removed: &[bool]) -> FilterSnapshot {
+    let dead = (0..removed.len()).filter(|&k| removed[k]);
+    dead.fold(snap, |snap, k| snap.with_removed(k))
+}
+
 fn random_event(schema: &Schema, rng: &mut StdRng) -> Event {
     let mut b = Event::builder(schema);
     if rng.gen_bool(0.9) {
@@ -186,7 +192,7 @@ fn covered_snapshot_round_trips_bytes_exactly() {
     );
     let mut removed = vec![false; snap.base_len()];
     removed[3] = true;
-    let snap = with_overlay(&snap, &overlay, &overlay_cover).with_removed(removed);
+    let snap = tombstoned(with_overlay(&snap, &overlay, &overlay_cover), &removed);
 
     let bytes = snap.to_bytes();
     let back = FilterSnapshot::from_bytes(&bytes).unwrap();
@@ -276,7 +282,7 @@ fn covering_churn_agrees_with_profile_set_oracle() {
                 if !base.is_empty() {
                     let k = rng.gen_range(0..base.len());
                     removed[k] = true;
-                    snap = snap.with_removed(removed.clone());
+                    snap = snap.with_removed(k);
                 }
             }
             // Unsubscribe an overlay profile (physical removal).
@@ -416,7 +422,7 @@ fn head_written_checkpoint_loads_and_re_encodes_identically() {
         overlay.insert(p);
     }
     let removed: Vec<bool> = (0..snap.base_len()).map(|k| k % 9 == 3).collect();
-    let snap = with_overlay(&snap, &overlay, &overlay_cover).with_removed(removed.clone());
+    let snap = tombstoned(with_overlay(&snap, &overlay, &overlay_cover), &removed);
     let fresh = snap.to_bytes();
     assert_eq!((version(fixture), version(&fresh)), (3, 5));
     assert!(fresh.len() < fixture.len(), "no automaton, each leaf once");
@@ -627,12 +633,12 @@ fn hand_built(schema: &Schema, rng: &mut StdRng) -> HandBuilt {
 
     let config = TreeConfig::default();
     let compiled = FilterSnapshot::compile_with_cover(&base, &cover, &config).unwrap();
-    let covered = with_overlay(&compiled, &overlay, &overlay_cover).with_removed(removed.clone());
+    let covered = tombstoned(with_overlay(&compiled, &overlay, &overlay_cover), &removed);
     let plain = FilterSnapshot::compile(&base, &config)
         .unwrap()
         .with_overlay(&overlay)
-        .unwrap()
-        .with_removed(removed.clone());
+        .unwrap();
+    let plain = tombstoned(plain, &removed);
     HandBuilt {
         base,
         overlay,
@@ -782,7 +788,7 @@ proptest! {
         let built = hand_built(&schema, &mut rng);
         let mut tombstoned = built.covered.clone();
         for pos in (0..built.overlay.len()).step_by(3) {
-            tombstoned = tombstoned.with_overlay_removed(pos);
+            tombstoned = tombstoned.with_removed(built.base.len() + pos);
         }
         let events: Vec<Event> = (0..40).map(|_| random_event(&schema, &mut rng)).collect();
         for snap in [&built.covered, &tombstoned, &built.plain] {
@@ -827,7 +833,7 @@ fn sparse_and_dense_blocks_transpose_to_match_into_rows() {
         overlay.insert(p.clone());
     }
     let removed: Vec<bool> = (0..ps.len()).map(|k| k % 5 == 0).collect();
-    let snap = with_overlay(&compiled, &overlay, &overlay_cover).with_removed(removed);
+    let snap = tombstoned(with_overlay(&compiled, &overlay, &overlay_cover), &removed);
     let slots = snap.base_len() + snap.overlay_len();
     let events: Vec<Event> = (0..512).map(|_| random_event(&schema, &mut rng)).collect();
     let sparse = check_block_views(&snap, &schema, &events, 4);

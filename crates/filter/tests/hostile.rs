@@ -114,10 +114,11 @@ fn valid_snapshot() -> Vec<u8> {
     let covers = overlay_cover
         .iter()
         .map(|c| c.as_ref().map(|(rep, r)| (*rep, r.as_slice())));
-    snap.with_overlay_entries(overlay.iter().zip(covers))
-        .unwrap()
-        .with_removed((0..base.len()).map(|k| k % 5 == 0).collect())
-        .to_bytes()
+    let snap = snap
+        .with_overlay_entries(overlay.iter().zip(covers))
+        .unwrap();
+    let dead = (0..base.len()).step_by(5);
+    dead.fold(snap, |snap, k| snap.with_removed(k)).to_bytes()
 }
 
 /// `fixtures/stock_modelled_snapshot_pr21.bin`, a version 3 image,
@@ -233,7 +234,7 @@ fn small_snapshot(covering: bool) -> Vec<u8> {
     snap.unwrap()
         .with_overlay_entries(overlay.iter().zip(covers))
         .unwrap()
-        .with_removed(vec![false, true, false, false])
+        .with_removed(1)
         .to_bytes()
 }
 

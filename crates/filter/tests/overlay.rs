@@ -294,7 +294,7 @@ proptest! {
                 ChurnOp::Tombstone(k) if !removed.is_empty() => {
                     let slot = *k % removed.len();
                     removed[slot] = true;
-                    snap = snap.with_removed(removed.clone());
+                    snap = snap.with_removed(slot);
                 }
                 ChurnOp::DropOverlay(k) if !overlay.is_empty() => {
                     overlay.remove(*k % overlay.len());
@@ -364,7 +364,7 @@ proptest! {
                 Step::Tombstone(k) if !overlay.is_empty() => {
                     let k = k % overlay.len();
                     overlay[k].live = false;
-                    snap = snap.with_overlay_removed(k);
+                    snap = snap.with_removed(snap.base_len() + k);
                 }
                 Step::Pack => {
                     snap = snap.with_overlay_packed(overlay.iter().map(|s| &s.profile)).unwrap();

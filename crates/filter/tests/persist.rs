@@ -165,8 +165,9 @@ proptest! {
         let original = compiled
             .unwrap()
             .with_overlay_entries(overlay.iter().zip(covers))
-            .unwrap()
-            .with_removed(removed.clone());
+            .unwrap();
+        let dead = (0..removed.len()).filter(|&k| removed[k]);
+        let original = dead.fold(original, |snap, k| snap.with_removed(k));
 
         let bytes = original.to_bytes();
         let reloaded = FilterSnapshot::from_bytes(&bytes).unwrap();
@@ -469,7 +470,7 @@ fn a_version_4_image_loads_as_a_fresh_compile() {
         .unwrap()
         .with_overlay_entries(overlay.iter().zip(covers))
         .unwrap()
-        .with_removed(vec![false, true, false]);
+        .with_removed(1);
     assert_eq!(version(fixture), 4);
     let old = FilterSnapshot::from_bytes(fixture).unwrap();
     assert!(old.cover_plan().is_some());

@@ -78,7 +78,7 @@ mod durability;
 mod shard;
 
 use durability::Durability;
-use shard::{notify_channel, OverlayDispatch, Shard, ShardGuard, SubEntry};
+use shard::{notify_channel, Dispatch, Shard, ShardGuard, SubEntry};
 
 /// Broker configuration.
 #[derive(Debug, Clone)]
@@ -207,22 +207,13 @@ struct DispatchEntry {
 /// The immutable per-shard artifact the read path consumes.
 struct ShardSnapshot {
     filter: FilterSnapshot,
-    /// Dispatch for compiled profiles (dense tree ids, tombstones
-    /// included so indices stay aligned).
-    base_dispatch: Arc<Vec<DispatchEntry>>,
-    /// Dispatch for overlay positions, tombstones included.
-    overlay_dispatch: OverlayDispatch,
+    /// Dispatch by global profile id, tombstones included.
+    dispatch: Dispatch,
 }
 
 impl ShardSnapshot {
-    fn entry(&self, gpid: u32) -> &DispatchEntry {
-        let gpid = gpid as usize;
-        let base = self.filter.base_len();
-        if gpid < base {
-            &self.base_dispatch[gpid]
-        } else {
-            self.overlay_dispatch.get(gpid - base)
-        }
+    fn entry(&self, g: u32) -> &DispatchEntry {
+        self.dispatch.get(g as usize, self.filter.base_len())
     }
 }
 
@@ -779,7 +770,7 @@ impl Broker {
 
     fn remove_subscription(&self, id: SubscriptionId) -> Result<(), ServiceError> {
         let mut shard = self.shard_of(id).lock();
-        shard.remove(&[id])?;
+        shard.remove(id)?;
         // Under the writer lock, so a concurrent checkpoint serializes
         // cleanly before or after the (commit, log) pair.
         self.wal_log(|lsn| WalRecord::Unsubscribe { lsn, id: id.get() })
@@ -1466,7 +1457,7 @@ impl std::fmt::Debug for Broker {
 
 #[cfg(test)]
 mod tests {
-    use super::shard::disconnected_sender;
+    use super::shard::severed;
     use super::*;
 
     /// Every tombstoned dispatch slot — on each unsubscribe, and for
@@ -1474,10 +1465,10 @@ mod tests {
     /// channel of its own to be severed from.
     #[test]
     fn tombstones_share_one_severed_channel() {
-        let first = disconnected_sender();
+        let first = severed().sender;
         assert!(first.send_many(std::iter::empty()).severed);
         for _ in 0..1000 {
-            assert!(disconnected_sender().same_channel(&first));
+            assert!(severed().sender.same_channel(&first));
         }
     }
 

@@ -15,11 +15,13 @@
 //! ([`Shard::restore`]).
 //!
 //! Each fact has one holder. The writer holds the subscriptions — base
-//! and overlay alike, a list of [`SubEntry`] — and the published
-//! snapshot holds what they were compiled into, down to which overlay
-//! positions its counting index matches and which it expands through a
-//! compiled representative. A probe's answer for a new entry travels
-//! in the pending [`Change`] until the commit hands it to the snapshot.
+//! and overlay alike, one list of [`SubEntry`] indexed by the global
+//! profile id the filter reports — and the published snapshot holds
+//! what they were compiled into, down to where the base ends, which
+//! overlay positions its counting index matches and which it expands
+//! through a compiled representative. A probe's answer for a new entry
+//! travels in the pending [`Change`] until the commit hands it to the
+//! snapshot.
 //!
 //! Each operation is staged, then committed: *stage*
 //! ([`ShardGuard::stage_commit`]) derives the next snapshot from the
@@ -53,8 +55,8 @@ use crate::ServiceError;
 
 use super::{BrokerConfig, DispatchEntry, ShardSnapshot};
 
-/// A subscription as the writer side keeps it. Compiled, its position
-/// in [`ShardWriter::base`] is its base profile id.
+/// A subscription as the writer side keeps it. Its position in
+/// [`ShardWriter::entries`] is its global profile id.
 pub(super) struct SubEntry {
     pub(super) id: SubscriptionId,
     pub(super) profile: Profile,
@@ -70,22 +72,24 @@ impl SubEntry {
         self.sender.is_some()
     }
 
-    /// The entry's dispatch slot (`cancelled`: about to be tombstoned).
-    fn dispatch(&self, cancelled: bool) -> DispatchEntry {
-        let sender = self.sender.clone().filter(|_| !cancelled);
-        DispatchEntry {
+    /// The entry's dispatch slot, [`severed`] once cancelled.
+    fn dispatch(&self) -> DispatchEntry {
+        let slot = |sender: &Sender<Queued>| DispatchEntry {
             id: self.id,
-            sender: sender.unwrap_or_else(disconnected_sender),
-        }
+            sender: sender.clone(),
+        };
+        self.sender.as_ref().map_or_else(severed, slot)
     }
 }
 
-/// A sender whose receiver is already gone: placeholder for tombstoned
-/// dispatch slots (every send fails immediately; never matched anyway).
-/// Every tombstone in the process clones one severed channel.
-pub(super) fn disconnected_sender() -> Sender<Queued> {
+/// A dispatch slot that delivers to nobody — a tombstone's, and what
+/// pads a table's last chunk: its sender's receiver is gone, so every
+/// send fails at once. Every one in the process clones one channel.
+pub(super) fn severed() -> DispatchEntry {
     static SEVERED: OnceLock<Sender<Queued>> = OnceLock::new();
-    SEVERED.get_or_init(|| channel::channel(0).0).clone()
+    let sender = SEVERED.get_or_init(|| channel::channel(0).0).clone();
+    let id = SubscriptionId::new(0);
+    DispatchEntry { id, sender }
 }
 
 /// A fresh subscriber channel under `config`'s capacity.
@@ -93,51 +97,90 @@ pub(super) fn notify_channel(config: &BrokerConfig) -> (Sender<Queued>, channel:
     channel::channel(config.notify_capacity)
 }
 
-/// Overlay positions per chunk of an [`OverlayDispatch`].
+/// Slots per dispatch chunk.
 const DISPATCH_CHUNK: usize = 16;
 
-/// The dispatch slots of the overlay positions, in chunks of
-/// [`DISPATCH_CHUNK`]. The next snapshot's table copies the one chunk a
-/// change touches and shares the others, so appending a slot or
-/// severing one costs about the same at any overlay depth.
-#[derive(Clone, Default)]
-pub(super) struct OverlayDispatch(Vec<Arc<Vec<DispatchEntry>>>);
+/// Dispatch slots in chunks of [`DISPATCH_CHUNK`] (the last padded
+/// with [`severed`] ones), behind one shared handle. The next
+/// snapshot's table copies the chunk handles and the one chunk a change
+/// touches, and shares every other chunk, so setting or appending a
+/// slot costs n/16 handles and one chunk. A lookup has one bounds
+/// check, as a flat table's, and one dependent load more: the chunk's
+/// handle.
+#[derive(Clone)]
+struct Chunks(Arc<[Arc<[DispatchEntry; DISPATCH_CHUNK]>]>);
 
-impl OverlayDispatch {
-    fn new(slots: impl IntoIterator<Item = DispatchEntry>) -> Self {
-        let mut slots = slots.into_iter().peekable();
-        let mut chunks = Vec::new();
-        while slots.peek().is_some() {
-            chunks.push(Arc::new(slots.by_ref().take(DISPATCH_CHUNK).collect()));
-        }
-        OverlayDispatch(chunks)
-    }
-
-    /// Position `k`'s slot.
-    pub(super) fn get(&self, k: usize) -> &DispatchEntry {
+impl Chunks {
+    fn get(&self, k: usize) -> &DispatchEntry {
         &self.0[k / DISPATCH_CHUNK][k % DISPATCH_CHUNK]
     }
 
-    /// Appends a slot, in a copy of the last chunk.
-    fn push(&mut self, slot: DispatchEntry) {
-        match self.0.last_mut() {
-            Some(last) if last.len() < DISPATCH_CHUNK => {
-                let mut chunk = Vec::with_capacity(DISPATCH_CHUNK);
-                chunk.extend(last.iter().cloned());
-                chunk.push(slot);
-                *last = Arc::new(chunk);
-            }
-            _ => {
-                let mut chunk = Vec::with_capacity(DISPATCH_CHUNK);
-                chunk.push(slot);
-                self.0.push(Arc::new(chunk));
-            }
+    fn new<'a>(entries: impl IntoIterator<Item = &'a SubEntry>) -> Self {
+        let mut slots = entries.into_iter().map(SubEntry::dispatch).peekable();
+        let mut chunks = Vec::new();
+        while slots.peek().is_some() {
+            let chunk = std::array::from_fn(|_| slots.next().unwrap_or_else(severed));
+            chunks.push(Arc::new(chunk));
+        }
+        Chunks(chunks.into())
+    }
+
+    /// Puts `slot` at `k` — a slot of the table, or the first past its
+    /// end — in a copy of its chunk.
+    fn set(&mut self, k: usize, slot: DispatchEntry) {
+        if k / DISPATCH_CHUNK == self.0.len() {
+            let next = Arc::new(std::array::from_fn(|_| severed()));
+            self.0 = self.0.iter().cloned().chain([next]).collect();
+        }
+        let chunk = &mut Arc::make_mut(&mut self.0)[k / DISPATCH_CHUNK];
+        Arc::make_mut(chunk)[k % DISPATCH_CHUNK] = slot;
+    }
+}
+
+/// A shard's dispatch slots by global profile id, aligned with its
+/// filter's ids, tombstones included: the compiled base's, then the
+/// overlay's, each in its own [`Chunks`], so a change to the overlay
+/// shares the base whole.
+#[derive(Clone)]
+pub(super) struct Dispatch {
+    base: Chunks,
+    overlay: Chunks,
+}
+
+impl Dispatch {
+    /// The table of `entries`, the first `base` of them compiled.
+    fn new<'a>(entries: impl IntoIterator<Item = &'a SubEntry>, base: usize) -> Self {
+        let mut entries = entries.into_iter();
+        Dispatch {
+            base: Chunks::new(entries.by_ref().take(base)),
+            overlay: Chunks::new(entries),
         }
     }
 
-    /// Replaces position `k`'s slot, in a copy of its chunk.
-    fn set(&mut self, k: usize, slot: DispatchEntry) {
-        Arc::make_mut(&mut self.0[k / DISPATCH_CHUNK])[k % DISPATCH_CHUNK] = slot;
+    /// Id `g`'s slot, under a base of `base` slots.
+    #[inline]
+    pub(super) fn get(&self, g: usize, base: usize) -> &DispatchEntry {
+        match g.checked_sub(base) {
+            None => self.base.get(g),
+            Some(k) => self.overlay_slot(k),
+        }
+    }
+
+    /// Overlay position `k`'s slot, out of line and cold so a compiled
+    /// id's lookup branches on the region: a select costs a load more.
+    #[cold]
+    #[inline(never)]
+    fn overlay_slot(&self, k: usize) -> &DispatchEntry {
+        self.overlay.get(k)
+    }
+
+    /// Puts id `g`'s slot — of the table, or the first past its end —
+    /// under a base of `base` slots.
+    fn set(&mut self, g: usize, base: usize, slot: DispatchEntry) {
+        match g.checked_sub(base) {
+            None => self.base.set(g, slot),
+            Some(k) => self.overlay.set(k, slot),
+        }
     }
 }
 
@@ -154,13 +197,10 @@ struct Change {
     /// match. The commit hands that answer to the snapshot, its only
     /// holder; the writer keeps the entry alone.
     add: Vec<(SubEntry, Option<Cover>)>,
-    /// Live overlay positions being cancelled.
-    drop_overlay: Vec<usize>,
-    /// Live base positions being cancelled.
-    drop_base: Vec<usize>,
+    /// Global ids of the live entries being cancelled.
+    drop: Vec<usize>,
     /// Whether the overlay is packed: rebuilt at dense positions from
-    /// its live entries once `drop_overlay` is tombstoned (never beside
-    /// `add`).
+    /// its live entries once `drop` is tombstoned (never beside `add`).
     pack: bool,
 }
 
@@ -269,20 +309,20 @@ enum Source<'a> {
 
 /// Writer-side state of one shard, guarded by [`Shard::writer`].
 pub(super) struct ShardWriter {
-    /// Compiled subscriptions (tombstoned entries stay until the next
-    /// recompile).
-    base: Vec<SubEntry>,
-    /// Subscriptions that arrived since the last recompile; an entry's
-    /// position is its overlay profile id. A cancelled entry keeps its
-    /// position, as a tombstone, until the next pack. How each is
-    /// matched — by the counting index, or through a compiled
-    /// representative — the published snapshot alone holds.
-    overlay: Vec<SubEntry>,
+    /// The subscriptions, by global profile id: the compiled base —
+    /// tombstoned entries stay until the next recompile — then the
+    /// overlay, those that arrived since, where a cancelled entry keeps
+    /// its position until the next pack. Where the base ends is the
+    /// published snapshot's [`FilterSnapshot::base_len`]; how each
+    /// overlay entry is matched — by the counting index, or through a
+    /// compiled representative — the snapshot alone holds too.
+    entries: Vec<SubEntry>,
     /// Containment index over the compiled base — its representatives
     /// alone, the expansion map being the snapshot's plan — rebuilt by
     /// every recompile when `covering` is on. Slot `s` is the index into
-    /// `base`: a recompile rebuilds both in the same order and `base` is
-    /// append-free in between, so the alignment holds until the next.
+    /// `entries`: a recompile rebuilds both in the same order and the
+    /// base is append-free in between, so the alignment holds until the
+    /// next.
     cover: Option<CoverSet>,
     pub(super) tracker: DriftTracker,
     /// The shard's *active* tree configuration. Starts as
@@ -301,106 +341,73 @@ pub(super) struct ShardWriter {
 }
 
 impl ShardWriter {
-    /// The live overlay entries as `change` leaves them.
-    fn overlay_after<'a>(&'a self, change: &'a Change) -> impl Iterator<Item = &'a SubEntry> {
-        let stays = |(k, e): (usize, &'a SubEntry)| {
-            (e.is_live() && change.drop_overlay.binary_search(&k).is_err()).then_some(e)
+    /// The live entries from global id `from` on as `change` leaves
+    /// them, then the joining ones: from 0, compaction order.
+    fn live_after<'a>(
+        &'a self,
+        from: usize,
+        change: &'a Change,
+    ) -> impl Iterator<Item = &'a SubEntry> {
+        let stays = |(g, e): (usize, &'a SubEntry)| {
+            (e.is_live() && change.drop.binary_search(&g).is_err()).then_some(e)
         };
         let joining = change.add.iter().map(|(e, _)| e);
-        self.overlay
-            .iter()
-            .enumerate()
-            .filter_map(stays)
-            .chain(joining)
-    }
-
-    /// The live entries as `change` leaves them (non-tombstoned base,
-    /// then overlay): compaction order.
-    fn live_after<'a>(&'a self, change: &'a Change) -> impl Iterator<Item = &'a SubEntry> {
-        let live = |(k, e): (usize, &'a SubEntry)| {
-            (e.is_live() && change.drop_base.binary_search(&k).is_err()).then_some(e)
-        };
-        let base = self.base.iter().enumerate().filter_map(live);
-        base.chain(self.overlay_after(change))
+        let entries = (from..).zip(&self.entries[from..]);
+        entries.filter_map(stays).chain(joining)
     }
 
     /// The one place a [`ShardSnapshot`] is made: the shard as it will
-    /// be once `change` is committed. Owns the dispatch tables (aligned
+    /// be once `change` is committed. Owns the dispatch table (aligned
     /// with the filter's profile ids, tombstones included).
     ///
-    /// From the published snapshot a change to the overlay touches only
-    /// its own entry, and never depends on the compiled subscription
-    /// count: a covered subscribe appends one child to a copy of the
-    /// expansion map and one slot to a copy of the overlay dispatch
-    /// table; an uncovered one also rebuilds the counting index over the
-    /// entries the published snapshot says it matches; an unsubscribe
-    /// sets one tombstone bit and severs its slot. A pack rebuilds the
-    /// overlay from its live entries, each matched as the published
-    /// snapshot matched it, O(overlay). A compiled entry's tombstone is
-    /// one pass over the base.
+    /// From the published snapshot a change touches only its own entry,
+    /// and never copies the shard: a covered subscribe appends one child
+    /// to a copy of the expansion map and one slot to a copy of the
+    /// overlay's dispatch chunks; an uncovered one also rebuilds the
+    /// counting index over the entries the published snapshot says it
+    /// matches; an unsubscribe, compiled or overlay alike, sets one bit
+    /// in a copy of its region's tombstone bitmap and severs its slot
+    /// in a copy of its dispatch chunk. A pack rebuilds the overlay from
+    /// its live entries, each matched as the published snapshot matched
+    /// it, O(overlay).
     fn snapshot_after(
         &self,
         change: &Change,
         source: Source<'_>,
     ) -> Result<ShardSnapshot, ServiceError> {
-        let cancelled = |k: usize| change.drop_base.binary_search(&k).is_ok();
-        let base_table = || {
-            let slots = self.base.iter().enumerate();
-            Arc::new(
-                slots
-                    .map(|(k, e)| e.dispatch(cancelled(k)))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let overlay_table =
-            || OverlayDispatch::new(self.overlay_after(change).map(|e| e.dispatch(false)));
-        let (filter, base_dispatch, overlay_dispatch) = match source {
-            Source::Compiled(filter) => {
-                let slots = self.live_after(change).map(|e| e.dispatch(false));
-                let slots = Arc::new(slots.collect::<Vec<_>>());
-                (filter, slots, OverlayDispatch::default())
-            }
-            Source::Restored(filter) => (filter, base_table(), overlay_table()),
+        let (dispatch, filter) = match source {
+            Source::Compiled(filter) => (
+                Dispatch::new(self.live_after(0, change), filter.base_len()),
+                filter,
+            ),
+            Source::Restored(filter) => (Dispatch::new(&self.entries, filter.base_len()), filter),
             Source::Published(prev) => {
-                let mut filter = prev.filter.clone();
-                let mut base_dispatch = Arc::clone(&prev.base_dispatch);
-                let mut overlay_dispatch = prev.overlay_dispatch.clone();
-                for &k in &change.drop_overlay {
-                    filter = filter.with_overlay_removed(k);
+                let (mut filter, mut dispatch) = (prev.filter.clone(), prev.dispatch.clone());
+                let base = filter.base_len();
+                for &g in &change.drop {
+                    filter = filter.with_removed(g);
+                    dispatch.set(g, base, severed());
                 }
+                let overlay = &self.entries[base..];
                 if change.pack {
-                    filter = filter.with_overlay_packed(self.overlay.iter().map(|e| &e.profile))?;
-                    overlay_dispatch = overlay_table();
-                } else {
-                    for &k in &change.drop_overlay {
-                        overlay_dispatch.set(k, self.overlay[k].dispatch(true));
-                    }
+                    filter = filter.with_overlay_packed(overlay.iter().map(|e| &e.profile))?;
+                    dispatch.overlay = Chunks::new(self.live_after(base, change));
                 }
                 for (n, (e, cover)) in change.add.iter().enumerate() {
+                    dispatch.set(self.entries.len() + n, base, e.dispatch());
                     filter = match cover {
                         Some((rep, residual)) => filter.with_covered_entry(*rep, residual)?,
                         None => {
                             let joined = change.add[..n].iter().map(|(e, _)| e);
-                            let overlay = self.overlay.iter().chain(joined);
+                            let overlay = overlay.iter().chain(joined);
                             filter.with_indexed_entry(&e.profile, overlay.map(|e| &e.profile))?
                         }
                     };
-                    overlay_dispatch.push(e.dispatch(false));
                 }
-                if !change.drop_base.is_empty() {
-                    let tombstones = self.base.iter().enumerate();
-                    let tombstones = tombstones.map(|(k, e)| !e.is_live() || cancelled(k));
-                    filter = filter.with_removed(tombstones.collect());
-                    base_dispatch = base_table();
-                }
-                (filter, base_dispatch, overlay_dispatch)
+                (dispatch, filter)
             }
         };
-        Ok(ShardSnapshot {
-            filter,
-            base_dispatch,
-            overlay_dispatch,
-        })
+        Ok(ShardSnapshot { filter, dispatch })
     }
 
     /// First half of a recompile of the shard as `change` leaves it,
@@ -416,9 +423,8 @@ impl ShardWriter {
         // One lowering per compile: the containment pass, the drift
         // statistics and the automaton build all read this table.
         let mut lowered = LoweredTable::new(&self.schema);
-        let mut weights =
-            Vec::with_capacity(self.base.len() + self.overlay.len() + change.add.len());
-        for e in self.live_after(change) {
+        let mut weights = Vec::with_capacity(self.entries.len() + change.add.len());
+        for e in self.live_after(0, change) {
             lowered.push(&self.schema, &e.profile)?;
             weights.push(e.weight);
         }
@@ -484,8 +490,8 @@ impl ShardWriter {
 
     /// The live subscriptions: id and profile.
     pub(super) fn live_entries(&self) -> impl Iterator<Item = (SubscriptionId, &Profile)> {
-        let entries = self.base.iter().chain(&self.overlay);
-        entries.filter(|e| e.is_live()).map(|e| (e.id, &e.profile))
+        let live = self.entries.iter().filter(|e| e.is_live());
+        live.map(|e| (e.id, &e.profile))
     }
 
     /// The shard's active tree configuration.
@@ -522,8 +528,7 @@ impl Shard {
         }
         let filter = FilterSnapshot::compile(&nothing, &tree)?;
         let writer = ShardWriter {
-            base: Vec::new(),
-            overlay: Vec::new(),
+            entries: Vec::new(),
             cover: None,
             tracker,
             tree: config.tree.clone(),
@@ -566,7 +571,7 @@ impl Shard {
                 filter.overlay_len()
             )));
         }
-        let mut attach = |e: CheckpointEntry| {
+        let attach = |e: CheckpointEntry| {
             let id = SubscriptionId::new(e.id);
             let sender = (!e.tombstoned).then(|| {
                 let (tx, rx) = notify_channel(config);
@@ -580,7 +585,8 @@ impl Shard {
                 sender,
             }
         };
-        let base: Vec<SubEntry> = cs.base.into_iter().map(&mut attach).collect();
+        let entries: Vec<SubEntry> = cs.base.into_iter().chain(cs.overlay).map(attach).collect();
+        let base = &entries[..filter.base_len()];
         // The containment index is rebuilt from the plan's
         // representatives alone — re-hashed, no containment re-derived;
         // the expansion map stays in the restored plan.
@@ -608,8 +614,7 @@ impl Shard {
         }
         let tracker = DriftTracker::new(&compiled, config.rebuild)?;
         let writer = ShardWriter {
-            base,
-            overlay: cs.overlay.into_iter().map(attach).collect(),
+            entries,
             cover,
             tracker,
             tree: cs.tree,
@@ -692,7 +697,7 @@ impl ShardGuard<'_> {
         };
         let filter = &self.published().filter;
         let overlay = filter.overlay_len() - filter.overlay_removed_len() + 1;
-        let full = self.base.is_empty() || self.tracker.policy().compaction_due(overlay);
+        let full = filter.base_len() == 0 || self.tracker.policy().compaction_due(overlay);
         let change = Change {
             add: vec![(sub, cover)],
             ..Change::default()
@@ -712,10 +717,11 @@ impl ShardGuard<'_> {
         self.stage_recompile(change, self.tree.clone(), Some(|m| &m.overlay_compactions))
     }
 
-    /// Cancels the live subscriptions among `ids` (ascending, not
-    /// empty): they are tombstoned — matching skips them from the next
-    /// snapshot on — or, past the thresholds, packed out of the overlay
-    /// or compiled out.
+    /// Cancels the live subscription `id`: it is tombstoned — matching
+    /// skips it from the next snapshot on — or, past the thresholds,
+    /// packed out of the overlay or compiled out. Finding it is a scan
+    /// of the entries from the overlay end; the rest touches only its
+    /// own entry.
     ///
     /// The overlay is packed once its tombstones reach its live
     /// entries, so emptying an overlay of `n` one entry at a time packs
@@ -723,24 +729,24 @@ impl ShardGuard<'_> {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnknownSubscription`] if none of `ids` is live.
-    pub(super) fn remove(&mut self, ids: &[SubscriptionId]) -> Result<(), ServiceError> {
-        let named = |e: &SubEntry| e.is_live() && ids.binary_search(&e.id).is_ok();
-        let mut change = Change::default();
-        let overlay = self.overlay.iter().enumerate();
-        change.drop_overlay = overlay.filter_map(|(k, e)| named(e).then_some(k)).collect();
-        if change.drop_overlay.len() < ids.len() {
-            let base = self.base.iter().enumerate();
-            change.drop_base = base.filter_map(|(k, e)| named(e).then_some(k)).collect();
-        }
-        if change.drop_overlay.is_empty() && change.drop_base.is_empty() {
-            return Err(ServiceError::UnknownSubscription(ids[0]));
-        }
-        let filter = &self.published().filter;
-        let tombstones = filter.removed_len() + change.drop_base.len();
-        let full = !change.drop_base.is_empty() && self.tracker.policy().compaction_due(tombstones);
-        let dead = filter.overlay_removed_len() + change.drop_overlay.len();
-        change.pack = !full && !change.drop_overlay.is_empty() && dead >= self.overlay.len() - dead;
+    /// [`ServiceError::UnknownSubscription`] if `id` is not live.
+    pub(super) fn remove(&mut self, id: SubscriptionId) -> Result<(), ServiceError> {
+        let named = |e: &SubEntry| e.is_live() && e.id == id;
+        let g = self.entries.iter().rposition(named);
+        let g = g.ok_or(ServiceError::UnknownSubscription(id))?;
+        let (filter, policy) = (&self.published().filter, self.tracker.policy());
+        let (full, pack) = match g.checked_sub(filter.base_len()) {
+            None => (policy.compaction_due(filter.removed_len() + 1), false),
+            Some(_) => {
+                let dead = filter.overlay_removed_len() + 1;
+                (false, dead >= filter.overlay_len() - dead)
+            }
+        };
+        let change = Change {
+            drop: vec![g],
+            pack,
+            ..Change::default()
+        };
         self.apply(change, full)
     }
 
@@ -887,25 +893,25 @@ impl ShardGuard<'_> {
     /// tables were rebuilt — then the snapshot is published.
     pub(super) fn install(&mut self, pending: Pending) {
         let (w, change) = (&mut *self.w, pending.change);
-        for &k in &change.drop_base {
-            w.base[k].sender = None;
+        let base = pending.snapshot.filter.base_len();
+        for &g in &change.drop {
+            w.entries[g].sender = None;
         }
-        for &k in &change.drop_overlay {
-            w.overlay[k].sender = None;
-        }
-        w.overlay.extend(change.add.into_iter().map(|(sub, _)| sub));
+        // The overlay grows by doubling itself, not the whole list.
+        let overlay = w.entries.len().saturating_sub(base);
+        w.entries.reserve_exact(change.add.len().max(overlay));
+        w.entries.extend(change.add.into_iter().map(|(sub, _)| sub));
         match pending.folded {
             None if change.pack => {
-                w.overlay.retain(SubEntry::is_live);
+                let mut overlay = w.entries.split_off(base);
+                overlay.retain(SubEntry::is_live);
+                w.entries.append(&mut overlay);
                 w.metrics.overlay_packs.fetch_add(1, Ordering::Relaxed);
             }
             None => {}
             Some(f) => {
-                let mut base = Vec::with_capacity(pending.snapshot.filter.base_len());
-                let overlay = std::mem::take(&mut w.overlay);
-                let entries = std::mem::take(&mut w.base).into_iter().chain(overlay);
-                base.extend(entries.filter(SubEntry::is_live));
-                w.base = base;
+                w.entries.retain(SubEntry::is_live);
+                w.entries.shrink_to_fit();
                 // The plan owns the expansion map now.
                 w.cover = f.cover.map(CoverSet::into_index);
                 w.tracker = f.tracker;
@@ -927,11 +933,13 @@ impl ShardGuard<'_> {
             tombstoned: !e.is_live(),
             profile: e.profile.clone(),
         };
+        let filter = &self.shard.snapshot.read().filter;
+        let (base, overlay) = self.entries.split_at(filter.base_len());
         CheckpointShard {
             tree: self.tree.clone(),
-            filter: self.shard.snapshot.read().filter.to_bytes(),
-            base: self.base.iter().map(entry).collect(),
-            overlay: self.overlay.iter().map(entry).collect(),
+            filter: filter.to_bytes(),
+            base: base.iter().map(entry).collect(),
+            overlay: overlay.iter().map(entry).collect(),
         }
     }
 }

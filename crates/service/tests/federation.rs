@@ -331,3 +331,19 @@ fn tcp_loopback_pair_exchanges_events() {
     assert_eq!(b.metrics().delivered_rows, 2);
     assert_eq!(a.metrics().forwarded_rows, 2);
 }
+
+#[test]
+fn restored_origin_floors_only_rise() {
+    // A restart restores the floors a checkpoint saved. A stale copy
+    // restored after a newer one must not lower them: the window it
+    // re-opened would let a duplicate through.
+    let net = SimNet::new(29);
+    let a = fed(&net, 1, 1, &[], fast_link());
+    assert!(a.origin_floors().is_empty());
+    a.set_origin_floor(7, 40);
+    a.set_origin_floor(9, 3);
+    a.set_origin_floor(7, 12);
+    assert_eq!(a.origin_floors(), [(7, 40), (9, 3)]);
+    a.set_origin_floor(7, 41);
+    assert_eq!(a.origin_floors(), [(7, 41), (9, 3)]);
+}

@@ -17,7 +17,7 @@ use ens::filter::{
     AttributeMeasure, AttributeOrder, Direction, FilterSnapshot, SearchStrategy, TreeConfig,
     ValueOrder,
 };
-use ens::types::{CoverSet, Domain, Predicate, ProfileSet, Schema};
+use ens::types::{CoverOutcome, CoverSet, Domain, Predicate, ProfileSet, Schema};
 use ens::workloads::scenario::{
     environmental_event_model, environmental_profiles, environmental_schema, stock_event_model,
     stock_profiles,
@@ -194,4 +194,50 @@ fn compiled_images_are_pinned() {
         );
     }
     assert!(pins.next().is_none());
+}
+
+/// Image length and CRC-32 of a covered `fanout_env` compile with base
+/// tombstones and both covered and indexed overlay entries, two of
+/// those tombstoned and packed out. Computed at the commit before one
+/// tombstone call served base and overlay, whose base call took a
+/// whole bitmap.
+const TOMBSTONED: (usize, u32) = (22433, 629155211);
+
+#[test]
+fn tombstoned_image_is_pinned() {
+    let env = environmental_profiles(1000 + SPARE, &mut population_rng(0)).unwrap();
+    let ps = first(&env, 1000);
+    let schema = ps.schema().clone();
+    let cover =
+        CoverSet::build_bulk(&schema, ps.iter().map(|p| (p.id().index() as u32, p))).unwrap();
+    let mut snap = FilterSnapshot::compile_with_cover(&ps, &cover, &TreeConfig::default()).unwrap();
+    // 64 spares join the overlay as a shard adds them: through the
+    // representative covering them, or into the counting index.
+    let mut overlay = Vec::new();
+    let (mut covered, mut indexed) = (Vec::new(), Vec::new());
+    for p in env.iter().skip(1000).take(64) {
+        snap = match cover.probe(p).unwrap() {
+            CoverOutcome::Covered { rep, residual } => {
+                covered.push(overlay.len());
+                let rep = cover.compiled_index_of(rep).unwrap();
+                snap.with_covered_entry(rep, &residual).unwrap()
+            }
+            CoverOutcome::Rep => {
+                indexed.push(overlay.len());
+                snap.with_indexed_entry(p, overlay.iter().copied()).unwrap()
+            }
+        };
+        overlay.push(p);
+    }
+    assert!(covered.len() > 1 && indexed.len() > 1);
+    for g in (3..1000).step_by(7) {
+        snap = snap.with_removed(g);
+    }
+    for k in [covered[1], indexed[1]] {
+        snap = snap.with_removed(1000 + k);
+    }
+    snap = snap.with_overlay_packed(overlay.iter().copied()).unwrap();
+    let image = snap.to_bytes();
+    let body = &image[..image.len() - 4];
+    assert_eq!((image.len(), crc32(body)), TOMBSTONED);
 }
