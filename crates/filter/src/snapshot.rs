@@ -1156,14 +1156,16 @@ impl FilterSnapshot {
         }
         let ordered = self.cover.is_none() && self.overlay_children.is_none();
         let slots = self.base_len + self.overlay_len;
-        scratch.transpose(slots, ordered, |g| self.delivers(g));
+        scratch.transpose(slots, ordered, |g| self.is_live(g as usize));
     }
 
-    /// Whether global id `g` is not tombstoned.
-    fn delivers(&self, g: u32) -> bool {
-        match g.checked_sub(self.base_len as u32) {
-            None => is_live(&self.removed, g),
-            Some(pos) => is_live(&self.overlay_removed, pos),
+    /// Whether global id `g` is not tombstoned: the one record of which
+    /// subscriptions a shard still serves.
+    #[must_use]
+    pub fn is_live(&self, g: usize) -> bool {
+        match g.checked_sub(self.base_len) {
+            None => is_live(&self.removed, g as u32),
+            Some(pos) => is_live(&self.overlay_removed, pos as u32),
         }
     }
 

@@ -686,14 +686,10 @@ impl Broker {
         profile: Profile,
         weight: f64,
     ) -> Result<Subscriber, ServiceError> {
-        let (tx, rx) = notify_channel(&self.config);
-        let sub = SubEntry {
-            id,
-            profile,
-            weight,
-            sender: Some(tx),
-        };
-        self.shard_of(id).lock().add(sub)?;
+        let (sender, rx) = notify_channel(&self.config);
+        let slot = DispatchEntry { id, sender };
+        let sub = SubEntry { profile, weight };
+        self.shard_of(id).lock().add(sub, slot)?;
         Ok(Subscriber::new(id, rx))
     }
 
@@ -719,22 +715,18 @@ impl Broker {
         // Group entries per shard first: one writer lock, and one
         // recompile, per touched shard instead of one per profile.
         let mut subscribers = Vec::new();
-        let mut pending: Vec<Vec<SubEntry>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let mut pending: Vec<Vec<_>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         // Encoded before anything is committed, as one subscribe does.
-        let mut log = SubscribeBodies::default();
+        let (mut log, weight) = (SubscribeBodies::default(), 1.0);
         for profile in profiles {
             let id = SubscriptionId::new(self.next_sub.fetch_add(1, Ordering::Relaxed));
             if self.durability.is_some() {
-                log.push(id.get(), 1.0, &profile)
+                log.push(id.get(), weight, &profile)
                     .map_err(|e| ServiceError::Persist(e.message().to_string()))?;
             }
-            let (tx, rx) = notify_channel(&self.config);
-            pending[self.shard_index(id)].push(SubEntry {
-                id,
-                profile,
-                weight: 1.0,
-                sender: Some(tx),
-            });
+            let (sender, rx) = notify_channel(&self.config);
+            let sub = SubEntry { profile, weight };
+            pending[self.shard_index(id)].push((sub, DispatchEntry { id, sender }));
             subscribers.push(Subscriber::new(id, rx));
         }
         // Writer locks in shard order, as a checkpoint takes them; no
@@ -788,9 +780,7 @@ impl Broker {
     /// broker).
     pub(crate) fn for_each_live(&self, mut f: impl FnMut(SubscriptionId, &Profile)) {
         for shard in self.shards.iter() {
-            for (id, profile) in shard.lock().live_entries() {
-                f(id, profile);
-            }
+            shard.lock().for_each_live(&mut f);
         }
     }
 
@@ -1462,13 +1452,14 @@ mod tests {
 
     /// Every tombstoned dispatch slot — on each unsubscribe, and for
     /// each tombstone of a recovered checkpoint — used to be given a
-    /// channel of its own to be severed from.
+    /// channel of its own to be severed from. It keeps its id.
     #[test]
     fn tombstones_share_one_severed_channel() {
-        let first = severed().sender;
+        let first = severed(SubscriptionId::new(7)).sender;
         assert!(first.send_many(std::iter::empty()).severed);
-        for _ in 0..1000 {
-            assert!(severed().sender.same_channel(&first));
+        for n in 0..1000 {
+            let slot = severed(SubscriptionId::new(n));
+            assert!(slot.sender.same_channel(&first) && slot.id.get() == n);
         }
     }
 

@@ -14,14 +14,17 @@
 //! and [`ShardGuard::rebuild`]) and **restore** from a checkpoint shard
 //! ([`Shard::restore`]).
 //!
-//! Each fact has one holder. The writer holds the subscriptions — base
-//! and overlay alike, one list of [`SubEntry`] indexed by the global
-//! profile id the filter reports — and the published snapshot holds
-//! what they were compiled into, down to where the base ends, which
-//! overlay positions its counting index matches and which it expands
-//! through a compiled representative. A probe's answer for a new entry
-//! travels in the pending [`Change`] until the commit hands it to the
-//! snapshot.
+//! Each fact has one holder. The writer holds what a recompile, a pack
+//! and a checkpoint need that nothing else holds — each subscription's
+//! profile and weight, base and overlay alike, one list of [`SubEntry`]
+//! indexed by the global profile id the filter reports. The published
+//! snapshot holds the rest: its dispatch slot holds the subscription's
+//! id and channel, its filter's tombstone bit whether it is live, and
+//! the filter what the entries were compiled into, down to where the
+//! base ends, which overlay positions its counting index matches and
+//! which it expands through a compiled representative. A joining
+//! entry's slot and probe answer travel in the pending [`Change`] until
+//! the commit hands them to the snapshot.
 //!
 //! Each operation is staged, then committed: *stage*
 //! ([`ShardGuard::stage_commit`]) derives the next snapshot from the
@@ -55,41 +58,30 @@ use crate::ServiceError;
 
 use super::{BrokerConfig, DispatchEntry, ShardSnapshot};
 
-/// A subscription as the writer side keeps it. Its position in
-/// [`ShardWriter::entries`] is its global profile id.
+/// What the writer side keeps of a subscription: what a recompile, a
+/// pack and a checkpoint read that nothing else holds. Its position in
+/// [`ShardWriter::entries`] is its global profile id; its id and channel
+/// are its published dispatch slot's, and whether it is live is its
+/// published filter's tombstone bit. A cancelled compiled entry stays,
+/// as a tombstone, until the next recompile.
 pub(super) struct SubEntry {
-    pub(super) id: SubscriptionId,
     pub(super) profile: Profile,
     pub(super) weight: f64,
-    /// `None` once cancelled: a compiled entry keeps its slot, as a
-    /// tombstone, until the next recompile, but lets go of the channel
-    /// at once — it is released as soon as older snapshots retire.
-    pub(super) sender: Option<Sender<Queued>>,
 }
 
-impl SubEntry {
-    fn is_live(&self) -> bool {
-        self.sender.is_some()
-    }
-
-    /// The entry's dispatch slot, [`severed`] once cancelled.
-    fn dispatch(&self) -> DispatchEntry {
-        let slot = |sender: &Sender<Queued>| DispatchEntry {
-            id: self.id,
-            sender: sender.clone(),
-        };
-        self.sender.as_ref().map_or_else(severed, slot)
-    }
-}
-
-/// A dispatch slot that delivers to nobody — a tombstone's, and what
+/// Subscription `id`'s dispatch slot once cancelled, and with id 0 what
 /// pads a table's last chunk: its sender's receiver is gone, so every
-/// send fails at once. Every one in the process clones one channel.
-pub(super) fn severed() -> DispatchEntry {
+/// send fails at once, and the channel it had is released as soon as
+/// older snapshots retire. Every one clones one channel.
+pub(super) fn severed(id: SubscriptionId) -> DispatchEntry {
     static SEVERED: OnceLock<Sender<Queued>> = OnceLock::new();
     let sender = SEVERED.get_or_init(|| channel::channel(0).0).clone();
-    let id = SubscriptionId::new(0);
     DispatchEntry { id, sender }
+}
+
+/// A padding slot.
+fn padding() -> DispatchEntry {
+    severed(SubscriptionId::new(0))
 }
 
 /// A fresh subscriber channel under `config`'s capacity.
@@ -101,7 +93,7 @@ pub(super) fn notify_channel(config: &BrokerConfig) -> (Sender<Queued>, channel:
 const DISPATCH_CHUNK: usize = 16;
 
 /// Dispatch slots in chunks of [`DISPATCH_CHUNK`] (the last padded
-/// with [`severed`] ones), behind one shared handle. The next
+/// with [`padding`] slots), behind one shared handle. The next
 /// snapshot's table copies the chunk handles and the one chunk a change
 /// touches, and shares every other chunk, so setting or appending a
 /// slot costs n/16 handles and one chunk. A lookup has one bounds
@@ -115,11 +107,11 @@ impl Chunks {
         &self.0[k / DISPATCH_CHUNK][k % DISPATCH_CHUNK]
     }
 
-    fn new<'a>(entries: impl IntoIterator<Item = &'a SubEntry>) -> Self {
-        let mut slots = entries.into_iter().map(SubEntry::dispatch).peekable();
+    fn new(slots: impl IntoIterator<Item = DispatchEntry>) -> Self {
+        let mut slots = slots.into_iter().peekable();
         let mut chunks = Vec::new();
         while slots.peek().is_some() {
-            let chunk = std::array::from_fn(|_| slots.next().unwrap_or_else(severed));
+            let chunk = std::array::from_fn(|_| slots.next().unwrap_or_else(padding));
             chunks.push(Arc::new(chunk));
         }
         Chunks(chunks.into())
@@ -129,7 +121,7 @@ impl Chunks {
     /// end — in a copy of its chunk.
     fn set(&mut self, k: usize, slot: DispatchEntry) {
         if k / DISPATCH_CHUNK == self.0.len() {
-            let next = Arc::new(std::array::from_fn(|_| severed()));
+            let next = Arc::new(std::array::from_fn(|_| padding()));
             self.0 = self.0.iter().cloned().chain([next]).collect();
         }
         let chunk = &mut Arc::make_mut(&mut self.0)[k / DISPATCH_CHUNK];
@@ -148,12 +140,12 @@ pub(super) struct Dispatch {
 }
 
 impl Dispatch {
-    /// The table of `entries`, the first `base` of them compiled.
-    fn new<'a>(entries: impl IntoIterator<Item = &'a SubEntry>, base: usize) -> Self {
-        let mut entries = entries.into_iter();
+    /// The table of `slots`, the first `base` of them compiled.
+    fn new(slots: impl IntoIterator<Item = DispatchEntry>, base: usize) -> Self {
+        let mut slots = slots.into_iter();
         Dispatch {
-            base: Chunks::new(entries.by_ref().take(base)),
-            overlay: Chunks::new(entries),
+            base: Chunks::new(slots.by_ref().take(base)),
+            overlay: Chunks::new(slots),
         }
     }
 
@@ -182,6 +174,19 @@ impl Dispatch {
             Some(k) => self.overlay.set(k, slot),
         }
     }
+
+    /// The global id among the first `len`, under a base of `base` slots,
+    /// whose slot holds `id` (no two do; padding, id 0, comes last).
+    fn find(&self, base: usize, len: usize, id: SubscriptionId) -> Option<usize> {
+        let find = |chunks: &Chunks, n| {
+            let at = |(c, chunk): (usize, &Arc<[DispatchEntry; DISPATCH_CHUNK]>)| {
+                Some(c * DISPATCH_CHUNK + chunk.iter().position(|e| e.id == id)?)
+            };
+            chunks.0.iter().enumerate().find_map(at).filter(|&k| k < n)
+        };
+        let overlay = find(&self.overlay, len - base).map(|k| base + k);
+        overlay.or_else(|| find(&self.base, base))
+    }
 }
 
 /// A covered entry's compiled representative and residual.
@@ -191,17 +196,25 @@ type Cover = (u32, Vec<Residual>);
 /// ascending).
 #[derive(Default)]
 struct Change {
-    /// Entries joining, behind the overlay's, each with what the
-    /// containment probe found: the compiled representative covering it
-    /// and the residual, or `None` for one the counting index is to
-    /// match. The commit hands that answer to the snapshot, its only
-    /// holder; the writer keeps the entry alone.
-    add: Vec<(SubEntry, Option<Cover>)>,
+    /// Entries joining, behind the overlay's, each with its dispatch
+    /// slot and what the containment probe found: the compiled
+    /// representative covering it and the residual, or `None` for one
+    /// the counting index is to match. The commit hands slot and answer
+    /// to the snapshot, their only holder; the writer keeps the entry.
+    add: Vec<(SubEntry, DispatchEntry, Option<Cover>)>,
     /// Global ids of the live entries being cancelled.
     drop: Vec<usize>,
     /// Whether the overlay is packed: rebuilt at dense positions from
     /// its live entries once `drop` is tombstoned (never beside `add`).
     pack: bool,
+}
+
+impl Change {
+    /// Whether global id `g`, served by `filter`, is live once this
+    /// commits: the live ones, ascending, are the compaction order.
+    fn keeps(&self, filter: &FilterSnapshot, g: usize) -> bool {
+        filter.is_live(g) && self.drop.binary_search(&g).is_err()
+    }
 }
 
 /// The fallible first half of a recompile ([`ShardWriter::stage`]): the
@@ -294,28 +307,15 @@ struct Folded {
     compacted: Decision,
 }
 
-/// Where [`ShardWriter::snapshot_after`] takes the filter from.
-enum Source<'a> {
-    /// Compiled from [`ShardWriter::live_after`]: overlay folded in,
-    /// tombstones gone.
-    Compiled(FilterSnapshot),
-    /// Serialized beside exactly the writer's entries, tombstones and
-    /// overlay included.
-    Restored(FilterSnapshot),
-    /// The published snapshot's, sharing whichever half of it — compiled
-    /// base, overlay — the change leaves alone.
-    Published(&'a ShardSnapshot),
-}
-
 /// Writer-side state of one shard, guarded by [`Shard::writer`].
 pub(super) struct ShardWriter {
-    /// The subscriptions, by global profile id: the compiled base —
-    /// tombstoned entries stay until the next recompile — then the
-    /// overlay, those that arrived since, where a cancelled entry keeps
-    /// its position until the next pack. Where the base ends is the
-    /// published snapshot's [`FilterSnapshot::base_len`]; how each
-    /// overlay entry is matched — by the counting index, or through a
-    /// compiled representative — the snapshot alone holds too.
+    /// Each subscription's profile and weight, by global profile id:
+    /// the compiled base — tombstoned entries stay until the next
+    /// recompile — then the overlay, those that arrived since, where a
+    /// cancelled entry keeps its position until the next pack. Where
+    /// the base ends, which entries are live, and how each overlay
+    /// entry is matched — by the counting index, or through a compiled
+    /// representative — the published snapshot alone holds.
     entries: Vec<SubEntry>,
     /// Containment index over the compiled base — its representatives
     /// alone, the expansion map being the snapshot's plan — rebuilt by
@@ -341,24 +341,12 @@ pub(super) struct ShardWriter {
 }
 
 impl ShardWriter {
-    /// The live entries from global id `from` on as `change` leaves
-    /// them, then the joining ones: from 0, compaction order.
-    fn live_after<'a>(
-        &'a self,
-        from: usize,
-        change: &'a Change,
-    ) -> impl Iterator<Item = &'a SubEntry> {
-        let stays = |(g, e): (usize, &'a SubEntry)| {
-            (e.is_live() && change.drop.binary_search(&g).is_err()).then_some(e)
-        };
-        let joining = change.add.iter().map(|(e, _)| e);
-        let entries = (from..).zip(&self.entries[from..]);
-        entries.filter_map(stays).chain(joining)
-    }
-
     /// The one place a [`ShardSnapshot`] is made: the shard as it will
-    /// be once `change` is committed. Owns the dispatch table (aligned
-    /// with the filter's profile ids, tombstones included).
+    /// be once `change` is committed over `prev`, through `compiled`
+    /// where the change recompiles (overlay folded in, tombstones gone).
+    /// Owns the dispatch table (aligned with the filter's profile ids,
+    /// tombstones included), built from `prev`'s slots and the joining
+    /// ones.
     ///
     /// From the published snapshot a change touches only its own entry,
     /// and never copies the shard: a covered subscribe appends one child
@@ -372,59 +360,65 @@ impl ShardWriter {
     /// it, O(overlay).
     fn snapshot_after(
         &self,
+        prev: &ShardSnapshot,
         change: &Change,
-        source: Source<'_>,
+        compiled: Option<FilterSnapshot>,
     ) -> Result<ShardSnapshot, ServiceError> {
-        let (dispatch, filter) = match source {
-            Source::Compiled(filter) => (
-                Dispatch::new(self.live_after(0, change), filter.base_len()),
-                filter,
-            ),
-            Source::Restored(filter) => (Dispatch::new(&self.entries, filter.base_len()), filter),
-            Source::Published(prev) => {
-                let (mut filter, mut dispatch) = (prev.filter.clone(), prev.dispatch.clone());
-                let base = filter.base_len();
-                for &g in &change.drop {
-                    filter = filter.with_removed(g);
-                    dispatch.set(g, base, severed());
+        let base = prev.filter.base_len();
+        let kept_slot = |g| prev.dispatch.get(g, base).clone();
+        if let Some(filter) = compiled {
+            let kept = (0..self.entries.len()).filter(|&g| change.keeps(&prev.filter, g));
+            let joining = change.add.iter().map(|(_, slot, _)| slot.clone());
+            let dispatch = Dispatch::new(kept.map(kept_slot).chain(joining), filter.base_len());
+            return Ok(ShardSnapshot { filter, dispatch });
+        }
+        let (mut filter, mut dispatch) = (prev.filter.clone(), prev.dispatch.clone());
+        for &g in &change.drop {
+            filter = filter.with_removed(g);
+            dispatch.set(g, base, severed(dispatch.get(g, base).id));
+        }
+        let overlay = &self.entries[base..];
+        if change.pack {
+            filter = filter.with_overlay_packed(overlay.iter().map(|e| &e.profile))?;
+            let kept = (base..self.entries.len()).filter(|&g| change.keeps(&prev.filter, g));
+            dispatch.overlay = Chunks::new(kept.map(kept_slot));
+        }
+        for (n, (e, slot, cover)) in change.add.iter().enumerate() {
+            dispatch.set(self.entries.len() + n, base, slot.clone());
+            filter = match cover {
+                Some((rep, residual)) => filter.with_covered_entry(*rep, residual)?,
+                None => {
+                    let joined = change.add[..n].iter().map(|(e, _, _)| e);
+                    let overlay = overlay.iter().chain(joined);
+                    filter.with_indexed_entry(&e.profile, overlay.map(|e| &e.profile))?
                 }
-                let overlay = &self.entries[base..];
-                if change.pack {
-                    filter = filter.with_overlay_packed(overlay.iter().map(|e| &e.profile))?;
-                    dispatch.overlay = Chunks::new(self.live_after(base, change));
-                }
-                for (n, (e, cover)) in change.add.iter().enumerate() {
-                    dispatch.set(self.entries.len() + n, base, e.dispatch());
-                    filter = match cover {
-                        Some((rep, residual)) => filter.with_covered_entry(*rep, residual)?,
-                        None => {
-                            let joined = change.add[..n].iter().map(|(e, _)| e);
-                            let overlay = overlay.iter().chain(joined);
-                            filter.with_indexed_entry(&e.profile, overlay.map(|e| &e.profile))?
-                        }
-                    };
-                }
-                (dispatch, filter)
-            }
-        };
+            };
+        }
         Ok(ShardSnapshot { filter, dispatch })
     }
 
-    /// First half of a recompile of the shard as `change` leaves it,
-    /// under the configuration `tree`: everything up to the tree build.
-    /// Folds the overlay in, drops the tombstones and re-binds the drift
-    /// history onto the new cells. A shape that reads an event model
+    /// First half of a recompile of the shard as `change` leaves it over
+    /// `prev`, under the configuration `tree`: everything up to the tree
+    /// build. Folds the overlay in, drops the tombstones and re-binds the
+    /// drift history onto the new cells. A shape that reads an event model
     /// gets the one the history stands for — the empirical estimate,
     /// whose history survives the change of cell geometry, or `tree`'s
     /// while that is still the better-founded prior; no other shape has
     /// one built.
-    fn stage(&self, change: &Change, tree: TreeConfig) -> Result<Staged, ServiceError> {
+    fn stage(
+        &self,
+        prev: &FilterSnapshot,
+        change: &Change,
+        tree: TreeConfig,
+    ) -> Result<Staged, ServiceError> {
         let t0 = Instant::now();
         // One lowering per compile: the containment pass, the drift
         // statistics and the automaton build all read this table.
         let mut lowered = LoweredTable::new(&self.schema);
         let mut weights = Vec::with_capacity(self.entries.len() + change.add.len());
-        for e in self.live_after(0, change) {
+        let kept = (0..self.entries.len()).filter(|&g| change.keeps(prev, g));
+        let joining = change.add.iter().map(|(e, _, _)| e);
+        for e in kept.map(|g| &self.entries[g]).chain(joining) {
             lowered.push(&self.schema, &e.profile)?;
             weights.push(e.weight);
         }
@@ -488,12 +482,6 @@ impl ShardWriter {
         })
     }
 
-    /// The live subscriptions: id and profile.
-    pub(super) fn live_entries(&self) -> impl Iterator<Item = (SubscriptionId, &Profile)> {
-        let live = self.entries.iter().filter(|e| e.is_live());
-        live.map(|e| (e.id, &e.profile))
-    }
-
     /// The shard's active tree configuration.
     pub(super) fn active_config(&self) -> &TreeConfig {
         &self.tree
@@ -527,7 +515,7 @@ impl Shard {
             tree.event_model = Some(tracker.statistics().empirical_model()?);
         }
         let filter = FilterSnapshot::compile(&nothing, &tree)?;
-        let writer = ShardWriter {
+        let writer = Mutex::new(ShardWriter {
             entries: Vec::new(),
             cover: None,
             tracker,
@@ -537,14 +525,17 @@ impl Shard {
             metrics: Arc::clone(metrics),
             journal: Arc::clone(journal),
             index,
-        };
-        Self::serving(writer, filter)
+        });
+        let dispatch = Dispatch::new([], 0);
+        let snapshot = RwLock::new(Arc::new(ShardSnapshot { filter, dispatch }));
+        Ok(Shard { snapshot, writer })
     }
 
     /// Restores a shard from its checkpoint form: no recompilation — the
     /// serialized profile tree is taken as it is and lowered. Every live entry
     /// is attached to a fresh channel, whose consumer end goes into
-    /// `subscribers` under the subscription's id.
+    /// `subscribers` under the subscription's id; a tombstoned one gets
+    /// its [`severed`] slot.
     pub(super) fn restore(
         index: usize,
         schema: &Arc<Schema>,
@@ -556,9 +547,10 @@ impl Shard {
     ) -> Result<Self, ServiceError> {
         let filter = FilterSnapshot::from_bytes(&cs.filter)?;
         let tombstones = cs.base.iter().filter(|e| e.tombstoned).count();
+        let misplaced = |(g, e): (usize, &CheckpointEntry)| e.tombstoned == filter.is_live(g);
         if filter.base_len() != cs.base.len()
             || filter.overlay_len() != cs.overlay.len()
-            || filter.removed_len() != tombstones
+            || cs.base.iter().enumerate().any(misplaced)
             || cs.overlay.iter().any(|e| e.tombstoned)
         {
             return Err(ServiceError::Persist(format!(
@@ -571,21 +563,21 @@ impl Shard {
                 filter.overlay_len()
             )));
         }
+        let mut slots = Vec::with_capacity(cs.base.len() + cs.overlay.len());
         let attach = |e: CheckpointEntry| {
             let id = SubscriptionId::new(e.id);
-            let sender = (!e.tombstoned).then(|| {
-                let (tx, rx) = notify_channel(config);
+            slots.push(if e.tombstoned {
+                severed(id)
+            } else {
+                let (sender, rx) = notify_channel(config);
                 subscribers.insert(e.id, Subscriber::new(id, rx));
-                tx
+                DispatchEntry { id, sender }
             });
-            SubEntry {
-                id,
-                profile: e.profile,
-                weight: e.weight,
-                sender,
-            }
+            let (profile, weight) = (e.profile, e.weight);
+            SubEntry { profile, weight }
         };
         let entries: Vec<SubEntry> = cs.base.into_iter().chain(cs.overlay).map(attach).collect();
+        let dispatch = Dispatch::new(slots, filter.base_len());
         let base = &entries[..filter.base_len()];
         // The containment index is rebuilt from the plan's
         // representatives alone — re-hashed, no containment re-derived;
@@ -613,7 +605,7 @@ impl Shard {
             }
         }
         let tracker = DriftTracker::new(&compiled, config.rebuild)?;
-        let writer = ShardWriter {
+        let writer = Mutex::new(ShardWriter {
             entries,
             cover,
             tracker,
@@ -623,17 +615,9 @@ impl Shard {
             metrics: Arc::clone(metrics),
             journal: Arc::clone(journal),
             index,
-        };
-        Self::serving(writer, filter)
-    }
-
-    /// A shard serving `writer`'s entries as they are, through `filter`.
-    fn serving(writer: ShardWriter, filter: FilterSnapshot) -> Result<Self, ServiceError> {
-        let snapshot = writer.snapshot_after(&Change::default(), Source::Restored(filter))?;
-        Ok(Shard {
-            snapshot: RwLock::new(Arc::new(snapshot)),
-            writer: Mutex::new(writer),
-        })
+        });
+        let snapshot = RwLock::new(Arc::new(ShardSnapshot { filter, dispatch }));
+        Ok(Shard { snapshot, writer })
     }
 
     /// Takes the writer lock.
@@ -676,7 +660,7 @@ impl ShardGuard<'_> {
     /// a rebuild of the counting index over the entries it matches;
     /// neither depends on the compiled subscription count — unless that
     /// fills the overlay, or the shard has compiled nothing yet.
-    pub(super) fn add(&mut self, sub: SubEntry) -> Result<(), ServiceError> {
+    pub(super) fn add(&mut self, sub: SubEntry, slot: DispatchEntry) -> Result<(), ServiceError> {
         // Probe the containment index first: a covered subscribe rides
         // its representative's compiled states through the expansion
         // map (zero added matching cost); an uncovered one joins the
@@ -699,19 +683,23 @@ impl ShardGuard<'_> {
         let overlay = filter.overlay_len() - filter.overlay_removed_len() + 1;
         let full = filter.base_len() == 0 || self.tracker.policy().compaction_due(overlay);
         let change = Change {
-            add: vec![(sub, cover)],
+            add: vec![(sub, slot, cover)],
             ..Change::default()
         };
         self.apply(change, full)
     }
 
-    /// Stages a bulk load of `subs`, compiled in at once with no
-    /// per-profile probes: the recompile runs the bulk containment pass
-    /// over the whole population. Nothing changes before
-    /// [`ShardGuard::install`].
-    pub(super) fn stage_bulk(&self, subs: Vec<SubEntry>) -> Result<Pending, ServiceError> {
+    /// Stages a bulk load of `subs` and their dispatch slots, compiled
+    /// in at once with no per-profile probes: the recompile runs the
+    /// bulk containment pass over the whole population. Nothing changes
+    /// before [`ShardGuard::install`].
+    pub(super) fn stage_bulk(
+        &self,
+        subs: Vec<(SubEntry, DispatchEntry)>,
+    ) -> Result<Pending, ServiceError> {
+        let add = subs.into_iter().map(|(sub, slot)| (sub, slot, None));
         let change = Change {
-            add: subs.into_iter().map(|sub| (sub, None)).collect(),
+            add: add.collect(),
             ..Change::default()
         };
         self.stage_recompile(change, self.tree.clone(), Some(|m| &m.overlay_compactions))
@@ -720,8 +708,9 @@ impl ShardGuard<'_> {
     /// Cancels the live subscription `id`: it is tombstoned — matching
     /// skips it from the next snapshot on — or, past the thresholds,
     /// packed out of the overlay or compiled out. Finding it is a scan
-    /// of the entries from the overlay end; the rest touches only its
-    /// own entry.
+    /// of the published dispatch slots, overlay first, and a slot the
+    /// published filter says is dead is refused; the rest touches only
+    /// its own entry.
     ///
     /// The overlay is packed once its tombstones reach its live
     /// entries, so emptying an overlay of `n` one entry at a time packs
@@ -731,11 +720,13 @@ impl ShardGuard<'_> {
     ///
     /// [`ServiceError::UnknownSubscription`] if `id` is not live.
     pub(super) fn remove(&mut self, id: SubscriptionId) -> Result<(), ServiceError> {
-        let named = |e: &SubEntry| e.is_live() && e.id == id;
-        let g = self.entries.iter().rposition(named);
-        let g = g.ok_or(ServiceError::UnknownSubscription(id))?;
-        let (filter, policy) = (&self.published().filter, self.tracker.policy());
-        let (full, pack) = match g.checked_sub(filter.base_len()) {
+        let published = self.published();
+        let (filter, policy) = (&published.filter, self.tracker.policy());
+        let base = filter.base_len();
+        let found = published.dispatch.find(base, self.entries.len(), id);
+        let live = found.filter(|&g| filter.is_live(g));
+        let g = live.ok_or(ServiceError::UnknownSubscription(id))?;
+        let (full, pack) = match g.checked_sub(base) {
             None => (policy.compaction_due(filter.removed_len() + 1), false),
             Some(_) => {
                 let dead = filter.overlay_removed_len() + 1;
@@ -788,7 +779,8 @@ impl ShardGuard<'_> {
     /// price; [`ShardGuard::rebuild`] commits it, dropping it abandons
     /// it.
     pub(super) fn stage(&self) -> Result<Staged, ServiceError> {
-        self.w.stage(&Change::default(), self.tree.clone())
+        let prev = &self.published().filter;
+        self.w.stage(prev, &Change::default(), self.tree.clone())
     }
 
     /// Commits a drift rebuild: `filter`, compiled from `staged` (whose
@@ -837,7 +829,7 @@ impl ShardGuard<'_> {
         tree: TreeConfig,
         counter: Option<fn(&Metrics) -> &AtomicU64>,
     ) -> Result<Pending, ServiceError> {
-        let mut staged = self.w.stage(&change, tree)?;
+        let mut staged = self.w.stage(&self.published().filter, &change, tree)?;
         let recompile = Recompile {
             filter: staged.compile(None)?,
             staged,
@@ -856,7 +848,7 @@ impl ShardGuard<'_> {
         change: Change,
         recompile: Option<Recompile>,
     ) -> Result<Pending, ServiceError> {
-        let w = &*self.w;
+        let (w, prev) = (&*self.w, self.published());
         let (snapshot, folded) = match recompile {
             Some(r) => {
                 let folded = Folded {
@@ -872,13 +864,10 @@ impl ShardGuard<'_> {
                     cover: r.staged.cover,
                     counter: r.counter,
                 };
-                let snapshot = w.snapshot_after(&change, Source::Compiled(r.filter))?;
+                let snapshot = w.snapshot_after(&prev, &change, Some(r.filter))?;
                 (snapshot, Some(folded))
             }
-            None => {
-                let prev = self.published();
-                (w.snapshot_after(&change, Source::Published(&prev))?, None)
-            }
+            None => (w.snapshot_after(&prev, &change, None)?, None),
         };
         Ok(Pending {
             change,
@@ -888,29 +877,27 @@ impl ShardGuard<'_> {
     }
 
     /// Commit and swap, which cannot fail: the entries, in the order the
-    /// staged snapshot's tables are in — cancelled ones tombstoned in
-    /// place, new ones appended, and the tombstones dropped where the
-    /// tables were rebuilt — then the snapshot is published.
+    /// staged snapshot's tables are in — a cancelled one stays, the
+    /// staged filter alone tombstoning it, until a pack or a recompile
+    /// rebuilds the tables it is in; new ones are appended — then the
+    /// snapshot is published.
     pub(super) fn install(&mut self, pending: Pending) {
+        let prev = self.published();
         let (w, change) = (&mut *self.w, pending.change);
         let base = pending.snapshot.filter.base_len();
-        for &g in &change.drop {
-            w.entries[g].sender = None;
+        // A pack drops the overlay's dead entries, a recompile all of them.
+        let from = if change.pack { base } else { 0 };
+        if change.pack || pending.folded.is_some() {
+            let rebuilt = w.entries.split_off(from).into_iter().zip(from..);
+            let kept = rebuilt.filter(|&(_, g)| change.keeps(&prev.filter, g));
+            w.entries.extend(kept.map(|(e, _)| e));
         }
-        // The overlay grows by doubling itself, not the whole list.
-        let overlay = w.entries.len().saturating_sub(base);
-        w.entries.reserve_exact(change.add.len().max(overlay));
-        w.entries.extend(change.add.into_iter().map(|(sub, _)| sub));
         match pending.folded {
             None if change.pack => {
-                let mut overlay = w.entries.split_off(base);
-                overlay.retain(SubEntry::is_live);
-                w.entries.append(&mut overlay);
                 w.metrics.overlay_packs.fetch_add(1, Ordering::Relaxed);
             }
             None => {}
             Some(f) => {
-                w.entries.retain(SubEntry::is_live);
                 w.entries.shrink_to_fit();
                 // The plan owns the expansion map now.
                 w.cover = f.cover.map(CoverSet::into_index);
@@ -921,25 +908,40 @@ impl ShardGuard<'_> {
                 w.journal.record(f.compacted, &w.metrics);
             }
         }
+        // The overlay grows by doubling itself, not the whole list.
+        let overlay = w.entries.len().saturating_sub(base);
+        w.entries.reserve_exact(change.add.len().max(overlay));
+        w.entries
+            .extend(change.add.into_iter().map(|(sub, _, _)| sub));
         *self.shard.snapshot.write() = Arc::new(pending.snapshot);
     }
 
+    /// Hands `f` every live subscription's id and profile.
+    pub(super) fn for_each_live(&self, mut f: impl FnMut(SubscriptionId, &Profile)) {
+        let published = self.published();
+        let live = self.entries.iter().enumerate();
+        let live = live.filter(|&(g, _)| published.filter.is_live(g));
+        live.for_each(|(g, e)| f(published.entry(g as u32).id, &e.profile));
+    }
+
     /// The shard in its checkpoint form ([`ShardGuard::pack`] first: the
-    /// form has no overlay tombstones).
+    /// form has no overlay tombstones). A tombstoned compiled entry is
+    /// written under the id its severed slot keeps.
     pub(super) fn checkpoint(&self) -> CheckpointShard {
-        let entry = |e: &SubEntry| CheckpointEntry {
-            id: e.id.get(),
+        let published = self.published();
+        let (filter, base) = (&published.filter, published.filter.base_len());
+        let entry = |(g, e): (usize, &SubEntry)| CheckpointEntry {
+            id: published.dispatch.get(g, base).id.get(),
             weight: e.weight,
-            tombstoned: !e.is_live(),
+            tombstoned: !filter.is_live(g),
             profile: e.profile.clone(),
         };
-        let filter = &self.shard.snapshot.read().filter;
-        let (base, overlay) = self.entries.split_at(filter.base_len());
+        let mut entries = self.entries.iter().enumerate().map(entry);
         CheckpointShard {
             tree: self.tree.clone(),
             filter: filter.to_bytes(),
-            base: base.iter().map(entry).collect(),
-            overlay: overlay.iter().map(entry).collect(),
+            base: entries.by_ref().take(base).collect(),
+            overlay: entries.collect(),
         }
     }
 }

@@ -4,7 +4,8 @@
 //! beside it, and only by a shard whose tree's shape reads them. A
 //! shard keeps the automaton and no tree: publishing, pricing a drift
 //! trigger and checkpointing raise none. A covering shard keeps its
-//! expansion map once, in its filter's plan.
+//! expansion map once, in its filter's plan. A subscription's id and
+//! channel are held once, in its dispatch slot.
 //!
 //! This file deliberately contains a single `#[test]` so no concurrent
 //! test thread can disturb the global byte counter.
@@ -204,6 +205,34 @@ fn a_shard_holds_its_model_tables_once() {
     assert!(
         per_sub < 1_075,
         "a covering 2-shard broker retains {per_sub} bytes a subscription"
+    );
+    drop((broker, subs));
+
+    // A subscription's own bytes at rest. Its dispatch slot holds its
+    // id and channel, its filter's tombstone bit whether it is live, and
+    // the writer its profile and weight alone: 8,000 environmental
+    // profiles on one shard with covering off, so every one is compiled,
+    // retain 1,215.2 bytes a subscription, 1,239.2 while the writer kept
+    // the id, a clone of the channel and its own liveness too (24 bytes
+    // a subscription more). Stock profiles would do as well, but compile
+    // into 116.6 KB a subscription at that size with covering off.
+    let schema = ens_workloads::scenario::environmental_schema();
+    let mut rng = StdRng::seed_from_u64(16);
+    let profiles = ens_workloads::scenario::environmental_profiles(8000, &mut rng).unwrap();
+    let ((broker, subs), bytes) = retained(|| {
+        let config = BrokerConfig {
+            shards: 1,
+            covering: false,
+            ..config(natural)
+        };
+        let broker = Broker::new(&schema, config).unwrap();
+        let subs = broker.subscribe_many(profiles.iter().cloned()).unwrap();
+        (broker, subs)
+    });
+    let per_sub = bytes / profiles.len();
+    assert!(
+        per_sub < 1_227,
+        "a compiled 1-shard environmental broker retains {per_sub} bytes a subscription"
     );
     drop((broker, subs));
 }

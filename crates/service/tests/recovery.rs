@@ -21,7 +21,8 @@ use ens_service::persist::{
     WAL_FILE,
 };
 use ens_service::{
-    Broker, BrokerConfig, Decision, DurabilityConfig, FsyncPolicy, Subscriber, SubscriptionId,
+    Broker, BrokerConfig, Decision, DurabilityConfig, FsyncPolicy, ServiceError, Subscriber,
+    SubscriptionId,
 };
 use ens_types::{Domain, Event, Predicate, Profile, ProfileId, Schema};
 use ens_workloads::{alert_churn_profiles, churn_burst_plan, hot_band_migration, ChurnOp};
@@ -634,5 +635,73 @@ fn a_failed_bulk_load_changes_no_shard() {
     assert!(broker.checkpoint().unwrap());
     assert_eq!(shards(2), before, "every shard image is unchanged");
     assert_eq!(compacted(), compactions, "no compaction from the load");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint names every compiled entry by its own id, a tombstoned
+/// one included, and marks exactly the cancelled ones; reopened from
+/// it, a cancelled id stays unknown and every live subscriber receives
+/// what it matches.
+#[test]
+fn a_checkpoint_names_each_tombstone_by_its_id() {
+    let dir = scratch_dir("tombstone-ids");
+    let schema = ens_workloads::scenario::environmental_schema();
+    let mut rng = StdRng::seed_from_u64(17);
+    let profiles: Vec<Profile> = alert_churn_profiles(40, &mut rng)
+        .unwrap()
+        .iter()
+        .cloned()
+        .collect();
+    let cancelled = [0, 7, 13, 39];
+    {
+        let r = Broker::open(&schema, BrokerConfig::default(), durability(&dir)).unwrap();
+        let _held = r.broker.subscribe_many(profiles.iter().cloned()).unwrap();
+        for id in cancelled {
+            r.broker.unsubscribe(SubscriptionId::new(id)).unwrap();
+        }
+        assert_eq!(r.broker.metrics().overlay_compactions, 1, "the load alone");
+        assert!(r.broker.checkpoint().unwrap());
+    }
+    let image = std::fs::read(dir.join(checkpoint_gen_file(1))).unwrap();
+    let checkpoint = Checkpoint::from_bytes(&image).unwrap();
+    let [shard] = &checkpoint.shards[..] else {
+        panic!("one shard, got {}", checkpoint.shards.len())
+    };
+    assert!(shard.overlay.is_empty());
+    let ids: Vec<u64> = shard.base.iter().map(|e| e.id).collect();
+    assert_eq!(
+        ids,
+        (0..40).collect::<Vec<_>>(),
+        "base entries in load order"
+    );
+    let dead = shard.base.iter().filter(|e| e.tombstoned).map(|e| e.id);
+    assert_eq!(dead.collect::<Vec<_>>(), cancelled);
+
+    let r = Broker::open(&schema, BrokerConfig::default(), durability(&dir)).unwrap();
+    for id in cancelled.map(SubscriptionId::new) {
+        let refused = r.broker.unsubscribe(id);
+        assert!(
+            matches!(refused, Err(ServiceError::UnknownSubscription(x)) if x == id),
+            "unsubscribing tombstone {id:?}: {refused:?}"
+        );
+    }
+    let live: Vec<u64> = (0..40).filter(|id| !cancelled.contains(id)).collect();
+    let ids: Vec<u64> = r.subscribers.iter().map(|s| s.id().get()).collect();
+    assert_eq!(ids, live);
+    let events = churn_burst_plan(7, 2, 8, 1).unwrap().events;
+    for event in &events {
+        r.broker.publish(event).unwrap();
+    }
+    let mut received = 0;
+    for sub in &r.subscribers {
+        let profile = &profiles[sub.id().get() as usize];
+        let want = events
+            .iter()
+            .filter(|e| profile.matches(&schema, e).unwrap());
+        let got = sub.drain();
+        assert_eq!(got.len(), want.count(), "subscriber {:?}", sub.id());
+        received += got.len();
+    }
+    assert!(received > 0, "the events reach some live subscriber");
     let _ = std::fs::remove_dir_all(&dir);
 }
