@@ -189,12 +189,12 @@ struct TuningReport {
     recovery_speedup: f64,
     /// Accepted retunes on the self-tuning broker.
     retunes: u64,
-    /// Drift triggers the tuner declined.
-    retunes_declined: u64,
+    /// Drift triggers the self-tuning broker declined.
+    drift_declined: u64,
     /// Cost-model-predicted ops/event of the accepted retune (compare
     /// with `retuned_after_drift.ops_per_event`).
     predicted_ops_per_event: f64,
-    /// Total nanoseconds spent pricing retune candidates.
+    /// Total nanoseconds spent pricing drift triggers' candidates.
     tuning_ns_total: u64,
 }
 
@@ -1194,7 +1194,7 @@ fn bench_tuning(opts: &Options) -> Result<TuningReport, Box<dyn std::error::Erro
         stale_after_drift,
         retuned_after_drift,
         retunes: m.retunes,
-        retunes_declined: m.retunes_declined,
+        drift_declined: m.drift_declined,
         predicted_ops_per_event: m.predicted_ops_per_event,
         tuning_ns_total: m.tuning_nanos,
     })

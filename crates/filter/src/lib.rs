@@ -31,8 +31,8 @@
 //! * a [`tuning`] pass that closes the observe → estimate →
 //!   re-optimize loop: when drift fires, it prices candidate
 //!   (search-strategy, attribute-order) configurations under the
-//!   online distribution estimate and recommends a retune only when
-//!   the predicted improvement clears a threshold.
+//!   online distribution estimate and takes the cheapest only when
+//!   its saving pays for the rebuild.
 //!
 //! # Quickstart
 //!

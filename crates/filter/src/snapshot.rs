@@ -784,15 +784,6 @@ impl FilterSnapshot {
         self.overlay.as_ref().is_some_and(|x| x.matches(k)) && is_live(&self.overlay_removed, k)
     }
 
-    /// Number of live overlay positions the counting index matches:
-    /// those the overlay costs on every event, covered ones riding the
-    /// compiled representatives' states.
-    #[must_use]
-    pub fn overlay_indexed_len(&self) -> usize {
-        let positions = 0..self.overlay_len as u32;
-        positions.filter(|&k| self.indexes(k)).count()
-    }
-
     /// The counting index over `indexed` (positions ascending), or none
     /// when it would match nothing.
     fn index_over(
@@ -1188,9 +1179,14 @@ impl FilterSnapshot {
         self.compiled.schema()
     }
 
-    /// Eq. 2 for the compiled base under `joint` ([`CostModel`]): the
-    /// expected comparison operations per event the compiled tree
-    /// costs. The overlay is not priced.
+    /// The price of this filter under `joint`, in expected comparison
+    /// operations per event: Eq. 2 for the compiled base
+    /// ([`CostModel`]) plus a floor of one comparison for each live
+    /// overlay entry the counting index matches — a deliberate
+    /// under-estimate, so a rebuild priced against it stays
+    /// conservative. Covered overlay entries ride the compiled
+    /// representatives' states; a freshly compiled filter has no
+    /// overlay, and its price is Eq. 2 alone.
     ///
     /// # Errors
     ///
@@ -1198,7 +1194,8 @@ impl FilterSnapshot {
     /// domain sizes disagree with the schema.
     pub fn expected_ops(&self, joint: &JointDist) -> Result<f64, FilterError> {
         let cost = CostModel::new(&self.compiled, joint)?.evaluate()?;
-        Ok(cost.expected_total_ops())
+        let indexed = (0..self.overlay_len as u32).filter(|&k| self.indexes(k));
+        Ok(cost.expected_total_ops() + indexed.count() as f64)
     }
 
     /// Number of compiled (base) profiles, including tombstoned ones.

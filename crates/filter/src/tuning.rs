@@ -1,22 +1,20 @@
-//! Cost-model-driven self-tuning: choosing the filter structure from
-//! the estimated event distribution.
+//! Cost-model-driven self-tuning: pricing filter structures under the
+//! estimated event distribution, and deciding whether a rebuild pays.
 //!
 //! This module closes the loop the paper sketches across §4 and §5: the
 //! statistic objects (§4.2, [`FilterStatistics`](crate::FilterStatistics))
 //! estimate the event distribution online, the analytic cost model
-//! (Eq. 2, [`CostModel`]) prices every candidate
-//! filter structure under that estimate, and "an adaptive filter
-//! component … optimizes the profile tree for certain applications
-//! based on the data distributions" (§1). Where the
-//! [`DriftTracker`](crate::DriftTracker) only *refreshes the model* of
-//! a fixed configuration, [`evaluate`] re-evaluates the
-//! configuration itself — the V1–V3 value orders and binary search
-//! ([`SearchStrategy`]) crossed with the natural/A1/A2 attribute orders
-//! ([`AttributeOrder`]) — and recommends a retune only when the
-//! predicted cost improvement clears [`MIN_IMPROVEMENT`], so a service
-//! never pays a rebuild for a marginal win.
+//! (Eq. 2, [`CostModel`]) prices candidate filter structures under that
+//! estimate, and "an adaptive filter component … optimizes the profile
+//! tree for certain applications based on the data distributions" (§1).
+//! Where the [`DriftTracker`](crate::DriftTracker) only says that a
+//! tree's model is stale, [`evaluate`] prices the [`candidates`] — the
+//! tree's own shape, or the battery of V1–V3 value orders and binary
+//! search ([`SearchStrategy`]) crossed with the natural/A1/A2 attribute
+//! orders ([`AttributeOrder`]) — against the tree in place, and
+//! [`price_rebuild`] decides whether the cheapest is worth its rebuild.
 //!
-//! The decision is purely advisory: callers (e.g. the `ens-service`
+//! The pricing is purely advisory: callers (e.g. the `ens-service`
 //! broker) stage the rebuild through their usual snapshot-swap commit
 //! protocol and can abandon it without side effects.
 
@@ -30,11 +28,6 @@ use crate::order::SearchStrategy;
 use crate::selectivity::AttributeMeasure;
 use crate::tree::{AttributeOrder, TreeConfig};
 use crate::{Direction, FilterError, FilterSnapshot, ValueOrder};
-
-/// The smallest predicted fractional improvement (`1 − best/stale`) a
-/// retune must clear: below it a rebuild buys too little to be worth
-/// the churn near break-even.
-pub const MIN_IMPROVEMENT: f64 = 0.10;
 
 /// The candidate per-node searches — the distribution-sensitive linear
 /// orders the paper evaluates (§4.2: natural, V1/V2/V3 descending) —
@@ -63,87 +56,169 @@ const ATTRIBUTE_ORDERS: [AttributeOrder; 3] = [
     },
 ];
 
-/// Prices every candidate configuration — the V1–V3 value orders and
-/// binary search crossed with the natural/A1/A2 attribute orders — for
-/// `profiles`, lowered over `schema` (every candidate reads the same
-/// table), under the estimated event model `joint` and compares the
-/// best against the cost of keeping the current structure unchanged
-/// under the same model: `current` (the stale compiled snapshot,
-/// priced on its automaton) plus a floor of one comparison per event
-/// for each overlay profile its counting index still matches
-/// ([`FilterSnapshot::overlay_indexed_len`]; a candidate tree folds
-/// them in, the stale structure pays them on every event).
-/// The floor is a deliberate under-estimate, so the decision stays
-/// conservative.
-///
-/// Candidates that fail to build (e.g. an A3 order on a too-wide
-/// schema) are skipped. `base` supplies everything a candidate does
-/// not re-decide (ablation flags, profile weights).
+/// What a rebuild is charged: how many events' filtering compiling one
+/// profile costs. From two committed rows of `BENCH_throughput.json`:
+/// a compaction at the broker's default configuration takes 2.3–2.4 µs
+/// per profile (`broker_scaling.subscribe_latency`,
+/// `full_rebuild_ns_p50` over `population`, 1000 to 8000 profiles), and
+/// the flattened tree matches an event in 32 ns (environmental) to
+/// 67 ns (stock) (`workloads[].matchers`, `dfsa_csr_scratch`): 34 to 75
+/// events per profile, 40 taken. The same shape now re-measures at
+/// ≈ 1.3 µs per profile at 1000 and ≈ 0.9 µs at 8000; the value stays
+/// 40 until the price is re-derived. A constant and not the clock, so
+/// that what a broker decides depends on what it was sent alone.
+pub const REBUILD_EVENTS_PER_PROFILE: f64 = 40.0;
+
+/// Why a drift trigger did not end in a rebuild ([`price_rebuild`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeclineReason {
+    /// Eq. 2 prices no candidate cheaper than the tree in place, or
+    /// there is no candidate to price. The detector's baseline moves
+    /// onto the priced estimate.
+    NoSaving,
+    /// The candidate is cheaper, but at the predicted saving the tree
+    /// in place has not served long enough under its model for a
+    /// rebuild to be covered. The baseline stays: the same trigger is
+    /// priced again later.
+    NotYetPaid,
+}
+
+/// The part of a tree configuration a retune re-decides.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TreeShape {
+    /// Order of the tree's levels.
+    pub attribute_order: AttributeOrder,
+    /// How a node's edges are searched.
+    pub search: SearchStrategy,
+}
+
+impl TreeShape {
+    /// The shape `config` compiles.
+    #[must_use]
+    pub fn of(config: &TreeConfig) -> Self {
+        TreeShape {
+            attribute_order: config.attribute_order.clone(),
+            search: config.search,
+        }
+    }
+}
+
+/// The shapes a drift trigger on a tree compiled under `active` prices:
+/// with `tuning`, the battery of the V1–V3 value orders and binary
+/// search crossed with the natural/A1/A2 attribute orders; else
+/// `active`'s own shape, and none where that shape reads no event
+/// model, since recompiling it under the estimate gives back the tree
+/// in place.
+#[must_use]
+pub fn candidates(active: &TreeConfig, tuning: bool) -> Vec<TreeShape> {
+    if !tuning {
+        return Vec::from_iter(active.uses_event_model().then(|| TreeShape::of(active)));
+    }
+    let orders = |search| {
+        ATTRIBUTE_ORDERS.iter().map(move |order| TreeShape {
+            attribute_order: order.clone(),
+            search,
+        })
+    };
+    STRATEGIES.into_iter().flat_map(orders).collect()
+}
+
+/// Prices each of `shapes` for `profiles`, lowered over `schema` (every
+/// candidate reads the same table), under the estimated event model
+/// `joint`, against the tree in place: `current`, priced by
+/// [`FilterSnapshot::expected_ops`] under the same model. Each is
+/// compiled under `joint` and `base`'s ablation flags and profile
+/// weights; one that fails to build is skipped.
 ///
 /// Tombstoned (unsubscribed but still compiled) profiles remain in
 /// `current`'s automaton and genuinely cost operations on every event,
 /// while candidates are priced over the live set only — that asymmetry
-/// is intentional: a retune accepted on the tombstone margin reclaims
+/// is intentional: a rebuild accepted on the tombstone margin reclaims
 /// real per-event cost by folding them out.
 ///
-/// The winning candidate's automaton — `profiles` compiled under `base`
-/// with the decision's attribute order and search strategy and
-/// `joint` for an event model — is handed back with the decision,
+/// The cheapest candidate's automaton is handed back with its price,
 /// so a caller that accepts it commits the tree that was priced
 /// instead of building it a second time. `None` when no candidate
-/// could be built.
+/// could be built, priced as the tree in place: no saving.
 ///
 /// # Errors
 ///
-/// Propagates cost-model errors for the *stale* evaluation — if the
-/// current snapshot cannot be priced under `joint` (arity/domain
-/// mismatch), the caller's estimate pipeline is broken and tuning
-/// must not silently proceed.
+/// Propagates cost-model errors for the tree in place — if `current`
+/// cannot be priced under `joint` (arity/domain mismatch), the
+/// caller's estimate pipeline is broken and tuning must not silently
+/// proceed.
 pub fn evaluate(
     current: &FilterSnapshot,
     schema: &Schema,
     profiles: &LoweredTable,
     base: &TreeConfig,
+    shapes: &[TreeShape],
     joint: &JointDist,
 ) -> Result<(RetuneDecision, Option<Dfsa>), FilterError> {
-    let stale_ops = current.expected_ops(joint)? + current.overlay_indexed_len() as f64;
-    let mut best: Option<(f64, SearchStrategy, AttributeOrder, Dfsa)> = None;
-    for search in STRATEGIES {
-        for order in &ATTRIBUTE_ORDERS {
-            let config = TreeConfig {
-                attribute_order: order.clone(),
-                search,
-                event_model: Some(joint.clone()),
-                ..base.clone()
-            };
-            let Ok(tree) = Dfsa::build_lowered(schema, profiles, &config) else {
-                continue;
-            };
-            let Ok(cost) = CostModel::new(&tree, joint).and_then(|m| m.evaluate()) else {
-                continue;
-            };
-            let ops = cost.expected_total_ops();
-            if best.as_ref().is_none_or(|(b, ..)| ops < *b) {
-                best = Some((ops, search, config.attribute_order, tree));
-            }
+    let stale_ops = current.expected_ops(joint)?;
+    let mut best: Option<(f64, &TreeShape, Dfsa)> = None;
+    for shape in shapes {
+        let config = TreeConfig {
+            attribute_order: shape.attribute_order.clone(),
+            search: shape.search,
+            event_model: Some(joint.clone()),
+            ..base.clone()
+        };
+        let Ok(tree) = Dfsa::build_lowered(schema, profiles, &config) else {
+            continue;
+        };
+        let Ok(cost) = CostModel::new(&tree, joint).and_then(|m| m.evaluate()) else {
+            continue;
+        };
+        let ops = cost.expected_total_ops();
+        if best.as_ref().is_none_or(|(b, ..)| ops < *b) {
+            best = Some((ops, shape, tree));
         }
     }
-    let (best_ops, search, attribute_order, tree) = match best {
-        Some((ops, search, order, tree)) => (ops, search, order, Some(tree)),
-        None => (stale_ops, base.search, base.attribute_order.clone(), None),
+    let (best_ops, shape, tree) = match best {
+        Some((ops, shape, tree)) => (ops, shape.clone(), Some(tree)),
+        None => (stale_ops, TreeShape::of(base), None),
     };
-    let mut decision = RetuneDecision {
+    let decision = RetuneDecision {
         stale_ops,
         best_ops,
-        search,
-        attribute_order,
-        accepted: false,
+        shape,
     };
-    decision.accepted = decision.improvement() >= MIN_IMPROVEMENT;
     Ok((decision, tree))
 }
 
-/// The outcome of one tuning pass (see [`evaluate`]).
+/// Whether a rebuild that Eq. 2 predicts takes a shard from `stale_ops`
+/// to `new_ops` comparisons per event is taken: `None`, or why not.
+/// One rule for every drift trigger, in this order:
+///
+/// 1. a saving of nothing or less (or none that is a number) is
+///    declined as [`DeclineReason::NoSaving`];
+/// 2. otherwise the warm-up (`served` is `None`: no estimate behind the
+///    tree in place to weigh the new one against) is taken;
+/// 3. otherwise the rebuild has to pay for itself, a ski-rental test
+///    (Karlin, Manasse, Rudolph and Sleator, 1988). The tree in place
+///    has served `served` events under the model it has, which is the
+///    best guess for how long the next one will: the rebuild is worth
+///    the share of those events' filtering it would have saved, and
+///    that has to cover what compiling `compiled` profiles costs
+///    ([`REBUILD_EVENTS_PER_PROFILE`]), or it is
+///    [`DeclineReason::NotYetPaid`].
+#[must_use]
+pub fn price_rebuild(
+    stale_ops: f64,
+    new_ops: f64,
+    served: Option<u64>,
+    compiled: usize,
+) -> Option<DeclineReason> {
+    let saving = stale_ops - new_ops;
+    if saving.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        return Some(DeclineReason::NoSaving);
+    }
+    let repaid = saving / stale_ops * served? as f64;
+    (repaid < REBUILD_EVENTS_PER_PROFILE * compiled as f64).then_some(DeclineReason::NotYetPaid)
+}
+
+/// The outcome of one pricing pass (see [`evaluate`]).
 ///
 /// # Example
 ///
@@ -165,40 +240,30 @@ pub fn evaluate(
 ///     DistOverDomain::new(Density::window(0.9, 1.0), 100),
 /// ])?;
 /// let live = LoweredTable::lower(&schema, ps.iter())?;
-/// let (decision, tuned) =
-///     tuning::evaluate(&stale, &schema, &live, &TreeConfig::default(), &est)?;
-/// assert!(decision.accepted, "scanning the hot band first must win");
-/// assert!(decision.best_ops < decision.stale_ops);
+/// let config = TreeConfig::default();
+/// let battery = tuning::candidates(&config, true);
+/// let (decision, tuned) = tuning::evaluate(&stale, &schema, &live, &config, &battery, &est)?;
+/// assert!(decision.best_ops < decision.stale_ops, "scanning the hot band first must win");
 /// assert!(tuned.is_some(), "the tree that was priced comes with it");
+/// // At the warm-up any saving is taken; after it, the saving has to
+/// // repay compiling the two profiles (80 events' filtering).
+/// let price = |served| tuning::price_rebuild(decision.stale_ops, decision.best_ops, served, 2);
+/// assert_eq!(price(None), None);
+/// assert_eq!(price(Some(10)), Some(tuning::DeclineReason::NotYetPaid));
+/// assert_eq!(price(Some(10_000)), None);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RetuneDecision {
-    /// Expected comparison operations per event (Eq. 2) of the current
-    /// tree under the fresh distribution estimate.
+    /// Expected comparison operations per event of the tree in place
+    /// under the fresh distribution estimate
+    /// ([`FilterSnapshot::expected_ops`]).
     pub stale_ops: f64,
-    /// Expected operations per event of the best candidate.
+    /// Expected operations per event (Eq. 2) of the cheapest candidate.
     pub best_ops: f64,
-    /// The best candidate's per-node search strategy.
-    pub search: SearchStrategy,
-    /// The best candidate's attribute order.
-    pub attribute_order: AttributeOrder,
-    /// Whether the improvement clears [`MIN_IMPROVEMENT`].
-    pub accepted: bool,
-}
-
-impl RetuneDecision {
-    /// Predicted fractional improvement `1 − best/stale` (0 when the
-    /// stale tree costs nothing, i.e. the profile set is empty).
-    #[must_use]
-    pub fn improvement(&self) -> f64 {
-        if self.stale_ops > 0.0 {
-            1.0 - self.best_ops / self.stale_ops
-        } else {
-            0.0
-        }
-    }
+    /// The cheapest candidate's shape.
+    pub shape: TreeShape,
 }
 
 #[cfg(test)]
@@ -206,7 +271,7 @@ mod tests {
     use super::*;
     use ens_types::ProfileSet;
 
-    /// [`evaluate`] of `ps`.
+    /// [`evaluate`] of `ps` over the tuner's battery.
     fn price(
         stale: &FilterSnapshot,
         ps: &ProfileSet,
@@ -214,7 +279,8 @@ mod tests {
         joint: &JointDist,
     ) -> Result<(RetuneDecision, Option<Dfsa>), FilterError> {
         let live = LoweredTable::lower(ps.schema(), ps.iter())?;
-        evaluate(stale, ps.schema(), &live, config, joint)
+        let battery = candidates(config, true);
+        evaluate(stale, ps.schema(), &live, config, &battery, joint)
     }
     use crate::Matcher;
     use ens_dist::{Density, DistOverDomain};
@@ -237,17 +303,66 @@ mod tests {
     }
 
     #[test]
-    fn high_threshold_declines_marginal_wins() {
+    fn marginal_wins_wait_to_be_paid() {
         let schema = schema();
         let ps = banded_profiles(&schema, &[(0, 49), (50, 99)]);
         let config = TreeConfig::default();
         let stale = FilterSnapshot::compile(&ps, &config).unwrap();
-        // Uniform traffic: nothing beats the stale tree by much.
-        let est = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)]).unwrap();
+        // Traffic leans a little to the high band: scanning it first
+        // saves under 10 %.
+        let leaning = Density::steps([9.0, 11.0]).unwrap();
+        let est = JointDist::independent(vec![DistOverDomain::new(leaning, 100)]).unwrap();
         let (d, _) = price(&stale, &ps, &config, &est).unwrap();
-        assert!(!d.accepted, "{d:?}");
-        assert!(d.improvement() < MIN_IMPROVEMENT, "{d:?}");
-        assert!(d.best_ops <= d.stale_ops + 1e-9);
+        let saving = d.stale_ops - d.best_ops;
+        assert!(saving > 0.0 && saving < 0.1 * d.stale_ops, "{d:?}");
+        // Taken at the warm-up; after it, only once the events served
+        // at the old price would have repaid compiling the two
+        // profiles.
+        let paid_at = (REBUILD_EVENTS_PER_PROFILE * 2.0 * d.stale_ops / saving).ceil() as u64;
+        let at = |served| price_rebuild(d.stale_ops, d.best_ops, served, 2);
+        assert_eq!(at(None), None);
+        assert_eq!(at(Some(paid_at - 1)), Some(DeclineReason::NotYetPaid));
+        assert_eq!(at(Some(paid_at)), None);
+    }
+
+    #[test]
+    fn rebuild_pricing() {
+        use DeclineReason::{NoSaving, NotYetPaid};
+        // No saving, or none that is a number: never, the warm-up
+        // included.
+        for served in [Some(u64::MAX), None] {
+            assert_eq!(price_rebuild(10.0, 10.0, served, 1), Some(NoSaving));
+            assert_eq!(price_rebuild(10.0, 12.0, served, 1), Some(NoSaving));
+            assert_eq!(price_rebuild(0.0, 0.0, served, 1), Some(NoSaving));
+            assert_eq!(price_rebuild(f64::NAN, 1.0, served, 1), Some(NoSaving));
+        }
+        // Half the comparisons saved: 100 profiles (4000 events' worth
+        // of filtering to compile) are repaid by the 8000th event
+        // served, not before.
+        assert_eq!(price_rebuild(10.0, 5.0, Some(7999), 100), Some(NotYetPaid));
+        assert_eq!(price_rebuild(10.0, 5.0, Some(8000), 100), None);
+        // A 2 % saving — sampling noise on a large tree — takes 200 000.
+        assert_eq!(
+            price_rebuild(200.0, 196.0, Some(199_999), 100),
+            Some(NotYetPaid)
+        );
+        assert_eq!(price_rebuild(200.0, 196.0, Some(200_000), 100), None);
+    }
+
+    #[test]
+    fn tuning_selects_the_candidate_list() {
+        let v1 = TreeConfig {
+            search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
+            ..TreeConfig::default()
+        };
+        assert_eq!(candidates(&v1, false), [TreeShape::of(&v1)]);
+        // The default shape reads no model: the tree in place again.
+        assert_eq!(candidates(&TreeConfig::default(), false), []);
+        for active in [&v1, &TreeConfig::default()] {
+            let battery = candidates(active, true);
+            assert_eq!(battery.len(), STRATEGIES.len() * ATTRIBUTE_ORDERS.len());
+            assert!(battery.contains(&TreeShape::of(&v1)));
+        }
     }
 
     #[test]
@@ -257,8 +372,8 @@ mod tests {
         let stale = FilterSnapshot::compile(&ps, &TreeConfig::default()).unwrap();
         let est = JointDist::independent(vec![DistOverDomain::new(Density::Uniform, 100)]).unwrap();
         let (d, _) = price(&stale, &ps, &TreeConfig::default(), &est).unwrap();
-        assert!(!d.accepted);
-        assert_eq!(d.improvement(), 0.0);
+        // Nothing to save, so nothing to take (`rebuild_pricing`).
+        assert_eq!((d.stale_ops, d.best_ops), (0.0, 0.0));
     }
 
     #[test]
@@ -284,8 +399,8 @@ mod tests {
             JointDist::independent(vec![DistOverDomain::new(Density::gaussian(0.9, 0.05), 100)])
                 .unwrap();
         let (d, tuned) = price(&stale, &ps, &config, &est).unwrap();
-        assert!(d.accepted, "{d:?}");
-        let tuned = tuned.expect("an accepted decision comes with its tree");
+        assert!(d.best_ops < d.stale_ops, "{d:?}");
+        let tuned = tuned.expect("the cheapest candidate comes with its tree");
         let mut indexed = IndexedEvent::new();
         let mut a = crate::MatchScratch::new();
         let mut b = crate::MatchScratch::new();
@@ -318,8 +433,8 @@ mod tests {
             JointDist::independent(vec![DistOverDomain::new(Density::window(0.9, 1.0), 100)])
                 .unwrap();
         let (d, tuned) = price(&stale, &ps, &config, &high).unwrap();
-        assert!(d.accepted, "{d:?}");
-        let tuned = tuned.expect("an accepted decision comes with its tree");
+        assert!(d.best_ops < d.stale_ops, "{d:?}");
+        let tuned = tuned.expect("the cheapest candidate comes with its tree");
         // Measured ops on hot-band events: retuned must be cheaper.
         let mut stale_ops = 0u64;
         let mut tuned_ops = 0u64;

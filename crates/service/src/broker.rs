@@ -94,12 +94,13 @@ pub struct BrokerConfig {
     /// [`RebuildPolicy::drift_threshold`] further from the one its tree
     /// was compiled under than sampling noise explains; the broker then
     /// prices the rebuild with the cost model (Eq. 2) and commits it
-    /// only if it pays for itself — see [`Broker::decisions`] for each
-    /// outcome.
-    /// Only the first trigger of a shard, the warm-up onto its first
-    /// estimate, is taken unpriced. On a stationary stream the loop
-    /// therefore settles: one rebuild, then a geometrically thinning
-    /// series of checks.
+    /// only if it saves comparisons and pays for itself
+    /// ([`tuning::price_rebuild`]; the warm-up onto a shard's first
+    /// estimate, on any saving) — see [`Broker::decisions`] for each
+    /// outcome. With [`BrokerConfig::tuning`] off, a shape that reads
+    /// no event model (the default) is never rebuilt by a trigger. On a
+    /// stationary stream the loop therefore settles: at most one
+    /// rebuild, then a geometrically thinning series of checks.
     pub rebuild: RebuildPolicy,
     /// Number of subscription shards (0 is treated as 1). Each shard
     /// owns an independent snapshot, writer lock and drift statistics,
@@ -123,14 +124,14 @@ pub struct BrokerConfig {
     /// cells), so what a larger N buys is that recording cost and
     /// nothing else; the estimate just takes N times as long to form.
     pub stats_sample: u64,
-    /// Self-tuning. When on, a drift trigger — the warm-up, or the
-    /// distribution having moved — also re-chooses the tree's shape:
-    /// the broker prices the candidate (search-strategy,
-    /// attribute-order) configurations of [`tuning::evaluate`] under
-    /// the shard's online distribution estimate, and the cheapest is
-    /// what has to clear [`tuning::MIN_IMPROVEMENT`] and pay for its
-    /// rebuild. Off (the default), the candidate is the configured
-    /// shape recompiled under the estimate.
+    /// Self-tuning: which shapes a drift trigger — the warm-up, or the
+    /// distribution having moved — prices ([`tuning::candidates`]).
+    /// On, the tuner's battery of (search-strategy, attribute-order)
+    /// shapes, so a rebuild may also re-choose the tree's shape. Off
+    /// (the default), the shard's own shape recompiled under the
+    /// estimate, and nothing where that shape reads no event model.
+    /// Either way the cheapest candidate is weighed against the tree in
+    /// place by one price and one rule ([`tuning::price_rebuild`]).
     pub tuning: bool,
     /// Covering-pruned compilation: every compaction runs one bulk
     /// containment pass over the live population and compiles only the
@@ -154,7 +155,11 @@ pub struct BrokerConfig {
     /// running broker. On duplicate-heavy populations covering shrinks
     /// build time and compiled bytes by the coverage factor; on
     /// antichain populations (nothing covers anything) the pass
-    /// degrades to one lowering sweep. Default on.
+    /// degrades to one lowering sweep. Off is no choice on stock-like
+    /// populations: 8,000 stock profiles on one shard retain 933 MB
+    /// compiled with covering off (116.6 KB a subscription), against
+    /// 66 MB with it on, because the automaton copies a profile into
+    /// every branch it spans (ROADMAP item 4). Default on.
     pub covering: bool,
     /// Capacity of each subscriber's notification queue; `0` means
     /// unbounded (the default, matching the seed behaviour). The bound
@@ -215,44 +220,6 @@ impl ShardSnapshot {
     fn entry(&self, g: u32) -> &DispatchEntry {
         self.dispatch.get(g as usize, self.filter.base_len())
     }
-}
-
-/// What a rebuild is charged: how many events' filtering compiling one
-/// profile costs. From two committed rows of `BENCH_throughput.json`:
-/// a compaction at `BrokerConfig::default()` takes 2.3–2.4 µs per
-/// profile (`broker_scaling.subscribe_latency`, `full_rebuild_ns_p50`
-/// over `population`, 1000 to 8000 profiles), and the flattened tree
-/// matches an event in 32 ns (environmental) to 67 ns (stock)
-/// (`workloads[].matchers`, `dfsa_csr_scratch`): 34 to 75 events per
-/// profile, 40 taken. Since a compile lowers each profile once and
-/// reuses its buffers per tree level, the same shape re-measures at
-/// ≈ 1.3 µs per profile at 1000 and ≈ 0.9 µs at 8000 (1.8 and 1.7 µs
-/// before, in alternating runs on one 2-core machine); the value stays
-/// 40 until the price is re-derived. A constant and not the clock, so
-/// that what a broker decides depends on what it was sent and nothing
-/// else; [`Decision::DriftRebuilt::rebuild_ns`] is there to check it by.
-const REBUILD_EVENTS_PER_PROFILE: f64 = 40.0;
-
-/// Whether a rebuild pays for itself: `None`, or why not.
-///
-/// Eq. 2 predicts it takes the shard from `stale_ops` to `new_ops`
-/// comparisons per event. The tree in place has served `served` events
-/// under the model it has, which is the best guess for how long the
-/// next one will: the rebuild is worth the share of those events'
-/// filtering it would have saved, and that has to cover what compiling
-/// `compiled` profiles costs ([`REBUILD_EVENTS_PER_PROFILE`]).
-fn price_rebuild(
-    stale_ops: f64,
-    new_ops: f64,
-    served: u64,
-    compiled: usize,
-) -> Option<DeclineReason> {
-    let saving = stale_ops - new_ops;
-    if saving.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return Some(DeclineReason::NoSaving);
-    }
-    let repaid = saving / stale_ops * served as f64;
-    (repaid < REBUILD_EVENTS_PER_PROFILE * compiled as f64).then_some(DeclineReason::NotYetPaid)
 }
 
 /// The result of opening a durable broker: the recovered state plus a
@@ -1216,22 +1183,12 @@ impl Broker {
         Ok(())
     }
 
-    /// Answers a drift trigger on shard `s`: stages the compaction,
-    /// prices the filter it would commit against the filter in place —
-    /// both under the shard's estimate, by Eq. 2 on their automata —
-    /// and commits it only if it pays for itself ([`price_rebuild`]).
-    ///
-    /// The candidate is the shard's shape recompiled under the estimate
-    /// or, with [`BrokerConfig::tuning`] on, the cheapest shape of
-    /// [`tuning::evaluate`]'s battery, which must also clear
-    /// [`tuning::MIN_IMPROVEMENT`]. Two triggers are not priced.
-    /// The warm-up (no estimate behind the tree in place) is committed:
-    /// there is one per shard, and nothing to weigh the estimate
-    /// against. And where the shard's shape does not read the event
-    /// model and is not up for re-choosing, the same tree would come
-    /// out: declined on the spot. Such a shape compiles under no model,
-    /// so the estimate is built for the pricing alone (the warm-up's
-    /// journal numbers, or the tuner's battery).
+    /// Answers a drift trigger on shard `s`: prices the candidate
+    /// shapes ([`tuning::candidates`]) recompiled under the shard's
+    /// estimate against the filter in place ([`tuning::evaluate`]), and
+    /// commits the cheapest only if [`tuning::price_rebuild`] takes it.
+    /// A trigger with no candidate — the same tree would come out — is
+    /// declined on the spot.
     ///
     /// The whole pass runs on the publishing thread under the shard's
     /// writer lock. The filter that was priced is the filter committed,
@@ -1243,71 +1200,43 @@ impl Broker {
         w: &mut ShardGuard<'_>,
         signal: DriftSignal,
     ) -> Result<(), ServiceError> {
-        let tuning = self.config.tuning;
-        let decline = |w: &mut ShardGuard<'_>, saving, reason| {
-            if tuning {
-                self.metrics
-                    .retunes_declined
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            self.decline_drift(s, w, signal, saving, reason)
-        };
-        if !tuning && !signal.is_warm_up() && !w.active_config().uses_event_model() {
-            return decline(w, 0.0, DeclineReason::NoSaving);
+        let shapes = tuning::candidates(w.active_config(), self.config.tuning);
+        if shapes.is_empty() {
+            return self.decline_drift(s, w, signal, 0.0, DeclineReason::NoSaving);
         }
         let snap = shard.snapshot.read().clone();
         let mut staged = w.stage()?;
         // The estimate both filters are priced under: built here for a
         // shape that compiles under none.
         let model = staged.model()?;
-        // The candidate filter, the (stale, candidate) comparisons per
-        // event and, with tuning, whether the tuner's own bar was met.
-        let (candidate, stale_ops, new_ops, refused) = if tuning {
-            let t0 = Instant::now();
-            let (decision, built) = tuning::evaluate(
-                &snap.filter,
-                &staged.schema,
-                &staged.compiled,
-                &staged.config,
-                &model,
-            )?;
-            self.metrics
-                .tuning_nanos
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            let refused = (!decision.accepted).then_some(DeclineReason::BelowTuningThreshold);
-            staged.config.attribute_order = decision.attribute_order;
-            staged.config.search = decision.search;
-            let built = built.filter(|_| refused.is_none());
-            let filter = built.map(|d| staged.compile(Some(d))).transpose()?;
-            (filter, decision.stale_ops, decision.best_ops, refused)
-        } else {
-            let filter = staged.compile(None)?;
-            let stale_ops = snap.filter.expected_ops(&model)?;
-            let new_ops = filter.expected_ops(&model)?;
-            (Some(filter), stale_ops, new_ops, None)
+        let t0 = Instant::now();
+        let (priced, built) = tuning::evaluate(
+            &snap.filter,
+            &staged.schema,
+            &staged.compiled,
+            &staged.config,
+            &shapes,
+            &model,
+        )?;
+        self.metrics
+            .tuning_nanos
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let (stale_ops, new_ops) = (priced.stale_ops, priced.best_ops);
+        // The tracker counts the events it was shown.
+        let served = w.tracker.events_since_settled() * self.config.stats_sample;
+        let served = (!signal.is_warm_up()).then_some(served);
+        let refused = tuning::price_rebuild(stale_ops, new_ops, served, staged.compiled.rows());
+        let (Some(built), None) = (built, refused) else {
+            // (No candidate built prices at no saving.)
+            let reason = refused.unwrap_or(DeclineReason::NoSaving);
+            return self.decline_drift(s, w, signal, stale_ops - new_ops, reason);
         };
-        let refused = refused.or_else(|| {
-            if signal.is_warm_up() {
-                return None;
-            }
-            // The tracker counts the events it was shown.
-            let served = w.tracker.events_since_settled() * self.config.stats_sample;
-            price_rebuild(stale_ops, new_ops, served, staged.compiled.rows())
-        });
-        let (Some(filter), None) = (candidate, refused) else {
-            // (No candidate at all means the tuner accepted none.)
-            let reason = refused.unwrap_or(DeclineReason::BelowTuningThreshold);
-            return decline(w, stale_ops - new_ops, reason);
-        };
+        let from = TreeShape::of(w.active_config());
+        let to = priced.shape;
+        staged.config.attribute_order = to.attribute_order.clone();
+        staged.config.search = to.search;
+        let filter = staged.compile(Some(built))?;
 
-        let from = TreeShape {
-            attribute_order: w.active_config().attribute_order.clone(),
-            search: w.active_config().search,
-        };
-        let to = TreeShape {
-            attribute_order: staged.config.attribute_order.clone(),
-            search: staged.config.search,
-        };
         let (t0, spent) = (Instant::now(), staged.spent);
         w.rebuild(staged, filter, signal.cause == DriftCause::Moved)?;
         let rebuild_ns = (spent + t0.elapsed()).as_nanos() as u64;
@@ -1320,7 +1249,7 @@ impl Broker {
             predicted_new: new_ops,
             rebuild_ns,
         });
-        if !tuning {
+        if !self.config.tuning {
             return Ok(());
         }
         // An accepted retune changed the shard's active tree
@@ -1374,9 +1303,7 @@ impl Broker {
     ) -> Result<(), ServiceError> {
         let next_check_in = match reason {
             DeclineReason::NotYetPaid => w.tracker.defer_rebuild(),
-            DeclineReason::NoSaving | DeclineReason::BelowTuningThreshold => {
-                w.tracker.decline_rebuild()?
-            }
+            DeclineReason::NoSaving => w.tracker.decline_rebuild()?,
         };
         self.metrics.drift_declined.fetch_add(1, Ordering::Relaxed);
         self.journal(Decision::DriftDeclined {
@@ -1494,23 +1421,5 @@ mod tests {
         let mut disjoint = ids(&[1, 2, 3, 4]);
         merge_row(&mut disjoint, 2, &mut buf);
         assert_eq!(disjoint, ids(&[1, 2, 3, 4]));
-    }
-
-    #[test]
-    fn rebuild_pricing() {
-        use DeclineReason::{NoSaving, NotYetPaid};
-        // No saving, or none that is a number: never.
-        assert_eq!(price_rebuild(10.0, 10.0, u64::MAX, 1), Some(NoSaving));
-        assert_eq!(price_rebuild(10.0, 12.0, u64::MAX, 1), Some(NoSaving));
-        assert_eq!(price_rebuild(0.0, 0.0, u64::MAX, 1), Some(NoSaving));
-        assert_eq!(price_rebuild(f64::NAN, 1.0, u64::MAX, 1), Some(NoSaving));
-        // Half the comparisons saved: 100 profiles (4000 events' worth
-        // of filtering to compile) are repaid by the 8000th event
-        // served, not before.
-        assert_eq!(price_rebuild(10.0, 5.0, 7999, 100), Some(NotYetPaid));
-        assert_eq!(price_rebuild(10.0, 5.0, 8000, 100), None);
-        // A 2 % saving — sampling noise on a large tree — takes 200 000.
-        assert_eq!(price_rebuild(200.0, 196.0, 199_999, 100), Some(NotYetPaid));
-        assert_eq!(price_rebuild(200.0, 196.0, 200_000, 100), None);
     }
 }

@@ -23,38 +23,14 @@
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
-use ens_filter::{AttributeOrder, DriftCause, SearchStrategy};
+pub use ens_filter::tuning::{DeclineReason, TreeShape};
+use ens_filter::DriftCause;
 use parking_lot::Mutex;
 
 use crate::metrics::Metrics;
 
 /// Records the journal keeps; a new one evicts the oldest.
 pub const CAPACITY: usize = 64;
-
-/// The part of a tree configuration a retune re-decides.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TreeShape {
-    /// Order of the tree's levels.
-    pub attribute_order: AttributeOrder,
-    /// How a node's edges are searched.
-    pub search: SearchStrategy,
-}
-
-/// Why a drift trigger did not end in a rebuild.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeclineReason {
-    /// Eq. 2 prices the candidate no cheaper than the tree in place.
-    /// The detector's baseline moved onto the priced estimate.
-    NoSaving,
-    /// The best candidate's predicted improvement is below
-    /// `ens_filter::tuning::MIN_IMPROVEMENT`. Baseline moved likewise.
-    BelowTuningThreshold,
-    /// The candidate is cheaper, but at the predicted saving the tree
-    /// in place has not served long enough under its model for a
-    /// rebuild to be covered. The baseline stays: the same trigger is
-    /// priced again later.
-    NotYetPaid,
-}
 
 /// One decision of the adaptive loop (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +52,9 @@ pub enum Decision {
         predicted_stale: f64,
         /// The same for the tree now in place.
         predicted_new: f64,
-        /// Wall-clock cost of the rebuild (pricing excluded).
+        /// Wall-clock cost of the rebuild, pricing excluded — and with
+        /// it the build of the automaton that was priced
+        /// (`MetricsSnapshot::tuning_nanos`).
         rebuild_ns: u64,
     },
     /// A drift trigger was turned down.
@@ -136,9 +114,9 @@ pub enum Decision {
         /// The bulk containment pass (0 with covering off).
         cover_ns: u64,
         /// The tree build, straight into the automaton, and the
-        /// covering expansion plan (where the tuner's battery built the
-        /// automaton, the plan alone: the build is in
-        /// `MetricsSnapshot::tuning_nanos`).
+        /// covering expansion plan (for a drift rebuild, whose
+        /// automaton was built when it was priced, the plan alone: the
+        /// build is in `MetricsSnapshot::tuning_nanos`).
         tree_ns: u64,
     },
     /// A checkpoint generation was written (automatic, or by
@@ -230,6 +208,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ens_filter::{AttributeOrder, SearchStrategy};
 
     fn declined(shard: usize) -> Decision {
         Decision::DriftDeclined {

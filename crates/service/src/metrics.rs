@@ -39,11 +39,8 @@ pub(crate) struct Metrics {
     /// Accepted self-tuning retunes (drift rebuilds whose configuration
     /// was chosen by the cost model).
     pub retunes: AtomicU64,
-    /// Drift triggers the tuner declined (predicted improvement below
-    /// threshold — no rebuild happened).
-    pub retunes_declined: AtomicU64,
-    /// Wall-clock nanoseconds spent inside tuning evaluations (the
-    /// estimation/pricing overhead of the self-tuning loop).
+    /// Wall-clock nanoseconds spent pricing drift triggers' candidates
+    /// (the estimation/pricing overhead of the adaptive loop).
     pub tuning_nanos: AtomicU64,
     /// `f64::to_bits` of the last accepted retune's predicted expected
     /// comparison operations per event (cost model Eq. 2).
@@ -80,7 +77,6 @@ impl Metrics {
             overlay_packs: self.overlay_packs.load(Ordering::Relaxed),
             drift_declined: self.drift_declined.load(Ordering::Relaxed),
             retunes: self.retunes.load(Ordering::Relaxed),
-            retunes_declined: self.retunes_declined.load(Ordering::Relaxed),
             tuning_nanos: self.tuning_nanos.load(Ordering::Relaxed),
             predicted_ops_per_event: f64::from_bits(
                 self.predicted_ops_bits.load(Ordering::Relaxed),
@@ -166,13 +162,11 @@ pub struct MetricsSnapshot {
     /// (search-strategy, attribute-order) shape was re-chosen by the
     /// cost model under the online distribution estimate.
     pub retunes: u64,
-    /// The share of [`MetricsSnapshot::drift_declined`] turned down
-    /// with tuning enabled: the best candidate's predicted improvement
-    /// did not clear the tuner's 10 % bar, or does not pay for the
-    /// rebuild yet.
-    pub retunes_declined: u64,
-    /// Total wall-clock nanoseconds spent pricing retune candidates —
-    /// the overhead the self-tuning loop adds to the write path.
+    /// Total wall-clock nanoseconds spent pricing drift triggers'
+    /// candidates — building each and running Eq. 2 on it, the
+    /// overhead the adaptive loop adds to the write path. A trigger
+    /// with no candidate to price (the shape in place reads no event
+    /// model and tuning is off) adds nothing.
     pub tuning_nanos: u64,
     /// The cost model's predicted expected comparison operations per
     /// event for the most recently accepted retune (0 before any
@@ -243,11 +237,11 @@ impl MetricsSnapshot {
 
 impl fmt::Display for MetricsSnapshot {
     /// One-line operational summary, e.g.
-    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) cover=180/95 dropped=0 overflow=0 panics=0 rebuilds=1 declined=2 compactions=4 packs=5 retunes=1/2 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
+    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) cover=180/95 dropped=0 overflow=0 panics=0 rebuilds=1 declined=2 compactions=4 packs=5 retunes=1 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) cover={}/{} dropped={} overflow={} panics={} rebuilds={} declined={} compactions={} packs={} retunes={}/{} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
+            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) cover={}/{} dropped={} overflow={} panics={} rebuilds={} declined={} compactions={} packs={} retunes={} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
             self.events_published,
             self.batch_events,
             self.notifications_sent,
@@ -266,7 +260,6 @@ impl fmt::Display for MetricsSnapshot {
             self.overlay_compactions,
             self.overlay_packs,
             self.retunes,
-            self.retunes + self.retunes_declined,
             self.predicted_ops_per_event,
             self.wal_salvaged_frames,
             self.wal_quarantined_bytes,

@@ -260,9 +260,9 @@ impl Staged {
     }
 
     /// Compiles the filter a commit serves from for the staged
-    /// population and configuration: its automaton, or `built` where
-    /// the tuner has built and priced that automaton already, and the
-    /// expansion plan.
+    /// population and configuration: its automaton, or `built` where a
+    /// drift trigger's pricing has built that automaton already, and
+    /// the expansion plan.
     pub(super) fn compile(&mut self, built: Option<Dfsa>) -> Result<FilterSnapshot, ServiceError> {
         let t0 = Instant::now();
         let dfsa = match built {

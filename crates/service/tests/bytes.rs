@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ens_filter::{Direction, SearchStrategy, TreeConfig, ValueOrder};
+use ens_filter::{Direction, DriftCause, SearchStrategy, TreeConfig, ValueOrder};
 use ens_service::{Broker, BrokerConfig, Decision, DurabilityConfig, FsyncPolicy};
 use ens_workloads::scenario::{stock_event_model, stock_profiles, stock_schema};
 use ens_workloads::{covered_profiles, CoveredPopulationConfig, EventGenerator};
@@ -126,17 +126,17 @@ fn a_shard_holds_its_model_tables_once() {
     );
     drop(broker);
 
-    // Serving, answering a drift trigger (the warm-up rebuild, priced
-    // on both automata) and checkpointing hold the automata alone, and
-    // `dfsa_dispatch` selects nothing: a thousand subscriptions retain
-    // the same bytes under either setting (1,807,405 when `false`
-    // matched through trees raised beside the automata).
+    // Serving, answering a drift trigger and checkpointing hold the
+    // automata alone, and `dfsa_dispatch` selects nothing: a thousand
+    // subscriptions retain the same bytes under either setting
+    // (1,807,405 when `false` matched through trees raised beside the
+    // automata).
     let profiles = stock_profiles(1000, &mut StdRng::seed_from_u64(13)).unwrap();
     let generator = EventGenerator::new(&schema, stock_event_model().unwrap()).unwrap();
     let mut rng = StdRng::seed_from_u64(14);
     let events: Vec<_> = (0..600).map(|_| generator.sample(&mut rng)).collect();
     let dir = std::env::temp_dir().join(format!("ens-bytes-{}", std::process::id()));
-    let run = |dfsa_dispatch: bool| {
+    let run = |search, dfsa_dispatch: bool| {
         let _ = std::fs::remove_dir_all(&dir);
         retained(|| {
             let durability = DurabilityConfig {
@@ -149,7 +149,7 @@ fn a_shard_holds_its_model_tables_once() {
                 // One queued notification a subscriber: what they
                 // retain does not grow with the events.
                 notify_capacity: 1,
-                ..config(natural)
+                ..config(search)
             };
             let opened = Broker::open(&schema, config, durability).unwrap();
             let subs = opened
@@ -163,22 +163,45 @@ fn a_shard_holds_its_model_tables_once() {
             (opened.broker, subs)
         })
     };
-    // A first run leaves this thread's matching scratch behind.
-    drop(run(true).0);
-    let ((broker, _subs), served) = run(true);
+    // In event order the warm-up is priced on both automata and
+    // rebuilt: 1,651,650 bytes. (A first run leaves this thread's
+    // matching scratch behind.)
+    drop(run(event_order, true).0);
+    let ((broker, _subs), served) = run(event_order, true);
     let rebuilt = |d: &Decision| matches!(d, Decision::DriftRebuilt { .. });
     assert!(
         broker.decisions().iter().any(rebuilt),
+        "a drift trigger was answered with a rebuild"
+    );
+    drop((broker, _subs));
+    let ((broker, _subs), reference) = run(event_order, false);
+    drop((broker, _subs));
+    assert_eq!(served, reference, "retained with dfsa_dispatch on and off");
+    // In natural order the warm-up has no candidate to price — the
+    // same tree would come out — and is declined without a build.
+    let ((broker, _subs), served) = run(natural, true);
+    let declined = |d: &Decision| {
+        matches!(
+            d,
+            Decision::DriftDeclined {
+                cause: DriftCause::WarmUp,
+                ..
+            }
+        )
+    };
+    assert!(
+        broker.decisions().iter().any(declined),
         "a drift trigger was answered"
     );
     drop((broker, _subs));
-    let ((broker, _subs), reference) = run(false);
+    let ((broker, _subs), reference) = run(natural, false);
     drop((broker, _subs));
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(served, reference, "retained with dfsa_dispatch on and off");
-    // The drift statistics keep cut points and counts: 1,137,974
-    // bytes, 1,507,477 while they kept a partition per attribute with
-    // every cell's covering-profile list.
+    // The drift statistics keep cut points and counts: 843,230 bytes
+    // (1,137,974 while the warm-up recompiled the same tree, 1,507,477
+    // while they kept a partition per attribute with every cell's
+    // covering-profile list).
     assert!(
         served < 1_250_000,
         "a loaded durable 2-shard stock broker retains {served} bytes"

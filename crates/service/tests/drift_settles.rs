@@ -63,9 +63,12 @@ fn v1() -> TreeConfig {
 
 /// (i) The stock case PR 11 recorded: about 2000 price cells, 500
 /// events between evaluations — sampling noise of 1.6 against a
-/// threshold of 0.25, and a rebuild every 530 events for good.
+/// threshold of 0.25, and a rebuild every 530 events for good. The
+/// default shape reads no event model, so no trigger has a tree to
+/// price: the warm-up is turned down on the spot, and the stream never
+/// recompiles.
 #[test]
-fn stationary_stock_stream_rebuilds_once() {
+fn stationary_stock_stream_never_recompiles() {
     let schema = stock_schema();
     let mut rng = StdRng::seed_from_u64(11);
     let profiles = stock_profiles(1000, &mut rng).unwrap();
@@ -82,16 +85,16 @@ fn stationary_stock_stream_rebuilds_once() {
     }
     let m = broker.metrics();
     assert!(m.tree_rebuilds <= 3, "{m}");
-    // Exact for this seed: the warm-up onto the first estimate, and not
-    // a trigger after it.
-    assert_eq!((m.tree_rebuilds, m.drift_declined), (1, 0), "{m}");
+    // Exact for this seed: the warm-up, declined, and not a trigger
+    // after it.
+    assert_eq!((m.tree_rebuilds, m.drift_declined), (0, 1), "{m}");
     let decisions = drift_decisions(&broker);
-    let [Decision::DriftRebuilt {
+    let [Decision::DriftDeclined {
         cause: DriftCause::WarmUp,
         noise,
         drift,
-        predicted_stale,
-        predicted_new,
+        predicted_saving,
+        reason: DeclineReason::NoSaving,
         ..
     }] = decisions[..]
     else {
@@ -99,11 +102,50 @@ fn stationary_stock_stream_rebuilds_once() {
     };
     assert_eq!(noise, 0.0, "warm-up: nothing to have drifted from");
     assert!(drift > 1.0, "500 events over 2000 cells: {drift}");
-    // The natural order reads no event model, so none is compiled in:
-    // the warm-up builds the estimate it prices under for the journal.
-    for ops in [predicted_stale, predicted_new] {
-        assert!(ops.is_finite() && ops > 0.0, "{decisions:?}");
+    assert_eq!(predicted_saving, 0.0, "nothing was priced");
+}
+
+/// The warm-up of a `BrokerConfig::default()` broker recompiles
+/// nothing: its natural order reads no event model, so the tree it
+/// would build is the tree in place. The bulk load's record is the
+/// only `Compacted` one; the trigger is declined, not staged.
+#[test]
+fn default_warm_up_is_declined_without_a_recompile() {
+    let schema = environmental_schema();
+    let mut rng = StdRng::seed_from_u64(11);
+    let population = environmental_profiles(200, &mut rng).unwrap();
+    let broker = Broker::new(&schema, BrokerConfig::default()).unwrap();
+    let subs = broker.subscribe_many(population.iter().cloned()).unwrap();
+    let loaded = broker.decisions();
+    assert!(
+        matches!(loaded[..], [Decision::Compacted { .. }]),
+        "{loaded:#?}"
+    );
+    let generator = EventGenerator::new(&schema, environmental_event_model().unwrap()).unwrap();
+    let min_events = RebuildPolicy::default().min_events;
+    while broker.decisions().len() == loaded.len() {
+        broker.publish(&generator.sample(&mut rng)).unwrap();
+        drain(&subs);
     }
+    let decisions = broker.decisions();
+    let [Decision::Compacted { .. }, Decision::DriftDeclined {
+        cause: DriftCause::WarmUp,
+        reason: DeclineReason::NoSaving,
+        predicted_saving,
+        next_check_in,
+        ..
+    }] = decisions[..]
+    else {
+        panic!("{decisions:#?}");
+    };
+    assert_eq!(predicted_saving, 0.0);
+    assert_eq!(next_check_in, 2 * min_events, "the baseline moved");
+    let m = broker.metrics();
+    assert_eq!(
+        (m.tree_rebuilds, m.drift_declined, m.tuning_nanos),
+        (0, 1, 0),
+        "{m}"
+    );
 }
 
 /// (ii) The `durable_churn` shape: every drift rebuild used to fold the
@@ -130,14 +172,14 @@ fn churn_rounds_on_a_durable_broker_do_not_recompile() {
         .zip(population.iter().cloned())
         .collect();
 
-    // Warm-up: the one rebuild onto the first estimate.
+    // Warm-up: declined, the natural order reading no event model.
     let generator = EventGenerator::new(&schema, environmental_event_model().unwrap()).unwrap();
     for _ in 0..1000 {
         broker.publish(&generator.sample(&mut rng)).unwrap();
     }
     drain(&base);
     let warm = broker.metrics();
-    assert_eq!(warm.tree_rebuilds, 1, "{warm}");
+    assert_eq!((warm.tree_rebuilds, warm.drift_declined), (0, 1), "{warm}");
 
     let plan = churn_burst_plan(11, 200, 64, 16).unwrap();
     let mut churn: Vec<Subscriber> = Vec::new();
@@ -179,8 +221,8 @@ fn churn_rounds_on_a_durable_broker_do_not_recompile() {
     let rebuilds = m.tree_rebuilds - warm.tree_rebuilds;
     assert!(rebuilds <= 2, "{m}");
     assert_eq!(rebuilds, 0, "exact for this seed: {m}");
-    // Nothing folded the overlay into the base after the warm-up, so
-    // every churn subscription was still in the overlay when it left:
+    // Nothing folded the overlay into the base, so every churn
+    // subscription was still in the overlay when it left:
     // no tombstone was ever set, none piled up to a compaction. (Nor
     // did the overlay's own pressure: a churn profile that covers
     // compiled representatives adds to it, and takes that back with it
@@ -353,6 +395,58 @@ fn hot_band_migration_still_fires_and_pays() {
     drain(&subs);
 }
 
+/// The tree in place is priced once, however the trigger is answered:
+/// Eq. 2 on its automaton plus one comparison an event for each
+/// overlay entry the counting index matches. A tuning-off V1 broker
+/// carrying `k` such entries prices its stale tree at what an
+/// otherwise identical broker without them does, plus `k`.
+#[test]
+fn overlay_entries_are_priced_into_the_tree_in_place() {
+    // Few enough profiles that the first migration pays at once.
+    let w = hot_band_migration(41, 20, 3000).unwrap();
+    let k = 3;
+    let moved_stale = |overlay: usize| {
+        let broker = Broker::new(
+            &w.schema,
+            BrokerConfig {
+                tree: v1(),
+                // Every overlay entry in the counting index.
+                covering: false,
+                ..BrokerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut subs = broker.subscribe_many(w.profiles.iter().cloned()).unwrap();
+        for e in &w.phase_a {
+            broker.publish(e).unwrap();
+        }
+        drain(&subs);
+        // After the warm-up, which would have folded them in.
+        for p in w.profiles.iter().take(overlay) {
+            subs.push(broker.subscribe_profile(p.clone()).unwrap());
+        }
+        for e in &w.phase_b {
+            broker.publish(e).unwrap();
+            if broker.decisions().iter().any(read_as_moved) {
+                break;
+            }
+        }
+        drain(&subs);
+        let decisions = drift_decisions(&broker);
+        let moved = decisions.into_iter().find(read_as_moved);
+        let Some(Decision::DriftRebuilt {
+            predicted_stale, ..
+        }) = moved
+        else {
+            panic!("{moved:#?}");
+        };
+        predicted_stale
+    };
+    let (eq2, with_overlay) = (moved_stale(0), moved_stale(k));
+    assert!(eq2 > 0.0);
+    assert_eq!(with_overlay, eq2 + k as f64);
+}
+
 /// (iv, second half) A migration Eq. 2 prices at no saving is turned
 /// down, and each one turned down doubles the wait before the next is
 /// looked at: 2, 4, 8 times `min_events`.
@@ -396,9 +490,8 @@ fn migrations_without_saving_back_off() {
     publish(75, 5_000);
     publish(25, 25_000);
     let m = broker.metrics();
-    assert_eq!(m.tree_rebuilds, 1, "the warm-up, unpriced: {m}");
-    assert_eq!(m.drift_declined, 7, "exact for this stream: {m}");
-    assert_eq!(m.retunes_declined, 0, "tuning is off: {m}");
+    assert_eq!(m.tree_rebuilds, 0, "the warm-up saves nothing either: {m}");
+    assert_eq!(m.drift_declined, 6, "exact for this stream: {m}");
     let waits: Vec<u64> = broker
         .decisions()
         .iter()
@@ -491,7 +584,9 @@ fn recompiles_journal_their_stage_costs() {
     let schema = stock_schema();
     let mut rng = StdRng::seed_from_u64(11);
     let profiles = stock_profiles(400, &mut rng).unwrap();
+    // V1: a shape the drift loop rebuilds, under an event model.
     let config = BrokerConfig {
+        tree: v1(),
         shards: 2,
         ..BrokerConfig::default()
     };
@@ -542,8 +637,8 @@ fn recompiles_journal_their_stage_costs() {
     };
     assert_eq!(compacted, rebuilt);
     assert_eq!(population, populations[rebuilt], "a rebuild moves nobody");
-    // The natural order reads no event model, so none is built.
-    assert!(model_ns == 0 && tree_ns > 0);
+    // V1 reads the event model, so one is built.
+    assert!(model_ns > 0 && tree_ns > 0);
     assert!(model_ns + cover_ns + tree_ns <= rebuild_ns);
 }
 

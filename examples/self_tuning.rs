@@ -109,9 +109,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m.predicted_ops_per_event
     );
     println!(
-        "  retunes: {} accepted, {} declined; tuning overhead: {:.2} ms total",
+        "  retunes: {} accepted, {} drift triggers declined; pricing overhead: {:.2} ms total",
         m.retunes,
-        m.retunes_declined,
+        m.drift_declined,
         m.tuning_nanos as f64 / 1e6,
     );
     assert!(m.retunes >= 1, "the drift workload must trigger a retune");
