@@ -401,8 +401,9 @@ struct LineTopologyRow {
 }
 
 /// What the adaptive loop did over one stream at
-/// `BrokerConfig::default()` — sampling every event, the configuration
-/// a user gets.
+/// `BrokerConfig::default()`, the configuration a user gets: its natural
+/// order reads no event model, so a drift trigger would have nothing to
+/// price, no shard samples, and every count of the loop reads 0.
 #[derive(Debug, Serialize)]
 struct DriftSettleRow {
     events: u64,

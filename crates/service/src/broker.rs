@@ -98,9 +98,11 @@ pub struct BrokerConfig {
     /// ([`tuning::price_rebuild`]; the warm-up onto a shard's first
     /// estimate, on any saving) — see [`Broker::decisions`] for each
     /// outcome. With [`BrokerConfig::tuning`] off, a shape that reads
-    /// no event model (the default) is never rebuilt by a trigger. On a
-    /// stationary stream the loop therefore settles: at most one
-    /// rebuild, then a geometrically thinning series of checks.
+    /// no event model (the default) has nothing a trigger could
+    /// rebuild, so it samples nothing and no trigger fires
+    /// ([`BrokerConfig::stats_sample`]). On a stationary stream the
+    /// loop therefore settles: at most one rebuild, then a
+    /// geometrically thinning series of checks.
     pub rebuild: RebuildPolicy,
     /// Number of subscription shards (0 is treated as 1). Each shard
     /// owns an independent snapshot, writer lock and drift statistics,
@@ -112,12 +114,17 @@ pub struct BrokerConfig {
     /// the frozen end-to-end benchmark harness names it; ROADMAP items
     /// 1(b) and 2(d) delete it.
     pub dfsa_dispatch: bool,
-    /// Record every Nth published event into the per-shard drift
-    /// statistics (1 = every event, the default; 0 disables drift
-    /// tracking entirely, and with it every rebuild that is not a churn
-    /// compaction). Recording is a histogram update per attribute and,
-    /// every [`RebuildPolicy::drift_check_every`] events, one pass over
-    /// the cells — no allocation, about 60 ns an event on the `e2e`
+    /// Record every Nth published event into the drift statistics of
+    /// each shard that samples (1 = every event, the default; 0
+    /// disables drift tracking entirely, and with it every rebuild that
+    /// is not a churn compaction). A shard samples only where a drift
+    /// trigger could act: where [`tuning::candidates`] offers a shape
+    /// to price — with [`BrokerConfig::tuning`] on, or for a shape that
+    /// reads an event model (V1/V3 search, A2/A3 order). The default
+    /// shape does not, so a default broker samples nothing, whatever N
+    /// is. Recording is a histogram update per attribute and, every
+    /// [`RebuildPolicy::drift_check_every`] events, one pass over the
+    /// cells — no allocation, about 60 ns an event on the `e2e`
     /// populations — under a per-shard `try_lock`: under contention a
     /// sample is skipped rather than stalling the publisher. The
     /// statistics survive compactions (they are re-binned onto the new
@@ -214,6 +221,10 @@ struct ShardSnapshot {
     filter: FilterSnapshot,
     /// Dispatch by global profile id, tombstones included.
     dispatch: Dispatch,
+    /// Whether the publish paths sample the shard's drift statistics:
+    /// only where a trigger could act, [`tuning::candidates`] offering a
+    /// shape to price (see [`BrokerConfig::stats_sample`]).
+    samples: bool,
 }
 
 impl ShardSnapshot {
@@ -360,28 +371,64 @@ impl ShardBatch {
         }
     }
 
-    /// Adds this shard's outcome for event `i` to `into`: a matched
-    /// subscriber is in `matched` up to the event its channel was
-    /// found severed at, and in `dead` from there on.
-    fn collect(&self, snap: &ShardSnapshot, i: usize, into: &mut Delivery) {
+    /// Pushes the subscribers event `i` matched on this shard whose
+    /// channel was found severed at or before it: one per (event,
+    /// severed subscriber), as a single publish finds them.
+    fn severed_of(&self, snap: &ShardSnapshot, i: usize, dead: &mut Vec<SubscriptionId>) {
+        if self.dead.is_empty() {
+            return;
+        }
+        let row = self.rows.matched_of(i).iter();
+        let severed = row.filter(|&&g| self.dead_from[g as usize] <= i as u32);
+        dead.extend(severed.map(|&g| snap.entry(g).id));
+    }
+
+    /// Adds this shard's part of event `i`'s receipt to `into`: its
+    /// comparisons, and each matched subscriber up to the event its
+    /// channel was found severed at.
+    fn collect(&self, snap: &ShardSnapshot, i: usize, into: &mut PublishReceipt) {
         if self.panicked {
             return;
         }
         into.ops += self.rows.ops_of(i);
-        into.overlay_ops += self.rows.overlay_ops_of(i);
-        let row = self.rows.matched_of(i);
+        let row = self.rows.matched_of(i).iter();
         if self.dead.is_empty() {
-            into.matched.extend(row.iter().map(|&g| snap.entry(g).id));
+            into.matched.extend(row.map(|&g| snap.entry(g).id));
             return;
         }
-        for &g in row {
-            let id = snap.entry(g).id;
-            if self.dead_from[g as usize] <= i as u32 {
-                into.dead.push(id);
-            } else {
-                into.matched.push(id);
+        let live = row.filter(|&&g| self.dead_from[g as usize] > i as u32);
+        into.matched.extend(live.map(|&g| snap.entry(g).id));
+    }
+}
+
+impl BatchScratch {
+    /// The receipt view of the batch [`Broker::run_batch`] just ran, its
+    /// first event numbered `base_seq`: one receipt per event, in input
+    /// order, the shards' rows merged into it (see [`merge_row`]).
+    fn receipts(&mut self, base_seq: u64, events: usize) -> Vec<PublishReceipt> {
+        let BatchScratch {
+            snaps,
+            shards,
+            merge,
+            ..
+        } = self;
+        let shards = &shards[..snaps.len()];
+        let receipt = |i: usize| {
+            let live = shards.iter().filter(|b| !b.panicked);
+            let hits = live.map(|b| b.rows.matched_of(i).len()).sum();
+            let mut receipt = PublishReceipt {
+                sequence: base_seq + i as u64,
+                matched: Vec::with_capacity(hits),
+                ops: 0,
+            };
+            for (snap, batch) in snaps.iter().zip(shards) {
+                let start = receipt.matched.len();
+                batch.collect(snap, i, &mut receipt);
+                merge_row(&mut receipt.matched, start, merge);
             }
-        }
+            receipt
+        };
+        (0..events).map(receipt).collect()
     }
 }
 
@@ -786,8 +833,10 @@ impl Broker {
             let (indexed, scratch, merge) = &mut *cell.borrow_mut();
             indexed.resolve_into(&self.schema, &event)?;
             let sequence = self.sequence.fetch_add(1, Ordering::Relaxed);
+            let mut samples = false;
             for shard in self.shards.iter() {
                 let snap = shard.snapshot.read().clone();
+                samples |= snap.samples;
                 let start = delivery.matched.len();
                 self.match_and_deliver(&snap, indexed, scratch, &event, sequence, &mut delivery);
                 merge_row(&mut delivery.matched, start, merge);
@@ -796,7 +845,7 @@ impl Broker {
             let (ops, overflowed) = (delivery.ops, delivery.overflowed);
             self.count_published(1, ops, delivery.overlay_ops, notified, overflowed);
             self.count_expansion(delivery.cover_checks, delivery.cover_delivered);
-            self.settle(indexed.raw(), sequence, &mut delivery.dead)?;
+            self.settle(indexed.raw(), sequence, &mut delivery.dead, samples)?;
             Ok(sequence)
         })?;
         self.maybe_checkpoint();
@@ -840,6 +889,7 @@ impl Broker {
                 Ok(()) => self.run_batch(events, &indexed, scratch),
                 Err(e) => Err(e.into()),
             };
+            let receipts = receipts.map(|base_seq| scratch.receipts(base_seq, events.len()));
             scratch.indexed = indexed;
             receipts
         })
@@ -867,18 +917,34 @@ impl Broker {
         events: &[Arc<Event>],
         indexed: &IndexedBatch,
     ) -> Result<Vec<PublishReceipt>, ServiceError> {
-        self.with_batch_scratch(events, |scratch| self.run_batch(events, indexed, scratch))
+        self.with_batch_scratch(events, |scratch| {
+            let base_seq = self.run_batch(events, indexed, scratch)?;
+            Ok(scratch.receipts(base_seq, events.len()))
+        })
+    }
+
+    /// [`Broker::publish_batch_prepared`] without the receipts, which
+    /// federated ingress does not read: the same batch core, errors
+    /// included.
+    pub(crate) fn ingest_batch_prepared(
+        &self,
+        events: &[Arc<Event>],
+        indexed: &IndexedBatch,
+    ) -> Result<(), ServiceError> {
+        self.with_batch_scratch(events, |scratch| {
+            self.run_batch(events, indexed, scratch).map(drop)
+        })
     }
 
     /// Publishes a non-empty batch through `publish` with the thread's
     /// batch buffers, then checkpoints if one is due.
-    fn with_batch_scratch(
+    fn with_batch_scratch<T: Default>(
         &self,
         events: &[Arc<Event>],
-        publish: impl FnOnce(&mut BatchScratch) -> Result<Vec<PublishReceipt>, ServiceError>,
-    ) -> Result<Vec<PublishReceipt>, ServiceError> {
+        publish: impl FnOnce(&mut BatchScratch) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
         if events.is_empty() {
-            return Ok(Vec::new());
+            return Ok(T::default());
         }
         // Taken out rather than borrowed: nothing below can then find
         // the cell busy, whatever it calls.
@@ -891,15 +957,18 @@ impl Broker {
         Ok(receipts)
     }
 
-    /// Matches and delivers a batch shard by shard, once its shape is
-    /// checked, then merges the shards' rows into one receipt per event
-    /// (see [`merge_row`]).
+    /// The batch core: matches and delivers a batch shard by shard, once
+    /// its shape is checked, counts it, then settles its events in
+    /// order — collecting the subscribers found hung up and sampling
+    /// the drift statistics. Returns the sequence number of the first
+    /// event; the shards' rows and snapshots stay in `scratch` for
+    /// [`BatchScratch::receipts`].
     fn run_batch(
         &self,
         events: &[Arc<Event>],
         indexed: &IndexedBatch,
         scratch: &mut BatchScratch,
-    ) -> Result<Vec<PublishReceipt>, ServiceError> {
+    ) -> Result<u64, ServiceError> {
         if indexed.len() != events.len() || indexed.width() != self.schema.len().max(1) {
             return Err(ServiceError::Types(
                 ens_types::TypesError::UnknownAttribute(format!(
@@ -917,12 +986,7 @@ impl Broker {
         let base_seq = self
             .sequence
             .fetch_add(events.len() as u64, Ordering::Relaxed);
-        let BatchScratch {
-            snaps,
-            shards,
-            merge,
-            ..
-        } = scratch;
+        let BatchScratch { snaps, shards, .. } = scratch;
         snaps.extend(self.shards.iter().map(|s| s.snapshot.read().clone()));
         if shards.len() < snaps.len() {
             shards.resize_with(snaps.len(), ShardBatch::default);
@@ -954,7 +1018,7 @@ impl Broker {
             }
         }
 
-        // Every matched subscriber stays in `matched`; what full
+        // Every matched subscriber stays in its receipt; what full
         // channels evict is only counted. The counters move once per
         // batch, before any of its events is sampled for drift: a
         // retune inside the batch is measured from the next one, the
@@ -970,28 +1034,17 @@ impl Broker {
             shards.iter().map(|b| b.rows.cover_checks()).sum(),
             shards.iter().map(|b| b.rows.cover_delivered()).sum(),
         );
-        let mut receipts = Vec::with_capacity(events.len());
+        // Event by event, as single publishes would settle them: a
+        // subscriber is collected at the first event its channel was
+        // found severed at, and counted at each one after.
+        let (mut dead, samples) = (Vec::new(), snaps.iter().any(|s| s.samples));
         for i in 0..events.len() {
-            let live = shards.iter().filter(|b| !b.panicked);
-            let hits = live.map(|b| b.rows.matched_of(i).len()).sum();
-            let mut delivery = Delivery {
-                matched: Vec::with_capacity(hits),
-                ..Delivery::default()
-            };
             for (snap, batch) in snaps.iter().zip(shards.iter()) {
-                let start = delivery.matched.len();
-                batch.collect(snap, i, &mut delivery);
-                merge_row(&mut delivery.matched, start, merge);
+                batch.severed_of(snap, i, &mut dead);
             }
-            let sequence = base_seq + i as u64;
-            self.settle(indexed.row(i), sequence, &mut delivery.dead)?;
-            receipts.push(PublishReceipt {
-                sequence,
-                matched: delivery.matched,
-                ops: delivery.ops,
-            });
+            self.settle(indexed.row(i), base_seq + i as u64, &mut dead, samples)?;
         }
-        Ok(receipts)
+        Ok(base_seq)
     }
 
     /// Arms the next `publish_batch` so the worker of `shard` panics
@@ -1130,14 +1183,16 @@ impl Broker {
     }
 
     /// Post-delivery bookkeeping of one event, shared by `publish` and
-    /// `publish_batch`: garbage collection of the hung-up subscribers
-    /// in `dead`, and sampled drift statistics (with adaptive rebuilds)
-    /// from the event's resolved `row`.
+    /// the batch core: garbage collection of the hung-up subscribers in
+    /// `dead`, and sampled drift statistics (with adaptive rebuilds)
+    /// from the event's resolved `row` if the snapshots it was matched
+    /// against say that any shard `samples`.
     fn settle(
         &self,
         row: &[u64],
         sequence: u64,
         dead: &mut Vec<SubscriptionId>,
+        samples: bool,
     ) -> Result<(), ServiceError> {
         if !dead.is_empty() {
             let n = dead.len() as u64;
@@ -1161,18 +1216,21 @@ impl Broker {
                 .fetch_add(n, Ordering::Relaxed);
             collected?;
         }
-        if self.config.stats_sample > 0 && sequence % self.config.stats_sample == 0 {
+        if samples && self.config.stats_sample > 0 && sequence % self.config.stats_sample == 0 {
             self.observe_drift(row)?;
         }
         Ok(())
     }
 
-    /// Records the resolved event `row` into every shard's drift
-    /// statistics (skipping shards whose writer lock is contended) and,
-    /// where the drift policy fires, decides whether the shard is
-    /// rebuilt.
+    /// Records the resolved event `row` into the drift statistics of
+    /// every shard that samples (skipping shards whose writer lock is
+    /// contended) and, where the drift policy fires, decides whether
+    /// the shard is rebuilt.
     fn observe_drift(&self, row: &[u64]) -> Result<(), ServiceError> {
         for (s, shard) in self.shards.iter().enumerate() {
+            if !shard.snapshot.read().samples {
+                continue;
+            }
             let Some(mut w) = shard.try_lock() else {
                 continue;
             };
@@ -1187,8 +1245,8 @@ impl Broker {
     /// shapes ([`tuning::candidates`]) recompiled under the shard's
     /// estimate against the filter in place ([`tuning::evaluate`]), and
     /// commits the cheapest only if [`tuning::price_rebuild`] takes it.
-    /// A trigger with no candidate — the same tree would come out — is
-    /// declined on the spot.
+    /// A shard samples, and so fires a trigger, only where there is a
+    /// candidate (`ShardSnapshot::samples`).
     ///
     /// The whole pass runs on the publishing thread under the shard's
     /// writer lock. The filter that was priced is the filter committed,
@@ -1201,9 +1259,6 @@ impl Broker {
         signal: DriftSignal,
     ) -> Result<(), ServiceError> {
         let shapes = tuning::candidates(w.active_config(), self.config.tuning);
-        if shapes.is_empty() {
-            return self.decline_drift(s, w, signal, 0.0, DeclineReason::NoSaving);
-        }
         let snap = shard.snapshot.read().clone();
         let mut staged = w.stage()?;
         // The estimate both filters are priced under: built here for a

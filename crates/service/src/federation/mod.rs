@@ -1075,8 +1075,13 @@ impl Federation {
                     // a single pass.
                     let mut batch = std::mem::take(&mut st.batch_scratch);
                     batch.reset(rows.width());
-                    let mut events: Vec<Arc<Event>> = Vec::new();
-                    let (mut seqs, mut oseqs) = (Vec::new(), Vec::new());
+                    let cap = rows.len().saturating_sub(skip);
+                    let mut events: Vec<Arc<Event>> = Vec::with_capacity(cap);
+                    let (mut seqs, mut oseqs) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+                    // Every row of the message is `origin`'s: its floor
+                    // is read once, by the first row to reach it, and
+                    // written back once, after the last.
+                    let mut floor = None;
                     for (offset, &oseq) in origin_seqs.iter().enumerate().skip(skip) {
                         if origin == self.config.node {
                             // Our own event echoed around a cycle.
@@ -1088,7 +1093,9 @@ impl Federation {
                             // suppression on acyclic overlays, where
                             // each origin's rows arrive along a single
                             // FIFO path and thus in seq order.
-                            let floor = st.origin_floors.entry(origin).or_insert(0);
+                            let floors = &st.origin_floors;
+                            let floor =
+                                floor.get_or_insert_with(|| *floors.get(&origin).unwrap_or(&0));
                             if oseq <= *floor {
                                 st.counters.origin_duplicates += 1;
                                 continue;
@@ -1107,6 +1114,9 @@ impl Federation {
                         seqs.push(first_seq + offset as u64);
                         oseqs.push(oseq);
                     }
+                    if let Some(floor) = floor {
+                        st.origin_floors.insert(origin, floor);
+                    }
                     if !events.is_empty() {
                         // A publish failure must NOT abort the pump:
                         // the link already advanced its floor past
@@ -1115,8 +1125,9 @@ impl Federation {
                         // way. Bailing out here would additionally
                         // drop every later link event on the floor.
                         // Count the failed rows and keep going.
-                        if self.broker.publish_batch_prepared(&events, &batch).is_ok() {
+                        if self.broker.ingest_batch_prepared(&events, &batch).is_ok() {
                             st.counters.delivered_rows += events.len() as u64;
+                            report.delivered.reserve(events.len());
                             for (i, event) in events.iter().enumerate() {
                                 report.delivered.push(RemoteDelivery {
                                     peer,

@@ -22,7 +22,9 @@
 //! id and channel, its filter's tombstone bit whether it is live, and
 //! the filter what the entries were compiled into, down to where the
 //! base ends, which overlay positions its counting index matches and
-//! which it expands through a compiled representative. A joining
+//! which it expands through a compiled representative; and whether the
+//! publish paths sample the shard's drift statistics, which follows the
+//! shape installed with the filter. A joining
 //! entry's slot and probe answer travel in the pending [`Change`] until
 //! the commit hands them to the snapshot.
 //!
@@ -43,7 +45,8 @@ use std::time::{Duration, Instant};
 
 use ens_dist::JointDist;
 use ens_filter::{
-    AttributeOrder, Dfsa, DriftTracker, FilterSnapshot, RebinnedHistory, SearchStrategy, TreeConfig,
+    tuning, AttributeOrder, Dfsa, DriftTracker, FilterSnapshot, RebinnedHistory, SearchStrategy,
+    TreeConfig,
 };
 use ens_types::{CoverOutcome, CoverSet, LoweredTable, Profile, ProfileSet, Residual, Schema};
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -333,6 +336,8 @@ pub(super) struct ShardWriter {
     schema: Arc<Schema>,
     /// [`BrokerConfig::covering`].
     covering: bool,
+    /// [`BrokerConfig::tuning`].
+    tuning: bool,
     metrics: Arc<Metrics>,
     /// The broker's decision journal, and the index this shard signs
     /// its records with.
@@ -357,20 +362,26 @@ impl ShardWriter {
     /// in a copy of its region's tombstone bitmap and severs its slot
     /// in a copy of its dispatch chunk. A pack rebuilds the overlay from
     /// its live entries, each matched as the published snapshot matched
-    /// it, O(overlay).
+    /// it, O(overlay). Whether the snapshot samples follows the shape:
+    /// `compiled`'s configuration's for a recompile, `prev`'s otherwise.
     fn snapshot_after(
         &self,
         prev: &ShardSnapshot,
         change: &Change,
-        compiled: Option<FilterSnapshot>,
+        compiled: Option<(FilterSnapshot, &TreeConfig)>,
     ) -> Result<ShardSnapshot, ServiceError> {
         let base = prev.filter.base_len();
         let kept_slot = |g| prev.dispatch.get(g, base).clone();
-        if let Some(filter) = compiled {
+        if let Some((filter, tree)) = compiled {
             let kept = (0..self.entries.len()).filter(|&g| change.keeps(&prev.filter, g));
             let joining = change.add.iter().map(|(_, slot, _)| slot.clone());
             let dispatch = Dispatch::new(kept.map(kept_slot).chain(joining), filter.base_len());
-            return Ok(ShardSnapshot { filter, dispatch });
+            let samples = self.samples(tree);
+            return Ok(ShardSnapshot {
+                filter,
+                dispatch,
+                samples,
+            });
         }
         let (mut filter, mut dispatch) = (prev.filter.clone(), prev.dispatch.clone());
         for &g in &change.drop {
@@ -394,7 +405,19 @@ impl ShardWriter {
                 }
             };
         }
-        Ok(ShardSnapshot { filter, dispatch })
+        let samples = prev.samples;
+        Ok(ShardSnapshot {
+            filter,
+            dispatch,
+            samples,
+        })
+    }
+
+    /// Whether a shard compiled under `tree` samples its drift
+    /// statistics: iff a drift trigger on it would have a candidate to
+    /// price ([`tuning::candidates`]).
+    fn samples(&self, tree: &TreeConfig) -> bool {
+        !tuning::candidates(tree, self.tuning).is_empty()
     }
 
     /// First half of a recompile of the shard as `change` leaves it over
@@ -515,20 +538,19 @@ impl Shard {
             tree.event_model = Some(tracker.statistics().empirical_model()?);
         }
         let filter = FilterSnapshot::compile(&nothing, &tree)?;
-        let writer = Mutex::new(ShardWriter {
+        let writer = ShardWriter {
             entries: Vec::new(),
             cover: None,
             tracker,
             tree: config.tree.clone(),
             schema: Arc::clone(schema),
             covering: config.covering,
+            tuning: config.tuning,
             metrics: Arc::clone(metrics),
             journal: Arc::clone(journal),
             index,
-        });
-        let dispatch = Dispatch::new([], 0);
-        let snapshot = RwLock::new(Arc::new(ShardSnapshot { filter, dispatch }));
-        Ok(Shard { snapshot, writer })
+        };
+        Ok(Shard::over(writer, filter, Dispatch::new([], 0)))
     }
 
     /// Restores a shard from its checkpoint form: no recompilation — the
@@ -605,19 +627,32 @@ impl Shard {
             }
         }
         let tracker = DriftTracker::new(&compiled, config.rebuild)?;
-        let writer = Mutex::new(ShardWriter {
+        let writer = ShardWriter {
             entries,
             cover,
             tracker,
             tree: cs.tree,
             schema: Arc::clone(schema),
             covering: config.covering,
+            tuning: config.tuning,
             metrics: Arc::clone(metrics),
             journal: Arc::clone(journal),
             index,
-        });
-        let snapshot = RwLock::new(Arc::new(ShardSnapshot { filter, dispatch }));
-        Ok(Shard { snapshot, writer })
+        };
+        Ok(Shard::over(writer, filter, dispatch))
+    }
+
+    /// The shard `writer` serves through `filter` and `dispatch`, under
+    /// its active shape.
+    fn over(writer: ShardWriter, filter: FilterSnapshot, dispatch: Dispatch) -> Self {
+        let samples = writer.samples(&writer.tree);
+        let snapshot = ShardSnapshot {
+            filter,
+            dispatch,
+            samples,
+        };
+        let (snapshot, writer) = (RwLock::new(Arc::new(snapshot)), Mutex::new(writer));
+        Shard { snapshot, writer }
     }
 
     /// Takes the writer lock.
@@ -864,7 +899,8 @@ impl ShardGuard<'_> {
                     cover: r.staged.cover,
                     counter: r.counter,
                 };
-                let snapshot = w.snapshot_after(&prev, &change, Some(r.filter))?;
+                let compiled = Some((r.filter, &r.staged.config));
+                let snapshot = w.snapshot_after(&prev, &change, compiled)?;
                 (snapshot, Some(folded))
             }
             None => (w.snapshot_after(&prev, &change, None)?, None),

@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ens_filter::{Direction, DriftCause, SearchStrategy, TreeConfig, ValueOrder};
+use ens_filter::{Direction, SearchStrategy, TreeConfig, ValueOrder};
 use ens_service::{Broker, BrokerConfig, Decision, DurabilityConfig, FsyncPolicy};
 use ens_workloads::scenario::{stock_event_model, stock_profiles, stock_schema};
 use ens_workloads::{covered_profiles, CoveredPopulationConfig, EventGenerator};
@@ -177,22 +177,22 @@ fn a_shard_holds_its_model_tables_once() {
     let ((broker, _subs), reference) = run(event_order, false);
     drop((broker, _subs));
     assert_eq!(served, reference, "retained with dfsa_dispatch on and off");
-    // In natural order the warm-up has no candidate to price — the
-    // same tree would come out — and is declined without a build.
+    // In natural order a trigger would have no candidate to price —
+    // the same tree would come out — so the shards sample nothing and
+    // no trigger fires: no warm-up to decline, nothing built.
     let ((broker, _subs), served) = run(natural, true);
-    let declined = |d: &Decision| {
+    let drift = |d: &Decision| {
         matches!(
             d,
-            Decision::DriftDeclined {
-                cause: DriftCause::WarmUp,
-                ..
-            }
+            Decision::DriftDeclined { .. } | Decision::DriftRebuilt { .. }
         )
     };
     assert!(
-        broker.decisions().iter().any(declined),
-        "a drift trigger was answered"
+        !broker.decisions().iter().any(drift),
+        "no drift trigger fired: {:?}",
+        broker.decisions()
     );
+    assert_eq!(broker.metrics().drift_declined, 0);
     drop((broker, _subs));
     let ((broker, _subs), reference) = run(natural, false);
     drop((broker, _subs));

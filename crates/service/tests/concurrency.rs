@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ens_filter::RebuildPolicy;
+use ens_filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, ValueOrder};
 use ens_service::{Broker, BrokerConfig};
 use ens_types::{Domain, Event, Predicate, Profile, ProfileId, Schema};
 use ens_workloads::{churn_burst_plan, scenario, ChurnOp, EventGenerator};
@@ -173,10 +173,21 @@ fn concurrent_publishers_and_churn_match_oracle_single_shard() {
     run_churn_scenario(BrokerConfig::default(), 4, 150, 41, Publish::Shared);
 }
 
+/// A shape that reads an event model (V1), so that its shards sample
+/// drift statistics: the default shape samples nothing.
+fn v1() -> TreeConfig {
+    TreeConfig {
+        search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
+        ..TreeConfig::default()
+    }
+}
+
 #[test]
 fn concurrent_publishers_and_churn_match_oracle_sharded_dfsa() {
+    // Concurrent publishers race for each shard's sampling `try_lock`.
     run_churn_scenario(
         BrokerConfig {
+            tree: v1(),
             shards: 3,
             dfsa_dispatch: true,
             stats_sample: 8,
@@ -192,9 +203,10 @@ fn concurrent_publishers_and_churn_match_oracle_sharded_dfsa() {
 #[test]
 fn concurrent_publishers_and_churn_match_oracle_aggressive_compaction() {
     // Tiny thresholds force constant compaction + drift rebuilds while
-    // publishers are in flight.
+    // publishers are in flight (V1: a shape a drift trigger rebuilds).
     run_churn_scenario(
         BrokerConfig {
+            tree: v1(),
             rebuild: RebuildPolicy {
                 max_overlay: 2,
                 min_events: 40,

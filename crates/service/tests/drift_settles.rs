@@ -1,22 +1,26 @@
 //! The default drift loop settles.
 //!
-//! Every broker here runs with `stats_sample: 1`, the default: the
-//! statistics see every event. What is under test is that observing
-//! does not by itself keep re-optimising — the history survives a
-//! compaction, the trigger allows for its own sampling noise, and a
-//! rebuild has to be worth its cost by Eq. 2 — while a distribution
-//! that really moves is still followed.
+//! Every broker here runs with `stats_sample: 1`, the default: where a
+//! shard samples, the statistics see every event. A shard samples only
+//! where a drift trigger could act — its shape reads an event model, or
+//! `tuning` is on — so the default shape samples nothing. What is under
+//! test is that observing does not by itself keep re-optimising — the
+//! history survives a compaction, the trigger allows for its own
+//! sampling noise, and a rebuild has to be worth its cost by Eq. 2 —
+//! while a distribution that really moves is still followed.
 
 use std::sync::Arc;
 
 use ens_filter::{
     Dfsa, Direction, DriftCause, Matcher, RebuildPolicy, SearchStrategy, TreeConfig, ValueOrder,
 };
+use ens_service::federation::link::LinkConfig;
+use ens_service::federation::sim::SimNet;
 use ens_service::{
-    Broker, BrokerConfig, Decision, DeclineReason, DurabilityConfig, FaultFs, FsyncPolicy,
-    Subscriber, SubscriptionId,
+    Broker, BrokerConfig, Decision, DeclineReason, DurabilityConfig, FaultFs, Federation,
+    FederationConfig, FsyncPolicy, Subscriber, SubscriptionId,
 };
-use ens_types::{Domain, Event, Predicate, Profile, ProfileId, Schema};
+use ens_types::{Domain, Event, Predicate, Profile, ProfileId, ProfileSet, Schema};
 use ens_workloads::scenario::{
     environmental_event_model, environmental_profiles, environmental_schema, stock_event_model,
     stock_profiles, stock_schema,
@@ -64,9 +68,9 @@ fn v1() -> TreeConfig {
 /// (i) The stock case PR 11 recorded: about 2000 price cells, 500
 /// events between evaluations — sampling noise of 1.6 against a
 /// threshold of 0.25, and a rebuild every 530 events for good. The
-/// default shape reads no event model, so no trigger has a tree to
-/// price: the warm-up is turned down on the spot, and the stream never
-/// recompiles.
+/// default shape reads no event model, so no trigger would have a tree
+/// to price: the shard samples nothing, no trigger fires, and the
+/// stream never recompiles.
 #[test]
 fn stationary_stock_stream_never_recompiles() {
     let schema = stock_schema();
@@ -85,30 +89,17 @@ fn stationary_stock_stream_never_recompiles() {
     }
     let m = broker.metrics();
     assert!(m.tree_rebuilds <= 3, "{m}");
-    // Exact for this seed: the warm-up, declined, and not a trigger
-    // after it.
-    assert_eq!((m.tree_rebuilds, m.drift_declined), (0, 1), "{m}");
-    let decisions = drift_decisions(&broker);
-    let [Decision::DriftDeclined {
-        cause: DriftCause::WarmUp,
-        noise,
-        drift,
-        predicted_saving,
-        reason: DeclineReason::NoSaving,
-        ..
-    }] = decisions[..]
-    else {
-        panic!("{decisions:?}");
-    };
-    assert_eq!(noise, 0.0, "warm-up: nothing to have drifted from");
-    assert!(drift > 1.0, "500 events over 2000 cells: {drift}");
-    assert_eq!(predicted_saving, 0.0, "nothing was priced");
+    // Not even the warm-up: nothing was sampled to fire it.
+    assert_eq!((m.tree_rebuilds, m.drift_declined), (0, 0), "{m}");
+    assert_eq!(drift_decisions(&broker), [], "{m}");
 }
 
 /// The warm-up of a `BrokerConfig::default()` broker recompiles
 /// nothing: its natural order reads no event model, so the tree it
-/// would build is the tree in place. The bulk load's record is the
-/// only `Compacted` one; the trigger is declined, not staged.
+/// would build is the tree in place. It is declined before it fires —
+/// a shard samples only where a trigger has a candidate to price — so
+/// past four times `min_events` the bulk load's record is the whole
+/// journal: no trigger, nothing staged, nothing priced.
 #[test]
 fn default_warm_up_is_declined_without_a_recompile() {
     let schema = environmental_schema();
@@ -123,27 +114,15 @@ fn default_warm_up_is_declined_without_a_recompile() {
     );
     let generator = EventGenerator::new(&schema, environmental_event_model().unwrap()).unwrap();
     let min_events = RebuildPolicy::default().min_events;
-    while broker.decisions().len() == loaded.len() {
+    for _ in 0..4 * min_events {
         broker.publish(&generator.sample(&mut rng)).unwrap();
         drain(&subs);
     }
-    let decisions = broker.decisions();
-    let [Decision::Compacted { .. }, Decision::DriftDeclined {
-        cause: DriftCause::WarmUp,
-        reason: DeclineReason::NoSaving,
-        predicted_saving,
-        next_check_in,
-        ..
-    }] = decisions[..]
-    else {
-        panic!("{decisions:#?}");
-    };
-    assert_eq!(predicted_saving, 0.0);
-    assert_eq!(next_check_in, 2 * min_events, "the baseline moved");
+    assert_eq!(broker.decisions(), loaded);
     let m = broker.metrics();
     assert_eq!(
         (m.tree_rebuilds, m.drift_declined, m.tuning_nanos),
-        (0, 1, 0),
+        (0, 0, 0),
         "{m}"
     );
 }
@@ -172,14 +151,15 @@ fn churn_rounds_on_a_durable_broker_do_not_recompile() {
         .zip(population.iter().cloned())
         .collect();
 
-    // Warm-up: declined, the natural order reading no event model.
+    // No warm-up: the natural order reads no event model, so the
+    // shard samples nothing.
     let generator = EventGenerator::new(&schema, environmental_event_model().unwrap()).unwrap();
     for _ in 0..1000 {
         broker.publish(&generator.sample(&mut rng)).unwrap();
     }
     drain(&base);
     let warm = broker.metrics();
-    assert_eq!((warm.tree_rebuilds, warm.drift_declined), (0, 1), "{warm}");
+    assert_eq!((warm.tree_rebuilds, warm.drift_declined), (0, 0), "{warm}");
 
     let plan = churn_burst_plan(11, 200, 64, 16).unwrap();
     let mut churn: Vec<Subscriber> = Vec::new();
@@ -229,6 +209,8 @@ fn churn_rounds_on_a_durable_broker_do_not_recompile() {
     // when it leaves.)
     assert_eq!(m.overlay_compactions, warm.overlay_compactions, "{m}");
     assert_eq!(m.subscriptions, 1000);
+    assert_eq!(m.drift_declined, 0, "{m}");
+    assert_eq!(drift_decisions(&broker), [], "{m}");
 }
 
 /// (iii) A fresh broker on a skewed stream rebuilds exactly once: onto
@@ -492,11 +474,12 @@ fn migrations_without_saving_back_off() {
     let m = broker.metrics();
     assert_eq!(m.tree_rebuilds, 0, "the warm-up saves nothing either: {m}");
     assert_eq!(m.drift_declined, 6, "exact for this stream: {m}");
-    let waits: Vec<u64> = broker
+    let (causes, waits): (Vec<DriftCause>, Vec<u64>) = broker
         .decisions()
         .iter()
         .filter_map(|d| match d {
             Decision::DriftDeclined {
+                cause,
                 reason,
                 predicted_saving,
                 next_check_in,
@@ -504,11 +487,13 @@ fn migrations_without_saving_back_off() {
             } => {
                 assert_eq!(*reason, DeclineReason::NoSaving);
                 assert_eq!(*predicted_saving, 0.0);
-                Some(*next_check_in)
+                Some((*cause, *next_check_in))
             }
             _ => None,
         })
-        .collect();
+        .unzip();
+    // The warm-up is declined first, and moves the baseline.
+    assert_eq!(causes[0], DriftCause::WarmUp, "{causes:?}");
     let doubling: Vec<u64> = (1..=waits.len()).map(|k| min_events << k).collect();
     assert_eq!(waits, doubling, "2, 4, 8… times min_events");
 }
@@ -715,5 +700,176 @@ fn a_restored_shard_decides_what_the_fresh_one_did() {
         let reopened = open();
         assert_eq!(reopened.subscribers.len(), w.profiles.len());
         assert_eq!(decide(&reopened.broker), first, "covering {covering}");
+    }
+}
+
+/// How a stream reaches the broker under test.
+#[derive(Clone, Copy, Debug)]
+enum Path {
+    /// One `publish_shared` an event.
+    Shared,
+    /// `publish_batch`, 64 events a call.
+    Batch,
+    /// Published 64 at a time at an origin broker (default
+    /// configuration) and ingested by the broker under test at the far
+    /// end of a simulated link: what it is forwarded of them.
+    Edge,
+}
+
+/// A drift record, by kind and cause: what a trigger came to.
+fn outcome(d: &Decision) -> Option<String> {
+    match d {
+        Decision::DriftRebuilt { cause, .. } => Some(format!("rebuilt {cause:?}")),
+        Decision::DriftDeclined { cause, reason, .. } => {
+            Some(format!("declined {cause:?} {reason:?}"))
+        }
+        Decision::Retuned { .. } => Some("retuned".into()),
+        _ => None,
+    }
+}
+
+/// Feeds `events` along `path` to a broker under `config` that holds
+/// `profiles`, and returns each drift record it journals with the
+/// events it had published when the record was first seen, and its
+/// `drift_declined` count.
+fn decided_along(
+    config: &BrokerConfig,
+    path: Path,
+    profiles: &ProfileSet,
+    events: &[Arc<Event>],
+) -> (Vec<(u64, String)>, u64) {
+    let schema = profiles.schema();
+    let mut seen = Vec::new();
+    let mut record = |broker: &Broker| {
+        let decisions = broker.decisions();
+        let fresh = decisions.iter().filter_map(outcome).skip(seen.len());
+        let at = broker.metrics().events_published;
+        seen.extend(fresh.map(|d| (at, d)));
+    };
+    let declined = match path {
+        Path::Shared | Path::Batch => {
+            let broker = Broker::new(schema, config.clone()).unwrap();
+            let subs = broker.subscribe_many(profiles.iter().cloned()).unwrap();
+            if let Path::Shared = path {
+                for event in events {
+                    broker.publish_shared(Arc::clone(event)).unwrap();
+                    record(&broker);
+                }
+            } else {
+                for batch in events.chunks(64) {
+                    broker.publish_batch(batch).unwrap();
+                    record(&broker);
+                }
+            }
+            drain(&subs);
+            broker.metrics().drift_declined
+        }
+        Path::Edge => {
+            let net = SimNet::new(7);
+            let node = |node, config: BrokerConfig| {
+                let broker = Arc::new(Broker::new(schema, config).unwrap());
+                let link = LinkConfig {
+                    heartbeat_ms: 50,
+                    timeout_ms: 300,
+                    rto_ms: 40,
+                    ..LinkConfig::default()
+                };
+                let config = FederationConfig {
+                    node,
+                    epoch: 1,
+                    link,
+                    ..FederationConfig::default()
+                };
+                Federation::new(broker, config)
+            };
+            let (origin, edge) = (node(1, BrokerConfig::default()), node(2, config.clone()));
+            origin.add_peer(2, Box::new(net.transport(1, 2)), 0);
+            edge.add_peer(1, Box::new(net.transport(2, 1)), 0);
+            let subs: Vec<Subscriber> = profiles
+                .iter()
+                .map(|p| edge.subscribe_profile(p.clone()).unwrap())
+                .collect();
+            let pump = |steps: u32| {
+                for _ in 0..steps {
+                    origin.pump(net.now_ms()).unwrap();
+                    edge.pump(net.now_ms()).unwrap();
+                    net.advance(10);
+                }
+            };
+            pump(10);
+            for batch in events.chunks(64) {
+                origin.publish_batch(batch).unwrap();
+                while edge.metrics().delivered_rows < origin.metrics().forwarded_rows {
+                    pump(1);
+                    record(edge.broker());
+                }
+                drain(&subs);
+            }
+            assert!(
+                edge.metrics().delivered_rows >= 3 * 500,
+                "the edge warms up"
+            );
+            edge.broker().metrics().drift_declined
+        }
+    };
+    (seen, declined)
+}
+
+/// Sampling follows the decision: a shard records drift statistics
+/// only where a trigger could act on them. At the default shape — no
+/// event model read, tuning off — no trigger fires, whichever way the
+/// events arrive, and no warm-up is declined. A shape that reads a
+/// model (V1) and a tuning broker decide what they decided while every
+/// shard sampled, at the same event counts.
+#[test]
+fn sampling_follows_the_decision() {
+    let w = hot_band_migration(41, 400, 3000).unwrap();
+    let events: Vec<Arc<Event>> = w
+        .phase_a
+        .iter()
+        .chain(&w.phase_b)
+        .cloned()
+        .map(Arc::new)
+        .collect();
+    let paths = [Path::Shared, Path::Batch, Path::Edge];
+    for path in paths {
+        let (seen, declined) = decided_along(&BrokerConfig::default(), path, &w.profiles, &events);
+        assert_eq!((seen, declined), (vec![], 0), "{path:?}");
+    }
+    // What these brokers journaled on these streams when every shard
+    // sampled, whatever its shape: the same decisions at the same
+    // event counts.
+    let v1_decided: [&[(u64, &str)]; 3] = [
+        &[(500, "rebuilt WarmUp"), (5896, "declined Moved NotYetPaid")],
+        &[(512, "rebuilt WarmUp"), (5952, "declined Moved NotYetPaid")],
+        &[(500, "rebuilt WarmUp")],
+    ];
+    let tuning_decided: [&[(u64, &str)]; 3] = [
+        &[
+            (500, "rebuilt WarmUp"),
+            (500, "retuned"),
+            (5896, "declined Moved NoSaving"),
+        ],
+        &[
+            (512, "rebuilt WarmUp"),
+            (512, "retuned"),
+            (5952, "declined Moved NoSaving"),
+        ],
+        &[(500, "rebuilt WarmUp"), (500, "retuned")],
+    ];
+    let v1 = BrokerConfig {
+        tree: v1(),
+        ..BrokerConfig::default()
+    };
+    let tuning = BrokerConfig {
+        tuning: true,
+        ..BrokerConfig::default()
+    };
+    for (config, decided) in [(v1, v1_decided), (tuning, tuning_decided)] {
+        for (path, want) in paths.into_iter().zip(decided) {
+            let (seen, _) = decided_along(&config, path, &w.profiles, &events);
+            let want: Vec<(u64, String)> = want.iter().map(|&(n, d)| (n, d.into())).collect();
+            assert_eq!(seen, want, "{path:?}, tuning {}", config.tuning);
+        }
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use ens_service::federation::link::LinkConfig;
 use ens_service::federation::sim::SimNet;
 use ens_service::{Broker, BrokerConfig, Federation, FederationConfig};
-use ens_types::{Domain, Event, Schema, Value};
+use ens_types::{Domain, Event, IndexedBatch, Schema, Value};
 
 fn schema() -> Schema {
     Schema::builder()
@@ -144,4 +144,51 @@ fn drop_oldest_keeps_the_newest_suffix_and_reports_shedding() {
     a.publish_batch(&more).expect("publish");
     pump_both(&net, &a, &b, 40);
     assert_eq!(xs(&sub.drain()), vec![100, 101, 102]);
+}
+
+#[test]
+fn receipt_free_ingress_collects_hung_up_subscribers() {
+    // Ingress publishes without receipts, and still collects a
+    // subscriber whose consumer hung up and counts the notifications it
+    // missed — as `publish_batch_prepared` does on a twin broker fed
+    // the same rows in one batch.
+    let net = SimNet::new(11);
+    let (a, b) = pair(&net, 0);
+    let texts = ["profile(x >= 100)", "profile(x >= 0)", "profile(x <= 120)"];
+    let mut subs: Vec<_> = texts
+        .iter()
+        .map(|t| b.subscribe_parsed(t).unwrap())
+        .collect();
+    let twin = Broker::new(&schema(), BrokerConfig::default()).expect("broker");
+    let mut twin_subs: Vec<_> = texts
+        .iter()
+        .map(|t| twin.subscribe_parsed(t).unwrap())
+        .collect();
+    pump_both(&net, &a, &b, 6);
+    // The one matching every row hangs up.
+    drop(subs.remove(1));
+    drop(twin_subs.remove(1));
+
+    let events: Vec<Arc<Event>> = (0..40).map(|i| Arc::new(event(90 + i))).collect();
+    a.publish_batch(&events).expect("publish");
+    pump_both(&net, &a, &b, 40);
+    let mut indexed = IndexedBatch::new();
+    indexed
+        .resolve_into(&schema(), events.iter().map(Arc::as_ref))
+        .unwrap();
+    let receipts = twin.publish_batch_prepared(&events, &indexed).unwrap();
+    assert_eq!(receipts.len(), 40);
+
+    let edge = b.broker();
+    assert_eq!(b.metrics().delivered_rows, 40);
+    assert_eq!(edge.subscription_count(), 2, "collected at the edge");
+    assert_eq!(twin.subscription_count(), 2);
+    // One per (event, severed subscriber): every row matched it.
+    assert_eq!(edge.metrics().dropped_notifications, 40);
+    assert_eq!(twin.metrics().dropped_notifications, 40);
+    for (sub, twin_sub) in subs.iter().zip(&twin_subs) {
+        let got = xs(&sub.drain());
+        assert!(!got.is_empty());
+        assert_eq!(got, xs(&twin_sub.drain()), "{}", sub.id());
+    }
 }
